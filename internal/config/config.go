@@ -206,6 +206,12 @@ func (c Config) Validate() error {
 		return errors.New("config: L2Banks must be positive")
 	case c.DRAMPartitions <= 0:
 		return errors.New("config: DRAMPartitions must be positive")
+	case c.ALULatency < 1:
+		return errors.New("config: ALULatency must be at least 1 cycle")
+	case c.L1HitLatency < 1:
+		// A hit returning in its issue cycle would read as "miss
+		// outstanding" on the scoreboard (return cycle 0 at cycle 0).
+		return errors.New("config: L1HitLatency must be at least 1 cycle")
 	case c.MaxThreadsPerSM < c.MaxWarpsPerSM()*c.WarpWidth:
 		return fmt.Errorf("config: MaxThreadsPerSM %d below warp capacity %d",
 			c.MaxThreadsPerSM, c.MaxWarpsPerSM()*c.WarpWidth)

@@ -113,6 +113,10 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"l2 banks", func(c *Config) { c.L2Banks = 0 }},
 		{"l2 split", func(c *Config) { c.L2.SizeBytes = 1000; c.L2Banks = 7 }},
 		{"dram", func(c *Config) { c.DRAMPartitions = 0 }},
+		{"zero alu latency", func(c *Config) { c.ALULatency = 0 }},
+		{"negative alu latency", func(c *Config) { c.ALULatency = -4 }},
+		{"zero l1 hit latency", func(c *Config) { c.L1HitLatency = 0 }},
+		{"negative l1 hit latency", func(c *Config) { c.L1HitLatency = -1 }},
 	}
 	for _, tc := range cases {
 		c := Default()

@@ -15,16 +15,7 @@ import (
 func (g *GPU) runDense(k *trace.Kernel, p Policy, opts RunOptions, policyNext int64) (KernelResult, error) {
 	for g.doneWarp < g.total {
 		// Deliver due events.
-		for {
-			e, ok := g.events.peek()
-			if !ok || e.cycle > g.now {
-				break
-			}
-			g.events.pop()
-			if e.kind == evFill {
-				g.completeFill(e)
-			}
-		}
+		g.deliverDue()
 		if p != nil && g.now >= policyNext {
 			policyNext = p.Step(g, g.now)
 			if policyNext <= g.now {
@@ -53,13 +44,7 @@ func (g *GPU) runDense(k *trace.Kernel, p Policy, opts RunOptions, policyNext in
 			continue
 		}
 		// Idle: jump to the next interesting cycle.
-		next := Never
-		if e, ok := g.events.peek(); ok {
-			next = e.cycle
-		}
-		if policyNext < next {
-			next = policyNext
-		}
+		next := min(g.nextEventCycle(), policyNext)
 		// Lazily-resolved wakes (hit returns, pipeline) are events too,
 		// so a Never here with warps outstanding means either parked
 		// replayers whose wake-up fills already drained (wake them all

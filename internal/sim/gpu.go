@@ -61,7 +61,8 @@ type GPU struct {
 	l2Pipe    int64
 	respFlits int
 
-	events eventHeap
+	events eventHeap // fills in flight
+	wakes  wakeRing  // clock markers: dependent-ALU and L1-hit returns
 	rq     readyQueue
 	now    int64
 
@@ -123,6 +124,7 @@ func New(cfg config.Config) (*GPU, error) {
 	// ready queue and launch scratch are sized here and only truncated
 	// between runs, so a warmed (pooled) GPU reuses their storage.
 	g.events.a = make([]event, 0, 256)
+	g.wakes.init(max(cfg.ALULatency, cfg.L1HitLatency))
 	g.rq.init(g)
 	g.blockScratch = make([]int32, 0, cfg.MaxBlocksPerSM+1)
 	perBank := config.CacheConfig{
@@ -164,6 +166,7 @@ func (g *GPU) Reset() {
 		g.banks[i].c.Reset()
 	}
 	g.events.reset()
+	g.wakes.reset()
 	g.rq.resetState()
 	g.blockScratch = g.blockScratch[:0]
 	g.now = 0

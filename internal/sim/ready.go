@@ -17,11 +17,11 @@ import (
 //   - hot: its wake hint is <= now, so the dense scan would call Pick
 //     on it every visited cycle. Hot schedulers live in a list sorted
 //     by (SM, scheduler) so attempts happen in dense scan order.
-//   - timed: a failed Pick produced a finite wake hint. The scheduler
+//   - timed: a failed pick produced a finite wake hint. The scheduler
 //     sits in a min-heap keyed by that cycle and rejoins the hot list
 //     at the first visit at or after it. The heap never drives the
-//     clock — the dense loop only jumps to events and policy steps, so
-//     the ready engine does too.
+//     clock — the dense loop only jumps to fills, clock markers and
+//     policy steps, so the ready engine does too.
 //   - dormant: the hint is NoDep ("blocked on memory"); only an
 //     explicit wake (fill, replay drain, tuple change, launch) can
 //     requeue it.
@@ -36,6 +36,18 @@ import (
 // attempt it. Attempting too eagerly is harmless — issueOne's blocked
 // branch reproduces the dense per-visit accounting — but a missed due
 // attempt would diverge, so requeueing errs toward waking.
+//
+// The hint itself comes from sm.Scheduler.PickOrWake and is exact: the
+// first cycle some vital warp has both its pipeline latency and every
+// L1 hit it depends on behind it, or NoDep if each waits on a miss.
+// (The scoreboard walk this replaced stopped at a warp's earliest
+// blocking hit return, so its hints could be early and cost a failed
+// attempt.) How tight a hint is never shows in a result: hints do not
+// drive the clock, and a visit accounts the same stall whether it is
+// skipped under a hint, settled in a span, or attempted and blocked.
+// Each finite hint is a cycle the loop visits anyway — a clock marker
+// was set for it when the ALU op or the hit issued, or it is the cycle
+// after an issue.
 //
 // Blocked-cycle accounting: the dense scan bumps StallCycles or
 // IdleCycles on every blocked scheduler every visited cycle. For hot
@@ -411,16 +423,7 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 		}
 		rq.visits++
 		// Deliver due events (fills requeue woken schedulers).
-		for {
-			e, ok := g.events.peek()
-			if !ok || e.cycle > g.now {
-				break
-			}
-			g.events.pop()
-			if e.kind == evFill {
-				g.completeFill(e)
-			}
-		}
+		g.deliverDue()
 		if p != nil && g.now >= policyNext {
 			// Settle spans so the policy observes exactly the counters
 			// the dense engine would show it at this cycle.
@@ -483,14 +486,9 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 		}
 		// No hot scheduler issued: jump exactly where the dense loop
 		// would. Timed scheduler wakes never drive the clock — finite
-		// wake hints always coincide with an event or follow an issue.
-		next := Never
-		if e, ok := g.events.peek(); ok {
-			next = e.cycle
-		}
-		if policyNext < next {
-			next = policyNext
-		}
+		// wake hints always coincide with a clock marker or follow an
+		// issue.
+		next := min(g.nextEventCycle(), policyNext)
 		if next == Never {
 			if g.wakeAllReplayers() {
 				g.now++

@@ -34,7 +34,7 @@ func fillLine(t *testing.T, g *GPU, s *sm.SM, line uint64) {
 		cache.Waiter{Sched: 0, Slot: 0, Token: 0, Warp: w.Global}) == nil {
 		t.Fatal("MSHR.Allocate failed with an empty file")
 	}
-	g.completeFill(event{kind: evFill, sm: int32(s.ID), line: line})
+	g.completeFill(event{sm: int32(s.ID), line: line})
 }
 
 // TestReplayQueueReusesStorage drives many park-then-fill rounds and
@@ -100,10 +100,11 @@ func TestReplayQueueFIFOSkipsStale(t *testing.T) {
 	if got := s.ReplayQ[0]; got.Warp != wb.Global || got.Token != tokB {
 		t.Fatalf("remaining waiter = %+v, want warp %d token %d", got, wb.Global, tokB)
 	}
-	if !wa.Pend[len(wa.Pend)-1].Done {
+	// A parked warp is blocked on its replay token; admission resolves it.
+	if !wa.CanIssue(0) {
 		t.Fatalf("first live waiter (token %d) was not admitted", tokA)
 	}
-	if wb.Pend[len(wb.Pend)-1].Done {
+	if wb.CanIssue(0) {
 		t.Fatal("second live waiter admitted early; replay admission must be one per fill")
 	}
 
@@ -112,7 +113,7 @@ func TestReplayQueueFIFOSkipsStale(t *testing.T) {
 	if len(s.ReplayQ) != 0 {
 		t.Fatalf("queue length after second fill = %d, want 0", len(s.ReplayQ))
 	}
-	if !wb.Pend[len(wb.Pend)-1].Done {
+	if !wb.CanIssue(0) {
 		t.Fatal("second live waiter was not admitted by the second fill")
 	}
 }

@@ -99,6 +99,7 @@ func (g *GPU) Run(k *trace.Kernel, p Policy, opts RunOptions) (KernelResult, err
 	g.total = k.TotalWarps()
 	g.now = 0
 	g.events.reset()
+	g.wakes.reset()
 	g.TupleLog = g.TupleLog[:0]
 
 	if !opts.Warm {
@@ -147,8 +148,9 @@ func (g *GPU) Run(k *trace.Kernel, p Policy, opts RunOptions) (KernelResult, err
 // happen when the warp admitted by the final fill was not vital). It
 // reports whether any warp was woken.
 func (g *GPU) wakeAllReplayers() bool {
-	woke := false
+	anyWoke := false
 	for _, s := range g.SMs {
+		woke := false
 		for _, r := range s.ReplayQ {
 			sch := s.Scheds[r.Sched]
 			w := &sch.Slots[r.Slot]
@@ -160,9 +162,25 @@ func (g *GPU) wakeAllReplayers() bool {
 		s.ReplayQ = s.ReplayQ[:0]
 		if woke {
 			g.wakeSMScheds(s)
+			anyWoke = true
 		}
 	}
-	return woke
+	return anyWoke
+}
+
+// deliverDue starts the visit of cycle g.now: its clock marker is
+// consumed and every fill due by now completes.
+func (g *GPU) deliverDue() {
+	g.wakes.visit(g.now)
+	for g.events.next() <= g.now {
+		g.completeFill(g.events.pop())
+	}
+}
+
+// nextEventCycle returns the earliest cycle after g.now that a fill or
+// a clock marker asks the loop to visit, or Never.
+func (g *GPU) nextEventCycle() int64 {
+	return min(g.events.next(), g.wakes.next(g.now))
 }
 
 func (g *GPU) totalInstructions() int64 {
@@ -227,14 +245,14 @@ func (g *GPU) issueOne(s *sm.SM, sch *sm.Scheduler) bool {
 		}
 		return false
 	}
-	slot := sch.Pick(g.now)
+	slot, wake := sch.PickOrWake(g.now)
 	if slot < 0 {
 		if sch.ActiveWarps() > 0 {
 			sch.StallCycles++
 		} else {
 			sch.IdleCycles++
 		}
-		sch.SetWakeHint(sch.NextWake(g.now))
+		sch.SetWakeHint(wake)
 		return false
 	}
 	w := &sch.Slots[slot]
@@ -247,7 +265,7 @@ func (g *GPU) issueOne(s *sm.SM, sch *sm.Scheduler) bool {
 		if ins.DepALU {
 			w.ReadyAt = g.now + int64(g.Cfg.ALULatency)
 			if g.Cfg.ALULatency > 1 {
-				g.events.push(event{cycle: w.ReadyAt, kind: evWake, sm: int32(s.ID)})
+				g.wakes.mark(w.ReadyAt)
 			}
 		} else {
 			w.ReadyAt = g.now + 1
@@ -315,7 +333,7 @@ func (g *GPU) issueLoad(s *sm.SM, sch *sm.Scheduler, slot int, w *sm.Warp, ins *
 		ret := g.now + int64(g.Cfg.L1HitLatency)
 		w.AddPending(sm.Pending{Token: w.NewToken(), DepFlat: depFlat, RetCycle: ret})
 		s.C.HitReturns++
-		g.events.push(event{cycle: ret, kind: evWake, sm: int32(s.ID)})
+		g.wakes.mark(ret)
 		return true
 	}
 
@@ -331,7 +349,7 @@ func (g *GPU) issueLoad(s *sm.SM, sch *sm.Scheduler, slot int, w *sm.Warp, ins *
 	w.AddPending(sm.Pending{Token: token, DepFlat: depFlat})
 
 	ret := g.memAccess(s.ID, lineAddr, w.Global, pc, false)
-	g.events.push(event{cycle: ret, kind: evFill, sm: int32(s.ID), line: lineAddr})
+	g.events.push(event{cycle: ret, sm: int32(s.ID), line: lineAddr})
 	return true
 }
 

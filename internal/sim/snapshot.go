@@ -11,8 +11,8 @@ import (
 // Mid-run snapshot/restore. The GPU serialises every piece of live
 // engine state — SMs (schedulers, warps, scoreboards, L1 + victim
 // tags, MSHRs, replay queues, PC tables), the L2 banks, NoC and DRAM
-// servers, the event heap, the visit counter and the parked policy
-// activation — into a snap payload. Restore-then-finish is proven
+// servers, the event heap and wake ring, the visit counter and the
+// parked policy activation — into a snap payload. Restore-then-finish is proven
 // bit-identical to uninterrupted runs (results, per-scheduler
 // counters and tuple logs) by TestSnapshotRestoreIdentity across the
 // catalogue workloads and every scheme class.
@@ -20,9 +20,10 @@ import (
 // The ready queue itself is deliberately not serialised: an interrupt
 // settles all blocked-cycle spans first, after which the queue's
 // classification is a pure function of the wake hints the schedulers
-// carry — startResume rebuilds it. Keeping derived state out of the
-// payload keeps the format small and removes a whole class of
-// restore-inconsistency bugs.
+// carry — startResume rebuilds it. The warps' cached scoreboard answers
+// are derived state too (sm.Warp.decodeState rebuilds them from the
+// decoded loads). Keeping derived state out of the payload keeps the
+// format small and removes a whole class of restore-inconsistency bugs.
 
 // simStateVersion versions the GPU state payload inside a poisesnap
 // container (the container has its own version for the envelope).
@@ -77,12 +78,22 @@ func (g *GPU) encodeState(w *snap.Writer, running bool) {
 	w.Varint(int64(g.nextBlk))
 	w.Varint(int64(g.doneWarp))
 	w.Varint(int64(g.total))
-	w.Uvarint(uint64(len(g.events.a)))
+	// One event list on the wire: the heap's fills in array order (so a
+	// restored heap has the same shape), then the ring's clock markers.
+	w.Uvarint(uint64(len(g.events.a) + g.wakes.marked))
 	for _, e := range g.events.a {
 		w.Varint(e.cycle)
-		w.Uvarint(uint64(e.kind))
+		w.Uvarint(uint64(evFill))
 		w.Varint(int64(e.sm))
 		w.Uvarint(e.line)
+	}
+	for c := g.now; c <= g.now+g.wakes.horizon; c++ {
+		if g.wakes.has(c) {
+			w.Varint(c)
+			w.Uvarint(uint64(evWake))
+			w.Varint(0)
+			w.Uvarint(0)
+		}
 	}
 	w.Varint(g.rq.visits)
 	w.Varint(g.policyNext)
@@ -140,14 +151,31 @@ func (g *GPU) decodeState(r *snap.Reader) (running bool, err error) {
 	g.doneWarp = int(r.Varint())
 	g.total = int(r.Varint())
 	ne := r.Count(maxEventsSnap)
-	g.events.a = g.events.a[:0]
+	g.events.reset()
+	g.wakes.reset()
 	for i := 0; i < ne; i++ {
-		g.events.a = append(g.events.a, event{
-			cycle: r.Varint(),
-			kind:  eventKind(r.Uvarint()),
-			sm:    int32(r.Varint()),
-			line:  r.Uvarint(),
-		})
+		cycle, kind := r.Varint(), eventKind(r.Uvarint())
+		e := event{cycle: cycle, sm: int32(r.Varint()), line: r.Uvarint()}
+		if r.Err() != nil {
+			break
+		}
+		switch kind {
+		case evWake:
+			// Containers written before the ring existed carry their
+			// clock markers as heap events, in any order.
+			if cycle < g.now || cycle > g.now+g.wakes.horizon {
+				return true, fmt.Errorf("sim: clock marker at cycle %d outside [%d, %d]",
+					cycle, g.now, g.now+g.wakes.horizon)
+			}
+			g.wakes.mark(cycle)
+		case evFill:
+			if e.sm < 0 || int(e.sm) >= len(g.SMs) {
+				return true, fmt.Errorf("sim: fill for SM %d of %d", e.sm, len(g.SMs))
+			}
+			g.events.push(e)
+		default:
+			return true, fmt.Errorf("sim: unknown event kind %d", kind)
+		}
 	}
 	g.rq.visits = r.Varint()
 	g.policyNext = r.Varint()

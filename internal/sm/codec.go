@@ -77,7 +77,7 @@ func (wp *Warp) encodeState(w *snap.Writer) {
 		w.Varint(p.Token)
 		w.Varint(p.DepFlat)
 		w.Varint(p.RetCycle)
-		w.Bool(p.Done)
+		w.Bool(false) // was Pending.Done; a resolved load is now removed, never flagged
 	}
 	w.Varint(wp.tokenSeq)
 }
@@ -98,13 +98,14 @@ func (wp *Warp) decodeState(r *snap.Reader) error {
 	n := r.Count(maxPending)
 	wp.Pend = wp.Pend[:0]
 	for i := 0; i < n; i++ {
-		wp.Pend = append(wp.Pend, Pending{
-			Token:    r.Varint(),
-			DepFlat:  r.Varint(),
-			RetCycle: r.Varint(),
-			Done:     r.Bool(),
-		})
+		p := Pending{Token: r.Varint(), DepFlat: r.Varint(), RetCycle: r.Varint()}
+		if done := r.Bool(); !done { // older containers list resolved loads too
+			wp.Pend = append(wp.Pend, p)
+		}
 	}
+	// The cached scoreboard answer is derived state: rebuilt here, never
+	// serialised.
+	wp.rebuild()
 	if len(wp.Pend) == 0 {
 		wp.Pend = nil // match the post-Reset zero value
 	}
@@ -151,6 +152,10 @@ func (s *Scheduler) DecodeState(r *snap.Reader) error {
 		v := int(r.Varint())
 		if v < 0 || v >= len(s.Slots) {
 			return fmt.Errorf("sm: age-order slot %d out of range", v)
+		}
+		// PickOrWake trusts the age order to list live warps only.
+		if !s.Slots[v].Active {
+			return fmt.Errorf("sm: age-order slot %d holds no live warp", v)
 		}
 		s.ageOrder = append(s.ageOrder, v)
 	}

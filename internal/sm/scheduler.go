@@ -141,7 +141,9 @@ func (s *Scheduler) Launch(global, block, warpInBlk int32, iters int) int {
 	}
 	s.dispatchSeq++
 	w := &s.Slots[slot]
-	w.Reset()
+	// The slot keeps its scoreboard storage from one warp to the next;
+	// only Reset gives it back.
+	*w = Warp{Pend: w.Pend[:0]}
 	w.Active = true
 	w.Global = global
 	w.Block = block
@@ -169,45 +171,50 @@ func (s *Scheduler) Retire(slot int) {
 	s.refreshBits()
 }
 
-// Pick returns the slot of the warp to issue from at cycle now,
-// following GTO: stay with the current warp while it can issue, else
-// the oldest ready vital warp. Returns -1 when nothing can issue.
-func (s *Scheduler) Pick(now int64) int {
+// PickOrWake is the scheduler's one pass over its vital warps at cycle
+// now. Following GTO it stays with the current warp while that can
+// issue, else takes the oldest ready vital warp, and returns its slot.
+// When nothing can issue it returns -1 and the earliest cycle a vital
+// warp could issue without a fill arriving first: NoDep when every one
+// waits on memory or there are no vital warps. wake means nothing when
+// a slot is returned.
+func (s *Scheduler) PickOrWake(now int64) (slot int, wake int64) {
 	if s.current >= 0 {
 		w := &s.Slots[s.current]
-		if w.Active && w.Vital && w.CanIssue(now) {
-			return s.current
+		if w.Vital && w.CanIssue(now) {
+			return s.current, now
 		}
 	}
-	limit := s.n
-	if limit > len(s.ageOrder) {
-		limit = len(s.ageOrder)
-	}
-	for i := 0; i < limit; i++ {
-		slot := s.ageOrder[i]
-		if s.Slots[slot].CanIssue(now) {
-			s.current = slot
-			return slot
+	wake = NoDep
+	for _, v := range s.ageOrder[:s.VitalCount()] {
+		at := s.Slots[v].issueAt()
+		if at <= now {
+			s.current = v
+			return v, now
+		}
+		if at < wake {
+			wake = at
 		}
 	}
-	return -1
+	return -1, wake
 }
 
-// NextWake returns the earliest cycle any vital warp might become
-// issueable, or NoDep when that is unknown (waiting on memory) or there
-// are no vital warps.
+// Pick returns the slot PickOrWake chooses, or -1 when nothing can
+// issue.
+func (s *Scheduler) Pick(now int64) int {
+	slot, _ := s.PickOrWake(now)
+	return slot
+}
+
+// NextWake returns the earliest cycle after now at which a vital warp
+// might be issueable, or NoDep when that is unknown (waiting on memory)
+// or there are no vital warps.
 func (s *Scheduler) NextWake(now int64) int64 {
-	earliest := NoDep
-	limit := s.n
-	if limit > len(s.ageOrder) {
-		limit = len(s.ageOrder)
+	wake := NoDep
+	for _, slot := range s.ageOrder[:s.VitalCount()] {
+		wake = min(wake, s.Slots[slot].NextWake(now))
 	}
-	for i := 0; i < limit; i++ {
-		if wake := s.Slots[s.ageOrder[i]].NextWake(now); wake < earliest {
-			earliest = wake
-		}
-	}
-	return earliest
+	return wake
 }
 
 // OldestActive returns the slot of the oldest active warp, or -1.

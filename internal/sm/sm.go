@@ -140,7 +140,10 @@ func (s *SM) ActiveWarps() int {
 }
 
 // PrepareKernel resets per-kernel state (PC tables sized to the body,
-// MSHRs, L1 contents) before a kernel launch.
+// MSHRs, L1 contents) before a kernel launch. Warps still live here
+// belong to a kernel that was cut short (RunOptions.MaxInstructions, an
+// error, an abandoned interrupt) and are dropped, so the next kernel
+// finds the slots free; a kernel that drained leaves none.
 func (s *SM) PrepareKernel(bodyLen int) {
 	s.PCLoads = make([]int64, bodyLen)
 	s.PCHits = make([]int64, bodyLen)
@@ -149,6 +152,9 @@ func (s *SM) PrepareKernel(bodyLen int) {
 	s.MSHR.Reset()
 	s.L1.Flush()
 	for _, sch := range s.Scheds {
+		for sch.ActiveWarps() > 0 {
+			sch.Retire(sch.OldestActive())
+		}
 		sch.current = -1
 	}
 }

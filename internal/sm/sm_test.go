@@ -145,7 +145,11 @@ func TestWarpDependencyBlocking(t *testing.T) {
 	if !w.CanIssue(0) {
 		t.Fatal("independent instructions may issue under an outstanding load")
 	}
-	w.FlatIdx = 12
+	w.Advance(100)
+	if !w.CanIssue(0) {
+		t.Fatal("the instruction before the dependent one may still issue")
+	}
+	w.Advance(100)
 	if w.CanIssue(0) {
 		t.Fatal("reaching the dependent instruction must block")
 	}

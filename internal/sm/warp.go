@@ -10,12 +10,23 @@ import "math"
 // NoDep marks a warp with no outstanding load dependency.
 const NoDep = int64(math.MaxInt64)
 
-// Pending tracks one outstanding load of a warp.
+// Pending tracks one outstanding load of a warp. An entry lives in
+// Warp.Pend until its token is resolved (misses, parked replays) or its
+// return cycle has provably passed (L1 hits).
 type Pending struct {
 	Token    int64 // per-warp monotonic id, referenced by MSHR waiters
 	DepFlat  int64 // flattened instruction index of the dependent use
 	RetCycle int64 // known return cycle for L1 hits; 0 while a miss is outstanding
-	Done     bool
+}
+
+// clearCycle is the cycle at which the load stops blocking its
+// dependent use: the return cycle of a hit, NoDep for a miss (only a
+// fill can resolve it).
+func (p *Pending) clearCycle() int64 {
+	if p.RetCycle == 0 {
+		return NoDep
+	}
+	return p.RetCycle
 }
 
 // Warp is one warp context in a scheduler slot.
@@ -39,6 +50,22 @@ type Warp struct {
 
 	Pend     []Pending
 	tokenSeq int64
+
+	// The scoreboard's answer for the instruction at FlatIdx, cached so
+	// CanIssue does not walk Pend. Both are derived from Pend, FlatIdx
+	// and ReadyAt and change only in AddPending, ResolveToken and
+	// Advance; snapshots do not carry them (decodeState rebuilds).
+	//
+	// clearAt is the latest clearCycle among the loads the instruction
+	// depends on (DepFlat <= FlatIdx): 0 when there is none, NoDep when
+	// one is an outstanding miss. It may keep a stale value from an
+	// instruction already issued; that value is below ReadyAt, so
+	// max(ReadyAt, clearAt) — all anyone reads — is exact.
+	clearAt int64
+	// nextDep is a lower bound on the DepFlat of every load the
+	// instruction does not depend on yet (NoDep when there is none):
+	// Advance rebuilds when FlatIdx reaches it.
+	nextDep int64
 }
 
 // NewToken mints a load token for this warp.
@@ -48,89 +75,85 @@ func (w *Warp) NewToken() int64 {
 }
 
 // AddPending registers an outstanding load.
-func (w *Warp) AddPending(p Pending) { w.Pend = append(w.Pend, p) }
+func (w *Warp) AddPending(p Pending) {
+	if len(w.Pend) == cap(w.Pend) {
+		// Drop returned hits before append would grow the slice, so its
+		// capacity tracks the loads in flight, not the loads issued.
+		w.rebuild()
+	}
+	w.Pend = append(w.Pend, p)
+	w.note(&p)
+}
 
-// ResolveToken marks the pending load with the given token complete.
-// It reports whether the token was found.
+// note folds one live load into the cached scoreboard answer.
+func (w *Warp) note(p *Pending) {
+	if p.DepFlat > w.FlatIdx {
+		if p.DepFlat < w.nextDep {
+			w.nextDep = p.DepFlat
+		}
+	} else if c := p.clearCycle(); c > w.clearAt {
+		w.clearAt = c
+	}
+}
+
+// rebuild recomputes the cached scoreboard answer from Pend, dropping
+// hits that can no longer block: the warp cannot issue before ReadyAt,
+// so a hit returning at or before it is never waited for.
+func (w *Warp) rebuild() {
+	w.clearAt, w.nextDep = 0, NoDep
+	live := w.Pend[:0]
+	for i := range w.Pend {
+		p := w.Pend[i]
+		if p.RetCycle != 0 && p.RetCycle <= w.ReadyAt {
+			continue
+		}
+		live = append(live, p)
+		w.note(&p)
+	}
+	w.Pend = live
+}
+
+// ResolveToken completes the pending load with the given token (its
+// fill arrived, or its parked replay was admitted) and removes it from
+// the scoreboard. It reports whether the token was found.
 func (w *Warp) ResolveToken(token int64) bool {
 	for i := range w.Pend {
-		if w.Pend[i].Token == token {
-			w.Pend[i].Done = true
-			return true
+		if w.Pend[i].Token != token {
+			continue
 		}
+		blocking := w.Pend[i].DepFlat <= w.FlatIdx
+		w.Pend = append(w.Pend[:i], w.Pend[i+1:]...)
+		if blocking {
+			w.rebuild()
+		}
+		return true
 	}
 	return false
 }
 
-// depBlocked reports whether the warp's next instruction depends on an
-// outstanding load, lazily retiring completed entries.
-func (w *Warp) depBlocked(now int64) bool {
-	blocked := false
-	live := w.Pend[:0]
-	for i := range w.Pend {
-		p := w.Pend[i]
-		if !p.Done && p.RetCycle != 0 && p.RetCycle <= now {
-			p.Done = true
-		}
-		if p.Done {
-			continue
-		}
-		if w.FlatIdx >= p.DepFlat {
-			blocked = true
-		}
-		live = append(live, p)
+// issueAt returns the first cycle the warp could issue if no fill
+// arrived: NoDep while its instruction waits on an outstanding miss.
+func (w *Warp) issueAt() int64 {
+	if w.clearAt > w.ReadyAt {
+		return w.clearAt
 	}
-	w.Pend = live
-	return blocked
+	return w.ReadyAt
 }
 
 // CanIssue reports whether the warp may issue at cycle now. Vitality is
 // checked by the scheduler, not here.
 func (w *Warp) CanIssue(now int64) bool {
-	if !w.Active || now < w.ReadyAt {
-		return false
-	}
-	if len(w.Pend) == 0 {
-		return true
-	}
-	return !w.depBlocked(now)
+	return w.Active && now >= w.ReadyAt && now >= w.clearAt
 }
 
 // NextWake returns the earliest future cycle at which this warp could
 // become issueable again, or NoDep if that depends on an MSHR fill
-// event (unknown here). Used by the simulator's idle skip-ahead.
+// event (unknown here).
 func (w *Warp) NextWake(now int64) int64 {
 	if !w.Active {
 		return NoDep
 	}
-	wake := w.ReadyAt
-	if wake <= now {
-		wake = now + 1
-	}
-	if len(w.Pend) == 0 {
-		return wake
-	}
-	if !w.depBlocked(now) {
-		return wake
-	}
-	// Blocked on a load: earliest known return, or unknown (miss).
-	earliest := NoDep
-	for i := range w.Pend {
-		p := &w.Pend[i]
-		if p.Done || w.FlatIdx < p.DepFlat {
-			continue
-		}
-		if p.RetCycle == 0 {
-			return NoDep // miss outstanding: an MSHR event will wake us
-		}
-		if p.RetCycle < earliest {
-			earliest = p.RetCycle
-		}
-	}
-	if earliest < wake {
-		return wake
-	}
-	return earliest
+	return max(w.issueAt(), now+1)
 }
 
 // Advance moves the warp to the next instruction; bodyLen is the kernel
@@ -139,6 +162,9 @@ func (w *Warp) NextWake(now int64) int64 {
 func (w *Warp) Advance(bodyLen int) bool {
 	w.BodyIdx++
 	w.FlatIdx++
+	if w.FlatIdx >= w.nextDep {
+		w.rebuild()
+	}
 	if int(w.BodyIdx) >= bodyLen {
 		w.BodyIdx = 0
 		w.Iter++
