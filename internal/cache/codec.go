@@ -2,7 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"poise/internal/snap"
 )
@@ -149,18 +149,16 @@ func (v *VictimTags) DecodeState(r *snap.Reader) error {
 }
 
 // EncodeState serialises the MSHR file: live entries (sorted by line
-// address, so the encoding is deterministic despite the map) and the
-// cumulative counters. The free pool is not serialised — it only
-// recycles allocations and has no behavioural effect.
+// address, so the encoding does not depend on the order releases left
+// the packed array in) and the cumulative counters. The free pool is
+// not serialised — it only recycles allocations and has no behavioural
+// effect.
 func (f *MSHRFile) EncodeState(w *snap.Writer) {
-	keys := make([]uint64, 0, len(f.entries))
-	for k := range f.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := slices.Clone(f.keys)
+	slices.Sort(keys)
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
-		m := f.entries[k]
+		m := f.Lookup(k)
 		w.Uvarint(m.LineAddr)
 		w.Varint(m.IssueCycle)
 		w.Bool(m.Pollute)
@@ -191,9 +189,7 @@ func (f *MSHRFile) DecodeState(r *snap.Reader) error {
 	if n > f.capacity {
 		return fmt.Errorf("cache: snapshot has %d MSHR entries, capacity %d", n, f.capacity)
 	}
-	for k := range f.entries {
-		delete(f.entries, k)
-	}
+	f.Reset()
 	f.free = f.free[:0]
 	for i := 0; i < n; i++ {
 		m := &MSHR{}
@@ -214,7 +210,11 @@ func (f *MSHRFile) DecodeState(r *snap.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		f.entries[m.LineAddr] = m
+		if f.Lookup(m.LineAddr) != nil {
+			return fmt.Errorf("cache: snapshot has two MSHR entries for line %#x", m.LineAddr)
+		}
+		f.keys = append(f.keys, m.LineAddr)
+		f.ents = append(f.ents, m)
 	}
 	f.Allocs = r.Varint()
 	f.Merges = r.Varint()

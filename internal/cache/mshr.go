@@ -8,9 +8,16 @@ package cache
 // are busy a load cannot issue and its warp must retry, which is how
 // the ⌈N·m/Kmshr⌉ latency growth of the analytical model emerges in
 // the simulator.
+//
+// The file is small (32 entries on the baseline GPU), so the live line
+// addresses sit packed in one array that Lookup scans linearly — a few
+// cache lines of compares, no hashing — with the entries beside them at
+// the same index. Release closes the gap with the last entry; the order
+// of the array carries no meaning.
 type MSHRFile struct {
 	capacity int
-	entries  map[uint64]*MSHR
+	keys     []uint64 // line addresses of the live entries
+	ents     []*MSHR  // ents[i] is the entry for keys[i]
 
 	// free recycles released entries (and their Waiters storage) so a
 	// steady-state miss stream allocates nothing per fill; entries are
@@ -50,7 +57,8 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	}
 	return &MSHRFile{
 		capacity: capacity,
-		entries:  make(map[uint64]*MSHR, capacity),
+		keys:     make([]uint64, 0, capacity),
+		ents:     make([]*MSHR, 0, capacity),
 		free:     make([]*MSHR, 0, capacity),
 	}
 }
@@ -59,13 +67,20 @@ func NewMSHRFile(capacity int) *MSHRFile {
 func (f *MSHRFile) Capacity() int { return f.capacity }
 
 // Used returns the number of live entries.
-func (f *MSHRFile) Used() int { return len(f.entries) }
+func (f *MSHRFile) Used() int { return len(f.keys) }
 
 // Full reports whether no further primary miss can be tracked.
-func (f *MSHRFile) Full() bool { return len(f.entries) >= f.capacity }
+func (f *MSHRFile) Full() bool { return len(f.keys) >= f.capacity }
 
 // Lookup returns the entry for lineAddr, or nil.
-func (f *MSHRFile) Lookup(lineAddr uint64) *MSHR { return f.entries[lineAddr] }
+func (f *MSHRFile) Lookup(lineAddr uint64) *MSHR {
+	for i, k := range f.keys {
+		if k == lineAddr {
+			return f.ents[i]
+		}
+	}
+	return nil
+}
 
 // Allocate creates an entry for a primary miss. It returns nil if the
 // file is full (the caller must make the warp retry).
@@ -94,10 +109,11 @@ func (f *MSHRFile) Allocate(lineAddr uint64, cycle int64, pollute bool, warp int
 			Waiters:    []Waiter{w},
 		}
 	}
-	f.entries[lineAddr] = m
+	f.keys = append(f.keys, lineAddr)
+	f.ents = append(f.ents, m)
 	f.Allocs++
-	if len(f.entries) > f.PeakUsed {
-		f.PeakUsed = len(f.entries)
+	if len(f.keys) > f.PeakUsed {
+		f.PeakUsed = len(f.keys)
 	}
 	return m
 }
@@ -116,11 +132,15 @@ func (f *MSHRFile) Merge(m *MSHR, pollute bool, w Waiter) {
 // Release removes the entry for lineAddr (on fill) and returns it.
 // The caller owns the entry until it hands it back with Recycle.
 func (f *MSHRFile) Release(lineAddr uint64) *MSHR {
-	m := f.entries[lineAddr]
-	if m != nil {
-		delete(f.entries, lineAddr)
+	for i, k := range f.keys {
+		if k == lineAddr {
+			m, last := f.ents[i], len(f.keys)-1
+			f.keys[i], f.ents[i] = f.keys[last], f.ents[last]
+			f.keys, f.ents = f.keys[:last], f.ents[:last]
+			return m
+		}
 	}
-	return m
+	return nil
 }
 
 // Recycle returns a released entry to the free pool for reuse by a
@@ -132,9 +152,7 @@ func (f *MSHRFile) Recycle(m *MSHR) {
 
 // Reset drops all live entries (used between kernels).
 func (f *MSHRFile) Reset() {
-	for k := range f.entries {
-		delete(f.entries, k)
-	}
+	f.keys, f.ents = f.keys[:0], f.ents[:0]
 }
 
 // Clear restores the file to its just-constructed state: no entries

@@ -1,6 +1,14 @@
 package cache
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"poise/internal/snap"
+)
 
 func TestMSHRAllocateMergeRelease(t *testing.T) {
 	f := NewMSHRFile(2)
@@ -131,5 +139,157 @@ func TestVictimTagZeroLineAddr(t *testing.T) {
 	v.NoteMiss(0, 0)
 	if v.TotalLost() != 1 {
 		t.Fatal("line 0 must be trackable")
+	}
+}
+
+// mshrModel is what the packed file must behave like: a map from line
+// address to the entry's observable fields.
+type mshrModel struct {
+	pollute bool
+	issue   int64
+	waiters []Waiter
+}
+
+// TestMSHRFileMatchesMap drives random Allocate/Merge/Lookup/Release/
+// Recycle/Reset traffic through the packed file and through a map kept
+// here, over a small line pool so hits, merges, full files and holes
+// left by releases all occur. After every operation the file must agree
+// with the map on membership, entry contents, Used, Full and PeakUsed,
+// and from time to time an encode → decode round trip onto a second
+// file must reproduce the same contents and an identical re-encoding.
+func TestMSHRFileMatchesMap(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 32} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		f := NewMSHRFile(capacity)
+		model := map[uint64]*mshrModel{}
+		var allocs, merges, fullFails int64
+		peak := 0
+		pool := uint64(3 * capacity)
+		check := func(step int, op string) {
+			t.Helper()
+			if f.Used() != len(model) || f.Full() != (len(model) >= capacity) || f.PeakUsed != peak {
+				t.Fatalf("cap %d step %d after %s: used %d full %v peak %d, the map says %d %v %d",
+					capacity, step, op, f.Used(), f.Full(), f.PeakUsed, len(model), len(model) >= capacity, peak)
+			}
+			if f.Allocs != allocs || f.Merges != merges || f.FullFails != fullFails {
+				t.Fatalf("cap %d step %d after %s: counters %d/%d/%d, want %d/%d/%d",
+					capacity, step, op, f.Allocs, f.Merges, f.FullFails, allocs, merges, fullFails)
+			}
+			for line := uint64(0); line < pool; line++ {
+				m, want := f.Lookup(line), model[line]
+				if (m == nil) != (want == nil) {
+					t.Fatalf("cap %d step %d after %s: line %d live %v, the map says %v", capacity, step, op, line, m != nil, want != nil)
+				}
+				if m != nil && (m.LineAddr != line || m.Pollute != want.pollute || m.IssueCycle != want.issue || !slices.Equal(m.Waiters, want.waiters)) {
+					t.Fatalf("cap %d step %d after %s: line %d holds %+v, want %+v", capacity, step, op, line, *m, *want)
+				}
+			}
+		}
+		for step := 0; step < 6000; step++ {
+			line := uint64(rng.Intn(int(pool)))
+			wt := Waiter{Sched: rng.Intn(4), Slot: rng.Intn(48), Token: int64(step), Warp: int32(rng.Intn(64))}
+			pollute := rng.Intn(2) == 0
+			switch op := rng.Intn(10); {
+			case op < 5: // a miss: merge if outstanding, else allocate
+				if m := f.Lookup(line); m != nil {
+					f.Merge(m, pollute, wt)
+					merges++
+					model[line].waiters = append(model[line].waiters, wt)
+					model[line].pollute = model[line].pollute || pollute
+					check(step, "merge")
+					break
+				}
+				m := f.Allocate(line, int64(step), pollute, wt.Warp, 3, wt)
+				if len(model) >= capacity {
+					fullFails++
+					if m != nil {
+						t.Fatalf("cap %d step %d: allocate on a full file succeeded", capacity, step)
+					}
+				} else {
+					allocs++
+					model[line] = &mshrModel{pollute: pollute, issue: int64(step), waiters: []Waiter{wt}}
+					peak = max(peak, len(model))
+				}
+				check(step, "allocate")
+			case op < 9: // a fill: release (live or not) and recycle
+				m := f.Release(line)
+				if (m != nil) != (model[line] != nil) {
+					t.Fatalf("cap %d step %d: release of line %d returned %v, the map holds %v", capacity, step, line, m, model[line])
+				}
+				delete(model, line)
+				if m != nil {
+					f.Recycle(m)
+				}
+				check(step, "release")
+			case rng.Intn(20) == 0: // kernel boundary
+				f.Reset()
+				clear(model)
+				check(step, "reset")
+			default:
+				w := snap.NewWriter()
+				f.EncodeState(w)
+				g := NewMSHRFile(capacity)
+				g.Allocate(line+pool, 0, true, 0, 0, Waiter{}) // decode must replace what is there
+				if err := g.DecodeState(snap.NewReader(w.Data())); err != nil {
+					t.Fatalf("cap %d step %d: decode: %v", capacity, step, err)
+				}
+				w2 := snap.NewWriter()
+				g.EncodeState(w2)
+				if !bytes.Equal(w.Data(), w2.Data()) {
+					t.Fatalf("cap %d step %d: a decoded file encodes differently", capacity, step)
+				}
+				f = g // carry on with the restored file
+				check(step, "round trip")
+			}
+		}
+		f.Clear()
+		if !reflect.DeepEqual(f, NewMSHRFile(capacity)) {
+			t.Fatalf("cap %d: Clear left %+v", capacity, f)
+		}
+	}
+}
+
+// TestMSHRDecodeRejects: a hostile payload may not plant two entries
+// for one line (Lookup would find only the first) or more entries than
+// the file has registers.
+func TestMSHRDecodeRejects(t *testing.T) {
+	entry := func(w *snap.Writer, line uint64) {
+		w.Uvarint(line)
+		w.Varint(5)  // issue cycle
+		w.Bool(true) // pollute
+		w.Varint(1)  // warp
+		w.Varint(0)  // pc
+		w.Uvarint(0) // waiters
+	}
+	counters := func(w *snap.Writer) {
+		for i := 0; i < 4; i++ {
+			w.Varint(0)
+		}
+	}
+	for name, lines := range map[string][]uint64{
+		"duplicate line":     {7, 9, 7},
+		"more than capacity": {1, 2, 3, 4, 5},
+	} {
+		w := snap.NewWriter()
+		w.Uvarint(uint64(len(lines)))
+		for _, l := range lines {
+			entry(w, l)
+		}
+		counters(w)
+		f := NewMSHRFile(4)
+		if err := f.DecodeState(snap.NewReader(w.Data())); err == nil {
+			t.Fatalf("%s: accepted, file now holds %d entries", name, f.Used())
+		}
+	}
+	// The same shape with distinct lines within capacity is fine.
+	w := snap.NewWriter()
+	w.Uvarint(3)
+	for _, l := range []uint64{7, 9, 8} {
+		entry(w, l)
+	}
+	counters(w)
+	f := NewMSHRFile(4)
+	if err := f.DecodeState(snap.NewReader(w.Data())); err != nil || f.Used() != 3 || f.Lookup(8) == nil {
+		t.Fatalf("well-formed payload: err %v, used %d", err, f.Used())
 	}
 }

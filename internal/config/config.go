@@ -212,6 +212,17 @@ func (c Config) Validate() error {
 		// A hit returning in its issue cycle would read as "miss
 		// outstanding" on the scoreboard (return cycle 0 at cycle 0).
 		return errors.New("config: L1HitLatency must be at least 1 cycle")
+	case c.NoCFlitBytes < 1:
+		return errors.New("config: NoCFlitBytes must be at least 1")
+	case c.NoCCyclesPerFl < 1:
+		// A flit that takes no time would let two fills reach one SM in
+		// the same cycle; the simulator's per-SM fill queues rely on the
+		// response port serialising them.
+		return errors.New("config: NoCCyclesPerFl must be at least 1 cycle")
+	case c.NoCLatency < 0:
+		return errors.New("config: NoCLatency must not be negative")
+	case c.DRAMCyclesPerReq < 1:
+		return errors.New("config: DRAMCyclesPerReq must be at least 1 cycle")
 	case c.MaxThreadsPerSM < c.MaxWarpsPerSM()*c.WarpWidth:
 		return fmt.Errorf("config: MaxThreadsPerSM %d below warp capacity %d",
 			c.MaxThreadsPerSM, c.MaxWarpsPerSM()*c.WarpWidth)

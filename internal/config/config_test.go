@@ -117,6 +117,13 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"negative alu latency", func(c *Config) { c.ALULatency = -4 }},
 		{"zero l1 hit latency", func(c *Config) { c.L1HitLatency = 0 }},
 		{"negative l1 hit latency", func(c *Config) { c.L1HitLatency = -1 }},
+		{"zero flit bytes", func(c *Config) { c.NoCFlitBytes = 0 }},
+		{"negative flit bytes", func(c *Config) { c.NoCFlitBytes = -32 }},
+		{"zero cycles per flit", func(c *Config) { c.NoCCyclesPerFl = 0 }},
+		{"negative cycles per flit", func(c *Config) { c.NoCCyclesPerFl = -2 }},
+		{"negative noc latency", func(c *Config) { c.NoCLatency = -1 }},
+		{"zero dram cycles per request", func(c *Config) { c.DRAMCyclesPerReq = 0 }},
+		{"negative dram cycles per request", func(c *Config) { c.DRAMCyclesPerReq = -12 }},
 	}
 	for _, tc := range cases {
 		c := Default()

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 
 	"poise/internal/config"
@@ -62,5 +63,33 @@ func TestReset(t *testing.T) {
 	}
 	if got := x.Request(0, 100); got != 110 {
 		t.Fatalf("reset must clear port state: %d", got)
+	}
+}
+
+// TestResponsesToOneSMStrictlyIncrease is the property the simulator's
+// per-SM fill queues rest on: whatever cycles the payloads become ready
+// on the memory side — later, equal or earlier than the one before —
+// successive deliveries to one SM are strictly later than each other,
+// because each occupies the SM's response port for at least one flit
+// time. Other SMs' traffic does not enter into it.
+func TestResponsesToOneSMStrictlyIncrease(t *testing.T) {
+	for _, perFlit := range []int{1, 2, 5} {
+		cfg := config.Default().Scale(4)
+		cfg.NoCCyclesPerFl = perFlit
+		x := New(cfg)
+		rng := rand.New(rand.NewSource(int64(perFlit)))
+		last := make([]int64, cfg.NumSMs)
+		for i := 0; i < 5000; i++ {
+			sm := rng.Intn(cfg.NumSMs)
+			now := int64(rng.Intn(3000)) // any order at all
+			got := x.Response(sm, now, rng.Intn(6))
+			if got <= last[sm] {
+				t.Fatalf("%d cycles/flit, response %d: SM %d served at %d after %d", perFlit, i, sm, got, last[sm])
+			}
+			if got < now+int64(cfg.NoCLatency)+int64(perFlit) {
+				t.Fatalf("%d cycles/flit, response %d: ready at %d, delivered at %d", perFlit, i, now, got)
+			}
+			last[sm] = got
+		}
 	}
 }

@@ -2,10 +2,11 @@
 // the reproduction runs on. It drives the SM schedulers cycle by cycle,
 // executes kernel instruction streams, and times memory through an
 // analytic queueing network (L1 MSHRs -> crossbar -> banked L2 -> DRAM
-// partitions), skipping idle stretches via an event heap. The design
-// goal is the same fidelity envelope the paper's analytical model
-// (§V-A) reasons over: latency tolerance from warp concurrency, cache
-// thrashing, MSHR serialisation and bandwidth congestion.
+// partitions), skipping idle stretches from one fill or clock marker to
+// the next. The design goal is the same fidelity envelope the paper's
+// analytical model (§V-A) reasons over: latency tolerance from warp
+// concurrency, cache thrashing, MSHR serialisation and bandwidth
+// congestion.
 package sim
 
 import (
@@ -61,7 +62,7 @@ type GPU struct {
 	l2Pipe    int64
 	respFlits int
 
-	events eventHeap // fills in flight
+	events fillQueue // fills in flight
 	wakes  wakeRing  // clock markers: dependent-ALU and L1-hit returns
 	rq     readyQueue
 	now    int64
@@ -71,6 +72,10 @@ type GPU struct {
 	// exactly (it is live only between ErrInterrupted and the snapshot;
 	// the running loop keeps it in a local).
 	policyNext int64
+
+	// stateSize is the length of the last mid-kernel state this GPU
+	// restored or wrote; SnapshotKernel sizes its buffer from it.
+	stateSize int
 
 	// blockScratch is reused by residentBlocks to count distinct live
 	// blocks without allocating on every launch attempt.
@@ -120,10 +125,10 @@ func New(cfg config.Config) (*GPU, error) {
 		}
 		g.SMs = append(g.SMs, s)
 	}
-	// Steady-state runs must not allocate per cycle: the event heap,
-	// ready queue and launch scratch are sized here and only truncated
+	// Steady-state runs must not allocate per cycle: the fill rings,
+	// ready queue and launch scratch are sized here and only emptied
 	// between runs, so a warmed (pooled) GPU reuses their storage.
-	g.events.a = make([]event, 0, 256)
+	g.events.init(cfg.NumSMs, cfg.L1.MSHRs)
 	g.wakes.init(max(cfg.ALULatency, cfg.L1HitLatency))
 	g.rq.init(g)
 	g.blockScratch = make([]int32, 0, cfg.MaxBlocksPerSM+1)
@@ -146,15 +151,15 @@ func New(cfg config.Config) (*GPU, error) {
 // Reset restores the GPU to its just-constructed state so it can be
 // reused for another run (see Pool). Every layer resets in place:
 // SMs (schedulers, L1, MSHRs, counters), L2 banks, crossbar, DRAM and
-// the event heap. The invariant — enforced by TestPoolResetBitIdentical
+// the fill rings. The invariant — enforced by TestPoolResetBitIdentical
 // with reflect.DeepEqual against a freshly built GPU — is that no
 // trace of a previous kernel survives, so a pooled GPU produces
 // bit-identical results to a fresh one. The large fixed-size arrays
 // (cache tag stores, warp slots, port/partition servers) are zeroed in
-// place, which is where the pool's allocation savings come from; the
-// event heap, ready queue and launch scratch are truncated rather than
-// freed (reflect.DeepEqual cannot see capacity), so a pooled GPU keeps
-// their storage across runs.
+// place, which is where the pool's allocation savings come from (the
+// fill rings among them); the ready queue and launch scratch are
+// truncated rather than freed (reflect.DeepEqual cannot see capacity),
+// so a pooled GPU keeps their storage across runs.
 func (g *GPU) Reset() {
 	for _, s := range g.SMs {
 		s.Reset()
@@ -171,6 +176,7 @@ func (g *GPU) Reset() {
 	g.blockScratch = g.blockScratch[:0]
 	g.now = 0
 	g.policyNext = 0
+	g.stateSize = 0
 	g.kernel = nil
 	g.bodyLen = 0
 	g.nextBlk = 0

@@ -16,7 +16,7 @@ import (
 // L1, APCM installs bypass tables) and tuple tracing — Reset must
 // leave the GPU reflect.DeepEqual-identical to a freshly constructed
 // one. DeepEqual inspects unexported fields through the whole object
-// graph (caches, MSHR maps, schedulers, warp slots, event heap), so
+// graph (caches, MSHR files, schedulers, warp slots, fill rings), so
 // this is a bit-level fresh-state check, not a behavioural smoke test.
 func TestPoolResetBitIdentical(t *testing.T) {
 	cfg := testutil.TinyConfig()

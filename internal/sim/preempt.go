@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -98,7 +99,7 @@ func (a *workloadAgg) encode() []byte {
 
 func decodeWorkloadAgg(data []byte) (*workloadAgg, error) {
 	r := snap.NewReader(data)
-	js := r.LimitedBytes(maxAggSnap)
+	js := r.LimitedView(maxAggSnap) // Unmarshal keeps no reference to it
 	a := &workloadAgg{}
 	if r.Err() == nil {
 		if err := json.Unmarshal(js, &a.res); err != nil {
@@ -132,7 +133,7 @@ type Checkpoint struct {
 // Snapshot packs the checkpoint into a poisesnap container under the
 // given content key (for snap.Store.Save).
 func (c *Checkpoint) Snapshot(key string) *snap.Snapshot {
-	w := snap.NewWriter()
+	w := snap.NewWriterSize(len(c.Agg) + len(c.State) + 2*binary.MaxVarintLen64)
 	w.Bytes(c.Agg)
 	w.Bytes(c.State)
 	return &snap.Snapshot{
@@ -150,14 +151,17 @@ func (c *Checkpoint) Encode(key string) ([]byte, error) {
 	return c.Snapshot(key).Encode()
 }
 
-// CheckpointFromSnapshot unpacks a KindCheckpoint container.
+// CheckpointFromSnapshot unpacks a KindCheckpoint container. The
+// checkpoint's State and Agg share sn.State's memory (already copied
+// out of the encoded container and CRC-checked by snap.Decode), so the
+// caller must not modify sn.State while it uses the checkpoint.
 func CheckpointFromSnapshot(sn *snap.Snapshot) (*Checkpoint, error) {
 	if sn.Kind != snap.KindCheckpoint {
 		return nil, fmt.Errorf("sim: snapshot kind %v is not a workload checkpoint", sn.Kind)
 	}
 	r := snap.NewReader(sn.State)
-	agg := r.LimitedBytes(maxAggSnap)
-	state := r.LimitedBytes(1 << 30)
+	agg := r.LimitedView(maxAggSnap)
+	state := r.LimitedView(1 << 30)
 	if r.Err() != nil {
 		return nil, r.Err()
 	}

@@ -32,10 +32,24 @@ import (
 // The correctness rule is "every wake is an event": every code path
 // that lowers a wake hint (completeFill, wakeAllReplayers, SetTuple's
 // refreshBits, warp launch and retire) must call requeueSched so the
-// scheduler is attempted on exactly the visits the dense scan would
-// attempt it. Attempting too eagerly is harmless — issueOne's blocked
+// scheduler is attempted on every visit where the dense scan's attempt
+// could issue. Attempting too eagerly is harmless — issueOne's blocked
 // branch reproduces the dense per-visit accounting — but a missed due
-// attempt would diverge, so requeueing errs toward waking.
+// attempt would diverge, so requeueing errs toward waking. Which
+// schedulers each path requeues:
+//
+//   - completeFill: those owning a warp whose token the fill resolved —
+//     the merged waiters' and the one admitted replayer's. A hint is a
+//     function of the scheduler's own warps only, and the fill changed
+//     no other scheduler's warps, so the others' hints are still exact:
+//     the dense engine, which clears every hint on the SM, re-attempts
+//     them, fails, recomputes the same hint and accounts one blocked
+//     visit — what the open span accounts for them here.
+//   - wakeAllReplayers: every scheduler of each SM it touched (the
+//     drain path runs at most a few times per kernel).
+//   - SetTuple: every scheduler of the SM (refreshBits cleared them all).
+//   - launch: the scheduler launched onto (noteLaunch); retire: none,
+//     the retiring scheduler is the hot one issuing.
 //
 // The hint itself comes from sm.Scheduler.PickOrWake and is exact: the
 // first cycle some vital warp has both its pipeline latency and every
@@ -284,12 +298,17 @@ func (g *GPU) requeueSched(s *sm.SM, schedID int) {
 	rq.woken = append(rq.woken, key)
 }
 
-// wakeSMScheds clears the wake hints of every scheduler on an SM (a
-// fill or replay drain resolved tokens there) and requeues them.
+// wakeSched clears the wake hint of one scheduler (a token of one of
+// its warps was resolved) and requeues it.
+func (g *GPU) wakeSched(s *sm.SM, schedID int) {
+	s.Scheds[schedID].ClearWakeHint()
+	g.requeueSched(s, schedID)
+}
+
+// wakeSMScheds wakes every scheduler on an SM.
 func (g *GPU) wakeSMScheds(s *sm.SM) {
-	for i, sch := range s.Scheds {
-		sch.ClearWakeHint()
-		g.requeueSched(s, i)
+	for i := range s.Scheds {
+		g.wakeSched(s, i)
 	}
 }
 

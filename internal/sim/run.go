@@ -144,9 +144,10 @@ func (g *GPU) Run(k *trace.Kernel, p Policy, opts RunOptions) (KernelResult, err
 }
 
 // wakeAllReplayers resolves every parked replay token (used when the
-// event heap drains while warps still sit in replay queues, which can
-// happen when the warp admitted by the final fill was not vital). It
-// reports whether any warp was woken.
+// last fill has landed while warps still sit in replay queues, which
+// can happen when the warp it admitted was not vital). It reports
+// whether any warp was woken. Unlike completeFill it wakes every
+// scheduler of an SM it touched: this is the rare drain path.
 func (g *GPU) wakeAllReplayers() bool {
 	anyWoke := false
 	for _, s := range g.SMs {
@@ -314,17 +315,21 @@ func (g *GPU) issueLoad(s *sm.SM, sch *sm.Scheduler, slot int, w *sm.Warp, ins *
 	depFlat := w.FlatIdx + int64(ins.UseDist) + 1
 	pollute := w.Pollute && !s.ShouldBypass(pc)
 
-	// Pre-probe so a load that must be replayed (miss with a full MSHR
-	// file and nothing to merge into) does not distort the statistics:
-	// hardware replays the whole access, so only the final attempt
-	// counts. The warp parks in the SM's replay queue and the next MSHR
-	// release wakes it.
-	if !s.L1.Contains(addr) && s.MSHR.Lookup(lineAddr) == nil && s.MSHR.Full() {
-		s.C.Replays++
-		token := w.NewToken()
-		w.AddPending(sm.Pending{Token: token, DepFlat: w.FlatIdx})
-		s.ReplayQ = append(s.ReplayQ, cache.Waiter{Sched: sch.ID, Slot: slot, Token: token, Warp: w.Global})
-		return false
+	// A load that must be replayed (miss with a full MSHR file and
+	// nothing to merge into) must not distort the statistics: hardware
+	// replays the whole access, so only the final attempt counts. The
+	// file is tested first, so only a full one costs the extra L1 probe.
+	// The warp parks in the SM's replay queue and the next MSHR release
+	// wakes it.
+	var m *cache.MSHR
+	if s.MSHR.Full() && !s.L1.Contains(addr) {
+		if m = s.MSHR.Lookup(lineAddr); m == nil {
+			s.C.Replays++
+			token := w.NewToken()
+			w.AddPending(sm.Pending{Token: token, DepFlat: w.FlatIdx})
+			s.ReplayQ = append(s.ReplayQ, cache.Waiter{Sched: sch.ID, Slot: slot, Token: token, Warp: w.Global})
+			return false
+		}
 	}
 
 	res := s.L1.Lookup(addr, w.Global, pc, w.Pollute)
@@ -337,17 +342,19 @@ func (g *GPU) issueLoad(s *sm.SM, sch *sm.Scheduler, slot int, w *sm.Warp, ins *
 		return true
 	}
 
-	// Miss. Merge into an outstanding MSHR when possible.
+	// Miss. Merge into an outstanding MSHR when possible (a full file
+	// was searched above, and a miss in it parked the warp).
 	token := w.NewToken()
 	waiter := cache.Waiter{Sched: sch.ID, Slot: slot, Token: token, Warp: w.Global}
-	if m := s.MSHR.Lookup(lineAddr); m != nil {
+	w.AddPending(sm.Pending{Token: token, DepFlat: depFlat})
+	if m == nil {
+		m = s.MSHR.Lookup(lineAddr)
+	}
+	if m != nil {
 		s.MSHR.Merge(m, pollute, waiter)
-		w.AddPending(sm.Pending{Token: token, DepFlat: depFlat})
 		return true
 	}
 	s.MSHR.Allocate(lineAddr, g.now, pollute, w.Global, pc, waiter)
-	w.AddPending(sm.Pending{Token: token, DepFlat: depFlat})
-
 	ret := g.memAccess(s.ID, lineAddr, w.Global, pc, false)
 	g.events.push(event{cycle: ret, sm: int32(s.ID), line: lineAddr})
 	return true
@@ -398,7 +405,9 @@ func (g *GPU) issueStore(s *sm.SM, w *sm.Warp, ins *trace.Instr) {
 
 // completeFill finishes an L1 miss: release the MSHR, install the line
 // if any merged requester had pollute privilege, wake waiters, and
-// account the miss latency into AML.
+// account the miss latency into AML. Only the schedulers owning a warp
+// whose token it resolved are woken (see the ready.go header); the
+// dense reference engine still wakes the whole SM.
 func (g *GPU) completeFill(e event) {
 	s := g.SMs[e.sm]
 	m := s.MSHR.Release(e.line)
@@ -415,6 +424,7 @@ func (g *GPU) completeFill(e event) {
 		// was issued; only the original warp's scoreboard is touched.
 		if w.Active && w.Global == wt.Warp {
 			w.ResolveToken(wt.Token)
+			g.wakeSched(s, wt.Sched)
 		}
 	}
 	// The released MSHR entry admits one parked replayer (FIFO). The
@@ -431,6 +441,7 @@ func (g *GPU) completeFill(e event) {
 		w := &sch.Slots[r.Slot]
 		if w.Active && w.Global == r.Warp {
 			w.ResolveToken(r.Token)
+			g.wakeSched(s, r.Sched)
 			break
 		}
 		// Stale entry (warp gone): admit the next one.
@@ -441,9 +452,9 @@ func (g *GPU) completeFill(e event) {
 	// The entry is fully processed: hand it back for reuse so a steady
 	// miss stream allocates no MSHR state per fill.
 	s.MSHR.Recycle(m)
-	// The resolved tokens unblock their owners: rescan this SM's
-	// schedulers.
-	g.wakeSMScheds(s)
+	if !g.rq.active {
+		g.wakeSMScheds(s)
+	}
 }
 
 // retireWarp finishes a warp and refills block residency. The retiring

@@ -11,7 +11,7 @@ import (
 // Mid-run snapshot/restore. The GPU serialises every piece of live
 // engine state — SMs (schedulers, warps, scoreboards, L1 + victim
 // tags, MSHRs, replay queues, PC tables), the L2 banks, NoC and DRAM
-// servers, the event heap and wake ring, the visit counter and the
+// servers, the fill rings and wake ring, the visit counter and the
 // parked policy activation — into a snap payload. Restore-then-finish is proven
 // bit-identical to uninterrupted runs (results, per-scheduler
 // counters and tuple logs) by TestSnapshotRestoreIdentity across the
@@ -50,7 +50,7 @@ type StatefulPolicy interface {
 }
 
 // encodeState serialises the GPU. With running=true the in-flight
-// kernel's loop state (event heap, launch cursors, visit counter,
+// kernel's loop state (fills and markers, launch cursors, visit counter,
 // parked policy activation, tuple log) is included; kernel-boundary
 // snapshots omit it because Run re-initialises all of it per kernel.
 func (g *GPU) encodeState(w *snap.Writer, running bool) {
@@ -78,14 +78,18 @@ func (g *GPU) encodeState(w *snap.Writer, running bool) {
 	w.Varint(int64(g.nextBlk))
 	w.Varint(int64(g.doneWarp))
 	w.Varint(int64(g.total))
-	// One event list on the wire: the heap's fills in array order (so a
-	// restored heap has the same shape), then the ring's clock markers.
-	w.Uvarint(uint64(len(g.events.a) + g.wakes.marked))
-	for _, e := range g.events.a {
-		w.Varint(e.cycle)
-		w.Uvarint(uint64(evFill))
-		w.Varint(int64(e.sm))
-		w.Uvarint(e.line)
+	// One event list on the wire: the fills SM-major, oldest first,
+	// then the ring's clock markers.
+	q := &g.events
+	w.Uvarint(uint64(q.len() + g.wakes.marked))
+	for sm, n := range q.count {
+		for i := int32(0); i < n; i++ {
+			f := q.at(int32(sm), i)
+			w.Varint(f.cycle)
+			w.Uvarint(uint64(evFill))
+			w.Varint(int64(sm))
+			w.Uvarint(f.line)
+		}
 	}
 	for c := g.now; c <= g.now+g.wakes.horizon; c++ {
 		if g.wakes.has(c) {
@@ -169,10 +173,17 @@ func (g *GPU) decodeState(r *snap.Reader) (running bool, err error) {
 			}
 			g.wakes.mark(cycle)
 		case evFill:
+			// Containers written while fills sat in one heap list them
+			// in heap-array order; insert sorts each SM's as they come.
 			if e.sm < 0 || int(e.sm) >= len(g.SMs) {
 				return true, fmt.Errorf("sim: fill for SM %d of %d", e.sm, len(g.SMs))
 			}
-			g.events.push(e)
+			// Every fill in flight holds an MSHR entry; that is what
+			// keeps an SM's ring from overflowing, now and on later pushes.
+			if used := g.SMs[e.sm].MSHR.Used(); int(g.events.count[e.sm]) >= used {
+				return true, fmt.Errorf("sim: SM %d has more fills in flight than its %d live MSHR entries", e.sm, used)
+			}
+			g.events.insert(e)
 		default:
 			return true, fmt.Errorf("sim: unknown event kind %d", kind)
 		}
@@ -246,9 +257,13 @@ func (g *GPU) SnapshotKernel(p Policy) ([]byte, error) {
 	if g.kernel == nil {
 		return nil, errors.New("sim: no interrupted kernel to snapshot")
 	}
-	w := snap.NewWriter()
+	// A kernel state changes little in size from one interrupt to the
+	// next, so the last one seen (restored or written) sizes the buffer;
+	// the first snapshot of a run grows it by doubling.
+	w := snap.NewWriterSize(max(256, g.stateSize+g.stateSize/8))
 	g.encodeState(w, true)
 	encodePolicy(w, p)
+	g.stateSize = len(w.Data())
 	return w.Data(), nil
 }
 
@@ -275,6 +290,7 @@ func (g *GPU) ResumeKernel(k *trace.Kernel, p Policy, opts RunOptions, state []b
 	if err != nil {
 		return KernelResult{}, err
 	}
+	g.stateSize = len(state)
 	if !running {
 		return KernelResult{}, errors.New("sim: snapshot is not a mid-kernel state")
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"poise/internal/cache"
 	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/testutil"
@@ -77,7 +78,7 @@ func interruptSnapshotResume(t *testing.T, cfg config.Config, k *trace.Kernel,
 // TestSnapshotRestoreIdentityKernel covers mid-kernel snapshot points
 // on the structural kernel classes under every scheme class: early
 // (launch-heavy state), middle (steady state) and late (drain, event
-// heap nearly empty) interrupt cycles.
+// queue nearly empty) interrupt cycles.
 func TestSnapshotRestoreIdentityKernel(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	kernels := []*trace.Kernel{
@@ -251,6 +252,80 @@ func TestSnapshotRejections(t *testing.T) {
 	if _, err := fresh().ResumeKernel(k, p, sim.RunOptions{}, append(append([]byte{}, state...), 0)); err == nil {
 		t.Fatalf("ResumeKernel accepted trailing bytes")
 	}
+	// Payloads that break what the fill rings and the packed MSHR file
+	// are sized on must be refused — not panic, not be silently
+	// trimmed, not grow the rings.
+	interrupted := func(c config.Config) *sim.GPU {
+		gi, err := sim.New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gi.Run(k, p, sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 5}}); !errors.Is(err, sim.ErrInterrupted) {
+			t.Fatalf("want ErrInterrupted, got %v", err)
+		}
+		return gi
+	}
+	late := func(n, smID int) [][3]int64 { // n fills for one SM, far enough out to be plausible
+		fills := make([][3]int64, n)
+		for i := range fills {
+			fills[i] = [3]int64{1000 + int64(i), int64(smID), 0x5000 + int64(i)}
+		}
+		return fills
+	}
+	mshrs := cfg.L1.MSHRs
+	roomy := cfg
+	roomy.L1.MSHRs = 2 * mshrs
+	hostile := map[string]func() ([]byte, error){
+		"more fills for one SM than it has MSHRs": func() ([]byte, error) {
+			return interrupted(cfg).SnapshotKernelWithFills(p, cfg.NumSMs, mshrs+1, late(mshrs+1, 1))
+		},
+		"more fills for one SM than live MSHR entries": func() ([]byte, error) {
+			gi := interrupted(cfg)
+			return gi.SnapshotKernelWithFills(p, cfg.NumSMs, mshrs, late(gi.SMs[0].MSHR.Used()+1, 0))
+		},
+		"fill for an SM that does not exist": func() ([]byte, error) {
+			return interrupted(cfg).SnapshotKernelWithFills(p, cfg.NumSMs+1, mshrs, late(1, cfg.NumSMs))
+		},
+		"two MSHR entries for one line": func() ([]byte, error) {
+			gi := interrupted(cfg)
+			for i := 0; i < 2; i++ {
+				if gi.SMs[1].MSHR.Allocate(0xdead, 1, true, 0, 0, cache.Waiter{}) == nil {
+					t.Fatal("the MSHR file is already full at the interrupt point")
+				}
+			}
+			return gi.SnapshotKernel(p)
+		},
+		"more MSHR entries than capacity": func() ([]byte, error) {
+			gi := interrupted(roomy)
+			for line := uint64(0xbeef); gi.SMs[0].MSHR.Used() <= mshrs; line++ {
+				gi.SMs[0].MSHR.Allocate(line, 1, true, 0, 0, cache.Waiter{})
+			}
+			return gi.SnapshotKernel(p)
+		},
+	}
+	for name, build := range hostile {
+		bad, err := build()
+		if err != nil {
+			t.Fatalf("%s: building the payload: %v", name, err)
+		}
+		g2 := fresh()
+		if _, err := g2.ResumeKernel(k, p, sim.RunOptions{}, bad); err == nil {
+			t.Fatalf("ResumeKernel accepted a payload with %s", name)
+		}
+		if got, want := g2.FillCapacity(), cfg.NumSMs*mshrs; got != want {
+			t.Fatalf("%s: the refused payload left %d fill slots, want %d", name, got, want)
+		}
+	}
+	// The helper itself is sound: the same fills within bounds restore.
+	gi := interrupted(cfg)
+	ok, err := gi.SnapshotKernelWithFills(p, cfg.NumSMs, mshrs, late(gi.SMs[0].MSHR.Used(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh().ResumeKernel(k, p, sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 6}}, ok); !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("a payload with as many fills as live MSHR entries: %v", err)
+	}
+
 	// A fired control stays fired: resuming with it must interrupt
 	// again immediately rather than loop.
 	ic := &sim.InterruptCtl{}

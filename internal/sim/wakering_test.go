@@ -62,10 +62,12 @@ func TestWakeRingVisitsWhatAHeapWould(t *testing.T) {
 	}
 }
 
-// TestFillsOfOneSMNeverShareACycle pins what lets the event heap leave
-// the order of equal-cycle fills undefined: the crossbar serialises
-// each SM's response port, so the fills scheduled for one SM land on
-// distinct cycles however the requests bunch up.
+// TestFillsOfOneSMNeverShareACycle pins what the per-SM fill rings are
+// built on: the crossbar serialises each SM's response port, so the
+// fills scheduled for one SM land on strictly increasing cycles in the
+// order they were requested, however the requests bunch up and whether
+// the data comes from an L2 hit or a DRAM trip. Different SMs do share
+// cycles; completeFill touches only its own SM, so their order is free.
 func TestFillsOfOneSMNeverShareACycle(t *testing.T) {
 	cfg := config.Default().Scale(2)
 	g, err := New(cfg)
@@ -73,9 +75,13 @@ func TestFillsOfOneSMNeverShareACycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	seen := map[[2]int64]bool{}
+	last := make([]int64, cfg.NumSMs) // latest fill cycle per SM
 	shared := false
-	byCycle := map[int64]int64{}
+	byCycle := map[int64]int{}
+	// An L2 hit requested while a DRAM trip of the same SM is still out
+	// has its data ready first: only the response port keeps the order.
+	overtaken := false
+	tripAt := make([]int64, cfg.NumSMs) // request cycle of the SM's last access if it went to DRAM
 	for i := 0; i < 4000; i++ {
 		if rng.Intn(4) == 0 {
 			g.now += int64(rng.Intn(3))
@@ -83,18 +89,33 @@ func TestFillsOfOneSMNeverShareACycle(t *testing.T) {
 		smID := rng.Intn(cfg.NumSMs)
 		// A small line pool mixes L2 hits with DRAM trips, so responses
 		// become ready out of request order.
+		hits := g.L2Hits
 		ret := g.memAccess(smID, uint64(rng.Intn(512)), 0, 0, false)
-		key := [2]int64{ret, int64(smID)}
-		if seen[key] {
-			t.Fatalf("request %d: two fills for SM %d at cycle %d", i, smID, ret)
+		if ret <= last[smID] {
+			t.Fatalf("request %d: fill for SM %d at cycle %d, its previous one at %d", i, smID, ret, last[smID])
 		}
-		seen[key] = true
-		if other, ok := byCycle[ret]; ok && other != int64(smID) {
+		if ret <= g.now {
+			t.Fatalf("request %d: fill at cycle %d is not after its request at %d", i, ret, g.now)
+		}
+		last[smID] = ret
+		if other, ok := byCycle[ret]; ok && other != smID {
 			shared = true
 		}
-		byCycle[ret] = int64(smID)
+		byCycle[ret] = smID
+		if g.L2Hits == hits {
+			tripAt[smID] = g.now
+		} else {
+			if tripAt[smID] > 0 && g.now-tripAt[smID] < int64(cfg.DRAMLatency) {
+				overtaken = true
+			}
+			tripAt[smID] = 0
+		}
 	}
 	if !shared {
 		t.Fatal("no two SMs ever shared a fill cycle: the test does not exercise the tie it is about")
+	}
+	if !overtaken {
+		t.Fatalf("L2 hits %d, DRAM trips %d, but no hit was requested behind a trip still out: responses never became ready out of order",
+			g.L2Hits, g.DRAM.Accesses)
 	}
 }

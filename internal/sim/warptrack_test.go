@@ -74,12 +74,10 @@ func TestSnapshotRestoreWithMarkersInFlight(t *testing.T) {
 	}
 }
 
-// TestParentSnapshotStillRestores resumes a kernel state written by
-// the commit before the wake ring existed (clock markers interleaved
-// with fills in the heap array, resolved loads still on the scoreboard
-// with their done flag set) and requires the uninterrupted result.
-func TestParentSnapshotStillRestores(t *testing.T) {
-	f, err := os.Open("testdata/pr11_thrash_gto.kernelstate.gz")
+// readFixture returns the kernel state in a gzipped testdata file.
+func readFixture(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +90,15 @@ func TestParentSnapshotStillRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return state
+}
+
+// TestParentSnapshotStillRestores resumes a kernel state written by
+// the commit before the wake ring existed (clock markers interleaved
+// with fills in the heap array, resolved loads still on the scoreboard
+// with their done flag set) and requires the uninterrupted result.
+func TestParentSnapshotStillRestores(t *testing.T) {
+	state := readFixture(t, "testdata/pr11_thrash_gto.kernelstate.gz")
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("thrash", 24, 40, 4)
 	base, baseTally := runKernelBaseline(t, cfg, k, sim.GTO{}, sim.RunOptions{})
@@ -132,6 +139,50 @@ func TestParentSnapshotStillRestores(t *testing.T) {
 	}
 	if _, err := g3.ResumeKernel(k, sim.GTO{}, sim.RunOptions{}, state); err == nil {
 		t.Fatal("a clock marker outside the wake ring's horizon was accepted")
+	}
+}
+
+// TestParentSnapshotStillRestoresHeapOrder resumes a kernel state written
+// by the commit before the per-SM fill rings, mid-kernel under MSHR
+// pressure (4 MSHRs: every register busy on both SMs, eleven replayers
+// parked on each, markers pending). Its fills are listed in the order
+// of the binary heap's array, in which both SMs' fills are out of cycle
+// order, so decode has to sort them into the rings; the result must be
+// the uninterrupted one.
+func TestParentSnapshotStillRestoresHeapOrder(t *testing.T) {
+	state := readFixture(t, "testdata/pr12_thrash_mshr4_gto.kernelstate.gz")
+	cfg := testutil.TinyConfig()
+	cfg.L1.MSHRs = 4
+	k := testutil.ThrashKernel("thrash", 64, 40, 4)
+	base, baseTally := runKernelBaseline(t, cfg, k, sim.GTO{}, sim.RunOptions{})
+	g, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.ResumeKernel(k, sim.GTO{}, sim.RunOptions{}, state)
+	if err != nil {
+		t.Fatalf("ResumeKernel: %v", err)
+	}
+	if !reflect.DeepEqual(base, res) || !reflect.DeepEqual(baseTally, schedTallies(g)) {
+		t.Fatalf("a state written by the parent commit resumes differently:\n base: %+v\n rest: %+v", base, res)
+	}
+
+	// The fixture must be what it is described as.
+	g2, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = g2.ResumeKernel(k, sim.GTO{}, sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 1}}, state)
+	if !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	for _, s := range g2.SMs {
+		if !s.MSHR.Full() || len(s.ReplayQ) == 0 {
+			t.Fatalf("SM %d restored with %d of %d MSHRs busy and %d replayers parked", s.ID, s.MSHR.Used(), s.MSHR.Capacity(), len(s.ReplayQ))
+		}
+	}
+	if g2.FillsInFlight() != cfg.NumSMs*cfg.L1.MSHRs || g2.ClockMarkers() == 0 {
+		t.Fatalf("restored with %d fills in flight and %d markers", g2.FillsInFlight(), g2.ClockMarkers())
 	}
 }
 

@@ -127,7 +127,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w := NewWriter()
+	w := NewWriterSize(len(Magic) + len(s.Key) + len(s.Workload) + len(s.State) + 7*binary.MaxVarintLen64 + 4)
 	w.buf = append(w.buf, Magic...)
 	w.Uvarint(Version)
 	w.Uvarint(uint64(s.Kind))
@@ -200,7 +200,12 @@ type Writer struct {
 }
 
 // NewWriter returns an empty writer.
-func NewWriter() *Writer { return &Writer{buf: make([]byte, 0, 256)} }
+func NewWriter() *Writer { return NewWriterSize(256) }
+
+// NewWriterSize returns an empty writer with room for n bytes, for
+// callers that know roughly how much they will write; a payload that
+// outgrows it still grows by doubling.
+func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
 // Data returns the accumulated payload.
 func (w *Writer) Data() []byte { return w.buf }
@@ -344,12 +349,18 @@ func (r *Reader) Count(limit int) int {
 // LimitedBytes reads a length-prefixed byte slice of at most limit
 // bytes, copying out of the underlying buffer.
 func (r *Reader) LimitedBytes(limit int) []byte {
+	return bytes.Clone(r.LimitedView(limit))
+}
+
+// LimitedView is LimitedBytes without the copy: the result shares the
+// memory of the payload the reader was built on, so it is for callers
+// that own that payload and keep it unchanged while the view is in use.
+func (r *Reader) LimitedView(limit int) []byte {
 	n := r.Count(limit)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[:n])
+	out := r.buf[:n:n]
 	r.buf = r.buf[n:]
 	return out
 }

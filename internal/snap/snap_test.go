@@ -226,3 +226,37 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("temp files left behind: %v", matches)
 	}
 }
+
+// TestLimitedViewSharesBytesCopies: LimitedBytes hands out a copy, a
+// view shares the payload (and cannot be appended into the bytes after
+// it); both obey the limit, and a sized writer that is outgrown still
+// holds everything written.
+func TestLimitedViewSharesBytesCopies(t *testing.T) {
+	w := NewWriterSize(4)
+	w.Bytes([]byte{1, 2, 3})
+	w.Bytes([]byte{4, 5, 6})
+	w.Bytes(bytes.Repeat([]byte{7}, 100))
+	payload := w.Data()
+
+	r := NewReader(payload)
+	copied, view := r.LimitedBytes(3), r.LimitedView(3)
+	payload[2], payload[6] = 9, 9 // the middle byte of each field
+	if !bytes.Equal(copied, []byte{1, 2, 3}) {
+		t.Fatalf("LimitedBytes follows the payload: %v", copied)
+	}
+	if !bytes.Equal(view, []byte{4, 9, 6}) {
+		t.Fatalf("LimitedView does not share the payload: %v", view)
+	}
+	if _ = append(view, 0); payload[8] != 100 {
+		t.Fatal("appending to a view overwrote the length prefix behind it")
+	}
+	if r.LimitedView(99); r.Err() == nil {
+		t.Fatal("a view longer than its limit was handed out")
+	}
+	r = NewReader(payload)
+	r.LimitedView(3)
+	r.LimitedView(3)
+	if got := r.LimitedView(100); len(got) != 100 || r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("last field: %d bytes, err %v, %d left", len(got), r.Err(), r.Len())
+	}
+}
