@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -49,11 +50,11 @@ func main() {
 		if *out == "" {
 			log.Fatal("-gen needs -o")
 		}
-		if err := generate(*out, *sizeMB, *warps, *kernels); err != nil {
+		if err := generate(os.Stdout, *out, *sizeMB, *warps, *kernels); err != nil {
 			log.Fatal(err)
 		}
 	case *stat != "":
-		if err := digest(*stat, *whole, *maxHeap); err != nil {
+		if err := digest(os.Stdout, *stat, *whole, *maxHeap); err != nil {
 			log.Fatal(err)
 		}
 	default:
@@ -66,7 +67,7 @@ func main() {
 // streams are overlapping views into one shared pseudo-random line
 // walk, so the trace encodes size-mb worth of varint deltas while the
 // generator holds only the walk buffer.
-func generate(path string, sizeMB, warps, kernels int) error {
+func generate(out io.Writer, path string, sizeMB, warps, kernels int) error {
 	if sizeMB <= 0 || warps <= 0 || kernels <= 0 || warps%8 != 0 {
 		return fmt.Errorf("-size-mb, -warps and -kernels must be positive, -warps a multiple of 8")
 	}
@@ -109,7 +110,7 @@ func generate(path string, sizeMB, warps, kernels int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d kernels, %d records, %d accesses, %d bytes\n",
+	fmt.Fprintf(out, "wrote %s: %d kernels, %d records, %d accesses, %d bytes\n",
 		path, kernels, kernels*warps, kernels*warps*iters, fi.Size())
 	return nil
 }
@@ -118,7 +119,7 @@ func generate(path string, sizeMB, warps, kernels int) error {
 // streaming and whole-trace paths visit records in the same
 // (kernel, slot, warp) order, so their output is byte-identical
 // whenever both succeed.
-func digest(path string, whole bool, maxHeapMB int) error {
+func digest(out io.Writer, path string, whole bool, maxHeapMB int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -181,7 +182,7 @@ func digest(path string, whole bool, maxHeapMB int) error {
 			return err
 		}
 	}
-	fmt.Printf("workload %s kernels %d records %d accesses %d checksum %016x\n",
+	fmt.Fprintf(out, "workload %s kernels %d records %d accesses %d checksum %016x\n",
 		name, nkernels, records, accesses, h.Sum64())
 
 	var ms runtime.MemStats

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"poise/internal/glm"
 	"poise/internal/poise"
 	"poise/internal/profile"
+	"poise/internal/sim"
 	"poise/internal/workloads"
 )
 
@@ -36,57 +38,83 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := config.Default().Scale(*sms)
-	params := config.DefaultPoise()
-	cat := workloads.NewCatalogue(parseSize(*size))
-
-	start := time.Now()
 	tag := fmt.Sprintf("train-sms%d-%s-%d.%d", *sms, *size, *stepN, *stepP)
-	store := profile.Store{Dir: *cacheDir}
-	ds, err := poise.BuildDataset(cfg, params, cat.TrainingSet(),
-		profile.SweepOptions{StepN: *stepN, StepP: *stepP}, store, tag)
+	err := train(os.Stdout, trainRun{
+		cfg:     config.Default().Scale(*sms),
+		params:  config.DefaultPoise(),
+		set:     workloads.NewCatalogue(parseSize(*size)).TrainingSet(),
+		sweep:   profile.SweepOptions{StepN: *stepN, StepP: *stepP},
+		store:   profile.Store{Dir: *cacheDir},
+		tag:     tag,
+		outJSON: *outJSON,
+		emitGo:  *emitGo,
+		verbose: *verbose,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("dataset: %d kernels admitted (%d rejected: %d speedup, %d cycles, %d hitrate) in %v\n",
+}
+
+// trainRun is one invocation: what to train on and where to write.
+type trainRun struct {
+	cfg     config.Config
+	params  config.PoiseParams
+	set     []*sim.Workload
+	sweep   profile.SweepOptions
+	store   profile.Store
+	tag     string
+	outJSON string // weights JSON path, "" = none
+	emitGo  string // Go source path, "" = none
+	verbose bool
+}
+
+// train runs the pipeline and reports on out.
+func train(out io.Writer, r trainRun) error {
+	start := time.Now()
+	ds, err := poise.BuildDataset(r.cfg, r.params, r.set, r.sweep, r.store, r.tag)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "dataset: %d kernels admitted (%d rejected: %d speedup, %d cycles, %d hitrate) in %v\n",
 		len(ds.Samples), ds.RejectedSpeedup+ds.RejectedCycles+ds.RejectedHitRate,
 		ds.RejectedSpeedup, ds.RejectedCycles, ds.RejectedHitRate,
 		time.Since(start).Round(time.Second))
 
-	if *verbose {
+	if r.verbose {
 		for _, s := range ds.Samples {
-			fmt.Printf("  %-10s target=(%2d,%2d) scaled=(%5.1f,%5.1f) best=%.3fx scored=%.3fx\n",
+			fmt.Fprintf(out, "  %-10s target=(%2d,%2d) scaled=(%5.1f,%5.1f) best=%.3fx scored=%.3fx\n",
 				s.Kernel, s.RawN, s.RawP, s.TargetN, s.TargetP, s.BestSpeedup, s.ScoreSpeedup)
 		}
 	}
 
 	w, err := poise.Train(ds, poise.TrainOptions{Drop: -1, GLM: glm.Options{}})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println("\ntrained weights (Table II analogue):")
+	fmt.Fprintln(out, "\ntrained weights (Table II analogue):")
 	for i := 0; i < poise.NumFeatures; i++ {
-		fmt.Printf("  x%d %-22s alpha=%+.6f beta=%+.6f\n",
+		fmt.Fprintf(out, "  x%d %-22s alpha=%+.6f beta=%+.6f\n",
 			i+1, poise.FeatureNames[i], w.Alpha[i], w.Beta[i])
 	}
-	fmt.Printf("dispersion N=%.4f p=%.4f, pseudo-R2 N=%.3f p=%.3f\n",
+	fmt.Fprintf(out, "dispersion N=%.4f p=%.4f, pseudo-R2 N=%.3f p=%.3f\n",
 		w.DispersionN, w.DispersionP, w.PseudoR2N, w.PseudoR2P)
 
 	errN, errP := poise.EvaluateOffline(w, ds.Samples)
-	fmt.Printf("in-sample prediction error: N %.1f%%, p %.1f%%\n", 100*errN, 100*errP)
+	fmt.Fprintf(out, "in-sample prediction error: N %.1f%%, p %.1f%%\n", 100*errN, 100*errP)
 
-	if *outJSON != "" {
-		if err := w.Save(*outJSON); err != nil {
-			fatal(err)
+	if r.outJSON != "" {
+		if err := w.Save(r.outJSON); err != nil {
+			return err
 		}
-		fmt.Println("wrote", *outJSON)
+		fmt.Fprintln(out, "wrote", r.outJSON)
 	}
-	if *emitGo != "" {
-		if err := emitDefaultWeights(*emitGo, w); err != nil {
-			fatal(err)
+	if r.emitGo != "" {
+		if err := emitDefaultWeights(r.emitGo, w); err != nil {
+			return err
 		}
-		fmt.Println("wrote", *emitGo)
+		fmt.Fprintln(out, "wrote", r.emitGo)
 	}
+	return nil
 }
 
 // emitDefaultWeights writes the Go source for the embedded default
@@ -110,8 +138,8 @@ func emitDefaultWeights(path string, w poise.Weights) error {
 //
 // DO NOT EDIT below: generated by cmd/poisetrain.
 var defaultWeights, defaultWeightsValid = Weights{
-	Alpha: %#v,
-	Beta:  %#v,
+	Alpha:        %#v,
+	Beta:         %#v,
 	DispersionN:  %v,
 	DispersionP:  %v,
 	TrainKernels: %d,

@@ -84,7 +84,7 @@ type Config struct {
 	MaxThreadsPerSM int
 	MaxBlocksPerSM  int
 	ALULatency      int // cycles until a dependent ALU op may issue (Tpipe)
-	IssueWidth      int // instructions issued per scheduler per cycle
+	IssueWidth      int // instructions issued per scheduler per cycle; only 1 is modelled
 
 	// Memory hierarchy.
 	L1            CacheConfig
@@ -200,8 +200,10 @@ func (c Config) Validate() error {
 		return errors.New("config: WarpsPerSched must be positive")
 	case c.WarpWidth <= 0:
 		return errors.New("config: WarpWidth must be positive")
-	case c.IssueWidth <= 0:
-		return errors.New("config: IssueWidth must be positive")
+	case c.IssueWidth != 1:
+		// Every engine issues one instruction per scheduler per cycle,
+		// and the issue-burst arithmetic relies on it.
+		return fmt.Errorf("config: IssueWidth %d is not modelled: schedulers issue one instruction per cycle", c.IssueWidth)
 	case c.L2Banks <= 0:
 		return errors.New("config: L2Banks must be positive")
 	case c.DRAMPartitions <= 0:

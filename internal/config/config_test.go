@@ -107,6 +107,8 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"no scheds", func(c *Config) { c.SchedulersPerSM = 0 }},
 		{"no warps", func(c *Config) { c.WarpsPerSched = 0 }},
 		{"no width", func(c *Config) { c.WarpWidth = 0 }},
+		{"zero issue width", func(c *Config) { c.IssueWidth = 0 }},
+		{"dual issue is not modelled", func(c *Config) { c.IssueWidth = 2 }},
 		{"thread cap", func(c *Config) { c.MaxThreadsPerSM = 10 }},
 		{"bad l1", func(c *Config) { c.L1.SizeBytes = 100 }},
 		{"no mshrs", func(c *Config) { c.L1.MSHRs = 0 }},

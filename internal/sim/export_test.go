@@ -24,3 +24,16 @@ func (g *GPU) SnapshotKernelWithFills(p Policy, numSMs, perSM int, fills [][3]in
 	}
 	return g.SnapshotKernel(p)
 }
+
+// BurstsInFlight returns how many schedulers are inside an issue burst
+// at the current cycle. Only code that runs inside a visit (an address
+// pattern) can see one: bursts are settled before anything else looks.
+func (g *GPU) BurstsInFlight() int {
+	n := 0
+	for _, end := range g.rq.burstEnd {
+		if end > g.now {
+			n++
+		}
+	}
+	return n
+}

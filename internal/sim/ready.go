@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"poise/internal/sm"
 	"poise/internal/trace"
@@ -75,6 +76,34 @@ import (
 // counters are bit-identical to the dense engine's. Keeping spans off
 // the hot path means an attempt costs the same as a dense scan slot —
 // the compute-bound regime pays nothing for the queue.
+//
+// Issue bursts: GTO on a run of independent ALU instructions is
+// decided in advance — the greedy warp issues one of them every cycle,
+// each ready the cycle after. When issueOne picks a warp standing at
+// such a run it applies k = min(aluRun[BodyIdx], Warp.RunRoom())
+// instructions at once (both counters, BodyIdx/FlatIdx, ReadyAt = now+k)
+// and sets burstEnd[key] = now+k; until then the scan skips the
+// scheduler with one compare and counts the visit as an issue, so the
+// loop visits exactly the cycles it would have. The first bound keeps
+// the run inside the body (wrap-around and retirement stay on the
+// ordinary path), the second short of the warp's next scoreboard
+// rebuild. Nothing outside the scheduler can end a burst early in the
+// dense engine either: a fill for another of its warps does not
+// dislodge the greedy warp (a fill for the greedy warp itself resolves
+// a load whose use lies beyond the run), a launch appends younger warps
+// and leaves the vital bits of the older ones alone, warps retire only
+// by issuing, and SetTuple is called only from Policy.KernelStart and
+// Policy.Step. That leaves one rule, the one spans already follow:
+// settle before anyone observes. settleBursts takes back the part of
+// every burst that is not due yet, by plain arithmetic, wherever
+// flushAllSpans runs: before Policy.Step, at an interrupt (so a
+// snapshot holds the dense-equivalent state and burstEnd is never
+// serialised) and on every return path. Step and the interrupt check
+// run before the scan of cycle now, so they settle to the top of now;
+// the MaxCycles and deadlock returns come after it and settle to the
+// top of now+1, keeping the issue of this cycle. EngineDense never
+// bursts (aluRun is empty outside a ready-engine run) and stays the
+// specification the equivalence suites compare against.
 
 type schedMode uint8
 
@@ -164,7 +193,25 @@ type readyQueue struct {
 
 	// visits counts visited cycles this run; spans are measured in it.
 	visits int64
+
+	// Issue bursts (see the header). aluRun[i] is the length of the run
+	// of independent ALU instructions starting at body position i, never
+	// counting the body's last instruction and saturating at 255 (a
+	// longer run takes more than one burst; a byte per instruction keeps
+	// the table a fresh GPU allocates small); it is empty outside a run
+	// that may burst. burstEnd[key] is the cycle the scheduler's burst
+	// is over: a value at or below now means none is in flight.
+	aluRun   []uint8
+	burstEnd []int64
 }
+
+// minBurst is the shortest run worth a burst. A burst of 2 saves one
+// issueOne and costs one burstEnd write and one skipped slot. Floors of
+// 2 and 3 measured alike where bodies burst by 2 at most (three
+// alternating bench/run.sh passes, seed 23: sim_membound 168-179 against
+// 174-175 ns per simulated cycle, fig7_mini 93-98 against 94-97), so
+// the floor is the smallest burst there is.
+const minBurst = 2
 
 // init sizes the queue for the GPU's schedulers (which must already be
 // constructed).
@@ -188,6 +235,8 @@ func (rq *readyQueue) init(g *GPU) {
 	rq.woken = make([]int32, 0, n)
 	rq.timed.a = make([]schedEntry, 0, n)
 	rq.scanKey = -1
+	rq.aluRun = make([]uint8, 0)
+	rq.burstEnd = make([]int64, n)
 }
 
 // resetState restores the just-constructed state (capacity retained).
@@ -198,12 +247,14 @@ func (rq *readyQueue) resetState() {
 		rq.wakeAt[i] = 0
 		rq.spanBase[i] = 0
 		rq.spanActive[i] = false
+		rq.burstEnd[i] = 0
 	}
 	rq.hot = rq.hot[:0]
 	rq.woken = rq.woken[:0]
 	rq.timed.a = rq.timed.a[:0]
 	rq.scanKey = -1
 	rq.visits = 0
+	rq.aluRun = rq.aluRun[:0]
 }
 
 // insertHot adds key to the sorted hot list (the caller has checked it
@@ -269,6 +320,40 @@ func (g *GPU) flushAllSpans(uptoV int64) {
 		if rq.mode[key] != schedHot {
 			rq.flushSpan(key, uptoV)
 		}
+	}
+}
+
+// buildRuns fills aluRun for a run that may burst. A run with an
+// instruction cap does not: totalInstructions is read every visit and
+// must not see issues applied ahead of the cycle.
+func (rq *readyQueue) buildRuns(body []trace.Instr, opts RunOptions) {
+	if opts.MaxInstructions > 0 {
+		return
+	}
+	rq.aluRun = append(rq.aluRun, make([]uint8, len(body))...)
+	for i := len(body) - 2; i >= 0; i-- {
+		if body[i].Kind == trace.OpALU && !body[i].DepALU {
+			rq.aluRun[i] = rq.aluRun[i+1] + min(1, math.MaxUint8-rq.aluRun[i+1])
+		}
+	}
+}
+
+// settleBursts takes back the part of every burst not due by the top
+// of cycle upto, leaving the dense-equivalent state: the greedy warp
+// where it would stand after issuing at each cycle before upto, free to
+// issue (and burst again) at upto. Every burstEnd is left at zero.
+func (g *GPU) settleBursts(upto int64) {
+	rq := &g.rq
+	for key, end := range rq.burstEnd {
+		if r := end - upto; r > 0 {
+			sch := rq.schedOf[key]
+			w := sch.Greedy()
+			w.RetreatRun(r)
+			w.ReadyAt = upto
+			sch.IssueCycles -= r
+			rq.smOf[key].C.Instructions -= r
+		}
+		rq.burstEnd[key] = 0
 	}
 }
 
@@ -421,6 +506,7 @@ func (rq *readyQueue) startResume(g *GPU, visits int64) {
 func (g *GPU) runReady(k *trace.Kernel, p Policy, opts RunOptions, policyNext int64) (KernelResult, error) {
 	rq := &g.rq
 	rq.startReady(g)
+	rq.buildRuns(k.Body, opts)
 	defer rq.deactivate()
 	return g.readyLoop(k, p, opts, policyNext)
 }
@@ -437,6 +523,7 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 	for g.doneWarp < g.total {
 		if opts.Interrupt.due(g.now) {
 			g.flushAllSpans(rq.visits)
+			g.settleBursts(g.now)
 			g.policyNext = policyNext
 			return KernelResult{}, ErrInterrupted
 		}
@@ -447,6 +534,7 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 			// Settle spans so the policy observes exactly the counters
 			// the dense engine would show it at this cycle.
 			g.flushAllSpans(rq.visits - 1)
+			g.settleBursts(g.now)
 			policyNext = p.Step(g, g.now)
 			if policyNext <= g.now {
 				policyNext = g.now + 1
@@ -458,6 +546,10 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 		dropped := false
 		for i := 0; i < len(rq.hot); i++ {
 			key := rq.hot[i]
+			if rq.burstEnd[key] > g.now {
+				anyIssued = true // the burst's issue of this cycle
+				continue
+			}
 			if rq.mode[key] != schedHot {
 				continue
 			}
@@ -493,6 +585,8 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 
 		if g.now >= opts.MaxCycles {
 			g.flushAllSpans(rq.visits)
+			// After the scan: every burst keeps its issue of this cycle.
+			g.settleBursts(g.now + 1)
 			return KernelResult{}, fmt.Errorf("sim: kernel %s exceeded %d cycles", k.Name, opts.MaxCycles)
 		}
 		if opts.MaxInstructions > 0 && g.totalInstructions() >= opts.MaxInstructions {
@@ -527,10 +621,14 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 	}
 
 	g.flushAllSpans(rq.visits)
+	g.settleBursts(g.now)
 	if p != nil {
 		p.KernelEnd(g, g.now)
 	}
 	return g.collect(k), nil
 }
 
-func (rq *readyQueue) deactivate() { rq.active = false }
+func (rq *readyQueue) deactivate() {
+	rq.active = false
+	rq.aluRun = rq.aluRun[:0]
+}

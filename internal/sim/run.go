@@ -262,6 +262,19 @@ func (g *GPU) issueOne(s *sm.SM, sch *sm.Scheduler) bool {
 
 	switch ins.Kind {
 	case trace.OpALU:
+		// An issue burst: the whole run of independent ALU instructions
+		// is applied now and the scan skips the scheduler until it is
+		// over (ready.go). aluRun is empty for the dense engine.
+		if int(pc) < len(g.rq.aluRun) {
+			if k := min(int64(g.rq.aluRun[pc]), w.RunRoom()); k >= minBurst {
+				s.C.Instructions += k
+				sch.IssueCycles += k
+				w.AdvanceRun(k)
+				w.ReadyAt = g.now + k
+				g.rq.burstEnd[g.rq.scanKey] = w.ReadyAt
+				return true
+			}
+		}
 		s.C.Instructions++
 		if ins.DepALU {
 			w.ReadyAt = g.now + int64(g.Cfg.ALULatency)

@@ -199,6 +199,9 @@ func (s *Scheduler) PickOrWake(now int64) (slot int, wake int64) {
 	return -1, wake
 }
 
+// Greedy returns the warp the last successful PickOrWake chose.
+func (s *Scheduler) Greedy() *Warp { return &s.Slots[s.current] }
+
 // Pick returns the slot PickOrWake chooses, or -1 when nothing can
 // issue.
 func (s *Scheduler) Pick(now int64) int {

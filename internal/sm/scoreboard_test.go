@@ -2,6 +2,7 @@ package sm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -249,5 +250,95 @@ func TestRelaunchedSlotKeepsScoreboardStorage(t *testing.T) {
 	s.Reset()
 	if w.Pend != nil {
 		t.Fatal("Reset must release the scoreboard storage")
+	}
+}
+
+// TestAdvanceRunMatchesAdvance: over random scoreboard contents,
+// AdvanceRun(k) leaves the warp exactly where k calls of Advance do
+// whenever k is within RunRoom and short of the body's end, RetreatRun
+// inverts it, and a fill that resolves one of the warp's loads while
+// the run holds FlatIdx ahead of the cycle leaves what the same fill
+// leaves part-way through the k Advances.
+func TestAdvanceRunMatchesAdvance(t *testing.T) {
+	const bodyLen = 40
+	clone := func(w *Warp) *Warp {
+		c := *w
+		c.Pend = append([]Pending(nil), w.Pend...)
+		return &c
+	}
+	rng := rand.New(rand.NewSource(14))
+	ran, resolved := 0, 0
+	for trial := 0; trial < 5000; trial++ {
+		s := NewScheduler(0, 1)
+		w := &s.Slots[s.Launch(0, 0, 0, 1<<20)]
+		if trial%50 == 0 {
+			// A just-launched warp has not built its scoreboard yet.
+			if w.RunRoom() > 0 {
+				t.Fatalf("a just-launched warp reports room %d before its first rebuild", w.RunRoom())
+			}
+			continue
+		}
+		w.Iter = int32(rng.Intn(5))
+		w.BodyIdx = int32(rng.Intn(bodyLen))
+		w.FlatIdx = int64(w.Iter)*bodyLen + int64(w.BodyIdx)
+		w.ReadyAt = int64(rng.Intn(200))
+		w.rebuild()
+		for n := rng.Intn(5); n > 0; n-- {
+			p := Pending{Token: w.NewToken(), DepFlat: w.FlatIdx - 2 + int64(rng.Intn(30))}
+			if rng.Intn(2) == 0 {
+				p.RetCycle = 1 + int64(rng.Intn(400))
+			}
+			w.AddPending(p)
+		}
+		room := min(w.RunRoom(), int64(bodyLen-1-w.BodyIdx))
+		if room < 0 {
+			t.Fatalf("trial %d: RunRoom %d with FlatIdx %d nextDep %d", trial, w.RunRoom(), w.FlatIdx, w.nextDep)
+		}
+		start := clone(w)
+		for k := int64(0); k <= room; k++ {
+			// A load beyond the run, resolved after j issues of it.
+			var token int64
+			for _, p := range w.Pend {
+				if p.DepFlat > w.FlatIdx {
+					token = p.Token
+				}
+			}
+			j := rng.Int63n(k + 1)
+			step, run := clone(start), clone(start)
+			for i := int64(0); i < k; i++ {
+				if i == j && token != 0 {
+					step.ResolveToken(token)
+				}
+				if step.Advance(bodyLen) {
+					t.Fatalf("trial %d: the warp retired inside a run", trial)
+				}
+			}
+			if j == k && token != 0 {
+				step.ResolveToken(token)
+			}
+			run.AdvanceRun(k)
+			if token != 0 {
+				run.ResolveToken(token)
+				resolved++
+			}
+			if !reflect.DeepEqual(step, run) {
+				t.Fatalf("trial %d: AdvanceRun(%d) of room %d:\n  got  %+v\n  want %+v", trial, k, room, run, step)
+			}
+			// Taking back r issues leaves what k-r Advances leave.
+			r := rng.Int63n(k + 1)
+			short, back := clone(start), clone(start)
+			for i := int64(0); i < k-r; i++ {
+				short.Advance(bodyLen)
+			}
+			back.AdvanceRun(k)
+			back.RetreatRun(r)
+			if !reflect.DeepEqual(short, back) {
+				t.Fatalf("trial %d: AdvanceRun(%d) then RetreatRun(%d):\n  got  %+v\n  want %+v", trial, k, r, back, short)
+			}
+			ran++
+		}
+	}
+	if ran < 5000 || resolved < 1000 {
+		t.Fatalf("only %d runs compared, %d with a fill inside: the generator is off", ran, resolved)
 	}
 }

@@ -175,6 +175,25 @@ func (w *Warp) Advance(bodyLen int) bool {
 	return false
 }
 
+// RunRoom returns how many instructions the warp can advance before
+// Advance would rebuild the scoreboard. Inside that room every live
+// load's DepFlat lies beyond the whole run, so nothing reads FlatIdx to
+// a different answer while AdvanceRun holds it ahead of the cycle:
+// ResolveToken's "blocking" test is false under both views, and no
+// Advance of the run would have rebuilt.
+func (w *Warp) RunRoom() int64 { return w.nextDep - w.FlatIdx - 1 }
+
+// AdvanceRun is k calls of Advance in one step. The caller keeps k
+// within RunRoom and short of the body's last instruction, so the run
+// neither rebuilds, wraps nor retires.
+func (w *Warp) AdvanceRun(k int64) {
+	w.BodyIdx += int32(k)
+	w.FlatIdx += k
+}
+
+// RetreatRun takes back the last r instructions of an AdvanceRun.
+func (w *Warp) RetreatRun(r int64) { w.AdvanceRun(-r) }
+
 // Reset clears the slot for reuse.
 func (w *Warp) Reset() {
 	*w = Warp{}

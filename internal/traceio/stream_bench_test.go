@@ -68,56 +68,6 @@ func benchRecords() [][]uint64 {
 	return records
 }
 
-// nestedReplay is the pre-flat slice-of-slices layout, kept as the
-// benchmark baseline: one retained slice per warp, footprint from the
-// same clear-per-warp scratch set.
-type nestedReplay struct {
-	warps     [][]uint64
-	footprint int
-}
-
-func newNestedReplay(records [][]uint64) *nestedReplay {
-	r := &nestedReplay{warps: make([][]uint64, len(records))}
-	distinct := map[uint64]struct{}{}
-	var sum, counted int
-	for g, stream := range records {
-		// The streaming source yields a reused buffer, so retaining the
-		// nested layout forces one copy (and one allocation) per warp.
-		r.warps[g] = append([]uint64(nil), stream...)
-		if len(stream) == 0 {
-			continue
-		}
-		clear(distinct)
-		for _, a := range stream {
-			distinct[a] = struct{}{}
-		}
-		sum += len(distinct)
-		counted++
-	}
-	if counted > 0 {
-		r.footprint = (sum + counted - 1) / counted
-	}
-	return r
-}
-
-func (r *nestedReplay) addr(c trace.Ctx, seq int) uint64 {
-	if len(r.warps) == 0 {
-		return 0
-	}
-	g := c.GlobalWarp
-	if g < 0 || g >= len(r.warps) {
-		g = ((g % len(r.warps)) + len(r.warps)) % len(r.warps)
-	}
-	stream := r.warps[g]
-	if len(stream) == 0 {
-		return 0
-	}
-	if seq < 0 || seq >= len(stream) {
-		seq = ((seq % len(stream)) + len(stream)) % len(stream)
-	}
-	return stream[seq]
-}
-
 // BenchmarkReplayFlat measures building one slot's flat replay from
 // streamed records: one arena + one offset index however many warps.
 func BenchmarkReplayFlat(b *testing.B) {
@@ -138,16 +88,6 @@ func BenchmarkReplayFlat(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayNested is the slice-of-slices baseline for the same
-// construction: one retained allocation per warp.
-func BenchmarkReplayNested(b *testing.B) {
-	records := benchRecords()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = newNestedReplay(records)
-	}
-}
-
 // BenchmarkReplayFlatAddr exercises the replay hot path — the address
 // lookup behind every simulated memory access — on the flat arena.
 func BenchmarkReplayFlatAddr(b *testing.B) {
@@ -159,17 +99,6 @@ func BenchmarkReplayFlatAddr(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += rep.Addr(trace.Ctx{GlobalWarp: i & 2047}, i&63)
-	}
-	benchSink = sink
-}
-
-// BenchmarkReplayNestedAddr is the pointer-chasing baseline lookup.
-func BenchmarkReplayNestedAddr(b *testing.B) {
-	rep := newNestedReplay(benchRecords())
-	b.ReportAllocs()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += rep.addr(trace.Ctx{GlobalWarp: i & 2047}, i&63)
 	}
 	benchSink = sink
 }
