@@ -9,6 +9,7 @@ import (
 	"poise/internal/experiments"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
+	"poise/internal/sim"
 	"poise/internal/trace"
 )
 
@@ -26,31 +27,34 @@ type ProfileExecutor struct {
 // any task whose kernel is missing from this worker's catalogue or
 // whose content digest disagrees with the local traces — a worker
 // launched against the wrong trace set refuses the whole plan before
-// leasing anything.
+// leasing anything. The batch it returns runs every lease on one GPU
+// pool and trusts this check: it hashes no kernel again.
 func (e ProfileExecutor) Prepare(planData []byte) (Batch, error) {
 	plan, err := gridplan.ReadPlan(bytes.NewReader(planData))
 	if err != nil {
 		return nil, err
 	}
-	digests := map[string]string{}
+	if err := profile.VerifyTasks(e.Kernels, plan.Tasks); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	b := profileBatch{e: e, verified: map[[2]string]bool{}}
 	for _, t := range plan.Tasks {
-		k, ok := e.Kernels[t.Kernel]
-		if !ok {
-			return nil, fmt.Errorf("fleet: plan task %s: kernel not in local catalogue", t.Key())
-		}
-		d, ok := digests[t.Kernel]
-		if !ok {
-			d = gridplan.KernelDigest(k)
-			digests[t.Kernel] = d
-		}
-		if t.Digest != "" && t.Digest != d {
-			return nil, fmt.Errorf("fleet: plan task %s: kernel digest %s, local traces have %s", t.Key(), t.Digest, d)
+		b.verified[[2]string{t.Kernel, t.Digest}] = true
+	}
+	if b.e.Opts.Pool == nil && !b.e.Opts.FreshGPUs {
+		if b.e.Opts.Pool, err = sim.NewPool(e.Cfg); err != nil {
+			return nil, err
 		}
 	}
-	return profileBatch{e}, nil
+	return b, nil
 }
 
-type profileBatch struct{ e ProfileExecutor }
+// profileBatch is a verified plan: verified holds the {kernel, digest}
+// pairs its tasks carry, each matched by VerifyTasks.
+type profileBatch struct {
+	e        ProfileExecutor
+	verified map[[2]string]bool
+}
 
 // Run implements Batch.
 func (b profileBatch) Run(lines []json.RawMessage) ([]json.RawMessage, error) {
@@ -59,8 +63,11 @@ func (b profileBatch) Run(lines []json.RawMessage) ([]json.RawMessage, error) {
 		if err := json.Unmarshal(l, &tasks[i]); err != nil {
 			return nil, fmt.Errorf("fleet: task line %d: %w", i+1, err)
 		}
+		if !b.verified[[2]string{tasks[i].Kernel, tasks[i].Digest}] {
+			return nil, fmt.Errorf("fleet: task %s is not of the prepared plan", tasks[i].Key())
+		}
 	}
-	ms, err := profile.RunTasks(b.e.Cfg, b.e.Kernels, tasks, b.e.Opts)
+	ms, err := profile.RunVerifiedTasks(b.e.Cfg, b.e.Kernels, tasks, b.e.Opts)
 	if err != nil {
 		return nil, err
 	}

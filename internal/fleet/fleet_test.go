@@ -45,6 +45,20 @@ func fleetRun(t *testing.T, camp Campaign, opts Options, workers []*Worker, allo
 			defer wg.Done()
 			errs[i] = w.Run(ctx)
 		}()
+		// Workers join in the order given: the next one starts once this
+		// one's lease has been granted (or the campaign is over), so "the
+		// victim holds a lease, then the fast worker drains the queue" is
+		// the scenario on a loaded machine too.
+	joined:
+		for coord.Stats().Granted <= i {
+			select {
+			case <-coord.finished:
+				break joined
+			case <-ctx.Done():
+				break joined
+			case <-time.After(time.Millisecond):
+			}
+		}
 	}
 	res, werr := coord.Wait(ctx)
 	if werr != nil {
@@ -131,12 +145,20 @@ func TestFleetByteIdenticalUnderKillAndStealAndExpiry(t *testing.T) {
 
 	// Fleet: victim completes one task and dies holding the rest of its
 	// 4-task lease; slow makes steady progress; fast drains the queue
-	// and then steals.
+	// and then steals — once the victim is dead: a fast worker on a
+	// loaded machine can otherwise empty the queue and steal the victim's
+	// lease down to the task it is on before it ever reaches its second.
 	kill := testutil.NewKillSwitch(1)
 	victim := &Worker{Name: "victim", Executors: profileExecutors(kernels, opts), BeforeTask: kill.Hook}
 	slow := &Worker{Name: "slow", Executors: profileExecutors(kernels, opts),
 		BeforeTask: func(int) error { time.Sleep(20 * time.Millisecond); return nil }}
-	fast := &Worker{Name: "fast", Executors: profileExecutors(kernels, opts)}
+	fast := &Worker{Name: "fast", Executors: profileExecutors(kernels, opts),
+		BeforeTask: func(int) error {
+			for !kill.Fired() {
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		}}
 
 	fopts := Options{LeaseTasks: 4, LeaseTTL: 700 * time.Millisecond, StealMin: 2, Logf: t.Logf}
 	res, coord := fleetRun(t, ProfileCampaign{Plan: plan}, fopts,
@@ -241,7 +263,13 @@ func TestFleetFlakyTransportDeduplicates(t *testing.T) {
 	flaky := &testutil.FlakyTransport{DropReplyEvery: 5}
 	w := &Worker{Name: "flaky", Executors: profileExecutors(kernels, opts),
 		Client: &http.Client{Transport: flaky}}
-	steady := &Worker{Name: "steady", Executors: profileExecutors(kernels, opts)}
+	// A completion whose dropped reply is the campaign's last is retried
+	// into a finished campaign and not counted. The steady worker is held
+	// back so that the flaky one's first drop — its fifth request, the
+	// third completion of its first lease — comes with most tasks still
+	// queued, however the machine schedules the two.
+	steady := &Worker{Name: "steady", Executors: profileExecutors(kernels, opts),
+		BeforeTask: func(int) error { time.Sleep(5 * time.Millisecond); return nil }}
 	fopts := Options{LeaseTasks: 4, LeaseTTL: 500 * time.Millisecond, StealMin: 2, Logf: t.Logf}
 	res, coord := fleetRun(t, ProfileCampaign{Plan: plan}, fopts, []*Worker{w, steady}, nil)
 
@@ -348,6 +376,38 @@ func TestWorkerRejectsDriftedCatalogue(t *testing.T) {
 	}
 	if _, err := (ProfileExecutor{Cfg: cfg, Kernels: nil, Opts: opts}).Prepare(data); err == nil {
 		t.Fatal("Prepare must reject a plan whose kernel is absent")
+	}
+}
+
+// TestProfileBatchRunsLeasesOnOnePool: the batch Prepare returns runs
+// every lease, however small, on GPUs of one pool, and refuses a task
+// that is not of the plan it verified.
+func TestProfileBatchRunsLeasesOnOnePool(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	k := testutil.ThrashKernel("onepool", 20, 12, 4)
+	opts := profile.SweepOptions{StepN: 8, StepP: 8, Workers: 1}
+	plan := profile.BuildPlan("t", cfg, k, opts)
+	data, units, err := planUnits(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ProfileExecutor{Cfg: cfg, Kernels: map[string]*trace.Kernel{k.Name: k}, Opts: opts}.Prepare(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units { // leases of one task, the CLI default
+		if _, err := b.Run([]json.RawMessage{u.line}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds, reuses := b.(profileBatch).e.Opts.Pool.Stats(); builds != 1 || reuses != int64(len(units))-1 {
+		t.Fatalf("%d leases built %d GPUs and reused %d", len(units), builds, reuses)
+	}
+	stray := plan.Tasks[0]
+	stray.Digest = "0000"
+	line, _ := json.Marshal(stray)
+	if _, err := b.Run([]json.RawMessage{line}); err == nil {
+		t.Fatal("Run must refuse a task whose digest the prepared plan does not carry")
 	}
 }
 

@@ -47,19 +47,28 @@ func BuildPlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions
 // RunTasks executes plan tasks — typically one shard — and returns
 // their raw measurements in task order. Kernels are resolved by name
 // from the given set and their content digests are verified against
-// the plan before anything simulates. Tasks fan out across
-// opts.Workers goroutines; each in-flight task runs on its own GPU
-// drawn from a shared pool (reset between runs is bit-identical to
+// the plan before anything simulates (VerifyTasks). Tasks fan out
+// across opts.Workers goroutines; each in-flight task runs on its own
+// GPU drawn from a shared pool (reset between runs is bit-identical to
 // fresh construction, so reuse cannot perturb results). Measurements
 // are raw: speedups are computed at merge time, because the baseline
 // point may live in another shard.
 func RunTasks(cfg config.Config, kernels map[string]*trace.Kernel, tasks []gridplan.Task, opts SweepOptions) ([]gridplan.Measurement, error) {
-	opts = opts.withDefaults()
+	if err := VerifyTasks(kernels, tasks); err != nil {
+		return nil, err
+	}
+	return RunVerifiedTasks(cfg, kernels, tasks, opts)
+}
+
+// VerifyTasks checks that every task's kernel is in the given set and
+// that its content digest, where the task carries one, is the digest of
+// the kernel found there. Each kernel is hashed once per call.
+func VerifyTasks(kernels map[string]*trace.Kernel, tasks []gridplan.Task) error {
 	digests := map[string]string{}
 	for _, t := range tasks {
 		k := kernels[t.Kernel]
 		if k == nil {
-			return nil, fmt.Errorf("profile: plan task %s needs kernel %q, not in the catalogue", t.Key(), t.Kernel)
+			return fmt.Errorf("profile: plan task %s needs kernel %q, not in the catalogue", t.Key(), t.Kernel)
 		}
 		if t.Digest == "" {
 			continue
@@ -70,19 +79,32 @@ func RunTasks(cfg config.Config, kernels map[string]*trace.Kernel, tasks []gridp
 			digests[t.Kernel] = d
 		}
 		if d != t.Digest {
-			return nil, fmt.Errorf(
+			return fmt.Errorf(
 				"profile: kernel %q digest mismatch: plan has %s, catalogue materialises %s (stale plan or drifted catalogue?)",
 				t.Kernel, t.Digest, d)
 		}
 	}
+	return nil
+}
 
+// RunVerifiedTasks is RunTasks for tasks VerifyTasks has already
+// accepted against these kernels: a caller that executes one verified
+// plan a few tasks at a time (a fleet worker's leases) hashes its
+// kernels once, not once per call.
+func RunVerifiedTasks(cfg config.Config, kernels map[string]*trace.Kernel, tasks []gridplan.Task, opts SweepOptions) ([]gridplan.Measurement, error) {
+	opts = opts.withDefaults()
 	if opts.FreshGPUs {
 		return mapTasks(kernels, tasks, opts,
 			func() (*sim.GPU, error) { return sim.New(cfg) }, func(*sim.GPU) {})
 	}
-	pool, err := sim.NewPool(cfg)
-	if err != nil {
-		return nil, err
+	pool := opts.Pool
+	if pool == nil {
+		var err error
+		if pool, err = sim.NewPool(cfg); err != nil {
+			return nil, err
+		}
+	} else if pool.Config() != cfg {
+		return nil, errors.New("profile: SweepOptions.Pool was built for another configuration")
 	}
 	return mapTasks(kernels, tasks, opts, pool.Get, pool.Put)
 }

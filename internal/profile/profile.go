@@ -128,6 +128,11 @@ type SweepOptions struct {
 	// fresh construction — so this exists only as a cross-check and for
 	// the allocation benchmarks.
 	FreshGPUs bool
+	// Pool, when non-nil, supplies the GPUs of RunTasks in place of a
+	// pool built per call: a caller that runs one plan over many calls
+	// (a fleet worker, lease by lease) builds its GPUs once. It must be
+	// a pool for the configuration the tasks run on. FreshGPUs wins.
+	Pool *sim.Pool
 	// Refine switches sweeps to adaptive coarse-to-fine pruning (see
 	// refine.go): LoadOrSweep runs PrunedSweep rounds instead of the
 	// exhaustive grid, caching completed rounds for resume. nil means

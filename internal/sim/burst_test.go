@@ -43,16 +43,24 @@ func (c *churnPolicy) Step(g *sim.GPU, now int64) int64 {
 func (c *churnPolicy) KernelEnd(g *sim.GPU, now int64) {}
 
 // burstProbe is an address pattern that looks at the GPU from inside a
-// visit, the one place a burst in flight can be seen.
+// visit, the one place a burst in flight can be seen, and checks the
+// calendar's books while it is there.
 type burstProbe struct {
 	trace.Pattern
-	g    **sim.GPU
-	seen *int
+	t        *testing.T
+	g        **sim.GPU
+	seen     *int // bursts in flight, summed over every look
+	together *int // the most bursts found filed under one cycle
 }
 
 func (p burstProbe) Addr(c trace.Ctx, seq int) uint64 {
-	if *p.g != nil {
-		*p.seen += (*p.g).BurstsInFlight()
+	if g := *p.g; g != nil {
+		*p.seen += g.BurstsInFlight()
+		together, err := g.CheckBurstBooks()
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		*p.together = max(*p.together, together)
 	}
 	return p.Pattern.Addr(c, seq)
 }
@@ -94,6 +102,12 @@ func randomBody(rng *rand.Rand) []trace.Instr {
 	return body
 }
 
+// loadRun is a load on slot 0 (which hits in L1), used useDist
+// instructions later, with a run of independent ALU instructions behind.
+func loadRun(useDist, run int) []trace.Instr {
+	return append([]trace.Instr{{Kind: trace.OpLoad, UseDist: useDist}}, new(trace.BodyBuilder).ALU(run).Body()...)
+}
+
 func TestIssueBurstsMatchDense(t *testing.T) {
 	fixed := map[string][]trace.Instr{
 		"one-alu":   {{Kind: trace.OpALU}},
@@ -103,8 +117,24 @@ func TestIssueBurstsMatchDense(t *testing.T) {
 		"alu-only":  new(trace.BodyBuilder).ALU(40).Body(),
 		"run-last":  append([]trace.Instr{{Kind: trace.OpLoad, UseDist: 3}}, new(trace.BodyBuilder).ALU(30).Body()...),
 		"run-first": append(new(trace.BodyBuilder).ALU(30).Body(), trace.Instr{Kind: trace.OpLoad, Slot: 1, UseDist: 12}),
-		"run-300":   append(new(trace.BodyBuilder).ALU(300).Body(), trace.Instr{Kind: trace.OpLoad, UseDist: 0}), // past the table's 255
+		"run-300":   append(new(trace.BodyBuilder).ALU(300).Body(), trace.Instr{Kind: trace.OpLoad, UseDist: 0}), // many bursts long
 		"dep-tail":  append(new(trace.BodyBuilder).ALU(20).DepALU(3).ALU(2).Body(), trace.Instr{Kind: trace.OpStore}),
+		// A burst that starts behind its load: the use at distance 0 (no
+		// burst: the warp cannot issue next cycle), 1 (no room), inside
+		// the run and beyond it; a load that ends the body, so the run it
+		// starts is the next iteration's; runs of the calendar's length
+		// and around it, which end on the slot of the cycle they began in.
+		"load0-run":   loadRun(0, 30),
+		"load1-run":   loadRun(1, 30),
+		"load9-run":   loadRun(9, 30),
+		"load-beyond": append(loadRun(50, 30), trace.Instr{Kind: trace.OpStore}),
+		"load-last":   append(new(trace.BodyBuilder).ALU(12).Body(), trace.Instr{Kind: trace.OpLoad, UseDist: 2}),
+		"load-run-62": append(loadRun(80, 62), trace.Instr{Kind: trace.OpStore}),
+		"load-run-63": append(loadRun(80, 63), trace.Instr{Kind: trace.OpStore}),
+		"load-run-64": append(loadRun(80, 64), trace.Instr{Kind: trace.OpStore}),
+		"load-run-65": append(loadRun(80, 65), trace.Instr{Kind: trace.OpStore}),
+		"run-63":      append(new(trace.BodyBuilder).ALU(63).Body(), trace.Instr{Kind: trace.OpStore}),
+		"run-130":     append(new(trace.BodyBuilder).ALU(130).Body(), trace.Instr{Kind: trace.OpLoad, UseDist: 5}),
 	}
 	type tc struct {
 		name string
@@ -119,7 +149,7 @@ func TestIssueBurstsMatchDense(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		cases = append(cases, tc{fmt.Sprintf("random-%d", i), randomBody(rng), int64(100 + i)})
 	}
-	seen := 0 // bursts caught in flight by the probe, over all cases
+	seen, together := 0, 0 // what the probe caught, over all cases
 	for _, c := range cases {
 		for _, sms := range []int{1, 2} {
 			cfg := testutil.TinyConfig().Scale(sms)
@@ -128,7 +158,7 @@ func TestIssueBurstsMatchDense(t *testing.T) {
 				Name: c.name,
 				Body: c.body,
 				Patterns: []trace.Pattern{
-					burstProbe{trace.PrivateSweep{Region: 930, Lines: 6, Step: 1, Dwell: 2}, &live, &seen},
+					burstProbe{trace.PrivateSweep{Region: 930, Lines: 6, Step: 1, Dwell: 2}, t, &live, &seen, &together},
 					trace.Stream{Region: 931, WrapLines: 1 << 14},
 				},
 				Iters:         3 + int(c.seed%5),
@@ -177,6 +207,9 @@ func TestIssueBurstsMatchDense(t *testing.T) {
 	}
 	if seen == 0 {
 		t.Fatal("no load ever issued beside a burst in flight: bursts have stopped firing")
+	}
+	if together < 2 {
+		t.Fatal("no two schedulers ever had bursts ending on the same cycle")
 	}
 }
 

@@ -106,7 +106,7 @@ func BenchmarkCycleLoopMemBound(b *testing.B) {
 }
 
 // BenchmarkCycleLoopCompute is the regime issue bursts target: every
-// scheduler issues nearly every cycle, so the hot list is always full
+// scheduler issues nearly every cycle, so the hot set is always full
 // and the queue saves nothing; what the ready engine saves is the
 // 64-instruction ALU run, applied in one step. The dense engine never
 // bursts, so a dense/ready ratio back near 1 means bursts stopped firing.

@@ -51,9 +51,9 @@ func runOn(t *testing.T, cfg config.Config, w *sim.Workload, p sim.Policy,
 
 // assertEnginesAgree runs w under both engines (a fresh policy instance
 // per engine — adaptive schemes carry state) and requires bit-identical
-// outcomes.
+// outcomes. It returns the per-scheduler counters they agreed on.
 func assertEnginesAgree(t *testing.T, cfg config.Config, w *sim.Workload,
-	mkPolicy func() sim.Policy, opts sim.RunOptions, traceTuples bool) {
+	mkPolicy func() sim.Policy, opts sim.RunOptions, traceTuples bool) [][3]int64 {
 	t.Helper()
 	dRes, dTally, dErr := runOn(t, cfg, w, mkPolicy(), opts, traceTuples, sim.EngineDense)
 	rRes, rTally, rErr := runOn(t, cfg, w, mkPolicy(), opts, traceTuples, sim.EngineReady)
@@ -72,6 +72,7 @@ func assertEnginesAgree(t *testing.T, cfg config.Config, w *sim.Workload,
 		}
 		t.Fatalf("per-scheduler cycle counters diverge for %s", w.Name)
 	}
+	return rTally
 }
 
 // mustPoise builds the HIE policy from the embedded default weights.

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // ClockMarkers returns how many cycles are marked in the wake ring
 // (test-only window onto the loop's event state).
 func (g *GPU) ClockMarkers() int { return g.wakes.marked }
@@ -36,4 +41,45 @@ func (g *GPU) BurstsInFlight() int {
 		}
 	}
 	return n
+}
+
+// CheckBurstBooks compares the burst calendar with burstEnd, from
+// inside a visit like BurstsInFlight: every scheduler whose burstEnd
+// lies ahead of now must sit on the calendar under that cycle, off the
+// hot set and in mode hot; the calendar must hold that many keys and no
+// more (so nobody else sits on it, and nobody twice), and bursting must
+// say the same. It also returns the most bursts filed under one cycle.
+func (g *GPU) CheckBurstBooks() (together int, err error) {
+	rq := &g.rq
+	words := len(rq.hot)
+	inFlight := 0
+	for key, end := range rq.burstEnd {
+		if end <= g.now {
+			continue
+		}
+		inFlight++
+		word, bit := key>>6, uint64(1)<<(key&63)
+		switch {
+		case rq.ring[int(end&ringMask)*words+word]&bit == 0:
+			return 0, fmt.Errorf("cycle %d: scheduler %d bursts until %d and is not filed under it", g.now, key, end)
+		case rq.hot[word]&bit != 0:
+			return 0, fmt.Errorf("cycle %d: scheduler %d bursts until %d and is on the hot set", g.now, key, end)
+		case rq.mode[key] != schedHot:
+			return 0, fmt.Errorf("cycle %d: scheduler %d bursts until %d in mode %d", g.now, key, end, rq.mode[key])
+		}
+	}
+	filed := 0
+	for slot := 0; slot < ringSlots; slot++ {
+		n := 0
+		for _, w := range rq.ring[slot*words:][:words] {
+			n += bits.OnesCount64(w)
+		}
+		filed += n
+		together = max(together, n)
+	}
+	if filed != inFlight || rq.bursting != inFlight {
+		return 0, fmt.Errorf("cycle %d: %d bursts in flight, %d keys on the calendar, the counter says %d",
+			g.now, inFlight, filed, rq.bursting)
+	}
+	return together, nil
 }

@@ -42,6 +42,9 @@ func NewPool(cfg config.Config) (*Pool, error) {
 	return &Pool{cfg: cfg}, nil
 }
 
+// Config returns the configuration the pool's GPUs are built with.
+func (p *Pool) Config() config.Config { return p.cfg }
+
 // Get returns a fresh-state GPU, recycling a parked one when available.
 func (p *Pool) Get() (*GPU, error) {
 	p.mu.Lock()
@@ -59,9 +62,11 @@ func (p *Pool) Get() (*GPU, error) {
 }
 
 // Put resets g to its fresh-construction state and parks it for
-// reuse. Putting a GPU that is still running is a caller bug.
+// reuse. Putting a GPU that is still running is a caller bug. A GPU
+// built with another configuration is dropped, not parked: a pool that
+// outlives one call must never hand a later Get the wrong machine.
 func (p *Pool) Put(g *GPU) {
-	if g == nil {
+	if g == nil || g.Cfg != p.cfg {
 		return
 	}
 	g.Reset()

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"poise/internal/config"
 	"poise/internal/sched"
 	"poise/internal/sim"
 	"poise/internal/testutil"
@@ -98,6 +99,52 @@ func TestPoolRecycles(t *testing.T) {
 	}
 	if pool.Idle() != 1 {
 		t.Fatalf("idle=%d, want 1", pool.Idle())
+	}
+}
+
+// TestPoolDropsForeignGPUs: a pool parks only GPUs of its own
+// configuration, through Pool.Put and PoolSet.Put alike, so a later Get
+// can never return another machine.
+func TestPoolDropsForeignGPUs(t *testing.T) {
+	own := testutil.TinyConfig()
+	wider := config.Default().Scale(3)
+	tuned := own
+	tuned.L1HitLatency++
+	for _, tc := range []struct {
+		name   string
+		cfg    config.Config
+		parked int
+	}{
+		{"own configuration", own, 1},
+		{"another SM count", wider, 0},
+		{"another latency", tuned, 0},
+	} {
+		g, err := sim.New(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		pool, err := sim.NewPool(own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(g)
+		if pool.Idle() != tc.parked {
+			t.Errorf("Pool.Put, %s: %d parked, want %d", tc.name, pool.Idle(), tc.parked)
+		}
+		ps := sim.NewPoolSet()
+		ps.Put(own, g)
+		got, err := ps.Get(own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got == g) != (tc.parked == 1) || got.Cfg != own {
+			t.Errorf("PoolSet.Put, %s: Get returned the GPU put: %v, of configuration %+v", tc.name, got == g, got.Cfg)
+		}
+	}
+	pool, _ := sim.NewPool(own)
+	pool.Put(nil)
+	if pool.Idle() != 0 {
+		t.Error("Put(nil) parked something")
 	}
 }
 

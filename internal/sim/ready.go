@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"poise/internal/sm"
 	"poise/internal/trace"
@@ -16,10 +16,12 @@ import (
 // The engine keeps every scheduler in exactly one of four modes:
 //
 //   - hot: its wake hint is <= now, so the dense scan would call Pick
-//     on it every visited cycle. Hot schedulers live in a list sorted
-//     by (SM, scheduler) so attempts happen in dense scan order.
+//     on it every visited cycle. Hot schedulers form the hot set, a
+//     bit-set over keys (SM-major, scheduler-minor); a hot scheduler
+//     inside an issue burst is filed on the burst calendar instead
+//     until the burst is over (below).
 //   - timed: a failed pick produced a finite wake hint. The scheduler
-//     sits in a min-heap keyed by that cycle and rejoins the hot list
+//     sits in a min-heap keyed by that cycle and rejoins the hot set
 //     at the first visit at or after it. The heap never drives the
 //     clock — the dense loop only jumps to fills, clock markers and
 //     policy steps, so the ready engine does too.
@@ -27,8 +29,20 @@ import (
 //     explicit wake (fill, replay drain, tuple change, launch) can
 //     requeue it.
 //   - hot-next: woken mid-visit at a scan position the dense loop has
-//     already passed; it joins the hot list at the start of the next
+//     already passed; it joins the hot set at the start of the next
 //     visit.
+//
+// Scan order: a visit attempts the hot set's keys in ascending order,
+// which is the order the dense scan's two nested loops reach them in.
+// It asks the set for the lowest key above the one just attempted after
+// every attempt, reading the word afresh, so a scheduler that the
+// attempt woke ahead of the scan position (a retiring warp launches
+// blocks all over the machine) is attempted in this visit, at its place
+// in the order, as the dense scan would; one woken at or behind the
+// position waits as hot-next. A scheduler whose attempt leaves a hint
+// beyond now clears its own bit on the spot. A visit therefore costs
+// one word read per 64 schedulers plus the attempts it makes: what it
+// decides, not what is resident.
 //
 // The correctness rule is "every wake is an event": every code path
 // that lowers a wake hint (completeFill, wakeAllReplayers, SetTuple's
@@ -68,7 +82,7 @@ import (
 // IdleCycles on every blocked scheduler every visited cycle. For hot
 // schedulers issueOne performs exactly that per-visit accounting, so
 // the engine tracks spans only for non-hot schedulers: a span opens
-// when a scheduler leaves the hot list (spanBase = visit count,
+// when a scheduler leaves the hot set (spanBase = visit count,
 // spanActive = whether it had active warps) and settles arithmetically
 // when the scheduler is readmitted, observed by the policy, or the run
 // ends. ActiveWarps only changes on launch/retire, which are hooked,
@@ -82,28 +96,46 @@ import (
 // each ready the cycle after. When issueOne picks a warp standing at
 // such a run it applies k = min(aluRun[BodyIdx], Warp.RunRoom())
 // instructions at once (both counters, BodyIdx/FlatIdx, ReadyAt = now+k)
-// and sets burstEnd[key] = now+k; until then the scan skips the
-// scheduler with one compare and counts the visit as an issue, so the
-// loop visits exactly the cycles it would have. The first bound keeps
-// the run inside the body (wrap-around and retirement stay on the
-// ordinary path), the second short of the warp's next scoreboard
-// rebuild. Nothing outside the scheduler can end a burst early in the
-// dense engine either: a fill for another of its warps does not
-// dislodge the greedy warp (a fill for the greedy warp itself resolves
-// a load whose use lies beyond the run), a launch appends younger warps
-// and leaves the vital bits of the older ones alone, warps retire only
-// by issuing, and SetTuple is called only from Policy.KernelStart and
-// Policy.Step. That leaves one rule, the one spans already follow:
-// settle before anyone observes. settleBursts takes back the part of
-// every burst that is not due yet, by plain arithmetic, wherever
-// flushAllSpans runs: before Policy.Step, at an interrupt (so a
-// snapshot holds the dense-equivalent state and burstEnd is never
-// serialised) and on every return path. Step and the interrupt check
-// run before the scan of cycle now, so they settle to the top of now;
-// the MaxCycles and deadlock returns come after it and settle to the
-// top of now+1, keeping the issue of this cycle. EngineDense never
-// bursts (aluRun is empty outside a ready-engine run) and stays the
-// specification the equivalence suites compare against.
+// and sets burstEnd[key] = now+k. The first bound keeps the run inside
+// the body (wrap-around and retirement stay on the ordinary path), the
+// second short of the warp's next scoreboard rebuild. A burst may start
+// behind a load: when the instruction issued is a load, the warp did
+// not retire and it could issue at now+1 (the load's use is not the
+// next instruction, or GTO would not stay with the warp), the run that
+// follows is applied in the same step as if it began at now+1, with
+// ReadyAt = burstEnd = now+1+k, and the attempt of now+1 is never made.
+//
+// The burst calendar: the scan sees burstEnd move past now, takes the
+// scheduler off the hot set and files it in ring[burstEnd & ringMask],
+// a key set per cycle; bursting counts the schedulers filed. Until the
+// burst is over no visit touches the scheduler: a visit starts with
+// anyIssued = bursting > 0 — every burst in flight is an issue of this
+// cycle — so the loop visits exactly the cycles it would have, and
+// admit moves ring[now & ringMask] back onto the hot set at the visit
+// of the cycle the burst ends, where the scheduler is attempted again.
+// While a burst is in flight the clock advances one cycle a visit, so
+// no slot is passed over; aluRun saturates at maxBurst so that no burst
+// outlasts the ring. A bursting scheduler stays in mode hot: wakes,
+// launches and span flushes treat it as the hot scheduler it is.
+//
+// Nothing outside the scheduler can end a burst early in the dense
+// engine either: a fill for another of its warps does not dislodge the
+// greedy warp (a fill for the greedy warp itself resolves a load whose
+// use lies beyond the run), a launch appends younger warps and leaves
+// the vital bits of the older ones alone, warps retire only by issuing,
+// and SetTuple is called only from Policy.KernelStart and Policy.Step.
+// That leaves one rule, the one spans already follow: settle before
+// anyone observes. settleBursts takes back the part of every burst that
+// is not due yet, by plain arithmetic, hands the scheduler back to the
+// hot set and empties the calendar, wherever flushAllSpans runs: before
+// Policy.Step, at an interrupt (so a snapshot holds the
+// dense-equivalent state and neither burstEnd nor the calendar is ever
+// serialised) and on every return path that can have a burst in flight.
+// Step and the interrupt check run before the scan of cycle now, so
+// they settle to the top of now; the MaxCycles return comes after it
+// and settles to the top of now+1, keeping the issue of this cycle.
+// EngineDense never bursts (aluRun is empty outside a ready-engine run)
+// and stays the specification the equivalence suites compare against.
 
 type schedMode uint8
 
@@ -181,8 +213,10 @@ type readyQueue struct {
 	spanBase   []int64 // visits settled so far; meaningful while not hot
 	spanActive []bool  // ActiveWarps() > 0 over the open span
 
-	hot   []int32 // keys attempted every visit, sorted ascending
-	woken []int32 // hot-next keys buffered until the next visit
+	// Key sets, bit key&63 of word key>>6. hot holds the keys attempted
+	// every visit, woken the hot-next keys buffered until the next one.
+	hot   []uint64
+	woken []uint64
 	timed schedHeap
 
 	// scanKey is the key currently being attempted during the issue
@@ -196,14 +230,28 @@ type readyQueue struct {
 
 	// Issue bursts (see the header). aluRun[i] is the length of the run
 	// of independent ALU instructions starting at body position i, never
-	// counting the body's last instruction and saturating at 255 (a
-	// longer run takes more than one burst; a byte per instruction keeps
-	// the table a fresh GPU allocates small); it is empty outside a run
+	// counting the body's last instruction and saturating at maxBurst (a
+	// longer run takes more than one burst); it is empty outside a run
 	// that may burst. burstEnd[key] is the cycle the scheduler's burst
-	// is over: a value at or below now means none is in flight.
+	// is over: a value at or below now means none is in flight. The
+	// calendar ring holds one key set per cycle, ring[(c&ringMask)*words:]
+	// the schedulers whose burst is over at cycle c, and bursting counts
+	// the keys in it.
 	aluRun   []uint8
 	burstEnd []int64
+	ring     []uint64
+	bursting int
 }
+
+// The calendar has a slot for every cycle a burst can end on: a burst
+// started at cycle c ends by c+maxBurst, or by c+1+maxBurst = c+ringSlots
+// behind a load — the slot of c itself, which admit emptied before the
+// scan of c began.
+const (
+	ringSlots = 64
+	ringMask  = ringSlots - 1
+	maxBurst  = ringSlots - 1
+)
 
 // minBurst is the shortest run worth a burst. A burst of 2 saves one
 // issueOne and costs one burstEnd write and one skipped slot. Floors of
@@ -231,12 +279,25 @@ func (rq *readyQueue) init(g *GPU) {
 	rq.wakeAt = make([]int64, n)
 	rq.spanBase = make([]int64, n)
 	rq.spanActive = make([]bool, n)
-	rq.hot = make([]int32, 0, n)
-	rq.woken = make([]int32, 0, n)
+	words := (n + 63) / 64
+	rq.hot = make([]uint64, words)
+	rq.woken = make([]uint64, words)
 	rq.timed.a = make([]schedEntry, 0, n)
 	rq.scanKey = -1
 	rq.aluRun = make([]uint8, 0)
 	rq.burstEnd = make([]int64, n)
+	rq.ring = make([]uint64, ringSlots*words)
+}
+
+// empty takes every scheduler out of the queue (storage retained).
+func (rq *readyQueue) empty() {
+	clear(rq.hot)
+	clear(rq.woken)
+	rq.timed.a = rq.timed.a[:0]
+	rq.scanKey = -1
+	clear(rq.burstEnd)
+	clear(rq.ring)
+	rq.bursting = 0
 }
 
 // resetState restores the just-constructed state (capacity retained).
@@ -247,32 +308,10 @@ func (rq *readyQueue) resetState() {
 		rq.wakeAt[i] = 0
 		rq.spanBase[i] = 0
 		rq.spanActive[i] = false
-		rq.burstEnd[i] = 0
 	}
-	rq.hot = rq.hot[:0]
-	rq.woken = rq.woken[:0]
-	rq.timed.a = rq.timed.a[:0]
-	rq.scanKey = -1
+	rq.empty()
 	rq.visits = 0
 	rq.aluRun = rq.aluRun[:0]
-}
-
-// insertHot adds key to the sorted hot list (the caller has checked it
-// is absent). Manual binary-insert keeps this allocation-free.
-func (rq *readyQueue) insertHot(key int32) {
-	a := rq.hot
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	rq.hot = append(a, 0)
-	copy(rq.hot[lo+1:], rq.hot[lo:])
-	rq.hot[lo] = key
 }
 
 // flushSpan settles the open blocked span of one non-hot scheduler up
@@ -284,29 +323,73 @@ func (rq *readyQueue) flushSpan(key int32, uptoV int64) {
 	}
 }
 
-// admit moves every timed scheduler due at or before now, plus any
-// hot-next stragglers from the previous visit, onto the hot list,
-// closing their blocked spans: the current visit is accounted by the
-// attempt, so the span ends at the previous one.
+// setHot puts a scheduler that is not hot onto the hot set, closing its
+// blocked span: the current visit is accounted by the attempt, so the
+// span ends at the previous one.
+func (rq *readyQueue) setHot(key int32) {
+	rq.flushSpan(key, rq.visits-1)
+	rq.mode[key] = schedHot
+	rq.hot[key>>6] |= 1 << (key & 63)
+}
+
+// admit moves onto the hot set every timed scheduler due at or before
+// now, the hot-next stragglers of the previous visit, and the schedulers
+// whose burst is over at now.
 func (rq *readyQueue) admit(now int64) {
 	for len(rq.timed.a) > 0 && rq.timed.a[0].cycle <= now {
 		e := rq.timed.pop()
 		if rq.mode[e.key] == schedTimed && rq.wakeAt[e.key] == e.cycle {
-			rq.mode[e.key] = schedHotNext
-			rq.woken = append(rq.woken, e.key)
+			rq.setHot(e.key)
 		}
 	}
-	if len(rq.woken) == 0 {
-		return
-	}
-	for _, key := range rq.woken {
-		if rq.mode[key] == schedHotNext {
-			rq.flushSpan(key, rq.visits-1)
-			rq.mode[key] = schedHot
-			rq.insertHot(key)
+	due := rq.ring[int(now&ringMask)*len(rq.hot):][:len(rq.hot)]
+	for wi := range rq.hot {
+		for w := rq.woken[wi]; w != 0; w &= w - 1 {
+			rq.setHot(int32(wi<<6 + bits.TrailingZeros64(w)))
 		}
+		rq.woken[wi] = 0
+		rq.hot[wi] |= due[wi]
+		rq.bursting -= bits.OnesCount64(due[wi])
+		due[wi] = 0
 	}
-	rq.woken = rq.woken[:0]
+}
+
+// nextHot returns the lowest hot key at or above from, -1 when there is
+// none. The scan asks again after every attempt, so a scheduler the
+// attempt woke ahead of scanKey is still attempted this visit.
+func (rq *readyQueue) nextHot(from int32) int32 {
+	pos := from & 63
+	for wi := int(from >> 6); wi < len(rq.hot); wi++ {
+		if w := rq.hot[wi] >> pos << pos; w != 0 {
+			return int32(wi<<6 + bits.TrailingZeros64(w))
+		}
+		pos = 0
+	}
+	return -1
+}
+
+// fileBurst takes a hot scheduler that began a burst off the hot set and
+// files it on the calendar under the cycle the burst is over.
+func (rq *readyQueue) fileBurst(key int32, end int64) {
+	rq.hot[key>>6] &^= 1 << (key & 63)
+	rq.ring[int(end&ringMask)*len(rq.hot)+int(key>>6)] |= 1 << (key & 63)
+	rq.bursting++
+}
+
+// leaveHot takes a hot scheduler whose attempt left wake hint h > now
+// off the hot set, opening its blocked span after this visit (issueOne
+// accounted this one).
+func (rq *readyQueue) leaveHot(key int32, h int64, active bool) {
+	rq.hot[key>>6] &^= 1 << (key & 63)
+	rq.spanBase[key] = rq.visits
+	rq.spanActive[key] = active
+	if h == sm.NoDep {
+		rq.mode[key] = schedDormant
+	} else {
+		rq.mode[key] = schedTimed
+		rq.wakeAt[key] = h
+		rq.timed.push(schedEntry{cycle: h, key: key})
+	}
 }
 
 // flushAllSpans settles every non-hot scheduler's blocked span through
@@ -333,7 +416,7 @@ func (rq *readyQueue) buildRuns(body []trace.Instr, opts RunOptions) {
 	rq.aluRun = append(rq.aluRun, make([]uint8, len(body))...)
 	for i := len(body) - 2; i >= 0; i-- {
 		if body[i].Kind == trace.OpALU && !body[i].DepALU {
-			rq.aluRun[i] = rq.aluRun[i+1] + min(1, math.MaxUint8-rq.aluRun[i+1])
+			rq.aluRun[i] = min(rq.aluRun[i+1]+1, maxBurst)
 		}
 	}
 }
@@ -341,10 +424,17 @@ func (rq *readyQueue) buildRuns(body []trace.Instr, opts RunOptions) {
 // settleBursts takes back the part of every burst not due by the top
 // of cycle upto, leaving the dense-equivalent state: the greedy warp
 // where it would stand after issuing at each cycle before upto, free to
-// issue (and burst again) at upto. Every burstEnd is left at zero.
+// issue (and burst again) at upto, its scheduler on the hot set and the
+// calendar empty. Every burstEnd is left at zero. A burst over at upto
+// itself is still on the calendar when settle runs ahead of admit, and
+// a scheduler whose burst admit drained keeps its burstEnd and may have
+// left the hot set since — hence the mode test.
 func (g *GPU) settleBursts(upto int64) {
 	rq := &g.rq
 	for key, end := range rq.burstEnd {
+		if end == 0 {
+			continue
+		}
 		if r := end - upto; r > 0 {
 			sch := rq.schedOf[key]
 			w := sch.Greedy()
@@ -353,8 +443,13 @@ func (g *GPU) settleBursts(upto int64) {
 			sch.IssueCycles -= r
 			rq.smOf[key].C.Instructions -= r
 		}
+		if rq.mode[key] == schedHot {
+			rq.ring[int(end&ringMask)*len(rq.hot)+key>>6] &^= 1 << (key & 63)
+			rq.hot[key>>6] |= 1 << (key & 63)
+		}
 		rq.burstEnd[key] = 0
 	}
+	rq.bursting = 0
 }
 
 // requeueSched is the "every wake is an event" hook: any code path
@@ -365,22 +460,22 @@ func (g *GPU) requeueSched(s *sm.SM, schedID int) {
 	if !rq.active {
 		return
 	}
-	key := int32(s.ID)*rq.perSM + int32(schedID)
+	rq.requeue(int32(s.ID)*rq.perSM + int32(schedID))
+}
+
+func (rq *readyQueue) requeue(key int32) {
 	switch rq.mode[key] {
 	case schedHot, schedHotNext:
 		return
 	}
 	if key > rq.scanKey && rq.scanKey >= 0 {
 		// The dense scan has not reached this scheduler yet this visit:
-		// it would see the lowered hint and attempt it now. The attempt
-		// accounts this visit, so the span ends at the previous one.
-		rq.flushSpan(key, rq.visits-1)
-		rq.mode[key] = schedHot
-		rq.insertHot(key)
+		// it would see the lowered hint and attempt it now.
+		rq.setHot(key)
 		return
 	}
 	rq.mode[key] = schedHotNext
-	rq.woken = append(rq.woken, key)
+	rq.woken[key>>6] |= 1 << (key & 63)
 }
 
 // wakeSched clears the wake hint of one scheduler (a token of one of
@@ -428,72 +523,37 @@ func (g *GPU) noteLaunch(s *sm.SM, schedID int) {
 	g.requeueSched(s, schedID)
 }
 
-// startReady classifies every scheduler by the wake hint it carries
-// into the run. Warm multi-kernel workloads deliberately keep stale
-// hints across kernels (PrepareKernel does not clear them; only a
-// launch onto the scheduler does), and the dense loop honours them, so
-// the engine must too.
-func (rq *readyQueue) startReady(g *GPU) {
-	rq.active = true
-	rq.visits = 0
-	rq.scanKey = -1
-	rq.hot = rq.hot[:0]
-	rq.woken = rq.woken[:0]
-	rq.timed.a = rq.timed.a[:0]
-	for si, s := range g.SMs {
-		for ci, sch := range s.Scheds {
-			key := int32(si)*rq.perSM + int32(ci)
-			rq.spanBase[key] = 0
-			rq.spanActive[key] = sch.ActiveWarps() > 0
-			switch h := sch.WakeHint(); {
-			case h <= 0:
-				rq.mode[key] = schedHot
-				rq.hot = append(rq.hot, key) // SM-major order: already sorted
-			case h == sm.NoDep:
-				rq.mode[key] = schedDormant
-			default:
-				rq.mode[key] = schedTimed
-				rq.wakeAt[key] = h
-				rq.timed.push(schedEntry{cycle: h, key: key})
-			}
-		}
-	}
-}
-
-// startResume reclassifies every scheduler after a mid-kernel restore,
-// rebuilding the ready queue from the wake hints the snapshot carried.
-// The classification is the dense-equivalent one at cycle g.now: a
-// hint at or before now means the dense scan would attempt the
+// start classifies every scheduler by the wake hint it carries into the
+// run: a fresh one (visits 0, g.now 0) or the rest of one restored
+// mid-kernel. Warm multi-kernel workloads deliberately keep stale hints
+// across kernels (PrepareKernel does not clear them; only a launch onto
+// the scheduler does), and the dense loop honours them, so the engine
+// must too. The classification is the dense-equivalent one at cycle
+// g.now: a hint at or before now means the dense scan would attempt the
 // scheduler this cycle (hot — this also covers timed wakes that came
-// due exactly at the interrupt point, which admit would have promoted
+// due exactly at an interrupt point, which admit would have promoted
 // at the top of the interrupted visit), NoDep means only a fill can
-// help (dormant), anything else is a timed wake. Spans restart at the
-// restored visit count: the interrupt path settled every open span
-// through that visit, so the arithmetic continues exactly where the
+// help (dormant), anything else is a timed wake. Spans start at the
+// given visit count: the interrupt path settled every open span through
+// that visit, so the arithmetic continues exactly where the
 // uninterrupted run's would.
-func (rq *readyQueue) startResume(g *GPU, visits int64) {
+func (rq *readyQueue) start(g *GPU, visits int64) {
 	rq.active = true
 	rq.visits = visits
-	rq.scanKey = -1
-	rq.hot = rq.hot[:0]
-	rq.woken = rq.woken[:0]
-	rq.timed.a = rq.timed.a[:0]
-	for si, s := range g.SMs {
-		for ci, sch := range s.Scheds {
-			key := int32(si)*rq.perSM + int32(ci)
-			rq.spanBase[key] = visits
-			rq.spanActive[key] = sch.ActiveWarps() > 0
-			switch h := sch.WakeHint(); {
-			case h <= g.now:
-				rq.mode[key] = schedHot
-				rq.hot = append(rq.hot, key) // SM-major order: already sorted
-			case h == sm.NoDep:
-				rq.mode[key] = schedDormant
-			default:
-				rq.mode[key] = schedTimed
-				rq.wakeAt[key] = h
-				rq.timed.push(schedEntry{cycle: h, key: key})
-			}
+	rq.empty()
+	for key, sch := range rq.schedOf {
+		rq.spanBase[key] = visits
+		rq.spanActive[key] = sch.ActiveWarps() > 0
+		switch h := sch.WakeHint(); {
+		case h <= g.now:
+			rq.mode[key] = schedHot
+			rq.hot[key>>6] |= 1 << (key & 63)
+		case h == sm.NoDep:
+			rq.mode[key] = schedDormant
+		default:
+			rq.mode[key] = schedTimed
+			rq.wakeAt[key] = h
+			rq.timed.push(schedEntry{cycle: h, key: int32(key)})
 		}
 	}
 }
@@ -505,14 +565,14 @@ func (rq *readyQueue) startResume(g *GPU, visits int64) {
 // every result and counter is bit-identical to runDense.
 func (g *GPU) runReady(k *trace.Kernel, p Policy, opts RunOptions, policyNext int64) (KernelResult, error) {
 	rq := &g.rq
-	rq.startReady(g)
+	rq.start(g, 0)
 	rq.buildRuns(k.Body, opts)
 	defer rq.deactivate()
 	return g.readyLoop(k, p, opts, policyNext)
 }
 
-// readyLoop is the engine's cycle loop, shared by fresh runs (after
-// startReady) and restored ones (after startResume). An interrupt is
+// readyLoop is the engine's cycle loop, shared by fresh runs and
+// restored ones (after start). An interrupt is
 // honoured at the top of the loop, before the next visit begins: spans
 // settle through the last completed visit and the pending policy
 // activation is parked in g.policyNext, so the GPU holds exactly the
@@ -542,46 +602,22 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 		}
 		rq.admit(g.now)
 
-		anyIssued := false
-		dropped := false
-		for i := 0; i < len(rq.hot); i++ {
-			key := rq.hot[i]
-			if rq.burstEnd[key] > g.now {
-				anyIssued = true // the burst's issue of this cycle
-				continue
-			}
-			if rq.mode[key] != schedHot {
-				continue
-			}
+		// Every burst in flight issues this cycle; the hot schedulers are
+		// attempted in ascending key order, dense scan order.
+		anyIssued := rq.bursting > 0
+		for key := rq.nextHot(0); key >= 0; key = rq.nextHot(key + 1) {
 			s, sch := rq.smOf[key], rq.schedOf[key]
 			rq.scanKey = key
 			if g.issueOne(s, sch) {
 				anyIssued = true
-			} else if h := sch.WakeHint(); h > g.now {
-				// The scheduler leaves the hot list: open its blocked
-				// span after this visit (issueOne accounted this one).
-				rq.spanBase[key] = rq.visits
-				rq.spanActive[key] = sch.ActiveWarps() > 0
-				if h == sm.NoDep {
-					rq.mode[key] = schedDormant
-				} else {
-					rq.mode[key] = schedTimed
-					rq.wakeAt[key] = h
-					rq.timed.push(schedEntry{cycle: h, key: key})
+				if end := rq.burstEnd[key]; end > g.now {
+					rq.fileBurst(key, end)
 				}
-				dropped = true
+			} else if h := sch.WakeHint(); h > g.now {
+				rq.leaveHot(key, h, sch.ActiveWarps() > 0)
 			}
 		}
 		rq.scanKey = -1
-		if dropped {
-			live := rq.hot[:0]
-			for _, key := range rq.hot {
-				if rq.mode[key] == schedHot {
-					live = append(live, key)
-				}
-			}
-			rq.hot = live
-		}
 
 		if g.now >= opts.MaxCycles {
 			g.flushAllSpans(rq.visits)
@@ -608,6 +644,7 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 				continue
 			}
 			if g.doneWarp < g.total {
+				// Nothing issued, so no burst is in flight to settle.
 				g.flushAllSpans(rq.visits)
 				return KernelResult{}, fmt.Errorf("sim: deadlock at cycle %d in %s (%d/%d warps done)",
 					g.now, k.Name, g.doneWarp, g.total)

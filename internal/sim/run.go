@@ -263,17 +263,10 @@ func (g *GPU) issueOne(s *sm.SM, sch *sm.Scheduler) bool {
 	switch ins.Kind {
 	case trace.OpALU:
 		// An issue burst: the whole run of independent ALU instructions
-		// is applied now and the scan skips the scheduler until it is
+		// is applied now and the scheduler leaves the scan until it is
 		// over (ready.go). aluRun is empty for the dense engine.
-		if int(pc) < len(g.rq.aluRun) {
-			if k := min(int64(g.rq.aluRun[pc]), w.RunRoom()); k >= minBurst {
-				s.C.Instructions += k
-				sch.IssueCycles += k
-				w.AdvanceRun(k)
-				w.ReadyAt = g.now + k
-				g.rq.burstEnd[g.rq.scanKey] = w.ReadyAt
-				return true
-			}
+		if g.burst(s, sch, w, g.now) {
+			return true
 		}
 		s.C.Instructions++
 		if ins.DepALU {
@@ -303,7 +296,34 @@ func (g *GPU) issueOne(s *sm.SM, sch *sm.Scheduler) bool {
 	sch.IssueCycles++
 	if w.Advance(g.bodyLen) {
 		g.retireWarp(s, sch, slot)
+	} else if ins.Kind == trace.OpLoad && w.CanIssue(g.now+1) {
+		// The run behind a load starts with it: GTO stays with the warp
+		// next cycle, so the attempt that would begin the burst then is
+		// never made. CanIssue is what that attempt would ask — a use at
+		// distance 0 made Advance rebuild and clearAt is exact, otherwise
+		// it is stale below ReadyAt.
+		g.burst(s, sch, w, g.now+1)
 	}
+	return true
+}
+
+// burst applies the run of independent ALU instructions the warp stands
+// at, as if it issued one of them every cycle from cycle from on, and
+// reports whether there was one worth a burst. The scan sees burstEnd
+// move and files the scheduler on the calendar.
+func (g *GPU) burst(s *sm.SM, sch *sm.Scheduler, w *sm.Warp, from int64) bool {
+	if int(w.BodyIdx) >= len(g.rq.aluRun) {
+		return false
+	}
+	k := min(int64(g.rq.aluRun[w.BodyIdx]), w.RunRoom())
+	if k < minBurst {
+		return false
+	}
+	s.C.Instructions += k
+	sch.IssueCycles += k
+	w.AdvanceRun(k)
+	w.ReadyAt = from + k
+	g.rq.burstEnd[g.rq.scanKey] = w.ReadyAt
 	return true
 }
 

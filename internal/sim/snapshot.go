@@ -20,7 +20,7 @@ import (
 // The ready queue itself is deliberately not serialised: an interrupt
 // settles all blocked-cycle spans and issue bursts first, after which
 // the queue's classification is a pure function of the wake hints the
-// schedulers carry — startResume rebuilds it. The warps' cached scoreboard answers
+// schedulers carry — readyQueue.start rebuilds it. The warps' cached scoreboard answers
 // are derived state too (sm.Warp.decodeState rebuilds them from the
 // decoded loads). Keeping derived state out of the payload keeps the
 // format small and removes a whole class of restore-inconsistency bugs.
@@ -309,7 +309,7 @@ func (g *GPU) ResumeKernel(k *trace.Kernel, p Policy, opts RunOptions, state []b
 	}
 	g.kernel = k
 	visits := g.rq.visits
-	g.rq.startResume(g, visits)
+	g.rq.start(g, visits)
 	g.rq.buildRuns(k.Body, opts)
 	defer g.rq.deactivate()
 	return g.readyLoop(k, p, opts, g.policyNext)

@@ -52,6 +52,11 @@ const (
 	// GPU launch the simulator would ever see.
 	maxTotalWarps = 1 << 22
 	maxSlots      = 1 << 16
+	// maxArenaReserve bounds, in addresses, what streaming ingest sets
+	// aside for a slot's arena on the strength of its first stream and
+	// the declared warp count — a header can declare 4M warps in a few
+	// hundred bytes. A larger arena grows by append from there.
+	maxArenaReserve = 1 << 22
 )
 
 // header is the JSON-encoded metadata block of a trace file. It

@@ -90,8 +90,12 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 			if err := seal(); err != nil {
 				return nil, Signature{}, err
 			}
+			// Warps of a slot mostly stream alike: reserve the first
+			// one's length for each, so the arena is not regrown and
+			// copied as it fills.
 			m := &metas[rec.Kernel]
-			cur = NewReplayBuilder(fmt.Sprintf("%s/slot%d", m.Name, rec.Slot), m.TotalWarps(), 0)
+			reserve := min(len(rec.Addrs)*m.TotalWarps(), maxArenaReserve)
+			cur = NewReplayBuilder(fmt.Sprintf("%s/slot%d", m.Name, rec.Slot), m.TotalWarps(), reserve)
 			curK, curSlot = rec.Kernel, rec.Slot
 		}
 		if len(rec.Addrs) == 0 && used[rec.Kernel][rec.Slot] {

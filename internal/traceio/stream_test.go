@@ -172,6 +172,39 @@ func TestReadWorkloadMatchesReadPath(t *testing.T) {
 	}
 }
 
+// TestReadWorkloadReservesArenas: streaming ingest sizes a slot's arena
+// from its first stream and the declared warp count, so a slot whose
+// warps stream alike is never regrown — and a ragged one, whose first
+// stream is its shortest, still ingests to the same replay.
+func TestReadWorkloadReservesArenas(t *testing.T) {
+	for _, ragged := range []bool{false, true} {
+		tr := syntheticTrace(t, 8, 64, 48)
+		if ragged {
+			first := &tr.Kernels[0].Streams[0][0]
+			*first = (*first)[:3]
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, tr, WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		w, _, err := ReadWorkload(&buf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := w.Kernels[0].Patterns[0].(*Replay)
+		want, err := NewReplay(got.name, tr.Kernels[0].Streams[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("ragged %v: streamed replay differs from NewReplay's", ragged)
+		}
+		if !ragged && cap(got.arena) != len(got.arena) {
+			t.Fatalf("arena of %d addresses has capacity %d: it was grown, not reserved", len(got.arena), cap(got.arena))
+		}
+	}
+}
+
 // TestStreamReplayBitIdentical closes the loop through the simulator:
 // a workload ingested by ReadWorkload must replay to exactly the live
 // run's metrics, like the Read-path replay does.
