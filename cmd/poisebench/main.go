@@ -99,7 +99,7 @@ func main() {
 		cacheDir = flag.String("cache", ".poise-cache", "profile cache directory ('' disables)")
 		seeds    = flag.Int("seeds", 3, "random-restart seeds (paper uses 20)")
 		prune    = flag.Bool("prune", false, "adaptive coarse-to-fine profile sweeps: simulate a fraction of each {N,p} grid while selecting the same Static-Best/SWL/scored tuples (with -emit-plan/-shard/-merge-shards and -run all, drives the sweep campaign in refinement rounds)")
-		snapDir  = flag.String("snapshot-dir", "", "kernel-boundary snapshot directory: experiment-grid cells whose schemes share a tuple prefix resume at the first divergent kernel instead of re-simulating it (warm start; results are bit-identical either way, and a stats line reports the simulated cycles saved; '' = off)")
+		snapDir  = flag.String("snapshot-dir", "", "kernel-boundary snapshot directory, the on-disk second tier of the run memo: a tuple-pinned grid cell no earlier run answers whole resumes at the first kernel where it diverges from a run that left a snapshot here, in this process or an earlier one (results are bit-identical either way; '' = memory only)")
 		parallel = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 		seed     = flag.Int64("seed", 0, "experiment seed (perturbs workload jitter and random-restart; 0 = canonical)")
 		listExp  = flag.Bool("listexp", false, "list experiments and exit")
@@ -184,6 +184,10 @@ func main() {
 		opt.ShardIndex, opt.ShardCount = i, n
 	}
 	h := experiments.NewHarness(opt)
+	if err := h.SnapshotErr(); err != nil {
+		fmt.Fprintln(os.Stderr, "poisebench: -snapshot-dir:", err)
+		os.Exit(1)
+	}
 
 	if *serveAddr != "" || *workerURL != "" {
 		err := runFleetMode(ctx, h, benchFleetFlags{
@@ -232,11 +236,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "poisebench: no experiment matched %q (see -listexp)\n", *run)
 		os.Exit(1)
 	}
-	if pc := h.PrefixCache(); pc != nil {
-		// CI's warm-start step asserts cycles-saved > 0 on this line.
-		fmt.Printf("\nprefix cache: %d hits, %d misses, %d kernels skipped, %d simulated cycles saved\n",
-			pc.Hits.Load(), pc.Misses.Load(), pc.KernelsSkipped.Load(), pc.CyclesSaved.Load())
-	}
+	// Bracketed like the timing lines: reuse depends on what the cache
+	// directories already held, so output comparisons filter it out.
+	m := h.RunMemo()
+	fmt.Printf("[run memo: %d reused, %d simulated, %d cycles not re-simulated; snapshots: %d hits, %d misses]\n",
+		m.Reused.Load(), m.Simulated.Load(), m.CyclesSaved.Load(), m.SnapshotHits.Load(), m.SnapshotMisses.Load())
 }
 
 func runTableIII(h *experiments.Harness) error {

@@ -65,7 +65,7 @@ type sweepModeArgs struct {
 	// Mid-run snapshot wiring (-snapshot-dir / -ckpt-at-cycle):
 	// preempted tasks checkpoint into ckpts and later runs pointed at
 	// the same directory resume them; cell-plan shards additionally use
-	// the directory as the kernel-boundary prefix cache.
+	// the directory as the snapshot tier of their harness's run memo.
 	snapDir string
 	ckpts   *snap.Store
 	ictl    *sim.InterruptCtl

@@ -171,13 +171,15 @@ func prepWeights(h *Harness) error {
 
 // runCellOn executes one cell's workload under one policy on a GPU
 // drawn from the per-configuration pool — the reset-verified reuse
-// discipline that makes pooled cells bit-identical to fresh-GPU runs.
+// discipline that makes pooled cells bit-identical to fresh-GPU runs —
+// through the harness's run memo, which answers a tuple-pinned cell
+// that a sweep point or another cell already ran.
 func (h *Harness) runCellOn(pools *sim.PoolSet, cfg config.Config, wl *sim.Workload, pol sim.Policy) (results.CellResult, error) {
 	g, err := pools.Get(cfg)
 	if err != nil {
 		return results.CellResult{}, err
 	}
-	res, err := g.RunWorkloadCached(wl, pol, sim.RunOptions{}, h.prefix)
+	res, err := g.RunWorkloadCached(wl, pol, sim.RunOptions{}, h.memo)
 	pools.Put(cfg, g)
 	if err != nil {
 		return results.CellResult{}, err
@@ -185,43 +187,46 @@ func (h *Harness) runCellOn(pools *sim.PoolSet, cfg config.Config, wl *sim.Workl
 	return results.CellResult{Result: res}, nil
 }
 
-// runSchemeCell executes one Fig. 7-10/14 cell. Every cell builds its
-// own policy instance (the adaptive policies are stateful).
-func runSchemeCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
-	var pol sim.Policy
-	var pp *poise.Policy
+// schemePolicy builds the policy of one Fig. 7-10/14 comparison scheme:
+// a fresh instance per call (the adaptive policies are stateful).
+func (h *Harness) schemePolicy(scheme string) (sim.Policy, error) {
 	switch scheme {
 	case "GTO":
-		pol = sim.GTO{}
+		return sim.GTO{}, nil
 	case "SWL", "PCAL-SWL", "Static-Best":
 		profs, err := h.WorkloadProfiles(h.EvalWorkloads())
 		if err != nil {
-			return results.CellResult{}, err
+			return nil, err
 		}
 		switch scheme {
 		case "SWL":
-			pol = sched.SWL(profs)
+			return sched.SWL(profs), nil
 		case "PCAL-SWL":
-			pol = sched.NewPCALSWL(sched.SWLFromProfiles(profs),
-				h.Params.TWarmup, h.Params.TFeature, h.Params.TPeriod)
-		case "Static-Best":
-			pol = sched.StaticBest(profs)
+			return sched.NewPCALSWL(sched.SWLFromProfiles(profs),
+				h.Params.TWarmup, h.Params.TFeature, h.Params.TPeriod), nil
 		}
+		return sched.StaticBest(profs), nil
 	case "Poise":
-		var err error
-		pp, err = h.PoisePolicy()
+		pp, err := h.PoisePolicy()
 		if err != nil {
-			return results.CellResult{}, err
+			return nil, err
 		}
-		pol = pp
-	default:
-		return results.CellResult{}, fmt.Errorf("experiments: unknown comparison scheme %q", scheme)
+		return pp, nil
+	}
+	return nil, fmt.Errorf("experiments: unknown comparison scheme %q", scheme)
+}
+
+// runSchemeCell executes one Fig. 7-10/14 cell.
+func runSchemeCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
+	pol, err := h.schemePolicy(scheme)
+	if err != nil {
+		return results.CellResult{}, err
 	}
 	cr, err := h.runCellOn(pools, h.Cfg, wl, pol)
 	if err != nil {
 		return cr, fmt.Errorf("experiments: %s under %s: %w", wl.Name, scheme, err)
 	}
-	if pp != nil {
+	if pp, ok := pol.(*poise.Policy); ok {
 		cr.DispN, cr.DispP, cr.DispE, cr.HasDisp = pp.Displacement()
 	}
 	return cr, nil

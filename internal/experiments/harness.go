@@ -79,11 +79,13 @@ type Options struct {
 	// Meant for tests and quick interactive runs.
 	EvalSubset []string
 
-	// SnapshotDir enables the content-addressed kernel-boundary prefix
-	// cache for grid cells ("" = off): cells whose policy pins a
-	// predictable tuple sequence (GTO, SWL, Static-Best, Fixed) restore
-	// the deepest shared-prefix snapshot instead of re-simulating those
-	// kernels. Results are bit-identical with or without it.
+	// SnapshotDir gives the harness's run memo its on-disk second tier
+	// ("" = memory only): a cell whose policy pins its tuples (GTO, SWL,
+	// Static-Best, Fixed) and that no earlier run of this harness
+	// answers whole restores the deepest kernel-boundary snapshot a
+	// run sharing its prefix left there — this process or an earlier
+	// one — instead of re-simulating those kernels. Results are
+	// bit-identical with or without it.
 	SnapshotDir string
 
 	// ExtraWorkloads registers additional workloads — typically
@@ -149,7 +151,11 @@ type Harness struct {
 	cells   runner.Cache[string, []results.CellResult]
 	ablated runner.Cache[int, poise.Weights]
 	pools   *sim.PoolSet
-	prefix  *sim.PrefixCache
+	// memo answers tuple-pinned runs this harness already did — sweep
+	// points and grid cells alike — from memory; snapErr is why it
+	// lacks the snapshot tier Options.SnapshotDir asked for.
+	memo    *sim.RunMemo
+	snapErr error
 
 	// extraKernels maps each ExtraWorkloads kernel name to its
 	// workload's content digest, so only those kernels' profile-cache
@@ -178,19 +184,23 @@ func NewHarness(opt Options) *Harness {
 		store:        profile.Store{Dir: opt.CacheDir},
 		cellStore:    results.Store{Dir: opt.CacheDir},
 		pools:        sim.NewPoolSet(),
+		memo:         sim.NewRunMemo(),
 		extraKernels: extraKernels,
 	}
 	if opt.SnapshotDir != "" {
-		// An unopenable snapshot directory only disables warm starts;
-		// every cell still simulates correctly without the cache.
-		h.prefix, _ = sim.NewPrefixCache(opt.SnapshotDir)
+		h.snapErr = h.memo.UseSnapshots(opt.SnapshotDir)
 	}
 	return h
 }
 
-// PrefixCache returns the harness's kernel-boundary prefix cache (nil
-// when Options.SnapshotDir is unset).
-func (h *Harness) PrefixCache() *sim.PrefixCache { return h.prefix }
+// RunMemo returns the harness's run memo.
+func (h *Harness) RunMemo() *sim.RunMemo { return h.memo }
+
+// SnapshotErr reports why Options.SnapshotDir could not be opened (nil
+// when it was, or was not asked for). Such a harness still simulates
+// correctly, without the snapshot tier; a command line whose user
+// named the directory should refuse to.
+func (h *Harness) SnapshotErr() error { return h.snapErr }
 
 // ctx returns the harness's cancellation context.
 func (h *Harness) ctx() context.Context {
@@ -220,7 +230,7 @@ func (h *Harness) narrowWorkers() int {
 func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	o := profile.SweepOptions{
 		StepN: h.Opt.EvalStepN, StepP: h.Opt.EvalStepP,
-		Workers: h.Opt.Workers, Ctx: h.Opt.Ctx,
+		Workers: h.Opt.Workers, Ctx: h.Opt.Ctx, Memo: h.memo,
 	}
 	if train {
 		o.StepN, o.StepP = h.Opt.TrainStepN, h.Opt.TrainStepP

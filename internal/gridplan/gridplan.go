@@ -335,7 +335,7 @@ func (p *Plan) Verify(ms []Measurement) error {
 // and iterations. Workers compare it against a plan's Task.Digest
 // before simulating, so a stale catalogue cannot silently corrupt a
 // sweep. The implementation lives in package trace (the digest is a
-// pure function of the kernel) so the simulator's prefix cache can
+// pure function of the kernel) so the simulator's run memo can
 // chain the same digests without depending on gridplan.
 func KernelDigest(k *trace.Kernel) string {
 	return trace.KernelDigest(k)

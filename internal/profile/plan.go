@@ -165,7 +165,13 @@ func runTask(g *sim.GPU, k *trace.Kernel, t gridplan.Task, opts SweepOptions) (s
 			g.Reset()
 		}
 	}
-	res, err := g.Run(k, pol, ro)
+	var res sim.KernelResult
+	var err error
+	if opts.Memo != nil {
+		res, err = g.RunKernelCached(k, t.Digest, pol, ro, opts.Memo)
+	} else {
+		res, err = g.Run(k, pol, ro)
+	}
 	if err != nil {
 		if errors.Is(err, sim.ErrInterrupted) && opts.Checkpoints != nil {
 			return res, saveTaskCheckpoint(g, pol, t, key, opts, err)

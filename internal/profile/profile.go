@@ -133,6 +133,12 @@ type SweepOptions struct {
 	// (a fleet worker, lease by lease) builds its GPUs once. It must be
 	// a pool for the configuration the tasks run on. FreshGPUs wins.
 	Pool *sim.Pool
+	// Memo, when non-nil, answers grid points it has seen from memory
+	// and remembers the ones it simulates (sim.RunMemo): a point is a
+	// cold one-kernel run at Fixed{N, P}, the same run as a one-kernel
+	// workload under a scheme pinning that tuple. A task's verified
+	// Digest keys it. An armed Interrupt bypasses the memo.
+	Memo *sim.RunMemo
 	// Refine switches sweeps to adaptive coarse-to-fine pruning (see
 	// refine.go): LoadOrSweep runs PrunedSweep rounds instead of the
 	// exhaustive grid, caching completed rounds for resume. nil means

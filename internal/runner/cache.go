@@ -1,20 +1,33 @@
 package runner
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Cache is a concurrency-safe memoising cache with single-flight
 // semantics: the first Get for a key runs compute while concurrent
 // callers for the same key block and share the outcome. Successful
-// results are retained forever; failures are forgotten so a later Get
-// may retry (a sweep aborted by cancellation must not poison the
-// cache). The zero value is ready to use.
+// results are retained (forever, or until Cap pushes them out);
+// failures are forgotten so a later Get may retry (a sweep aborted by
+// cancellation must not poison the cache). The zero value is ready to
+// use.
 //
 // The experiment harness keys profiled {N, p} solution spaces on
 // kernel name with one of these, so a grid of parallel experiments
 // sweeps each kernel exactly once no matter how many workers ask.
 type Cache[K comparable, V any] struct {
+	// Cap bounds the resident entries (0 = unbounded): a Get that would
+	// exceed it first forgets the oldest entries, so a cache owned by a
+	// long-lived process stays bounded. Forgetting an entry in flight
+	// is harmless: its waiters still share the outcome, only later
+	// callers compute again. Set it before the first Get.
+	Cap int
+
 	mu sync.Mutex
 	m  map[K]*cacheEntry[V]
+	// order lists the keys of m oldest first (kept only when Cap > 0).
+	order []K
 }
 
 type cacheEntry[V any] struct {
@@ -36,6 +49,13 @@ func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, error) {
 		<-e.ready
 		return e.val, e.err
 	}
+	if c.Cap > 0 {
+		for len(c.order) >= c.Cap {
+			delete(c.m, c.order[0])
+			c.order = c.order[1:]
+		}
+		c.order = append(c.order, key)
+	}
 	e := &cacheEntry[V]{ready: make(chan struct{})}
 	c.m[key] = e
 	c.mu.Unlock()
@@ -43,7 +63,12 @@ func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, error) {
 	e.val, e.err = compute()
 	if e.err != nil {
 		c.mu.Lock()
-		delete(c.m, key)
+		if c.m[key] == e { // not a successor inserted after e was pushed out
+			delete(c.m, key)
+			if i := slices.Index(c.order, key); i >= 0 {
+				c.order = slices.Delete(c.order, i, i+1)
+			}
+		}
 		c.mu.Unlock()
 	}
 	close(e.ready)

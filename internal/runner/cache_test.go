@@ -117,3 +117,76 @@ func TestOnceMemoisesValueAndError(t *testing.T) {
 		t.Fatal("Once must memoise errors")
 	}
 }
+
+// TestCacheCapForgetsOldestFirst: a bounded cache never holds more than
+// Cap entries, pushes the oldest out first, computes a forgotten key
+// again, and does not let a failure take up a place.
+func TestCacheCapForgetsOldestFirst(t *testing.T) {
+	c := Cache[int, int]{Cap: 3}
+	computes := map[int]int{}
+	get := func(k int) {
+		t.Helper()
+		v, err := c.Get(k, func() (int, error) { computes[k]++; return k * 10, nil })
+		if err != nil || v != k*10 {
+			t.Fatalf("Get(%d) = %d, %v", k, v, err)
+		}
+		if c.Len() > 3 {
+			t.Fatalf("Len = %d after Get(%d), cap 3", c.Len(), k)
+		}
+	}
+	boom := errors.New("boom")
+	if _, err := c.Get(0, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+		t.Fatalf("got %v, want boom", err)
+	}
+	for k := 1; k <= 4; k++ {
+		get(k)
+	}
+	// 2, 3, 4 are held: had the failed 0 kept a place, 2 would be gone.
+	for _, k := range []int{2, 3, 4} {
+		if _, ok := c.Lookup(k); !ok {
+			t.Fatalf("key %d was forgotten", k)
+		}
+	}
+	if _, ok := c.Lookup(1); ok {
+		t.Fatal("the oldest key was not the one forgotten")
+	}
+	get(1) // computes again, pushing 2 out
+	get(3)
+	if computes[1] != 2 || computes[3] != 1 {
+		t.Fatalf("computes = %v: want key 1 twice, key 3 once", computes)
+	}
+	if _, ok := c.Lookup(2); ok {
+		t.Fatal("key 2 outlived three younger entries")
+	}
+}
+
+// TestCacheCapKeepsFlightsWhole: an entry pushed out while its
+// computation runs still answers everyone already waiting on it, and
+// its failure does not remove a successor under the same key.
+func TestCacheCapKeepsFlightsWhole(t *testing.T) {
+	c := Cache[string, int]{Cap: 1}
+	release := make(chan struct{})
+	started := make(chan struct{})
+	boom := errors.New("boom")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, err := c.Get("a", func() (int, error) { close(started); <-release; return 0, boom })
+		if !errors.Is(err, boom) {
+			t.Errorf("flight: %v, want boom", err)
+		}
+	}()
+	<-started
+	if v, err := c.Get("b", func() (int, error) { return 2, nil }); err != nil || v != 2 { // pushes "a" out
+		t.Fatalf("Get(b) = %d, %v", v, err)
+	}
+	if v, err := c.Get("a", func() (int, error) { return 1, nil }); err != nil || v != 1 { // a successor
+		t.Fatalf("Get(a) = %d, %v", v, err)
+	}
+	close(release)
+	wg.Wait()
+	if v, ok := c.Lookup("a"); !ok || v != 1 {
+		t.Fatalf("the failed flight removed its successor: Lookup(a) = %d, %v", v, ok)
+	}
+}

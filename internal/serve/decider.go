@@ -15,6 +15,13 @@ import (
 // predict path.
 const MaxTableN = 64
 
+// maxTables bounds the decision tables one model memoises (about a
+// kilobyte each): a long-lived service sees an open-ended stream of
+// keys, and a retrain is not guaranteed to come and empty the map. Past
+// the bound new keys get their answer through the uncached predict
+// path; keys already tabled keep hitting.
+const maxTables = 1 << 14
+
 // Decision is one resolved warp-tuple: run N warps, prioritise p.
 type Decision struct {
 	N int `json:"n"`
@@ -38,6 +45,10 @@ type model struct {
 	weights poise.Weights
 	version int64
 	tables  sync.Map // memo key (kernel/trace digest) -> *entry
+	// tabled counts the entries of tables. First misses racing at the
+	// bound may each store, so it can overshoot maxTables by the number
+	// of goroutines deciding at that moment, no further.
+	tabled atomic.Int64
 }
 
 // decide answers from the memo table, populating it on first miss.
@@ -48,6 +59,10 @@ func (m *model) decide(key string, x poise.Vector, maxN int) (Decision, bool) {
 	if v, ok := m.tables.Load(key); ok {
 		return v.(*entry).dec[maxN], true
 	}
+	if m.tabled.Load() >= maxTables {
+		n, p := m.weights.PredictTuple(x, maxN)
+		return Decision{N: n, P: p}, false
+	}
 	e := new(entry)
 	for n := 1; n <= MaxTableN; n++ {
 		e.dec[n].N, e.dec[n].P = m.weights.PredictTuple(x, n)
@@ -57,6 +72,8 @@ func (m *model) decide(key string, x poise.Vector, maxN int) (Decision, bool) {
 	// entry keeps the invariant that one key has one entry.
 	if v, loaded := m.tables.LoadOrStore(key, e); loaded {
 		e = v.(*entry)
+	} else {
+		m.tabled.Add(1)
 	}
 	return e.dec[maxN], false
 }
@@ -92,8 +109,9 @@ func NewDecider(w poise.Weights) (*Decider, error) {
 // caller's scheduler bound maxN. A non-empty key — by convention a
 // kernel or trace-signature digest — memoises the decision table for
 // that workload; cached reports whether this call was answered from
-// the table. An empty key, or a maxN outside 1..MaxTableN, predicts
-// directly (still allocation-free, just not memoised).
+// the table. An empty key, a maxN outside 1..MaxTableN, or a new key
+// once the model holds maxTables tables, predicts directly (still
+// allocation-free, just not memoised).
 func (d *Decider) Decide(key string, x poise.Vector, maxN int) (n, p int, cached bool) {
 	m := d.active.Load()
 	d.decisions.Add(1)
@@ -135,6 +153,9 @@ func (d *Decider) Weights() (poise.Weights, int64) {
 
 // Version returns the active model's version (1 = boot weights).
 func (d *Decider) Version() int64 { return d.active.Load().version }
+
+// Tables returns how many decision tables the active model memoises.
+func (d *Decider) Tables() int64 { return d.active.Load().tabled.Load() }
 
 // Counters returns the decision totals: all decisions served, and the
 // memo-table hit/miss split.

@@ -147,6 +147,51 @@ func TestDecideZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDecideTablesAreBounded: a model memoises at most maxTables keys.
+// Past the bound a new key is answered right, uncached and without
+// allocating; keys tabled before keep hitting; a swap starts over.
+func TestDecideTablesAreBounded(t *testing.T) {
+	w := testWeights()
+	d, err := NewDecider(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := testVector(4)
+	for i := 0; i < maxTables; i++ {
+		d.Decide(fmt.Sprintf("k%d", i), x, 24)
+	}
+	if got := d.Tables(); got != maxTables {
+		t.Fatalf("Tables = %d after %d keys, want %d", got, maxTables, maxTables)
+	}
+	wantN, wantP := w.PredictTuple(x, 24)
+	for i := 0; i < 2; i++ {
+		if n, p, cached := d.Decide("one-too-many", x, 24); n != wantN || p != wantP || cached {
+			t.Fatalf("past the bound: Decide = (%d,%d,%v), want (%d,%d,false)", n, p, cached, wantN, wantP)
+		}
+	}
+	if got := d.Tables(); got != maxTables {
+		t.Fatalf("Tables = %d past the bound, want %d", got, maxTables)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		d.Decide("one-too-many", x, 24)
+	}); avg != 0 {
+		t.Fatalf("Decide past the bound allocates %.2f/op, want 0", avg)
+	}
+	if _, _, cached := d.Decide("k0", x, 24); !cached {
+		t.Fatal("a key tabled before the bound stopped hitting")
+	}
+	if _, err := d.Swap(w); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Tables(); got != 0 {
+		t.Fatalf("Tables = %d after a swap, want 0", got)
+	}
+	d.Decide("one-too-many", x, 24)
+	if _, _, cached := d.Decide("one-too-many", x, 24); !cached || d.Tables() != 1 {
+		t.Fatalf("after a swap the key is not tabled (Tables = %d)", d.Tables())
+	}
+}
+
 func BenchmarkDecide(b *testing.B) {
 	d, err := NewDecider(testWeights())
 	if err != nil {

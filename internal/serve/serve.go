@@ -25,6 +25,9 @@ type Stats struct {
 	Decisions   int64 `json:"decisions"`
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
+	// Tables is how many decision tables the active model memoises
+	// (bounded; a retrain starts over at zero).
+	Tables int64 `json:"tables"`
 
 	// Online-adaptation loop.
 	IngestedRecords int64 `json:"ingestedRecords"`

@@ -182,6 +182,7 @@ func (s *Server) Stats() Stats {
 		Decisions:       decisions,
 		CacheHits:       hits,
 		CacheMisses:     misses,
+		Tables:          s.dec.Tables(),
 		IngestedRecords: records,
 		TotalSamples:    samples,
 		Retrains:        s.ret.Retrains(),

@@ -66,7 +66,7 @@ func TestServeDecideEndpoint(t *testing.T) {
 			replies[0].Cached, replies[1].Cached, replies[2].Cached)
 	}
 	st := s.Stats()
-	if st.Decisions != 3 || st.CacheHits != 1 || st.CacheMisses != 2 {
+	if st.Decisions != 3 || st.CacheHits != 1 || st.CacheMisses != 2 || st.Tables != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.P99LatencyNS <= 0 {

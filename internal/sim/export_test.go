@@ -83,3 +83,6 @@ func (g *GPU) CheckBurstBooks() (together int, err error) {
 	}
 	return together, nil
 }
+
+// SetCap replaces the memo's entry bound; call it on an empty memo.
+func (m *RunMemo) SetCap(n int) { m.runs.Cap = n }

@@ -1,0 +1,576 @@
+package sim_test
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"reflect"
+	"sync"
+	"testing"
+
+	"poise/internal/config"
+	"poise/internal/sched"
+	"poise/internal/sim"
+	"poise/internal/testutil"
+	"poise/internal/trace"
+)
+
+func prefixWorkload() *sim.Workload {
+	return testutil.Workload("multi",
+		testutil.ThrashKernel("k0", 64, 40, 4),
+		testutil.StreamKernel("k1", 60, 4),
+		testutil.ComputeKernel("k2", 40, 4),
+	)
+}
+
+// runCached runs w through the memo on a GPU of its own, as a harness
+// cell does on a pooled one.
+func runCached(t testing.TB, cfg config.Config, w *sim.Workload, p sim.Policy, opts sim.RunOptions, m *sim.RunMemo) (sim.WorkloadResult, error) {
+	t.Helper()
+	g, err := sim.New(cfg)
+	if err != nil {
+		t.Fatalf("sim.New: %v", err)
+	}
+	return g.RunWorkloadCached(w, p, opts, m)
+}
+
+// snapshotMemo returns a memo with the on-disk tier at dir.
+func snapshotMemo(t testing.TB, dir string) *sim.RunMemo {
+	t.Helper()
+	m := sim.NewRunMemo()
+	if err := m.UseSnapshots(dir); err != nil {
+		t.Fatalf("UseSnapshots: %v", err)
+	}
+	return m
+}
+
+// counts is the memo's books in one comparable value.
+type counts struct{ Reused, Simulated, SnapHits, SnapMisses int64 }
+
+func booksOf(m *sim.RunMemo) counts {
+	return counts{m.Reused.Load(), m.Simulated.Load(), m.SnapshotHits.Load(), m.SnapshotMisses.Load()}
+}
+
+// TestPrefixCacheBitIdentical proves both tiers invisible to results:
+// a cold run that fills them, a second process restoring a boundary
+// snapshot, a repeat answered from memory and a different policy that
+// pins the same tuples all reproduce the unmemoised WorkloadResult.
+func TestPrefixCacheBitIdentical(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	w := prefixWorkload()
+	base, err := sim.RunWorkload(cfg, w, sim.GTO{}, sim.RunOptions{})
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+
+	dir := t.TempDir()
+	first := snapshotMemo(t, dir)
+	cold, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, first)
+	if err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	if !reflect.DeepEqual(base, cold) {
+		t.Fatalf("cold run diverges:\n base: %+v\n cold: %+v", base, cold)
+	}
+	if got, want := booksOf(first), (counts{0, 3, 0, 1}); got != want {
+		t.Fatalf("cold run: books %+v, want %+v", got, want)
+	}
+
+	// A later process: empty memory, the same directory. Three kernels
+	// leave boundaries after k0 and k1; the deepest restore skips both
+	// and simulates only k2.
+	second := snapshotMemo(t, dir)
+	warm, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, second)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	if !reflect.DeepEqual(base, warm) {
+		t.Fatalf("snapshot-restored run diverges:\n base: %+v\n warm: %+v", base, warm)
+	}
+	if got, want := booksOf(second), (counts{2, 1, 1, 0}); got != want {
+		t.Fatalf("warm run: books %+v, want %+v", got, want)
+	}
+	if second.CyclesSaved.Load() <= 0 {
+		t.Fatalf("warm run saved no cycles")
+	}
+
+	again, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, second)
+	if err != nil {
+		t.Fatalf("repeat: %v", err)
+	}
+	if !reflect.DeepEqual(base, again) {
+		t.Fatalf("run answered from memory diverges:\n base: %+v\n again: %+v", base, again)
+	}
+	if got, want := booksOf(second), (counts{5, 1, 1, 0}); got != want {
+		t.Fatalf("repeat: books %+v, want %+v (no snapshot lookup, nothing simulated)", got, want)
+	}
+
+	// Fixed{} resolves to the same full-concurrency tuples as GTO, so it
+	// is the same run — but the answer must carry Fixed's own labels and
+	// match Fixed's unmemoised baseline.
+	fixed := sim.Fixed{PolicyName: "swl"}
+	fbase, err := sim.RunWorkload(cfg, w, fixed, sim.RunOptions{})
+	if err != nil {
+		t.Fatalf("fixed baseline: %v", err)
+	}
+	fwarm, err := runCached(t, cfg, w, fixed, sim.RunOptions{}, second)
+	if err != nil {
+		t.Fatalf("fixed run: %v", err)
+	}
+	if !reflect.DeepEqual(fbase, fwarm) {
+		t.Fatalf("cross-policy answer diverges:\n base: %+v\n warm: %+v", fbase, fwarm)
+	}
+	if fwarm.Policy != "swl" || fwarm.Workload != "multi" {
+		t.Fatalf("labels wrong: policy=%q workload=%q", fwarm.Policy, fwarm.Workload)
+	}
+	if got := second.Simulated.Load(); got != 1 {
+		t.Fatalf("cross-policy run simulated: Simulated = %d, want 1", got)
+	}
+}
+
+// TestPrefixCachePassthrough pins who takes part: a single-kernel
+// workload does (the fallback that kept it out is gone), while adaptive
+// policies (their run is no function of a tuple sequence) and runs with
+// an interrupt control armed never touch the memo — no entry, no count,
+// no snapshot — whatever it already holds.
+func TestPrefixCachePassthrough(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	dir := t.TempDir()
+	m := snapshotMemo(t, dir)
+	w := prefixWorkload()
+	untouched := func(step string) {
+		t.Helper()
+		if m.Len() != 0 || booksOf(m) != (counts{}) || m.CyclesSaved.Load() != 0 {
+			t.Fatalf("%s touched the memo: %d entries, books %+v", step, m.Len(), booksOf(m))
+		}
+		if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+			t.Fatalf("%s wrote %d snapshots (ReadDir: %v)", step, len(files), err)
+		}
+	}
+
+	base, err := sim.RunWorkload(cfg, w, sched.NewCCWS(2000), sim.RunOptions{})
+	if err != nil {
+		t.Fatalf("ccws baseline: %v", err)
+	}
+	res, err := runCached(t, cfg, w, sched.NewCCWS(2000), sim.RunOptions{}, m)
+	if err != nil {
+		t.Fatalf("ccws run: %v", err)
+	}
+	if !reflect.DeepEqual(base, res) {
+		t.Fatalf("ccws passthrough diverges")
+	}
+	untouched("an adaptive policy")
+
+	armed := sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 1 << 40}}
+	if _, err := runCached(t, cfg, w, sim.GTO{}, armed, m); err != nil {
+		t.Fatalf("interruptible run: %v", err)
+	}
+	untouched("an interrupt-armed run")
+
+	single := testutil.Workload("one", testutil.ComputeKernel("k", 40, 4))
+	sbase, err := sim.RunWorkload(cfg, single, sim.GTO{}, sim.RunOptions{})
+	if err != nil {
+		t.Fatalf("single-kernel baseline: %v", err)
+	}
+	for i, want := range []counts{{0, 1, 0, 0}, {1, 1, 0, 0}} {
+		got, err := runCached(t, cfg, single, sim.GTO{}, sim.RunOptions{}, m)
+		if err != nil {
+			t.Fatalf("single-kernel run %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(sbase, got) {
+			t.Fatalf("single-kernel run %d diverges", i)
+		}
+		if b := booksOf(m); b != want {
+			t.Fatalf("single-kernel run %d: books %+v, want %+v", i, b, want)
+		}
+	}
+
+	// With its answer in memory, the armed run and the adaptive one
+	// still simulate for themselves.
+	before := booksOf(m)
+	if _, err := runCached(t, cfg, single, sim.GTO{}, armed, m); err != nil {
+		t.Fatalf("interruptible run over a held key: %v", err)
+	}
+	if _, err := runCached(t, cfg, single, sched.NewCCWS(2000), sim.RunOptions{}, m); err != nil {
+		t.Fatalf("ccws run beside a held key: %v", err)
+	}
+	if booksOf(m) != before || m.Len() != 1 {
+		t.Fatalf("bypassing runs moved the books: %+v -> %+v, %d entries", before, booksOf(m), m.Len())
+	}
+}
+
+// TestRunMemoSweepPointIsAOneKernelCell is the identity the scheme grid
+// rests on: a sweep point — a cold kernel under Fixed{N, P} — and a
+// one-kernel workload under any policy pinning that tuple are one run.
+// Whichever comes first, the other is answered from it, each in its own
+// shape and under its own labels, equal to simulating it.
+func TestRunMemoSweepPointIsAOneKernelCell(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	k := testutil.ThrashKernel("k0", 64, 40, 4)
+	w := testutil.Workload("app", k)
+	point := sim.Fixed{N: 3, P: 2}
+	cell := sim.Fixed{PolicyName: "Static-Best", PerKernel: map[string][2]int{"k0": {3, 2}}}
+
+	g, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPoint, err := g.Run(k, point, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCell, err := sim.RunWorkload(cfg, w, cell, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, pointFirst := range []bool{true, false} {
+		m := sim.NewRunMemo()
+		askPoint := func() {
+			t.Helper()
+			g, err := sim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Alternate between a digest in hand and none: one key.
+			digest := ""
+			if pointFirst {
+				digest = trace.KernelDigest(k)
+			}
+			got, err := g.RunKernelCached(k, digest, point, sim.RunOptions{}, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wantPoint, got) {
+				t.Fatalf("point (first=%v) diverges:\n want %+v\n  got %+v", pointFirst, wantPoint, got)
+			}
+		}
+		askCell := func() {
+			t.Helper()
+			got, err := runCached(t, cfg, w, cell, sim.RunOptions{}, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wantCell, got) {
+				t.Fatalf("cell (point first=%v) diverges:\n want %+v\n  got %+v", pointFirst, wantCell, got)
+			}
+		}
+		if pointFirst {
+			askPoint()
+			askCell()
+		} else {
+			askCell()
+			askPoint()
+		}
+		if got, want := booksOf(m), (counts{1, 1, 0, 0}); got != want || m.Len() != 1 {
+			t.Fatalf("point first=%v: books %+v (%d entries), want %+v in one entry", pointFirst, got, m.Len(), want)
+		}
+	}
+}
+
+// TestRunMemoHitsAreCopies: whatever a caller does to the slices of a
+// result it got — the simulating caller included — later answers do
+// not change.
+func TestRunMemoHitsAreCopies(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	w := prefixWorkload()
+	want, err := sim.RunWorkload(cfg, w, sim.GTO{}, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tuple tracing gives the result a TupleLog to scribble on.
+	traced := func(m *sim.RunMemo) sim.WorkloadResult {
+		t.Helper()
+		g, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.TraceTuples = true
+		res, err := g.RunWorkloadCached(w, sim.GTO{}, sim.RunOptions{}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	m := sim.NewRunMemo()
+	pristine := traced(sim.NewRunMemo())
+	if len(pristine.PerKernel[0].TupleLog) == 0 {
+		t.Fatal("traced run logged no tuples")
+	}
+	for round := 0; round < 3; round++ {
+		res := traced(m)
+		if !reflect.DeepEqual(pristine, res) {
+			t.Fatalf("round %d: answer changed after an earlier caller edited its copy", round)
+		}
+		res.PerKernel[0].PerSM[0].Instructions = -1
+		res.PerKernel[0].TupleLog[0].N = -1
+		res.PerKernel[1] = sim.KernelResult{Kernel: "scribble"}
+		res.PerKernel = res.PerKernel[:1]
+	}
+	// Tracing is part of the key: the untraced run is another entry.
+	plain, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, plain) {
+		t.Fatalf("untraced run answered by a traced entry")
+	}
+	if m.Len() != 2 {
+		t.Fatalf("%d entries, want 2 (traced, untraced)", m.Len())
+	}
+}
+
+// TestRunMemoSingleFlight: eight goroutines asking for one key cause
+// one simulation and get eight equal answers.
+func TestRunMemoSingleFlight(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	w := prefixWorkload()
+	want, err := sim.RunWorkload(cfg, w, sim.GTO{}, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.NewRunMemo()
+	const askers = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < askers; i++ {
+		g, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, err := g.RunWorkloadCached(w, sim.GTO{}, sim.RunOptions{}, m)
+			if err != nil {
+				t.Errorf("asker %d: %v", i, err)
+				return
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("asker %d got a different result", i)
+			}
+			got.PerKernel[0].PerSM[0].Instructions = int64(-1 - i) // each owns its copy: no race
+		}()
+	}
+	close(start)
+	wg.Wait()
+	kernels := int64(len(w.Kernels))
+	if got, want := booksOf(m), (counts{(askers - 1) * kernels, kernels, 0, 0}); got != want {
+		t.Fatalf("books %+v, want %+v (one simulation of %d kernels)", got, want, kernels)
+	}
+}
+
+// TestRunMemoForgetsFailures: a run that fails is not remembered, and
+// an interrupted one never reaches the memo, so the next asker
+// simulates for itself.
+func TestRunMemoForgetsFailures(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	w := prefixWorkload()
+	m := sim.NewRunMemo()
+	tooShort := sim.RunOptions{MaxCycles: 50}
+	for i := int64(1); i <= 2; i++ {
+		if _, err := runCached(t, cfg, w, sim.GTO{}, tooShort, m); err == nil {
+			t.Fatalf("attempt %d: a 50-cycle budget did not fail", i)
+		}
+		if m.Len() != 0 || m.Simulated.Load() != i || m.Reused.Load() != 0 {
+			t.Fatalf("attempt %d: failure remembered: %d entries, books %+v", i, m.Len(), booksOf(m))
+		}
+	}
+
+	stop := sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 100}}
+	if _, err := runCached(t, cfg, w, sim.GTO{}, stop, m); !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("armed run: %v, want ErrInterrupted", err)
+	}
+	if m.Len() != 0 {
+		t.Fatalf("interrupted run left %d entries", m.Len())
+	}
+	want, err := sim.RunWorkload(cfg, w, sim.GTO{}, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("run after an interrupted one diverges")
+	}
+}
+
+// TestRunMemoKeysSeparateRunOptions: runs that differ in anything that
+// shapes a simulation — cycle or instruction budget, engine, tuple
+// tracing, configuration, tuple — never share an entry; runs that
+// differ only in how the same tuple is spelled do.
+func TestRunMemoKeysSeparateRunOptions(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	big := cfg
+	big.L1.SizeBytes *= 64
+	w := prefixWorkload()
+	m := sim.NewRunMemo()
+	ask := func(name string, cfg config.Config, p sim.Policy, opts sim.RunOptions, tracing bool, wantEntries int) {
+		t.Helper()
+		g, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.TraceTuples = tracing
+		got, err := g.RunWorkloadCached(w, p, opts, m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		g2, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2.TraceTuples = tracing
+		want, err := g2.RunWorkload(w, p, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: answer differs from its own simulation", name)
+		}
+		if m.Len() != wantEntries {
+			t.Fatalf("%s: %d entries, want %d", name, m.Len(), wantEntries)
+		}
+	}
+	ask("plain", cfg, sim.GTO{}, sim.RunOptions{}, false, 1)
+	ask("MaxCycles", cfg, sim.GTO{}, sim.RunOptions{MaxCycles: 1 << 30}, false, 2)
+	ask("MaxInstructions", cfg, sim.GTO{}, sim.RunOptions{MaxInstructions: 900}, false, 3)
+	ask("Engine", cfg, sim.GTO{}, sim.RunOptions{Engine: sim.EngineDense}, false, 4)
+	ask("TraceTuples", cfg, sim.GTO{}, sim.RunOptions{}, true, 5)
+	ask("Pbest config", big, sim.GTO{}, sim.RunOptions{}, false, 6)
+	ask("tuple", cfg, sim.Fixed{N: 2, P: 1}, sim.RunOptions{}, false, 7)
+	// The same tuples by other names: no new entry.
+	ask("Fixed{} == GTO", cfg, sim.Fixed{}, sim.RunOptions{}, false, 7)
+	ask("clamped", cfg, sim.Fixed{N: 2, P: -3, PolicyName: "x"}, sim.RunOptions{}, false, 8) // p <= 0 means p = N
+	ask("p > N clamps", cfg, sim.Fixed{N: 2, P: 9}, sim.RunOptions{}, false, 8)
+}
+
+// TestRunMemoIsBounded: past its cap the memo forgets oldest first and
+// keeps answering correctly.
+func TestRunMemoIsBounded(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	k := testutil.ComputeKernel("k", 20, 2)
+	w := testutil.Workload("one", k)
+	m := sim.NewRunMemo()
+	m.SetCap(3)
+	for n := 1; n <= 5; n++ {
+		if _, err := runCached(t, cfg, w, sim.Fixed{N: n}, sim.RunOptions{}, m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Len() > 3 {
+			t.Fatalf("%d entries after %d runs, cap 3", m.Len(), n)
+		}
+	}
+	// N = 3, 4, 5 are held; 1 was pushed out first.
+	for _, c := range []struct {
+		n         int
+		simulates bool
+	}{{5, false}, {3, false}, {1, true}} {
+		before := m.Simulated.Load()
+		if _, err := runCached(t, cfg, w, sim.Fixed{N: c.n}, sim.RunOptions{}, m); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Simulated.Load() != before; got != c.simulates {
+			t.Fatalf("N=%d: simulated=%v, want %v", c.n, got, c.simulates)
+		}
+	}
+}
+
+// sweepCells builds the shape the snapshot tier targets: every cell
+// shares the k0,k1 tuple prefix and varies only the final kernel's
+// tuple, so no cell is another's whole run.
+func sweepCells() []sim.Fixed {
+	cells := make([]sim.Fixed, 0, 8)
+	for n := 1; n <= 8; n++ {
+		cells = append(cells, sim.Fixed{
+			PolicyName: fmt.Sprintf("cell-n%d", n),
+			PerKernel:  map[string][2]int{"k2": {n, n}},
+		})
+	}
+	return cells
+}
+
+// TestPrefixCacheSavesCycles quantifies the snapshot tier on a sweep:
+// with all cells sharing a two-kernel prefix, executed simulated cycles
+// must drop by well over the 20% acceptance floor while every cell's
+// result stays byte-identical to its unmemoised run.
+func TestPrefixCacheSavesCycles(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	w := prefixWorkload()
+	m := snapshotMemo(t, t.TempDir())
+	var total int64
+	for _, cell := range sweepCells() {
+		base, err := sim.RunWorkload(cfg, w, cell, sim.RunOptions{})
+		if err != nil {
+			t.Fatalf("cell %s baseline: %v", cell.PolicyName, err)
+		}
+		res, err := runCached(t, cfg, w, cell, sim.RunOptions{}, m)
+		if err != nil {
+			t.Fatalf("cell %s memoised: %v", cell.PolicyName, err)
+		}
+		if !reflect.DeepEqual(base, res) {
+			t.Fatalf("cell %s diverges under the memo", cell.PolicyName)
+		}
+		total += res.Cycles
+	}
+	saved := m.CyclesSaved.Load()
+	executed := total - saved
+	t.Logf("sweep: %d total simulated cycles, %d executed (%d saved, %.1f%%), %d kernel runs reused, %d simulated, snapshots: %d hits, %d misses",
+		total, executed, saved, 100*float64(saved)/float64(total),
+		m.Reused.Load(), m.Simulated.Load(), m.SnapshotHits.Load(), m.SnapshotMisses.Load())
+	if saved*5 < total { // the acceptance floor: >=20% fewer simulated cycles
+		t.Fatalf("snapshot tier saved %d of %d cycles (< 20%%)", saved, total)
+	}
+	// Only the first cell starts from kernel 0; the other seven restore
+	// the k1 boundary and simulate k2 alone.
+	cells := int64(len(sweepCells()))
+	if got, want := booksOf(m), (counts{2 * (cells - 1), 3 + (cells - 1), cells - 1, 1}); got != want {
+		t.Fatalf("books %+v, want %+v", got, want)
+	}
+}
+
+// BenchmarkPrefixCache reports the simulated-cycle savings of the
+// snapshot tier on a grid sweep as custom metrics alongside wall-clock
+// time.
+func BenchmarkPrefixCache(b *testing.B) {
+	cfg := testutil.TinyConfig()
+	w := testutil.Workload("bench",
+		testutil.ThrashKernel("k0", 64, 40, 4),
+		testutil.StreamKernel("k1", 60, 4),
+		testutil.ComputeKernel("k2", 40, 4),
+	)
+	cells := sweepCells()
+	b.Run("cold", func(b *testing.B) {
+		var executed int64
+		for i := 0; i < b.N; i++ {
+			executed = 0
+			for _, cell := range cells {
+				res, err := sim.RunWorkload(cfg, w, cell, sim.RunOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				executed += res.Cycles
+			}
+		}
+		b.ReportMetric(float64(executed), "simcycles/sweep")
+	})
+	b.Run("warm", func(b *testing.B) {
+		var executed int64
+		for i := 0; i < b.N; i++ {
+			m := snapshotMemo(b, b.TempDir())
+			executed = 0
+			for _, cell := range cells {
+				res, err := runCached(b, cfg, w, cell, sim.RunOptions{}, m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				executed += res.Cycles
+			}
+			executed -= m.CyclesSaved.Load()
+		}
+		b.ReportMetric(float64(executed), "simcycles/sweep")
+	})
+}

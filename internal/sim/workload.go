@@ -98,8 +98,7 @@ func (g *GPU) RunWorkload(w *Workload, p Policy, opts RunOptions) (WorkloadResul
 }
 
 // runKernelsFrom runs kernels start.. of w, folding results into agg.
-// It is the shared tail of RunWorkload, ResumeWorkload and the prefix
-// cache (which restores a boundary snapshot and runs the remainder).
+// It is the shared tail of RunWorkload and ResumeWorkload.
 func (g *GPU) runKernelsFrom(w *Workload, p Policy, opts RunOptions, start int, agg *workloadAgg) (WorkloadResult, error) {
 	for i := start; i < len(w.Kernels); i++ {
 		k := w.Kernels[i]

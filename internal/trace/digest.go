@@ -12,8 +12,8 @@ import (
 // whenever the kernel is regenerated differently (a different seed or
 // source perturbs essentially every address of the stochastic
 // streams). Plan workers compare it against a task's recorded digest
-// before simulating, and the simulator's prefix cache chains it into
-// snapshot keys, so a stale catalogue cannot silently corrupt a sweep
+// before simulating, and the simulator's run memo chains it into
+// its keys, so a stale catalogue cannot silently corrupt a sweep
 // or alias a cache entry.
 func KernelDigest(k *Kernel) string {
 	d := sha256.New()
