@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -52,17 +53,19 @@ func (s *Stats) DecodeState(r *snap.Reader) {
 // LRU clock, statistics, and the victim tag array when attached.
 func (c *Cache) EncodeState(w *snap.Writer) {
 	w.Uvarint(uint64(len(c.sets)))
+	lw := *w // the loop appends to a writer the compiler keeps in registers
 	for i := range c.sets {
 		l := &c.sets[i]
-		w.Bool(l.valid)
+		lw.Bool(l.valid)
 		if !l.valid {
 			continue // invalid lines carry no information
 		}
-		w.Uvarint(l.tag)
-		w.Varint(int64(l.lastWarp))
-		w.Varint(int64(l.lastPC))
-		w.Uvarint(l.lruTick)
+		lw.Uvarint(l.tag)
+		lw.Varint(int64(l.lastWarp))
+		lw.Varint(int64(l.lastPC))
+		lw.Uvarint(l.lruTick)
 	}
+	*w = lw
 	w.Uvarint(c.tick)
 	c.Stats.EncodeState(w)
 	if c.victim == nil {
@@ -148,17 +151,19 @@ func (v *VictimTags) DecodeState(r *snap.Reader) error {
 	return r.Err()
 }
 
-// EncodeState serialises the MSHR file: live entries (sorted by line
-// address, so the encoding does not depend on the order releases left
-// the packed array in) and the cumulative counters. The free pool is
-// not serialised — it only recycles allocations and has no behavioural
-// effect.
+// EncodeState serialises the MSHR file: live entries, sorted by line
+// address so the encoding does not depend on the order releases left
+// the packed array in, and the cumulative counters. The sort is done in
+// place (that order carries no meaning), and nearly always finds the
+// array as the last restore left it. The free pool is not serialised:
+// it only recycles allocations and has no behavioural effect.
 func (f *MSHRFile) EncodeState(w *snap.Writer) {
-	keys := slices.Clone(f.keys)
-	slices.Sort(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		m := f.Lookup(k)
+	slices.SortFunc(f.ents, func(a, b *MSHR) int { return cmp.Compare(a.LineAddr, b.LineAddr) })
+	for i, m := range f.ents {
+		f.keys[i] = m.LineAddr
+	}
+	w.Uvarint(uint64(len(f.ents)))
+	for _, m := range f.ents {
 		w.Uvarint(m.LineAddr)
 		w.Varint(m.IssueCycle)
 		w.Bool(m.Pollute)
@@ -178,9 +183,8 @@ func (f *MSHRFile) EncodeState(w *snap.Writer) {
 	w.Varint(int64(f.PeakUsed))
 }
 
-// DecodeState restores an MSHR file written by EncodeState. The free
-// pool is emptied: restored entries allocate fresh storage on the next
-// miss, which is behaviourally identical.
+// DecodeState restores an MSHR file written by EncodeState into the
+// entries the file already owns.
 func (f *MSHRFile) DecodeState(r *snap.Reader) error {
 	n := int(r.Uvarint())
 	if r.Err() != nil {
@@ -190,14 +194,13 @@ func (f *MSHRFile) DecodeState(r *snap.Reader) error {
 		return fmt.Errorf("cache: snapshot has %d MSHR entries, capacity %d", n, f.capacity)
 	}
 	f.Reset()
-	f.free = f.free[:0]
 	for i := 0; i < n; i++ {
-		m := &MSHR{}
-		m.LineAddr = r.Uvarint()
-		m.IssueCycle = r.Varint()
-		m.Pollute = r.Bool()
-		m.Warp = int32(r.Varint())
-		m.PC = int32(r.Varint())
+		m := f.take()
+		*m = MSHR{LineAddr: r.Uvarint(), IssueCycle: r.Varint(), Pollute: r.Bool(),
+			Warp: int32(r.Varint()), PC: int32(r.Varint()), Waiters: m.Waiters[:0]}
+		// Listed before any check so that the entry is never lost to the pool.
+		f.keys = append(f.keys, m.LineAddr)
+		f.ents = append(f.ents, m)
 		nw := r.Count(maxWaiters)
 		for j := 0; j < nw; j++ {
 			m.Waiters = append(m.Waiters, Waiter{
@@ -210,11 +213,9 @@ func (f *MSHRFile) DecodeState(r *snap.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if f.Lookup(m.LineAddr) != nil {
+		if slices.Contains(f.keys[:i], m.LineAddr) {
 			return fmt.Errorf("cache: snapshot has two MSHR entries for line %#x", m.LineAddr)
 		}
-		f.keys = append(f.keys, m.LineAddr)
-		f.ents = append(f.ents, m)
 	}
 	f.Allocs = r.Varint()
 	f.Merges = r.Varint()

@@ -19,10 +19,10 @@ type MSHRFile struct {
 	keys     []uint64 // line addresses of the live entries
 	ents     []*MSHR  // ents[i] is the entry for keys[i]
 
-	// free recycles released entries (and their Waiters storage) so a
-	// steady-state miss stream allocates nothing per fill; entries are
-	// returned here by Recycle once the fill that released them is
-	// fully processed.
+	// free holds the entries not in use, with their Waiters storage: the
+	// file is built with one per register, Recycle returns them here once
+	// the fill that released them is fully processed, and Reset and Clear
+	// hand back the live ones, so no miss allocates an entry.
 	free []*MSHR
 
 	// Cumulative counters.
@@ -55,12 +55,18 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &MSHRFile{
+	f := &MSHRFile{
 		capacity: capacity,
 		keys:     make([]uint64, 0, capacity),
 		ents:     make([]*MSHR, 0, capacity),
-		free:     make([]*MSHR, 0, capacity),
+		free:     make([]*MSHR, capacity),
 	}
+	ents, waiters := make([]MSHR, capacity), make([]Waiter, capacity)
+	for i := range ents {
+		ents[i].Waiters = waiters[i : i : i+1]
+		f.free[i] = &ents[i]
+	}
+	return f
 }
 
 // Capacity returns the entry budget.
@@ -89,26 +95,8 @@ func (f *MSHRFile) Allocate(lineAddr uint64, cycle int64, pollute bool, warp int
 		f.FullFails++
 		return nil
 	}
-	var m *MSHR
-	if n := len(f.free); n > 0 {
-		m = f.free[n-1]
-		f.free = f.free[:n-1]
-		m.Waiters = append(m.Waiters[:0], w)
-		m.LineAddr = lineAddr
-		m.IssueCycle = cycle
-		m.Pollute = pollute
-		m.Warp = warp
-		m.PC = pc
-	} else {
-		m = &MSHR{
-			LineAddr:   lineAddr,
-			IssueCycle: cycle,
-			Pollute:    pollute,
-			Warp:       warp,
-			PC:         pc,
-			Waiters:    []Waiter{w},
-		}
-	}
+	m := f.take()
+	*m = MSHR{LineAddr: lineAddr, IssueCycle: cycle, Pollute: pollute, Warp: warp, PC: pc, Waiters: append(m.Waiters[:0], w)}
 	f.keys = append(f.keys, lineAddr)
 	f.ents = append(f.ents, m)
 	f.Allocs++
@@ -143,6 +131,15 @@ func (f *MSHRFile) Release(lineAddr uint64) *MSHR {
 	return nil
 }
 
+// EachWaiter calls fn with every waiter of every live entry.
+func (f *MSHRFile) EachWaiter(fn func(Waiter)) {
+	for _, m := range f.ents {
+		for _, w := range m.Waiters {
+			fn(w)
+		}
+	}
+}
+
 // Recycle returns a released entry to the free pool for reuse by a
 // later Allocate. The entry (including its Waiters slice) must no
 // longer be referenced by the caller.
@@ -150,16 +147,32 @@ func (f *MSHRFile) Recycle(m *MSHR) {
 	f.free = append(f.free, m)
 }
 
+// take removes an entry from the free pool. The pool only runs dry for
+// a caller that released entries and never recycled them.
+func (f *MSHRFile) take() *MSHR {
+	n := len(f.free)
+	if n == 0 {
+		return &MSHR{}
+	}
+	m := f.free[n-1]
+	f.free = f.free[:n-1]
+	return m
+}
+
 // Reset drops all live entries (used between kernels).
 func (f *MSHRFile) Reset() {
+	f.free = append(f.free, f.ents...)
 	f.keys, f.ents = f.keys[:0], f.ents[:0]
 }
 
-// Clear restores the file to its just-constructed state: no entries
-// and zeroed counters. The GPU pool relies on Clear leaving state
-// reflect.DeepEqual-identical to NewMSHRFile with the same capacity.
+// Clear restores the file to its just-constructed state: no entries,
+// every register blank in the free pool and zeroed counters. The GPU
+// pool relies on Clear leaving state reflect.DeepEqual-identical to
+// NewMSHRFile with the same capacity.
 func (f *MSHRFile) Clear() {
 	f.Reset()
-	f.free = f.free[:0]
+	for _, m := range f.free {
+		*m = MSHR{Waiters: m.Waiters[:0]}
+	}
 	f.Allocs, f.Merges, f.FullFails, f.PeakUsed = 0, 0, 0, 0
 }

@@ -293,3 +293,50 @@ func TestMSHRDecodeRejects(t *testing.T) {
 		t.Fatalf("well-formed payload: err %v, used %d", err, f.Used())
 	}
 }
+
+// TestMSHRFileOwnsItsEntries: the file is built with every register it
+// will ever use. A run of misses, merges and fills, a Reset between
+// kernels and a restore allocate no entry, and Clear leaves the file
+// reflect.DeepEqual to a new one (what the GPU pool relies on).
+func TestMSHRFileOwnsItsEntries(t *testing.T) {
+	const capacity = 8
+	f := NewMSHRFile(capacity)
+	churn := func() {
+		f.Reset()
+		for round := 0; round < 50; round++ {
+			for l := uint64(0); l < capacity; l++ {
+				m := f.Allocate(l, int64(round), l%2 == 0, 1, 2, Waiter{Slot: int(l)})
+				f.Merge(m, true, Waiter{Slot: int(l) + 1})
+			}
+			if f.Allocate(99, 0, false, 0, 0, Waiter{}) != nil {
+				t.Fatal("a full file allocated")
+			}
+			for l := uint64(0); l < capacity/2; l++ {
+				f.Recycle(f.Release(l))
+			}
+			f.Reset() // the other half is dropped live, as between kernels
+		}
+	}
+	churn() // first use grows the Waiters slices to two
+	f.Reset()
+	w := snap.NewWriter()
+	for l := uint64(0); l < capacity; l++ {
+		f.Merge(f.Allocate(3*l, 7, false, 1, 2, Waiter{Slot: 1}), false, Waiter{Slot: 2})
+	}
+	f.EncodeState(w)
+	restore := func() {
+		if err := f.DecodeState(snap.NewReader(w.Data())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { churn(); restore() }); n > 1 { // the Reader
+		t.Fatalf("%.0f allocations per churn and restore, want the Reader alone", n)
+	}
+	if f.Used() != capacity || f.Lookup(9) == nil || len(f.Lookup(9).Waiters) != 2 {
+		t.Fatalf("restored %d entries", f.Used())
+	}
+	f.Clear()
+	if !reflect.DeepEqual(f, NewMSHRFile(capacity)) {
+		t.Fatal("a cleared file differs from a new one")
+	}
+}

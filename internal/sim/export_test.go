@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+
+	"poise/internal/config"
 )
 
 // ClockMarkers returns how many cycles are marked in the wake ring
@@ -86,3 +88,30 @@ func (g *GPU) CheckBurstBooks() (together int, err error) {
 
 // SetCap replaces the memo's entry bound; call it on an empty memo.
 func (m *RunMemo) SetCap(n int) { m.runs.Cap = n }
+
+// The pool bounds, and how many configurations a set holds pools for.
+const (
+	MaxIdle  = maxIdle
+	MaxPools = maxPools
+)
+
+func (ps *PoolSet) Pools() int {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return len(ps.pools)
+}
+
+// DriverPools is the pool set behind RunWorkload, RunWorkloadPreemptible
+// and ResumeWorkload.
+func DriverPools() *PoolSet { return drivers }
+
+// Idle returns how many reset GPUs of cfg the set has parked.
+func (ps *PoolSet) Idle(cfg config.Config) int {
+	ps.mu.Lock()
+	p := ps.pools[cfg]
+	ps.mu.Unlock()
+	if p == nil {
+		return 0
+	}
+	return p.Idle()
+}

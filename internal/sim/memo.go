@@ -229,7 +229,7 @@ func (g *GPU) restoreBoundary(sn *snap.Snapshot) (*workloadAgg, error) {
 		return nil, fmt.Errorf("sim: snapshot kind %v is not a kernel boundary", sn.Kind)
 	}
 	r := snap.NewReader(sn.State)
-	aggBytes := r.LimitedBytes(maxAggSnap)
+	aggBytes := r.LimitedView(maxAggSnap) // decodeWorkloadAgg keeps no reference to it
 	if r.Err() != nil {
 		return nil, r.Err()
 	}

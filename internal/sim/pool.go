@@ -32,6 +32,16 @@ type Pool struct {
 	reuses int64
 }
 
+// What is kept is bounded, so that a PoolSet may live as long as the
+// process: a Pool parks at most maxIdle GPUs (one more handed back is
+// left to the collector) and a PoolSet holds pools for at most maxPools
+// configurations (one more empties it). Both are far above what a
+// sweep's workers or a grid's platforms ask for.
+const (
+	maxIdle  = 16
+	maxPools = 16
+)
+
 // NewPool builds a pool that constructs GPUs with New(cfg) on demand.
 // The configuration is validated eagerly so a bad one fails at pool
 // construction, not on some worker's first Get.
@@ -62,16 +72,19 @@ func (p *Pool) Get() (*GPU, error) {
 }
 
 // Put resets g to its fresh-construction state and parks it for
-// reuse. Putting a GPU that is still running is a caller bug. A GPU
-// built with another configuration is dropped, not parked: a pool that
-// outlives one call must never hand a later Get the wrong machine.
+// reuse, unless maxIdle are parked already. Putting a GPU that is still
+// running is a caller bug. A GPU built with another configuration is
+// dropped, not parked: a pool that outlives one call must never hand a
+// later Get the wrong machine.
 func (p *Pool) Put(g *GPU) {
 	if g == nil || g.Cfg != p.cfg {
 		return
 	}
 	g.Reset()
 	p.mu.Lock()
-	p.free = append(p.free, g)
+	if len(p.free) < maxIdle {
+		p.free = append(p.free, g)
+	}
 	p.mu.Unlock()
 }
 
@@ -119,6 +132,9 @@ func (ps *PoolSet) pool(cfg config.Config) (*Pool, error) {
 	p, err := NewPool(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if len(ps.pools) >= maxPools {
+		clear(ps.pools)
 	}
 	ps.pools[cfg] = p
 	return p, nil

@@ -14,7 +14,7 @@ import (
 // under an InterruptCtl; when the control fires mid-kernel, the run
 // stops at a safe point and comes back as a Checkpoint — the GPU's
 // mid-kernel state plus the workload aggregation so far. ResumeWorkload
-// restores the checkpoint on a fresh GPU (anywhere: another process,
+// restores the checkpoint on a fresh-state GPU (anywhere: another process,
 // another fleet worker) and finishes the run bit-identical to an
 // uninterrupted one. A resumed run is itself preemptible, so a task can
 // bounce across arbitrarily many workers.
@@ -130,31 +130,38 @@ type Checkpoint struct {
 	Agg []byte
 }
 
-// Snapshot packs the checkpoint into a poisesnap container under the
-// given content key (for snap.Store.Save).
-func (c *Checkpoint) Snapshot(key string) *snap.Snapshot {
-	w := snap.NewWriterSize(len(c.Agg) + len(c.State) + 2*binary.MaxVarintLen64)
-	w.Bytes(c.Agg)
-	w.Bytes(c.State)
+// container is the checkpoint's poisesnap envelope under the given
+// content key, without the state.
+func (c *Checkpoint) container(key string) *snap.Snapshot {
 	return &snap.Snapshot{
 		Kind:        snap.KindCheckpoint,
 		Key:         key,
 		Workload:    c.Workload,
 		KernelIndex: c.KernelIndex,
 		Cycle:       c.Cycle,
-		State:       w.Data(),
 	}
 }
 
-// Encode serialises the checkpoint container to bytes.
+// Snapshot packs the checkpoint into a poisesnap container under the
+// given content key (for snap.Store.Save).
+func (c *Checkpoint) Snapshot(key string) *snap.Snapshot {
+	w := snap.NewWriterSize(len(c.Agg) + len(c.State) + 2*binary.MaxVarintLen64)
+	w.Bytes(c.Agg)
+	w.Bytes(c.State)
+	sn := c.container(key)
+	sn.State = w.Data()
+	return sn
+}
+
+// Encode serialises the checkpoint container to bytes: the state the
+// GPU wrote is copied once, into the container.
 func (c *Checkpoint) Encode(key string) ([]byte, error) {
-	return c.Snapshot(key).Encode()
+	return c.container(key).EncodeSections(c.Agg, c.State)
 }
 
 // CheckpointFromSnapshot unpacks a KindCheckpoint container. The
-// checkpoint's State and Agg share sn.State's memory (already copied
-// out of the encoded container and CRC-checked by snap.Decode), so the
-// caller must not modify sn.State while it uses the checkpoint.
+// checkpoint's State and Agg are views of sn.State, so the caller must
+// not modify sn.State while it uses the checkpoint.
 func CheckpointFromSnapshot(sn *snap.Snapshot) (*Checkpoint, error) {
 	if sn.Kind != snap.KindCheckpoint {
 		return nil, fmt.Errorf("sim: snapshot kind %v is not a workload checkpoint", sn.Kind)
@@ -177,7 +184,10 @@ func CheckpointFromSnapshot(sn *snap.Snapshot) (*Checkpoint, error) {
 	}, nil
 }
 
-// DecodeCheckpoint parses an encoded checkpoint container.
+// DecodeCheckpoint parses an encoded checkpoint container. Nothing is
+// copied: the checkpoint's State and Agg are views of data, checked
+// against its CRC as it stood (see snap.Decode), so data stays
+// unchanged until the checkpoint has been resumed or dropped.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	sn, err := snap.Decode(data)
 	if err != nil {
@@ -191,26 +201,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // with errors.Is) and the returned Checkpoint resumes the run — on
 // this machine or any other — via ResumeWorkload.
 func RunWorkloadPreemptible(cfg config.Config, w *Workload, p Policy, opts RunOptions) (WorkloadResult, *Checkpoint, error) {
-	if err := w.Validate(); err != nil {
-		return WorkloadResult{}, nil, err
-	}
-	g, err := New(cfg)
-	if err != nil {
-		return WorkloadResult{}, nil, err
-	}
-	agg := newWorkloadAgg(w, p)
-	res, err := g.runKernelsFrom(w, p, opts, 0, agg)
-	if err != nil {
-		if errors.Is(err, ErrInterrupted) {
-			cp, cperr := g.checkpoint(w, p, agg)
-			if cperr != nil {
-				return res, nil, cperr
-			}
-			return res, cp, err
-		}
-		return res, nil, err
-	}
-	return res, nil, nil
+	return driveWorkload(cfg, w, p, opts, nil)
 }
 
 // checkpoint captures the interrupted kernel + aggregation state.
@@ -228,58 +219,76 @@ func (g *GPU) checkpoint(w *Workload, p Policy, agg *workloadAgg) (*Checkpoint, 
 	}, nil
 }
 
-// ResumeWorkload restores cp on a fresh GPU and runs the workload to
-// completion. The caller supplies the same workload definition, a
-// policy constructed with the same parameters, and options whose
-// engine/limit fields match the interrupted run (opts.Interrupt may be
-// a fresh control to preempt again — the third return value is the
-// next checkpoint in that case).
+// ResumeWorkload restores cp on a GPU in its fresh state and runs the
+// workload to completion. The caller supplies the same workload
+// definition, a policy constructed with the same parameters, and
+// options whose engine/limit fields match the interrupted run
+// (opts.Interrupt may be a fresh control to preempt again — the third
+// return value is the next checkpoint in that case).
 func ResumeWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions, cp *Checkpoint) (WorkloadResult, *Checkpoint, error) {
+	if cp == nil {
+		return WorkloadResult{}, nil, errors.New("sim: no checkpoint to resume")
+	}
+	return driveWorkload(cfg, w, p, opts, cp)
+}
+
+// drivers is where the package-level drivers take their GPU from, so a
+// process that hops a task from checkpoint to checkpoint, or runs one
+// workload after another, does it on the machines it already built.
+var drivers = NewPoolSet()
+
+// driveWorkload runs w from its first kernel, or from cp when there is
+// one, on a pooled GPU; an interrupt comes back as the next checkpoint.
+func driveWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions, cp *Checkpoint) (WorkloadResult, *Checkpoint, error) {
 	if err := w.Validate(); err != nil {
 		return WorkloadResult{}, nil, err
 	}
-	if cp.Workload != w.Name {
-		return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint is of workload %q, not %q", cp.Workload, w.Name)
+	agg, start := newWorkloadAgg(w, p), 0
+	if cp != nil {
+		if cp.Workload != w.Name {
+			return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint is of workload %q, not %q", cp.Workload, w.Name)
+		}
+		if cp.KernelIndex < 0 || cp.KernelIndex >= len(w.Kernels) {
+			return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint kernel index %d out of range for %s (%d kernels)",
+				cp.KernelIndex, w.Name, len(w.Kernels))
+		}
+		var err error
+		if agg, err = decodeWorkloadAgg(cp.Agg); err != nil {
+			return WorkloadResult{}, nil, err
+		}
+		if len(agg.res.PerKernel) != cp.KernelIndex {
+			return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint aggregation covers %d kernels, expected %d",
+				len(agg.res.PerKernel), cp.KernelIndex)
+		}
+		start = cp.KernelIndex
 	}
-	if cp.KernelIndex < 0 || cp.KernelIndex >= len(w.Kernels) {
-		return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint kernel index %d out of range for %s (%d kernels)",
-			cp.KernelIndex, w.Name, len(w.Kernels))
-	}
-	agg, err := decodeWorkloadAgg(cp.Agg)
+	g, err := drivers.Get(cfg)
 	if err != nil {
 		return WorkloadResult{}, nil, err
 	}
-	if len(agg.res.PerKernel) != cp.KernelIndex {
-		return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint aggregation covers %d kernels, expected %d",
-			len(agg.res.PerKernel), cp.KernelIndex)
-	}
-	g, err := New(cfg)
-	if err != nil {
-		return WorkloadResult{}, nil, err
-	}
-	k := w.Kernels[cp.KernelIndex]
-	kr, err := g.ResumeKernel(k, p, opts, cp.State)
-	if err != nil {
-		if errors.Is(err, ErrInterrupted) {
-			ncp, cperr := g.checkpoint(w, p, agg)
-			if cperr != nil {
-				return agg.finish(), nil, cperr
-			}
-			return agg.finish(), ncp, fmt.Errorf("sim: workload %s kernel %s: %w", w.Name, k.Name, err)
+	defer drivers.Put(cfg, g)
+	if cp != nil {
+		k := w.Kernels[start]
+		kr, err := g.ResumeKernel(k, p, opts, cp.State)
+		if err != nil {
+			return g.interrupted(w, p, agg, agg.finish(), fmt.Errorf("sim: workload %s kernel %s: %w", w.Name, k.Name, err))
 		}
-		return agg.finish(), nil, fmt.Errorf("sim: workload %s kernel %s: %w", w.Name, k.Name, err)
+		agg.add(kr)
+		start++
 	}
-	agg.add(kr)
-	res, err := g.runKernelsFrom(w, p, opts, cp.KernelIndex+1, agg)
-	if err != nil {
-		if errors.Is(err, ErrInterrupted) {
-			ncp, cperr := g.checkpoint(w, p, agg)
-			if cperr != nil {
-				return res, nil, cperr
-			}
-			return res, ncp, err
-		}
+	res, err := g.runKernelsFrom(w, p, opts, start, agg)
+	return g.interrupted(w, p, agg, res, err)
+}
+
+// interrupted completes a driver's return values: a run that stopped on
+// ErrInterrupted comes back with the checkpoint that resumes it.
+func (g *GPU) interrupted(w *Workload, p Policy, agg *workloadAgg, res WorkloadResult, err error) (WorkloadResult, *Checkpoint, error) {
+	if !errors.Is(err, ErrInterrupted) {
 		return res, nil, err
 	}
-	return res, nil, nil
+	cp, cperr := g.checkpoint(w, p, agg)
+	if cperr != nil {
+		return res, nil, cperr
+	}
+	return res, cp, err
 }

@@ -307,6 +307,11 @@ func (g *GPU) ResumeKernel(k *trace.Kernel, p Policy, opts RunOptions, state []b
 		return KernelResult{}, fmt.Errorf("sim: snapshot geometry (%d body, %d warps, %d blocks launched) does not match kernel %s",
 			g.bodyLen, g.total, g.nextBlk, k.Name)
 	}
+	for _, s := range g.SMs {
+		if err := s.CheckRestored(g.bodyLen); err != nil {
+			return KernelResult{}, err
+		}
+	}
 	g.kernel = k
 	visits := g.rq.visits
 	g.rq.start(g, visits)

@@ -78,17 +78,18 @@ type WorkloadResult struct {
 // L1HitRate returns the aggregate L1 hit rate.
 func (r WorkloadResult) L1HitRate() float64 { return r.L1.HitRate() }
 
-// RunWorkload executes every kernel of w in order on a fresh GPU with
-// the given policy and aggregates the results. L2 contents stay warm
-// across the kernels of one workload.
+// RunWorkload executes every kernel of w in order on a fresh-state GPU
+// with the given policy and aggregates the results. L2 contents stay
+// warm across the kernels of one workload.
 func RunWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions) (WorkloadResult, error) {
 	if err := w.Validate(); err != nil {
 		return WorkloadResult{}, err
 	}
-	g, err := New(cfg)
+	g, err := drivers.Get(cfg)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
+	defer drivers.Put(cfg, g)
 	return g.RunWorkload(w, p, opts)
 }
 

@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 
 	"poise/internal/cache"
 	"poise/internal/snap"
@@ -106,9 +107,6 @@ func (wp *Warp) decodeState(r *snap.Reader) error {
 	// The cached scoreboard answer is derived state: rebuilt here, never
 	// serialised.
 	wp.rebuild()
-	if len(wp.Pend) == 0 {
-		wp.Pend = nil // match the post-Reset zero value
-	}
 	wp.tokenSeq = r.Varint()
 	return r.Err()
 }
@@ -158,9 +156,6 @@ func (s *Scheduler) DecodeState(r *snap.Reader) error {
 			return fmt.Errorf("sm: age-order slot %d holds no live warp", v)
 		}
 		s.ageOrder = append(s.ageOrder, v)
-	}
-	if len(s.ageOrder) == 0 {
-		s.ageOrder = nil // match Reset's zero value
 	}
 	s.dispatchSeq = r.Varint()
 	s.current = int(r.Varint())
@@ -235,8 +230,8 @@ func (s *SM) DecodeState(r *snap.Reader) error {
 	}
 	s.C.DecodeState(r)
 	np := r.Count(maxBody)
-	s.PCLoads = make([]int64, np)
-	s.PCHits = make([]int64, np)
+	s.PCLoads = slices.Grow(s.PCLoads[:0], np)[:np]
+	s.PCHits = slices.Grow(s.PCHits[:0], np)[:np]
 	for i := 0; i < np; i++ {
 		s.PCLoads[i] = r.Varint()
 		s.PCHits[i] = r.Varint()
@@ -256,4 +251,30 @@ func (s *SM) DecodeState(r *snap.Reader) error {
 		s.ReplayQ = append(s.ReplayQ, waiterFrom(r))
 	}
 	return r.Err()
+}
+
+// CheckRestored validates, in one pass after DecodeState, what the fill
+// and issue paths index without looking: every MSHR and replay-queue
+// waiter names a warp slot this SM has, and every live warp stands
+// inside a kernel body of bodyLen instructions.
+func (s *SM) CheckRestored(bodyLen int) (err error) {
+	waiter := func(w cache.Waiter) {
+		if w.Sched < 0 || w.Sched >= len(s.Scheds) || w.Slot < 0 || w.Slot >= len(s.Scheds[w.Sched].Slots) {
+			err = fmt.Errorf("sm: SM %d has a waiter for scheduler %d slot %d, which it does not have", s.ID, w.Sched, w.Slot)
+		}
+	}
+	s.MSHR.EachWaiter(waiter)
+	for _, w := range s.ReplayQ {
+		waiter(w)
+	}
+	for _, sch := range s.Scheds {
+		for i := range sch.Slots {
+			w := &sch.Slots[i]
+			if w.Active && (w.BodyIdx < 0 || int(w.BodyIdx) >= bodyLen || w.Iter < 0 || w.Iter > w.TotalIters) {
+				err = fmt.Errorf("sm: SM %d warp %d stands at instruction %d of %d, iteration %d of %d",
+					s.ID, w.Global, w.BodyIdx, bodyLen, w.Iter, w.TotalIters)
+			}
+		}
+	}
+	return err
 }

@@ -27,13 +27,22 @@ type Scheduler struct {
 	IdleCycles  int64 // cycles with no active warps at all
 }
 
+// pendRoom is the scoreboard storage a warp slot is built with: more
+// loads in flight than this grow the slot's own slice, which it keeps.
+const pendRoom = 4
+
 // NewScheduler builds a scheduler with capacity warp slots, initially
 // running at maximum TLP (N = p = capacity).
 func NewScheduler(id, capacity int) *Scheduler {
 	s := &Scheduler{
-		ID:      id,
-		Slots:   make([]Warp, capacity),
-		current: -1,
+		ID:       id,
+		Slots:    make([]Warp, capacity),
+		ageOrder: make([]int, 0, capacity),
+		current:  -1,
+	}
+	pend := make([]Pending, capacity*pendRoom)
+	for i := range s.Slots {
+		s.Slots[i].Pend = pend[i*pendRoom : i*pendRoom : (i+1)*pendRoom]
 	}
 	s.n, s.p = capacity, capacity
 	return s
@@ -45,13 +54,14 @@ func (s *Scheduler) Capacity() int { return len(s.Slots) }
 // Reset restores the scheduler to its just-constructed state: empty
 // slots, maximum tuple, zeroed age order, greedy pointer and
 // statistics. The GPU pool relies on Reset leaving state
-// reflect.DeepEqual-identical to NewScheduler (which is why the small
-// dynamic slices go back to nil instead of being truncated in place).
+// reflect.DeepEqual-identical to NewScheduler: the age order and the
+// slots' scoreboards are built empty, not nil, so that emptying them
+// here keeps their storage for the next run or restore.
 func (s *Scheduler) Reset() {
 	for i := range s.Slots {
 		s.Slots[i].Reset()
 	}
-	s.ageOrder = nil
+	s.ageOrder = s.ageOrder[:0]
 	s.dispatchSeq = 0
 	s.current = -1
 	s.n, s.p = len(s.Slots), len(s.Slots)

@@ -228,7 +228,9 @@ func TestScoreboardCacheMatchesWalk(t *testing.T) {
 
 // TestRelaunchedSlotKeepsScoreboardStorage: a slot's Pend storage
 // survives Retire and Launch (a kernel's later warps do not regrow it),
-// and Reset gives it back so a pooled scheduler equals a fresh one.
+// and Reset empties it without letting go, which is also what a fresh
+// scheduler's slots look like: a pooled scheduler equals a fresh one and
+// a restore on it finds the storage there.
 func TestRelaunchedSlotKeepsScoreboardStorage(t *testing.T) {
 	s := NewScheduler(0, 2)
 	slot := s.Launch(1, 0, 0, 5)
@@ -248,8 +250,11 @@ func TestRelaunchedSlotKeepsScoreboardStorage(t *testing.T) {
 		t.Fatal("a relaunched warp must not inherit its predecessor's scoreboard")
 	}
 	s.Reset()
-	if w.Pend != nil {
-		t.Fatal("Reset must release the scoreboard storage")
+	if len(w.Pend) != 0 || cap(w.Pend) != had {
+		t.Fatalf("reset slot has len %d cap %d, want 0 and %d", len(w.Pend), cap(w.Pend), had)
+	}
+	if !reflect.DeepEqual(s, NewScheduler(0, 2)) {
+		t.Fatal("a reset scheduler differs from a fresh one")
 	}
 }
 

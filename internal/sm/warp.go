@@ -194,7 +194,7 @@ func (w *Warp) AdvanceRun(k int64) {
 // RetreatRun takes back the last r instructions of an AdvanceRun.
 func (w *Warp) RetreatRun(r int64) { w.AdvanceRun(-r) }
 
-// Reset clears the slot for reuse.
+// Reset clears the slot for reuse; it keeps its scoreboard storage.
 func (w *Warp) Reset() {
-	*w = Warp{}
+	*w = Warp{Pend: w.Pend[:0]}
 }

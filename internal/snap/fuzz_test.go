@@ -1,18 +1,25 @@
-package snap
+package snap_test
 
 import (
 	"bytes"
 	"compress/gzip"
 	"testing"
+
+	"poise/internal/sim"
+	"poise/internal/snap"
 )
 
 // FuzzSnapshot drives Decode with arbitrary bytes, enforcing the
 // never-panic discipline of the poisesnap parser: truncation, corrupt
 // varints, bad magic and version skew must all surface as errors, and
 // any input Decode accepts must pass Validate and re-encode to a
-// container that decodes to the same snapshot.
+// container that decodes to the same snapshot. Decode and
+// sim.DecodeCheckpoint hand out views of the input, not copies: the
+// target overwrites the input once it has what it needs from them, as a
+// caller that breaks the ownership rule would, and the clones it took
+// first must not notice.
 func FuzzSnapshot(f *testing.F) {
-	sn := sampleSnapshot()
+	sn := snap.SampleSnapshot()
 	valid, err := sn.Encode()
 	if err != nil {
 		f.Fatal(err)
@@ -29,17 +36,31 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add([]byte("POISESNAP\n"))  // magic only
 	f.Add([]byte("NOTASNAPSHOT")) // bad magic
 	skew := append([]byte(nil), valid...)
-	skew[len(Magic)] = 0x7f // version skew
-	f.Add(recrc(skew))
+	skew[len(snap.Magic)] = 0x7f // version skew
+	f.Add(snap.Recrc(skew))
 	corrupt := append([]byte(nil), valid...)
-	for i := len(Magic) + 1; i < len(corrupt)-4; i++ {
+	for i := len(snap.Magic) + 1; i < len(corrupt)-4; i++ {
 		corrupt[i] = 0x80 // unterminated varints everywhere
 	}
-	f.Add(recrc(corrupt))
+	f.Add(snap.Recrc(corrupt))
+
+	// A workload checkpoint: two sections in the state, as
+	// sim.Checkpoint.Encode writes them.
+	cp := &sim.Checkpoint{Workload: "wl", KernelIndex: 1, Cycle: 77, State: []byte("kernel state"), Agg: []byte("agg")}
+	ckpt, err := cp.Encode("ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sn, err := Decode(data) // must never panic
+		data = bytes.Clone(data)     // the engine's bytes are not ours to overwrite
+		sn, err := snap.Decode(data) // must never panic
+		cp, cperr := sim.DecodeCheckpoint(data)
 		if err != nil {
+			if cperr == nil {
+				t.Fatal("DecodeCheckpoint accepted a container Decode rejects")
+			}
 			return
 		}
 		if verr := sn.Validate(); verr != nil {
@@ -49,13 +70,37 @@ func FuzzSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded snapshot failed: %v", err)
 		}
-		again, err := Decode(re)
+		var cpRe, cpState, cpAgg []byte
+		if cperr == nil {
+			if cpRe, err = cp.Encode(sn.Key); err != nil {
+				t.Fatalf("re-encode of decoded checkpoint failed: %v", err)
+			}
+			cpState, cpAgg = bytes.Clone(cp.State), bytes.Clone(cp.Agg)
+		}
+		want := *sn
+		want.State = bytes.Clone(sn.State)
+		// From here on the views are stale, as they are for a caller that
+		// reuses its buffer: only copies may be looked at.
+		for i := range data {
+			data[i] ^= 0xa5
+		}
+		again, err := snap.Decode(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if again.Kind != sn.Kind || again.Key != sn.Key || again.Workload != sn.Workload ||
-			again.KernelIndex != sn.KernelIndex || again.Cycle != sn.Cycle || !bytes.Equal(again.State, sn.State) {
+		if again.Kind != want.Kind || again.Key != want.Key || again.Workload != want.Workload ||
+			again.KernelIndex != want.KernelIndex || again.Cycle != want.Cycle || !bytes.Equal(again.State, want.State) {
 			t.Fatal("decode/encode/decode not a fixed point")
+		}
+		if cperr == nil {
+			cp2, err := sim.DecodeCheckpoint(cpRe)
+			if err != nil {
+				t.Fatalf("re-decode of checkpoint failed: %v", err)
+			}
+			if cp2.Workload != want.Workload || cp2.KernelIndex != want.KernelIndex || cp2.Cycle != want.Cycle ||
+				!bytes.Equal(cp2.State, cpState) || !bytes.Equal(cp2.Agg, cpAgg) {
+				t.Fatal("checkpoint decode/encode/decode not a fixed point")
+			}
 		}
 	})
 }

@@ -33,6 +33,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 )
 
 const (
@@ -124,10 +125,42 @@ func (s *Snapshot) Validate() error {
 
 // Encode serialises the snapshot, including the trailing CRC.
 func (s *Snapshot) Encode() ([]byte, error) {
+	w, err := s.open(len(s.State))
+	if err != nil {
+		return nil, err
+	}
+	w.buf = append(w.buf, s.State...)
+	return w.seal(), nil
+}
+
+// EncodeSections is Encode with the given sections, each length-prefixed
+// as Writer.Bytes writes it, as the state in place of s.State: a state
+// made of parts reaches its container without being joined first.
+func (s *Snapshot) EncodeSections(sections ...[]byte) ([]byte, error) {
+	n := 0
+	for _, sec := range sections {
+		n += (bits.Len(uint(len(sec))|1)+6)/7 + len(sec)
+	}
+	w, err := s.open(n)
+	if err != nil {
+		return nil, err
+	}
+	for _, sec := range sections {
+		w.Bytes(sec)
+	}
+	return w.seal(), nil
+}
+
+// open starts a container sized for a state of stateLen bytes and writes
+// everything in front of the state's first byte.
+func (s *Snapshot) open(stateLen int) (*Writer, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w := NewWriterSize(len(Magic) + len(s.Key) + len(s.Workload) + len(s.State) + 7*binary.MaxVarintLen64 + 4)
+	if stateLen > maxState {
+		return nil, fmt.Errorf("snap: state too large (%d bytes)", stateLen)
+	}
+	w := NewWriterSize(len(Magic) + len(s.Key) + len(s.Workload) + stateLen + 7*binary.MaxVarintLen64 + 4)
 	w.buf = append(w.buf, Magic...)
 	w.Uvarint(Version)
 	w.Uvarint(uint64(s.Kind))
@@ -135,15 +168,21 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	w.String(s.Workload)
 	w.Uvarint(uint64(s.KernelIndex))
 	w.Varint(s.Cycle)
-	w.Bytes(s.State)
-	sum := crc32.ChecksumIEEE(w.buf)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, sum)
-	return w.buf, nil
+	w.Uvarint(uint64(stateLen))
+	return w, nil
+}
+
+// seal appends the CRC of everything written and returns the container.
+func (w *Writer) seal() []byte {
+	return binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf))
 }
 
 // Decode parses a poisesnap container, transparently decompressing
 // gzip input. It never panics on malformed input, and every snapshot
-// it returns passes Validate.
+// it returns passes Validate. The snapshot's State is a view of data
+// (of the decompressed bytes when data is gzip), checked against the
+// CRC as it stood: the caller keeps data unchanged for as long as it
+// uses the snapshot, or clones State.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
 		zr, err := gzip.NewReader(bytes.NewReader(data))
@@ -179,7 +218,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.Workload = r.LimitedString(maxString)
 	s.KernelIndex = int(r.Uvarint())
 	s.Cycle = r.Varint()
-	s.State = r.LimitedBytes(maxState)
+	s.State = r.LimitedView(maxState)
 	if r.Len() != 0 && r.Err() == nil {
 		return nil, fmt.Errorf("snap: %d trailing bytes", r.Len())
 	}
@@ -196,7 +235,6 @@ func Decode(data []byte) (*Snapshot, error) {
 // value is not usable; construct with NewWriter.
 type Writer struct {
 	buf []byte
-	tmp [binary.MaxVarintLen64]byte
 }
 
 // NewWriter returns an empty writer.
@@ -210,17 +248,19 @@ func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 // Data returns the accumulated payload.
 func (w *Writer) Data() []byte { return w.buf }
 
-// Uvarint appends an unsigned varint.
+// Uvarint appends an unsigned varint. It inlines, loop and all: a codec
+// with a long loop appends through a local copy of the Writer, which
+// the compiler keeps in registers, and stores it back at the end.
 func (w *Writer) Uvarint(v uint64) {
-	n := binary.PutUvarint(w.tmp[:], v)
-	w.buf = append(w.buf, w.tmp[:n]...)
+	b := w.buf
+	for ; v >= 0x80; v >>= 7 {
+		b = append(b, byte(v)|0x80)
+	}
+	w.buf = append(b, byte(v))
 }
 
 // Varint appends a zigzag-encoded signed varint.
-func (w *Writer) Varint(v int64) {
-	n := binary.PutVarint(w.tmp[:], v)
-	w.buf = append(w.buf, w.tmp[:n]...)
-}
+func (w *Writer) Varint(v int64) { w.Uvarint(uint64(v<<1) ^ uint64(v>>63)) }
 
 // Bool appends a boolean as one byte.
 func (w *Writer) Bool(v bool) {
@@ -253,6 +293,7 @@ func (w *Writer) String(s string) {
 // on malformed input.
 type Reader struct {
 	buf []byte
+	off int // buf[off:] is unread; nothing is, once poisoned
 	err error
 }
 
@@ -263,58 +304,52 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 func (r *Reader) Err() error { return r.err }
 
 // Len returns the unread byte count.
-func (r *Reader) Len() int { return len(r.buf) }
+func (r *Reader) Len() int { return len(r.buf) - r.off }
 
+// fail poisons the reader. It leaves nothing unread, so that no read
+// has to look at err first: each finds the payload exhausted and fails.
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("snap: "+format, args...)
 	}
+	r.off = len(r.buf)
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint: binary.Uvarint's loop and checks,
+// on the reader's own cursor.
 func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
+	b, at := r.buf, r.off
+	var v uint64
+	for shift := uint(0); at < len(b) && shift < 64; shift += 7 {
+		x := b[at]
+		at++
+		if x < 0x80 {
+			if shift == 63 && x > 1 {
+				break // overflows 64 bits
+			}
+			r.off = at
+			return v | uint64(x)<<shift
+		}
+		v |= uint64(x&0x7f) << shift
 	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("corrupt uvarint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
+	r.fail("corrupt uvarint")
+	return 0
 }
 
 // Varint reads a zigzag-encoded signed varint.
 func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail("corrupt varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Bool reads a boolean byte (anything but 0 or 1 is corrupt).
 func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
+	if r.off < len(r.buf) && r.buf[r.off] <= 1 {
+		r.off++
+		return r.buf[r.off-1] == 1
 	}
-	if len(r.buf) == 0 {
-		r.fail("truncated bool")
-		return false
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	if b > 1 {
-		r.fail("corrupt bool %d", b)
-		return false
-	}
-	return b == 1
+	r.fail("truncated or corrupt bool")
+	return false
 }
 
 // Float64 reads IEEE-754 bits written by Writer.Float64.
@@ -336,42 +371,25 @@ func (r *Reader) Int() int {
 // could possibly hold (each element is at least one byte).
 func (r *Reader) Count(limit int) int {
 	v := r.Uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(limit) || v > uint64(len(r.buf)) {
-		r.fail("count %d out of range (limit %d, %d bytes left)", v, limit, len(r.buf))
+	if v > uint64(limit) || v > uint64(r.Len()) {
+		r.fail("count %d out of range (limit %d, %d bytes left)", v, limit, r.Len())
 		return 0
 	}
 	return int(v)
 }
 
-// LimitedBytes reads a length-prefixed byte slice of at most limit
-// bytes, copying out of the underlying buffer.
-func (r *Reader) LimitedBytes(limit int) []byte {
-	return bytes.Clone(r.LimitedView(limit))
-}
-
-// LimitedView is LimitedBytes without the copy: the result shares the
-// memory of the payload the reader was built on, so it is for callers
-// that own that payload and keep it unchanged while the view is in use.
+// LimitedView reads a length-prefixed byte slice of at most limit
+// bytes. The result shares the memory of the payload the reader was
+// built on, so it is for callers that own that payload and keep it
+// unchanged while the view is in use.
 func (r *Reader) LimitedView(limit int) []byte {
 	n := r.Count(limit)
-	if r.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
-	out := r.buf[:n:n]
-	r.buf = r.buf[n:]
-	return out
+	r.off += n
+	return r.buf[r.off-n : r.off : r.off]
 }
 
 // LimitedString reads a length-prefixed string of at most limit bytes.
-func (r *Reader) LimitedString(limit int) string {
-	n := r.Count(limit)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
+func (r *Reader) LimitedString(limit int) string { return string(r.LimitedView(limit)) }

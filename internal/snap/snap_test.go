@@ -3,10 +3,12 @@ package snap
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io/fs"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -138,7 +140,7 @@ func TestWriterReaderPrimitives(t *testing.T) {
 	if got := r.Float64(); got != 0.1 {
 		t.Fatalf("float: %v", got)
 	}
-	if got := r.LimitedBytes(16); !bytes.Equal(got, []byte{1, 2, 3}) {
+	if got := r.LimitedView(16); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("bytes: %v", got)
 	}
 	if got := r.LimitedString(16); got != "hé" {
@@ -227,11 +229,10 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLimitedViewSharesBytesCopies: LimitedBytes hands out a copy, a
-// view shares the payload (and cannot be appended into the bytes after
-// it); both obey the limit, and a sized writer that is outgrown still
-// holds everything written.
-func TestLimitedViewSharesBytesCopies(t *testing.T) {
+// TestLimitedViewSharesThePayload: a view shares the payload (and cannot
+// be appended into the bytes after it) and obeys the limit, and a sized
+// writer that is outgrown still holds everything written.
+func TestLimitedViewSharesThePayload(t *testing.T) {
 	w := NewWriterSize(4)
 	w.Bytes([]byte{1, 2, 3})
 	w.Bytes([]byte{4, 5, 6})
@@ -239,10 +240,10 @@ func TestLimitedViewSharesBytesCopies(t *testing.T) {
 	payload := w.Data()
 
 	r := NewReader(payload)
-	copied, view := r.LimitedBytes(3), r.LimitedView(3)
+	copied, view := bytes.Clone(r.LimitedView(3)), r.LimitedView(3)
 	payload[2], payload[6] = 9, 9 // the middle byte of each field
 	if !bytes.Equal(copied, []byte{1, 2, 3}) {
-		t.Fatalf("LimitedBytes follows the payload: %v", copied)
+		t.Fatalf("a clone of a view follows the payload: %v", copied)
 	}
 	if !bytes.Equal(view, []byte{4, 9, 6}) {
 		t.Fatalf("LimitedView does not share the payload: %v", view)
@@ -258,5 +259,81 @@ func TestLimitedViewSharesBytesCopies(t *testing.T) {
 	r.LimitedView(3)
 	if got := r.LimitedView(100); len(got) != 100 || r.Err() != nil || r.Len() != 0 {
 		t.Fatalf("last field: %d bytes, err %v, %d left", len(got), r.Err(), r.Len())
+	}
+}
+
+// TestVarintsMatchEncodingBinary: Writer and Reader carry their own
+// varint loops; over boundary values and random ones they must write
+// the bytes encoding/binary writes, read what it reads, consume what it
+// consumes and reject what it rejects (truncated, longer than ten
+// bytes, a tenth byte above 1).
+func TestVarintsMatchEncodingBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	vals := []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1<<63 - 1, 1 << 63, math.MaxUint64}
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	for _, v := range vals {
+		w := NewWriter()
+		w.Uvarint(v)
+		w.Varint(int64(v))
+		want := binary.AppendVarint(binary.AppendUvarint(nil, v), int64(v))
+		if !bytes.Equal(w.Data(), want) {
+			t.Fatalf("%#x: wrote % x, encoding/binary writes % x", v, w.Data(), want)
+		}
+		r := NewReader(w.Data())
+		if u, s := r.Uvarint(), r.Varint(); u != v || s != int64(v) || r.Err() != nil || r.Len() != 0 {
+			t.Fatalf("%#x: read back %#x and %#x, err %v, %d left", v, u, s, r.Err(), r.Len())
+		}
+	}
+	hostile := [][]byte{
+		{}, {0x80}, {0xff, 0xff}, // truncated
+		{0x80, 0x00}, {0x81, 0x80, 0x00}, // not minimal: accepted, as encoding/binary does
+		bytes.Repeat([]byte{0xff}, 9), // nine continuation bytes and no end
+		append(bytes.Repeat([]byte{0xff}, 9), 0x01),
+		append(bytes.Repeat([]byte{0xff}, 9), 0x02),       // the tenth byte overflows
+		append(bytes.Repeat([]byte{0x80}, 10), 0x01),      // eleven bytes
+		append(bytes.Repeat([]byte{0xff}, 9), 0x81, 0x00), // a continuation bit on the tenth
+	}
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, rng.Intn(12))
+		for j := range b {
+			b[j] = byte(rng.Intn(256)) | byte(rng.Intn(2))<<7
+		}
+		hostile = append(hostile, b)
+	}
+	for _, in := range hostile {
+		want, n := binary.Uvarint(in)
+		r := NewReader(in)
+		got := r.Uvarint()
+		switch {
+		case n <= 0 && (r.Err() == nil || got != 0 || r.Len() != 0):
+			t.Fatalf("% x: encoding/binary rejects it; read %#x, err %v, %d left", in, got, r.Err(), r.Len())
+		case n > 0 && (r.Err() != nil || got != want || r.Len() != len(in)-n):
+			t.Fatalf("% x: read %#x with %d left (err %v), encoding/binary reads %#x with %d left", in, got, r.Len(), r.Err(), want, len(in)-n)
+		}
+	}
+}
+
+// TestEncodeSectionsEqualsJoinedState: a container built from sections
+// is byte-identical to one built from the same sections joined by hand.
+func TestEncodeSectionsEqualsJoinedState(t *testing.T) {
+	sections := [][]byte{nil, {1}, bytes.Repeat([]byte{7}, 127), bytes.Repeat([]byte{8}, 128), bytes.Repeat([]byte{9}, 20000)}
+	for n := 0; n <= len(sections); n++ {
+		w := NewWriter()
+		for _, sec := range sections[:n] {
+			w.Bytes(sec)
+		}
+		sn := sampleSnapshot()
+		sn.State = w.Data()
+		want, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn.State = nil
+		got, err := sn.EncodeSections(sections[:n]...)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d sections: err %v, %d bytes against %d joined", n, err, len(got), len(want))
+		}
 	}
 }

@@ -208,16 +208,20 @@ func characteriseKernel(v kernelView, opts CharacteriseOptions) kernelSig {
 
 	// Per-warp footprint over the full recorded streams (cheap: one set
 	// insert per access).
-	distinct := map[uint64]struct{}{}
+	var distinct distinctSet
 	var footSum int
 	for g := 0; g < total; g++ {
-		clear(distinct)
+		room := 0
+		for _, s := range loads {
+			room += len(v.stream(s, g))
+		}
+		distinct.reset(room)
 		for _, s := range loads {
 			for _, addr := range v.stream(s, g) {
-				distinct[addr/trace.LineBytes] = struct{}{}
+				distinct.add(addr / trace.LineBytes)
 			}
 		}
-		footSum += len(distinct)
+		footSum += distinct.n
 	}
 	ks.footprint = float64(footSum) / float64(total)
 

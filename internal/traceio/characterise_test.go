@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"poise/internal/sim"
@@ -127,4 +128,28 @@ func noNaN(s Signature) bool {
 		}
 	}
 	return true
+}
+
+// TestDistinctSetCountsWhatAMapCounts: the open-addressing set that
+// footprints are counted on, reused from one stream to the next as the
+// ingest path reuses it (streams of any length in any order, values that
+// collide, zero among them), counts what the map it replaced counts.
+func TestDistinctSetCountsWhatAMapCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var set distinctSet
+	for round := 0; round < 400; round++ {
+		n := rng.Intn(1 << uint(rng.Intn(12)))
+		span := uint64(1 + rng.Intn(4*n+1)) // few distinct values up to nearly all
+		stride := uint64(1) << uint(rng.Intn(40))
+		want := map[uint64]struct{}{}
+		set.reset(n)
+		for i := 0; i < n; i++ {
+			v := (rng.Uint64() % span) * stride
+			want[v] = struct{}{}
+			set.add(v)
+		}
+		if set.n != len(want) {
+			t.Fatalf("round %d: %d values over %d x %d: the set counts %d, a map %d", round, n, span, stride, set.n, len(want))
+		}
+	}
 }
