@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"poise/internal/experiments"
@@ -14,20 +13,19 @@ import (
 	"poise/internal/trace"
 )
 
-// The fleet service flow for poisebench: the coordinator serves the
-// same plans the file-based -emit-plan/-shard/-merge-shards flow
-// ships, but over HTTP to long-lived workers, with crash recovery
-// (lease expiry), load rebalancing (work stealing) and the merged
-// results landing directly in -cache — so the follow-up
-// `poisebench -run ...` assembles its figures without re-simulating:
+// The fleet service flow for poisebench, the one way to spread its work
+// across processes: the coordinator serves a campaign over HTTP to
+// long-lived workers, with crash recovery (lease expiry), load
+// rebalancing (work stealing) and the merged results landing directly
+// in -cache — so the follow-up `poisebench -run ...` assembles its
+// figures without re-simulating:
 //
 //	poisebench -run all -cache c -serve :9444      # profile sweeps
 //	poisebench -run fig7 -cache c -serve :9444     # one experiment grid
 //	poisebench -worker http://HOST:9444 -cache c   # terminal 2..N
 //
-// With -prune -run all the coordinator drives the whole refinement
-// loop as one campaign, publishing each round's plan as the next
-// generation instead of requiring the emit/shard/merge round-trip.
+// -run all serves the refinement of every evaluation kernel's sweep as
+// one campaign, each round's plan published as the next generation.
 
 // benchFleetFlags carries the -serve/-worker flags plus the flags they
 // constrain, so the combination rules live in one testable function.
@@ -41,9 +39,6 @@ type benchFleetFlags struct {
 	run      string
 	cacheDir string
 	emitPlan string
-	shard    string
-	merge    bool
-	prune    bool
 }
 
 // validateBenchFleetFlags rejects inconsistent combinations before
@@ -54,8 +49,8 @@ func validateBenchFleetFlags(f benchFleetFlags) error {
 		return fmt.Errorf("fleet mode needs -serve or -worker")
 	case f.serve != "" && f.worker != "":
 		return fmt.Errorf("-serve and -worker are mutually exclusive")
-	case f.emitPlan != "" || f.shard != "" || f.merge:
-		return fmt.Errorf("-serve/-worker cannot combine with the file-based -emit-plan/-shard/-merge-shards flow")
+	case f.emitPlan != "":
+		return fmt.Errorf("-emit-plan cannot combine with -serve/-worker (the coordinator publishes plans itself)")
 	case f.leaseTasks < 0:
 		return fmt.Errorf("-lease-tasks must be positive")
 	case f.leaseTTL < 0:
@@ -68,21 +63,12 @@ func validateBenchFleetFlags(f benchFleetFlags) error {
 		return nil
 	}
 	// Coordinator: merged results land in the cache, and -run selects
-	// the campaign exactly as it selects the file-based plan kind.
+	// the campaign exactly as it selects -emit-plan's plan kind.
 	if f.cacheDir == "" {
 		return fmt.Errorf("-serve needs -cache for the merged output")
 	}
-	run := strings.TrimSpace(strings.ToLower(f.run))
-	if run != "all" {
-		if strings.Contains(run, ",") {
-			return fmt.Errorf("-serve takes a single experiment in -run, got %q", f.run)
-		}
-		if _, ok := gridForExp[run]; !ok {
-			return fmt.Errorf("experiment %q is not grid-backed; use -run all for profile sweeps, or one of: %s",
-				run, gridBackedNames())
-		}
-	}
-	return nil
+	_, err := gridOfRun(f.run)
+	return err
 }
 
 // runFleetMode dispatches poisebench's -serve/-worker modes.
@@ -98,8 +84,7 @@ func runFleetMode(ctx context.Context, h *experiments.Harness, f benchFleetFlags
 
 // runFleetServe builds the campaign -run selects, serves it to
 // completion, and saves the merged results into the harness's own
-// cache stores — the same directories the file-based merge writes, so
-// figure assembly loads them identically.
+// cache stores, where figure assembly loads them like its own.
 func runFleetServe(ctx context.Context, h *experiments.Harness, f benchFleetFlags) error {
 	camp, save, err := benchCampaign(h, f)
 	if err != nil {
@@ -122,12 +107,14 @@ func runFleetServe(ctx context.Context, h *experiments.Harness, f benchFleetFlag
 	return save(res)
 }
 
-// benchCampaign maps -run (and -prune) to a fleet campaign plus its
-// save step: the evaluation profile sweep, the staged refinement loop,
-// or one experiment's cell grid.
+// benchCampaign maps -run to a fleet campaign plus its save step: one
+// experiment's cell grid, or the refinement of the evaluation sweeps.
 func benchCampaign(h *experiments.Harness, f benchFleetFlags) (fleet.Campaign, func([]fleet.Result) error, error) {
-	run := strings.TrimSpace(strings.ToLower(f.run))
-	if grid, ok := gridForExp[run]; ok {
+	grid, err := gridOfRun(f.run)
+	if err != nil {
+		return nil, nil, err
+	}
+	if grid != "" {
 		plan, err := h.CellPlan(grid)
 		if err != nil {
 			return nil, nil, err
@@ -146,36 +133,20 @@ func benchCampaign(h *experiments.Harness, f benchFleetFlags) (fleet.Campaign, f
 		}
 		return fleet.CellCampaign{Plan: plan}, save, nil
 	}
-	if f.prune {
-		camp, err := fleet.NewRefineCampaign(h.Cfg, evalKernelList(h), h.ProfileTags(),
-			h.EvalSweepOptions(), h.ProfileStore())
-		if err != nil {
-			return nil, nil, err
-		}
-		save := func([]fleet.Result) error {
-			names, err := camp.SaveTo(h.ProfileStore())
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fleet: assembled %d pruned profiles into the cache\n", len(names))
-			return nil
-		}
-		return camp, save, nil
-	}
-	plan, err := h.EvalPlan()
+	camp, err := fleet.NewRefineCampaign(h.Cfg, evalKernelList(h), h.ProfileTags(),
+		h.EvalSweepOptions(), h.ProfileStore())
 	if err != nil {
 		return nil, nil, err
 	}
-	plan.Sort()
-	save := func(res []fleet.Result) error {
-		names, err := fleet.SaveProfiles(h.ProfileStore(), res)
+	save := func([]fleet.Result) error {
+		names, err := camp.SaveTo(h.ProfileStore())
 		if err != nil {
 			return err
 		}
-		fmt.Printf("fleet: merged %d kernel profiles into the cache\n", len(names))
+		fmt.Printf("fleet: assembled %d refined profiles into the cache\n", len(names))
 		return nil
 	}
-	return fleet.ProfileCampaign{Plan: plan}, save, nil
+	return camp, save, nil
 }
 
 // runFleetWorker serves leases from the coordinator with both

@@ -7,8 +7,9 @@ import (
 )
 
 // TestValidateBenchFleetFlags: the -serve/-worker combination rules —
-// bad mixes with the file-based flow, bad -run selections and missing
-// -cache must all fail fast with a message naming the offending flag.
+// a mix with -emit-plan, bad -run selections (gridOfRun, which
+// -emit-plan shares) and missing -cache must all fail fast with a
+// message naming the offending flag.
 func TestValidateBenchFleetFlags(t *testing.T) {
 	serve := func(mut func(*benchFleetFlags)) benchFleetFlags {
 		f := benchFleetFlags{serve: ":0", run: "all", cacheDir: "c"}
@@ -30,7 +31,6 @@ func TestValidateBenchFleetFlags(t *testing.T) {
 		wantErr string // "" = must pass
 	}{
 		{"serve profile sweeps", serve(nil), ""},
-		{"serve refinement", serve(func(f *benchFleetFlags) { f.prune = true }), ""},
 		{"serve one grid experiment", serve(func(f *benchFleetFlags) { f.run = "fig7" }), ""},
 		{"serve grid experiment, mixed case", serve(func(f *benchFleetFlags) { f.run = " Fig16 " }), ""},
 		{"serve with lease knobs", serve(func(f *benchFleetFlags) { f.leaseTasks = 4; f.leaseTTL = time.Minute }), ""},
@@ -39,9 +39,7 @@ func TestValidateBenchFleetFlags(t *testing.T) {
 
 		{"neither serve nor worker", benchFleetFlags{run: "all"}, "-serve or -worker"},
 		{"both serve and worker", benchFleetFlags{serve: ":0", worker: "http://h", run: "all", cacheDir: "c"}, "mutually exclusive"},
-		{"serve with emit-plan", serve(func(f *benchFleetFlags) { f.emitPlan = "p.jsonl" }), "file-based"},
-		{"worker with shard", worker(func(f *benchFleetFlags) { f.shard = "0/2" }), "file-based"},
-		{"serve with merge-shards", serve(func(f *benchFleetFlags) { f.merge = true }), "file-based"},
+		{"serve with emit-plan", serve(func(f *benchFleetFlags) { f.emitPlan = "p.jsonl" }), "-emit-plan"},
 		{"serve without cache", serve(func(f *benchFleetFlags) { f.cacheDir = "" }), "-cache"},
 		{"serve with experiment list", serve(func(f *benchFleetFlags) { f.run = "fig7,fig11" }), "single experiment"},
 		{"serve with non-grid experiment", serve(func(f *benchFleetFlags) { f.run = "fig4" }), "not grid-backed"},

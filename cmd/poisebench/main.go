@@ -19,38 +19,30 @@
 // appends them to the evaluation set, so profile sweeps and the
 // figure/table experiments run over real traces unchanged.
 //
-// Sharded campaigns (-emit-plan / -shard i/N / -merge-shards) cover
-// both plan kinds. With -run all they split the profile sweeps (the
-// PR-3 flow); with -run naming one grid-backed experiment they split
-// that experiment's workload x scheme cell grid:
+// Profile sweeps run the adaptive refinement: a fraction of each {N,p}
+// grid is simulated while the Static-Best, SWL and Eq. 12 scored tuples
+// — all any table reads — are exactly the whole grid's; the other grid
+// points are not carried. Fig. 2 and Fig. 17, which draw the whole
+// space, sweep their one kernel exhaustively. The run ends with the
+// books: `[sweeps: S of G grid points, R rounds, K kernels escalated to
+// the full grid]`.
 //
-//	poisebench -run fig7 -cache c -emit-plan cells.jsonl   # document/ship
-//	poisebench -run fig7 -cache c -shard 0/2               # worker 0
-//	poisebench -run fig7 -cache c -shard 1/2               # worker 1
-//	poisebench -run fig7 -cache c -merge-shards            # coordinator
-//	poisebench -run fig7 -cache c                          # loads merged cells
-//
-// Merging any shard split is reflect.DeepEqual-identical to the
-// in-process grid, so the final tables are byte-identical to an
-// unsharded run with the cache disabled (CI asserts exactly that).
-//
-// The fleet service mode serves the same campaigns over HTTP instead
-// of files — one coordinator (-serve), any number of long-lived
-// workers (-worker), crash recovery via lease expiry, work stealing
-// for stragglers, and merged results landing directly in -cache:
+// Splitting a campaign across processes is the fleet service — one
+// coordinator (-serve), any number of long-lived workers (-worker),
+// crash recovery via lease expiry, work stealing for stragglers, and
+// merged results landing directly in -cache. -run all serves the
+// profile sweeps' refinement, -run naming one grid-backed experiment
+// serves that experiment's workload x scheme cell grid:
 //
 //	poisebench -run fig7 -cache c -serve :9444     # coordinator
 //	poisebench -worker http://host:9444 -cache c   # terminal 2..N
 //	poisebench -run fig7 -cache c                  # loads merged cells
 //
-// -prune switches every profile sweep to adaptive coarse-to-fine
-// refinement: a fraction of each {N,p} grid is simulated while the
-// Static-Best, SWL and scored tuples — all any experiment consumes —
-// match the exhaustive sweep. Combined with the three sharding flags
-// and -run all, the sweep campaign proceeds in refinement rounds
-// (emit, shard, merge, repeat until "refinement complete"); pruned
-// profiles cache under their own tag, so pruned and exhaustive
-// campaigns never mix.
+// Merging any split is reflect.DeepEqual-identical to the in-process
+// run, so the final tables are byte-identical to an unsplit run with
+// the cache disabled. -emit-plan writes the plan a coordinator would
+// serve (the whole profile grid, or the cell grid) as a JSONL file, for
+// `poisesim -serve -plan`.
 package main
 
 import (
@@ -98,28 +90,17 @@ func main() {
 		size     = flag.String("size", "small", "workload size: small | medium | large")
 		cacheDir = flag.String("cache", ".poise-cache", "profile cache directory ('' disables)")
 		seeds    = flag.Int("seeds", 3, "random-restart seeds (paper uses 20)")
-		prune    = flag.Bool("prune", false, "adaptive coarse-to-fine profile sweeps: simulate a fraction of each {N,p} grid while selecting the same Static-Best/SWL/scored tuples (with -emit-plan/-shard/-merge-shards and -run all, drives the sweep campaign in refinement rounds)")
 		snapDir  = flag.String("snapshot-dir", "", "kernel-boundary snapshot directory, the on-disk second tier of the run memo: a tuple-pinned grid cell no earlier run answers whole resumes at the first kernel where it diverges from a run that left a snapshot here, in this process or an earlier one (results are bit-identical either way; '' = memory only)")
 		parallel = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 		seed     = flag.Int64("seed", 0, "experiment seed (perturbs workload jitter and random-restart; 0 = canonical)")
 		listExp  = flag.Bool("listexp", false, "list experiments and exit")
 		tracePth = flag.String("trace", "", "ingest trace workloads (a .ptrace/.ptrace.gz/.trace file or a directory) into the evaluation set")
 
-		// Sharded campaign flow. With -run all (the default) the three
-		// flags drive the profile-sweep plan; with -run naming one
-		// grid-backed experiment (fig7, fig11, fig12, fig13, fig15,
-		// fig16, tableiii) they drive that experiment's workload x
-		// scheme cell grid instead: -emit-plan documents/ships the plan;
-		// -shard i/N runs this process's slice and persists partials in
-		// -cache; -merge-shards folds the partials into the cache, after
-		// which normal runs load them instead of simulating.
-		emitPlan = flag.String("emit-plan", "", "write the profile sweep plan (-run all) or one experiment's cell grid plan (-run <exp>) as JSONL to this file and exit")
-		shardStr = flag.String("shard", "", "run shard i/N of the profile sweeps or of -run's experiment grid, persist partials in -cache, and exit (format \"i/N\")")
-		mergeSh  = flag.Bool("merge-shards", false, "merge shard partials in -cache into full cached profiles (-run all) or merged experiment cells (-run <exp>) and exit")
+		emitPlan = flag.String("emit-plan", "", "write the whole profile sweep grid (-run all) or one experiment's cell grid plan (-run <exp>) as JSONL to this file, for poisesim -serve -plan, and exit")
 
 		// Fleet coordinator/worker service (package fleet): the same
 		// campaigns over HTTP, with crash recovery and work stealing.
-		serveAddr = flag.String("serve", "", "run the fleet coordinator on this listen address, serving -run's campaign (profile sweeps, -prune refinement rounds, or one experiment grid) and merging results into -cache")
+		serveAddr = flag.String("serve", "", "run the fleet coordinator on this listen address, serving -run's campaign (the profile sweeps' refinement rounds, or one experiment grid) and merging results into -cache")
 		workerURL = flag.String("worker", "", "run a fleet worker pulling task leases from the coordinator at this base URL")
 		leaseN    = flag.Int("lease-tasks", 0, "-serve: tasks per lease batch (0 = default)")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "-serve: lease expiry deadline, renewed on each completed task (0 = default)")
@@ -172,16 +153,7 @@ func main() {
 		Seed:           *seed,
 		Ctx:            ctx,
 		ExtraWorkloads: extra,
-		Prune:          *prune,
 		SnapshotDir:    *snapDir,
-	}
-	if *shardStr != "" {
-		i, n, err := gridplan.ParseShard(*shardStr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "poisebench:", err)
-			os.Exit(1)
-		}
-		opt.ShardIndex, opt.ShardCount = i, n
 	}
 	h := experiments.NewHarness(opt)
 	if err := h.SnapshotErr(); err != nil {
@@ -193,9 +165,7 @@ func main() {
 		err := runFleetMode(ctx, h, benchFleetFlags{
 			serve: *serveAddr, worker: *workerURL,
 			leaseTasks: *leaseN, leaseTTL: *leaseTTL,
-			run: *run, cacheDir: *cacheDir,
-			emitPlan: *emitPlan, shard: *shardStr, merge: *mergeSh,
-			prune: *prune,
+			run: *run, cacheDir: *cacheDir, emitPlan: *emitPlan,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "poisebench:", err)
@@ -204,8 +174,8 @@ func main() {
 		return
 	}
 
-	if *emitPlan != "" || *shardStr != "" || *mergeSh {
-		if err := runShardMode(h, *run, *emitPlan, *shardStr, *mergeSh); err != nil {
+	if *emitPlan != "" {
+		if err := runEmitPlan(h, *run, *emitPlan); err != nil {
 			fmt.Fprintln(os.Stderr, "poisebench:", err)
 			os.Exit(1)
 		}
@@ -241,6 +211,9 @@ func main() {
 	m := h.RunMemo()
 	fmt.Printf("[run memo: %d reused, %d simulated, %d cycles not re-simulated; snapshots: %d hits, %d misses]\n",
 		m.Reused.Load(), m.Simulated.Load(), m.CyclesSaved.Load(), m.SnapshotHits.Load(), m.SnapshotMisses.Load())
+	st, escalated := h.SweepBooks()
+	fmt.Printf("[sweeps: %d of %d grid points, %d rounds, %d kernels escalated to the full grid]\n",
+		st.Simulated, st.GridPoints, st.Rounds, escalated)
 }
 
 func runTableIII(h *experiments.Harness) error {
@@ -520,126 +493,58 @@ func gridBackedNames() string {
 	return strings.Join(names, ", ")
 }
 
-// runShardMode executes the sharded-campaign subcommands. Exactly one
-// of the three is active per invocation (emit, then shard workers,
-// then merge — each typically a separate process); -run selects the
-// profile-sweep plan ("all") or one experiment's cell grid.
-func runShardMode(h *experiments.Harness, run, emitPlan, shard string, merge bool) error {
+// gridOfRun maps -run to the campaign the fleet and -emit-plan modes
+// cover: "" for "all" (the profile sweeps), or the cell grid of the one
+// grid-backed experiment it names.
+func gridOfRun(run string) (string, error) {
 	run = strings.TrimSpace(strings.ToLower(run))
-	grid := ""
-	if run != "all" {
-		if strings.Contains(run, ",") {
-			return fmt.Errorf("-emit-plan/-shard/-merge-shards take a single experiment in -run, got %q", run)
-		}
-		var ok bool
-		if grid, ok = gridForExp[run]; !ok {
-			return fmt.Errorf("experiment %q is not grid-backed; use -run all for profile sweeps, or one of: %s",
-				run, gridBackedNames())
-		}
+	if run == "all" {
+		return "", nil
 	}
-	switch {
-	case emitPlan != "":
-		if grid != "" {
-			plan, err := h.CellPlan(grid)
-			if err != nil {
-				return err
-			}
-			if len(plan.Cells) == 0 {
-				return fmt.Errorf("grid %s enumerated no cells", grid)
-			}
-			plan.Sort()
-			if err := gridplan.WriteCellPlanFile(emitPlan, plan); err != nil {
-				return err
-			}
-			fmt.Printf("cell plan %s: %d cells of grid %s (tag %s)\n",
-				emitPlan, len(plan.Cells), grid, plan.Cells[0].Tag)
-			return nil
-		}
-		if h.Opt.Prune {
-			plan, done, err := h.RefinePlan()
-			if err != nil {
-				return err
-			}
-			if done {
-				fmt.Println("refinement complete: merged profiles are in the cache")
-				return nil
-			}
-			plan.Sort()
-			if err := gridplan.WritePlanFile(emitPlan, plan); err != nil {
-				return err
-			}
-			fmt.Printf("refine round plan %s: %d tasks over %d kernels\n",
-				emitPlan, len(plan.Tasks), len(plan.Kernels()))
-			return nil
-		}
-		plan, err := h.EvalPlan()
+	if strings.Contains(run, ",") {
+		return "", fmt.Errorf("-serve and -emit-plan take a single experiment in -run, got %q", run)
+	}
+	grid, ok := gridForExp[run]
+	if !ok {
+		return "", fmt.Errorf("experiment %q is not grid-backed; use -run all for profile sweeps, or one of: %s",
+			run, gridBackedNames())
+	}
+	return grid, nil
+}
+
+// runEmitPlan writes the plan -run selects — one experiment's cell
+// grid, or the whole profile sweep grid — as the JSONL file a fleet
+// coordinator serves.
+func runEmitPlan(h *experiments.Harness, run, path string) error {
+	grid, err := gridOfRun(run)
+	if err != nil {
+		return err
+	}
+	if grid != "" {
+		plan, err := h.CellPlan(grid)
 		if err != nil {
 			return err
+		}
+		if len(plan.Cells) == 0 {
+			return fmt.Errorf("grid %s enumerated no cells", grid)
 		}
 		plan.Sort()
-		if err := gridplan.WritePlanFile(emitPlan, plan); err != nil {
+		if err := gridplan.WriteCellPlanFile(path, plan); err != nil {
 			return err
 		}
-		fmt.Printf("plan %s: %d tasks over %d kernels\n", emitPlan, len(plan.Tasks), len(plan.Kernels()))
-	case shard != "":
-		if grid != "" {
-			f, err := h.RunCellShard(grid)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("shard %s of grid %s -> %s\n", shard, grid, f)
-			return nil
-		}
-		if h.Opt.Prune {
-			files, err := h.RunRefineShard()
-			if err != nil {
-				return err
-			}
-			if len(files) == 0 {
-				fmt.Println("refinement complete: nothing to simulate")
-				return nil
-			}
-			for _, f := range files {
-				fmt.Println("wrote", f)
-			}
-			fmt.Printf("refine shard %s: %d partial files\n", shard, len(files))
-			return nil
-		}
-		files, err := h.RunShard()
-		if err != nil {
-			return err
-		}
-		for _, f := range files {
-			fmt.Println("wrote", f)
-		}
-		fmt.Printf("shard %s: %d partial files\n", shard, len(files))
-	case merge:
-		if grid != "" {
-			n, err := h.MergeCellPartials(grid)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("merged %d cells of grid %s into the cache\n", n, grid)
-			return nil
-		}
-		if h.Opt.Prune {
-			done, err := h.MergeRefinePartials()
-			if err != nil {
-				return err
-			}
-			if done {
-				fmt.Println("refinement complete: merged profiles into the cache")
-			} else {
-				fmt.Println("round merged; refinement continues (emit/shard/merge again)")
-			}
-			return nil
-		}
-		names, err := h.MergeShardPartials()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("merged %d kernel profiles into the cache: %s\n", len(names), strings.Join(names, ", "))
+		fmt.Printf("cell plan %s: %d cells of grid %s (tag %s)\n",
+			path, len(plan.Cells), grid, plan.Cells[0].Tag)
+		return nil
 	}
+	plan, err := h.EvalPlan()
+	if err != nil {
+		return err
+	}
+	plan.Sort()
+	if err := gridplan.WritePlanFile(path, plan); err != nil {
+		return err
+	}
+	fmt.Printf("plan %s: %d tasks over %d kernels\n", path, len(plan.Tasks), len(h.EvalKernels()))
 	return nil
 }
 

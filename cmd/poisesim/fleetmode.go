@@ -13,26 +13,27 @@ import (
 	"poise/internal/sim"
 )
 
-// The fleet flow, service-based where the -shard flow is file-based:
+// The fleet flow, the one way to spread a campaign across processes:
 // one coordinator process serves lease batches of a plan over HTTP and
 // merges the streamed results; long-lived workers pull leases until
 // the campaign completes. Crashed workers are recovered by lease
 // expiry, loaded workers are relieved by work stealing, and the merged
-// output is byte-identical to the single-process run either way:
+// output is byte-identical to the single-process run either way.
+//
+// Without -plan the coordinator drives the refinement of the selected
+// workloads — what -sweep runs in one process — publishing each round's
+// plan as the next generation (-cache keeps completed rounds, so an
+// interrupted campaign resumes):
+//
+//	poisesim -workload ii -serve :9444 -cache rounds -profile-out profs   # terminal 1
+//	poisesim -worker http://HOST:9444                                     # terminal 2..N
+//
+// With -plan it serves that file: a whole-grid profile plan from
+// -emit-plan, or a cell plan from poisebench -emit-plan (the file's
+// header picks the pipeline):
 //
 //	poisesim -workload ii -emit-plan plan.jsonl
-//	poisesim -serve :9444 -plan plan.jsonl -profile-out profs   # terminal 1
-//	poisesim -worker http://HOST:9444                           # terminal 2..N
-//
-// -serve -prune drives the whole staged refinement loop as one
-// campaign — each round's plan is published as the next generation, so
-// the manual emit/shard/merge round-trip of the file flow disappears:
-//
-//	poisesim -workload ii -prune -serve :9444 -cache rounds -profile-out pruned
-//	poisesim -worker http://HOST:9444
-//
-// Cell plans from poisebench serve the same way; the plan file's
-// header picks the pipeline, exactly as it does for -shard.
+//	poisesim -serve :9444 -plan plan.jsonl -profile-out profs
 
 // fleetFlags carries the -serve/-worker flags together with the
 // pre-existing mode flags they constrain, so every combination rule
@@ -46,15 +47,12 @@ type fleetFlags struct {
 	dieAfter   int           // -die-after (worker, chaos/CI)
 	taskDelay  time.Duration // -task-delay (worker, chaos/CI)
 
-	// Pre-existing flags the fleet modes interact with.
+	// The flags of the one-process modes the fleet modes interact with.
 	planPath   string
 	emitPlan   string
-	shard      string
-	merge      string
 	profileDir string
 	sweep      bool
 	best       bool
-	prune      bool
 }
 
 // validateFleetFlags rejects every inconsistent flag combination
@@ -67,10 +65,6 @@ func validateFleetFlags(f fleetFlags) error {
 		return fmt.Errorf("-serve and -worker are mutually exclusive")
 	case f.emitPlan != "":
 		return fmt.Errorf("-emit-plan cannot combine with -serve/-worker (the coordinator publishes plans itself)")
-	case f.shard != "":
-		return fmt.Errorf("-shard cannot combine with -serve/-worker (workers lease tasks instead)")
-	case f.merge != "":
-		return fmt.Errorf("-merge-shards cannot combine with -serve/-worker (the coordinator merges results itself)")
 	case f.sweep:
 		return fmt.Errorf("-sweep cannot combine with -serve/-worker")
 	case f.best:
@@ -88,10 +82,6 @@ func validateFleetFlags(f fleetFlags) error {
 		switch {
 		case f.dieAfter != 0 || f.taskDelay != 0:
 			return fmt.Errorf("-die-after and -task-delay are worker flags (use with -worker)")
-		case f.planPath != "" && f.prune:
-			return fmt.Errorf("-serve takes either -plan (a fixed plan file) or -prune (staged refinement), not both")
-		case f.planPath == "" && !f.prune:
-			return fmt.Errorf("-serve needs a campaign source: -plan or -prune")
 		case f.profileDir == "":
 			return fmt.Errorf("-serve needs -profile-out for the merged output")
 		}
@@ -110,28 +100,25 @@ func validateFleetFlags(f fleetFlags) error {
 }
 
 // runFleetMode dispatches -serve/-worker after validating the flag
-// set, deriving the sweep options and profile tag exactly as the
-// file-based modes do so both flows key the same cache entries.
+// set, deriving the sweep options and profile tag exactly as -sweep
+// does so both key the same entries.
 func runFleetMode(a sweepModeArgs, f fleetFlags) {
 	if err := validateFleetFlags(f); err != nil {
 		fatal(err)
 	}
 	opts := a.sweepOptions()
-	tag := profile.SweepTag(a.cfg, opts)
-	if a.seed != 0 {
-		tag = fmt.Sprintf("%s-seed%d", tag, a.seed)
-	}
 	if f.worker != "" {
 		runFleetWorker(a, f, opts)
 		return
 	}
-	runFleetServe(a, f, opts, tag)
+	runFleetServe(a, f, opts, a.sweepTag(opts))
 }
 
 // runFleetServe runs the coordinator: build the campaign from -plan or
-// -prune, serve it to completion, then save the merged results under
-// -profile-out with the exact assembly code of the single-process
-// modes (which is what makes the output byte-identical to them).
+// the workload selection, serve it to completion, then save the merged
+// results under -profile-out with the exact assembly code of the
+// single-process modes (which is what makes the output byte-identical
+// to them).
 func runFleetServe(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) {
 	camp, save, err := serveCampaign(a, f, opts, tag)
 	if err != nil {
@@ -157,18 +144,17 @@ func runFleetServe(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag
 }
 
 // serveCampaign builds the coordinator's campaign and the matching
-// save step: a profile or cell plan file (sniffed by header, like
-// -shard), or the staged refinement campaign under -prune.
+// save step: a profile or cell plan file (sniffed by header), or,
+// without -plan, the refinement of the selected workloads.
 func serveCampaign(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) (fleet.Campaign, func([]fleet.Result) error, error) {
-	if f.prune {
+	if f.planPath == "" {
 		kernels := sim.DistinctKernels(a.selected)
 		tags := make(map[string]string, len(kernels))
 		for _, k := range kernels {
 			tags[k.Name] = tag
 		}
 		// -cache persists completed rounds so an interrupted campaign
-		// resumes instead of re-simulating (and the file-based round
-		// flow can pick up where the service left off, or vice versa).
+		// resumes instead of re-simulating.
 		camp, err := fleet.NewRefineCampaign(a.cfg, kernels, tags, opts, profile.Store{Dir: a.cacheDir})
 		if err != nil {
 			return nil, nil, err
@@ -178,7 +164,7 @@ func serveCampaign(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag
 			if err != nil {
 				return err
 			}
-			fmt.Printf("fleet: assembled %d pruned profiles -> %s\n", len(names), f.profileDir)
+			fmt.Printf("fleet: assembled %d refined profiles -> %s\n", len(names), f.profileDir)
 			return nil
 		}
 		return camp, save, nil

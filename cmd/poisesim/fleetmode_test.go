@@ -30,21 +30,16 @@ func TestValidateFleetFlags(t *testing.T) {
 		wantErr string // "" = must pass
 	}{
 		{"serve with plan", serve(nil), ""},
-		{"serve with prune", serve(func(f *fleetFlags) { f.planPath = ""; f.prune = true }), ""},
+		{"serve refinement", serve(func(f *fleetFlags) { f.planPath = "" }), ""},
 		{"serve with lease knobs", serve(func(f *fleetFlags) { f.leaseTasks = 4; f.leaseTTL = time.Minute }), ""},
 		{"plain worker", worker(nil), ""},
 		{"worker with chaos hooks", worker(func(f *fleetFlags) { f.dieAfter = 3; f.taskDelay = time.Second }), ""},
-		{"worker with prune (matches coordinator config)", worker(func(f *fleetFlags) { f.prune = true }), ""},
 
 		{"neither serve nor worker", fleetFlags{}, "-serve or -worker"},
 		{"both serve and worker", fleetFlags{serve: ":0", worker: "http://h"}, "mutually exclusive"},
 		{"serve with emit-plan", serve(func(f *fleetFlags) { f.emitPlan = "p.jsonl" }), "-emit-plan"},
-		{"worker with shard", worker(func(f *fleetFlags) { f.shard = "0/2" }), "-shard"},
-		{"serve with merge-shards", serve(func(f *fleetFlags) { f.merge = "a,b" }), "-merge-shards"},
 		{"serve with sweep", serve(func(f *fleetFlags) { f.sweep = true }), "-sweep"},
 		{"worker with best", worker(func(f *fleetFlags) { f.best = true }), "-best"},
-		{"serve with plan and prune", serve(func(f *fleetFlags) { f.prune = true }), "not both"},
-		{"serve without plan or prune", serve(func(f *fleetFlags) { f.planPath = "" }), "campaign source"},
 		{"serve without profile-out", serve(func(f *fleetFlags) { f.profileDir = "" }), "-profile-out"},
 		{"serve with die-after", serve(func(f *fleetFlags) { f.dieAfter = 3 }), "worker flags"},
 		{"serve with task-delay", serve(func(f *fleetFlags) { f.taskDelay = time.Second }), "worker flags"},

@@ -30,66 +30,36 @@
 // characterised locality signature (In, reuse distance R, per-warp
 // footprint, intra/inter reuse split).
 //
-// Sharded {N, p} profile sweeps (package gridplan) — each step can run
-// in a different process or on a different machine:
+// {N, p} profile sweeps run the adaptive refinement: a coarse pass plus
+// score-ranked neighbourhood expansion that simulates a fraction of the
+// grid. The Static-Best, SWL and Eq. 12 scored tuples (and the score)
+// are exactly the whole grid's; the other grid points are not carried.
 //
-//	poisesim -workload ii -emit-plan plan.jsonl
-//	poisesim -plan plan.jsonl -shard 0/2 -shard-out s0.jsonl
-//	poisesim -plan plan.jsonl -shard 1/2 -shard-out s1.jsonl
-//	poisesim -plan plan.jsonl -merge-shards s0.jsonl,s1.jsonl -profile-out profs
-//	poisesim -workload ii -sweep -profile-out reference   # unsharded reference
+//	poisesim -workload ii -sweep -profile-out profs
+//	poisesim -best -profile-out profs     # the static policy table
 //
-// Merging any shard split is byte-identical to the in-process sweep
-// (-sweep), which CI asserts with a directory diff.
+// Splitting a campaign across processes or machines is the fleet
+// service (package fleet): a live coordinator and long-lived workers
+// over HTTP.
 //
-// The same flags also execute experiment-grid cell plans (workload x
-// scheme grids emitted by `poisebench -run fig7 -emit-plan ...`): the
-// plan file's header selects the pipeline, -shard runs the slice of
-// cells, and -merge-shards writes the merged cells into -profile-out,
-// which poisebench loads as its -cache:
+//	poisesim -workload ii -serve :9444 -cache rounds -profile-out profs   # coordinator
+//	poisesim -worker http://host:9444                                     # any number
 //
-//	poisebench -run fig16 -emit-plan cells.jsonl -cache c
-//	poisesim -plan cells.jsonl -shard 0/2 -shard-out c0.jsonl
-//	poisesim -plan cells.jsonl -shard 1/2 -shard-out c1.jsonl
-//	poisesim -plan cells.jsonl -merge-shards c0.jsonl,c1.jsonl -profile-out c
-//	poisebench -run fig16 -cache c      # assembles the figure from the cells
-//
-// Worker flags must reproduce the coordinator's configuration (-sms,
-// -size, -seed, -stepn/-stepp); the plan's configuration tag and
-// workload digests are verified first, so mismatches fail fast.
-//
-// The fleet service mode (package fleet) replaces the file round-trip
-// with a live coordinator and long-lived workers over HTTP:
-//
-//	poisesim -serve :9444 -plan plan.jsonl -profile-out profs   # coordinator
-//	poisesim -worker http://host:9444                           # any number
-//
+// serves the same refinement -sweep runs, one generation per round.
 // Workers may join late, crash mid-lease (expiry requeues their tasks)
 // or run slow (idle workers steal queued tasks from loaded ones); the
 // merged output is byte-identical to the single-process run in every
-// case. `-serve -prune` drives the whole staged refinement loop as one
-// campaign, publishing each round's plan as the next generation.
+// case. -serve -plan serves a plan file instead: the whole grid, from
 //
-// Adaptive sweep pruning (-prune) replaces the exhaustive grid with a
-// coarse pass plus score-ranked neighbourhood refinement, simulating a
-// fraction of the points while selecting the same Static-Best, SWL and
-// scored tuples. In-process:
+//	poisesim -workload ii -emit-plan plan.jsonl
 //
-//	poisesim -workload ii -prune -sweep -profile-out pruned
-//
-// Staged, one plan file per refinement round — each round shards with
-// the unchanged -shard workers, and the loop ends when -emit-plan
-// reports "refinement complete" and assembles the profiles:
-//
-//	poisesim -workload ii -prune -cache rounds -emit-plan r.jsonl -profile-out pruned
-//	poisesim -plan r.jsonl -shard 0/2 -shard-out r0.jsonl
-//	poisesim -plan r.jsonl -shard 1/2 -shard-out r1.jsonl
-//	poisesim -prune -plan r.jsonl -merge-shards r0.jsonl,r1.jsonl -cache rounds
-//	...repeat...
-//
-// -best prints the static policy table derived from a profile
-// directory; pruned and exhaustive campaigns print identical tables
-// (CI byte-diffs them).
+// or an experiment-grid cell plan (workload x scheme cells) from
+// `poisebench -run fig7 -emit-plan cells.jsonl`; the file's header
+// selects the pipeline, and cells merged into -profile-out are what
+// poisebench then loads as its -cache. Worker flags must reproduce the
+// coordinator's configuration (-sms, -size, -seed, -stepn/-stepp); the
+// plan's configuration tag and workload digests are verified first, so
+// mismatches fail fast.
 package main
 
 import (
@@ -130,27 +100,23 @@ func main() {
 		tracePth = flag.String("trace", "", "load trace workloads (a .ptrace/.ptrace.gz/.trace file or a directory) into the catalogue")
 		record   = flag.String("record", "", "record each selected workload to this directory as <name>.ptrace.gz before running")
 
-		// Sharded {N,p} sweep flow (package gridplan): emit a plan, run
-		// shards of it in separate processes, merge the partials.
-		emitPlan = flag.String("emit-plan", "", "write the selected workloads' sweep plan as JSONL to this file and exit")
-		planPth  = flag.String("plan", "", "sweep plan file (from -emit-plan) for -shard / -merge-shards")
-		shardStr = flag.String("shard", "", "run shard i/N of -plan and write measurements to -shard-out (format \"i/N\")")
-		shardOut = flag.String("shard-out", "", "measurement JSONL output file for -shard")
-		mergeStr = flag.String("merge-shards", "", "comma-separated shard measurement files to merge into profiles under -profile-out (needs -plan)")
-		profDir  = flag.String("profile-out", "", "profile cache directory -merge-shards and -sweep write to")
-		sweepRun = flag.Bool("sweep", false, "run an in-process sweep of the selected workloads and save profiles under -profile-out (the unsharded reference)")
-		pruneRun = flag.Bool("prune", false, "adaptive coarse-to-fine sweep pruning: with -sweep run pruned sweeps in-process; with -emit-plan/-merge-shards drive the staged per-round plan flow (rounds cached in -cache)")
+		// {N,p} sweeps: refine in process, or emit the whole grid as a
+		// plan for a fleet coordinator.
+		emitPlan = flag.String("emit-plan", "", "write the selected workloads' whole {N,p} grid as a JSONL plan to this file (for -serve -plan) and exit")
+		planPth  = flag.String("plan", "", "-serve: plan file to serve (from -emit-plan here or in poisebench)")
+		profDir  = flag.String("profile-out", "", "profile directory -sweep and -serve write to and -best reads")
+		sweepRun = flag.Bool("sweep", false, "run the refined {N,p} sweep of the selected workloads in this process and save profiles under -profile-out")
 		bestRun  = flag.Bool("best", false, "print the static policy table (Static-Best/SWL/scored tuples) derived from the profiles in -profile-out and exit")
 		stepN    = flag.Int("stepn", 2, "sweep grid N step for the plan/sweep modes")
 		stepP    = flag.Int("stepp", 2, "sweep grid p step for the plan/sweep modes")
-		cacheDir = flag.String("cache", "", "profile cache directory for cell-plan shards ('' = none; share one across workers and with the poisebench coordinator so profile-hungry grids sweep once)")
+		cacheDir = flag.String("cache", "", "-serve without -plan: where completed refinement rounds persist; -worker: profile cache directory for cell plans ('' = none; share one across workers and with the poisebench coordinator so profile-hungry grids sweep once)")
 		seeds    = flag.Int("seeds", 3, "random-restart trials for alternatives-grid (fig15) cell plans; must match the coordinator's -seeds")
 
 		// Fleet coordinator/worker service (package fleet): serve a plan
 		// over HTTP, pull leases from long-lived workers, merge streamed
 		// results; survives worker crashes (lease expiry) and rebalances
 		// loaded workers (stealing) with byte-identical merged output.
-		serveAddr = flag.String("serve", "", "run the fleet coordinator on this listen address, serving -plan (or the -prune refinement loop) to -worker processes, and save merged output under -profile-out")
+		serveAddr = flag.String("serve", "", "run the fleet coordinator on this listen address, serving -plan (or, without it, the refinement of the selected workloads) to -worker processes, and save merged output under -profile-out")
 		workerURL = flag.String("worker", "", "run a fleet worker pulling task leases from the coordinator at this base URL (e.g. http://host:9444)")
 		leaseN    = flag.Int("lease-tasks", 0, "-serve: tasks per lease batch (0 = default)")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "-serve: lease expiry deadline, renewed on each completed task (0 = default)")
@@ -160,7 +126,7 @@ func main() {
 		// Mid-run snapshots (package snap): checkpoint preempted runs
 		// (SIGTERM, -ckpt-at-cycle, checkpointed -die-after) so a later
 		// process resumes them bit-identically instead of restarting.
-		snapDir = flag.String("snapshot-dir", "", "snapshot directory: preempted runs/sweep tasks checkpoint here and resume from here; in worker and shard modes it is probed automatically, so any process pointed at the same directory continues the work ('' = off)")
+		snapDir = flag.String("snapshot-dir", "", "snapshot directory: preempted runs/sweep tasks checkpoint here and resume from here; in worker mode it is probed automatically, so any process pointed at the same directory continues the work ('' = off)")
 		resumeR = flag.Bool("resume", false, "resume workload runs from checkpoints in -snapshot-dir (writes still require only -snapshot-dir; results are bit-identical to an uninterrupted run)")
 		ckptAt  = flag.Int64("ckpt-at-cycle", 0, "deterministically preempt + checkpoint each in-flight run at this simulated cycle (CI/chaos hook; needs -snapshot-dir)")
 
@@ -280,7 +246,6 @@ func main() {
 	if *serveAddr != "" || *workerURL != "" {
 		runFleetMode(sweepModeArgs{
 			cfg: cfg, cat: cat, selected: ws, ctx: ctx,
-			planPath: *planPth, profileDir: *profDir, prune: *pruneRun,
 			sms: *sms, size: parseSize(*size),
 			cacheDir: *cacheDir, seeds: *seeds, extra: extra,
 			stepN: *stepN, stepP: *stepP, workers: *parallel, seed: *seed,
@@ -290,20 +255,16 @@ func main() {
 			leaseTasks: *leaseN, leaseTTL: *leaseTTL,
 			dieAfter: *dieAfter, taskDelay: *taskDelay,
 			planPath: *planPth, emitPlan: *emitPlan,
-			shard: *shardStr, merge: *mergeStr,
-			profileDir: *profDir, sweep: *sweepRun,
-			best: *bestRun, prune: *pruneRun,
+			profileDir: *profDir, sweep: *sweepRun, best: *bestRun,
 		})
 		return
 	}
 
-	if *emitPlan != "" || *shardStr != "" || *mergeStr != "" || *sweepRun || *bestRun {
+	if *emitPlan != "" || *sweepRun || *bestRun {
 		runSweepMode(sweepModeArgs{
 			cfg: cfg, cat: cat, selected: ws, ctx: ctx,
-			emitPlan: *emitPlan, planPath: *planPth,
-			shard: *shardStr, shardOut: *shardOut,
-			merge: *mergeStr, profileDir: *profDir, sweep: *sweepRun,
-			prune: *pruneRun, best: *bestRun,
+			emitPlan: *emitPlan, profileDir: *profDir,
+			sweep: *sweepRun, best: *bestRun,
 			sms: *sms, size: parseSize(*size),
 			cacheDir: *cacheDir, seeds: *seeds, extra: extra,
 			stepN: *stepN, stepP: *stepP, workers: *parallel, seed: *seed,

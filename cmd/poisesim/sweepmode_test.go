@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// TestValidateSweepFlags: the file-based mode combinations — every
-// under-specified -shard/-merge-shards/-sweep/-best/-prune invocation
+// TestValidateSweepFlags: every under-specified -sweep/-best invocation
 // must fail fast with a message naming the missing flag, before any
 // file is read or task simulated.
 func TestValidateSweepFlags(t *testing.T) {
@@ -16,26 +15,11 @@ func TestValidateSweepFlags(t *testing.T) {
 		wantErr string // "" = must pass
 	}{
 		{"emit plan", sweepModeArgs{emitPlan: "p.jsonl"}, ""},
-		{"valid shard", sweepModeArgs{shard: "0/2", planPath: "p.jsonl", shardOut: "s0.jsonl"}, ""},
-		{"valid merge", sweepModeArgs{merge: "a,b", planPath: "p.jsonl", profileDir: "d"}, ""},
 		{"valid sweep", sweepModeArgs{sweep: true, profileDir: "d"}, ""},
 		{"valid best", sweepModeArgs{best: true, profileDir: "d"}, ""},
-		{"valid prune emit", sweepModeArgs{prune: true, emitPlan: "r.jsonl", cacheDir: "rounds"}, ""},
-		{"valid prune merge", sweepModeArgs{prune: true, merge: "a,b", planPath: "r.jsonl", cacheDir: "rounds"}, ""},
-		{"valid prune sweep", sweepModeArgs{prune: true, sweep: true, profileDir: "d"}, ""},
 
-		{"malformed shard spec", sweepModeArgs{shard: "two/four", planPath: "p.jsonl", shardOut: "s.jsonl"}, "shard"},
-		{"shard out of range", sweepModeArgs{shard: "2/2", planPath: "p.jsonl", shardOut: "s.jsonl"}, "shard"},
-		{"shard without plan", sweepModeArgs{shard: "0/2", shardOut: "s.jsonl"}, "-shard needs -plan and -shard-out"},
-		{"shard without shard-out", sweepModeArgs{shard: "0/2", planPath: "p.jsonl"}, "-shard needs -plan and -shard-out"},
-		{"merge without plan", sweepModeArgs{merge: "a,b", profileDir: "d"}, "-merge-shards needs -plan and -profile-out"},
-		{"merge without profile-out", sweepModeArgs{merge: "a,b", planPath: "p.jsonl"}, "-merge-shards needs -plan and -profile-out"},
 		{"sweep without profile-out", sweepModeArgs{sweep: true}, "-sweep needs -profile-out"},
 		{"best without profile-out", sweepModeArgs{best: true}, "-best needs -profile-out"},
-		{"prune emit without cache", sweepModeArgs{prune: true, emitPlan: "r.jsonl"}, "-prune -emit-plan needs -cache"},
-		{"prune merge without plan", sweepModeArgs{prune: true, merge: "a,b", cacheDir: "rounds"}, "-prune -merge-shards needs -plan and -cache"},
-		{"prune merge without cache", sweepModeArgs{prune: true, merge: "a,b", planPath: "r.jsonl"}, "-prune -merge-shards needs -plan and -cache"},
-		{"prune sweep without profile-out", sweepModeArgs{prune: true, sweep: true}, "-prune -sweep needs -profile-out"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

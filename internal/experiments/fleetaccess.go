@@ -1,34 +1,58 @@
 package experiments
 
 import (
+	"poise/internal/gridplan"
 	"poise/internal/profile"
 	"poise/internal/results"
+	"poise/internal/sim"
 	"poise/internal/trace"
 )
 
-// Accessors for the fleet coordinator/worker modes (package fleet,
-// cmd/poisebench -serve/-worker): a fleet campaign over the harness's
-// evaluation sweep needs the kernel set, the per-kernel profile-cache
-// tags, the sweep options and the stores — the same values the
-// file-based shard flow wires through RunShard/MergeShardPartials —
-// without reaching into harness internals.
+// What a fleet campaign over the harness's evaluation sweep needs
+// (package fleet, cmd/poisebench -serve/-worker/-emit-plan): the kernel
+// set, the per-kernel profile-cache tags, the sweep options, the plan
+// and the stores, without reaching into harness internals. The fleet is
+// the one way to split a sweep or an experiment grid across processes.
 
 // EvalKernels returns the evaluation kernel index (every kernel of
 // every evaluation workload, by name).
-func (h *Harness) EvalKernels() map[string]*trace.Kernel { return h.kernelIndex() }
+func (h *Harness) EvalKernels() map[string]*trace.Kernel {
+	idx := map[string]*trace.Kernel{}
+	for _, k := range sim.DistinctKernels(h.EvalWorkloads()) {
+		idx[k.Name] = k
+	}
+	return idx
+}
 
 // ProfileTags maps each evaluation kernel to its profile-cache tag.
 func (h *Harness) ProfileTags() map[string]string {
 	tags := map[string]string{}
-	for name := range h.kernelIndex() {
+	for name := range h.EvalKernels() {
 		tags[name] = h.profileTag(name)
 	}
 	return tags
 }
 
 // EvalSweepOptions returns the evaluation-grid sweep options,
-// including the refinement parameters when the harness prunes.
+// refinement parameters and the harness's GPU pool included.
 func (h *Harness) EvalSweepOptions() profile.SweepOptions { return h.sweepOptions(false) }
+
+// EvalPlan enumerates the whole evaluation grid of every distinct
+// evaluation kernel — the points a refined sweep chooses from, not the
+// ones it simulates — each task tagged with the kernel's profile-cache
+// key and content digest. A fleet serves it as a fixed plan; the
+// benchmark counts its tasks.
+func (h *Harness) EvalPlan() (*gridplan.Plan, error) {
+	plan := &gridplan.Plan{Version: gridplan.PlanVersion}
+	for _, k := range sim.DistinctKernels(h.EvalWorkloads()) {
+		kp := profile.BuildPlan(h.profileTag(k.Name), h.Cfg, k, h.sweepOptions(false))
+		plan.Tasks = append(plan.Tasks, kp.Tasks...)
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
 
 // ProfileStore returns the harness's profile cache store.
 func (h *Harness) ProfileStore() profile.Store { return h.store }

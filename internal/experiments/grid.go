@@ -4,9 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,16 +24,15 @@ import (
 // figures and the Pbest classification table — is expressed as
 // gridplan.CellTasks and runs through one pipeline:
 //
-//	CellPlan    -> the serialisable grid (ship to workers)
+//	CellPlan    -> the serialisable grid (what a fleet coordinator serves)
 //	RunCellTasks-> execute cells on per-configuration GPU pools
 //	GridCells   -> in-process run, or the merged cached cells
-//	RunCellShard / MergeCellPartials -> the multi-process split
 //
-// Exactly like profile sweeps, merging any shard decomposition is
+// Exactly like profile sweeps, merging any decomposition of the plan is
 // reflect.DeepEqual-identical to the in-process grid, so fanning a
-// figure out across processes (or machines) can never change it. The
-// figure methods (Performance, Fig11, ...) are pure assembly over the
-// merged cells.
+// figure out across fleet workers can never change it. The figure
+// methods (Performance, Fig11, ...) are pure assembly over the merged
+// cells.
 
 // gridDef defines one experiment grid: its workload axis, its scheme
 // axis in documented order, a prepare step that materialises shared
@@ -306,7 +303,7 @@ func runAblationCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme st
 // runAlternativesCell executes one Fig. 15 cell. Random-restart trial
 // seeds are a pure function of (Options.Seed, trial index) — the same
 // family the pre-gridplan implementation used — so results don't
-// depend on which worker or shard runs them.
+// depend on which worker or process runs them.
 func runAlternativesCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
 	switch {
 	case scheme == "GTO":
@@ -407,7 +404,7 @@ func (h *Harness) weightsFingerprint() string {
 // axis (names and content digests, so subset or trace-augmented runs
 // get their own cache entry instead of evicting the full grid's), and
 // per-grid extras — so the results cache can never serve stale cells.
-// All processes of one sharded campaign must agree on it;
+// All processes of one fleet campaign must agree on it;
 // RunCellTasks enforces that against the plan.
 func (h *Harness) cellTag(grid string) string {
 	s := fmt.Sprintf("%s|%s|cfg:%+v|params:%+v|w:%s",
@@ -458,22 +455,11 @@ func (h *Harness) CellPlan(grid string) (*gridplan.CellPlan, error) {
 	return plan, nil
 }
 
-// EmitCellPlan writes the grid's cell plan as JSONL in canonical key
-// order — the artifact a coordinator ships to shard workers.
-func (h *Harness) EmitCellPlan(w io.Writer, grid string) error {
-	plan, err := h.CellPlan(grid)
-	if err != nil {
-		return err
-	}
-	plan.Sort()
-	return gridplan.WriteCellPlan(w, plan)
-}
-
-// RunCellTasks executes experiment cells — typically one shard of a
-// grid's plan — and returns their results in task order. Before
-// anything simulates, every task is validated against this process's
-// own view of the campaign: the configuration tag must match (all
-// processes of a sharded run agree on flags), the workload must
+// RunCellTasks executes experiment cells — the whole plan in process,
+// or a fleet worker's lease of it — and returns their results in task
+// order. Before anything simulates, every task is validated against
+// this process's own view of the campaign: the configuration tag must
+// match (all processes of a campaign agree on flags), the workload must
 // resolve in the catalogue with the same content digest, and the
 // scheme must exist at the same ordinal. Cells fan out across the
 // worker pool, each drawing its GPU from a per-configuration pool.
@@ -527,7 +513,7 @@ func (h *Harness) validateCells(grid string, d gridDef, tasks []gridplan.CellTas
 		}
 		if t.Tag != tag {
 			return nil, fmt.Errorf(
-				"experiments: plan tag %s does not match this configuration's %s — emit the plan and run its shards with identical flags",
+				"experiments: plan tag %s does not match this configuration's %s — serve the plan and run its workers with identical flags",
 				t.Tag, tag)
 		}
 		wl := byName[t.Workload]
@@ -553,10 +539,9 @@ func (h *Harness) validateCells(grid string, d gridDef, tasks []gridplan.CellTas
 
 // ValidateCellPlan checks a whole shipped plan against this process's
 // configuration — tag agreement, workload digests, scheme ordinals —
-// without running anything. Shard workers call it on the full plan
-// before slicing, so a worker launched with mismatched flags fails
-// fast even when its own shard happens to be empty or to miss the
-// drifted workload.
+// without running anything. A fleet worker calls it on the full plan
+// before leasing, so one launched with mismatched flags fails fast
+// even when its leases happen to miss the drifted workload.
 func (h *Harness) ValidateCellPlan(grid string, plan *gridplan.CellPlan) error {
 	d, ok := gridDefs[grid]
 	if !ok {
@@ -572,8 +557,8 @@ func (h *Harness) ValidateCellPlan(grid string, plan *gridplan.CellPlan) error {
 
 // GridCells returns the grid's full, key-unordered-but-plan-complete
 // cell set: the merged results-cache entry when a valid one covers the
-// current plan (the tail of the shard workflow, or a previous cached
-// run), otherwise a fresh in-process run through the same pipeline —
+// current plan (what a fleet campaign or a previous cached run left),
+// otherwise a fresh in-process run through the same pipeline —
 // cached afterwards when a cache directory is configured, so corrupt
 // or stale entries are repaired by overwriting. Memoised per harness.
 func (h *Harness) GridCells(grid string) ([]results.CellResult, error) {
@@ -603,53 +588,6 @@ func (h *Harness) GridCells(grid string) ([]results.CellResult, error) {
 		}
 		return cells, nil
 	})
-}
-
-// RunCellShard simulates this process's shard (Options.ShardIndex of
-// Options.ShardCount) of the grid's cell plan and persists it as a
-// shard partial in the cache directory, returning the file written.
-// The split is a pure function of the plan, so N processes configured
-// i/N cover every cell exactly once without coordinating.
-func (h *Harness) RunCellShard(grid string) (string, error) {
-	if h.Opt.CacheDir == "" {
-		return "", errors.New("experiments: sharded experiment grids need a cache directory for partials")
-	}
-	if h.Opt.ShardCount < 1 {
-		return "", fmt.Errorf("experiments: ShardCount %d < 1", h.Opt.ShardCount)
-	}
-	plan, err := h.CellPlan(grid)
-	if err != nil {
-		return "", err
-	}
-	shard, err := plan.Shard(h.Opt.ShardIndex, h.Opt.ShardCount)
-	if err != nil {
-		return "", err
-	}
-	cells, err := h.RunCellTasks(grid, shard.Cells)
-	if err != nil {
-		return "", err
-	}
-	return h.cellStore.SaveShard(planTag(h, grid, plan), grid, h.Opt.ShardIndex, h.Opt.ShardCount, cells)
-}
-
-// MergeCellPartials merges the grid's persisted shard partials into
-// the merged results entry, verifying complete plan coverage (a lost
-// shard fails loudly rather than producing a sparse figure). It
-// returns the merged cell count. After a merge, ordinary figure runs
-// on the same cache directory load the cells without simulating.
-func (h *Harness) MergeCellPartials(grid string) (int, error) {
-	if h.Opt.CacheDir == "" {
-		return 0, errors.New("experiments: no cache directory to merge cell partials from")
-	}
-	plan, err := h.CellPlan(grid)
-	if err != nil {
-		return 0, err
-	}
-	cells, err := h.cellStore.MergeSavedShards(planTag(h, grid, plan), grid, plan)
-	if err != nil {
-		return 0, err
-	}
-	return len(cells), nil
 }
 
 // planTag reads the configuration tag off a locally-built plan

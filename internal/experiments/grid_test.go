@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,18 +10,17 @@ import (
 
 	"poise/internal/gridplan"
 	"poise/internal/results"
+	"poise/internal/testutil"
 )
 
-// gridShardOptions is subsetOptions narrowed to one workload and a
-// coarse profile grid (the shard-merge equality holds at any
-// resolution), plus a shared cache directory and a shard assignment —
-// the experiment-grid analogue of shardOptions.
-func gridShardOptions(dir string, index, count int) Options {
+// gridTestOptions is subsetOptions narrowed to one workload and a
+// coarse profile grid (the decomposition equality holds at any
+// resolution), plus a cache directory.
+func gridTestOptions(dir string) Options {
 	o := subsetOptions(1, 0)
 	o.EvalSubset = []string{"bfs"}
 	o.EvalStepN, o.EvalStepP = 12, 12
 	o.CacheDir = dir
-	o.ShardIndex, o.ShardCount = index, count
 	return o
 }
 
@@ -68,6 +68,40 @@ func TestSchemeGridPlanDeterministicOrder(t *testing.T) {
 		if want := SchemeNames[j%len(SchemeNames)]; plan.Cells[j].Scheme != want {
 			t.Fatalf("after sort, cell %d has scheme %s, want %s", j, plan.Cells[j].Scheme, want)
 		}
+	}
+}
+
+// TestEmitPlanRoundTrips checks the plan surface a coordinator serves
+// (poisebench -emit-plan writes exactly this): JSONL round-trip,
+// digest-carrying tasks, stable content across harness constructions.
+func TestEmitPlanRoundTrips(t *testing.T) {
+	emit := func() []byte {
+		plan, err := NewHarness(subsetOptions(1, 0)).EvalPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Sort()
+		var buf bytes.Buffer
+		if err := gridplan.WritePlan(&buf, plan); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	data := emit()
+	plan, err := gridplan.ReadPlan(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Tasks) == 0 {
+		t.Fatal("empty plan")
+	}
+	for _, task := range plan.Tasks {
+		if task.Digest == "" || task.Tag == "" {
+			t.Fatalf("task %s lacks digest or tag", task.Key())
+		}
+	}
+	if !bytes.Equal(data, emit()) {
+		t.Fatal("plan emission must be deterministic across harnesses")
 	}
 }
 
@@ -136,64 +170,47 @@ func TestRunCellTasksValidatesPlan(t *testing.T) {
 	}
 }
 
-// TestRunCellShardValidatesOptions pins the error paths the commands
-// rely on: no cache directory, bad shard assignments, merges with
-// nothing to merge.
-func TestRunCellShardValidatesOptions(t *testing.T) {
-	o := subsetOptions(1, 0)
-	o.ShardCount = 2
-	if _, err := NewHarness(o).RunCellShard("compute"); err == nil {
-		t.Fatal("RunCellShard without a cache dir must error")
-	}
-	if _, err := NewHarness(gridShardOptions(t.TempDir(), 0, 0)).RunCellShard("compute"); err == nil {
-		t.Fatal("RunCellShard with ShardCount 0 must error")
-	}
-	if _, err := NewHarness(gridShardOptions(t.TempDir(), 5, 2)).RunCellShard("compute"); err == nil {
-		t.Fatal("RunCellShard with an out-of-range index must error")
-	}
-	if _, err := NewHarness(subsetOptions(1, 0)).MergeCellPartials("compute"); err == nil {
-		t.Fatal("MergeCellPartials without a cache dir must error")
-	}
-	if _, err := NewHarness(gridShardOptions(t.TempDir(), 0, 0)).MergeCellPartials("compute"); err == nil {
-		t.Fatal("MergeCellPartials with no partials must error")
-	}
-}
-
-// gridRoundTrip shards a grid's campaign across n independent
-// harnesses (as separate worker processes would), merges the partials,
-// and returns a fresh harness on the merged cache — the figure methods
-// on it assemble from the cached cells.
-func gridRoundTrip(t *testing.T, grid string, shards int) *Harness {
+// gridRoundTrip runs a grid's plan as n hands on n independent
+// harnesses (as a fleet's worker processes would: RunCellTasks on what
+// each was dealt), merges and verifies the cells the way the
+// coordinator's save step does, and returns a fresh harness on the
+// cache they landed in — the figure methods on it assemble from the
+// cached cells.
+func gridRoundTrip(t *testing.T, grid string, hands int) *Harness {
 	t.Helper()
 	dir := t.TempDir()
-	for i := 0; i < shards; i++ {
-		h := NewHarness(gridShardOptions(dir, i, shards))
-		if _, err := h.RunCellShard(grid); err != nil {
-			t.Fatalf("shards=%d: shard %d: %v", shards, i, err)
-		}
-	}
-	merger := NewHarness(gridShardOptions(dir, 0, shards))
-	n, err := merger.MergeCellPartials(grid)
-	if err != nil {
-		t.Fatalf("shards=%d: merge: %v", shards, err)
-	}
-	plan, err := merger.CellPlan(grid)
+	plan, err := NewHarness(gridTestOptions("")).CellPlan(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(plan.Cells) {
-		t.Fatalf("shards=%d: merged %d cells, plan has %d", shards, n, len(plan.Cells))
+	var parts [][]results.CellResult
+	for i := 0; i < hands; i++ {
+		cells, err := NewHarness(gridTestOptions("")).RunCellTasks(grid, testutil.Deal(plan.Cells, i, hands))
+		if err != nil {
+			t.Fatalf("hands=%d: hand %d: %v", hands, i, err)
+		}
+		parts = append(parts, cells)
 	}
-	return NewHarness(gridShardOptions(dir, 0, 0))
+	merged, err := results.Merge(parts...)
+	if err != nil {
+		t.Fatalf("hands=%d: merge: %v", hands, err)
+	}
+	if err := results.Verify(plan, merged); err != nil {
+		t.Fatalf("hands=%d: %v", hands, err)
+	}
+	if err := (results.Store{Dir: dir}).Save(plan.Cells[0].Tag, grid, merged); err != nil {
+		t.Fatal(err)
+	}
+	return NewHarness(gridTestOptions(dir))
 }
 
 // TestSchemeGridShardRoundTripMatchesInProcess is the acceptance
 // property for the Fig. 7/8/9 grid: running the scheme grid as 1, 2
-// and 3 independent shard processes, merging, and assembling the
+// and 3 independent processes' hands, merging, and assembling the
 // figures from the merged cells is reflect.DeepEqual-identical to the
 // in-process run.
 func TestSchemeGridShardRoundTripMatchesInProcess(t *testing.T) {
-	direct, err := NewHarness(gridShardOptions("", 0, 0)).Performance()
+	direct, err := NewHarness(gridTestOptions("")).Performance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +232,10 @@ func TestSchemeGridShardRoundTripMatchesInProcess(t *testing.T) {
 }
 
 // TestComputeGridShardRoundTripMatchesInProcess covers the first
-// sensitivity figure (Fig. 16) through the same 1/2/3-shard identity,
+// sensitivity figure (Fig. 16) through the same 1/2/3-hand identity,
 // including its per-cell altered configuration (the 64x Pbest probe).
 func TestComputeGridShardRoundTripMatchesInProcess(t *testing.T) {
-	direct, err := NewHarness(gridShardOptions("", 0, 0)).Fig16()
+	direct, err := NewHarness(gridTestOptions("")).Fig16()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +252,10 @@ func TestComputeGridShardRoundTripMatchesInProcess(t *testing.T) {
 }
 
 // TestStrideGridShardRoundTripMatchesInProcess covers a second
-// sensitivity figure (Fig. 11) through the shard pipeline.
+// sensitivity figure (Fig. 11) through the same decomposition.
 func TestStrideGridShardRoundTripMatchesInProcess(t *testing.T) {
 	skipUnderRace(t)
-	direct, err := NewHarness(gridShardOptions("", 0, 0)).Fig11()
+	direct, err := NewHarness(gridTestOptions("")).Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +275,7 @@ func TestStrideGridShardRoundTripMatchesInProcess(t *testing.T) {
 // discipline, applied to cells.
 func TestGridCellsCachesAndRepairs(t *testing.T) {
 	dir := t.TempDir()
-	h := NewHarness(gridShardOptions(dir, 0, 0))
+	h := NewHarness(gridTestOptions(dir))
 	want, err := h.Fig16()
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +294,7 @@ func TestGridCellsCachesAndRepairs(t *testing.T) {
 		t.Fatalf("cached %d cells, plan has %d", len(cells), len(plan.Cells))
 	}
 	// A second harness assembles identically (from the cache).
-	again, err := NewHarness(gridShardOptions(dir, 0, 0)).Fig16()
+	again, err := NewHarness(gridTestOptions(dir)).Fig16()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +309,7 @@ func TestGridCellsCachesAndRepairs(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := NewHarness(gridShardOptions(dir, 0, 0)).Fig16()
+	repaired, err := NewHarness(gridTestOptions(dir)).Fig16()
 	if err != nil {
 		t.Fatal(err)
 	}

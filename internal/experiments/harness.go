@@ -39,19 +39,6 @@ type Options struct {
 	EvalStepN, EvalStepP   int
 	TrainStepN, TrainStepP int
 
-	// Prune switches the profile sweeps — evaluation and training —
-	// to the adaptive coarse-to-fine refinement (profile.PrunedSweep):
-	// a coarse pass plus score-ranked neighbourhood expansion that
-	// simulates a fraction of the grid while selecting the same Best /
-	// BestDiagonal / BestScore tuples as the exhaustive sweep, which
-	// is all the tables and training consume — no figure moves. The
-	// two figures that render or walk the whole solution space (Fig. 2
-	// and Fig. 17) always sweep their one kernel exhaustively
-	// (KernelProfileFull), pruned or not. Pruned campaigns cache under
-	// a distinct tag, so pruned and exhaustive runs never share
-	// profile entries.
-	Prune bool
-
 	// Seeds for the random-restart policy (paper averages 20 runs).
 	RandomSeeds int
 
@@ -95,17 +82,6 @@ type Options struct {
 	// evaluation set, so profile sweeps, tables and figures run over
 	// ingested traces unchanged.
 	ExtraWorkloads []*sim.Workload
-
-	// ShardIndex/ShardCount select this process's slice of a sharded
-	// campaign — the profile sweep plan for RunShard, or an experiment
-	// grid's cell plan for RunCellShard: of the plan's tasks (sorted by
-	// key), this process simulates those with index % ShardCount ==
-	// ShardIndex and persists the results as shard partials in
-	// CacheDir. ShardCount 0 (the default) means the harness is not
-	// shard-restricted. Merging any shard split is bit-identical to the
-	// in-process run, so fanning a sweep or a figure across processes
-	// or machines never changes a result.
-	ShardIndex, ShardCount int
 }
 
 func (o Options) withDefaults() Options {
@@ -156,6 +132,14 @@ type Harness struct {
 	// lacks the snapshot tier Options.SnapshotDir asked for.
 	memo    *sim.RunMemo
 	snapErr error
+	// books adds up what the refined sweeps (evaluation and training)
+	// simulated; store carries the pointer.
+	books profile.SweepBooks
+
+	// exhaustive makes every sweep cover its whole grid, under the
+	// exhaustive cache tags. Only tests set it: it is the oracle the
+	// tuple-exactness suites compare the harness against.
+	exhaustive bool
 
 	// extraKernels maps each ExtraWorkloads kernel name to its
 	// workload's content digest, so only those kernels' profile-cache
@@ -181,12 +165,12 @@ func NewHarness(opt Options) *Harness {
 		Cfg:          config.Default().Scale(opt.SMs),
 		Params:       config.DefaultPoise(),
 		Cat:          cat,
-		store:        profile.Store{Dir: opt.CacheDir},
 		cellStore:    results.Store{Dir: opt.CacheDir},
 		pools:        sim.NewPoolSet(),
 		memo:         sim.NewRunMemo(),
 		extraKernels: extraKernels,
 	}
+	h.store = profile.Store{Dir: opt.CacheDir, Books: &h.books}
 	if opt.SnapshotDir != "" {
 		h.snapErr = h.memo.UseSnapshots(opt.SnapshotDir)
 	}
@@ -195,6 +179,11 @@ func NewHarness(opt Options) *Harness {
 
 // RunMemo returns the harness's run memo.
 func (h *Harness) RunMemo() *sim.RunMemo { return h.memo }
+
+// SweepBooks returns what the harness's refined sweeps simulated so
+// far, summed over kernels, and how many of them ended up covering
+// their whole grid. Profiles loaded from the cache add nothing.
+func (h *Harness) SweepBooks() (profile.RefineStats, int) { return h.books.Totals() }
 
 // SnapshotErr reports why Options.SnapshotDir could not be opened (nil
 // when it was, or was not asked for). Such a harness still simulates
@@ -226,7 +215,14 @@ func (h *Harness) narrowWorkers() int {
 }
 
 // sweepOptions assembles the profile sweep options for the eval or
-// train grid, threading the worker pool and cancellation through.
+// train grid, threading the worker pool and cancellation through. The
+// sweep is the adaptive refinement (profile.PrunedSweep): a coarse pass
+// plus score-ranked neighbourhood expansion that simulates a fraction
+// of the grid and selects the same Best / BestDiagonal / BestScore
+// tuples as the whole grid would, which is all the tables and training
+// read. Every sweep of the harness draws its GPUs from the harness's
+// pool: a refined sweep is several RunTasks calls per kernel, and a
+// pool per call would build the machine again for each.
 func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	o := profile.SweepOptions{
 		StepN: h.Opt.EvalStepN, StepP: h.Opt.EvalStepP,
@@ -235,15 +231,19 @@ func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	if train {
 		o.StepN, o.StepP = h.Opt.TrainStepN, h.Opt.TrainStepP
 	}
-	if h.Opt.Prune {
+	if !h.exhaustive {
 		o.Refine = h.refineOptions(train)
+	}
+	// An invalid configuration is left for the sweep to report.
+	if p, err := h.pools.Pool(h.Cfg); err == nil {
+		o.Pool = p
 	}
 	return o
 }
 
 // refineOptions is the harness's refinement configuration: defaults,
 // ranked with the harness's Eq. 12 weights. BuildDataset passes these
-// options through to the store, so the training sweeps prune exactly
+// options through to the store, so the training sweeps refine exactly
 // like the evaluation sweeps do — except that training skips the SWL
 // diagonal front: the dataset's targets consume only the scored
 // optimum and the baseline, never BestDiagonal, so the diagonal climb
@@ -258,12 +258,12 @@ func (h *Harness) refineOptions(train bool) *profile.RefineOptions {
 // tag digests the parts of the configuration that change profiles, so
 // the on-disk cache never serves stale sweeps. Worker count is
 // deliberately excluded: parallelism never changes results.
-func (h *Harness) tag(train bool) string { return h.tagMode(train, h.Opt.Prune) }
+func (h *Harness) tag(train bool) string { return h.tagMode(train, !h.exhaustive) }
 
-// tagMode is tag with the pruning mode explicit, so the exhaustive
-// sweeps a pruned harness still needs (KernelProfileFull) key into
-// the same cache entries an unpruned run would produce.
-func (h *Harness) tagMode(train, prune bool) string {
+// tagMode is tag with the sweep mode explicit, so the whole-grid
+// sweeps the harness still needs (KernelProfileFull) never share a
+// cache entry with a refined one.
+func (h *Harness) tagMode(train, refined bool) string {
 	s := fmt.Sprintf("sms%d-size%d-l1%d-%v", h.Opt.SMs, h.Opt.Size,
 		h.Cfg.L1.SizeBytes, h.Cfg.L1.Index)
 	if train {
@@ -274,12 +274,12 @@ func (h *Harness) tagMode(train, prune bool) string {
 	if h.Opt.Seed != 0 {
 		s += fmt.Sprintf("-seed%d", h.Opt.Seed)
 	}
-	if prune {
-		// Pruned profiles carry a subset of the grid, and which subset
-		// depends on every refinement parameter: never let pruned
-		// entries collide with exhaustive ones or with a campaign
-		// refined under different parameters (the train grid skips the
-		// diagonal front, so its Tag differs from eval's).
+	if refined {
+		// Refined profiles carry a subset of the grid, and which subset
+		// depends on every refinement parameter: never let them collide
+		// with whole-grid entries or with a campaign refined under
+		// different parameters (the train grid skips the diagonal
+		// front, so its Tag differs from eval's).
 		s += "-prune" + h.refineOptions(train).Tag()
 	}
 	if train {
@@ -306,11 +306,11 @@ func (h *Harness) tagMode(train, prune bool) string {
 // be served stale sweeps, while the synthetic catalogue's cache stays
 // warm whatever traces come and go.
 func (h *Harness) profileTag(kernel string) string {
-	return h.profileTagMode(kernel, h.Opt.Prune)
+	return h.profileTagMode(kernel, !h.exhaustive)
 }
 
-func (h *Harness) profileTagMode(kernel string, prune bool) string {
-	t := h.tagMode(false, prune)
+func (h *Harness) profileTagMode(kernel string, refined bool) string {
+	t := h.tagMode(false, refined)
 	if d, ok := h.extraKernels[kernel]; ok {
 		t += "-" + d
 	}
@@ -321,7 +321,7 @@ func (h *Harness) profileTagMode(kernel string, prune bool) string {
 // content digests (gridplan.KernelDigest: structure, per-warp
 // iteration counts, sampled pattern addresses — cheap, yet it moves
 // whenever a trace is re-recorded). The same per-kernel digest
-// authenticates sweep-plan tasks, so the cache tags and the shard
+// authenticates sweep-plan tasks, so the cache tags and the fleet
 // protocol can never disagree about what a kernel's content is.
 func workloadDigest(w *sim.Workload) string {
 	d := sha256.New()
@@ -341,15 +341,13 @@ func (h *Harness) KernelProfile(k *trace.Kernel) (*profile.Profile, error) {
 	})
 }
 
-// KernelProfileFull sweeps (or loads) the exhaustive profile of one
-// kernel regardless of Options.Prune. The solution-space figures
-// (Fig. 2's scatter/curves and PCAL walk, Fig. 17's case-study
-// rendering) consume the whole grid, which a pruned subset cannot
-// serve — they must look identical with and without -prune. Entries
-// key under the unpruned tag, so they share the cache with ordinary
-// exhaustive runs.
+// KernelProfileFull sweeps (or loads) the whole evaluation grid of one
+// kernel. The solution-space figures (Fig. 2's scatter/curves and PCAL
+// walk, Fig. 17's case-study rendering) draw every grid point, which
+// the refined subset KernelProfile returns cannot serve. Entries key
+// under the whole-grid tag.
 func (h *Harness) KernelProfileFull(k *trace.Kernel) (*profile.Profile, error) {
-	if !h.Opt.Prune {
+	if h.exhaustive {
 		return h.KernelProfile(k)
 	}
 	return h.profiles.Get("full|"+k.Name, func() (*profile.Profile, error) {

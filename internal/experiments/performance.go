@@ -42,8 +42,8 @@ type PerfSummary struct {
 // 9 (AML), 10 (search displacement) and 14 (energy). The workload x
 // scheme grid runs through the unified gridplan pipeline (GridCells):
 // cells fan out across the worker pool on pooled GPUs in process, or
-// load from the merged results cache after a sharded multi-process
-// campaign — bit-identical either way — and this method is pure
+// load from the merged results cache after a fleet campaign —
+// bit-identical either way — and this method is pure
 // assembly over them, aggregating rows in paper order.
 func (h *Harness) Performance() (*PerfSummary, error) {
 	cells, err := h.GridCells("scheme")

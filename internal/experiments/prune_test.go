@@ -182,47 +182,95 @@ func TestPrunedMatchesExhaustiveOnCatalogue(t *testing.T) {
 	}
 }
 
+// exhaustiveHarness is the oracle side of the harness-level suites: a
+// harness whose every sweep covers the whole grid, which nothing
+// outside this package's tests can build.
+func exhaustiveHarness(opt Options) *Harness {
+	h := NewHarness(opt)
+	h.exhaustive = true
+	return h
+}
+
 // TestPrunedPerformanceMatchesExhaustive runs the Fig. 7-10/14 sweep
-// with and without pruning: every scheme result must be identical,
-// because SWL, PCAL-SWL and Static-Best only consume the profile
-// tuples the refinement reproduces exactly. This is the harness-level
-// equivalence — pruning can never move a figure. (Under race the
-// subset shrinks with subsetOptions, per the tier-1 timing rules.)
+// on the harness and on its whole-grid oracle: every scheme result
+// must be identical, because SWL, PCAL-SWL and Static-Best only consume
+// the profile tuples the refinement reproduces exactly. This is the
+// harness-level equivalence — refining can never move a figure. (Under
+// race the subset shrinks with subsetOptions, per the tier-1 timing
+// rules.)
 func TestPrunedPerformanceMatchesExhaustive(t *testing.T) {
-	exact, err := NewHarness(subsetOptions(1, 0)).Performance()
+	exact, err := exhaustiveHarness(subsetOptions(1, 0)).Performance()
 	if err != nil {
 		t.Fatal(err)
 	}
-	popt := subsetOptions(1, 0)
-	popt.Prune = true
-	pruned, err := NewHarness(popt).Performance()
+	pruned, err := NewHarness(subsetOptions(1, 0)).Performance()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(exact, pruned) {
-		t.Fatalf("pruned Performance diverged from exhaustive:\nexhaustive: %+v\npruned:     %+v", exact, pruned)
+		t.Fatalf("refined Performance diverged from exhaustive:\nexhaustive: %+v\nrefined:    %+v", exact, pruned)
 	}
 }
 
 // TestPrunedFig2MatchesExhaustive pins the full-space consumers: the
 // Fig. 2 solution-space dissection renders the whole profile (scatter,
-// diagonal and p=1 curves, the PCAL neighbour walk), which a pruned
-// subset cannot serve — so a pruned harness must sweep that one
-// kernel exhaustively (KernelProfileFull; Fig. 17 takes the same
-// path) and produce identical output.
+// diagonal and p=1 curves, the PCAL neighbour walk), which a refined
+// subset cannot serve — so the harness must sweep that one kernel
+// exhaustively (KernelProfileFull; Fig. 17 takes the same path) and
+// produce what the whole-grid oracle does.
 func TestPrunedFig2MatchesExhaustive(t *testing.T) {
-	exact, err := NewHarness(subsetOptions(1, 0)).Fig2()
+	exact, err := exhaustiveHarness(subsetOptions(1, 0)).Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	popt := subsetOptions(1, 0)
-	popt.Prune = true
-	pruned, err := NewHarness(popt).Fig2()
+	pruned, err := NewHarness(subsetOptions(1, 0)).Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(exact, pruned) {
-		t.Fatalf("pruned Fig2 diverged from exhaustive:\nexhaustive: %+v\npruned:     %+v", exact, pruned)
+		t.Fatalf("Fig2 diverged from exhaustive:\nexhaustive: %+v\nharness:    %+v", exact, pruned)
+	}
+}
+
+// TestSweepsDrawFromTheHarnessPool: a refined sweep is several RunTasks
+// calls per kernel, and each must take its GPUs from the harness's
+// pool — a pool per call builds the machine again every round. One
+// worker, so one GPU serves every point of every round of every kernel.
+func TestSweepsDrawFromTheHarnessPool(t *testing.T) {
+	h := NewHarness(gridTestOptions(""))
+	if _, err := h.WorkloadProfiles(h.EvalWorkloads()); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := h.SweepBooks()
+	if builds, reuses := h.pools.Stats(); builds != 1 || reuses != int64(st.Simulated)-1 {
+		t.Fatalf("harness pool built %d GPUs and reused them %d times for %d swept points in %d rounds, want 1 built",
+			builds, reuses, st.Simulated, st.Rounds)
+	}
+}
+
+// TestCacheTagsStayWhatPruneComputed pins the default harness's cache
+// tags to the literals Options{Prune: true} computed before the refined
+// sweep became the only one: profile entries and round files a -prune
+// run left in a cache directory stay warm. The whole-grid tags differ,
+// so an entry an exhaustive run left there is ignored, never misread.
+func TestCacheTagsStayWhatPruneComputed(t *testing.T) {
+	for _, c := range []struct {
+		seed                        int64
+		eval, train, evalExhaustive string
+	}{
+		{0, "2e1684a517a1", "6ab9f96d789f", "1afae25a9bc1"},
+		{5, "aa47f32adcfd", "646e035909d2", "0488739ed2ad"},
+	} {
+		h := NewHarness(Options{Seed: c.seed})
+		if got := h.tag(false); got != c.eval {
+			t.Errorf("seed %d: eval tag %s, want %s", c.seed, got, c.eval)
+		}
+		if got := h.tag(true); got != c.train {
+			t.Errorf("seed %d: train tag %s, want %s", c.seed, got, c.train)
+		}
+		if got := h.profileTagMode("ii#0", false); got != c.evalExhaustive {
+			t.Errorf("seed %d: whole-grid tag %s, want %s", c.seed, got, c.evalExhaustive)
+		}
 	}
 }
 
@@ -246,17 +294,28 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Refine = &profile.RefineOptions{W0: params.ScoreW0, W1: params.ScoreW1, W2: params.ScoreW2}
-	pruned, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: t.TempDir()}, "pr")
+	// On the caller's pool, as the harness runs it: the sweeps' rounds
+	// and the feature runs all draw from it.
+	pool, err := sim.NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := opts
+	pooled.Pool, pooled.Workers = pool, 1
+	pruned, err := poise.BuildDataset(cfg, params, train, pooled, profile.Store{Dir: t.TempDir()}, "pr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(exact, pruned) {
 		t.Fatalf("pruned dataset diverged from exhaustive:\nexhaustive: %+v\npruned:     %+v", exact, pruned)
 	}
+	if builds, reuses := pool.Stats(); builds != 1 || reuses == 0 {
+		t.Fatalf("BuildDataset built %d GPUs on the caller's pool (%d reuses), want 1", builds, reuses)
+	}
 
 	// Training sweeps additionally skip the p == N diagonal climb (the
-	// harness sets SkipDiagonal for BuildDataset under Options.Prune):
-	// the dataset must still be bit-identical, since its targets never
+	// harness sets SkipDiagonal for BuildDataset): the dataset must
+	// still be bit-identical, since its targets never
 	// read BestDiagonal, while the refinement simulates strictly fewer
 	// points. Both halves are pinned here — equality against the same
 	// exhaustive dataset, and the per-kernel point drop via PrunedSweep.
@@ -300,58 +359,6 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 		diagSim, grid, 100*float64(diagSim)/float64(grid),
 		noDiagSim, 100*float64(noDiagSim)/float64(grid),
 		100*float64(diagSim-noDiagSim)/float64(grid))
-}
-
-// TestRefineShardRoundTrip drives the staged poisebench campaign in
-// process: RefinePlan -> RunRefineShard (2 shards) ->
-// MergeRefinePartials, looped to convergence, must leave cached
-// profiles identical to the ones an independent pruned harness sweeps
-// in one process.
-func TestRefineShardRoundTrip(t *testing.T) {
-	cache := t.TempDir()
-	base := subsetOptions(1, 0)
-	base.Prune = true
-	base.CacheDir = cache
-
-	for round := 0; round < 12; round++ {
-		for i := 0; i < 2; i++ {
-			opt := base
-			opt.ShardIndex, opt.ShardCount = i, 2
-			if _, err := NewHarness(opt).RunRefineShard(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mopt := base
-		done, err := NewHarness(mopt).MergeRefinePartials()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		if round == 11 {
-			t.Fatal("staged refinement did not converge in 12 rounds")
-		}
-	}
-	// The staged campaign's cache must now serve profiles identical to
-	// an in-process pruned harness's.
-	staged := NewHarness(base)
-	inproc := subsetOptions(1, 0)
-	inproc.Prune = true
-	want := NewHarness(inproc)
-	for _, k := range sim.DistinctKernels(want.EvalWorkloads()) {
-		got, err := staged.KernelProfile(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := want.KernelProfile(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Points, pr.Points) {
-			t.Fatalf("staged pruned profile of %s differs from in-process", k.Name)
-		}
-	}
 }
 
 // TestPrunedSweepLiveMatchesOracle pins the live execution path: a

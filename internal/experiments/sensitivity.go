@@ -8,9 +8,9 @@ import (
 
 // The sensitivity figures (Fig. 11-16). Like the Fig. 7/8/9 scheme
 // comparison, every figure here is assembly over an experiment grid
-// run through the unified gridplan pipeline (GridCells) — shardable
-// across processes, pool-backed, and bit-identical at any worker or
-// shard count. The bespoke per-figure fan-out loops this file used to
+// run through the unified gridplan pipeline (GridCells) — servable to
+// a fleet, pool-backed, and bit-identical at any worker or process
+// count. The bespoke per-figure fan-out loops this file used to
 // contain live on only as grid definitions in grid.go.
 
 // StrideResult backs Fig. 11: harmonic-mean speedup over GTO for each
@@ -178,7 +178,7 @@ type AlternativesResult struct {
 // alternatives via the "alternatives" experiment grid. Each
 // random-restart trial is its own cell whose seed is a pure function
 // of (Options.Seed, trial index), so results don't depend on which
-// worker — or which shard process — runs it; the trials average at
+// worker — or which process — runs it; the trials average at
 // assembly time.
 func (h *Harness) Fig15() (*AlternativesResult, error) {
 	cells, err := h.GridCells("alternatives")

@@ -191,8 +191,8 @@ func (b *board) owned(leaseID string) ([]string, bool) {
 
 func (b *board) done() bool { return len(b.results) == b.total }
 
-// finish returns the generation's results in key order — the same
-// canonical order the file-based shard merge produces.
+// finish returns the generation's results in key order — the
+// canonical order gridplan.Merge produces.
 func (b *board) finish() []Result {
 	keys := make([]string, 0, len(b.results))
 	for k := range b.results {

@@ -26,7 +26,7 @@ type Result struct {
 // serialised JSONL (what workers fetch from /v1/plan), its leasable
 // units, or done. Next is called under the coordinator's mutex and
 // must not simulate; building the next refinement round from merged
-// measurements is pure and cheap, which is exactly why staged pruning
+// measurements is pure and cheap, which is exactly why refinement
 // fits this interface.
 type Campaign interface {
 	// Format is the plan file format workers dispatch executors on
@@ -109,10 +109,10 @@ func (c CellCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, error)
 	return data, units, false, err
 }
 
-// RefineCampaign drives a staged pruned sweep: each generation is one
+// RefineCampaign drives a refined sweep: each generation is one
 // refinement round across every unconverged kernel, and the next
 // round's plan is a pure function of the measurements merged so far —
-// the same BuildRefinePlan the file-based flow uses, so the fleet's
+// the same BuildRefinePlan the in-process sweep uses, so the fleet's
 // rounds are the rounds a single process would run.
 type RefineCampaign struct {
 	cfg   config.Config
@@ -280,7 +280,7 @@ func (c *RefineCampaign) SaveTo(st profile.Store) ([]string, error) {
 
 // SaveProfiles decodes a profile campaign's results, groups them per
 // (tag, kernel), and assembles each group through the same
-// profile.MergeShards + Store.Save path the file-based merge uses —
+// profile.MergeShards + Store.Save path the in-process sweep ends in —
 // so the fleet's output directory is byte-identical to the
 // single-process sweep's. Returns the kernel names saved, in plan key
 // order.
@@ -323,7 +323,7 @@ func SaveProfiles(st profile.Store, rs []Result) ([]string, error) {
 }
 
 // SaveCells decodes a cell campaign's results and saves the merged
-// cell set through the same results.Store path the file-based merge
+// cell set through the same results.Store path an in-process grid run
 // uses. Returns the (tag, grid) saved and the cell count.
 func SaveCells(st results.Store, rs []Result) (tag, grid string, n int, err error) {
 	cells := make([]results.CellResult, 0, len(rs))

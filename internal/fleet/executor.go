@@ -9,14 +9,13 @@ import (
 	"poise/internal/experiments"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
-	"poise/internal/sim"
 	"poise/internal/trace"
 )
 
 // ProfileExecutor runs profile sweep tasks against a local kernel
-// catalogue via profile.RunTasks — the same executor the file-based
-// shard flow uses, so a task's measurement bytes do not depend on
-// which process ran it.
+// catalogue via profile.RunTasks — the executor of the in-process
+// sweep, so a task's measurement bytes do not depend on which process
+// ran it.
 type ProfileExecutor struct {
 	Cfg     config.Config
 	Kernels map[string]*trace.Kernel
@@ -41,8 +40,8 @@ func (e ProfileExecutor) Prepare(planData []byte) (Batch, error) {
 	for _, t := range plan.Tasks {
 		b.verified[[2]string{t.Kernel, t.Digest}] = true
 	}
-	if b.e.Opts.Pool == nil && !b.e.Opts.FreshGPUs {
-		if b.e.Opts.Pool, err = sim.NewPool(e.Cfg); err != nil {
+	if !b.e.Opts.FreshGPUs {
+		if b.e.Opts.Pool, err = b.e.Opts.PoolFor(e.Cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -83,7 +82,7 @@ func (b profileBatch) Run(lines []json.RawMessage) ([]json.RawMessage, error) {
 }
 
 // CellExecutor runs experiment-grid cells through a local harness's
-// RunCellTasks — again the exact executor the sharded file flow uses.
+// RunCellTasks — again the exact executor of the in-process grid.
 type CellExecutor struct {
 	H *experiments.Harness
 }

@@ -1,6 +1,6 @@
 // Package fleet runs gridplan campaigns across long-lived worker
 // processes: a coordinator loads a plan (profile sweep, experiment
-// cell grid, or staged refinement rounds), serves leases of task
+// cell grid, or refinement rounds), serves leases of task
 // batches over HTTP+JSONL, collects streamed partial results, and
 // repairs imbalance and failure by reassigning expired leases and
 // stealing unstarted tasks from loaded workers for idle ones.
@@ -8,7 +8,7 @@
 // The package adds scheduling, not semantics: workers wrap the
 // existing executors (profile.RunTasks, Harness.RunCellTasks) and the
 // coordinator assembles results through the same merge code the
-// file-based shard flow uses, so a fleet run is byte-identical to the
+// in-process runs end in, so a fleet run is byte-identical to the
 // single-process run. That guarantee holds under every failure the
 // protocol tolerates, because each task's result is a pure function of
 // the task itself (the plan carries content digests; the simulator is

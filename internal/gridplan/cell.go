@@ -7,8 +7,8 @@ import "fmt"
 // experiment grid — "run workload W under scheme S" — the unit behind
 // the paper's Fig. 7/8/9 comparison and the sensitivity figures. Like
 // Tasks, cells are content-digested and key-ordered, so a grid
-// campaign shards across processes and merges back bit-identically to
-// the in-process run.
+// campaign spreads across a fleet's processes and merges back
+// bit-identically to the in-process run.
 
 // CellTask is one serialisable experiment cell: run workload Workload
 // under the scheme (or altered configuration) named Scheme, within the
@@ -83,15 +83,4 @@ func (p *CellPlan) Validate() error {
 		schemeAt[ok] = c.Scheme
 	}
 	return nil
-}
-
-// Shard returns the i-of-n slice of the plan — the same deterministic
-// key-sorted round-robin deal profile plans use, so N processes
-// configured i/N cover every cell exactly once without coordinating.
-func (p *CellPlan) Shard(i, n int) (*CellPlan, error) {
-	cells, err := shardKeyed(p.Cells, i, n)
-	if err != nil {
-		return nil, err
-	}
-	return &CellPlan{Version: p.Version, Cells: cells}, nil
 }

@@ -75,41 +75,6 @@ func TestCellPlanJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCellPlanShardPartition(t *testing.T) {
-	p := cellPlanForTest(4, 5)
-	for _, n := range []int{1, 2, 3, 7} {
-		seen := map[string]int{}
-		total := 0
-		for i := 0; i < n; i++ {
-			s, err := p.Shard(i, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range s.Cells {
-				seen[c.Key()]++
-				total++
-			}
-		}
-		if total != len(p.Cells) {
-			t.Fatalf("n=%d: shards cover %d cells, plan has %d", n, total, len(p.Cells))
-		}
-		for k, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: cell %s appears in %d shards", n, k, c)
-			}
-		}
-	}
-	if _, err := p.Shard(-1, 2); err == nil {
-		t.Fatal("negative shard index must fail")
-	}
-	if _, err := p.Shard(2, 2); err == nil {
-		t.Fatal("out-of-range shard index must fail")
-	}
-	if _, err := p.Shard(0, 0); err == nil {
-		t.Fatal("zero shard count must fail")
-	}
-}
-
 // TestCellKeyPreservesSchemeOrder pins the property the ordinal field
 // exists for: after a key sort, each workload's cells appear in the
 // grid's documented scheme order, not alphabetic scheme-name order.
@@ -145,32 +110,5 @@ func TestPlanFileFormatSniffs(t *testing.T) {
 	}
 	if _, err := PlanFileFormat(dir + "/missing.jsonl"); err == nil {
 		t.Fatal("missing file must error")
-	}
-}
-
-// TestSplitFiles is the shard-flag validation table both commands'
-// -merge-shards lists go through: empty and all-blank lists are
-// rejected instead of silently merging zero shards.
-func TestSplitFiles(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want []string
-		ok   bool
-	}{
-		{"a.jsonl", []string{"a.jsonl"}, true},
-		{"a.jsonl,b.jsonl", []string{"a.jsonl", "b.jsonl"}, true},
-		{" a.jsonl , b.jsonl ,", []string{"a.jsonl", "b.jsonl"}, true},
-		{"", nil, false},
-		{",", nil, false},
-		{" , , ", nil, false},
-	} {
-		got, err := SplitFiles(tc.in)
-		if tc.ok != (err == nil) {
-			t.Errorf("SplitFiles(%q) error = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("SplitFiles(%q) = %v, want %v", tc.in, got, tc.want)
-		}
 	}
 }

@@ -12,12 +12,13 @@
 //     seed); a CellTask is one experiment-grid cell (workload digest +
 //     scheme/config tag + seed). The digests let a worker refuse a plan
 //     whose kernels or workloads drifted from its own catalogue.
-//   - Shard / Merge: deterministic i-of-N splitting and key-ordered
-//     merging of per-shard records, so merging any shard count —
-//     including one — reproduces the single-process run bit for bit.
-//     The splitting and merging machinery is generic over anything
+//   - Merge / VerifyCover: key-ordered merging of record sets and the
+//     exact-coverage check against the plan, so merging any
+//     decomposition of a plan — including the whole — reproduces the
+//     single-process run bit for bit. Both are generic over anything
 //     Keyed, so profile measurements and experiment-cell results share
-//     one verified implementation.
+//     one verified implementation. Splitting itself is the fleet's job
+//     (package fleet: leases, expiry, stealing).
 //
 // The package is deliberately below profile and experiments in the
 // dependency order: it knows about kernels (package trace) but not
@@ -28,8 +29,6 @@ package gridplan
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"poise/internal/trace"
 )
@@ -102,9 +101,9 @@ const PlanVersion = 1
 
 // Keyed is the identity contract shared by plan tasks and their
 // result records: a stable, unique key whose lexicographic order is
-// the record's canonical order. Sharding and merging are defined
-// entirely in terms of it, so every task kind splits and merges with
-// the same verified machinery.
+// the record's canonical order. Merging and verifying are defined
+// entirely in terms of it, so every task kind merges with the same
+// verified machinery.
 type Keyed interface{ Key() string }
 
 // sortKeyed orders records by key in place.
@@ -112,31 +111,10 @@ func sortKeyed[T Keyed](ts []T) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Key() < ts[j].Key() })
 }
 
-// shardKeyed deals the key-sorted records round-robin and returns the
-// i-of-n hand: a pure function of (records, i, n), so any process
-// holding the same plan computes the same shard.
-func shardKeyed[T Keyed](ts []T, i, n int) ([]T, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gridplan: shard count %d < 1", n)
-	}
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("gridplan: shard index %d outside [0,%d)", i, n)
-	}
-	sorted := append([]T(nil), ts...)
-	sortKeyed(sorted)
-	var out []T
-	for idx, t := range sorted {
-		if idx%n == i {
-			out = append(out, t)
-		}
-	}
-	return out, nil
-}
-
-// MergeKeyed combines per-shard record sets into one key-ordered set.
-// Duplicate keys are an error (a record ran in two shards — the split
-// was inconsistent), so the merge is deterministic and associative:
-// any shard decomposition of a plan merges to the same slice.
+// MergeKeyed combines record sets into one key-ordered set. Duplicate
+// keys are an error (a record is in two sets — the split was
+// inconsistent), so the merge is deterministic and associative: any
+// decomposition of a plan merges to the same slice.
 func MergeKeyed[T Keyed](shards ...[]T) ([]T, error) {
 	var all []T
 	for _, s := range shards {
@@ -186,9 +164,8 @@ type Plan struct {
 	Tasks   []Task `json:"-"`
 }
 
-// Sort orders the tasks by key (stable identity order). Shard and
-// Verify call it implicitly; exported for callers that want the
-// canonical order for display.
+// Sort orders the tasks by key (stable identity order): the order a
+// plan is written and served in.
 func (p *Plan) Sort() { sortKeyed(p.Tasks) }
 
 // Validate reports duplicate task keys or malformed coordinates.
@@ -210,92 +187,10 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Shard returns the i-of-n slice of the plan: tasks are sorted by key
-// and dealt round-robin, so shards are near-equal in size and the
-// split is a pure function of (plan, i, n) — any process holding the
-// same plan file computes the same shard. Shard(0, 1) is the whole
-// plan.
-func (p *Plan) Shard(i, n int) (*Plan, error) {
-	tasks, err := shardKeyed(p.Tasks, i, n)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Version: p.Version, Tasks: tasks}, nil
-}
-
-// ParseShard parses a command-line "i/N" shard assignment (e.g.
-// "0/4"), validating 0 <= i < N.
-func ParseShard(s string) (index, count int, err error) {
-	i := strings.IndexByte(s, '/')
-	if i < 0 {
-		return 0, 0, fmt.Errorf("gridplan: shard %q is not of the form i/N", s)
-	}
-	index, err1 := strconv.Atoi(s[:i])
-	count, err2 := strconv.Atoi(s[i+1:])
-	if err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("gridplan: shard %q is not of the form i/N", s)
-	}
-	if count < 1 {
-		return 0, 0, fmt.Errorf("gridplan: shard count %d < 1 in %q", count, s)
-	}
-	if index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("gridplan: shard index %d outside [0,%d) in %q", index, count, s)
-	}
-	return index, count, nil
-}
-
-// SplitFiles parses a command-line comma-separated shard-file list,
-// trimming whitespace and dropping empty entries. An empty list is an
-// error: merging zero shards silently yields an empty result, which a
-// mistyped flag should never be able to request.
-func SplitFiles(s string) ([]string, error) {
-	var files []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("gridplan: no shard files in %q", s)
-	}
-	return files, nil
-}
-
-// Kernels returns the distinct (tag, kernel) pairs of the plan in key
-// order, with each pair's tasks grouped.
-func (p *Plan) Kernels() []KernelTasks {
-	byKey := map[string]*KernelTasks{}
-	var order []string
-	sorted := &Plan{Tasks: append([]Task(nil), p.Tasks...)}
-	sorted.Sort()
-	for _, t := range sorted.Tasks {
-		k := t.Tag + "|" + t.Kernel
-		g, ok := byKey[k]
-		if !ok {
-			g = &KernelTasks{Tag: t.Tag, Kernel: t.Kernel}
-			byKey[k] = g
-			order = append(order, k)
-		}
-		g.Tasks = append(g.Tasks, t)
-	}
-	out := make([]KernelTasks, 0, len(order))
-	for _, k := range order {
-		out = append(out, *byKey[k])
-	}
-	return out
-}
-
-// KernelTasks groups one kernel's tasks within a plan.
-type KernelTasks struct {
-	Tag    string
-	Kernel string
-	Tasks  []Task
-}
-
 // Measurement is the raw result of one executed Task. It carries
 // un-normalised metrics only: speedups are computed at merge time from
-// the baseline (maxN, maxN) measurement, which may live in a different
-// shard than the point it normalises.
+// the baseline (maxN, maxN) measurement, which may have run in another
+// process than the point it normalises.
 type Measurement struct {
 	Tag    string `json:"tag"`
 	Kernel string `json:"kernel"`
@@ -314,17 +209,17 @@ func (m Measurement) Key() string {
 	return fmt.Sprintf("%s|%s|%04d|%04d", m.Tag, m.Kernel, m.N, m.P)
 }
 
-// Merge combines per-shard measurement sets into one key-ordered set.
-// Duplicate keys are an error (a point ran in two shards — the split
-// was inconsistent), so the merge is deterministic and associative:
-// any shard decomposition of a plan merges to the same slice.
+// Merge combines measurement sets into one key-ordered set. Duplicate
+// keys are an error (a point is in two sets — the split was
+// inconsistent), so the merge is deterministic and associative: any
+// decomposition of a plan merges to the same slice.
 func Merge(shards ...[]Measurement) ([]Measurement, error) {
 	return MergeKeyed(shards...)
 }
 
 // Verify checks that the measurements cover the plan's tasks exactly:
 // no point missing, none extra. Use it before assembling profiles so a
-// lost or double-submitted shard fails loudly instead of producing a
+// lost or double-submitted part fails loudly instead of producing a
 // silently sparse profile.
 func (p *Plan) Verify(ms []Measurement) error {
 	return VerifyCover(p.Tasks, ms, "measurement")

@@ -96,53 +96,6 @@ func TestReadPlanRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestShardPartition(t *testing.T) {
-	p := planForTest(16)
-	for _, n := range []int{1, 2, 3, 5, len(p.Tasks) + 3} {
-		seen := map[string]int{}
-		total := 0
-		var sizes []int
-		for i := 0; i < n; i++ {
-			s, err := p.Shard(i, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sizes = append(sizes, len(s.Tasks))
-			for _, task := range s.Tasks {
-				seen[task.Key()]++
-				total++
-			}
-		}
-		if total != len(p.Tasks) {
-			t.Fatalf("n=%d: shards cover %d of %d tasks", n, total, len(p.Tasks))
-		}
-		for k, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: task %s in %d shards", n, k, c)
-			}
-		}
-		// Round-robin dealing keeps shard sizes within one task.
-		min, max := sizes[0], sizes[0]
-		for _, s := range sizes {
-			if s < min {
-				min = s
-			}
-			if s > max {
-				max = s
-			}
-		}
-		if max-min > 1 {
-			t.Fatalf("n=%d: unbalanced shards %v", n, sizes)
-		}
-	}
-	if _, err := p.Shard(2, 2); err == nil {
-		t.Fatal("out-of-range shard index must error")
-	}
-	if _, err := p.Shard(0, 0); err == nil {
-		t.Fatal("zero shard count must error")
-	}
-}
-
 func measurementsFor(p *Plan) []Measurement {
 	var ms []Measurement
 	for _, t := range p.Tasks {
@@ -164,11 +117,7 @@ func TestMergeAnyShardCountIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4} {
 		var shards [][]Measurement
 		for i := 0; i < n; i++ {
-			s, err := p.Shard(i, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shards = append(shards, measurementsFor(s))
+			shards = append(shards, testutil.Deal(full, i, n))
 		}
 		got, err := Merge(shards...)
 		if err != nil {
@@ -245,22 +194,6 @@ func TestKernelDigestMovesWithContent(t *testing.T) {
 	k4.Seed = 99
 	if KernelDigest(k1) == KernelDigest(k4) {
 		t.Fatal("changing the seed must move the digest")
-	}
-}
-
-func TestParseShard(t *testing.T) {
-	for s, want := range map[string][2]int{
-		"0/1": {0, 1}, "0/4": {0, 4}, "3/4": {3, 4},
-	} {
-		i, n, err := ParseShard(s)
-		if err != nil || i != want[0] || n != want[1] {
-			t.Fatalf("ParseShard(%q) = %d, %d, %v; want %v", s, i, n, err, want)
-		}
-	}
-	for _, s := range []string{"", "1", "a/b", "1/0", "2/2", "-1/2", "1/2/3", "1/2x"} {
-		if _, _, err := ParseShard(s); err == nil {
-			t.Errorf("ParseShard(%q) must fail", s)
-		}
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // The JSONL container: one header object on the first line, then one
-// record per line. JSONL rather than a single JSON document so shard
-// workers can stream arbitrarily large plans and a truncated transfer
-// is detected by the header's count, not by a silent short read.
+// record per line. JSONL rather than a single JSON document so workers
+// can stream arbitrarily large plans and a truncated transfer is
+// detected by the header's count, not by a silent short read.
 
 type planHeader struct {
 	Format  string `json:"format"`
@@ -142,8 +142,9 @@ func ReadPlanFile(path string) (*Plan, error) {
 	return p, nil
 }
 
-// WriteMeasurements serialises one shard's measurements as JSONL.
-// shard/of record which split produced the file; Merge does not trust
+// WriteMeasurements serialises one measurement set as JSONL — a
+// refinement round's, in the profile store. shard/of record which part
+// of what the file is (round r of r+1 so far); Merge does not trust
 // them, they are for operators and error messages.
 func WriteMeasurements(w io.Writer, shard, of int, ms []Measurement) error {
 	bw := bufio.NewWriter(w)
@@ -159,7 +160,7 @@ func WriteMeasurements(w io.Writer, shard, of int, ms []Measurement) error {
 	return bw.Flush()
 }
 
-// ReadMeasurements parses a shard measurement file.
+// ReadMeasurements parses a measurement file.
 func ReadMeasurements(r io.Reader) ([]Measurement, error) {
 	sc := newLineScanner(r)
 	var h measHeader
@@ -190,7 +191,7 @@ func ReadMeasurements(r io.Reader) ([]Measurement, error) {
 	return ms, nil
 }
 
-// WriteMeasurementsFile writes a shard measurement file to path.
+// WriteMeasurementsFile writes a measurement file to path.
 func WriteMeasurementsFile(path string, shard, of int, ms []Measurement) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -206,7 +207,7 @@ func WriteMeasurementsFile(path string, shard, of int, ms []Measurement) error {
 	return nil
 }
 
-// ReadMeasurementsFile reads a shard measurement file from path.
+// ReadMeasurementsFile reads a measurement file from path.
 func ReadMeasurementsFile(path string) ([]Measurement, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -304,32 +305,22 @@ func ReadCellPlanFile(path string) (*CellPlan, error) {
 	return p, nil
 }
 
-// JSONLScanner decodes one JSON object per line, tolerating blank
-// lines and tracking line numbers for diagnostics. It is exported so
-// sibling stores (package results' cell-shard container) parse their
-// JSONL files with exactly the same rules instead of duplicating the
-// scanner.
-type JSONLScanner struct {
+// lineScanner decodes one JSON object per line, tolerating blank lines
+// and tracking line numbers for diagnostics. A line is at most 4 MB.
+type lineScanner struct {
 	sc   *bufio.Scanner
 	line int
 }
 
-// NewJSONLScanner wraps r; maxLine bounds a single line's size (<= 0
-// selects the plan files' default of 4 MB).
-func NewJSONLScanner(r io.Reader, maxLine int) *JSONLScanner {
-	if maxLine <= 0 {
-		maxLine = 4 * 1024 * 1024
-	}
+func newLineScanner(r io.Reader) *lineScanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
-	return &JSONLScanner{sc: sc}
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	return &lineScanner{sc: sc}
 }
-
-func newLineScanner(r io.Reader) *JSONLScanner { return NewJSONLScanner(r, 0) }
 
 // Next decodes the next non-blank line into v, returning io.EOF at
 // the end of input.
-func (l *JSONLScanner) Next(v any) error {
+func (l *lineScanner) Next(v any) error {
 	for l.sc.Scan() {
 		l.line++
 		b := l.sc.Bytes()
@@ -345,7 +336,7 @@ func (l *JSONLScanner) Next(v any) error {
 }
 
 // Line reports the current (1-based) line number, for error messages.
-func (l *JSONLScanner) Line() int { return l.line }
+func (l *lineScanner) Line() int { return l.line }
 
 func trimSpace(b []byte) []byte {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {

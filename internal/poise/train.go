@@ -44,16 +44,17 @@ type Dataset struct {
 // applies the admission thresholds, scores the solution space (Eq. 12),
 // scales the targets, and measures the feature vector per kernel by
 // running the kernel at the baseline tuple and at (1, 1). The feature
-// runs draw their GPU from a reset-verified sim.Pool — one memory
-// hierarchy reused across the whole training set instead of one
-// allocation per kernel — unless sweep.FreshGPUs asks for the
-// pre-pool behaviour (results are bit-identical either way; see
-// BenchmarkDatasetPooledGPU for the allocation delta).
+// runs draw their GPU from a reset-verified sim.Pool — sweep.Pool, the
+// one the sweeps use, when the caller set it — so one memory hierarchy
+// is reused across the whole training set instead of one allocation
+// per kernel, unless sweep.FreshGPUs asks for the pre-pool behaviour
+// (results are bit-identical either way; see BenchmarkDatasetPooledGPU
+// for the allocation delta).
 func BuildDataset(cfg config.Config, params config.PoiseParams, train []*sim.Workload, sweep profile.SweepOptions, store profile.Store, tag string) (*Dataset, error) {
 	get := func() (*sim.GPU, error) { return sim.New(cfg) }
 	put := func(*sim.GPU) {}
 	if !sweep.FreshGPUs {
-		pool, err := sim.NewPool(cfg)
+		pool, err := sweep.PoolFor(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"poise/internal/config"
@@ -18,12 +16,12 @@ import (
 	"poise/internal/trace"
 )
 
-// This file is the sharded face of the sweep: a sweep is planned
+// This file is the distributable face of the sweep: a sweep is planned
 // (BuildPlan), executed task by task (RunTasks) — possibly split
-// across processes or machines as plan shards — and the measurements
-// are merged back into a Profile (MergeShards). The in-process Sweep
-// is exactly the one-shard instance of this pipeline, so merging any
-// shard decomposition reproduces it bit for bit.
+// across a fleet's worker processes — and the measurements are merged
+// back into a Profile (MergeShards). The in-process Sweep is exactly
+// the one-part instance of this pipeline, so merging any decomposition
+// of the plan reproduces it bit for bit.
 
 // BuildPlan enumerates the sweep grid of kernel k on cfg as a
 // serialisable plan. tag identifies the configuration (the profile
@@ -44,15 +42,15 @@ func BuildPlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions
 	return plan
 }
 
-// RunTasks executes plan tasks — typically one shard — and returns
-// their raw measurements in task order. Kernels are resolved by name
+// RunTasks executes plan tasks — a whole plan, a refinement round or a
+// fleet lease — and returns their raw measurements in task order. Kernels are resolved by name
 // from the given set and their content digests are verified against
 // the plan before anything simulates (VerifyTasks). Tasks fan out
 // across opts.Workers goroutines; each in-flight task runs on its own
 // GPU drawn from a shared pool (reset between runs is bit-identical to
 // fresh construction, so reuse cannot perturb results). Measurements
 // are raw: speedups are computed at merge time, because the baseline
-// point may live in another shard.
+// point may have run in another process.
 func RunTasks(cfg config.Config, kernels map[string]*trace.Kernel, tasks []gridplan.Task, opts SweepOptions) ([]gridplan.Measurement, error) {
 	if err := VerifyTasks(kernels, tasks); err != nil {
 		return nil, err
@@ -97,16 +95,24 @@ func RunVerifiedTasks(cfg config.Config, kernels map[string]*trace.Kernel, tasks
 		return mapTasks(kernels, tasks, opts,
 			func() (*sim.GPU, error) { return sim.New(cfg) }, func(*sim.GPU) {})
 	}
-	pool := opts.Pool
-	if pool == nil {
-		var err error
-		if pool, err = sim.NewPool(cfg); err != nil {
-			return nil, err
-		}
-	} else if pool.Config() != cfg {
-		return nil, errors.New("profile: SweepOptions.Pool was built for another configuration")
+	pool, err := opts.PoolFor(cfg)
+	if err != nil {
+		return nil, err
 	}
 	return mapTasks(kernels, tasks, opts, pool.Get, pool.Put)
+}
+
+// PoolFor returns the pool that runs on cfg draw their GPUs from:
+// o.Pool, which must have been built for cfg, or a new one when the
+// caller set none.
+func (o SweepOptions) PoolFor(cfg config.Config) (*sim.Pool, error) {
+	if o.Pool == nil {
+		return sim.NewPool(cfg)
+	}
+	if o.Pool.Config() != cfg {
+		return nil, errors.New("profile: SweepOptions.Pool was built for another configuration")
+	}
+	return o.Pool, nil
 }
 
 // taskCheckpointKey names a task's mid-run snapshot in a checkpoint
@@ -201,8 +207,8 @@ func saveTaskCheckpoint(g *sim.GPU, pol sim.Policy, t gridplan.Task, key string,
 	return cause
 }
 
-// MergeShards assembles per-shard measurement sets into the kernel's
-// Profile, bit-identical to an in-process Sweep of the same grid: the
+// MergeShards assembles measurement sets — one per process, lease or
+// refinement round — into the kernel's Profile, bit-identical to an in-process Sweep of the same grid: the
 // merged points sort by (N, P) — the order Sweep emits — speedups are
 // normalised against the merged (maxN, maxN) baseline with the same
 // float operation Sweep uses, and the baseline's speedup is exactly 1.
@@ -269,102 +275,18 @@ func MergeShards(kernel string, shards ...[]gridplan.Measurement) (*Profile, err
 
 // SweepTag digests the sweep-relevant parts of (configuration, grid
 // resolution) into a short cache tag for standalone (non-harness)
-// sweeps, e.g. the poisesim plan/shard flow. Two processes agreeing on
-// flags agree on the tag, so their plan, shard partials and merged
-// profiles key consistently.
+// sweeps, e.g. poisesim's -sweep and fleet modes. Two processes
+// agreeing on flags agree on the tag, so their plan, round files and
+// merged profiles key consistently.
 func SweepTag(cfg config.Config, opts SweepOptions) string {
 	opts = opts.withDefaults()
 	s := fmt.Sprintf("%+v|%d.%d", cfg, opts.StepN, opts.StepP)
 	if opts.Refine != nil {
-		// Pruned profiles carry a subset of the grid, so a pruned
-		// campaign must never collide with an exhaustive one — or with
-		// a pruned one refined under different parameters.
+		// Refined profiles carry a subset of the grid, so a refined
+		// campaign must never collide with a whole-grid one — or with
+		// one refined under different parameters.
 		s += "|prune" + opts.Refine.Tag()
 	}
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:6])
-}
-
-// Shard partial persistence: one JSONL measurement file per
-// (tag, kernel, shard) in the store directory, merged back into the
-// regular profile cache entry by MergeSavedShards.
-
-func (s Store) shardPath(tag, kernel string, index, count int) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s_%s.shard%03dof%03d.jsonl", tag, kernel, index, count))
-}
-
-// SaveShard persists one shard's measurements for (tag, kernel) and
-// returns the file path.
-func (s Store) SaveShard(tag, kernel string, index, count int, ms []gridplan.Measurement) (string, error) {
-	if s.Dir == "" {
-		return "", fmt.Errorf("profile: store has no directory for shard partials")
-	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return "", err
-	}
-	path := s.shardPath(tag, kernel, index, count)
-	if err := gridplan.WriteMeasurementsFile(path, index, count, ms); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// LoadShards reads every persisted shard partial for (tag, kernel),
-// in sorted file order. It returns os.ErrNotExist when none are
-// present.
-func (s Store) LoadShards(tag, kernel string) ([][]gridplan.Measurement, error) {
-	if s.Dir == "" {
-		return nil, os.ErrNotExist
-	}
-	files, err := filepath.Glob(filepath.Join(s.Dir, fmt.Sprintf("%s_%s.shard*.jsonl", tag, kernel)))
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("profile: no shard partials for %s/%s in %s: %w", tag, kernel, s.Dir, os.ErrNotExist)
-	}
-	sort.Strings(files)
-	var shards [][]gridplan.Measurement
-	for _, f := range files {
-		ms, err := gridplan.ReadMeasurementsFile(f)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, ms)
-	}
-	return shards, nil
-}
-
-// MergeSavedShards merges every persisted shard partial of
-// (tag, kernel) into a full Profile, verifies it against plan when one
-// is given (exact task coverage — a lost shard fails loudly), caches
-// it as the regular profile entry, and returns it.
-func (s Store) MergeSavedShards(tag, kernel string, plan *gridplan.Plan) (*Profile, error) {
-	shards, err := s.LoadShards(tag, kernel)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		var sub gridplan.Plan
-		for _, t := range plan.Tasks {
-			if t.Tag == tag && t.Kernel == kernel {
-				sub.Tasks = append(sub.Tasks, t)
-			}
-		}
-		merged, err := gridplan.Merge(shards...)
-		if err != nil {
-			return nil, err
-		}
-		if err := sub.Verify(merged); err != nil {
-			return nil, err
-		}
-	}
-	pr, err := MergeShards(kernel, shards...)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Save(tag, pr); err != nil {
-		return nil, err
-	}
-	return pr, nil
 }

@@ -139,10 +139,10 @@ type SweepOptions struct {
 	// workload under a scheme pinning that tuple. A task's verified
 	// Digest keys it. An armed Interrupt bypasses the memo.
 	Memo *sim.RunMemo
-	// Refine switches sweeps to adaptive coarse-to-fine pruning (see
-	// refine.go): LoadOrSweep runs PrunedSweep rounds instead of the
-	// exhaustive grid, caching completed rounds for resume. nil means
-	// exhaustive. The pruned profile contains only the simulated
+	// Refine switches sweeps to adaptive coarse-to-fine refinement
+	// (see refine.go): LoadOrSweep runs PrunedSweep rounds instead of
+	// the whole grid, caching completed rounds for resume. nil means
+	// the whole grid. The refined profile contains only the simulated
 	// subset of the grid, so callers that consume more than the
 	// Best/BestDiagonal/BestScore optima and the corner points should
 	// keep Refine nil.
@@ -179,10 +179,14 @@ func (o SweepOptions) withDefaults() SweepOptions {
 // (config, kernel, tuple), so the profile is bit-identical at any
 // worker count.
 //
-// Sweep is exactly the one-shard instance of the plan pipeline
-// (BuildPlan -> RunTasks -> MergeShards), so a sweep fanned out as
-// plan shards across processes merges to the same Profile bit for bit
-// — the property TestShardedSweepMatchesInProcess pins down.
+// Sweep is exactly the one-part instance of the plan pipeline
+// (BuildPlan -> RunTasks -> MergeShards), so a sweep fanned out across
+// a fleet's processes merges to the same Profile bit for bit — the
+// property TestShardedSweepMatchesInProcess pins down.
+//
+// It covers the whole grid. The commands and the experiment harness
+// refine instead (PrunedSweep); Sweep remains for the figures that draw
+// every point and as the oracle the refinement is proven against.
 func Sweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
 	opts = opts.withDefaults()
 	plan := BuildPlan("", cfg, k, opts)
@@ -259,6 +263,9 @@ func abs(x int) int {
 // once per configuration.
 type Store struct {
 	Dir string
+	// Books, when non-nil, adds up what LoadOrSweep's refined sweeps
+	// simulate; a profile served from the cache adds nothing.
+	Books *SweepBooks
 }
 
 func (s Store) path(tag, kernel string) string {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"poise/internal/config"
 	"poise/internal/gridplan"
@@ -25,11 +26,11 @@ import (
 // nothing — by construction that means the incumbent optimum's 3x3
 // neighbourhood is fully swept, so its score is exact.
 //
-// Every round is an ordinary gridplan-backed task plan, so pruning
-// composes with the shard -> merge substrate: rounds can be emitted as
-// plan files, split i/N across processes, and merged back — the next
+// Every round is an ordinary gridplan-backed task plan, so refinement
+// composes with the fleet: a round is served as one plan generation,
+// leased out across worker processes and merged back — the next
 // round's plan is a pure function of the merged measurements so far,
-// which are bit-identical at any shard count.
+// which are bit-identical at any worker count.
 
 // RefineOptions tunes the pruned sweep. The zero value selects
 // defaults chosen so the catalogue workloads converge to the exact
@@ -126,6 +127,37 @@ func (s RefineStats) Fraction() float64 {
 	return float64(s.Simulated) / float64(s.GridPoints)
 }
 
+// SweepBooks adds up what the refined sweeps of a Store simulated (see
+// Store.Books). It is safe for concurrent use.
+type SweepBooks struct {
+	mu        sync.Mutex
+	total     RefineStats
+	escalated int
+}
+
+func (b *SweepBooks) add(st RefineStats, wholeGrid bool) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	b.total.Rounds += st.Rounds
+	b.total.Simulated += st.Simulated
+	b.total.GridPoints += st.GridPoints
+	if wholeGrid {
+		b.escalated++
+	}
+	b.mu.Unlock()
+}
+
+// Totals returns the summed stats and how many of the sweeps ended up
+// covering their whole grid (a flat space escalates to it; so does a
+// grid too small to prune).
+func (b *SweepBooks) Totals() (total RefineStats, escalated int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.total, b.escalated
+}
+
 // kernelMaxN mirrors BuildPlan's warp bound: the configuration's
 // per-scheduler limit, clipped by the kernel's own occupancy bound.
 func kernelMaxN(cfg config.Config, k *trace.Kernel) int {
@@ -138,12 +170,12 @@ func kernelMaxN(cfg config.Config, k *trace.Kernel) int {
 
 // BuildRefinePlan computes refinement round `round` of kernel k as an
 // ordinary sweep plan, given every measurement observed in earlier
-// rounds (merged across rounds and shards). It is a pure function of
-// its arguments — measurements are bit-identical at any shard or
-// worker count, so every process of a staged campaign derives the
-// same next round. done reports convergence: the returned plan is
-// empty and prior already covers everything another round would ask
-// for, so the profile can be assembled.
+// rounds (merged across rounds and workers). It is a pure function of
+// its arguments — measurements are bit-identical at any worker count,
+// so a fleet campaign derives the round a single process would. done
+// reports convergence: the returned plan is empty and prior already
+// covers everything another round would ask for, so the profile can be
+// assembled.
 //
 // Round 0 (prior empty) is the coarse sub-grid at CoarseN/CoarseP
 // times the target steps — the p == N diagonal and the corner points
@@ -387,12 +419,24 @@ func (o SweepOptions) refineOptions() RefineOptions {
 // Best, BestDiagonal and BestScore select the same tuples as the
 // exhaustive sweep (the catalogue equivalence tests pin this).
 func PrunedSweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, RefineStats, error) {
+	return Store{}.refine("", cfg, k, opts, nil)
+}
+
+// refine runs the refinement of kernel k from the given completed
+// rounds to convergence and assembles the profile. A store with a
+// directory persists every round it runs and the assembled profile;
+// the stats count what this call simulated, not the rounds it was
+// handed.
+func (s Store) refine(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions, rounds [][]gridplan.Measurement) (*Profile, RefineStats, error) {
 	opts = opts.withDefaults()
 	stats := RefineStats{GridPoints: len(gridplan.Enumerate(kernelMaxN(cfg, k), opts.StepN, opts.StepP))}
-	var all []gridplan.Measurement
+	all, err := gridplan.Merge(rounds...)
+	if err != nil {
+		return nil, stats, err
+	}
 	kernels := map[string]*trace.Kernel{k.Name: k}
-	for round := 0; ; round++ {
-		plan, done, err := BuildRefinePlan("", cfg, k, opts, round, all)
+	for round := len(rounds); ; round++ {
+		plan, done, err := BuildRefinePlan(tag, cfg, k, opts, round, all)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -402,6 +446,11 @@ func PrunedSweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profil
 		ms, err := RunTasks(cfg, kernels, plan.Tasks, opts)
 		if err != nil {
 			return nil, stats, err
+		}
+		if s.Dir != "" {
+			if err := s.SaveRound(tag, k.Name, round, ms); err != nil {
+				return nil, stats, err
+			}
 		}
 		if all, err = gridplan.Merge(all, ms); err != nil {
 			return nil, stats, err
@@ -413,12 +462,17 @@ func PrunedSweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profil
 	if err != nil {
 		return nil, stats, err
 	}
+	if s.Dir != "" {
+		if err := s.Save(tag, pr); err != nil {
+			return nil, stats, err
+		}
+	}
 	return pr, stats, nil
 }
 
 // Round partial persistence: a pruned sweep's completed rounds are
 // cached as one measurement JSONL file per (tag, kernel, round), so a
-// crashed or staged campaign resumes from the last completed round
+// crashed sweep or fleet campaign resumes from the last completed round
 // instead of re-simulating from scratch.
 
 func (s Store) roundPath(tag, kernel string, round int) string {
@@ -461,51 +515,17 @@ func (s Store) LoadRounds(tag, kernel string) [][]gridplan.Measurement {
 // a run with different refinement parameters) restart the refinement
 // from round 0 rather than failing.
 func (s Store) loadOrPrunedSweep(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
-	if s.Dir == "" {
-		pr, _, err := PrunedSweep(cfg, k, opts)
-		return pr, err
-	}
-	pr, err := s.resumePrunedRounds(tag, cfg, k, opts, s.LoadRounds(tag, k.Name))
-	if err != nil {
+	rounds := s.LoadRounds(tag, k.Name)
+	pr, stats, err := s.refine(tag, cfg, k, opts, rounds)
+	if err != nil && len(rounds) > 0 {
 		// Cached rounds that cannot be extended (mixed grids, duplicate
 		// coverage) are treated like a corrupt cache entry: re-sweep
 		// from scratch and overwrite them.
-		pr, err = s.resumePrunedRounds(tag, cfg, k, opts, nil)
+		pr, stats, err = s.refine(tag, cfg, k, opts, nil)
 	}
-	return pr, err
-}
-
-func (s Store) resumePrunedRounds(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions, rounds [][]gridplan.Measurement) (*Profile, error) {
-	all, err := gridplan.Merge(rounds...)
 	if err != nil {
 		return nil, err
 	}
-	kernels := map[string]*trace.Kernel{k.Name: k}
-	for round := len(rounds); ; round++ {
-		plan, done, err := BuildRefinePlan(tag, cfg, k, opts, round, all)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-		ms, err := RunTasks(cfg, kernels, plan.Tasks, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.SaveRound(tag, k.Name, round, ms); err != nil {
-			return nil, err
-		}
-		if all, err = gridplan.Merge(all, ms); err != nil {
-			return nil, err
-		}
-	}
-	pr, err := MergeShards(k.Name, all)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Save(tag, pr); err != nil {
-		return nil, err
-	}
+	s.Books.add(stats, len(pr.Points) == stats.GridPoints)
 	return pr, nil
 }

@@ -54,9 +54,9 @@ func TestPrunedSweepMatchesExhaustiveTuples(t *testing.T) {
 }
 
 // TestRefineRoundsShardIdentical is the composition contract with the
-// PR 3 shard substrate: executing every refinement round as 1, 2 or 3
-// plan shards and merging must reproduce the in-process pruned sweep
-// point for point — so a staged multi-process campaign can never
+// plan pipeline: executing every refinement round as 1, 2 or 3 hands
+// of its plan and merging must reproduce the in-process pruned sweep
+// point for point — so a fleet's multi-process refinement can never
 // diverge from PrunedSweep.
 func TestRefineRoundsShardIdentical(t *testing.T) {
 	cfg := testutil.TinyConfig()
@@ -77,11 +77,7 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 			}
 			var parts [][]gridplan.Measurement
 			for i := 0; i < shards; i++ {
-				sp, err := plan.Shard(i, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ms, err := RunTasks(cfg, kernelSet(k), sp.Tasks, opts)
+				ms, err := RunTasks(cfg, kernelSet(k), testutil.Deal(plan.Tasks, i, shards), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,12 +113,15 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 // deleting only the final profile resumes from the cached rounds
 // without simulating anything (the refinement is already converged,
 // so a poisoned kernel proves no simulation happens); and a corrupt
-// round file degrades to a clean re-sweep.
+// round file degrades to a clean re-sweep. The store's books count what
+// each call simulated: the sweep once, the cache hit and the resume
+// nothing.
 func TestLoadOrSweepPrunedResume(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("sweep", 20, 15, 4)
 	opts := SweepOptions{StepN: 2, StepP: 2, Refine: &RefineOptions{}}
-	st := Store{Dir: t.TempDir()}
+	var books SweepBooks
+	st := Store{Dir: t.TempDir(), Books: &books}
 
 	want, err := st.LoadOrSweep("tag", cfg, k, opts)
 	if err != nil {
@@ -132,6 +131,14 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 	if len(rounds) == 0 {
 		t.Fatal("pruned LoadOrSweep persisted no rounds")
 	}
+	_, swept := prunedTiny(t)
+	wholeGrid := 0
+	if swept.Simulated == swept.GridPoints {
+		wholeGrid = 1
+	}
+	if got, escalated := books.Totals(); got != swept || escalated != wholeGrid {
+		t.Fatalf("books after one sweep: %+v, %d escalated; PrunedSweep reports %+v", got, escalated, swept)
+	}
 	// A second call hits the profile cache.
 	again, err := st.LoadOrSweep("tag", cfg, k, opts)
 	if err != nil {
@@ -139,6 +146,9 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again.Points, want.Points) {
 		t.Fatal("cached pruned profile differs")
+	}
+	if got, _ := books.Totals(); got != swept {
+		t.Fatalf("a cache hit moved the books: %+v", got)
 	}
 
 	// Delete the final profile but keep the rounds: the resume must
@@ -156,6 +166,9 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resumed.Points, want.Points) {
 		t.Fatal("resumed pruned profile differs from the original (the resume re-simulated?)")
+	}
+	if got, _ := books.Totals(); got.Simulated != swept.Simulated || got.Rounds != swept.Rounds {
+		t.Fatalf("a resume from complete rounds simulated something: %+v", got)
 	}
 
 	// Corrupt round 0: the prefix loader stops there, the stale later

@@ -1,21 +1,16 @@
 // Package results persists executed experiment-grid cells: the
 // workload-level sibling of package profile's {N, p} sweep store. A
 // CellResult pairs a gridplan.CellTask's identity with the full
-// sim.WorkloadResult the cell produced, and the Store keeps two kinds
-// of artifact per (tag, grid): shard partial JSONL files written by
-// worker processes, and the merged JSON entry figure runs load instead
-// of re-simulating. Merging any shard decomposition is
-// reflect.DeepEqual-identical to the in-process grid run — Go's JSON
-// encoding round-trips float64 exactly, and the key-ordered merge is
-// the same verified machinery profile measurements use.
+// sim.WorkloadResult the cell produced, and the Store keeps the merged
+// JSON entry per (tag, grid) that figure runs load instead of
+// re-simulating. Merging any decomposition of a plan — a fleet's
+// leases — is reflect.DeepEqual-identical to the in-process grid run:
+// Go's JSON encoding round-trips float64 exactly, and the key-ordered
+// merge is the same verified machinery profile measurements use.
 package results
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"poise/internal/gridplan"
 	"poise/internal/sim"
@@ -56,8 +51,8 @@ func (c CellResult) FromTask(t gridplan.CellTask) CellResult {
 	return c
 }
 
-// Merge combines per-shard cell sets into one key-ordered set,
-// rejecting duplicates, exactly like gridplan.Merge does for profile
+// Merge combines cell sets into one key-ordered set, rejecting
+// duplicates, exactly like gridplan.Merge does for profile
 // measurements.
 func Merge(shards ...[]CellResult) ([]CellResult, error) {
 	return gridplan.MergeKeyed(shards...)
@@ -84,98 +79,4 @@ func Verify(plan *gridplan.CellPlan, cells []CellResult) error {
 		}
 	}
 	return nil
-}
-
-// The shard JSONL container mirrors gridplan's measurement files: one
-// header line, then one cell per line, with the header's count
-// detecting truncated transfers.
-
-const shardFormat = "poisecellshard"
-
-type shardHeader struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-	Shard   int    `json:"shard"`
-	Of      int    `json:"of"`
-	Count   int    `json:"count"`
-}
-
-// WriteShard serialises one shard's cells as JSONL. shard/of record
-// which split produced the file; Merge does not trust them, they are
-// for operators and error messages.
-func WriteShard(w io.Writer, shard, of int, cells []CellResult) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(shardHeader{Format: shardFormat, Version: gridplan.PlanVersion,
-		Shard: shard, Of: of, Count: len(cells)}); err != nil {
-		return err
-	}
-	for _, c := range cells {
-		if err := enc.Encode(c); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadShard parses a cell shard file. A cell line carries a whole
-// workload's per-kernel results, so the line cap is generous.
-func ReadShard(r io.Reader) ([]CellResult, error) {
-	sc := gridplan.NewJSONLScanner(r, 16*1024*1024)
-	var h shardHeader
-	if err := sc.Next(&h); err != nil {
-		return nil, fmt.Errorf("results: shard header: %w", err)
-	}
-	if h.Format != shardFormat {
-		return nil, fmt.Errorf("results: not a cell shard file (format %q)", h.Format)
-	}
-	if h.Version != gridplan.PlanVersion {
-		return nil, fmt.Errorf("results: unsupported shard version %d (have %d)", h.Version, gridplan.PlanVersion)
-	}
-	var cells []CellResult
-	for {
-		var c CellResult
-		err := sc.Next(&c)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("results: shard line %d: %w", sc.Line(), err)
-		}
-		cells = append(cells, c)
-	}
-	if len(cells) != h.Count {
-		return nil, fmt.Errorf("results: shard truncated: header says %d cells, file has %d", h.Count, len(cells))
-	}
-	return cells, nil
-}
-
-// WriteShardFile writes a cell shard file to path.
-func WriteShardFile(path string, shard, of int, cells []CellResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = WriteShard(f, shard, of, cells)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("results: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadShardFile reads a cell shard file from path.
-func ReadShardFile(path string) ([]CellResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cells, err := ReadShard(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w (reading %s)", err, path)
-	}
-	return cells, nil
 }

@@ -122,8 +122,9 @@ func NewPoolSet() *PoolSet {
 	return &PoolSet{pools: map[config.Config]*Pool{}}
 }
 
-// pool returns (creating if needed) the pool for cfg.
-func (ps *PoolSet) pool(cfg config.Config) (*Pool, error) {
+// Pool returns (creating if needed) the pool for cfg, for callers that
+// hand one configuration's pool on (profile.SweepOptions.Pool).
+func (ps *PoolSet) Pool(cfg config.Config) (*Pool, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if p, ok := ps.pools[cfg]; ok {
@@ -143,7 +144,7 @@ func (ps *PoolSet) pool(cfg config.Config) (*Pool, error) {
 // Get returns a fresh-state GPU for cfg, recycling a parked one built
 // with the same configuration when available.
 func (ps *PoolSet) Get(cfg config.Config) (*GPU, error) {
-	p, err := ps.pool(cfg)
+	p, err := ps.Pool(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +157,7 @@ func (ps *PoolSet) Put(cfg config.Config, g *GPU) {
 	if g == nil {
 		return
 	}
-	p, err := ps.pool(cfg)
+	p, err := ps.Pool(cfg)
 	if err != nil {
 		return
 	}

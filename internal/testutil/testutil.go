@@ -117,3 +117,13 @@ func RunTiny(k *trace.Kernel, p sim.Policy) sim.KernelResult {
 	}
 	return res
 }
+
+// Deal returns hand i of n of ts dealt round-robin: how the
+// decomposition tests split a plan's tasks, as a fleet's leases would.
+func Deal[T any](ts []T, i, n int) []T {
+	var hand []T
+	for j := i; j < len(ts); j += n {
+		hand = append(hand, ts[j])
+	}
+	return hand
+}
