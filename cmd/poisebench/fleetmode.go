@@ -3,9 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
-	"time"
 
 	"poise/internal/experiments"
 	"poise/internal/fleet"
@@ -26,44 +24,29 @@ import (
 //
 // -run all serves the refinement of every evaluation kernel's sweep as
 // one campaign, each round's plan published as the next generation.
+// The flags, their shared rules, coordinator start-up and worker
+// construction are package fleet's (fleet.Flags).
 
-// benchFleetFlags carries the -serve/-worker flags plus the flags they
+// benchFleetFlags carries the fleet flags plus the flags they
 // constrain, so the combination rules live in one testable function.
 type benchFleetFlags struct {
-	serve  string
-	worker string
-
-	leaseTasks int
-	leaseTTL   time.Duration
+	fleet.Flags
 
 	run      string
 	cacheDir string
-	emitPlan string
 }
 
 // validateBenchFleetFlags rejects inconsistent combinations before
 // anything listens or simulates.
 func validateBenchFleetFlags(f benchFleetFlags) error {
-	switch {
-	case f.serve == "" && f.worker == "":
-		return fmt.Errorf("fleet mode needs -serve or -worker")
-	case f.serve != "" && f.worker != "":
-		return fmt.Errorf("-serve and -worker are mutually exclusive")
-	case f.emitPlan != "":
-		return fmt.Errorf("-emit-plan cannot combine with -serve/-worker (the coordinator publishes plans itself)")
-	case f.leaseTasks < 0:
-		return fmt.Errorf("-lease-tasks must be positive")
-	case f.leaseTTL < 0:
-		return fmt.Errorf("-lease-ttl must be positive")
+	if err := f.Flags.Validate(); err != nil {
+		return err
 	}
-	if f.worker != "" {
-		if f.leaseTasks != 0 || f.leaseTTL != 0 {
-			return fmt.Errorf("-lease-tasks and -lease-ttl are coordinator flags (use with -serve)")
-		}
+	if f.Worker != "" {
 		return nil
 	}
 	// Coordinator: merged results land in the cache, and -run selects
-	// the campaign exactly as it selects -emit-plan's plan kind.
+	// the campaign.
 	if f.cacheDir == "" {
 		return fmt.Errorf("-serve needs -cache for the merged output")
 	}
@@ -76,31 +59,29 @@ func runFleetMode(ctx context.Context, h *experiments.Harness, f benchFleetFlags
 	if err := validateBenchFleetFlags(f); err != nil {
 		return err
 	}
-	if f.worker != "" {
-		return runFleetWorker(ctx, h, f)
+	if f.Worker != "" {
+		// Both executors register; the coordinator's plan format picks
+		// the pipeline, and the plan's tag and digests verify this
+		// process's flags reproduce the coordinator's configuration.
+		w := f.NewWorker(map[string]fleet.Executor{
+			gridplan.ProfilePlanFormat: fleet.ProfileExecutor{
+				Cfg: h.Cfg, Kernels: h.EvalKernels(), Opts: h.EvalSweepOptions(),
+			},
+			gridplan.CellPlanFormat: fleet.CellExecutor{H: h},
+		})
+		if err := w.Run(ctx); err != nil {
+			return err
+		}
+		fmt.Printf("worker %s: campaign complete\n", w.Name)
+		return nil
 	}
-	return runFleetServe(ctx, h, f)
-}
-
-// runFleetServe builds the campaign -run selects, serves it to
-// completion, and saves the merged results into the harness's own
-// cache stores, where figure assembly loads them like its own.
-func runFleetServe(ctx context.Context, h *experiments.Harness, f benchFleetFlags) error {
+	// The merged results go into the harness's own cache stores, where
+	// figure assembly loads them like its own.
 	camp, save, err := benchCampaign(h, f)
 	if err != nil {
 		return err
 	}
-	coord, err := fleet.NewCoordinator(camp, fleet.Options{
-		LeaseTasks: f.leaseTasks,
-		LeaseTTL:   f.leaseTTL,
-		Logf:       stdoutLogf,
-	})
-	if err != nil {
-		return err
-	}
-	addrCh := make(chan string, 1)
-	go func() { fmt.Printf("fleet: serving on %s\n", <-addrCh) }()
-	res, err := coord.Serve(ctx, f.serve, addrCh)
+	res, err := f.ServeCampaign(ctx, camp)
 	if err != nil {
 		return err
 	}
@@ -122,7 +103,6 @@ func benchCampaign(h *experiments.Harness, f benchFleetFlags) (fleet.Campaign, f
 		if len(plan.Cells) == 0 {
 			return nil, nil, fmt.Errorf("grid %s enumerated no cells", grid)
 		}
-		plan.Sort()
 		save := func(res []fleet.Result) error {
 			_, g, n, err := fleet.SaveCells(h.CellStore(), res)
 			if err != nil {
@@ -149,31 +129,6 @@ func benchCampaign(h *experiments.Harness, f benchFleetFlags) (fleet.Campaign, f
 	return camp, save, nil
 }
 
-// runFleetWorker serves leases from the coordinator with both
-// executors registered; the coordinator's plan format picks the
-// pipeline, and the plan's tag and digests verify this process's
-// flags reproduce the coordinator's configuration.
-func runFleetWorker(ctx context.Context, h *experiments.Harness, f benchFleetFlags) error {
-	host, _ := os.Hostname()
-	name := fmt.Sprintf("%s-%d", host, os.Getpid())
-	w := &fleet.Worker{
-		Base: f.worker,
-		Name: name,
-		Executors: map[string]fleet.Executor{
-			gridplan.ProfilePlanFormat: fleet.ProfileExecutor{
-				Cfg: h.Cfg, Kernels: h.EvalKernels(), Opts: h.EvalSweepOptions(),
-			},
-			gridplan.CellPlanFormat: fleet.CellExecutor{H: h},
-		},
-		Logf: stdoutLogf,
-	}
-	if err := w.Run(ctx); err != nil {
-		return err
-	}
-	fmt.Printf("worker %s: campaign complete\n", name)
-	return nil
-}
-
 // evalKernelList flattens the evaluation kernel index in name order —
 // campaigns iterate it, so the order must be deterministic.
 func evalKernelList(h *experiments.Harness) []*trace.Kernel {
@@ -188,10 +143,4 @@ func evalKernelList(h *experiments.Harness) []*trace.Kernel {
 		kernels[i] = idx[name]
 	}
 	return kernels
-}
-
-// stdoutLogf adapts fleet's Logf convention (printf format, no
-// newline) to stdout lines; CI greps the coordinator's stats line.
-func stdoutLogf(format string, args ...any) {
-	fmt.Printf(format+"\n", args...)
 }

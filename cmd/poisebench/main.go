@@ -40,9 +40,7 @@
 //
 // Merging any split is reflect.DeepEqual-identical to the in-process
 // run, so the final tables are byte-identical to an unsplit run with
-// the cache disabled. -emit-plan writes the plan a coordinator would
-// serve (the whole profile grid, or the cell grid) as a JSONL file, for
-// `poisesim -serve -plan`.
+// the cache disabled.
 package main
 
 import (
@@ -56,7 +54,7 @@ import (
 	"time"
 
 	"poise/internal/experiments"
-	"poise/internal/gridplan"
+	"poise/internal/fleet"
 	"poise/internal/profiling"
 	"poise/internal/sim"
 	"poise/internal/traceio"
@@ -83,31 +81,28 @@ var runners = []struct {
 	{"cost", "Sec. VII-I: hardware cost accounting", runCost},
 }
 
+// The flags live at package level so that a test can count them.
+var (
+	run      = flag.String("run", "all", "comma-separated experiment list or 'all' (see -listexp)")
+	sms      = flag.Int("sms", 8, "number of SMs (scaled memory system)")
+	size     = flag.String("size", "small", "workload size: small | medium | large")
+	cacheDir = flag.String("cache", ".poise-cache", "profile cache directory ('' disables)")
+	seeds    = flag.Int("seeds", 3, "random-restart seeds (paper uses 20)")
+	snapDir  = flag.String("snapshot-dir", "", "kernel-boundary snapshot directory, the on-disk second tier of the run memo: a tuple-pinned grid cell no earlier run answers whole resumes at the first kernel where it diverges from a run that left a snapshot here, in this process or an earlier one (results are bit-identical either way; '' = memory only)")
+	parallel = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
+	seed     = flag.Int64("seed", 0, "experiment seed (perturbs workload jitter and random-restart; 0 = canonical)")
+	listExp  = flag.Bool("listexp", false, "list experiments and exit")
+	tracePth = flag.String("trace", "", "ingest trace workloads (a .ptrace/.ptrace.gz/.trace file or a directory) into the evaluation set")
+
+	// Fleet coordinator/worker service (package fleet): the same
+	// campaigns over HTTP, with crash recovery and work stealing.
+	fleetMode = fleet.RegisterFlags(flag.CommandLine, "-run's campaign (the profile sweeps' refinement rounds, or one experiment grid) and merging results into -cache")
+
+	cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
+)
+
 func main() {
-	var (
-		run      = flag.String("run", "all", "comma-separated experiment list or 'all' (see -listexp)")
-		sms      = flag.Int("sms", 8, "number of SMs (scaled memory system)")
-		size     = flag.String("size", "small", "workload size: small | medium | large")
-		cacheDir = flag.String("cache", ".poise-cache", "profile cache directory ('' disables)")
-		seeds    = flag.Int("seeds", 3, "random-restart seeds (paper uses 20)")
-		snapDir  = flag.String("snapshot-dir", "", "kernel-boundary snapshot directory, the on-disk second tier of the run memo: a tuple-pinned grid cell no earlier run answers whole resumes at the first kernel where it diverges from a run that left a snapshot here, in this process or an earlier one (results are bit-identical either way; '' = memory only)")
-		parallel = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		seed     = flag.Int64("seed", 0, "experiment seed (perturbs workload jitter and random-restart; 0 = canonical)")
-		listExp  = flag.Bool("listexp", false, "list experiments and exit")
-		tracePth = flag.String("trace", "", "ingest trace workloads (a .ptrace/.ptrace.gz/.trace file or a directory) into the evaluation set")
-
-		emitPlan = flag.String("emit-plan", "", "write the whole profile sweep grid (-run all) or one experiment's cell grid plan (-run <exp>) as JSONL to this file, for poisesim -serve -plan, and exit")
-
-		// Fleet coordinator/worker service (package fleet): the same
-		// campaigns over HTTP, with crash recovery and work stealing.
-		serveAddr = flag.String("serve", "", "run the fleet coordinator on this listen address, serving -run's campaign (the profile sweeps' refinement rounds, or one experiment grid) and merging results into -cache")
-		workerURL = flag.String("worker", "", "run a fleet worker pulling task leases from the coordinator at this base URL")
-		leaseN    = flag.Int("lease-tasks", 0, "-serve: tasks per lease batch (0 = default)")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "-serve: lease expiry deadline, renewed on each completed task (0 = default)")
-
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
 	flag.Parse()
 
 	stopProf, err := profiling.Start(profiling.Flags{CPUProfile: *cpuProf, MemProfile: *memProf})
@@ -161,21 +156,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *serveAddr != "" || *workerURL != "" {
-		err := runFleetMode(ctx, h, benchFleetFlags{
-			serve: *serveAddr, worker: *workerURL,
-			leaseTasks: *leaseN, leaseTTL: *leaseTTL,
-			run: *run, cacheDir: *cacheDir, emitPlan: *emitPlan,
-		})
+	if fleetMode.Enabled() {
+		err := runFleetMode(ctx, h, benchFleetFlags{Flags: *fleetMode, run: *run, cacheDir: *cacheDir})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "poisebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *emitPlan != "" {
-		if err := runEmitPlan(h, *run, *emitPlan); err != nil {
 			fmt.Fprintln(os.Stderr, "poisebench:", err)
 			os.Exit(1)
 		}
@@ -493,16 +476,16 @@ func gridBackedNames() string {
 	return strings.Join(names, ", ")
 }
 
-// gridOfRun maps -run to the campaign the fleet and -emit-plan modes
-// cover: "" for "all" (the profile sweeps), or the cell grid of the one
-// grid-backed experiment it names.
+// gridOfRun maps -run to the campaign -serve covers: "" for "all" (the
+// profile sweeps), or the cell grid of the one grid-backed experiment
+// it names.
 func gridOfRun(run string) (string, error) {
 	run = strings.TrimSpace(strings.ToLower(run))
 	if run == "all" {
 		return "", nil
 	}
 	if strings.Contains(run, ",") {
-		return "", fmt.Errorf("-serve and -emit-plan take a single experiment in -run, got %q", run)
+		return "", fmt.Errorf("-serve takes a single experiment in -run, got %q", run)
 	}
 	grid, ok := gridForExp[run]
 	if !ok {
@@ -510,42 +493,6 @@ func gridOfRun(run string) (string, error) {
 			run, gridBackedNames())
 	}
 	return grid, nil
-}
-
-// runEmitPlan writes the plan -run selects — one experiment's cell
-// grid, or the whole profile sweep grid — as the JSONL file a fleet
-// coordinator serves.
-func runEmitPlan(h *experiments.Harness, run, path string) error {
-	grid, err := gridOfRun(run)
-	if err != nil {
-		return err
-	}
-	if grid != "" {
-		plan, err := h.CellPlan(grid)
-		if err != nil {
-			return err
-		}
-		if len(plan.Cells) == 0 {
-			return fmt.Errorf("grid %s enumerated no cells", grid)
-		}
-		plan.Sort()
-		if err := gridplan.WriteCellPlanFile(path, plan); err != nil {
-			return err
-		}
-		fmt.Printf("cell plan %s: %d cells of grid %s (tag %s)\n",
-			path, len(plan.Cells), grid, plan.Cells[0].Tag)
-		return nil
-	}
-	plan, err := h.EvalPlan()
-	if err != nil {
-		return err
-	}
-	plan.Sort()
-	if err := gridplan.WritePlanFile(path, plan); err != nil {
-		return err
-	}
-	fmt.Printf("plan %s: %d tasks over %d kernels\n", path, len(plan.Tasks), len(h.EvalKernels()))
-	return nil
 }
 
 func ratioOr0(x, base float64) float64 {

@@ -3,22 +3,22 @@ package main
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"poise/internal/fleet"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
-	"poise/internal/results"
 	"poise/internal/sim"
 )
 
-// The fleet flow, the one way to spread a campaign across processes:
-// one coordinator process serves lease batches of a plan over HTTP and
-// merges the streamed results; long-lived workers pull leases until
-// the campaign completes. Crashed workers are recovered by lease
-// expiry, loaded workers are relieved by work stealing, and the merged
-// output is byte-identical to the single-process run either way.
+// The fleet flow, the one way to spread a sweep campaign across
+// processes: one coordinator process serves lease batches of a plan
+// over HTTP and merges the streamed results; long-lived workers pull
+// leases until the campaign completes. Crashed workers are recovered by
+// lease expiry, loaded workers are relieved by work stealing, and the
+// merged output is byte-identical to the single-process run either way.
+// The shared flags and wiring are fleet.Flags; this file is what -serve
+// means here, which executor a worker runs, and the chaos hooks.
 //
 // Without -plan the coordinator drives the refinement of the selected
 // workloads — what -sweep runs in one process — publishing each round's
@@ -28,24 +28,24 @@ import (
 //	poisesim -workload ii -serve :9444 -cache rounds -profile-out profs   # terminal 1
 //	poisesim -worker http://HOST:9444                                     # terminal 2..N
 //
-// With -plan it serves that file: a whole-grid profile plan from
-// -emit-plan, or a cell plan from poisebench -emit-plan (the file's
-// header picks the pipeline):
+// With -plan it serves that file, a whole-grid profile plan from
+// -emit-plan:
 //
 //	poisesim -workload ii -emit-plan plan.jsonl
 //	poisesim -serve :9444 -plan plan.jsonl -profile-out profs
+//
+// Experiment-grid campaigns (workload x scheme cells) need the
+// experiment harness and are poisebench's: `poisebench -serve`,
+// `poisebench -worker`.
 
-// fleetFlags carries the -serve/-worker flags together with the
-// pre-existing mode flags they constrain, so every combination rule
-// lives in one pure, table-testable function.
+// fleetFlags carries the fleet flags together with the chaos hooks and
+// the mode flags they constrain, so every combination rule lives in one
+// pure, table-testable function.
 type fleetFlags struct {
-	serve  string // -serve: coordinator listen address
-	worker string // -worker: coordinator base URL to pull leases from
+	fleet.Flags
 
-	leaseTasks int           // -lease-tasks (serve)
-	leaseTTL   time.Duration // -lease-ttl (serve)
-	dieAfter   int           // -die-after (worker, chaos/CI)
-	taskDelay  time.Duration // -task-delay (worker, chaos/CI)
+	dieAfter  int           // -die-after (worker, chaos/CI)
+	taskDelay time.Duration // -task-delay (worker, chaos/CI)
 
 	// The flags of the one-process modes the fleet modes interact with.
 	planPath   string
@@ -58,27 +58,22 @@ type fleetFlags struct {
 // validateFleetFlags rejects every inconsistent flag combination
 // before anything listens, connects or simulates.
 func validateFleetFlags(f fleetFlags) error {
+	if err := f.Flags.Validate(); err != nil {
+		return err
+	}
 	switch {
-	case f.serve == "" && f.worker == "":
-		return fmt.Errorf("fleet mode needs -serve or -worker")
-	case f.serve != "" && f.worker != "":
-		return fmt.Errorf("-serve and -worker are mutually exclusive")
 	case f.emitPlan != "":
 		return fmt.Errorf("-emit-plan cannot combine with -serve/-worker (the coordinator publishes plans itself)")
 	case f.sweep:
 		return fmt.Errorf("-sweep cannot combine with -serve/-worker")
 	case f.best:
 		return fmt.Errorf("-best cannot combine with -serve/-worker")
-	case f.leaseTasks < 0:
-		return fmt.Errorf("-lease-tasks must be positive")
-	case f.leaseTTL < 0:
-		return fmt.Errorf("-lease-ttl must be positive")
 	case f.dieAfter < 0:
 		return fmt.Errorf("-die-after must be positive")
 	case f.taskDelay < 0:
 		return fmt.Errorf("-task-delay must be positive")
 	}
-	if f.serve != "" {
+	if f.Serve != "" {
 		switch {
 		case f.dieAfter != 0 || f.taskDelay != 0:
 			return fmt.Errorf("-die-after and -task-delay are worker flags (use with -worker)")
@@ -93,8 +88,6 @@ func validateFleetFlags(f fleetFlags) error {
 		return fmt.Errorf("-plan is a coordinator flag; the worker receives the plan from -worker URL")
 	case f.profileDir != "":
 		return fmt.Errorf("-profile-out is a coordinator flag; the coordinator merges and saves")
-	case f.leaseTasks != 0 || f.leaseTTL != 0:
-		return fmt.Errorf("-lease-tasks and -lease-ttl are coordinator flags (use with -serve)")
 	}
 	return nil
 }
@@ -107,125 +100,67 @@ func runFleetMode(a sweepModeArgs, f fleetFlags) {
 		fatal(err)
 	}
 	opts := a.sweepOptions()
-	if f.worker != "" {
+	if f.Worker != "" {
 		runFleetWorker(a, f, opts)
 		return
 	}
-	runFleetServe(a, f, opts, a.sweepTag(opts))
-}
-
-// runFleetServe runs the coordinator: build the campaign from -plan or
-// the workload selection, serve it to completion, then save the merged
-// results under -profile-out with the exact assembly code of the
-// single-process modes (which is what makes the output byte-identical
-// to them).
-func runFleetServe(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) {
-	camp, save, err := serveCampaign(a, f, opts, tag)
+	camp, save, err := serveCampaign(a, f, opts, a.sweepTag(opts))
 	if err != nil {
 		fatal(err)
 	}
-	coord, err := fleet.NewCoordinator(camp, fleet.Options{
-		LeaseTasks: f.leaseTasks,
-		LeaseTTL:   f.leaseTTL,
-		Logf:       stdoutLogf,
-	})
+	res, err := f.ServeCampaign(a.ctx, camp)
 	if err != nil {
 		fatal(err)
 	}
-	addrCh := make(chan string, 1)
-	go func() { fmt.Printf("fleet: serving on %s\n", <-addrCh) }()
-	res, err := coord.Serve(a.ctx, f.serve, addrCh)
+	// The save steps assemble with the code the single-process modes
+	// end in, which is what makes -profile-out byte-identical to theirs.
+	names, err := save(res)
 	if err != nil {
 		fatal(err)
 	}
-	if err := save(res); err != nil {
-		fatal(err)
-	}
+	fmt.Printf("fleet: saved %d profiles -> %s\n", len(names), f.profileDir)
 }
 
 // serveCampaign builds the coordinator's campaign and the matching
-// save step: a profile or cell plan file (sniffed by header), or,
-// without -plan, the refinement of the selected workloads.
-func serveCampaign(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) (fleet.Campaign, func([]fleet.Result) error, error) {
-	if f.planPath == "" {
-		kernels := sim.DistinctKernels(a.selected)
-		tags := make(map[string]string, len(kernels))
-		for _, k := range kernels {
-			tags[k.Name] = tag
-		}
-		// -cache persists completed rounds so an interrupted campaign
-		// resumes instead of re-simulating.
-		camp, err := fleet.NewRefineCampaign(a.cfg, kernels, tags, opts, profile.Store{Dir: a.cacheDir})
-		if err != nil {
-			return nil, nil, err
-		}
-		save := func([]fleet.Result) error {
-			names, err := camp.SaveTo(profile.Store{Dir: f.profileDir})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fleet: assembled %d refined profiles -> %s\n", len(names), f.profileDir)
-			return nil
-		}
-		return camp, save, nil
-	}
-	switch format := planFormat(f.planPath); format {
-	case gridplan.ProfilePlanFormat:
+// save step, which returns the kernels it saved: the profile plan in
+// -plan, or, without it, the refinement of the selected workloads.
+func serveCampaign(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) (fleet.Campaign, func([]fleet.Result) ([]string, error), error) {
+	out := profile.Store{Dir: f.profileDir}
+	if f.planPath != "" {
 		plan, err := gridplan.ReadPlanFile(f.planPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		save := func(res []fleet.Result) error {
-			names, err := fleet.SaveProfiles(profile.Store{Dir: f.profileDir}, res)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fleet: saved %d profiles -> %s\n", len(names), f.profileDir)
-			return nil
-		}
+		save := func(res []fleet.Result) ([]string, error) { return fleet.SaveProfiles(out, res) }
 		return fleet.ProfileCampaign{Plan: plan}, save, nil
-	case gridplan.CellPlanFormat:
-		plan, err := gridplan.ReadCellPlanFile(f.planPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(plan.Cells) == 0 {
-			return nil, nil, fmt.Errorf("cell plan %s is empty", f.planPath)
-		}
-		save := func(res []fleet.Result) error {
-			_, grid, n, err := fleet.SaveCells(results.Store{Dir: f.profileDir}, res)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("fleet: saved %d cells of grid %s -> %s\n", n, grid, f.profileDir)
-			return nil
-		}
-		return fleet.CellCampaign{Plan: plan}, save, nil
-	default:
-		return nil, nil, fmt.Errorf("plan %s: unknown format %q", f.planPath, format)
 	}
+	kernels := sim.DistinctKernels(a.selected)
+	tags := make(map[string]string, len(kernels))
+	for _, k := range kernels {
+		tags[k.Name] = tag
+	}
+	// -cache persists completed rounds so an interrupted campaign
+	// resumes instead of re-simulating. The campaign's own state, not
+	// the coordinator's results, is what it saves from: it also folds
+	// the rounds it resumed.
+	camp, err := fleet.NewRefineCampaign(a.cfg, kernels, tags, opts, profile.Store{Dir: a.cacheDir})
+	if err != nil {
+		return nil, nil, err
+	}
+	save := func([]fleet.Result) ([]string, error) { return camp.SaveTo(out) }
+	return camp, save, nil
 }
 
 // runFleetWorker runs one long-lived worker against the coordinator at
-// -worker URL. Both executors register, so one worker serves profile
-// sweeps, refinement rounds and experiment cell grids alike — the
-// coordinator's plan format picks the pipeline, and the plan's digests
-// verify this process's flags reproduce the coordinator's
-// configuration before anything simulates.
+// -worker URL, serving whole-grid plans and refinement rounds alike;
+// the plan's digests verify this process's flags reproduce the
+// coordinator's configuration before anything simulates.
 func runFleetWorker(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions) {
-	host, _ := os.Hostname()
-	name := fmt.Sprintf("%s-%d", host, os.Getpid())
-	w := &fleet.Worker{
-		Base: f.worker,
-		Name: name,
-		Executors: map[string]fleet.Executor{
-			gridplan.ProfilePlanFormat: fleet.ProfileExecutor{
-				Cfg: a.cfg, Kernels: catalogueKernels(a.cat), Opts: opts,
-			},
-			gridplan.CellPlanFormat: fleet.CellExecutor{H: a.harness()},
+	w := f.NewWorker(map[string]fleet.Executor{
+		gridplan.ProfilePlanFormat: fleet.ProfileExecutor{
+			Cfg: a.cfg, Kernels: catalogueKernels(a.cat), Opts: opts,
 		},
-		Logf: stdoutLogf,
-	}
+	})
 	// -die-after and -task-delay are the CI chaos hooks: the fleet
 	// round-trip kills one worker mid-lease and slows another until
 	// stealing fires, then byte-diffs the merged output anyway. With
@@ -257,17 +192,10 @@ func runFleetWorker(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions) {
 			// Preemption is a clean exit: the in-flight task is
 			// checkpointed in -snapshot-dir and any worker pointed there
 			// picks it up once the lease lapses.
-			fmt.Printf("worker %s: preempted; checkpoint saved under %s\n", name, a.snapDir)
+			fmt.Printf("worker %s: preempted; checkpoint saved under %s\n", w.Name, a.snapDir)
 			return
 		}
 		fatal(err)
 	}
-	fmt.Printf("worker %s: campaign complete\n", name)
-}
-
-// stdoutLogf adapts fleet's Logf convention (printf format, no
-// newline) to stdout lines, where CI greps the coordinator's final
-// stats line for the expiry and steal counters.
-func stdoutLogf(format string, args ...any) {
-	fmt.Printf(format+"\n", args...)
+	fmt.Printf("worker %s: campaign complete\n", w.Name)
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"poise/internal/fleet"
 )
 
 // TestValidateFleetFlags: every inconsistent -serve/-worker flag
@@ -11,14 +13,14 @@ import (
 // and the legitimate combinations must pass.
 func TestValidateFleetFlags(t *testing.T) {
 	serve := func(mut func(*fleetFlags)) fleetFlags {
-		f := fleetFlags{serve: ":0", planPath: "plan.jsonl", profileDir: "profs"}
+		f := fleetFlags{Flags: fleet.Flags{Serve: ":0"}, planPath: "plan.jsonl", profileDir: "profs"}
 		if mut != nil {
 			mut(&f)
 		}
 		return f
 	}
 	worker := func(mut func(*fleetFlags)) fleetFlags {
-		f := fleetFlags{worker: "http://host:9444"}
+		f := fleetFlags{Flags: fleet.Flags{Worker: "http://host:9444"}}
 		if mut != nil {
 			mut(&f)
 		}
@@ -31,12 +33,12 @@ func TestValidateFleetFlags(t *testing.T) {
 	}{
 		{"serve with plan", serve(nil), ""},
 		{"serve refinement", serve(func(f *fleetFlags) { f.planPath = "" }), ""},
-		{"serve with lease knobs", serve(func(f *fleetFlags) { f.leaseTasks = 4; f.leaseTTL = time.Minute }), ""},
+		{"serve with lease knobs", serve(func(f *fleetFlags) { f.LeaseTasks = 4; f.LeaseTTL = time.Minute }), ""},
 		{"plain worker", worker(nil), ""},
 		{"worker with chaos hooks", worker(func(f *fleetFlags) { f.dieAfter = 3; f.taskDelay = time.Second }), ""},
 
 		{"neither serve nor worker", fleetFlags{}, "-serve or -worker"},
-		{"both serve and worker", fleetFlags{serve: ":0", worker: "http://h"}, "mutually exclusive"},
+		{"both serve and worker", fleetFlags{Flags: fleet.Flags{Serve: ":0", Worker: "http://h"}}, "mutually exclusive"},
 		{"serve with emit-plan", serve(func(f *fleetFlags) { f.emitPlan = "p.jsonl" }), "-emit-plan"},
 		{"serve with sweep", serve(func(f *fleetFlags) { f.sweep = true }), "-sweep"},
 		{"worker with best", worker(func(f *fleetFlags) { f.best = true }), "-best"},
@@ -45,10 +47,10 @@ func TestValidateFleetFlags(t *testing.T) {
 		{"serve with task-delay", serve(func(f *fleetFlags) { f.taskDelay = time.Second }), "worker flags"},
 		{"worker with plan", worker(func(f *fleetFlags) { f.planPath = "p.jsonl" }), "coordinator flag"},
 		{"worker with profile-out", worker(func(f *fleetFlags) { f.profileDir = "d" }), "coordinator flag"},
-		{"worker with lease-tasks", worker(func(f *fleetFlags) { f.leaseTasks = 4 }), "coordinator flags"},
-		{"worker with lease-ttl", worker(func(f *fleetFlags) { f.leaseTTL = time.Minute }), "coordinator flags"},
-		{"negative lease-tasks", serve(func(f *fleetFlags) { f.leaseTasks = -1 }), "-lease-tasks"},
-		{"negative lease-ttl", serve(func(f *fleetFlags) { f.leaseTTL = -time.Second }), "-lease-ttl"},
+		{"worker with lease-tasks", worker(func(f *fleetFlags) { f.LeaseTasks = 4 }), "coordinator flags"},
+		{"worker with lease-ttl", worker(func(f *fleetFlags) { f.LeaseTTL = time.Minute }), "coordinator flags"},
+		{"negative lease-tasks", serve(func(f *fleetFlags) { f.LeaseTasks = -1 }), "-lease-tasks"},
+		{"negative lease-ttl", serve(func(f *fleetFlags) { f.LeaseTTL = -time.Second }), "-lease-ttl"},
 		{"negative die-after", worker(func(f *fleetFlags) { f.dieAfter = -1 }), "-die-after"},
 		{"negative task-delay", worker(func(f *fleetFlags) { f.taskDelay = -time.Second }), "-task-delay"},
 	}

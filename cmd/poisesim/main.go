@@ -53,13 +53,15 @@
 //
 //	poisesim -workload ii -emit-plan plan.jsonl
 //
-// or an experiment-grid cell plan (workload x scheme cells) from
-// `poisebench -run fig7 -emit-plan cells.jsonl`; the file's header
-// selects the pipeline, and cells merged into -profile-out are what
-// poisebench then loads as its -cache. Worker flags must reproduce the
-// coordinator's configuration (-sms, -size, -seed, -stepn/-stepp); the
-// plan's configuration tag and workload digests are verified first, so
-// mismatches fail fast.
+// Worker flags must reproduce the coordinator's configuration (-sms,
+// -size, -seed, -stepn/-stepp); the plan's kernel digests are verified
+// first, so mismatches fail fast. poisesim serves and works sweep
+// campaigns only; experiment-grid campaigns (workload x scheme cells)
+// are poisebench's (-serve, -worker there).
+//
+// With -snapshot-dir a run that is preempted (SIGTERM, -ckpt-at-cycle)
+// checkpoints there, and the same command line run again finds the
+// checkpoint and continues from it, bit-identically.
 package main
 
 import (
@@ -77,6 +79,7 @@ import (
 	"poise"
 
 	"poise/internal/config"
+	"poise/internal/fleet"
 	"poise/internal/profiling"
 	"poise/internal/runner"
 	"poise/internal/sim"
@@ -85,54 +88,51 @@ import (
 	"poise/internal/workloads"
 )
 
+// The flags live at package level so that a test can count them.
+var (
+	workload = flag.String("workload", "ii", "comma-separated workload names (see -list)")
+	policy   = flag.String("policy", "gto", "policy: gto | fixed | poise | apcm | ccws | random-restart")
+	n        = flag.Int("n", 0, "fixed policy: vital warps N (0 = max)")
+	p        = flag.Int("p", 0, "fixed policy: polluting warps p (0 = N)")
+	sms      = flag.Int("sms", 8, "number of SMs (scaled memory system)")
+	size     = flag.String("size", "small", "workload size: small | medium | large")
+	list     = flag.Bool("list", false, "list workloads with their characterised signature and exit")
+	l1x      = flag.Int("l1x", 1, "multiply L1 capacity (Pbest probes use 64)")
+	parallel = flag.Int("parallel", 0, "worker goroutines for multi-workload runs (0 = GOMAXPROCS)")
+	seed     = flag.Int64("seed", 0, "workload seed (perturbs iteration jitter; 0 = canonical)")
+	tracePth = flag.String("trace", "", "load trace workloads (a .ptrace/.ptrace.gz/.trace file or a directory) into the catalogue")
+	record   = flag.String("record", "", "record each selected workload to this directory as <name>.ptrace.gz before running")
+
+	// {N,p} sweeps: refine in process, or emit the whole grid as a
+	// plan for a fleet coordinator.
+	emitPlan = flag.String("emit-plan", "", "write the selected workloads' whole {N,p} grid as a JSONL plan to this file (for -serve -plan) and exit")
+	planPth  = flag.String("plan", "", "-serve: plan file to serve (from -emit-plan)")
+	profDir  = flag.String("profile-out", "", "profile directory -sweep and -serve write to and -best reads")
+	sweepRun = flag.Bool("sweep", false, "run the refined {N,p} sweep of the selected workloads in this process and save profiles under -profile-out")
+	bestRun  = flag.Bool("best", false, "print the static policy table (Static-Best/SWL/scored tuples) derived from the profiles in -profile-out and exit")
+	stepN    = flag.Int("stepn", 2, "sweep grid N step for the plan/sweep modes")
+	stepP    = flag.Int("stepp", 2, "sweep grid p step for the plan/sweep modes")
+	cacheDir = flag.String("cache", "", "-serve without -plan: where completed refinement rounds persist, so an interrupted campaign resumes ('' = nowhere)")
+
+	// Fleet coordinator/worker service (package fleet): serve a plan
+	// over HTTP, pull leases from long-lived workers, merge streamed
+	// results; survives worker crashes (lease expiry) and rebalances
+	// loaded workers (stealing) with byte-identical merged output.
+	fleetMode = fleet.RegisterFlags(flag.CommandLine, "-plan (or, without it, the refinement of the selected workloads) to -worker processes, and save merged output under -profile-out")
+	dieAfter  = flag.Int("die-after", 0, "-worker: exit mid-lease after completing this many tasks (chaos/CI hook; with -snapshot-dir the death is checkpointed so another worker resumes it; 0 = never)")
+	taskDelay = flag.Duration("task-delay", 0, "-worker: sleep this long before each task (chaos/CI hook to provoke stealing)")
+
+	// Mid-run snapshots (package snap): checkpoint preempted runs
+	// (SIGTERM, -ckpt-at-cycle, checkpointed -die-after) so a later
+	// process resumes them bit-identically instead of restarting.
+	snapDir = flag.String("snapshot-dir", "", "snapshot directory: preempted runs/sweep tasks checkpoint here, and every run probes it first and resumes what it finds, so any process pointed at the same directory continues the work, bit-identically ('' = off)")
+	ckptAt  = flag.Int64("ckpt-at-cycle", 0, "deterministically preempt + checkpoint each in-flight run at this simulated cycle (CI/chaos hook; needs -snapshot-dir)")
+
+	cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
+)
+
 func main() {
-	var (
-		workload = flag.String("workload", "ii", "comma-separated workload names (see -list)")
-		policy   = flag.String("policy", "gto", "policy: gto | fixed | poise | apcm | ccws | random-restart")
-		n        = flag.Int("n", 0, "fixed policy: vital warps N (0 = max)")
-		p        = flag.Int("p", 0, "fixed policy: polluting warps p (0 = N)")
-		sms      = flag.Int("sms", 8, "number of SMs (scaled memory system)")
-		size     = flag.String("size", "small", "workload size: small | medium | large")
-		list     = flag.Bool("list", false, "list workloads with their characterised signature and exit")
-		l1x      = flag.Int("l1x", 1, "multiply L1 capacity (Pbest probes use 64)")
-		parallel = flag.Int("parallel", 0, "worker goroutines for multi-workload runs (0 = GOMAXPROCS)")
-		seed     = flag.Int64("seed", 0, "workload seed (perturbs iteration jitter; 0 = canonical)")
-		tracePth = flag.String("trace", "", "load trace workloads (a .ptrace/.ptrace.gz/.trace file or a directory) into the catalogue")
-		record   = flag.String("record", "", "record each selected workload to this directory as <name>.ptrace.gz before running")
-
-		// {N,p} sweeps: refine in process, or emit the whole grid as a
-		// plan for a fleet coordinator.
-		emitPlan = flag.String("emit-plan", "", "write the selected workloads' whole {N,p} grid as a JSONL plan to this file (for -serve -plan) and exit")
-		planPth  = flag.String("plan", "", "-serve: plan file to serve (from -emit-plan here or in poisebench)")
-		profDir  = flag.String("profile-out", "", "profile directory -sweep and -serve write to and -best reads")
-		sweepRun = flag.Bool("sweep", false, "run the refined {N,p} sweep of the selected workloads in this process and save profiles under -profile-out")
-		bestRun  = flag.Bool("best", false, "print the static policy table (Static-Best/SWL/scored tuples) derived from the profiles in -profile-out and exit")
-		stepN    = flag.Int("stepn", 2, "sweep grid N step for the plan/sweep modes")
-		stepP    = flag.Int("stepp", 2, "sweep grid p step for the plan/sweep modes")
-		cacheDir = flag.String("cache", "", "-serve without -plan: where completed refinement rounds persist; -worker: profile cache directory for cell plans ('' = none; share one across workers and with the poisebench coordinator so profile-hungry grids sweep once)")
-		seeds    = flag.Int("seeds", 3, "random-restart trials for alternatives-grid (fig15) cell plans; must match the coordinator's -seeds")
-
-		// Fleet coordinator/worker service (package fleet): serve a plan
-		// over HTTP, pull leases from long-lived workers, merge streamed
-		// results; survives worker crashes (lease expiry) and rebalances
-		// loaded workers (stealing) with byte-identical merged output.
-		serveAddr = flag.String("serve", "", "run the fleet coordinator on this listen address, serving -plan (or, without it, the refinement of the selected workloads) to -worker processes, and save merged output under -profile-out")
-		workerURL = flag.String("worker", "", "run a fleet worker pulling task leases from the coordinator at this base URL (e.g. http://host:9444)")
-		leaseN    = flag.Int("lease-tasks", 0, "-serve: tasks per lease batch (0 = default)")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "-serve: lease expiry deadline, renewed on each completed task (0 = default)")
-		dieAfter  = flag.Int("die-after", 0, "-worker: exit mid-lease after completing this many tasks (chaos/CI hook; with -snapshot-dir the death is checkpointed so another worker resumes it; 0 = never)")
-		taskDelay = flag.Duration("task-delay", 0, "-worker: sleep this long before each task (chaos/CI hook to provoke stealing)")
-
-		// Mid-run snapshots (package snap): checkpoint preempted runs
-		// (SIGTERM, -ckpt-at-cycle, checkpointed -die-after) so a later
-		// process resumes them bit-identically instead of restarting.
-		snapDir = flag.String("snapshot-dir", "", "snapshot directory: preempted runs/sweep tasks checkpoint here and resume from here; in worker mode it is probed automatically, so any process pointed at the same directory continues the work ('' = off)")
-		resumeR = flag.Bool("resume", false, "resume workload runs from checkpoints in -snapshot-dir (writes still require only -snapshot-dir; results are bit-identical to an uninterrupted run)")
-		ckptAt  = flag.Int64("ckpt-at-cycle", 0, "deterministically preempt + checkpoint each in-flight run at this simulated cycle (CI/chaos hook; needs -snapshot-dir)")
-
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
 	flag.Parse()
 
 	stopProf, err := profiling.Start(profiling.Flags{CPUProfile: *cpuProf, MemProfile: *memProf})
@@ -153,13 +153,11 @@ func main() {
 	})
 
 	cat := workloads.NewCatalogueSeeded(parseSize(*size), *seed)
-	var extra []*sim.Workload
 	if *tracePth != "" {
 		ws, err := traceio.LoadWorkloads(*tracePth)
 		if err != nil {
 			fatal(err)
 		}
-		extra = ws
 		for _, w := range ws {
 			cat.Put(w)
 		}
@@ -239,36 +237,25 @@ func main() {
 		go func() { <-ctx.Done(); ictl.Trigger() }()
 	} else if *ckptAt > 0 {
 		fatal(fmt.Errorf("-ckpt-at-cycle needs -snapshot-dir for the checkpoint"))
-	} else if *resumeR {
-		fatal(fmt.Errorf("-resume needs -snapshot-dir to resume from"))
 	}
 
-	if *serveAddr != "" || *workerURL != "" {
-		runFleetMode(sweepModeArgs{
+	if fleetMode.Enabled() || *emitPlan != "" || *sweepRun || *bestRun {
+		a := sweepModeArgs{
 			cfg: cfg, cat: cat, selected: ws, ctx: ctx,
-			sms: *sms, size: parseSize(*size),
-			cacheDir: *cacheDir, seeds: *seeds, extra: extra,
+			emitPlan: *emitPlan, profileDir: *profDir,
+			sweep: *sweepRun, best: *bestRun, cacheDir: *cacheDir,
 			stepN: *stepN, stepP: *stepP, workers: *parallel, seed: *seed,
 			snapDir: *snapDir, ckpts: ckpts, ictl: ictl,
-		}, fleetFlags{
-			serve: *serveAddr, worker: *workerURL,
-			leaseTasks: *leaseN, leaseTTL: *leaseTTL,
+		}
+		if !fleetMode.Enabled() {
+			runSweepMode(a)
+			return
+		}
+		runFleetMode(a, fleetFlags{
+			Flags:    *fleetMode,
 			dieAfter: *dieAfter, taskDelay: *taskDelay,
 			planPath: *planPth, emitPlan: *emitPlan,
 			profileDir: *profDir, sweep: *sweepRun, best: *bestRun,
-		})
-		return
-	}
-
-	if *emitPlan != "" || *sweepRun || *bestRun {
-		runSweepMode(sweepModeArgs{
-			cfg: cfg, cat: cat, selected: ws, ctx: ctx,
-			emitPlan: *emitPlan, profileDir: *profDir,
-			sweep: *sweepRun, best: *bestRun,
-			sms: *sms, size: parseSize(*size),
-			cacheDir: *cacheDir, seeds: *seeds, extra: extra,
-			stepN: *stepN, stepP: *stepP, workers: *parallel, seed: *seed,
-			snapDir: *snapDir, ckpts: ckpts, ictl: ictl,
 		})
 		return
 	}
@@ -305,28 +292,16 @@ func main() {
 			w.Name, *policy, *size, *sms, *l1x, *seed, *n, *p)
 	}
 	runWorkload := func(i int, w *sim.Workload) (sim.WorkloadResult, error) {
-		pol, err := newPolicy(i)
-		if err != nil {
-			return sim.WorkloadResult{}, err
-		}
 		if ckpts == nil {
+			pol, err := newPolicy(i)
+			if err != nil {
+				return sim.WorkloadResult{}, err
+			}
 			return sim.RunWorkload(cfg, w, pol, sim.RunOptions{})
 		}
-		ro := sim.RunOptions{Interrupt: ictl}
 		key := runKey(w)
-		var (
-			res sim.WorkloadResult
-			cp  *sim.Checkpoint
-		)
-		if sn, lerr := ckpts.Load(key); *resumeR && lerr == nil {
-			prev, derr := sim.CheckpointFromSnapshot(sn)
-			if derr != nil {
-				return res, fmt.Errorf("checkpoint %s: %w", key, derr)
-			}
-			res, cp, err = sim.ResumeWorkload(cfg, w, pol, ro, prev)
-		} else {
-			res, cp, err = sim.RunWorkloadPreemptible(cfg, w, pol, ro)
-		}
+		res, cp, err := resumeOrRun(cfg, w, func() (sim.Policy, error) { return newPolicy(i) },
+			sim.RunOptions{Interrupt: ictl}, ckpts, key)
 		if err == nil {
 			_ = ckpts.Delete(key) // consumed (best effort; a stale probe only costs a read)
 			return res, nil
@@ -355,7 +330,7 @@ func main() {
 		})
 	if err != nil {
 		if ckpts != nil && (errors.Is(err, sim.ErrInterrupted) || errors.Is(err, context.Canceled)) {
-			fmt.Printf("preempted: checkpoints saved under %s; rerun with -snapshot-dir %s -resume to continue\n",
+			fmt.Printf("preempted: checkpoints saved under %s; rerun with -snapshot-dir %s to continue\n",
 				*snapDir, *snapDir)
 			return
 		}
@@ -382,6 +357,35 @@ func main() {
 			len(results), workers,
 			wall.Round(time.Millisecond), serial.Round(time.Millisecond))
 	}
+}
+
+// resumeOrRun continues w from the checkpoint stored under key when
+// there is one, and runs it from the start otherwise. A checkpoint that
+// cannot be read or restored is not fatal: the run starts over under a
+// fresh policy, on a scrubbed GPU (the driver resets the one a failed
+// restore touched before it is used again) — what a sweep task does
+// with an unreadable checkpoint (profile.runTask).
+func resumeOrRun(cfg config.Config, w *sim.Workload, newPolicy func() (sim.Policy, error),
+	ro sim.RunOptions, ckpts *snap.Store, key string) (sim.WorkloadResult, *sim.Checkpoint, error) {
+	pol, err := newPolicy()
+	if err != nil {
+		return sim.WorkloadResult{}, nil, err
+	}
+	sn, err := ckpts.Load(key)
+	if err != nil {
+		return sim.RunWorkloadPreemptible(cfg, w, pol, ro)
+	}
+	if prev, err := sim.CheckpointFromSnapshot(sn); err == nil {
+		res, cp, err := sim.ResumeWorkload(cfg, w, pol, ro, prev)
+		if err == nil || errors.Is(err, sim.ErrInterrupted) {
+			return res, cp, err
+		}
+		// The restore may have left the policy half-written.
+		if pol, err = newPolicy(); err != nil {
+			return sim.WorkloadResult{}, nil, err
+		}
+	}
+	return sim.RunWorkloadPreemptible(cfg, w, pol, ro)
 }
 
 // listSignatures prints every workload with its characterised

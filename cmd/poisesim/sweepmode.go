@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"poise/internal/config"
-	"poise/internal/experiments"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
 	"poise/internal/sim"
@@ -38,20 +37,14 @@ type sweepModeArgs struct {
 	sweep      bool
 	best       bool
 
-	sms          int
-	size         workloads.Size
-	cacheDir     string
-	seeds        int
-	extra        []*sim.Workload
+	cacheDir     string // -serve without -plan: completed refinement rounds
 	stepN, stepP int
 	workers      int
 	seed         int64
 
 	// Mid-run snapshot wiring (-snapshot-dir / -ckpt-at-cycle):
 	// preempted tasks checkpoint into ckpts and later runs pointed at
-	// the same directory resume them; a worker's cell harness
-	// additionally uses the directory as the snapshot tier of its run
-	// memo.
+	// the same directory resume them.
 	snapDir string
 	ckpts   *snap.Store
 	ictl    *sim.InterruptCtl
@@ -78,25 +71,6 @@ func (a sweepModeArgs) sweepTag(opts profile.SweepOptions) string {
 		tag = fmt.Sprintf("%s-seed%d", tag, a.seed)
 	}
 	return tag
-}
-
-// harness builds the experiment harness a worker runs cell plans on,
-// from the worker's own flags (tag agreement with the coordinator is
-// verified against the plan before simulating). -cache shares the
-// profile store across workers so profile-hungry grids (the scheme
-// comparison's SWL/Static-Best cells, the ablation grid's training
-// sweeps) pay for their sweeps once per campaign instead of once per
-// worker; -trace workloads join the harness catalogue exactly as they
-// do on the poisebench coordinator.
-func (a sweepModeArgs) harness() *experiments.Harness {
-	return experiments.NewHarness(experiments.Options{
-		SMs: a.sms, Size: a.size, Seed: a.seed,
-		CacheDir: a.cacheDir, RandomSeeds: a.seeds,
-		EvalStepN: a.stepN, EvalStepP: a.stepP,
-		Workers: a.workers, Ctx: a.ctx,
-		ExtraWorkloads: a.extra,
-		SnapshotDir:    a.snapDir,
-	})
 }
 
 // validateSweepFlags rejects under-specified mode combinations before
@@ -148,13 +122,6 @@ func runSweepMode(a sweepModeArgs) {
 			a.emitPlan, len(plan.Tasks), len(kernels), tag)
 
 	case a.sweep:
-		// One pool for the whole selection: a refined sweep is several
-		// RunTasks calls per kernel.
-		pool, err := sim.NewPool(a.cfg)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Pool = pool
 		st := profile.Store{Dir: a.profileDir}
 		for _, k := range sim.DistinctKernels(a.selected) {
 			pr, stats, err := profile.PrunedSweep(a.cfg, k, opts)
@@ -169,17 +136,6 @@ func runSweepMode(a sweepModeArgs) {
 				stats.Rounds, a.profileDir)
 		}
 	}
-}
-
-// planFormat sniffs a -plan file's header so -serve dispatches between
-// profile sweep plans and experiment cell plans without a separate
-// flag.
-func planFormat(path string) string {
-	format, err := gridplan.PlanFileFormat(path)
-	if err != nil {
-		fatal(err)
-	}
-	return format
 }
 
 // printBestTable derives the static policy table — the Static-Best,

@@ -25,7 +25,7 @@ import (
 // gridplan.CellTasks and runs through one pipeline:
 //
 //	CellPlan    -> the serialisable grid (what a fleet coordinator serves)
-//	RunCellTasks-> execute cells on per-configuration GPU pools
+//	RunCellTasks-> execute cells on pooled per-configuration GPUs
 //	GridCells   -> in-process run, or the merged cached cells
 //
 // Exactly like profile sweeps, merging any decomposition of the plan is
@@ -43,7 +43,7 @@ type gridDef struct {
 	workloads func(h *Harness) []*sim.Workload
 	schemes   func(h *Harness) []string
 	prepare   func(h *Harness) error
-	run       func(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error)
+	run       func(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error)
 }
 
 // Shared axis definitions (also used by the figure assembly code).
@@ -166,18 +166,18 @@ func prepWeights(h *Harness) error {
 	return err
 }
 
-// runCellOn executes one cell's workload under one policy on a GPU
-// drawn from the per-configuration pool — the reset-verified reuse
-// discipline that makes pooled cells bit-identical to fresh-GPU runs —
-// through the harness's run memo, which answers a tuple-pinned cell
-// that a sweep point or another cell already ran.
-func (h *Harness) runCellOn(pools *sim.PoolSet, cfg config.Config, wl *sim.Workload, pol sim.Policy) (results.CellResult, error) {
-	g, err := pools.Get(cfg)
+// runCellOn executes one cell's workload under one policy on a GPU of
+// configuration cfg drawn from the process-wide pool — the
+// reset-verified reuse discipline that makes pooled cells bit-identical
+// to fresh-GPU runs — through the harness's run memo, which answers a
+// tuple-pinned cell that a sweep point or another cell already ran.
+func (h *Harness) runCellOn(cfg config.Config, wl *sim.Workload, pol sim.Policy) (results.CellResult, error) {
+	g, err := sim.Acquire(cfg)
 	if err != nil {
 		return results.CellResult{}, err
 	}
 	res, err := g.RunWorkloadCached(wl, pol, sim.RunOptions{}, h.memo)
-	pools.Put(cfg, g)
+	sim.Release(g)
 	if err != nil {
 		return results.CellResult{}, err
 	}
@@ -214,12 +214,12 @@ func (h *Harness) schemePolicy(scheme string) (sim.Policy, error) {
 }
 
 // runSchemeCell executes one Fig. 7-10/14 cell.
-func runSchemeCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
+func runSchemeCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
 	pol, err := h.schemePolicy(scheme)
 	if err != nil {
 		return results.CellResult{}, err
 	}
-	cr, err := h.runCellOn(pools, h.Cfg, wl, pol)
+	cr, err := h.runCellOn(h.Cfg, wl, pol)
 	if err != nil {
 		return cr, fmt.Errorf("experiments: %s under %s: %w", wl.Name, scheme, err)
 	}
@@ -231,9 +231,9 @@ func runSchemeCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme stri
 
 // runStrideCell executes one Fig. 11 cell: the GTO baseline or Poise
 // at one local-search stride setting.
-func runStrideCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
+func runStrideCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
 	if scheme == "GTO" {
-		return h.runCellOn(pools, h.Cfg, wl, sim.GTO{})
+		return h.runCellOn(h.Cfg, wl, sim.GTO{})
 	}
 	for _, st := range strideSettings {
 		if strideScheme(st) != scheme {
@@ -247,7 +247,7 @@ func runStrideCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme stri
 		params.StrideN, params.StrideP = st[0], st[1]
 		pol := poise.NewPolicy(params, w)
 		pol.DisableSearch = st[0] == 0 && st[1] == 0
-		cr, err := h.runCellOn(pools, h.Cfg, wl, pol)
+		cr, err := h.runCellOn(h.Cfg, wl, pol)
 		if err != nil {
 			return cr, fmt.Errorf("experiments: stride %v on %s: %w", st, wl.Name, err)
 		}
@@ -259,7 +259,7 @@ func runStrideCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme stri
 // runCacheSizeCell executes one Fig. 12 cell: GTO or Poise on the
 // altered evaluation platform (grown linear-indexed L1), the model
 // still trained on the 16 KB hashed baseline.
-func runCacheSizeCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
+func runCacheSizeCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
 	name, kbStr, ok := strings.Cut(scheme, "-")
 	kb, err := strconv.Atoi(strings.TrimSuffix(kbStr, "KB"))
 	if !ok || err != nil || (name != "GTO" && name != "Poise") {
@@ -276,13 +276,13 @@ func runCacheSizeCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme s
 		}
 		pol = p
 	}
-	return h.runCellOn(pools, cfg, wl, pol)
+	return h.runCellOn(cfg, wl, pol)
 }
 
 // runAblationCell executes one Fig. 13 cell: the model retrained
 // without one feature (or the full model), evaluated without the
 // local-search safety net so prediction quality is isolated.
-func runAblationCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
+func runAblationCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
 	drop := -1
 	if scheme != "full" {
 		x, err := strconv.Atoi(strings.TrimPrefix(scheme, "drop-x"))
@@ -297,31 +297,31 @@ func runAblationCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme st
 	}
 	pol := poise.NewPolicy(h.Params, w)
 	pol.DisableSearch = true
-	return h.runCellOn(pools, h.Cfg, wl, pol)
+	return h.runCellOn(h.Cfg, wl, pol)
 }
 
 // runAlternativesCell executes one Fig. 15 cell. Random-restart trial
 // seeds are a pure function of (Options.Seed, trial index) — the same
 // family the pre-gridplan implementation used — so results don't
 // depend on which worker or process runs them.
-func runAlternativesCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
+func runAlternativesCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
 	switch {
 	case scheme == "GTO":
-		return h.runCellOn(pools, h.Cfg, wl, sim.GTO{})
+		return h.runCellOn(h.Cfg, wl, sim.GTO{})
 	case scheme == "APCM":
-		return h.runCellOn(pools, h.Cfg, wl, sched.NewAPCM(h.Params.TFeature))
+		return h.runCellOn(h.Cfg, wl, sched.NewAPCM(h.Params.TFeature))
 	case scheme == "Poise":
 		pol, err := h.PoisePolicy()
 		if err != nil {
 			return results.CellResult{}, err
 		}
-		return h.runCellOn(pools, h.Cfg, wl, pol)
+		return h.runCellOn(h.Cfg, wl, pol)
 	case strings.HasPrefix(scheme, "random-"):
 		trial, err := strconv.Atoi(strings.TrimPrefix(scheme, "random-"))
 		if err != nil || trial < 1 {
 			break
 		}
-		return h.runCellOn(pools, h.Cfg, wl, sched.NewRandomRestart(h.Opt.Seed+int64(trial),
+		return h.runCellOn(h.Cfg, wl, sched.NewRandomRestart(h.Opt.Seed+int64(trial),
 			h.Params.TWarmup, h.Params.TSearch, h.Params.TPeriod,
 			h.Params.StrideN, h.Params.StrideP))
 	}
@@ -330,20 +330,20 @@ func runAlternativesCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, schem
 
 // runComputeCell executes one Fig. 16 / Table IIIa cell: the GTO
 // baseline, Poise, or the 64x-L1 Pbest probe.
-func runComputeCell(h *Harness, pools *sim.PoolSet, wl *sim.Workload, scheme string) (results.CellResult, error) {
+func runComputeCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
 	switch scheme {
 	case "GTO":
-		return h.runCellOn(pools, h.Cfg, wl, sim.GTO{})
+		return h.runCellOn(h.Cfg, wl, sim.GTO{})
 	case "Poise":
 		pol, err := h.PoisePolicy()
 		if err != nil {
 			return results.CellResult{}, err
 		}
-		return h.runCellOn(pools, h.Cfg, wl, pol)
+		return h.runCellOn(h.Cfg, wl, pol)
 	case "Pbest":
 		big := h.Cfg
 		big.L1.SizeBytes *= 64
-		return h.runCellOn(pools, big, wl, sim.GTO{})
+		return h.runCellOn(big, wl, sim.GTO{})
 	}
 	return results.CellResult{}, fmt.Errorf("experiments: unknown probe scheme %q", scheme)
 }
@@ -462,7 +462,7 @@ func (h *Harness) CellPlan(grid string) (*gridplan.CellPlan, error) {
 // match (all processes of a campaign agree on flags), the workload must
 // resolve in the catalogue with the same content digest, and the
 // scheme must exist at the same ordinal. Cells fan out across the
-// worker pool, each drawing its GPU from a per-configuration pool.
+// worker pool, each drawing its GPU from the process-wide pool.
 func (h *Harness) RunCellTasks(grid string, tasks []gridplan.CellTask) ([]results.CellResult, error) {
 	d, ok := gridDefs[grid]
 	if !ok {
@@ -481,12 +481,9 @@ func (h *Harness) RunCellTasks(grid string, tasks []gridplan.CellTask) ([]result
 			return nil, err
 		}
 	}
-	// One harness-wide pool set: a -run all campaign recycles the same
-	// per-configuration GPUs across every grid it executes.
-	pools := h.pools
 	return runner.MapSlice(h.ctx(), h.Opt.Workers, tasks,
 		func(_ context.Context, _ int, t gridplan.CellTask) (results.CellResult, error) {
-			cr, err := d.run(h, pools, byName[t.Workload], t.Scheme)
+			cr, err := d.run(h, byName[t.Workload], t.Scheme)
 			if err != nil {
 				return cr, err
 			}

@@ -121,12 +121,9 @@ type Harness struct {
 	weights   runner.Once[poise.Weights]
 	dataset   runner.Once[*poise.Dataset]
 	// cells memoises executed experiment grids per grid name; ablated
-	// memoises the Fig. 13 retrained models per dropped feature; pools
-	// recycles per-configuration GPUs across every grid the harness
-	// executes.
+	// memoises the Fig. 13 retrained models per dropped feature.
 	cells   runner.Cache[string, []results.CellResult]
 	ablated runner.Cache[int, poise.Weights]
-	pools   *sim.PoolSet
 	// memo answers tuple-pinned runs this harness already did — sweep
 	// points and grid cells alike — from memory; snapErr is why it
 	// lacks the snapshot tier Options.SnapshotDir asked for.
@@ -166,7 +163,6 @@ func NewHarness(opt Options) *Harness {
 		Params:       config.DefaultPoise(),
 		Cat:          cat,
 		cellStore:    results.Store{Dir: opt.CacheDir},
-		pools:        sim.NewPoolSet(),
 		memo:         sim.NewRunMemo(),
 		extraKernels: extraKernels,
 	}
@@ -220,9 +216,7 @@ func (h *Harness) narrowWorkers() int {
 // plus score-ranked neighbourhood expansion that simulates a fraction
 // of the grid and selects the same Best / BestDiagonal / BestScore
 // tuples as the whole grid would, which is all the tables and training
-// read. Every sweep of the harness draws its GPUs from the harness's
-// pool: a refined sweep is several RunTasks calls per kernel, and a
-// pool per call would build the machine again for each.
+// read.
 func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	o := profile.SweepOptions{
 		StepN: h.Opt.EvalStepN, StepP: h.Opt.EvalStepP,
@@ -233,10 +227,6 @@ func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	}
 	if !h.exhaustive {
 		o.Refine = h.refineOptions(train)
-	}
-	// An invalid configuration is left for the sweep to report.
-	if p, err := h.pools.Pool(h.Cfg); err == nil {
-		o.Pool = p
 	}
 	return o
 }

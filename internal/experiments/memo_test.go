@@ -72,7 +72,7 @@ func TestRunMemoOracle(t *testing.T) {
 				if ask == 0 {
 					wantSimulated = int64(len(wl.Kernels))
 				}
-				cr, err := h.runCellOn(h.pools, c.cfg, wl, pol)
+				cr, err := h.runCellOn(c.cfg, wl, pol)
 				if err != nil {
 					t.Fatalf("%s under %s, ask %d: %v", wl.Name, c.name, ask, err)
 				}
@@ -198,7 +198,7 @@ func TestUnusableSnapshotDirIsReported(t *testing.T) {
 	}
 	wl := h.Cat.Must("kmeans")
 	for i := int64(0); i < 2; i++ {
-		if _, err := h.runCellOn(h.pools, h.Cfg, wl, sim.GTO{}); err != nil {
+		if _, err := h.runCellOn(h.Cfg, wl, sim.GTO{}); err != nil {
 			t.Fatal(err)
 		}
 		if r := h.RunMemo().Reused.Load(); r != i {

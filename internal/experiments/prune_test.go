@@ -232,22 +232,6 @@ func TestPrunedFig2MatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestSweepsDrawFromTheHarnessPool: a refined sweep is several RunTasks
-// calls per kernel, and each must take its GPUs from the harness's
-// pool — a pool per call builds the machine again every round. One
-// worker, so one GPU serves every point of every round of every kernel.
-func TestSweepsDrawFromTheHarnessPool(t *testing.T) {
-	h := NewHarness(gridTestOptions(""))
-	if _, err := h.WorkloadProfiles(h.EvalWorkloads()); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := h.SweepBooks()
-	if builds, reuses := h.pools.Stats(); builds != 1 || reuses != int64(st.Simulated)-1 {
-		t.Fatalf("harness pool built %d GPUs and reused them %d times for %d swept points in %d rounds, want 1 built",
-			builds, reuses, st.Simulated, st.Rounds)
-	}
-}
-
 // TestCacheTagsStayWhatPruneComputed pins the default harness's cache
 // tags to the literals Options{Prune: true} computed before the refined
 // sweep became the only one: profile entries and round files a -prune
@@ -294,23 +278,12 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Refine = &profile.RefineOptions{W0: params.ScoreW0, W1: params.ScoreW1, W2: params.ScoreW2}
-	// On the caller's pool, as the harness runs it: the sweeps' rounds
-	// and the feature runs all draw from it.
-	pool, err := sim.NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled := opts
-	pooled.Pool, pooled.Workers = pool, 1
-	pruned, err := poise.BuildDataset(cfg, params, train, pooled, profile.Store{Dir: t.TempDir()}, "pr")
+	pruned, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: t.TempDir()}, "pr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(exact, pruned) {
 		t.Fatalf("pruned dataset diverged from exhaustive:\nexhaustive: %+v\npruned:     %+v", exact, pruned)
-	}
-	if builds, reuses := pool.Stats(); builds != 1 || reuses == 0 {
-		t.Fatalf("BuildDataset built %d GPUs on the caller's pool (%d reuses), want 1", builds, reuses)
 	}
 
 	// Training sweeps additionally skip the p == N diagonal climb (the

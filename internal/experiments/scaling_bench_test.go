@@ -45,67 +45,51 @@ func BenchmarkFigureSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepPooledGPU compares the worker-pinned GPU pool against
-// the old fresh-GPU-per-grid-point pattern on one kernel's profile
-// sweep:
+// BenchmarkSweepPooledGPU measures one kernel's whole-grid profile sweep
+// on the process-wide GPU pool:
 //
 //	go test ./internal/experiments -bench SweepPooledGPU -benchtime 3x
 //
-// The results are bit-identical (TestPooledSweepMatchesFresh); what
-// moves is allocation churn. The sweep uses the default experiment
-// platform (8 SMs with a proportionally scaled L2) at the evaluation
-// grid resolution — ~90 grid points — over a short kernel, the regime
-// large sweep campaigns live in (many points, bounded per-point
-// work). Building the memory hierarchy per point then dominates the
-// allocation profile, and the pool recycles it: B/op drops by roughly
-// grid-size over worker-count (the per-SM tag stores, warp slots,
-// MSHR files, L2 banks and DRAM servers are reused in place).
+// The sweep uses the default experiment platform (8 SMs with a
+// proportionally scaled L2) at the evaluation grid resolution — ~90
+// grid points — over a short kernel, the regime large sweep campaigns
+// live in (many points, bounded per-point work). B/op is the number to
+// watch: the per-SM tag stores, warp slots, MSHR files, L2 banks and
+// DRAM servers are built once and reused in place, and a rise by
+// roughly grid-size over worker-count means a machine is being built
+// per point again.
 func BenchmarkSweepPooledGPU(b *testing.B) {
 	cfg := config.Default().Scale(8)
 	k := testutil.ThrashKernel("poolbench", 32, 4, 16)
 	opts := profile.SweepOptions{StepN: 2, StepP: 2, Workers: 1}
-	for _, mode := range []struct {
-		name  string
-		fresh bool
-	}{
-		{"pooled", false},
-		{"fresh-per-point", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			o := opts
-			o.FreshGPUs = mode.fresh
-			for i := 0; i < b.N; i++ {
-				pr, err := profile.Sweep(cfg, k, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pr.Points) == 0 {
-					b.Fatal("empty profile")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pr, err := profile.Sweep(cfg, k, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(pr.Points) == 0 {
+			b.Fatal("empty profile")
+		}
 	}
 }
 
-// BenchmarkDatasetPooledGPU compares the pooled training-feature runs
-// against the old fresh-GPU-per-kernel pattern:
+// BenchmarkDatasetPooledGPU measures the pooled training-feature runs:
 //
 //	go test ./internal/experiments -bench DatasetPooledGPU -benchtime 3x
 //
 // The profile store is warmed first, so the measured BuildDataset
 // iterations are dominated by the per-kernel feature measurement (two
-// kernel runs each) — exactly the path Options routes through a
-// sim.Pool. Results are bit-identical either way (the pool's reset is
-// verified against fresh construction); what moves is allocation
-// churn: pooled runs reuse one memory hierarchy across the whole
-// training set, so B/op drops by roughly the kernel count.
+// kernel runs each), which reuses one memory hierarchy across the whole
+// training set: B/op rising by roughly the kernel count means a machine
+// per kernel again.
 func BenchmarkDatasetPooledGPU(b *testing.B) {
 	// Short kernels on the full-size default platform: the regime where
-	// building the memory hierarchy per kernel dominates the feature
-	// runs' allocation profile (the same regime BenchmarkSweepPooledGPU
-	// measures for sweeps). The admission floor drops to one cycle so
-	// every kernel reaches the feature-measurement step.
+	// building the memory hierarchy per kernel would dominate the
+	// feature runs' allocation profile (the same regime
+	// BenchmarkSweepPooledGPU measures for sweeps). The admission floor
+	// drops to one cycle so every kernel reaches the
+	// feature-measurement step.
 	cfg := config.Default().Scale(8)
 	params := config.DefaultPoise()
 	params.MinTrainCycles = 1
@@ -119,27 +103,16 @@ func BenchmarkDatasetPooledGPU(b *testing.B) {
 	if _, err := poise.BuildDataset(cfg, params, train, sweep, store, "bench"); err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name  string
-		fresh bool
-	}{
-		{"pooled", false},
-		{"fresh-per-kernel", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			o := sweep
-			o.FreshGPUs = mode.fresh
-			for i := 0; i < b.N; i++ {
-				ds, err := poise.BuildDataset(cfg, params, train, o, store, "bench")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ds.Samples)+ds.RejectedCycles+ds.RejectedHitRate+ds.RejectedSpeedup == 0 {
-					b.Fatal("empty dataset")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ds, err := poise.BuildDataset(cfg, params, train, sweep, store, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ds.Samples)+ds.RejectedCycles+ds.RejectedHitRate+ds.RejectedSpeedup == 0 {
+			b.Fatal("empty dataset")
+		}
 	}
 }
 

@@ -43,8 +43,8 @@ func (h *Harness) TableII() (*TableIIResult, error) {
 	// derive their scored targets, and compare against predictions.
 	// One task per holdout workload; narrow outer width because each
 	// task's profile sweep fans out across the full pool itself. The
-	// feature runs draw recycled GPUs from the harness's shared
-	// reset-verified pool set rather than constructing one per kernel.
+	// feature runs draw recycled GPUs from the process-wide pool rather
+	// than constructing one per kernel.
 	holdout, err := runner.MapSlice(h.ctx(), h.narrowWorkers(), h.EvalWorkloads(),
 		func(_ context.Context, _ int, wl *sim.Workload) (poise.Sample, error) {
 			k := wl.Kernels[0]
@@ -53,12 +53,12 @@ func (h *Harness) TableII() (*TableIIResult, error) {
 				return poise.Sample{}, err
 			}
 			target, _ := pr.BestScore(h.Params)
-			g, err := h.pools.Get(h.Cfg)
+			g, err := sim.Acquire(h.Cfg)
 			if err != nil {
 				return poise.Sample{}, err
 			}
 			x, err := poise.MeasureFeaturesOn(g, k)
-			h.pools.Put(h.Cfg, g)
+			sim.Release(g)
 			if err != nil {
 				return poise.Sample{}, err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"poise/internal/config"
 	"poise/internal/gridplan"
@@ -35,46 +36,33 @@ type Campaign interface {
 	Next(gen int, prev []Result) (planData []byte, units []unit, done bool, err error)
 }
 
-// planUnits serialises a profile plan and its per-task lease units.
-func planUnits(p *gridplan.Plan) ([]byte, []unit, error) {
-	p.Sort()
+// anyPlan is what the two plan kinds have in common.
+type anyPlan interface {
+	Sort()
+	Validate() error
+}
+
+// generation is the one body under every campaign's Next: sort and
+// validate the plan, serialise it as workers fetch it (write), and cut
+// it into one leasable unit per task.
+func generation[T gridplan.Keyed](p anyPlan, tasks []T, write func(io.Writer) error) ([]byte, []unit, bool, error) {
+	p.Sort() // in place: tasks is the plan's own slice
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	var buf bytes.Buffer
-	if err := gridplan.WritePlan(&buf, p); err != nil {
-		return nil, nil, err
+	if err := write(&buf); err != nil {
+		return nil, nil, false, err
 	}
-	units := make([]unit, len(p.Tasks))
-	for i, t := range p.Tasks {
+	units := make([]unit, len(tasks))
+	for i, t := range tasks {
 		line, err := json.Marshal(t)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, false, err
 		}
 		units[i] = unit{key: t.Key(), line: line}
 	}
-	return buf.Bytes(), units, nil
-}
-
-// cellPlanUnits serialises a cell plan and its per-cell lease units.
-func cellPlanUnits(p *gridplan.CellPlan) ([]byte, []unit, error) {
-	p.Sort()
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	var buf bytes.Buffer
-	if err := gridplan.WriteCellPlan(&buf, p); err != nil {
-		return nil, nil, err
-	}
-	units := make([]unit, len(p.Cells))
-	for i, c := range p.Cells {
-		line, err := json.Marshal(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		units[i] = unit{key: c.Key(), line: line}
-	}
-	return buf.Bytes(), units, nil
+	return buf.Bytes(), units, false, nil
 }
 
 // ProfileCampaign serves one profile sweep plan as a single
@@ -85,12 +73,11 @@ type ProfileCampaign struct{ Plan *gridplan.Plan }
 func (c ProfileCampaign) Format() string { return gridplan.ProfilePlanFormat }
 
 // Next implements Campaign.
-func (c ProfileCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, error) {
+func (c ProfileCampaign) Next(gen int, _ []Result) ([]byte, []unit, bool, error) {
 	if gen > 0 {
 		return nil, nil, true, nil
 	}
-	data, units, err := planUnits(c.Plan)
-	return data, units, false, err
+	return generation(c.Plan, c.Plan.Tasks, func(w io.Writer) error { return gridplan.WritePlan(w, c.Plan) })
 }
 
 // CellCampaign serves one experiment-grid cell plan as a single
@@ -101,12 +88,26 @@ type CellCampaign struct{ Plan *gridplan.CellPlan }
 func (c CellCampaign) Format() string { return gridplan.CellPlanFormat }
 
 // Next implements Campaign.
-func (c CellCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, error) {
+func (c CellCampaign) Next(gen int, _ []Result) ([]byte, []unit, bool, error) {
 	if gen > 0 {
 		return nil, nil, true, nil
 	}
-	data, units, err := cellPlanUnits(c.Plan)
-	return data, units, false, err
+	return generation(c.Plan, c.Plan.Cells, func(w io.Writer) error { return gridplan.WriteCellPlan(w, c.Plan) })
+}
+
+// decode turns accepted results back into the records the executors
+// produced, refusing a record filed under another one's key.
+func decode[R gridplan.Keyed](rs []Result) ([]R, error) {
+	out := make([]R, len(rs))
+	for i, r := range rs {
+		if err := json.Unmarshal(r.Data, &out[i]); err != nil {
+			return nil, fmt.Errorf("fleet: result %s: %w", r.Key, err)
+		}
+		if k := out[i].Key(); k != r.Key {
+			return nil, fmt.Errorf("fleet: result key %s carries record %s", r.Key, k)
+		}
+	}
+	return out, nil
 }
 
 // RefineCampaign drives a refined sweep: each generation is one
@@ -198,23 +199,19 @@ func (c *RefineCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, err
 	if len(plan.Tasks) == 0 {
 		return nil, nil, true, nil
 	}
-	data, units, err := planUnits(plan)
-	return data, units, false, err
+	return generation(plan, plan.Tasks, func(w io.Writer) error { return gridplan.WritePlan(w, plan) })
 }
 
 // fold groups one finished round's results per kernel and advances
 // each active kernel's refinement state — the in-memory equivalent of
 // SaveRound followed by a re-read.
 func (c *RefineCampaign) fold(prev []Result) error {
+	round, err := decode[gridplan.Measurement](prev)
+	if err != nil {
+		return err
+	}
 	byKernel := map[string][]gridplan.Measurement{}
-	for _, r := range prev {
-		var m gridplan.Measurement
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return fmt.Errorf("fleet: refine result %s: %w", r.Key, err)
-		}
-		if m.Key() != r.Key {
-			return fmt.Errorf("fleet: refine result key %s carries measurement %s", r.Key, m.Key())
-		}
+	for _, m := range round {
 		byKernel[m.Kernel] = append(byKernel[m.Kernel], m)
 	}
 	for _, k := range c.kernels {
@@ -289,16 +286,13 @@ func SaveProfiles(st profile.Store, rs []Result) ([]string, error) {
 		tag, kernel string
 		ms          []gridplan.Measurement
 	}
+	ms, err := decode[gridplan.Measurement](rs)
+	if err != nil {
+		return nil, err
+	}
 	byKey := map[string]*group{}
 	var order []*group
-	for _, r := range rs {
-		var m gridplan.Measurement
-		if err := json.Unmarshal(r.Data, &m); err != nil {
-			return nil, fmt.Errorf("fleet: result %s: %w", r.Key, err)
-		}
-		if m.Key() != r.Key {
-			return nil, fmt.Errorf("fleet: result key %s carries measurement %s", r.Key, m.Key())
-		}
+	for _, m := range ms {
 		gk := m.Tag + "|" + m.Kernel
 		g, ok := byKey[gk]
 		if !ok {
@@ -326,16 +320,9 @@ func SaveProfiles(st profile.Store, rs []Result) ([]string, error) {
 // cell set through the same results.Store path an in-process grid run
 // uses. Returns the (tag, grid) saved and the cell count.
 func SaveCells(st results.Store, rs []Result) (tag, grid string, n int, err error) {
-	cells := make([]results.CellResult, 0, len(rs))
-	for _, r := range rs {
-		var c results.CellResult
-		if err := json.Unmarshal(r.Data, &c); err != nil {
-			return "", "", 0, fmt.Errorf("fleet: result %s: %w", r.Key, err)
-		}
-		if c.Key() != r.Key {
-			return "", "", 0, fmt.Errorf("fleet: result key %s carries cell %s", r.Key, c.Key())
-		}
-		cells = append(cells, c)
+	cells, err := decode[results.CellResult](rs)
+	if err != nil {
+		return "", "", 0, err
 	}
 	if len(cells) == 0 {
 		return "", "", 0, fmt.Errorf("fleet: no cell results to save")

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +9,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"poise/internal/gridplan"
 )
 
 // Coordinator serves a Campaign to workers: it publishes the current
@@ -138,17 +139,12 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 	planData := c.planData
 	c.mu.Unlock()
 
+	// A failed write is the worker's to notice: its count check or its
+	// plan reader refuses the short body and the request is retried.
 	w.Header().Set("Content-Type", "application/jsonl")
-	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(env); err != nil {
-		return
+	if err := gridplan.WriteLines[json.RawMessage](w, env, nil); err == nil && !env.Done {
+		w.Write(planData)
 	}
-	if !env.Done {
-		if _, err := bw.Write(planData); err != nil {
-			return
-		}
-	}
-	bw.Flush()
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -168,9 +164,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	case req.Gen != c.gen:
 		rep.Status = statusGen
 	default:
-		l, live := c.board.grant(req.Worker, c.opts.now())
-		switch {
-		case l != nil:
+		// No lease means poll again: nothing is grantable now, or every
+		// task of the generation is done and the final completion's
+		// handler has yet to advance the campaign.
+		rep.Status = statusWait
+		if l, _ := c.board.grant(req.Worker, c.opts.now()); l != nil {
 			rep.Status, rep.Lease = statusOK, l.id
 			rep.DeadlineMS = time.Until(l.deadline).Milliseconds()
 			rep.Count = len(l.pending)
@@ -178,40 +176,28 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				rep.Keys = append(rep.Keys, u.key)
 				lines = append(lines, u.line)
 			}
-		case !live:
-			// Every task of the generation is done but the campaign has
-			// not advanced yet (the final completion's handler does
-			// that); tell the worker to poll.
-			rep.Status = statusWait
-		default:
-			rep.Status = statusWait
 		}
 	}
 	c.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/jsonl")
-	writeJSONL(w, rep, lines)
+	gridplan.WriteLines(w, rep, lines)
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	br := bufio.NewReader(r.Body)
+	body := gridplan.NewLines(r.Body)
 	var hdr completeHeader
-	if err := readHeader(br, &hdr); err != nil {
+	if err := body.Exact(&hdr); err != nil {
 		http.Error(w, "fleet: bad completion header: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	rawLines, err := readLines(br, hdr.Count)
+	lines, err := readBody[resultLine](body, hdr.Count)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	lines := make([]resultLine, len(rawLines))
-	for i, raw := range rawLines {
-		if err := json.Unmarshal(raw, &lines[i]); err != nil {
-			http.Error(w, fmt.Sprintf("fleet: completion line %d: %v", i+1, err), http.StatusBadRequest)
-			return
-		}
-		if lines[i].Key == "" {
+	for i, l := range lines {
+		if l.Key == "" {
 			http.Error(w, fmt.Sprintf("fleet: completion line %d has no key", i+1), http.StatusBadRequest)
 			return
 		}
@@ -260,21 +246,19 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(rep)
 }
 
-// Serve runs the coordinator's HTTP server on ln-style addr until the
-// campaign completes or ctx is cancelled, lingers Options.Linger so
-// polling workers observe the final status, then shuts the server
-// down and returns the results. The bound address (useful with ":0")
-// is reported through addrCh when non-nil.
-func (c *Coordinator) Serve(ctx context.Context, addr string, addrCh chan<- string) ([]Result, error) {
-	srv := &http.Server{Addr: addr, Handler: c.Handler()}
-	errCh := make(chan error, 1)
-	ln, err := listen(addr)
+// Serve runs the coordinator's HTTP server on addr until the campaign
+// completes or ctx is cancelled, lingers Options.Linger so polling
+// workers observe the final status, then shuts the server down and
+// returns the results. The bound address (useful with ":0") goes to
+// Options.Logf.
+func (c *Coordinator) Serve(ctx context.Context, addr string) ([]Result, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if addrCh != nil {
-		addrCh <- ln.Addr().String()
-	}
+	c.opts.Logf("fleet: serving on %s", ln.Addr())
+	srv := &http.Server{Handler: c.Handler()}
+	errCh := make(chan error, 1)
 	go func() {
 		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
 			errCh <- serr
@@ -283,8 +267,8 @@ func (c *Coordinator) Serve(ctx context.Context, addr string, addrCh chan<- stri
 	var res []Result
 	var werr error
 	select {
-	case wr := <-waitCh(ctx, c):
-		res, werr = wr.res, wr.err
+	case <-c.finished:
+		res, werr = c.Wait(ctx)
 		// Linger before shutting down so workers mid-poll get one more
 		// reply — the done (or failed) status — and exit cleanly
 		// instead of dialing a closed port. Skipped on cancellation.
@@ -292,28 +276,12 @@ func (c *Coordinator) Serve(ctx context.Context, addr string, addrCh chan<- stri
 		case <-ctx.Done():
 		case <-time.After(c.opts.Linger):
 		}
+	case <-ctx.Done():
+		werr = ctx.Err()
 	case werr = <-errCh:
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	srv.Shutdown(shutdownCtx)
 	return res, werr
-}
-
-// listen binds the coordinator's TCP listener.
-func listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
-
-// waitCh adapts Wait to a channel for Serve's select.
-func waitCh(ctx context.Context, c *Coordinator) <-chan waitResult {
-	ch := make(chan waitResult, 1)
-	go func() {
-		res, err := c.Wait(ctx)
-		ch <- waitResult{res, err}
-	}()
-	return ch
-}
-
-type waitResult struct {
-	res []Result
-	err error
 }

@@ -9,6 +9,7 @@ import (
 	"poise/internal/experiments"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
+	"poise/internal/results"
 	"poise/internal/trace"
 )
 
@@ -26,8 +27,8 @@ type ProfileExecutor struct {
 // any task whose kernel is missing from this worker's catalogue or
 // whose content digest disagrees with the local traces — a worker
 // launched against the wrong trace set refuses the whole plan before
-// leasing anything. The batch it returns runs every lease on one GPU
-// pool and trusts this check: it hashes no kernel again.
+// leasing anything. The batch it returns trusts this check: it hashes
+// no kernel again.
 func (e ProfileExecutor) Prepare(planData []byte) (Batch, error) {
 	plan, err := gridplan.ReadPlan(bytes.NewReader(planData))
 	if err != nil {
@@ -39,11 +40,6 @@ func (e ProfileExecutor) Prepare(planData []byte) (Batch, error) {
 	b := profileBatch{e: e, verified: map[[2]string]bool{}}
 	for _, t := range plan.Tasks {
 		b.verified[[2]string{t.Kernel, t.Digest}] = true
-	}
-	if !b.e.Opts.FreshGPUs {
-		if b.e.Opts.Pool, err = b.e.Opts.PoolFor(e.Cfg); err != nil {
-			return nil, err
-		}
 	}
 	return b, nil
 }
@@ -57,26 +53,34 @@ type profileBatch struct {
 
 // Run implements Batch.
 func (b profileBatch) Run(lines []json.RawMessage) ([]json.RawMessage, error) {
-	tasks := make([]gridplan.Task, len(lines))
+	return runLines(lines, func(tasks []gridplan.Task) ([]gridplan.Measurement, error) {
+		for _, t := range tasks {
+			if !b.verified[[2]string{t.Kernel, t.Digest}] {
+				return nil, fmt.Errorf("fleet: task %s is not of the prepared plan", t.Key())
+			}
+		}
+		return profile.RunVerifiedTasks(b.e.Cfg, b.e.Kernels, tasks, b.e.Opts)
+	})
+}
+
+// runLines is the adapter between the wire's task lines and an
+// executor's typed tasks and records: decode, run, encode, aligned.
+func runLines[T, R any](lines []json.RawMessage, run func([]T) ([]R, error)) ([]json.RawMessage, error) {
+	tasks := make([]T, len(lines))
 	for i, l := range lines {
 		if err := json.Unmarshal(l, &tasks[i]); err != nil {
 			return nil, fmt.Errorf("fleet: task line %d: %w", i+1, err)
 		}
-		if !b.verified[[2]string{tasks[i].Kernel, tasks[i].Digest}] {
-			return nil, fmt.Errorf("fleet: task %s is not of the prepared plan", tasks[i].Key())
-		}
 	}
-	ms, err := profile.RunVerifiedTasks(b.e.Cfg, b.e.Kernels, tasks, b.e.Opts)
+	records, err := run(tasks)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]json.RawMessage, len(ms))
-	for i, m := range ms {
-		raw, err := json.Marshal(m)
-		if err != nil {
+	out := make([]json.RawMessage, len(records))
+	for i := range records {
+		if out[i], err = json.Marshal(&records[i]); err != nil {
 			return nil, err
 		}
-		out[i] = raw
 	}
 	return out, nil
 }
@@ -117,23 +121,7 @@ type cellBatch struct {
 
 // Run implements Batch.
 func (b cellBatch) Run(lines []json.RawMessage) ([]json.RawMessage, error) {
-	tasks := make([]gridplan.CellTask, len(lines))
-	for i, l := range lines {
-		if err := json.Unmarshal(l, &tasks[i]); err != nil {
-			return nil, fmt.Errorf("fleet: cell line %d: %w", i+1, err)
-		}
-	}
-	cells, err := b.h.RunCellTasks(b.grid, tasks)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]json.RawMessage, len(cells))
-	for i, c := range cells {
-		raw, err := json.Marshal(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = raw
-	}
-	return out, nil
+	return runLines(lines, func(tasks []gridplan.CellTask) ([]results.CellResult, error) {
+		return b.h.RunCellTasks(b.grid, tasks)
+	})
 }

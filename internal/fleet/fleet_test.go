@@ -359,13 +359,14 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 
 // TestWorkerRejectsDriftedCatalogue: an executor prepared against
 // traces that do not match the plan's digests must refuse the whole
-// plan up front.
+// plan up front, and the batch of a plan it did accept refuses a task
+// that is not of that plan.
 func TestWorkerRejectsDriftedCatalogue(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("drift", 20, 12, 4)
 	opts := profile.SweepOptions{StepN: 8, StepP: 8}
 	plan := profile.BuildPlan("t", cfg, k, opts)
-	data, _, err := planUnits(plan)
+	data, units, _, err := ProfileCampaign{Plan: plan}.Next(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,31 +378,13 @@ func TestWorkerRejectsDriftedCatalogue(t *testing.T) {
 	if _, err := (ProfileExecutor{Cfg: cfg, Kernels: nil, Opts: opts}).Prepare(data); err == nil {
 		t.Fatal("Prepare must reject a plan whose kernel is absent")
 	}
-}
 
-// TestProfileBatchRunsLeasesOnOnePool: the batch Prepare returns runs
-// every lease, however small, on GPUs of one pool, and refuses a task
-// that is not of the plan it verified.
-func TestProfileBatchRunsLeasesOnOnePool(t *testing.T) {
-	cfg := testutil.TinyConfig()
-	k := testutil.ThrashKernel("onepool", 20, 12, 4)
-	opts := profile.SweepOptions{StepN: 8, StepP: 8, Workers: 1}
-	plan := profile.BuildPlan("t", cfg, k, opts)
-	data, units, err := planUnits(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, err := ProfileExecutor{Cfg: cfg, Kernels: map[string]*trace.Kernel{k.Name: k}, Opts: opts}.Prepare(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range units { // leases of one task, the CLI default
-		if _, err := b.Run([]json.RawMessage{u.line}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if builds, reuses := b.(profileBatch).e.Opts.Pool.Stats(); builds != 1 || reuses != int64(len(units))-1 {
-		t.Fatalf("%d leases built %d GPUs and reused %d", len(units), builds, reuses)
+	if out, err := b.Run([]json.RawMessage{units[0].line}); err != nil || len(out) != 1 {
+		t.Fatalf("a lease of one task of the plan: %d results, %v", len(out), err)
 	}
 	stray := plan.Tasks[0]
 	stray.Digest = "0000"

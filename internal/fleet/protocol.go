@@ -1,14 +1,15 @@
 package fleet
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
+
+	"poise/internal/gridplan"
 )
 
-// The wire protocol is HTTP carrying the same JSONL idiom the plan
-// files use: one JSON header line, then one record per line, with
+// The wire protocol is HTTP carrying the JSONL container the plan files
+// use, written and read by the same code (gridplan.WriteLines,
+// gridplan.Lines): one JSON header line, then one record per line, with
 // counts in the header detecting truncated transfers.
 //
 //	GET  /v1/plan      -> plan envelope line, then the raw plan JSONL
@@ -92,47 +93,16 @@ type completeReply struct {
 	Error      string   `json:"error,omitempty"`
 }
 
-// writeJSONL writes the header followed by the given lines.
-func writeJSONL(w io.Writer, header any, lines []json.RawMessage) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header); err != nil {
-		return err
-	}
-	for _, l := range lines {
-		if _, err := bw.Write(l); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// readJSONL decodes a header line and count lines (per the caller,
-// after it has read the header) from one stream.
-func readHeader(r *bufio.Reader, v any) error {
-	line, err := r.ReadBytes('\n')
-	if len(line) == 0 && err != nil {
-		return err
-	}
-	return json.Unmarshal(line, v)
-}
-
-// readLines reads exactly count JSON lines.
-func readLines(r *bufio.Reader, count int) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, 0, count)
+// readBody reads the count record lines a header announced, through the
+// plan files' line reader but strictly: exactly count lines, none blank.
+func readBody[T any](l *gridplan.Lines, count int) ([]T, error) {
+	var out []T
 	for len(out) < count {
-		line, err := r.ReadBytes('\n')
-		if len(line) == 0 || (err != nil && err != io.EOF) {
-			return nil, fmt.Errorf("fleet: truncated body: %d of %d lines (%v)", len(out), count, err)
+		var rec T
+		if err := l.Exact(&rec); err != nil {
+			return nil, fmt.Errorf("fleet: body line %d of %d: %w", len(out)+1, count, err)
 		}
-		raw := json.RawMessage(nil)
-		if uerr := json.Unmarshal(line, &raw); uerr != nil {
-			return nil, fmt.Errorf("fleet: body line %d: %w", len(out)+1, uerr)
-		}
-		out = append(out, raw)
+		out = append(out, rec)
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"poise/internal/gridplan"
 	"poise/internal/sim"
 )
 
@@ -238,15 +238,16 @@ func (w *Worker) fetchPlan(ctx context.Context) (planEnvelope, []byte, error) {
 	if err != nil {
 		return planEnvelope{}, nil, err
 	}
-	br := bufio.NewReader(bytes.NewReader(body))
+	l := gridplan.NewLines(bytes.NewReader(body))
 	var env planEnvelope
-	if err := readHeader(br, &env); err != nil {
+	if err := l.Exact(&env); err != nil {
 		return planEnvelope{}, nil, fmt.Errorf("fleet: plan envelope: %w", err)
 	}
 	if env.Fleet != "plan" {
 		return planEnvelope{}, nil, fmt.Errorf("fleet: %s is not a fleet coordinator (envelope %q)", w.Base, env.Fleet)
 	}
-	rest, err := io.ReadAll(br)
+	// The plan itself goes to the executor as it came.
+	rest, err := io.ReadAll(l.Rest())
 	if err != nil {
 		return planEnvelope{}, nil, err
 	}
@@ -260,12 +261,12 @@ func (w *Worker) requestLease(ctx context.Context, gen int) (leaseReply, []json.
 	if err != nil {
 		return leaseReply{}, nil, err
 	}
-	br := bufio.NewReader(bytes.NewReader(body))
+	l := gridplan.NewLines(bytes.NewReader(body))
 	var rep leaseReply
-	if err := readHeader(br, &rep); err != nil {
+	if err := l.Exact(&rep); err != nil {
 		return leaseReply{}, nil, fmt.Errorf("fleet: lease reply: %w", err)
 	}
-	lines, err := readLines(br, rep.Count)
+	lines, err := readBody[json.RawMessage](l, rep.Count)
 	if err != nil {
 		return leaseReply{}, nil, err
 	}
@@ -275,16 +276,8 @@ func (w *Worker) requestLease(ctx context.Context, gen int) (leaseReply, []json.
 // postComplete streams finished task results back.
 func (w *Worker) postComplete(ctx context.Context, gen int, leaseID string, lines []resultLine) (completeReply, error) {
 	var buf bytes.Buffer
-	raws := make([]json.RawMessage, len(lines))
-	for i, l := range lines {
-		raw, err := json.Marshal(l)
-		if err != nil {
-			return completeReply{}, err
-		}
-		raws[i] = raw
-	}
-	hdr := completeHeader{Worker: w.Name, Gen: gen, Lease: leaseID, Count: len(raws)}
-	if err := writeJSONL(&buf, hdr, raws); err != nil {
+	hdr := completeHeader{Worker: w.Name, Gen: gen, Lease: leaseID, Count: len(lines)}
+	if err := gridplan.WriteLines(&buf, hdr, lines); err != nil {
 		return completeReply{}, err
 	}
 	body, err := w.do(ctx, http.MethodPost, "/v1/complete", buf.Bytes())

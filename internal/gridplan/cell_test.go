@@ -91,24 +91,3 @@ func TestCellKeyPreservesSchemeOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestPlanFileFormatSniffs(t *testing.T) {
-	dir := t.TempDir()
-	cell := dir + "/cells.jsonl"
-	if err := WriteCellPlanFile(cell, cellPlanForTest(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	prof := dir + "/plan.jsonl"
-	if err := WritePlanFile(prof, planForTest(4)); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := PlanFileFormat(cell); err != nil || f != CellPlanFormat {
-		t.Fatalf("cell plan format = %q, %v", f, err)
-	}
-	if f, err := PlanFileFormat(prof); err != nil || f != ProfilePlanFormat {
-		t.Fatalf("profile plan format = %q, %v", f, err)
-	}
-	if _, err := PlanFileFormat(dir + "/missing.jsonl"); err == nil {
-		t.Fatal("missing file must error")
-	}
-}

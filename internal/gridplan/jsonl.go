@@ -2,16 +2,112 @@ package gridplan
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+
+	"poise/internal/atomicfile"
 )
 
 // The JSONL container: one header object on the first line, then one
 // record per line. JSONL rather than a single JSON document so workers
 // can stream arbitrarily large plans and a truncated transfer is
-// detected by the header's count, not by a silent short read.
+// detected by the header's count, not by a silent short read. This is
+// its one implementation: the three file kinds below and the fleet's
+// wire protocol all write through WriteLines and read through Lines.
+
+const (
+	// ProfilePlanFormat tags profile-sweep plan files; exported, like
+	// CellPlanFormat, because fleet workers dispatch executors on it.
+	ProfilePlanFormat = "poiseplan"
+	// CellPlanFormat tags experiment-cell plan files.
+	CellPlanFormat = "poisecellplan"
+	measFormat     = "poiseshard"
+
+	// maxLine bounds one line of a container: a format rule, checked
+	// once the line is read.
+	maxLine = 4 << 20
+)
+
+// WriteLines writes header and then every record as one JSON line each.
+func WriteLines[R any](w io.Writer, header any, records []R) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	if err := enc.Encode(header); err != nil {
+		return err
+	}
+	for i := range records {
+		if err := enc.Encode(&records[i]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// Lines decodes a JSONL stream one line at a time. It sits on a
+// bufio.Reader it hands back through Rest, so a caller can read a
+// header line and pass the bytes after it on untouched.
+type Lines struct {
+	br   *bufio.Reader
+	line int // 1-based number of the line read last
+}
+
+// NewLines reads lines from r.
+func NewLines(r io.Reader) *Lines { return &Lines{br: bufio.NewReader(r)} }
+
+// read returns the next line, blank or not; the last line need not end
+// in a newline. io.EOF means the stream ended before it.
+func (l *Lines) read() ([]byte, error) {
+	b, err := l.br.ReadBytes('\n')
+	if err != nil && (err != io.EOF || len(b) == 0) {
+		return nil, err
+	}
+	l.line++
+	if len(b) > maxLine {
+		return nil, fmt.Errorf("line of %d bytes exceeds the %d-byte bound", len(b), maxLine)
+	}
+	return b, nil
+}
+
+// Next decodes the next non-blank line into v, returning io.EOF at the
+// end of input: the tolerant reading files get.
+func (l *Lines) Next(v any) error {
+	for {
+		b, err := l.read()
+		if err != nil {
+			return err
+		}
+		if len(bytes.Trim(b, " \t\r\n")) > 0 {
+			return json.Unmarshal(b, v)
+		}
+	}
+}
+
+// Exact decodes the very next line into v: a blank line is an error and
+// so is the end of input (io.ErrUnexpectedEOF). It is the strict reading
+// a wire message gets, whose header says how many lines follow.
+func (l *Lines) Exact(v any) error {
+	b, err := l.read()
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
+}
+
+// Rest returns everything after the lines read so far.
+func (l *Lines) Rest() io.Reader { return l.br }
+
+// A header is a container's first line; declares reports the three
+// things every kind's header carries, under whatever names it gives
+// them.
+type header interface {
+	declares() (format string, version, count int)
+}
 
 type planHeader struct {
 	Format  string `json:"format"`
@@ -19,6 +115,10 @@ type planHeader struct {
 	Tasks   int    `json:"tasks"`
 }
 
+func (h planHeader) declares() (string, int, int) { return h.Format, h.Version, h.Tasks }
+
+// measHeader writes "shard":0 for round 0: no omitempty, and not to be
+// merged with planHeader.
 type measHeader struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
@@ -27,117 +127,84 @@ type measHeader struct {
 	Count   int    `json:"count"`
 }
 
-const (
-	planFormat = "poiseplan"
-	measFormat = "poiseshard"
+func (h measHeader) declares() (string, int, int) { return h.Format, h.Version, h.Count }
 
-	// CellPlanFormat tags experiment-cell plan files; exported so
-	// callers can dispatch on PlanFileFormat's result.
-	CellPlanFormat = "poisecellplan"
-	// ProfilePlanFormat is the profile-sweep plan tag, for symmetry.
-	ProfilePlanFormat = planFormat
-)
+// readContainer parses one container file kind: a header H carrying
+// wantFormat, then records R to the end of input, as many as the header
+// declared. noun and records are the words its errors use.
+func readContainer[H header, R any](r io.Reader, wantFormat, noun, records string) ([]R, error) {
+	l := NewLines(r)
+	var h H
+	if err := l.Next(&h); err != nil {
+		return nil, fmt.Errorf("gridplan: %s header: %w", noun, err)
+	}
+	format, version, count := h.declares()
+	if format != wantFormat {
+		return nil, fmt.Errorf("gridplan: not a %s file (format %q)", noun, format)
+	}
+	if version != PlanVersion {
+		return nil, fmt.Errorf("gridplan: unsupported %s version %d (have %d)", noun, version, PlanVersion)
+	}
+	var recs []R
+	for {
+		var rec R
+		err := l.Next(&rec)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("gridplan: %s line %d: %w", noun, l.line, err)
+		}
+		recs = append(recs, rec)
+	}
+	if len(recs) != count {
+		return nil, fmt.Errorf("gridplan: %s truncated: header says %d %s, file has %d", noun, count, records, len(recs))
+	}
+	return recs, nil
+}
 
-// PlanFileFormat reads just the header of a JSONL plan file and
-// returns its format tag (ProfilePlanFormat or CellPlanFormat), so a
-// command can dispatch a -plan argument to the right pipeline without
-// parsing the whole file twice.
-func PlanFileFormat(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
+// versionOr is the version a plan built in memory is written with.
+func versionOr(v int) int {
+	if v == 0 {
+		return PlanVersion
 	}
-	defer f.Close()
-	var h planHeader
-	if err := newLineScanner(f).Next(&h); err != nil {
-		return "", fmt.Errorf("gridplan: reading %s header: %w", path, err)
-	}
-	if h.Format == "" {
-		return "", fmt.Errorf("gridplan: %s is not a plan file (no format header)", path)
-	}
-	return h.Format, nil
+	return v
 }
 
 // WritePlan serialises a plan as JSONL.
 func WritePlan(w io.Writer, p *Plan) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	v := p.Version
-	if v == 0 {
-		v = PlanVersion
-	}
-	if err := enc.Encode(planHeader{Format: planFormat, Version: v, Tasks: len(p.Tasks)}); err != nil {
-		return err
-	}
-	for _, t := range p.Tasks {
-		if err := enc.Encode(t); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteLines(w, planHeader{Format: ProfilePlanFormat, Version: versionOr(p.Version), Tasks: len(p.Tasks)}, p.Tasks)
 }
 
 // ReadPlan parses a JSONL plan, validating the header, the task count
 // and the task invariants.
 func ReadPlan(r io.Reader) (*Plan, error) {
-	sc := newLineScanner(r)
-	var h planHeader
-	if err := sc.Next(&h); err != nil {
-		return nil, fmt.Errorf("gridplan: plan header: %w", err)
+	tasks, err := readContainer[planHeader, Task](r, ProfilePlanFormat, "plan", "tasks")
+	if err != nil {
+		return nil, err
 	}
-	if h.Format != planFormat {
-		return nil, fmt.Errorf("gridplan: not a plan file (format %q)", h.Format)
-	}
-	if h.Version != PlanVersion {
-		return nil, fmt.Errorf("gridplan: unsupported plan version %d (have %d)", h.Version, PlanVersion)
-	}
-	p := &Plan{Version: h.Version}
-	for {
-		var t Task
-		err := sc.Next(&t)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("gridplan: plan line %d: %w", sc.Line(), err)
-		}
-		p.Tasks = append(p.Tasks, t)
-	}
-	if len(p.Tasks) != h.Tasks {
-		return nil, fmt.Errorf("gridplan: plan truncated: header says %d tasks, file has %d", h.Tasks, len(p.Tasks))
-	}
+	p := &Plan{Version: PlanVersion, Tasks: tasks}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// WritePlanFile writes a plan to path.
-func WritePlanFile(path string, p *Plan) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = WritePlan(f, p)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("gridplan: writing %s: %w", path, err)
-	}
-	return nil
+// WriteCellPlan serialises an experiment-cell plan as JSONL.
+func WriteCellPlan(w io.Writer, p *CellPlan) error {
+	return WriteLines(w, planHeader{Format: CellPlanFormat, Version: versionOr(p.Version), Tasks: len(p.Cells)}, p.Cells)
 }
 
-// ReadPlanFile reads a plan from path.
-func ReadPlanFile(path string) (*Plan, error) {
-	f, err := os.Open(path)
+// ReadCellPlan parses a JSONL cell plan, validating the header, the
+// cell count and the cell invariants.
+func ReadCellPlan(r io.Reader) (*CellPlan, error) {
+	cells, err := readContainer[planHeader, CellTask](r, CellPlanFormat, "cell plan", "cells")
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	p, err := ReadPlan(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w (reading %s)", err, path)
+	p := &CellPlan{Version: PlanVersion, Cells: cells}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -147,203 +214,52 @@ func ReadPlanFile(path string) (*Plan, error) {
 // of what the file is (round r of r+1 so far); Merge does not trust
 // them, they are for operators and error messages.
 func WriteMeasurements(w io.Writer, shard, of int, ms []Measurement) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(measHeader{Format: measFormat, Version: PlanVersion, Shard: shard, Of: of, Count: len(ms)}); err != nil {
-		return err
-	}
-	for _, m := range ms {
-		if err := enc.Encode(m); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteLines(w, measHeader{Format: measFormat, Version: PlanVersion, Shard: shard, Of: of, Count: len(ms)}, ms)
 }
 
-// ReadMeasurements parses a measurement file.
+// ReadMeasurements parses a measurement file. Duplicate keys are legal
+// here and an error at Merge.
 func ReadMeasurements(r io.Reader) ([]Measurement, error) {
-	sc := newLineScanner(r)
-	var h measHeader
-	if err := sc.Next(&h); err != nil {
-		return nil, fmt.Errorf("gridplan: shard header: %w", err)
-	}
-	if h.Format != measFormat {
-		return nil, fmt.Errorf("gridplan: not a shard measurement file (format %q)", h.Format)
-	}
-	if h.Version != PlanVersion {
-		return nil, fmt.Errorf("gridplan: unsupported shard version %d (have %d)", h.Version, PlanVersion)
-	}
-	var ms []Measurement
-	for {
-		var m Measurement
-		err := sc.Next(&m)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("gridplan: shard line %d: %w", sc.Line(), err)
-		}
-		ms = append(ms, m)
-	}
-	if len(ms) != h.Count {
-		return nil, fmt.Errorf("gridplan: shard truncated: header says %d measurements, file has %d", h.Count, len(ms))
-	}
-	return ms, nil
+	return readContainer[measHeader, Measurement](r, measFormat, "shard", "measurements")
 }
 
-// WriteMeasurementsFile writes a measurement file to path.
-func WriteMeasurementsFile(path string, shard, of int, ms []Measurement) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = WriteMeasurements(f, shard, of, ms)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+// writeFile replaces path with the container write produces, atomically:
+// a resumed sweep reads round files back (profile.Store.LoadRounds), and
+// a torn one would cost it every round from there on.
+func writeFile(path string, write func(io.Writer) error) error {
+	if err := atomicfile.Write(path, write); err != nil {
 		return fmt.Errorf("gridplan: writing %s: %w", path, err)
 	}
 	return nil
+}
+
+// readFile parses the container at path with read.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (v T, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return v, err
+	}
+	defer f.Close()
+	if v, err = read(f); err != nil {
+		err = fmt.Errorf("%w (reading %s)", err, path)
+	}
+	return v, err
+}
+
+// WritePlanFile writes a plan to path.
+func WritePlanFile(path string, p *Plan) error {
+	return writeFile(path, func(w io.Writer) error { return WritePlan(w, p) })
+}
+
+// ReadPlanFile reads a plan from path.
+func ReadPlanFile(path string) (*Plan, error) { return readFile(path, ReadPlan) }
+
+// WriteMeasurementsFile writes a measurement file to path.
+func WriteMeasurementsFile(path string, shard, of int, ms []Measurement) error {
+	return writeFile(path, func(w io.Writer) error { return WriteMeasurements(w, shard, of, ms) })
 }
 
 // ReadMeasurementsFile reads a measurement file from path.
 func ReadMeasurementsFile(path string) ([]Measurement, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ms, err := ReadMeasurements(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w (reading %s)", err, path)
-	}
-	return ms, nil
-}
-
-// WriteCellPlan serialises an experiment-cell plan as JSONL.
-func WriteCellPlan(w io.Writer, p *CellPlan) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	v := p.Version
-	if v == 0 {
-		v = PlanVersion
-	}
-	if err := enc.Encode(planHeader{Format: CellPlanFormat, Version: v, Tasks: len(p.Cells)}); err != nil {
-		return err
-	}
-	for _, c := range p.Cells {
-		if err := enc.Encode(c); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCellPlan parses a JSONL cell plan, validating the header, the
-// cell count and the cell invariants.
-func ReadCellPlan(r io.Reader) (*CellPlan, error) {
-	sc := newLineScanner(r)
-	var h planHeader
-	if err := sc.Next(&h); err != nil {
-		return nil, fmt.Errorf("gridplan: cell plan header: %w", err)
-	}
-	if h.Format != CellPlanFormat {
-		return nil, fmt.Errorf("gridplan: not a cell plan file (format %q)", h.Format)
-	}
-	if h.Version != PlanVersion {
-		return nil, fmt.Errorf("gridplan: unsupported cell plan version %d (have %d)", h.Version, PlanVersion)
-	}
-	p := &CellPlan{Version: h.Version}
-	for {
-		var c CellTask
-		err := sc.Next(&c)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("gridplan: cell plan line %d: %w", sc.Line(), err)
-		}
-		p.Cells = append(p.Cells, c)
-	}
-	if len(p.Cells) != h.Tasks {
-		return nil, fmt.Errorf("gridplan: cell plan truncated: header says %d cells, file has %d", h.Tasks, len(p.Cells))
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// WriteCellPlanFile writes a cell plan to path.
-func WriteCellPlanFile(path string, p *CellPlan) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = WriteCellPlan(f, p)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("gridplan: writing %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadCellPlanFile reads a cell plan from path.
-func ReadCellPlanFile(path string) (*CellPlan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	p, err := ReadCellPlan(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w (reading %s)", err, path)
-	}
-	return p, nil
-}
-
-// lineScanner decodes one JSON object per line, tolerating blank lines
-// and tracking line numbers for diagnostics. A line is at most 4 MB.
-type lineScanner struct {
-	sc   *bufio.Scanner
-	line int
-}
-
-func newLineScanner(r io.Reader) *lineScanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	return &lineScanner{sc: sc}
-}
-
-// Next decodes the next non-blank line into v, returning io.EOF at
-// the end of input.
-func (l *lineScanner) Next(v any) error {
-	for l.sc.Scan() {
-		l.line++
-		b := l.sc.Bytes()
-		if len(trimSpace(b)) == 0 {
-			continue
-		}
-		return json.Unmarshal(b, v)
-	}
-	if err := l.sc.Err(); err != nil {
-		return err
-	}
-	return io.EOF
-}
-
-// Line reports the current (1-based) line number, for error messages.
-func (l *lineScanner) Line() int { return l.line }
-
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
-	}
-	return b
+	return readFile(path, ReadMeasurements)
 }

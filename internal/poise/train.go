@@ -44,26 +44,14 @@ type Dataset struct {
 // applies the admission thresholds, scores the solution space (Eq. 12),
 // scales the targets, and measures the feature vector per kernel by
 // running the kernel at the baseline tuple and at (1, 1). The feature
-// runs draw their GPU from a reset-verified sim.Pool — sweep.Pool, the
-// one the sweeps use, when the caller set it — so one memory hierarchy
-// is reused across the whole training set instead of one allocation
-// per kernel, unless sweep.FreshGPUs asks for the pre-pool behaviour
-// (results are bit-identical either way; see BenchmarkDatasetPooledGPU
-// for the allocation delta).
+// runs draw their GPU from the process-wide pool the sweeps use
+// (sim.Acquire), so one memory hierarchy serves the whole training set
+// instead of one allocation per kernel.
 func BuildDataset(cfg config.Config, params config.PoiseParams, train []*sim.Workload, sweep profile.SweepOptions, store profile.Store, tag string) (*Dataset, error) {
-	get := func() (*sim.GPU, error) { return sim.New(cfg) }
-	put := func(*sim.GPU) {}
-	if !sweep.FreshGPUs {
-		pool, err := sweep.PoolFor(cfg)
-		if err != nil {
-			return nil, err
-		}
-		get, put = pool.Get, pool.Put
-	}
 	ds := &Dataset{}
 	for _, w := range train {
 		for _, k := range w.Kernels {
-			s, reject, err := buildSample(cfg, params, k, sweep, store, tag, get, put)
+			s, reject, err := buildSample(cfg, params, k, sweep, store, tag)
 			if err != nil {
 				return nil, fmt.Errorf("poise: training kernel %s: %w", k.Name, err)
 			}
@@ -91,8 +79,7 @@ const (
 	rejectHitRate
 )
 
-func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, sweep profile.SweepOptions, store profile.Store, tag string,
-	get func() (*sim.GPU, error), put func(*sim.GPU)) (Sample, rejectReason, error) {
+func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, sweep profile.SweepOptions, store profile.Store, tag string) (Sample, rejectReason, error) {
 	pr, err := store.LoadOrSweep(tag, cfg, k, sweep)
 	if err != nil {
 		return Sample{}, rejectNone, err
@@ -115,12 +102,12 @@ func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, 
 	}
 
 	target, _ := pr.BestScore(params)
-	g, err := get()
+	g, err := sim.Acquire(cfg)
 	if err != nil {
 		return Sample{}, rejectNone, err
 	}
 	x, err := MeasureFeaturesOn(g, k)
-	put(g)
+	sim.Release(g)
 	if err != nil {
 		return Sample{}, rejectNone, err
 	}
@@ -149,9 +136,9 @@ func MeasureFeatures(cfg config.Config, k *trace.Kernel) (Vector, error) {
 }
 
 // MeasureFeaturesOn is MeasureFeatures on a caller-supplied GPU —
-// typically one drawn from a sim.Pool, whose reset-to-fresh invariant
-// makes the measured features identical to a fresh construction's. The
-// GPU must be in its fresh (or reset) state.
+// typically one from sim.Acquire, whose reset-to-fresh invariant makes
+// the measured features identical to a fresh construction's. The GPU
+// must be in its fresh (or reset) state.
 func MeasureFeaturesOn(g *sim.GPU, k *trace.Kernel) (Vector, error) {
 	maxN := g.Cfg.WarpsPerSched
 	if k.MaxWarpsPerSched > 0 && k.MaxWarpsPerSched < maxN {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+
+	"poise/internal/atomicfile"
 )
 
 // Weights is a trained Poise model: one weight per feature for each of
@@ -99,12 +101,14 @@ func reverseScale(scaled float64, maxN int) int {
 
 // Save writes the weights as JSON (the artefact cmd/poisetrain emits;
 // in the paper's deployment story this is what the compiler embeds).
+// The write is atomic: a service that persists each retrained model
+// here never leaves a reader, or a crash, a half-written file.
 func (w Weights) Save(path string) error {
 	data, err := json.MarshalIndent(w, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return atomicfile.WriteFile(path, data)
 }
 
 // LoadWeights reads and validates weights saved by Save. Every load

@@ -88,51 +88,19 @@ func VerifyTasks(kernels map[string]*trace.Kernel, tasks []gridplan.Task) error 
 // RunVerifiedTasks is RunTasks for tasks VerifyTasks has already
 // accepted against these kernels: a caller that executes one verified
 // plan a few tasks at a time (a fleet worker's leases) hashes its
-// kernels once, not once per call.
+// kernels once, not once per call. Like everything that simulates, it
+// draws its GPUs from the process-wide set (sim.Acquire), so the leases
+// of a plan and the rounds of a refinement run on the same machines.
 func RunVerifiedTasks(cfg config.Config, kernels map[string]*trace.Kernel, tasks []gridplan.Task, opts SweepOptions) ([]gridplan.Measurement, error) {
 	opts = opts.withDefaults()
-	if opts.FreshGPUs {
-		return mapTasks(kernels, tasks, opts,
-			func() (*sim.GPU, error) { return sim.New(cfg) }, func(*sim.GPU) {})
-	}
-	pool, err := opts.PoolFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return mapTasks(kernels, tasks, opts, pool.Get, pool.Put)
-}
-
-// PoolFor returns the pool that runs on cfg draw their GPUs from:
-// o.Pool, which must have been built for cfg, or a new one when the
-// caller set none.
-func (o SweepOptions) PoolFor(cfg config.Config) (*sim.Pool, error) {
-	if o.Pool == nil {
-		return sim.NewPool(cfg)
-	}
-	if o.Pool.Config() != cfg {
-		return nil, errors.New("profile: SweepOptions.Pool was built for another configuration")
-	}
-	return o.Pool, nil
-}
-
-// taskCheckpointKey names a task's mid-run snapshot in a checkpoint
-// store: the full task identity plus the kernel content digest, so a
-// checkpoint from a stale plan can never resume against drifted traces.
-func taskCheckpointKey(t gridplan.Task) string {
-	return "task|" + t.Key() + "|" + t.Digest
-}
-
-func mapTasks(kernels map[string]*trace.Kernel, tasks []gridplan.Task, opts SweepOptions,
-	get func() (*sim.GPU, error), put func(*sim.GPU)) ([]gridplan.Measurement, error) {
 	return runner.MapSlice(opts.Ctx, opts.Workers, tasks,
 		func(_ context.Context, _ int, t gridplan.Task) (gridplan.Measurement, error) {
-			k := kernels[t.Kernel]
-			g, err := get()
+			g, err := sim.Acquire(cfg)
 			if err != nil {
 				return gridplan.Measurement{}, err
 			}
-			res, err := runTask(g, k, t, opts)
-			put(g)
+			res, err := runTask(g, kernels[t.Kernel], t, opts)
+			sim.Release(g)
 			if err != nil {
 				return gridplan.Measurement{}, fmt.Errorf("profile: point (%d,%d) of %s: %w", t.N, t.P, t.Kernel, err)
 			}
@@ -144,6 +112,13 @@ func mapTasks(kernels map[string]*trace.Kernel, tasks []gridplan.Task, opts Swee
 				Cycles:  res.Cycles, Instructions: res.Instructions,
 			}, nil
 		})
+}
+
+// taskCheckpointKey names a task's mid-run snapshot in a checkpoint
+// store: the full task identity plus the kernel content digest, so a
+// checkpoint from a stale plan can never resume against drifted traces.
+func taskCheckpointKey(t gridplan.Task) string {
+	return "task|" + t.Key() + "|" + t.Digest
 }
 
 // runTask simulates one grid point, resuming a stored checkpoint when

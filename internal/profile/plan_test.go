@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"poise/internal/gridplan"
-	"poise/internal/sim"
 	"poise/internal/testutil"
 	"poise/internal/trace"
 )
@@ -49,27 +48,6 @@ func TestShardedSweepMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestPooledSweepMatchesFresh cross-checks the GPU pool at the sweep
-// level: pooled (default) and fresh-GPU-per-point sweeps must agree
-// exactly, at one worker and several.
-func TestPooledSweepMatchesFresh(t *testing.T) {
-	cfg := testutil.TinyConfig()
-	k := testutil.ThrashKernel("pooleq", 20, 12, 4)
-	for _, workers := range []int{1, 3} {
-		pooled, err := Sweep(cfg, k, SweepOptions{StepN: 6, StepP: 6, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := Sweep(cfg, k, SweepOptions{StepN: 6, StepP: 6, Workers: workers, FreshGPUs: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pooled, fresh) {
-			t.Fatalf("workers=%d: pooled sweep diverged from fresh-per-point sweep", workers)
-		}
-	}
-}
-
 func TestRunTasksRejectsDigestMismatch(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("digcheck", 16, 8, 2)
@@ -82,47 +60,6 @@ func TestRunTasksRejectsDigestMismatch(t *testing.T) {
 	}
 	if _, err := RunTasks(cfg, map[string]*trace.Kernel{}, plan.Tasks, SweepOptions{}); err == nil {
 		t.Fatal("missing kernel must error")
-	}
-}
-
-// TestRunTasksOnACallersPool: a pool handed down in SweepOptions is the
-// one RunTasks draws from, call after call, with measurements equal to
-// the per-call pool's; a pool built for another configuration is
-// refused before anything simulates.
-func TestRunTasksOnACallersPool(t *testing.T) {
-	cfg := testutil.TinyConfig()
-	k := testutil.ThrashKernel("handdown", 16, 8, 2)
-	kernels := map[string]*trace.Kernel{k.Name: k}
-	plan := BuildPlan("tag", cfg, k, SweepOptions{StepN: 8, StepP: 8})
-	want, err := RunTasks(cfg, kernels, plan.Tasks, SweepOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := sim.NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []gridplan.Measurement
-	for i := range plan.Tasks { // a lease of one task at a time
-		ms, err := RunTasks(cfg, kernels, plan.Tasks[i:i+1], SweepOptions{Workers: 1, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ms...)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("measurements on the caller's pool differ:\n want %+v\n got  %+v", want, got)
-	}
-	if builds, reuses := pool.Stats(); builds != 1 || reuses != int64(len(plan.Tasks))-1 {
-		t.Fatalf("%d tasks built %d GPUs and reused %d", len(plan.Tasks), builds, reuses)
-	}
-	other := cfg
-	other.L1HitLatency++
-	if _, err := RunTasks(other, kernels, plan.Tasks, SweepOptions{Pool: pool}); err == nil {
-		t.Fatal("RunTasks accepted a pool built for another configuration")
-	}
-	if builds, _ := pool.Stats(); builds != 1 {
-		t.Fatal("a refused call drew from the pool")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"poise/internal/atomicfile"
 	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/snap"
@@ -122,17 +123,6 @@ type SweepOptions struct {
 	Workers int
 	// Ctx cancels an in-flight sweep (nil = context.Background()).
 	Ctx context.Context
-	// FreshGPUs disables the worker-pinned GPU pool and builds a fresh
-	// GPU per grid point (the pre-pool behaviour). Results are
-	// bit-identical either way — the pool's Reset is verified against
-	// fresh construction — so this exists only as a cross-check and for
-	// the allocation benchmarks.
-	FreshGPUs bool
-	// Pool, when non-nil, supplies the GPUs of RunTasks in place of a
-	// pool built per call: a caller that runs one plan over many calls
-	// (a fleet worker, lease by lease) builds its GPUs once. It must be
-	// a pool for the configuration the tasks run on. FreshGPUs wins.
-	Pool *sim.Pool
 	// Memo, when non-nil, answers grid points it has seen from memory
 	// and remembers the ones it simulates (sim.RunMemo): a point is a
 	// cold one-kernel run at Fixed{N, P}, the same run as a one-kernel
@@ -175,9 +165,9 @@ func (o SweepOptions) withDefaults() SweepOptions {
 // configuration. The kernel runs once per grid point; speedups are
 // relative to the (max, max) GTO tuple. Points run concurrently on
 // opts.Workers goroutines, each in-flight point on its own GPU drawn
-// from a reset-verified pool: a kernel run is a pure function of
-// (config, kernel, tuple), so the profile is bit-identical at any
-// worker count.
+// from the process's reset-verified pool: a kernel run is a pure
+// function of (config, kernel, tuple), so the profile is bit-identical
+// at any worker count.
 //
 // Sweep is exactly the one-part instance of the plan pipeline
 // (BuildPlan -> RunTasks -> MergeShards), so a sweep fanned out across
@@ -299,12 +289,11 @@ func (s Store) Load(tag, kernel string) (*Profile, error) {
 	return &pr, nil
 }
 
-// Save writes a profile to the cache. The write is crash-safe: the
-// JSON goes to a temporary file in the same directory which is then
-// renamed over the entry, so a crash mid-write leaves either the old
-// entry or the new one, never a truncated file — the ErrCorrupt
-// repair path stays a defence against external damage rather than the
-// only thing standing between a crash and a poisoned cache.
+// Save writes a profile to the cache through atomicfile, so a crash
+// mid-write leaves either the old entry or the new one, never a
+// truncated file — the ErrCorrupt repair path stays a defence against
+// external damage rather than the only thing standing between a crash
+// and a poisoned cache.
 func (s Store) Save(tag string, pr *Profile) error {
 	if s.Dir == "" {
 		return errors.New("profile: store has no directory")
@@ -316,21 +305,7 @@ func (s Store) Save(tag string, pr *Profile) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.Dir, pr.Kernel+".*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Chmod(0o644)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.path(tag, pr.Kernel))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.WriteFile(s.path(tag, pr.Kernel), data); err != nil {
 		return fmt.Errorf("profile: saving %s: %w", s.path(tag, pr.Kernel), err)
 	}
 	return nil

@@ -256,34 +256,6 @@ func TestProfileJSONStableAcrossIndex(t *testing.T) {
 	}
 }
 
-// TestSaveAtomic: Save must leave no temporary droppings and must
-// replace a corrupt entry wholesale (the rename is the commit point).
-func TestSaveAtomic(t *testing.T) {
-	st := Store{Dir: t.TempDir()}
-	pr := sweepTiny(t)
-	// Pre-damage the entry; Save must atomically replace it.
-	if err := os.WriteFile(st.path("t", pr.Kernel), []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save("t", pr); err != nil {
-		t.Fatal(err)
-	}
-	back, err := st.Load("t", pr.Kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Best() != pr.Best() {
-		t.Fatal("atomic save lost data")
-	}
-	files, err := filepath.Glob(filepath.Join(st.Dir, "*.tmp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 0 {
-		t.Fatalf("Save left temporary files behind: %v", files)
-	}
-}
-
 func TestLoadOrSweepCaches(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
 	k := testutil.ThrashKernel("los", 16, 10, 4)

@@ -32,31 +32,37 @@ import (
 // round's plan is a pure function of the merged measurements so far,
 // which are bit-identical at any worker count.
 
-// RefineOptions tunes the pruned sweep. The zero value selects
-// defaults chosen so the catalogue workloads converge to the exact
-// exhaustive-sweep optima while simulating well under half of the
-// grid (TestPrunedMatchesExhaustiveOnCatalogue pins both properties).
-type RefineOptions struct {
-	// CoarseN/CoarseP multiply the target StepN/StepP for the round-0
-	// sub-grid (default 3: every third target column/row).
-	CoarseN, CoarseP int
-	// TopK bounds how many candidates each ranking criterion (speedup,
-	// Eq. 12 score) nominates per round (default 3).
-	TopK int
-	// MaxRounds is the safety valve: a refinement still unconverged
+// The refinement's fixed parameters, chosen so the catalogue workloads
+// converge to the exact exhaustive-sweep optima while simulating well
+// under half of the grid (TestPrunedMatchesExhaustiveOnCatalogue pins
+// both properties). They are part of RefineOptions.Tag, so changing one
+// re-keys every cached refined profile.
+const (
+	// coarseN/coarseP multiply the target StepN/StepP for the round-0
+	// sub-grid: every third target column/row.
+	coarseN, coarseP = 3, 3
+	// topK bounds how many candidates each ranking criterion (speedup,
+	// Eq. 12 score) nominates per round.
+	topK = 3
+	// maxRounds is the safety valve: a refinement still unconverged
 	// after this many rounds sweeps the whole remaining grid in one
 	// final round, so the result can degrade to the exhaustive sweep
-	// but never to a wrong one (default 8).
-	MaxRounds int
-	// FlatTol is the escalation threshold for throttling-insensitive
+	// but never to a wrong one.
+	maxRounds = 8
+	// flatTol is the escalation threshold for throttling-insensitive
 	// kernels: when no point the coarse pass observed beats the
 	// baseline by more than this fraction, throttling does not help
 	// the kernel, its "optimum" is a noise argmax no local search can
-	// find, and the refiner escalates to the full grid (default
-	// 0.02). The compute-intensive catalogue workloads take this
-	// path; the memory-sensitive ones clear the threshold by an order
-	// of magnitude.
-	FlatTol float64
+	// find, and the refiner escalates to the full grid. The
+	// compute-intensive catalogue workloads take this path; the
+	// memory-sensitive ones clear the threshold by an order of
+	// magnitude.
+	flatTol = 0.02
+)
+
+// RefineOptions is what differs between the refined sweeps' callers;
+// everything else about the refinement is the constants above.
+type RefineOptions struct {
 	// W0/W1/W2 are the Eq. 12 neighbourhood weights used for ranking.
 	// They are one unit: leave all three zero for the Table IV
 	// defaults (config.DefaultPoise), or set all three explicitly —
@@ -72,21 +78,6 @@ type RefineOptions struct {
 }
 
 func (o RefineOptions) withDefaults() RefineOptions {
-	if o.CoarseN <= 0 {
-		o.CoarseN = 3
-	}
-	if o.CoarseP <= 0 {
-		o.CoarseP = 3
-	}
-	if o.TopK <= 0 {
-		o.TopK = 3
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 8
-	}
-	if o.FlatTol <= 0 {
-		o.FlatTol = 0.02
-	}
 	if o.W0 == 0 && o.W1 == 0 && o.W2 == 0 {
 		p := config.DefaultPoise()
 		o.W0, o.W1, o.W2 = p.ScoreW0, p.ScoreW1, p.ScoreW2
@@ -103,7 +94,7 @@ func (o RefineOptions) withDefaults() RefineOptions {
 func (o RefineOptions) Tag() string {
 	r := o.withDefaults()
 	tag := fmt.Sprintf("%d.%d.%d.%d.%g.%g.%g.%g",
-		r.CoarseN, r.CoarseP, r.TopK, r.MaxRounds, r.FlatTol, r.W0, r.W1, r.W2)
+		coarseN, coarseP, topK, maxRounds, flatTol, r.W0, r.W1, r.W2)
 	if r.SkipDiagonal {
 		// Appended rather than folded into the base format so existing
 		// cached campaigns (all diagonal-inclusive) keep their keys.
@@ -177,14 +168,14 @@ func kernelMaxN(cfg config.Config, k *trace.Kernel) int {
 // covers everything another round would ask for, so the profile can be
 // assembled.
 //
-// Round 0 (prior empty) is the coarse sub-grid at CoarseN/CoarseP
+// Round 0 (prior empty) is the coarse sub-grid at coarseN/coarseP
 // times the target steps — the p == N diagonal and the corner points
 // included at coarse resolution — plus the second p column at the
 // coarse rows. Later rounds rank the swept points by speedup and by
 // Eq. 12 score on the partial profile and expand the top candidates'
 // neighbourhoods (see refineWants), re-ranking each round until a
-// round adds nothing. A space that turns out flat to within FlatTol
-// escalates to the full grid, and rounds past MaxRounds request the
+// round adds nothing. A space that turns out flat to within flatTol
+// escalates to the full grid, and rounds past maxRounds request the
 // whole remaining grid at once — either way the result degrades to
 // the exhaustive sweep, never to a wrong profile.
 func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions, round int, prior []gridplan.Measurement) (*gridplan.Plan, bool, error) {
@@ -210,15 +201,15 @@ func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepO
 	var want map[gridplan.Coord]bool
 	switch {
 	case len(prior) == 0:
-		want = coarseRound(maxN, opts, ropts)
-	case round >= ropts.MaxRounds:
+		want = coarseRound(maxN, opts)
+	case round >= maxRounds:
 		want = inGrid
 	default:
 		pr, err := MergeShards(k.Name, prior)
 		if err != nil {
 			return nil, false, fmt.Errorf("profile: refining %s: %w", k.Name, err)
 		}
-		if flat(pr, ropts) {
+		if flat(pr) {
 			// The whole observed space is flat to within noise:
 			// throttling does not move this kernel, so its "optimum" is
 			// a noise argmax only the full grid can reproduce exactly.
@@ -251,9 +242,9 @@ func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepO
 // grid misses. The diagonal starts at coarse resolution like the rest
 // of the grid; refineWants climbs it to target resolution around the
 // incumbent SWL optimum.
-func coarseRound(maxN int, opts SweepOptions, ropts RefineOptions) map[gridplan.Coord]bool {
+func coarseRound(maxN int, opts SweepOptions) map[gridplan.Coord]bool {
 	want := map[gridplan.Coord]bool{}
-	for _, c := range gridplan.Enumerate(maxN, opts.StepN*ropts.CoarseN, opts.StepP*ropts.CoarseP) {
+	for _, c := range gridplan.Enumerate(maxN, opts.StepN*coarseN, opts.StepP*coarseP) {
 		want[c] = true
 		if p := 1 + opts.StepP; c.P == 1 && p <= c.N && c.N < maxN {
 			want[gridplan.Coord{N: c.N, P: p}] = true
@@ -265,15 +256,15 @@ func coarseRound(maxN int, opts SweepOptions, ropts RefineOptions) map[gridplan.
 
 // flat reports whether throttling is indistinguishable from noise on
 // the partial profile: no swept point beats the baseline (speedup 1)
-// by at least FlatTol.
-func flat(pr *Profile, ropts RefineOptions) bool {
+// by at least flatTol.
+func flat(pr *Profile) bool {
 	hi := pr.Points[0].Speedup
 	for _, pt := range pr.Points {
 		if pt.Speedup > hi {
 			hi = pt.Speedup
 		}
 	}
-	return hi < 1+ropts.FlatTol
+	return hi < 1+flatTol
 }
 
 // refineWants ranks the partial profile's points by speedup and by
@@ -315,11 +306,11 @@ func refineWants(pr *Profile, grid []gridplan.Coord, opts SweepOptions, ropts Re
 
 	// Speedup candidates are picked with non-max suppression — a point
 	// within one grid step of a better candidate is represented by it
-	// — so the TopK fronts explore distinct basins instead of crowding
+	// — so the topK fronts explore distinct basins instead of crowding
 	// the same ridge (two near-tied ridges are common; without
 	// suppression every front climbs the one that happens to lead
 	// after the coarse pass).
-	climbers := suppress(bySpeedup, ropts.TopK, reachN, reachP, nil)
+	climbers := suppress(bySpeedup, topK, reachN, reachP, nil)
 	var topScored []Point
 	for _, s := range byScore {
 		topScored = append(topScored, s.pt)
@@ -328,7 +319,7 @@ func refineWants(pr *Profile, grid []gridplan.Coord, opts SweepOptions, ropts Re
 	// 2-D climb: the score optimum tracks the speedup optimum closely
 	// (one front suffices, and it only needs the 3x3 neighbourhood
 	// Eq. 12 actually reads), and the diagonal is one-dimensional.
-	narrowK := (ropts.TopK + 1) / 2
+	narrowK := (topK + 1) / 2
 	ringed := suppress(topScored, 1, reachN, reachP, nil)
 
 	// The SWL optimum lives on the p == N diagonal, which round 0 only

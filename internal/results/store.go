@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"poise/internal/atomicfile"
 	"poise/internal/gridplan"
 )
 
@@ -37,7 +38,8 @@ type cellsFile struct {
 	Cells   []CellResult `json:"cells"`
 }
 
-// Save writes the merged cell set for (tag, grid).
+// Save writes the merged cell set for (tag, grid), atomically: a crash
+// mid-write leaves the previous entry, not a torn one.
 func (s Store) Save(tag, grid string, cells []CellResult) error {
 	if s.Dir == "" {
 		return errors.New("results: store has no directory")
@@ -49,7 +51,7 @@ func (s Store) Save(tag, grid string, cells []CellResult) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(s.path(tag, grid), data, 0o644)
+	return atomicfile.WriteFile(s.path(tag, grid), data)
 }
 
 // Load reads the merged cell set for (tag, grid); it returns

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -18,9 +16,9 @@ type RetrainOptions struct {
 	Min int
 	// Train passes through to poise.Train.
 	Train poise.TrainOptions
-	// WeightsOut, when set, is atomically rewritten (temp + rename,
-	// same bytes as Weights.Save) after every successful retrain, so
-	// the file on disk is always a complete, loadable artefact.
+	// WeightsOut, when set, is atomically rewritten (Weights.Save)
+	// after every successful retrain, so the file on disk is always a
+	// complete, loadable artefact.
 	WeightsOut string
 	// Logf receives retrain progress lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -213,36 +211,9 @@ func (r *Retrainer) train(s []poise.Sample) {
 	}
 	r.retrains.Add(1)
 	if r.opts.WeightsOut != "" {
-		if werr := writeWeightsAtomic(r.opts.WeightsOut, w); werr != nil {
+		if werr := w.Save(r.opts.WeightsOut); werr != nil {
 			r.opts.Logf("serve: writing %s: %v", r.opts.WeightsOut, werr)
 		}
 	}
 	r.opts.Logf("serve: retrained on %d samples -> weights v%d", len(s), v)
-}
-
-// writeWeightsAtomic writes the same bytes as poise.Weights.Save via a
-// same-directory temp file and rename, so a reader (or a crash) never
-// sees a half-written weights file.
-func writeWeightsAtomic(path string, w poise.Weights) error {
-	data, err := json.MarshalIndent(w, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".weights.*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Chmod(0o644)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
 }

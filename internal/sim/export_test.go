@@ -101,9 +101,35 @@ func (ps *PoolSet) Pools() int {
 	return len(ps.pools)
 }
 
-// DriverPools is the pool set behind RunWorkload, RunWorkloadPreemptible
-// and ResumeWorkload.
+// DriverPools is the process-wide pool set behind Acquire and Release.
 func DriverPools() *PoolSet { return drivers }
+
+// Stats reports construction vs reuse counts: on a large sweep builds
+// converges to the worker count while reuses approaches the grid size.
+func (p *Pool) Stats() (builds, reuses int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.builds, p.reuses
+}
+
+// Stats sums construction vs reuse counts across all pools.
+func (ps *PoolSet) Stats() (builds, reuses int64) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	for _, p := range ps.pools {
+		b, r := p.Stats()
+		builds += b
+		reuses += r
+	}
+	return builds, reuses
+}
+
+// Idle returns how many reset GPUs are parked.
+func (p *Pool) Idle() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
+}
 
 // Idle returns how many reset GPUs of cfg the set has parked.
 func (ps *PoolSet) Idle(cfg config.Config) int {

@@ -28,15 +28,18 @@ type Pool struct {
 	mu   sync.Mutex
 	free []*GPU
 
+	// Construction against reuse, for the tests' Stats: on a large sweep
+	// builds converges to the worker count, reuses to the grid size.
 	builds int64
 	reuses int64
 }
 
-// What is kept is bounded, so that a PoolSet may live as long as the
-// process: a Pool parks at most maxIdle GPUs (one more handed back is
-// left to the collector) and a PoolSet holds pools for at most maxPools
-// configurations (one more empties it). Both are far above what a
-// sweep's workers or a grid's platforms ask for.
+// What is kept is bounded, because the one PoolSet outside the tests
+// (Acquire) lives as long as the process: a Pool parks at most maxIdle
+// GPUs (one more handed back is left to the collector) and a PoolSet
+// holds pools for at most maxPools configurations (one more empties
+// it). Both are far above what a sweep's workers or a grid's platforms
+// ask for.
 const (
 	maxIdle  = 16
 	maxPools = 16
@@ -51,9 +54,6 @@ func NewPool(cfg config.Config) (*Pool, error) {
 	}
 	return &Pool{cfg: cfg}, nil
 }
-
-// Config returns the configuration the pool's GPUs are built with.
-func (p *Pool) Config() config.Config { return p.cfg }
 
 // Get returns a fresh-state GPU, recycling a parked one when available.
 func (p *Pool) Get() (*GPU, error) {
@@ -88,21 +88,6 @@ func (p *Pool) Put(g *GPU) {
 	p.mu.Unlock()
 }
 
-// Idle returns how many reset GPUs are parked.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
-
-// Stats reports construction vs reuse counts: on a large sweep builds
-// converges to the worker count while reuses approaches the grid size.
-func (p *Pool) Stats() (builds, reuses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.builds, p.reuses
-}
-
 // PoolSet hands out GPUs from one Pool per distinct configuration —
 // the multi-configuration analogue experiment grids need when schemes
 // alter the platform per cell (Fig. 12's grown linear-indexed L1,
@@ -122,9 +107,8 @@ func NewPoolSet() *PoolSet {
 	return &PoolSet{pools: map[config.Config]*Pool{}}
 }
 
-// Pool returns (creating if needed) the pool for cfg, for callers that
-// hand one configuration's pool on (profile.SweepOptions.Pool).
-func (ps *PoolSet) Pool(cfg config.Config) (*Pool, error) {
+// pool returns (creating if needed) the pool for cfg.
+func (ps *PoolSet) pool(cfg config.Config) (*Pool, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if p, ok := ps.pools[cfg]; ok {
@@ -144,7 +128,7 @@ func (ps *PoolSet) Pool(cfg config.Config) (*Pool, error) {
 // Get returns a fresh-state GPU for cfg, recycling a parked one built
 // with the same configuration when available.
 func (ps *PoolSet) Get(cfg config.Config) (*GPU, error) {
-	p, err := ps.Pool(cfg)
+	p, err := ps.pool(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -157,21 +141,28 @@ func (ps *PoolSet) Put(cfg config.Config, g *GPU) {
 	if g == nil {
 		return
 	}
-	p, err := ps.Pool(cfg)
+	p, err := ps.pool(cfg)
 	if err != nil {
 		return
 	}
 	p.Put(g)
 }
 
-// Stats sums construction vs reuse counts across all pools.
-func (ps *PoolSet) Stats() (builds, reuses int64) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for _, p := range ps.pools {
-		b, r := p.Stats()
-		builds += b
-		reuses += r
+// drivers is the process's one set of machines. Everything that
+// simulates outside a test takes its GPU here — the package-level
+// drivers, sweep points, training feature runs, experiment cells, fleet
+// leases — so a process builds a configuration's GPUs once, however many
+// sweeps, harnesses or leases run on them, and nobody has a pool to pass.
+var drivers = NewPoolSet()
+
+// Acquire returns a fresh-state GPU of configuration cfg from the
+// process-wide set, building one only when none is parked.
+func Acquire(cfg config.Config) (*GPU, error) { return drivers.Get(cfg) }
+
+// Release resets g and parks it for the next Acquire of its
+// configuration. The GPU must not be running.
+func Release(g *GPU) {
+	if g != nil {
+		drivers.Put(g.Cfg, g)
 	}
-	return builds, reuses
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"poise/internal/config"
+	"poise/internal/experiments"
 	"poise/internal/sched"
 	"poise/internal/sim"
 	"poise/internal/testutil"
@@ -239,4 +240,32 @@ func TestPoolSetPerConfig(t *testing.T) {
 		t.Fatalf("builds=%d reuses=%d, want 2 and 2", builds, reuses)
 	}
 	ps.Put(cfgA, nil) // nil puts are ignored
+}
+
+// TestHarnessesSweepOnTheProcessPool: nobody hands a pool to anybody.
+// Two harnesses of one configuration, one after the other in one
+// process, each refining a kernel over several rounds (several RunTasks
+// calls, the shape of a fleet worker's leases too) with one worker:
+// every swept point draws from the process-wide set, and between them
+// the two harnesses build no more GPUs than they have workers in flight.
+func TestHarnessesSweepOnTheProcessPool(t *testing.T) {
+	opt := experiments.Options{
+		SMs: 3, EvalSubset: []string{"bfs"}, EvalStepN: 12, EvalStepP: 12, Workers: 1,
+	}
+	builds0, reuses0 := sim.DriverPools().Stats()
+	points, rounds := 0, 0
+	for i := 0; i < 2; i++ {
+		h := experiments.NewHarness(opt)
+		if _, err := h.WorkloadProfiles(h.EvalWorkloads()); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := h.SweepBooks()
+		points, rounds = points+st.Simulated, rounds+st.Rounds
+	}
+	builds, reuses := sim.DriverPools().Stats()
+	builds, reuses = builds-builds0, reuses-reuses0
+	if rounds < 4 || builds > 1 || builds+reuses != int64(points) {
+		t.Fatalf("two harnesses swept %d points in %d rounds on %d GPUs built and %d reused, want at most 1 built",
+			points, rounds, builds, reuses)
+	}
 }

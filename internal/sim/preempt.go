@@ -232,11 +232,6 @@ func ResumeWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions, c
 	return driveWorkload(cfg, w, p, opts, cp)
 }
 
-// drivers is where the package-level drivers take their GPU from, so a
-// process that hops a task from checkpoint to checkpoint, or runs one
-// workload after another, does it on the machines it already built.
-var drivers = NewPoolSet()
-
 // driveWorkload runs w from its first kernel, or from cp when there is
 // one, on a pooled GPU; an interrupt comes back as the next checkpoint.
 func driveWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions, cp *Checkpoint) (WorkloadResult, *Checkpoint, error) {
@@ -262,11 +257,11 @@ func driveWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions, cp
 		}
 		start = cp.KernelIndex
 	}
-	g, err := drivers.Get(cfg)
+	g, err := Acquire(cfg)
 	if err != nil {
 		return WorkloadResult{}, nil, err
 	}
-	defer drivers.Put(cfg, g)
+	defer Release(g)
 	if cp != nil {
 		k := w.Kernels[start]
 		kr, err := g.ResumeKernel(k, p, opts, cp.State)

@@ -85,11 +85,11 @@ func RunWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions) (Wor
 	if err := w.Validate(); err != nil {
 		return WorkloadResult{}, err
 	}
-	g, err := drivers.Get(cfg)
+	g, err := Acquire(cfg)
 	if err != nil {
 		return WorkloadResult{}, err
 	}
-	defer drivers.Put(cfg, g)
+	defer Release(g)
 	return g.RunWorkload(w, p, opts)
 }
 

@@ -8,11 +8,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"poise/internal/atomicfile"
 )
 
 // Store is a content-addressed snapshot directory: each snapshot lives
 // in one file named by the SHA-256 of its key, written atomically
-// (temp + rename) so concurrent writers — racing fleet workers, or
+// (atomicfile) so concurrent writers — racing fleet workers, or
 // parallel grid cells sharing a prefix — can never tear a file, and a
 // crash leaves either the previous content or none. Two writers racing
 // on one key both produce a valid file; last rename wins, and since
@@ -57,22 +59,7 @@ func (s *Store) Save(sn *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	final := s.Path(sn.Key)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("snap: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("snap: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.WriteFile(s.Path(sn.Key), data); err != nil {
 		return fmt.Errorf("snap: %w", err)
 	}
 	return nil
