@@ -66,7 +66,7 @@ func BenchmarkAblationGuardCostOnWins(b *testing.B) {
 func BenchmarkAblationLocalSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		withSearch := ablationRun(b, "mm", nil)
-		noSearch := ablationRun(b, "mm", func(p *poise.Policy) { p.DisableSearch = true })
+		noSearch := ablationRun(b, "mm", func(p *poise.Policy) { p.Params.StrideN, p.Params.StrideP = 0, 0 })
 		b.ReportMetric(withSearch, "mm-search-x")
 		b.ReportMetric(noSearch, "mm-predictonly-x")
 	}

@@ -3,12 +3,12 @@ package main
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"poise/internal/experiments"
 	"poise/internal/fleet"
 	"poise/internal/gridplan"
-	"poise/internal/trace"
+	"poise/internal/profile"
+	"poise/internal/sim"
 )
 
 // The fleet service flow for poisebench, the one way to spread its work
@@ -113,34 +113,15 @@ func benchCampaign(h *experiments.Harness, f benchFleetFlags) (fleet.Campaign, f
 		}
 		return fleet.CellCampaign{Plan: plan}, save, nil
 	}
-	camp, err := fleet.NewRefineCampaign(h.Cfg, evalKernelList(h), h.ProfileTags(),
+	r := profile.NewRefinement(h.Cfg, sim.DistinctKernels(h.EvalWorkloads()), h.ProfileTag,
 		h.EvalSweepOptions(), h.ProfileStore())
-	if err != nil {
-		return nil, nil, err
-	}
 	save := func([]fleet.Result) error {
-		names, err := camp.SaveTo(h.ProfileStore())
+		swept, err := r.Profiles(h.ProfileStore())
 		if err != nil {
 			return err
 		}
-		fmt.Printf("fleet: assembled %d refined profiles into the cache\n", len(names))
+		fmt.Printf("fleet: assembled %d refined profiles into the cache\n", len(swept))
 		return nil
 	}
-	return camp, save, nil
-}
-
-// evalKernelList flattens the evaluation kernel index in name order —
-// campaigns iterate it, so the order must be deterministic.
-func evalKernelList(h *experiments.Harness) []*trace.Kernel {
-	idx := h.EvalKernels()
-	names := make([]string, 0, len(idx))
-	for name := range idx {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	kernels := make([]*trace.Kernel, len(names))
-	for i, name := range names {
-		kernels[i] = idx[name]
-	}
-	return kernels
+	return fleet.RefineCampaign{R: r}, save, nil
 }

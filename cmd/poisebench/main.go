@@ -284,8 +284,8 @@ func runTableII(h *experiments.Harness) error {
 	experiments.RenderWeights(os.Stdout, res.Weights)
 	fmt.Printf("admitted %d kernels (rejected: %d speedup, %d cycles, %d hitrate)\n",
 		res.Admitted, res.RejSpeedup, res.RejCycles, res.RejHitRate)
-	fmt.Printf("offline prediction error on unseen kernels: N %.1f%% (paper: 16%%), p %.1f%% (paper: 26%%)\n",
-		100*res.ErrN, 100*res.ErrP)
+	fmt.Printf("offline prediction error on unseen kernels: N %.1f%% (paper: %.0f%%), p %.1f%% (paper: %.0f%%)\n",
+		100*res.ErrN, experiments.Paper.OfflineErrN, 100*res.ErrP, experiments.Paper.OfflineErrP)
 	return nil
 }
 
@@ -340,7 +340,7 @@ func runPerf(h *experiments.Harness) error {
 	}
 	fmt.Println("\nFig. 14 — energy consumption:")
 	t.Render(os.Stdout)
-	fmt.Printf("mean Poise/GTO energy: %.3f (paper: 0.484)\n", sum.MeanEnergyRatio)
+	fmt.Printf("mean Poise/GTO energy: %.3f (paper: %.3f)\n", sum.MeanEnergyRatio, experiments.Paper.EnergyRatio)
 	return nil
 }
 
@@ -422,7 +422,8 @@ func runFig16(h *experiments.Harness) error {
 		t.AddF(w, 3, res.Poise[i], res.Pbest[i])
 	}
 	t.Render(os.Stdout)
-	fmt.Printf("H-Mean Poise vs GTO: %.3f (paper: 0.984, i.e. 1.6%% overhead)\n", res.HMeanPoise)
+	fmt.Printf("H-Mean Poise vs GTO: %.3f (paper: %.3f, i.e. %.1f%% overhead)\n", res.HMeanPoise,
+		experiments.Paper.ComputeHMean, 100*(1-experiments.Paper.ComputeHMean))
 	return nil
 }
 
@@ -447,8 +448,9 @@ func runCost(h *experiments.Harness) error {
 	fmt.Printf("HIE FSM state:        %d B/SM\n", c.FSMBytes)
 	fmt.Printf("vital bits:           %d b/SM\n", c.VitalBits)
 	fmt.Printf("pollute bits:         %d b/SM\n", c.PolluteBits)
-	fmt.Printf("total per SM:         %.2f B (paper: 40.75 B)\n", c.TotalPerSM)
-	fmt.Printf("total chip (%d SMs):  %.0f B (paper: 1304 B at 32 SMs)\n", c.SMs, c.TotalChipBytes)
+	fmt.Printf("total per SM:         %.2f B (paper: %.2f B)\n", c.TotalPerSM, experiments.Paper.CostPerSM)
+	fmt.Printf("total chip (%d SMs):  %.0f B (paper: %.0f B at %d SMs)\n", c.SMs, c.TotalChipBytes,
+		experiments.Paper.CostChip, experiments.Paper.CostChipSMs)
 	fmt.Printf("weights via constant memory: %d B\n", c.WeightBytes)
 	return nil
 }

@@ -114,41 +114,39 @@ func runFleetMode(a sweepModeArgs, f fleetFlags) {
 	}
 	// The save steps assemble with the code the single-process modes
 	// end in, which is what makes -profile-out byte-identical to theirs.
-	names, err := save(res)
+	n, err := save(res)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("fleet: saved %d profiles -> %s\n", len(names), f.profileDir)
+	fmt.Printf("fleet: saved %d profiles -> %s\n", n, f.profileDir)
 }
 
 // serveCampaign builds the coordinator's campaign and the matching
-// save step, which returns the kernels it saved: the profile plan in
+// save step, which returns how many profiles it saved: the profile plan in
 // -plan, or, without it, the refinement of the selected workloads.
-func serveCampaign(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) (fleet.Campaign, func([]fleet.Result) ([]string, error), error) {
+func serveCampaign(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) (fleet.Campaign, func([]fleet.Result) (int, error), error) {
 	out := profile.Store{Dir: f.profileDir}
 	if f.planPath != "" {
 		plan, err := gridplan.ReadPlanFile(f.planPath)
 		if err != nil {
 			return nil, nil, err
 		}
-		save := func(res []fleet.Result) ([]string, error) { return fleet.SaveProfiles(out, res) }
+		save := func(res []fleet.Result) (int, error) {
+			names, err := fleet.SaveProfiles(out, res)
+			return len(names), err
+		}
 		return fleet.ProfileCampaign{Plan: plan}, save, nil
 	}
-	kernels := sim.DistinctKernels(a.selected)
-	tags := make(map[string]string, len(kernels))
-	for _, k := range kernels {
-		tags[k.Name] = tag
-	}
 	// -cache persists completed rounds so an interrupted campaign
-	// resumes instead of re-simulating. The campaign's own state, not
-	// the coordinator's results, is what it saves from: it also folds
+	// resumes instead of re-simulating. The refinement's own state, not
+	// the coordinator's results, is what it saves from: it also holds
 	// the rounds it resumed.
-	camp, err := fleet.NewRefineCampaign(a.cfg, kernels, tags, opts, profile.Store{Dir: a.cacheDir})
-	if err != nil {
-		return nil, nil, err
+	r := a.refinement(opts, tag, profile.Store{Dir: a.cacheDir})
+	save := func([]fleet.Result) (int, error) {
+		swept, err := r.Profiles(out)
+		return len(swept), err
 	}
-	save := func([]fleet.Result) ([]string, error) { return camp.SaveTo(out) }
-	return camp, save, nil
+	return fleet.RefineCampaign{R: r}, save, nil
 }
 
 // runFleetWorker runs one long-lived worker against the coordinator at

@@ -19,9 +19,9 @@ import (
 //	poisesim -best -profile-out profs                 # the static policy table
 //	poisesim -workload ii -emit-plan plan.jsonl       # the whole grid, as a plan
 //
-// -sweep runs the adaptive refinement (profile.PrunedSweep): a fraction
-// of each grid is simulated and the Static-Best, SWL and Eq. 12 scored
-// tuples come out exact; the other grid points are not carried.
+// -sweep runs the adaptive refinement (one profile.Refinement over the
+// selection): a fraction of each grid is simulated and the Static-Best,
+// SWL and Eq. 12 scored tuples come out exact; the rest is not carried.
 // -emit-plan writes every point of the grid as a plan file for a fleet
 // coordinator (-serve -plan). Splitting work across processes is the
 // fleet's job (fleetmode.go); there is no other way.
@@ -122,20 +122,28 @@ func runSweepMode(a sweepModeArgs) {
 			a.emitPlan, len(plan.Tasks), len(kernels), tag)
 
 	case a.sweep:
-		st := profile.Store{Dir: a.profileDir}
-		for _, k := range sim.DistinctKernels(a.selected) {
-			pr, stats, err := profile.PrunedSweep(a.cfg, k, opts)
-			if err != nil {
-				fatal(err)
-			}
-			if err := st.Save(tag, pr); err != nil {
-				fatal(err)
-			}
+		r := a.refinement(opts, tag, profile.Store{})
+		if err := r.Run(); err != nil {
+			fatal(err)
+		}
+		swept, err := r.Profiles(profile.Store{Dir: a.profileDir})
+		if err != nil {
+			fatal(err)
+		}
+		for _, sw := range swept {
 			fmt.Printf("pruned %s: %d of %d grid points (%.0f%%) in %d rounds -> %s\n",
-				k.Name, stats.Simulated, stats.GridPoints, 100*stats.Fraction(),
-				stats.Rounds, a.profileDir)
+				sw.Profile.Kernel, sw.Stats.Simulated, sw.Stats.GridPoints, 100*sw.Stats.Fraction(),
+				sw.Stats.Rounds, a.profileDir)
 		}
 	}
+}
+
+// refinement is the refined sweep of the -workload selection under the
+// one tag: what -sweep runs here and -serve without -plan hands to a
+// fleet. Completed rounds persist in rounds (no directory: nowhere).
+func (a sweepModeArgs) refinement(opts profile.SweepOptions, tag string, rounds profile.Store) *profile.Refinement {
+	return profile.NewRefinement(a.cfg, sim.DistinctKernels(a.selected),
+		func(string) string { return tag }, opts, rounds)
 }
 
 // printBestTable derives the static policy table — the Static-Best,

@@ -14,11 +14,13 @@ import (
 	"strings"
 	"testing"
 
+	"poise/internal/config"
 	"poise/internal/poise"
 	"poise/internal/profile"
 	"poise/internal/sim"
 	"poise/internal/testutil"
 	"poise/internal/trace"
+	"poise/internal/workloads"
 )
 
 // parseEmitted reads the Weights literal back out of a source file
@@ -171,5 +173,43 @@ func TestEmitReproducesTheShippedModel(t *testing.T) {
 	}
 	if back := parseEmitted(t, path); !reflect.DeepEqual(back, w) {
 		t.Fatalf("parsed back %+v, emitted %+v", back, w)
+	}
+}
+
+// TestShippedModelIsWhatTrainingProduces: the run poisetrain's default
+// flags ask for (main: 8 SMs, Small, the whole step-3 grid of the 60
+// training kernels, which is the one way a training set is swept since
+// the harness's stopped refining), uncached, must emit
+// internal/poise/defaultweights.go byte for byte. A simulator change
+// that moves a training target or a feature moves the model, and cannot
+// hide behind the weights an earlier commit shipped. About 40 s on two
+// cores: not under -short, not under the race detector (CI's no-race
+// step runs it).
+func TestShippedModelIsWhatTrainingProduces(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("sweeps the whole training set at the shipped configuration")
+	}
+	run := trainRun{
+		cfg:     config.Default().Scale(8),
+		params:  config.DefaultPoise(),
+		set:     workloads.NewCatalogue(workloads.Small).TrainingSet(),
+		sweep:   profile.SweepOptions{StepN: 3, StepP: 3},
+		emitGo:  filepath.Join(t.TempDir(), "defaultweights.go"),
+		verbose: true,
+	}
+	var out bytes.Buffer
+	if err := train(&out, run); err != nil {
+		t.Fatalf("train: %v\n%s", err, out.String())
+	}
+	got, err := os.ReadFile(run.emitGo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := os.ReadFile("../../internal/poise/defaultweights.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, shipped) {
+		t.Fatalf("training at this commit does not produce the shipped model; poisetrain printed:\n%s\nand emitted:\n%s", out.String(), got)
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // What a fleet campaign over the harness's evaluation sweep needs
-// (package fleet, cmd/poisebench -serve/-worker/-emit-plan): the kernel
-// set, the per-kernel profile-cache tags, the sweep options, the plan
-// and the stores, without reaching into harness internals. The fleet is
+// (package fleet, cmd/poisebench -serve/-worker), beside ProfileTag: the
+// kernel set, the sweep options, the plan and the stores. The fleet is
 // the one way to split a sweep or an experiment grid across processes.
 
 // EvalKernels returns the evaluation kernel index (every kernel of
@@ -24,17 +23,8 @@ func (h *Harness) EvalKernels() map[string]*trace.Kernel {
 	return idx
 }
 
-// ProfileTags maps each evaluation kernel to its profile-cache tag.
-func (h *Harness) ProfileTags() map[string]string {
-	tags := map[string]string{}
-	for name := range h.EvalKernels() {
-		tags[name] = h.profileTag(name)
-	}
-	return tags
-}
-
-// EvalSweepOptions returns the evaluation-grid sweep options,
-// refinement parameters and the harness's GPU pool included.
+// EvalSweepOptions returns the evaluation-grid sweep options, the
+// refinement parameters and the harness's run memo included.
 func (h *Harness) EvalSweepOptions() profile.SweepOptions { return h.sweepOptions(false) }
 
 // EvalPlan enumerates the whole evaluation grid of every distinct
@@ -45,7 +35,7 @@ func (h *Harness) EvalSweepOptions() profile.SweepOptions { return h.sweepOption
 func (h *Harness) EvalPlan() (*gridplan.Plan, error) {
 	plan := &gridplan.Plan{Version: gridplan.PlanVersion}
 	for _, k := range sim.DistinctKernels(h.EvalWorkloads()) {
-		kp := profile.BuildPlan(h.profileTag(k.Name), h.Cfg, k, h.sweepOptions(false))
+		kp := profile.BuildPlan(h.ProfileTag(k.Name), h.Cfg, k, h.sweepOptions(false))
 		plan.Tasks = append(plan.Tasks, kp.Tasks...)
 	}
 	if err := plan.Validate(); err != nil {

@@ -245,9 +245,7 @@ func runStrideCell(h *Harness, wl *sim.Workload, scheme string) (results.CellRes
 		}
 		params := h.Params
 		params.StrideN, params.StrideP = st[0], st[1]
-		pol := poise.NewPolicy(params, w)
-		pol.DisableSearch = st[0] == 0 && st[1] == 0
-		cr, err := h.runCellOn(h.Cfg, wl, pol)
+		cr, err := h.runCellOn(h.Cfg, wl, poise.NewPolicy(params, w))
 		if err != nil {
 			return cr, fmt.Errorf("experiments: stride %v on %s: %w", st, wl.Name, err)
 		}
@@ -295,9 +293,9 @@ func runAblationCell(h *Harness, wl *sim.Workload, scheme string) (results.CellR
 	if err != nil {
 		return results.CellResult{}, err
 	}
-	pol := poise.NewPolicy(h.Params, w)
-	pol.DisableSearch = true
-	return h.runCellOn(h.Cfg, wl, pol)
+	params := h.Params
+	params.StrideN, params.StrideP = 0, 0 // no local search
+	return h.runCellOn(h.Cfg, wl, poise.NewPolicy(params, w))
 }
 
 // runAlternativesCell executes one Fig. 15 cell. Random-restart trial

@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 
 	"poise/internal/config"
 	"poise/internal/gridplan"
@@ -106,6 +107,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// profileKey names a profile the harness holds.
+type profileKey struct {
+	kernel  string
+	refined bool
+}
+
 // Harness owns the shared state of the experiment suite. All methods
 // are safe for concurrent use: profiles, the training dataset and the
 // model weights are built at most once behind single-flight caches.
@@ -117,9 +124,14 @@ type Harness struct {
 
 	store     profile.Store
 	cellStore results.Store
-	profiles  runner.Cache[string, *profile.Profile]
-	weights   runner.Once[poise.Weights]
-	dataset   runner.Once[*poise.Dataset]
+	// profiles holds every evaluation-grid profile loaded or swept so
+	// far, the refined and the whole-grid one of a kernel apart, under
+	// sweeping: of concurrent askers (each scheme cell is one) the first
+	// sweeps, the others wait.
+	sweeping sync.Mutex
+	profiles map[profileKey]*profile.Profile
+	weights  runner.Once[poise.Weights]
+	dataset  runner.Once[*poise.Dataset]
 	// cells memoises executed experiment grids per grid name; ablated
 	// memoises the Fig. 13 retrained models per dropped feature.
 	cells   runner.Cache[string, []results.CellResult]
@@ -129,9 +141,10 @@ type Harness struct {
 	// lacks the snapshot tier Options.SnapshotDir asked for.
 	memo    *sim.RunMemo
 	snapErr error
-	// books adds up what the refined sweeps (evaluation and training)
-	// simulated; store carries the pointer.
-	books profile.SweepBooks
+	// books adds up what the refined sweeps simulated and escalated how
+	// many of them ended up covering their whole grid (under sweeping).
+	books     profile.RefineStats
+	escalated int
 
 	// exhaustive makes every sweep cover its whole grid, under the
 	// exhaustive cache tags. Only tests set it: it is the oracle the
@@ -162,11 +175,12 @@ func NewHarness(opt Options) *Harness {
 		Cfg:          config.Default().Scale(opt.SMs),
 		Params:       config.DefaultPoise(),
 		Cat:          cat,
+		store:        profile.Store{Dir: opt.CacheDir},
 		cellStore:    results.Store{Dir: opt.CacheDir},
+		profiles:     map[profileKey]*profile.Profile{},
 		memo:         sim.NewRunMemo(),
 		extraKernels: extraKernels,
 	}
-	h.store = profile.Store{Dir: opt.CacheDir, Books: &h.books}
 	if opt.SnapshotDir != "" {
 		h.snapErr = h.memo.UseSnapshots(opt.SnapshotDir)
 	}
@@ -179,7 +193,11 @@ func (h *Harness) RunMemo() *sim.RunMemo { return h.memo }
 // SweepBooks returns what the harness's refined sweeps simulated so
 // far, summed over kernels, and how many of them ended up covering
 // their whole grid. Profiles loaded from the cache add nothing.
-func (h *Harness) SweepBooks() (profile.RefineStats, int) { return h.books.Totals() }
+func (h *Harness) SweepBooks() (profile.RefineStats, int) {
+	h.sweeping.Lock()
+	defer h.sweeping.Unlock()
+	return h.books, h.escalated
+}
 
 // SnapshotErr reports why Options.SnapshotDir could not be opened (nil
 // when it was, or was not asked for). Such a harness still simulates
@@ -199,24 +217,13 @@ func (h *Harness) ctx() context.Context {
 // execution engine.
 func (h *Harness) Workers() int { return runner.NumWorkers(h.Opt.Workers) }
 
-// narrowWorkers bounds an outer fan-out whose tasks each run
-// Workers-wide profile sweeps inside: two lanes overlap one sweep's
-// sequential baseline with another's tail without multiplying into
-// Workers^2 concurrent GPUs.
-func (h *Harness) narrowWorkers() int {
-	if w := runner.NumWorkers(h.Opt.Workers); w < 2 {
-		return w
-	}
-	return 2
-}
-
 // sweepOptions assembles the profile sweep options for the eval or
-// train grid, threading the worker pool and cancellation through. The
-// sweep is the adaptive refinement (profile.PrunedSweep): a coarse pass
-// plus score-ranked neighbourhood expansion that simulates a fraction
-// of the grid and selects the same Best / BestDiagonal / BestScore
-// tuples as the whole grid would, which is all the tables and training
-// read.
+// train grid, threading the worker pool and cancellation through.
+// Evaluation sweeps refine (profile.Refinement): a coarse pass plus
+// score-ranked neighbourhood expansion simulates a fraction of the grid
+// and selects the Best / BestDiagonal / BestScore tuples the whole grid
+// would, which is all the tables read. Training sweeps cover the whole
+// grid (poise.BuildDataset says why).
 func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	o := profile.SweepOptions{
 		StepN: h.Opt.EvalStepN, StepP: h.Opt.EvalStepP,
@@ -224,35 +231,26 @@ func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	}
 	if train {
 		o.StepN, o.StepP = h.Opt.TrainStepN, h.Opt.TrainStepP
-	}
-	if !h.exhaustive {
-		o.Refine = h.refineOptions(train)
+	} else if !h.exhaustive {
+		o.Refine = h.refineOptions()
 	}
 	return o
 }
 
 // refineOptions is the harness's refinement configuration: defaults,
-// ranked with the harness's Eq. 12 weights. BuildDataset passes these
-// options through to the store, so the training sweeps refine exactly
-// like the evaluation sweeps do — except that training skips the SWL
-// diagonal front: the dataset's targets consume only the scored
-// optimum and the baseline, never BestDiagonal, so the diagonal climb
-// is grid points for nothing there.
-func (h *Harness) refineOptions(train bool) *profile.RefineOptions {
-	return &profile.RefineOptions{
-		W0: h.Params.ScoreW0, W1: h.Params.ScoreW1, W2: h.Params.ScoreW2,
-		SkipDiagonal: train,
-	}
+// ranked with the harness's Eq. 12 weights.
+func (h *Harness) refineOptions() *profile.RefineOptions {
+	return &profile.RefineOptions{W0: h.Params.ScoreW0, W1: h.Params.ScoreW1, W2: h.Params.ScoreW2}
 }
 
 // tag digests the parts of the configuration that change profiles, so
 // the on-disk cache never serves stale sweeps. Worker count is
 // deliberately excluded: parallelism never changes results.
-func (h *Harness) tag(train bool) string { return h.tagMode(train, !h.exhaustive) }
+func (h *Harness) tag(train bool) string { return h.tagMode(train, !train && !h.exhaustive) }
 
 // tagMode is tag with the sweep mode explicit, so the whole-grid
-// sweeps the harness still needs (KernelProfileFull) never share a
-// cache entry with a refined one.
+// sweeps (the training set's, KernelProfileFull's) never share a cache
+// entry with a refined one.
 func (h *Harness) tagMode(train, refined bool) string {
 	s := fmt.Sprintf("sms%d-size%d-l1%d-%v", h.Opt.SMs, h.Opt.Size,
 		h.Cfg.L1.SizeBytes, h.Cfg.L1.Index)
@@ -268,14 +266,13 @@ func (h *Harness) tagMode(train, refined bool) string {
 		// Refined profiles carry a subset of the grid, and which subset
 		// depends on every refinement parameter: never let them collide
 		// with whole-grid entries or with a campaign refined under
-		// different parameters (the train grid skips the diagonal
-		// front, so its Tag differs from eval's).
-		s += "-prune" + h.refineOptions(train).Tag()
+		// different parameters.
+		s += "-prune" + h.refineOptions().Tag()
 	}
 	if train {
 		// The training pipeline sweeps Cat.TrainingSet() under this one
 		// tag, so a trace shadowing a training workload must move it;
-		// eval kernels are keyed individually (see profileTag).
+		// eval kernels are keyed individually (see ProfileTag).
 		training := map[string]bool{}
 		for _, n := range workloads.TrainingNames() {
 			training[n] = true
@@ -290,12 +287,12 @@ func (h *Harness) tagMode(train, refined bool) string {
 	return hex.EncodeToString(sum[:6])
 }
 
-// profileTag is the per-kernel profile-cache key: the configuration
+// ProfileTag is the per-kernel profile-cache key: the configuration
 // tag, plus — for kernels of ingested (extra) workloads — the
 // workload's content digest. Shadowed or re-recorded traces can never
 // be served stale sweeps, while the synthetic catalogue's cache stays
 // warm whatever traces come and go.
-func (h *Harness) profileTag(kernel string) string {
+func (h *Harness) ProfileTag(kernel string) string {
 	return h.profileTagMode(kernel, !h.exhaustive)
 }
 
@@ -323,12 +320,10 @@ func workloadDigest(w *sim.Workload) string {
 }
 
 // KernelProfile sweeps (or loads) the profile of one kernel at the
-// evaluation grid. Concurrent calls for the same kernel share one
-// sweep.
+// evaluation grid.
 func (h *Harness) KernelProfile(k *trace.Kernel) (*profile.Profile, error) {
-	return h.profiles.Get(k.Name, func() (*profile.Profile, error) {
-		return h.store.LoadOrSweep(h.profileTag(k.Name), h.Cfg, k, h.sweepOptions(false))
-	})
+	prs, err := h.profilesOf([]*trace.Kernel{k}, h.sweepOptions(false))
+	return prs[k.Name], err
 }
 
 // KernelProfileFull sweeps (or loads) the whole evaluation grid of one
@@ -337,39 +332,49 @@ func (h *Harness) KernelProfile(k *trace.Kernel) (*profile.Profile, error) {
 // the refined subset KernelProfile returns cannot serve. Entries key
 // under the whole-grid tag.
 func (h *Harness) KernelProfileFull(k *trace.Kernel) (*profile.Profile, error) {
-	if h.exhaustive {
-		return h.KernelProfile(k)
-	}
-	return h.profiles.Get("full|"+k.Name, func() (*profile.Profile, error) {
-		opts := h.sweepOptions(false)
-		opts.Refine = nil
-		return h.store.LoadOrSweep(h.profileTagMode(k.Name, false), h.Cfg, k, opts)
-	})
+	opts := h.sweepOptions(false)
+	opts.Refine = nil
+	prs, err := h.profilesOf([]*trace.Kernel{k}, opts)
+	return prs[k.Name], err
 }
 
-// WorkloadProfiles returns per-kernel profiles for a set of workloads,
-// sweeping distinct kernels concurrently.
+// WorkloadProfiles returns per-kernel profiles for a set of workloads.
 func (h *Harness) WorkloadProfiles(ws []*sim.Workload) (map[string]*profile.Profile, error) {
-	kernels := sim.DistinctKernels(ws)
-	// Each sweep already parallelises its own grid points across the
-	// full pool, so the outer kernel level stays narrow (two lanes just
-	// to overlap one sweep's sequential baseline run with another's
-	// tail) — a wide outer map would multiply into Workers^2 concurrent
-	// GPUs. The shared profile cache single-flights duplicate names.
-	prs, err := runner.MapSlice(h.ctx(), h.narrowWorkers(), kernels,
-		func(_ context.Context, _ int, k *trace.Kernel) (*profile.Profile, error) {
-			pr, err := h.KernelProfile(k)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: profiling %s: %w", k.Name, err)
-			}
-			return pr, nil
-		})
+	return h.profilesOf(sim.DistinctKernels(ws), h.sweepOptions(false))
+}
+
+// profilesOf returns the evaluation-grid profiles of the kernels by
+// name. The ones nobody has asked for yet are loaded or swept together:
+// refined sweeps by one refinement, whose every round runs all its
+// kernels' points on one Workers-wide pool.
+func (h *Harness) profilesOf(kernels []*trace.Kernel, opts profile.SweepOptions) (map[string]*profile.Profile, error) {
+	h.sweeping.Lock()
+	defer h.sweeping.Unlock()
+	refined := opts.Refine != nil
+	key := func(k *trace.Kernel) profileKey { return profileKey{k.Name, refined} }
+	tag := func(kernel string) string { return h.profileTagMode(kernel, refined) }
+	var missing []*trace.Kernel
+	for _, k := range kernels {
+		if h.profiles[key(k)] == nil {
+			missing = append(missing, k)
+		}
+	}
+	swept, err := h.store.LoadOrSweepAll(h.Cfg, missing, tag, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]*profile.Profile{}
-	for i, k := range kernels {
-		out[k.Name] = prs[i]
+	for i, sw := range swept {
+		h.profiles[key(missing[i])] = sw.Profile
+		h.books.Rounds += sw.Stats.Rounds
+		h.books.Simulated += sw.Stats.Simulated
+		h.books.GridPoints += sw.Stats.GridPoints
+		if len(sw.Profile.Points) == sw.Stats.GridPoints { // never a cached one's
+			h.escalated++
+		}
+	}
+	out := make(map[string]*profile.Profile, len(kernels))
+	for _, k := range kernels {
+		out[k.Name] = h.profiles[key(k)]
 	}
 	return out, nil
 }

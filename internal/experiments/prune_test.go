@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -233,17 +236,21 @@ func TestPrunedFig2MatchesExhaustive(t *testing.T) {
 }
 
 // TestCacheTagsStayWhatPruneComputed pins the default harness's cache
-// tags to the literals Options{Prune: true} computed before the refined
-// sweep became the only one: profile entries and round files a -prune
-// run left in a cache directory stay warm. The whole-grid tags differ,
-// so an entry an exhaustive run left there is ignored, never misread.
+// tags. Evaluation: the literals Options{Prune: true} computed before
+// the refined sweep became the only one, so profile entries and round
+// files a -prune run left in a cache directory stay warm; the whole-grid
+// evaluation tag differs, so an entry an exhaustive run left there is
+// ignored, never misread. Training: the whole-grid training tag as it
+// has always been computed (training sweeps stopped refining; the
+// refined entries the commits in between wrote key elsewhere and are
+// ignored).
 func TestCacheTagsStayWhatPruneComputed(t *testing.T) {
 	for _, c := range []struct {
 		seed                        int64
 		eval, train, evalExhaustive string
 	}{
-		{0, "2e1684a517a1", "6ab9f96d789f", "1afae25a9bc1"},
-		{5, "aa47f32adcfd", "646e035909d2", "0488739ed2ad"},
+		{0, "2e1684a517a1", "d9e38a7ba6a6", "1afae25a9bc1"},
+		{5, "aa47f32adcfd", "99db25707f2f", "0488739ed2ad"},
 	} {
 		h := NewHarness(Options{Seed: c.seed})
 		if got := h.tag(false); got != c.eval {
@@ -255,14 +262,18 @@ func TestCacheTagsStayWhatPruneComputed(t *testing.T) {
 		if got := h.profileTagMode("ii#0", false); got != c.evalExhaustive {
 			t.Errorf("seed %d: whole-grid tag %s, want %s", c.seed, got, c.evalExhaustive)
 		}
+		if o := h.sweepOptions(true); o.Refine != nil || o.StepN != 3 || o.StepP != 3 {
+			t.Errorf("seed %d: training sweeps at %+v, want the whole step-3 grid poisetrain sweeps", c.seed, o)
+		}
 	}
 }
 
-// TestPrunedDatasetMatchesExhaustive pins the training pipeline: the
-// dataset BuildDataset assembles from pruned sweeps must be deeply
-// equal to the exhaustive one — same admissions, same Eq. 12 targets,
-// same feature vectors — so a pruned campaign trains identical
-// weights.
+// TestPrunedDatasetMatchesExhaustive pins the training pipeline to the
+// whole grid: BuildDataset handed refinement options must sweep, cache
+// and return exactly what it does without them (same admissions, same
+// Eq. 12 targets, same feature vectors, the same profile files and no
+// round file), so no caller can train on a refined sweep. The
+// refinement moves 2 of the 60 shipped training targets.
 func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 	cfg := config.Default().Scale(2)
 	params := config.DefaultPoise()
@@ -273,65 +284,32 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 	}
 	train := []*sim.Workload{wl}
 	opts := profile.SweepOptions{StepN: 2, StepP: 2}
-	exact, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: t.TempDir()}, "ex")
+	exactDir, askedDir := t.TempDir(), t.TempDir()
+	exact, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: exactDir}, "tag")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Refine = &profile.RefineOptions{W0: params.ScoreW0, W1: params.ScoreW1, W2: params.ScoreW2}
-	pruned, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: t.TempDir()}, "pr")
+	asked, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: askedDir}, "tag")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(exact, pruned) {
-		t.Fatalf("pruned dataset diverged from exhaustive:\nexhaustive: %+v\npruned:     %+v", exact, pruned)
+	if !reflect.DeepEqual(exact, asked) {
+		t.Fatalf("a dataset asked to refine diverged from the whole-grid one:\nwhole grid: %+v\nasked:      %+v", exact, asked)
 	}
-
-	// Training sweeps additionally skip the p == N diagonal climb (the
-	// harness sets SkipDiagonal for BuildDataset): the dataset must
-	// still be bit-identical, since its targets never
-	// read BestDiagonal, while the refinement simulates strictly fewer
-	// points. Both halves are pinned here — equality against the same
-	// exhaustive dataset, and the per-kernel point drop via PrunedSweep.
-	nodiag := opts
-	nodiag.Refine = &profile.RefineOptions{W0: params.ScoreW0, W1: params.ScoreW1, W2: params.ScoreW2, SkipDiagonal: true}
-	skipped, err := poise.BuildDataset(cfg, params, train, nodiag, profile.Store{Dir: t.TempDir()}, "nd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(exact, skipped) {
-		t.Fatalf("SkipDiagonal dataset diverged from exhaustive:\nexhaustive: %+v\nskipped:    %+v", exact, skipped)
-	}
-	// The thrash kernels above have near-flat spaces that escalate to
-	// the full grid either way, so the point savings are measured on
-	// structured catalogue kernels — the shapes the training campaign
-	// actually refines. The drop is asserted in aggregate: skipping the
-	// diagonal also changes which swept points feed later rounds'
-	// rankings, so a single kernel's count can wobble by a point in
-	// either direction while the front's cost reliably disappears
-	// overall (2-6 points of an 80-point grid per structured kernel).
-	cat := workloads.NewCatalogue(workloads.Small)
-	var diagSim, noDiagSim, grid int
-	for _, name := range []string{"gsmv", "mm", "mvt", "syr2k"} {
-		k := shrinkKernel(cat.Must(name).Kernels[0], 24, 24)
-		_, withDiag, err := profile.PrunedSweep(cfg, k, opts)
+	for _, k := range wl.Kernels {
+		name := "tag_" + k.Name + ".json"
+		want, err := os.ReadFile(filepath.Join(exactDir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, noDiag, err := profile.PrunedSweep(cfg, k, nodiag)
-		if err != nil {
-			t.Fatal(err)
+		if got, _ := os.ReadFile(filepath.Join(askedDir, name)); !bytes.Equal(got, want) {
+			t.Errorf("%s differs between the two stores", name)
 		}
-		diagSim += withDiag.Simulated
-		noDiagSim += noDiag.Simulated
-		grid += withDiag.GridPoints
 	}
-	if noDiagSim >= diagSim {
-		t.Errorf("SkipDiagonal saved nothing: %d points with the diagonal front, %d without", diagSim, noDiagSim)
+	if rounds, _ := filepath.Glob(filepath.Join(askedDir, "*.prune*")); len(rounds) > 0 {
+		t.Errorf("a training sweep refined: %v", rounds)
 	}
-	t.Logf("training refinement: %d/%d grid points (%.1f%%) with the diagonal front, %d (%.1f%%) without — a %.1f-point-of-grid drop",
-		diagSim, grid, 100*float64(diagSim)/float64(grid),
-		noDiagSim, 100*float64(noDiagSim)/float64(grid),
-		100*float64(diagSim-noDiagSim)/float64(grid))
 }
 
 // TestPrunedSweepLiveMatchesOracle pins the live execution path: a

@@ -6,6 +6,7 @@ import (
 	"poise/internal/poise"
 	"poise/internal/runner"
 	"poise/internal/sim"
+	"poise/internal/trace"
 )
 
 // TableIIResult carries the trained feature weights (the reproduction's
@@ -39,20 +40,21 @@ func (h *Harness) TableII() (*TableIIResult, error) {
 		RejHitRate: ds.RejectedHitRate,
 	}
 
-	// Offline accuracy: profile a subset of unseen evaluation kernels,
-	// derive their scored targets, and compare against predictions.
-	// One task per holdout workload; narrow outer width because each
-	// task's profile sweep fans out across the full pool itself. The
-	// feature runs draw recycled GPUs from the process-wide pool rather
-	// than constructing one per kernel.
-	holdout, err := runner.MapSlice(h.ctx(), h.narrowWorkers(), h.EvalWorkloads(),
-		func(_ context.Context, _ int, wl *sim.Workload) (poise.Sample, error) {
-			k := wl.Kernels[0]
-			pr, err := h.KernelProfile(k)
-			if err != nil {
-				return poise.Sample{}, err
-			}
-			target, _ := pr.BestScore(h.Params)
+	// Offline accuracy: profile the first kernel of every (unseen)
+	// evaluation workload, derive their scored targets, and compare
+	// against predictions. The feature runs draw recycled GPUs from the
+	// process-wide pool rather than constructing one per kernel.
+	var firsts []*trace.Kernel
+	for _, wl := range h.EvalWorkloads() {
+		firsts = append(firsts, wl.Kernels[0])
+	}
+	prs, err := h.profilesOf(firsts, h.sweepOptions(false))
+	if err != nil {
+		return nil, err
+	}
+	holdout, err := runner.MapSlice(h.ctx(), h.Opt.Workers, firsts,
+		func(_ context.Context, _ int, k *trace.Kernel) (poise.Sample, error) {
+			target, _ := prs[k.Name].BestScore(h.Params)
 			g, err := sim.Acquire(h.Cfg)
 			if err != nil {
 				return poise.Sample{}, err
@@ -64,7 +66,7 @@ func (h *Harness) TableII() (*TableIIResult, error) {
 			}
 			return poise.Sample{
 				Kernel: k.Name, X: x,
-				RawN: target.N, RawP: target.P, MaxN: pr.MaxN,
+				RawN: target.N, RawP: target.P, MaxN: prs[k.Name].MaxN,
 			}, nil
 		})
 	if err != nil {

@@ -62,11 +62,11 @@ func TestTraceBackedWorkloadThroughProfileSweep(t *testing.T) {
 	// The ingested kernel gets its own profile-cache key, so a
 	// shadowing trace can never be served a stale synthetic sweep...
 	plain := NewHarness(Options{SMs: 1, EvalStepN: 8, EvalStepP: 8})
-	if h.profileTag("ingested#0") == plain.tag(false) {
+	if h.ProfileTag("ingested#0") == plain.tag(false) {
 		t.Fatal("extra kernels must perturb their profile cache key")
 	}
 	// ...while synthetic kernels keep their warm cache entries.
-	if h.profileTag("syr2k#0") != plain.profileTag("syr2k#0") {
+	if h.ProfileTag("syr2k#0") != plain.ProfileTag("syr2k#0") {
 		t.Fatal("ingesting a trace must not invalidate synthetic sweeps")
 	}
 
@@ -86,7 +86,7 @@ func TestTraceBackedWorkloadThroughProfileSweep(t *testing.T) {
 		SMs: 1, EvalStepN: 8, EvalStepP: 8,
 		ExtraWorkloads: []*sim.Workload{w2},
 	})
-	if h.profileTag("ingested#0") == h2.profileTag("ingested#0") {
+	if h.ProfileTag("ingested#0") == h2.ProfileTag("ingested#0") {
 		t.Fatal("re-recorded streams must change the profile cache key")
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 
-	"poise/internal/config"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
 	"poise/internal/results"
-	"poise/internal/trace"
 )
 
 // Result is one accepted task result: the task's gridplan key and the
@@ -110,169 +108,36 @@ func decode[R gridplan.Keyed](rs []Result) ([]R, error) {
 	return out, nil
 }
 
-// RefineCampaign drives a refined sweep: each generation is one
-// refinement round across every unconverged kernel, and the next
-// round's plan is a pure function of the measurements merged so far —
-// the same BuildRefinePlan the in-process sweep uses, so the fleet's
-// rounds are the rounds a single process would run.
-type RefineCampaign struct {
-	cfg   config.Config
-	opts  profile.SweepOptions
-	store profile.Store // optional round persistence ("" disables)
-
-	kernels []*trace.Kernel
-	states  map[string]*refineState
-}
-
-type refineState struct {
-	tag    string
-	round  int
-	prior  []gridplan.Measurement
-	done   bool
-	active bool // had tasks in the generation in flight
-}
-
-// NewRefineCampaign builds a refinement campaign over the given
-// kernels. tags maps each kernel name to its profile-cache tag (the
-// standalone flow uses one tag for all kernels; the harness flow keys
-// per kernel). When store has a directory, completed rounds persist
-// there (profile.Store.SaveRound) and any rounds already cached —
-// e.g. from an interrupted earlier campaign with identical
-// parameters — are resumed instead of re-simulated.
-func NewRefineCampaign(cfg config.Config, kernels []*trace.Kernel, tags map[string]string,
-	opts profile.SweepOptions, store profile.Store) (*RefineCampaign, error) {
-	c := &RefineCampaign{
-		cfg: cfg, opts: opts, store: store,
-		kernels: kernels,
-		states:  make(map[string]*refineState, len(kernels)),
-	}
-	for _, k := range kernels {
-		tag, ok := tags[k.Name]
-		if !ok {
-			return nil, fmt.Errorf("fleet: refine campaign: no tag for kernel %q", k.Name)
-		}
-		st := &refineState{tag: tag}
-		if store.Dir != "" {
-			rounds := store.LoadRounds(tag, k.Name)
-			prior, err := gridplan.Merge(rounds...)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: cached rounds for %s: %w", k.Name, err)
-			}
-			st.round, st.prior = len(rounds), prior
-		}
-		c.states[k.Name] = st
-	}
-	return c, nil
-}
+// RefineCampaign serves a profile.Refinement: each generation is one
+// round across every unconverged kernel, the plan the in-process sweep
+// would run itself. Round persistence and resumption are the
+// refinement's store's. The campaign's output is R.Profiles, not the
+// coordinator's results: those lack the rounds that were resumed.
+type RefineCampaign struct{ R *profile.Refinement }
 
 // Format implements Campaign.
-func (c *RefineCampaign) Format() string { return gridplan.ProfilePlanFormat }
+func (c RefineCampaign) Format() string { return gridplan.ProfilePlanFormat }
 
-// Next implements Campaign: fold the previous round's measurements
-// into each active kernel's prior (persisting the round when a store
-// is configured), then assemble the next round's plan across every
-// unconverged kernel.
-func (c *RefineCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, error) {
+// Next implements Campaign: fold the previous round's measurements,
+// then publish the next round's plan.
+func (c RefineCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, error) {
 	if gen > 0 {
-		if err := c.fold(prev); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	plan := &gridplan.Plan{Version: gridplan.PlanVersion}
-	for _, k := range c.kernels {
-		st := c.states[k.Name]
-		st.active = false
-		if st.done {
-			continue
-		}
-		kp, done, err := profile.BuildRefinePlan(st.tag, c.cfg, k, c.opts, st.round, st.prior)
+		round, err := decode[gridplan.Measurement](prev)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if done {
-			st.done = true
-			continue
+		if err := c.R.Fold(round); err != nil {
+			return nil, nil, false, err
 		}
-		st.active = true
-		plan.Tasks = append(plan.Tasks, kp.Tasks...)
+	}
+	plan, err := c.R.Next()
+	if err != nil {
+		return nil, nil, false, err
 	}
 	if len(plan.Tasks) == 0 {
 		return nil, nil, true, nil
 	}
 	return generation(plan, plan.Tasks, func(w io.Writer) error { return gridplan.WritePlan(w, plan) })
-}
-
-// fold groups one finished round's results per kernel and advances
-// each active kernel's refinement state — the in-memory equivalent of
-// SaveRound followed by a re-read.
-func (c *RefineCampaign) fold(prev []Result) error {
-	round, err := decode[gridplan.Measurement](prev)
-	if err != nil {
-		return err
-	}
-	byKernel := map[string][]gridplan.Measurement{}
-	for _, m := range round {
-		byKernel[m.Kernel] = append(byKernel[m.Kernel], m)
-	}
-	for _, k := range c.kernels {
-		st := c.states[k.Name]
-		ms := byKernel[k.Name]
-		delete(byKernel, k.Name)
-		if !st.active {
-			if len(ms) > 0 {
-				return fmt.Errorf("fleet: measurements for inactive kernel %s", k.Name)
-			}
-			continue
-		}
-		if len(ms) == 0 {
-			return fmt.Errorf("fleet: round %d of %s completed with no measurements", st.round, k.Name)
-		}
-		for _, m := range ms {
-			if m.Tag != st.tag {
-				return fmt.Errorf("fleet: measurement %s has tag %s, campaign uses %s", m.Key(), m.Tag, st.tag)
-			}
-		}
-		if c.store.Dir != "" {
-			if err := c.store.SaveRound(st.tag, k.Name, st.round, ms); err != nil {
-				return err
-			}
-		}
-		merged, err := gridplan.Merge(st.prior, ms)
-		if err != nil {
-			return err
-		}
-		st.prior = merged
-		st.round++
-	}
-	for name := range byKernel {
-		return fmt.Errorf("fleet: measurements for unknown kernel %s", name)
-	}
-	return nil
-}
-
-// SaveTo assembles the converged profiles into a profile store — the
-// same MergeShards + Save path every other campaign tail uses — and
-// returns the kernel names saved. It is the refinement's final
-// output: the coordinator's raw results cover only the rounds run
-// this session, while the campaign state also folds rounds resumed
-// from the store.
-func (c *RefineCampaign) SaveTo(st profile.Store) ([]string, error) {
-	var names []string
-	for _, k := range c.kernels {
-		state := c.states[k.Name]
-		if !state.done {
-			return names, fmt.Errorf("fleet: refinement of %s has not converged", k.Name)
-		}
-		pr, err := profile.MergeShards(k.Name, state.prior)
-		if err != nil {
-			return names, err
-		}
-		if err := st.Save(state.tag, pr); err != nil {
-			return names, err
-		}
-		names = append(names, k.Name)
-	}
-	return names, nil
 }
 
 // SaveProfiles decodes a profile campaign's results, groups them per

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,10 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"poise/internal/config"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
 	"poise/internal/testutil"
 	"poise/internal/trace"
+	"poise/internal/workloads"
 )
 
 // fleetRun serves camp on a local HTTP server and runs the given
@@ -310,11 +314,11 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 	}
 
 	roundsDir := t.TempDir()
-	camp, err := NewRefineCampaign(cfg, []*trace.Kernel{k}, map[string]string{k.Name: tag},
-		opts, profile.Store{Dir: roundsDir})
-	if err != nil {
-		t.Fatal(err)
+	refinement := func() RefineCampaign {
+		return RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{k},
+			func(string) string { return tag }, opts, profile.Store{Dir: roundsDir})}
 	}
+	camp := refinement()
 	w1 := &Worker{Name: "w1", Executors: profileExecutors(kernels, opts)}
 	w2 := &Worker{Name: "w2", Executors: profileExecutors(kernels, opts)}
 	fopts := Options{LeaseTasks: 4, LeaseTTL: time.Minute, Logf: t.Logf}
@@ -324,7 +328,7 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 	}
 
 	fleetDir := t.TempDir()
-	if _, err := camp.SaveTo(profile.Store{Dir: fleetDir}); err != nil {
+	if _, err := camp.R.Profiles(profile.Store{Dir: fleetDir}); err != nil {
 		t.Fatal(err)
 	}
 	if ref, got := dirBytes(t, refDir), dirBytes(t, fleetDir); !reflect.DeepEqual(ref, got) {
@@ -333,11 +337,7 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 
 	// Resume: every round is cached, so a fresh campaign over the same
 	// store must converge without granting a single lease.
-	resumed, err := NewRefineCampaign(cfg, []*trace.Kernel{k}, map[string]string{k.Name: tag},
-		opts, profile.Store{Dir: roundsDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := refinement()
 	coord2, err := NewCoordinator(resumed, Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -349,11 +349,82 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 		t.Fatalf("resumed campaign ran %+v, want zero work", st)
 	}
 	resumeDir := t.TempDir()
-	if _, err := resumed.SaveTo(profile.Store{Dir: resumeDir}); err != nil {
+	if _, err := resumed.R.Profiles(profile.Store{Dir: resumeDir}); err != nil {
 		t.Fatal(err)
 	}
 	if ref, got := dirBytes(t, refDir), dirBytes(t, resumeDir); !reflect.DeepEqual(ref, got) {
 		t.Fatal("resumed refinement store differs from PrunedSweep store")
+	}
+}
+
+// TestRefineCampaignPublishesParentPlans: what the campaign adds to the
+// refinement (key order, the plan container, one unit a task, decoding
+// the results) against ../profile/testdata/pr22_refine, which the
+// parent of the commit that moved the state machine into
+// profile.Refinement wrote with its own RefineCampaign (see
+// TestRefinementReproducesParentGoldens there for the set-up: mm#2 and
+// mm#3 on 2 SMs at step 4, mm#3 resumed from its round 0 on disk).
+// Every generation's plan bytes, the round files and the saved
+// profiles must be the parent's.
+func TestRefineCampaignPublishesParentPlans(t *testing.T) {
+	golden := filepath.Join("..", "profile", "testdata", "pr22_refine")
+	cfg := config.Default().Scale(2)
+	mm := workloads.NewCatalogue(workloads.Small).Must("mm")
+	ka, kb := mm.Kernels[2], mm.Kernels[3]
+	kernels := map[string]*trace.Kernel{ka.Name: ka, kb.Name: kb}
+	opts := profile.SweepOptions{StepN: 4, StepP: 4, Refine: &profile.RefineOptions{}}
+	st := profile.Store{Dir: t.TempDir()}
+	const round0 = "tagB_mm#3.prune000.jsonl"
+	data, err := os.ReadFile(filepath.Join(golden, "fleet", round0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(st.Dir, round0), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tags := map[string]string{ka.Name: "tagA", kb.Name: "tagB"}
+	camp := RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{ka, kb},
+		func(kernel string) string { return tags[kernel] }, opts, st)}
+	var prev []Result
+	for gen := 0; ; gen++ {
+		planData, units, done, err := camp.Next(gen, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Join(golden, "plans", fmt.Sprintf("gen%d.jsonl", gen))
+		if done {
+			if _, err := os.Stat(name); err == nil {
+				t.Fatalf("campaign done after %d generations, the parent's published %s", gen, name)
+			}
+			break
+		}
+		if want, err := os.ReadFile(name); err != nil || !bytes.Equal(planData, want) {
+			t.Fatalf("generation %d differs from %s (%v):\n%s", gen, name, err, planData)
+		}
+		tasks := make([]gridplan.Task, len(units))
+		for i, u := range units {
+			if err := json.Unmarshal(u.line, &tasks[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ms, err := profile.RunTasks(cfg, kernels, tasks, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = prev[:0]
+		for _, m := range ms { // units, hence ms, are in key order
+			d, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev = append(prev, Result{Key: m.Key(), Data: d})
+		}
+	}
+	if _, err := camp.R.Profiles(st); err != nil {
+		t.Fatal(err)
+	}
+	if want, got := dirBytes(t, filepath.Join(golden, "fleet")), dirBytes(t, st.Dir); !reflect.DeepEqual(want, got) {
+		t.Fatal("the campaign's round files and profiles differ from the parent's")
 	}
 }
 

@@ -116,8 +116,6 @@ type hie struct {
 type Policy struct {
 	Params  config.PoiseParams
 	Weights Weights
-	// DisableSearch runs pure predictions (stride (0,0) of Fig. 11).
-	DisableSearch bool
 	// NoFallback disables the baseline-IPC guard. The guard is an
 	// engineering extension over the paper: the HIE already measures
 	// IPC at the maximum tuple during feature sampling, so when the
@@ -240,7 +238,8 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 		e.predN, e.predP = n, pp
 		e.curN, e.curP = n, pp
 		g.LogPrediction(i, n, pp)
-		if p.DisableSearch || (p.Params.StrideN == 0 && p.Params.StrideP == 0) {
+		if p.Params.StrideN == 0 && p.Params.StrideP == 0 {
+			// Pure prediction: the (0, 0) column of Fig. 11.
 			p.finishSearch(g, e, i)
 			return
 		}

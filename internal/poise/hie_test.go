@@ -49,8 +49,9 @@ func TestHIERunsAndDecides(t *testing.T) {
 
 func TestHIEPureInference(t *testing.T) {
 	k := testutil.ThrashKernel("hie-nols", 20, 200, 8)
-	pol := NewPolicy(testutil.TinyParams(), throttleWeights(4, 2))
-	pol.DisableSearch = true
+	params := testutil.TinyParams()
+	params.StrideN, params.StrideP = 0, 0
+	pol := NewPolicy(params, throttleWeights(4, 2))
 	g, err := sim.New(testutil.TinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +200,11 @@ func TestTrainEmptyDataset(t *testing.T) {
 
 func TestMeasureFeaturesOnTinyKernel(t *testing.T) {
 	k := testutil.ThrashKernel("feat", 20, 40, 4)
-	x, err := MeasureFeatures(testutil.TinyConfig(), k)
+	g, err := sim.New(testutil.TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := MeasureFeaturesOn(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

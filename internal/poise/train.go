@@ -47,7 +47,15 @@ type Dataset struct {
 // runs draw their GPU from the process-wide pool the sweeps use
 // (sim.Acquire), so one memory hierarchy serves the whole training set
 // instead of one allocation per kernel.
+//
+// Training sweeps cover the whole grid, whatever sweep.Refine says: the
+// refinement is tuple-exact on the evaluation catalogue only. At the
+// shipped configuration (8 SMs, Small, step 3) it would simulate 1 451
+// of 2 280 points and move two of the 60 targets (pvr#28's (4, 1) is an
+// isolated peak no front climbs to; pvr#29), hence the model, to save
+// part of 35 s of sweeping on two cores.
 func BuildDataset(cfg config.Config, params config.PoiseParams, train []*sim.Workload, sweep profile.SweepOptions, store profile.Store, tag string) (*Dataset, error) {
+	sweep.Refine = nil
 	ds := &Dataset{}
 	for _, w := range train {
 		for _, k := range w.Kernels {
@@ -124,26 +132,13 @@ func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, 
 	}, rejectNone, nil
 }
 
-// MeasureFeatures runs kernel k twice — at the baseline tuple and at
-// (1, 1) — and assembles the Table II feature vector from whole-run
-// aggregates, the offline analogue of the HIE's two sampling windows.
-func MeasureFeatures(cfg config.Config, k *trace.Kernel) (Vector, error) {
-	g, err := sim.New(cfg)
-	if err != nil {
-		return Vector{}, err
-	}
-	return MeasureFeaturesOn(g, k)
-}
-
-// MeasureFeaturesOn is MeasureFeatures on a caller-supplied GPU —
-// typically one from sim.Acquire, whose reset-to-fresh invariant makes
-// the measured features identical to a fresh construction's. The GPU
-// must be in its fresh (or reset) state.
+// MeasureFeaturesOn runs kernel k twice on g — at the baseline tuple and
+// at (1, 1) — and assembles the Table II feature vector from whole-run
+// aggregates, the offline analogue of the HIE's two sampling windows. g
+// must be fresh or reset: typically one from sim.Acquire, whose
+// reset-to-fresh invariant makes the features a fresh construction's.
 func MeasureFeaturesOn(g *sim.GPU, k *trace.Kernel) (Vector, error) {
-	maxN := g.Cfg.WarpsPerSched
-	if k.MaxWarpsPerSched > 0 && k.MaxWarpsPerSched < maxN {
-		maxN = k.MaxWarpsPerSched
-	}
+	maxN := sim.KernelMaxN(g.Cfg, k)
 	baseRes, err := g.Run(k, sim.Fixed{N: maxN, P: maxN}, sim.RunOptions{})
 	if err != nil {
 		return Vector{}, err

@@ -30,7 +30,7 @@ import (
 // simulating.
 func BuildPlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions) *gridplan.Plan {
 	opts = opts.withDefaults()
-	maxN := kernelMaxN(cfg, k)
+	maxN := sim.KernelMaxN(cfg, k)
 	digest := gridplan.KernelDigest(k)
 	plan := &gridplan.Plan{Version: gridplan.PlanVersion}
 	for _, c := range gridplan.Enumerate(maxN, opts.StepN, opts.StepP) {

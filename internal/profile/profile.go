@@ -130,9 +130,9 @@ type SweepOptions struct {
 	// Digest keys it. An armed Interrupt bypasses the memo.
 	Memo *sim.RunMemo
 	// Refine switches sweeps to adaptive coarse-to-fine refinement
-	// (see refine.go): LoadOrSweep runs PrunedSweep rounds instead of
-	// the whole grid, caching completed rounds for resume. nil means
-	// the whole grid. The refined profile contains only the simulated
+	// (see refine.go): LoadOrSweep runs a Refinement instead of the
+	// whole grid, caching completed rounds for resume. nil means the
+	// whole grid. The refined profile contains only the simulated
 	// subset of the grid, so callers that consume more than the
 	// Best/BestDiagonal/BestScore optima and the corner points should
 	// keep Refine nil.
@@ -175,7 +175,7 @@ func (o SweepOptions) withDefaults() SweepOptions {
 // property TestShardedSweepMatchesInProcess pins down.
 //
 // It covers the whole grid. The commands and the experiment harness
-// refine instead (PrunedSweep); Sweep remains for the figures that draw
+// refine instead (Refinement); Sweep remains for the figures that draw
 // every point and as the oracle the refinement is proven against.
 func Sweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
 	opts = opts.withDefaults()
@@ -253,9 +253,6 @@ func abs(x int) int {
 // once per configuration.
 type Store struct {
 	Dir string
-	// Books, when non-nil, adds up what LoadOrSweep's refined sweeps
-	// simulate; a profile served from the cache adds nothing.
-	Books *SweepBooks
 }
 
 func (s Store) path(tag, kernel string) string {
@@ -311,29 +308,58 @@ func (s Store) Save(tag string, pr *Profile) error {
 	return nil
 }
 
-// LoadOrSweep returns the cached profile or runs the sweep and caches
-// it. A corrupt cache entry (ErrCorrupt) is treated like a miss: the
-// sweep re-runs and Save overwrites the damaged file, so a truncated
-// write from a crashed run can never abort later runs. With
-// opts.Refine set the sweep is the adaptive pruned one, resuming from
-// any cached refinement rounds (see refine.go); callers key pruned
-// and exhaustive campaigns under different tags, since the cached
-// profiles differ in which grid points they carry.
+// LoadOrSweep returns the cached profile of one kernel or sweeps it and
+// caches it (LoadOrSweepAll over a single kernel).
 func (s Store) LoadOrSweep(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
-	if pr, err := s.Load(tag, k.Name); err == nil {
-		return pr, nil
-	}
-	if opts.Refine != nil {
-		return s.loadOrPrunedSweep(tag, cfg, k, opts)
-	}
-	pr, err := Sweep(cfg, k, opts)
+	out, err := s.LoadOrSweepAll(cfg, []*trace.Kernel{k}, func(string) string { return tag }, opts)
 	if err != nil {
 		return nil, err
 	}
-	if s.Dir != "" {
-		if err := s.Save(tag, pr); err != nil {
-			return nil, err
+	return out[0].Profile, nil
+}
+
+// LoadOrSweepAll returns the profiles of the kernels, in order; tag
+// gives each kernel's cache tag. A cached profile is loaded; a corrupt
+// entry (ErrCorrupt) is a miss and gets overwritten, so a truncated
+// write from a crashed run can never abort later runs. The others are
+// swept and cached: with opts.Refine set by ONE Refinement over all of
+// them, which resumes from the rounds the store holds and persists the
+// ones it runs (refine.go); over the whole grid, kernel by kernel,
+// otherwise. Refined and whole-grid profiles carry different points:
+// callers key them under different tags.
+func (s Store) LoadOrSweepAll(cfg config.Config, kernels []*trace.Kernel, tag func(kernel string) string, opts SweepOptions) ([]Swept, error) {
+	out := make([]Swept, len(kernels))
+	var missing []int
+	var refine []*trace.Kernel
+	for i, k := range kernels {
+		if out[i].Profile, _ = s.Load(tag(k.Name), k.Name); out[i].Profile == nil {
+			missing = append(missing, i)
+			refine = append(refine, k)
 		}
 	}
-	return pr, nil
+	if opts.Refine == nil {
+		for _, i := range missing {
+			pr, err := Sweep(cfg, kernels[i], opts)
+			if err == nil && s.Dir != "" {
+				err = s.Save(tag(kernels[i].Name), pr)
+			}
+			if err != nil {
+				return nil, err
+			}
+			out[i].Profile = pr
+		}
+		return out, nil
+	}
+	r := NewRefinement(cfg, refine, tag, opts, s)
+	if err := r.Run(); err != nil {
+		return nil, err
+	}
+	swept, err := r.Profiles(s)
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range missing {
+		out[i] = swept[j]
+	}
+	return out, nil
 }

@@ -5,10 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"poise/internal/config"
 	"poise/internal/gridplan"
+	"poise/internal/sim"
 	"poise/internal/trace"
 )
 
@@ -68,21 +68,18 @@ type RefineOptions struct {
 	// defaults (config.DefaultPoise), or set all three explicitly —
 	// a partially-set triple is used exactly as given.
 	W0, W1, W2 float64
-	// SkipDiagonal drops the p == N diagonal climb from refinement.
-	// Training sweeps want this: BuildDataset's targets only consume
-	// the scored optimum (Best + its Eq. 12 neighbourhood) and the
-	// baseline, never BestDiagonal, so climbing the SWL front is dead
-	// weight there. Evaluation sweeps (Table IIIa, the SWL rows of the
-	// figures) must leave it false.
-	SkipDiagonal bool
 }
 
-func (o RefineOptions) withDefaults() RefineOptions {
-	if o.W0 == 0 && o.W1 == 0 && o.W2 == 0 {
-		p := config.DefaultPoise()
-		o.W0, o.W1, o.W2 = p.ScoreW0, p.ScoreW1, p.ScoreW2
+// withDefaults resolves the weights; nil options are pure defaults.
+func (o *RefineOptions) withDefaults() (r RefineOptions) {
+	if o != nil {
+		r = *o
 	}
-	return o
+	if r.W0 == 0 && r.W1 == 0 && r.W2 == 0 {
+		p := config.DefaultPoise()
+		r.W0, r.W1, r.W2 = p.ScoreW0, p.ScoreW1, p.ScoreW2
+	}
+	return r
 }
 
 // Tag digests every parameter that shapes which grid points a pruned
@@ -93,14 +90,8 @@ func (o RefineOptions) withDefaults() RefineOptions {
 // round partials, because their pruned subsets differ.
 func (o RefineOptions) Tag() string {
 	r := o.withDefaults()
-	tag := fmt.Sprintf("%d.%d.%d.%d.%g.%g.%g.%g",
+	return fmt.Sprintf("%d.%d.%d.%d.%g.%g.%g.%g",
 		coarseN, coarseP, topK, maxRounds, flatTol, r.W0, r.W1, r.W2)
-	if r.SkipDiagonal {
-		// Appended rather than folded into the base format so existing
-		// cached campaigns (all diagonal-inclusive) keep their keys.
-		tag += ".nodiag"
-	}
-	return tag
 }
 
 // RefineStats reports what a pruned sweep actually simulated.
@@ -116,47 +107,6 @@ func (s RefineStats) Fraction() float64 {
 		return 0
 	}
 	return float64(s.Simulated) / float64(s.GridPoints)
-}
-
-// SweepBooks adds up what the refined sweeps of a Store simulated (see
-// Store.Books). It is safe for concurrent use.
-type SweepBooks struct {
-	mu        sync.Mutex
-	total     RefineStats
-	escalated int
-}
-
-func (b *SweepBooks) add(st RefineStats, wholeGrid bool) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.total.Rounds += st.Rounds
-	b.total.Simulated += st.Simulated
-	b.total.GridPoints += st.GridPoints
-	if wholeGrid {
-		b.escalated++
-	}
-	b.mu.Unlock()
-}
-
-// Totals returns the summed stats and how many of the sweeps ended up
-// covering their whole grid (a flat space escalates to it; so does a
-// grid too small to prune).
-func (b *SweepBooks) Totals() (total RefineStats, escalated int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total, b.escalated
-}
-
-// kernelMaxN mirrors BuildPlan's warp bound: the configuration's
-// per-scheduler limit, clipped by the kernel's own occupancy bound.
-func kernelMaxN(cfg config.Config, k *trace.Kernel) int {
-	maxN := cfg.WarpsPerSched
-	if k.MaxWarpsPerSched > 0 && k.MaxWarpsPerSched < maxN {
-		maxN = k.MaxWarpsPerSched
-	}
-	return maxN
 }
 
 // BuildRefinePlan computes refinement round `round` of kernel k as an
@@ -180,8 +130,8 @@ func kernelMaxN(cfg config.Config, k *trace.Kernel) int {
 // the exhaustive sweep, never to a wrong profile.
 func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions, round int, prior []gridplan.Measurement) (*gridplan.Plan, bool, error) {
 	opts = opts.withDefaults()
-	ropts := opts.refineOptions()
-	maxN := kernelMaxN(cfg, k)
+	ropts := opts.Refine.withDefaults()
+	maxN := sim.KernelMaxN(cfg, k)
 	grid := gridplan.Enumerate(maxN, opts.StepN, opts.StepP)
 	inGrid := map[gridplan.Coord]bool{}
 	for _, c := range grid {
@@ -199,20 +149,21 @@ func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepO
 	}
 
 	var want map[gridplan.Coord]bool
-	switch {
-	case len(prior) == 0:
+	if len(prior) == 0 {
 		want = coarseRound(maxN, opts)
-	case round >= maxRounds:
-		want = inGrid
-	default:
+	} else {
+		// Assembled whatever the round, so measurements no profile can
+		// be made of (two tags, no baseline) are refused here, where a
+		// resumed refinement looks, and not when it has converged.
 		pr, err := MergeShards(k.Name, prior)
 		if err != nil {
 			return nil, false, fmt.Errorf("profile: refining %s: %w", k.Name, err)
 		}
-		if flat(pr) {
-			// The whole observed space is flat to within noise:
-			// throttling does not move this kernel, so its "optimum" is
-			// a noise argmax only the full grid can reproduce exactly.
+		if round >= maxRounds || flat(pr) {
+			// Out of rounds; or the whole observed space is flat to
+			// within noise: throttling does not move this kernel, so its
+			// "optimum" is a noise argmax only the full grid can
+			// reproduce exactly.
 			want = inGrid
 		} else {
 			want = refineWants(pr, grid, opts, ropts)
@@ -325,13 +276,9 @@ func refineWants(pr *Profile, grid []gridplan.Coord, opts SweepOptions, ropts Re
 	// The SWL optimum lives on the p == N diagonal, which round 0 only
 	// sampled coarsely: climb it separately, expanding the top swept
 	// diagonal points one diagonal grid step, so BestDiagonal converges
-	// to target resolution just like Best does. Training sweeps skip
-	// this front — nothing they derive reads BestDiagonal.
-	var diagonal []Point
-	if !ropts.SkipDiagonal {
-		diagonal = suppress(bySpeedup, narrowK, reachN, reachP,
-			func(pt Point) bool { return pt.N == pt.P })
-	}
+	// to target resolution just like Best does.
+	diagonal := suppress(bySpeedup, narrowK, reachN, reachP,
+		func(pt Point) bool { return pt.N == pt.P })
 	want := map[gridplan.Coord]bool{}
 	for _, g := range grid {
 		for i, c := range climbers {
@@ -390,75 +337,172 @@ func suppress(ranked []Point, k, reachN, reachP int, keep func(Point) bool) []Po
 	return out
 }
 
-// refineOptions resolves the sweep's refinement parameters (the
-// defaulted Refine field, or pure defaults when pruning was requested
-// without explicit options).
-func (o SweepOptions) refineOptions() RefineOptions {
-	if o.Refine != nil {
-		return o.Refine.withDefaults()
-	}
-	return RefineOptions{}.withDefaults()
+// Refinement is the refined sweep of a set of kernels as a state
+// machine: Next builds the next round's plan across every kernel that
+// has not converged (BuildRefinePlan, kernel by kernel), Fold takes
+// that round's measurements back, Profiles assembles what converged.
+// Whoever executes the plans (Run here, a fleet's workers behind
+// fleet.RefineCampaign), a round is the same pure function of the
+// measurements so far: same plans, same round files, same profiles.
+type Refinement struct {
+	cfg    config.Config
+	opts   SweepOptions
+	store  Store // completed rounds persist here when it has a directory
+	states []*refineState
+	asked  *gridplan.Plan // what Next returned last
 }
 
-// PrunedSweep is the adaptive counterpart of Sweep: it profiles kernel
-// k by running BuildRefinePlan rounds until convergence, simulating
-// only the coarse pass plus the refined neighbourhoods. The returned
-// profile's Points are the subset of the exhaustive grid that was
-// simulated, with speedups normalised exactly as Sweep normalises them
-// (same baseline point, same float operations), so every point the two
-// sweeps share is bit-identical; the refinement is tuned so that
-// Best, BestDiagonal and BestScore select the same tuples as the
-// exhaustive sweep (the catalogue equivalence tests pin this).
-func PrunedSweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, RefineStats, error) {
-	return Store{}.refine("", cfg, k, opts, nil)
+type refineState struct {
+	kernel *trace.Kernel
+	tag    string
+	round  int                    // completed rounds, resumed ones included
+	prior  []gridplan.Measurement // their measurements, merged
+	stats  RefineStats            // what this Refinement simulated, not what it resumed
+	done   bool
 }
 
-// refine runs the refinement of kernel k from the given completed
-// rounds to convergence and assembles the profile. A store with a
-// directory persists every round it runs and the assembled profile;
-// the stats count what this call simulated, not the rounds it was
-// handed.
-func (s Store) refine(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions, rounds [][]gridplan.Measurement) (*Profile, RefineStats, error) {
+// Swept is one kernel's profile as a sweep returns it. Stats is what a
+// refinement simulated for it: zero for a cached or whole-grid profile.
+type Swept struct {
+	Profile *Profile
+	Stats   RefineStats
+}
+
+// NewRefinement starts the refinement of the given kernels; tag gives
+// each kernel's profile-cache tag. Rounds the store holds for a (tag,
+// kernel) are resumed, not simulated again; ones that cannot be extended
+// (mixed grids, duplicate coverage, another resolution's points) are a
+// corrupt cache entry: that kernel starts from round 0, overwriting them.
+func NewRefinement(cfg config.Config, kernels []*trace.Kernel, tag func(kernel string) string, opts SweepOptions, store Store) *Refinement {
 	opts = opts.withDefaults()
-	stats := RefineStats{GridPoints: len(gridplan.Enumerate(kernelMaxN(cfg, k), opts.StepN, opts.StepP))}
-	all, err := gridplan.Merge(rounds...)
-	if err != nil {
-		return nil, stats, err
-	}
-	kernels := map[string]*trace.Kernel{k.Name: k}
-	for round := len(rounds); ; round++ {
-		plan, done, err := BuildRefinePlan(tag, cfg, k, opts, round, all)
-		if err != nil {
-			return nil, stats, err
-		}
-		if done {
-			break
-		}
-		ms, err := RunTasks(cfg, kernels, plan.Tasks, opts)
-		if err != nil {
-			return nil, stats, err
-		}
-		if s.Dir != "" {
-			if err := s.SaveRound(tag, k.Name, round, ms); err != nil {
-				return nil, stats, err
+	r := &Refinement{cfg: cfg, opts: opts, store: store}
+	for _, k := range kernels {
+		st := &refineState{kernel: k, tag: tag(k.Name)}
+		st.stats.GridPoints = len(gridplan.Enumerate(sim.KernelMaxN(cfg, k), opts.StepN, opts.StepP))
+		if rounds := store.LoadRounds(st.tag, k.Name); len(rounds) > 0 {
+			if prior, err := gridplan.Merge(rounds...); err == nil {
+				if _, _, err := BuildRefinePlan(st.tag, cfg, k, opts, len(rounds), prior); err == nil {
+					st.round, st.prior = len(rounds), prior
+				}
 			}
 		}
-		if all, err = gridplan.Merge(all, ms); err != nil {
-			return nil, stats, err
-		}
-		stats.Rounds++
-		stats.Simulated += len(ms)
+		r.states = append(r.states, st)
 	}
-	pr, err := MergeShards(k.Name, all)
+	return r
+}
+
+// Next returns the next round's plan: what BuildRefinePlan asks for,
+// for every kernel that has not converged, in kernel order. A plan
+// without tasks means every kernel has.
+func (r *Refinement) Next() (*gridplan.Plan, error) {
+	r.asked = &gridplan.Plan{Version: gridplan.PlanVersion}
+	for _, st := range r.states {
+		if st.done {
+			continue
+		}
+		kp, done, err := BuildRefinePlan(st.tag, r.cfg, st.kernel, r.opts, st.round, st.prior)
+		if err != nil {
+			return nil, err
+		}
+		st.done = done
+		r.asked.Tasks = append(r.asked.Tasks, kp.Tasks...)
+	}
+	return r.asked, nil
+}
+
+// Fold takes the measurements of the plan Next returned last, all of
+// them and no others, in any order: each kernel's share becomes its next
+// completed round, persisted when the store has a directory.
+func (r *Refinement) Fold(ms []gridplan.Measurement) error {
+	if err := r.asked.Verify(ms); err != nil {
+		return err
+	}
+	byKernel := map[string][]gridplan.Measurement{}
+	for _, m := range ms {
+		byKernel[m.Kernel] = append(byKernel[m.Kernel], m)
+	}
+	for _, st := range r.states {
+		round := byKernel[st.kernel.Name]
+		if len(round) == 0 {
+			continue // converged: nothing was asked
+		}
+		if r.store.Dir != "" {
+			if err := r.store.SaveRound(st.tag, st.kernel.Name, st.round, round); err != nil {
+				return err
+			}
+		}
+		merged, err := gridplan.Merge(st.prior, round)
+		if err != nil {
+			return err
+		}
+		st.prior = merged
+		st.round++
+		st.stats.Rounds++
+		st.stats.Simulated += len(round)
+	}
+	return nil
+}
+
+// Run drives the refinement to convergence in this process, every
+// round's tasks of every kernel on one opts.Workers-wide RunTasks.
+func (r *Refinement) Run() error {
+	kernels := make(map[string]*trace.Kernel, len(r.states))
+	for _, st := range r.states {
+		kernels[st.kernel.Name] = st.kernel
+	}
+	for {
+		plan, err := r.Next()
+		if err != nil || len(plan.Tasks) == 0 {
+			return err
+		}
+		ms, err := RunTasks(r.cfg, kernels, plan.Tasks, r.opts)
+		if err != nil {
+			return err
+		}
+		if err := r.Fold(ms); err != nil {
+			return err
+		}
+	}
+}
+
+// Profiles assembles the converged kernels' profiles, in kernel order,
+// from every round: the ones this Refinement ran and the ones it
+// resumed. A store with a directory gets each saved under its tag.
+func (r *Refinement) Profiles(saveTo Store) ([]Swept, error) {
+	out := make([]Swept, len(r.states))
+	for i, st := range r.states {
+		if !st.done {
+			return nil, fmt.Errorf("profile: refinement of %s has not converged", st.kernel.Name)
+		}
+		pr, err := MergeShards(st.kernel.Name, st.prior)
+		if err != nil {
+			return nil, err
+		}
+		if saveTo.Dir != "" {
+			if err := saveTo.Save(st.tag, pr); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = Swept{Profile: pr, Stats: st.stats}
+	}
+	return out, nil
+}
+
+// PrunedSweep is the adaptive counterpart of Sweep: one Refinement of
+// kernel k, nothing cached. The profile's Points are the simulated
+// subset of the grid, each bit-identical to Sweep's point (same
+// baseline, same float operations); Best, BestDiagonal and BestScore
+// select the tuples Sweep's would (the catalogue equivalence tests).
+func PrunedSweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, RefineStats, error) {
+	r := NewRefinement(cfg, []*trace.Kernel{k}, func(string) string { return "" }, opts, Store{})
+	if err := r.Run(); err != nil {
+		return nil, RefineStats{}, err
+	}
+	out, err := r.Profiles(Store{})
 	if err != nil {
-		return nil, stats, err
+		return nil, RefineStats{}, err
 	}
-	if s.Dir != "" {
-		if err := s.Save(tag, pr); err != nil {
-			return nil, stats, err
-		}
-	}
-	return pr, stats, nil
+	return out[0].Profile, out[0].Stats, nil
 }
 
 // Round partial persistence: a pruned sweep's completed rounds are
@@ -498,25 +542,4 @@ func (s Store) LoadRounds(tag, kernel string) [][]gridplan.Measurement {
 		}
 		rounds = append(rounds, ms)
 	}
-}
-
-// loadOrPrunedSweep is LoadOrSweep's adaptive path: resume from any
-// cached rounds, run the remaining rounds (persisting each), and cache
-// the assembled profile. Stale or inconsistent round files (e.g. from
-// a run with different refinement parameters) restart the refinement
-// from round 0 rather than failing.
-func (s Store) loadOrPrunedSweep(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
-	rounds := s.LoadRounds(tag, k.Name)
-	pr, stats, err := s.refine(tag, cfg, k, opts, rounds)
-	if err != nil && len(rounds) > 0 {
-		// Cached rounds that cannot be extended (mixed grids, duplicate
-		// coverage) are treated like a corrupt cache entry: re-sweep
-		// from scratch and overwrite them.
-		pr, stats, err = s.refine(tag, cfg, k, opts, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.Books.add(stats, len(pr.Points) == stats.GridPoints)
-	return pr, nil
 }

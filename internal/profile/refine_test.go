@@ -113,42 +113,37 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 // deleting only the final profile resumes from the cached rounds
 // without simulating anything (the refinement is already converged,
 // so a poisoned kernel proves no simulation happens); and a corrupt
-// round file degrades to a clean re-sweep. The store's books count what
-// each call simulated: the sweep once, the cache hit and the resume
-// nothing.
+// round file degrades to a clean re-sweep. The stats count what each
+// call simulated: the sweep once, the cache hit and the resume nothing.
 func TestLoadOrSweepPrunedResume(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("sweep", 20, 15, 4)
 	opts := SweepOptions{StepN: 2, StepP: 2, Refine: &RefineOptions{}}
-	var books SweepBooks
-	st := Store{Dir: t.TempDir(), Books: &books}
-
-	want, err := st.LoadOrSweep("tag", cfg, k, opts)
-	if err != nil {
-		t.Fatal(err)
+	st := Store{Dir: t.TempDir()}
+	sweep := func(k *trace.Kernel) Swept {
+		t.Helper()
+		out, err := st.LoadOrSweepAll(cfg, []*trace.Kernel{k}, func(string) string { return "tag" }, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
 	}
-	rounds := st.LoadRounds("tag", k.Name)
-	if len(rounds) == 0 {
+
+	first := sweep(k)
+	want := first.Profile
+	if len(st.LoadRounds("tag", k.Name)) == 0 {
 		t.Fatal("pruned LoadOrSweep persisted no rounds")
 	}
-	_, swept := prunedTiny(t)
-	wholeGrid := 0
-	if swept.Simulated == swept.GridPoints {
-		wholeGrid = 1
-	}
-	if got, escalated := books.Totals(); got != swept || escalated != wholeGrid {
-		t.Fatalf("books after one sweep: %+v, %d escalated; PrunedSweep reports %+v", got, escalated, swept)
+	if _, swept := prunedTiny(t); first.Stats != swept {
+		t.Fatalf("stats of one sweep: %+v; PrunedSweep reports %+v", first.Stats, swept)
 	}
 	// A second call hits the profile cache.
-	again, err := st.LoadOrSweep("tag", cfg, k, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Points, want.Points) {
+	again := sweep(k)
+	if !reflect.DeepEqual(again.Profile.Points, want.Points) {
 		t.Fatal("cached pruned profile differs")
 	}
-	if got, _ := books.Totals(); got != swept {
-		t.Fatalf("a cache hit moved the books: %+v", got)
+	if again.Stats != (RefineStats{}) {
+		t.Fatalf("a cache hit reports a sweep: %+v", again.Stats)
 	}
 
 	// Delete the final profile but keep the rounds: the resume must
@@ -160,14 +155,11 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned := testutil.ThrashKernel("sweep", 28, 15, 4)
-	resumed, err := st.LoadOrSweep("tag", cfg, poisoned, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resumed.Points, want.Points) {
+	resumed := sweep(poisoned)
+	if !reflect.DeepEqual(resumed.Profile.Points, want.Points) {
 		t.Fatal("resumed pruned profile differs from the original (the resume re-simulated?)")
 	}
-	if got, _ := books.Totals(); got.Simulated != swept.Simulated || got.Rounds != swept.Rounds {
+	if got := resumed.Stats; got.Simulated != 0 || got.Rounds != 0 {
 		t.Fatalf("a resume from complete rounds simulated something: %+v", got)
 	}
 

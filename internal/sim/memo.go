@@ -44,8 +44,10 @@ type TuplePrefixer interface {
 	PrefixTuple(cfg config.Config, k *trace.Kernel) (n, p int, ok bool)
 }
 
-// kernelMaxN mirrors GPU.MaxN for key computation before a GPU exists.
-func kernelMaxN(cfg config.Config, k *trace.Kernel) int {
+// KernelMaxN is GPU.MaxN before a GPU runs the kernel: the
+// configuration's per-scheduler warp limit, clipped by the kernel's own
+// occupancy bound. Memo keys, sweep grids and feature runs are sized by it.
+func KernelMaxN(cfg config.Config, k *trace.Kernel) int {
 	n := cfg.WarpsPerSched
 	if k.MaxWarpsPerSched > 0 && k.MaxWarpsPerSched < n {
 		n = k.MaxWarpsPerSched
@@ -75,7 +77,7 @@ func clampTuple(cfg config.Config, n, p int) (int, int) {
 
 // PrefixTuple implements TuplePrefixer: GTO always runs all warps.
 func (GTO) PrefixTuple(cfg config.Config, k *trace.Kernel) (int, int, bool) {
-	m := kernelMaxN(cfg, k)
+	m := KernelMaxN(cfg, k)
 	return m, m, true
 }
 
@@ -87,7 +89,7 @@ func (f Fixed) PrefixTuple(cfg config.Config, k *trace.Kernel) (int, int, bool) 
 		n, p = t[0], t[1]
 	}
 	if n <= 0 {
-		n = kernelMaxN(cfg, k)
+		n = KernelMaxN(cfg, k)
 	}
 	if p <= 0 {
 		p = n

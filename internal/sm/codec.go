@@ -139,11 +139,18 @@ func (s *Scheduler) DecodeState(r *snap.Reader) error {
 	if r.Err() == nil && n != uint64(len(s.Slots)) {
 		return fmt.Errorf("sm: snapshot has %d warp slots, scheduler has %d", n, len(s.Slots))
 	}
+	live := 0
 	for i := range s.Slots {
 		if err := s.Slots[i].decodeState(r); err != nil {
 			return err
 		}
+		if s.Slots[i].Active {
+			live++
+		}
 	}
+	// Retire and PickOrWake trust the age order to be exactly the live
+	// slots, oldest first: a slot named twice or out of order leaves a
+	// stale entry behind a Retire, which the scan then picks.
 	na := r.Count(len(s.Slots))
 	s.ageOrder = s.ageOrder[:0]
 	for i := 0; i < na; i++ {
@@ -151,11 +158,17 @@ func (s *Scheduler) DecodeState(r *snap.Reader) error {
 		if v < 0 || v >= len(s.Slots) {
 			return fmt.Errorf("sm: age-order slot %d out of range", v)
 		}
-		// PickOrWake trusts the age order to list live warps only.
 		if !s.Slots[v].Active {
 			return fmt.Errorf("sm: age-order slot %d holds no live warp", v)
 		}
+		// Live warps differ in Age, so ascending also means named once.
+		if i > 0 && s.Slots[v].Age <= s.Slots[s.ageOrder[i-1]].Age {
+			return fmt.Errorf("sm: age-order slot %d is not older than slot %d after it", s.ageOrder[i-1], v)
+		}
 		s.ageOrder = append(s.ageOrder, v)
+	}
+	if r.Err() == nil && na != live {
+		return fmt.Errorf("sm: age order lists %d of %d live warps", na, live)
 	}
 	s.dispatchSeq = r.Varint()
 	s.current = int(r.Varint())

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"poise/internal/config"
+	"poise/internal/snap"
 )
 
 func TestLaunchRetireAgeOrder(t *testing.T) {
@@ -254,5 +255,49 @@ func TestNewSM(t *testing.T) {
 	s.BypassPC[3] = true
 	if !s.ShouldBypass(3) || s.ShouldBypass(2) {
 		t.Fatal("bypass filter wrong")
+	}
+}
+
+// TestSchedulerDecodeRejects: the age order of a restored scheduler
+// must be exactly its live slots, oldest first. Each of these decoded
+// with a nil error before, after which Retire left a stale entry and
+// PickOrWake's scan (which does not test Active) could pick a retired
+// slot.
+func TestSchedulerDecodeRejects(t *testing.T) {
+	live := func() *Scheduler {
+		s := NewScheduler(0, 4)
+		for i := int32(0); i < 3; i++ {
+			s.Launch(i, 0, i, 10)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Scheduler)
+	}{
+		{"a slot named twice", func(s *Scheduler) { s.ageOrder = []int{0, 1, 1} }},
+		{"a slot named twice, all live ones named", func(s *Scheduler) { s.ageOrder = []int{0, 1, 2, 1} }},
+		{"a live warp omitted", func(s *Scheduler) { s.ageOrder = []int{0, 2} }},
+		{"not in ascending Age", func(s *Scheduler) { s.ageOrder = []int{0, 2, 1} }},
+		{"two live warps of one Age", func(s *Scheduler) { s.Slots[2].Age = s.Slots[1].Age }},
+		{"a slot without a live warp", func(s *Scheduler) { s.ageOrder = []int{0, 1, 2, 3} }},
+		{"a slot the scheduler lacks", func(s *Scheduler) { s.ageOrder = []int{0, 1, 4} }},
+	} {
+		s := live()
+		tc.mutate(s)
+		w := snap.NewWriter()
+		s.EncodeState(w)
+		if err := NewScheduler(0, 4).DecodeState(snap.NewReader(w.Data())); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Untouched, and after the middle warp retired, the state restores.
+	s := live()
+	s.Retire(1)
+	w := snap.NewWriter()
+	s.EncodeState(w)
+	back := NewScheduler(0, 4)
+	if err := back.DecodeState(snap.NewReader(w.Data())); err != nil || back.ActiveWarps() != 2 || back.OldestActive() != 0 {
+		t.Fatalf("well-formed state: err %v, %d live warps", err, back.ActiveWarps())
 	}
 }
