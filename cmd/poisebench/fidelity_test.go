@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -52,8 +53,32 @@ func fig7Golden(t *testing.T) (rows []string, ipc map[string]map[string]float64)
 	return rows, ipc
 }
 
-// fig7ExpectedFail is the paper's Fig. 7 ordering claims this
-// reproduction fails at -sms 4, seed 0, each with why. The failing set
+// goldenNumber returns a number of the golden results file: the col-th
+// after the text of the first line starting with prefix or, when that
+// line is a section banner, on the section's H-Mean row.
+func goldenNumber(t *testing.T, prefix string, col int) float64 {
+	t.Helper()
+	data, err := os.ReadFile("testdata/run_all_sms4_seed0.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, found := strings.Cut("\n"+string(data), "\n"+prefix)
+	if strings.HasPrefix(prefix, "=====") {
+		_, rest, found = strings.Cut(rest, "\nH-Mean")
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	if cols := strings.Fields(line); found && col < len(cols) {
+		if v, err := strconv.ParseFloat(cols[col], 64); err == nil {
+			return v
+		}
+	}
+	t.Fatalf("no number %d after %q in the golden file", col, prefix)
+	return 0
+}
+
+// fig7ExpectedFail is the paper's claims (Fig. 7's orderings, and since
+// PR 24 the headline numbers of Fig. 11, 14 and 16) this reproduction
+// fails at -sms 4, seed 0, each with why. The failing set
 // must equal it: a claim that starts failing fails the test, and so
 // does one that starts holding until its entry is deleted, so the list
 // shrinks on purpose and never grows by accident.
@@ -63,12 +88,18 @@ var fig7ExpectedFail = map[string]string{
 	"Poise >= PCAL-SWL: H-Mean 1.074 < 1.352": "as for SWL: PCAL-SWL starts from the profiled SWL tuple, Poise from a prediction",
 	"Poise >= 0.95 x GTO on every workload: bfs 0.902, kmeans 0.785": "ROADMAP item 2(c): Static-Best is GTO on both, " +
 		"and the fallback guard needs two struck epochs, which is the whole kernel at this size",
+	"Fig. 14 mean Poise/GTO energy within 0.10 of 0.484: 0.920": "ROADMAP item 5: DRAM is a fixed latency plus one server per partition, so energy counts " +
+		"accesses, not row activations, and Poise's speedup over GTO (1.074, paper 1.466) is most of what the ratio can move by",
+	"Fig. 11 search helps: H-Mean at (2,4) 1.074 < 1.114 at (0,0)": "ROADMAP item 2(b): a probe costs TWarmup + TSearch cycles of a kernel that is " +
+		"one to three epochs long, and local search loses more in probes than it finds at every stride",
 }
 
 // TestFig7OrderingClaims evaluates the ordering claims of the paper's
 // Fig. 7 (Poise beats SWL and PCAL-SWL, no scheme beats the Static-Best
 // oracle, and, this repository's own floor, Poise loses at most 5 % to
-// GTO anywhere) on the golden results file CI diffs poisebench against.
+// GTO anywhere) and the headline numbers of Fig. 11 (search helps),
+// Fig. 14 (energy) and Fig. 16 (overhead on compute-intensive
+// workloads) on the golden results file CI diffs poisebench against.
 func TestFig7OrderingClaims(t *testing.T) {
 	rows, ipc := fig7Golden(t)
 	hmean := ipc["H-Mean"]
@@ -92,9 +123,20 @@ func TestFig7OrderingClaims(t *testing.T) {
 	if len(under) > 0 {
 		failing["Poise >= 0.95 x GTO on every workload: "+strings.Join(under, ", ")] = true
 	}
+	// The other figures' headline numbers, read from the same file.
+	if e := goldenNumber(t, "mean Poise/GTO energy: ", 0); math.Abs(e-experiments.Paper.EnergyRatio) > 0.10 {
+		failing[fmt.Sprintf("Fig. 14 mean Poise/GTO energy within 0.10 of %.3f: %.3f", experiments.Paper.EnergyRatio, e)] = true
+	}
+	if h := goldenNumber(t, "H-Mean Poise vs GTO: ", 0); math.Abs(h-experiments.Paper.ComputeHMean) > 0.02 {
+		failing[fmt.Sprintf("Fig. 16 compute H-Mean within 0.02 of %.3f: %.3f", experiments.Paper.ComputeHMean, h)] = true
+	}
+	// Fig. 11's columns are the strides (0,0) (1,1) (2,2) (2,4) (4,4).
+	if pure, searched := goldenNumber(t, "===== Fig. 11", 0), goldenNumber(t, "===== Fig. 11", 3); searched < pure {
+		failing[fmt.Sprintf("Fig. 11 search helps: H-Mean at (2,4) %.3f < %.3f at (0,0)", searched, pure)] = true
+	}
 	for claim := range failing {
 		if fig7ExpectedFail[claim] == "" {
-			t.Errorf("a Fig. 7 claim fails that is not on the expected-fail list: %s", claim)
+			t.Errorf("a claim fails that is not on the expected-fail list: %s", claim)
 		}
 	}
 	for claim, reason := range fig7ExpectedFail {

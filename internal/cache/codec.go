@@ -8,193 +8,178 @@ import (
 	"poise/internal/snap"
 )
 
-// Checkpoint codecs for the cache layer (internal/snap payload
-// fragments). Encode and Decode are asymmetric on purpose: geometry
-// (config, capacities) is never serialised — the restoring side builds
-// the cache from the same configuration and Decode verifies the sizes
-// line up — so a snapshot can only be restored onto a structurally
-// identical device, and the payload stays compact.
+// Checkpoint codecs for the cache layer, a snap.Walk per struct; the
+// two loops that carry most of a snapshot's bytes (cache lines, MSHR
+// entries with their waiters) are written out per direction inside it.
+// Geometry (config, capacities) is never serialised — the restoring side builds the cache
+// from the same configuration and the walk verifies the sizes line up —
+// so a snapshot can only be restored onto a structurally identical
+// device, and the payload stays compact.
 
 // maxWaiters bounds one MSHR entry's merged-waiter list on decode (a
 // waiter per warp slot of a large SM is well under this).
 const maxWaiters = 1 << 16
 
-// EncodeState serialises Stats.
-func (s *Stats) EncodeState(w *snap.Writer) {
-	w.Varint(s.Accesses)
-	w.Varint(s.Hits)
-	w.Varint(s.IntraWarpHits)
-	w.Varint(s.InterWarpHits)
-	w.Varint(s.PolluteAccesses)
-	w.Varint(s.PolluteHits)
-	w.Varint(s.NoPollAccesses)
-	w.Varint(s.NoPollHits)
-	w.Varint(s.Evictions)
-	w.Varint(s.Bypasses)
-	w.Varint(s.Fills)
+func (s *Stats) walk(k snap.Walk) {
+	k.Varint(&s.Accesses)
+	k.Varint(&s.Hits)
+	k.Varint(&s.IntraWarpHits)
+	k.Varint(&s.InterWarpHits)
+	k.Varint(&s.PolluteAccesses)
+	k.Varint(&s.PolluteHits)
+	k.Varint(&s.NoPollAccesses)
+	k.Varint(&s.NoPollHits)
+	k.Varint(&s.Evictions)
+	k.Varint(&s.Bypasses)
+	k.Varint(&s.Fills)
 }
+
+// EncodeState serialises Stats.
+func (s *Stats) EncodeState(w *snap.Writer) { s.walk(snap.Out(w)) }
 
 // DecodeState restores Stats written by EncodeState.
-func (s *Stats) DecodeState(r *snap.Reader) {
-	s.Accesses = r.Varint()
-	s.Hits = r.Varint()
-	s.IntraWarpHits = r.Varint()
-	s.InterWarpHits = r.Varint()
-	s.PolluteAccesses = r.Varint()
-	s.PolluteHits = r.Varint()
-	s.NoPollAccesses = r.Varint()
-	s.NoPollHits = r.Varint()
-	s.Evictions = r.Varint()
-	s.Bypasses = r.Varint()
-	s.Fills = r.Varint()
+func (s *Stats) DecodeState(r *snap.Reader) error { return snap.Restore(r, s.walk, nil) }
+
+// walk lists the cache's mutable state: every line, the LRU clock,
+// statistics, and the victim tag array when attached.
+func (c *Cache) walk(k snap.Walk) {
+	k.Fixed(len(c.sets), "cache: snapshot has %d lines, cache has %d")
+	if r := k.Reader(); r != nil {
+		for i := range c.sets {
+			l := &c.sets[i]
+			if !r.Bool() {
+				*l = line{}
+				continue
+			}
+			*l = line{valid: true, tag: r.Uvarint(), lastWarp: int32(r.Varint()), lastPC: int32(r.Varint()), lruTick: r.Uvarint()}
+		}
+	} else {
+		lw := *k.Writer() // the loop appends to a writer the compiler keeps in registers
+		for i := range c.sets {
+			l := &c.sets[i]
+			lw.Bool(l.valid)
+			if !l.valid {
+				continue // invalid lines carry no information
+			}
+			lw.Uvarint(l.tag)
+			lw.Varint(int64(l.lastWarp))
+			lw.Varint(int64(l.lastPC))
+			lw.Uvarint(l.lruTick)
+		}
+		*k.Writer() = lw
+	}
+	k.Uvarint(&c.tick)
+	c.Stats.walk(k)
+	attached := c.victim != nil
+	k.Bool(&attached)
+	if !attached {
+		c.victim = nil
+		return
+	}
+	if c.victim == nil {
+		c.victim = NewVictimTags(1, 1) // resized by its walk
+	}
+	c.victim.walk(k)
 }
 
-// EncodeState serialises the cache's mutable state: every line, the
-// LRU clock, statistics, and the victim tag array when attached.
-func (c *Cache) EncodeState(w *snap.Writer) {
-	w.Uvarint(uint64(len(c.sets)))
-	lw := *w // the loop appends to a writer the compiler keeps in registers
-	for i := range c.sets {
-		l := &c.sets[i]
-		lw.Bool(l.valid)
-		if !l.valid {
-			continue // invalid lines carry no information
-		}
-		lw.Uvarint(l.tag)
-		lw.Varint(int64(l.lastWarp))
-		lw.Varint(int64(l.lastPC))
-		lw.Uvarint(l.lruTick)
-	}
-	*w = lw
-	w.Uvarint(c.tick)
-	c.Stats.EncodeState(w)
-	if c.victim == nil {
-		w.Bool(false)
-	} else {
-		w.Bool(true)
-		c.victim.EncodeState(w)
-	}
-}
+// EncodeState serialises the cache.
+func (c *Cache) EncodeState(w *snap.Writer) { c.walk(snap.Out(w)) }
 
 // DecodeState restores state written by EncodeState onto a cache with
 // identical geometry.
 func (c *Cache) DecodeState(r *snap.Reader) error {
-	n := r.Uvarint()
-	if r.Err() == nil && n != uint64(len(c.sets)) {
-		return fmt.Errorf("cache: snapshot has %d lines, cache has %d", n, len(c.sets))
-	}
-	for i := range c.sets {
-		l := &c.sets[i]
-		if !r.Bool() {
-			*l = line{}
-			continue
-		}
-		l.valid = true
-		l.tag = r.Uvarint()
-		l.lastWarp = int32(r.Varint())
-		l.lastPC = int32(r.Varint())
-		l.lruTick = r.Uvarint()
-	}
-	c.tick = r.Uvarint()
-	c.Stats.DecodeState(r)
-	if r.Bool() {
-		if c.victim == nil {
-			c.victim = NewVictimTags(1, 1) // resized by DecodeState below
-		}
-		if err := c.victim.DecodeState(r); err != nil {
-			return err
-		}
-	} else {
-		c.victim = nil
-	}
-	return r.Err()
+	return snap.Restore(r, c.walk, func() error { return c.victim.restored() })
 }
 
-// EncodeState serialises the victim tag array.
-func (v *VictimTags) EncodeState(w *snap.Writer) {
-	w.Uvarint(uint64(v.perWarp))
-	w.Uvarint(uint64(len(v.tags)))
-	for i := range v.tags {
-		for _, t := range v.tags[i] {
-			w.Uvarint(t)
+// walk lists the victim tag array. A walk in resizes it to the
+// snapshot's geometry (the policy that attached it owns the sizing
+// decision, and it is part of the checkpointed policy state).
+func (v *VictimTags) walk(k snap.Walk) {
+	perWarp, warps := uint64(v.perWarp), uint64(len(v.tags))
+	k.Uvarint(&perWarp)
+	k.Uvarint(&warps)
+	if k.Reader() != nil {
+		if perWarp < 1 || perWarp > 1<<20 || warps < 1 || warps > 1<<20 {
+			k.Fail(fmt.Errorf("cache: implausible victim tag geometry %dx%d", warps, perWarp))
+			return
 		}
-		w.Varint(int64(v.next[i]))
-		w.Varint(v.lost[i])
-	}
-}
-
-// DecodeState restores a victim tag array, resizing to the snapshot's
-// geometry (the policy that attached it owns the sizing decision, and
-// it is part of the checkpointed policy state).
-func (v *VictimTags) DecodeState(r *snap.Reader) error {
-	perWarp := int(r.Uvarint())
-	warps := int(r.Uvarint())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if perWarp < 1 || perWarp > 1<<20 || warps < 1 || warps > 1<<20 {
-		return fmt.Errorf("cache: implausible victim tag geometry %dx%d", warps, perWarp)
-	}
-	if perWarp != v.perWarp || warps != len(v.tags) {
-		*v = *NewVictimTags(perWarp, warps)
+		if int(perWarp) != v.perWarp || int(warps) != len(v.tags) {
+			*v = *NewVictimTags(int(perWarp), int(warps))
+		}
 	}
 	for i := range v.tags {
 		for j := range v.tags[i] {
-			v.tags[i][j] = r.Uvarint()
+			k.Uvarint(&v.tags[i][j])
 		}
-		v.next[i] = int(r.Varint())
-		v.lost[i] = r.Varint()
-		if v.next[i] < 0 || v.next[i] >= perWarp {
-			return fmt.Errorf("cache: victim ring cursor %d out of range", v.next[i])
-		}
+		k.Int(&v.next[i])
+		k.Varint(&v.lost[i])
 	}
-	return r.Err()
 }
 
-// EncodeState serialises the MSHR file: live entries, sorted by line
-// address so the encoding does not depend on the order releases left
-// the packed array in, and the cumulative counters. The sort is done in
-// place (that order carries no meaning), and nearly always finds the
-// array as the last restore left it. The free pool is not serialised:
-// it only recycles allocations and has no behavioural effect.
-func (f *MSHRFile) EncodeState(w *snap.Writer) {
-	slices.SortFunc(f.ents, func(a, b *MSHR) int { return cmp.Compare(a.LineAddr, b.LineAddr) })
-	for i, m := range f.ents {
-		f.keys[i] = m.LineAddr
+// EncodeState serialises the victim tag array.
+func (v *VictimTags) EncodeState(w *snap.Writer) { v.walk(snap.Out(w)) }
+
+// DecodeState restores a victim tag array written by EncodeState.
+func (v *VictimTags) DecodeState(r *snap.Reader) error { return snap.Restore(r, v.walk, v.restored) }
+
+// restored checks the ring cursors NoteEviction indexes with (no array,
+// no cursors).
+func (v *VictimTags) restored() error {
+	if v == nil {
+		return nil
 	}
-	w.Uvarint(uint64(len(f.ents)))
-	for _, m := range f.ents {
-		w.Uvarint(m.LineAddr)
-		w.Varint(m.IssueCycle)
-		w.Bool(m.Pollute)
-		w.Varint(int64(m.Warp))
-		w.Varint(int64(m.PC))
-		w.Uvarint(uint64(len(m.Waiters)))
-		for _, wt := range m.Waiters {
-			w.Varint(int64(wt.Sched))
-			w.Varint(int64(wt.Slot))
-			w.Varint(wt.Token)
-			w.Varint(int64(wt.Warp))
+	for _, next := range v.next {
+		if next < 0 || next >= v.perWarp {
+			return fmt.Errorf("cache: victim ring cursor %d out of range", next)
 		}
 	}
-	w.Varint(f.Allocs)
-	w.Varint(f.Merges)
-	w.Varint(f.FullFails)
-	w.Varint(int64(f.PeakUsed))
+	return nil
 }
 
-// DecodeState restores an MSHR file written by EncodeState into the
-// entries the file already owns.
-func (f *MSHRFile) DecodeState(r *snap.Reader) error {
-	n := int(r.Uvarint())
-	if r.Err() != nil {
-		return r.Err()
+// walk lists the MSHR file: live entries, sorted by line address so the
+// encoding does not depend on the order releases left the packed array
+// in, and the cumulative counters. The sort is done in place (that
+// order carries no meaning), and nearly always finds the array as the
+// last restore left it; a walk in restores into the entries the file
+// already owns. The free pool is not serialised: it only recycles
+// allocations and has no behavioural effect.
+func (f *MSHRFile) walk(k snap.Walk) {
+	if w := k.Writer(); w != nil {
+		slices.SortFunc(f.ents, func(a, b *MSHR) int { return cmp.Compare(a.LineAddr, b.LineAddr) })
+		w.Uvarint(uint64(len(f.ents)))
+		for i, m := range f.ents {
+			f.keys[i] = m.LineAddr
+			w.Uvarint(m.LineAddr)
+			w.Varint(m.IssueCycle)
+			w.Bool(m.Pollute)
+			w.Varint(int64(m.Warp))
+			w.Varint(int64(m.PC))
+			w.Uvarint(uint64(len(m.Waiters)))
+			for _, wt := range m.Waiters {
+				w.Varint(int64(wt.Sched))
+				w.Varint(int64(wt.Slot))
+				w.Varint(wt.Token)
+				w.Varint(int64(wt.Warp))
+			}
+		}
+	} else {
+		f.decodeEntries(k)
 	}
-	if n > f.capacity {
-		return fmt.Errorf("cache: snapshot has %d MSHR entries, capacity %d", n, f.capacity)
+	k.Varint(&f.Allocs)
+	k.Varint(&f.Merges)
+	k.Varint(&f.FullFails)
+	k.Int(&f.PeakUsed)
+}
+
+func (f *MSHRFile) decodeEntries(k snap.Walk) {
+	r := k.Reader()
+	n := r.Uvarint()
+	if n > uint64(f.capacity) {
+		k.Fail(fmt.Errorf("cache: snapshot has %d MSHR entries, capacity %d", n, f.capacity))
+		return
 	}
 	f.Reset()
-	for i := 0; i < n; i++ {
+	for i := 0; i < int(n); i++ {
 		m := f.take()
 		*m = MSHR{LineAddr: r.Uvarint(), IssueCycle: r.Varint(), Pollute: r.Bool(),
 			Warp: int32(r.Varint()), PC: int32(r.Varint()), Waiters: m.Waiters[:0]}
@@ -203,23 +188,19 @@ func (f *MSHRFile) DecodeState(r *snap.Reader) error {
 		f.ents = append(f.ents, m)
 		nw := r.Count(maxWaiters)
 		for j := 0; j < nw; j++ {
-			m.Waiters = append(m.Waiters, Waiter{
-				Sched: int(r.Varint()),
-				Slot:  int(r.Varint()),
-				Token: r.Varint(),
-				Warp:  int32(r.Varint()),
-			})
+			m.Waiters = append(m.Waiters, Waiter{Sched: int(r.Varint()), Slot: int(r.Varint()), Token: r.Varint(), Warp: int32(r.Varint())})
+		}
+		if r.Err() == nil && slices.Contains(f.keys[:i], m.LineAddr) {
+			k.Fail(fmt.Errorf("cache: snapshot has two MSHR entries for line %#x", m.LineAddr))
 		}
 		if r.Err() != nil {
-			return r.Err()
-		}
-		if slices.Contains(f.keys[:i], m.LineAddr) {
-			return fmt.Errorf("cache: snapshot has two MSHR entries for line %#x", m.LineAddr)
+			return
 		}
 	}
-	f.Allocs = r.Varint()
-	f.Merges = r.Varint()
-	f.FullFails = r.Varint()
-	f.PeakUsed = int(r.Varint())
-	return r.Err()
 }
+
+// EncodeState serialises the MSHR file.
+func (f *MSHRFile) EncodeState(w *snap.Writer) { f.walk(snap.Out(w)) }
+
+// DecodeState restores an MSHR file written by EncodeState.
+func (f *MSHRFile) DecodeState(r *snap.Reader) error { return snap.Restore(r, f.walk, nil) }

@@ -1,36 +1,22 @@
 package dram
 
-import (
-	"fmt"
+import "poise/internal/snap"
 
-	"poise/internal/snap"
-)
-
-// EncodeState serialises the DRAM model's mutable state (partition
-// next-free cycles and statistics); timings come from the
-// configuration.
-func (d *DRAM) EncodeState(w *snap.Writer) {
-	w.Uvarint(uint64(len(d.partitions)))
-	for _, p := range d.partitions {
-		w.Varint(p)
+// walk lists the DRAM model's mutable state (partition next-free cycles
+// and statistics); timings come from the configuration.
+func (d *DRAM) walk(k snap.Walk) {
+	k.Fixed(len(d.partitions), "dram: snapshot has %d partitions, model has %d")
+	for i := range d.partitions {
+		k.Varint(&d.partitions[i])
 	}
-	w.Varint(d.Accesses)
-	w.Varint(d.QueueDelay)
-	w.Varint(d.BusyCycles)
+	k.Varint(&d.Accesses)
+	k.Varint(&d.QueueDelay)
+	k.Varint(&d.BusyCycles)
 }
+
+// EncodeState serialises the DRAM model.
+func (d *DRAM) EncodeState(w *snap.Writer) { d.walk(snap.Out(w)) }
 
 // DecodeState restores state written by EncodeState onto a DRAM model
 // with the same partition count.
-func (d *DRAM) DecodeState(r *snap.Reader) error {
-	n := r.Uvarint()
-	if r.Err() == nil && n != uint64(len(d.partitions)) {
-		return fmt.Errorf("dram: snapshot has %d partitions, model has %d", n, len(d.partitions))
-	}
-	for i := range d.partitions {
-		d.partitions[i] = r.Varint()
-	}
-	d.Accesses = r.Varint()
-	d.QueueDelay = r.Varint()
-	d.BusyCycles = r.Varint()
-	return r.Err()
-}
+func (d *DRAM) DecodeState(r *snap.Reader) error { return snap.Restore(r, d.walk, nil) }

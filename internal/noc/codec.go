@@ -1,37 +1,23 @@
 package noc
 
-import (
-	"fmt"
+import "poise/internal/snap"
 
-	"poise/internal/snap"
-)
-
-// EncodeState serialises the crossbar's mutable state (port next-free
-// cycles and statistics); latencies come from the configuration.
-func (x *Crossbar) EncodeState(w *snap.Writer) {
-	w.Uvarint(uint64(len(x.reqPorts)))
+// walk lists the crossbar's mutable state (port next-free cycles and
+// statistics); latencies come from the configuration.
+func (x *Crossbar) walk(k snap.Walk) {
+	k.Fixed(len(x.reqPorts), "noc: snapshot has %d ports, crossbar has %d")
 	for i := range x.reqPorts {
-		w.Varint(x.reqPorts[i])
-		w.Varint(x.respPorts[i])
+		k.Varint(&x.reqPorts[i])
+		k.Varint(&x.respPorts[i])
 	}
-	w.Varint(x.ReqFlits)
-	w.Varint(x.RespFlits)
-	w.Varint(x.QueueDelay)
+	k.Varint(&x.ReqFlits)
+	k.Varint(&x.RespFlits)
+	k.Varint(&x.QueueDelay)
 }
+
+// EncodeState serialises the crossbar.
+func (x *Crossbar) EncodeState(w *snap.Writer) { x.walk(snap.Out(w)) }
 
 // DecodeState restores state written by EncodeState onto a crossbar
 // with the same port count.
-func (x *Crossbar) DecodeState(r *snap.Reader) error {
-	n := r.Uvarint()
-	if r.Err() == nil && n != uint64(len(x.reqPorts)) {
-		return fmt.Errorf("noc: snapshot has %d ports, crossbar has %d", n, len(x.reqPorts))
-	}
-	for i := range x.reqPorts {
-		x.reqPorts[i] = r.Varint()
-		x.respPorts[i] = r.Varint()
-	}
-	x.ReqFlits = r.Varint()
-	x.RespFlits = r.Varint()
-	x.QueueDelay = r.Varint()
-	return r.Err()
-}
+func (x *Crossbar) DecodeState(r *snap.Reader) error { return snap.Restore(r, x.walk, nil) }

@@ -2,7 +2,6 @@ package poise
 
 import (
 	"fmt"
-	"sort"
 
 	"poise/internal/sim"
 	snapio "poise/internal/snap"
@@ -11,137 +10,76 @@ import (
 // Checkpoint codec for the Poise policy (sim.StatefulPolicy): the
 // per-SM HIE FSMs — phase, windows, search trajectory, fallback
 // strikes, displacement accounting — plus the kernel-level fallback
-// counter. Parameters and weights are construction-time inputs and do
-// not cross the wire. Map-backed search caches are written in sorted
-// key order so checkpoint bytes are deterministic across processes.
+// counter. Parameters
+// and weights are construction-time inputs and do not cross the wire.
+// Map-backed search caches are written in sorted key order so
+// checkpoint bytes are deterministic across processes.
 
 const (
 	maxEnginesState = 1 << 12
 	maxMeasured     = 1 << 12
 )
 
-func encodeWindow(w *snapio.Writer, win Window) {
-	w.Float64(win.HitRate)
-	w.Float64(win.IntraRate)
-	w.Float64(win.AML)
-	w.Float64(win.InstrPerLoad)
+func (win *Window) walk(k snapio.Walk) {
+	k.Float64(&win.HitRate)
+	k.Float64(&win.IntraRate)
+	k.Float64(&win.AML)
+	k.Float64(&win.InstrPerLoad)
 }
 
-func decodeWindow(r *snapio.Reader) Window {
-	return Window{
-		HitRate:      r.Float64(),
-		IntraRate:    r.Float64(),
-		AML:          r.Float64(),
-		InstrPerLoad: r.Float64(),
-	}
+func (s *snapshot) walk(k snapio.Walk) {
+	k.State(&s.l1)
+	k.State(&s.c)
 }
 
-func encodeSnapshot(w *snapio.Writer, s snapshot) {
-	s.l1.EncodeState(w)
-	s.c.EncodeState(w)
+func (e *hie) walk(k snapio.Walk) {
+	k.Int((*int)(&e.state))
+	k.Varint(&e.nextAt)
+	k.Varint(&e.epochEnd)
+	e.base.walk(k)
+	k.Float64(&e.baseIPC)
+	e.snapA.walk(k)
+	k.Int((*int)(&e.axis))
+	k.Int(&e.curN)
+	k.Int(&e.curP)
+	k.Int(&e.stride)
+	k.Int(&e.probe)
+	snapio.IntFloats(k, &e.measured, maxMeasured)
+	k.Int(&e.predN)
+	k.Int(&e.predP)
+	e.runSnap.walk(k)
+	k.Varint(&e.runStartAt)
+	k.Int(&e.runN)
+	k.Int(&e.runP)
+	k.Int(&e.strikes)
+	k.Bool(&e.checked)
+	k.Float64(&e.dispN)
+	k.Float64(&e.dispP)
+	k.Float64(&e.dispE)
+	k.Int(&e.decided)
 }
 
-func decodeSnapshot(r *snapio.Reader) snapshot {
-	var s snapshot
-	s.l1.DecodeState(r)
-	s.c.DecodeState(r)
-	return s
-}
-
-func (e *hie) encodeState(w *snapio.Writer) {
-	w.Varint(int64(e.state))
-	w.Varint(e.nextAt)
-	w.Varint(e.epochEnd)
-	encodeWindow(w, e.base)
-	w.Float64(e.baseIPC)
-	encodeSnapshot(w, e.snapA)
-	w.Varint(int64(e.axis))
-	w.Varint(int64(e.curN))
-	w.Varint(int64(e.curP))
-	w.Varint(int64(e.stride))
-	w.Varint(int64(e.probe))
-	keys := make([]int, 0, len(e.measured))
-	for k := range e.measured {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Varint(int64(k))
-		w.Float64(e.measured[k])
-	}
-	w.Varint(int64(e.predN))
-	w.Varint(int64(e.predP))
-	encodeSnapshot(w, e.runSnap)
-	w.Varint(e.runStartAt)
-	w.Varint(int64(e.runN))
-	w.Varint(int64(e.runP))
-	w.Varint(int64(e.strikes))
-	w.Bool(e.checked)
-	w.Float64(e.dispN)
-	w.Float64(e.dispP)
-	w.Float64(e.dispE)
-	w.Varint(int64(e.decided))
-}
-
-func (e *hie) decodeState(r *snapio.Reader) error {
-	e.state = hieState(r.Varint())
-	e.nextAt = r.Varint()
-	e.epochEnd = r.Varint()
-	e.base = decodeWindow(r)
-	e.baseIPC = r.Float64()
-	e.snapA = decodeSnapshot(r)
-	e.axis = searchAxis(r.Varint())
-	e.curN = int(r.Varint())
-	e.curP = int(r.Varint())
-	e.stride = int(r.Varint())
-	e.probe = int(r.Varint())
-	n := r.Count(maxMeasured)
-	e.measured = map[int]float64{}
-	for i := 0; i < n; i++ {
-		k := int(r.Varint())
-		e.measured[k] = r.Float64()
-	}
-	e.predN = int(r.Varint())
-	e.predP = int(r.Varint())
-	e.runSnap = decodeSnapshot(r)
-	e.runStartAt = r.Varint()
-	e.runN = int(r.Varint())
-	e.runP = int(r.Varint())
-	e.strikes = int(r.Varint())
-	e.checked = r.Bool()
-	e.dispN = r.Float64()
-	e.dispP = r.Float64()
-	e.dispE = r.Float64()
-	e.decided = int(r.Varint())
-	if r.Err() == nil && (e.state < stBaseWarm || e.state > stRun) {
-		return fmt.Errorf("poise: HIE state %d out of range", e.state)
-	}
-	return r.Err()
+func (p *Policy) walk(k snapio.Walk) {
+	k.Int(&p.maxN)
+	k.Int(&p.Fallbacks)
+	snapio.Slice(k, &p.engines, maxEnginesState, func(k snapio.Walk, e **hie) {
+		if *e == nil {
+			*e = &hie{}
+		}
+		(*e).walk(k)
+	})
 }
 
 // EncodePolicyState implements sim.StatefulPolicy.
-func (p *Policy) EncodePolicyState(w *snapio.Writer) {
-	w.Varint(int64(p.maxN))
-	w.Varint(int64(p.Fallbacks))
-	w.Uvarint(uint64(len(p.engines)))
-	for _, e := range p.engines {
-		e.encodeState(w)
-	}
-}
+func (p *Policy) EncodePolicyState(w *snapio.Writer) { p.walk(snapio.Out(w)) }
 
 // DecodePolicyState implements sim.StatefulPolicy.
 func (p *Policy) DecodePolicyState(r *snapio.Reader) error {
-	p.maxN = int(r.Varint())
-	p.Fallbacks = int(r.Varint())
-	n := r.Count(maxEnginesState)
-	p.engines = p.engines[:0]
-	for i := 0; i < n; i++ {
-		e := &hie{}
-		if err := e.decodeState(r); err != nil {
-			return err
+	p.walk(snapio.In(r))
+	for _, e := range p.engines {
+		if r.Err() == nil && (e.state < stBaseWarm || e.state > stRun) {
+			return fmt.Errorf("poise: HIE state %d out of range", e.state)
 		}
-		p.engines = append(p.engines, e)
 	}
 	return r.Err()
 }

@@ -422,9 +422,9 @@ func (p *Policy) searchNext(g *sim.GPU, e *hie, i int, now int64) {
 }
 
 // finishSearch pins the converged tuple for the rest of the epoch and
-// records displacement statistics. With the fallback guard enabled, a
-// converged tuple whose sampled IPC fell below the baseline window's
-// reverts to maximum warps for this epoch.
+// records displacement statistics. The fallback guard does not judge
+// the search's samples: it acts on the run phase (the interim check in
+// Step, then scoreRunPhase), which enterRun opens here.
 func (p *Policy) finishSearch(g *sim.GPU, e *hie, i int) {
 	if e.curP > e.curN {
 		e.curP = e.curN

@@ -2,20 +2,19 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"poise/internal/sim"
 	"poise/internal/snap"
 	"poise/internal/stats"
 )
 
-// Checkpoint codecs for the adaptive policies (sim.StatefulPolicy).
-// Only mutable trajectory state crosses the wire: the resuming side
-// rebuilds each policy with its original constructor parameters, and
-// the codec restores where in its decision process the policy was.
+// Checkpoint codecs for the adaptive policies (sim.StatefulPolicy), a
+// snap.Walk per policy. Only mutable trajectory state crosses the wire: the resuming
+// side rebuilds each policy with its original constructor parameters,
+// and the codec restores where in its decision process the policy was.
 // Deterministic encodings matter — the chaos tests compare checkpoint
 // bytes across processes — so map-backed state is written in sorted
-// key order.
+// key order (snap.IntFloats).
 
 const (
 	maxSMsState     = 1 << 12
@@ -23,189 +22,95 @@ const (
 	maxMeasureState = 1 << 12
 )
 
-// encodeIPCWindow serialises an in-flight measurement window.
-func encodeIPCWindow(w *snap.Writer, win ipcWindow) {
-	w.Varint(win.startCycle)
-	w.Uvarint(uint64(len(win.startInstr)))
-	for _, v := range win.startInstr {
-		w.Varint(v)
-	}
+// walk lists an in-flight measurement window.
+func (win *ipcWindow) walk(k snap.Walk) {
+	k.Varint(&win.startCycle)
+	snap.Slice(k, &win.startInstr, maxSMsState, snap.Walk.Varint)
 }
 
-func decodeIPCWindow(r *snap.Reader) (ipcWindow, error) {
-	var win ipcWindow
-	win.startCycle = r.Varint()
-	n := r.Count(maxSMsState)
-	for i := 0; i < n; i++ {
-		win.startInstr = append(win.startInstr, r.Varint())
-	}
-	return win, r.Err()
-}
-
-// encodeMeasured writes a probe-IPC cache in sorted key order.
-func encodeMeasured(w *snap.Writer, m map[int]float64) {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Varint(int64(k))
-		w.Float64(m[k])
-	}
-}
-
-func decodeMeasured(r *snap.Reader) (map[int]float64, error) {
-	n := r.Count(maxMeasureState)
-	m := map[int]float64{}
-	for i := 0; i < n; i++ {
-		k := int(r.Varint())
-		m[k] = r.Float64()
-	}
-	return m, r.Err()
+func (c *CCWS) walk(k snap.Walk) {
+	k.Int(&c.n)
+	k.Int(&c.maxN)
+	k.Varint(&c.nextAt)
 }
 
 // EncodePolicyState implements sim.StatefulPolicy.
-func (c *CCWS) EncodePolicyState(w *snap.Writer) {
-	w.Varint(int64(c.n))
-	w.Varint(int64(c.maxN))
-	w.Varint(c.nextAt)
-}
+func (c *CCWS) EncodePolicyState(w *snap.Writer) { c.walk(snap.Out(w)) }
 
 // DecodePolicyState implements sim.StatefulPolicy.
-func (c *CCWS) DecodePolicyState(r *snap.Reader) error {
-	c.n = int(r.Varint())
-	c.maxN = int(r.Varint())
-	c.nextAt = r.Varint()
-	return r.Err()
-}
+func (c *CCWS) DecodePolicyState(r *snap.Reader) error { return snap.Restore(r, c.walk, nil) }
 
-// EncodePolicyState implements sim.StatefulPolicy.
-func (a *APCM) EncodePolicyState(w *snap.Writer) {
-	w.Varint(a.nextAt)
-	w.Uvarint(uint64(len(a.prevLoads)))
+func (a *APCM) walk(k snap.Walk) {
+	k.Varint(&a.nextAt)
+	n := k.Count(len(a.prevLoads), maxSMsState)
+	if k.Reader() != nil {
+		a.prevLoads, a.prevHits = make([][]int64, n), make([][]int64, n)
+	}
 	for i := range a.prevLoads {
-		w.Uvarint(uint64(len(a.prevLoads[i])))
-		for pc := range a.prevLoads[i] {
-			w.Varint(a.prevLoads[i][pc])
-			w.Varint(a.prevHits[i][pc])
-		}
+		snap.Pairs(k, &a.prevLoads[i], &a.prevHits[i], maxPCsState)
 	}
-}
-
-// DecodePolicyState implements sim.StatefulPolicy.
-func (a *APCM) DecodePolicyState(r *snap.Reader) error {
-	a.nextAt = r.Varint()
-	n := r.Count(maxSMsState)
-	a.prevLoads = make([][]int64, n)
-	a.prevHits = make([][]int64, n)
-	for i := 0; i < n; i++ {
-		m := r.Count(maxPCsState)
-		a.prevLoads[i] = make([]int64, m)
-		a.prevHits[i] = make([]int64, m)
-		for pc := 0; pc < m; pc++ {
-			a.prevLoads[i][pc] = r.Varint()
-			a.prevHits[i][pc] = r.Varint()
-		}
-	}
-	return r.Err()
 }
 
 // EncodePolicyState implements sim.StatefulPolicy.
-func (p *PCALSWL) EncodePolicyState(w *snap.Writer) {
-	w.Varint(int64(p.state))
-	w.Varint(int64(p.n))
-	w.Varint(int64(p.p))
-	w.Varint(int64(p.maxN))
-	encodeIPCWindow(w, p.win)
-	w.Varint(p.nextAt)
-	w.Float64(p.curIPC)
-	w.Varint(int64(p.dir))
-	w.Uvarint(uint64(len(p.perSMp)))
-	for _, v := range p.perSMp {
-		w.Varint(int64(v))
-	}
-	w.Varint(p.epochAt)
+func (a *APCM) EncodePolicyState(w *snap.Writer) { a.walk(snap.Out(w)) }
+
+// DecodePolicyState implements sim.StatefulPolicy.
+func (a *APCM) DecodePolicyState(r *snap.Reader) error { return snap.Restore(r, a.walk, nil) }
+
+func (p *PCALSWL) walk(k snap.Walk) {
+	k.Int((*int)(&p.state))
+	k.Int(&p.n)
+	k.Int(&p.p)
+	k.Int(&p.maxN)
+	p.win.walk(k)
+	k.Varint(&p.nextAt)
+	k.Float64(&p.curIPC)
+	k.Int(&p.dir)
+	snap.Slice(k, &p.perSMp, maxSMsState, snap.Walk.Int)
+	k.Varint(&p.epochAt)
 }
+
+// EncodePolicyState implements sim.StatefulPolicy.
+func (p *PCALSWL) EncodePolicyState(w *snap.Writer) { p.walk(snap.Out(w)) }
 
 // DecodePolicyState implements sim.StatefulPolicy.
 func (p *PCALSWL) DecodePolicyState(r *snap.Reader) error {
-	p.state = pcalState(r.Varint())
-	p.n = int(r.Varint())
-	p.p = int(r.Varint())
-	p.maxN = int(r.Varint())
-	win, err := decodeIPCWindow(r)
-	if err != nil {
-		return err
-	}
-	p.win = win
-	p.nextAt = r.Varint()
-	p.curIPC = r.Float64()
-	p.dir = int(r.Varint())
-	n := r.Count(maxSMsState)
-	p.perSMp = p.perSMp[:0]
-	for i := 0; i < n; i++ {
-		p.perSMp = append(p.perSMp, int(r.Varint()))
-	}
-	p.epochAt = r.Varint()
-	if r.Err() == nil && (p.state < pcalWarm || p.state > pcalRun) {
+	if p.walk(snap.In(r)); r.Err() == nil && (p.state < pcalWarm || p.state > pcalRun) {
 		return fmt.Errorf("sched: PCAL state %d out of range", p.state)
 	}
 	return r.Err()
 }
 
-// EncodePolicyState implements sim.StatefulPolicy.
-func (r *RandomRestart) EncodePolicyState(w *snap.Writer) {
-	s := r.rng.State()
-	for _, v := range s {
-		w.Uvarint(v)
-	}
-	w.Varint(int64(r.maxN))
-	w.Varint(int64(r.n))
-	w.Varint(int64(r.p))
-	w.Bool(r.axisN)
-	w.Varint(int64(r.stride))
-	encodeMeasured(w, r.measured)
-	w.Varint(int64(r.probe))
-	encodeIPCWindow(w, r.win)
-	w.Varint(int64(r.state))
-	w.Varint(r.nextAt)
-	w.Varint(r.epochEnd)
-}
-
-// DecodePolicyState implements sim.StatefulPolicy.
-func (r *RandomRestart) DecodePolicyState(rd *snap.Reader) error {
-	var s [4]uint64
-	for i := range s {
-		s[i] = rd.Uvarint()
-	}
+func (r *RandomRestart) walk(k snap.Walk) {
 	if r.rng == nil {
 		// KernelStart has not run in this process; the seed mix is
 		// irrelevant because SetState overwrites it.
 		r.rng = stats.NewRNG(0)
 	}
+	s := r.rng.State()
+	for i := range s {
+		k.Uvarint(&s[i])
+	}
 	r.rng.SetState(s)
-	r.maxN = int(rd.Varint())
-	r.n = int(rd.Varint())
-	r.p = int(rd.Varint())
-	r.axisN = rd.Bool()
-	r.stride = int(rd.Varint())
-	m, err := decodeMeasured(rd)
-	if err != nil {
-		return err
-	}
-	r.measured = m
-	r.probe = int(rd.Varint())
-	win, err := decodeIPCWindow(rd)
-	if err != nil {
-		return err
-	}
-	r.win = win
-	r.state = rrState(rd.Varint())
-	r.nextAt = rd.Varint()
-	r.epochEnd = rd.Varint()
-	if rd.Err() == nil && (r.state < rrProbeWarm || r.state > rrRun) {
+	k.Int(&r.maxN)
+	k.Int(&r.n)
+	k.Int(&r.p)
+	k.Bool(&r.axisN)
+	k.Int(&r.stride)
+	snap.IntFloats(k, &r.measured, maxMeasureState)
+	k.Int(&r.probe)
+	r.win.walk(k)
+	k.Int((*int)(&r.state))
+	k.Varint(&r.nextAt)
+	k.Varint(&r.epochEnd)
+}
+
+// EncodePolicyState implements sim.StatefulPolicy.
+func (r *RandomRestart) EncodePolicyState(w *snap.Writer) { r.walk(snap.Out(w)) }
+
+// DecodePolicyState implements sim.StatefulPolicy.
+func (r *RandomRestart) DecodePolicyState(rd *snap.Reader) error {
+	if r.walk(snap.In(rd)); rd.Err() == nil && (r.state < rrProbeWarm || r.state > rrRun) {
 		return fmt.Errorf("sched: random-restart state %d out of range", r.state)
 	}
 	return rd.Err()

@@ -187,7 +187,7 @@ func TestIssueBurstsMatchDense(t *testing.T) {
 			}
 			// A cycle cap inside the kernel: the error path must keep what
 			// the dense engine had issued by then.
-			for _, opts := range []sim.RunOptions{{}, {MaxCycles: 37}, {MaxInstructions: 200}} {
+			for _, opts := range []sim.RunOptions{{}, {MaxCycles: 37}} {
 				for pname, mk := range policies {
 					dRes, dTally, dErr := run(sim.EngineDense, mk, opts)
 					rRes, rTally, rErr := run(sim.EngineReady, mk, opts)

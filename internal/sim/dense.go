@@ -35,9 +35,6 @@ func (g *GPU) runDense(k *trace.Kernel, p Policy, opts RunOptions, policyNext in
 		if g.now >= opts.MaxCycles {
 			return KernelResult{}, fmt.Errorf("sim: kernel %s exceeded %d cycles", k.Name, opts.MaxCycles)
 		}
-		if opts.MaxInstructions > 0 && g.totalInstructions() >= opts.MaxInstructions {
-			break
-		}
 
 		if anyIssued {
 			g.now++

@@ -153,8 +153,10 @@ func (m *RunMemo) Len() int { return m.runs.Len() }
 // (tracing changes the result's TupleLog, never its numbers).
 func chainRoot(cfg config.Config, opts RunOptions, tracing bool) string {
 	d := sha256.New()
-	fmt.Fprintf(d, "poise-prefix-v%d|%+v|%d|%d|%d|%v", simStateVersion,
-		cfg, opts.MaxCycles, opts.MaxInstructions, opts.Engine, tracing)
+	// The literal 0 stands where an instruction cap was an option, so
+	// that memo and snapshot-tier keys stay what they were.
+	fmt.Fprintf(d, "poise-prefix-v%d|%+v|%d|0|%d|%v", simStateVersion,
+		cfg, opts.MaxCycles, opts.Engine, tracing)
 	return hex.EncodeToString(d.Sum(nil))
 }
 
@@ -212,7 +214,7 @@ func (res WorkloadResult) labelled(w *Workload, p Policy) WorkloadResult {
 func (g *GPU) boundarySnapshot(key string, w *Workload, i int, agg *workloadAgg) *snap.Snapshot {
 	wr := snap.NewWriter()
 	wr.Bytes(agg.encode())
-	g.encodeState(wr, false)
+	g.walk(snap.Out(wr), false)
 	return &snap.Snapshot{
 		Kind:        snap.KindBoundary,
 		Key:         key,
@@ -235,11 +237,9 @@ func (g *GPU) restoreBoundary(sn *snap.Snapshot) (*workloadAgg, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	running, err := g.decodeState(r)
-	if err != nil {
-		return nil, err
-	}
-	if running {
+	if running := g.walk(snap.In(r), false); r.Err() != nil {
+		return nil, r.Err()
+	} else if running {
 		return nil, errors.New("sim: boundary snapshot contains a running kernel")
 	}
 	if r.Len() != 0 {

@@ -399,7 +399,7 @@ func TestRunMemoForgetsFailures(t *testing.T) {
 }
 
 // TestRunMemoKeysSeparateRunOptions: runs that differ in anything that
-// shapes a simulation — cycle or instruction budget, engine, tuple
+// shapes a simulation — cycle budget, engine, tuple
 // tracing, configuration, tuple — never share an entry; runs that
 // differ only in how the same tuple is spelled do.
 func TestRunMemoKeysSeparateRunOptions(t *testing.T) {
@@ -437,15 +437,14 @@ func TestRunMemoKeysSeparateRunOptions(t *testing.T) {
 	}
 	ask("plain", cfg, sim.GTO{}, sim.RunOptions{}, false, 1)
 	ask("MaxCycles", cfg, sim.GTO{}, sim.RunOptions{MaxCycles: 1 << 30}, false, 2)
-	ask("MaxInstructions", cfg, sim.GTO{}, sim.RunOptions{MaxInstructions: 900}, false, 3)
-	ask("Engine", cfg, sim.GTO{}, sim.RunOptions{Engine: sim.EngineDense}, false, 4)
-	ask("TraceTuples", cfg, sim.GTO{}, sim.RunOptions{}, true, 5)
-	ask("Pbest config", big, sim.GTO{}, sim.RunOptions{}, false, 6)
-	ask("tuple", cfg, sim.Fixed{N: 2, P: 1}, sim.RunOptions{}, false, 7)
+	ask("Engine", cfg, sim.GTO{}, sim.RunOptions{Engine: sim.EngineDense}, false, 3)
+	ask("TraceTuples", cfg, sim.GTO{}, sim.RunOptions{}, true, 4)
+	ask("Pbest config", big, sim.GTO{}, sim.RunOptions{}, false, 5)
+	ask("tuple", cfg, sim.Fixed{N: 2, P: 1}, sim.RunOptions{}, false, 6)
 	// The same tuples by other names: no new entry.
-	ask("Fixed{} == GTO", cfg, sim.Fixed{}, sim.RunOptions{}, false, 7)
-	ask("clamped", cfg, sim.Fixed{N: 2, P: -3, PolicyName: "x"}, sim.RunOptions{}, false, 8) // p <= 0 means p = N
-	ask("p > N clamps", cfg, sim.Fixed{N: 2, P: 9}, sim.RunOptions{}, false, 8)
+	ask("Fixed{} == GTO", cfg, sim.Fixed{}, sim.RunOptions{}, false, 6)
+	ask("clamped", cfg, sim.Fixed{N: 2, P: -3, PolicyName: "x"}, sim.RunOptions{}, false, 7) // p <= 0 means p = N
+	ask("p > N clamps", cfg, sim.Fixed{N: 2, P: 9}, sim.RunOptions{}, false, 7)
 }
 
 // TestRunMemoIsBounded: past its cap the memo forgets oldest first and

@@ -406,13 +406,9 @@ func (g *GPU) flushAllSpans(uptoV int64) {
 	}
 }
 
-// buildRuns fills aluRun for a run that may burst. A run with an
-// instruction cap does not: totalInstructions is read every visit and
-// must not see issues applied ahead of the cycle.
-func (rq *readyQueue) buildRuns(body []trace.Instr, opts RunOptions) {
-	if opts.MaxInstructions > 0 {
-		return
-	}
+// buildRuns fills aluRun: how far a burst may run from each body
+// position.
+func (rq *readyQueue) buildRuns(body []trace.Instr) {
 	rq.aluRun = append(rq.aluRun, make([]uint8, len(body))...)
 	for i := len(body) - 2; i >= 0; i-- {
 		if body[i].Kind == trace.OpALU && !body[i].DepALU {
@@ -566,7 +562,7 @@ func (rq *readyQueue) start(g *GPU, visits int64) {
 func (g *GPU) runReady(k *trace.Kernel, p Policy, opts RunOptions, policyNext int64) (KernelResult, error) {
 	rq := &g.rq
 	rq.start(g, 0)
-	rq.buildRuns(k.Body, opts)
+	rq.buildRuns(k.Body)
 	defer rq.deactivate()
 	return g.readyLoop(k, p, opts, policyNext)
 }
@@ -624,9 +620,6 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 			// After the scan: every burst keeps its issue of this cycle.
 			g.settleBursts(g.now + 1)
 			return KernelResult{}, fmt.Errorf("sim: kernel %s exceeded %d cycles", k.Name, opts.MaxCycles)
-		}
-		if opts.MaxInstructions > 0 && g.totalInstructions() >= opts.MaxInstructions {
-			break
 		}
 
 		if anyIssued {

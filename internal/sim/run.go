@@ -28,10 +28,6 @@ type RunOptions struct {
 	// MaxCycles aborts a kernel that exceeds this many cycles (safety
 	// net; 0 means the default of 500M).
 	MaxCycles int64
-	// MaxInstructions stops the kernel early once the GPU has issued
-	// this many instructions (mirrors the paper's 4-billion-instruction
-	// cap; 0 = unlimited).
-	MaxInstructions int64
 	// Warm keeps L2 contents from the previous kernel of a workload.
 	Warm bool
 	// Engine picks the cycle-loop implementation (default EngineReady).
@@ -182,14 +178,6 @@ func (g *GPU) deliverDue() {
 // a clock marker asks the loop to visit, or Never.
 func (g *GPU) nextEventCycle() int64 {
 	return min(g.events.next(), g.wakes.next(g.now))
-}
-
-func (g *GPU) totalInstructions() int64 {
-	var t int64
-	for _, s := range g.SMs {
-		t += s.C.Instructions
-	}
-	return t
 }
 
 // collect gathers the result after a kernel drains.

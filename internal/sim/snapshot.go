@@ -12,18 +12,20 @@ import (
 // engine state — SMs (schedulers, warps, scoreboards, L1 + victim
 // tags, MSHRs, replay queues, PC tables), the L2 banks, NoC and DRAM
 // servers, the fill rings and wake ring, the visit counter and the
-// parked policy activation — into a snap payload. Restore-then-finish is proven
-// bit-identical to uninterrupted runs (results, per-scheduler
+// parked policy activation — into a snap payload. Restore-then-finish
+// is proven bit-identical to uninterrupted runs (results, per-scheduler
 // counters and tuple logs) by TestSnapshotRestoreIdentity across the
 // catalogue workloads and every scheme class.
 //
 // The ready queue itself is deliberately not serialised: an interrupt
 // settles all blocked-cycle spans and issue bursts first, after which
 // the queue's classification is a pure function of the wake hints the
-// schedulers carry — readyQueue.start rebuilds it. The warps' cached scoreboard answers
-// are derived state too (sm.Warp.decodeState rebuilds them from the
-// decoded loads). Keeping derived state out of the payload keeps the
-// format small and removes a whole class of restore-inconsistency bugs.
+// schedulers carry — readyQueue.start rebuilds it. The warps' cached
+// scoreboard answers are derived state too (sm.Scheduler's restore
+// rebuilds them from the decoded loads). Keeping derived state out of
+// the payload keeps the format small and removes a whole class of
+// restore-inconsistency bugs; stateFields (fields_test.go) names every
+// such field, and a test fails on one it does not name.
 
 // simStateVersion versions the GPU state payload inside a poisesnap
 // container (the container has its own version for the envelope).
@@ -49,37 +51,66 @@ type StatefulPolicy interface {
 	DecodePolicyState(r *snap.Reader) error
 }
 
-// encodeState serialises the GPU. With running=true the in-flight
-// kernel's loop state (fills and markers, launch cursors, visit counter,
-// parked policy activation, tuple log) is included; kernel-boundary
-// snapshots omit it because Run re-initialises all of it per kernel.
-func (g *GPU) encodeState(w *snap.Writer, running bool) {
-	w.Uvarint(simStateVersion)
-	w.Varint(g.now)
-	w.Varint(g.L2Accesses)
-	w.Varint(g.L2Hits)
-	w.Uvarint(uint64(len(g.banks)))
+// walk lists the GPU's wire fields. With running the in-flight kernel's
+// loop state (fills and markers, launch cursors, visit counter, parked
+// policy activation, tuple log) follows the machine state;
+// kernel-boundary snapshots omit it because Run re-initialises all of
+// it per kernel. A walk in takes running from the payload, onto a GPU
+// built from the same configuration; either way walk returns it.
+func (g *GPU) walk(k snap.Walk, running bool) bool {
+	v := uint64(simStateVersion)
+	if k.Uvarint(&v); v != simStateVersion {
+		k.Fail(fmt.Errorf("sim: unsupported state version %d (have %d)", v, simStateVersion))
+	}
+	k.Varint(&g.now)
+	k.Varint(&g.L2Accesses)
+	k.Varint(&g.L2Hits)
+	k.Fixed(len(g.banks), "sim: snapshot has %d L2 banks, GPU has %d")
 	for i := range g.banks {
-		w.Varint(g.banks[i].nextFree)
-		g.banks[i].c.EncodeState(w)
+		k.Varint(&g.banks[i].nextFree)
+		k.State(g.banks[i].c)
 	}
-	g.NoC.EncodeState(w)
-	g.DRAM.EncodeState(w)
-	w.Uvarint(uint64(len(g.SMs)))
+	k.State(g.NoC)
+	k.State(g.DRAM)
+	k.Fixed(len(g.SMs), "sim: snapshot has %d SMs, GPU has %d")
 	for _, s := range g.SMs {
-		s.EncodeState(w)
+		k.State(s)
 	}
-	w.Bool(running)
-	if !running {
-		return
+	if k.Bool(&running); !running {
+		return false
 	}
-	w.String(g.kernel.Name)
-	w.Varint(int64(g.bodyLen))
-	w.Varint(int64(g.nextBlk))
-	w.Varint(int64(g.doneWarp))
-	w.Varint(int64(g.total))
-	// One event list on the wire: the fills SM-major, oldest first,
-	// then the ring's clock markers.
+	if k.Reader() != nil {
+		// The kernel pointer cannot be serialised (it holds pattern
+		// closures); the caller must hand the same kernel to ResumeKernel,
+		// which checks it against the name stashed here.
+		g.kernel = &trace.Kernel{}
+	}
+	k.String(&g.kernel.Name, maxNameSnap)
+	k.Int(&g.bodyLen)
+	k.Int(&g.nextBlk)
+	k.Int(&g.doneWarp)
+	k.Int(&g.total)
+	if k.Reader() != nil {
+		g.decodeEvents(k)
+	} else {
+		g.encodeEvents(k.Writer())
+	}
+	k.Varint(&g.rq.visits)
+	k.Varint(&g.policyNext)
+	k.Bool(&g.TraceTuples)
+	snap.Slice(k, &g.TupleLog, maxTupleLogSnap, func(k snap.Walk, ev *TupleEvent) {
+		k.Varint(&ev.Cycle)
+		k.Int(&ev.SM)
+		k.Int(&ev.N)
+		k.Int(&ev.P)
+		k.Bool(&ev.Predicted)
+	})
+	return true
+}
+
+// encodeEvents writes one event list: the fills SM-major, oldest first,
+// then the ring's clock markers.
+func (g *GPU) encodeEvents(w *snap.Writer) {
 	q := &g.events
 	w.Uvarint(uint64(q.len() + g.wakes.marked))
 	for sm, n := range q.count {
@@ -99,61 +130,12 @@ func (g *GPU) encodeState(w *snap.Writer, running bool) {
 			w.Uvarint(0)
 		}
 	}
-	w.Varint(g.rq.visits)
-	w.Varint(g.policyNext)
-	w.Bool(g.TraceTuples)
-	w.Uvarint(uint64(len(g.TupleLog)))
-	for _, ev := range g.TupleLog {
-		w.Varint(ev.Cycle)
-		w.Varint(int64(ev.SM))
-		w.Varint(int64(ev.N))
-		w.Varint(int64(ev.P))
-		w.Bool(ev.Predicted)
-	}
 }
 
-// decodeState restores state written by encodeState onto a GPU built
-// from the same configuration. It reports whether the snapshot was of
-// a running kernel.
-func (g *GPU) decodeState(r *snap.Reader) (running bool, err error) {
-	if v := r.Uvarint(); r.Err() == nil && v != simStateVersion {
-		return false, fmt.Errorf("sim: unsupported state version %d (have %d)", v, simStateVersion)
-	}
-	g.now = r.Varint()
-	g.L2Accesses = r.Varint()
-	g.L2Hits = r.Varint()
-	if n := r.Uvarint(); r.Err() == nil && n != uint64(len(g.banks)) {
-		return false, fmt.Errorf("sim: snapshot has %d L2 banks, GPU has %d", n, len(g.banks))
-	}
-	for i := range g.banks {
-		g.banks[i].nextFree = r.Varint()
-		if err := g.banks[i].c.DecodeState(r); err != nil {
-			return false, err
-		}
-	}
-	if err := g.NoC.DecodeState(r); err != nil {
-		return false, err
-	}
-	if err := g.DRAM.DecodeState(r); err != nil {
-		return false, err
-	}
-	if n := r.Uvarint(); r.Err() == nil && n != uint64(len(g.SMs)) {
-		return false, fmt.Errorf("sim: snapshot has %d SMs, GPU has %d", n, len(g.SMs))
-	}
-	for _, s := range g.SMs {
-		if err := s.DecodeState(r); err != nil {
-			return false, err
-		}
-	}
-	running = r.Bool()
-	if r.Err() != nil || !running {
-		return running, r.Err()
-	}
-	name := r.LimitedString(maxNameSnap)
-	g.bodyLen = int(r.Varint())
-	g.nextBlk = int(r.Varint())
-	g.doneWarp = int(r.Varint())
-	g.total = int(r.Varint())
+// decodeEvents sorts a payload's event list into the fill rings and the
+// wake ring.
+func (g *GPU) decodeEvents(k snap.Walk) {
+	r := k.Reader()
 	ne := r.Count(maxEventsSnap)
 	g.events.reset()
 	g.wakes.reset()
@@ -161,92 +143,63 @@ func (g *GPU) decodeState(r *snap.Reader) (running bool, err error) {
 		cycle, kind := r.Varint(), eventKind(r.Uvarint())
 		e := event{cycle: cycle, sm: int32(r.Varint()), line: r.Uvarint()}
 		if r.Err() != nil {
-			break
+			return
 		}
 		switch kind {
 		case evWake:
 			// Containers written before the ring existed carry their
 			// clock markers as heap events, in any order.
 			if cycle < g.now || cycle > g.now+g.wakes.horizon {
-				return true, fmt.Errorf("sim: clock marker at cycle %d outside [%d, %d]",
-					cycle, g.now, g.now+g.wakes.horizon)
+				k.Fail(fmt.Errorf("sim: clock marker at cycle %d outside [%d, %d]",
+					cycle, g.now, g.now+g.wakes.horizon))
+				return
 			}
 			g.wakes.mark(cycle)
 		case evFill:
 			// Containers written while fills sat in one heap list them
 			// in heap-array order; insert sorts each SM's as they come.
 			if e.sm < 0 || int(e.sm) >= len(g.SMs) {
-				return true, fmt.Errorf("sim: fill for SM %d of %d", e.sm, len(g.SMs))
+				k.Fail(fmt.Errorf("sim: fill for SM %d of %d", e.sm, len(g.SMs)))
+				return
 			}
 			// Every fill in flight holds an MSHR entry; that is what
 			// keeps an SM's ring from overflowing, now and on later pushes.
 			if used := g.SMs[e.sm].MSHR.Used(); int(g.events.count[e.sm]) >= used {
-				return true, fmt.Errorf("sim: SM %d has more fills in flight than its %d live MSHR entries", e.sm, used)
+				k.Fail(fmt.Errorf("sim: SM %d has more fills in flight than its %d live MSHR entries", e.sm, used))
+				return
 			}
 			g.events.insert(e)
 		default:
-			return true, fmt.Errorf("sim: unknown event kind %d", kind)
+			k.Fail(fmt.Errorf("sim: unknown event kind %d", kind))
+			return
 		}
 	}
-	g.rq.visits = r.Varint()
-	g.policyNext = r.Varint()
-	g.TraceTuples = r.Bool()
-	nt := r.Count(maxTupleLogSnap)
-	g.TupleLog = g.TupleLog[:0]
-	for i := 0; i < nt; i++ {
-		g.TupleLog = append(g.TupleLog, TupleEvent{
-			Cycle:     r.Varint(),
-			SM:        int(r.Varint()),
-			N:         int(r.Varint()),
-			P:         int(r.Varint()),
-			Predicted: r.Bool(),
-		})
-	}
-	if r.Err() != nil {
-		return true, r.Err()
-	}
-	// The kernel pointer cannot be serialised (it holds pattern
-	// closures); the caller must hand the same kernel to ResumeKernel.
-	// Stash its name for the identity check there.
-	g.kernel = &trace.Kernel{Name: name}
-	return true, nil
 }
 
-// encodePolicy appends the policy identity and, for stateful policies,
-// their mutable state.
-func encodePolicy(w *snap.Writer, p Policy) {
-	name := ""
-	if p != nil {
-		name = p.Name()
-	}
-	w.String(name)
-	if sp, ok := p.(StatefulPolicy); ok {
-		w.Bool(true)
-		sp.EncodePolicyState(w)
-	} else {
-		w.Bool(false)
-	}
-}
-
-// decodePolicy checks the snapshot was taken under an identically
-// named policy and restores its state.
-func decodePolicy(r *snap.Reader, p Policy) error {
-	name := r.LimitedString(maxNameSnap)
+// walkPolicy lists the policy identity and, for stateful policies,
+// their mutable state. A walk in checks the snapshot was taken under an
+// identically named policy.
+func walkPolicy(k snap.Walk, p Policy) {
 	want := ""
 	if p != nil {
 		want = p.Name()
 	}
-	if r.Err() == nil && name != want {
-		return fmt.Errorf("sim: snapshot was taken under policy %q, resuming with %q", name, want)
+	name := want
+	if k.String(&name, maxNameSnap); name != want {
+		k.Fail(fmt.Errorf("sim: snapshot was taken under policy %q, resuming with %q", name, want))
 	}
-	if r.Bool() {
-		sp, ok := p.(StatefulPolicy)
-		if !ok {
-			return fmt.Errorf("sim: snapshot carries state for policy %q but it is not restorable", want)
-		}
-		return sp.DecodePolicyState(r)
+	sp, ok := p.(StatefulPolicy)
+	stateful := ok
+	k.Bool(&stateful)
+	switch {
+	case !stateful:
+	case !ok:
+		k.Fail(fmt.Errorf("sim: snapshot carries state for policy %q but it is not restorable", want))
+	case k.Reader() != nil:
+		k.Fail(sp.DecodePolicyState(k.Reader()))
+	default:
+		sp.EncodePolicyState(k.Writer())
 	}
-	return r.Err()
 }
 
 // SnapshotKernel captures the GPU mid-kernel, immediately after Run
@@ -261,8 +214,8 @@ func (g *GPU) SnapshotKernel(p Policy) ([]byte, error) {
 	// next, so the last one seen (restored or written) sizes the buffer;
 	// the first snapshot of a run grows it by doubling.
 	w := snap.NewWriterSize(max(256, g.stateSize+g.stateSize/8))
-	g.encodeState(w, true)
-	encodePolicy(w, p)
+	g.walk(snap.Out(w), true)
+	walkPolicy(snap.Out(w), p)
 	g.stateSize = len(w.Data())
 	return w.Data(), nil
 }
@@ -286,9 +239,9 @@ func (g *GPU) ResumeKernel(k *trace.Kernel, p Policy, opts RunOptions, state []b
 		opts.MaxCycles = 500_000_000
 	}
 	r := snap.NewReader(state)
-	running, err := g.decodeState(r)
-	if err != nil {
-		return KernelResult{}, err
+	running := g.walk(snap.In(r), false)
+	if r.Err() != nil {
+		return KernelResult{}, r.Err()
 	}
 	g.stateSize = len(state)
 	if !running {
@@ -297,8 +250,8 @@ func (g *GPU) ResumeKernel(k *trace.Kernel, p Policy, opts RunOptions, state []b
 	if g.kernel.Name != k.Name {
 		return KernelResult{}, fmt.Errorf("sim: snapshot is of kernel %q, not %q", g.kernel.Name, k.Name)
 	}
-	if err := decodePolicy(r, p); err != nil {
-		return KernelResult{}, err
+	if walkPolicy(snap.In(r), p); r.Err() != nil {
+		return KernelResult{}, r.Err()
 	}
 	if r.Len() != 0 {
 		return KernelResult{}, fmt.Errorf("sim: %d trailing bytes in kernel state", r.Len())
@@ -315,7 +268,7 @@ func (g *GPU) ResumeKernel(k *trace.Kernel, p Policy, opts RunOptions, state []b
 	g.kernel = k
 	visits := g.rq.visits
 	g.rq.start(g, visits)
-	g.rq.buildRuns(k.Body, opts)
+	g.rq.buildRuns(k.Body)
 	defer g.rq.deactivate()
 	return g.readyLoop(k, p, opts, g.policyNext)
 }

@@ -141,9 +141,9 @@ func (s *SM) ActiveWarps() int {
 
 // PrepareKernel resets per-kernel state (PC tables sized to the body,
 // MSHRs, L1 contents) before a kernel launch. Warps still live here
-// belong to a kernel that was cut short (RunOptions.MaxInstructions, an
-// error, an abandoned interrupt) and are dropped, so the next kernel
-// finds the slots free; a kernel that drained leaves none.
+// belong to a kernel that was cut short (an error, an abandoned
+// interrupt) and are dropped, so the next kernel finds the slots free; a
+// kernel that drained leaves none.
 func (s *SM) PrepareKernel(bodyLen int) {
 	s.PCLoads = make([]int64, bodyLen)
 	s.PCHits = make([]int64, bodyLen)

@@ -3,6 +3,8 @@ package snap_test
 import (
 	"bytes"
 	"compress/gzip"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"poise/internal/sim"
@@ -52,6 +54,20 @@ func FuzzSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(ckpt)
+
+	// Running-kernel containers the parent of PR 24 wrote, one per policy
+	// codec (internal/sim/golden_test.go).
+	golden, err := filepath.Glob("../sim/testdata/pr23_*.poisesnap.gz")
+	if err != nil || len(golden) != 5 {
+		f.Fatalf("golden kernel states: %v, err %v", golden, err)
+	}
+	for _, path := range golden {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = bytes.Clone(data)     // the engine's bytes are not ours to overwrite
