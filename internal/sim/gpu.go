@@ -244,14 +244,18 @@ func (g *GPU) bankFor(lineAddr uint64) *l2Bank {
 	return &g.banks[h%uint64(len(g.banks))]
 }
 
-// resetMemSide drains timing servers and per-kernel aggregate stats.
-func (g *GPU) resetMemSide() {
+// resetMemSide drains the timing servers and zeroes the per-kernel
+// aggregate stats; warm keeps the L2 banks' tags (and their own
+// statistics) from the previous kernel of the workload.
+func (g *GPU) resetMemSide(warm bool) {
 	g.NoC.Reset()
 	g.DRAM.Reset()
 	for i := range g.banks {
 		g.banks[i].nextFree = 0
-		g.banks[i].c.Flush()
-		g.banks[i].c.Stats = cache.Stats{}
+		if !warm {
+			g.banks[i].c.Flush()
+			g.banks[i].c.Stats = cache.Stats{}
+		}
 	}
 	g.L2Accesses, g.L2Hits = 0, 0
 }

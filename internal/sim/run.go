@@ -98,16 +98,7 @@ func (g *GPU) Run(k *trace.Kernel, p Policy, opts RunOptions) (KernelResult, err
 	g.wakes.reset()
 	g.TupleLog = g.TupleLog[:0]
 
-	if !opts.Warm {
-		g.resetMemSide()
-	} else {
-		// Drain timing servers but keep L2 tags warm.
-		g.NoC.Reset()
-		g.DRAM.Reset()
-		for i := range g.banks {
-			g.banks[i].nextFree = 0
-		}
-	}
+	g.resetMemSide(opts.Warm)
 	// A block's warps must fit one SM's schedulers under the kernel's
 	// occupancy cap, or nothing can ever launch.
 	if capWarps := g.MaxN() * g.Cfg.SchedulersPerSM; k.WarpsPerBlock > capWarps {

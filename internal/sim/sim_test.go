@@ -124,6 +124,32 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 }
 
+// TestWarmKernelsReportTheirOwnL2Traffic: a kernel's L2 accesses are
+// the requests that crossed the NoC in that kernel (no test kernel
+// stores), also for the second and later kernels of a workload, which
+// run warm: they used to report the workload's running total, and the
+// workload result then summed the totals.
+func TestWarmKernelsReportTheirOwnL2Traffic(t *testing.T) {
+	w := testutil.Workload("warm",
+		testutil.ThrashKernel("k0", 48, 30, 3),
+		testutil.StreamKernel("k1", 40, 4),
+		testutil.SharedKernel("k2", 16, 30, 3))
+	for _, engine := range []sim.Engine{sim.EngineReady, sim.EngineDense} {
+		res, err := sim.RunWorkload(testutil.TinyConfig(), w, sim.GTO{}, sim.RunOptions{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kr := range res.PerKernel {
+			if kr.L2Accesses != kr.NoCReqFlits || kr.L2Hits > kr.L2Accesses || kr.L2Accesses == 0 {
+				t.Errorf("engine %d, kernel %s: %d L2 accesses (%d hits) for %d requests", engine, kr.Kernel, kr.L2Accesses, kr.L2Hits, kr.NoCReqFlits)
+			}
+		}
+		if res.L2Acc != res.NoCReqFlits {
+			t.Errorf("engine %d, workload: %d L2 accesses for %d requests", engine, res.L2Acc, res.NoCReqFlits)
+		}
+	}
+}
+
 func TestKernelValidationSurfaced(t *testing.T) {
 	g, err := sim.New(testutil.TinyConfig())
 	if err != nil {
