@@ -127,88 +127,30 @@ func BenchmarkFig7Performance(b *testing.B) {
 	}
 }
 
-func BenchmarkFig11Stride(b *testing.B) {
+// benchmarkRatios reports a ratio figure's H-mean per column, under the
+// column's own label.
+func benchmarkRatios(b *testing.B, fig func(*experiments.Harness) (*experiments.RatioTable, error)) {
 	h := benchHarness()
 	for i := 0; i < b.N; i++ {
-		res, err := h.Fig11()
+		res, err := fig(h)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for si, st := range res.Strides {
-			b.ReportMetric(res.HMean[si],
-				"hmean-"+experimentsStrideName(st))
+		for j, label := range res.Columns {
+			b.ReportMetric(res.HMean[j], "hmean-"+label)
 		}
 	}
 }
 
-func experimentsStrideName(st [2]int) string {
-	return string(rune('0'+st[0])) + "." + string(rune('0'+st[1]))
-}
+func BenchmarkFig11Stride(b *testing.B) { benchmarkRatios(b, (*experiments.Harness).Fig11) }
 
-func BenchmarkFig12CacheSize(b *testing.B) {
-	h := benchHarness()
-	for i := 0; i < b.N; i++ {
-		res, err := h.Fig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for si, kb := range res.SizesKB {
-			b.ReportMetric(res.HMean[si], "hmean-"+kbName(kb))
-		}
-	}
-}
+func BenchmarkFig12CacheSize(b *testing.B) { benchmarkRatios(b, (*experiments.Harness).Fig12) }
 
-func kbName(kb int) string {
-	switch kb {
-	case 16:
-		return "16KB"
-	case 32:
-		return "32KB"
-	default:
-		return "64KB"
-	}
-}
+func BenchmarkFig13Features(b *testing.B) { benchmarkRatios(b, (*experiments.Harness).Fig13) }
 
-func BenchmarkFig13Features(b *testing.B) {
-	h := benchHarness()
-	for i := 0; i < b.N; i++ {
-		res, err := h.Fig13()
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst := 1.0
-		for _, hm := range res.HMean {
-			if hm < worst {
-				worst = hm
-			}
-		}
-		b.ReportMetric(worst, "worst-ablation")
-	}
-}
+func BenchmarkFig15Alternatives(b *testing.B) { benchmarkRatios(b, (*experiments.Harness).Fig15) }
 
-func BenchmarkFig15Alternatives(b *testing.B) {
-	h := benchHarness()
-	for i := 0; i < b.N; i++ {
-		res, err := h.Fig15()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HMean[0], "hmean-APCM")
-		b.ReportMetric(res.HMean[1], "hmean-Random")
-		b.ReportMetric(res.HMean[2], "hmean-Poise")
-	}
-}
-
-func BenchmarkFig16ComputeIntensive(b *testing.B) {
-	h := benchHarness()
-	for i := 0; i < b.N; i++ {
-		res, err := h.Fig16()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HMeanPoise, "hmean-Poise")
-	}
-}
+func BenchmarkFig16ComputeIntensive(b *testing.B) { benchmarkRatios(b, (*experiments.Harness).Fig16) }
 
 func BenchmarkFig17CaseStudy(b *testing.B) {
 	h := benchHarness()

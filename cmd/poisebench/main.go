@@ -61,24 +61,28 @@ import (
 	"poise/internal/workloads"
 )
 
+// runners is the table of experiments, in -run all order. grid names
+// the experiment grid an experiment assembles its figure from, the
+// campaign -serve spreads for it ("" for the ones without a grid).
 var runners = []struct {
 	name string
 	desc string
+	grid string
 	run  func(*experiments.Harness) error
 }{
-	{"tableiii", "Table IIIa: Pbest per workload (64x L1 speedup)", runTableIII},
-	{"fig2", "Fig. 2: {N,p} solution space of an ii kernel; CCWS/PCAL/MAX", runFig2},
-	{"fig4", "Fig. 4: L1 hit-rate split and reuse distance", runFig4},
-	{"fig5", "Fig. 5: scoring performance peaks (Eq. 12)", runFig5},
-	{"tableii", "Table II: trained feature weights + offline error", runTableII},
-	{"fig7", "Fig. 7-10, 14: performance, hit rate, AML, displacement, energy", runPerf},
-	{"fig11", "Fig. 11: local-search stride sensitivity", runFig11},
-	{"fig12", "Fig. 12: L1 cache-size sensitivity", runFig12},
-	{"fig13", "Fig. 13: feature-ablation sensitivity", runFig13},
-	{"fig15", "Fig. 15: APCM and random-restart comparison", runFig15},
-	{"fig16", "Fig. 16: compute-intensive workloads", runFig16},
-	{"fig17", "Fig. 17: bfs case study", runFig17},
-	{"cost", "Sec. VII-I: hardware cost accounting", runCost},
+	{"tableiii", "Table IIIa: Pbest per workload (64x L1 speedup)", "pbest", runTableIII},
+	{"fig2", "Fig. 2: {N,p} solution space of an ii kernel; CCWS/PCAL/MAX", "", runFig2},
+	{"fig4", "Fig. 4: L1 hit-rate split and reuse distance", "", runFig4},
+	{"fig5", "Fig. 5: scoring performance peaks (Eq. 12)", "", runFig5},
+	{"tableii", "Table II: trained feature weights + offline error", "", runTableII},
+	{"fig7", "Fig. 7-10, 14: performance, hit rate, AML, displacement, energy", "scheme", runPerf},
+	{"fig11", "Fig. 11: local-search stride sensitivity", "stride", ratios((*experiments.Harness).Fig11, nil)},
+	{"fig12", "Fig. 12: L1 cache-size sensitivity", "cachesize", ratios((*experiments.Harness).Fig12, nil)},
+	{"fig13", "Fig. 13: feature-ablation sensitivity", "ablation", ratios((*experiments.Harness).Fig13, nil)},
+	{"fig15", "Fig. 15: APCM and random-restart comparison", "alternatives", ratios((*experiments.Harness).Fig15, nil)},
+	{"fig16", "Fig. 16: compute-intensive workloads", "compute", ratios((*experiments.Harness).Fig16, fig16Overhead)},
+	{"fig17", "Fig. 17: bfs case study", "", runFig17},
+	{"cost", "Sec. VII-I: hardware cost accounting", "", runCost},
 }
 
 // The flags live at package level so that a test can count them.
@@ -344,87 +348,34 @@ func runPerf(h *experiments.Harness) error {
 	return nil
 }
 
-func runFig11(h *experiments.Harness) error {
-	res, err := h.Fig11()
-	if err != nil {
-		return err
+// ratios prints a ratio figure: a row per workload and the H-Mean row,
+// or, given a summary, the summary's line in the H-Mean row's place.
+func ratios(fig func(*experiments.Harness) (*experiments.RatioTable, error), summary func(*experiments.RatioTable)) func(*experiments.Harness) error {
+	return func(h *experiments.Harness) error {
+		res, err := fig(h)
+		if err != nil {
+			return err
+		}
+		t := &experiments.Table{Header: append([]string{"workload"}, res.Columns...)}
+		for i, w := range res.Workloads {
+			t.AddF(w, 3, res.Ratio[i]...)
+		}
+		if summary == nil {
+			t.AddF("H-Mean", 3, res.HMean...)
+		}
+		t.Render(os.Stdout)
+		if summary != nil {
+			summary(res)
+		}
+		return nil
 	}
-	hdr := []string{"workload"}
-	for _, s := range res.Strides {
-		hdr = append(hdr, fmt.Sprintf("(%d,%d)", s[0], s[1]))
-	}
-	t := &experiments.Table{Header: hdr}
-	for i, w := range res.Workloads {
-		t.AddF(w, 3, res.PerWorkload[i]...)
-	}
-	t.AddF("H-Mean", 3, res.HMean...)
-	t.Render(os.Stdout)
-	return nil
 }
 
-func runFig12(h *experiments.Harness) error {
-	res, err := h.Fig12()
-	if err != nil {
-		return err
-	}
-	hdr := []string{"workload"}
-	for _, kb := range res.SizesKB {
-		hdr = append(hdr, fmt.Sprintf("Poise+%dKB", kb))
-	}
-	t := &experiments.Table{Header: hdr}
-	for i, w := range res.Workloads {
-		t.AddF(w, 3, res.Speedup[i]...)
-	}
-	t.AddF("H-Mean", 3, res.HMean...)
-	t.Render(os.Stdout)
-	return nil
-}
-
-func runFig13(h *experiments.Harness) error {
-	res, err := h.Fig13()
-	if err != nil {
-		return err
-	}
-	hdr := []string{"workload"}
-	for _, d := range res.Dropped {
-		hdr = append(hdr, fmt.Sprintf("-x%d", d+1))
-	}
-	t := &experiments.Table{Header: hdr}
-	for i, w := range res.Workloads {
-		t.AddF(w, 3, res.Relative[i]...)
-	}
-	t.AddF("H-Mean", 3, res.HMean...)
-	t.Render(os.Stdout)
-	return nil
-}
-
-func runFig15(h *experiments.Harness) error {
-	res, err := h.Fig15()
-	if err != nil {
-		return err
-	}
-	t := &experiments.Table{Header: []string{"workload", "APCM", "Random-restart", "Poise"}}
-	for i, w := range res.Workloads {
-		t.AddF(w, 3, res.APCM[i], res.Random[i], res.Poise[i])
-	}
-	t.AddF("H-Mean", 3, res.HMean[0], res.HMean[1], res.HMean[2])
-	t.Render(os.Stdout)
-	return nil
-}
-
-func runFig16(h *experiments.Harness) error {
-	res, err := h.Fig16()
-	if err != nil {
-		return err
-	}
-	t := &experiments.Table{Header: []string{"workload", "Poise", "Pbest"}}
-	for i, w := range res.Workloads {
-		t.AddF(w, 3, res.Poise[i], res.Pbest[i])
-	}
-	t.Render(os.Stdout)
-	fmt.Printf("H-Mean Poise vs GTO: %.3f (paper: %.3f, i.e. %.1f%% overhead)\n", res.HMeanPoise,
+// fig16Overhead is Fig. 16's summary: Poise's H-mean over GTO, the
+// figure's first column, against the paper's.
+func fig16Overhead(res *experiments.RatioTable) {
+	fmt.Printf("H-Mean Poise vs GTO: %.3f (paper: %.3f, i.e. %.1f%% overhead)\n", res.HMean[0],
 		experiments.Paper.ComputeHMean, 100*(1-experiments.Paper.ComputeHMean))
-	return nil
 }
 
 func runFig17(h *experiments.Harness) error {
@@ -455,29 +406,6 @@ func runCost(h *experiments.Harness) error {
 	return nil
 }
 
-// gridForExp maps the grid-backed experiment names to their
-// experiment grid (fig7 covers Figs. 7-10 and 14, which share one
-// grid).
-var gridForExp = map[string]string{
-	"fig7":     "scheme",
-	"fig11":    "stride",
-	"fig12":    "cachesize",
-	"fig13":    "ablation",
-	"fig15":    "alternatives",
-	"fig16":    "compute",
-	"tableiii": "pbest",
-}
-
-func gridBackedNames() string {
-	var names []string
-	for _, r := range runners {
-		if _, ok := gridForExp[r.name]; ok {
-			names = append(names, r.name)
-		}
-	}
-	return strings.Join(names, ", ")
-}
-
 // gridOfRun maps -run to the campaign -serve covers: "" for "all" (the
 // profile sweeps), or the cell grid of the one grid-backed experiment
 // it names.
@@ -489,12 +417,17 @@ func gridOfRun(run string) (string, error) {
 	if strings.Contains(run, ",") {
 		return "", fmt.Errorf("-serve takes a single experiment in -run, got %q", run)
 	}
-	grid, ok := gridForExp[run]
-	if !ok {
-		return "", fmt.Errorf("experiment %q is not grid-backed; use -run all for profile sweeps, or one of: %s",
-			run, gridBackedNames())
+	var gridded []string
+	for _, r := range runners {
+		if r.name == run && r.grid != "" {
+			return r.grid, nil
+		}
+		if r.grid != "" {
+			gridded = append(gridded, r.name)
+		}
 	}
-	return grid, nil
+	return "", fmt.Errorf("experiment %q is not grid-backed; use -run all for profile sweeps, or one of: %s",
+		run, strings.Join(gridded, ", "))
 }
 
 func ratioOr0(x, base float64) float64 {

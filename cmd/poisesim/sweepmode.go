@@ -56,7 +56,7 @@ type sweepModeArgs struct {
 func (a sweepModeArgs) sweepOptions() profile.SweepOptions {
 	return profile.SweepOptions{
 		StepN: a.stepN, StepP: a.stepP, Workers: a.workers, Ctx: a.ctx,
-		Refine:    &profile.RefineOptions{},
+		Refine:    true,
 		Interrupt: a.ictl, Checkpoints: a.ckpts,
 	}
 }

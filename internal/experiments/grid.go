@@ -6,12 +6,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"poise/internal/config"
 	"poise/internal/gridplan"
 	"poise/internal/poise"
+	"poise/internal/profile"
 	"poise/internal/results"
 	"poise/internal/runner"
 	"poise/internal/sched"
@@ -21,8 +21,9 @@ import (
 
 // The unified experiment-grid engine. Every workload × scheme grid of
 // the evaluation — the Fig. 7/8/9 scheme comparison, the sensitivity
-// figures and the Pbest classification table — is expressed as
-// gridplan.CellTasks and runs through one pipeline:
+// figures and the Pbest classification table — is one declaration in
+// gridDefs, expressed as gridplan.CellTasks and run through one
+// pipeline:
 //
 //	CellPlan    -> the serialisable grid (what a fleet coordinator serves)
 //	RunCellTasks-> execute cells on pooled per-configuration GPUs
@@ -31,43 +32,127 @@ import (
 // Exactly like profile sweeps, merging any decomposition of the plan is
 // reflect.DeepEqual-identical to the in-process grid, so fanning a
 // figure out across fleet workers can never change it. The figure
-// methods (Performance, Fig11, ...) are pure assembly over the merged
-// cells.
+// methods (Performance, TableIII, the ratio figures) are pure assembly
+// over the merged cells.
 
-// gridDef defines one experiment grid: its workload axis, its scheme
-// axis in documented order, a prepare step that materialises shared
-// artifacts (profiles, model weights) before the fan-out, and the cell
-// executor.
-type gridDef struct {
-	desc      string
-	workloads func(h *Harness) []*sim.Workload
-	schemes   func(h *Harness) []string
-	prepare   func(h *Harness) error
-	run       func(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error)
+// A scheme is one value of a grid's scheme axis: the name its cells
+// carry in plans, results and cache entries; the platform it runs on
+// (nil: the harness's configuration); and its policy, built afresh for
+// every cell because the adaptive policies are stateful.
+type scheme struct {
+	name     string
+	platform func(config.Config) config.Config
+	policy   func(h *Harness) (sim.Policy, error)
 }
 
-// Shared axis definitions (also used by the figure assembly code).
+// A column of a ratio figure: the mean IPC of the num schemes, in axis
+// order, over the IPC of the den scheme; schemes go by their ordinal
+// on the axis.
+type column struct {
+	label string
+	num   []int
+	den   int
+}
+
+// An axis is a grid's scheme axis in documented order (never sorted:
+// it is the plan's ordinal order) and the columns of its ratio figure.
+type axis struct {
+	schemes []scheme
+	columns []column
+}
+
+// add appends a scheme and returns its ordinal.
+func (a *axis) add(s scheme) int {
+	a.schemes = append(a.schemes, s)
+	return len(a.schemes) - 1
+}
+
+// ratio declares a column of the grid's ratio figure.
+func (a *axis) ratio(label string, den int, num ...int) {
+	a.columns = append(a.columns, column{label, num, den})
+}
+
+// gridDef declares one experiment grid: its workload axis; its scheme
+// axis, built once per plan, run or figure; a prepare step that
+// materialises shared artifacts (profiles, model weights) before the
+// fan-out; what else its cells depend on, for the cache tag; and
+// whether its Poise cells record the Fig. 10 displacement.
+type gridDef struct {
+	workloads    func(h *Harness) []*sim.Workload
+	axis         func(h *Harness) axis
+	prepare      func(h *Harness) error
+	tag          func(h *Harness) string
+	displacement bool
+}
+
+func gto(*Harness) (sim.Policy, error) { return sim.GTO{}, nil }
+
+func poiseDefault(h *Harness) (sim.Policy, error) {
+	p, err := h.PoisePolicy()
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// poiseWith is Poise on the given model weights and local-search
+// strides.
+func poiseWith(weights func(h *Harness) (poise.Weights, error), strideN, strideP int) func(*Harness) (sim.Policy, error) {
+	return func(h *Harness) (sim.Policy, error) {
+		w, err := weights(h)
+		if err != nil {
+			return nil, err
+		}
+		params := h.Params
+		params.StrideN, params.StrideP = strideN, strideP
+		return poise.NewPolicy(params, w), nil
+	}
+}
+
+// profiled builds a policy from the evaluation workloads' profiles.
+func profiled(build func(h *Harness, profs map[string]*profile.Profile) sim.Policy) func(*Harness) (sim.Policy, error) {
+	return func(h *Harness) (sim.Policy, error) {
+		profs, err := h.WorkloadProfiles(h.EvalWorkloads())
+		if err != nil {
+			return nil, err
+		}
+		return build(h, profs), nil
+	}
+}
+
+// The schemes more than one grid runs.
 var (
-	// strideSettings are Fig. 11's local-search stride (εN, εp)
-	// settings, including the pure-prediction (0, 0) case.
-	strideSettings = [][2]int{{0, 0}, {1, 1}, {2, 2}, {2, 4}, {4, 4}}
-	// cacheSizesKB are Fig. 12's evaluation L1 capacities.
-	cacheSizesKB = []int{16, 32, 64}
-	// fig13Dropped are the ablated feature indices in paper order
-	// (x7, x6, x5, x4, x3).
-	fig13Dropped = []int{6, 5, 4, 3, 2}
+	gtoScheme   = scheme{name: "GTO", policy: gto}
+	poiseScheme = scheme{name: "Poise", policy: poiseDefault}
+	// pbestScheme is the memory-sensitivity probe: GTO on a 64x L1.
+	pbestScheme = scheme{name: "Pbest", policy: gto, platform: func(c config.Config) config.Config {
+		c.L1.SizeBytes *= 64
+		return c
+	}}
 )
 
-func strideScheme(st [2]int) string { return fmt.Sprintf("stride%d.%d", st[0], st[1]) }
-func dropScheme(d int) string       { return fmt.Sprintf("drop-x%d", d+1) }
+// comparison is the Fig. 7-10/14 scheme axis, in paper order, GTO (the
+// baseline) first.
+var comparison = []scheme{
+	gtoScheme,
+	{name: "SWL", policy: profiled(func(_ *Harness, profs map[string]*profile.Profile) sim.Policy {
+		return sched.SWL(profs)
+	})},
+	{name: "PCAL-SWL", policy: profiled(func(h *Harness, profs map[string]*profile.Profile) sim.Policy {
+		return sched.NewPCALSWL(sched.SWLFromProfiles(profs), h.Params.TWarmup, h.Params.TFeature, h.Params.TPeriod)
+	})},
+	poiseScheme,
+	{name: "Static-Best", policy: profiled(func(_ *Harness, profs map[string]*profile.Profile) sim.Policy {
+		return sched.StaticBest(profs)
+	})},
+}
 
-// gridDefs registers every experiment grid. Scheme slices are returned
-// fresh per call (they are the documented axis order, never sorted).
+// gridDefs declares every experiment grid.
 var gridDefs = map[string]gridDef{
+	// Figs. 7-10 and 14: every comparison scheme.
 	"scheme": {
-		desc:      "Fig. 7-10/14: evaluation workloads under every comparison scheme",
-		workloads: func(h *Harness) []*sim.Workload { return h.EvalWorkloads() },
-		schemes:   func(h *Harness) []string { return append([]string(nil), SchemeNames...) },
+		workloads: (*Harness).EvalWorkloads,
+		axis:      func(*Harness) axis { return axis{schemes: comparison} },
 		prepare: func(h *Harness) error {
 			if _, err := h.WorkloadProfiles(h.EvalWorkloads()); err != nil {
 				return err
@@ -75,75 +160,109 @@ var gridDefs = map[string]gridDef{
 			_, err := h.ModelWeights()
 			return err
 		},
-		run: runSchemeCell,
+		displacement: true,
 	},
+	// Fig. 11: Poise at each local-search stride (εN, εp), the
+	// pure-prediction (0, 0) included.
 	"stride": {
-		desc:      "Fig. 11: local-search stride sensitivity",
-		workloads: func(h *Harness) []*sim.Workload { return h.EvalWorkloads() },
-		schemes: func(h *Harness) []string {
-			s := []string{"GTO"}
-			for _, st := range strideSettings {
-				s = append(s, strideScheme(st))
+		workloads: (*Harness).EvalWorkloads,
+		axis: func(*Harness) (a axis) {
+			base := a.add(gtoScheme)
+			for _, st := range [][2]int{{0, 0}, {1, 1}, {2, 2}, {2, 4}, {4, 4}} {
+				a.ratio(fmt.Sprintf("(%d,%d)", st[0], st[1]), base, a.add(scheme{
+					name:   fmt.Sprintf("stride%d.%d", st[0], st[1]),
+					policy: poiseWith((*Harness).ModelWeights, st[0], st[1]),
+				}))
 			}
-			return s
+			return a
 		},
 		prepare: prepWeights,
-		run:     runStrideCell,
 	},
+	// Fig. 12: GTO and Poise on a grown, linear-indexed L1, the model
+	// still trained on the 16 KB hashed baseline.
 	"cachesize": {
-		desc:      "Fig. 12: L1 cache-size sensitivity (linear indexing)",
-		workloads: func(h *Harness) []*sim.Workload { return h.EvalWorkloads() },
-		schemes: func(h *Harness) []string {
-			var s []string
-			for _, kb := range cacheSizesKB {
-				s = append(s, fmt.Sprintf("GTO-%dKB", kb), fmt.Sprintf("Poise-%dKB", kb))
+		workloads: (*Harness).EvalWorkloads,
+		axis: func(*Harness) (a axis) {
+			for _, kb := range []int{16, 32, 64} {
+				l1 := func(c config.Config) config.Config {
+					c.L1.SizeBytes = kb * 1024
+					c.L1.Index = config.IndexLinear
+					return c
+				}
+				base := a.add(scheme{name: fmt.Sprintf("GTO-%dKB", kb), platform: l1, policy: gto})
+				a.ratio(fmt.Sprintf("Poise+%dKB", kb), base, a.add(scheme{
+					name: fmt.Sprintf("Poise-%dKB", kb), platform: l1, policy: poiseDefault,
+				}))
 			}
-			return s
+			return a
 		},
 		prepare: prepWeights,
-		run:     runCacheSizeCell,
 	},
+	// Fig. 13: the model retrained without one feature, in paper order
+	// x7 … x3 (x1/x2 are represented within x7), against the full model,
+	// both without local search so prediction quality is isolated.
 	"ablation": {
-		desc:      "Fig. 13: feature-ablation sensitivity (no local search)",
-		workloads: func(h *Harness) []*sim.Workload { return h.EvalWorkloads() },
-		schemes: func(h *Harness) []string {
-			s := []string{"full"}
-			for _, d := range fig13Dropped {
-				s = append(s, dropScheme(d))
+		workloads: (*Harness).EvalWorkloads,
+		axis: func(*Harness) (a axis) {
+			full := a.add(scheme{name: "full", policy: poiseWith(ablated(-1), 0, 0)})
+			for x := 7; x >= 3; x-- {
+				a.ratio(fmt.Sprintf("-x%d", x), full, a.add(scheme{
+					name: fmt.Sprintf("drop-x%d", x), policy: poiseWith(ablated(x-1), 0, 0),
+				}))
 			}
-			return s
+			return a
 		},
 		prepare: func(h *Harness) error {
 			_, err := h.Dataset()
 			return err
 		},
-		run: runAblationCell,
+		tag: func(h *Harness) string { return "|train:" + h.tag(true) },
 	},
+	// Fig. 15: APCM and random-restart search against Poise. Each
+	// random-restart trial is its own cell, seeded by a pure function of
+	// (Options.Seed, trial), so no result depends on which worker or
+	// process runs it; the column averages the trials' IPC.
 	"alternatives": {
-		desc:      "Fig. 15: APCM and random-restart search against Poise",
-		workloads: func(h *Harness) []*sim.Workload { return h.EvalWorkloads() },
-		schemes: func(h *Harness) []string {
-			s := []string{"GTO", "APCM"}
+		workloads: (*Harness).EvalWorkloads,
+		axis: func(h *Harness) (a axis) {
+			base := a.add(gtoScheme)
+			apcm := func(h *Harness) (sim.Policy, error) { return sched.NewAPCM(h.Params.TFeature), nil }
+			a.ratio("APCM", base, a.add(scheme{name: "APCM", policy: apcm}))
+			var trials []int
 			for i := 1; i <= h.Opt.RandomSeeds; i++ {
-				s = append(s, fmt.Sprintf("random-%d", i))
+				trial := func(h *Harness) (sim.Policy, error) {
+					p := h.Params
+					return sched.NewRandomRestart(h.Opt.Seed+int64(i), p.TWarmup, p.TSearch, p.TPeriod, p.StrideN, p.StrideP), nil
+				}
+				trials = append(trials, a.add(scheme{name: fmt.Sprintf("random-%d", i), policy: trial}))
 			}
-			return append(s, "Poise")
+			a.ratio("Random-restart", base, trials...)
+			a.ratio("Poise", base, a.add(poiseScheme))
+			return a
 		},
 		prepare: prepWeights,
-		run:     runAlternativesCell,
+		tag:     func(h *Harness) string { return fmt.Sprintf("|rs:%d", h.Opt.RandomSeeds) },
 	},
+	// Fig. 16: compute-intensive workloads under Poise and the Pbest
+	// probe.
 	"compute": {
-		desc:      "Fig. 16: compute-intensive workloads under GTO, Poise and the Pbest probe",
 		workloads: func(h *Harness) []*sim.Workload { return h.Cat.ComputeSet() },
-		schemes:   func(h *Harness) []string { return []string{"GTO", "Poise", "Pbest"} },
-		prepare:   prepWeights,
-		run:       runComputeCell,
+		axis: func(*Harness) (a axis) {
+			base := a.add(gtoScheme)
+			a.ratio("Poise", base, a.add(poiseScheme))
+			a.ratio("Pbest", base, a.add(pbestScheme))
+			return a
+		},
+		prepare: prepWeights,
 	},
+	// Table IIIa: every workload's Pbest.
 	"pbest": {
-		desc:      "Table IIIa: Pbest classification (64x-L1 speedup) for every workload",
-		workloads: func(h *Harness) []*sim.Workload { return h.pbestWorkloads() },
-		schemes:   func(h *Harness) []string { return []string{"GTO", "Pbest"} },
-		run:       runComputeCell, // GTO and Pbest cells are the same probes
+		workloads: (*Harness).pbestWorkloads,
+		axis: func(*Harness) (a axis) {
+			base := a.add(gtoScheme)
+			a.ratio("Pbest", base, a.add(pbestScheme))
+			return a
+		},
 	},
 }
 
@@ -157,13 +276,44 @@ func GridNames() []string {
 	return names
 }
 
-// GridDescription returns a grid's one-line description ("" if the
-// grid does not exist).
-func GridDescription(name string) string { return gridDefs[name].desc }
+func lookupGrid(name string) (gridDef, error) {
+	d, ok := gridDefs[name]
+	if !ok {
+		return d, fmt.Errorf("experiments: unknown experiment grid %q (have: %s)", name, strings.Join(GridNames(), ", "))
+	}
+	return d, nil
+}
 
 func prepWeights(h *Harness) error {
 	_, err := h.ModelWeights()
 	return err
+}
+
+// ablated is the Fig. 13 model trained with feature index drop removed
+// (-1: the full reference model).
+func ablated(drop int) func(h *Harness) (poise.Weights, error) {
+	return func(h *Harness) (poise.Weights, error) { return h.ablatedWeights(drop) }
+}
+
+// runCell executes one cell: the workload under a fresh instance of the
+// scheme's policy, on the scheme's platform.
+func (h *Harness) runCell(d gridDef, s scheme, wl *sim.Workload) (results.CellResult, error) {
+	pol, err := s.policy(h)
+	if err != nil {
+		return results.CellResult{}, err
+	}
+	cfg := h.Cfg
+	if s.platform != nil {
+		cfg = s.platform(cfg)
+	}
+	cr, err := h.runCellOn(cfg, wl, pol)
+	if err != nil {
+		return cr, fmt.Errorf("experiments: %s under %s: %w", wl.Name, s.name, err)
+	}
+	if pp, ok := pol.(*poise.Policy); ok && d.displacement {
+		cr.DispN, cr.DispP, cr.DispE, cr.HasDisp = pp.Displacement()
+	}
+	return cr, nil
 }
 
 // runCellOn executes one cell's workload under one policy on a GPU of
@@ -182,168 +332,6 @@ func (h *Harness) runCellOn(cfg config.Config, wl *sim.Workload, pol sim.Policy)
 		return results.CellResult{}, err
 	}
 	return results.CellResult{Result: res}, nil
-}
-
-// schemePolicy builds the policy of one Fig. 7-10/14 comparison scheme:
-// a fresh instance per call (the adaptive policies are stateful).
-func (h *Harness) schemePolicy(scheme string) (sim.Policy, error) {
-	switch scheme {
-	case "GTO":
-		return sim.GTO{}, nil
-	case "SWL", "PCAL-SWL", "Static-Best":
-		profs, err := h.WorkloadProfiles(h.EvalWorkloads())
-		if err != nil {
-			return nil, err
-		}
-		switch scheme {
-		case "SWL":
-			return sched.SWL(profs), nil
-		case "PCAL-SWL":
-			return sched.NewPCALSWL(sched.SWLFromProfiles(profs),
-				h.Params.TWarmup, h.Params.TFeature, h.Params.TPeriod), nil
-		}
-		return sched.StaticBest(profs), nil
-	case "Poise":
-		pp, err := h.PoisePolicy()
-		if err != nil {
-			return nil, err
-		}
-		return pp, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown comparison scheme %q", scheme)
-}
-
-// runSchemeCell executes one Fig. 7-10/14 cell.
-func runSchemeCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
-	pol, err := h.schemePolicy(scheme)
-	if err != nil {
-		return results.CellResult{}, err
-	}
-	cr, err := h.runCellOn(h.Cfg, wl, pol)
-	if err != nil {
-		return cr, fmt.Errorf("experiments: %s under %s: %w", wl.Name, scheme, err)
-	}
-	if pp, ok := pol.(*poise.Policy); ok {
-		cr.DispN, cr.DispP, cr.DispE, cr.HasDisp = pp.Displacement()
-	}
-	return cr, nil
-}
-
-// runStrideCell executes one Fig. 11 cell: the GTO baseline or Poise
-// at one local-search stride setting.
-func runStrideCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
-	if scheme == "GTO" {
-		return h.runCellOn(h.Cfg, wl, sim.GTO{})
-	}
-	for _, st := range strideSettings {
-		if strideScheme(st) != scheme {
-			continue
-		}
-		w, err := h.ModelWeights()
-		if err != nil {
-			return results.CellResult{}, err
-		}
-		params := h.Params
-		params.StrideN, params.StrideP = st[0], st[1]
-		cr, err := h.runCellOn(h.Cfg, wl, poise.NewPolicy(params, w))
-		if err != nil {
-			return cr, fmt.Errorf("experiments: stride %v on %s: %w", st, wl.Name, err)
-		}
-		return cr, nil
-	}
-	return results.CellResult{}, fmt.Errorf("experiments: unknown stride scheme %q", scheme)
-}
-
-// runCacheSizeCell executes one Fig. 12 cell: GTO or Poise on the
-// altered evaluation platform (grown linear-indexed L1), the model
-// still trained on the 16 KB hashed baseline.
-func runCacheSizeCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
-	name, kbStr, ok := strings.Cut(scheme, "-")
-	kb, err := strconv.Atoi(strings.TrimSuffix(kbStr, "KB"))
-	if !ok || err != nil || (name != "GTO" && name != "Poise") {
-		return results.CellResult{}, fmt.Errorf("experiments: unknown cache-size scheme %q", scheme)
-	}
-	cfg := h.Cfg
-	cfg.L1.SizeBytes = kb * 1024
-	cfg.L1.Index = config.IndexLinear
-	var pol sim.Policy = sim.GTO{}
-	if name == "Poise" {
-		p, err := h.PoisePolicy()
-		if err != nil {
-			return results.CellResult{}, err
-		}
-		pol = p
-	}
-	return h.runCellOn(cfg, wl, pol)
-}
-
-// runAblationCell executes one Fig. 13 cell: the model retrained
-// without one feature (or the full model), evaluated without the
-// local-search safety net so prediction quality is isolated.
-func runAblationCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
-	drop := -1
-	if scheme != "full" {
-		x, err := strconv.Atoi(strings.TrimPrefix(scheme, "drop-x"))
-		if err != nil || x < 1 {
-			return results.CellResult{}, fmt.Errorf("experiments: unknown ablation scheme %q", scheme)
-		}
-		drop = x - 1
-	}
-	w, err := h.ablatedWeights(drop)
-	if err != nil {
-		return results.CellResult{}, err
-	}
-	params := h.Params
-	params.StrideN, params.StrideP = 0, 0 // no local search
-	return h.runCellOn(h.Cfg, wl, poise.NewPolicy(params, w))
-}
-
-// runAlternativesCell executes one Fig. 15 cell. Random-restart trial
-// seeds are a pure function of (Options.Seed, trial index) — the same
-// family the pre-gridplan implementation used — so results don't
-// depend on which worker or process runs them.
-func runAlternativesCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
-	switch {
-	case scheme == "GTO":
-		return h.runCellOn(h.Cfg, wl, sim.GTO{})
-	case scheme == "APCM":
-		return h.runCellOn(h.Cfg, wl, sched.NewAPCM(h.Params.TFeature))
-	case scheme == "Poise":
-		pol, err := h.PoisePolicy()
-		if err != nil {
-			return results.CellResult{}, err
-		}
-		return h.runCellOn(h.Cfg, wl, pol)
-	case strings.HasPrefix(scheme, "random-"):
-		trial, err := strconv.Atoi(strings.TrimPrefix(scheme, "random-"))
-		if err != nil || trial < 1 {
-			break
-		}
-		return h.runCellOn(h.Cfg, wl, sched.NewRandomRestart(h.Opt.Seed+int64(trial),
-			h.Params.TWarmup, h.Params.TSearch, h.Params.TPeriod,
-			h.Params.StrideN, h.Params.StrideP))
-	}
-	return results.CellResult{}, fmt.Errorf("experiments: unknown alternatives scheme %q", scheme)
-}
-
-// runComputeCell executes one Fig. 16 / Table IIIa cell: the GTO
-// baseline, Poise, or the 64x-L1 Pbest probe.
-func runComputeCell(h *Harness, wl *sim.Workload, scheme string) (results.CellResult, error) {
-	switch scheme {
-	case "GTO":
-		return h.runCellOn(h.Cfg, wl, sim.GTO{})
-	case "Poise":
-		pol, err := h.PoisePolicy()
-		if err != nil {
-			return results.CellResult{}, err
-		}
-		return h.runCellOn(h.Cfg, wl, pol)
-	case "Pbest":
-		big := h.Cfg
-		big.L1.SizeBytes *= 64
-		return h.runCellOn(big, wl, sim.GTO{})
-	}
-	return results.CellResult{}, fmt.Errorf("experiments: unknown probe scheme %q", scheme)
 }
 
 // pbestWorkloads is Table IIIa's workload axis: the whole catalogue
@@ -401,9 +389,10 @@ func (h *Harness) weightsFingerprint() string {
 // profile tag), the model weights' provenance, the grid's workload
 // axis (names and content digests, so subset or trace-augmented runs
 // get their own cache entry instead of evicting the full grid's), and
-// per-grid extras — so the results cache can never serve stale cells.
-// All processes of one fleet campaign must agree on it;
-// RunCellTasks enforces that against the plan.
+// what else the grid declares its cells depend on — so the results
+// cache can never serve stale cells. All processes of one fleet
+// campaign must agree on it; RunCellTasks enforces that against the
+// plan.
 func (h *Harness) cellTag(grid string) string {
 	s := fmt.Sprintf("%s|%s|cfg:%+v|params:%+v|w:%s",
 		grid, h.tag(false), h.Cfg, h.Params, h.weightsFingerprint())
@@ -413,12 +402,9 @@ func (h *Harness) cellTag(grid string) string {
 			fmt.Fprintf(ax, "%s=%s;", wl.Name, workloadDigest(wl))
 		}
 		s += "|axis:" + hex.EncodeToString(ax.Sum(nil)[:6])
-	}
-	switch grid {
-	case "alternatives":
-		s += fmt.Sprintf("|rs:%d", h.Opt.RandomSeeds)
-	case "ablation":
-		s += "|train:" + h.tag(true)
+		if d.tag != nil {
+			s += d.tag(h)
+		}
 	}
 	sum := sha256.Sum256([]byte(s))
 	return "g" + hex.EncodeToString(sum[:6])
@@ -430,20 +416,19 @@ func (h *Harness) cellTag(grid string) string {
 // enumeration is a pure function of the harness options, independent
 // of map iteration order and worker count.
 func (h *Harness) CellPlan(grid string) (*gridplan.CellPlan, error) {
-	d, ok := gridDefs[grid]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment grid %q (have: %s)",
-			grid, strings.Join(GridNames(), ", "))
+	d, err := lookupGrid(grid)
+	if err != nil {
+		return nil, err
 	}
 	tag := h.cellTag(grid)
-	schemes := d.schemes(h)
+	schemes := d.axis(h).schemes
 	plan := &gridplan.CellPlan{Version: gridplan.PlanVersion}
 	for _, wl := range d.workloads(h) {
 		dg := workloadDigest(wl)
-		for ord, sc := range schemes {
+		for ord, s := range schemes {
 			plan.Cells = append(plan.Cells, gridplan.CellTask{
 				Tag: tag, Grid: grid, Workload: wl.Name, Digest: dg,
-				Scheme: sc, Ord: ord, Seed: h.Opt.Seed,
+				Scheme: s.name, Ord: ord, Seed: h.Opt.Seed,
 			})
 		}
 	}
@@ -462,12 +447,12 @@ func (h *Harness) CellPlan(grid string) (*gridplan.CellPlan, error) {
 // scheme must exist at the same ordinal. Cells fan out across the
 // worker pool, each drawing its GPU from the process-wide pool.
 func (h *Harness) RunCellTasks(grid string, tasks []gridplan.CellTask) ([]results.CellResult, error) {
-	d, ok := gridDefs[grid]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment grid %q (have: %s)",
-			grid, strings.Join(GridNames(), ", "))
+	d, err := lookupGrid(grid)
+	if err != nil {
+		return nil, err
 	}
-	byName, err := h.validateCells(grid, d, tasks)
+	schemes := d.axis(h).schemes
+	byName, err := h.validateCells(grid, d, schemes, tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -481,7 +466,7 @@ func (h *Harness) RunCellTasks(grid string, tasks []gridplan.CellTask) ([]result
 	}
 	return runner.MapSlice(h.ctx(), h.Opt.Workers, tasks,
 		func(_ context.Context, _ int, t gridplan.CellTask) (results.CellResult, error) {
-			cr, err := d.run(h, byName[t.Workload], t.Scheme)
+			cr, err := h.runCell(d, schemes[t.Ord], byName[t.Workload])
 			if err != nil {
 				return cr, err
 			}
@@ -491,15 +476,11 @@ func (h *Harness) RunCellTasks(grid string, tasks []gridplan.CellTask) ([]result
 
 // validateCells checks every task against this process's own view of
 // the campaign and returns the workload index cell execution uses.
-func (h *Harness) validateCells(grid string, d gridDef, tasks []gridplan.CellTask) (map[string]*sim.Workload, error) {
+func (h *Harness) validateCells(grid string, d gridDef, schemes []scheme, tasks []gridplan.CellTask) (map[string]*sim.Workload, error) {
 	tag := h.cellTag(grid)
 	byName := map[string]*sim.Workload{}
 	for _, wl := range d.workloads(h) {
 		byName[wl.Name] = wl
-	}
-	ords := map[string]int{}
-	for ord, sc := range d.schemes(h) {
-		ords[sc] = ord
 	}
 	digests := map[string]string{}
 	for _, t := range tasks {
@@ -525,7 +506,7 @@ func (h *Harness) validateCells(grid string, d gridDef, tasks []gridplan.CellTas
 				"experiments: workload %q digest mismatch: plan has %s, catalogue materialises %s (stale plan or drifted catalogue?)",
 				t.Workload, t.Digest, dg)
 		}
-		if o, ok := ords[t.Scheme]; !ok || o != t.Ord {
+		if t.Ord < 0 || t.Ord >= len(schemes) || schemes[t.Ord].name != t.Scheme {
 			return nil, fmt.Errorf("experiments: plan cell %s names scheme %q at ordinal %d, which this configuration does not define", t.Key(), t.Scheme, t.Ord)
 		}
 	}
@@ -538,15 +519,14 @@ func (h *Harness) validateCells(grid string, d gridDef, tasks []gridplan.CellTas
 // before leasing, so one launched with mismatched flags fails fast
 // even when its leases happen to miss the drifted workload.
 func (h *Harness) ValidateCellPlan(grid string, plan *gridplan.CellPlan) error {
-	d, ok := gridDefs[grid]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment grid %q (have: %s)",
-			grid, strings.Join(GridNames(), ", "))
+	d, err := lookupGrid(grid)
+	if err != nil {
+		return err
 	}
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	_, err := h.validateCells(grid, d, plan.Cells)
+	_, err = h.validateCells(grid, d, d.axis(h).schemes, plan.Cells)
 	return err
 }
 
@@ -596,24 +576,30 @@ func planTag(h *Harness, grid string, plan *gridplan.CellPlan) string {
 	return h.cellTag(grid)
 }
 
-// cellSet indexes merged cells by (workload, scheme) for figure
-// assembly.
-type cellSet map[[2]string]results.CellResult
+// cellSet indexes merged cells by workload and scheme ordinal for
+// figure assembly.
+type cellSet map[cellAt]results.CellResult
+
+type cellAt struct {
+	workload string
+	ord      int
+}
 
 func indexCells(cells []results.CellResult) cellSet {
 	s := cellSet{}
 	for _, c := range cells {
-		s[[2]string{c.Workload, c.Scheme}] = c
+		s[cellAt{c.Workload, c.Ord}] = c
 	}
 	return s
 }
 
-// get returns the cell for (workload, scheme); a missing cell is an
-// internal-consistency error (plans are verified complete before this).
-func (s cellSet) get(workload, scheme string) (results.CellResult, error) {
-	c, ok := s[[2]string{workload, scheme}]
+// get returns the cell of workload at scheme ordinal ord; a missing
+// cell is an internal-consistency error (plans are verified complete
+// before this).
+func (s cellSet) get(workload string, ord int) (results.CellResult, error) {
+	c, ok := s[cellAt{workload, ord}]
 	if !ok {
-		return results.CellResult{}, fmt.Errorf("experiments: no cell for workload %s under %s", workload, scheme)
+		return results.CellResult{}, fmt.Errorf("experiments: no cell for workload %s at scheme ordinal %d", workload, ord)
 	}
 	return c, nil
 }

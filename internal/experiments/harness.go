@@ -231,16 +231,10 @@ func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	}
 	if train {
 		o.StepN, o.StepP = h.Opt.TrainStepN, h.Opt.TrainStepP
-	} else if !h.exhaustive {
-		o.Refine = h.refineOptions()
+	} else {
+		o.Refine = !h.exhaustive
 	}
 	return o
-}
-
-// refineOptions is the harness's refinement configuration: defaults,
-// ranked with the harness's Eq. 12 weights.
-func (h *Harness) refineOptions() *profile.RefineOptions {
-	return &profile.RefineOptions{W0: h.Params.ScoreW0, W1: h.Params.ScoreW1, W2: h.Params.ScoreW2}
 }
 
 // tag digests the parts of the configuration that change profiles, so
@@ -267,7 +261,7 @@ func (h *Harness) tagMode(train, refined bool) string {
 		// depends on every refinement parameter: never let them collide
 		// with whole-grid entries or with a campaign refined under
 		// different parameters.
-		s += "-prune" + h.refineOptions().Tag()
+		s += "-prune" + profile.RefineTag()
 	}
 	if train {
 		// The training pipeline sweeps Cat.TrainingSet() under this one
@@ -333,7 +327,7 @@ func (h *Harness) KernelProfile(k *trace.Kernel) (*profile.Profile, error) {
 // under the whole-grid tag.
 func (h *Harness) KernelProfileFull(k *trace.Kernel) (*profile.Profile, error) {
 	opts := h.sweepOptions(false)
-	opts.Refine = nil
+	opts.Refine = false
 	prs, err := h.profilesOf([]*trace.Kernel{k}, opts)
 	return prs[k.Name], err
 }
@@ -350,9 +344,8 @@ func (h *Harness) WorkloadProfiles(ws []*sim.Workload) (map[string]*profile.Prof
 func (h *Harness) profilesOf(kernels []*trace.Kernel, opts profile.SweepOptions) (map[string]*profile.Profile, error) {
 	h.sweeping.Lock()
 	defer h.sweeping.Unlock()
-	refined := opts.Refine != nil
-	key := func(k *trace.Kernel) profileKey { return profileKey{k.Name, refined} }
-	tag := func(kernel string) string { return h.profileTagMode(kernel, refined) }
+	key := func(k *trace.Kernel) profileKey { return profileKey{k.Name, opts.Refine} }
+	tag := func(kernel string) string { return h.profileTagMode(kernel, opts.Refine) }
 	var missing []*trace.Kernel
 	for _, k := range kernels {
 		if h.profiles[key(k)] == nil {

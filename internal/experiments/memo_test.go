@@ -152,7 +152,7 @@ func TestSchemeGridReusesSweepPoints(t *testing.T) {
 			if seed != 5 {
 				continue
 			}
-			pol, err := h.schemePolicy(c.Scheme)
+			pol, err := comparison[c.Ord].policy(h)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,11 +5,16 @@ import (
 	"poise/internal/stats"
 )
 
-// SchemeNames lists the Fig. 7/8/9 comparison schemes in paper order.
-// It is also the documented scheme-axis order of the "scheme"
-// experiment grid: cell plans enumerate workload-major with schemes in
-// exactly this order.
-var SchemeNames = []string{"GTO", "SWL", "PCAL-SWL", "Poise", "Static-Best"}
+// SchemeNames lists the Fig. 7/8/9 comparison schemes in paper order:
+// the names of the "scheme" grid's axis (comparison), whose cell plans
+// enumerate workload-major with schemes in exactly this order.
+var SchemeNames = func() []string {
+	var names []string
+	for _, s := range comparison {
+		names = append(names, s.name)
+	}
+	return names
+}()
 
 // PerfRow carries one workload's results across all schemes.
 type PerfRow struct {
@@ -56,17 +61,17 @@ func (h *Harness) Performance() (*PerfSummary, error) {
 	sum := &PerfSummary{}
 	for _, w := range h.EvalWorkloads() {
 		row := PerfRow{Workload: w.Name}
-		gto, err := idx.get(w.Name, "GTO")
+		gto, err := idx.get(w.Name, 0) // the baseline leads the axis
 		if err != nil {
 			return nil, err
 		}
 		row.EnergyGTO = em.OfWorkload(gto.Result, h.Cfg.NumSMs).Total()
-		for _, scheme := range SchemeNames {
-			c, err := idx.get(w.Name, scheme)
+		for ord, s := range comparison {
+			c, err := idx.get(w.Name, ord)
 			if err != nil {
 				return nil, err
 			}
-			if scheme == "Poise" {
+			if s.name == poiseScheme.name {
 				row.EnergyPoise = em.OfWorkload(c.Result, h.Cfg.NumSMs).Total()
 				if c.HasDisp {
 					row.DispN, row.DispP, row.DispE = c.DispN, c.DispP, c.DispE
@@ -80,18 +85,14 @@ func (h *Harness) Performance() (*PerfSummary, error) {
 		sum.Rows = append(sum.Rows, row)
 	}
 
-	for si := range SchemeNames {
+	for si := range comparison {
 		var sp, hr, aml []float64
 		for _, r := range sum.Rows {
 			sp = append(sp, r.Speedup[si])
 			hr = append(hr, r.HitRate[si])
 			aml = append(aml, r.AML[si])
 		}
-		hm, err := stats.HarmonicMean(sp)
-		if err != nil {
-			hm = stats.Mean(sp)
-		}
-		sum.HMeanSpeedup = append(sum.HMeanSpeedup, hm)
+		sum.HMeanSpeedup = append(sum.HMeanSpeedup, hmean(sp))
 		sum.AMeanHitRate = append(sum.AMeanHitRate, stats.Mean(hr))
 		sum.AMeanAML = append(sum.AMeanAML, stats.Mean(aml))
 	}
@@ -105,11 +106,4 @@ func (h *Harness) Performance() (*PerfSummary, error) {
 	sum.MeanDispN, sum.MeanDispP, sum.MeanDispE = stats.Mean(dn), stats.Mean(dp), stats.Mean(de)
 	sum.MeanEnergyRatio = stats.Mean(er)
 	return sum, nil
-}
-
-func ratio(x, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return x / base
 }

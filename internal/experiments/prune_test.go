@@ -262,7 +262,7 @@ func TestCacheTagsStayWhatPruneComputed(t *testing.T) {
 		if got := h.profileTagMode("ii#0", false); got != c.evalExhaustive {
 			t.Errorf("seed %d: whole-grid tag %s, want %s", c.seed, got, c.evalExhaustive)
 		}
-		if o := h.sweepOptions(true); o.Refine != nil || o.StepN != 3 || o.StepP != 3 {
+		if o := h.sweepOptions(true); o.Refine || o.StepN != 3 || o.StepP != 3 {
 			t.Errorf("seed %d: training sweeps at %+v, want the whole step-3 grid poisetrain sweeps", c.seed, o)
 		}
 	}
@@ -289,7 +289,7 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Refine = &profile.RefineOptions{W0: params.ScoreW0, W1: params.ScoreW1, W2: params.ScoreW2}
+	opts.Refine = true
 	asked, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: askedDir}, "tag")
 	if err != nil {
 		t.Fatal(err)

@@ -1,278 +1,104 @@
 package experiments
 
-import (
-	"fmt"
+import "poise/internal/stats"
 
-	"poise/internal/stats"
-)
+// The ratio figures (Figs. 11, 12, 13, 15 and 16). Each is one
+// assembly over an experiment grid's cells (GridCells): the columns
+// its declaration gives (grid.go), each a ratio of IPCs per workload
+// and its harmonic mean.
 
-// The sensitivity figures (Fig. 11-16). Like the Fig. 7/8/9 scheme
-// comparison, every figure here is assembly over an experiment grid
-// run through the unified gridplan pipeline (GridCells) — servable to
-// a fleet, pool-backed, and bit-identical at any worker or process
-// count. The bespoke per-figure fan-out loops this file used to
-// contain live on only as grid definitions in grid.go.
-
-// StrideResult backs Fig. 11: harmonic-mean speedup over GTO for each
-// local-search stride setting.
-type StrideResult struct {
-	Strides [][2]int
-	// PerWorkload[i][j] = speedup of workload i under stride j.
-	Workloads   []string
-	PerWorkload [][]float64
-	HMean       []float64
-}
-
-// Fig11 sweeps the local-search stride (εN, εp) over the paper's five
-// settings, including the pure-prediction (0, 0) case, via the
-// "stride" experiment grid.
-func (h *Harness) Fig11() (*StrideResult, error) {
-	cells, err := h.GridCells("stride")
-	if err != nil {
-		return nil, err
-	}
-	idx := indexCells(cells)
-	out := &StrideResult{Strides: append([][2]int(nil), strideSettings...)}
-	evalSet := h.EvalWorkloads()
-	for _, wl := range evalSet {
-		out.Workloads = append(out.Workloads, wl.Name)
-		out.PerWorkload = append(out.PerWorkload, make([]float64, len(strideSettings)))
-	}
-	for sj, st := range strideSettings {
-		var sp []float64
-		for wi, wl := range evalSet {
-			gto, err := idx.get(wl.Name, "GTO")
-			if err != nil {
-				return nil, err
-			}
-			c, err := idx.get(wl.Name, strideScheme(st))
-			if err != nil {
-				return nil, err
-			}
-			s := ratio(c.Result.IPC, gto.Result.IPC)
-			out.PerWorkload[wi][sj] = s
-			sp = append(sp, s)
-		}
-		hm, err := stats.HarmonicMean(sp)
-		if err != nil {
-			hm = stats.Mean(sp)
-		}
-		out.HMean = append(out.HMean, hm)
-	}
-	return out, nil
-}
-
-// CacheSizeResult backs Fig. 12: Poise speedup (vs the same-config GTO)
-// when the evaluation platform's L1 grows and switches to linear
-// indexing, while the model stays trained on the 16 KB hashed baseline.
-type CacheSizeResult struct {
-	SizesKB   []int
+// RatioTable is a ratio figure: per workload and column, the mean IPC
+// of the column's schemes over its baseline's, and each column's
+// harmonic mean over the workloads.
+type RatioTable struct {
+	Columns   []string
 	Workloads []string
-	Speedup   [][]float64 // [workload][size]
-	HMean     []float64
+	Ratio     [][]float64 // [workload][column]
+	HMean     []float64   // [column]
 }
 
-// Fig12 re-evaluates the trained model on altered cache architectures
-// via the "cachesize" experiment grid: one GTO and one Poise cell per
-// (workload, size), each on the altered configuration.
-func (h *Harness) Fig12() (*CacheSizeResult, error) {
-	cells, err := h.GridCells("cachesize")
+// Fig11 is the local-search stride sensitivity: Poise over GTO at each
+// stride (εN, εp), the pure-prediction (0, 0) included.
+func (h *Harness) Fig11() (*RatioTable, error) { return h.ratios("stride") }
+
+// Fig12 is the L1 size sensitivity: Poise over GTO on grown,
+// linear-indexed L1s, the model still trained on the 16 KB hashed one.
+func (h *Harness) Fig12() (*RatioTable, error) { return h.ratios("cachesize") }
+
+// Fig13 is the feature ablation: the model retrained without one
+// feature over the full model, both without local search. The
+// retrained models build once per process behind a single-flight
+// cache, so cells share them at any worker count.
+func (h *Harness) Fig13() (*RatioTable, error) { return h.ratios("ablation") }
+
+// Fig15 is APCM, random-restart search (the mean of its trials) and
+// Poise over GTO.
+func (h *Harness) Fig15() (*RatioTable, error) { return h.ratios("alternatives") }
+
+// Fig16 is Poise and the 64x-L1 Pbest probe over GTO on the
+// compute-intensive workloads: Poise's cut-off must keep its overhead
+// low there.
+func (h *Harness) Fig16() (*RatioTable, error) { return h.ratios("compute") }
+
+// ratios assembles the ratio figure of a grid from its cells.
+func (h *Harness) ratios(grid string) (*RatioTable, error) {
+	d, err := lookupGrid(grid)
+	if err != nil {
+		return nil, err
+	}
+	cols := d.axis(h).columns
+	cells, err := h.GridCells(grid)
 	if err != nil {
 		return nil, err
 	}
 	idx := indexCells(cells)
-	evalSet := h.EvalWorkloads()
-	out := &CacheSizeResult{SizesKB: append([]int(nil), cacheSizesKB...)}
-	for _, wl := range evalSet {
-		out.Workloads = append(out.Workloads, wl.Name)
-		out.Speedup = append(out.Speedup, make([]float64, len(cacheSizesKB)))
+	rt := &RatioTable{}
+	for _, c := range cols {
+		rt.Columns = append(rt.Columns, c.label)
 	}
-	for si, kb := range cacheSizesKB {
-		var sp []float64
-		for wi, wl := range evalSet {
-			gto, err := idx.get(wl.Name, fmt.Sprintf("GTO-%dKB", kb))
+	for _, wl := range d.workloads(h) {
+		row := make([]float64, len(cols))
+		for j, c := range cols {
+			den, err := idx.get(wl.Name, c.den)
 			if err != nil {
 				return nil, err
 			}
-			po, err := idx.get(wl.Name, fmt.Sprintf("Poise-%dKB", kb))
-			if err != nil {
-				return nil, err
+			var ipc float64
+			for _, ord := range c.num {
+				n, err := idx.get(wl.Name, ord)
+				if err != nil {
+					return nil, err
+				}
+				ipc += n.Result.IPC
 			}
-			s := ratio(po.Result.IPC, gto.Result.IPC)
-			out.Speedup[wi][si] = s
-			sp = append(sp, s)
+			row[j] = ratio(ipc/float64(len(c.num)), den.Result.IPC)
 		}
-		hm, err := stats.HarmonicMean(sp)
-		if err != nil {
-			hm = stats.Mean(sp)
-		}
-		out.HMean = append(out.HMean, hm)
+		rt.Workloads = append(rt.Workloads, wl.Name)
+		rt.Ratio = append(rt.Ratio, row)
 	}
-	return out, nil
+	for j := range cols {
+		col := make([]float64, len(rt.Ratio))
+		for i, row := range rt.Ratio {
+			col[i] = row[j]
+		}
+		rt.HMean = append(rt.HMean, hmean(col))
+	}
+	return rt, nil
 }
 
-// FeatureAblationResult backs Fig. 13: speedup of a model retrained
-// without one feature, relative to the full model, both without local
-// search (isolating prediction accuracy).
-type FeatureAblationResult struct {
-	Dropped   []int // feature indices, Table II x3..x7 = 2..6
-	Workloads []string
-	// Relative[i][j]: workload i, dropped feature j, normalised to the
-	// all-features model.
-	Relative [][]float64
-	HMean    []float64
+// hmean is the harmonic mean the paper reports speedups by, or the
+// arithmetic mean where the harmonic one is undefined (a value at or
+// below zero).
+func hmean(xs []float64) float64 {
+	if m, err := stats.HarmonicMean(xs); err == nil {
+		return m
+	}
+	return stats.Mean(xs)
 }
 
-// Fig13 retrains with one feature removed (x3, x4, x5, x6, x7 — the
-// paper omits x1/x2 as represented within x7) and measures prediction
-// quality without the local-search safety net, via the "ablation"
-// experiment grid. The retrained models build once per process behind
-// a single-flight cache, so cells share them at any worker count.
-func (h *Harness) Fig13() (*FeatureAblationResult, error) {
-	cells, err := h.GridCells("ablation")
-	if err != nil {
-		return nil, err
+func ratio(x, base float64) float64 {
+	if base == 0 {
+		return 0
 	}
-	idx := indexCells(cells)
-	evalSet := h.EvalWorkloads()
-	out := &FeatureAblationResult{Dropped: append([]int(nil), fig13Dropped...)}
-	for _, wl := range evalSet {
-		out.Workloads = append(out.Workloads, wl.Name)
-		out.Relative = append(out.Relative, make([]float64, len(fig13Dropped)))
-	}
-	for dj, d := range fig13Dropped {
-		var rel []float64
-		for wi, wl := range evalSet {
-			base, err := idx.get(wl.Name, "full")
-			if err != nil {
-				return nil, err
-			}
-			c, err := idx.get(wl.Name, dropScheme(d))
-			if err != nil {
-				return nil, err
-			}
-			r := ratio(c.Result.IPC, base.Result.IPC)
-			out.Relative[wi][dj] = r
-			rel = append(rel, r)
-		}
-		hm, err := stats.HarmonicMean(rel)
-		if err != nil {
-			hm = stats.Mean(rel)
-		}
-		out.HMean = append(out.HMean, hm)
-	}
-	return out, nil
-}
-
-// AlternativesResult backs Fig. 15: Poise against APCM and
-// random-restart stochastic search, normalised to GTO.
-type AlternativesResult struct {
-	Workloads []string
-	APCM      []float64
-	Random    []float64
-	Poise     []float64
-	HMean     [3]float64 // APCM, Random, Poise
-}
-
-// Fig15 compares Poise with the cache-bypassing and stochastic-search
-// alternatives via the "alternatives" experiment grid. Each
-// random-restart trial is its own cell whose seed is a pure function
-// of (Options.Seed, trial index), so results don't depend on which
-// worker — or which process — runs it; the trials average at
-// assembly time.
-func (h *Harness) Fig15() (*AlternativesResult, error) {
-	cells, err := h.GridCells("alternatives")
-	if err != nil {
-		return nil, err
-	}
-	idx := indexCells(cells)
-	out := &AlternativesResult{}
-	var apcmS, rndS, poiseS []float64
-	for _, wl := range h.EvalWorkloads() {
-		gto, err := idx.get(wl.Name, "GTO")
-		if err != nil {
-			return nil, err
-		}
-		ap, err := idx.get(wl.Name, "APCM")
-		if err != nil {
-			return nil, err
-		}
-		po, err := idx.get(wl.Name, "Poise")
-		if err != nil {
-			return nil, err
-		}
-		var rndIPC float64
-		for i := 1; i <= h.Opt.RandomSeeds; i++ {
-			r, err := idx.get(wl.Name, fmt.Sprintf("random-%d", i))
-			if err != nil {
-				return nil, err
-			}
-			rndIPC += r.Result.IPC
-		}
-		rndIPC /= float64(h.Opt.RandomSeeds)
-
-		a := ratio(ap.Result.IPC, gto.Result.IPC)
-		r := ratio(rndIPC, gto.Result.IPC)
-		p := ratio(po.Result.IPC, gto.Result.IPC)
-		out.Workloads = append(out.Workloads, wl.Name)
-		out.APCM = append(out.APCM, a)
-		out.Random = append(out.Random, r)
-		out.Poise = append(out.Poise, p)
-		apcmS = append(apcmS, a)
-		rndS = append(rndS, r)
-		poiseS = append(poiseS, p)
-	}
-	for i, s := range [][]float64{apcmS, rndS, poiseS} {
-		hm, err := stats.HarmonicMean(s)
-		if err != nil {
-			hm = stats.Mean(s)
-		}
-		out.HMean[i] = hm
-	}
-	return out, nil
-}
-
-// ComputeResult backs Fig. 16: memory-insensitive workloads under GTO,
-// Poise and the 64x-L1 Pbest probe.
-type ComputeResult struct {
-	Workloads  []string
-	Poise      []float64 // vs GTO
-	Pbest      []float64 // vs GTO
-	HMeanPoise float64
-}
-
-// Fig16 verifies Poise's compute-intensive cut-off keeps overhead low,
-// via the "compute" experiment grid.
-func (h *Harness) Fig16() (*ComputeResult, error) {
-	cells, err := h.GridCells("compute")
-	if err != nil {
-		return nil, err
-	}
-	idx := indexCells(cells)
-	out := &ComputeResult{}
-	var ps []float64
-	for _, wl := range h.Cat.ComputeSet() {
-		gto, err := idx.get(wl.Name, "GTO")
-		if err != nil {
-			return nil, err
-		}
-		po, err := idx.get(wl.Name, "Poise")
-		if err != nil {
-			return nil, err
-		}
-		pb, err := idx.get(wl.Name, "Pbest")
-		if err != nil {
-			return nil, err
-		}
-		out.Workloads = append(out.Workloads, wl.Name)
-		out.Poise = append(out.Poise, ratio(po.Result.IPC, gto.Result.IPC))
-		out.Pbest = append(out.Pbest, ratio(pb.Result.IPC, gto.Result.IPC))
-		ps = append(ps, ratio(po.Result.IPC, gto.Result.IPC))
-	}
-	hm, err := stats.HarmonicMean(ps)
-	if err != nil {
-		hm = stats.Mean(ps)
-	}
-	out.HMeanPoise = hm
-	return out, nil
+	return x / base
 }

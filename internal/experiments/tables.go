@@ -91,22 +91,13 @@ type PbestRow struct {
 // catalogue). The paper calls a workload memory-sensitive when Pbest
 // exceeds 1.4.
 func (h *Harness) TableIII() ([]PbestRow, error) {
-	cells, err := h.GridCells("pbest")
+	rt, err := h.ratios("pbest")
 	if err != nil {
 		return nil, err
 	}
-	idx := indexCells(cells)
 	var rows []PbestRow
-	for _, w := range h.pbestWorkloads() {
-		base, err := idx.get(w.Name, "GTO")
-		if err != nil {
-			return nil, err
-		}
-		big, err := idx.get(w.Name, "Pbest")
-		if err != nil {
-			return nil, err
-		}
-		pb := ratio(big.Result.IPC, base.Result.IPC)
+	for i, w := range h.pbestWorkloads() {
+		pb := rt.Ratio[i][0]
 		rows = append(rows, PbestRow{
 			Workload:        w.Name,
 			Kernels:         len(w.Kernels),

@@ -121,6 +121,14 @@ func (c *Coordinator) failLocked(err error) {
 	close(c.finished)
 }
 
+// What one request may make the coordinator read: a lease request is
+// one small object, a completion a chunk of result lines (each line
+// also within the container's own bound).
+const (
+	maxLeaseBody    = 64 << 10
+	maxCompleteBody = 64 << 20
+)
+
 // Handler returns the coordinator's HTTP handler.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -149,7 +157,7 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBody)).Decode(&req); err != nil {
 		http.Error(w, "fleet: bad lease request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -185,7 +193,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	body := gridplan.NewLines(r.Body)
+	body := gridplan.NewLines(http.MaxBytesReader(w, r.Body, maxCompleteBody))
 	var hdr completeHeader
 	if err := body.Exact(&hdr); err != nil {
 		http.Error(w, "fleet: bad completion header: "+err.Error(), http.StatusBadRequest)

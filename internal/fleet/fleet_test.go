@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -372,7 +374,7 @@ func TestRefineCampaignPublishesParentPlans(t *testing.T) {
 	mm := workloads.NewCatalogue(workloads.Small).Must("mm")
 	ka, kb := mm.Kernels[2], mm.Kernels[3]
 	kernels := map[string]*trace.Kernel{ka.Name: ka, kb.Name: kb}
-	opts := profile.SweepOptions{StepN: 4, StepP: 4, Refine: &profile.RefineOptions{}}
+	opts := profile.SweepOptions{StepN: 4, StepP: 4, Refine: true}
 	st := profile.Store{Dir: t.TempDir()}
 	const round0 = "tagB_mm#3.prune000.jsonl"
 	data, err := os.ReadFile(filepath.Join(golden, "fleet", round0))
@@ -462,6 +464,67 @@ func TestWorkerRejectsDriftedCatalogue(t *testing.T) {
 	line, _ := json.Marshal(stray)
 	if _, err := b.Run([]json.RawMessage{line}); err == nil {
 		t.Fatal("Run must refuse a task whose digest the prepared plan does not carry")
+	}
+}
+
+// endless is a request body that never ends, counting what is read of
+// it.
+type endless struct{ n int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+// TestCoordinatorBoundsRequestBodies: a lease request or a completion
+// whose body never ends gets a 4xx once the coordinator has read its
+// bound of it (not the whole body, which would be never), and the
+// campaign goes on to complete.
+func TestCoordinatorBoundsRequestBodies(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	k := testutil.ThrashKernel("bounds", 20, 12, 4)
+	opts := profile.SweepOptions{StepN: 8, StepP: 8}
+	plan := profile.BuildPlan("t", cfg, k, opts)
+	coord, err := NewCoordinator(ProfileCampaign{Plan: plan}, Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path, head string
+		most       int
+	}{
+		{"/v1/lease", `{"worker":"`, maxLeaseBody + 1},
+		{"/v1/complete", `{"worker":"w","gen":0,"lease":"l","count":1}` + "\n" + `{"key":"`, 5 << 20},
+	} {
+		src := &endless{}
+		req := httptest.NewRequest(http.MethodPost, c.path, io.MultiReader(strings.NewReader(c.head), src))
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, req)
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Errorf("%s with an endless body: status %d, want a 4xx", c.path, rec.Code)
+		}
+		if src.n > c.most {
+			t.Errorf("%s read %d bytes of an endless body, want at most %d", c.path, src.n, c.most)
+		}
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	w := &Worker{Base: srv.URL, Name: "w", Poll: 5 * time.Millisecond,
+		Executors: profileExecutors(map[string]*trace.Kernel{k.Name: k}, opts)}
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, err := coord.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(plan.Tasks) {
+		t.Fatalf("%d results for %d tasks", len(res), len(plan.Tasks))
 	}
 }
 

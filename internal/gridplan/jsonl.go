@@ -26,8 +26,8 @@ const (
 	CellPlanFormat = "poisecellplan"
 	measFormat     = "poiseshard"
 
-	// maxLine bounds one line of a container: a format rule, checked
-	// once the line is read.
+	// maxLine bounds one line of a container: a format rule, and the
+	// most a reader buffers before it gives up on a line.
 	maxLine = 4 << 20
 )
 
@@ -58,17 +58,27 @@ type Lines struct {
 func NewLines(r io.Reader) *Lines { return &Lines{br: bufio.NewReader(r)} }
 
 // read returns the next line, blank or not; the last line need not end
-// in a newline. io.EOF means the stream ended before it.
+// in a newline. io.EOF means the stream ended before it. A line longer
+// than maxLine is refused as soon as the reader has seen that much of
+// it, so a stream without newlines costs maxLine, not its length.
 func (l *Lines) read() ([]byte, error) {
-	b, err := l.br.ReadBytes('\n')
-	if err != nil && (err != io.EOF || len(b) == 0) {
-		return nil, err
+	var b []byte
+	for {
+		frag, err := l.br.ReadSlice('\n')
+		if len(b)+len(frag) > maxLine {
+			l.line++
+			return nil, fmt.Errorf("line exceeds the %d-byte bound", maxLine)
+		}
+		b = append(b, frag...)
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if err != nil && (err != io.EOF || len(b) == 0) {
+			return nil, err
+		}
+		l.line++
+		return b, nil
 	}
-	l.line++
-	if len(b) > maxLine {
-		return nil, fmt.Errorf("line of %d bytes exceeds the %d-byte bound", len(b), maxLine)
-	}
-	return b, nil
 }
 
 // Next decodes the next non-blank line into v, returning io.EOF at the

@@ -116,3 +116,29 @@ func TestLinesTolerantAndExact(t *testing.T) {
 		t.Fatalf("a %d-byte line: %v", len(long), err)
 	}
 }
+
+// endless is a stream of one line that never ends, counting the bytes
+// read from it.
+type endless struct{ n int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+// TestLinesStopAtTheBound: a line with no newline in sight is refused
+// once the reader has taken about maxLine bytes of it, not buffered
+// until the stream ends (which, on a POST body, may be never).
+func TestLinesStopAtTheBound(t *testing.T) {
+	src := &endless{}
+	var v struct{ A int }
+	if err := NewLines(src).Next(&v); err == nil || !strings.Contains(err.Error(), "bound") {
+		t.Fatalf("an endless line: %v", err)
+	}
+	if buf := 4096; src.n > maxLine+buf {
+		t.Fatalf("read %d bytes of an endless line, want at most maxLine + one %d-byte buffer (%d)", src.n, buf, maxLine+buf)
+	}
+}

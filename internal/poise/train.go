@@ -55,7 +55,7 @@ type Dataset struct {
 // isolated peak no front climbs to; pvr#29), hence the model, to save
 // part of 35 s of sweeping on two cores.
 func BuildDataset(cfg config.Config, params config.PoiseParams, train []*sim.Workload, sweep profile.SweepOptions, store profile.Store, tag string) (*Dataset, error) {
-	sweep.Refine = nil
+	sweep.Refine = false
 	ds := &Dataset{}
 	for _, w := range train {
 		for _, k := range w.Kernels {

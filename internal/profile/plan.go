@@ -256,11 +256,11 @@ func MergeShards(kernel string, shards ...[]gridplan.Measurement) (*Profile, err
 func SweepTag(cfg config.Config, opts SweepOptions) string {
 	opts = opts.withDefaults()
 	s := fmt.Sprintf("%+v|%d.%d", cfg, opts.StepN, opts.StepP)
-	if opts.Refine != nil {
+	if opts.Refine {
 		// Refined profiles carry a subset of the grid, so a refined
 		// campaign must never collide with a whole-grid one — or with
 		// one refined under different parameters.
-		s += "|prune" + opts.Refine.Tag()
+		s += "|prune" + RefineTag()
 	}
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:6])

@@ -131,12 +131,11 @@ type SweepOptions struct {
 	Memo *sim.RunMemo
 	// Refine switches sweeps to adaptive coarse-to-fine refinement
 	// (see refine.go): LoadOrSweep runs a Refinement instead of the
-	// whole grid, caching completed rounds for resume. nil means the
-	// whole grid. The refined profile contains only the simulated
-	// subset of the grid, so callers that consume more than the
-	// Best/BestDiagonal/BestScore optima and the corner points should
-	// keep Refine nil.
-	Refine *RefineOptions
+	// whole grid, caching completed rounds for resume. The refined
+	// profile contains only the simulated subset of the grid, so
+	// callers that consume more than the Best/BestDiagonal/BestScore
+	// optima and the corner points should leave Refine off.
+	Refine bool
 	// Interrupt, when non-nil, makes the sweep preemptible: a fired
 	// control stops in-flight tasks at a safe point with
 	// sim.ErrInterrupted (after checkpointing them to Checkpoints, when
@@ -337,7 +336,7 @@ func (s Store) LoadOrSweepAll(cfg config.Config, kernels []*trace.Kernel, tag fu
 			refine = append(refine, k)
 		}
 	}
-	if opts.Refine == nil {
+	if !opts.Refine {
 		for _, i := range missing {
 			pr, err := Sweep(cfg, kernels[i], opts)
 			if err == nil && s.Dir != "" {

@@ -35,8 +35,8 @@ import (
 // The refinement's fixed parameters, chosen so the catalogue workloads
 // converge to the exact exhaustive-sweep optima while simulating well
 // under half of the grid (TestPrunedMatchesExhaustiveOnCatalogue pins
-// both properties). They are part of RefineOptions.Tag, so changing one
-// re-keys every cached refined profile.
+// both properties). They are part of RefineTag, so changing one re-keys
+// every cached refined profile.
 const (
 	// coarseN/coarseP multiply the target StepN/StepP for the round-0
 	// sub-grid: every third target column/row.
@@ -60,38 +60,23 @@ const (
 	flatTol = 0.02
 )
 
-// RefineOptions is what differs between the refined sweeps' callers;
-// everything else about the refinement is the constants above.
-type RefineOptions struct {
-	// W0/W1/W2 are the Eq. 12 neighbourhood weights used for ranking.
-	// They are one unit: leave all three zero for the Table IV
-	// defaults (config.DefaultPoise), or set all three explicitly —
-	// a partially-set triple is used exactly as given.
-	W0, W1, W2 float64
+// rankWeights are the Eq. 12 neighbourhood weights the refinement ranks
+// points by: Table IV's (config.DefaultPoise).
+func rankWeights() (w0, w1, w2 float64) {
+	p := config.DefaultPoise()
+	return p.ScoreW0, p.ScoreW1, p.ScoreW2
 }
 
-// withDefaults resolves the weights; nil options are pure defaults.
-func (o *RefineOptions) withDefaults() (r RefineOptions) {
-	if o != nil {
-		r = *o
-	}
-	if r.W0 == 0 && r.W1 == 0 && r.W2 == 0 {
-		p := config.DefaultPoise()
-		r.W0, r.W1, r.W2 = p.ScoreW0, p.ScoreW1, p.ScoreW2
-	}
-	return r
-}
-
-// Tag digests every parameter that shapes which grid points a pruned
-// sweep simulates, after defaulting — the cache-key component for
-// pruned campaigns. Two campaigns differing in any refinement
-// parameter (coarse factors, front widths, round cap, flatness
-// threshold, ranking weights) must never share cached profiles or
-// round partials, because their pruned subsets differ.
-func (o RefineOptions) Tag() string {
-	r := o.withDefaults()
+// RefineTag digests every parameter that shapes which grid points a
+// refined sweep simulates — the cache-key component for refined
+// campaigns. Changing any of them (coarse factors, front widths, round
+// cap, flatness threshold, ranking weights) moves it, so refined
+// profiles and round partials never outlive the refinement that made
+// them.
+func RefineTag() string {
+	w0, w1, w2 := rankWeights()
 	return fmt.Sprintf("%d.%d.%d.%d.%g.%g.%g.%g",
-		coarseN, coarseP, topK, maxRounds, flatTol, r.W0, r.W1, r.W2)
+		coarseN, coarseP, topK, maxRounds, flatTol, w0, w1, w2)
 }
 
 // RefineStats reports what a pruned sweep actually simulated.
@@ -130,7 +115,6 @@ func (s RefineStats) Fraction() float64 {
 // the exhaustive sweep, never to a wrong profile.
 func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions, round int, prior []gridplan.Measurement) (*gridplan.Plan, bool, error) {
 	opts = opts.withDefaults()
-	ropts := opts.Refine.withDefaults()
 	maxN := sim.KernelMaxN(cfg, k)
 	grid := gridplan.Enumerate(maxN, opts.StepN, opts.StepP)
 	inGrid := map[gridplan.Coord]bool{}
@@ -166,7 +150,7 @@ func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepO
 			// reproduce exactly.
 			want = inGrid
 		} else {
-			want = refineWants(pr, grid, opts, ropts)
+			want = refineWants(pr, grid, opts)
 		}
 	}
 
@@ -224,7 +208,8 @@ func flat(pr *Profile) bool {
 // fronts (plus the incumbent's exact 3x3 score neighbourhood), the
 // 3x3 ring of the score incumbent, and diagonal steps around the top
 // diagonal points for the SWL optimum.
-func refineWants(pr *Profile, grid []gridplan.Coord, opts SweepOptions, ropts RefineOptions) map[gridplan.Coord]bool {
+func refineWants(pr *Profile, grid []gridplan.Coord, opts SweepOptions) map[gridplan.Coord]bool {
+	w0, w1, w2 := rankWeights()
 	bySpeedup := append([]Point(nil), pr.Points...)
 	sort.SliceStable(bySpeedup, func(i, j int) bool {
 		return bySpeedup[i].Speedup > bySpeedup[j].Speedup
@@ -235,7 +220,7 @@ func refineWants(pr *Profile, grid []gridplan.Coord, opts SweepOptions, ropts Re
 	}
 	byScore := make([]scored, 0, len(pr.Points))
 	for _, pt := range pr.Points {
-		s, ok := pr.Score(pt.N, pt.P, ropts.W0, ropts.W1, ropts.W2)
+		s, ok := pr.Score(pt.N, pt.P, w0, w1, w2)
 		if !ok {
 			continue
 		}

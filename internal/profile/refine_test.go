@@ -118,7 +118,7 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 func TestLoadOrSweepPrunedResume(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("sweep", 20, 15, 4)
-	opts := SweepOptions{StepN: 2, StepP: 2, Refine: &RefineOptions{}}
+	opts := SweepOptions{StepN: 2, StepP: 2, Refine: true}
 	st := Store{Dir: t.TempDir()}
 	sweep := func(k *trace.Kernel) Swept {
 		t.Helper()

@@ -25,7 +25,7 @@ func goldenRefinement(t *testing.T, store Store) (*Refinement, map[string]*trace
 	tags := map[string]string{ka.Name: "tagA", kb.Name: "tagB"}
 	r := NewRefinement(config.Default().Scale(2), []*trace.Kernel{ka, kb},
 		func(kernel string) string { return tags[kernel] },
-		SweepOptions{StepN: 4, StepP: 4, Refine: &RefineOptions{}}, store)
+		SweepOptions{StepN: 4, StepP: 4, Refine: true}, store)
 	return r, map[string]*trace.Kernel{ka.Name: ka, kb.Name: kb}
 }
 
@@ -153,7 +153,7 @@ func TestRefinementRestartsUnextendableRounds(t *testing.T) {
 		}
 	}
 	k := workloads.NewCatalogue(workloads.Small).Must("mm").Kernels[3]
-	pr, err := st.LoadOrSweep("tagB", config.Default().Scale(2), k, SweepOptions{StepN: 4, StepP: 4, Refine: &RefineOptions{}})
+	pr, err := st.LoadOrSweep("tagB", config.Default().Scale(2), k, SweepOptions{StepN: 4, StepP: 4, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
