@@ -77,8 +77,9 @@ func goldenNumber(t *testing.T, prefix string, col int) float64 {
 	return 0
 }
 
-// fig7ExpectedFail is the paper's claims (Fig. 7's orderings, and the
-// headline numbers of Table II, Fig. 11, 14 and 16) this reproduction
+// fig7ExpectedFail is the paper's claims (Fig. 7's orderings, Fig. 13's
+// and Fig. 15's, and the headline numbers of Table II, Fig. 11, 14 and
+// 16) this reproduction
 // fails at -sms 4, seed 0, each with why. The failing set
 // must equal it: a claim that starts failing fails the test, and so
 // does one that starts holding until its entry is deleted, so the list
@@ -94,15 +95,20 @@ var fig7ExpectedFail = map[string]string{
 	"Fig. 11 search helps: H-Mean at (2,4) 1.074 < 1.114 at (0,0)": "ROADMAP item 2(b): a probe costs TWarmup + TSearch cycles of a kernel that is " +
 		"one to three epochs long, and local search loses more in probes than it finds at every stride",
 	"Table II offline p error within 10 points of 26%: 55.0%": "ROADMAP item 2(a)",
+	"Fig. 15 Poise >= Random-restart: H-Mean 1.074 < 1.153": "ROADMAP items 2 and 3(d): random-restart pays no feature-sampling tax " +
+		"and decides on GPU-wide IPC windows, Poise on per-SM ones",
+	"Fig. 13 every ablation costs performance: H-Mean -x6 1.000, -x5 1.008, -x4 1.000": "ROADMAP item 2: the features carry almost none of the decision",
 }
 
 // TestFig7OrderingClaims evaluates the ordering claims of the paper's
 // Fig. 7 (Poise beats SWL and PCAL-SWL, no scheme beats the Static-Best
 // oracle, and, this repository's own floor, Poise loses at most 5 % to
-// GTO anywhere) and the headline numbers of Table II (offline
-// prediction error), Fig. 11 (search helps), Fig. 14 (energy), Fig. 16
-// (overhead on compute-intensive workloads) and §VII-I (cost per SM)
-// on the golden results file CI diffs poisebench against.
+// GTO anywhere), Fig. 13's (dropping any feature costs performance)
+// and Fig. 15's (Poise beats APCM and random-restart), and the headline
+// numbers of Table II (offline prediction error), Fig. 11 (search
+// helps), Fig. 14 (energy), Fig. 16 (overhead on compute-intensive
+// workloads) and §VII-I (cost per SM) on the golden results file CI
+// diffs poisebench against.
 func TestFig7OrderingClaims(t *testing.T) {
 	rows, ipc := fig7Golden(t)
 	hmean := ipc["H-Mean"]
@@ -149,6 +155,23 @@ func TestFig7OrderingClaims(t *testing.T) {
 	// Fig. 11's columns are the strides (0,0) (1,1) (2,2) (2,4) (4,4).
 	if pure, searched := goldenNumber(t, "===== Fig. 11", 0), goldenNumber(t, "===== Fig. 11", 3); searched < pure {
 		failing[fmt.Sprintf("Fig. 11 search helps: H-Mean at (2,4) %.3f < %.3f at (0,0)", searched, pure)] = true
+	}
+	// Fig. 13's columns drop one feature each: x7 x6 x5 x4 x3.
+	var free []string
+	for i, col := range []string{"-x7", "-x6", "-x5", "-x4", "-x3"} {
+		if h := goldenNumber(t, "===== Fig. 13", i); h >= 1 {
+			free = append(free, fmt.Sprintf("%s %.3f", col, h))
+		}
+	}
+	if len(free) > 0 {
+		failing["Fig. 13 every ablation costs performance: H-Mean "+strings.Join(free, ", ")] = true
+	}
+	// Fig. 15's columns are APCM, Random-restart and Poise.
+	poise := goldenNumber(t, "===== Fig. 15", 2)
+	for i, rival := range []string{"APCM", "Random-restart"} {
+		if h := goldenNumber(t, "===== Fig. 15", i); poise < h {
+			failing[fmt.Sprintf("Fig. 15 Poise >= %s: H-Mean %.3f < %.3f", rival, poise, h)] = true
+		}
 	}
 	for claim := range failing {
 		if fig7ExpectedFail[claim] == "" {

@@ -92,7 +92,6 @@ var (
 	size     = flag.String("size", "small", "workload size: small | medium | large")
 	cacheDir = flag.String("cache", ".poise-cache", "profile cache directory ('' disables)")
 	seeds    = flag.Int("seeds", 3, "random-restart seeds (paper uses 20)")
-	snapDir  = flag.String("snapshot-dir", "", "kernel-boundary snapshot directory, the on-disk second tier of the run memo: a tuple-pinned grid cell no earlier run answers whole resumes at the first kernel where it diverges from a run that left a snapshot here, in this process or an earlier one (results are bit-identical either way; '' = memory only)")
 	parallel = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 	seed     = flag.Int64("seed", 0, "experiment seed (perturbs workload jitter and random-restart; 0 = canonical)")
 	listExp  = flag.Bool("listexp", false, "list experiments and exit")
@@ -152,13 +151,8 @@ func main() {
 		Seed:           *seed,
 		Ctx:            ctx,
 		ExtraWorkloads: extra,
-		SnapshotDir:    *snapDir,
 	}
 	h := experiments.NewHarness(opt)
-	if err := h.SnapshotErr(); err != nil {
-		fmt.Fprintln(os.Stderr, "poisebench: -snapshot-dir:", err)
-		os.Exit(1)
-	}
 
 	if fleetMode.Enabled() {
 		err := runFleetMode(ctx, h, benchFleetFlags{Flags: *fleetMode, run: *run, cacheDir: *cacheDir})
@@ -196,8 +190,8 @@ func main() {
 	// Bracketed like the timing lines: reuse depends on what the cache
 	// directories already held, so output comparisons filter it out.
 	m := h.RunMemo()
-	fmt.Printf("[run memo: %d reused, %d simulated, %d cycles not re-simulated; snapshots: %d hits, %d misses]\n",
-		m.Reused.Load(), m.Simulated.Load(), m.CyclesSaved.Load(), m.SnapshotHits.Load(), m.SnapshotMisses.Load())
+	fmt.Printf("[run memo: %d reused, %d simulated, %d cycles not re-simulated]\n",
+		m.Reused.Load(), m.Simulated.Load(), m.CyclesSaved.Load())
 	st, escalated := h.SweepBooks()
 	fmt.Printf("[sweeps: %d of %d grid points, %d rounds, %d kernels escalated to the full grid]\n",
 		st.Simulated, st.GridPoints, st.Rounds, escalated)

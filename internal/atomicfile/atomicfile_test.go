@@ -3,6 +3,7 @@ package atomicfile
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,5 +68,32 @@ func TestWriteReplacesOrLeavesAlone(t *testing.T) {
 	}
 	if names := dirNames(t, dir); len(names) != 2 {
 		t.Fatalf("directory holds %v, want only entry.json and blocked", names)
+	}
+}
+
+// TestJSONEntries: SaveJSON creates the directory and writes one-space
+// indented JSON that LoadJSON reads back; a missing file is
+// fs.ErrNotExist and a garbled one ErrCorrupt, never a zero value.
+func TestJSONEntries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache", "entry.json")
+	type entry struct{ A []int }
+	var got entry
+	if err := LoadJSON(path, &got); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing entry: %v, want fs.ErrNotExist", err)
+	}
+	if err := SaveJSON(path, entry{A: []int{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != "{\n \"A\": [\n  1,\n  2\n ]\n}" {
+		t.Fatalf("file bytes %q", data)
+	}
+	if err := LoadJSON(path, &got); err != nil || len(got.A) != 2 || got.A[1] != 2 {
+		t.Fatalf("round trip: %+v, %v", got, err)
+	}
+	if err := WriteFile(path, []byte(`{"A": [1,`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadJSON(path, &got); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated entry: %v, want ErrCorrupt", err)
 	}
 }

@@ -550,7 +550,7 @@ func (h *Harness) GridCells(grid string) ([]results.CellResult, error) {
 			// Present but covering a different plan (subset runs, drifted
 			// digests): treat as a miss and overwrite below.
 		}
-		// os.ErrNotExist and results.ErrCorrupt land here too — a
+		// os.ErrNotExist and atomicfile.ErrCorrupt land here too — a
 		// truncated write from a crashed merge re-runs and is repaired.
 		cells, err := h.RunCellTasks(grid, plan.Cells)
 		if err != nil {

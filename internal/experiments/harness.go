@@ -67,13 +67,8 @@ type Options struct {
 	// Meant for tests and quick interactive runs.
 	EvalSubset []string
 
-	// SnapshotDir gives the harness's run memo its on-disk second tier
-	// ("" = memory only): a cell whose policy pins its tuples (GTO, SWL,
-	// Static-Best, Fixed) and that no earlier run of this harness
-	// answers whole restores the deepest kernel-boundary snapshot a
-	// run sharing its prefix left there — this process or an earlier
-	// one — instead of re-simulating those kernels. Results are
-	// bit-identical with or without it.
+	// Deprecated: SnapshotDir is ignored; the run memo keeps its results
+	// in memory only. It goes once nothing names it.
 	SnapshotDir string
 
 	// ExtraWorkloads registers additional workloads — typically
@@ -137,10 +132,8 @@ type Harness struct {
 	cells   runner.Cache[string, []results.CellResult]
 	ablated runner.Cache[int, poise.Weights]
 	// memo answers tuple-pinned runs this harness already did — sweep
-	// points and grid cells alike — from memory; snapErr is why it
-	// lacks the snapshot tier Options.SnapshotDir asked for.
-	memo    *sim.RunMemo
-	snapErr error
+	// points and grid cells alike — from memory.
+	memo *sim.RunMemo
 	// books adds up what the refined sweeps simulated and escalated how
 	// many of them ended up covering their whole grid (under sweeping).
 	books     profile.RefineStats
@@ -170,7 +163,7 @@ func NewHarness(opt Options) *Harness {
 			extraKernels[k.Name] = d
 		}
 	}
-	h := &Harness{
+	return &Harness{
 		Opt:          opt,
 		Cfg:          config.Default().Scale(opt.SMs),
 		Params:       config.DefaultPoise(),
@@ -181,10 +174,6 @@ func NewHarness(opt Options) *Harness {
 		memo:         sim.NewRunMemo(),
 		extraKernels: extraKernels,
 	}
-	if opt.SnapshotDir != "" {
-		h.snapErr = h.memo.UseSnapshots(opt.SnapshotDir)
-	}
-	return h
 }
 
 // RunMemo returns the harness's run memo.
@@ -198,12 +187,6 @@ func (h *Harness) SweepBooks() (profile.RefineStats, int) {
 	defer h.sweeping.Unlock()
 	return h.books, h.escalated
 }
-
-// SnapshotErr reports why Options.SnapshotDir could not be opened (nil
-// when it was, or was not asked for). Such a harness still simulates
-// correctly, without the snapshot tier; a command line whose user
-// named the directory should refuse to.
-func (h *Harness) SnapshotErr() error { return h.snapErr }
 
 // ctx returns the harness's cancellation context.
 func (h *Harness) ctx() context.Context {

@@ -173,36 +173,5 @@ func TestSchemeGridReusesSweepPoints(t *testing.T) {
 		if asked != 40 || simulated != 32 || reused != 8 {
 			t.Fatalf("seed %d: asked %d, simulated %d, reused %d kernel runs; want 40, 32, 8", seed, asked, simulated, reused)
 		}
-		if memo.SnapshotHits.Load() != 0 || memo.SnapshotMisses.Load() != 0 {
-			t.Fatalf("seed %d: snapshot tier used without a directory", seed)
-		}
-	}
-}
-
-// TestUnusableSnapshotDirIsReported: a harness whose snapshot directory
-// cannot be opened says so (poisebench refuses to run on it) and still
-// simulates, on the memory tier alone.
-func TestUnusableSnapshotDirIsReported(t *testing.T) {
-	if err := NewHarness(subsetOptions(1, 0)).SnapshotErr(); err != nil {
-		t.Fatalf("no directory asked for: %v", err)
-	}
-	o := subsetOptions(1, 0)
-	o.SnapshotDir = t.TempDir()
-	if err := NewHarness(o).SnapshotErr(); err != nil {
-		t.Fatalf("usable directory: %v", err)
-	}
-	o.SnapshotDir = "/dev/null/snaps"
-	h := NewHarness(o)
-	if h.SnapshotErr() == nil {
-		t.Fatal("a snapshot directory under /dev/null opened")
-	}
-	wl := h.Cat.Must("kmeans")
-	for i := int64(0); i < 2; i++ {
-		if _, err := h.runCellOn(h.Cfg, wl, sim.GTO{}); err != nil {
-			t.Fatal(err)
-		}
-		if r := h.RunMemo().Reused.Load(); r != i {
-			t.Fatalf("run %d: %d kernel runs reused", i, r)
-		}
 	}
 }

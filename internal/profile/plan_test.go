@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"poise/internal/atomicfile"
 	"poise/internal/gridplan"
 	"poise/internal/testutil"
 	"poise/internal/trace"
@@ -112,7 +113,7 @@ func TestLoadOrSweepReSweepsCorrupt(t *testing.T) {
 		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Load("cfg", k.Name); !errors.Is(err, ErrCorrupt) {
+		if _, err := st.Load("cfg", k.Name); !errors.Is(err, atomicfile.ErrCorrupt) {
 			t.Fatalf("%s: Load error = %v, want ErrCorrupt", name, err)
 		}
 		got, err := st.LoadOrSweep("cfg", cfg, k, opts)

@@ -89,3 +89,64 @@ func TestPreemptedSweepResumesIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestForeignContainerUnderTaskKeyIsIgnored: a container of another
+// kind stored under a task's key is not the task's checkpoint. runTask
+// leaves it where it is and runs the task from the start, so the sweep
+// still equals an uninterrupted one.
+func TestForeignContainerUnderTaskKeyIsIgnored(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	k := testutil.ThrashKernel("foreign", 20, 12, 4)
+	opts := SweepOptions{StepN: 4, StepP: 4}
+	kernels := map[string]*trace.Kernel{k.Name: k}
+	plan := BuildPlan("", cfg, k, opts)
+	clean, err := RunTasks(cfg, kernels, plan.Tasks, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Real task states, from a preempted sweep, relabelled as workload
+	// checkpoints and kernel boundaries.
+	store, err := snap.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	io := opts
+	io.Interrupt = &sim.InterruptCtl{AtCycle: 1}
+	io.Checkpoints = store
+	if _, err := RunTasks(cfg, kernels, plan.Tasks, io); !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("interrupted RunTasks: got %v, want ErrInterrupted", err)
+	}
+	relabelled := 0
+	for i, task := range plan.Tasks {
+		sn, err := store.Load(taskCheckpointKey(task))
+		if err != nil {
+			continue
+		}
+		sn.Kind = []snap.Kind{snap.KindCheckpoint, snap.KindBoundary}[i%2]
+		if err := store.Save(sn); err != nil {
+			t.Fatal(err)
+		}
+		relabelled++
+	}
+	if relabelled == 0 {
+		t.Fatal("preemption left no task checkpoints")
+	}
+
+	ro := opts
+	ro.Checkpoints = store
+	got, err := RunTasks(cfg, kernels, plan.Tasks, ro)
+	if err != nil {
+		t.Fatalf("sweep over foreign containers: %v", err)
+	}
+	if !reflect.DeepEqual(clean, got) {
+		t.Fatalf("sweep over foreign containers diverges:\nwant %+v\ngot  %+v", clean, got)
+	}
+	ents, err := os.ReadDir(store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != relabelled {
+		t.Fatalf("%d containers left of %d: a foreign one was taken for a task checkpoint", len(ents), relabelled)
+	}
+}

@@ -7,7 +7,6 @@ package profile
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -258,28 +257,19 @@ func (s Store) path(tag, kernel string) string {
 	return filepath.Join(s.Dir, fmt.Sprintf("%s_%s.json", tag, kernel))
 }
 
-// ErrCorrupt tags cache entries that exist but cannot be decoded
-// (truncated writes, garbled JSON). Callers distinguish it from
-// os.ErrNotExist with errors.Is; LoadOrSweep treats both as "no usable
-// cache entry" and re-sweeps.
-var ErrCorrupt = errors.New("corrupt profile cache entry")
-
 // Load reads a cached profile; it returns os.ErrNotExist if absent and
-// an ErrCorrupt-wrapping error if present but undecodable.
+// an atomicfile.ErrCorrupt-wrapping error if present but undecodable.
+// LoadOrSweep treats both as "no usable cache entry" and re-sweeps.
 func (s Store) Load(tag, kernel string) (*Profile, error) {
 	if s.Dir == "" {
 		return nil, os.ErrNotExist
 	}
-	data, err := os.ReadFile(s.path(tag, kernel))
-	if err != nil {
+	var pr Profile
+	if err := atomicfile.LoadJSON(s.path(tag, kernel), &pr); err != nil {
 		return nil, err
 	}
-	var pr Profile
-	if err := json.Unmarshal(data, &pr); err != nil {
-		return nil, fmt.Errorf("profile: %s: %w (%v)", s.path(tag, kernel), ErrCorrupt, err)
-	}
 	if pr.Kernel == "" || len(pr.Points) == 0 {
-		return nil, fmt.Errorf("profile: %s: %w (decoded to an empty profile)", s.path(tag, kernel), ErrCorrupt)
+		return nil, fmt.Errorf("profile: %s: %w (decoded to an empty profile)", s.path(tag, kernel), atomicfile.ErrCorrupt)
 	}
 	pr.buildIndex()
 	return &pr, nil
@@ -287,21 +277,14 @@ func (s Store) Load(tag, kernel string) (*Profile, error) {
 
 // Save writes a profile to the cache through atomicfile, so a crash
 // mid-write leaves either the old entry or the new one, never a
-// truncated file — the ErrCorrupt repair path stays a defence against
-// external damage rather than the only thing standing between a crash
-// and a poisoned cache.
+// truncated file — the atomicfile.ErrCorrupt repair path stays a
+// defence against external damage rather than the only thing standing
+// between a crash and a poisoned cache.
 func (s Store) Save(tag string, pr *Profile) error {
 	if s.Dir == "" {
 		return errors.New("profile: store has no directory")
 	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(pr, "", " ")
-	if err != nil {
-		return err
-	}
-	if err := atomicfile.WriteFile(s.path(tag, pr.Kernel), data); err != nil {
+	if err := atomicfile.SaveJSON(s.path(tag, pr.Kernel), pr); err != nil {
 		return fmt.Errorf("profile: saving %s: %w", s.path(tag, pr.Kernel), err)
 	}
 	return nil
@@ -319,13 +302,13 @@ func (s Store) LoadOrSweep(tag string, cfg config.Config, k *trace.Kernel, opts 
 
 // LoadOrSweepAll returns the profiles of the kernels, in order; tag
 // gives each kernel's cache tag. A cached profile is loaded; a corrupt
-// entry (ErrCorrupt) is a miss and gets overwritten, so a truncated
-// write from a crashed run can never abort later runs. The others are
-// swept and cached: with opts.Refine set by ONE Refinement over all of
-// them, which resumes from the rounds the store holds and persists the
-// ones it runs (refine.go); over the whole grid, kernel by kernel,
-// otherwise. Refined and whole-grid profiles carry different points:
-// callers key them under different tags.
+// entry (atomicfile.ErrCorrupt) is a miss and gets overwritten, so a
+// truncated write from a crashed run can never abort later runs. The
+// others are swept and cached: with opts.Refine set by ONE Refinement
+// over all of them, which resumes from the rounds the store holds and
+// persists the ones it runs (refine.go); over the whole grid, kernel by
+// kernel, otherwise. Refined and whole-grid profiles carry different
+// points: callers key them under different tags.
 func (s Store) LoadOrSweepAll(cfg config.Config, kernels []*trace.Kernel, tag func(kernel string) string, opts SweepOptions) ([]Swept, error) {
 	out := make([]Swept, len(kernels))
 	var missing []int

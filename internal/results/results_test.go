@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"poise/internal/atomicfile"
 	"poise/internal/cache"
 	"poise/internal/gridplan"
 	"poise/internal/sim"
@@ -124,7 +125,7 @@ func TestStoreSaveLoadAndCorruption(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Load("cfg", "scheme"); !errors.Is(err, ErrCorrupt) {
+	if _, err := st.Load("cfg", "scheme"); !errors.Is(err, atomicfile.ErrCorrupt) {
 		t.Fatalf("corrupt entry must be ErrCorrupt, got %v", err)
 	}
 	if s := (Store{}); true {

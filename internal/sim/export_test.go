@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"poise/internal/config"
+	"poise/internal/snap"
 )
 
 // ClockMarkers returns how many cycles are marked in the wake ring
@@ -30,6 +31,15 @@ func (g *GPU) SnapshotKernelWithFills(p Policy, numSMs, perSM int, fills [][3]in
 		g.events.insert(event{cycle: f[0], sm: int32(f[1]), line: uint64(f[2])})
 	}
 	return g.SnapshotKernel(p)
+}
+
+// SnapshotMachine writes the GPU's machine state with no kernel
+// running: the payload of a kernel boundary, which no product code
+// writes.
+func (g *GPU) SnapshotMachine() []byte {
+	w := snap.NewWriter()
+	g.walk(snap.Out(w), false)
+	return w.Data()
 }
 
 // BurstsInFlight returns how many schedulers are inside an issue burst

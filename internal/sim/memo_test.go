@@ -2,8 +2,6 @@ package sim_test
 
 import (
 	"errors"
-	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -34,27 +32,17 @@ func runCached(t testing.TB, cfg config.Config, w *sim.Workload, p sim.Policy, o
 	return g.RunWorkloadCached(w, p, opts, m)
 }
 
-// snapshotMemo returns a memo with the on-disk tier at dir.
-func snapshotMemo(t testing.TB, dir string) *sim.RunMemo {
-	t.Helper()
-	m := sim.NewRunMemo()
-	if err := m.UseSnapshots(dir); err != nil {
-		t.Fatalf("UseSnapshots: %v", err)
-	}
-	return m
-}
-
 // counts is the memo's books in one comparable value.
-type counts struct{ Reused, Simulated, SnapHits, SnapMisses int64 }
+type counts struct{ Reused, Simulated int64 }
 
 func booksOf(m *sim.RunMemo) counts {
-	return counts{m.Reused.Load(), m.Simulated.Load(), m.SnapshotHits.Load(), m.SnapshotMisses.Load()}
+	return counts{m.Reused.Load(), m.Simulated.Load()}
 }
 
-// TestPrefixCacheBitIdentical proves both tiers invisible to results:
-// a cold run that fills them, a second process restoring a boundary
-// snapshot, a repeat answered from memory and a different policy that
-// pins the same tuples all reproduce the unmemoised WorkloadResult.
+// TestPrefixCacheBitIdentical proves the memo invisible to results: a
+// cold run that fills it, a repeat answered from memory and a different
+// policy that pins the same tuples all reproduce the unmemoised
+// WorkloadResult.
 func TestPrefixCacheBitIdentical(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	w := prefixWorkload()
@@ -63,46 +51,30 @@ func TestPrefixCacheBitIdentical(t *testing.T) {
 		t.Fatalf("baseline: %v", err)
 	}
 
-	dir := t.TempDir()
-	first := snapshotMemo(t, dir)
-	cold, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, first)
+	m := sim.NewRunMemo()
+	cold, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
 	if !reflect.DeepEqual(base, cold) {
 		t.Fatalf("cold run diverges:\n base: %+v\n cold: %+v", base, cold)
 	}
-	if got, want := booksOf(first), (counts{0, 3, 0, 1}); got != want {
+	if got, want := booksOf(m), (counts{0, 3}); got != want {
 		t.Fatalf("cold run: books %+v, want %+v", got, want)
 	}
 
-	// A later process: empty memory, the same directory. Three kernels
-	// leave boundaries after k0 and k1; the deepest restore skips both
-	// and simulates only k2.
-	second := snapshotMemo(t, dir)
-	warm, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, second)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if !reflect.DeepEqual(base, warm) {
-		t.Fatalf("snapshot-restored run diverges:\n base: %+v\n warm: %+v", base, warm)
-	}
-	if got, want := booksOf(second), (counts{2, 1, 1, 0}); got != want {
-		t.Fatalf("warm run: books %+v, want %+v", got, want)
-	}
-	if second.CyclesSaved.Load() <= 0 {
-		t.Fatalf("warm run saved no cycles")
-	}
-
-	again, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, second)
+	again, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatalf("repeat: %v", err)
 	}
 	if !reflect.DeepEqual(base, again) {
 		t.Fatalf("run answered from memory diverges:\n base: %+v\n again: %+v", base, again)
 	}
-	if got, want := booksOf(second), (counts{5, 1, 1, 0}); got != want {
-		t.Fatalf("repeat: books %+v, want %+v (no snapshot lookup, nothing simulated)", got, want)
+	if got, want := booksOf(m), (counts{3, 3}); got != want {
+		t.Fatalf("repeat: books %+v, want %+v (nothing simulated)", got, want)
+	}
+	if got := m.CyclesSaved.Load(); got != base.Cycles {
+		t.Fatalf("repeat saved %d cycles, want %d", got, base.Cycles)
 	}
 
 	// Fixed{} resolves to the same full-concurrency tuples as GTO, so it
@@ -113,7 +85,7 @@ func TestPrefixCacheBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixed baseline: %v", err)
 	}
-	fwarm, err := runCached(t, cfg, w, fixed, sim.RunOptions{}, second)
+	fwarm, err := runCached(t, cfg, w, fixed, sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatalf("fixed run: %v", err)
 	}
@@ -123,28 +95,24 @@ func TestPrefixCacheBitIdentical(t *testing.T) {
 	if fwarm.Policy != "swl" || fwarm.Workload != "multi" {
 		t.Fatalf("labels wrong: policy=%q workload=%q", fwarm.Policy, fwarm.Workload)
 	}
-	if got := second.Simulated.Load(); got != 1 {
-		t.Fatalf("cross-policy run simulated: Simulated = %d, want 1", got)
+	if got := m.Simulated.Load(); got != 3 {
+		t.Fatalf("cross-policy run simulated: Simulated = %d, want 3", got)
 	}
 }
 
 // TestPrefixCachePassthrough pins who takes part: a single-kernel
 // workload does (the fallback that kept it out is gone), while adaptive
 // policies (their run is no function of a tuple sequence) and runs with
-// an interrupt control armed never touch the memo — no entry, no count,
-// no snapshot — whatever it already holds.
+// an interrupt control armed never touch the memo — no entry, no count
+// — whatever it already holds.
 func TestPrefixCachePassthrough(t *testing.T) {
 	cfg := testutil.TinyConfig()
-	dir := t.TempDir()
-	m := snapshotMemo(t, dir)
+	m := sim.NewRunMemo()
 	w := prefixWorkload()
 	untouched := func(step string) {
 		t.Helper()
 		if m.Len() != 0 || booksOf(m) != (counts{}) || m.CyclesSaved.Load() != 0 {
 			t.Fatalf("%s touched the memo: %d entries, books %+v", step, m.Len(), booksOf(m))
-		}
-		if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
-			t.Fatalf("%s wrote %d snapshots (ReadDir: %v)", step, len(files), err)
 		}
 	}
 
@@ -172,7 +140,7 @@ func TestPrefixCachePassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single-kernel baseline: %v", err)
 	}
-	for i, want := range []counts{{0, 1, 0, 0}, {1, 1, 0, 0}} {
+	for i, want := range []counts{{0, 1}, {1, 1}} {
 		got, err := runCached(t, cfg, single, sim.GTO{}, sim.RunOptions{}, m)
 		if err != nil {
 			t.Fatalf("single-kernel run %d: %v", i, err)
@@ -262,7 +230,7 @@ func TestRunMemoSweepPointIsAOneKernelCell(t *testing.T) {
 			askCell()
 			askPoint()
 		}
-		if got, want := booksOf(m), (counts{1, 1, 0, 0}); got != want || m.Len() != 1 {
+		if got, want := booksOf(m), (counts{1, 1}); got != want || m.Len() != 1 {
 			t.Fatalf("point first=%v: books %+v (%d entries), want %+v in one entry", pointFirst, got, m.Len(), want)
 		}
 	}
@@ -356,7 +324,7 @@ func TestRunMemoSingleFlight(t *testing.T) {
 	close(start)
 	wg.Wait()
 	kernels := int64(len(w.Kernels))
-	if got, want := booksOf(m), (counts{(askers - 1) * kernels, kernels, 0, 0}); got != want {
+	if got, want := booksOf(m), (counts{(askers - 1) * kernels, kernels}); got != want {
 		t.Fatalf("books %+v, want %+v (one simulation of %d kernels)", got, want, kernels)
 	}
 }
@@ -476,100 +444,4 @@ func TestRunMemoIsBounded(t *testing.T) {
 			t.Fatalf("N=%d: simulated=%v, want %v", c.n, got, c.simulates)
 		}
 	}
-}
-
-// sweepCells builds the shape the snapshot tier targets: every cell
-// shares the k0,k1 tuple prefix and varies only the final kernel's
-// tuple, so no cell is another's whole run.
-func sweepCells() []sim.Fixed {
-	cells := make([]sim.Fixed, 0, 8)
-	for n := 1; n <= 8; n++ {
-		cells = append(cells, sim.Fixed{
-			PolicyName: fmt.Sprintf("cell-n%d", n),
-			PerKernel:  map[string][2]int{"k2": {n, n}},
-		})
-	}
-	return cells
-}
-
-// TestPrefixCacheSavesCycles quantifies the snapshot tier on a sweep:
-// with all cells sharing a two-kernel prefix, executed simulated cycles
-// must drop by well over the 20% acceptance floor while every cell's
-// result stays byte-identical to its unmemoised run.
-func TestPrefixCacheSavesCycles(t *testing.T) {
-	cfg := testutil.TinyConfig()
-	w := prefixWorkload()
-	m := snapshotMemo(t, t.TempDir())
-	var total int64
-	for _, cell := range sweepCells() {
-		base, err := sim.RunWorkload(cfg, w, cell, sim.RunOptions{})
-		if err != nil {
-			t.Fatalf("cell %s baseline: %v", cell.PolicyName, err)
-		}
-		res, err := runCached(t, cfg, w, cell, sim.RunOptions{}, m)
-		if err != nil {
-			t.Fatalf("cell %s memoised: %v", cell.PolicyName, err)
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Fatalf("cell %s diverges under the memo", cell.PolicyName)
-		}
-		total += res.Cycles
-	}
-	saved := m.CyclesSaved.Load()
-	executed := total - saved
-	t.Logf("sweep: %d total simulated cycles, %d executed (%d saved, %.1f%%), %d kernel runs reused, %d simulated, snapshots: %d hits, %d misses",
-		total, executed, saved, 100*float64(saved)/float64(total),
-		m.Reused.Load(), m.Simulated.Load(), m.SnapshotHits.Load(), m.SnapshotMisses.Load())
-	if saved*5 < total { // the acceptance floor: >=20% fewer simulated cycles
-		t.Fatalf("snapshot tier saved %d of %d cycles (< 20%%)", saved, total)
-	}
-	// Only the first cell starts from kernel 0; the other seven restore
-	// the k1 boundary and simulate k2 alone.
-	cells := int64(len(sweepCells()))
-	if got, want := booksOf(m), (counts{2 * (cells - 1), 3 + (cells - 1), cells - 1, 1}); got != want {
-		t.Fatalf("books %+v, want %+v", got, want)
-	}
-}
-
-// BenchmarkPrefixCache reports the simulated-cycle savings of the
-// snapshot tier on a grid sweep as custom metrics alongside wall-clock
-// time.
-func BenchmarkPrefixCache(b *testing.B) {
-	cfg := testutil.TinyConfig()
-	w := testutil.Workload("bench",
-		testutil.ThrashKernel("k0", 64, 40, 4),
-		testutil.StreamKernel("k1", 60, 4),
-		testutil.ComputeKernel("k2", 40, 4),
-	)
-	cells := sweepCells()
-	b.Run("cold", func(b *testing.B) {
-		var executed int64
-		for i := 0; i < b.N; i++ {
-			executed = 0
-			for _, cell := range cells {
-				res, err := sim.RunWorkload(cfg, w, cell, sim.RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				executed += res.Cycles
-			}
-		}
-		b.ReportMetric(float64(executed), "simcycles/sweep")
-	})
-	b.Run("warm", func(b *testing.B) {
-		var executed int64
-		for i := 0; i < b.N; i++ {
-			m := snapshotMemo(b, b.TempDir())
-			executed = 0
-			for _, cell := range cells {
-				res, err := runCached(b, cfg, w, cell, sim.RunOptions{}, m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				executed += res.Cycles
-			}
-			executed -= m.CyclesSaved.Load()
-		}
-		b.ReportMetric(float64(executed), "simcycles/sweep")
-	})
 }

@@ -53,10 +53,11 @@ type StatefulPolicy interface {
 
 // walk lists the GPU's wire fields. With running the in-flight kernel's
 // loop state (fills and markers, launch cursors, visit counter, parked
-// policy activation, tuple log) follows the machine state;
-// kernel-boundary snapshots omit it because Run re-initialises all of
-// it per kernel. A walk in takes running from the payload, onto a GPU
-// built from the same configuration; either way walk returns it.
+// policy activation, tuple log) follows the machine state. Every writer
+// sets it; the flag stays on the wire so that a payload without it (a
+// kernel-boundary state, which no code writes any more) is refused. A
+// walk in takes running from the payload, onto a GPU built from the same
+// configuration; either way walk returns it.
 func (g *GPU) walk(k snap.Walk, running bool) bool {
 	v := uint64(simStateVersion)
 	if k.Uvarint(&v); v != simStateVersion {

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"poise/internal/cache"
 	"poise/internal/config"
 	"poise/internal/sim"
+	"poise/internal/snap"
 	"poise/internal/testutil"
 	"poise/internal/trace"
 	"poise/internal/workloads"
@@ -251,6 +253,26 @@ func TestSnapshotRejections(t *testing.T) {
 	}
 	if _, err := fresh().ResumeKernel(k, p, sim.RunOptions{}, append(append([]byte{}, state...), 0)); err == nil {
 		t.Fatalf("ResumeKernel accepted trailing bytes")
+	}
+	// A machine state with no kernel running, which is what a kernel
+	// boundary held, is no mid-kernel state.
+	if _, err := fresh().ResumeKernel(k, p, sim.RunOptions{}, g.SnapshotMachine()); err == nil ||
+		!strings.Contains(err.Error(), "not a mid-kernel state") {
+		t.Fatalf("ResumeKernel on a payload with no running kernel: %v", err)
+	}
+	// Only a workload checkpoint's container decodes as one: the same
+	// bytes under a sweep task's kind or a kernel boundary's are refused.
+	cp := &sim.Checkpoint{Workload: "w", State: state, Agg: []byte{}}
+	for _, kind := range []snap.Kind{snap.KindCheckpoint, snap.KindTask, snap.KindBoundary} {
+		sn := cp.Snapshot("key")
+		sn.Kind = kind
+		data, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.DecodeCheckpoint(data); (err == nil) != (kind == snap.KindCheckpoint) {
+			t.Fatalf("DecodeCheckpoint of a %v container: %v", kind, err)
+		}
 	}
 	// Payloads that break what the fill rings and the packed MSHR file
 	// are sized on must be refused — not panic, not be silently

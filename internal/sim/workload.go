@@ -99,7 +99,9 @@ func (g *GPU) RunWorkload(w *Workload, p Policy, opts RunOptions) (WorkloadResul
 }
 
 // runKernelsFrom runs kernels start.. of w, folding results into agg.
-// It is the shared tail of RunWorkload and ResumeWorkload.
+// It is the one loop over a workload's kernels: RunWorkload, and the run
+// memo through it, start at kernel 0, ResumeWorkload after the kernel it
+// restored.
 func (g *GPU) runKernelsFrom(w *Workload, p Policy, opts RunOptions, start int, agg *workloadAgg) (WorkloadResult, error) {
 	for i := start; i < len(w.Kernels); i++ {
 		k := w.Kernels[i]

@@ -1,6 +1,6 @@
 // Package snap is the "poisesnap" on-disk snapshot format: a
-// versioned, CRC-guarded container for mid-run simulator state and
-// kernel-boundary prefix snapshots. Like the poisetrace container
+// versioned, CRC-guarded container for mid-run simulator state, written
+// when a run or a sweep task is preempted. Like the poisetrace container
 // (internal/traceio) it follows the never-panic parser discipline —
 // truncated input, corrupt varints, bad magic and version skew all
 // surface as errors, enforced by FuzzSnapshot — and it reads
@@ -53,8 +53,9 @@ const (
 type Kind uint8
 
 const (
-	// KindBoundary is a kernel-boundary prefix snapshot: full GPU state
-	// between two kernels of a workload plus the aggregate so far.
+	// KindBoundary was a kernel-boundary snapshot: GPU state between two
+	// kernels of a workload. Nothing writes it any more; it keeps wire
+	// value 0 so the kinds of stored containers keep their meaning.
 	KindBoundary Kind = iota
 	// KindCheckpoint is a mid-kernel workload checkpoint taken when a
 	// preemptible run was interrupted.
@@ -81,16 +82,13 @@ func (k Kind) String() string {
 // Snapshot is one decoded poisesnap container.
 type Snapshot struct {
 	Kind Kind
-	// Key is the snapshot's logical address: a prefix-chain digest for
-	// boundary snapshots, a task or checkpoint key otherwise.
+	// Key is the snapshot's logical address: a task or checkpoint key.
 	Key string
 	// Workload names the workload (or kernel) the state belongs to.
 	Workload string
-	// KernelIndex is the index of the next kernel to run (boundary) or
-	// the interrupted kernel (checkpoint/task).
+	// KernelIndex is the index of the interrupted kernel.
 	KernelIndex int
-	// Cycle is the simulation cycle at which the state was captured
-	// (the completed prefix's cycle count for boundary snapshots).
+	// Cycle is the simulation cycle at which the state was captured.
 	Cycle int64
 	// State is the opaque engine-state payload.
 	State []byte

@@ -14,8 +14,8 @@ import (
 
 // Store is a content-addressed snapshot directory: each snapshot lives
 // in one file named by the SHA-256 of its key, written atomically
-// (atomicfile) so concurrent writers — racing fleet workers, or
-// parallel grid cells sharing a prefix — can never tear a file, and a
+// (atomicfile) so concurrent writers — racing fleet workers resuming
+// one preempted task — can never tear a file, and a
 // crash leaves either the previous content or none. Two writers racing
 // on one key both produce a valid file; last rename wins, and since
 // keys are content addresses both files decode to equivalent state.
@@ -41,12 +41,6 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Path(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return filepath.Join(s.dir, hex.EncodeToString(sum[:])+".poisesnap")
-}
-
-// Has reports whether a snapshot for key exists (without decoding it).
-func (s *Store) Has(key string) bool {
-	_, err := os.Stat(s.Path(key))
-	return err == nil
 }
 
 // Save writes the snapshot under its Key, atomically. The snapshot's
