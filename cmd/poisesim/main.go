@@ -292,26 +292,15 @@ func main() {
 			w.Name, *policy, *size, *sms, *l1x, *seed, *n, *p)
 	}
 	runWorkload := func(i int, w *sim.Workload) (sim.WorkloadResult, error) {
-		if ckpts == nil {
-			pol, err := newPolicy(i)
-			if err != nil {
-				return sim.WorkloadResult{}, err
-			}
-			return sim.RunWorkload(cfg, w, pol, sim.RunOptions{})
+		if ckpts != nil {
+			return sim.RunStored(cfg, w, func() (sim.Policy, error) { return newPolicy(i) },
+				sim.RunOptions{Interrupt: ictl}, ckpts, runKey(w))
 		}
-		key := runKey(w)
-		res, cp, err := resumeOrRun(cfg, w, func() (sim.Policy, error) { return newPolicy(i) },
-			sim.RunOptions{Interrupt: ictl}, ckpts, key)
-		if err == nil {
-			_ = ckpts.Delete(key) // consumed (best effort; a stale probe only costs a read)
-			return res, nil
+		pol, err := newPolicy(i)
+		if err != nil {
+			return sim.WorkloadResult{}, err
 		}
-		if errors.Is(err, sim.ErrInterrupted) && cp != nil {
-			if serr := ckpts.Save(cp.Snapshot(key)); serr != nil {
-				return res, serr
-			}
-		}
-		return res, err
+		return sim.RunWorkload(cfg, w, pol, sim.RunOptions{})
 	}
 
 	type run struct {
@@ -357,35 +346,6 @@ func main() {
 			len(results), workers,
 			wall.Round(time.Millisecond), serial.Round(time.Millisecond))
 	}
-}
-
-// resumeOrRun continues w from the checkpoint stored under key when
-// there is one, and runs it from the start otherwise. A checkpoint that
-// cannot be read or restored is not fatal: the run starts over under a
-// fresh policy, on a scrubbed GPU (the driver resets the one a failed
-// restore touched before it is used again) — what a sweep task does
-// with an unreadable checkpoint (profile.runTask).
-func resumeOrRun(cfg config.Config, w *sim.Workload, newPolicy func() (sim.Policy, error),
-	ro sim.RunOptions, ckpts *snap.Store, key string) (sim.WorkloadResult, *sim.Checkpoint, error) {
-	pol, err := newPolicy()
-	if err != nil {
-		return sim.WorkloadResult{}, nil, err
-	}
-	sn, err := ckpts.Load(key)
-	if err != nil {
-		return sim.RunWorkloadPreemptible(cfg, w, pol, ro)
-	}
-	if prev, err := sim.CheckpointFromSnapshot(sn); err == nil {
-		res, cp, err := sim.ResumeWorkload(cfg, w, pol, ro, prev)
-		if err == nil || errors.Is(err, sim.ErrInterrupted) {
-			return res, cp, err
-		}
-		// The restore may have left the policy half-written.
-		if pol, err = newPolicy(); err != nil {
-			return sim.WorkloadResult{}, nil, err
-		}
-	}
-	return sim.RunWorkloadPreemptible(cfg, w, pol, ro)
 }
 
 // listSignatures prints every workload with its characterised

@@ -89,13 +89,15 @@ func generate(out io.Writer, path string, sizeMB, warps, kernels int) error {
 		b.Load(1)
 		b.ALU(2)
 		kt := &traceio.KernelTrace{
-			Name:          fmt.Sprintf("synthetic#%d", ki),
-			Body:          b.Body(),
-			Slots:         1,
-			WarpsPerBlock: 8,
-			Blocks:        warps / 8,
-			WarpIters:     make([]int, warps),
-			Streams:       [][][]uint64{make([][]uint64, warps)},
+			KernelMeta: traceio.KernelMeta{
+				Name:          fmt.Sprintf("synthetic#%d", ki),
+				Body:          b.Body(),
+				Slots:         1,
+				WarpsPerBlock: 8,
+				Blocks:        warps / 8,
+				WarpIters:     make([]int, warps),
+			},
+			Streams: [][][]uint64{make([][]uint64, warps)},
 		}
 		for g := 0; g < warps; g++ {
 			kt.WarpIters[g] = iters

@@ -37,3 +37,22 @@ func TestEveryFieldIsAccountedFor(t *testing.T) {
 		snaptest.Account(t, src, dst, (*MSHRFile).walk, stateFields)
 	})
 }
+
+// TestResetReachesEveryField: Reset (Clear for the MSHR file) returns
+// every field that is not configuration to what the constructor built,
+// whatever it held.
+func TestResetReachesEveryField(t *testing.T) {
+	t.Run("Cache", func(t *testing.T) {
+		cfg := config.Default().Scale(2).L1
+		c, _ := New(cfg)
+		fresh, _ := New(cfg)
+		snaptest.CheckReset(t, c, fresh, (*Cache).Reset, stateFields)
+	})
+	t.Run("MSHRFile", func(t *testing.T) {
+		snaptest.CheckReset(t, NewMSHRFile(4), NewMSHRFile(4), func(f *MSHRFile) {
+			// The live entries and the free pool share the registers.
+			f.free = f.free[:f.capacity-len(f.ents)]
+			f.Clear()
+		}, stateFields)
+	})
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -12,7 +11,6 @@ import (
 	"poise/internal/gridplan"
 	"poise/internal/runner"
 	"poise/internal/sim"
-	"poise/internal/snap"
 	"poise/internal/trace"
 )
 
@@ -95,12 +93,7 @@ func RunVerifiedTasks(cfg config.Config, kernels map[string]*trace.Kernel, tasks
 	opts = opts.withDefaults()
 	return runner.MapSlice(opts.Ctx, opts.Workers, tasks,
 		func(_ context.Context, _ int, t gridplan.Task) (gridplan.Measurement, error) {
-			g, err := sim.Acquire(cfg)
-			if err != nil {
-				return gridplan.Measurement{}, err
-			}
-			res, err := runTask(g, kernels[t.Kernel], t, opts)
-			sim.Release(g)
+			res, err := runTask(cfg, kernels[t.Kernel], t, opts)
 			if err != nil {
 				return gridplan.Measurement{}, fmt.Errorf("profile: point (%d,%d) of %s: %w", t.N, t.P, t.Kernel, err)
 			}
@@ -121,65 +114,33 @@ func taskCheckpointKey(t gridplan.Task) string {
 	return "task|" + t.Key() + "|" + t.Digest
 }
 
-// runTask simulates one grid point, resuming a stored checkpoint when
-// one exists and writing one when the task is preempted. The
-// measurement a resumed task produces is bit-identical to an
-// uninterrupted run (sim's snapshot covers all live engine state), so
-// checkpointing never perturbs merged sweep output.
-func runTask(g *sim.GPU, k *trace.Kernel, t gridplan.Task, opts SweepOptions) (sim.KernelResult, error) {
+// runTask simulates one grid point. With a checkpoint store the point
+// is a one-kernel workload under sim.RunStored, which resumes, saves and
+// deletes the task's checkpoint; a resumed task measures bit-identical
+// to an uninterrupted run (sim's snapshot covers all live engine state),
+// so checkpointing never perturbs merged sweep output. Without one the
+// point runs on a pooled GPU, through the memo when one is set.
+func runTask(cfg config.Config, k *trace.Kernel, t gridplan.Task, opts SweepOptions) (sim.KernelResult, error) {
 	pol := sim.Fixed{N: t.N, P: t.P}
 	ro := sim.RunOptions{MaxCycles: opts.MaxCycles, Interrupt: opts.Interrupt}
-	key := taskCheckpointKey(t)
 	if opts.Checkpoints != nil {
-		if sn, err := opts.Checkpoints.Load(key); err == nil && sn.Kind == snap.KindTask {
-			res, rerr := g.ResumeKernel(k, pol, ro, sn.State)
-			if rerr == nil {
-				// Best effort: a leftover checkpoint only wastes a probe.
-				_ = opts.Checkpoints.Delete(key)
-				return res, nil
-			}
-			if errors.Is(rerr, sim.ErrInterrupted) {
-				return res, saveTaskCheckpoint(g, pol, t, key, opts, rerr)
-			}
-			// Unreadable checkpoint: scrub the half-restored GPU and run
-			// the task from the start.
-			g.Reset()
+		w := &sim.Workload{Name: k.Name, Kernels: []*trace.Kernel{k}}
+		res, err := sim.RunStored(cfg, w, func() (sim.Policy, error) { return pol, nil }, ro,
+			opts.Checkpoints, taskCheckpointKey(t))
+		if err != nil {
+			return sim.KernelResult{}, err
 		}
+		return res.PerKernel[0], nil
 	}
-	var res sim.KernelResult
-	var err error
+	g, err := sim.Acquire(cfg)
+	if err != nil {
+		return sim.KernelResult{}, err
+	}
+	defer sim.Release(g)
 	if opts.Memo != nil {
-		res, err = g.RunKernelCached(k, t.Digest, pol, ro, opts.Memo)
-	} else {
-		res, err = g.Run(k, pol, ro)
+		return g.RunKernelCached(k, t.Digest, pol, ro, opts.Memo)
 	}
-	if err != nil {
-		if errors.Is(err, sim.ErrInterrupted) && opts.Checkpoints != nil {
-			return res, saveTaskCheckpoint(g, pol, t, key, opts, err)
-		}
-		return res, err
-	}
-	return res, nil
-}
-
-// saveTaskCheckpoint snapshots a preempted task and returns the
-// interrupt error (annotated if the save itself failed).
-func saveTaskCheckpoint(g *sim.GPU, pol sim.Policy, t gridplan.Task, key string, opts SweepOptions, cause error) error {
-	state, err := g.SnapshotKernel(pol)
-	if err != nil {
-		return fmt.Errorf("profile: checkpointing preempted task: %v (preempted by %w)", err, cause)
-	}
-	sn := &snap.Snapshot{
-		Kind:     snap.KindTask,
-		Key:      key,
-		Workload: t.Kernel,
-		Cycle:    g.Now(),
-		State:    state,
-	}
-	if err := opts.Checkpoints.Save(sn); err != nil {
-		return fmt.Errorf("profile: saving task checkpoint: %v (preempted by %w)", err, cause)
-	}
-	return cause
+	return g.Run(k, pol, ro)
 }
 
 // MergeShards assembles measurement sets — one per process, lease or

@@ -91,9 +91,10 @@ func TestPreemptedSweepResumesIdentically(t *testing.T) {
 }
 
 // TestForeignContainerUnderTaskKeyIsIgnored: a container of another
-// kind stored under a task's key is not the task's checkpoint. runTask
-// leaves it where it is and runs the task from the start, so the sweep
-// still equals an uninterrupted one.
+// kind stored under a task's key is not the task's checkpoint — a
+// KindTask one is what an older build wrote. sim.RunStored leaves it
+// where it is and runs the task from the start, so the sweep still
+// equals an uninterrupted one.
 func TestForeignContainerUnderTaskKeyIsIgnored(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("foreign", 20, 12, 4)
@@ -105,8 +106,8 @@ func TestForeignContainerUnderTaskKeyIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Real task states, from a preempted sweep, relabelled as workload
-	// checkpoints and kernel boundaries.
+	// Real task states, from a preempted sweep, relabelled as the kinds
+	// no sweep writes: task checkpoints and kernel boundaries.
 	store, err := snap.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestForeignContainerUnderTaskKeyIsIgnored(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		sn.Kind = []snap.Kind{snap.KindCheckpoint, snap.KindBoundary}[i%2]
+		sn.Kind = []snap.Kind{snap.KindTask, snap.KindBoundary}[i%2]
 		if err := store.Save(sn); err != nil {
 			t.Fatal(err)
 		}

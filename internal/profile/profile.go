@@ -126,7 +126,9 @@ type SweepOptions struct {
 	// and remembers the ones it simulates (sim.RunMemo): a point is a
 	// cold one-kernel run at Fixed{N, P}, the same run as a one-kernel
 	// workload under a scheme pinning that tuple. A task's verified
-	// Digest keys it. An armed Interrupt bypasses the memo.
+	// Digest keys it. An armed Interrupt bypasses the memo, and so does
+	// a sweep with Checkpoints: the harness and poisebench set Memo
+	// only, poisesim sets Checkpoints only.
 	Memo *sim.RunMemo
 	// Refine switches sweeps to adaptive coarse-to-fine refinement
 	// (see refine.go): LoadOrSweep runs a Refinement instead of the
@@ -142,10 +144,11 @@ type SweepOptions struct {
 	// unaffected.
 	Interrupt *sim.InterruptCtl
 	// Checkpoints, when non-nil, stores mid-task snapshots keyed by
-	// task identity. Before simulating a task, RunTasks probes the
-	// store and resumes from a checkpoint instead of starting over —
-	// any process pointed at the same directory continues a preempted
-	// task bit-identically.
+	// task identity: each task is a one-kernel workload run through
+	// sim.RunStored, which resumes a stored checkpoint instead of
+	// starting over — any process pointed at the same directory
+	// continues a preempted task bit-identically — and deletes it once
+	// the task completes. Such a sweep does not consult Memo.
 	Checkpoints *snap.Store
 }
 

@@ -99,55 +99,43 @@ func (g *GPU) CheckBurstBooks() (together int, err error) {
 // SetCap replaces the memo's entry bound; call it on an empty memo.
 func (m *RunMemo) SetCap(n int) { m.runs.Cap = n }
 
-// The pool bounds, and how many configurations a set holds pools for.
+// The pool bounds.
 const (
 	MaxIdle  = maxIdle
 	MaxPools = maxPools
 )
 
-func (ps *PoolSet) Pools() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return len(ps.pools)
-}
+// GPUPool is the kind of pool behind Acquire and Release.
+type GPUPool = gpuPool
 
-// DriverPools is the process-wide pool set behind Acquire and Release.
-func DriverPools() *PoolSet { return drivers }
+// Drivers is the process's pool, the one Acquire and Release use.
+func Drivers() *GPUPool { return drivers }
+
+// FreshPool is an empty pool of the process pool's kind.
+func FreshPool() *GPUPool { return newGPUPool() }
+
+func (gp *gpuPool) Get(cfg config.Config) (*GPU, error) { return gp.acquire(cfg) }
+
+func (gp *gpuPool) Put(g *GPU) { gp.release(g) }
 
 // Stats reports construction vs reuse counts: on a large sweep builds
 // converges to the worker count while reuses approaches the grid size.
-func (p *Pool) Stats() (builds, reuses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.builds, p.reuses
+func (gp *gpuPool) Stats() (builds, reuses int64) {
+	gp.mu.Lock()
+	defer gp.mu.Unlock()
+	return gp.builds, gp.reuses
 }
 
-// Stats sums construction vs reuse counts across all pools.
-func (ps *PoolSet) Stats() (builds, reuses int64) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for _, p := range ps.pools {
-		b, r := p.Stats()
-		builds += b
-		reuses += r
-	}
-	return builds, reuses
+// Idle returns how many reset GPUs of cfg are parked.
+func (gp *gpuPool) Idle(cfg config.Config) int {
+	gp.mu.Lock()
+	defer gp.mu.Unlock()
+	return len(gp.free[cfg])
 }
 
-// Idle returns how many reset GPUs are parked.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
-
-// Idle returns how many reset GPUs of cfg the set has parked.
-func (ps *PoolSet) Idle(cfg config.Config) int {
-	ps.mu.Lock()
-	p := ps.pools[cfg]
-	ps.mu.Unlock()
-	if p == nil {
-		return 0
-	}
-	return p.Idle()
+// Configs returns how many configurations have a free list.
+func (gp *gpuPool) Configs() int {
+	gp.mu.Lock()
+	defer gp.mu.Unlock()
+	return len(gp.free)
 }

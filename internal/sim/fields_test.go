@@ -71,3 +71,15 @@ func TestEveryFieldIsAccountedFor(t *testing.T) {
 	src.wakes.mark(src.now + 1)
 	snaptest.Account(t, src, dst, func(g *GPU, k snap.Walk) { g.walk(k, true) }, stateFields)
 }
+
+// TestResetReachesEveryField: Reset returns every field of the GPU and
+// of the loop structures it owns that is not configuration to what New
+// built, whatever it held. What the GPU holds of other packages resets
+// through their own Resets, whose tests are theirs.
+func TestResetReachesEveryField(t *testing.T) {
+	cfg := config.Default().Scale(2)
+	g, _ := New(cfg)
+	fresh, _ := New(cfg)
+	g.kernel = &trace.Kernel{Name: "k"}
+	snaptest.CheckReset(t, g, fresh, (*GPU).Reset, stateFields)
+}

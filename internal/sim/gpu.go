@@ -149,7 +149,7 @@ func New(cfg config.Config) (*GPU, error) {
 }
 
 // Reset restores the GPU to its just-constructed state so it can be
-// reused for another run (see Pool). Every layer resets in place:
+// reused for another run (see Release). Every layer resets in place:
 // SMs (schedulers, L1, MSHRs, counters), L2 banks, crossbar, DRAM and
 // the fill rings. The invariant — enforced by TestPoolResetBitIdentical
 // with reflect.DeepEqual against a freshly built GPU — is that no

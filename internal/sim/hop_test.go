@@ -116,10 +116,7 @@ func TestPooledRestoreEqualsFreshRestore(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("thrash", 64, 40, 4)
 	other := testutil.SharedKernel("other", 16, 30, 3)
-	pool, err := sim.NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := sim.FreshPool()
 	for _, sc := range engineSchemes(t) {
 		t.Run(sc.name, func(t *testing.T) {
 			src, err := sim.New(cfg)
@@ -135,7 +132,7 @@ func TestPooledRestoreEqualsFreshRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			used, err := pool.Get()
+			used, err := pool.Get(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +147,7 @@ func TestPooledRestoreEqualsFreshRestore(t *testing.T) {
 				t.Fatalf("want ErrInterrupted, got %v", err)
 			}
 			pool.Put(used)
-			pooled, err := pool.Get()
+			pooled, err := pool.Get(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,18 +353,15 @@ func TestPooledDriversUnderConcurrency(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if idle := sim.DriverPools().Idle(cfg); idle < 1 || idle > 8 || idle > sim.MaxIdle {
+	if idle := sim.Drivers().Idle(cfg); idle < 1 || idle > 8 || idle > sim.MaxIdle {
 		t.Fatalf("the drivers' pool parks %d GPUs after 8 goroutines", idle)
 	}
 
 	// The bounds themselves.
-	pool, err := sim.NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := sim.FreshPool()
 	var out []*sim.GPU
 	for i := 0; i < sim.MaxIdle+3; i++ {
-		g, err := pool.Get()
+		g, err := pool.Get(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,20 +370,19 @@ func TestPooledDriversUnderConcurrency(t *testing.T) {
 	for _, g := range out {
 		pool.Put(g)
 	}
-	if pool.Idle() != sim.MaxIdle {
-		t.Fatalf("a pool handed %d GPUs parks %d, want %d", len(out), pool.Idle(), sim.MaxIdle)
+	if pool.Idle(cfg) != sim.MaxIdle {
+		t.Fatalf("a pool handed %d GPUs parks %d, want %d", len(out), pool.Idle(cfg), sim.MaxIdle)
 	}
-	set := sim.NewPoolSet()
 	for i := 0; i < 2*sim.MaxPools+1; i++ {
 		c := cfg
 		c.L1HitLatency += i
-		g, err := set.Get(c)
+		g, err := pool.Get(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		set.Put(c, g)
-		if set.Pools() > sim.MaxPools {
-			t.Fatalf("the set holds pools for %d configurations, bound %d", set.Pools(), sim.MaxPools)
+		pool.Put(g)
+		if pool.Configs() > sim.MaxPools {
+			t.Fatalf("the pool holds free lists for %d configurations, bound %d", pool.Configs(), sim.MaxPools)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"poise/internal/config"
 	"poise/internal/experiments"
 	"poise/internal/sched"
 	"poise/internal/sim"
@@ -72,15 +71,13 @@ func TestPoolResetBitIdentical(t *testing.T) {
 // TestPoolRecycles checks the pool mechanics: Get prefers parked GPUs,
 // Put resets before parking, and sequential Get/Put reuses one GPU.
 func TestPoolRecycles(t *testing.T) {
-	pool, err := sim.NewPool(testutil.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := testutil.TinyConfig()
+	pool := sim.FreshPool()
 	k := testutil.ThrashKernel("poolrun", 16, 10, 2)
 
 	var first *sim.GPU
 	for i := 0; i < 5; i++ {
-		g, err := pool.Get()
+		g, err := pool.Get(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,68 +95,29 @@ func TestPoolRecycles(t *testing.T) {
 	if builds != 1 || reuses != 4 {
 		t.Fatalf("builds=%d reuses=%d, want 1 build and 4 reuses", builds, reuses)
 	}
-	if pool.Idle() != 1 {
-		t.Fatalf("idle=%d, want 1", pool.Idle())
+	if pool.Idle(cfg) != 1 {
+		t.Fatalf("idle=%d, want 1", pool.Idle(cfg))
 	}
-}
-
-// TestPoolDropsForeignGPUs: a pool parks only GPUs of its own
-// configuration, through Pool.Put and PoolSet.Put alike, so a later Get
-// can never return another machine.
-func TestPoolDropsForeignGPUs(t *testing.T) {
-	own := testutil.TinyConfig()
-	wider := config.Default().Scale(3)
-	tuned := own
-	tuned.L1HitLatency++
-	for _, tc := range []struct {
-		name   string
-		cfg    config.Config
-		parked int
-	}{
-		{"own configuration", own, 1},
-		{"another SM count", wider, 0},
-		{"another latency", tuned, 0},
-	} {
-		g, err := sim.New(tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		pool, err := sim.NewPool(own)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool.Put(g)
-		if pool.Idle() != tc.parked {
-			t.Errorf("Pool.Put, %s: %d parked, want %d", tc.name, pool.Idle(), tc.parked)
-		}
-		ps := sim.NewPoolSet()
-		ps.Put(own, g)
-		got, err := ps.Get(own)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (got == g) != (tc.parked == 1) || got.Cfg != own {
-			t.Errorf("PoolSet.Put, %s: Get returned the GPU put: %v, of configuration %+v", tc.name, got == g, got.Cfg)
-		}
-	}
-	pool, _ := sim.NewPool(own)
 	pool.Put(nil)
-	if pool.Idle() != 0 {
+	if pool.Idle(cfg) != 1 {
 		t.Error("Put(nil) parked something")
 	}
 }
 
-// TestPoolRejectsBadConfig: a pool with an invalid configuration fails
-// at construction, not on a worker's first Get.
+// TestPoolRejectsBadConfig: an invalid configuration fails Acquire
+// before a GPU is built, and gets no free list.
 func TestPoolRejectsBadConfig(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	cfg.NumSMs = 0
-	if _, err := sim.NewPool(cfg); err == nil {
-		t.Fatal("invalid config must fail NewPool")
+	if _, err := sim.Acquire(cfg); err == nil {
+		t.Fatal("invalid config must fail Acquire")
 	}
-	ps := sim.NewPoolSet()
-	if _, err := ps.Get(cfg); err == nil {
-		t.Fatal("invalid config must fail PoolSet.Get")
+	pool := sim.FreshPool()
+	if _, err := pool.Get(cfg); err == nil {
+		t.Fatal("invalid config must fail a pool's Get")
+	}
+	if builds, _ := pool.Stats(); builds != 0 || pool.Configs() != 0 {
+		t.Fatalf("an invalid config left %d builds and %d free lists", builds, pool.Configs())
 	}
 }
 
@@ -200,46 +158,48 @@ func TestPoolResetAfterWorkloadRun(t *testing.T) {
 	}
 }
 
-// TestPoolSetPerConfig: a PoolSet keeps one pool per distinct
+// TestPoolSetPerConfig: the pool keeps one free list per distinct
 // configuration, recycling within a configuration and never across.
 func TestPoolSetPerConfig(t *testing.T) {
 	cfgA := testutil.TinyConfig()
 	cfgB := testutil.TinyConfig()
 	cfgB.L1.SizeBytes *= 2
-	ps := sim.NewPoolSet()
+	pool := sim.FreshPool()
 
-	a1, err := ps.Get(cfgA)
+	a1, err := pool.Get(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := ps.Get(cfgB)
+	b1, err := pool.Get(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a1.Cfg != cfgA || b1.Cfg != cfgB {
-		t.Fatal("PoolSet handed out GPUs with the wrong configuration")
+		t.Fatal("the pool handed out GPUs with the wrong configuration")
 	}
-	ps.Put(cfgA, a1)
-	ps.Put(cfgB, b1)
-	a2, err := ps.Get(cfgA)
+	pool.Put(a1)
+	pool.Put(b1)
+	if pool.Idle(cfgA) != 1 || pool.Idle(cfgB) != 1 || pool.Configs() != 2 {
+		t.Fatalf("idle %d and %d over %d configurations, want 1 and 1 over 2", pool.Idle(cfgA), pool.Idle(cfgB), pool.Configs())
+	}
+	a2, err := pool.Get(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a2 != a1 {
-		t.Fatal("PoolSet must recycle within a configuration")
+		t.Fatal("the pool must recycle within a configuration")
 	}
-	b2, err := ps.Get(cfgB)
+	b2, err := pool.Get(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b2 != b1 {
-		t.Fatal("PoolSet must recycle the other configuration's GPU too")
+		t.Fatal("the pool must recycle the other configuration's GPU too")
 	}
-	builds, reuses := ps.Stats()
+	builds, reuses := pool.Stats()
 	if builds != 2 || reuses != 2 {
 		t.Fatalf("builds=%d reuses=%d, want 2 and 2", builds, reuses)
 	}
-	ps.Put(cfgA, nil) // nil puts are ignored
 }
 
 // TestHarnessesSweepOnTheProcessPool: nobody hands a pool to anybody.
@@ -252,7 +212,7 @@ func TestHarnessesSweepOnTheProcessPool(t *testing.T) {
 	opt := experiments.Options{
 		SMs: 3, EvalSubset: []string{"bfs"}, EvalStepN: 12, EvalStepP: 12, Workers: 1,
 	}
-	builds0, reuses0 := sim.DriverPools().Stats()
+	builds0, reuses0 := sim.Drivers().Stats()
 	points, rounds := 0, 0
 	for i := 0; i < 2; i++ {
 		h := experiments.NewHarness(opt)
@@ -262,7 +222,7 @@ func TestHarnessesSweepOnTheProcessPool(t *testing.T) {
 		st, _ := h.SweepBooks()
 		points, rounds = points+st.Simulated, rounds+st.Rounds
 	}
-	builds, reuses := sim.DriverPools().Stats()
+	builds, reuses := sim.Drivers().Stats()
 	builds, reuses = builds-builds0, reuses-reuses0
 	if rounds < 4 || builds > 1 || builds+reuses != int64(points) {
 		t.Fatalf("two harnesses swept %d points in %d rounds on %d GPUs built and %d reused, want at most 1 built",

@@ -159,10 +159,10 @@ func (c *Checkpoint) Encode(key string) ([]byte, error) {
 	return c.container(key).EncodeSections(c.Agg, c.State)
 }
 
-// CheckpointFromSnapshot unpacks a KindCheckpoint container. The
+// checkpointFromSnapshot unpacks a KindCheckpoint container. The
 // checkpoint's State and Agg are views of sn.State, so the caller must
 // not modify sn.State while it uses the checkpoint.
-func CheckpointFromSnapshot(sn *snap.Snapshot) (*Checkpoint, error) {
+func checkpointFromSnapshot(sn *snap.Snapshot) (*Checkpoint, error) {
 	if sn.Kind != snap.KindCheckpoint {
 		return nil, fmt.Errorf("sim: snapshot kind %v is not a workload checkpoint", sn.Kind)
 	}
@@ -193,7 +193,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CheckpointFromSnapshot(sn)
+	return checkpointFromSnapshot(sn)
 }
 
 // RunWorkloadPreemptible is RunWorkload with a checkpoint path: when
@@ -230,6 +230,60 @@ func ResumeWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions, c
 		return WorkloadResult{}, nil, errors.New("sim: no checkpoint to resume")
 	}
 	return driveWorkload(cfg, w, p, opts, cp)
+}
+
+// RunStored runs w under the checkpoint protocol of store, keyed by key:
+// the one way a preemptible run — a poisesim workload, a sweep task —
+// probes, resumes, saves and cleans up.
+//
+//   - A KindCheckpoint container under key is resumed. One that cannot
+//     be decoded or restored is not fatal: the run starts again from
+//     kernel 0 under a fresh newPolicy() (driveWorkload releases, and so
+//     resets, the GPU a failed restore touched).
+//   - A container of any other kind is not this run's: it is left where
+//     it is, and the run starts from kernel 0.
+//   - On ErrInterrupted the next checkpoint is saved under key, and the
+//     error comes back still matching errors.Is(err, ErrInterrupted).
+//   - On success the KindCheckpoint container found under key, used or
+//     not, is deleted, and nothing else is.
+func RunStored(cfg config.Config, w *Workload, newPolicy func() (Policy, error), opts RunOptions, store *snap.Store, key string) (WorkloadResult, error) {
+	pol, err := newPolicy()
+	if err != nil {
+		return WorkloadResult{}, err
+	}
+	sn, lerr := store.Load(key)
+	mine := lerr == nil && sn.Kind == snap.KindCheckpoint
+	var (
+		res     WorkloadResult
+		cp      *Checkpoint
+		resumed bool
+	)
+	if mine {
+		if prev, perr := checkpointFromSnapshot(sn); perr == nil {
+			res, cp, err = ResumeWorkload(cfg, w, pol, opts, prev)
+			if resumed = err == nil || errors.Is(err, ErrInterrupted); !resumed {
+				// The restore may have left the policy half-written.
+				if pol, err = newPolicy(); err != nil {
+					return WorkloadResult{}, err
+				}
+			}
+		}
+	}
+	if !resumed {
+		res, cp, err = RunWorkloadPreemptible(cfg, w, pol, opts)
+	}
+	switch {
+	case err == nil:
+		if mine {
+			// Best effort: a leftover checkpoint only costs a probe.
+			_ = store.Delete(key)
+		}
+	case errors.Is(err, ErrInterrupted):
+		if serr := store.Save(cp.Snapshot(key)); serr != nil {
+			return res, fmt.Errorf("sim: saving checkpoint %q: %v (preempted by %w)", key, serr, err)
+		}
+	}
+	return res, err
 }
 
 // driveWorkload runs w from its first kernel, or from cp when there is

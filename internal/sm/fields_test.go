@@ -47,3 +47,20 @@ func TestEveryFieldIsAccountedFor(t *testing.T) {
 		snaptest.Account(t, src, dst, (*SM).walk, stateFields)
 	})
 }
+
+// TestResetReachesEveryField: Reset returns every field that is not
+// configuration to what the constructor built, whatever it held.
+func TestResetReachesEveryField(t *testing.T) {
+	t.Run("Scheduler", func(t *testing.T) {
+		snaptest.CheckReset(t, NewScheduler(0, 3), NewScheduler(0, 3), (*Scheduler).Reset, stateFields)
+	})
+	t.Run("SM", func(t *testing.T) {
+		cfg := config.Default().Scale(2)
+		s, _ := NewSM(1, cfg)
+		fresh, _ := NewSM(1, cfg)
+		// The cache package's own state, built through its API.
+		s.L1.Fill(0x1000, 1, 2, true)
+		s.MSHR.Allocate(7, 9, true, 1, 2, cache.Waiter{Sched: 1, Slot: 2, Token: 3, Warp: 4})
+		snaptest.CheckReset(t, s, fresh, (*SM).Reset, stateFields)
+	})
+}

@@ -60,23 +60,25 @@ const (
 	// KindCheckpoint is a mid-kernel workload checkpoint taken when a
 	// preemptible run was interrupted.
 	KindCheckpoint
-	// KindTask is a mid-kernel checkpoint of one profile sweep task.
+	// KindTask was a mid-kernel checkpoint of one profile sweep task.
+	// Nothing writes it any more — a sweep task checkpoints as a
+	// one-kernel workload — so a KindTask container under a task's key,
+	// left by an older build, is a foreign kind and the task starts
+	// over. It keeps wire value 2, and the golden kernel states of
+	// internal/sim's tests keep it as their envelope.
 	KindTask
 
 	kindCount
 )
 
+// kindNames are the kinds' names, in wire-value order.
+var kindNames = [kindCount]string{"boundary", "checkpoint", "task"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindBoundary:
-		return "boundary"
-	case KindCheckpoint:
-		return "checkpoint"
-	case KindTask:
-		return "task"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+	if k < kindCount {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 // Snapshot is one decoded poisesnap container.

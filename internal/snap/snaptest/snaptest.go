@@ -151,3 +151,37 @@ func equal(a, b reflect.Value) bool {
 	}
 	return reflect.DeepEqual(a.Interface(), b.Interface())
 }
+
+// CheckReset fills every field under *v but those list calls "config",
+// calls reset on it and fails t unless *v is then reflect.DeepEqual to
+// *fresh, which the caller built the way *v was built: a reset keeps
+// configuration and gives back everything else as constructed. Each
+// field that differs is reported.
+func CheckReset[T any](t *testing.T, v, fresh *T, reset func(*T), list map[string]string) {
+	t.Helper()
+	kept := map[string]string{}
+	for name, why := range list {
+		if why == "config" {
+			kept[name] = why
+		}
+	}
+	Fill(v, kept)
+	if reflect.DeepEqual(v, fresh) {
+		t.Fatal("filling changed nothing (test precondition)")
+	}
+	reset(v)
+	if reflect.DeepEqual(v, fresh) {
+		return
+	}
+	told := false
+	each(reflect.TypeFor[T]().Name(), reflect.ValueOf(v).Elem(), reflect.ValueOf(fresh).Elem(),
+		reflect.TypeFor[T]().PkgPath(), kept, map[string]bool{}, func(path string, same bool) {
+			if !same {
+				told = true
+				t.Errorf("%s is not what the constructor built after a reset", path)
+			}
+		})
+	if !told {
+		t.Errorf("a reset %T differs from a fresh one", v)
+	}
+}

@@ -451,11 +451,13 @@ func (ak *accelKernel) kernelTrace() (*KernelTrace, error) {
 	}
 	total := ak.gridBlocks * ak.warpsPerBlock
 	kt := &KernelTrace{
-		Name:          ak.name,
-		Slots:         len(ak.slotOrder),
-		WarpsPerBlock: ak.warpsPerBlock,
-		Blocks:        ak.gridBlocks,
-		WarpIters:     make([]int, total),
+		KernelMeta: KernelMeta{
+			Name:          ak.name,
+			Slots:         len(ak.slotOrder),
+			WarpsPerBlock: ak.warpsPerBlock,
+			Blocks:        ak.gridBlocks,
+			WarpIters:     make([]int, total),
+		},
 	}
 
 	// Slot order: by PC, so the synthesised body follows program order.

@@ -225,16 +225,7 @@ func Read(r io.Reader) (*Trace, error) {
 	t := &Trace{Name: sc.Name(), MemorySensitive: sc.MemorySensitive()}
 	for i := range sc.Kernels() {
 		m := &sc.Kernels()[i]
-		kt := &KernelTrace{
-			Name:             m.Name,
-			Body:             m.Body,
-			Slots:            m.Slots,
-			WarpsPerBlock:    m.WarpsPerBlock,
-			Blocks:           m.Blocks,
-			MaxWarpsPerSched: m.MaxWarpsPerSched,
-			MaxBlocksPerSM:   m.MaxBlocksPerSM,
-			WarpIters:        m.WarpIters,
-		}
+		kt := &KernelTrace{KernelMeta: *m}
 		total := m.TotalWarps()
 		kt.Streams = make([][][]uint64, kt.Slots)
 		for s := range kt.Streams {

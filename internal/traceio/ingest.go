@@ -37,30 +37,18 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 		return nil, Signature{}, fmt.Errorf("traceio: trace %s has no kernels", name)
 	}
 
-	// Launch-shape checks the Scanner leaves to the caller (it validates
+	// The checks the Scanner leaves to the caller (it validates
 	// geometry; iteration counts and body slot references are workload
-	// concerns), mirroring KernelTrace.validate.
+	// concerns): KernelMeta.validate, which Trace.Validate runs too.
 	kerr := func(ki int, format string, args ...any) error {
 		return fmt.Errorf("traceio: trace %s kernel %d (%s): %s",
 			name, ki, metas[ki].Name, fmt.Sprintf(format, args...))
 	}
 	used := make([][]bool, len(metas))
 	for ki := range metas {
-		m := &metas[ki]
-		total := m.TotalWarps()
-		if len(m.WarpIters) != total {
-			return nil, Signature{}, kerr(ki, "%d WarpIters entries for %d warps", len(m.WarpIters), total)
-		}
-		for g, it := range m.WarpIters {
-			if it <= 0 {
-				return nil, Signature{}, kerr(ki, "warp %d has iteration count %d, must be positive", g, it)
-			}
-		}
-		u, err := usedSlots(m.Body, m.Slots)
-		if err != nil {
+		if used[ki], err = metas[ki].validate(); err != nil {
 			return nil, Signature{}, kerr(ki, "%v", err)
 		}
-		used[ki] = u
 	}
 
 	// Drain the stream into one builder per (kernel, slot). Records
@@ -122,8 +110,7 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 		for s, rep := range reps[ki] {
 			pats[s] = rep
 		}
-		k, err := kernelFromMeta(m.Name, m.Body, m.WarpsPerBlock, m.Blocks,
-			m.MaxWarpsPerSched, m.MaxBlocksPerSM, m.WarpIters, m.MaxIters(), pats)
+		k, err := kernelFromMeta(m, pats)
 		if err != nil {
 			return nil, Signature{}, err
 		}

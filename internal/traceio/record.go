@@ -45,14 +45,16 @@ func RecordWith(w *sim.Workload, opts RecordOptions) (*Trace, error) {
 func recordKernel(k *trace.Kernel, opts RecordOptions) (*KernelTrace, error) {
 	total := k.TotalWarps()
 	kt := &KernelTrace{
-		Name:             k.Name,
-		Body:             append([]trace.Instr(nil), k.Body...),
-		Slots:            len(k.Patterns),
-		WarpsPerBlock:    k.WarpsPerBlock,
-		Blocks:           k.Blocks,
-		MaxWarpsPerSched: k.MaxWarpsPerSched,
-		MaxBlocksPerSM:   k.MaxBlocksPerSM,
-		WarpIters:        make([]int, total),
+		KernelMeta: KernelMeta{
+			Name:             k.Name,
+			Body:             append([]trace.Instr(nil), k.Body...),
+			Slots:            len(k.Patterns),
+			WarpsPerBlock:    k.WarpsPerBlock,
+			Blocks:           k.Blocks,
+			MaxWarpsPerSched: k.MaxWarpsPerSched,
+			MaxBlocksPerSM:   k.MaxBlocksPerSM,
+			WarpIters:        make([]int, total),
+		},
 	}
 	for g := 0; g < total; g++ {
 		it := k.WarpIters(g)

@@ -206,28 +206,25 @@ func (kt *KernelTrace) Kernel() (*trace.Kernel, error) {
 		}
 		pats[s] = rep
 	}
-	return kernelFromMeta(kt.Name, kt.Body, kt.WarpsPerBlock, kt.Blocks,
-		kt.MaxWarpsPerSched, kt.MaxBlocksPerSM, kt.WarpIters, kt.MaxIters(), pats)
+	return kernelFromMeta(&kt.KernelMeta, pats)
 }
 
 // kernelFromMeta assembles and validates the trace.Kernel shared by
 // the in-memory (KernelTrace) and streaming (ReadWorkload) paths.
-func kernelFromMeta(name string, body []trace.Instr, warpsPerBlock, blocks,
-	maxWarpsPerSched, maxBlocksPerSM int, warpIters []int, iters int,
-	pats []trace.Pattern) (*trace.Kernel, error) {
+func kernelFromMeta(m *KernelMeta, pats []trace.Pattern) (*trace.Kernel, error) {
 	k := &trace.Kernel{
-		Name:             name,
-		Body:             append([]trace.Instr(nil), body...),
+		Name:             m.Name,
+		Body:             append([]trace.Instr(nil), m.Body...),
 		Patterns:         pats,
-		Iters:            iters,
-		PerWarpIters:     append([]int(nil), warpIters...),
-		WarpsPerBlock:    warpsPerBlock,
-		Blocks:           blocks,
-		MaxWarpsPerSched: maxWarpsPerSched,
-		MaxBlocksPerSM:   maxBlocksPerSM,
+		Iters:            m.MaxIters(),
+		PerWarpIters:     append([]int(nil), m.WarpIters...),
+		WarpsPerBlock:    m.WarpsPerBlock,
+		Blocks:           m.Blocks,
+		MaxWarpsPerSched: m.MaxWarpsPerSched,
+		MaxBlocksPerSM:   m.MaxBlocksPerSM,
 	}
 	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("traceio: kernel %s: %w", name, err)
+		return nil, fmt.Errorf("traceio: kernel %s: %w", m.Name, err)
 	}
 	return k, nil
 }

@@ -55,48 +55,6 @@ type Scanner struct {
 	done bool
 }
 
-// KernelMeta is one kernel's header view: everything a KernelTrace
-// carries except the address streams, which the Scanner yields
-// incrementally.
-type KernelMeta struct {
-	Name             string
-	Body             []trace.Instr
-	Slots            int
-	WarpsPerBlock    int
-	Blocks           int
-	MaxWarpsPerSched int
-	MaxBlocksPerSM   int
-	WarpIters        []int
-}
-
-// TotalWarps returns the kernel's launch width.
-func (m *KernelMeta) TotalWarps() int { return m.WarpsPerBlock * m.Blocks }
-
-// MaxIters returns the largest per-warp iteration count.
-func (m *KernelMeta) MaxIters() int {
-	max := 1
-	for _, it := range m.WarpIters {
-		if it > max {
-			max = it
-		}
-	}
-	return max
-}
-
-// geometry adapts the meta to the shared geometry validator.
-func (m *KernelMeta) geometry() *KernelTrace {
-	return &KernelTrace{
-		Name:             m.Name,
-		Body:             m.Body,
-		Slots:            m.Slots,
-		WarpsPerBlock:    m.WarpsPerBlock,
-		Blocks:           m.Blocks,
-		MaxWarpsPerSched: m.MaxWarpsPerSched,
-		MaxBlocksPerSM:   m.MaxBlocksPerSM,
-		WarpIters:        m.WarpIters,
-	}
-}
-
 // StreamRecord is one streamed per-warp address stream. Addrs aliases the
 // Scanner's internal buffer: it is valid until the next call to Next
 // and must be copied to be retained.
@@ -172,7 +130,7 @@ func NewScanner(r io.Reader) (*Scanner, error) {
 			}
 			m.Body = append(m.Body, ins)
 		}
-		if err := m.geometry().validateGeometry(); err != nil {
+		if err := m.validateGeometry(); err != nil {
 			return nil, fmt.Errorf("traceio: kernel %d (%s): %w", ki, kh.Name, err)
 		}
 		sc.kernels = append(sc.kernels, m)

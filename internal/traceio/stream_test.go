@@ -25,15 +25,8 @@ func collectScanner(data []byte) (*Trace, error) {
 	t := &Trace{Name: sc.Name(), MemorySensitive: sc.MemorySensitive()}
 	for _, m := range sc.Kernels() {
 		kt := &KernelTrace{
-			Name:             m.Name,
-			Body:             m.Body,
-			Slots:            m.Slots,
-			WarpsPerBlock:    m.WarpsPerBlock,
-			Blocks:           m.Blocks,
-			MaxWarpsPerSched: m.MaxWarpsPerSched,
-			MaxBlocksPerSM:   m.MaxBlocksPerSM,
-			WarpIters:        m.WarpIters,
-			Streams:          make([][][]uint64, m.Slots),
+			KernelMeta: m,
+			Streams:    make([][][]uint64, m.Slots),
 		}
 		for s := range kt.Streams {
 			kt.Streams[s] = make([][]uint64, m.TotalWarps())
@@ -285,13 +278,15 @@ func syntheticTrace(t testing.TB, warpsPerBlock, blocks, iters int) *Trace {
 	b.ALU(2)
 	total := warpsPerBlock * blocks
 	kt := &KernelTrace{
-		Name:          "synth#0",
-		Body:          b.Body(),
-		Slots:         1,
-		WarpsPerBlock: warpsPerBlock,
-		Blocks:        blocks,
-		WarpIters:     make([]int, total),
-		Streams:       [][][]uint64{make([][]uint64, total)},
+		KernelMeta: KernelMeta{
+			Name:          "synth#0",
+			Body:          b.Body(),
+			Slots:         1,
+			WarpsPerBlock: warpsPerBlock,
+			Blocks:        blocks,
+			WarpIters:     make([]int, total),
+		},
+		Streams: [][][]uint64{make([][]uint64, total)},
 	}
 	for g := 0; g < total; g++ {
 		kt.WarpIters[g] = iters

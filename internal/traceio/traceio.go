@@ -44,14 +44,15 @@ type Trace struct {
 	Kernels         []*KernelTrace
 }
 
-// KernelTrace is one kernel: its loop body, launch geometry and the
-// recorded address streams.
-type KernelTrace struct {
+// KernelMeta is one kernel's metadata: everything a KernelTrace
+// carries except the address streams, which is what a Scanner knows
+// before it yields them.
+type KernelMeta struct {
 	Name string
-	// Body is the kernel loop body; memory ops reference Streams by
-	// their Slot index.
+	// Body is the kernel loop body; memory ops reference address
+	// streams by their Slot index.
 	Body []trace.Instr
-	// Slots is the number of address-stream slots (== len(Streams)).
+	// Slots is the number of address-stream slots.
 	Slots int
 
 	WarpsPerBlock    int
@@ -62,6 +63,12 @@ type KernelTrace struct {
 	// WarpIters[g] is global warp g's recorded iteration count
 	// (len == WarpsPerBlock*Blocks).
 	WarpIters []int
+}
+
+// KernelTrace is one kernel: its metadata and the recorded address
+// streams.
+type KernelTrace struct {
+	KernelMeta
 
 	// Streams[slot][warp] is the recorded line-aligned byte-address
 	// stream: the address of access seq is Streams[slot][warp][seq].
@@ -71,12 +78,12 @@ type KernelTrace struct {
 }
 
 // TotalWarps returns the kernel's launch width.
-func (kt *KernelTrace) TotalWarps() int { return kt.WarpsPerBlock * kt.Blocks }
+func (m *KernelMeta) TotalWarps() int { return m.WarpsPerBlock * m.Blocks }
 
 // MaxIters returns the largest per-warp iteration count.
-func (kt *KernelTrace) MaxIters() int {
+func (m *KernelMeta) MaxIters() int {
 	max := 1
-	for _, it := range kt.WarpIters {
+	for _, it := range m.WarpIters {
 		if it > max {
 			max = it
 		}
@@ -108,45 +115,57 @@ func (t *Trace) Validate() error {
 // reader runs it before allocating stream storage, so a corrupt or
 // hostile header cannot overflow TotalWarps (an int multiply) or
 // drive absurd allocations.
-func (kt *KernelTrace) validateGeometry() error {
-	if kt.Name == "" {
+func (m *KernelMeta) validateGeometry() error {
+	if m.Name == "" {
 		return fmt.Errorf("kernel needs a name")
 	}
-	if len(kt.Body) == 0 {
+	if len(m.Body) == 0 {
 		return fmt.Errorf("empty body")
 	}
-	if kt.WarpsPerBlock <= 0 || kt.Blocks <= 0 {
+	if m.WarpsPerBlock <= 0 || m.Blocks <= 0 {
 		return fmt.Errorf("launch geometry %dx%d warps/blocks must be positive",
-			kt.WarpsPerBlock, kt.Blocks)
+			m.WarpsPerBlock, m.Blocks)
 	}
 	// Each factor is bounded before the product so the int64 multiply
 	// itself cannot wrap (two ~2^31.5 factors would).
-	if kt.WarpsPerBlock > maxTotalWarps || kt.Blocks > maxTotalWarps ||
-		int64(kt.WarpsPerBlock)*int64(kt.Blocks) > maxTotalWarps {
+	if m.WarpsPerBlock > maxTotalWarps || m.Blocks > maxTotalWarps ||
+		int64(m.WarpsPerBlock)*int64(m.Blocks) > maxTotalWarps {
 		return fmt.Errorf("launch of %dx%d warps exceeds the %d-warp limit",
-			kt.WarpsPerBlock, kt.Blocks, maxTotalWarps)
+			m.WarpsPerBlock, m.Blocks, maxTotalWarps)
 	}
-	if kt.MaxWarpsPerSched < 0 || kt.MaxBlocksPerSM < 0 {
+	if m.MaxWarpsPerSched < 0 || m.MaxBlocksPerSM < 0 {
 		return fmt.Errorf("negative occupancy cap")
 	}
-	if kt.Slots < 0 || kt.Slots > maxSlots {
-		return fmt.Errorf("%d slots outside [0,%d]", kt.Slots, maxSlots)
+	if m.Slots < 0 || m.Slots > maxSlots {
+		return fmt.Errorf("%d slots outside [0,%d]", m.Slots, maxSlots)
 	}
 	return nil
 }
 
-// usedSlots validates the body's slot references and returns which
-// slots memory instructions touch. Shared between the whole-trace
-// validator and the streaming ingest (which must reject a referenced
-// slot's empty stream as it flows past, without a Trace to validate).
-func usedSlots(body []trace.Instr, slots int) ([]bool, error) {
-	used := make([]bool, slots)
-	for i, ins := range body {
+// validate checks everything but the streams: the launch geometry,
+// the iteration counts and the body's slot references. It returns which
+// slots memory instructions touch, so the streaming ingest can reject a
+// referenced slot's empty stream as it flows past.
+func (m *KernelMeta) validate() ([]bool, error) {
+	if err := m.validateGeometry(); err != nil {
+		return nil, err
+	}
+	total := m.TotalWarps()
+	if len(m.WarpIters) != total {
+		return nil, fmt.Errorf("%d WarpIters entries for %d warps", len(m.WarpIters), total)
+	}
+	for g, it := range m.WarpIters {
+		if it <= 0 {
+			return nil, fmt.Errorf("warp %d has iteration count %d, must be positive", g, it)
+		}
+	}
+	used := make([]bool, m.Slots)
+	for i, ins := range m.Body {
 		switch ins.Kind {
 		case trace.OpALU:
 		case trace.OpLoad, trace.OpStore:
-			if ins.Slot < 0 || ins.Slot >= slots {
-				return nil, fmt.Errorf("body[%d] references slot %d of %d", i, ins.Slot, slots)
+			if ins.Slot < 0 || ins.Slot >= m.Slots {
+				return nil, fmt.Errorf("body[%d] references slot %d of %d", i, ins.Slot, m.Slots)
 			}
 			if ins.Kind == trace.OpLoad && ins.UseDist < 0 {
 				return nil, fmt.Errorf("body[%d] negative UseDist", i)
@@ -160,25 +179,14 @@ func usedSlots(body []trace.Instr, slots int) ([]bool, error) {
 }
 
 func (kt *KernelTrace) validate() error {
-	if err := kt.validateGeometry(); err != nil {
+	used, err := kt.KernelMeta.validate()
+	if err != nil {
 		return err
 	}
 	if kt.Slots != len(kt.Streams) {
 		return fmt.Errorf("%d slots but %d streams", kt.Slots, len(kt.Streams))
 	}
 	total := kt.TotalWarps()
-	if len(kt.WarpIters) != total {
-		return fmt.Errorf("%d WarpIters entries for %d warps", len(kt.WarpIters), total)
-	}
-	for g, it := range kt.WarpIters {
-		if it <= 0 {
-			return fmt.Errorf("warp %d has iteration count %d, must be positive", g, it)
-		}
-	}
-	used, err := usedSlots(kt.Body, kt.Slots)
-	if err != nil {
-		return err
-	}
 	for s, streams := range kt.Streams {
 		if len(streams) != total {
 			return fmt.Errorf("slot %d has %d warp streams for %d warps", s, len(streams), total)
