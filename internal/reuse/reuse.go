@@ -23,6 +23,7 @@ type Profiler struct {
 	head  *node // most recently used
 	tail  *node // least recently used
 	size  int
+	free  *node // nodes a Reset released, chained through next
 
 	// Histogram of finite distances, capped; overflow counts lump into
 	// the last bucket. ColdMisses counts first touches.
@@ -59,7 +60,12 @@ func (p *Profiler) Touch(addr uint64) int {
 	n, ok := p.index[addr]
 	if !ok {
 		p.ColdMisses++
-		n = &node{addr: addr}
+		if n = p.free; n != nil {
+			p.free = n.next
+			n.addr = addr
+		} else {
+			n = &node{addr: addr}
+		}
 		p.index[addr] = n
 		p.pushFront(n)
 		p.size++
@@ -80,6 +86,20 @@ func (p *Profiler) Touch(addr uint64) int {
 	p.sumDist += float64(depth)
 	p.finite++
 	return depth
+}
+
+// Reset empties the profiler for a new stream and keeps its storage:
+// the index, the list nodes and the histogram are reused, not
+// reallocated.
+func (p *Profiler) Reset() {
+	clear(p.index)
+	if p.head != nil {
+		p.tail.next = p.free
+		p.free = p.head
+	}
+	p.head, p.tail, p.size = nil, nil, 0
+	clear(p.hist)
+	p.ColdMisses, p.Accesses, p.sumDist, p.finite = 0, 0, 0, 0
 }
 
 func (p *Profiler) pushFront(n *node) {

@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -127,5 +128,30 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	h := p.Histogram()
 	if h[4] != 1 {
 		t.Fatalf("overflow bucket = %d, want 1 (hist %v)", h[4], h)
+	}
+}
+
+// TestResetMatchesFresh: one profiler emptied with Reset between
+// streams reports, touch by touch and in every total, what a new
+// profiler reports on each stream.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := stats.NewRNG(17)
+	reused := NewProfiler(16)
+	for round := 0; round < 50; round++ {
+		n := rng.Intn(300)
+		span := 1 + rng.Intn(40)
+		fresh := NewProfiler(16)
+		reused.Reset()
+		for i := 0; i < n; i++ {
+			a := uint64(rng.Intn(span))
+			if got, want := reused.Touch(a), fresh.Touch(a); got != want {
+				t.Fatalf("round %d access %d: distance %d after Reset, %d fresh", round, i, got, want)
+			}
+		}
+		if reused.Accesses != fresh.Accesses || reused.ColdMisses != fresh.ColdMisses ||
+			reused.Distinct() != fresh.Distinct() || reused.MeanDistance() != fresh.MeanDistance() ||
+			!reflect.DeepEqual(reused.Histogram(), fresh.Histogram()) {
+			t.Fatalf("round %d: totals after Reset differ from a fresh profiler's", round)
+		}
 	}
 }

@@ -91,6 +91,7 @@ type kernelView struct {
 	warpIters  []int
 	totalWarps int
 	maxIters   int
+	slots      int
 	stream     func(slot, g int) []uint64
 }
 
@@ -100,6 +101,7 @@ func (kt *KernelTrace) view() kernelView {
 		warpIters:  kt.WarpIters,
 		totalWarps: kt.TotalWarps(),
 		maxIters:   kt.MaxIters(),
+		slots:      kt.Slots,
 		stream:     func(s, g int) []uint64 { return kt.Streams[s][g] },
 	}
 }
@@ -126,8 +128,9 @@ func signatureOf(name string, views []kernelView, opts CharacteriseOptions) Sign
 		coldN      int64
 		scanned    int64
 	)
+	scratch := &scanScratch{prof: reuse.NewProfiler(opts.MaxDist)}
 	for _, v := range views {
-		ks := characteriseKernel(v, opts)
+		ks := characteriseKernel(v, opts, scratch)
 		issues := float64(len(v.body)) * float64(totalIters(v.warpIters))
 		issueTotal += issues
 		inSum += ks.in * issues
@@ -191,7 +194,15 @@ func loadSlots(body []trace.Instr) []int {
 	return out
 }
 
-func characteriseKernel(v kernelView, opts CharacteriseOptions) kernelSig {
+// scanScratch is the storage characteriseKernel reuses from one kernel
+// to the next.
+type scanScratch struct {
+	lines   distinctSet
+	streams [][]uint64 // per (warp, slot): streams[g*slots+s], nil where no load reads s
+	prof    *reuse.Profiler
+}
+
+func characteriseKernel(v kernelView, opts CharacteriseOptions, sc *scanScratch) kernelSig {
 	loads := loadSlots(v.body)
 	ks := kernelSig{}
 	if len(loads) == 0 {
@@ -204,30 +215,45 @@ func characteriseKernel(v kernelView, opts CharacteriseOptions) kernelSig {
 	if budget < 0 {
 		budget = 1 << 62
 	}
-	total := v.totalWarps
+	// One entry per stream the trace carries, however many loads read
+	// a slot.
+	total, slots := v.totalWarps, v.slots
+	loaded := make([]bool, slots)
+	for _, s := range loads {
+		loaded[s] = true
+	}
+	sc.streams = sc.streams[:0]
+	for g := 0; g < total; g++ {
+		for s, ok := range loaded {
+			var stream []uint64
+			if ok {
+				stream = v.stream(s, g)
+			}
+			sc.streams = append(sc.streams, stream)
+		}
+	}
+	streams := sc.streams
 
 	// Per-warp footprint over the full recorded streams (cheap: one set
 	// insert per access).
-	var distinct distinctSet
+	distinct := &sc.lines
 	var footSum int
 	for g := 0; g < total; g++ {
-		room := 0
-		for _, s := range loads {
-			room += len(v.stream(s, g))
-		}
-		distinct.reset(room)
-		for _, s := range loads {
-			for _, addr := range v.stream(s, g) {
-				distinct.add(addr / trace.LineBytes)
+		distinct.reset()
+		for _, stream := range streams[g*slots : (g+1)*slots] {
+			for i, addr := range stream {
+				if i == 0 || addr != stream[i-1] { // a repeat is already counted
+					distinct.add(addr / trace.LineBytes)
+				}
 			}
 		}
 		footSum += distinct.n
 	}
 	ks.footprint = float64(footSum) / float64(total)
 
-	// R: sampled warps replay their own recorded stream through a fresh
-	// profiler each (the single-warp Fig. 4 definition), dwell runs
-	// collapsed per slot.
+	// R: sampled warps replay their own recorded stream through the
+	// profiler, emptied for each (the single-warp Fig. 4 definition),
+	// dwell runs collapsed per slot.
 	step := total / reuseSampleWarps
 	if step < 1 {
 		step = 1
@@ -237,10 +263,14 @@ func characteriseKernel(v kernelView, opts CharacteriseOptions) kernelSig {
 	if perWarp < 1 {
 		perWarp = 1
 	}
-	lastLine := map[int]uint64{}
+	const noLine = ^uint64(0) // line indices stay below maxLineIndex
+	lastLine := make([]uint64, slots)
+	prof := sc.prof
 	for g := 0; g < total; g += step {
-		prof := reuse.NewProfiler(opts.MaxDist)
-		clear(lastLine)
+		prof.Reset()
+		for s := range lastLine {
+			lastLine[s] = noLine
+		}
 		var n int64
 	warp:
 		for it := 0; it < v.warpIters[g]; it++ {
@@ -248,9 +278,9 @@ func characteriseKernel(v kernelView, opts CharacteriseOptions) kernelSig {
 				if n >= perWarp {
 					break warp
 				}
-				stream := v.stream(s, g)
-				line := stream[it%len(stream)] / trace.LineBytes
-				if prev, ok := lastLine[s]; ok && prev == line {
+				stream := streams[g*slots+s]
+				line := stream[wrap(it, len(stream))] / trace.LineBytes
+				if lastLine[s] == line {
 					continue // intra-line spatial run
 				}
 				lastLine[s] = line
@@ -267,8 +297,10 @@ func characteriseKernel(v kernelView, opts CharacteriseOptions) kernelSig {
 	}
 
 	// Intra/inter/cold split: round-robin interleave of every warp,
-	// O(1) per access (only the previous toucher of each line).
-	lastWarp := map[uint64]int{}
+	// O(1) per access (only the previous toucher of each line, kept as
+	// the line's tag).
+	lastWarp := &sc.lines
+	lastWarp.reset()
 scan:
 	for it := 0; it < v.maxIters; it++ {
 		for g := 0; g < total; g++ {
@@ -279,21 +311,29 @@ scan:
 				if ks.accesses >= budget {
 					break scan
 				}
-				stream := v.stream(s, g)
-				line := stream[it%len(stream)] / trace.LineBytes
-				prev, seen := lastWarp[line]
+				stream := streams[g*slots+s]
+				line := stream[wrap(it, len(stream))] / trace.LineBytes
+				tag := lastWarp.tag(line)
 				ks.accesses++
-				switch {
-				case !seen:
+				switch prev := int(*tag); {
+				case prev < 0:
 					ks.cold++
 				case prev == g:
 					ks.intra++
 				default:
 					ks.inter++
 				}
-				lastWarp[line] = g
+				*tag = int32(g)
 			}
 		}
 	}
 	return ks
+}
+
+// wrap returns it modulo n, taking the division only past the end.
+func wrap(it, n int) int {
+	if it < n {
+		return it
+	}
+	return it % n
 }

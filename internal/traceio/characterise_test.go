@@ -131,9 +131,11 @@ func noNaN(s Signature) bool {
 }
 
 // TestDistinctSetCountsWhatAMapCounts: the open-addressing set that
-// footprints are counted on, reused from one stream to the next as the
-// ingest path reuses it (streams of any length in any order, values that
-// collide, zero among them), counts what the map it replaced counts.
+// footprints are counted on and the interleaved scan keeps each line's
+// last warp in, reused from one stream to the next as the ingest path
+// reuses it (streams of any length in any order, values that collide,
+// zero among them, the table growing mid-stream, the stamp wrapping), counts and tags what
+// the map it replaced counts and holds.
 func TestDistinctSetCountsWhatAMapCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var set distinctSet
@@ -141,15 +143,32 @@ func TestDistinctSetCountsWhatAMapCounts(t *testing.T) {
 		n := rng.Intn(1 << uint(rng.Intn(12)))
 		span := uint64(1 + rng.Intn(4*n+1)) // few distinct values up to nearly all
 		stride := uint64(1) << uint(rng.Intn(40))
-		want := map[uint64]struct{}{}
-		set.reset(n)
+		want := map[uint64]int32{}
+		set.reset()
 		for i := 0; i < n; i++ {
 			v := (rng.Uint64() % span) * stride
-			want[v] = struct{}{}
-			set.add(v)
+			last, seen := want[v]
+			if !seen {
+				last = -1
+			}
+			tag := set.tag(v)
+			if *tag != last {
+				t.Fatalf("round %d access %d: value %d tagged %d, the map holds %d", round, i, v, *tag, last)
+			}
+			*tag, want[v] = int32(i), int32(i)
 		}
 		if set.n != len(want) {
 			t.Fatalf("round %d: %d values over %d x %d: the set counts %d, a map %d", round, n, span, stride, set.n, len(want))
 		}
+	}
+
+	// A stamp that wraps must not bring back what it once stamped.
+	var wrapped distinctSet
+	wrapped.reset()
+	*wrapped.tag(7) = 5
+	wrapped.stamp = math.MaxUint32
+	wrapped.reset()
+	if tag := *wrapped.tag(7); tag != -1 || wrapped.n != 1 {
+		t.Fatalf("after the stamp wrapped, 7 came back tagged %d (set counts %d)", tag, wrapped.n)
 	}
 }

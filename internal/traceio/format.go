@@ -1,7 +1,6 @@
 package traceio
 
 import (
-	"bufio"
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
@@ -57,6 +56,10 @@ const (
 	// the declared warp count — a header can declare 4M warps in a few
 	// hundred bytes. A larger arena grows by append from there.
 	maxArenaReserve = 1 << 22
+
+	// writeChunk is how many encoded bytes Write gathers before handing
+	// them to the underlying writer.
+	writeChunk = 64 << 10
 )
 
 // header is the JSON-encoded metadata block of a trace file. It
@@ -135,8 +138,58 @@ func Write(w io.Writer, t *Trace, opts WriteOptions) error {
 		gz = gzip.NewWriter(w)
 		out = gz
 	}
-	bw := bufio.NewWriter(out)
+	hdrJSON, err := json.Marshal(headerOf(t))
+	if err != nil {
+		return fmt.Errorf("traceio: encoding header: %w", err)
+	}
 
+	// Everything is encoded into one reused chunk and handed on whole:
+	// a Write per varint is most of what serialising would cost.
+	chunk := make([]byte, 0, writeChunk+binary.MaxVarintLen64)
+	flush := func() error {
+		_, err := out.Write(chunk)
+		chunk = chunk[:0]
+		return err
+	}
+	chunk = append(chunk, formatMagic...)
+	chunk = binary.AppendUvarint(chunk, formatVersion)
+	chunk = binary.AppendUvarint(chunk, uint64(len(hdrJSON)))
+	chunk = append(chunk, hdrJSON...)
+	for _, kt := range t.Kernels {
+		for _, slot := range kt.Streams {
+			for _, stream := range slot {
+				if len(chunk) >= writeChunk {
+					if err := flush(); err != nil {
+						return err
+					}
+				}
+				chunk = binary.AppendUvarint(chunk, uint64(len(stream)))
+				prev := int64(0)
+				for _, addr := range stream {
+					line := int64(addr / trace.LineBytes)
+					chunk = binary.AppendVarint(chunk, line-prev)
+					prev = line
+					if len(chunk) >= writeChunk {
+						if err := flush(); err != nil {
+							return err
+						}
+					}
+				}
+			}
+		}
+	}
+	chunk = append(chunk, formatTrailer...)
+	if err := flush(); err != nil {
+		return err
+	}
+	if gz != nil {
+		return gz.Close()
+	}
+	return nil
+}
+
+// headerOf is t's container header: everything but the streams.
+func headerOf(t *Trace) header {
 	hdr := header{Workload: t.Name, MemorySensitive: t.MemorySensitive}
 	for _, kt := range t.Kernels {
 		kh := kernelHeader{
@@ -153,58 +206,7 @@ func Write(w io.Writer, t *Trace, opts WriteOptions) error {
 		}
 		hdr.Kernels = append(hdr.Kernels, kh)
 	}
-	hdrJSON, err := json.Marshal(hdr)
-	if err != nil {
-		return fmt.Errorf("traceio: encoding header: %w", err)
-	}
-
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if _, err := bw.WriteString(formatMagic); err != nil {
-		return err
-	}
-	if err := putUvarint(formatVersion); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(hdrJSON))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(hdrJSON); err != nil {
-		return err
-	}
-	for _, kt := range t.Kernels {
-		for _, slot := range kt.Streams {
-			for _, stream := range slot {
-				if err := putUvarint(uint64(len(stream))); err != nil {
-					return err
-				}
-				prev := int64(0)
-				for _, addr := range stream {
-					line := int64(addr / trace.LineBytes)
-					delta := line - prev
-					prev = line
-					n := binary.PutVarint(scratch[:], delta)
-					if _, err := bw.Write(scratch[:n]); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	if _, err := bw.WriteString(formatTrailer); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if gz != nil {
-		return gz.Close()
-	}
-	return nil
+	return hdr
 }
 
 // Read parses a poisetrace container from r, transparently unwrapping

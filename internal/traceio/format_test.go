@@ -3,11 +3,14 @@ package traceio
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func encode(t *testing.T, tr *Trace, gz bool) []byte {
@@ -60,6 +63,22 @@ func TestWriteFileReadFile(t *testing.T) {
 	}
 }
 
+// craft hand-builds a container prologue around hdrJSON and appends
+// the stream bytes verbatim.
+func craft(hdrJSON string, streams ...byte) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(formatMagic)
+	var scratch [16]byte
+	buf.Write(scratch[:binary.PutUvarint(scratch[:], formatVersion)])
+	buf.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(hdrJSON)))])
+	buf.WriteString(hdrJSON)
+	buf.Write(streams)
+	return buf.Bytes()
+}
+
+// oneWarp is the header of a one-kernel, one-slot, one-warp container.
+const oneWarp = `{"Workload":"w","Kernels":[{"Name":"k","Body":[{"Kind":"load"}],"Slots":1,"WarpsPerBlock":1,"Blocks":1,"WarpIters":[1]}]}`
+
 // TestCorruptInputs feeds the strict parser a catalogue of malformed
 // containers; every one must return an error and none may panic.
 func TestCorruptInputs(t *testing.T) {
@@ -91,6 +110,14 @@ func TestCorruptInputs(t *testing.T) {
 		}(), "trailer"},
 		{"trailing garbage", append(append([]byte(nil), good...), 0xaa), "trailing garbage"},
 		{"gzip with garbage body", []byte{0x1f, 0x8b, 0xff, 0x00, 0x01}, "gzip"},
+		// Two-byte deltas: whole in the buffer on the bytes.Reader path,
+		// split across refills on the one-byte path.
+		{"delta overflows 64 bits", craft(oneWarp, 1,
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+			"access 0: binary: varint overflows a 64-bit integer"},
+		{"line index below zero", craft(oneWarp, 2, 0x80, 0x01, 0x83, 0x01),
+			"access 1: line index -2 out of range"},
+		{"delta cut mid-varint", craft(oneWarp, 2, 0x02, 0x80), "access 1: unexpected EOF"},
 	}
 	for _, c := range cases {
 		_, err := Read(bytes.NewReader(c.data))
@@ -100,43 +127,76 @@ func TestCorruptInputs(t *testing.T) {
 		if c.wantSub != "" && !strings.Contains(err.Error(), c.wantSub) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.wantSub)
 		}
+		// A reader that hands over one byte per call makes every
+		// multi-byte varint straddle a refill: the decode must fall back
+		// to the same verdict and the same words.
+		_, slow := Read(iotest.OneByteReader(bytes.NewReader(c.data)))
+		if slow == nil || slow.Error() != err.Error() {
+			t.Fatalf("%s: one byte at a time the error is %v, not %q", c.name, slow, err)
+		}
 	}
 }
 
 // TestHostileHeaderGeometry hand-crafts containers whose JSON headers
-// declare absurd launch geometry; the reader must reject them before
-// any allocation or integer overflow (a regression for a crafted
-// 150-byte file that once panicked in make()).
+// declare absurd launch geometry, or a stream far longer than the bytes
+// behind it; the reader must reject them before any large allocation or
+// integer overflow (a regression for a crafted 150-byte file that once
+// panicked in make(), and for a 461-byte one that allocated 2 GB for
+// its declared stream). Characterisation is held to the same bound: a
+// body that reads one slot from many loads costs what the streams the
+// container carries cost, not loads × warps.
 func TestHostileHeaderGeometry(t *testing.T) {
-	craft := func(hdrJSON string) []byte {
-		var buf bytes.Buffer
-		buf.WriteString(formatMagic)
-		var scratch [16]byte
-		buf.Write(scratch[:binary.PutUvarint(scratch[:], formatVersion)])
-		buf.Write(scratch[:binary.PutUvarint(scratch[:], uint64(len(hdrJSON)))])
-		buf.WriteString(hdrJSON)
-		return buf.Bytes()
-	}
 	kernel := func(geom string) string {
 		return `{"Workload":"w","Kernels":[{"Name":"k","Body":[{"Kind":"load"}],"Slots":1,` +
 			geom + `,"WarpIters":[]}]}`
 	}
+	// The longest stream the format allows, then a few hundred bytes of
+	// it: one-byte deltas of +1.
+	longStream := binary.AppendUvarint(nil, maxStreamLen)
+	longStream = append(longStream, bytes.Repeat([]byte{0x02}, 320)...)
+	// 10 000 loads of slot 0 over 1000 warps of one access each.
+	const manyLoads, manyWarps = 10000, 1000
+	oneSlot := `{"Workload":"w","Kernels":[{"Name":"k","Body":[` +
+		strings.Repeat(`{"Kind":"load"},`, manyLoads-1) + `{"Kind":"load"}],"Slots":1,` +
+		`"WarpsPerBlock":1000,"Blocks":1,"WarpIters":[` + strings.Repeat("1,", manyWarps-1) + `1]}]}`
+	read := func(r io.Reader) error { _, err := Read(r); return err }
+	characterise := func(r io.Reader) error {
+		_, _, err := ReadWorkload(r, &CharacteriseOptions{})
+		return err
+	}
 	cases := []struct {
 		name string
-		hdr  string
-		want string
+		data []byte
+		read func(io.Reader) error
+		want string // "" means the container is valid
 	}{
-		{"totalwarps int overflow", kernel(`"WarpsPerBlock":3037000500,"Blocks":3037000500`), "warp limit"},
-		{"huge allocation", kernel(`"WarpsPerBlock":1000000000,"Blocks":1000000000`), "warp limit"},
-		{"huge slot count", `{"Workload":"w","Kernels":[{"Name":"k","Body":[{"Kind":"alu"}],"Slots":2000000000,"WarpsPerBlock":1,"Blocks":1,"WarpIters":[1]}]}`, "slots"},
+		{"totalwarps int overflow", craft(kernel(`"WarpsPerBlock":3037000500,"Blocks":3037000500`)), read, "warp limit"},
+		{"huge allocation", craft(kernel(`"WarpsPerBlock":1000000000,"Blocks":1000000000`)), read, "warp limit"},
+		{"huge slot count", craft(`{"Workload":"w","Kernels":[{"Name":"k","Body":[{"Kind":"alu"}],"Slots":2000000000,"WarpsPerBlock":1,"Blocks":1,"WarpIters":[1]}]}`), read, "slots"},
+		{"declared stream longer than the file", craft(oneWarp, longStream...), read, "access 320: unexpected EOF"},
+		{"many loads on one slot", craft(oneSlot, append(bytes.Repeat([]byte{1, 0}, manyWarps), formatTrailer...)...), characterise, ""},
 	}
 	for _, c := range cases {
-		_, err := Read(bytes.NewReader(craft(c.hdr)))
-		if err == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.read(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		switch {
+		case c.want == "" && err != nil:
+			t.Fatalf("%s: %v", c.name, err)
+		case c.want == "":
+		case err == nil:
 			t.Fatalf("%s: expected an error", c.name)
-		}
-		if !strings.Contains(err.Error(), c.want) {
+		case !strings.Contains(err.Error(), c.want):
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+		// What a small container may cost: the reader's buffers plus a
+		// few dozen bytes per byte of header and streams, nowhere near
+		// what the declarations ask for (the one-slot row would ask for
+		// 10^7 stream headers, 240 MB; it takes about 5 MB).
+		bound := uint64(1<<20 + 64*len(c.data))
+		if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc > bound {
+			t.Fatalf("%s: a %d-byte container allocated %d bytes (bound %d)", c.name, len(c.data), alloc, bound)
 		}
 	}
 }

@@ -121,6 +121,7 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 			warpIters:  m.WarpIters,
 			totalWarps: m.TotalWarps(),
 			maxIters:   m.MaxIters(),
+			slots:      m.Slots,
 			stream:     func(s, g int) []uint64 { return kreps[s].warpStream(g) },
 		}
 	}

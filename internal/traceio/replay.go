@@ -82,42 +82,83 @@ func (b *ReplayBuilder) Warp(stream []uint64) {
 	if len(stream) == 0 {
 		return
 	}
-	b.scratch.reset(len(stream))
-	for _, a := range stream {
-		b.scratch.add(a)
+	b.scratch.reset()
+	for i, a := range stream {
+		if i == 0 || a != stream[i-1] { // a repeat is already counted
+			b.scratch.add(a)
+		}
 	}
 	b.sum += b.scratch.n
 	b.counted++
 }
 
 // distinctSet counts distinct values: an open-addressing table kept
-// from one warp to the next and emptied by moving on to a new stamp,
-// at a fraction of what a map cleared and refilled per warp costs.
+// from one use to the next and emptied by moving on to a new stamp,
+// at a fraction of what a map cleared and refilled each time costs.
+// Each value carries an int32 tag (the interleaved scan keeps the warp
+// that touched a line last there). The table doubles when it is half
+// full and never shrinks, so it settles at the size the largest set
+// needs, small enough to stay in cache when sets are.
 type distinctSet struct {
-	slots []struct{ key, stamp uint64 }
-	stamp uint64
+	slots []distinctSlot
+	stamp uint32
 	shift uint // 64 - log2(len(slots))
 	n     int  // distinct values added since reset
 }
 
-// reset empties the set and makes room for up to room values.
-func (d *distinctSet) reset(room int) {
-	if log := bits.Len(uint(2 * room)); 1<<log > len(d.slots) {
-		d.slots, d.shift = make([]struct{ key, stamp uint64 }, 1<<log), uint(64-log)
+type distinctSlot struct {
+	key   uint64
+	stamp uint32
+	tag   int32
+}
+
+// reset empties the set.
+func (d *distinctSet) reset() {
+	if d.slots == nil {
+		d.slots, d.shift = make([]distinctSlot, 16), 64-4
 	}
-	d.stamp++
+	if d.stamp++; d.stamp == 0 { // wrapped: old stamps would read as live
+		clear(d.slots)
+		d.stamp = 1
+	}
 	d.n = 0
 }
 
-func (d *distinctSet) add(v uint64) {
+func (d *distinctSet) add(v uint64) { d.tag(v) }
+
+// tag adds v if it is new, with tag -1, and returns its tag for the
+// caller to read and set. The pointer is valid until the next add.
+// The set must have been reset once.
+func (d *distinctSet) tag(v uint64) *int32 {
 	for i := v * 0x9e3779b97f4a7c15 >> d.shift; ; i = (i + 1) & uint64(len(d.slots)-1) {
 		if s := &d.slots[i]; s.stamp != d.stamp {
-			s.key, s.stamp = v, d.stamp
+			if 2*(d.n+1) > len(d.slots) {
+				d.grow()
+				return d.tag(v)
+			}
+			*s = distinctSlot{key: v, stamp: d.stamp, tag: -1}
 			d.n++
-			return
+			return &s.tag
 		} else if s.key == v {
-			return
+			return &s.tag
 		}
+	}
+}
+
+// grow doubles the table, keeping the values added since reset.
+func (d *distinctSet) grow() {
+	old, stamp := d.slots, d.stamp
+	log := bits.Len(uint(len(old)))
+	d.slots, d.shift, d.stamp = make([]distinctSlot, 1<<log), uint(64-log), 1
+	for _, s := range old {
+		if s.stamp != stamp {
+			continue
+		}
+		i := s.key * 0x9e3779b97f4a7c15 >> d.shift
+		for d.slots[i].stamp == d.stamp {
+			i = (i + 1) & uint64(len(d.slots)-1)
+		}
+		d.slots[i] = distinctSlot{key: s.key, stamp: d.stamp, tag: s.tag}
 	}
 }
 

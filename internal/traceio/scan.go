@@ -189,17 +189,31 @@ func (s *Scanner) Next() (StreamRecord, bool) {
 			ki, slot, warp, count)
 		return StreamRecord{}, false
 	}
-	if uint64(cap(s.buf)) < count {
-		s.buf = make([]uint64, count)
-	}
-	stream := s.buf[:count]
+	// Deltas that sit whole in the reader's buffer are decoded in
+	// place. One that straddles the buffer's end, or is malformed, goes
+	// through binary.ReadVarint, which refills and reports exactly what
+	// a byte-at-a-time decode would. The record grows only as deltas
+	// arrive, so a declared count costs nothing until its bytes do.
+	stream := s.buf[:0]
 	prev := int64(0)
-	for j := range stream {
-		delta, err := binary.ReadVarint(s.br)
-		if err != nil {
-			s.err = fmt.Errorf("traceio: kernel %d slot %d warp %d access %d: %w",
-				ki, slot, warp, j, badEOF(err))
-			return StreamRecord{}, false
+	window, _ := s.br.Peek(s.br.Buffered())
+	used := 0
+	for j := 0; uint64(j) < count; j++ {
+		var delta int64
+		if used < len(window) && window[used] < 0x80 {
+			b := window[used]
+			delta, used = int64(b>>1)^-int64(b&1), used+1 // a one-byte zigzag varint
+		} else if d, n := binary.Varint(window[used:]); n > 0 {
+			delta, used = d, used+n
+		} else {
+			s.br.Discard(used)
+			if delta, err = binary.ReadVarint(s.br); err != nil {
+				s.err = fmt.Errorf("traceio: kernel %d slot %d warp %d access %d: %w",
+					ki, slot, warp, j, badEOF(err))
+				return StreamRecord{}, false
+			}
+			window, _ = s.br.Peek(s.br.Buffered())
+			used = 0
 		}
 		prev += delta
 		if prev < 0 || prev > maxLineIndex {
@@ -207,8 +221,10 @@ func (s *Scanner) Next() (StreamRecord, bool) {
 				ki, slot, warp, j, prev)
 			return StreamRecord{}, false
 		}
-		stream[j] = uint64(prev) * trace.LineBytes
+		stream = append(stream, uint64(prev)*trace.LineBytes)
 	}
+	s.br.Discard(used)
+	s.buf = stream
 
 	// Advance the cursor for the next call.
 	s.warp++

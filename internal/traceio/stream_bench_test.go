@@ -19,30 +19,9 @@ func benchContainer(b *testing.B) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkReadStream drains a Scanner without retaining records — the
-// bounded-memory ingest path's decode cost.
-func BenchmarkReadStream(b *testing.B) {
-	data := benchContainer(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sc, err := NewScanner(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, ok := sc.Next(); !ok {
-				break
-			}
-		}
-		if err := sc.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReadWhole materialises the full Trace for comparison — the
-// collect-all wrapper's cost over the same bytes.
+// BenchmarkReadWhole materialises the full Trace: the collect-all
+// wrapper's cost. The bare Scanner drain is the ledger's
+// traceio.scan_mb_per_s row (bench/).
 func BenchmarkReadWhole(b *testing.B) {
 	data := benchContainer(b)
 	b.SetBytes(int64(len(data)))
@@ -87,20 +66,3 @@ func BenchmarkReplayFlat(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkReplayFlatAddr exercises the replay hot path — the address
-// lookup behind every simulated memory access — on the flat arena.
-func BenchmarkReplayFlatAddr(b *testing.B) {
-	rep, err := NewReplay("bench", benchRecords())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += rep.Addr(trace.Ctx{GlobalWarp: i & 2047}, i&63)
-	}
-	benchSink = sink
-}
-
-var benchSink uint64

@@ -2,10 +2,12 @@ package traceio
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"poise/internal/config"
 	"poise/internal/sim"
@@ -13,12 +15,12 @@ import (
 	"poise/internal/workloads"
 )
 
-// collectScanner rebuilds a whole Trace by draining a Scanner — an
-// independent re-implementation of Read's collect-all loop, so the
+// collectScanner rebuilds a whole Trace by draining a Scanner over r —
+// an independent re-implementation of Read's collect-all loop, so the
 // equivalence tests compare two genuinely separate paths rather than
 // Read against itself.
-func collectScanner(data []byte) (*Trace, error) {
-	sc, err := NewScanner(bytes.NewReader(data))
+func collectScanner(r io.Reader) (*Trace, error) {
+	sc, err := NewScanner(r)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +76,7 @@ func TestScannerMatchesReadOnFixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			whole, readErr := Read(bytes.NewReader(data))
-			streamed, scanErr := collectScanner(data)
+			streamed, scanErr := collectScanner(bytes.NewReader(data))
 			if (readErr == nil) != (scanErr == nil) {
 				t.Fatalf("verdicts diverge: Read err=%v, Scanner err=%v", readErr, scanErr)
 			}
@@ -106,7 +108,7 @@ func TestScannerMatchesReadRecorded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := collectScanner(buf.Bytes())
+		streamed, err := collectScanner(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,12 +347,13 @@ func TestScannerAllocsBounded(t *testing.T) {
 	}
 }
 
-// FuzzScanner fuzzes the streaming reader against the whole-trace
-// reader: on arbitrary bytes — truncations mid-record, corrupt
-// varints, geometry the streams cannot satisfy — neither path may
-// panic, both must reach the same error-vs-success verdict, and on
-// success the collected trace must be DeepEqual to Read's. The seed
-// corpus in testdata/fuzz/FuzzScanner adds committed regressions:
+// FuzzScanner fuzzes the streaming reader's decoder against itself
+// fed one byte per Read: on arbitrary bytes — truncations mid-record,
+// corrupt varints, geometry the streams cannot satisfy — neither may
+// panic, and the in-buffer decode (whole varints straight from the
+// reader's buffer) must reach exactly the verdict, error text and
+// records of the fallback that every straddling varint takes. The
+// seed corpus in testdata/fuzz/FuzzScanner adds committed regressions:
 // a valid container, plain and gzipped, systematic truncations, a
 // flipped stream byte, and an Accel-Sim per-lane mask dump (which the
 // container readers must cleanly reject as foreign).
@@ -371,13 +374,19 @@ func FuzzScanner(f *testing.F) {
 	f.Add(plain.Bytes()[:len(plain.Bytes())/2])
 	f.Add(plain.Bytes()[:len(plain.Bytes())-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		whole, readErr := Read(bytes.NewReader(data))
-		streamed, scanErr := collectScanner(data)
-		if (readErr == nil) != (scanErr == nil) {
-			t.Fatalf("verdicts diverge: Read err=%v, Scanner err=%v", readErr, scanErr)
+		whole, fastErr := Read(bytes.NewReader(data))
+		slow, slowErr := collectScanner(iotest.OneByteReader(bytes.NewReader(data)))
+		if (fastErr == nil) != (slowErr == nil) {
+			t.Fatalf("verdicts diverge: in-buffer err=%v, one-byte err=%v", fastErr, slowErr)
 		}
-		if readErr == nil && !reflect.DeepEqual(whole, streamed) {
-			t.Fatal("collect(Scanner) differs from Read on fuzzed input")
+		if fastErr != nil {
+			if fastErr.Error() != slowErr.Error() {
+				t.Fatalf("error texts diverge:\nin-buffer: %v\none-byte:  %v", fastErr, slowErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(whole, slow) {
+			t.Fatal("the one-byte decode differs from the in-buffer decode")
 		}
 	})
 }
