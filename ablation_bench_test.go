@@ -17,7 +17,7 @@ func ablationRun(b *testing.B, workload string, mutate func(*poise.Policy)) floa
 	b.Helper()
 	h := benchHarness()
 	w := h.Cat.Must(workload)
-	gto, err := h.RunWorkload(w, sim.GTO{})
+	gto, err := sim.RunWorkload(h.Cfg, w, sim.GTO{}, sim.RunOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func ablationRun(b *testing.B, workload string, mutate func(*poise.Policy)) floa
 	if mutate != nil {
 		mutate(pol)
 	}
-	res, err := h.RunWorkload(w, pol)
+	res, err := sim.RunWorkload(h.Cfg, w, pol, sim.RunOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

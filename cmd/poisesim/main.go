@@ -66,9 +66,11 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -84,6 +86,7 @@ import (
 	"poise/internal/runner"
 	"poise/internal/sim"
 	"poise/internal/snap"
+	"poise/internal/trace"
 	"poise/internal/traceio"
 	"poise/internal/workloads"
 )
@@ -284,23 +287,14 @@ func main() {
 		fatal(err)
 	}
 
-	// runKey names a run's checkpoint in -snapshot-dir by everything
-	// that shapes its state, so a resume can never splice checkpoints
-	// across configurations.
-	runKey := func(w *sim.Workload) string {
-		return fmt.Sprintf("poisesim|%s|%s|%s|sms%d|l1x%d|seed%d|n%d|p%d",
-			w.Name, *policy, *size, *sms, *l1x, *seed, *n, *p)
-	}
 	runWorkload := func(i int, w *sim.Workload) (sim.WorkloadResult, error) {
+		job := sim.Job{Workload: w, Policy: func() (sim.Policy, error) { return newPolicy(i) }}
 		if ckpts != nil {
-			return sim.RunStored(cfg, w, func() (sim.Policy, error) { return newPolicy(i) },
-				sim.RunOptions{Interrupt: ictl}, ckpts, runKey(w))
+			flags := fmt.Sprintf("%s|%s|sms%d|l1x%d|seed%d|n%d|p%d", *policy, *size, *sms, *l1x, *seed, *n, *p)
+			job.Opts.Interrupt, job.Store, job.Key = ictl, ckpts, runKey(w, flags)
 		}
-		pol, err := newPolicy(i)
-		if err != nil {
-			return sim.WorkloadResult{}, err
-		}
-		return sim.RunWorkload(cfg, w, pol, sim.RunOptions{})
+		res, _, err := sim.Drive(cfg, job)
+		return res, err
 	}
 
 	type run struct {
@@ -346,6 +340,20 @@ func main() {
 			len(results), workers,
 			wall.Round(time.Millisecond), serial.Round(time.Millisecond))
 	}
+}
+
+// runKey names run w's checkpoint in -snapshot-dir by everything that
+// shapes its state: the flags that do, joined, and a digest over the
+// contents of every kernel of w, so that a resume never splices
+// checkpoints across configurations, nor across two workloads of one
+// name (a -trace workload over the catalogue entry it shadows, a
+// workload edited between two builds).
+func runKey(w *sim.Workload, flags string) string {
+	h := sha256.New()
+	for _, k := range w.Kernels {
+		io.WriteString(h, trace.KernelDigest(k))
+	}
+	return fmt.Sprintf("poisesim|%s|%s|%x", w.Name, flags, h.Sum(nil))
 }
 
 // listSignatures prints every workload with its characterised

@@ -316,18 +316,16 @@ func (h *Harness) runCell(d gridDef, s scheme, wl *sim.Workload) (results.CellRe
 	return cr, nil
 }
 
-// runCellOn executes one cell's workload under one policy on a GPU of
-// configuration cfg drawn from the process-wide pool — the
-// reset-verified reuse discipline that makes pooled cells bit-identical
-// to fresh-GPU runs — through the harness's run memo, which answers a
-// tuple-pinned cell that a sweep point or another cell already ran.
+// runCellOn executes one cell's workload under one policy on
+// configuration cfg through sim.Drive and the harness's run memo, which
+// answers a tuple-pinned cell that a sweep point or another cell already
+// ran.
 func (h *Harness) runCellOn(cfg config.Config, wl *sim.Workload, pol sim.Policy) (results.CellResult, error) {
-	g, err := sim.Acquire(cfg)
-	if err != nil {
-		return results.CellResult{}, err
-	}
-	res, err := g.RunWorkloadCached(wl, pol, sim.RunOptions{}, h.memo)
-	sim.Release(g)
+	res, _, err := sim.Drive(cfg, sim.Job{
+		Workload: wl,
+		Policy:   func() (sim.Policy, error) { return pol, nil },
+		Memo:     h.memo,
+	})
 	if err != nil {
 		return results.CellResult{}, err
 	}

@@ -393,11 +393,6 @@ func (h *Harness) PoisePolicy() (*poise.Policy, error) {
 	return poise.NewPolicy(h.Params, w), nil
 }
 
-// RunWorkload executes one workload under one policy.
-func (h *Harness) RunWorkload(w *sim.Workload, p sim.Policy) (sim.WorkloadResult, error) {
-	return sim.RunWorkload(h.Cfg, w, p, sim.RunOptions{})
-}
-
 // EvalWorkloads returns the evaluation set (paper order) followed by
 // any extra (trace-backed) workloads whose names are not already in
 // it, or the configured subset.

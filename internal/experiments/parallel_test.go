@@ -100,7 +100,7 @@ func TestFig4BitIdenticalAcrossWorkers(t *testing.T) {
 func TestSeedReproducibleAndEffective(t *testing.T) {
 	run := func(workers int, seed int64) WorkloadResultLite {
 		h := NewHarness(subsetOptions(workers, seed))
-		res, err := h.RunWorkload(h.Cat.Must("bfs"), sim.GTO{})
+		res, err := sim.RunWorkload(h.Cfg, h.Cat.Must("bfs"), sim.GTO{}, sim.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 
-	"poise/internal/poise"
 	"poise/internal/profile"
 	"poise/internal/reuse"
 	"poise/internal/runner"
@@ -301,10 +300,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// DefaultWeightsAvailable reports whether an embedded model exists.
-func DefaultWeightsAvailable() bool {
-	_, ok := poise.DefaultWeights()
-	return ok
 }

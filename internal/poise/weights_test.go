@@ -158,15 +158,3 @@ func BenchmarkPredict(b *testing.B) {
 		w.Predict(x)
 	}
 }
-
-func BenchmarkPredictTuple(b *testing.B) {
-	w, ok := DefaultWeights()
-	if !ok {
-		b.Skip("no embedded weights")
-	}
-	x := Vector{0.5, 0.6, 0.2, 0.4, 0.04, 0.3, 0.1, 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w.PredictTuple(x, 24)
-	}
-}

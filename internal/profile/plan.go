@@ -114,33 +114,29 @@ func taskCheckpointKey(t gridplan.Task) string {
 	return "task|" + t.Key() + "|" + t.Digest
 }
 
-// runTask simulates one grid point. With a checkpoint store the point
-// is a one-kernel workload under sim.RunStored, which resumes, saves and
-// deletes the task's checkpoint; a resumed task measures bit-identical
-// to an uninterrupted run (sim's snapshot covers all live engine state),
-// so checkpointing never perturbs merged sweep output. Without one the
-// point runs on a pooled GPU, through the memo when one is set.
+// runTask simulates one grid point: the one-kernel workload {k} under
+// Fixed{N, P} through sim.Drive, answered by the memo when one is set
+// and it holds the point, else on a pooled GPU. With a checkpoint store
+// Drive resumes, saves and deletes the task's checkpoint; a resumed task
+// measures bit-identical to an uninterrupted run (sim's snapshot covers
+// all live engine state), so checkpointing never perturbs merged sweep
+// output.
 func runTask(cfg config.Config, k *trace.Kernel, t gridplan.Task, opts SweepOptions) (sim.KernelResult, error) {
-	pol := sim.Fixed{N: t.N, P: t.P}
-	ro := sim.RunOptions{MaxCycles: opts.MaxCycles, Interrupt: opts.Interrupt}
-	if opts.Checkpoints != nil {
-		w := &sim.Workload{Name: k.Name, Kernels: []*trace.Kernel{k}}
-		res, err := sim.RunStored(cfg, w, func() (sim.Policy, error) { return pol, nil }, ro,
-			opts.Checkpoints, taskCheckpointKey(t))
-		if err != nil {
-			return sim.KernelResult{}, err
-		}
-		return res.PerKernel[0], nil
+	job := sim.Job{
+		Workload: &sim.Workload{Name: k.Name, Kernels: []*trace.Kernel{k}},
+		Policy:   func() (sim.Policy, error) { return sim.Fixed{N: t.N, P: t.P}, nil },
+		Opts:     sim.RunOptions{MaxCycles: opts.MaxCycles, Interrupt: opts.Interrupt},
+		Memo:     opts.Memo,
+		Digest:   t.Digest,
 	}
-	g, err := sim.Acquire(cfg)
+	if opts.Checkpoints != nil {
+		job.Store, job.Key = opts.Checkpoints, taskCheckpointKey(t)
+	}
+	res, _, err := sim.Drive(cfg, job)
 	if err != nil {
 		return sim.KernelResult{}, err
 	}
-	defer sim.Release(g)
-	if opts.Memo != nil {
-		return g.RunKernelCached(k, t.Digest, pol, ro, opts.Memo)
-	}
-	return g.Run(k, pol, ro)
+	return res.PerKernel[0], nil
 }
 
 // MergeShards assembles measurement sets — one per process, lease or

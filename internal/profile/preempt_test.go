@@ -92,7 +92,7 @@ func TestPreemptedSweepResumesIdentically(t *testing.T) {
 
 // TestForeignContainerUnderTaskKeyIsIgnored: a container of another
 // kind stored under a task's key is not the task's checkpoint — a
-// KindTask one is what an older build wrote. sim.RunStored leaves it
+// KindTask one is what an older build wrote. sim.Drive leaves it
 // where it is and runs the task from the start, so the sweep still
 // equals an uninterrupted one.
 func TestForeignContainerUnderTaskKeyIsIgnored(t *testing.T) {

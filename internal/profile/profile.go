@@ -123,12 +123,11 @@ type SweepOptions struct {
 	// Ctx cancels an in-flight sweep (nil = context.Background()).
 	Ctx context.Context
 	// Memo, when non-nil, answers grid points it has seen from memory
-	// and remembers the ones it simulates (sim.RunMemo): a point is a
-	// cold one-kernel run at Fixed{N, P}, the same run as a one-kernel
-	// workload under a scheme pinning that tuple. A task's verified
-	// Digest keys it. An armed Interrupt bypasses the memo, and so does
-	// a sweep with Checkpoints: the harness and poisebench set Memo
-	// only, poisesim sets Checkpoints only.
+	// and remembers the ones it simulates (sim.Job.Memo): a point is
+	// the one-kernel workload {k} under Fixed{N, P}, the same run as a
+	// one-kernel workload under a scheme pinning that tuple. A task's
+	// verified Digest keys it. An armed Interrupt bypasses it. The
+	// harness and poisebench set Memo, poisesim sets Checkpoints.
 	Memo *sim.RunMemo
 	// Refine switches sweeps to adaptive coarse-to-fine refinement
 	// (see refine.go): LoadOrSweep runs a Refinement instead of the
@@ -144,11 +143,10 @@ type SweepOptions struct {
 	// unaffected.
 	Interrupt *sim.InterruptCtl
 	// Checkpoints, when non-nil, stores mid-task snapshots keyed by
-	// task identity: each task is a one-kernel workload run through
-	// sim.RunStored, which resumes a stored checkpoint instead of
-	// starting over — any process pointed at the same directory
-	// continues a preempted task bit-identically — and deletes it once
-	// the task completes. Such a sweep does not consult Memo.
+	// task identity (sim.Job.Store): sim.Drive resumes a task's stored
+	// checkpoint instead of starting over — any process pointed at the
+	// same directory continues a preempted task bit-identically — and
+	// deletes it once the task completes.
 	Checkpoints *snap.Store
 }
 

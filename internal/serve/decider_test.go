@@ -192,20 +192,6 @@ func TestDecideTablesAreBounded(t *testing.T) {
 	}
 }
 
-func BenchmarkDecide(b *testing.B) {
-	d, err := NewDecider(testWeights())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := testVector(4)
-	d.Decide("hot", x, 24)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Decide("hot", x, 24)
-	}
-}
-
 func BenchmarkDecideUncached(b *testing.B) {
 	d, err := NewDecider(testWeights())
 	if err != nil {

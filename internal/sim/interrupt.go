@@ -36,9 +36,6 @@ type InterruptCtl struct {
 // concurrent use.
 func (ic *InterruptCtl) Trigger() { ic.flag.Store(true) }
 
-// Triggered reports whether Trigger has been called.
-func (ic *InterruptCtl) Triggered() bool { return ic.flag.Load() }
-
 // due reports whether the run should stop before visiting cycle now.
 // nil receivers are valid (no interrupt configured).
 func (ic *InterruptCtl) due(now int64) bool {

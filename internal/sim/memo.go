@@ -124,31 +124,21 @@ func NewRunMemo() *RunMemo {
 // Len reports how many results the memo holds.
 func (m *RunMemo) Len() int { return m.runs.Len() }
 
-// memoised returns p as a TuplePrefixer when a run under p and opts
-// goes through the memo. Adaptive policies steer from what they observe
-// and runs with an interrupt control armed may stop part-way: neither
-// touches it.
-func memoised(p Policy, opts RunOptions) (TuplePrefixer, bool) {
-	tp, ok := p.(TuplePrefixer)
-	return tp, ok && opts.Interrupt == nil
-}
-
-// memoKey digests everything that shapes a run of w on g under tp: the
-// hardware config, the run options, whether tuple tracing is on
-// (tracing changes the result's TupleLog, never its numbers), and each
-// kernel's contents with the tuple that takes effect on it. firstDigest
-// is trace.KernelDigest(w.Kernels[0]) when the caller holds it already,
+// memoKey digests everything that shapes a run of w under tp: the
+// hardware config, the run options, and each kernel's contents with the
+// tuple that takes effect on it. firstDigest is
+// trace.KernelDigest(w.Kernels[0]) when the caller holds it already,
 // else "".
-func (g *GPU) memoKey(tp TuplePrefixer, w *Workload, firstDigest string, opts RunOptions) string {
+func memoKey(cfg config.Config, tp TuplePrefixer, w *Workload, firstDigest string, opts RunOptions) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%+v|%d|%d|%v", g.Cfg, opts.MaxCycles, opts.Engine, g.TraceTuples)
+	fmt.Fprintf(h, "%+v|%d|%d", cfg, opts.MaxCycles, opts.Engine)
 	for i, k := range w.Kernels {
 		digest := firstDigest
 		if i > 0 || digest == "" {
 			digest = trace.KernelDigest(k)
 		}
-		n, p := tp.PrefixTuple(g.Cfg, k)
-		n, p = clampTuple(g.Cfg, n, p)
+		n, p := tp.PrefixTuple(cfg, k)
+		n, p = clampTuple(cfg, n, p)
 		fmt.Fprintf(h, "|%s|%d,%d", digest, n, p)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -164,56 +154,24 @@ func (res WorkloadResult) labelled(w *Workload, p Policy) WorkloadResult {
 	for i, kr := range res.PerKernel {
 		kr.Kernel = w.Kernels[i].Name
 		kr.PerSM = append([]sm.Counters(nil), kr.PerSM...)
-		kr.TupleLog = append([]TupleEvent(nil), kr.TupleLog...)
 		per[i] = kr
 	}
 	res.PerKernel = per
 	return res
 }
 
-// RunWorkloadCached is RunWorkload through the run memo. A run whose
-// policy pins its tuples (a TuplePrefixer) is answered from memory when
-// the memo holds its key; otherwise it is simulated, once however many
-// goroutines ask, and remembered. The result carries this run's labels
-// on a copy of its own and is bit-identical to an unmemoised run's.
-// Adaptive policies and runs with an interrupt control armed go straight
-// to RunWorkload.
-func (g *GPU) RunWorkloadCached(w *Workload, p Policy, opts RunOptions, m *RunMemo) (WorkloadResult, error) {
-	return g.runCached(w, "", p, opts, m)
-}
-
-// RunKernelCached is Run of a cold kernel through the run memo: a
-// sweep point, the memoised run of a one-kernel workload. It shares its
-// key, and so its result, with a one-kernel workload run under a policy
-// pinning the same tuple. digest is trace.KernelDigest(k) when the
-// caller holds it already, else "". Adaptive policies, warm runs and
-// runs with an interrupt control armed go straight to Run.
-func (g *GPU) RunKernelCached(k *trace.Kernel, digest string, p Policy, opts RunOptions, m *RunMemo) (KernelResult, error) {
-	if _, ok := memoised(p, opts); !ok || opts.Warm {
-		return g.Run(k, p, opts)
-	}
-	res, err := g.runCached(&Workload{Name: k.Name, Kernels: []*trace.Kernel{k}}, digest, p, opts, m)
-	if err != nil {
-		return KernelResult{}, err
-	}
-	return res.PerKernel[0], nil
-}
-
-// runCached answers a run of w from the memo or simulates it through
-// RunWorkload, keeping the result without labels: what the memo holds
-// is its own copy, and callers get labelled() copies of it.
-func (g *GPU) runCached(w *Workload, firstDigest string, p Policy, opts RunOptions, m *RunMemo) (WorkloadResult, error) {
-	tp, ok := memoised(p, opts)
-	if !ok {
-		return g.RunWorkload(w, p, opts)
-	}
+// run answers Drive's run of w under tp from memory, or simulates it
+// on a pooled GPU of its own — once however many goroutines ask — and
+// remembers it. The memo keeps its result without labels; callers get
+// labelled() copies of it, bit-identical to an unmemoised run's.
+func (m *RunMemo) run(cfg config.Config, w *Workload, firstDigest string, tp TuplePrefixer, opts RunOptions) (WorkloadResult, error) {
 	if err := w.Validate(); err != nil {
 		return WorkloadResult{}, err
 	}
 	simulated := false
-	res, err := m.runs.Get(g.memoKey(tp, w, firstDigest, opts), func() (WorkloadResult, error) {
+	res, err := m.runs.Get(memoKey(cfg, tp, w, firstDigest, opts), func() (WorkloadResult, error) {
 		simulated = true
-		res, err := g.RunWorkload(w, p, opts)
+		res, _, err := driveWorkload(cfg, w, tp, opts, nil)
 		started := len(res.PerKernel)
 		if err != nil {
 			started++ // the kernel that failed
@@ -229,5 +187,5 @@ func (g *GPU) runCached(w *Workload, firstDigest string, p Policy, opts RunOptio
 		m.Reused.Add(int64(len(res.PerKernel)))
 		m.CyclesSaved.Add(res.Cycles)
 	}
-	return res.labelled(w, p), err
+	return res.labelled(w, tp), err
 }

@@ -21,15 +21,11 @@ func prefixWorkload() *sim.Workload {
 	)
 }
 
-// runCached runs w through the memo on a GPU of its own, as a harness
-// cell does on a pooled one.
-func runCached(t testing.TB, cfg config.Config, w *sim.Workload, p sim.Policy, opts sim.RunOptions, m *sim.RunMemo) (sim.WorkloadResult, error) {
-	t.Helper()
-	g, err := sim.New(cfg)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	return g.RunWorkloadCached(w, p, opts, m)
+// runCached runs w under p through Drive with the memo m, as a harness
+// cell does.
+func runCached(cfg config.Config, w *sim.Workload, p sim.Policy, opts sim.RunOptions, m *sim.RunMemo) (sim.WorkloadResult, error) {
+	res, _, err := sim.Drive(cfg, sim.Job{Workload: w, Policy: func() (sim.Policy, error) { return p, nil }, Opts: opts, Memo: m})
+	return res, err
 }
 
 // counts is the memo's books in one comparable value.
@@ -52,7 +48,7 @@ func TestPrefixCacheBitIdentical(t *testing.T) {
 	}
 
 	m := sim.NewRunMemo()
-	cold, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, m)
+	cold, err := runCached(cfg, w, sim.GTO{}, sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -63,7 +59,7 @@ func TestPrefixCacheBitIdentical(t *testing.T) {
 		t.Fatalf("cold run: books %+v, want %+v", got, want)
 	}
 
-	again, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, m)
+	again, err := runCached(cfg, w, sim.GTO{}, sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatalf("repeat: %v", err)
 	}
@@ -85,7 +81,7 @@ func TestPrefixCacheBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixed baseline: %v", err)
 	}
-	fwarm, err := runCached(t, cfg, w, fixed, sim.RunOptions{}, m)
+	fwarm, err := runCached(cfg, w, fixed, sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatalf("fixed run: %v", err)
 	}
@@ -120,7 +116,7 @@ func TestPrefixCachePassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ccws baseline: %v", err)
 	}
-	res, err := runCached(t, cfg, w, sched.NewCCWS(2000), sim.RunOptions{}, m)
+	res, err := runCached(cfg, w, sched.NewCCWS(2000), sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatalf("ccws run: %v", err)
 	}
@@ -130,7 +126,7 @@ func TestPrefixCachePassthrough(t *testing.T) {
 	untouched("an adaptive policy")
 
 	armed := sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 1 << 40}}
-	if _, err := runCached(t, cfg, w, sim.GTO{}, armed, m); err != nil {
+	if _, err := runCached(cfg, w, sim.GTO{}, armed, m); err != nil {
 		t.Fatalf("interruptible run: %v", err)
 	}
 	untouched("an interrupt-armed run")
@@ -141,7 +137,7 @@ func TestPrefixCachePassthrough(t *testing.T) {
 		t.Fatalf("single-kernel baseline: %v", err)
 	}
 	for i, want := range []counts{{0, 1}, {1, 1}} {
-		got, err := runCached(t, cfg, single, sim.GTO{}, sim.RunOptions{}, m)
+		got, err := runCached(cfg, single, sim.GTO{}, sim.RunOptions{}, m)
 		if err != nil {
 			t.Fatalf("single-kernel run %d: %v", i, err)
 		}
@@ -156,10 +152,10 @@ func TestPrefixCachePassthrough(t *testing.T) {
 	// With its answer in memory, the armed run and the adaptive one
 	// still simulate for themselves.
 	before := booksOf(m)
-	if _, err := runCached(t, cfg, single, sim.GTO{}, armed, m); err != nil {
+	if _, err := runCached(cfg, single, sim.GTO{}, armed, m); err != nil {
 		t.Fatalf("interruptible run over a held key: %v", err)
 	}
-	if _, err := runCached(t, cfg, single, sched.NewCCWS(2000), sim.RunOptions{}, m); err != nil {
+	if _, err := runCached(cfg, single, sched.NewCCWS(2000), sim.RunOptions{}, m); err != nil {
 		t.Fatalf("ccws run beside a held key: %v", err)
 	}
 	if booksOf(m) != before || m.Len() != 1 {
@@ -196,26 +192,27 @@ func TestRunMemoSweepPointIsAOneKernelCell(t *testing.T) {
 		m := sim.NewRunMemo()
 		askPoint := func() {
 			t.Helper()
-			g, err := sim.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Alternate between a digest in hand and none: one key.
 			digest := ""
 			if pointFirst {
 				digest = trace.KernelDigest(k)
 			}
-			got, err := g.RunKernelCached(k, digest, point, sim.RunOptions{}, m)
+			res, _, err := sim.Drive(cfg, sim.Job{
+				Workload: testutil.Workload(k.Name, k),
+				Policy:   func() (sim.Policy, error) { return point, nil },
+				Memo:     m,
+				Digest:   digest,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(wantPoint, got) {
+			if got := res.PerKernel[0]; !reflect.DeepEqual(wantPoint, got) {
 				t.Fatalf("point (first=%v) diverges:\n want %+v\n  got %+v", pointFirst, wantPoint, got)
 			}
 		}
 		askCell := func() {
 			t.Helper()
-			got, err := runCached(t, cfg, w, cell, sim.RunOptions{}, m)
+			got, err := runCached(cfg, w, cell, sim.RunOptions{}, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,45 +243,22 @@ func TestRunMemoHitsAreCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tuple tracing gives the result a TupleLog to scribble on.
-	traced := func(m *sim.RunMemo) sim.WorkloadResult {
-		t.Helper()
-		g, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.TraceTuples = true
-		res, err := g.RunWorkloadCached(w, sim.GTO{}, sim.RunOptions{}, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
 	m := sim.NewRunMemo()
-	pristine := traced(sim.NewRunMemo())
-	if len(pristine.PerKernel[0].TupleLog) == 0 {
-		t.Fatal("traced run logged no tuples")
-	}
 	for round := 0; round < 3; round++ {
-		res := traced(m)
-		if !reflect.DeepEqual(pristine, res) {
+		res, err := runCached(cfg, w, sim.GTO{}, sim.RunOptions{}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, res) {
 			t.Fatalf("round %d: answer changed after an earlier caller edited its copy", round)
 		}
 		res.PerKernel[0].PerSM[0].Instructions = -1
-		res.PerKernel[0].TupleLog[0].N = -1
+		res.PerKernel[0].PerSM[1] = res.PerKernel[0].PerSM[0]
 		res.PerKernel[1] = sim.KernelResult{Kernel: "scribble"}
 		res.PerKernel = res.PerKernel[:1]
 	}
-	// Tracing is part of the key: the untraced run is another entry.
-	plain, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, plain) {
-		t.Fatalf("untraced run answered by a traced entry")
-	}
-	if m.Len() != 2 {
-		t.Fatalf("%d entries, want 2 (traced, untraced)", m.Len())
+	if m.Len() != 1 {
+		t.Fatalf("%d entries, want 1", m.Len())
 	}
 }
 
@@ -302,15 +276,11 @@ func TestRunMemoSingleFlight(t *testing.T) {
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < askers; i++ {
-		g, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			got, err := g.RunWorkloadCached(w, sim.GTO{}, sim.RunOptions{}, m)
+			got, err := runCached(cfg, w, sim.GTO{}, sim.RunOptions{}, m)
 			if err != nil {
 				t.Errorf("asker %d: %v", i, err)
 				return
@@ -338,7 +308,7 @@ func TestRunMemoForgetsFailures(t *testing.T) {
 	m := sim.NewRunMemo()
 	tooShort := sim.RunOptions{MaxCycles: 50}
 	for i := int64(1); i <= 2; i++ {
-		if _, err := runCached(t, cfg, w, sim.GTO{}, tooShort, m); err == nil {
+		if _, err := runCached(cfg, w, sim.GTO{}, tooShort, m); err == nil {
 			t.Fatalf("attempt %d: a 50-cycle budget did not fail", i)
 		}
 		if m.Len() != 0 || m.Simulated.Load() != i || m.Reused.Load() != 0 {
@@ -347,7 +317,7 @@ func TestRunMemoForgetsFailures(t *testing.T) {
 	}
 
 	stop := sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 100}}
-	if _, err := runCached(t, cfg, w, sim.GTO{}, stop, m); !errors.Is(err, sim.ErrInterrupted) {
+	if _, err := runCached(cfg, w, sim.GTO{}, stop, m); !errors.Is(err, sim.ErrInterrupted) {
 		t.Fatalf("armed run: %v, want ErrInterrupted", err)
 	}
 	if m.Len() != 0 {
@@ -357,7 +327,7 @@ func TestRunMemoForgetsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runCached(t, cfg, w, sim.GTO{}, sim.RunOptions{}, m)
+	got, err := runCached(cfg, w, sim.GTO{}, sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,32 +337,22 @@ func TestRunMemoForgetsFailures(t *testing.T) {
 }
 
 // TestRunMemoKeysSeparateRunOptions: runs that differ in anything that
-// shapes a simulation — cycle budget, engine, tuple
-// tracing, configuration, tuple — never share an entry; runs that
-// differ only in how the same tuple is spelled do.
+// shapes a simulation — cycle budget, engine, configuration, tuple —
+// never share an entry; runs that differ only in how the same tuple is
+// spelled do.
 func TestRunMemoKeysSeparateRunOptions(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	big := cfg
 	big.L1.SizeBytes *= 64
 	w := prefixWorkload()
 	m := sim.NewRunMemo()
-	ask := func(name string, cfg config.Config, p sim.Policy, opts sim.RunOptions, tracing bool, wantEntries int) {
+	ask := func(name string, cfg config.Config, p sim.Policy, opts sim.RunOptions, wantEntries int) {
 		t.Helper()
-		g, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.TraceTuples = tracing
-		got, err := g.RunWorkloadCached(w, p, opts, m)
+		got, err := runCached(cfg, w, p, opts, m)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		g2, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2.TraceTuples = tracing
-		want, err := g2.RunWorkload(w, p, opts)
+		want, err := sim.RunWorkload(cfg, w, p, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -403,16 +363,15 @@ func TestRunMemoKeysSeparateRunOptions(t *testing.T) {
 			t.Fatalf("%s: %d entries, want %d", name, m.Len(), wantEntries)
 		}
 	}
-	ask("plain", cfg, sim.GTO{}, sim.RunOptions{}, false, 1)
-	ask("MaxCycles", cfg, sim.GTO{}, sim.RunOptions{MaxCycles: 1 << 30}, false, 2)
-	ask("Engine", cfg, sim.GTO{}, sim.RunOptions{Engine: sim.EngineDense}, false, 3)
-	ask("TraceTuples", cfg, sim.GTO{}, sim.RunOptions{}, true, 4)
-	ask("Pbest config", big, sim.GTO{}, sim.RunOptions{}, false, 5)
-	ask("tuple", cfg, sim.Fixed{N: 2, P: 1}, sim.RunOptions{}, false, 6)
+	ask("plain", cfg, sim.GTO{}, sim.RunOptions{}, 1)
+	ask("MaxCycles", cfg, sim.GTO{}, sim.RunOptions{MaxCycles: 1 << 30}, 2)
+	ask("Engine", cfg, sim.GTO{}, sim.RunOptions{Engine: sim.EngineDense}, 3)
+	ask("Pbest config", big, sim.GTO{}, sim.RunOptions{}, 4)
+	ask("tuple", cfg, sim.Fixed{N: 2, P: 1}, sim.RunOptions{}, 5)
 	// The same tuples by other names: no new entry.
-	ask("Fixed{} == GTO", cfg, sim.Fixed{}, sim.RunOptions{}, false, 6)
-	ask("clamped", cfg, sim.Fixed{N: 2, P: -3, PolicyName: "x"}, sim.RunOptions{}, false, 7) // p <= 0 means p = N
-	ask("p > N clamps", cfg, sim.Fixed{N: 2, P: 9}, sim.RunOptions{}, false, 7)
+	ask("Fixed{} == GTO", cfg, sim.Fixed{}, sim.RunOptions{}, 5)
+	ask("clamped", cfg, sim.Fixed{N: 2, P: -3, PolicyName: "x"}, sim.RunOptions{}, 6) // p <= 0 means p = N
+	ask("p > N clamps", cfg, sim.Fixed{N: 2, P: 9}, sim.RunOptions{}, 6)
 }
 
 // TestRunMemoIsBounded: past its cap the memo forgets oldest first and
@@ -424,7 +383,7 @@ func TestRunMemoIsBounded(t *testing.T) {
 	m := sim.NewRunMemo()
 	m.SetCap(3)
 	for n := 1; n <= 5; n++ {
-		if _, err := runCached(t, cfg, w, sim.Fixed{N: n}, sim.RunOptions{}, m); err != nil {
+		if _, err := runCached(cfg, w, sim.Fixed{N: n}, sim.RunOptions{}, m); err != nil {
 			t.Fatal(err)
 		}
 		if m.Len() > 3 {
@@ -437,7 +396,7 @@ func TestRunMemoIsBounded(t *testing.T) {
 		simulates bool
 	}{{5, false}, {3, false}, {1, true}} {
 		before := m.Simulated.Load()
-		if _, err := runCached(t, cfg, w, sim.Fixed{N: c.n}, sim.RunOptions{}, m); err != nil {
+		if _, err := runCached(cfg, w, sim.Fixed{N: c.n}, sim.RunOptions{}, m); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.Simulated.Load() != before; got != c.simulates {

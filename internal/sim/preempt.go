@@ -3,21 +3,18 @@ package sim
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 
-	"poise/internal/config"
 	"poise/internal/snap"
 )
 
-// Workload-level preemption. RunWorkloadPreemptible runs a workload
-// under an InterruptCtl; when the control fires mid-kernel, the run
-// stops at a safe point and comes back as a Checkpoint — the GPU's
-// mid-kernel state plus the workload aggregation so far. ResumeWorkload
-// restores the checkpoint on a fresh-state GPU (anywhere: another process,
-// another fleet worker) and finishes the run bit-identical to an
-// uninterrupted one. A resumed run is itself preemptible, so a task can
-// bounce across arbitrarily many workers.
+// Workload-level preemption. A Drive run under an InterruptCtl that
+// fires mid-kernel stops at a safe point and comes back as a Checkpoint —
+// the GPU's mid-kernel state plus the workload aggregation so far. A
+// Drive from that checkpoint restores it on a fresh-state GPU (anywhere:
+// another process, another fleet worker) and finishes the run
+// bit-identical to an uninterrupted one. A resumed run is itself
+// preemptible, so a task can bounce across arbitrarily many workers.
 
 const maxAggSnap = 1 << 24
 
@@ -196,14 +193,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return checkpointFromSnapshot(sn)
 }
 
-// RunWorkloadPreemptible is RunWorkload with a checkpoint path: when
-// opts.Interrupt fires mid-kernel the error is ErrInterrupted (test
-// with errors.Is) and the returned Checkpoint resumes the run — on
-// this machine or any other — via ResumeWorkload.
-func RunWorkloadPreemptible(cfg config.Config, w *Workload, p Policy, opts RunOptions) (WorkloadResult, *Checkpoint, error) {
-	return driveWorkload(cfg, w, p, opts, nil)
-}
-
 // checkpoint captures the interrupted kernel + aggregation state.
 func (g *GPU) checkpoint(w *Workload, p Policy, agg *workloadAgg) (*Checkpoint, error) {
 	state, err := g.SnapshotKernel(p)
@@ -217,127 +206,4 @@ func (g *GPU) checkpoint(w *Workload, p Policy, agg *workloadAgg) (*Checkpoint, 
 		State:       state,
 		Agg:         agg.encode(),
 	}, nil
-}
-
-// ResumeWorkload restores cp on a GPU in its fresh state and runs the
-// workload to completion. The caller supplies the same workload
-// definition, a policy constructed with the same parameters, and
-// options whose engine/limit fields match the interrupted run
-// (opts.Interrupt may be a fresh control to preempt again — the third
-// return value is the next checkpoint in that case).
-func ResumeWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions, cp *Checkpoint) (WorkloadResult, *Checkpoint, error) {
-	if cp == nil {
-		return WorkloadResult{}, nil, errors.New("sim: no checkpoint to resume")
-	}
-	return driveWorkload(cfg, w, p, opts, cp)
-}
-
-// RunStored runs w under the checkpoint protocol of store, keyed by key:
-// the one way a preemptible run — a poisesim workload, a sweep task —
-// probes, resumes, saves and cleans up.
-//
-//   - A KindCheckpoint container under key is resumed. One that cannot
-//     be decoded or restored is not fatal: the run starts again from
-//     kernel 0 under a fresh newPolicy() (driveWorkload releases, and so
-//     resets, the GPU a failed restore touched).
-//   - A container of any other kind is not this run's: it is left where
-//     it is, and the run starts from kernel 0.
-//   - On ErrInterrupted the next checkpoint is saved under key, and the
-//     error comes back still matching errors.Is(err, ErrInterrupted).
-//   - On success the KindCheckpoint container found under key, used or
-//     not, is deleted, and nothing else is.
-func RunStored(cfg config.Config, w *Workload, newPolicy func() (Policy, error), opts RunOptions, store *snap.Store, key string) (WorkloadResult, error) {
-	pol, err := newPolicy()
-	if err != nil {
-		return WorkloadResult{}, err
-	}
-	sn, lerr := store.Load(key)
-	mine := lerr == nil && sn.Kind == snap.KindCheckpoint
-	var (
-		res     WorkloadResult
-		cp      *Checkpoint
-		resumed bool
-	)
-	if mine {
-		if prev, perr := checkpointFromSnapshot(sn); perr == nil {
-			res, cp, err = ResumeWorkload(cfg, w, pol, opts, prev)
-			if resumed = err == nil || errors.Is(err, ErrInterrupted); !resumed {
-				// The restore may have left the policy half-written.
-				if pol, err = newPolicy(); err != nil {
-					return WorkloadResult{}, err
-				}
-			}
-		}
-	}
-	if !resumed {
-		res, cp, err = RunWorkloadPreemptible(cfg, w, pol, opts)
-	}
-	switch {
-	case err == nil:
-		if mine {
-			// Best effort: a leftover checkpoint only costs a probe.
-			_ = store.Delete(key)
-		}
-	case errors.Is(err, ErrInterrupted):
-		if serr := store.Save(cp.Snapshot(key)); serr != nil {
-			return res, fmt.Errorf("sim: saving checkpoint %q: %v (preempted by %w)", key, serr, err)
-		}
-	}
-	return res, err
-}
-
-// driveWorkload runs w from its first kernel, or from cp when there is
-// one, on a pooled GPU; an interrupt comes back as the next checkpoint.
-func driveWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions, cp *Checkpoint) (WorkloadResult, *Checkpoint, error) {
-	if err := w.Validate(); err != nil {
-		return WorkloadResult{}, nil, err
-	}
-	agg, start := newWorkloadAgg(w, p), 0
-	if cp != nil {
-		if cp.Workload != w.Name {
-			return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint is of workload %q, not %q", cp.Workload, w.Name)
-		}
-		if cp.KernelIndex < 0 || cp.KernelIndex >= len(w.Kernels) {
-			return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint kernel index %d out of range for %s (%d kernels)",
-				cp.KernelIndex, w.Name, len(w.Kernels))
-		}
-		var err error
-		if agg, err = decodeWorkloadAgg(cp.Agg); err != nil {
-			return WorkloadResult{}, nil, err
-		}
-		if len(agg.res.PerKernel) != cp.KernelIndex {
-			return WorkloadResult{}, nil, fmt.Errorf("sim: checkpoint aggregation covers %d kernels, expected %d",
-				len(agg.res.PerKernel), cp.KernelIndex)
-		}
-		start = cp.KernelIndex
-	}
-	g, err := Acquire(cfg)
-	if err != nil {
-		return WorkloadResult{}, nil, err
-	}
-	defer Release(g)
-	if cp != nil {
-		k := w.Kernels[start]
-		kr, err := g.ResumeKernel(k, p, opts, cp.State)
-		if err != nil {
-			return g.interrupted(w, p, agg, agg.finish(), fmt.Errorf("sim: workload %s kernel %s: %w", w.Name, k.Name, err))
-		}
-		agg.add(kr)
-		start++
-	}
-	res, err := g.runKernelsFrom(w, p, opts, start, agg)
-	return g.interrupted(w, p, agg, res, err)
-}
-
-// interrupted completes a driver's return values: a run that stopped on
-// ErrInterrupted comes back with the checkpoint that resumes it.
-func (g *GPU) interrupted(w *Workload, p Policy, agg *workloadAgg, res WorkloadResult, err error) (WorkloadResult, *Checkpoint, error) {
-	if !errors.Is(err, ErrInterrupted) {
-		return res, nil, err
-	}
-	cp, cperr := g.checkpoint(w, p, agg)
-	if cperr != nil {
-		return res, nil, cperr
-	}
-	return res, cp, err
 }

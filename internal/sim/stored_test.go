@@ -6,27 +6,48 @@ import (
 	"reflect"
 	"testing"
 
+	"poise/internal/config"
+	"poise/internal/sched"
 	"poise/internal/sim"
 	"poise/internal/snap"
 	"poise/internal/testutil"
 	"poise/internal/trace"
 )
 
-// startCounter is GTO counting its kernel starts: a restored kernel does
-// not start again, so the count tells a resumed run from a fresh one.
+// startCounter counts a policy's kernel starts: a restored kernel does
+// not start again and a run the memo answers starts none, so the count
+// tells a resumed or remembered run from a simulated one.
 type startCounter struct {
-	sim.GTO
+	sim.Policy
 	starts *int
 }
 
 func (s startCounter) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	*s.starts++
-	return s.GTO.KernelStart(g, k)
+	return s.Policy.KernelStart(g, k)
 }
 
-// TestRunStored is the checkpoint protocol's table: what RunStored finds
-// under the key, what it runs, and what it leaves. Every completed run
-// equals an uninterrupted RunWorkload.
+// pinnedCounter is startCounter over a tuple-pinned policy, which the
+// memo takes part in.
+type pinnedCounter struct {
+	startCounter
+	tp sim.TuplePrefixer
+}
+
+func (s pinnedCounter) PrefixTuple(cfg config.Config, k *trace.Kernel) (int, int) {
+	return s.tp.PrefixTuple(cfg, k)
+}
+
+func counted(p sim.Policy, starts *int) sim.Policy {
+	if tp, ok := p.(sim.TuplePrefixer); ok {
+		return pinnedCounter{startCounter{p, starts}, tp}
+	}
+	return startCounter{p, starts}
+}
+
+// TestRunStored is Drive's table: what it finds in the store under the
+// key and in the memo, what it runs, and what it leaves in both. Every
+// completed run equals an uninterrupted RunWorkload.
 func TestRunStored(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	w := &sim.Workload{Name: "stored", Kernels: []*trace.Kernel{
@@ -50,6 +71,10 @@ func TestRunStored(t *testing.T) {
 	}
 	truncated := *cp
 	truncated.State = cp.State[:len(cp.State)/2]
+	gto := func() sim.Policy { return sim.GTO{} }
+	fixed := func() sim.Policy { return sim.Fixed{N: 2, P: 1} }
+	ccws := func() sim.Policy { return sched.NewCCWS(2000) }
+	armed := sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 1 << 40}}
 
 	for _, tc := range []struct {
 		name   string
@@ -59,13 +84,25 @@ func TestRunStored(t *testing.T) {
 		// kept: the stored container is still there afterwards, as it
 		// was; otherwise nothing is.
 		kept bool
+
+		policy func() sim.Policy // nil = GTO
+		opts   sim.RunOptions
+		from   *sim.Checkpoint
+		// memo: the run has one; primed: it was asked for this run once
+		// before. books is the memo's afterwards.
+		memo, primed bool
+		books        counts
 	}{
-		{"nothing stored", nil, 2, false},
-		{"checkpoint resumed and deleted", cp.Snapshot(key), 1, false},
-		{"task container left in place", relabel(snap.KindTask), 2, true},
-		{"boundary container left in place", relabel(snap.KindBoundary), 2, true},
-		{"undecodable checkpoint consumed", &snap.Snapshot{Kind: snap.KindCheckpoint, Key: key, Workload: w.Name, State: []byte{1, 2, 3}}, 2, false},
-		{"unrestorable checkpoint consumed", truncated.Snapshot(key), 2, false},
+		{name: "nothing stored", starts: 2},
+		{name: "checkpoint resumed and deleted", stored: cp.Snapshot(key), starts: 1},
+		{name: "task container left in place", stored: relabel(snap.KindTask), starts: 2, kept: true},
+		{name: "boundary container left in place", stored: relabel(snap.KindBoundary), starts: 2, kept: true},
+		{name: "undecodable checkpoint consumed", stored: &snap.Snapshot{Kind: snap.KindCheckpoint, Key: key, Workload: w.Name, State: []byte{1, 2, 3}}, starts: 2},
+		{name: "unrestorable checkpoint consumed", stored: truncated.Snapshot(key), starts: 2},
+		{name: "memo answers a pinned policy's second ask", policy: fixed, memo: true, primed: true, books: counts{2, 2}},
+		{name: "memo bypassed by an adaptive policy", policy: ccws, memo: true, starts: 2},
+		{name: "memo bypassed by an armed interrupt", opts: armed, memo: true, starts: 2},
+		{name: "from checkpoint with a memo resumes", from: cp, memo: true, starts: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store, err := snap.NewStore(t.TempDir())
@@ -77,14 +114,39 @@ func TestRunStored(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			starts, policies := 0, 0
-			newPolicy := func() (sim.Policy, error) {
-				policies++
-				return startCounter{starts: &starts}, nil
+			mk := tc.policy
+			if mk == nil {
+				mk = gto
 			}
-			got, err := sim.RunStored(cfg, w, newPolicy, sim.RunOptions{}, store, key)
+			want, err := sim.RunWorkload(cfg, w, mk(), sim.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			var m *sim.RunMemo
+			if tc.memo {
+				m = sim.NewRunMemo()
+			}
+			starts, policies := 0, 0
+			job := sim.Job{
+				Workload: w,
+				Policy: func() (sim.Policy, error) {
+					policies++
+					return counted(mk(), &starts), nil
+				},
+				Opts: tc.opts, From: tc.from, Memo: m, Store: store, Key: key,
+			}
+			if tc.primed {
+				if _, _, err := sim.Drive(cfg, job); err != nil {
+					t.Fatal(err)
+				}
+				starts = 0
+			}
+			got, _, err := sim.Drive(cfg, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.memo && (booksOf(m) != tc.books || m.Len() != min(1, int(tc.books.Simulated))) {
+				t.Errorf("memo books %+v in %d entries, want %+v", booksOf(m), m.Len(), tc.books)
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("stored run diverges from an uninterrupted one:\nwant %+v\ngot  %+v", want, got)
@@ -108,15 +170,22 @@ func TestRunStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gto := func() (sim.Policy, error) { return sim.GTO{}, nil }
-	_, err = sim.RunStored(cfg, w, gto, sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: mid.AtCycle}}, store, key)
+	job := sim.Job{
+		Workload: w,
+		Policy:   func() (sim.Policy, error) { return sim.GTO{}, nil },
+		Opts:     sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: mid.AtCycle}},
+		Store:    store,
+		Key:      key,
+	}
+	_, _, err = sim.Drive(cfg, job)
 	if !errors.Is(err, sim.ErrInterrupted) {
-		t.Fatalf("interrupted RunStored: %v", err)
+		t.Fatalf("interrupted Drive: %v", err)
 	}
 	if sn, err := store.Load(key); err != nil || sn.Kind != snap.KindCheckpoint || sn.KernelIndex != 0 {
 		t.Fatalf("the interrupted run saved %+v, load: %v", sn, err)
 	}
-	got, err := sim.RunStored(cfg, w, gto, sim.RunOptions{}, store, key)
+	job.Opts = sim.RunOptions{}
+	got, _, err := sim.Drive(cfg, job)
 	if err != nil || !reflect.DeepEqual(want, got) {
 		t.Fatalf("the resumed run: %v, equal to an uninterrupted one: %v", err, reflect.DeepEqual(want, got))
 	}

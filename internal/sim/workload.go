@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"poise/internal/cache"
-	"poise/internal/config"
 	"poise/internal/trace"
 )
 
@@ -78,30 +77,10 @@ type WorkloadResult struct {
 // L1HitRate returns the aggregate L1 hit rate.
 func (r WorkloadResult) L1HitRate() float64 { return r.L1.HitRate() }
 
-// RunWorkload executes every kernel of w in order on a fresh-state GPU
-// with the given policy and aggregates the results. L2 contents stay
-// warm across the kernels of one workload.
-func RunWorkload(cfg config.Config, w *Workload, p Policy, opts RunOptions) (WorkloadResult, error) {
-	if err := w.Validate(); err != nil {
-		return WorkloadResult{}, err
-	}
-	g, err := Acquire(cfg)
-	if err != nil {
-		return WorkloadResult{}, err
-	}
-	defer Release(g)
-	return g.RunWorkload(w, p, opts)
-}
-
-// RunWorkload executes every kernel of w in order on this GPU.
-func (g *GPU) RunWorkload(w *Workload, p Policy, opts RunOptions) (WorkloadResult, error) {
-	return g.runKernelsFrom(w, p, opts, 0, newWorkloadAgg(w, p))
-}
-
 // runKernelsFrom runs kernels start.. of w, folding results into agg.
-// It is the one loop over a workload's kernels: RunWorkload, and the run
-// memo through it, start at kernel 0, ResumeWorkload after the kernel it
-// restored.
+// It is the one loop over a workload's kernels, under Drive (from kernel
+// 0, or after the kernel a checkpoint restored) and GPU.RunWorkload. L2
+// contents stay warm across the kernels of one workload.
 func (g *GPU) runKernelsFrom(w *Workload, p Policy, opts RunOptions, start int, agg *workloadAgg) (WorkloadResult, error) {
 	for i := start; i < len(w.Kernels); i++ {
 		k := w.Kernels[i]

@@ -155,7 +155,8 @@ func NewPolicy(spec PolicySpec) (Policy, error) {
 
 // Run simulates workload w on cfg under the given policy.
 func Run(cfg Config, w *Workload, p Policy) (WorkloadResult, error) {
-	return sim.RunWorkload(cfg, w, p, sim.RunOptions{})
+	res, _, err := sim.Drive(cfg, sim.Job{Workload: w, Policy: func() (sim.Policy, error) { return p, nil }})
+	return res, err
 }
 
 // SweepSolutionSpace profiles kernel k across the {N, p} space at the
