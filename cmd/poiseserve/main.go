@@ -46,7 +46,7 @@ func main() {
 	flag.IntVar(&f.stepN, "stepn", 3, "ingest profile sweep stride in N")
 	flag.IntVar(&f.stepP, "stepp", 3, "ingest profile sweep stride in p")
 	flag.StringVar(&f.cache, "cache", "", "profile cache directory for ingest sweeps ('' disables)")
-	flag.Int64Var(&f.maxBody, "max-body", 0, "request body bound in bytes (0 = default)")
+	flag.Int64Var(&f.maxBody, "max-body", 0, "request body bound in bytes, as sent and as decompressed (0 = default)")
 	flag.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof debug endpoints on this separate address ('' = off; never exposed on -listen)")
 	flag.Parse()
 

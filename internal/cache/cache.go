@@ -32,20 +32,27 @@ type Stats struct {
 	Fills     int64
 }
 
+// Add returns s + o field-wise (a sum over SMs or kernels).
+func (s Stats) Add(o Stats) Stats { return s.plus(o, 1) }
+
 // Sub returns s - o field-wise (window delta).
-func (s Stats) Sub(o Stats) Stats {
+func (s Stats) Sub(o Stats) Stats { return s.plus(o, -1) }
+
+// plus returns s + k*o field-wise. It is the one list of the counters
+// that sums and window deltas carry.
+func (s Stats) plus(o Stats, k int64) Stats {
 	return Stats{
-		Accesses:        s.Accesses - o.Accesses,
-		Hits:            s.Hits - o.Hits,
-		IntraWarpHits:   s.IntraWarpHits - o.IntraWarpHits,
-		InterWarpHits:   s.InterWarpHits - o.InterWarpHits,
-		PolluteAccesses: s.PolluteAccesses - o.PolluteAccesses,
-		PolluteHits:     s.PolluteHits - o.PolluteHits,
-		NoPollAccesses:  s.NoPollAccesses - o.NoPollAccesses,
-		NoPollHits:      s.NoPollHits - o.NoPollHits,
-		Evictions:       s.Evictions - o.Evictions,
-		Bypasses:        s.Bypasses - o.Bypasses,
-		Fills:           s.Fills - o.Fills,
+		Accesses:        s.Accesses + k*o.Accesses,
+		Hits:            s.Hits + k*o.Hits,
+		IntraWarpHits:   s.IntraWarpHits + k*o.IntraWarpHits,
+		InterWarpHits:   s.InterWarpHits + k*o.InterWarpHits,
+		PolluteAccesses: s.PolluteAccesses + k*o.PolluteAccesses,
+		PolluteHits:     s.PolluteHits + k*o.PolluteHits,
+		NoPollAccesses:  s.NoPollAccesses + k*o.NoPollAccesses,
+		NoPollHits:      s.NoPollHits + k*o.NoPollHits,
+		Evictions:       s.Evictions + k*o.Evictions,
+		Bypasses:        s.Bypasses + k*o.Bypasses,
+		Fills:           s.Fills + k*o.Fills,
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,29 @@ func TestStatsSubWindow(t *testing.T) {
 	d := c.Stats.Sub(before)
 	if d.Accesses != 2 || d.Hits != 1 {
 		t.Fatalf("window delta wrong: %+v", d)
+	}
+}
+
+// TestStatsAddSubCarryEveryField gives every Stats field its own value
+// and requires Add and Sub to carry each one: a field added to Stats
+// and missed in either would silently drop out of kernel and workload
+// results.
+func TestStatsAddSubCarryEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(1000 * (i + 1)))
+		vb.Field(i).SetInt(int64(i + 1))
+	}
+	sum, diff := reflect.ValueOf(a.Add(b)), reflect.ValueOf(a.Sub(b))
+	for i := 0; i < va.NumField(); i++ {
+		name := va.Type().Field(i).Name
+		if got, want := sum.Field(i).Int(), int64(1001*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", name, got, want)
+		}
+		if got, want := diff.Field(i).Int(), int64(999*(i+1)); got != want {
+			t.Errorf("Sub: %s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"poise/internal/poise"
 	"poise/internal/profile"
 	"poise/internal/sim"
+	"poise/internal/snap"
 	"poise/internal/traceio"
 )
 
@@ -47,16 +48,18 @@ type Config struct {
 	// Retrain tunes the online-adaptation loop.
 	Retrain RetrainOptions
 
-	// MaxBody bounds request bodies (decide batches, ingested traces);
-	// <= 0 means DefaultMaxBody.
+	// MaxBody bounds request bodies (decide batches, ingested traces),
+	// an ingest body also after decompression; <= 0 means
+	// DefaultMaxBody.
 	MaxBody int64
 	// Logf receives service log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
 
-// DefaultMaxBody bounds request bodies: large enough for a gzipped
-// multi-kernel trace, small enough that a hostile upload cannot OOM
-// the service.
+// DefaultMaxBody bounds request bodies: large enough for a
+// multi-kernel trace, small enough that a hostile upload cannot OOM the
+// service. The limit applies after decompression too: a gzipped ingest
+// body may inflate to DefaultMaxBody bytes and no further.
 const DefaultMaxBody = 64 << 20
 
 // DecideRequest is one line of a POST /decide body.
@@ -328,43 +331,41 @@ func (s *Server) ingestedRows() []string {
 	return rows
 }
 
-// handleIngest accepts either a raw poisetrace container (optionally
-// gzipped; detected by content) or a pre-characterised JSON Record.
+// handleIngest accepts a raw poisetrace container or a JSON Record,
+// plain or gzipped (MaxBody bounds both sizes), told apart by content.
 // Raw traces are piped through the streaming trace reader — the body
 // flows straight into flat replay arenas, never buffered whole — then
 // characterised and profiled on the spot, the online analogue of the
 // offline training pipeline; finally the record is appended to the
 // sample log and the background retrainer notified.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	sniff, _ := body.Peek(len(traceMagic))
+	body, format, err := snap.Open(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), s.cfg.MaxBody)
 	var rec Record
 	switch {
-	case isPoisetrace(sniff):
-		var err error
+	case err != nil:
+		err = fmt.Errorf("serve: reading ingest body: %w", err)
+	case format == snap.Poisetrace:
 		rec, err = s.recordFromTrace(body)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, errSweep) {
-				status = http.StatusInternalServerError
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
 	default:
-		data, err := io.ReadAll(body)
-		if err != nil {
-			http.Error(w, "serve: reading ingest body: "+err.Error(), http.StatusBadRequest)
-			return
+		var data []byte
+		if data, err = io.ReadAll(body); err != nil {
+			err = fmt.Errorf("serve: reading ingest body: %w", err)
+		} else if err = json.Unmarshal(data, &rec); err != nil {
+			err = fmt.Errorf("serve: ingest body is neither a poisetrace nor a JSON record: %w", err)
+		} else if rec.Signature.Workload == "" && len(rec.Samples) == 0 {
+			err = errors.New("serve: ingest record is empty")
 		}
-		if err := json.Unmarshal(data, &rec); err != nil {
-			http.Error(w, "serve: ingest body is neither a poisetrace nor a JSON record: "+err.Error(), http.StatusBadRequest)
-			return
+	}
+	if err != nil {
+		status := http.StatusBadRequest // neither a trace nor a record
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) || errors.Is(err, snap.ErrTooLarge) {
+			status = http.StatusRequestEntityTooLarge // past MaxBody, sent or decompressed
+		} else if errors.Is(err, errSweep) {
+			status = http.StatusInternalServerError
 		}
-		if rec.Signature.Workload == "" && len(rec.Samples) == 0 {
-			http.Error(w, "serve: ingest record is empty", http.StatusBadRequest)
-			return
-		}
+		http.Error(w, err.Error(), status)
+		return
 	}
 
 	records, samples, err := s.ret.Ingest(rec)
@@ -410,17 +411,6 @@ func (s *Server) recordFromTrace(body io.Reader) (Record, error) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.Stats())
-}
-
-// traceMagic is the poisetrace container magic, for content sniffing.
-const traceMagic = "POISETRACE\n"
-
-// isPoisetrace sniffs the container magic, including through a gzip
-// header (mirrors traceio's content detection: poisetrace is the only
-// gzipped format the service ingests).
-func isPoisetrace(data []byte) bool {
-	return bytes.HasPrefix(data, []byte(traceMagic)) ||
-		(len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b)
 }
 
 // Serve runs the service on addr until ctx is cancelled or the

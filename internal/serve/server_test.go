@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +17,7 @@ import (
 
 	"poise/internal/config"
 	"poise/internal/profile"
+	"poise/internal/snap"
 	"poise/internal/traceio"
 	"poise/internal/workloads"
 )
@@ -291,6 +294,74 @@ func TestServeIngestRawTrace(t *testing.T) {
 	}
 	if st.RetrainErrors != 0 {
 		t.Fatalf("retrain errors after trace ingest: %+v", st)
+	}
+}
+
+// TestServeIngestBoundsDecompressedBody is the gzip-bomb guard: MaxBody
+// bounds an ingest body as it inflates, not only as sent. A valid trace
+// whose JSON header is padded with 8 MiB of spaces gzips to under
+// 20 KiB, far under a 1 MiB limit; it must be refused with 413, as the
+// same body sent plain is, and never reach the sample log.
+func TestServeIngestBoundsDecompressedBody(t *testing.T) {
+	tr, err := traceio.Record(workloads.NewCatalogue(workloads.Small).Must("ii"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain bytes.Buffer
+	if err := traceio.Write(&plain, tr, traceio.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// magic, version (one byte), header length, header, streams.
+	prologue := plain.Bytes()[:len(snap.TraceMagic)+1]
+	hdrLen, n := binary.Uvarint(plain.Bytes()[len(prologue):])
+	hdr := plain.Bytes()[len(prologue)+n:][:hdrLen]
+	streams := plain.Bytes()[len(prologue)+n+int(hdrLen):]
+	const pad = 8 << 20
+	var padded, zipped bytes.Buffer
+	padded.Write(prologue)
+	padded.Write(binary.AppendUvarint(nil, hdrLen+pad))
+	padded.Write(hdr)
+	padded.Write(bytes.Repeat([]byte{' '}, pad))
+	padded.Write(streams)
+	zw := gzip.NewWriter(&zipped)
+	zw.Write(padded.Bytes())
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const maxBody = 1 << 20
+	if zipped.Len() > maxBody/16 {
+		t.Fatalf("the body gzips to %d bytes, want well under the limit", zipped.Len())
+	}
+
+	logPath := filepath.Join(t.TempDir(), "samples.jsonl")
+	s, c := newTestServer(t, Config{
+		Weights:    testWeights(),
+		SimCfg:     config.Default().Scale(1),
+		Sweep:      profile.SweepOptions{StepN: 12, StepP: 12},
+		SweepCache: t.TempDir(),
+		SampleLog:  logPath,
+		MaxBody:    maxBody,
+	})
+	for _, body := range [][]byte{zipped.Bytes(), padded.Bytes()} {
+		resp, err := c.client().Post(c.Base+"/ingest", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("an 8 MiB body sent as %d bytes: status %d, want 413", len(body), resp.StatusCode)
+		}
+	}
+	s.Flush()
+	if st := s.Stats(); st.IngestedRecords != 0 {
+		t.Fatalf("a refused body was ingested: %+v", st)
+	}
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, err := parseLog(data); err != nil || len(recs) != 0 {
+		t.Fatalf("a refused body reached the sample log: %d records, err %v", len(recs), err)
 	}
 }
 

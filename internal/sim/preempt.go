@@ -40,17 +40,7 @@ func (a *workloadAgg) add(kr KernelResult) {
 	res.PerKernel = append(res.PerKernel, kr)
 	res.Cycles += kr.Cycles
 	res.Instructions += kr.Instructions
-	res.L1.Accesses += kr.L1.Accesses
-	res.L1.Hits += kr.L1.Hits
-	res.L1.IntraWarpHits += kr.L1.IntraWarpHits
-	res.L1.InterWarpHits += kr.L1.InterWarpHits
-	res.L1.PolluteAccesses += kr.L1.PolluteAccesses
-	res.L1.PolluteHits += kr.L1.PolluteHits
-	res.L1.NoPollAccesses += kr.L1.NoPollAccesses
-	res.L1.NoPollHits += kr.L1.NoPollHits
-	res.L1.Evictions += kr.L1.Evictions
-	res.L1.Bypasses += kr.L1.Bypasses
-	res.L1.Fills += kr.L1.Fills
+	res.L1 = res.L1.Add(kr.L1)
 	res.DRAMAcc += kr.DRAMAcc
 	res.L2Acc += kr.L2Accesses
 	res.L2Hits += kr.L2Hits

@@ -185,18 +185,7 @@ func (g *GPU) collect(k *trace.Kernel) KernelResult {
 		res.Replays += s.C.Replays
 		aml += s.C.AMLSum
 		amlN += s.C.AMLCount
-		st := s.L1.Stats
-		res.L1.Accesses += st.Accesses
-		res.L1.Hits += st.Hits
-		res.L1.IntraWarpHits += st.IntraWarpHits
-		res.L1.InterWarpHits += st.InterWarpHits
-		res.L1.PolluteAccesses += st.PolluteAccesses
-		res.L1.PolluteHits += st.PolluteHits
-		res.L1.NoPollAccesses += st.NoPollAccesses
-		res.L1.NoPollHits += st.NoPollHits
-		res.L1.Evictions += st.Evictions
-		res.L1.Bypasses += st.Bypasses
-		res.L1.Fills += st.Fills
+		res.L1 = res.L1.Add(s.L1.Stats)
 		res.PerSM = append(res.PerSM, s.C)
 	}
 	if amlN > 0 {

@@ -3,6 +3,7 @@ package snap_test
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,7 +20,8 @@ import (
 // sim.DecodeCheckpoint hand out views of the input, not copies: the
 // target overwrites the input once it has what it needs from them, as a
 // caller that breaks the ownership rule would, and the clones it took
-// first must not notice.
+// first must not notice. The seeds include a poisetrace container, plain
+// and gzipped, which Decode must refuse.
 func FuzzSnapshot(f *testing.F) {
 	sn := snap.SampleSnapshot()
 	valid, err := sn.Encode()
@@ -68,6 +70,23 @@ func FuzzSnapshot(f *testing.F) {
 		}
 		f.Add(data)
 	}
+
+	// A poisetrace container, gzipped and plain: the other format of the
+	// shared opener, which Decode must refuse as foreign.
+	trace, err := os.ReadFile("../traceio/testdata/mini.ptrace.gz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(trace))
+	if err != nil {
+		f.Fatal(err)
+	}
+	plainTrace, err := io.ReadAll(zr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(trace)
+	f.Add(plainTrace)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = bytes.Clone(data)     // the engine's bytes are not ours to overwrite

@@ -4,7 +4,8 @@
 // (internal/traceio) it follows the never-panic parser discipline —
 // truncated input, corrupt varints, bad magic and version skew all
 // surface as errors, enforced by FuzzSnapshot — and it reads
-// gzip-compressed containers transparently.
+// gzip-compressed containers transparently, through the opener that
+// reads both containers (open.go).
 //
 // Layout, version 1:
 //
@@ -26,7 +27,6 @@ package snap
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,6 +41,10 @@ const (
 	Magic = "POISESNAP\n"
 	// Version is the current container version.
 	Version = 1
+	// TraceMagic and TraceVersion open every poisetrace container
+	// (internal/traceio), which shares this package's opener (open.go).
+	TraceMagic   = "POISETRACE\n"
+	TraceVersion = 1
 
 	// maxString bounds key/workload strings so a corrupt length prefix
 	// cannot OOM the parser.
@@ -184,34 +188,27 @@ func (w *Writer) seal() []byte {
 // CRC as it stood: the caller keeps data unchanged for as long as it
 // uses the snapshot, or clones State.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
+	if Sniff(data) == Gzip {
+		br, _, err := Open(bytes.NewReader(data), maxState+maxString*4)
 		if err != nil {
+			return nil, fmt.Errorf("snap: %w", err)
+		}
+		if data, err = io.ReadAll(br); err != nil {
 			return nil, fmt.Errorf("snap: gzip: %w", err)
 		}
-		raw, err := io.ReadAll(io.LimitReader(zr, maxState+maxString*4))
-		if cerr := zr.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("snap: gzip: %w", err)
-		}
-		data = raw
 	}
 	if len(data) < len(Magic)+4 {
 		return nil, errors.New("snap: truncated container")
 	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, errors.New("snap: bad magic")
-	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
+	n, err := CheckPrologue(Poisesnap, body, io.EOF)
+	if err != nil {
+		return nil, fmt.Errorf("snap: %w", err)
+	}
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, fmt.Errorf("snap: checksum mismatch (got %08x want %08x)", got, want)
 	}
-	r := NewReader(body[len(Magic):])
-	if v := r.Uvarint(); r.Err() == nil && v != Version {
-		return nil, fmt.Errorf("snap: unsupported version %d (have %d)", v, Version)
-	}
+	r := NewReader(body[n:])
 	s := &Snapshot{}
 	s.Kind = Kind(r.Uvarint())
 	s.Key = r.LimitedString(maxString)

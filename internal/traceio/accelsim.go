@@ -2,7 +2,6 @@ package traceio
 
 import (
 	"bufio"
-	"compress/gzip"
 	"fmt"
 	"io"
 	"math/bits"
@@ -10,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"poise/internal/snap"
 	"poise/internal/trace"
 )
 
@@ -54,14 +54,9 @@ import (
 // the trace's instructions-per-load ratio (the paper's In) is
 // preserved. Warps that never touch a slot replay a single null line.
 func ReadAccelSim(r io.Reader, workload string) (*Trace, error) {
-	br := bufio.NewReader(r)
-	if hdr, err := br.Peek(2); err == nil && hdr[0] == 0x1f && hdr[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("traceio: gzip: %w", err)
-		}
-		defer gz.Close()
-		br = bufio.NewReader(gz)
+	br, _, err := snap.Open(r, 0)
+	if err != nil {
+		return nil, fmt.Errorf("traceio: %w", err)
 	}
 	p := &accelParser{sc: bufio.NewScanner(br), workload: workload}
 	p.sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)

@@ -109,15 +109,20 @@ func TestReadAccelSim(t *testing.T) {
 }
 
 func TestReadAccelSimGolden(t *testing.T) {
-	tr, err := ReadFile("testdata/vecadd_accelsim.trace")
+	const path = "testdata/vecadd_accelsim.trace"
+	tr, err := ReadAccelSim(openFile(t, path), "vecadd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Name != "vecadd_accelsim" {
-		t.Fatalf("workload named %q, want file-derived name", tr.Name)
-	}
 	if len(tr.Kernels) != 1 || tr.Kernels[0].TotalWarps() != 4 {
 		t.Fatalf("golden accel-sim fixture parsed wrong: %+v", tr.Kernels[0])
+	}
+	w, err := LoadWorkloadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Name != "vecadd_accelsim" {
+		t.Fatalf("workload named %q, want file-derived name", w.Name)
 	}
 }
 
@@ -125,15 +130,20 @@ func TestReadAccelSimGolden(t *testing.T) {
 // memory op carrying one address per active lane must coalesce to its
 // distinct cache lines in first-touch order, shared-memory ops must be
 // validated then folded into the ALU gap, and the gzipped golden
-// fixture must load through ReadFile's content dispatch. The fixture
-// (testdata/vecadd_mask.trace.gz) is the committed form of this dump.
+// fixture must load through LoadWorkloadFile's content dispatch. The
+// fixture (testdata/vecadd_mask.trace.gz) is the committed form of this
+// dump.
 func TestReadAccelSimCoalescingMask(t *testing.T) {
-	tr, err := ReadFile("testdata/vecadd_mask.trace.gz")
+	const path = "testdata/vecadd_mask.trace.gz"
+	tr, err := ReadAccelSim(openFile(t, path), "vecadd_mask")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Name != "vecadd_mask" || len(tr.Kernels) != 1 {
+	if len(tr.Kernels) != 1 {
 		t.Fatalf("trace identity wrong: %+v", tr)
+	}
+	if w, err := LoadWorkloadFile(path); err != nil || w.Name != "vecadd_mask" {
+		t.Fatalf("content dispatch of %s: %v", path, err)
 	}
 	kt := tr.Kernels[0]
 	if kt.Blocks != 2 || kt.WarpsPerBlock != 2 || kt.Slots != 3 {

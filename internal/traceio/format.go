@@ -4,17 +4,17 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
+	"poise/internal/snap"
 	"poise/internal/trace"
 )
 
 // The "poisetrace" container format, version 1:
 //
-//	magic   "POISETRACE\n"                      (11 bytes)
-//	uvarint version                             (currently 1)
+//	magic   "POISETRACE", newline               (snap.TraceMagic, 11 bytes)
+//	uvarint version                             (snap.TraceVersion, 1)
 //	uvarint headerLen, headerLen bytes of JSON  (launch geometry + body)
 //	streams for each kernel (header order),
 //	        for each slot 0..Slots-1,
@@ -29,9 +29,9 @@ import (
 // gzips well; pass WriteOptions.Gzip (or a .gz path to WriteFile) to
 // compress on the way out. Read transparently detects gzip input.
 const (
-	formatMagic   = "POISETRACE\n"
+	formatMagic   = snap.TraceMagic
 	formatTrailer = "POISEEND"
-	formatVersion = 1
+	formatVersion = snap.TraceVersion
 
 	// maxHeaderLen bounds the JSON header a reader will allocate for, so
 	// a corrupt length prefix cannot OOM the process.
@@ -251,23 +251,4 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// badEOF converts the io.EOF that varint/ReadFull readers return on a
-// clean cut into io.ErrUnexpectedEOF: mid-container EOF is always
-// truncation from the caller's point of view.
-func badEOF(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// printable clips b for error messages.
-func printable(b []byte) string {
-	const max = 16
-	if len(b) > max {
-		b = b[:max]
-	}
-	return string(b)
 }

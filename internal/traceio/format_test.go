@@ -44,7 +44,7 @@ func TestWriteFileReadFile(t *testing.T) {
 		if err := WriteFile(path, tr); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFile(path)
+		got, err := Read(openFile(t, path))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +84,7 @@ const oneWarp = `{"Workload":"w","Kernels":[{"Name":"k","Body":[{"Kind":"load"}]
 func TestCorruptInputs(t *testing.T) {
 	good := encode(t, mustRecord(t, miniWorkload()), false)
 	hdrStart := len(formatMagic) + 2 // version varint + header-length varint ≥ 1 byte each
+	snapPlain, snapZipped := poisesnapContainers(t)
 
 	cases := []struct {
 		name    string
@@ -118,6 +119,9 @@ func TestCorruptInputs(t *testing.T) {
 		{"line index below zero", craft(oneWarp, 2, 0x80, 0x01, 0x83, 0x01),
 			"access 1: line index -2 out of range"},
 		{"delta cut mid-varint", craft(oneWarp, 2, 0x02, 0x80), "access 1: unexpected EOF"},
+		// The other container format, which shares the opener.
+		{"poisesnap container", snapPlain, `bad magic "POISESNAP\n\x01": not a poisetrace file`},
+		{"gzipped poisesnap container", snapZipped, `bad magic "POISESNAP\n\x01": not a poisetrace file`},
 	}
 	for _, c := range cases {
 		_, err := Read(bytes.NewReader(c.data))

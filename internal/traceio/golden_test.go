@@ -31,7 +31,7 @@ func TestGoldenFixture(t *testing.T) {
 		}
 		t.Logf("rewrote %s", goldenPath)
 	}
-	got, err := ReadFile(goldenPath)
+	got, err := Read(openFile(t, goldenPath))
 	if err != nil {
 		t.Fatal(err)
 	}

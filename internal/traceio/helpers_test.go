@@ -1,9 +1,13 @@
 package traceio
 
 import (
+	"bytes"
+	"compress/gzip"
+	"os"
 	"testing"
 
 	"poise/internal/sim"
+	"poise/internal/snap"
 	"poise/internal/trace"
 )
 
@@ -60,4 +64,34 @@ func mustRecord(t *testing.T, w *sim.Workload) *Trace {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// poisesnapContainers is a snapshot container, plain and gzipped: the
+// other format of the shared opener, which every trace reader must
+// refuse as foreign.
+func poisesnapContainers(tb testing.TB) (plain, zipped []byte) {
+	tb.Helper()
+	sn := &snap.Snapshot{Kind: snap.KindCheckpoint, Key: "k", Workload: "mini", State: []byte("state")}
+	plain, err := sn.Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(plain)
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return plain, gz.Bytes()
+}
+
+// openFile opens path for the rest of the test.
+func openFile(t *testing.T, path string) *os.File {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }

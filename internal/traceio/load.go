@@ -1,17 +1,14 @@
 package traceio
 
 import (
-	"bufio"
-	"bytes"
-	"compress/gzip"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"poise/internal/sim"
+	"poise/internal/snap"
 )
 
 // WriteFile serialises t to path, gzip-compressing when the path ends
@@ -31,80 +28,32 @@ func WriteFile(path string, t *Trace) error {
 	return nil
 }
 
-// dispatch sniffs the stream's format, unwrapping a gzip layer if
-// present, and returns a reader positioned at the (decompressed) first
-// byte plus whether it is a poisetrace container. forceContainer pins
-// the verdict for *.ptrace paths so corrupt containers get the strict
-// parser's diagnostics instead of falling through to the accel-sim
-// text parser.
-func dispatch(br *bufio.Reader, forceContainer bool) (io.Reader, bool, error) {
-	sniff, _ := br.Peek(len(formatMagic))
-	if len(sniff) >= 2 && sniff[0] == 0x1f && sniff[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, false, fmt.Errorf("traceio: gzip: %w", err)
-		}
-		inner := bufio.NewReader(gz)
-		sniff, _ = inner.Peek(len(formatMagic))
-		return inner, forceContainer || bytes.HasPrefix(sniff, []byte(formatMagic)), nil
-	}
-	return br, forceContainer || bytes.HasPrefix(sniff, []byte(formatMagic)), nil
-}
-
-// isPtracePath reports whether the extension pins the container format.
-func isPtracePath(path string) bool {
-	return strings.HasSuffix(path, ".ptrace") || strings.HasSuffix(path, ".ptrace.gz")
-}
-
-// ReadFile parses one trace file without ever buffering it whole:
-// poisetrace containers (optionally gzipped) are detected by content
-// and streamed through the Scanner; anything else is parsed as a
-// (possibly gzipped) simplified Accel-Sim kernel trace, named after
-// the file.
-func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rd, container, err := dispatch(bufio.NewReader(f), isPtracePath(path))
-	if err != nil {
-		return nil, fmt.Errorf("%w (reading %s)", err, path)
-	}
-	var t *Trace
-	if container {
-		t, err = Read(rd)
-	} else {
-		t, err = ReadAccelSim(rd, workloadNameFromPath(path))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w (reading %s)", err, path)
-	}
-	return t, nil
-}
-
-// LoadWorkloadFile streams one trace file into a replayable workload:
-// poisetrace containers flow through ReadWorkload (flat arenas, no
-// whole-trace materialisation); Accel-Sim text is parsed then
-// converted.
+// LoadWorkloadFile streams one trace file into a replayable workload.
+// The opener names what the file holds: a poisetrace container
+// (optionally gzipped) flows through ReadWorkload (flat arenas, no
+// whole-trace materialisation); anything else is parsed as a (possibly
+// gzipped) simplified Accel-Sim kernel trace named after the file, then
+// converted. A .ptrace/.ptrace.gz extension pins the container parser,
+// so a corrupt container gets its strict diagnostics instead of falling
+// through to the Accel-Sim text parser.
 func LoadWorkloadFile(path string) (*sim.Workload, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	rd, container, err := dispatch(bufio.NewReader(f), isPtracePath(path))
+	br, format, err := snap.Open(f, 0)
 	if err != nil {
-		return nil, fmt.Errorf("%w (reading %s)", err, path)
+		return nil, fmt.Errorf("traceio: %w (reading %s)", err, path)
 	}
-	if container {
-		w, _, err := ReadWorkload(rd, nil)
+	if format == snap.Poisetrace || strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".ptrace") {
+		w, _, err := ReadWorkload(br, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%w (reading %s)", err, path)
 		}
 		return w, nil
 	}
-	t, err := ReadAccelSim(rd, workloadNameFromPath(path))
+	t, err := ReadAccelSim(br, workloadNameFromPath(path))
 	if err != nil {
 		return nil, fmt.Errorf("%w (reading %s)", err, path)
 	}
@@ -113,13 +62,6 @@ func LoadWorkloadFile(path string) (*sim.Workload, error) {
 		return nil, fmt.Errorf("%w (from %s)", err, path)
 	}
 	return w, nil
-}
-
-// isPoisetrace sniffs the container magic, including through a gzip
-// header (poisetrace is the only gzipped format we ingest).
-func isPoisetrace(data []byte) bool {
-	return bytes.HasPrefix(data, []byte(formatMagic)) ||
-		(len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b)
 }
 
 func workloadNameFromPath(path string) string {

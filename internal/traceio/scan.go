@@ -3,13 +3,13 @@ package traceio
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 
+	"poise/internal/snap"
 	"poise/internal/trace"
 )
 
@@ -70,40 +70,26 @@ type StreamRecord struct {
 // returning. It is strict: a bad magic, version, header or geometry is
 // an error, never a panic.
 func NewScanner(r io.Reader) (*Scanner, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("traceio: gzip: %w", err)
-		}
-		br = bufio.NewReader(gz)
-	}
-
-	magic := make([]byte, len(formatMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("traceio: reading magic: %w", badEOF(err))
-	}
-	if string(magic) != formatMagic {
-		return nil, fmt.Errorf("traceio: bad magic %q: not a poisetrace file", printable(magic))
-	}
-	version, err := binary.ReadUvarint(br)
+	br, _, err := snap.Open(r, 0)
 	if err != nil {
-		return nil, fmt.Errorf("traceio: reading version: %w", badEOF(err))
+		return nil, fmt.Errorf("traceio: %w", err)
 	}
-	if version != formatVersion {
-		return nil, fmt.Errorf("traceio: unsupported format version %d (this build reads %d)",
-			version, formatVersion)
+	head, readErr := br.Peek(len(formatMagic) + binary.MaxVarintLen64)
+	n, err := snap.CheckPrologue(snap.Poisetrace, head, readErr)
+	if err != nil {
+		return nil, fmt.Errorf("traceio: %w", err)
 	}
+	br.Discard(n)
 	hdrLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("traceio: reading header length: %w", badEOF(err))
+		return nil, fmt.Errorf("traceio: reading header length: %w", snap.Truncation(err))
 	}
 	if hdrLen > maxHeaderLen {
 		return nil, fmt.Errorf("traceio: header length %d exceeds the %d-byte limit", hdrLen, maxHeaderLen)
 	}
 	hdrJSON := make([]byte, hdrLen)
 	if _, err := io.ReadFull(br, hdrJSON); err != nil {
-		return nil, fmt.Errorf("traceio: truncated header (%d bytes expected): %w", hdrLen, badEOF(err))
+		return nil, fmt.Errorf("traceio: truncated header (%d bytes expected): %w", hdrLen, snap.Truncation(err))
 	}
 	dec := json.NewDecoder(bytes.NewReader(hdrJSON))
 	dec.DisallowUnknownFields()
@@ -181,7 +167,7 @@ func (s *Scanner) Next() (StreamRecord, bool) {
 	count, err := binary.ReadUvarint(s.br)
 	if err != nil {
 		s.err = fmt.Errorf("traceio: kernel %d slot %d warp %d: reading stream length: %w",
-			ki, slot, warp, badEOF(err))
+			ki, slot, warp, snap.Truncation(err))
 		return StreamRecord{}, false
 	}
 	if count > maxStreamLen {
@@ -209,7 +195,7 @@ func (s *Scanner) Next() (StreamRecord, bool) {
 			s.br.Discard(used)
 			if delta, err = binary.ReadVarint(s.br); err != nil {
 				s.err = fmt.Errorf("traceio: kernel %d slot %d warp %d access %d: %w",
-					ki, slot, warp, j, badEOF(err))
+					ki, slot, warp, j, snap.Truncation(err))
 				return StreamRecord{}, false
 			}
 			window, _ = s.br.Peek(s.br.Buffered())
@@ -236,11 +222,11 @@ func (s *Scanner) finish() {
 	s.done = true
 	trailer := make([]byte, len(formatTrailer))
 	if _, err := io.ReadFull(s.br, trailer); err != nil {
-		s.err = fmt.Errorf("traceio: reading trailer: %w", badEOF(err))
+		s.err = fmt.Errorf("traceio: reading trailer: %w", snap.Truncation(err))
 		return
 	}
 	if string(trailer) != formatTrailer {
-		s.err = fmt.Errorf("traceio: bad trailer %q: stream corrupt or truncated", printable(trailer))
+		s.err = fmt.Errorf("traceio: bad trailer %q: stream corrupt or truncated", trailer)
 		return
 	}
 	if _, err := s.br.ReadByte(); err != io.EOF {

@@ -353,10 +353,12 @@ func TestScannerAllocsBounded(t *testing.T) {
 // panic, and the in-buffer decode (whole varints straight from the
 // reader's buffer) must reach exactly the verdict, error text and
 // records of the fallback that every straddling varint takes. The
-// seed corpus in testdata/fuzz/FuzzScanner adds committed regressions:
-// a valid container, plain and gzipped, systematic truncations, a
-// flipped stream byte, and an Accel-Sim per-lane mask dump (which the
-// container readers must cleanly reject as foreign).
+// seeds are a valid container, plain and gzipped, truncations and a
+// poisesnap container, plain and gzipped (the other format of the
+// shared opener, which the trace readers refuse as foreign); the corpus
+// in testdata/fuzz/FuzzScanner adds committed regressions: systematic
+// truncations, a flipped stream byte, and an Accel-Sim per-lane mask
+// dump (which the container readers must cleanly reject as foreign).
 func FuzzScanner(f *testing.F) {
 	tr, err := Record(miniWorkload())
 	if err != nil {
@@ -373,6 +375,9 @@ func FuzzScanner(f *testing.F) {
 	f.Add(gz.Bytes())
 	f.Add(plain.Bytes()[:len(plain.Bytes())/2])
 	f.Add(plain.Bytes()[:len(plain.Bytes())-3])
+	snapPlain, snapZipped := poisesnapContainers(f)
+	f.Add(snapPlain)
+	f.Add(snapZipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		whole, fastErr := Read(bytes.NewReader(data))
 		slow, slowErr := collectScanner(iotest.OneByteReader(bytes.NewReader(data)))
