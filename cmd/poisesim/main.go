@@ -373,7 +373,10 @@ func listSignatures(cat *workloads.Catalogue) {
 		if err != nil {
 			fatal(fmt.Errorf("characterising %s: %w", name, err))
 		}
-		sig := traceio.Characterise(tr, traceio.CharacteriseOptions{})
+		sig, err := traceio.Characterise(tr, traceio.CharacteriseOptions{})
+		if err != nil {
+			fatal(fmt.Errorf("characterising %s: %w", name, err))
+		}
 		fmt.Printf("%-12s %7d %8.2f %10.1f %8.1f %7.1f %7.1f\n",
 			name, sig.Kernels, sig.In, sig.FootprintLines, sig.ReuseDist,
 			sig.IntraPct, sig.InterPct)

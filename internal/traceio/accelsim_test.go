@@ -91,7 +91,7 @@ func TestReadAccelSim(t *testing.T) {
 	}
 
 	// The ingested trace must characterise and replay end to end.
-	sig := Characterise(tr, CharacteriseOptions{})
+	sig := mustCharacterise(t, tr, CharacteriseOptions{})
 	if sig.Accesses == 0 || sig.In <= 1 {
 		t.Fatalf("ingested signature empty: %+v", sig)
 	}

@@ -1,7 +1,11 @@
 package traceio
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"poise/internal/reuse"
+	"poise/internal/runner"
 	"poise/internal/trace"
 )
 
@@ -72,20 +76,25 @@ const reuseSampleWarps = 8
 // stack-distance profiler (one warp at a time, the Fig. 4 definition);
 // the intra/inter split comes from a round-robin interleaving of all
 // warps — the in-phase schedule a full-occupancy GPU approximates —
-// tracking each line's previous toucher.
-func Characterise(t *Trace, opts CharacteriseOptions) Signature {
-	views := make([]kernelView, len(t.Kernels))
-	for i, kt := range t.Kernels {
-		views[i] = kt.view()
+// tracking each line's previous toucher. A trace Validate rejects is
+// not scanned: its error is returned.
+func Characterise(t *Trace, opts CharacteriseOptions) (Signature, error) {
+	if err := t.Validate(); err != nil {
+		return Signature{}, err
 	}
-	return signatureOf(t.Name, views, opts)
+	c := newCharacteriser(len(t.Kernels), opts)
+	for i, kt := range t.Kernels {
+		c.add(i, kt.view())
+	}
+	return c.signature(t.Name), nil
 }
 
 // kernelView is the scan core's read-only window onto one kernel: the
 // loop body, launch shape, and a per-(slot, warp) stream accessor. It
 // abstracts over where the streams live — nested KernelTrace slices or
 // flat Replay arenas — so the in-memory and streaming ingest paths
-// characterise through the identical code and agree bit-for-bit.
+// characterise through the identical code and agree bit-for-bit. The
+// one thing a scan writes through it is the replays' footprints.
 type kernelView struct {
 	body       []trace.Instr
 	warpIters  []int
@@ -93,6 +102,10 @@ type kernelView struct {
 	maxIters   int
 	slots      int
 	stream     func(slot, g int) []uint64
+	// replays, when set, are the kernel's slots as read into arenas
+	// without their footprints: the footprint scan counts them in the
+	// pass that counts the warps' footprints.
+	replays []*Replay
 }
 
 func (kt *KernelTrace) view() kernelView {
@@ -106,16 +119,97 @@ func (kt *KernelTrace) view() kernelView {
 	}
 }
 
-// signatureOf aggregates per-kernel scans into a workload Signature.
-func signatureOf(name string, views []kernelView, opts CharacteriseOptions) Signature {
+// characteriser computes a Signature from kernels handed to it in
+// kernel order, each once its streams stop changing. A kernel's three
+// scans (footprint, sampled reuse distance, interleaved split) are
+// separate tasks run on runner.NumWorkers(0) workers: one goroutine
+// per worker beyond the first, and the caller once it has handed over
+// the last kernel, each worker with a scanScratch of its own. A task
+// writes only its own fields of its kernel's kernelSig, and signature
+// adds the kernels up in kernel order, so the Signature is the same
+// float for float whichever worker ran what. With one worker there is
+// no goroutine: the caller runs every task, in order, at the end.
+type characteriser struct {
+	opts   CharacteriseOptions
+	views  []kernelView
+	sigs   []kernelSig
+	tasks  chan func(*scanScratch)
+	wg     sync.WaitGroup
+	quit   atomic.Bool // set by stop: queued tasks are dropped
+	closed bool
+}
+
+func newCharacteriser(kernels int, opts CharacteriseOptions) *characteriser {
 	if opts.MaxAccesses == 0 {
 		opts.MaxAccesses = DefaultMaxAccesses
 	}
 	if opts.MaxDist <= 0 {
 		opts.MaxDist = DefaultMaxDist
 	}
-	sig := Signature{Workload: name, Kernels: len(views)}
+	c := &characteriser{
+		opts:  opts,
+		views: make([]kernelView, kernels),
+		sigs:  make([]kernelSig, kernels),
+		tasks: make(chan func(*scanScratch), 3*kernels), // add never blocks
+	}
+	for range runner.NumWorkers(0) - 1 {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.work(&scanScratch{})
+		}()
+	}
+	return c
+}
 
+func (c *characteriser) work(sc *scanScratch) {
+	for task := range c.tasks {
+		if !c.quit.Load() {
+			task(sc)
+		}
+	}
+}
+
+// add hands over kernel ki and queues its scans.
+func (c *characteriser) add(ki int, v kernelView) {
+	c.views[ki] = v
+	ks := &c.sigs[ki]
+	k := prepareScan(v, c.opts)
+	if len(k.loads) == 0 {
+		ks.in = float64(len(v.body)) * 1000 // loadless: effectively infinite, as Kernel.In
+		if v.replays != nil {
+			c.tasks <- func(sc *scanScratch) { k.footprint(sc) } // the replays' footprints only
+		}
+		return
+	}
+	ks.in = float64(len(v.body)) / float64(len(k.loads))
+	c.tasks <- func(sc *scanScratch) { ks.footprint = k.footprint(sc) }
+	c.tasks <- func(sc *scanScratch) { ks.meanDist, ks.finite = k.reuseDist(sc) }
+	c.tasks <- func(sc *scanScratch) { ks.intra, ks.inter, ks.cold, ks.accesses = k.interleave(sc) }
+}
+
+// finish runs what is left on the caller and waits for the workers.
+func (c *characteriser) finish() {
+	if c.closed {
+		return
+	}
+	c.closed = true
+	close(c.tasks)
+	c.work(&scanScratch{})
+	c.wg.Wait()
+}
+
+// stop abandons the queued scans and waits for the workers to exit.
+func (c *characteriser) stop() {
+	c.quit.Store(true)
+	c.finish()
+}
+
+// signature waits for every scan and aggregates the kernels, in
+// kernel order, into a workload Signature.
+func (c *characteriser) signature(name string) Signature {
+	c.finish()
+	sig := Signature{Workload: name, Kernels: len(c.views)}
 	var (
 		issueTotal float64 // instruction issues, weights In
 		inSum      float64
@@ -128,9 +222,8 @@ func signatureOf(name string, views []kernelView, opts CharacteriseOptions) Sign
 		coldN      int64
 		scanned    int64
 	)
-	scratch := &scanScratch{prof: reuse.NewProfiler(opts.MaxDist)}
-	for _, v := range views {
-		ks := characteriseKernel(v, opts, scratch)
+	for i, v := range c.views {
+		ks := &c.sigs[i]
 		issues := float64(len(v.body)) * float64(totalIters(v.warpIters))
 		issueTotal += issues
 		inSum += ks.in * issues
@@ -194,77 +287,122 @@ func loadSlots(body []trace.Instr) []int {
 	return out
 }
 
-// scanScratch is the storage characteriseKernel reuses from one kernel
+// scanScratch is the storage one worker's scans reuse from one task
 // to the next.
 type scanScratch struct {
-	lines   distinctSet
-	streams [][]uint64 // per (warp, slot): streams[g*slots+s], nil where no load reads s
-	prof    *reuse.Profiler
+	lines distinctSet
+	prof  *reuse.Profiler
 }
 
-func characteriseKernel(v kernelView, opts CharacteriseOptions, sc *scanScratch) kernelSig {
-	loads := loadSlots(v.body)
-	ks := kernelSig{}
-	if len(loads) == 0 {
-		ks.in = float64(len(v.body)) * 1000 // loadless: effectively infinite, as Kernel.In
-		return ks
-	}
-	ks.in = float64(len(v.body)) / float64(len(loads))
+// kernelScan is one kernel made ready for its scans.
+type kernelScan struct {
+	v       kernelView
+	loads   []int
+	loaded  []bool     // per slot: whether a load reads it
+	streams [][]uint64 // per (warp, slot): streams[g*slots+s], nil where no load reads s
+	budget  int64
+	maxDist int
+}
 
-	budget := int64(opts.MaxAccesses)
-	if budget < 0 {
-		budget = 1 << 62
+// prepareScan indexes the streams of v that loads read.
+func prepareScan(v kernelView, opts CharacteriseOptions) *kernelScan {
+	k := &kernelScan{v: v, loads: loadSlots(v.body), budget: int64(opts.MaxAccesses), maxDist: opts.MaxDist}
+	if k.budget < 0 {
+		k.budget = 1 << 62
 	}
 	// One entry per stream the trace carries, however many loads read
 	// a slot.
-	total, slots := v.totalWarps, v.slots
-	loaded := make([]bool, slots)
-	for _, s := range loads {
-		loaded[s] = true
+	k.loaded = make([]bool, v.slots)
+	for _, s := range k.loads {
+		k.loaded[s] = true
 	}
-	sc.streams = sc.streams[:0]
-	for g := 0; g < total; g++ {
-		for s, ok := range loaded {
+	k.streams = make([][]uint64, 0, v.totalWarps*v.slots)
+	for g := 0; g < v.totalWarps; g++ {
+		for s, ok := range k.loaded {
 			var stream []uint64
 			if ok {
 				stream = v.stream(s, g)
 			}
-			sc.streams = append(sc.streams, stream)
+			k.streams = append(k.streams, stream)
 		}
 	}
-	streams := sc.streams
+	return k
+}
 
-	// Per-warp footprint over the full recorded streams (cheap: one set
-	// insert per access).
+// footprint is the mean per-warp count of distinct lines the loads
+// read over the full recorded streams (cheap: one set insert per
+// access). With replays set it also counts every slot's mean per-warp
+// distinct addresses into its Replay, as ReplayBuilder.Warp would have,
+// in the same pass: a line's tag holds the last slot that touched it
+// and whether a load slot has, so each access is hashed once for both.
+// (Addresses come from a Scanner, so distinct lines are distinct
+// addresses.)
+func (k *kernelScan) footprint(sc *scanScratch) float64 {
+	total, reps := k.v.totalWarps, k.v.replays
+	sums := make([]int, len(reps))    // per slot: Σ per-warp distinct addresses
+	counted := make([]int, len(reps)) // per slot: warps with a non-empty stream
 	distinct := &sc.lines
 	var footSum int
 	for g := 0; g < total; g++ {
 		distinct.reset()
-		for _, stream := range streams[g*slots : (g+1)*slots] {
+		for s, loaded := range k.loaded {
+			if !loaded && reps == nil {
+				continue
+			}
+			stream := k.v.stream(s, g)
+			n := 0 // distinct addresses of s
 			for i, addr := range stream {
-				if i == 0 || addr != stream[i-1] { // a repeat is already counted
-					distinct.add(addr / trace.LineBytes)
+				if i > 0 && addr == stream[i-1] { // a repeat is already counted
+					continue
+				}
+				tag := distinct.tag(addr / trace.LineBytes)
+				seen := *tag >= 0
+				loadedBefore := seen && *tag&1 == 1
+				if !seen || *tag>>1 != int32(s) {
+					n++
+				}
+				if loaded && !loadedBefore {
+					footSum++
+				}
+				*tag = int32(s) << 1
+				if loaded || loadedBefore {
+					*tag |= 1
 				}
 			}
+			if reps != nil && len(stream) > 0 {
+				sums[s] += n
+				counted[s]++
+			}
 		}
-		footSum += distinct.n
 	}
-	ks.footprint = float64(footSum) / float64(total)
+	for s, rep := range reps {
+		if counted[s] > 0 {
+			rep.footprint = (sums[s] + counted[s] - 1) / counted[s]
+		}
+	}
+	return float64(footSum) / float64(total)
+}
 
-	// R: sampled warps replay their own recorded stream through the
-	// profiler, emptied for each (the single-warp Fig. 4 definition),
-	// dwell runs collapsed per slot.
+// reuseDist is R: sampled warps replay their own recorded stream
+// through the profiler, emptied for each (the single-warp Fig. 4
+// definition), dwell runs collapsed per slot. It returns the mean
+// distance and the finite reuses it is the mean of.
+func (k *kernelScan) reuseDist(sc *scanScratch) (meanDist float64, finite int64) {
+	total, slots := k.v.totalWarps, k.v.slots
 	step := total / reuseSampleWarps
 	if step < 1 {
 		step = 1
 	}
 	samples := (total + step - 1) / step
-	perWarp := budget / int64(samples)
+	perWarp := k.budget / int64(samples)
 	if perWarp < 1 {
 		perWarp = 1
 	}
 	const noLine = ^uint64(0) // line indices stay below maxLineIndex
 	lastLine := make([]uint64, slots)
+	if sc.prof == nil {
+		sc.prof = reuse.NewProfiler(k.maxDist)
+	}
 	prof := sc.prof
 	for g := 0; g < total; g += step {
 		prof.Reset()
@@ -273,12 +411,12 @@ func characteriseKernel(v kernelView, opts CharacteriseOptions, sc *scanScratch)
 		}
 		var n int64
 	warp:
-		for it := 0; it < v.warpIters[g]; it++ {
-			for _, s := range loads {
+		for it := 0; it < k.v.warpIters[g]; it++ {
+			for _, s := range k.loads {
 				if n >= perWarp {
 					break warp
 				}
-				stream := streams[g*slots+s]
+				stream := k.streams[g*slots+s]
 				line := stream[wrap(it, len(stream))] / trace.LineBytes
 				if lastLine[s] == line {
 					continue // intra-line spatial run
@@ -288,46 +426,50 @@ func characteriseKernel(v kernelView, opts CharacteriseOptions, sc *scanScratch)
 				n++
 			}
 		}
-		finite := prof.Accesses - prof.ColdMisses
-		ks.meanDist += prof.MeanDistance() * float64(finite)
-		ks.finite += finite
+		f := prof.Accesses - prof.ColdMisses
+		meanDist += prof.MeanDistance() * float64(f)
+		finite += f
 	}
-	if ks.finite > 0 {
-		ks.meanDist /= float64(ks.finite)
+	if finite > 0 {
+		meanDist /= float64(finite)
 	}
+	return meanDist, finite
+}
 
-	// Intra/inter/cold split: round-robin interleave of every warp,
-	// O(1) per access (only the previous toucher of each line, kept as
-	// the line's tag).
+// interleave is the intra/inter/cold split: a round-robin interleave
+// of every warp, O(1) per access (only the previous toucher of each
+// line, kept as the line's tag).
+func (k *kernelScan) interleave(sc *scanScratch) (intra, inter, cold, accesses int64) {
+	total, slots := k.v.totalWarps, k.v.slots
 	lastWarp := &sc.lines
 	lastWarp.reset()
 scan:
-	for it := 0; it < v.maxIters; it++ {
+	for it := 0; it < k.v.maxIters; it++ {
 		for g := 0; g < total; g++ {
-			if it >= v.warpIters[g] {
+			if it >= k.v.warpIters[g] {
 				continue
 			}
-			for _, s := range loads {
-				if ks.accesses >= budget {
+			for _, s := range k.loads {
+				if accesses >= k.budget {
 					break scan
 				}
-				stream := streams[g*slots+s]
+				stream := k.streams[g*slots+s]
 				line := stream[wrap(it, len(stream))] / trace.LineBytes
 				tag := lastWarp.tag(line)
-				ks.accesses++
+				accesses++
 				switch prev := int(*tag); {
 				case prev < 0:
-					ks.cold++
+					cold++
 				case prev == g:
-					ks.intra++
+					intra++
 				default:
-					ks.inter++
+					inter++
 				}
 				*tag = int32(g)
 			}
 		}
 	}
-	return ks
+	return intra, inter, cold, accesses
 }
 
 // wrap returns it modulo n, taking the division only past the end.

@@ -31,7 +31,7 @@ func TestCharacterisePrivateSweep(t *testing.T) {
 	// warp touches exactly Lines lines.
 	w := patternWorkload(t, "priv",
 		trace.PrivateSweep{Region: 21, Lines: 16, Step: 1}, 3, 64, 4, 2)
-	sig := Characterise(mustRecord(t, w), CharacteriseOptions{})
+	sig := mustCharacterise(t, mustRecord(t, w), CharacteriseOptions{})
 	if sig.Workload != "priv" || sig.Kernels != 1 {
 		t.Fatalf("identity wrong: %+v", sig)
 	}
@@ -63,7 +63,7 @@ func TestCharacteriseSharedSweep(t *testing.T) {
 	// iteration, so all reuse is inter-warp and tight.
 	w := patternWorkload(t, "shared",
 		trace.SharedSweep{Region: 22, Lines: 12, Step: 1, Lag: 0}, 2, 48, 4, 2)
-	sig := Characterise(mustRecord(t, w), CharacteriseOptions{})
+	sig := mustCharacterise(t, mustRecord(t, w), CharacteriseOptions{})
 	if sig.InterPct < 99 {
 		t.Fatalf("in-phase shared sweep must be inter-warp dominated: %+v", sig)
 	}
@@ -78,7 +78,7 @@ func TestCharacteriseSharedSweep(t *testing.T) {
 func TestCharacteriseStreamNoReuse(t *testing.T) {
 	w := patternWorkload(t, "stream",
 		trace.Stream{Region: 23, WrapLines: 1 << 16}, 1, 40, 4, 2)
-	sig := Characterise(mustRecord(t, w), CharacteriseOptions{})
+	sig := mustCharacterise(t, mustRecord(t, w), CharacteriseOptions{})
 	if sig.ColdPct != 100 {
 		t.Fatalf("pure stream must be all cold misses: %+v", sig)
 	}
@@ -90,7 +90,7 @@ func TestCharacteriseStreamNoReuse(t *testing.T) {
 func TestCharacteriseSamplingCap(t *testing.T) {
 	w := patternWorkload(t, "capped",
 		trace.PrivateSweep{Region: 24, Lines: 8, Step: 1}, 1, 100, 4, 2)
-	sig := Characterise(mustRecord(t, w), CharacteriseOptions{MaxAccesses: 50})
+	sig := mustCharacterise(t, mustRecord(t, w), CharacteriseOptions{MaxAccesses: 50})
 	if sig.Accesses != 50 {
 		t.Fatalf("cap ignored: %d accesses profiled", sig.Accesses)
 	}
@@ -112,7 +112,7 @@ func TestCharacteriseLoadlessKernel(t *testing.T) {
 		WarpsPerBlock: 2,
 		Blocks:        1,
 	}}}
-	sig := Characterise(mustRecord(t, w), CharacteriseOptions{})
+	sig := mustCharacterise(t, mustRecord(t, w), CharacteriseOptions{})
 	if sig.In < 1000 {
 		t.Fatalf("loadless kernel must report effectively-infinite In, got %v", sig.In)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"poise/internal/runner"
 	"poise/internal/snap"
 	"poise/internal/trace"
 )
@@ -127,7 +128,9 @@ type WriteOptions struct {
 	Gzip bool
 }
 
-// Write serialises t to w in the poisetrace v1 format.
+// Write serialises t to w in the poisetrace v1 format. Gzipped, on
+// more than one worker, w is written from a goroutine of Write's own,
+// one call at a time and never after Write returns.
 func Write(w io.Writer, t *Trace, opts WriteOptions) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -144,8 +147,26 @@ func Write(w io.Writer, t *Trace, opts WriteOptions) error {
 	}
 
 	// Everything is encoded into one reused chunk and handed on whole:
-	// a Write per varint is most of what serialising would cost.
+	// a Write per varint is most of what serialising would cost. With
+	// more than one worker, gzip gets its own goroutine, fed through a
+	// pipe: a Write returns once the goroutine has copied the chunk
+	// out, so the next chunk is encoded while this one is deflated. The
+	// gzip layer gets the same bytes in the same order either way, so
+	// the container does not depend on the worker count.
 	chunk := make([]byte, 0, writeChunk+binary.MaxVarintLen64)
+	var pw *io.PipeWriter
+	var deflated chan error // the goroutine's verdict
+	if gz != nil && runner.NumWorkers(0) > 1 {
+		var pr *io.PipeReader
+		pr, pw = io.Pipe()
+		deflated = make(chan error, 1)
+		go func(dst io.Writer, buf []byte) {
+			_, err := io.CopyBuffer(dst, pr, buf)
+			pr.CloseWithError(err) // fails the Write that waits on it
+			deflated <- err
+		}(out, make([]byte, cap(chunk)))
+		out = pw
+	}
 	flush := func() error {
 		_, err := out.Write(chunk)
 		chunk = chunk[:0]
@@ -167,7 +188,11 @@ func Write(w io.Writer, t *Trace, opts WriteOptions) error {
 				prev := int64(0)
 				for _, addr := range stream {
 					line := int64(addr / trace.LineBytes)
-					chunk = binary.AppendVarint(chunk, line-prev)
+					if d := line - prev; d >= -64 && d < 64 {
+						chunk = append(chunk, byte(d<<1^d>>63)) // a one-byte zigzag varint
+					} else {
+						chunk = binary.AppendVarint(chunk, d)
+					}
 					prev = line
 					if len(chunk) >= writeChunk {
 						if err := flush(); err != nil {
@@ -181,6 +206,12 @@ func Write(w io.Writer, t *Trace, opts WriteOptions) error {
 	chunk = append(chunk, formatTrailer...)
 	if err := flush(); err != nil {
 		return err
+	}
+	if pw != nil {
+		pw.Close()
+		if err := <-deflated; err != nil {
+			return err
+		}
 	}
 	if gz != nil {
 		return gz.Close()

@@ -53,7 +53,7 @@ func TestGoldenFixture(t *testing.T) {
 	if _, err := got.Workload(); err != nil {
 		t.Fatal(err)
 	}
-	sig := Characterise(got, CharacteriseOptions{})
+	sig := mustCharacterise(t, got, CharacteriseOptions{})
 	if sig.Workload != "mini" || sig.Kernels != 2 || sig.Accesses == 0 {
 		t.Fatalf("golden signature malformed: %+v", sig)
 	}

@@ -66,6 +66,15 @@ func mustRecord(t *testing.T, w *sim.Workload) *Trace {
 	return tr
 }
 
+func mustCharacterise(t *testing.T, tr *Trace, opts CharacteriseOptions) Signature {
+	t.Helper()
+	sig, err := Characterise(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sig
+}
+
 // poisesnapContainers is a snapshot container, plain and gzipped: the
 // other format of the shared opener, which every trace reader must
 // refuse as foreign.

@@ -12,10 +12,11 @@ import (
 // runnable sim.Workload backed by flat Replay arenas, computing the
 // locality Signature in the same ingest pass. The file is decoded
 // exactly once: each per-warp record flows from the Scanner into its
-// slot's arena (one allocation per slot) as it arrives, the footprint
-// accumulates alongside, and the signature is computed from the
-// retained arenas — a whole Trace is never materialised, so peak
-// memory is the replay data itself, not the container.
+// slot's arena (one allocation per slot) as it arrives, and each
+// kernel is characterised from its retained arenas on GOMAXPROCS
+// workers while the next kernel's arrive — a whole Trace is never
+// materialised, so peak memory is the replay data itself, not the
+// container.
 //
 // The result is equivalent to Read → Trace.Workload → Characterise:
 // the same validation (streamed inputs Read rejects, ReadWorkload
@@ -53,8 +54,23 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 
 	// Drain the stream into one builder per (kernel, slot). Records
 	// arrive kernel-major, slot, then warp — the arena append order —
-	// so a single active builder suffices.
+	// so a single active builder suffices. A kernel whose last slot is
+	// sealed is handed to the characteriser, whose workers scan it
+	// while this loop fills the next kernel's arenas.
 	reps := make([][]*Replay, len(metas))
+	var chr *characteriser
+	if opts != nil {
+		chr = newCharacteriser(len(metas), *opts)
+		defer chr.stop() // a no-op once the signature is taken
+	}
+	handed := 0
+	handOver := func(upTo int) {
+		for ; chr != nil && handed < upTo; handed++ {
+			if m := &metas[handed]; len(reps[handed]) == m.Slots {
+				chr.add(handed, replayView(m, reps[handed]))
+			}
+		}
+	}
 	var cur *ReplayBuilder
 	curK, curSlot := -1, -1
 	seal := func() error {
@@ -78,12 +94,14 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 			if err := seal(); err != nil {
 				return nil, Signature{}, err
 			}
+			handOver(rec.Kernel)
 			// Warps of a slot mostly stream alike: reserve the first
 			// one's length for each, so the arena is not regrown and
 			// copied as it fills.
 			m := &metas[rec.Kernel]
 			reserve := min(len(rec.Addrs)*m.TotalWarps(), maxArenaReserve)
 			cur = NewReplayBuilder(fmt.Sprintf("%s/slot%d", m.Name, rec.Slot), m.TotalWarps(), reserve)
+			cur.uncounted = chr != nil
 			curK, curSlot = rec.Kernel, rec.Slot
 		}
 		if len(rec.Addrs) == 0 && used[rec.Kernel][rec.Slot] {
@@ -98,9 +116,9 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 	if err := seal(); err != nil {
 		return nil, Signature{}, err
 	}
+	handOver(len(metas))
 
 	w := &sim.Workload{Name: name, MemorySensitive: sc.MemorySensitive()}
-	views := make([]kernelView, len(metas))
 	for ki := range metas {
 		m := &metas[ki]
 		if len(reps[ki]) != m.Slots {
@@ -115,18 +133,23 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 			return nil, Signature{}, err
 		}
 		w.Kernels = append(w.Kernels, k)
-		kreps := reps[ki]
-		views[ki] = kernelView{
-			body:       m.Body,
-			warpIters:  m.WarpIters,
-			totalWarps: m.TotalWarps(),
-			maxIters:   m.MaxIters(),
-			slots:      m.Slots,
-			stream:     func(s, g int) []uint64 { return kreps[s].warpStream(g) },
-		}
 	}
-	if opts == nil {
+	if chr == nil {
 		return w, Signature{}, nil
 	}
-	return w, signatureOf(name, views, *opts), nil
+	return w, chr.signature(name), nil
+}
+
+// replayView is the characterisation view of a kernel read into
+// Replay arenas.
+func replayView(m *KernelMeta, reps []*Replay) kernelView {
+	return kernelView{
+		body:       m.Body,
+		warpIters:  m.WarpIters,
+		totalWarps: m.TotalWarps(),
+		maxIters:   m.MaxIters(),
+		slots:      m.Slots,
+		stream:     func(s, g int) []uint64 { return reps[s].warpStream(g) },
+		replays:    reps,
+	}
 }

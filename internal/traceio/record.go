@@ -1,8 +1,10 @@
 package traceio
 
 import (
+	"context"
 	"fmt"
 
+	"poise/internal/runner"
 	"poise/internal/sim"
 	"poise/internal/trace"
 )
@@ -22,6 +24,9 @@ type RecordOptions struct {
 // observe. Patterns derive addresses only from the launch-geometry
 // fields of trace.Ctx (see the Pattern contract), so the recording is
 // policy-independent and replaying it reproduces any run bit-for-bit.
+// The patterns are evaluated on GOMAXPROCS workers at once (pure
+// functions, by the same contract); the Trace, or the error, does not
+// depend on how many.
 func Record(w *sim.Workload) (*Trace, error) {
 	return RecordWith(w, RecordOptions{})
 }
@@ -64,25 +69,58 @@ func recordKernel(k *trace.Kernel, opts RecordOptions) (*KernelTrace, error) {
 		kt.WarpIters[g] = it
 	}
 	kt.Streams = make([][][]uint64, len(k.Patterns))
-	for s, p := range k.Patterns {
+	for s := range kt.Streams {
 		kt.Streams[s] = make([][]uint64, total)
-		for g := 0; g < total; g++ {
-			ctx := trace.Ctx{
-				GlobalWarp: g,
-				Block:      g / k.WarpsPerBlock,
-				WarpInBlk:  g % k.WarpsPerBlock,
-			}
-			stream := make([]uint64, kt.WarpIters[g])
-			for seq := range stream {
-				addr := p.Addr(ctx, seq)
-				if addr%trace.LineBytes != 0 {
-					return nil, fmt.Errorf("slot %d warp %d seq %d: pattern emitted unaligned address %#x",
-						s, g, seq, addr)
-				}
-				stream[seq] = addr
-			}
-			kt.Streams[s][g] = stream
+	}
+	// The (slot, warp) streams are filled in index-ordered chunks, one
+	// task each. A chunk stops at its first unaligned address and the
+	// lowest failing chunk's error is returned, so the verdict is the
+	// sequential loop's, the lowest (slot, warp, seq), however many
+	// workers run. One worker runs one chunk: that loop itself.
+	units := len(k.Patterns) * total
+	workers := runner.NumWorkers(0)
+	chunks := min(units, workers*recordChunksPerWorker)
+	if workers == 1 {
+		chunks = min(units, 1)
+	}
+	// The tasks return their errors as values: Map cannot fail here.
+	errs, _ := runner.Map(context.Background(), workers, chunks, func(_ context.Context, c int) (error, error) {
+		return recordUnits(k, kt, c*units/chunks, (c+1)*units/chunks), nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return kt, nil
+}
+
+// recordChunksPerWorker is how many chunks Record deals each worker,
+// so one slow chunk does not leave the others idle.
+const recordChunksPerWorker = 4
+
+// recordUnits fills the streams of units [lo, hi) of k, unit u being
+// slot u/total, warp u%total, stopping at the first unaligned address.
+func recordUnits(k *trace.Kernel, kt *KernelTrace, lo, hi int) error {
+	total := len(kt.WarpIters)
+	for u := lo; u < hi; u++ {
+		s, g := u/total, u%total
+		p := k.Patterns[s]
+		ctx := trace.Ctx{
+			GlobalWarp: g,
+			Block:      g / k.WarpsPerBlock,
+			WarpInBlk:  g % k.WarpsPerBlock,
+		}
+		stream := make([]uint64, kt.WarpIters[g])
+		for seq := range stream {
+			addr := p.Addr(ctx, seq)
+			if addr%trace.LineBytes != 0 {
+				return fmt.Errorf("slot %d warp %d seq %d: pattern emitted unaligned address %#x",
+					s, g, seq, addr)
+			}
+			stream[seq] = addr
+		}
+		kt.Streams[s][g] = stream
+	}
+	return nil
 }

@@ -53,6 +53,9 @@ type ReplayBuilder struct {
 	sum      int // Σ per-warp distinct addresses (empty warps skipped)
 	counted  int // warps with a non-empty stream
 	overflow bool
+	// uncounted leaves the footprint to the caller (ReadWorkload's
+	// characterisation counts it with its own).
+	uncounted bool
 }
 
 // NewReplayBuilder starts a builder for one slot. If total warps and
@@ -79,7 +82,7 @@ func (b *ReplayBuilder) Warp(stream []uint64) {
 		b.overflow = true
 	}
 	b.offs = append(b.offs, uint32(len(b.arena)))
-	if len(stream) == 0 {
+	if len(stream) == 0 || b.uncounted {
 		return
 	}
 	b.scratch.reset()

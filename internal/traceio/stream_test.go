@@ -151,7 +151,7 @@ func TestReadWorkloadMatchesReadPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSig := Characterise(parsed, CharacteriseOptions{})
+			wantSig := mustCharacterise(t, parsed, CharacteriseOptions{})
 
 			gotW, gotSig, err := ReadWorkload(bytes.NewReader(buf.Bytes()), &CharacteriseOptions{})
 			if err != nil {
