@@ -20,7 +20,8 @@ import (
 // waiter per warp slot of a large SM is well under this).
 const maxWaiters = 1 << 16
 
-func (s *Stats) walk(k snap.Walk) {
+// Walk lists the statistics.
+func (s *Stats) Walk(k snap.Walk) {
 	k.Varint(&s.Accesses)
 	k.Varint(&s.Hits)
 	k.Varint(&s.IntraWarpHits)
@@ -34,15 +35,10 @@ func (s *Stats) walk(k snap.Walk) {
 	k.Varint(&s.Fills)
 }
 
-// EncodeState serialises Stats.
-func (s *Stats) EncodeState(w *snap.Writer) { s.walk(snap.Out(w)) }
-
-// DecodeState restores Stats written by EncodeState.
-func (s *Stats) DecodeState(r *snap.Reader) error { return snap.Restore(r, s.walk, nil) }
-
-// walk lists the cache's mutable state: every line, the LRU clock,
-// statistics, and the victim tag array when attached.
-func (c *Cache) walk(k snap.Walk) {
+// Walk lists the cache's mutable state: every line, the LRU clock,
+// statistics, and the victim tag array when attached. A walk in restores
+// onto a cache of identical geometry.
+func (c *Cache) Walk(k snap.Walk) {
 	k.Fixed(len(c.sets), "cache: snapshot has %d lines, cache has %d")
 	if r := k.Reader(); r != nil {
 		for i := range c.sets {
@@ -69,7 +65,7 @@ func (c *Cache) walk(k snap.Walk) {
 		*k.Writer() = lw
 	}
 	k.Uvarint(&c.tick)
-	c.Stats.walk(k)
+	c.Stats.Walk(k)
 	attached := c.victim != nil
 	k.Bool(&attached)
 	if !attached {
@@ -82,25 +78,21 @@ func (c *Cache) walk(k snap.Walk) {
 	c.victim.walk(k)
 }
 
-// EncodeState serialises the cache.
-func (c *Cache) EncodeState(w *snap.Writer) { c.walk(snap.Out(w)) }
-
-// DecodeState restores state written by EncodeState onto a cache with
-// identical geometry.
-func (c *Cache) DecodeState(r *snap.Reader) error {
-	return snap.Restore(r, c.walk, func() error { return c.victim.restored() })
-}
-
 // walk lists the victim tag array. A walk in resizes it to the
 // snapshot's geometry (the policy that attached it owns the sizing
-// decision, and it is part of the checkpointed policy state).
+// decision, and it is part of the checkpointed policy state), once the
+// payload has shown it holds that many tags, a byte each at least.
 func (v *VictimTags) walk(k snap.Walk) {
 	perWarp, warps := uint64(v.perWarp), uint64(len(v.tags))
 	k.Uvarint(&perWarp)
 	k.Uvarint(&warps)
-	if k.Reader() != nil {
+	if r := k.Reader(); r != nil {
 		if perWarp < 1 || perWarp > 1<<20 || warps < 1 || warps > 1<<20 {
 			k.Fail(fmt.Errorf("cache: implausible victim tag geometry %dx%d", warps, perWarp))
+			return
+		}
+		if perWarp*warps > uint64(r.Len()) {
+			k.Fail(fmt.Errorf("cache: victim tag geometry %dx%d does not fit the %d bytes left", warps, perWarp, r.Len()))
 			return
 		}
 		if int(perWarp) != v.perWarp || int(warps) != len(v.tags) {
@@ -114,20 +106,11 @@ func (v *VictimTags) walk(k snap.Walk) {
 		k.Int(&v.next[i])
 		k.Varint(&v.lost[i])
 	}
+	k.Check(v.restored)
 }
 
-// EncodeState serialises the victim tag array.
-func (v *VictimTags) EncodeState(w *snap.Writer) { v.walk(snap.Out(w)) }
-
-// DecodeState restores a victim tag array written by EncodeState.
-func (v *VictimTags) DecodeState(r *snap.Reader) error { return snap.Restore(r, v.walk, v.restored) }
-
-// restored checks the ring cursors NoteEviction indexes with (no array,
-// no cursors).
+// restored checks the ring cursors NoteEviction indexes with.
 func (v *VictimTags) restored() error {
-	if v == nil {
-		return nil
-	}
 	for _, next := range v.next {
 		if next < 0 || next >= v.perWarp {
 			return fmt.Errorf("cache: victim ring cursor %d out of range", next)
@@ -136,14 +119,14 @@ func (v *VictimTags) restored() error {
 	return nil
 }
 
-// walk lists the MSHR file: live entries, sorted by line address so the
+// Walk lists the MSHR file: live entries, sorted by line address so the
 // encoding does not depend on the order releases left the packed array
 // in, and the cumulative counters. The sort is done in place (that
 // order carries no meaning), and nearly always finds the array as the
 // last restore left it; a walk in restores into the entries the file
 // already owns. The free pool is not serialised: it only recycles
 // allocations and has no behavioural effect.
-func (f *MSHRFile) walk(k snap.Walk) {
+func (f *MSHRFile) Walk(k snap.Walk) {
 	if w := k.Writer(); w != nil {
 		slices.SortFunc(f.ents, func(a, b *MSHR) int { return cmp.Compare(a.LineAddr, b.LineAddr) })
 		w.Uvarint(uint64(len(f.ents)))
@@ -198,9 +181,3 @@ func (f *MSHRFile) decodeEntries(k snap.Walk) {
 		}
 	}
 }
-
-// EncodeState serialises the MSHR file.
-func (f *MSHRFile) EncodeState(w *snap.Writer) { f.walk(snap.Out(w)) }
-
-// DecodeState restores an MSHR file written by EncodeState.
-func (f *MSHRFile) DecodeState(r *snap.Reader) error { return snap.Restore(r, f.walk, nil) }

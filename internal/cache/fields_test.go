@@ -17,7 +17,7 @@ var stateFields = map[string]string{
 	"Cache.setMask":     "config",
 	"Cache.pow2":        "config",
 	"MSHRFile.capacity": "config",
-	"MSHRFile.keys":     "derived: MSHRFile.walk",
+	"MSHRFile.keys":     "derived: MSHRFile.Walk",
 	"MSHRFile.free":     "scratch",
 }
 
@@ -28,13 +28,16 @@ func TestEveryFieldIsAccountedFor(t *testing.T) {
 		dst, _ := New(cfg)
 		snaptest.Fill(src, stateFields)
 		src.victim.perWarp = len(src.victim.tags[0]) // the ring size is the rings' length
-		snaptest.Account(t, src, dst, (*Cache).walk, stateFields)
+		for i := range src.victim.next {
+			src.victim.next[i] = i % src.victim.perWarp // cursors inside their rings
+		}
+		snaptest.Account(t, src, dst, (*Cache).Walk, stateFields)
 	})
 	t.Run("MSHRFile", func(t *testing.T) {
 		src, dst := NewMSHRFile(4), NewMSHRFile(4)
 		snaptest.Fill(src, stateFields)
 		src.keys = src.keys[:len(src.ents)] // a key per entry, rewritten on the way out
-		snaptest.Account(t, src, dst, (*MSHRFile).walk, stateFields)
+		snaptest.Account(t, src, dst, (*MSHRFile).Walk, stateFields)
 	})
 }
 

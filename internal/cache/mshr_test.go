@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"poise/internal/snap"
+	"poise/internal/snap/snaptest"
 )
 
 func TestMSHRAllocateMergeRelease(t *testing.T) {
@@ -226,16 +227,13 @@ func TestMSHRFileMatchesMap(t *testing.T) {
 				clear(model)
 				check(step, "reset")
 			default:
-				w := snap.NewWriter()
-				f.EncodeState(w)
+				data := snaptest.Out(f.Walk)
 				g := NewMSHRFile(capacity)
 				g.Allocate(line+pool, 0, true, 0, 0, Waiter{}) // decode must replace what is there
-				if err := g.DecodeState(snap.NewReader(w.Data())); err != nil {
+				if err := snaptest.In(g.Walk, data); err != nil {
 					t.Fatalf("cap %d step %d: decode: %v", capacity, step, err)
 				}
-				w2 := snap.NewWriter()
-				g.EncodeState(w2)
-				if !bytes.Equal(w.Data(), w2.Data()) {
+				if !bytes.Equal(data, snaptest.Out(g.Walk)) {
 					t.Fatalf("cap %d step %d: a decoded file encodes differently", capacity, step)
 				}
 				f = g // carry on with the restored file
@@ -277,7 +275,7 @@ func TestMSHRDecodeRejects(t *testing.T) {
 		}
 		counters(w)
 		f := NewMSHRFile(4)
-		if err := f.DecodeState(snap.NewReader(w.Data())); err == nil {
+		if err := snaptest.In(f.Walk, w.Data()); err == nil {
 			t.Fatalf("%s: accepted, file now holds %d entries", name, f.Used())
 		}
 	}
@@ -289,7 +287,7 @@ func TestMSHRDecodeRejects(t *testing.T) {
 	}
 	counters(w)
 	f := NewMSHRFile(4)
-	if err := f.DecodeState(snap.NewReader(w.Data())); err != nil || f.Used() != 3 || f.Lookup(8) == nil {
+	if err := snaptest.In(f.Walk, w.Data()); err != nil || f.Used() != 3 || f.Lookup(8) == nil {
 		t.Fatalf("well-formed payload: err %v, used %d", err, f.Used())
 	}
 }
@@ -323,10 +321,11 @@ func TestMSHRFileOwnsItsEntries(t *testing.T) {
 	for l := uint64(0); l < capacity; l++ {
 		f.Merge(f.Allocate(3*l, 7, false, 1, 2, Waiter{Slot: 1}), false, Waiter{Slot: 2})
 	}
-	f.EncodeState(w)
+	f.Walk(snap.Out(w))
 	restore := func() {
-		if err := f.DecodeState(snap.NewReader(w.Data())); err != nil {
-			t.Fatal(err)
+		r := snap.NewReader(w.Data())
+		if f.Walk(snap.In(r)); r.Err() != nil {
+			t.Fatal(r.Err())
 		}
 	}
 	if n := testing.AllocsPerRun(5, func() { churn(); restore() }); n > 1 { // the Reader

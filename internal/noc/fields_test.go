@@ -18,5 +18,5 @@ func TestEveryFieldIsAccountedFor(t *testing.T) {
 	cfg := config.Default().Scale(2)
 	src, dst := New(cfg), New(cfg)
 	snaptest.Fill(src, stateFields)
-	snaptest.Account(t, src, dst, (*Crossbar).walk, stateFields)
+	snaptest.Account(t, src, dst, (*Crossbar).Walk, stateFields)
 }

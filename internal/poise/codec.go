@@ -28,8 +28,8 @@ func (win *Window) walk(k snapio.Walk) {
 }
 
 func (s *snapshot) walk(k snapio.Walk) {
-	k.State(&s.l1)
-	k.State(&s.c)
+	s.l1.Walk(k)
+	s.c.Walk(k)
 }
 
 func (e *hie) walk(k snapio.Walk) {
@@ -59,7 +59,11 @@ func (e *hie) walk(k snapio.Walk) {
 	k.Int(&e.decided)
 }
 
-func (p *Policy) walk(k snapio.Walk) {
+// WalkState implements sim.StatefulPolicy. A walk in checks every
+// engine's FSM state and search axis (the search moves along one of the
+// two), and that g has one SM per engine (Step advances engine i on SM
+// i).
+func (p *Policy) WalkState(k snapio.Walk, g *sim.GPU) {
 	k.Int(&p.maxN)
 	k.Int(&p.Fallbacks)
 	snapio.Slice(k, &p.engines, maxEnginesState, func(k snapio.Walk, e **hie) {
@@ -68,20 +72,20 @@ func (p *Policy) walk(k snapio.Walk) {
 		}
 		(*e).walk(k)
 	})
-}
-
-// EncodePolicyState implements sim.StatefulPolicy.
-func (p *Policy) EncodePolicyState(w *snapio.Writer) { p.walk(snapio.Out(w)) }
-
-// DecodePolicyState implements sim.StatefulPolicy.
-func (p *Policy) DecodePolicyState(r *snapio.Reader) error {
-	p.walk(snapio.In(r))
-	for _, e := range p.engines {
-		if r.Err() == nil && (e.state < stBaseWarm || e.state > stRun) {
-			return fmt.Errorf("poise: HIE state %d out of range", e.state)
+	k.Check(func() error {
+		for _, e := range p.engines {
+			if e.state < stBaseWarm || e.state > stRun {
+				return fmt.Errorf("poise: HIE state %d out of range", e.state)
+			}
+			if e.axis != axisN && e.axis != axisP {
+				return fmt.Errorf("poise: HIE search axis %d out of range", e.axis)
+			}
 		}
-	}
-	return r.Err()
+		if len(p.engines) != len(g.SMs) {
+			return fmt.Errorf("poise: snapshot has %d HIE engines, GPU has %d SMs", len(p.engines), len(g.SMs))
+		}
+		return nil
+	})
 }
 
 var _ sim.StatefulPolicy = (*Policy)(nil)

@@ -11,7 +11,9 @@ import (
 // Checkpoint codecs for the adaptive policies (sim.StatefulPolicy), a
 // snap.Walk per policy. Only mutable trajectory state crosses the wire: the resuming
 // side rebuilds each policy with its original constructor parameters,
-// and the codec restores where in its decision process the policy was.
+// and the codec restores where in its decision process the policy was,
+// checking it against the GPU restored beside it: what Step indexes
+// per SM or per PC must have the GPU's shape.
 // Deterministic encodings matter — the chaos tests compare checkpoint
 // bytes across processes — so map-backed state is written in sorted
 // key order (snap.IntFloats).
@@ -28,19 +30,35 @@ func (win *ipcWindow) walk(k snap.Walk) {
 	snap.Slice(k, &win.startInstr, maxSMsState, snap.Walk.Varint)
 }
 
-func (c *CCWS) walk(k snap.Walk) {
+// perSM checks that a table indexed by SM has an entry per SM of g. One
+// the policy rebuilds before it next reads it (open false) may also be
+// empty, as it is before the policy first filled it.
+func perSM(what string, n int, g *sim.GPU, open bool) error {
+	if n != len(g.SMs) && (open || n != 0) {
+		return fmt.Errorf("sched: %s has %d entries, GPU has %d SMs", what, n, len(g.SMs))
+	}
+	return nil
+}
+
+// WalkState implements sim.StatefulPolicy. Step drains every SM's victim
+// tags, so a walk in requires them attached.
+func (c *CCWS) WalkState(k snap.Walk, g *sim.GPU) {
 	k.Int(&c.n)
 	k.Int(&c.maxN)
 	k.Varint(&c.nextAt)
+	k.Check(func() error {
+		for i, s := range g.SMs {
+			if s.L1.Victim() == nil {
+				return fmt.Errorf("sched: CCWS state for SM %d, whose L1 has no victim tags", i)
+			}
+		}
+		return nil
+	})
 }
 
-// EncodePolicyState implements sim.StatefulPolicy.
-func (c *CCWS) EncodePolicyState(w *snap.Writer) { c.walk(snap.Out(w)) }
-
-// DecodePolicyState implements sim.StatefulPolicy.
-func (c *CCWS) DecodePolicyState(r *snap.Reader) error { return snap.Restore(r, c.walk, nil) }
-
-func (a *APCM) walk(k snap.Walk) {
+// WalkState implements sim.StatefulPolicy. Step reads a PC table per SM
+// the length of that SM's, and sets its bypass marks.
+func (a *APCM) WalkState(k snap.Walk, g *sim.GPU) {
 	k.Varint(&a.nextAt)
 	n := k.Count(len(a.prevLoads), maxSMsState)
 	if k.Reader() != nil {
@@ -49,15 +67,23 @@ func (a *APCM) walk(k snap.Walk) {
 	for i := range a.prevLoads {
 		snap.Pairs(k, &a.prevLoads[i], &a.prevHits[i], maxPCsState)
 	}
+	k.Check(func() error {
+		if err := perSM("APCM PC table list", len(a.prevLoads), g, true); err != nil {
+			return err
+		}
+		for i, s := range g.SMs {
+			if len(a.prevLoads[i]) != len(s.PCLoads) || len(s.BypassPC) != len(s.PCLoads) {
+				return fmt.Errorf("sched: APCM has %d PCs and %d bypass marks for SM %d, which has %d PCs",
+					len(a.prevLoads[i]), len(s.BypassPC), i, len(s.PCLoads))
+			}
+		}
+		return nil
+	})
 }
 
-// EncodePolicyState implements sim.StatefulPolicy.
-func (a *APCM) EncodePolicyState(w *snap.Writer) { a.walk(snap.Out(w)) }
-
-// DecodePolicyState implements sim.StatefulPolicy.
-func (a *APCM) DecodePolicyState(r *snap.Reader) error { return snap.Restore(r, a.walk, nil) }
-
-func (p *PCALSWL) walk(k snap.Walk) {
+// WalkState implements sim.StatefulPolicy. The IPC window is read in the
+// three search states, the per-SM tuple list in the parallel one.
+func (p *PCALSWL) WalkState(k snap.Walk, g *sim.GPU) {
 	k.Int((*int)(&p.state))
 	k.Int(&p.n)
 	k.Int(&p.p)
@@ -68,20 +94,20 @@ func (p *PCALSWL) walk(k snap.Walk) {
 	k.Int(&p.dir)
 	snap.Slice(k, &p.perSMp, maxSMsState, snap.Walk.Int)
 	k.Varint(&p.epochAt)
+	k.Check(func() error {
+		if p.state < pcalWarm || p.state > pcalRun {
+			return fmt.Errorf("sched: PCAL state %d out of range", p.state)
+		}
+		if err := perSM("PCAL IPC window", len(p.win.startInstr), g, p.state != pcalWarm && p.state != pcalRun); err != nil {
+			return err
+		}
+		return perSM("PCAL per-SM tuple list", len(p.perSMp), g, p.state == pcalParallelP)
+	})
 }
 
-// EncodePolicyState implements sim.StatefulPolicy.
-func (p *PCALSWL) EncodePolicyState(w *snap.Writer) { p.walk(snap.Out(w)) }
-
-// DecodePolicyState implements sim.StatefulPolicy.
-func (p *PCALSWL) DecodePolicyState(r *snap.Reader) error {
-	if p.walk(snap.In(r)); r.Err() == nil && (p.state < pcalWarm || p.state > pcalRun) {
-		return fmt.Errorf("sched: PCAL state %d out of range", p.state)
-	}
-	return r.Err()
-}
-
-func (r *RandomRestart) walk(k snap.Walk) {
+// WalkState implements sim.StatefulPolicy. The IPC window is read while
+// a probe samples, and a restart draws a tuple below maxN.
+func (r *RandomRestart) WalkState(k snap.Walk, g *sim.GPU) {
 	if r.rng == nil {
 		// KernelStart has not run in this process; the seed mix is
 		// irrelevant because SetState overwrites it.
@@ -103,17 +129,15 @@ func (r *RandomRestart) walk(k snap.Walk) {
 	k.Int((*int)(&r.state))
 	k.Varint(&r.nextAt)
 	k.Varint(&r.epochEnd)
-}
-
-// EncodePolicyState implements sim.StatefulPolicy.
-func (r *RandomRestart) EncodePolicyState(w *snap.Writer) { r.walk(snap.Out(w)) }
-
-// DecodePolicyState implements sim.StatefulPolicy.
-func (r *RandomRestart) DecodePolicyState(rd *snap.Reader) error {
-	if r.walk(snap.In(rd)); rd.Err() == nil && (r.state < rrProbeWarm || r.state > rrRun) {
-		return fmt.Errorf("sched: random-restart state %d out of range", r.state)
-	}
-	return rd.Err()
+	k.Check(func() error {
+		if r.state < rrProbeWarm || r.state > rrRun {
+			return fmt.Errorf("sched: random-restart state %d out of range", r.state)
+		}
+		if r.maxN < 1 {
+			return fmt.Errorf("sched: random-restart maximum N %d out of range", r.maxN)
+		}
+		return perSM("random-restart IPC window", len(r.win.startInstr), g, r.state == rrProbeSample)
+	})
 }
 
 var (

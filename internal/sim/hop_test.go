@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"poise/internal/cache"
+	"poise/internal/config"
 	"poise/internal/sched"
 	"poise/internal/sim"
 	"poise/internal/testutil"
@@ -305,6 +306,71 @@ func TestResumeRejectsForeignIndices(t *testing.T) {
 	g2, _ := sim.New(cfg)
 	if _, err := g2.ResumeKernel(k, p, sim.RunOptions{}, state); err != nil {
 		t.Fatalf("well-formed state: %v", err)
+	}
+
+	// A policy's tables follow the GPU's shape: Step indexes them by SM
+	// and by PC. Each state below is the machine of a run on cfg under
+	// the policy, beside the policy state of a run on a GPU of another
+	// size (or with the machine mutated, or the policy state left out):
+	// it used to decode cleanly and panic at the next Step.
+	one, three := config.Default().Scale(1), config.Default().Scale(3)
+	for _, tc := range []struct {
+		name    string
+		mk      func() sim.Policy
+		foreign config.Config // where the policy's state comes from
+		mutate  func(g *sim.GPU)
+		hide    bool // snapshot the policy as a stateless one of its name
+	}{
+		{"Poise: an HIE engine per SM of three", func() sim.Policy { return mustPoise(t) }, three, nil, false},
+		{"APCM: PC tables of one SM", func() sim.Policy { return sched.NewAPCM(3000) }, one, nil, false},
+		{"APCM: a PC table shorter than its SM's", func() sim.Policy { return sched.NewAPCM(3000) }, cfg, func(g *sim.GPU) {
+			s := g.SMs[1]
+			s.PCLoads, s.PCHits, s.BypassPC = append(s.PCLoads, 0), append(s.PCHits, 0), append(s.BypassPC, false)
+		}, false},
+		{"APCM: bypass marks shorter than the PC table", func() sim.Policy { return sched.NewAPCM(3000) }, cfg, func(g *sim.GPU) {
+			g.SMs[1].BypassPC = g.SMs[1].BypassPC[:0]
+		}, false},
+		{"PCAL-SWL: an IPC window of one SM", func() sim.Policy { return sched.NewPCALSWL(sched.TupleSource{}, 100, 400, 5000) }, one, nil, false},
+		{"random-restart: an IPC window of one SM", func() sim.Policy { return sched.NewRandomRestart(7, 100, 400, 4000, 2, 4) }, one, nil, false},
+		{"CCWS: an L1 without victim tags", func() sim.Policy { return sched.NewCCWS(500) }, cfg, func(g *sim.GPU) {
+			g.SMs[1].L1.Reset()
+		}, false},
+		{"APCM: no policy state", func() sim.Policy { return sched.NewAPCM(3000) }, cfg, nil, true},
+	} {
+		const at = 300 // past every policy's first Step, inside a window
+		interrupted := func(cfg config.Config) (*sim.GPU, sim.Policy) {
+			g, err := sim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := tc.mk()
+			if _, err := g.Run(k, p, sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: at}}); !errors.Is(err, sim.ErrInterrupted) {
+				t.Fatalf("%s: want ErrInterrupted, got %v", tc.name, err)
+			}
+			return g, p
+		}
+		resume := func(state []byte, err error) error {
+			if err != nil {
+				t.Fatalf("%s: SnapshotKernel: %v", tc.name, err)
+			}
+			g2, _ := sim.New(cfg)
+			_, err = g2.ResumeKernel(k, tc.mk(), sim.RunOptions{}, state)
+			return err
+		}
+		g, own := interrupted(cfg)
+		if err := resume(g.SnapshotKernel(own)); err != nil {
+			t.Fatalf("%s: the run's own state: %v", tc.name, err)
+		}
+		if tc.mutate != nil {
+			tc.mutate(g)
+		}
+		_, foreign := interrupted(tc.foreign)
+		if tc.hide {
+			foreign = struct{ sim.Policy }{foreign}
+		}
+		if resume(g.SnapshotKernel(foreign)) == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -45,10 +45,11 @@ const (
 // parameters — only mutable state crosses the wire.
 type StatefulPolicy interface {
 	Policy
-	// EncodePolicyState serialises the mutable state.
-	EncodePolicyState(w *snap.Writer)
-	// DecodePolicyState restores state written by EncodePolicyState.
-	DecodePolicyState(r *snap.Reader) error
+	// WalkState lists the mutable state, in either direction. A walk in
+	// restores onto g, whose machine state is restored already, and
+	// checks what it read against g as well as itself: a table per SM
+	// has one entry per SM of g, a table per PC the length of that SM's.
+	WalkState(k snap.Walk, g *GPU)
 }
 
 // walk lists the GPU's wire fields. With running the in-flight kernel's
@@ -69,13 +70,13 @@ func (g *GPU) walk(k snap.Walk, running bool) bool {
 	k.Fixed(len(g.banks), "sim: snapshot has %d L2 banks, GPU has %d")
 	for i := range g.banks {
 		k.Varint(&g.banks[i].nextFree)
-		k.State(g.banks[i].c)
+		g.banks[i].c.Walk(k)
 	}
-	k.State(g.NoC)
-	k.State(g.DRAM)
+	g.NoC.Walk(k)
+	g.DRAM.Walk(k)
 	k.Fixed(len(g.SMs), "sim: snapshot has %d SMs, GPU has %d")
 	for _, s := range g.SMs {
-		k.State(s)
+		s.Walk(k)
 	}
 	if k.Bool(&running); !running {
 		return false
@@ -179,8 +180,8 @@ func (g *GPU) decodeEvents(k snap.Walk) {
 
 // walkPolicy lists the policy identity and, for stateful policies,
 // their mutable state. A walk in checks the snapshot was taken under an
-// identically named policy.
-func walkPolicy(k snap.Walk, p Policy) {
+// identically named policy and restores its state onto g.
+func (g *GPU) walkPolicy(k snap.Walk, p Policy) {
 	want := ""
 	if p != nil {
 		want = p.Name()
@@ -193,13 +194,12 @@ func walkPolicy(k snap.Walk, p Policy) {
 	stateful := ok
 	k.Bool(&stateful)
 	switch {
-	case !stateful:
-	case !ok:
+	case stateful && !ok:
 		k.Fail(fmt.Errorf("sim: snapshot carries state for policy %q but it is not restorable", want))
-	case k.Reader() != nil:
-		k.Fail(sp.DecodePolicyState(k.Reader()))
-	default:
-		sp.EncodePolicyState(k.Writer())
+	case ok && !stateful:
+		k.Fail(fmt.Errorf("sim: snapshot carries no state for policy %q", want))
+	case ok:
+		sp.WalkState(k, g)
 	}
 }
 
@@ -216,7 +216,7 @@ func (g *GPU) SnapshotKernel(p Policy) ([]byte, error) {
 	// the first snapshot of a run grows it by doubling.
 	w := snap.NewWriterSize(max(256, g.stateSize+g.stateSize/8))
 	g.walk(snap.Out(w), true)
-	walkPolicy(snap.Out(w), p)
+	g.walkPolicy(snap.Out(w), p)
 	g.stateSize = len(w.Data())
 	return w.Data(), nil
 }
@@ -251,7 +251,7 @@ func (g *GPU) ResumeKernel(k *trace.Kernel, p Policy, opts RunOptions, state []b
 	if g.kernel.Name != k.Name {
 		return KernelResult{}, fmt.Errorf("sim: snapshot is of kernel %q, not %q", g.kernel.Name, k.Name)
 	}
-	if walkPolicy(snap.In(r), p); r.Err() != nil {
+	if g.walkPolicy(snap.In(r), p); r.Err() != nil {
 		return KernelResult{}, r.Err()
 	}
 	if r.Len() != 0 {

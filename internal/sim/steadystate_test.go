@@ -60,56 +60,3 @@ func TestSteadyStateZeroAllocPerCycle(t *testing.T) {
 		})
 	}
 }
-
-// benchEngines times one kernel on both cycle engines so the ready
-// engine's speedup (and the compute-bound non-regression) is read
-// straight off `go test -bench CycleLoop`. The GPU is built once per
-// sub-benchmark and pooled with Reset, isolating the cycle loop from
-// construction cost.
-func benchEngines(b *testing.B, cfg config.Config, k *trace.Kernel) {
-	for _, eng := range []struct {
-		name   string
-		engine sim.Engine
-	}{{"ready", sim.EngineReady}, {"dense", sim.EngineDense}} {
-		b.Run(eng.name, func(b *testing.B) {
-			g, err := sim.New(cfg)
-			if err != nil {
-				b.Fatalf("New: %v", err)
-			}
-			opts := sim.RunOptions{Engine: eng.engine}
-			warm, err := g.Run(k, sim.GTO{}, opts)
-			if err != nil {
-				b.Fatalf("Run: %v", err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g.Reset()
-				if _, err := g.Run(k, sim.GTO{}, opts); err != nil {
-					b.Fatalf("Run: %v", err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(warm.Cycles),
-				"ns/simcycle")
-		})
-	}
-}
-
-// BenchmarkCycleLoopMemBound is the regime the ready queue targets: a
-// low-occupancy streaming kernel (one block per SM) at the paper-scale
-// 32-SM configuration keeps nearly every scheduler blocked on memory,
-// so the dense engine burns its time scanning blocked schedulers while
-// the ready engine settles them with span arithmetic.
-func BenchmarkCycleLoopMemBound(b *testing.B) {
-	benchEngines(b, config.Default(), testutil.StreamKernel("mem", 200, 32))
-}
-
-// BenchmarkCycleLoopCompute is the regime issue bursts target: every
-// scheduler issues nearly every cycle, so the hot set is always full
-// and the queue saves nothing; what the ready engine saves is the
-// 64-instruction ALU run, applied in one step. The dense engine never
-// bursts, so a dense/ready ratio back near 1 means bursts stopped firing.
-func BenchmarkCycleLoopCompute(b *testing.B) {
-	benchEngines(b, config.Default(), testutil.ComputeKernel("comp", 60, 128))
-}

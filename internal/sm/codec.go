@@ -19,7 +19,8 @@ const (
 	maxReplayQ = 1 << 20 // SM replay queue (a few waiters per warp slot at worst)
 )
 
-func (c *Counters) walk(k snap.Walk) {
+// Walk lists the counters.
+func (c *Counters) Walk(k snap.Walk) {
 	k.Varint(&c.Instructions)
 	k.Varint(&c.Loads)
 	k.Varint(&c.Stores)
@@ -28,12 +29,6 @@ func (c *Counters) walk(k snap.Walk) {
 	k.Varint(&c.Replays)
 	k.Varint(&c.HitReturns)
 }
-
-// EncodeState serialises the counters.
-func (c *Counters) EncodeState(w *snap.Writer) { c.walk(snap.Out(w)) }
-
-// DecodeState restores counters written by EncodeState.
-func (c *Counters) DecodeState(r *snap.Reader) error { return snap.Restore(r, c.walk, nil) }
 
 // walk lists one warp slot verbatim, including inactive slots' stale
 // contents — a restored scheduler must be bit-equivalent to the live
@@ -93,14 +88,9 @@ func (s *Scheduler) walk(k snap.Walk) {
 	k.Varint(&s.IdleCycles)
 }
 
-// EncodeState serialises the scheduler.
-func (s *Scheduler) EncodeState(w *snap.Writer) { s.walk(snap.Out(w)) }
-
-// DecodeState restores a scheduler written by EncodeState.
-func (s *Scheduler) DecodeState(r *snap.Reader) error { return snap.Restore(r, s.walk, s.restored) }
-
 // restored rebuilds every slot's cached scoreboard answer and checks
-// what the issue path trusts without looking.
+// what the issue path trusts without looking. The SM's walk runs it for
+// each scheduler at its end.
 func (s *Scheduler) restored() error {
 	live := 0
 	for i := range s.Slots {
@@ -143,16 +133,16 @@ func walkWaiter(k snap.Walk, w *cache.Waiter) {
 	k.Int32(&w.Warp)
 }
 
-// walk lists the SM: schedulers, L1 (with victim tags), MSHR file,
+// Walk lists the SM: schedulers, L1 (with victim tags), MSHR file,
 // counters, per-kernel PC tables, bypass marks and the replay queue.
-func (s *SM) walk(k snap.Walk) {
+func (s *SM) Walk(k snap.Walk) {
 	k.Fixed(len(s.Scheds), "sm: snapshot has %d schedulers, SM has %d")
 	for _, sch := range s.Scheds {
 		sch.walk(k)
 	}
-	k.State(s.L1)
-	k.State(s.MSHR)
-	s.C.walk(k)
+	s.L1.Walk(k)
+	s.MSHR.Walk(k)
+	s.C.Walk(k)
 	snap.Pairs(k, &s.PCLoads, &s.PCHits, maxBody)
 	marked := s.BypassPC != nil
 	k.Bool(&marked)
@@ -165,14 +155,7 @@ func (s *SM) walk(k snap.Walk) {
 		snap.Slice(k, &s.BypassPC, maxBody, snap.Walk.Bool)
 	}
 	snap.Slice(k, &s.ReplayQ, maxReplayQ, walkWaiter)
-}
-
-// EncodeState serialises the SM.
-func (s *SM) EncodeState(w *snap.Writer) { s.walk(snap.Out(w)) }
-
-// DecodeState restores an SM written by EncodeState.
-func (s *SM) DecodeState(r *snap.Reader) error {
-	return snap.Restore(r, s.walk, func() error {
+	k.Check(func() error {
 		for _, sch := range s.Scheds {
 			if err := sch.restored(); err != nil {
 				return err
@@ -182,7 +165,7 @@ func (s *SM) DecodeState(r *snap.Reader) error {
 	})
 }
 
-// CheckRestored validates, in one pass after DecodeState, what the fill
+// CheckRestored validates, in one pass after Walk, what the fill
 // and issue paths index without looking: every MSHR and replay-queue
 // waiter names a warp slot this SM has, and every live warp stands
 // inside a kernel body of bodyLen instructions.

@@ -5,6 +5,7 @@ import (
 
 	"poise/internal/config"
 	"poise/internal/snap"
+	"poise/internal/snap/snaptest"
 )
 
 func TestLaunchRetireAgeOrder(t *testing.T) {
@@ -271,6 +272,10 @@ func TestSchedulerDecodeRejects(t *testing.T) {
 		}
 		return s
 	}
+	// What the SM's walk does for each of its schedulers.
+	restore := func(s *Scheduler, data []byte) error {
+		return snaptest.In(func(k snap.Walk) { s.walk(k); k.Check(s.restored) }, data)
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(s *Scheduler)
@@ -285,19 +290,15 @@ func TestSchedulerDecodeRejects(t *testing.T) {
 	} {
 		s := live()
 		tc.mutate(s)
-		w := snap.NewWriter()
-		s.EncodeState(w)
-		if err := NewScheduler(0, 4).DecodeState(snap.NewReader(w.Data())); err == nil {
+		if err := restore(NewScheduler(0, 4), snaptest.Out(s.walk)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// Untouched, and after the middle warp retired, the state restores.
 	s := live()
 	s.Retire(1)
-	w := snap.NewWriter()
-	s.EncodeState(w)
 	back := NewScheduler(0, 4)
-	if err := back.DecodeState(snap.NewReader(w.Data())); err != nil || back.ActiveWarps() != 2 || back.OldestActive() != 0 {
+	if err := restore(back, snaptest.Out(s.walk)); err != nil || back.ActiveWarps() != 2 || back.OldestActive() != 0 {
 		t.Fatalf("well-formed state: err %v, %d live warps", err, back.ActiveWarps())
 	}
 }

@@ -136,20 +136,31 @@ func each(path string, a, b reflect.Value, pkg string, list map[string]string, m
 	}
 }
 
-// equal compares two leaves: what has a codec of its own (another
-// package's state) by the bytes it encodes to, anything else deeply.
+// equal compares two leaves: what has a walk of its own (another
+// package's state) by the bytes it walks out to, anything else deeply.
 func equal(a, b reflect.Value) bool {
-	type encoder interface{ EncodeState(*snap.Writer) }
+	type walker interface{ Walk(snap.Walk) }
 	if a.Kind() != reflect.Pointer {
 		a, b = a.Addr(), b.Addr()
 	}
-	if ea, ok := a.Interface().(encoder); ok && !a.IsNil() && !b.IsNil() {
-		wa, wb := snap.NewWriter(), snap.NewWriter()
-		ea.EncodeState(wa)
-		b.Interface().(encoder).EncodeState(wb)
-		return string(wa.Data()) == string(wb.Data())
+	if wa, ok := a.Interface().(walker); ok && !a.IsNil() && !b.IsNil() {
+		return string(Out(wa.Walk)) == string(Out(b.Interface().(walker).Walk))
 	}
 	return reflect.DeepEqual(a.Interface(), b.Interface())
+}
+
+// Out walks out through walk and returns the bytes written.
+func Out(walk func(snap.Walk)) []byte {
+	w := snap.NewWriter()
+	walk(snap.Out(w))
+	return w.Data()
+}
+
+// In walks data in through walk and returns the walk's first error.
+func In(walk func(snap.Walk), data []byte) error {
+	r := snap.NewReader(data)
+	walk(snap.In(r))
+	return r.Err()
 }
 
 // CheckReset fills every field under *v but those list calls "config",

@@ -11,11 +11,14 @@ import (
 // is shown, built on a Reader (In) it overwrites every field from the
 // payload. A struct lists its wire fields once, in a method over a Walk;
 // its encode and its decode are the two calls into that list, so a field
-// cannot be in one and missing from the other. Errors are the Reader's:
-// sticky, so a walk reads its whole list unconditionally and the caller
-// checks Reader.Err once, then rebuilds derived state and range-checks
-// what it read. Loops that carry most of a payload's bytes (cache lines,
-// MSHR entries) take the Writer or the Reader and stay hand-written.
+// cannot be in one and missing from the other. The walk is a type's only
+// codec entry point: Walk where another package walks it, walk where
+// only its own does. Errors are the Reader's: sticky, so a walk reads
+// its whole list unconditionally, ends with Check for what rebuilds
+// derived state and range-checks what it read, and the caller checks
+// Reader.Err once. Loops that carry most of a payload's bytes (cache
+// lines, MSHR entries) take the Writer or the Reader and stay
+// hand-written.
 type Walk struct {
 	w *Writer
 	r *Reader
@@ -129,26 +132,15 @@ func (k Walk) Count(have, limit int) int {
 	return have
 }
 
-// Restore is the decode half of a pair of thin calls: it walks fields in
-// from r and, when the payload was sound, runs check (nil for none),
-// which rebuilds derived state and range-checks what was read.
-func Restore(r *Reader, walk func(Walk), check func() error) error {
-	if walk(In(r)); r.Err() != nil || check == nil {
-		return r.Err()
-	}
-	return check()
-}
-
-// State walks a value of another package through that package's own
-// pair of calls, decode checks included.
-func (k Walk) State(s interface {
-	EncodeState(*Writer)
-	DecodeState(*Reader) error
-}) {
-	if k.r != nil {
-		k.Fail(s.DecodeState(k.r))
-	} else {
-		s.EncodeState(k.w)
+// Check runs check at the end of a walk in whose reader is still clean
+// and fails the walk with what it returns: check rebuilds derived state
+// and range-checks what was read, including against the structure the
+// state is restored onto. A walk out, and a walk in that has already
+// failed, skip it, so the first error a payload reports is the first
+// thing wrong with it.
+func (k Walk) Check(check func() error) {
+	if k.r != nil && k.r.err == nil {
+		k.Fail(check())
 	}
 }
 
