@@ -20,19 +20,13 @@ import (
 // The shared flags and wiring are fleet.Flags; this file is what -serve
 // means here, which executor a worker runs, and the chaos hooks.
 //
-// Without -plan the coordinator drives the refinement of the selected
-// workloads — what -sweep runs in one process — publishing each round's
-// plan as the next generation (-cache keeps completed rounds, so an
-// interrupted campaign resumes):
+// The coordinator drives the refinement of the selected workloads —
+// what -sweep runs in one process — publishing each round's plan as the
+// next generation (-cache keeps completed rounds, so an interrupted
+// campaign resumes):
 //
 //	poisesim -workload ii -serve :9444 -cache rounds -profile-out profs   # terminal 1
 //	poisesim -worker http://HOST:9444                                     # terminal 2..N
-//
-// With -plan it serves that file, a whole-grid profile plan from
-// -emit-plan:
-//
-//	poisesim -workload ii -emit-plan plan.jsonl
-//	poisesim -serve :9444 -plan plan.jsonl -profile-out profs
 //
 // Experiment-grid campaigns (workload x scheme cells) need the
 // experiment harness and are poisebench's: `poisebench -serve`,
@@ -48,8 +42,7 @@ type fleetFlags struct {
 	taskDelay time.Duration // -task-delay (worker, chaos/CI)
 
 	// The flags of the one-process modes the fleet modes interact with.
-	planPath   string
-	emitPlan   string
+	cacheDir   string
 	profileDir string
 	sweep      bool
 	best       bool
@@ -62,8 +55,6 @@ func validateFleetFlags(f fleetFlags) error {
 		return err
 	}
 	switch {
-	case f.emitPlan != "":
-		return fmt.Errorf("-emit-plan cannot combine with -serve/-worker (the coordinator publishes plans itself)")
 	case f.sweep:
 		return fmt.Errorf("-sweep cannot combine with -serve/-worker")
 	case f.best:
@@ -82,10 +73,10 @@ func validateFleetFlags(f fleetFlags) error {
 		}
 		return nil
 	}
-	// Worker: the plan and all merge policy arrive over the wire.
+	// Worker: the plans and all merge policy arrive over the wire.
 	switch {
-	case f.planPath != "":
-		return fmt.Errorf("-plan is a coordinator flag; the worker receives the plan from -worker URL")
+	case f.cacheDir != "":
+		return fmt.Errorf("-cache is a coordinator flag; the coordinator persists the rounds")
 	case f.profileDir != "":
 		return fmt.Errorf("-profile-out is a coordinator flag; the coordinator merges and saves")
 	}
@@ -104,55 +95,25 @@ func runFleetMode(a sweepModeArgs, f fleetFlags) {
 		runFleetWorker(a, f, opts)
 		return
 	}
-	camp, save, err := serveCampaign(a, f, opts, a.sweepTag(opts))
+	r := a.refinement(opts)
+	if _, err := f.ServeCampaign(a.ctx, fleet.RefineCampaign{R: r}); err != nil {
+		fatal(err)
+	}
+	// The refinement's own state, not the coordinator's results, is what
+	// is saved: it also holds the rounds it resumed. It assembles with
+	// the code -sweep ends in, which is what makes -profile-out
+	// byte-identical to -sweep's.
+	swept, err := r.Profiles(profile.Store{Dir: f.profileDir})
 	if err != nil {
 		fatal(err)
 	}
-	res, err := f.ServeCampaign(a.ctx, camp)
-	if err != nil {
-		fatal(err)
-	}
-	// The save steps assemble with the code the single-process modes
-	// end in, which is what makes -profile-out byte-identical to theirs.
-	n, err := save(res)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("fleet: saved %d profiles -> %s\n", n, f.profileDir)
-}
-
-// serveCampaign builds the coordinator's campaign and the matching
-// save step, which returns how many profiles it saved: the profile plan in
-// -plan, or, without it, the refinement of the selected workloads.
-func serveCampaign(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions, tag string) (fleet.Campaign, func([]fleet.Result) (int, error), error) {
-	out := profile.Store{Dir: f.profileDir}
-	if f.planPath != "" {
-		plan, err := gridplan.ReadPlanFile(f.planPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		save := func(res []fleet.Result) (int, error) {
-			names, err := fleet.SaveProfiles(out, res)
-			return len(names), err
-		}
-		return fleet.ProfileCampaign{Plan: plan}, save, nil
-	}
-	// -cache persists completed rounds so an interrupted campaign
-	// resumes instead of re-simulating. The refinement's own state, not
-	// the coordinator's results, is what it saves from: it also holds
-	// the rounds it resumed.
-	r := a.refinement(opts, tag, profile.Store{Dir: a.cacheDir})
-	save := func([]fleet.Result) (int, error) {
-		swept, err := r.Profiles(out)
-		return len(swept), err
-	}
-	return fleet.RefineCampaign{R: r}, save, nil
+	fmt.Printf("fleet: saved %d profiles -> %s\n", len(swept), f.profileDir)
 }
 
 // runFleetWorker runs one long-lived worker against the coordinator at
-// -worker URL, serving whole-grid plans and refinement rounds alike;
-// the plan's digests verify this process's flags reproduce the
-// coordinator's configuration before anything simulates.
+// -worker URL, serving the refinement's rounds; each plan's digests
+// verify this process's flags reproduce the coordinator's configuration
+// before anything simulates.
 func runFleetWorker(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions) {
 	w := f.NewWorker(map[string]fleet.Executor{
 		gridplan.ProfilePlanFormat: fleet.ProfileExecutor{

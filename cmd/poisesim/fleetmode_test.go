@@ -13,7 +13,7 @@ import (
 // and the legitimate combinations must pass.
 func TestValidateFleetFlags(t *testing.T) {
 	serve := func(mut func(*fleetFlags)) fleetFlags {
-		f := fleetFlags{Flags: fleet.Flags{Serve: ":0"}, planPath: "plan.jsonl", profileDir: "profs"}
+		f := fleetFlags{Flags: fleet.Flags{Serve: ":0"}, profileDir: "profs"}
 		if mut != nil {
 			mut(&f)
 		}
@@ -31,21 +31,20 @@ func TestValidateFleetFlags(t *testing.T) {
 		flags   fleetFlags
 		wantErr string // "" = must pass
 	}{
-		{"serve with plan", serve(nil), ""},
-		{"serve refinement", serve(func(f *fleetFlags) { f.planPath = "" }), ""},
+		{"serve refinement", serve(nil), ""},
+		{"serve with cache", serve(func(f *fleetFlags) { f.cacheDir = "rounds" }), ""},
 		{"serve with lease knobs", serve(func(f *fleetFlags) { f.LeaseTasks = 4; f.LeaseTTL = time.Minute }), ""},
 		{"plain worker", worker(nil), ""},
 		{"worker with chaos hooks", worker(func(f *fleetFlags) { f.dieAfter = 3; f.taskDelay = time.Second }), ""},
 
 		{"neither serve nor worker", fleetFlags{}, "-serve or -worker"},
 		{"both serve and worker", fleetFlags{Flags: fleet.Flags{Serve: ":0", Worker: "http://h"}}, "mutually exclusive"},
-		{"serve with emit-plan", serve(func(f *fleetFlags) { f.emitPlan = "p.jsonl" }), "-emit-plan"},
 		{"serve with sweep", serve(func(f *fleetFlags) { f.sweep = true }), "-sweep"},
 		{"worker with best", worker(func(f *fleetFlags) { f.best = true }), "-best"},
 		{"serve without profile-out", serve(func(f *fleetFlags) { f.profileDir = "" }), "-profile-out"},
 		{"serve with die-after", serve(func(f *fleetFlags) { f.dieAfter = 3 }), "worker flags"},
 		{"serve with task-delay", serve(func(f *fleetFlags) { f.taskDelay = time.Second }), "worker flags"},
-		{"worker with plan", worker(func(f *fleetFlags) { f.planPath = "p.jsonl" }), "coordinator flag"},
+		{"worker with cache", worker(func(f *fleetFlags) { f.cacheDir = "rounds" }), "-cache is a coordinator flag"},
 		{"worker with profile-out", worker(func(f *fleetFlags) { f.profileDir = "d" }), "coordinator flag"},
 		{"worker with lease-tasks", worker(func(f *fleetFlags) { f.LeaseTasks = 4 }), "coordinator flags"},
 		{"worker with lease-ttl", worker(func(f *fleetFlags) { f.LeaseTTL = time.Minute }), "coordinator flags"},

@@ -49,9 +49,8 @@
 // Workers may join late, crash mid-lease (expiry requeues their tasks)
 // or run slow (idle workers steal queued tasks from loaded ones); the
 // merged output is byte-identical to the single-process run in every
-// case. -serve -plan serves a plan file instead: the whole grid, from
-//
-//	poisesim -workload ii -emit-plan plan.jsonl
+// case. -cache means the same in both modes: completed rounds persist
+// there and a later run resumes them.
 //
 // Worker flags must reproduce the coordinator's configuration (-sms,
 // -size, -seed, -stepn/-stepp); the plan's kernel digests are verified
@@ -106,22 +105,20 @@ var (
 	tracePth = flag.String("trace", "", "load trace workloads (a .ptrace/.ptrace.gz/.trace file or a directory) into the catalogue")
 	record   = flag.String("record", "", "record each selected workload to this directory as <name>.ptrace.gz before running")
 
-	// {N,p} sweeps: refine in process, or emit the whole grid as a
-	// plan for a fleet coordinator.
-	emitPlan = flag.String("emit-plan", "", "write the selected workloads' whole {N,p} grid as a JSONL plan to this file (for -serve -plan) and exit")
-	planPth  = flag.String("plan", "", "-serve: plan file to serve (from -emit-plan)")
+	// {N,p} sweeps: the refinement, in process or served to a fleet.
 	profDir  = flag.String("profile-out", "", "profile directory -sweep and -serve write to and -best reads")
 	sweepRun = flag.Bool("sweep", false, "run the refined {N,p} sweep of the selected workloads in this process and save profiles under -profile-out")
 	bestRun  = flag.Bool("best", false, "print the static policy table (Static-Best/SWL/scored tuples) derived from the profiles in -profile-out and exit")
-	stepN    = flag.Int("stepn", 2, "sweep grid N step for the plan/sweep modes")
-	stepP    = flag.Int("stepp", 2, "sweep grid p step for the plan/sweep modes")
-	cacheDir = flag.String("cache", "", "-serve without -plan: where completed refinement rounds persist, so an interrupted campaign resumes ('' = nowhere)")
+	stepN    = flag.Int("stepn", 2, "sweep grid N step for -sweep and -serve")
+	stepP    = flag.Int("stepp", 2, "sweep grid p step for -sweep and -serve")
+	cacheDir = flag.String("cache", "", "-sweep/-serve: where completed refinement rounds persist, so an interrupted sweep or campaign resumes ('' = nowhere)")
 
-	// Fleet coordinator/worker service (package fleet): serve a plan
-	// over HTTP, pull leases from long-lived workers, merge streamed
-	// results; survives worker crashes (lease expiry) and rebalances
-	// loaded workers (stealing) with byte-identical merged output.
-	fleetMode = fleet.RegisterFlags(flag.CommandLine, "-plan (or, without it, the refinement of the selected workloads) to -worker processes, and save merged output under -profile-out")
+	// Fleet coordinator/worker service (package fleet): serve the
+	// refinement over HTTP, pull leases from long-lived workers, merge
+	// streamed results; survives worker crashes (lease expiry) and
+	// rebalances loaded workers (stealing) with byte-identical merged
+	// output.
+	fleetMode = fleet.RegisterFlags(flag.CommandLine, "the refinement of the selected workloads to -worker processes, and save merged output under -profile-out")
 	dieAfter  = flag.Int("die-after", 0, "-worker: exit mid-lease after completing this many tasks (chaos/CI hook; with -snapshot-dir the death is checkpointed so another worker resumes it; 0 = never)")
 	taskDelay = flag.Duration("task-delay", 0, "-worker: sleep this long before each task (chaos/CI hook to provoke stealing)")
 
@@ -242,10 +239,9 @@ func main() {
 		fatal(fmt.Errorf("-ckpt-at-cycle needs -snapshot-dir for the checkpoint"))
 	}
 
-	if fleetMode.Enabled() || *emitPlan != "" || *sweepRun || *bestRun {
+	if fleetMode.Enabled() || *sweepRun || *bestRun {
 		a := sweepModeArgs{
-			cfg: cfg, cat: cat, selected: ws, ctx: ctx,
-			emitPlan: *emitPlan, profileDir: *profDir,
+			cfg: cfg, cat: cat, selected: ws, ctx: ctx, profileDir: *profDir,
 			sweep: *sweepRun, best: *bestRun, cacheDir: *cacheDir,
 			stepN: *stepN, stepP: *stepP, workers: *parallel, seed: *seed,
 			snapDir: *snapDir, ckpts: ckpts, ictl: ictl,
@@ -257,8 +253,7 @@ func main() {
 		runFleetMode(a, fleetFlags{
 			Flags:    *fleetMode,
 			dieAfter: *dieAfter, taskDelay: *taskDelay,
-			planPath: *planPth, emitPlan: *emitPlan,
-			profileDir: *profDir, sweep: *sweepRun, best: *bestRun,
+			cacheDir: *cacheDir, profileDir: *profDir, sweep: *sweepRun, best: *bestRun,
 		})
 		return
 	}

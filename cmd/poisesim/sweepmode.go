@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"poise/internal/config"
-	"poise/internal/gridplan"
 	"poise/internal/profile"
 	"poise/internal/sim"
 	"poise/internal/snap"
@@ -17,14 +16,13 @@ import (
 //
 //	poisesim -workload ii -sweep -profile-out profs   # refined {N,p} sweeps
 //	poisesim -best -profile-out profs                 # the static policy table
-//	poisesim -workload ii -emit-plan plan.jsonl       # the whole grid, as a plan
 //
 // -sweep runs the adaptive refinement (one profile.Refinement over the
 // selection): a fraction of each grid is simulated and the Static-Best,
 // SWL and Eq. 12 scored tuples come out exact; the rest is not carried.
-// -emit-plan writes every point of the grid as a plan file for a fleet
-// coordinator (-serve -plan). Splitting work across processes is the
-// fleet's job (fleetmode.go); there is no other way.
+// -cache persists completed rounds, so a second run resumes them.
+// Splitting work across processes is the fleet's job (fleetmode.go);
+// there is no other way.
 
 type sweepModeArgs struct {
 	cfg      config.Config
@@ -32,12 +30,11 @@ type sweepModeArgs struct {
 	selected []*sim.Workload
 	ctx      context.Context
 
-	emitPlan   string
 	profileDir string
 	sweep      bool
 	best       bool
 
-	cacheDir     string // -serve without -plan: completed refinement rounds
+	cacheDir     string // completed refinement rounds (-sweep and -serve)
 	stepN, stepP int
 	workers      int
 	seed         int64
@@ -83,8 +80,6 @@ func validateSweepFlags(a sweepModeArgs) error {
 		if a.profileDir == "" {
 			return fmt.Errorf("-best needs -profile-out (the profile directory to read)")
 		}
-	case a.emitPlan != "":
-		// Plan emission needs only the workload selection.
 	case a.sweep:
 		if a.profileDir == "" {
 			return fmt.Errorf("-sweep needs -profile-out")
@@ -97,32 +92,12 @@ func runSweepMode(a sweepModeArgs) {
 	if err := validateSweepFlags(a); err != nil {
 		fatal(err)
 	}
-	opts := a.sweepOptions()
-	tag := a.sweepTag(opts)
-
 	switch {
 	case a.best:
 		printBestTable(a.profileDir)
 
-	case a.emitPlan != "":
-		plan := &gridplan.Plan{Version: gridplan.PlanVersion}
-		kernels := sim.DistinctKernels(a.selected)
-		for _, k := range kernels {
-			kp := profile.BuildPlan(tag, a.cfg, k, opts)
-			plan.Tasks = append(plan.Tasks, kp.Tasks...)
-		}
-		plan.Sort()
-		if err := plan.Validate(); err != nil {
-			fatal(err)
-		}
-		if err := gridplan.WritePlanFile(a.emitPlan, plan); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("plan %s: %d tasks over %d kernels (tag %s)\n",
-			a.emitPlan, len(plan.Tasks), len(kernels), tag)
-
 	case a.sweep:
-		r := a.refinement(opts, tag, profile.Store{})
+		r := a.refinement(a.sweepOptions())
 		if err := r.Run(); err != nil {
 			fatal(err)
 		}
@@ -139,19 +114,20 @@ func runSweepMode(a sweepModeArgs) {
 }
 
 // refinement is the refined sweep of the -workload selection under the
-// one tag: what -sweep runs here and -serve without -plan hands to a
-// fleet. Completed rounds persist in rounds (no directory: nowhere).
-func (a sweepModeArgs) refinement(opts profile.SweepOptions, tag string, rounds profile.Store) *profile.Refinement {
+// one tag: what -sweep runs here and -serve hands to a fleet. Completed
+// rounds persist in -cache, if it is set.
+func (a sweepModeArgs) refinement(opts profile.SweepOptions) *profile.Refinement {
+	tag := a.sweepTag(opts)
 	return profile.NewRefinement(a.cfg, sim.DistinctKernels(a.selected),
-		func(string) string { return tag }, opts, rounds)
+		func(string) string { return tag }, opts, profile.Store{Dir: a.cacheDir})
 }
 
 // printBestTable derives the static policy table — the Static-Best,
 // SWL-diagonal and Eq. 12 scored tuples with their profiled speedups —
-// from every profile JSON in -profile-out. A refined sweep, a fleet's
-// refinement campaign and a whole-grid campaign of the same grid must
-// print byte-identical tables (CI diffs exactly that), because those
-// tuples are all any experiment consumes from a profile. The
+// from every profile JSON in -profile-out. A refined sweep and a
+// whole-grid sweep of the same grid print byte-identical tables (the
+// catalogue equivalence tests pin the tuples), because those tuples are
+// all any experiment consumes from a profile. The
 // derivation is profile.BestTable — the same function the serve
 // layer's /table endpoint answers with, so the two surfaces cannot
 // drift apart.

@@ -14,7 +14,6 @@ func TestValidateSweepFlags(t *testing.T) {
 		args    sweepModeArgs
 		wantErr string // "" = must pass
 	}{
-		{"emit plan", sweepModeArgs{emitPlan: "p.jsonl"}, ""},
 		{"valid sweep", sweepModeArgs{sweep: true, profileDir: "d"}, ""},
 		{"valid best", sweepModeArgs{best: true, profileDir: "d"}, ""},
 

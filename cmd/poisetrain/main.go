@@ -17,6 +17,7 @@ import (
 	"os"
 	"time"
 
+	"poise/internal/atomicfile"
 	"poise/internal/config"
 	"poise/internal/glm"
 	"poise/internal/poise"
@@ -117,15 +118,17 @@ func train(out io.Writer, r trainRun) error {
 	return nil
 }
 
-// emitDefaultWeights writes the Go source for the embedded default
-// model, preserving the documentation block of the original file.
+// emitDefaultWeights replaces path with the Go source for the embedded
+// default model, through atomicfile.Write: a failed write leaves the
+// previous file in place, never a truncated one.
 func emitDefaultWeights(path string, w poise.Weights) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, `package poise
+	return atomicfile.Write(path, func(f io.Writer) error { return writeDefaultWeights(f, w) })
+}
+
+// writeDefaultWeights renders the Go source for the embedded default
+// model, preserving the documentation block of the original file.
+func writeDefaultWeights(out io.Writer, w poise.Weights) error {
+	_, err := fmt.Fprintf(out, `package poise
 
 // defaultWeights holds the shipped model: the output of running
 // cmd/poisetrain on the synthetic training set (gco, pvr, ccl) at the
@@ -167,7 +170,7 @@ func SetDefaultWeights(w Weights) {
 	defaultWeightsValid = true
 }
 `, w.Alpha, w.Beta, w.DispersionN, w.DispersionP, w.TrainKernels, w.PseudoR2N, w.PseudoR2P)
-	return nil
+	return err
 }
 
 func parseSize(s string) workloads.Size {

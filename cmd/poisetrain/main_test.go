@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/format"
@@ -173,6 +174,34 @@ func TestEmitReproducesTheShippedModel(t *testing.T) {
 	}
 	if back := parseEmitted(t, path); !reflect.DeepEqual(back, w) {
 		t.Fatalf("parsed back %+v, emitted %+v", back, w)
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errDiskFull
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteDefaultWeightsReturnsWriteErrors: a write that fails part
+// way is returned, so poisetrain -emit reports it instead of printing
+// "wrote" (and atomicfile.Write keeps the previous file).
+func TestWriteDefaultWeightsReturnsWriteErrors(t *testing.T) {
+	w, ok := poise.DefaultWeights()
+	if !ok {
+		t.Skip("no embedded default weights in this build")
+	}
+	if err := writeDefaultWeights(&failingWriter{n: 100}, w); !errors.Is(err, errDiskFull) {
+		t.Fatalf("writeDefaultWeights into a failing writer = %v, want %v", err, errDiskFull)
 	}
 }
 

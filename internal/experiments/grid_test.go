@@ -72,7 +72,7 @@ func TestSchemeGridPlanDeterministicOrder(t *testing.T) {
 }
 
 // TestEmitPlanRoundTrips checks the plan surface a coordinator serves
-// (poisebench -emit-plan writes exactly this): JSONL round-trip,
+// (Harness.EvalPlan, what a whole-grid campaign publishes): JSONL round-trip,
 // digest-carrying tasks, stable content across harness constructions.
 func TestEmitPlanRoundTrips(t *testing.T) {
 	emit := func() []byte {

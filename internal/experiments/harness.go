@@ -285,7 +285,7 @@ func (h *Harness) profileTagMode(kernel string, refined bool) string {
 // content digests (gridplan.KernelDigest: structure, per-warp
 // iteration counts, sampled pattern addresses — cheap, yet it moves
 // whenever a trace is re-recorded). The same per-kernel digest
-// authenticates sweep-plan tasks, so the cache tags and the fleet
+// authenticates sweep plan tasks, so the cache tags and the fleet
 // protocol can never disagree about what a kernel's content is.
 func workloadDigest(w *sim.Workload) string {
 	d := sha256.New()

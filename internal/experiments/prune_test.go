@@ -110,11 +110,24 @@ func TestPrunedMatchesExhaustiveOnCatalogue(t *testing.T) {
 	if raceEnabled {
 		names = []string{"ii", "gco", "wc"}
 	}
-	opts := profile.SweepOptions{StepN: 2, StepP: 2}
-	var totalSim, totalGrid int
+	// Every sampled kernel of names at the default step-2 grid, then
+	// ii's kernels at step 4 as well: the coarser grid is a different
+	// coarse pass and neighbourhood, and the resolution the fleet and
+	// CLI round trips sweep. The 40% bound is the step-2 grid's.
+	type input struct {
+		name string
+		opts profile.SweepOptions
+	}
+	var inputs []input
 	for _, name := range names {
+		inputs = append(inputs, input{name, profile.SweepOptions{StepN: 2, StepP: 2}})
+	}
+	inputs = append(inputs, input{"ii", profile.SweepOptions{StepN: 4, StepP: 4}})
+	var totalSim, totalGrid int
+	for _, in := range inputs {
+		opts := in.opts
 		var ws []*sim.Workload
-		ws = append(ws, cat.Must(name))
+		ws = append(ws, cat.Must(in.name))
 		kernels := sim.DistinctKernels(ws)
 		if len(kernels) > 4 {
 			// Multi-kernel workloads (pvr alone has 40 kernel variants)
@@ -151,12 +164,12 @@ func TestPrunedMatchesExhaustiveOnCatalogue(t *testing.T) {
 				// guaranteed rather than lucky.
 				t.Errorf("%s: flat profile (peak %.3fx) must escalate to the full grid, swept %d/%d",
 					k.Name, ex.Best().Speedup, stats.Simulated, stats.GridPoints)
-			default:
+			case opts.StepN == 2:
 				totalSim += stats.Simulated
 				totalGrid += stats.GridPoints
 			}
-			t.Logf("%-14s %3d/%3d points (%.0f%%) in %d rounds, peak %.3fx",
-				k.Name, stats.Simulated, stats.GridPoints, 100*stats.Fraction(), stats.Rounds,
+			t.Logf("%-14s step %d: %3d/%3d points (%.0f%%) in %d rounds, peak %.3fx",
+				k.Name, opts.StepN, stats.Simulated, stats.GridPoints, 100*stats.Fraction(), stats.Rounds,
 				ex.Best().Speedup)
 
 			if g, w := pr.Best(), ex.Best(); g.N != w.N || g.P != w.P {

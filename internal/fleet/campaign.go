@@ -63,8 +63,9 @@ func generation[T gridplan.Keyed](p anyPlan, tasks []T, write func(io.Writer) er
 	return buf.Bytes(), units, false, nil
 }
 
-// ProfileCampaign serves one profile sweep plan as a single
-// generation.
+// ProfileCampaign serves one fixed profile sweep plan as a single
+// generation. No command serves one (poisesim serves RefineCampaign);
+// the fleet's tests and bench/'s fleet_loopback workload do.
 type ProfileCampaign struct{ Plan *gridplan.Plan }
 
 // Format implements Campaign.
@@ -138,47 +139,6 @@ func (c RefineCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, erro
 		return nil, nil, true, nil
 	}
 	return generation(plan, plan.Tasks, func(w io.Writer) error { return gridplan.WritePlan(w, plan) })
-}
-
-// SaveProfiles decodes a profile campaign's results, groups them per
-// (tag, kernel), and assembles each group through the same
-// profile.MergeShards + Store.Save path the in-process sweep ends in —
-// so the fleet's output directory is byte-identical to the
-// single-process sweep's. Returns the kernel names saved, in plan key
-// order.
-func SaveProfiles(st profile.Store, rs []Result) ([]string, error) {
-	type group struct {
-		tag, kernel string
-		ms          []gridplan.Measurement
-	}
-	ms, err := decode[gridplan.Measurement](rs)
-	if err != nil {
-		return nil, err
-	}
-	byKey := map[string]*group{}
-	var order []*group
-	for _, m := range ms {
-		gk := m.Tag + "|" + m.Kernel
-		g, ok := byKey[gk]
-		if !ok {
-			g = &group{tag: m.Tag, kernel: m.Kernel}
-			byKey[gk] = g
-			order = append(order, g)
-		}
-		g.ms = append(g.ms, m)
-	}
-	var names []string
-	for _, g := range order {
-		pr, err := profile.MergeShards(g.kernel, g.ms)
-		if err != nil {
-			return names, err
-		}
-		if err := st.Save(g.tag, pr); err != nil {
-			return names, err
-		}
-		names = append(names, g.kernel)
-	}
-	return names, nil
 }
 
 // SaveCells decodes a cell campaign's results and saves the merged

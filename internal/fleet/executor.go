@@ -92,8 +92,8 @@ type CellExecutor struct {
 }
 
 // Prepare implements Executor: the plan must be a single grid's cells,
-// and the harness's whole-plan validation (tag, ordinals, digests)
-// must accept it.
+// and the harness's validation of the whole plan (tag, ordinals,
+// digests) must accept it.
 func (e CellExecutor) Prepare(planData []byte) (Batch, error) {
 	plan, err := gridplan.ReadCellPlan(bytes.NewReader(planData))
 	if err != nil {

@@ -114,11 +114,29 @@ func profileExecutors(kernels map[string]*trace.Kernel, opts profile.SweepOption
 	}
 }
 
+// sameMeasurements fails the test unless a campaign's results decode to
+// exactly what profile.RunTasks measured in process for the same tasks:
+// the records profile.MergeShards assembles any profile from.
+func sameMeasurements(t *testing.T, want []gridplan.Measurement, res []Result) {
+	t.Helper()
+	want, err := gridplan.Merge(want) // key order, as the coordinator merges
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decode[gridplan.Measurement](res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet measurements differ from the in-process run:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
 // TestFleetByteIdenticalUnderKillAndStealAndExpiry is the acceptance
 // invariant of the fleet: a three-worker run in which one worker is
 // killed mid-lease, at least one batch is stolen, and at least one
-// lease expires must write a profile store byte-identical to the
-// single-process sweep. The chaos is guaranteed, not incidental: the
+// lease expires must merge exactly the measurements of the
+// single-process run. The chaos is guaranteed, not incidental: the
 // victim dies holding 3 pending tasks; once the queue drains, an idle
 // worker's grant must steal from that dead lease (its pending count
 // is at least StealMin); and because stealing halves leave a final
@@ -130,8 +148,8 @@ func TestFleetByteIdenticalUnderKillAndStealAndExpiry(t *testing.T) {
 	tag := "fleettag"
 	kernels := map[string]*trace.Kernel{k.Name: k}
 
-	// Reference: the plan run in-process through the same executor and
-	// merge code a shard run uses.
+	// Reference: the plan run in-process through the code the executor
+	// runs.
 	plan := profile.BuildPlan(tag, cfg, k, opts)
 	if len(plan.Tasks) < 12 {
 		t.Fatalf("plan has only %d tasks; the chaos schedule needs more", len(plan.Tasks))
@@ -140,20 +158,24 @@ func TestFleetByteIdenticalUnderKillAndStealAndExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := profile.MergeShards(k.Name, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDir := t.TempDir()
-	if err := (profile.Store{Dir: refDir}).Save(tag, pr); err != nil {
-		t.Fatal(err)
-	}
 
-	// Fleet: victim completes one task and dies holding the rest of its
-	// 4-task lease; slow makes steady progress; fast drains the queue
-	// and then steals — once the victim is dead: a fast worker on a
-	// loaded machine can otherwise empty the queue and steal the victim's
-	// lease down to the task it is on before it ever reaches its second.
+	workers, kill := chaosWorkers(kernels, opts)
+	res, coord := fleetRun(t, ProfileCampaign{Plan: plan}, chaosOptions(t), workers, testutil.ErrKilled)
+	st := provedChaos(t, coord, kill)
+	if st.Tasks != len(plan.Tasks) || len(res) != len(plan.Tasks) {
+		t.Fatalf("%d results for %d tasks (stats %+v)", len(res), len(plan.Tasks), st)
+	}
+	sameMeasurements(t, ms, res)
+}
+
+// chaosWorkers is the worker set of the chaos tests: victim completes
+// one task and dies holding the rest of its 4-task lease; slow makes
+// steady progress; fast drains the queue and then steals — once the
+// victim is dead: a fast worker on a loaded machine can otherwise empty
+// the queue and steal the victim's lease down to the task it is on
+// before it ever reaches its second. Run them in this order under
+// chaosOptions, allowing testutil.ErrKilled.
+func chaosWorkers(kernels map[string]*trace.Kernel, opts profile.SweepOptions) ([]*Worker, *testutil.KillSwitch) {
 	kill := testutil.NewKillSwitch(1)
 	victim := &Worker{Name: "victim", Executors: profileExecutors(kernels, opts), BeforeTask: kill.Hook}
 	slow := &Worker{Name: "slow", Executors: profileExecutors(kernels, opts),
@@ -165,11 +187,21 @@ func TestFleetByteIdenticalUnderKillAndStealAndExpiry(t *testing.T) {
 			}
 			return nil
 		}}
+	return []*Worker{victim, slow, fast}, kill
+}
 
-	fopts := Options{LeaseTasks: 4, LeaseTTL: 700 * time.Millisecond, StealMin: 2, Logf: t.Logf}
-	res, coord := fleetRun(t, ProfileCampaign{Plan: plan}, fopts,
-		[]*Worker{victim, slow, fast}, testutil.ErrKilled)
+// chaosOptions leases four tasks at a time, lets a lease of two or more
+// pending tasks be stolen, and expires a lease 700 ms after its last
+// completion.
+func chaosOptions(t *testing.T) Options {
+	return Options{LeaseTasks: 4, LeaseTTL: 700 * time.Millisecond, StealMin: 2, Logf: t.Logf}
+}
 
+// provedChaos fails the test unless the chaos workers' campaign really
+// killed the victim, stole a batch and expired a lease, and returns the
+// coordinator's stats.
+func provedChaos(t *testing.T, coord *Coordinator, kill *testutil.KillSwitch) Stats {
+	t.Helper()
 	if !kill.Fired() {
 		t.Fatal("kill switch never fired: the victim was not killed mid-lease")
 	}
@@ -180,21 +212,7 @@ func TestFleetByteIdenticalUnderKillAndStealAndExpiry(t *testing.T) {
 	if st.Expired < 1 {
 		t.Fatalf("stats %+v: no lease expired", st)
 	}
-	if st.Tasks != len(plan.Tasks) || len(res) != len(plan.Tasks) {
-		t.Fatalf("%d results for %d tasks (stats %+v)", len(res), len(plan.Tasks), st)
-	}
-
-	fleetDir := t.TempDir()
-	names, err := SaveProfiles(profile.Store{Dir: fleetDir}, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(names, []string{k.Name}) {
-		t.Fatalf("saved kernels %v, want [%s]", names, k.Name)
-	}
-	if ref, got := dirBytes(t, refDir), dirBytes(t, fleetDir); !reflect.DeepEqual(ref, got) {
-		t.Fatalf("fleet store differs from single-process store:\nref  %v\ngot  %v", ref, got)
-	}
+	return st
 }
 
 // TestFleetStealRebalancesWithoutExpiry: with an effectively infinite
@@ -211,14 +229,6 @@ func TestFleetStealRebalancesWithoutExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := profile.MergeShards(k.Name, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDir := t.TempDir()
-	if err := (profile.Store{Dir: refDir}).Save("stealtag", pr); err != nil {
-		t.Fatal(err)
-	}
 
 	slow := &Worker{Name: "slow", Executors: profileExecutors(kernels, opts),
 		BeforeTask: func(int) error { time.Sleep(80 * time.Millisecond); return nil }}
@@ -233,13 +243,7 @@ func TestFleetStealRebalancesWithoutExpiry(t *testing.T) {
 	if st.Expired != 0 {
 		t.Fatalf("stats %+v: nothing should expire under an hour-long TTL", st)
 	}
-	fleetDir := t.TempDir()
-	if _, err := SaveProfiles(profile.Store{Dir: fleetDir}, res); err != nil {
-		t.Fatal(err)
-	}
-	if ref, got := dirBytes(t, refDir), dirBytes(t, fleetDir); !reflect.DeepEqual(ref, got) {
-		t.Fatal("fleet store differs from single-process store")
-	}
+	sameMeasurements(t, ms, res)
 }
 
 // TestFleetFlakyTransportDeduplicates: a transport that drops replies
@@ -255,14 +259,6 @@ func TestFleetFlakyTransportDeduplicates(t *testing.T) {
 
 	ms, err := profile.RunTasks(cfg, kernels, plan.Tasks, opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := profile.MergeShards(k.Name, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDir := t.TempDir()
-	if err := (profile.Store{Dir: refDir}).Save("flakytag", pr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,19 +282,15 @@ func TestFleetFlakyTransportDeduplicates(t *testing.T) {
 	if st.Duplicates < 1 {
 		t.Fatalf("stats %+v: dropped completion replies must resurface as duplicates", st)
 	}
-	fleetDir := t.TempDir()
-	if _, err := SaveProfiles(profile.Store{Dir: fleetDir}, res); err != nil {
-		t.Fatal(err)
-	}
-	if ref, got := dirBytes(t, refDir), dirBytes(t, fleetDir); !reflect.DeepEqual(ref, got) {
-		t.Fatal("fleet store differs from single-process store despite deduplication")
-	}
+	sameMeasurements(t, ms, res)
 }
 
 // TestRefineCampaignMatchesPrunedSweep: the multi-generation campaign
 // must reproduce profile.PrunedSweep byte-for-byte — every round's
-// plan is the same pure function of the merged prior — and resuming
-// from a store holding all rounds must run zero new tasks.
+// plan is the same pure function of the merged prior — under two
+// steady workers and under the chaos workers (a victim killed mid-lease,
+// a stolen batch, an expired lease), and resuming from a store holding
+// all rounds must run zero new tasks.
 func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("fleetrefine", 20, 15, 4)
@@ -315,47 +307,56 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	roundsDir := t.TempDir()
-	refinement := func() RefineCampaign {
-		return RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{k},
-			func(string) string { return tag }, opts, profile.Store{Dir: roundsDir})}
-	}
-	camp := refinement()
-	w1 := &Worker{Name: "w1", Executors: profileExecutors(kernels, opts)}
-	w2 := &Worker{Name: "w2", Executors: profileExecutors(kernels, opts)}
-	fopts := Options{LeaseTasks: 4, LeaseTTL: time.Minute, Logf: t.Logf}
-	_, coord := fleetRun(t, camp, fopts, []*Worker{w1, w2}, nil)
-	if g := coord.Stats().Generations; g < 2 {
-		t.Fatalf("refinement ran %d generations, want at least a coarse and a refine round", g)
-	}
+	for _, chaos := range []bool{false, true} {
+		roundsDir := t.TempDir()
+		refinement := func() RefineCampaign {
+			return RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{k},
+				func(string) string { return tag }, opts, profile.Store{Dir: roundsDir})}
+		}
+		camp := refinement()
+		var coord *Coordinator
+		if chaos {
+			workers, kill := chaosWorkers(kernels, opts)
+			_, coord = fleetRun(t, camp, chaosOptions(t), workers, testutil.ErrKilled)
+			provedChaos(t, coord, kill)
+		} else {
+			w1 := &Worker{Name: "w1", Executors: profileExecutors(kernels, opts)}
+			w2 := &Worker{Name: "w2", Executors: profileExecutors(kernels, opts)}
+			fopts := Options{LeaseTasks: 4, LeaseTTL: time.Minute, Logf: t.Logf}
+			_, coord = fleetRun(t, camp, fopts, []*Worker{w1, w2}, nil)
+		}
+		if g := coord.Stats().Generations; g < 2 {
+			t.Fatalf("chaos %v: refinement ran %d generations, want at least a coarse and a refine round", chaos, g)
+		}
 
-	fleetDir := t.TempDir()
-	if _, err := camp.R.Profiles(profile.Store{Dir: fleetDir}); err != nil {
-		t.Fatal(err)
-	}
-	if ref, got := dirBytes(t, refDir), dirBytes(t, fleetDir); !reflect.DeepEqual(ref, got) {
-		t.Fatal("fleet refinement store differs from PrunedSweep store")
-	}
+		fleetDir := t.TempDir()
+		if _, err := camp.R.Profiles(profile.Store{Dir: fleetDir}); err != nil {
+			t.Fatal(err)
+		}
+		if ref, got := dirBytes(t, refDir), dirBytes(t, fleetDir); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("chaos %v: fleet refinement store differs from PrunedSweep store", chaos)
+		}
 
-	// Resume: every round is cached, so a fresh campaign over the same
-	// store must converge without granting a single lease.
-	resumed := refinement()
-	coord2, err := NewCoordinator(resumed, Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord2.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := coord2.Stats(); st.Tasks != 0 || st.Granted != 0 {
-		t.Fatalf("resumed campaign ran %+v, want zero work", st)
-	}
-	resumeDir := t.TempDir()
-	if _, err := resumed.R.Profiles(profile.Store{Dir: resumeDir}); err != nil {
-		t.Fatal(err)
-	}
-	if ref, got := dirBytes(t, refDir), dirBytes(t, resumeDir); !reflect.DeepEqual(ref, got) {
-		t.Fatal("resumed refinement store differs from PrunedSweep store")
+		// Resume: every round is cached, so a fresh campaign over the
+		// same store must converge without granting a single lease.
+		resumed := refinement()
+		coord2, err := NewCoordinator(resumed, Options{Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coord2.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := coord2.Stats(); st.Tasks != 0 || st.Granted != 0 {
+			t.Fatalf("chaos %v: resumed campaign ran %+v, want zero work", chaos, st)
+		}
+		resumeDir := t.TempDir()
+		if _, err := resumed.R.Profiles(profile.Store{Dir: resumeDir}); err != nil {
+			t.Fatal(err)
+		}
+		if ref, got := dirBytes(t, refDir), dirBytes(t, resumeDir); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("chaos %v: resumed refinement store differs from PrunedSweep store", chaos)
+		}
 	}
 }
 

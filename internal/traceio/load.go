@@ -2,26 +2,24 @@ package traceio
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"poise/internal/atomicfile"
 	"poise/internal/sim"
 	"poise/internal/snap"
 )
 
 // WriteFile serialises t to path, gzip-compressing when the path ends
-// in ".gz".
+// in ".gz", through atomicfile.Write: a crash or a failed write leaves
+// the previous file in place, never a torn container.
 func WriteFile(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = Write(f, t, WriteOptions{Gzip: strings.HasSuffix(path, ".gz")})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	err := atomicfile.Write(path, func(f io.Writer) error {
+		return Write(f, t, WriteOptions{Gzip: strings.HasSuffix(path, ".gz")})
+	})
 	if err != nil {
 		return fmt.Errorf("traceio: writing %s: %w", path, err)
 	}
