@@ -32,6 +32,20 @@ func (s *snapshot) walk(k snapio.Walk) {
 	s.c.Walk(k)
 }
 
+// walkAxis walks the search axis as the int this codec has always
+// written, 0 for N and 1 for p, and refuses any other.
+func walkAxis(k snapio.Walk, onP *bool) {
+	axis := 0
+	if *onP {
+		axis = 1
+	}
+	k.Int(&axis)
+	if axis != 0 && axis != 1 {
+		k.Fail(fmt.Errorf("poise: HIE search axis %d out of range", axis))
+	}
+	*onP = axis == 1
+}
+
 func (e *hie) walk(k snapio.Walk) {
 	k.Int((*int)(&e.state))
 	k.Varint(&e.nextAt)
@@ -39,12 +53,12 @@ func (e *hie) walk(k snapio.Walk) {
 	e.base.walk(k)
 	k.Float64(&e.baseIPC)
 	e.snapA.walk(k)
-	k.Int((*int)(&e.axis))
-	k.Int(&e.curN)
-	k.Int(&e.curP)
-	k.Int(&e.stride)
-	k.Int(&e.probe)
-	snapio.IntFloats(k, &e.measured, maxMeasured)
+	walkAxis(k, &e.search.OnP)
+	k.Int(&e.search.N)
+	k.Int(&e.search.P)
+	k.Int(&e.search.Stride)
+	k.Int(&e.search.Probe)
+	snapio.IntFloats(k, &e.search.Measured, maxMeasured)
 	k.Int(&e.predN)
 	k.Int(&e.predP)
 	e.runSnap.walk(k)
@@ -60,9 +74,8 @@ func (e *hie) walk(k snapio.Walk) {
 }
 
 // WalkState implements sim.StatefulPolicy. A walk in checks every
-// engine's FSM state and search axis (the search moves along one of the
-// two), and that g has one SM per engine (Step advances engine i on SM
-// i).
+// engine's FSM state and search axis (walkAxis), and that g has one SM
+// per engine (Step advances engine i on SM i).
 func (p *Policy) WalkState(k snapio.Walk, g *sim.GPU) {
 	k.Int(&p.maxN)
 	k.Int(&p.Fallbacks)
@@ -76,9 +89,6 @@ func (p *Policy) WalkState(k snapio.Walk, g *sim.GPU) {
 		for _, e := range p.engines {
 			if e.state < stBaseWarm || e.state > stRun {
 				return fmt.Errorf("poise: HIE state %d out of range", e.state)
-			}
-			if e.axis != axisN && e.axis != axisP {
-				return fmt.Errorf("poise: HIE search axis %d out of range", e.axis)
 			}
 		}
 		if len(p.engines) != len(g.SMs) {

@@ -6,6 +6,7 @@ import (
 
 	"poise/internal/cache"
 	"poise/internal/config"
+	"poise/internal/sched"
 	"poise/internal/sim"
 	"poise/internal/sm"
 	"poise/internal/trace"
@@ -68,14 +69,6 @@ func ipcSince(a snapshot, s *sm.SM, cycles int64) float64 {
 	return float64(s.C.Instructions-a.c.Instructions) / float64(cycles)
 }
 
-// searchAxis identifies which knob the local search is optimising.
-type searchAxis int
-
-const (
-	axisN searchAxis = iota
-	axisP
-)
-
 // hie is the per-SM inference engine state.
 type hie struct {
 	state    hieState
@@ -86,13 +79,7 @@ type hie struct {
 	baseIPC float64 // IPC observed during the baseline feature window
 	snapA   snapshot
 
-	// Local search state (gradient ascent with stride halving).
-	axis     searchAxis
-	curN     int
-	curP     int
-	stride   int
-	probe    int             // tuple position being sampled
-	measured map[int]float64 // cache of measured IPCs along the active axis
+	search sched.Search // the local search from this epoch's prediction
 
 	predN, predP int // raw prediction of this epoch (for displacement stats)
 
@@ -165,7 +152,7 @@ func (p *Policy) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	p.engines = p.engines[:0]
 	g.SetTupleAll(p.maxN, p.maxN)
 	for i := 0; i < len(g.SMs); i++ {
-		e := &hie{measured: map[int]float64{}}
+		e := &hie{}
 		p.startEpoch(g, e, i, 0)
 		p.engines = append(p.engines, e)
 	}
@@ -236,23 +223,10 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 		x := Features(e.base, ref)
 		n, pp := p.Weights.PredictTuple(x, p.maxN)
 		e.predN, e.predP = n, pp
-		e.curN, e.curP = n, pp
 		g.LogPrediction(i, n, pp)
-		if p.Params.StrideN == 0 && p.Params.StrideP == 0 {
-			// Pure prediction: the (0, 0) column of Fig. 11.
-			p.finishSearch(g, e, i)
-			return
-		}
-		// Begin the local search on the N axis.
-		e.axis = axisN
-		e.stride = p.Params.StrideN
-		e.measured = map[int]float64{}
-		if e.stride == 0 {
-			// Search only the p axis (stride configs like (0, 4)).
-			e.axis = axisP
-			e.stride = p.Params.StrideP
-		}
-		p.searchNext(g, e, i, now)
+		// Zero strides are pure prediction: the (0, 0) column of Fig. 11.
+		e.search.Start(n, pp, p.Params.StrideN, p.Params.StrideP)
+		p.probeOrRun(g, e, i, now)
 
 	case stSearchWarm:
 		e.snapA = snap(s)
@@ -260,8 +234,8 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 		e.nextAt = now + int64(p.Params.TSearch)
 
 	case stSearchSample:
-		e.measured[e.probe] = ipcSince(e.snapA, s, int64(p.Params.TSearch))
-		p.searchNext(g, e, i, now)
+		e.search.Record(ipcSince(e.snapA, s, int64(p.Params.TSearch)))
+		p.probeOrRun(g, e, i, now)
 
 	case stRun:
 		if now >= e.epochEnd {
@@ -329,115 +303,33 @@ func (p *Policy) enterRun(g *sim.GPU, e *hie, i, n, pp int) {
 	}
 }
 
-// scheduleProbe steers SM i to a probe position on the active axis and
-// starts its warmup.
-func (p *Policy) scheduleProbe(g *sim.GPU, e *hie, i int, now int64, pos int) {
-	n, pp := e.curN, e.curP
-	if e.axis == axisN {
-		n = pos
-		if pp > n {
-			pp = n
-		}
-	} else {
-		pp = pos
+// probeOrRun steers SM i to the search's next probe and starts its
+// warm-up, or pins the tuple the search converged on.
+func (p *Policy) probeOrRun(g *sim.GPU, e *hie, i int, now int64) {
+	n, pp, done := e.search.Next(p.maxN, p.Params.StrideP)
+	if done {
+		p.finishSearch(g, e, i, n, pp)
+		return
 	}
 	g.SetTuple(i, n, pp)
-	e.probe = pos
 	e.state = stSearchWarm
 	e.nextAt = now + int64(p.Params.TWarmup)
-}
-
-// searchNext implements the gradient-ascent step of paper §VI-B: probe
-// the current point, then its two stride-neighbours; move to a better
-// neighbour keeping the stride, or halve the stride, terminating at
-// stride zero; then switch from the N axis to the p axis.
-func (p *Policy) searchNext(g *sim.GPU, e *hie, i int, now int64) {
-	cur := e.curN
-	lo, hi := 1, p.maxN
-	if e.axis == axisP {
-		cur = e.curP
-		hi = e.curN
-	}
-	// Ensure the current point is measured first.
-	if _, ok := e.measured[cur]; !ok {
-		p.scheduleProbe(g, e, i, now, cur)
-		return
-	}
-	// Probe neighbours at the current stride.
-	left, right := cur-e.stride, cur+e.stride
-	if left >= lo {
-		if _, ok := e.measured[left]; !ok {
-			p.scheduleProbe(g, e, i, now, left)
-			return
-		}
-	}
-	if right <= hi {
-		if _, ok := e.measured[right]; !ok {
-			p.scheduleProbe(g, e, i, now, right)
-			return
-		}
-	}
-	// All positions of this round measured: move or shrink.
-	curIPC := e.measured[cur]
-	bestPos, bestIPC := cur, curIPC
-	if left >= lo && e.measured[left] > bestIPC {
-		bestPos, bestIPC = left, e.measured[left]
-	}
-	if right <= hi && e.measured[right] > bestIPC {
-		bestPos, bestIPC = right, e.measured[right]
-	}
-	if bestPos != cur {
-		if e.axis == axisN {
-			e.curN = bestPos
-			if e.curP > e.curN {
-				e.curP = e.curN
-			}
-		} else {
-			e.curP = bestPos
-		}
-		p.searchNext(g, e, i, now) // neighbours of the new point
-		return
-	}
-	e.stride /= 2
-	if e.stride > 0 {
-		p.searchNext(g, e, i, now)
-		return
-	}
-	// Converged on this axis.
-	if e.axis == axisN {
-		e.axis = axisP
-		e.stride = p.Params.StrideP
-		e.measured = map[int]float64{}
-		if e.curP > e.curN {
-			e.curP = e.curN
-		}
-		if e.stride == 0 {
-			p.finishSearch(g, e, i)
-			return
-		}
-		p.searchNext(g, e, i, now)
-		return
-	}
-	p.finishSearch(g, e, i)
 }
 
 // finishSearch pins the converged tuple for the rest of the epoch and
 // records displacement statistics. The fallback guard does not judge
 // the search's samples: it acts on the run phase (the interim check in
 // Step, then scoreRunPhase), which enterRun opens here.
-func (p *Policy) finishSearch(g *sim.GPU, e *hie, i int) {
-	if e.curP > e.curN {
-		e.curP = e.curN
-	}
+func (p *Policy) finishSearch(g *sim.GPU, e *hie, i, n, pp int) {
 	// Displacement is measured between the prediction and the *search*
 	// outcome (the paper's Fig. 10 metric), before any fallback.
-	dn := float64(abs(e.curN - e.predN))
-	dp := float64(abs(e.curP - e.predP))
+	dn := float64(abs(n - e.predN))
+	dp := float64(abs(pp - e.predP))
 	e.dispN += dn
 	e.dispP += dp
 	e.dispE += math.Sqrt(dn*dn + dp*dp)
 	e.decided++
-	p.enterRun(g, e, i, e.curN, e.curP)
+	p.enterRun(g, e, i, n, pp)
 }
 
 func abs(x int) int {

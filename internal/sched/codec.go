@@ -119,12 +119,14 @@ func (r *RandomRestart) WalkState(k snap.Walk, g *sim.GPU) {
 	}
 	r.rng.SetState(s)
 	k.Int(&r.maxN)
-	k.Int(&r.n)
-	k.Int(&r.p)
-	k.Bool(&r.axisN)
-	k.Int(&r.stride)
-	snap.IntFloats(k, &r.measured, maxMeasureState)
-	k.Int(&r.probe)
+	k.Int(&r.search.N)
+	k.Int(&r.search.P)
+	onN := !r.search.OnP
+	k.Bool(&onN)
+	r.search.OnP = !onN
+	k.Int(&r.search.Stride)
+	snap.IntFloats(k, &r.search.Measured, maxMeasureState)
+	k.Int(&r.search.Probe)
 	r.win.walk(k)
 	k.Int((*int)(&r.state))
 	k.Varint(&r.nextAt)

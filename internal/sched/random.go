@@ -8,7 +8,7 @@ import (
 
 // RandomRestart is the stochastic-search alternative evaluated in the
 // paper's §VII-J: pick a random warp-tuple, gradient-ascend locally
-// (same search as Poise's HIE), run until the epoch ends, then restart
+// (Poise's HIE search, a Search), run until the epoch ends, then restart
 // from a new random tuple. It avoids local optima in the limit but has
 // no good starting point, so convergence is slow — the behaviour the
 // paper contrasts Poise against. Results should be averaged over
@@ -23,11 +23,7 @@ type RandomRestart struct {
 
 	rng      *stats.RNG
 	maxN     int
-	n, p     int
-	axisN    bool
-	stride   int
-	measured map[int]float64
-	probe    int
+	search   Search
 	win      ipcWindow
 	state    rrState
 	nextAt   int64
@@ -66,14 +62,11 @@ func (r *RandomRestart) KernelEnd(g *sim.GPU, now int64) {}
 
 // restart draws a fresh random tuple and begins a local search.
 func (r *RandomRestart) restart(g *sim.GPU, now int64) {
-	r.n = 1 + r.rng.Intn(r.maxN)
-	r.p = 1 + r.rng.Intn(r.n)
-	r.axisN = true
-	r.stride = r.StrideN
-	r.measured = map[int]float64{}
+	n := 1 + r.rng.Intn(r.maxN)
+	r.search.Start(n, 1+r.rng.Intn(n), r.StrideN, r.StrideP)
 	r.epochEnd = now + int64(r.Period)
-	g.SetTupleAll(r.n, r.p)
-	r.searchNext(g, now)
+	g.SetTupleAll(r.search.N, r.search.P)
+	r.probeOrRun(g, now)
 }
 
 // Step implements sim.Policy.
@@ -84,8 +77,8 @@ func (r *RandomRestart) Step(g *sim.GPU, now int64) int64 {
 		r.state = rrProbeSample
 		r.nextAt = now + int64(r.TSample)
 	case rrProbeSample:
-		r.measured[r.probe] = r.win.ipc(g, now)
-		r.searchNext(g, now)
+		r.search.Record(r.win.ipc(g, now))
+		r.probeOrRun(g, now)
 	case rrRun:
 		if now >= r.epochEnd {
 			r.restart(g, now)
@@ -96,75 +89,14 @@ func (r *RandomRestart) Step(g *sim.GPU, now int64) int64 {
 	return r.nextAt
 }
 
-func (r *RandomRestart) scheduleProbe(g *sim.GPU, now int64, pos int) {
-	n, p := r.n, r.p
-	if r.axisN {
-		n = pos
-		if p > n {
-			p = n
-		}
-	} else {
-		p = pos
-	}
+// probeOrRun sets every SM to the search's next probe and starts its
+// warm-up, or to the converged tuple for the rest of the epoch.
+func (r *RandomRestart) probeOrRun(g *sim.GPU, now int64) {
+	n, p, done := r.search.Next(r.maxN, r.StrideP)
 	g.SetTupleAll(n, p)
-	r.probe = pos
-	r.state = rrProbeWarm
-	r.nextAt = now + int64(r.TWarmup)
-}
-
-// searchNext mirrors the HIE's gradient ascent (shared shape, separate
-// state; the policies must stay independent like the hardware units
-// they model).
-func (r *RandomRestart) searchNext(g *sim.GPU, now int64) {
-	cur, lo, hi := r.n, 1, r.maxN
-	if !r.axisN {
-		cur, hi = r.p, r.n
-	}
-	if _, ok := r.measured[cur]; !ok {
-		r.scheduleProbe(g, now, cur)
+	if done {
+		r.state, r.nextAt = rrRun, r.epochEnd
 		return
 	}
-	for _, nb := range []int{cur - r.stride, cur + r.stride} {
-		if nb >= lo && nb <= hi {
-			if _, ok := r.measured[nb]; !ok {
-				r.scheduleProbe(g, now, nb)
-				return
-			}
-		}
-	}
-	bestPos, bestIPC := cur, r.measured[cur]
-	for _, nb := range []int{cur - r.stride, cur + r.stride} {
-		if nb >= lo && nb <= hi && r.measured[nb] > bestIPC {
-			bestPos, bestIPC = nb, r.measured[nb]
-		}
-	}
-	if bestPos != cur {
-		if r.axisN {
-			r.n = bestPos
-			if r.p > r.n {
-				r.p = r.n
-			}
-		} else {
-			r.p = bestPos
-		}
-		r.searchNext(g, now)
-		return
-	}
-	r.stride /= 2
-	if r.stride > 0 {
-		r.searchNext(g, now)
-		return
-	}
-	if r.axisN {
-		r.axisN = false
-		r.stride = r.StrideP
-		r.measured = map[int]float64{}
-		if r.stride > 0 {
-			r.searchNext(g, now)
-			return
-		}
-	}
-	g.SetTupleAll(r.n, r.p)
-	r.state = rrRun
-	r.nextAt = r.epochEnd
+	r.state, r.nextAt = rrProbeWarm, now+int64(r.TWarmup)
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +9,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"poise/internal/gridplan"
 )
 
 // Client talks to a decision service with the fleet worker's transport
@@ -49,18 +50,27 @@ func (c *Client) Decide(ctx context.Context, reqs []DecideRequest) ([]DecideRepl
 	if err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(bytes.NewReader(data))
+	return decodeDecide(data, len(reqs))
+}
+
+// decodeDecide reads a /decide reply to want requests: a header whose
+// count is want, then exactly want lines, none blank.
+func decodeDecide(data []byte, want int) ([]DecideReply, error) {
+	l := gridplan.NewLines(bytes.NewReader(data))
 	var hdr decideHeader
-	if err := decodeLine(br, &hdr); err != nil {
+	if err := l.Exact(&hdr); err != nil {
 		return nil, fmt.Errorf("serve: decide reply header: %w", err)
 	}
 	if hdr.Serve != "decide" {
 		return nil, fmt.Errorf("serve: unexpected reply kind %q", hdr.Serve)
 	}
-	replies := make([]DecideReply, hdr.Count)
+	if hdr.Count != want {
+		return nil, fmt.Errorf("serve: decide reply counts %d lines for %d requests", hdr.Count, want)
+	}
+	replies := make([]DecideReply, want)
 	for i := range replies {
-		if err := decodeLine(br, &replies[i]); err != nil {
-			return nil, fmt.Errorf("serve: decide reply line %d/%d: %w", i+1, hdr.Count, err)
+		if err := l.Exact(&replies[i]); err != nil {
+			return nil, fmt.Errorf("serve: decide reply line %d/%d: %w", i+1, want, err)
 		}
 	}
 	return replies, nil
@@ -112,14 +122,6 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 		return Stats{}, fmt.Errorf("serve: stats reply: %w", err)
 	}
 	return st, nil
-}
-
-func decodeLine(br *bufio.Reader, v any) error {
-	line, err := br.ReadBytes('\n')
-	if len(line) == 0 && err != nil {
-		return err
-	}
-	return json.Unmarshal(bytes.TrimSpace(line), v)
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
