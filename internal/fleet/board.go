@@ -32,10 +32,10 @@ type lease struct {
 // drive expiry deterministically.
 type board struct {
 	opts    Options
+	plan    map[string]bool // every key of the generation
 	queue   []unit
 	leases  map[string]*lease
 	results map[string]json.RawMessage
-	total   int
 	nextID  int
 	stats   *Stats
 }
@@ -43,12 +43,16 @@ type board struct {
 func newBoard(units []unit, opts Options, stats *Stats) *board {
 	queue := append([]unit(nil), units...)
 	sort.Slice(queue, func(i, j int) bool { return queue[i].key < queue[j].key })
+	plan := make(map[string]bool, len(queue))
+	for _, u := range queue {
+		plan[u.key] = true
+	}
 	return &board{
 		opts:    opts,
+		plan:    plan,
 		queue:   queue,
 		leases:  map[string]*lease{},
 		results: make(map[string]json.RawMessage, len(queue)),
-		total:   len(queue),
 		stats:   stats,
 	}
 }
@@ -119,7 +123,7 @@ func (b *board) grant(worker string, now time.Time) (*lease, bool) {
 	b.stats.Granted++
 	if !stolen {
 		b.opts.Logf("fleet: lease %s: %d tasks to %s (%d queued, %d done of %d)",
-			l.id, len(units), worker, len(b.queue), len(b.results), b.total)
+			l.id, len(units), worker, len(b.queue), len(b.results), len(b.plan))
 	}
 	return l, true
 }
@@ -189,7 +193,11 @@ func (b *board) owned(leaseID string) ([]string, bool) {
 	return keys, true
 }
 
-func (b *board) done() bool { return len(b.results) == b.total }
+// has reports whether key names a task of the generation: complete
+// takes no other, or done would count it.
+func (b *board) has(key string) bool { return b.plan[key] }
+
+func (b *board) done() bool { return len(b.results) == len(b.plan) }
 
 // finish returns the generation's results in key order — the
 // canonical order gridplan.Merge produces.

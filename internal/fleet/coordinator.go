@@ -3,14 +3,15 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
 	"time"
 
 	"poise/internal/gridplan"
+	"poise/internal/wire"
 )
 
 // Coordinator serves a Campaign to workers: it publishes the current
@@ -129,6 +130,9 @@ const (
 	maxCompleteBody = 64 << 20
 )
 
+// linger is how long Serve keeps answering after the campaign settles.
+const linger = 2 * time.Second
+
 // Handler returns the coordinator's HTTP handler.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -157,8 +161,12 @@ func (c *Coordinator) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLeaseBody)).Decode(&req); err != nil {
-		http.Error(w, "fleet: bad lease request: "+err.Error(), http.StatusBadRequest)
+	if !wire.Decode(w, r, maxLeaseBody, func(body io.Reader) error {
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
+			return fmt.Errorf("fleet: bad lease request: %w", err)
+		}
+		return nil
+	}) {
 		return
 	}
 	c.mu.Lock()
@@ -193,25 +201,37 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	body := gridplan.NewLines(http.MaxBytesReader(w, r.Body, maxCompleteBody))
 	var hdr completeHeader
-	if err := body.Exact(&hdr); err != nil {
-		http.Error(w, "fleet: bad completion header: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	lines, err := readBody[resultLine](body, hdr.Count)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	for i, l := range lines {
-		if l.Key == "" {
-			http.Error(w, fmt.Sprintf("fleet: completion line %d has no key", i+1), http.StatusBadRequest)
-			return
+	var lines []resultLine
+	if !wire.Decode(w, r, maxCompleteBody, func(body io.Reader) (err error) {
+		l := gridplan.NewLines(body)
+		if err := l.Exact(&hdr); err != nil {
+			return fmt.Errorf("fleet: bad completion header: %w", err)
 		}
+		if lines, err = gridplan.ReadCounted[resultLine](l, hdr.Count); err != nil {
+			return fmt.Errorf("fleet: completion %w", err)
+		}
+		for i, l := range lines {
+			if l.Key == "" {
+				return fmt.Errorf("fleet: completion line %d has no key", i+1)
+			}
+		}
+		return nil
+	}) {
+		return
 	}
 
 	c.mu.Lock()
+	// A result for a task the generation does not have would count
+	// towards its completion; refuse the lot before recording any.
+	for _, l := range lines {
+		if c.board != nil && hdr.Gen == c.gen && !c.board.has(l.Key) {
+			gen := c.gen
+			c.mu.Unlock()
+			http.Error(w, fmt.Sprintf("fleet: completion names task %q, which generation %d does not have", l.Key, gen), http.StatusBadRequest)
+			return
+		}
+	}
 	rep := completeReply{Fleet: "complete"}
 	switch {
 	case c.err != nil:
@@ -254,42 +274,35 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(rep)
 }
 
-// Serve runs the coordinator's HTTP server on addr until the campaign
-// completes or ctx is cancelled, lingers Options.Linger so polling
-// workers observe the final status, then shuts the server down and
-// returns the results. The bound address (useful with ":0") goes to
+// Serve runs the coordinator's HTTP server on addr (wire.Serve) until
+// the campaign settles or ctx is cancelled, and returns the results.
+// After the campaign settles it keeps answering for linger, so workers
+// mid-poll get one more reply — the done (or failed) status — and exit
+// cleanly instead of dialing a closed port; a cancelled ctx cuts the
+// linger short. The bound address (useful with ":0") goes to
 // Options.Logf.
 func (c *Coordinator) Serve(ctx context.Context, addr string) ([]Result, error) {
-	ln, err := net.Listen("tcp", addr)
+	serving, stop := context.WithCancel(ctx)
+	defer stop()
+	go func() {
+		select {
+		case <-c.finished:
+			select {
+			case <-serving.Done():
+			case <-time.After(linger):
+			}
+			stop()
+		case <-serving.Done():
+		}
+	}()
+	err := wire.Serve(serving, addr, c.Handler(), func(a net.Addr) { c.opts.Logf("fleet: serving on %s", a) })
 	if err != nil {
 		return nil, err
 	}
-	c.opts.Logf("fleet: serving on %s", ln.Addr())
-	srv := &http.Server{Handler: c.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			errCh <- serr
-		}
-	}()
-	var res []Result
-	var werr error
 	select {
 	case <-c.finished:
-		res, werr = c.Wait(ctx)
-		// Linger before shutting down so workers mid-poll get one more
-		// reply — the done (or failed) status — and exit cleanly
-		// instead of dialing a closed port. Skipped on cancellation.
-		select {
-		case <-ctx.Done():
-		case <-time.After(c.opts.Linger):
-		}
-	case <-ctx.Done():
-		werr = ctx.Err()
-	case werr = <-errCh:
+		return c.Wait(context.Background())
+	default:
+		return nil, ctx.Err()
 	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	srv.Shutdown(shutdownCtx)
-	return res, werr
 }

@@ -53,11 +53,6 @@ type Options struct {
 	// Logf, when set, receives progress lines (lease grants, expiries,
 	// steals, generation advances).
 	Logf func(format string, args ...any)
-	// Linger is how long Serve keeps answering requests after the
-	// campaign settles (default 2s), so workers mid-poll observe the
-	// done (or failed) status and exit cleanly instead of hitting a
-	// closed port.
-	Linger time.Duration
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -75,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
-	}
-	if o.Linger <= 0 {
-		o.Linger = 2 * time.Second
 	}
 	if o.now == nil {
 		o.now = time.Now

@@ -1,11 +1,6 @@
 package fleet
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"poise/internal/gridplan"
-)
+import "encoding/json"
 
 // The wire protocol is HTTP carrying the JSONL container the plan files
 // use, written and read by the same code (gridplan.WriteLines,
@@ -91,18 +86,4 @@ type completeReply struct {
 	Owned      []string `json:"owned,omitempty"`
 	Duplicates int      `json:"duplicates,omitempty"`
 	Error      string   `json:"error,omitempty"`
-}
-
-// readBody reads the count record lines a header announced, through the
-// plan files' line reader but strictly: exactly count lines, none blank.
-func readBody[T any](l *gridplan.Lines, count int) ([]T, error) {
-	var out []T
-	for len(out) < count {
-		var rec T
-		if err := l.Exact(&rec); err != nil {
-			return nil, fmt.Errorf("fleet: body line %d of %d: %w", len(out)+1, count, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }

@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"poise/internal/gridplan"
 	"poise/internal/sim"
+	"poise/internal/wire"
 )
 
 // An Executor turns a fetched plan into a Batch that can run its
@@ -41,19 +41,11 @@ type Worker struct {
 	// gridplan.CellPlanFormat) to their executor.
 	Executors map[string]Executor
 	// Client overrides the HTTP client (tests inject flaky
-	// transports); nil uses a default.
+	// transports); nil uses wire.Do's default.
 	Client *http.Client
 	// Poll is the idle re-poll interval when the coordinator has
 	// nothing to grant (default 50ms).
 	Poll time.Duration
-	// Chunk is how many tasks run per Batch.Run call before their
-	// results are streamed back (default 1 — finest-grained progress,
-	// so steals and crash recovery lose at most one task's work).
-	Chunk int
-	// Retries bounds transport-level retries per request (default 10,
-	// with exponential backoff — generous enough to ride out a
-	// coordinator that is still starting up).
-	Retries int
 	// BeforeTask, when set, runs before each task with the number of
 	// tasks this worker has completed so far. An error stops the
 	// worker immediately, mid-lease — the chaos tests' kill switch.
@@ -70,25 +62,12 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return &http.Client{Timeout: 5 * time.Minute}
-}
-
 // Run serves the campaign to completion: fetch the current plan,
 // prepare its executor, then lease-execute-complete until the
 // coordinator reports a new generation (refetch) or done (exit).
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Poll <= 0 {
 		w.Poll = 50 * time.Millisecond
-	}
-	if w.Chunk <= 0 {
-		w.Chunk = 1
-	}
-	if w.Retries <= 0 {
-		w.Retries = 10
 	}
 	for {
 		env, planData, err := w.fetchPlan(ctx)
@@ -154,9 +133,11 @@ func (w *Worker) serveGen(ctx context.Context, gen int, batch Batch) error {
 	}
 }
 
-// runLease executes a lease's tasks in grant order, streaming results
-// back a chunk at a time and dropping any task the completion replies
-// report as no longer owned (stolen, or settled by another worker).
+// runLease executes a lease's tasks in grant order, one at a time,
+// streaming each result back as it finishes (so a steal or a crash loses
+// at most the task in flight) and dropping any task the completion
+// replies report as no longer owned (stolen, or settled by another
+// worker).
 func (w *Worker) runLease(ctx context.Context, gen int, batch Batch, rep leaseReply, lines []json.RawMessage) error {
 	if len(lines) != len(rep.Keys) {
 		return fmt.Errorf("fleet: lease %s: %d keys but %d task lines", rep.Lease, len(rep.Keys), len(lines))
@@ -165,23 +146,17 @@ func (w *Worker) runLease(ctx context.Context, gen int, batch Batch, rep leaseRe
 	for i, k := range rep.Keys {
 		byKey[k] = lines[i]
 	}
-	owned := rep.Keys
-	for len(owned) > 0 {
-		n := w.Chunk
-		if n > len(owned) {
-			n = len(owned)
-		}
-		chunkKeys := owned[:n]
-		chunk := make([]json.RawMessage, n)
-		for i, k := range chunkKeys {
-			chunk[i] = byKey[k]
-			if w.BeforeTask != nil {
-				if err := w.BeforeTask(w.ran); err != nil {
-					return err
-				}
+	for owned := rep.Keys; len(owned) > 0; {
+		key := owned[0]
+		if w.BeforeTask != nil {
+			if err := w.BeforeTask(w.ran); err != nil {
+				return err
 			}
 		}
-		results, runErr := batchRun(batch, chunkKeys, chunk)
+		out, runErr := batch.Run([]json.RawMessage{byKey[key]})
+		if runErr == nil && len(out) != 1 {
+			runErr = fmt.Errorf("fleet: batch returned %d results for 1 task", len(out))
+		}
 		if runErr != nil {
 			if errors.Is(runErr, sim.ErrInterrupted) {
 				// Preempted (SIGTERM, lease-loss watchdog): the in-flight
@@ -194,11 +169,11 @@ func (w *Worker) runLease(ctx context.Context, gen int, batch Batch, rep leaseRe
 			}
 			// Report the failure so the coordinator fails the campaign
 			// fast (task errors are deterministic), then surface it.
-			w.postComplete(ctx, gen, rep.Lease, []resultLine{{Key: chunkKeys[0], Error: runErr.Error()}})
+			w.postComplete(ctx, gen, rep.Lease, []resultLine{{Key: key, Error: runErr.Error()}})
 			return runErr
 		}
-		w.ran += n
-		crep, err := w.postComplete(ctx, gen, rep.Lease, results)
+		w.ran++
+		crep, err := w.postComplete(ctx, gen, rep.Lease, []resultLine{{Key: key, Data: out[0]}})
 		if err != nil {
 			return err
 		}
@@ -216,25 +191,9 @@ func (w *Worker) runLease(ctx context.Context, gen int, batch Batch, rep leaseRe
 	return nil
 }
 
-// batchRun executes one chunk and pairs results with their keys.
-func batchRun(batch Batch, keys []string, chunk []json.RawMessage) ([]resultLine, error) {
-	out, err := batch.Run(chunk)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != len(keys) {
-		return nil, fmt.Errorf("fleet: batch returned %d results for %d tasks", len(out), len(keys))
-	}
-	lines := make([]resultLine, len(out))
-	for i := range out {
-		lines[i] = resultLine{Key: keys[i], Data: out[i]}
-	}
-	return lines, nil
-}
-
 // fetchPlan GETs the current plan generation.
 func (w *Worker) fetchPlan(ctx context.Context) (planEnvelope, []byte, error) {
-	body, err := w.do(ctx, http.MethodGet, "/v1/plan", nil)
+	body, err := wire.Do(ctx, w.Client, http.MethodGet, w.Base, "/v1/plan", nil, wire.Idempotent)
 	if err != nil {
 		return planEnvelope{}, nil, err
 	}
@@ -257,7 +216,9 @@ func (w *Worker) fetchPlan(ctx context.Context) (planEnvelope, []byte, error) {
 // requestLease POSTs a lease request and decodes the granted tasks.
 func (w *Worker) requestLease(ctx context.Context, gen int) (leaseReply, []json.RawMessage, error) {
 	reqBody, _ := json.Marshal(leaseRequest{Worker: w.Name, Gen: gen})
-	body, err := w.do(ctx, http.MethodPost, "/v1/lease", reqBody)
+	// A retried lease request may be granted twice; the lease nobody
+	// runs expires or is stolen from, as a dead worker's would be.
+	body, err := wire.Do(ctx, w.Client, http.MethodPost, w.Base, "/v1/lease", reqBody, wire.Idempotent)
 	if err != nil {
 		return leaseReply{}, nil, err
 	}
@@ -266,9 +227,9 @@ func (w *Worker) requestLease(ctx context.Context, gen int) (leaseReply, []json.
 	if err := l.Exact(&rep); err != nil {
 		return leaseReply{}, nil, fmt.Errorf("fleet: lease reply: %w", err)
 	}
-	lines, err := readBody[json.RawMessage](l, rep.Count)
+	lines, err := gridplan.ReadCounted[json.RawMessage](l, rep.Count)
 	if err != nil {
-		return leaseReply{}, nil, err
+		return leaseReply{}, nil, fmt.Errorf("fleet: lease reply %w", err)
 	}
 	return rep, lines, nil
 }
@@ -280,7 +241,8 @@ func (w *Worker) postComplete(ctx context.Context, gen int, leaseID string, line
 	if err := gridplan.WriteLines(&buf, hdr, lines); err != nil {
 		return completeReply{}, err
 	}
-	body, err := w.do(ctx, http.MethodPost, "/v1/complete", buf.Bytes())
+	// Retried completions are safe: the coordinator deduplicates by key.
+	body, err := wire.Do(ctx, w.Client, http.MethodPost, w.Base, "/v1/complete", buf.Bytes(), wire.Idempotent)
 	if err != nil {
 		return completeReply{}, err
 	}
@@ -289,47 +251,4 @@ func (w *Worker) postComplete(ctx context.Context, gen int, leaseID string, line
 		return completeReply{}, fmt.Errorf("fleet: completion reply: %w", err)
 	}
 	return rep, nil
-}
-
-// do issues one request with transport-level retries: connection
-// errors back off exponentially (a coordinator that is still binding
-// its port, a reply dropped mid-transfer), while HTTP-level errors
-// fail immediately — the coordinator answered, so the request itself
-// is wrong. Retried completions are safe by design: the coordinator
-// deduplicates by task key.
-func (w *Worker) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	backoff := 50 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt < w.Retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(w.Base, "/")+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		resp, err := w.client().Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("fleet: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(data)))
-		}
-		return data, nil
-	}
-	return nil, fmt.Errorf("fleet: %s %s: giving up after %d attempts: %w", method, path, w.Retries, lastErr)
 }

@@ -15,8 +15,10 @@ import (
 // record per line. JSONL rather than a single JSON document so workers
 // can stream arbitrarily large plans and a truncated transfer is
 // detected by the header's count, not by a silent short read. This is
-// its one implementation: the three file kinds below and the fleet's
-// wire protocol all write through WriteLines and read through Lines.
+// its one implementation: the three file kinds below, the fleet's wire
+// protocol and the decision service's /decide replies all write through
+// WriteLines and read through Lines, a wire message's counted body
+// through ReadCounted.
 
 const (
 	// ProfilePlanFormat tags profile-sweep plan files; exported, like
@@ -111,6 +113,24 @@ func (l *Lines) Exact(v any) error {
 
 // Rest returns everything after the lines read so far.
 func (l *Lines) Rest() io.Reader { return l.br }
+
+// ReadCounted reads the count records a wire message's header announced:
+// exactly count lines, each through Exact, so a blank line, a short body
+// or a negative count is an error.
+func ReadCounted[T any](l *Lines, count int) ([]T, error) {
+	if count < 0 {
+		return nil, fmt.Errorf("negative count %d", count)
+	}
+	var out []T
+	for len(out) < count {
+		var rec T
+		if err := l.Exact(&rec); err != nil {
+			return nil, fmt.Errorf("line %d/%d: %w", len(out)+1, count, err)
+		}
+		out = append(out, rec)
+	}
+	return out, nil
+}
 
 // A header is a container's first line; declares reports the three
 // things every kind's header carries, under whatever names it gives

@@ -115,6 +115,28 @@ func TestLinesTolerantAndExact(t *testing.T) {
 	if err := l.Next(&v); err == nil || !strings.Contains(err.Error(), "bound") {
 		t.Fatalf("a %d-byte line: %v", len(long), err)
 	}
+
+	// ReadCounted takes exactly the count a header announced, each line
+	// through Exact.
+	for _, c := range []struct {
+		name, body string
+		count      int
+		err        string // "" = reads count records
+	}{
+		{"exact", "{\"A\":1}\n{\"A\":2}\ntail", 2, ""},
+		{"none", "", 0, ""},
+		{"truncated", "{\"A\":1}\n", 2, "line 2/2: unexpected EOF"},
+		{"blank line", "{\"A\":1}\n\n{\"A\":2}\n", 2, "line 2/2: unexpected end of JSON input"},
+		{"negative count", "{\"A\":1}\n", -1, "negative count -1"},
+	} {
+		recs, err := ReadCounted[struct{ A int }](NewLines(strings.NewReader(c.body)), c.count)
+		switch {
+		case c.err == "" && (err != nil || len(recs) != c.count || (c.count > 0 && recs[c.count-1].A != c.count)):
+			t.Errorf("ReadCounted %s: %+v, %v", c.name, recs, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("ReadCounted %s: %+v, error %v, want one containing %q", c.name, recs, err, c.err)
+		}
+	}
 }
 
 // endless is a stream of one line that never ends, counting the bytes

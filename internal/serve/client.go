@@ -5,35 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
-	"time"
 
 	"poise/internal/gridplan"
+	"poise/internal/wire"
 )
 
-// Client talks to a decision service with the fleet worker's transport
-// discipline: connection-level errors retry with exponential backoff
-// (a service still binding its port, a reply dropped mid-transfer),
-// HTTP-level errors fail immediately — the service answered, so the
-// request itself is wrong. Every request here is idempotent except
-// /ingest, whose retry on a *connection* error is still safe: the
-// request never reached the service.
+// Client talks to a decision service through wire.Do: every request
+// but /ingest is retried after any transport error, and an /ingest only
+// when it was refused at dial, because the service appends a record on
+// every delivery.
 type Client struct {
 	// Base is the service root, e.g. "http://127.0.0.1:9666".
 	Base string
-	// HTTP is the underlying client (nil = 30s timeout default).
+	// HTTP is the underlying client (nil = wire.Do's default).
 	HTTP *http.Client
-	// Retries bounds transport attempts (<= 0 means 10).
-	Retries int
-}
-
-func (c *Client) client() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Timeout: 30 * time.Second}
 }
 
 // Decide resolves a batch of feature vectors in one round trip,
@@ -46,7 +32,7 @@ func (c *Client) Decide(ctx context.Context, reqs []DecideRequest) ([]DecideRepl
 			return nil, err
 		}
 	}
-	data, err := c.do(ctx, http.MethodPost, "/decide", body.Bytes())
+	data, err := wire.Do(ctx, c.HTTP, http.MethodPost, c.Base, "/decide", body.Bytes(), wire.Idempotent)
 	if err != nil {
 		return nil, err
 	}
@@ -67,11 +53,9 @@ func decodeDecide(data []byte, want int) ([]DecideReply, error) {
 	if hdr.Count != want {
 		return nil, fmt.Errorf("serve: decide reply counts %d lines for %d requests", hdr.Count, want)
 	}
-	replies := make([]DecideReply, want)
-	for i := range replies {
-		if err := l.Exact(&replies[i]); err != nil {
-			return nil, fmt.Errorf("serve: decide reply line %d/%d: %w", i+1, want, err)
-		}
+	replies, err := gridplan.ReadCounted[DecideReply](l, want)
+	if err != nil {
+		return nil, fmt.Errorf("serve: decide reply %w", err)
 	}
 	return replies, nil
 }
@@ -91,7 +75,7 @@ func (c *Client) IngestTrace(ctx context.Context, raw []byte) (IngestReply, erro
 }
 
 func (c *Client) ingest(ctx context.Context, body []byte) (IngestReply, error) {
-	data, err := c.do(ctx, http.MethodPost, "/ingest", body)
+	data, err := wire.Do(ctx, c.HTTP, http.MethodPost, c.Base, "/ingest", body, wire.Once)
 	if err != nil {
 		return IngestReply{}, err
 	}
@@ -104,7 +88,7 @@ func (c *Client) ingest(ctx context.Context, body []byte) (IngestReply, error) {
 
 // Table fetches the static policy table text.
 func (c *Client) Table(ctx context.Context) (string, error) {
-	data, err := c.do(ctx, http.MethodGet, "/table", nil)
+	data, err := wire.Do(ctx, c.HTTP, http.MethodGet, c.Base, "/table", nil, wire.Idempotent)
 	if err != nil {
 		return "", err
 	}
@@ -113,7 +97,7 @@ func (c *Client) Table(ctx context.Context) (string, error) {
 
 // Stats fetches the service counters.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	data, err := c.do(ctx, http.MethodGet, "/stats", nil)
+	data, err := wire.Do(ctx, c.HTTP, http.MethodGet, c.Base, "/stats", nil, wire.Idempotent)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -122,45 +106,4 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 		return Stats{}, fmt.Errorf("serve: stats reply: %w", err)
 	}
 	return st, nil
-}
-
-func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	retries := c.Retries
-	if retries <= 0 {
-		retries = 10
-	}
-	backoff := 50 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.Base, "/")+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.client().Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("serve: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(data)))
-		}
-		return data, nil
-	}
-	return nil, fmt.Errorf("serve: %s %s: giving up after %d attempts: %w", method, path, retries, lastErr)
 }

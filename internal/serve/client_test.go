@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -42,7 +43,7 @@ func TestDecideRefusesHostileReplies(t *testing.T) {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprint(w, tc.body)
 		}))
-		c := &Client{Base: ts.URL, HTTP: ts.Client(), Retries: 1}
+		c := &Client{Base: ts.URL, HTTP: ts.Client()}
 		replies, err := c.Decide(context.Background(), reqs)
 		ts.Close()
 		switch {
@@ -84,6 +85,40 @@ func TestDecideRetriesADroppedReply(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("through dropped replies:\n %+v\nclean:\n %+v", got, want)
+	}
+}
+
+// TestIngestIsSentOnce: the service appends a record on every /ingest it
+// reads, so n calls leave at most n records. A reply dropped after the
+// append fails its call instead of sending the record again; a request
+// refused at dial never reached the service and is sent again.
+func TestIngestIsSentOnce(t *testing.T) {
+	const n = 6
+	for _, tc := range []struct {
+		name   string
+		ft     *testutil.FlakyTransport
+		failed int // calls that return an error
+	}{
+		{"dropped replies", &testutil.FlakyTransport{DropReplyEvery: 2}, n / 2},
+		{"refused dials", &testutil.FlakyTransport{FailEvery: 2}, 0},
+	} {
+		s, c := newTestServer(t, Config{Weights: testWeights(), Retrain: RetrainOptions{Min: 1 << 20}})
+		tc.ft.Base = c.HTTP.Transport
+		c.HTTP = &http.Client{Transport: tc.ft}
+		failed := 0
+		for i := 0; i < n; i++ {
+			if _, err := c.IngestRecord(context.Background(), synthRecord(i, 4)); err != nil {
+				if !errors.Is(err, testutil.ErrFlaky) {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				failed++
+			}
+		}
+		s.Flush()
+		if st := s.Stats(); st.IngestedRecords != n || failed != tc.failed {
+			t.Errorf("%s: %d calls left %d records with %d failed, want %d records and %d failed",
+				tc.name, n, st.IngestedRecords, failed, n, tc.failed)
+		}
 	}
 }
 

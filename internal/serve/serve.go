@@ -5,9 +5,9 @@
 // "feature vector → (N, p)" from many concurrent callers with zero
 // steady-state allocations, memoising per-workload decisions keyed by
 // trace-signature digests; a Server exposes the decision path over
-// HTTP+JSONL (/decide, /table, /ingest, /stats) with the transport
-// idioms of internal/fleet (bounded request bodies, backoff client,
-// graceful shutdown); and a Retrainer closes the online-adaptation
+// HTTP+JSONL (/decide, /table, /ingest, /stats) over internal/wire,
+// the transport the fleet uses too (bounded request bodies, backoff
+// client, graceful shutdown); and a Retrainer closes the online-adaptation
 // loop — ingested traces append to a versioned sample log and fold
 // into poise.Train, hot-swapping the active weights atomically while
 // in-flight decisions drain on the old model.

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,11 +13,13 @@ import (
 	"time"
 
 	"poise/internal/config"
+	"poise/internal/gridplan"
 	"poise/internal/poise"
 	"poise/internal/profile"
 	"poise/internal/sim"
 	"poise/internal/snap"
 	"poise/internal/traceio"
+	"poise/internal/wire"
 )
 
 // Config assembles a decision service.
@@ -207,31 +207,27 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleDecide answers a JSONL batch of decisions: one DecideRequest
-// per line in, a count header plus one DecideReply per line out. The
-// whole batch parses before the first decision so a malformed line is
-// a clean 400, never a half-answered stream.
+// per line in (blank lines skipped, no header: a batch is what `curl
+// --data-binary` sends), a count header plus one DecideReply per line
+// out. The whole batch parses before the first decision so a malformed
+// line is a clean 400, never a half-answered stream.
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var reqs []DecideRequest
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	if !wire.Decode(w, r, s.cfg.MaxBody, func(body io.Reader) error {
+		l := gridplan.NewLines(body)
+		for {
+			var req DecideRequest
+			switch err := l.Next(&req); {
+			case err == io.EOF && len(reqs) == 0:
+				return errors.New("serve: empty decide batch")
+			case err == io.EOF:
+				return nil
+			case err != nil:
+				return fmt.Errorf("serve: decide line %d: %w", len(reqs)+1, err)
+			}
+			reqs = append(reqs, req)
 		}
-		var req DecideRequest
-		if err := json.Unmarshal(line, &req); err != nil {
-			http.Error(w, fmt.Sprintf("serve: decide line %d: %v", len(reqs)+1, err), http.StatusBadRequest)
-			return
-		}
-		reqs = append(reqs, req)
-	}
-	if err := sc.Err(); err != nil {
-		http.Error(w, "serve: reading decide body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(reqs) == 0 {
-		http.Error(w, "serve: empty decide batch", http.StatusBadRequest)
+	}) {
 		return
 	}
 
@@ -251,13 +247,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	hb.FlushTo(&s.hist)
 
 	w.Header().Set("Content-Type", "application/jsonl")
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.Encode(decideHeader{Serve: "decide", Count: len(replies), Version: version})
-	for _, rep := range replies {
-		enc.Encode(rep)
-	}
-	bw.Flush()
+	gridplan.WriteLines(w, decideHeader{Serve: "decide", Count: len(replies), Version: version}, replies)
 }
 
 // handleTable serves the policy table. Profile-backed rows come first,
@@ -339,33 +329,28 @@ func (s *Server) ingestedRows() []string {
 // offline training pipeline; finally the record is appended to the
 // sample log and the background retrainer notified.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, format, err := snap.Open(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody), s.cfg.MaxBody)
 	var rec Record
-	switch {
-	case err != nil:
-		err = fmt.Errorf("serve: reading ingest body: %w", err)
-	case format == snap.Poisetrace:
-		rec, err = s.recordFromTrace(body)
-	default:
-		var data []byte
-		if data, err = io.ReadAll(body); err != nil {
-			err = fmt.Errorf("serve: reading ingest body: %w", err)
-		} else if err = json.Unmarshal(data, &rec); err != nil {
-			err = fmt.Errorf("serve: ingest body is neither a poisetrace nor a JSON record: %w", err)
-		} else if rec.Signature.Workload == "" && len(rec.Samples) == 0 {
-			err = errors.New("serve: ingest record is empty")
+	var wl *sim.Workload // a raw trace, still to be profiled
+	if !wire.Decode(w, r, s.cfg.MaxBody, func(body io.Reader) (err error) {
+		rec, wl, err = s.readIngest(body)
+		if errors.Is(err, snap.ErrTooLarge) { // inflated past MaxBody: refused as one sent past it
+			err = fmt.Errorf("%w (%w)", err, &http.MaxBytesError{Limit: s.cfg.MaxBody})
 		}
-	}
-	if err != nil {
-		status := http.StatusBadRequest // neither a trace nor a record
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) || errors.Is(err, snap.ErrTooLarge) {
-			status = http.StatusRequestEntityTooLarge // past MaxBody, sent or decompressed
-		} else if errors.Is(err, errSweep) {
-			status = http.StatusInternalServerError
-		}
-		http.Error(w, err.Error(), status)
+		return err
+	}) {
 		return
+	}
+	if wl != nil {
+		// The same admission and scoring pipeline the offline trainer
+		// uses; a failure here is the service's, not the upload's.
+		store := profile.Store{Dir: s.cfg.SweepCache}
+		tag := profile.SweepTag(s.cfg.SimCfg, s.cfg.Sweep)
+		ds, err := poise.BuildDataset(s.cfg.SimCfg, s.cfg.Params, []*sim.Workload{wl}, s.cfg.Sweep, store, tag)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("serve: profiling ingested trace %s: %v", wl.Name, err), http.StatusInternalServerError)
+			return
+		}
+		rec.Samples = ds.Samples
 	}
 
 	records, samples, err := s.ret.Ingest(rec)
@@ -386,26 +371,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// errSweep tags ingest failures in the profiling stage (server-side)
-// as opposed to trace parsing (client-side).
-var errSweep = errors.New("serve: profiling ingested trace")
-
-// recordFromTrace turns a raw trace upload into a Record: stream the
-// body into replayable form (characterising in the same pass), then
-// profile every kernel through the same admission and scoring pipeline
-// the offline trainer uses.
-func (s *Server) recordFromTrace(body io.Reader) (Record, error) {
-	wl, sig, err := traceio.ReadWorkload(body, &traceio.CharacteriseOptions{})
-	if err != nil {
-		return Record{}, fmt.Errorf("serve: parsing ingested trace: %w", err)
+// readIngest reads an /ingest body: a JSON record, or a raw trace
+// streamed into replayable form (characterised in the same pass) and
+// returned as wl, with only the record's signature filled in.
+func (s *Server) readIngest(body io.Reader) (rec Record, wl *sim.Workload, err error) {
+	br, format, err := snap.Open(body, s.cfg.MaxBody)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("serve: reading ingest body: %w", err)
+	case format == snap.Poisetrace:
+		if wl, rec.Signature, err = traceio.ReadWorkload(br, &traceio.CharacteriseOptions{}); err != nil {
+			err = fmt.Errorf("serve: parsing ingested trace: %w", err)
+		}
+	default:
+		var data []byte
+		if data, err = io.ReadAll(br); err != nil {
+			err = fmt.Errorf("serve: reading ingest body: %w", err)
+		} else if err = json.Unmarshal(data, &rec); err != nil {
+			err = fmt.Errorf("serve: ingest body is neither a poisetrace nor a JSON record: %w", err)
+		} else if rec.Signature.Workload == "" && len(rec.Samples) == 0 {
+			err = errors.New("serve: ingest record is empty")
+		}
 	}
-	store := profile.Store{Dir: s.cfg.SweepCache}
-	tag := profile.SweepTag(s.cfg.SimCfg, s.cfg.Sweep)
-	ds, err := poise.BuildDataset(s.cfg.SimCfg, s.cfg.Params, []*sim.Workload{wl}, s.cfg.Sweep, store, tag)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w %s: %v", errSweep, wl.Name, err)
-	}
-	return Record{Signature: sig, Samples: ds.Samples}, nil
+	return rec, wl, err
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -414,37 +402,21 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // Serve runs the service on addr until ctx is cancelled or the
-// listener fails, then shuts down gracefully: in-flight requests get
-// http.Server.Shutdown's drain window, and the retrainer folds any
-// still-pending samples (writing the final weights file) before Serve
-// returns. The bound address (useful with ":0") is reported through
-// addrCh when non-nil.
+// listener fails (wire.Serve: in-flight requests get its drain window),
+// then closes it: the retrainer folds any still-pending samples
+// (writing the final weights file) before Serve returns. The bound
+// address (useful with ":0") is reported through addrCh when non-nil.
 func (s *Server) Serve(ctx context.Context, addr string, addrCh chan<- string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if addrCh != nil {
-		addrCh <- ln.Addr().String()
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
-			errCh <- serr
+	err := wire.Serve(ctx, addr, s.Handler(), func(a net.Addr) {
+		if addrCh != nil {
+			addrCh <- a.String()
 		}
-	}()
-	var serveErr error
-	select {
-	case <-ctx.Done():
+	})
+	if ctx.Err() != nil {
 		s.cfg.Logf("serve: shutting down")
-	case serveErr = <-errCh:
 	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	srv.Shutdown(shutdownCtx)
-	if cerr := s.Close(); serveErr == nil {
-		serveErr = cerr
+	if cerr := s.Close(); err == nil {
+		err = cerr
 	}
-	return serveErr
+	return err
 }

@@ -33,7 +33,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 		ts.Close()
 		s.Close()
 	})
-	return s, &Client{Base: ts.URL, HTTP: ts.Client(), Retries: 3}
+	return s, &Client{Base: ts.URL, HTTP: ts.Client()}
 }
 
 func TestServeDecideEndpoint(t *testing.T) {
@@ -83,7 +83,7 @@ func TestServeDecideRejectsBadBatch(t *testing.T) {
 		"empty":    "",
 		"bad-json": "{\"x\": not json}\n",
 	} {
-		resp, err := c.client().Post(c.Base+"/decide", "application/jsonl", strings.NewReader(body))
+		resp, err := c.HTTP.Post(c.Base+"/decide", "application/jsonl", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,6 +91,42 @@ func TestServeDecideRejectsBadBatch(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// endlessLines is a request body that repeats line forever, counting
+// what is read of it.
+type endlessLines struct {
+	line []byte
+	n    int
+}
+
+func (e *endlessLines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = e.line[(e.n+i)%len(e.line)]
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+// TestServeDecideBoundsItsBody: a /decide batch that never ends, one
+// well-formed request line after another, is refused with 413 once the
+// service has read MaxBody of it, as an /ingest body is.
+func TestServeDecideBoundsItsBody(t *testing.T) {
+	const maxBody = 256 << 10
+	s, _ := newTestServer(t, Config{Weights: testWeights(), MaxBody: maxBody})
+	line, err := json.Marshal(DecideRequest{Key: "k", X: testVector(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &endlessLines{line: append(line, '\n')}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/decide", src))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("an endless batch: status %d, want 413", rec.Code)
+	}
+	if most := maxBody + 64<<10; src.n > most {
+		t.Errorf("read %d bytes of an endless batch, want at most %d", src.n, most)
 	}
 }
 
@@ -246,7 +282,7 @@ func TestServeIngestRecord(t *testing.T) {
 		t.Fatalf("post-ingest stats = %+v", st)
 	}
 	// Garbage that is neither trace nor record is a clean 400.
-	resp, err := c.client().Post(c.Base+"/ingest", "application/octet-stream", strings.NewReader("garbage"))
+	resp, err := c.HTTP.Post(c.Base+"/ingest", "application/octet-stream", strings.NewReader("garbage"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +379,7 @@ func TestServeIngestBoundsDecompressedBody(t *testing.T) {
 		MaxBody:    maxBody,
 	})
 	for _, body := range [][]byte{zipped.Bytes(), padded.Bytes()} {
-		resp, err := c.client().Post(c.Base+"/ingest", "application/octet-stream", bytes.NewReader(body))
+		resp, err := c.HTTP.Post(c.Base+"/ingest", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

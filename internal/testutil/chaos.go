@@ -2,6 +2,7 @@ package testutil
 
 import (
 	"errors"
+	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -42,7 +43,8 @@ func (k *KillSwitch) Fired() bool { return k.fired.Load() }
 // faults, for driving a fleet worker's retry path:
 //
 //   - FailEvery > 0: every FailEvery-th request fails before reaching
-//     the server — a connection refused.
+//     the server — a connection refused, as a dial *net.OpError that
+//     wraps ErrFlaky.
 //   - DropReplyEvery > 0: every DropReplyEvery-th request reaches the
 //     server and takes full effect there, but its response is
 //     discarded and an error returned — the retry then re-delivers a
@@ -72,7 +74,7 @@ var ErrFlaky = errors.New("testutil: flaky transport fault")
 func (t *FlakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	n := t.sent.Add(1)
 	if t.FailEvery > 0 && n%int64(t.FailEvery) == 0 {
-		return nil, ErrFlaky
+		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: ErrFlaky}
 	}
 	if t.Delay > 0 {
 		time.Sleep(t.Delay)
