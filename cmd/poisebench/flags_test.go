@@ -27,3 +27,17 @@ func TestFlagBudget(t *testing.T) {
 		t.Fatalf("poisebench is down to %d flags: lower flagBudget (%d) to keep them off", n, flagBudget)
 	}
 }
+
+// TestValidateFlags: -sms takes 1 to the baseline's 32 SMs; the harness
+// turned 0 and below into 8 and config.Scale ran 33 and above as 32.
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		sms int
+		ok  bool
+	}{{8, true}, {1, true}, {32, true}, {0, false}, {-3, false}, {33, false}} {
+		err := validateFlags(tc.sms)
+		if (err == nil) != tc.ok || (err != nil && !strings.Contains(err.Error(), "-sms")) {
+			t.Errorf("-sms %d: got %v, want ok=%v", tc.sms, err, tc.ok)
+		}
+	}
+}

@@ -53,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"poise/internal/config"
 	"poise/internal/experiments"
 	"poise/internal/fleet"
 	"poise/internal/profiling"
@@ -107,6 +108,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := validateFlags(*sms); err != nil {
+		fmt.Fprintln(os.Stderr, "poisebench:", err)
+		os.Exit(1)
+	}
 
 	stopProf, err := profiling.Start(profiling.Flags{CPUProfile: *cpuProf, MemProfile: *memProf})
 	if err != nil {
@@ -195,6 +200,16 @@ func main() {
 	st, escalated := h.SweepBooks()
 	fmt.Printf("[sweeps: %d of %d grid points, %d rounds, %d kernels escalated to the full grid]\n",
 		st.Simulated, st.GridPoints, st.Rounds, escalated)
+}
+
+// validateFlags rejects what no experiment can run with, before
+// anything is read or simulated: an SM count config.Scale would not
+// honour (the harness would turn 0 into 8, and 64 into 32).
+func validateFlags(sms int) error {
+	if err := config.Default().CheckScale(sms); err != nil {
+		return fmt.Errorf("-sms: %w", err)
+	}
+	return nil
 }
 
 func runTableIII(h *experiments.Harness) error {

@@ -3,6 +3,8 @@ package main
 import (
 	"errors"
 	"fmt"
+
+	"poise/internal/config"
 )
 
 // serveFlags is the parsed command line, kept as a plain struct so
@@ -33,8 +35,8 @@ func validateServeFlags(f serveFlags) error {
 	if f.minRetrain < 0 {
 		return fmt.Errorf("poiseserve: -min-retrain %d is negative (0 means the default threshold)", f.minRetrain)
 	}
-	if f.sms < 1 {
-		return fmt.Errorf("poiseserve: -sms %d: need at least one SM to profile ingested traces", f.sms)
+	if err := config.Default().CheckScale(f.sms); err != nil {
+		return fmt.Errorf("poiseserve: -sms: %w", err)
 	}
 	if f.stepN < 1 || f.stepP < 1 {
 		return fmt.Errorf("poiseserve: sweep strides must be >= 1 (got -stepn %d -stepp %d)", f.stepN, f.stepP)

@@ -32,6 +32,10 @@ func TestValidateServeFlags(t *testing.T) {
 		{"empty-listen", func(f *serveFlags) { f.listen = "" }, "-listen"},
 		{"negative-min-retrain", func(f *serveFlags) { f.minRetrain = -1 }, "-min-retrain"},
 		{"zero-sms", func(f *serveFlags) { f.sms = 0 }, "-sms"},
+		{"negative-sms", func(f *serveFlags) { f.sms = -3 }, "-sms"},
+		{"one-sm", func(f *serveFlags) { f.sms = 1 }, ""},
+		{"baseline-sms", func(f *serveFlags) { f.sms = 32 }, ""},
+		{"sms-above-baseline", func(f *serveFlags) { f.sms = 33 }, "-sms"},
 		{"zero-stepn", func(f *serveFlags) { f.stepN = 0 }, "strides"},
 		{"zero-stepp", func(f *serveFlags) { f.stepP = 0 }, "strides"},
 		{"negative-max-body", func(f *serveFlags) { f.maxBody = -1 }, "-max-body"},

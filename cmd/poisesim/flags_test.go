@@ -49,3 +49,39 @@ func TestNoHarnessInPoisesim(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateFlags: -sms takes 1 to the baseline's 32 SMs (config.Scale
+// ran anything else as the 32-SM baseline), and -ckpt-at-cycle needs a
+// snapshot directory, both refused before anything runs.
+func TestValidateFlags(t *testing.T) {
+	cases := []struct {
+		name    string
+		sms     int
+		ckptAt  int64
+		snapDir string
+		wantErr string // "" = valid
+	}{
+		{"default", 8, 0, "", ""},
+		{"one-sm", 1, 0, "", ""},
+		{"baseline", 32, 0, "", ""},
+		{"zero-sms", 0, 0, "", "-sms"},
+		{"negative-sms", -3, 0, "", "-sms"},
+		{"above-baseline", 33, 0, "", "-sms"},
+		{"checkpoint", 2, 500, "snaps", ""},
+		{"checkpoint-nowhere", 2, 500, "", "-snapshot-dir"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := validateFlags(tc.sms, tc.ckptAt, tc.snapDir)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid flags rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("got %v, want an error mentioning %q", err, tc.wantErr)
+			}
+		})
+	}
+}

@@ -134,6 +134,9 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := validateFlags(*sms, *ckptAt, *snapDir); err != nil {
+		fatal(err)
+	}
 
 	stopProf, err := profiling.Start(profiling.Flags{CPUProfile: *cpuProf, MemProfile: *memProf})
 	if err != nil {
@@ -235,8 +238,6 @@ func main() {
 		ckpts = st
 		ictl = &sim.InterruptCtl{AtCycle: *ckptAt}
 		go func() { <-ctx.Done(); ictl.Trigger() }()
-	} else if *ckptAt > 0 {
-		fatal(fmt.Errorf("-ckpt-at-cycle needs -snapshot-dir for the checkpoint"))
 	}
 
 	if fleetMode.Enabled() || *sweepRun || *bestRun {
@@ -392,6 +393,20 @@ func printResult(res sim.WorkloadResult, elapsed time.Duration) {
 		100*float64(res.L2Hits)/max1(float64(res.L2Acc)))
 	fmt.Printf("DRAM accesses   %d\n", res.DRAMAcc)
 	fmt.Printf("sim wall time   %v\n", elapsed.Round(time.Millisecond))
+}
+
+// validateFlags rejects what no mode can run with, before anything is
+// listed, recorded or simulated: an SM count config.Scale would not
+// honour (it returns the 32-SM baseline for one), and a checkpoint
+// cycle with nowhere to checkpoint to.
+func validateFlags(sms int, ckptAt int64, snapDir string) error {
+	if err := config.Default().CheckScale(sms); err != nil {
+		return fmt.Errorf("-sms: %w", err)
+	}
+	if ckptAt > 0 && snapDir == "" {
+		return fmt.Errorf("-ckpt-at-cycle needs -snapshot-dir for the checkpoint")
+	}
+	return nil
 }
 
 func parseSize(s string) workloads.Size {

@@ -7,7 +7,14 @@
 // Binomial link functions.
 //
 // Outputs: a JSON weight file (-out) and/or a Go source file embedding
-// the weights as the package default (-emit).
+// the weights as the package default (-emit), with the training set it
+// was fitted on written to testdata/dataset.jsonl beside it. For the
+// shipped model that is
+//
+//	go run ./cmd/poisetrain -cache '' -emit internal/poise/defaultweights.go
+//
+// which rewrites internal/poise/defaultweights.go and
+// internal/poise/testdata/dataset.jsonl.
 package main
 
 import (
@@ -15,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"poise/internal/atomicfile"
@@ -22,57 +30,70 @@ import (
 	"poise/internal/glm"
 	"poise/internal/poise"
 	"poise/internal/profile"
-	"poise/internal/sim"
 	"poise/internal/workloads"
 )
 
+// shipped is the configuration the committed model and training set
+// were built at, and the flags' defaults.
+var shipped = poise.Provenance{SMs: 8, Size: "small", StepN: 3, StepP: 3}
+
 func main() {
-	var (
-		sms      = flag.Int("sms", 8, "number of SMs (scaled memory system)")
-		size     = flag.String("size", "small", "workload size: small | medium | large")
-		stepN    = flag.Int("stepn", 3, "profile sweep stride in N")
-		stepP    = flag.Int("stepp", 3, "profile sweep stride in p")
-		cacheDir = flag.String("cache", ".poise-cache", "profile cache directory ('' disables)")
-		outJSON  = flag.String("out", "", "write weights JSON to this path")
-		emitGo   = flag.String("emit", "", "write a Go source file embedding the weights (internal/poise/defaultweights.go)")
-		verbose  = flag.Bool("v", true, "print per-kernel training detail")
-	)
+	r := trainRun{at: shipped}
+	flag.IntVar(&r.at.SMs, "sms", shipped.SMs, "number of SMs (scaled memory system)")
+	flag.StringVar(&r.at.Size, "size", shipped.Size, "workload size: small | medium | large")
+	flag.IntVar(&r.at.StepN, "stepn", shipped.StepN, "profile sweep stride in N")
+	flag.IntVar(&r.at.StepP, "stepp", shipped.StepP, "profile sweep stride in p")
+	flag.StringVar(&r.cacheDir, "cache", ".poise-cache", "profile cache directory ('' disables)")
+	flag.StringVar(&r.outJSON, "out", "", "write weights JSON to this path")
+	flag.StringVar(&r.emitGo, "emit", "", "write a Go source file embedding the weights (internal/poise/defaultweights.go), and the training set to testdata/dataset.jsonl beside it")
+	flag.BoolVar(&r.verbose, "v", true, "print per-kernel training detail")
 	flag.Parse()
 
-	tag := fmt.Sprintf("train-sms%d-%s-%d.%d", *sms, *size, *stepN, *stepP)
-	err := train(os.Stdout, trainRun{
-		cfg:     config.Default().Scale(*sms),
-		params:  config.DefaultPoise(),
-		set:     workloads.NewCatalogue(parseSize(*size)).TrainingSet(),
-		sweep:   profile.SweepOptions{StepN: *stepN, StepP: *stepP},
-		store:   profile.Store{Dir: *cacheDir},
-		tag:     tag,
-		outJSON: *outJSON,
-		emitGo:  *emitGo,
-		verbose: *verbose,
-	})
-	if err != nil {
+	if err := validateTrainFlags(r.at); err != nil {
+		fatal(err)
+	}
+	if err := train(os.Stdout, r); err != nil {
 		fatal(err)
 	}
 }
 
-// trainRun is one invocation: what to train on and where to write.
-type trainRun struct {
-	cfg     config.Config
-	params  config.PoiseParams
-	set     []*sim.Workload
-	sweep   profile.SweepOptions
-	store   profile.Store
-	tag     string
-	outJSON string // weights JSON path, "" = none
-	emitGo  string // Go source path, "" = none
-	verbose bool
+// validateTrainFlags rejects a configuration before anything is swept:
+// an SM count config.Scale would not honour (it returns the 32-SM
+// baseline for one), an unknown size, and a stride below one (which
+// swept the exhaustive step-1 grid).
+func validateTrainFlags(at poise.Provenance) error {
+	if err := config.Default().CheckScale(at.SMs); err != nil {
+		return fmt.Errorf("-sms: %w", err)
+	}
+	if _, err := parseSize(at.Size); err != nil {
+		return err
+	}
+	if at.StepN < 1 || at.StepP < 1 {
+		return fmt.Errorf("sweep strides must be >= 1 (got -stepn %d -stepp %d)", at.StepN, at.StepP)
+	}
+	return nil
 }
 
-// train runs the pipeline and reports on out.
+// trainRun is one invocation: what to train at and where to write.
+type trainRun struct {
+	at       poise.Provenance
+	cacheDir string // profile cache, "" = none
+	outJSON  string // weights JSON path, "" = none
+	emitGo   string // Go source path, "" = none; the dataset goes to testdata/ beside it
+	verbose  bool
+}
+
+// train sweeps the training set at r.at, then fits and writes the model.
 func train(out io.Writer, r trainRun) error {
 	start := time.Now()
-	ds, err := poise.BuildDataset(r.cfg, r.params, r.set, r.sweep, r.store, r.tag)
+	size, err := parseSize(r.at.Size)
+	if err != nil {
+		return err
+	}
+	tag := fmt.Sprintf("train-sms%d-%s-%d.%d", r.at.SMs, r.at.Size, r.at.StepN, r.at.StepP)
+	ds, err := poise.BuildDataset(config.Default().Scale(r.at.SMs), config.DefaultPoise(),
+		workloads.NewCatalogue(size).TrainingSet(),
+		profile.SweepOptions{StepN: r.at.StepN, StepP: r.at.StepP}, profile.Store{Dir: r.cacheDir}, tag)
 	if err != nil {
 		return err
 	}
@@ -80,7 +101,13 @@ func train(out io.Writer, r trainRun) error {
 		len(ds.Samples), ds.RejectedSpeedup+ds.RejectedCycles+ds.RejectedHitRate,
 		ds.RejectedSpeedup, ds.RejectedCycles, ds.RejectedHitRate,
 		time.Since(start).Round(time.Second))
+	return fit(out, ds, r)
+}
 
+// fit trains the model on ds, reports it on out and writes the files r
+// asks for: the weights JSON, and the Go source with the dataset file
+// beside it.
+func fit(out io.Writer, ds *poise.Dataset, r trainRun) error {
 	if r.verbose {
 		for _, s := range ds.Samples {
 			fmt.Fprintf(out, "  %-10s target=(%2d,%2d) scaled=(%5.1f,%5.1f) best=%.3fx scored=%.3fx\n",
@@ -114,8 +141,29 @@ func train(out io.Writer, r trainRun) error {
 			return err
 		}
 		fmt.Fprintln(out, "wrote", r.emitGo)
+		path := datasetPath(r.emitGo)
+		if err := emitDataset(path, ds, r.at); err != nil {
+			return err
+		}
+		fmt.Fprintln(out, "wrote", path)
 	}
 	return nil
+}
+
+// datasetPath is where -emit writes the training set: testdata/ beside
+// the Go source, which for the shipped model is
+// internal/poise/testdata/dataset.jsonl.
+func datasetPath(emitGo string) string {
+	return filepath.Join(filepath.Dir(emitGo), "testdata", "dataset.jsonl")
+}
+
+// emitDataset replaces path with the dataset file, through
+// atomicfile.Write.
+func emitDataset(path string, ds *poise.Dataset, at poise.Provenance) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return atomicfile.Write(path, func(f io.Writer) error { return poise.WriteDataset(f, ds, at) })
 }
 
 // emitDefaultWeights replaces path with the Go source for the embedded
@@ -173,18 +221,16 @@ func SetDefaultWeights(w Weights) {
 	return err
 }
 
-func parseSize(s string) workloads.Size {
+func parseSize(s string) (workloads.Size, error) {
 	switch s {
 	case "small":
-		return workloads.Small
+		return workloads.Small, nil
 	case "medium":
-		return workloads.Medium
+		return workloads.Medium, nil
 	case "large":
-		return workloads.Large
-	default:
-		fatal(fmt.Errorf("unknown size %q", s))
-		return workloads.Small
+		return workloads.Large, nil
 	}
+	return 0, fmt.Errorf("unknown size %q", s)
 }
 
 func fatal(err error) {

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"go/ast"
 	"go/format"
 	"go/parser"
@@ -15,13 +14,8 @@ import (
 	"strings"
 	"testing"
 
-	"poise/internal/config"
 	"poise/internal/poise"
-	"poise/internal/profile"
-	"poise/internal/sim"
 	"poise/internal/testutil"
-	"poise/internal/trace"
-	"poise/internal/workloads"
 )
 
 // parseEmitted reads the Weights literal back out of a source file
@@ -93,56 +87,73 @@ func parseEmitted(t *testing.T, path string) poise.Weights {
 	return w
 }
 
-// TestTrainWritesLoadableWeights runs the whole pipeline on two tiny
-// workloads at the tiny configuration (five kernels each: the fit needs
-// at least as many kernels as features): the JSON it writes loads
-// through poise.LoadWeights to the model it reported, and the Go source
-// it emits carries the same model, coefficient for coefficient.
+// committedDataset is the training set -emit wrote beside the shipped
+// model.
+const committedDataset = "../../internal/poise/testdata/dataset.jsonl"
+
+// loadCommitted reads the committed training set.
+func loadCommitted(t *testing.T) (*poise.Dataset, poise.Provenance) {
+	t.Helper()
+	ds, at, err := poise.LoadDataset(committedDataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, at
+}
+
+// sameFile fails t unless the files at got and want hold the same bytes.
+func sameFile(t *testing.T, got, want string, report string) {
+	t.Helper()
+	g, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%s is not %s byte for byte; poisetrain printed:\n%s\nand wrote:\n%s", got, want, report, g)
+	}
+}
+
+// TestTrainWritesLoadableWeights fits the committed training set the
+// way poisetrain does: the JSON it writes loads through
+// poise.LoadWeights to the model it reported, the Go source it emits
+// carries the same model, coefficient for coefficient, and the dataset
+// it writes beside the source reads back to the set it was given.
 func TestTrainWritesLoadableWeights(t *testing.T) {
 	dir := t.TempDir()
-	params := testutil.TinyParams()
-	params.MinTrainCycles = 1
-	var thrash, shared []*trace.Kernel
-	for i := 0; i < 5; i++ {
-		thrash = append(thrash, testutil.ThrashKernel(fmt.Sprintf("thrash%d", i), 24+16*i, 20+4*i, 3))
-		shared = append(shared, testutil.SharedKernel(fmt.Sprintf("shared%d", i), 8+8*i, 20+4*i, 3))
-	}
+	ds, at := loadCommitted(t)
 	var out bytes.Buffer
 	run := trainRun{
-		cfg:     testutil.TinyConfig(),
-		params:  params,
-		set:     []*sim.Workload{testutil.Workload("thrash", thrash...), testutil.Workload("shared", shared...)},
-		sweep:   profile.SweepOptions{StepN: 8, StepP: 8},
-		store:   profile.Store{Dir: filepath.Join(dir, "cache")},
-		tag:     "smoke",
+		at:      at,
 		outJSON: filepath.Join(dir, "w.json"),
 		emitGo:  filepath.Join(dir, "defaultweights.go"),
 		verbose: true,
 	}
-	if err := train(&out, run); err != nil {
-		t.Fatalf("train: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "dataset: 10 kernels admitted") {
-		t.Fatalf("expected both kernels admitted:\n%s", out.String())
+	if err := fit(&out, ds, run); err != nil {
+		t.Fatalf("fit: %v\n%s", err, out.String())
 	}
 	w, err := poise.LoadWeights(run.outJSON)
 	if err != nil {
 		t.Fatalf("poise cannot load what poisetrain wrote: %v", err)
 	}
-	if w.TrainKernels != 10 || w.Dropped != -1 {
+	if w.TrainKernels != len(ds.Samples) || w.Dropped != -1 {
 		t.Fatalf("loaded weights: %+v", w)
 	}
 	if got := parseEmitted(t, run.emitGo); !reflect.DeepEqual(got, w) {
 		t.Fatalf("emitted source and JSON disagree:\n source %+v\n json   %+v", got, w)
 	}
-	// A second run reuses the cached profiles and reproduces the model.
-	run.outJSON = filepath.Join(dir, "again.json")
-	run.emitGo = ""
-	if err := train(&out, run); err != nil {
+	back, backAt, err := poise.LoadDataset(filepath.Join(dir, "testdata", "dataset.jsonl"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := poise.LoadWeights(run.outJSON); err != nil || !reflect.DeepEqual(again, w) {
-		t.Fatalf("a second run over the cache gave %+v (%v), the first %+v", again, err, w)
+	if !reflect.DeepEqual(back, ds) || backAt != at {
+		t.Fatalf("the dataset written beside the source reads back as %+v at %+v", back, backAt)
+	}
+	if !strings.Contains(out.String(), "wrote "+filepath.Join(dir, "testdata", "dataset.jsonl")) {
+		t.Fatalf("poisetrain did not report the dataset it wrote:\n%s", out.String())
 	}
 }
 
@@ -205,40 +216,82 @@ func TestWriteDefaultWeightsReturnsWriteErrors(t *testing.T) {
 	}
 }
 
-// TestShippedModelIsWhatTrainingProduces: the run poisetrain's default
-// flags ask for (main: 8 SMs, Small, the whole step-3 grid of the 60
-// training kernels, which is the one way a training set is swept since
-// the harness's stopped refining), uncached, must emit
-// internal/poise/defaultweights.go byte for byte. A simulator change
-// that moves a training target or a feature moves the model, and cannot
-// hide behind the weights an earlier commit shipped. About 40 s on two
-// cores: not under -short, not under the race detector (CI's no-race
-// step runs it).
+// TestShippedModelIsWhatTrainingProduces: fitting the committed
+// training set, which was built at the configuration poisetrain's flags
+// default to, emits internal/poise/defaultweights.go byte for byte, and
+// writes the dataset file back unchanged. A change to the fit, its
+// options or the emitted source cannot hide behind the weights an
+// earlier commit shipped. That the sweep still builds this set is
+// TestCommittedDatasetIsWhatTheSweepProduces's (with -full).
 func TestShippedModelIsWhatTrainingProduces(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("sweeps the whole training set at the shipped configuration")
+	ds, at := loadCommitted(t)
+	if at != shipped {
+		t.Fatalf("the committed dataset was built at %+v, poisetrain's defaults are %+v", at, shipped)
 	}
-	run := trainRun{
-		cfg:     config.Default().Scale(8),
-		params:  config.DefaultPoise(),
-		set:     workloads.NewCatalogue(workloads.Small).TrainingSet(),
-		sweep:   profile.SweepOptions{StepN: 3, StepP: 3},
-		emitGo:  filepath.Join(t.TempDir(), "defaultweights.go"),
-		verbose: true,
+	run := trainRun{at: at, emitGo: filepath.Join(t.TempDir(), "defaultweights.go"), verbose: true}
+	var out bytes.Buffer
+	if err := fit(&out, ds, run); err != nil {
+		t.Fatalf("fit: %v\n%s", err, out.String())
 	}
+	sameFile(t, run.emitGo, "../../internal/poise/defaultweights.go", out.String())
+	sameFile(t, datasetPath(run.emitGo), committedDataset, out.String())
+}
+
+// TestCommittedDatasetIsWhatTheSweepProduces: the run poisetrain's
+// default flags ask for (8 SMs, Small, the whole step-3 grid of the 60
+// training kernels), uncached, writes internal/poise/testdata/dataset.jsonl
+// and internal/poise/defaultweights.go byte for byte. A simulator change
+// that moves a training target or a feature moves the set and the
+// model: regenerate both with poisetrain -emit. About 50 s on two
+// cores, so it runs only with -full (CI's no-race step).
+func TestCommittedDatasetIsWhatTheSweepProduces(t *testing.T) {
+	if !testutil.Full() {
+		t.Skip("sweeps the whole training set at the shipped configuration; run with -full")
+	}
+	run := trainRun{at: shipped, emitGo: filepath.Join(t.TempDir(), "defaultweights.go"), verbose: true}
 	var out bytes.Buffer
 	if err := train(&out, run); err != nil {
 		t.Fatalf("train: %v\n%s", err, out.String())
 	}
-	got, err := os.ReadFile(run.emitGo)
-	if err != nil {
-		t.Fatal(err)
+	sameFile(t, datasetPath(run.emitGo), committedDataset, out.String())
+	sameFile(t, run.emitGo, "../../internal/poise/defaultweights.go", out.String())
+}
+
+// TestValidateTrainFlags: -sms takes 1 to the baseline's 32 SMs
+// (config.Scale ran anything else as the 32-SM baseline), the strides
+// are at least 1 (below that the sweep ran the exhaustive step-1 grid)
+// and the size is one the catalogue knows.
+func TestValidateTrainFlags(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*poise.Provenance)
+		wantErr string // "" = valid
+	}{
+		{"defaults", func(*poise.Provenance) {}, ""},
+		{"one-sm", func(at *poise.Provenance) { at.SMs = 1 }, ""},
+		{"baseline-sms", func(at *poise.Provenance) { at.SMs = 32 }, ""},
+		{"medium-step-1", func(at *poise.Provenance) { at.Size, at.StepN, at.StepP = "medium", 1, 1 }, ""},
+		{"zero-sms", func(at *poise.Provenance) { at.SMs = 0 }, "-sms"},
+		{"negative-sms", func(at *poise.Provenance) { at.SMs = -3 }, "-sms"},
+		{"sms-above-baseline", func(at *poise.Provenance) { at.SMs = 33 }, "-sms"},
+		{"zero-stepn", func(at *poise.Provenance) { at.StepN = 0 }, "strides"},
+		{"negative-stepp", func(at *poise.Provenance) { at.StepP = -1 }, "strides"},
+		{"unknown-size", func(at *poise.Provenance) { at.Size = "huge" }, "size"},
 	}
-	shipped, err := os.ReadFile("../../internal/poise/defaultweights.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, shipped) {
-		t.Fatalf("training at this commit does not produce the shipped model; poisetrain printed:\n%s\nand emitted:\n%s", out.String(), got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			at := shipped
+			tc.mutate(&at)
+			err := validateTrainFlags(at)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid flags rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("got %v, want an error mentioning %q", err, tc.wantErr)
+			}
+		})
 	}
 }

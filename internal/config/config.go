@@ -156,7 +156,8 @@ func Default() Config {
 // shared memory system (L2 capacity/banks, DRAM partitions/bandwidth,
 // crossbar ports) scaled proportionally, preserving per-SM contention
 // ratios. It is the supported way to run laptop-scale experiments whose
-// qualitative behaviour matches the 32-SM baseline.
+// qualitative behaviour matches the 32-SM baseline. An n outside what
+// CheckScale accepts returns c unchanged.
 func (c Config) Scale(n int) Config {
 	if n <= 0 || n >= c.NumSMs {
 		return c
@@ -178,6 +179,16 @@ func (c Config) Scale(n int) Config {
 	bankBytes := c.L2.SizeBytes / c.L2Banks
 	s.L2.SizeBytes = bankBytes * s.L2Banks
 	return s
+}
+
+// CheckScale refuses an SM count that Scale would not honour: below one,
+// or above c's own. Every command checks its -sms with it before it
+// runs anything, so no flag value silently simulates the full machine.
+func (c Config) CheckScale(n int) error {
+	if n < 1 || n > c.NumSMs {
+		return fmt.Errorf("%d SMs is outside 1 to %d", n, c.NumSMs)
+	}
+	return nil
 }
 
 // L2SetsPerBank returns the number of sets in each L2 bank.

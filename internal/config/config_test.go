@@ -79,6 +79,21 @@ func TestScalePreservesRatios(t *testing.T) {
 	}
 }
 
+// TestCheckScaleRefusesWhatScaleIgnores: CheckScale accepts exactly the
+// SM counts Scale honours, 1 to the baseline's 32.
+func TestCheckScaleRefusesWhatScaleIgnores(t *testing.T) {
+	c := Default()
+	for _, n := range []int{-3, 0, 1, 8, 32, 33, 64} {
+		err := c.CheckScale(n)
+		if ok := n >= 1 && n <= 32; (err == nil) != ok {
+			t.Errorf("CheckScale(%d) = %v, want ok=%v", n, err, ok)
+		}
+		if err == nil && c.Scale(n).NumSMs != n {
+			t.Errorf("CheckScale accepts %d but Scale(%d) has %d SMs", n, n, c.Scale(n).NumSMs)
+		}
+	}
+}
+
 func TestScaleTiming(t *testing.T) {
 	p := DefaultPoise()
 	s := p.ScaleTiming(20)

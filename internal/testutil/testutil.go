@@ -5,10 +5,20 @@
 package testutil
 
 import (
+	"flag"
+
 	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/trace"
 )
+
+var full = flag.Bool("full", false, "also run the tests that repeat a long sweep (CI's no-race step passes it)")
+
+// Full reports whether the test binary was given -full. A test that
+// repeats a long sweep whose result is committed, such as the training
+// set's, runs only with it; CI's no-race step passes it
+// (go test ./pkg -args -full), so the check still runs on every change.
+func Full() bool { return *full }
 
 // TinyConfig returns a 2-SM GPU with the baseline per-SM organisation
 // and a proportionally scaled memory side — small enough for unit
