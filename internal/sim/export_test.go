@@ -33,6 +33,13 @@ func (g *GPU) SnapshotKernelWithFills(p Policy, numSMs, perSM int, fills [][3]in
 	return g.SnapshotKernel(p)
 }
 
+// Capturer returns a function that takes the checkpoint a preemptible
+// run of w would take with its first kernel interrupted where g stands.
+func (g *GPU) Capturer(w *Workload, p Policy) func() (*Checkpoint, error) {
+	agg := newWorkloadAgg(w, p)
+	return func() (*Checkpoint, error) { return g.checkpoint(w, p, agg) }
+}
+
 // SnapshotMachine writes the GPU's machine state with no kernel
 // running: the payload of a kernel boundary, which no product code
 // writes.

@@ -72,12 +72,12 @@ func (a *workloadAgg) finish() WorkloadResult {
 // decoded struct is bit-identical — and the AML numerator as raw
 // float bits.
 func (a *workloadAgg) encode() []byte {
-	w := snap.NewWriter()
-	js, err := json.Marshal(a.res)
+	js, err := json.Marshal(&a.res)
 	if err != nil {
 		// WorkloadResult is plain data; Marshal cannot fail.
 		panic(fmt.Sprintf("sim: marshal workload agg: %v", err))
 	}
+	w := snap.NewWriterSize(len(js) + 3*binary.MaxVarintLen64)
 	w.Bytes(js)
 	w.Float64(a.amlSum)
 	w.Varint(a.amlW)
@@ -107,6 +107,13 @@ func decodeWorkloadAgg(data []byte) (*workloadAgg, error) {
 // Checkpoint is a preempted workload run: which kernel was in flight,
 // the GPU + policy state at the interrupt point, and the results of
 // the kernels already completed.
+//
+// A checkpoint that a run returns is written once: State and Agg are
+// read-only views into the container it was sealed in, under the
+// workload's name, and Encode under that name returns the container
+// itself. State, Agg and those bytes share one buffer, so nobody may
+// modify any of them; a caller that wants other bytes builds new
+// slices, which Encode then writes into a new container.
 type Checkpoint struct {
 	Workload    string
 	KernelIndex int
@@ -115,6 +122,15 @@ type Checkpoint struct {
 	State []byte
 	// Agg is the serialised aggregation over kernels 0..KernelIndex-1.
 	Agg []byte
+
+	// sealed is the container the checkpoint was written into, the
+	// envelope and the section views it was sealed with; zero for a
+	// decoded or hand-built checkpoint.
+	sealed struct {
+		data       []byte
+		sn         snap.Snapshot
+		state, agg []byte
+	}
 }
 
 // container is the checkpoint's poisesnap envelope under the given
@@ -129,6 +145,17 @@ func (c *Checkpoint) container(key string) *snap.Snapshot {
 	}
 }
 
+// sections reports whether State and Agg are still the views the
+// checkpoint was sealed with: same first byte, same length.
+func (c *Checkpoint) sections() bool {
+	s := &c.sealed
+	return s.data != nil && sameView(c.State, s.state) && sameView(c.Agg, s.agg)
+}
+
+func sameView(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // Snapshot packs the checkpoint into a poisesnap container under the
 // given content key (for snap.Store.Save).
 func (c *Checkpoint) Snapshot(key string) *snap.Snapshot {
@@ -140,9 +167,16 @@ func (c *Checkpoint) Snapshot(key string) *snap.Snapshot {
 	return sn
 }
 
-// Encode serialises the checkpoint container to bytes: the state the
-// GPU wrote is copied once, into the container.
+// Encode serialises the checkpoint container to bytes. While the key,
+// Workload, KernelIndex and Cycle are what the checkpoint was sealed
+// with and State and Agg the sealed views, that is the sealed container
+// itself, shared and not to be modified; otherwise the two sections are
+// copied once, into a new container.
 func (c *Checkpoint) Encode(key string) ([]byte, error) {
+	if sn := &c.sealed.sn; c.sections() && key == sn.Key && c.Workload == sn.Workload &&
+		c.KernelIndex == sn.KernelIndex && c.Cycle == sn.Cycle {
+		return c.sealed.data, nil
+	}
 	return c.container(key).EncodeSections(c.Agg, c.State)
 }
 
@@ -183,17 +217,26 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return checkpointFromSnapshot(sn)
 }
 
-// checkpoint captures the interrupted kernel + aggregation state.
+// checkpoint captures the interrupted kernel + aggregation state. The
+// GPU and policy state is walked once, behind room for the container's
+// front, which is then sealed around it under the workload's name.
 func (g *GPU) checkpoint(w *Workload, p Policy, agg *workloadAgg) (*Checkpoint, error) {
-	state, err := g.SnapshotKernel(p)
+	sn := snap.Snapshot{Kind: snap.KindCheckpoint, Key: w.Name, Workload: w.Name, KernelIndex: len(agg.res.PerKernel), Cycle: g.now}
+	aggData := agg.encode()
+	room := sn.Headroom(aggData)
+	buf, err := g.writeKernel(p, room)
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{
-		Workload:    w.Name,
-		KernelIndex: len(agg.res.PerKernel),
-		Cycle:       g.now,
-		State:       state,
-		Agg:         agg.encode(),
-	}, nil
+	data, state, err := sn.SealBehind(buf, room, aggData)
+	if err != nil {
+		return nil, err
+	}
+	sn.State = state
+	cp, err := checkpointFromSnapshot(&sn)
+	if err != nil {
+		return nil, err
+	}
+	cp.sealed.data, cp.sealed.sn, cp.sealed.state, cp.sealed.agg = data, sn, cp.State, cp.Agg
+	return cp, nil
 }

@@ -208,16 +208,23 @@ func (g *GPU) walkPolicy(k snap.Walk, p Policy) {
 // returned payload restores with ResumeKernel on any GPU built from
 // the same configuration.
 func (g *GPU) SnapshotKernel(p Policy) ([]byte, error) {
+	return g.writeKernel(p, 0)
+}
+
+// writeKernel is SnapshotKernel's walk out, behind room free bytes at
+// the front of the buffer: the state is buf[room:], and a checkpoint
+// seals its container into the room (snap.SealBehind).
+func (g *GPU) writeKernel(p Policy, room int) ([]byte, error) {
 	if g.kernel == nil {
 		return nil, errors.New("sim: no interrupted kernel to snapshot")
 	}
 	// A kernel state changes little in size from one interrupt to the
 	// next, so the last one seen (restored or written) sizes the buffer;
 	// the first snapshot of a run grows it by doubling.
-	w := snap.NewWriterSize(max(256, g.stateSize+g.stateSize/8))
+	w := snap.NewWriterBehind(room, max(256, g.stateSize+g.stateSize/8))
 	g.walk(snap.Out(w), true)
 	g.walkPolicy(snap.Out(w), p)
-	g.stateSize = len(w.Data())
+	g.stateSize = len(w.Data()) - room
 	return w.Data(), nil
 }
 

@@ -143,7 +143,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 func (s *Snapshot) EncodeSections(sections ...[]byte) ([]byte, error) {
 	n := 0
 	for _, sec := range sections {
-		n += (bits.Len(uint(len(sec))|1)+6)/7 + len(sec)
+		n += uvarintLen(len(sec)) + len(sec)
 	}
 	w, err := s.open(n)
 	if err != nil {
@@ -155,16 +155,79 @@ func (s *Snapshot) EncodeSections(sections ...[]byte) ([]byte, error) {
 	return w.seal(), nil
 }
 
+// Headroom is how many bytes SealBehind needs in front of a state's last
+// section when head is the section before it.
+func (s *Snapshot) Headroom(head []byte) int {
+	return s.headroom() + 2*binary.MaxVarintLen64 + len(head)
+}
+
+// SealBehind is EncodeSections(head, last) for a last section that
+// already sits in buf, behind room free bytes: last is buf[room:]. It
+// writes everything in front of last's first byte (the prologue, the
+// head section and last's length prefix) into the end of buf[:room],
+// which must be at least Headroom(head) bytes, appends the CRC, and
+// returns the container and the state it holds (what Decode would put in
+// Snapshot.State). Both are views of buf, or of a grown copy of it when
+// buf has no capacity left for the CRC, capped at their length so that
+// an append cannot write into a neighbour; nothing else is copied.
+func (s *Snapshot) SealBehind(buf []byte, room int, head []byte) (container, state []byte, err error) {
+	if room < 0 || room > len(buf) {
+		return nil, nil, fmt.Errorf("snap: room %d outside a %d-byte buffer", room, len(buf))
+	}
+	last := len(buf) - room
+	n := uvarintLen(len(head)) + len(head) + uvarintLen(last) + last
+	if err := s.check(n); err != nil {
+		return nil, nil, err
+	}
+	// The front is written at buf's start, capped at room so that it
+	// cannot reach last, then moved up against last.
+	front := Writer{buf: buf[:0:room]}
+	s.prologue(&front, n)
+	front.Bytes(head)
+	front.Uvarint(uint64(last))
+	if len(front.buf) > room {
+		return nil, nil, fmt.Errorf("snap: the container needs %d bytes in front of its last section, %d are free", len(front.buf), room)
+	}
+	at := room - len(front.buf)
+	copy(buf[at:room], front.buf)
+	w := Writer{buf: buf[at:]}
+	container = w.seal()
+	end := len(container) - crcLen
+	return container[:len(container):len(container)], container[end-n : end : end], nil
+}
+
 // open starts a container sized for a state of stateLen bytes and writes
 // everything in front of the state's first byte.
 func (s *Snapshot) open(stateLen int) (*Writer, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.check(stateLen); err != nil {
 		return nil, err
 	}
-	if stateLen > maxState {
-		return nil, fmt.Errorf("snap: state too large (%d bytes)", stateLen)
+	w := NewWriterSize(s.headroom() + stateLen + crcLen)
+	s.prologue(w, stateLen)
+	return w, nil
+}
+
+// check is what a container of s with a state of stateLen bytes must
+// pass before anything is written.
+func (s *Snapshot) check(stateLen int) error {
+	if err := s.Validate(); err != nil {
+		return err
 	}
-	w := NewWriterSize(len(Magic) + len(s.Key) + len(s.Workload) + stateLen + 7*binary.MaxVarintLen64 + 4)
+	if stateLen > maxState {
+		return fmt.Errorf("snap: state too large (%d bytes)", stateLen)
+	}
+	return nil
+}
+
+// headroom bounds what prologue writes.
+func (s *Snapshot) headroom() int {
+	return len(Magic) + len(s.Key) + len(s.Workload) + 7*binary.MaxVarintLen64
+}
+
+// prologue writes everything in front of the first byte of a state of
+// stateLen bytes: Encode, EncodeSections and SealBehind write their
+// containers' fronts through it.
+func (s *Snapshot) prologue(w *Writer, stateLen int) {
 	w.buf = append(w.buf, Magic...)
 	w.Uvarint(Version)
 	w.Uvarint(uint64(s.Kind))
@@ -173,8 +236,13 @@ func (s *Snapshot) open(stateLen int) (*Writer, error) {
 	w.Uvarint(uint64(s.KernelIndex))
 	w.Varint(s.Cycle)
 	w.Uvarint(uint64(stateLen))
-	return w, nil
 }
+
+// uvarintLen is how many bytes Writer.Uvarint writes for n.
+func uvarintLen(n int) int { return (bits.Len(uint(n)|1) + 6) / 7 }
+
+// crcLen is the size of the CRC that ends a container.
+const crcLen = 4
 
 // seal appends the CRC of everything written and returns the container.
 func (w *Writer) seal() []byte {
@@ -241,6 +309,13 @@ func NewWriter() *Writer { return NewWriterSize(256) }
 // callers that know roughly how much they will write; a payload that
 // outgrows it still grows by doubling.
 func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
+
+// NewWriterBehind returns a writer for a payload of about n bytes that
+// SealBehind will seal in place: its data starts with room zero bytes,
+// left for the container's front, and its capacity covers the CRC too.
+func NewWriterBehind(room, n int) *Writer {
+	return &Writer{buf: make([]byte, room, room+n+crcLen)}
+}
 
 // Data returns the accumulated payload.
 func (w *Writer) Data() []byte { return w.buf }

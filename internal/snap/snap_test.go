@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"math"
@@ -328,6 +329,56 @@ func TestEncodeSectionsEqualsJoinedState(t *testing.T) {
 		got, err := sn.EncodeSections(sections[:n]...)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%d sections: err %v, %d bytes against %d joined", n, err, len(got), len(want))
+		}
+	}
+}
+
+// TestSealBehindEqualsEncodeSections: a container sealed around a last
+// section that was written in place, behind Headroom free bytes, is
+// EncodeSections over the head and the last section, and the state it
+// returns is the one Decode finds. Section lengths straddle a varint's
+// one-byte bound. Room too small is an error, not a torn container, and
+// a buffer with no capacity for the CRC still seals.
+func TestSealBehindEqualsEncodeSections(t *testing.T) {
+	sizes := [][]byte{nil, {1}, bytes.Repeat([]byte{7}, 127), bytes.Repeat([]byte{8}, 128), bytes.Repeat([]byte{9}, 20000)}
+	for _, head := range sizes {
+		for _, last := range sizes {
+			name := fmt.Sprintf("head %d, last %d", len(head), len(last))
+			sn := sampleSnapshot()
+			sn.State = nil
+			want, err := sn.EncodeSections(head, last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			room := sn.Headroom(head)
+			w := NewWriterBehind(room, len(last))
+			w.buf = append(w.buf, last...)
+			got, state, err := sn.SealBehind(w.Data(), room, head)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: err %v, %d bytes against %d encoded", name, err, len(got), len(want))
+			}
+			if &got[len(got)-1] != &w.buf[:cap(w.buf)][cap(w.buf)-1] {
+				t.Fatalf("%s: the container is not the writer's buffer", name)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%s: the container has %d bytes of capacity past its end", name, cap(got)-len(got))
+			}
+			dec, err := Decode(got)
+			if err != nil || !bytes.Equal(dec.State, state) {
+				t.Fatalf("%s: the state returned is not the decoded one (err %v)", name, err)
+			}
+
+			tight := append(make([]byte, room), last...)[: room+len(last) : room+len(last)]
+			if got, _, err := sn.SealBehind(tight, room, head); err != nil || !bytes.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("%s, no capacity for the CRC: err %v", name, err)
+			}
+			small := append(make([]byte, 8), last...)
+			if _, _, err := sn.SealBehind(small, 8, head); err == nil {
+				t.Fatalf("%s: sealed with 8 bytes of room", name)
+			}
+			if !bytes.Equal(small[8:], last) {
+				t.Fatalf("%s: a refused seal wrote over the last section", name)
+			}
 		}
 	}
 }
