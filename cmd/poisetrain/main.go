@@ -30,6 +30,7 @@ import (
 	"poise/internal/glm"
 	"poise/internal/poise"
 	"poise/internal/profile"
+	"poise/internal/sim"
 	"poise/internal/workloads"
 )
 
@@ -91,16 +92,17 @@ func train(out io.Writer, r trainRun) error {
 		return err
 	}
 	tag := fmt.Sprintf("train-sms%d-%s-%d.%d", r.at.SMs, r.at.Size, r.at.StepN, r.at.StepP)
+	memo := sim.NewRunMemo()
 	ds, err := poise.BuildDataset(config.Default().Scale(r.at.SMs), config.DefaultPoise(),
 		workloads.NewCatalogue(size).TrainingSet(),
-		profile.SweepOptions{StepN: r.at.StepN, StepP: r.at.StepP}, profile.Store{Dir: r.cacheDir}, tag)
+		profile.SweepOptions{StepN: r.at.StepN, StepP: r.at.StepP, Memo: memo}, profile.Store{Dir: r.cacheDir}, tag)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "dataset: %d kernels admitted (%d rejected: %d speedup, %d cycles, %d hitrate) in %v\n",
+	fmt.Fprintf(out, "dataset: %d kernels admitted (%d rejected: %d speedup, %d cycles, %d hitrate) in %v; runs: %d simulated, %d answered from the sweep\n",
 		len(ds.Samples), ds.RejectedSpeedup+ds.RejectedCycles+ds.RejectedHitRate,
 		ds.RejectedSpeedup, ds.RejectedCycles, ds.RejectedHitRate,
-		time.Since(start).Round(time.Second))
+		time.Since(start).Round(time.Second), memo.Simulated.Load(), memo.Reused.Load())
 	return fit(out, ds, r)
 }
 

@@ -242,7 +242,7 @@ func TestShippedModelIsWhatTrainingProduces(t *testing.T) {
 // training kernels), uncached, writes internal/poise/testdata/dataset.jsonl
 // and internal/poise/defaultweights.go byte for byte. A simulator change
 // that moves a training target or a feature moves the set and the
-// model: regenerate both with poisetrain -emit. About 50 s on two
+// model: regenerate both with poisetrain -emit. About 60 s on two
 // cores, so it runs only with -full (CI's no-race step).
 func TestCommittedDatasetIsWhatTheSweepProduces(t *testing.T) {
 	if !testutil.Full() {

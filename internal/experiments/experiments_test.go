@@ -157,4 +157,22 @@ func TestConvergedTuples(t *testing.T) {
 	if out[1].N != 9 || out[1].P != 2 {
 		t.Fatalf("second converged = %+v", out[1])
 	}
+
+	// Eight SMs still searching at the log's end flush in SM order,
+	// whatever order their events came in.
+	var tail []sim.TupleEvent
+	for i, smID := range []int{5, 2, 7, 0, 3, 6, 1, 4} {
+		tail = append(tail,
+			sim.TupleEvent{Cycle: int64(i), SM: smID, N: 8, P: 8, Predicted: true},
+			sim.TupleEvent{Cycle: int64(i), SM: smID, N: smID + 1, P: 1})
+	}
+	out = convergedTuples(tail)
+	if len(out) != 8 {
+		t.Fatalf("tail converged count = %d, want 8", len(out))
+	}
+	for i, ev := range out {
+		if ev.SM != i || ev.N != i+1 {
+			t.Fatalf("tail converged[%d] = %+v, want SM %d at N %d", i, ev, i, i+1)
+		}
+	}
 }

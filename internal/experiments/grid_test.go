@@ -271,7 +271,7 @@ func TestStrideGridShardRoundTripMatchesInProcess(t *testing.T) {
 
 // TestGridCellsCachesAndRepairs: an in-process grid run on a cache
 // directory persists its cells (so a re-run loads them), and a corrupt
-// entry is treated as a miss and overwritten — the LoadOrSweep repair
+// entry is treated as a miss and overwritten — the LoadOrSweepAll repair
 // discipline, applied to cells.
 func TestGridCellsCachesAndRepairs(t *testing.T) {
 	dir := t.TempDir()

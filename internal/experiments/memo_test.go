@@ -175,3 +175,36 @@ func TestSchemeGridReusesSweepPoints(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldoutReusesTheEvalSweep: Table II's hold-out measures each
+// first kernel's features at the two corners of its eval grid, so it
+// simulates no corner its refined eval sweep already ran: the run memo
+// answers every corner the profile carries and simulates only the ones
+// it lacks.
+func TestHoldoutReusesTheEvalSweep(t *testing.T) {
+	h := NewHarness(Options{SMs: 2, EvalSubset: []string{"bfs", "syr2k"}, EvalStepN: 6, EvalStepP: 6})
+	samples, err := h.holdout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept, _ := h.SweepBooks()
+	carried := 0
+	for _, wl := range h.EvalWorkloads() {
+		k := wl.Kernels[0]
+		pr, err := h.KernelProfile(k) // the hold-out's, from memory
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{sim.KernelMaxN(h.Cfg, k), 1} {
+			if _, ok := pr.Lookup(n, n); ok {
+				carried++
+			}
+		}
+	}
+	memo := h.RunMemo()
+	missing := 2*len(samples) - carried
+	if got, want := memo.Simulated.Load(), int64(swept.Simulated+missing); got != want || memo.Reused.Load() != int64(carried) {
+		t.Fatalf("the hold-out simulated %d runs and reused %d, want the sweep's %d plus %d missing corners, and %d reused",
+			got, memo.Reused.Load(), swept.Simulated, missing, carried)
+	}
+}

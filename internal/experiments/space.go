@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"maps"
+	"slices"
 
+	"poise/internal/gridplan"
 	"poise/internal/profile"
 	"poise/internal/reuse"
 	"poise/internal/runner"
@@ -155,26 +158,21 @@ type LocalityRow struct {
 }
 
 // Fig4 reproduces the locality dissection on ii, bfs, syr2k and cfd,
-// one worker per workload.
+// one worker per workload; its runs are grid points (profile.RunTask).
 func (h *Harness) Fig4() ([]LocalityRow, error) {
 	names := []string{"ii", "bfs", "syr2k", "cfd"}
+	opts, maxN := h.sweepOptions(false), h.Cfg.WarpsPerSched
 	return runner.MapSlice(h.ctx(), h.Opt.Workers, names,
 		func(_ context.Context, _ int, name string) (LocalityRow, error) {
-			w := h.Cat.Must(name)
-			k := w.Kernels[0]
-			g, err := sim.New(h.Cfg)
-			if err != nil {
-				return LocalityRow{}, err
+			k := h.Cat.Must(name).Kernels[0]
+			var res [2]sim.KernelResult // at (max, max), then at (max, 1)
+			for i, p := range [2]int{maxN, 1} {
+				var err error
+				if res[i], err = profile.RunTask(h.Cfg, k, gridplan.Task{Kernel: k.Name, N: maxN, P: p}, opts); err != nil {
+					return LocalityRow{}, err
+				}
 			}
-			maxN := h.Cfg.WarpsPerSched
-			base, err := g.Run(k, sim.Fixed{N: maxN, P: maxN}, sim.RunOptions{})
-			if err != nil {
-				return LocalityRow{}, err
-			}
-			red, err := g.Run(k, sim.Fixed{N: maxN, P: 1}, sim.RunOptions{})
-			if err != nil {
-				return LocalityRow{}, err
-			}
+			base, red := res[0], res[1]
 			row := LocalityRow{
 				Workload: name,
 				Hp:       red.L1.PolluteHitRate(),
@@ -244,10 +242,11 @@ func (h *Harness) Fig17() (*CaseStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := sim.New(h.Cfg)
+	g, err := sim.Acquire(h.Cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer sim.Release(g)
 	g.TraceTuples = true
 	res, err := g.Run(k, pol, sim.RunOptions{})
 	if err != nil {
@@ -265,8 +264,8 @@ func (h *Harness) Fig17() (*CaseStudyResult, error) {
 
 // convergedTuples extracts the tuple pinned at the end of each search:
 // the last SetTuple an SM issued after a prediction and before its next
-// prediction (or the log end). Steering before the first prediction
-// (kernel-start and feature-window tuples) does not count.
+// prediction (or the log end, flushed in SM order). Steering before the
+// first prediction (kernel-start and feature-window tuples) does not count.
 func convergedTuples(log []sim.TupleEvent) []sim.TupleEvent {
 	var out []sim.TupleEvent
 	lastBySM := map[int]*sim.TupleEvent{}
@@ -288,7 +287,7 @@ func convergedTuples(log []sim.TupleEvent) []sim.TupleEvent {
 			lastBySM[ev.SM] = &log[i]
 		}
 	}
-	for smID := range lastBySM {
+	for _, smID := range slices.Sorted(maps.Keys(lastBySM)) {
 		flush(smID)
 	}
 	return out

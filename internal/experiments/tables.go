@@ -5,7 +5,6 @@ import (
 
 	"poise/internal/poise"
 	"poise/internal/runner"
-	"poise/internal/sim"
 	"poise/internal/trace"
 )
 
@@ -39,28 +38,32 @@ func (h *Harness) TableII() (*TableIIResult, error) {
 		RejCycles:  ds.RejectedCycles,
 		RejHitRate: ds.RejectedHitRate,
 	}
+	holdout, err := h.holdout()
+	if err != nil {
+		return nil, err
+	}
+	res.ErrN, res.ErrP = poise.EvaluateOffline(w, holdout)
+	return res, nil
+}
 
-	// Offline accuracy: profile the first kernel of every (unseen)
-	// evaluation workload, derive their scored targets, and compare
-	// against predictions. The feature runs draw recycled GPUs from the
-	// process-wide pool rather than constructing one per kernel.
+// holdout is Table II's offline-accuracy set: the first kernel of every
+// (unseen) evaluation workload with its scored target on the eval sweep
+// and its feature vector. The feature runs are corners of that sweep,
+// answered by the harness's run memo when it ran them.
+func (h *Harness) holdout() ([]poise.Sample, error) {
 	var firsts []*trace.Kernel
 	for _, wl := range h.EvalWorkloads() {
 		firsts = append(firsts, wl.Kernels[0])
 	}
-	prs, err := h.profilesOf(firsts, h.sweepOptions(false))
+	opts := h.sweepOptions(false)
+	prs, err := h.profilesOf(firsts, opts)
 	if err != nil {
 		return nil, err
 	}
-	holdout, err := runner.MapSlice(h.ctx(), h.Opt.Workers, firsts,
+	return runner.MapSlice(h.ctx(), h.Opt.Workers, firsts,
 		func(_ context.Context, _ int, k *trace.Kernel) (poise.Sample, error) {
 			target, _ := prs[k.Name].BestScore(h.Params)
-			g, err := sim.Acquire(h.Cfg)
-			if err != nil {
-				return poise.Sample{}, err
-			}
-			x, err := poise.MeasureFeaturesOn(g, k)
-			sim.Release(g)
+			x, err := poise.MeasureFeatures(h.Cfg, k, opts)
 			if err != nil {
 				return poise.Sample{}, err
 			}
@@ -69,11 +72,6 @@ func (h *Harness) TableII() (*TableIIResult, error) {
 				RawN: target.N, RawP: target.P, MaxN: prs[k.Name].MaxN,
 			}, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	res.ErrN, res.ErrP = poise.EvaluateOffline(w, holdout)
-	return res, nil
 }
 
 // PbestRow is one workload of Table IIIa: the 64x-L1 speedup that

@@ -2,11 +2,15 @@ package poise
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"poise/internal/config"
+	"poise/internal/gridplan"
+	"poise/internal/profile"
 	"poise/internal/sim"
 	"poise/internal/testutil"
+	"poise/internal/trace"
 )
 
 // defaultScaled4 is the 4-SM platform with experiment-like contention.
@@ -200,11 +204,7 @@ func TestTrainEmptyDataset(t *testing.T) {
 
 func TestMeasureFeaturesOnTinyKernel(t *testing.T) {
 	k := testutil.ThrashKernel("feat", 20, 40, 4)
-	g, err := sim.New(testutil.TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := MeasureFeaturesOn(g, k)
+	x, err := MeasureFeatures(testutil.TinyConfig(), k, profile.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,6 +214,53 @@ func TestMeasureFeaturesOnTinyKernel(t *testing.T) {
 	}
 	if x[7] != 1 {
 		t.Fatal("intercept missing")
+	}
+}
+
+// TestBuildDatasetAnswersFeaturesFromTheSweep: the feature runs are
+// corners of the training sweep, so a fresh memo simulates exactly the
+// whole-grid points and answers both feature runs of every kernel
+// occurrence that reaches feature measurement (one the cycle floor
+// rejects asks for none), with the vectors unmemoised runs measure.
+// Samples keep the workloads' kernel order and multiplicity.
+func TestBuildDatasetAnswersFeaturesFromTheSweep(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	k0, k1 := testutil.ThrashKernel("reuse#0", 20, 12, 4), testutil.ThrashKernel("reuse#1", 32, 8, 3)
+	short := testutil.ThrashKernel("reuse#short", 8, 1, 1)
+	train := []*sim.Workload{testutil.Workload("reuse-a", k0, short), testutil.Workload("reuse-b", k1, k0)}
+	maxN := sim.KernelMaxN(cfg, short)
+	floor, err := profile.RunTask(cfg, short, gridplan.Task{N: maxN, P: maxN}, profile.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := config.DefaultPoise()
+	params.MinTrainCycles = floor.Cycles + 1
+
+	memo := sim.NewRunMemo()
+	ds, err := BuildDataset(cfg, params, train, profile.SweepOptions{StepN: 3, StepP: 3, Memo: memo}, profile.Store{}, "tag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range ds.Samples {
+		names = append(names, s.Kernel)
+	}
+	if want := []string{"reuse#0", "reuse#1", "reuse#0"}; !reflect.DeepEqual(names, want) || ds.RejectedCycles != 1 {
+		t.Fatalf("samples %v with %d rejected on cycles, want %v and 1", names, ds.RejectedCycles, want)
+	}
+	points := 0
+	for _, k := range sim.DistinctKernels(train) {
+		points += len(gridplan.Enumerate(sim.KernelMaxN(cfg, k), 3, 3))
+	}
+	if simulated, reused := memo.Simulated.Load(), memo.Reused.Load(); simulated != int64(points) || reused != int64(2*len(ds.Samples)) {
+		t.Fatalf("the memo simulated %d runs and answered %d, want the %d grid points and %d feature runs",
+			simulated, reused, points, 2*len(ds.Samples))
+	}
+	for _, s := range ds.Samples {
+		k := map[string]*trace.Kernel{"reuse#0": k0, "reuse#1": k1}[s.Kernel]
+		if x, err := MeasureFeatures(cfg, k, profile.SweepOptions{}); err != nil || x != s.X {
+			t.Fatalf("%s: features %v from the memo, %v (%v) from fresh runs", s.Kernel, s.X, x, err)
+		}
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 
 	"poise/internal/config"
 	"poise/internal/glm"
+	"poise/internal/gridplan"
 	"poise/internal/linalg"
 	"poise/internal/profile"
 	"poise/internal/sim"
+	"poise/internal/sm"
 	"poise/internal/trace"
 )
 
@@ -43,10 +45,10 @@ type Dataset struct {
 // BuildDataset profiles every kernel of the training workloads on cfg,
 // applies the admission thresholds, scores the solution space (Eq. 12),
 // scales the targets, and measures the feature vector per kernel by
-// running the kernel at the baseline tuple and at (1, 1). The feature
-// runs draw their GPU from the process-wide pool the sweeps use
-// (sim.Acquire), so one memory hierarchy serves the whole training set
-// instead of one allocation per kernel.
+// running the kernel at the baseline tuple and at (1, 1). One
+// LoadOrSweepAll sweeps the kernels (a recurring name once); its run
+// memo, a fresh one when sweep.Memo is nil, answers the feature runs,
+// corners of every grid, unless the profile came from the store.
 //
 // Training sweeps cover the whole grid, whatever sweep.Refine says: the
 // refinement is tuple-exact on the evaluation catalogue only. At the
@@ -56,10 +58,22 @@ type Dataset struct {
 // part of 35 s of sweeping on two cores.
 func BuildDataset(cfg config.Config, params config.PoiseParams, train []*sim.Workload, sweep profile.SweepOptions, store profile.Store, tag string) (*Dataset, error) {
 	sweep.Refine = false
+	if sweep.Memo == nil {
+		sweep.Memo = sim.NewRunMemo()
+	}
+	kernels := sim.DistinctKernels(train)
+	swept, err := store.LoadOrSweepAll(cfg, kernels, func(string) string { return tag }, sweep)
+	if err != nil {
+		return nil, fmt.Errorf("poise: training sweep: %w", err)
+	}
+	prs := make(map[string]*profile.Profile, len(kernels))
+	for i, k := range kernels {
+		prs[k.Name] = swept[i].Profile
+	}
 	ds := &Dataset{}
 	for _, w := range train {
 		for _, k := range w.Kernels {
-			s, reject, err := buildSample(cfg, params, k, sweep, store, tag)
+			s, reject, err := buildSample(cfg, params, k, prs[k.Name], sweep)
 			if err != nil {
 				return nil, fmt.Errorf("poise: training kernel %s: %w", k.Name, err)
 			}
@@ -87,11 +101,7 @@ const (
 	rejectHitRate
 )
 
-func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, sweep profile.SweepOptions, store profile.Store, tag string) (Sample, rejectReason, error) {
-	pr, err := store.LoadOrSweep(tag, cfg, k, sweep)
-	if err != nil {
-		return Sample{}, rejectNone, err
-	}
+func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, pr *profile.Profile, sweep profile.SweepOptions) (Sample, rejectReason, error) {
 	// Table IV admission thresholds. Deviation from the paper: kernels
 	// whose best tuple gives no speedup are *admitted* rather than
 	// rejected — for them the scored target is the baseline tuple
@@ -110,12 +120,7 @@ func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, 
 	}
 
 	target, _ := pr.BestScore(params)
-	g, err := sim.Acquire(cfg)
-	if err != nil {
-		return Sample{}, rejectNone, err
-	}
-	x, err := MeasureFeaturesOn(g, k)
-	sim.Release(g)
+	x, err := MeasureFeatures(cfg, k, sweep)
 	if err != nil {
 		return Sample{}, rejectNone, err
 	}
@@ -132,41 +137,26 @@ func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, 
 	}, rejectNone, nil
 }
 
-// MeasureFeaturesOn runs kernel k twice on g — at the baseline tuple and
-// at (1, 1) — and assembles the Table II feature vector from whole-run
-// aggregates, the offline analogue of the HIE's two sampling windows. g
-// must be fresh or reset: typically one from sim.Acquire, whose
-// reset-to-fresh invariant makes the features a fresh construction's.
-func MeasureFeaturesOn(g *sim.GPU, k *trace.Kernel) (Vector, error) {
-	maxN := sim.KernelMaxN(g.Cfg, k)
-	baseRes, err := g.Run(k, sim.Fixed{N: maxN, P: maxN}, sim.RunOptions{})
-	if err != nil {
-		return Vector{}, err
+// MeasureFeatures runs kernel k at the baseline tuple and at (1, 1) and
+// assembles the Table II feature vector from whole-run aggregates, the
+// offline analogue of the HIE's two sampling windows. The runs are
+// profile.RunTask grid points under opts, so opts.Memo answers the ones
+// a sweep of k already made: both tuples are corners of every grid.
+func MeasureFeatures(cfg config.Config, k *trace.Kernel, opts profile.SweepOptions) (Vector, error) {
+	maxN := sim.KernelMaxN(cfg, k)
+	digest := gridplan.KernelDigest(k)
+	var win [2]Window // the baseline window, then the reference one
+	for i, n := range [2]int{maxN, 1} {
+		res, err := profile.RunTask(cfg, k, gridplan.Task{Kernel: k.Name, Digest: digest, N: n, P: n}, opts)
+		if err != nil {
+			return Vector{}, err
+		}
+		// The HIE's window over the whole run: the kernel's totals, and
+		// the L1-miss latency the run averaged over every SM.
+		win[i] = WindowFrom(res.L1, sm.Counters{Instructions: res.Instructions, Loads: res.Loads})
+		win[i].AML = res.AML
 	}
-	refRes, err := g.Run(k, sim.Fixed{N: 1, P: 1}, sim.RunOptions{})
-	if err != nil {
-		return Vector{}, err
-	}
-	base := Window{
-		HitRate:      baseRes.L1.HitRate(),
-		IntraRate:    baseRes.L1.IntraWarpHitRate(),
-		AML:          baseRes.AML,
-		InstrPerLoad: instrPerLoad(baseRes),
-	}
-	ref := Window{
-		HitRate:      refRes.L1.HitRate(),
-		IntraRate:    refRes.L1.IntraWarpHitRate(),
-		AML:          refRes.AML,
-		InstrPerLoad: instrPerLoad(refRes),
-	}
-	return Features(base, ref), nil
-}
-
-func instrPerLoad(r sim.KernelResult) float64 {
-	if r.Loads == 0 {
-		return float64(r.Instructions)
-	}
-	return float64(r.Instructions) / float64(r.Loads)
+	return Features(win[0], win[1]), nil
 }
 
 // TrainOptions tunes Train.

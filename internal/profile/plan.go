@@ -93,7 +93,7 @@ func RunVerifiedTasks(cfg config.Config, kernels map[string]*trace.Kernel, tasks
 	opts = opts.withDefaults()
 	return runner.MapSlice(opts.Ctx, opts.Workers, tasks,
 		func(_ context.Context, _ int, t gridplan.Task) (gridplan.Measurement, error) {
-			res, err := runTask(cfg, kernels[t.Kernel], t, opts)
+			res, err := RunTask(cfg, kernels[t.Kernel], t, opts)
 			if err != nil {
 				return gridplan.Measurement{}, fmt.Errorf("profile: point (%d,%d) of %s: %w", t.N, t.P, t.Kernel, err)
 			}
@@ -114,14 +114,14 @@ func taskCheckpointKey(t gridplan.Task) string {
 	return "task|" + t.Key() + "|" + t.Digest
 }
 
-// runTask simulates one grid point: the one-kernel workload {k} under
-// Fixed{N, P} through sim.Drive, answered by the memo when one is set
-// and it holds the point, else on a pooled GPU. With a checkpoint store
+// RunTask runs kernel k at the tuple t pins, the one way to do so: the
+// one-kernel workload {k} under Fixed{N, P} through sim.Drive, answered
+// by opts.Memo when it holds the run (a sweep point, a feature run and a
+// Fig. 4 run share keys), else on a pooled GPU. With a checkpoint store
 // Drive resumes, saves and deletes the task's checkpoint; a resumed task
 // measures bit-identical to an uninterrupted run (sim's snapshot covers
-// all live engine state), so checkpointing never perturbs merged sweep
-// output.
-func runTask(cfg config.Config, k *trace.Kernel, t gridplan.Task, opts SweepOptions) (sim.KernelResult, error) {
+// all live engine state), so checkpointing never perturbs sweep output.
+func RunTask(cfg config.Config, k *trace.Kernel, t gridplan.Task, opts SweepOptions) (sim.KernelResult, error) {
 	job := sim.Job{
 		Workload: &sim.Workload{Name: k.Name, Kernels: []*trace.Kernel{k}},
 		Policy:   func() (sim.Policy, error) { return sim.Fixed{N: t.N, P: t.P}, nil },

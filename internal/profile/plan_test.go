@@ -86,7 +86,7 @@ func TestMergeShardsNeedsBaseline(t *testing.T) {
 
 // TestLoadOrSweepReSweepsCorrupt is the corrupt-cache regression test:
 // a truncated/garbled cache entry must surface as ErrCorrupt from
-// Load, and LoadOrSweep must silently re-sweep and repair the entry
+// Load, and LoadOrSweepAll must silently re-sweep and repair the entry
 // instead of aborting the run.
 func TestLoadOrSweepReSweepsCorrupt(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
@@ -94,7 +94,7 @@ func TestLoadOrSweepReSweepsCorrupt(t *testing.T) {
 	k := testutil.ThrashKernel("corrupt", 16, 8, 2)
 	opts := SweepOptions{StepN: 8, StepP: 8}
 
-	want, err := st.LoadOrSweep("cfg", cfg, k, opts)
+	want, err := loadOrSweep(st, "cfg", cfg, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +116,9 @@ func TestLoadOrSweepReSweepsCorrupt(t *testing.T) {
 		if _, err := st.Load("cfg", k.Name); !errors.Is(err, atomicfile.ErrCorrupt) {
 			t.Fatalf("%s: Load error = %v, want ErrCorrupt", name, err)
 		}
-		got, err := st.LoadOrSweep("cfg", cfg, k, opts)
+		got, err := loadOrSweep(st, "cfg", cfg, k, opts)
 		if err != nil {
-			t.Fatalf("%s: LoadOrSweep must re-sweep a corrupt entry, got %v", name, err)
+			t.Fatalf("%s: LoadOrSweepAll must re-sweep a corrupt entry, got %v", name, err)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: re-sweep diverged from the original profile", name)
@@ -130,6 +130,56 @@ func TestLoadOrSweepReSweepsCorrupt(t *testing.T) {
 		}
 		if !bytes.Equal(repaired, good) {
 			t.Fatalf("%s: cache entry not repaired", name)
+		}
+	}
+}
+
+// TestLoadOrSweepAllWholeGridIsPerKernelSweep is the oracle of the
+// whole-grid branch, which runs every missing kernel's grid as one task
+// list on one pool: at one worker and at four, over kernels of
+// different shapes (one with a lower occupancy bound, so the grids
+// differ), its profiles are reflect.DeepEqual to per-kernel Sweeps, they
+// carry no refinement books, and the store receives the bytes that
+// saving those Sweeps writes.
+func TestLoadOrSweepAllWholeGridIsPerKernelSweep(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	capped := testutil.ThrashKernel("oracle#2", 12, 10, 2)
+	capped.MaxWarpsPerSched = cfg.WarpsPerSched / 2
+	kernels := []*trace.Kernel{
+		testutil.ThrashKernel("oracle#0", 20, 12, 4),
+		testutil.ThrashKernel("oracle#1", 32, 8, 3),
+		capped,
+	}
+	tag := func(kernel string) string { return "tag-" + kernel[len(kernel)-1:] }
+	want := Store{Dir: t.TempDir()}
+	var wantProfiles []*Profile
+	for _, k := range kernels {
+		pr, err := Sweep(cfg, k, SweepOptions{StepN: 3, StepP: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Save(tag(k.Name), pr); err != nil {
+			t.Fatal(err)
+		}
+		wantProfiles = append(wantProfiles, pr)
+	}
+	for _, workers := range []int{1, 4} {
+		st := Store{Dir: t.TempDir()}
+		got, err := st.LoadOrSweepAll(cfg, kernels, tag, SweepOptions{StepN: 3, StepP: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range kernels {
+			if !reflect.DeepEqual(got[i], Swept{Profile: wantProfiles[i]}) {
+				t.Errorf("workers %d: %s differs from its own Sweep", workers, k.Name)
+			}
+			w, err := os.ReadFile(want.path(tag(k.Name), k.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, err := os.ReadFile(st.path(tag(k.Name), k.Name)); err != nil || !bytes.Equal(g, w) {
+				t.Errorf("workers %d: the cache file of %s is not what saving its Sweep writes (%v)", workers, k.Name, err)
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"poise/internal/atomicfile"
 	"poise/internal/config"
+	"poise/internal/gridplan"
 	"poise/internal/sim"
 	"poise/internal/snap"
 	"poise/internal/trace"
@@ -130,7 +131,7 @@ type SweepOptions struct {
 	// harness and poisebench set Memo, poisesim sets Checkpoints.
 	Memo *sim.RunMemo
 	// Refine switches sweeps to adaptive coarse-to-fine refinement
-	// (see refine.go): LoadOrSweep runs a Refinement instead of the
+	// (see refine.go): LoadOrSweepAll runs a Refinement instead of the
 	// whole grid, caching completed rounds for resume. The refined
 	// profile contains only the simulated subset of the grid, so
 	// callers that consume more than the Best/BestDiagonal/BestScore
@@ -168,22 +169,21 @@ func (o SweepOptions) withDefaults() SweepOptions {
 // function of (config, kernel, tuple), so the profile is bit-identical
 // at any worker count.
 //
-// Sweep is exactly the one-part instance of the plan pipeline
-// (BuildPlan -> RunTasks -> MergeShards), so a sweep fanned out across
-// a fleet's processes merges to the same Profile bit for bit — the
+// Sweep is LoadOrSweepAll's whole-grid body over k alone, with no
+// store, so a sweep fanned out across a fleet's processes (BuildPlan ->
+// RunTasks -> MergeShards) merges to the same Profile bit for bit — the
 // property TestShardedSweepMatchesInProcess pins down.
 //
 // It covers the whole grid. The commands and the experiment harness
 // refine instead (Refinement); Sweep remains for the figures that draw
 // every point and as the oracle the refinement is proven against.
 func Sweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
-	opts = opts.withDefaults()
-	plan := BuildPlan("", cfg, k, opts)
-	ms, err := RunTasks(cfg, map[string]*trace.Kernel{k.Name: k}, plan.Tasks, opts)
+	opts.Refine = false
+	out, err := Store{}.LoadOrSweepAll(cfg, []*trace.Kernel{k}, func(string) string { return "" }, opts)
 	if err != nil {
 		return nil, err
 	}
-	return MergeShards(k.Name, ms)
+	return out[0].Profile, nil
 }
 
 // Score implements the paper's Eq. 12 neighbourhood scoring at point
@@ -260,7 +260,7 @@ func (s Store) path(tag, kernel string) string {
 
 // Load reads a cached profile; it returns os.ErrNotExist if absent and
 // an atomicfile.ErrCorrupt-wrapping error if present but undecodable.
-// LoadOrSweep treats both as "no usable cache entry" and re-sweeps.
+// LoadOrSweepAll treats both as "no usable cache entry" and re-sweeps.
 func (s Store) Load(tag, kernel string) (*Profile, error) {
 	if s.Dir == "" {
 		return nil, os.ErrNotExist
@@ -291,25 +291,16 @@ func (s Store) Save(tag string, pr *Profile) error {
 	return nil
 }
 
-// LoadOrSweep returns the cached profile of one kernel or sweeps it and
-// caches it (LoadOrSweepAll over a single kernel).
-func (s Store) LoadOrSweep(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
-	out, err := s.LoadOrSweepAll(cfg, []*trace.Kernel{k}, func(string) string { return tag }, opts)
-	if err != nil {
-		return nil, err
-	}
-	return out[0].Profile, nil
-}
-
 // LoadOrSweepAll returns the profiles of the kernels, in order; tag
 // gives each kernel's cache tag. A cached profile is loaded; a corrupt
 // entry (atomicfile.ErrCorrupt) is a miss and gets overwritten, so a
 // truncated write from a crashed run can never abort later runs. The
 // others are swept and cached: with opts.Refine set by ONE Refinement
 // over all of them, which resumes from the rounds the store holds and
-// persists the ones it runs (refine.go); over the whole grid, kernel by
-// kernel, otherwise. Refined and whole-grid profiles carry different
-// points: callers key them under different tags.
+// persists the ones it runs (refine.go); otherwise by ONE RunTasks of
+// all their whole grids on one Workers-wide pool. Refined and
+// whole-grid profiles carry different points: callers key them under
+// different tags.
 func (s Store) LoadOrSweepAll(cfg config.Config, kernels []*trace.Kernel, tag func(kernel string) string, opts SweepOptions) ([]Swept, error) {
 	out := make([]Swept, len(kernels))
 	var missing []int
@@ -321,10 +312,26 @@ func (s Store) LoadOrSweepAll(cfg config.Config, kernels []*trace.Kernel, tag fu
 		}
 	}
 	if !opts.Refine {
+		byName := map[string]*trace.Kernel{}
+		var tasks []gridplan.Task
 		for _, i := range missing {
-			pr, err := Sweep(cfg, kernels[i], opts)
+			k := kernels[i]
+			byName[k.Name] = k
+			tasks = append(tasks, BuildPlan("", cfg, k, opts).Tasks...)
+		}
+		ms, err := RunTasks(cfg, byName, tasks, opts)
+		if err != nil {
+			return nil, err
+		}
+		shares := map[string][]gridplan.Measurement{}
+		for _, m := range ms {
+			shares[m.Kernel] = append(shares[m.Kernel], m)
+		}
+		for _, i := range missing {
+			name := kernels[i].Name
+			pr, err := MergeShards(name, shares[name])
 			if err == nil && s.Dir != "" {
-				err = s.Save(tag(kernels[i].Name), pr)
+				err = s.Save(tag(name), pr)
 			}
 			if err != nil {
 				return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"poise/internal/config"
 	"poise/internal/testutil"
+	"poise/internal/trace"
 )
 
 func sweepTiny(t *testing.T) *Profile {
@@ -256,17 +257,26 @@ func TestProfileJSONStableAcrossIndex(t *testing.T) {
 	}
 }
 
+// loadOrSweep is Store.LoadOrSweepAll of the one kernel k under tag.
+func loadOrSweep(st Store, tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
+	out, err := st.LoadOrSweepAll(cfg, []*trace.Kernel{k}, func(string) string { return tag }, opts)
+	if err != nil {
+		return nil, err
+	}
+	return out[0].Profile, nil
+}
+
 func TestLoadOrSweepCaches(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
 	k := testutil.ThrashKernel("los", 16, 10, 4)
 	opts := SweepOptions{StepN: 8, StepP: 8}
 	cfg := testutil.TinyConfig()
-	a, err := st.LoadOrSweep("cfgX", cfg, k, opts)
+	a, err := loadOrSweep(st, "cfgX", cfg, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second call must come from disk and agree exactly.
-	b, err := st.LoadOrSweep("cfgX", cfg, k, opts)
+	b, err := loadOrSweep(st, "cfgX", cfg, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

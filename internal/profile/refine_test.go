@@ -109,7 +109,7 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 }
 
 // TestLoadOrSweepPrunedResume pins round persistence: a pruned
-// LoadOrSweep caches its rounds and final profile; re-running after
+// LoadOrSweepAll caches its rounds and final profile; re-running after
 // deleting only the final profile resumes from the cached rounds
 // without simulating anything (the refinement is already converged,
 // so a poisoned kernel proves no simulation happens); and a corrupt
@@ -132,7 +132,7 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 	first := sweep(k)
 	want := first.Profile
 	if len(st.LoadRounds("tag", k.Name)) == 0 {
-		t.Fatal("pruned LoadOrSweep persisted no rounds")
+		t.Fatal("pruned LoadOrSweepAll persisted no rounds")
 	}
 	if _, swept := prunedTiny(t); first.Stats != swept {
 		t.Fatalf("stats of one sweep: %+v; PrunedSweep reports %+v", first.Stats, swept)
@@ -172,7 +172,7 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 	if err := os.WriteFile(st.roundPath("tag", k.Name, 0), []byte("{garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := st.LoadOrSweep("tag", cfg, k, opts)
+	repaired, err := loadOrSweep(st, "tag", cfg, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func sameFiles(t *testing.T, golden, dir string) {
 // TestRefinementReproducesParentGoldens: the files under
 // testdata/pr22_refine were written by the PARENT of the commit that
 // made Refinement the one refinement loop (d540eb0), which had three:
-// inproc/ is the store Store.LoadOrSweep (its own round loop) filled
+// inproc/ is the store Store.LoadOrSweepAll (its own round loop) filled
 // kernel by kernel; fleet/ the store fleet.RefineCampaign (its own
 // state machine) filled when driven by hand from mm#3's round 0 on
 // disk, the results handed back in key order as a coordinator does and
@@ -153,7 +153,7 @@ func TestRefinementRestartsUnextendableRounds(t *testing.T) {
 		}
 	}
 	k := workloads.NewCatalogue(workloads.Small).Must("mm").Kernels[3]
-	pr, err := st.LoadOrSweep("tagB", config.Default().Scale(2), k, SweepOptions{StepN: 4, StepP: 4, Refine: true})
+	pr, err := loadOrSweep(st, "tagB", config.Default().Scale(2), k, SweepOptions{StepN: 4, StepP: 4, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,13 @@
 package sim_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"poise/internal/experiments"
@@ -227,5 +233,63 @@ func TestHarnessesSweepOnTheProcessPool(t *testing.T) {
 	if rounds < 4 || builds > 1 || builds+reuses != int64(points) {
 		t.Fatalf("two harnesses swept %d points in %d rounds on %d GPUs built and %d reused, want at most 1 built",
 			points, rounds, builds, reuses)
+	}
+}
+
+// newGPUAllowed lists the non-test files outside internal/sim that may
+// call sim.New, each with its reason.
+var newGPUAllowed = map[string]string{
+	"bench/probes.go": "the benchmark harness times construction itself (sim.new_ms)",
+}
+
+// TestOnlyThePoolBuildsGPUs holds pool.go's rule: outside internal/sim,
+// no non-test Go file constructs a GPU (a reference to sim.New, called
+// or not); everything takes one from sim.Acquire.
+func TestOnlyThePoolBuildsGPUs(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == "internal/sim" || d.Name() == "testdata" || rel != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") || newGPUAllowed[rel] != "" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		name := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"poise/internal/sim"` {
+				name = "sim"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "New" {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == name {
+					t.Errorf("%s builds a GPU with sim.New; take one from sim.Acquire", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -117,10 +117,11 @@ func Workload(name string, ks ...*trace.Kernel) *sim.Workload {
 // RunTiny runs a kernel on the tiny GPU under a policy and panics on
 // error (tests use the explicit API when they assert on errors).
 func RunTiny(k *trace.Kernel, p sim.Policy) sim.KernelResult {
-	g, err := sim.New(TinyConfig())
+	g, err := sim.Acquire(TinyConfig())
 	if err != nil {
 		panic(err)
 	}
+	defer sim.Release(g)
 	res, err := g.Run(k, p, sim.RunOptions{})
 	if err != nil {
 		panic(err)
