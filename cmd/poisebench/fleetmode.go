@@ -113,7 +113,7 @@ func benchCampaign(h *experiments.Harness, f benchFleetFlags) (fleet.Campaign, f
 		}
 		return fleet.CellCampaign{Plan: plan}, save, nil
 	}
-	r := profile.NewRefinement(h.Cfg, sim.DistinctKernels(h.EvalWorkloads()), h.ProfileTag,
+	r := profile.NewRefinement(h.Cfg, sim.DistinctKernels(h.EvalWorkloads()),
 		h.EvalSweepOptions(), h.ProfileStore())
 	save := func([]fleet.Result) error {
 		swept, err := r.Profiles(h.ProfileStore())

@@ -244,7 +244,7 @@ func main() {
 		a := sweepModeArgs{
 			cfg: cfg, cat: cat, selected: ws, ctx: ctx, profileDir: *profDir,
 			sweep: *sweepRun, best: *bestRun, cacheDir: *cacheDir,
-			stepN: *stepN, stepP: *stepP, workers: *parallel, seed: *seed,
+			stepN: *stepN, stepP: *stepP, workers: *parallel,
 			snapDir: *snapDir, ckpts: ckpts, ictl: ictl,
 		}
 		if !fleetMode.Enabled() {

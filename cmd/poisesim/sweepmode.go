@@ -37,7 +37,6 @@ type sweepModeArgs struct {
 	cacheDir     string // completed refinement rounds (-sweep and -serve)
 	stepN, stepP int
 	workers      int
-	seed         int64
 
 	// Mid-run snapshot wiring (-snapshot-dir / -ckpt-at-cycle):
 	// preempted tasks checkpoint into ckpts and later runs pointed at
@@ -56,18 +55,6 @@ func (a sweepModeArgs) sweepOptions() profile.SweepOptions {
 		Refine:    true,
 		Interrupt: a.ictl, Checkpoints: a.ckpts,
 	}
-}
-
-// sweepTag keys profiles by everything that changes them: the scaled
-// configuration, the grid resolution, the refinement parameters, and
-// the catalogue seed (the kernels' stochastic streams). All processes
-// of one campaign agree on these flags, so they agree on the tag.
-func (a sweepModeArgs) sweepTag(opts profile.SweepOptions) string {
-	tag := profile.SweepTag(a.cfg, opts)
-	if a.seed != 0 {
-		tag = fmt.Sprintf("%s-seed%d", tag, a.seed)
-	}
-	return tag
 }
 
 // validateSweepFlags rejects under-specified mode combinations before
@@ -113,13 +100,11 @@ func runSweepMode(a sweepModeArgs) {
 	}
 }
 
-// refinement is the refined sweep of the -workload selection under the
-// one tag: what -sweep runs here and -serve hands to a fleet. Completed
-// rounds persist in -cache, if it is set.
+// refinement is the refined sweep of the -workload selection: what
+// -sweep runs here and -serve hands to a fleet. Completed rounds
+// persist in -cache, if it is set, under each kernel's profile.Key.
 func (a sweepModeArgs) refinement(opts profile.SweepOptions) *profile.Refinement {
-	tag := a.sweepTag(opts)
-	return profile.NewRefinement(a.cfg, sim.DistinctKernels(a.selected),
-		func(string) string { return tag }, opts, profile.Store{Dir: a.cacheDir})
+	return profile.NewRefinement(a.cfg, sim.DistinctKernels(a.selected), opts, profile.Store{Dir: a.cacheDir})
 }
 
 // printBestTable derives the static policy table — the Static-Best,

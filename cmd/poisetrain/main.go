@@ -91,11 +91,10 @@ func train(out io.Writer, r trainRun) error {
 	if err != nil {
 		return err
 	}
-	tag := fmt.Sprintf("train-sms%d-%s-%d.%d", r.at.SMs, r.at.Size, r.at.StepN, r.at.StepP)
 	memo := sim.NewRunMemo()
 	ds, err := poise.BuildDataset(config.Default().Scale(r.at.SMs), config.DefaultPoise(),
 		workloads.NewCatalogue(size).TrainingSet(),
-		profile.SweepOptions{StepN: r.at.StepN, StepP: r.at.StepP, Memo: memo}, profile.Store{Dir: r.cacheDir}, tag)
+		profile.SweepOptions{StepN: r.at.StepN, StepP: r.at.StepP, Memo: memo}, profile.Store{Dir: r.cacheDir})
 	if err != nil {
 		return err
 	}

@@ -277,8 +277,7 @@ type PoiseParams struct {
 	StrideN int // initial local-search stride for N (epsilon_N)
 	StrideP int // initial local-search stride for p (epsilon_p)
 
-	// Training-set admission thresholds.
-	MinTrainSpeedup float64 // best-tuple speedup must reach this (1.5%)
+	// Training-set admission thresholds; no speedup floor (poise's buildSample says why).
 	MinTrainCycles  int64   // baseline kernel length must reach this
 	MinTrainHitRate float64 // L1 hit rate at (1,1) must exceed this
 }
@@ -295,7 +294,6 @@ func DefaultPoise() PoiseParams {
 		StrideN:  2,
 		StrideP:  4,
 
-		MinTrainSpeedup: 0.015,
 		MinTrainCycles:  10_000,
 		MinTrainHitRate: 0.0,
 	}

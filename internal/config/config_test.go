@@ -45,7 +45,7 @@ func TestPoiseDefaultsMatchTableIV(t *testing.T) {
 	if p.ScoreW0 != 1 || p.ScoreW1 != 0.5 || p.ScoreW2 != 0.25 {
 		t.Fatal("scoring weights wrong")
 	}
-	if p.MinTrainSpeedup != 0.015 || p.MinTrainCycles != 10_000 {
+	if p.MinTrainCycles != 10_000 || p.MinTrainHitRate != 0 {
 		t.Fatal("thresholds wrong")
 	}
 }

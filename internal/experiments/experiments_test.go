@@ -29,17 +29,6 @@ func TestHarnessDefaults(t *testing.T) {
 	}
 }
 
-func TestTagDistinguishesConfigs(t *testing.T) {
-	a := NewHarness(Options{SMs: 4})
-	b := NewHarness(Options{SMs: 8})
-	if a.tag(false) == b.tag(false) {
-		t.Fatal("different configs must not share cache tags")
-	}
-	if a.tag(false) == a.tag(true) {
-		t.Fatal("train and eval grids must not share cache tags")
-	}
-}
-
 func TestKernelProfileMemoised(t *testing.T) {
 	h := tinyHarness()
 	k := h.Cat.Must("wc").Kernels[0]

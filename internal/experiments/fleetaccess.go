@@ -9,8 +9,8 @@ import (
 )
 
 // What a fleet campaign over the harness's evaluation sweep needs
-// (package fleet, cmd/poisebench -serve/-worker), beside ProfileTag: the
-// kernel set, the sweep options, the plan and the stores. The fleet is
+// (package fleet, cmd/poisebench -serve/-worker): the kernel set, the
+// sweep options, the plan and the stores. The fleet is
 // the one way to split a sweep or an experiment grid across processes.
 
 // EvalKernels returns the evaluation kernel index (every kernel of
@@ -29,13 +29,15 @@ func (h *Harness) EvalSweepOptions() profile.SweepOptions { return h.sweepOption
 
 // EvalPlan enumerates the whole evaluation grid of every distinct
 // evaluation kernel — the points a refined sweep chooses from, not the
-// ones it simulates — each task tagged with the kernel's profile-cache
-// key and content digest. A fleet serves it as a fixed plan; the
-// benchmark counts its tasks.
+// ones it simulates — each task tagged with the sweep's
+// profile.SweepTag and the kernel's content digest. A fleet serves it
+// as a fixed plan; the benchmark counts its tasks.
 func (h *Harness) EvalPlan() (*gridplan.Plan, error) {
 	plan := &gridplan.Plan{Version: gridplan.PlanVersion}
+	opts := h.sweepOptions(false)
+	tag := profile.SweepTag(h.Cfg, opts)
 	for _, k := range sim.DistinctKernels(h.EvalWorkloads()) {
-		kp := profile.BuildPlan(h.ProfileTag(k.Name), h.Cfg, k, h.sweepOptions(false))
+		kp := profile.BuildPlan(tag, h.Cfg, k, opts)
 		plan.Tasks = append(plan.Tasks, kp.Tasks...)
 	}
 	if err := plan.Validate(); err != nil {

@@ -216,7 +216,7 @@ var gridDefs = map[string]gridDef{
 			_, err := h.Dataset()
 			return err
 		},
-		tag: func(h *Harness) string { return "|train:" + h.tag(true) },
+		tag: func(h *Harness) string { return "|train:" + h.trainTag() },
 	},
 	// Fig. 15: APCM and random-restart search against Poise. Each
 	// random-restart trial is its own cell, seeded by a pure function of
@@ -369,7 +369,7 @@ func (h *Harness) ablatedWeights(drop int) (poise.Weights, error) {
 
 // weightsFingerprint identifies the Poise model cells run with, for
 // the results-cache tag: an explicit override, the embedded defaults,
-// or a model trained from the (tag-identified) training dataset.
+// or a model trained from the training dataset trainTag identifies.
 func (h *Harness) weightsFingerprint() string {
 	if h.Opt.Weights != nil {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", *h.Opt.Weights)))
@@ -378,13 +378,23 @@ func (h *Harness) weightsFingerprint() string {
 	if _, ok := poise.DefaultWeights(); ok {
 		return "default"
 	}
-	return "trained-" + h.tag(true)
+	return "trained-" + h.trainTag()
+}
+
+// trainTag identifies the training dataset: its sweep, the seed and
+// every training workload's content (a shadowing trace moves it).
+func (h *Harness) trainTag() string {
+	s := fmt.Sprintf("%s|seed%d", profile.SweepTag(h.Cfg, h.sweepOptions(true)), h.Opt.Seed)
+	for _, w := range h.Cat.TrainingSet() {
+		s += "|" + workloadDigest(w)
+	}
+	return s
 }
 
 // cellTag digests everything that can change a grid's cell results or
 // its plan membership — the full architectural configuration, the
-// Poise parameters, the profile-grid resolution and seed (via the
-// profile tag), the model weights' provenance, the grid's workload
+// Poise parameters, the evaluation sweep (profile.SweepTag) and the
+// seed, the model weights' provenance, the grid's workload
 // axis (names and content digests, so subset or trace-augmented runs
 // get their own cache entry instead of evicting the full grid's), and
 // what else the grid declares its cells depend on — so the results
@@ -392,8 +402,8 @@ func (h *Harness) weightsFingerprint() string {
 // campaign must agree on it; RunCellTasks enforces that against the
 // plan.
 func (h *Harness) cellTag(grid string) string {
-	s := fmt.Sprintf("%s|%s|cfg:%+v|params:%+v|w:%s",
-		grid, h.tag(false), h.Cfg, h.Params, h.weightsFingerprint())
+	s := fmt.Sprintf("%s|%s|seed%d|cfg:%+v|params:%+v|w:%s", grid,
+		profile.SweepTag(h.Cfg, h.sweepOptions(false)), h.Opt.Seed, h.Cfg, h.Params, h.weightsFingerprint())
 	if d, ok := gridDefs[grid]; ok {
 		ax := sha256.New()
 		for _, wl := range d.workloads(h) {

@@ -6,8 +6,8 @@
 // Experiments run on a scaled GPU (default 8 SMs with a proportionally
 // scaled memory system, see config.Config.Scale) and the Small workload
 // size; both are configurable. Offline {N, p} sweeps are cached on disk
-// keyed by a configuration digest, because SWL, PCAL-SWL, Static-Best
-// and the training pipeline all consume them.
+// by sweep configuration and kernel content, because SWL, PCAL-SWL,
+// Static-Best and the training pipeline all consume them.
 package experiments
 
 import (
@@ -140,39 +140,27 @@ type Harness struct {
 	escalated int
 
 	// exhaustive makes every sweep cover its whole grid, under the
-	// exhaustive cache tags. Only tests set it: it is the oracle the
+	// whole-grid cache keys. Only tests set it: it is the oracle the
 	// tuple-exactness suites compare the harness against.
 	exhaustive bool
-
-	// extraKernels maps each ExtraWorkloads kernel name to its
-	// workload's content digest, so only those kernels' profile-cache
-	// keys move when traces are ingested or re-recorded — the synthetic
-	// catalogue's cached sweeps stay warm.
-	extraKernels map[string]string
 }
 
 // NewHarness builds a harness.
 func NewHarness(opt Options) *Harness {
 	opt = opt.withDefaults()
 	cat := workloads.NewCatalogueSeeded(opt.Size, opt.Seed)
-	extraKernels := map[string]string{}
 	for _, w := range opt.ExtraWorkloads {
 		cat.Put(w)
-		d := workloadDigest(w)
-		for _, k := range w.Kernels {
-			extraKernels[k.Name] = d
-		}
 	}
 	return &Harness{
-		Opt:          opt,
-		Cfg:          config.Default().Scale(opt.SMs),
-		Params:       config.DefaultPoise(),
-		Cat:          cat,
-		store:        profile.Store{Dir: opt.CacheDir},
-		cellStore:    results.Store{Dir: opt.CacheDir},
-		profiles:     map[profileKey]*profile.Profile{},
-		memo:         sim.NewRunMemo(),
-		extraKernels: extraKernels,
+		Opt:       opt,
+		Cfg:       config.Default().Scale(opt.SMs),
+		Params:    config.DefaultPoise(),
+		Cat:       cat,
+		store:     profile.Store{Dir: opt.CacheDir},
+		cellStore: results.Store{Dir: opt.CacheDir},
+		profiles:  map[profileKey]*profile.Profile{},
+		memo:      sim.NewRunMemo(),
 	}
 }
 
@@ -220,73 +208,12 @@ func (h *Harness) sweepOptions(train bool) profile.SweepOptions {
 	return o
 }
 
-// tag digests the parts of the configuration that change profiles, so
-// the on-disk cache never serves stale sweeps. Worker count is
-// deliberately excluded: parallelism never changes results.
-func (h *Harness) tag(train bool) string { return h.tagMode(train, !train && !h.exhaustive) }
-
-// tagMode is tag with the sweep mode explicit, so the whole-grid
-// sweeps (the training set's, KernelProfileFull's) never share a cache
-// entry with a refined one.
-func (h *Harness) tagMode(train, refined bool) string {
-	s := fmt.Sprintf("sms%d-size%d-l1%d-%v", h.Opt.SMs, h.Opt.Size,
-		h.Cfg.L1.SizeBytes, h.Cfg.L1.Index)
-	if train {
-		s += fmt.Sprintf("-t%d.%d", h.Opt.TrainStepN, h.Opt.TrainStepP)
-	} else {
-		s += fmt.Sprintf("-e%d.%d", h.Opt.EvalStepN, h.Opt.EvalStepP)
-	}
-	if h.Opt.Seed != 0 {
-		s += fmt.Sprintf("-seed%d", h.Opt.Seed)
-	}
-	if refined {
-		// Refined profiles carry a subset of the grid, and which subset
-		// depends on every refinement parameter: never let them collide
-		// with whole-grid entries or with a campaign refined under
-		// different parameters.
-		s += "-prune" + profile.RefineTag()
-	}
-	if train {
-		// The training pipeline sweeps Cat.TrainingSet() under this one
-		// tag, so a trace shadowing a training workload must move it;
-		// eval kernels are keyed individually (see ProfileTag).
-		training := map[string]bool{}
-		for _, n := range workloads.TrainingNames() {
-			training[n] = true
-		}
-		for _, w := range h.Opt.ExtraWorkloads {
-			if training[w.Name] {
-				s += "-x" + workloadDigest(w)
-			}
-		}
-	}
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:6])
-}
-
-// ProfileTag is the per-kernel profile-cache key: the configuration
-// tag, plus — for kernels of ingested (extra) workloads — the
-// workload's content digest. Shadowed or re-recorded traces can never
-// be served stale sweeps, while the synthetic catalogue's cache stays
-// warm whatever traces come and go.
-func (h *Harness) ProfileTag(kernel string) string {
-	return h.profileTagMode(kernel, !h.exhaustive)
-}
-
-func (h *Harness) profileTagMode(kernel string, refined bool) string {
-	t := h.tagMode(false, refined)
-	if d, ok := h.extraKernels[kernel]; ok {
-		t += "-" + d
-	}
-	return t
-}
-
 // workloadDigest fingerprints a workload by composing its kernels'
 // content digests (gridplan.KernelDigest: structure, per-warp
 // iteration counts, sampled pattern addresses — cheap, yet it moves
 // whenever a trace is re-recorded). The same per-kernel digest
-// authenticates sweep plan tasks, so the cache tags and the fleet
-// protocol can never disagree about what a kernel's content is.
+// authenticates plan tasks and keys profiles, so cell tags, profile
+// keys and the fleet protocol never disagree on a kernel's content.
 func workloadDigest(w *sim.Workload) string {
 	d := sha256.New()
 	fmt.Fprintf(d, "%s/%d", w.Name, len(w.Kernels))
@@ -307,7 +234,7 @@ func (h *Harness) KernelProfile(k *trace.Kernel) (*profile.Profile, error) {
 // kernel. The solution-space figures (Fig. 2's scatter/curves and PCAL
 // walk, Fig. 17's case-study rendering) draw every grid point, which
 // the refined subset KernelProfile returns cannot serve. Entries key
-// under the whole-grid tag.
+// apart from the refined ones (profile.SweepTag).
 func (h *Harness) KernelProfileFull(k *trace.Kernel) (*profile.Profile, error) {
 	opts := h.sweepOptions(false)
 	opts.Refine = false
@@ -328,14 +255,13 @@ func (h *Harness) profilesOf(kernels []*trace.Kernel, opts profile.SweepOptions)
 	h.sweeping.Lock()
 	defer h.sweeping.Unlock()
 	key := func(k *trace.Kernel) profileKey { return profileKey{k.Name, opts.Refine} }
-	tag := func(kernel string) string { return h.profileTagMode(kernel, opts.Refine) }
 	var missing []*trace.Kernel
 	for _, k := range kernels {
 		if h.profiles[key(k)] == nil {
 			missing = append(missing, k)
 		}
 	}
-	swept, err := h.store.LoadOrSweepAll(h.Cfg, missing, tag, opts)
+	swept, err := h.store.LoadOrSweepAll(h.Cfg, missing, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +286,7 @@ func (h *Harness) profilesOf(kernels []*trace.Kernel, opts profile.SweepOptions)
 func (h *Harness) Dataset() (*poise.Dataset, error) {
 	return h.dataset.Do(func() (*poise.Dataset, error) {
 		return poise.BuildDataset(h.Cfg, h.Params, h.Cat.TrainingSet(),
-			h.sweepOptions(true), h.store, h.tag(true))
+			h.sweepOptions(true), h.store)
 	})
 }
 

@@ -18,24 +18,24 @@ import (
 	"poise/internal/workloads"
 )
 
-// prunedOracle drives the adaptive refinement rounds of kernel k,
-// answering each round's plan from an already-simulated exhaustive
-// profile instead of re-simulating: a kernel run is a pure function of
-// (config, kernel, tuple), so the replayed measurements are exactly
-// what RunTasks would return, and the refinement's decisions — and
-// its simulated-point count — are exactly those of a live PrunedSweep.
-// This lets the equivalence test cover every catalogue workload for
-// the price of one exhaustive sweep each instead of two sweeps.
+// prunedOracle drives the adaptive refinement of kernel k round by
+// round, answering each round's plan from an already-simulated
+// exhaustive profile instead of re-simulating: a kernel run is a pure
+// function of (config, kernel, tuple), so the replayed measurements
+// are exactly what RunTasks would return, and the refinement's
+// decisions — and its simulated-point count — are exactly those of a
+// live PrunedSweep. This lets the equivalence test cover every
+// catalogue workload for the price of one exhaustive sweep each
+// instead of two sweeps.
 func prunedOracle(t *testing.T, cfg config.Config, k *trace.Kernel, opts profile.SweepOptions, ex *profile.Profile) (*profile.Profile, profile.RefineStats) {
 	t.Helper()
-	stats := profile.RefineStats{GridPoints: len(ex.Points)}
-	var all []gridplan.Measurement
+	r := profile.NewRefinement(cfg, []*trace.Kernel{k}, opts, profile.Store{})
 	for round := 0; ; round++ {
-		plan, done, err := profile.BuildRefinePlan("", cfg, k, opts, round, all)
+		plan, err := r.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
+		if len(plan.Tasks) == 0 {
 			break
 		}
 		ms := make([]gridplan.Measurement, 0, len(plan.Tasks))
@@ -45,24 +45,22 @@ func prunedOracle(t *testing.T, cfg config.Config, k *trace.Kernel, opts profile
 				t.Fatalf("refining %s: round %d asked for (%d,%d), which the exhaustive sweep never simulated",
 					k.Name, round, task.N, task.P)
 			}
-			m := gridplan.Measurement{Kernel: k.Name, N: pt.N, P: pt.P,
+			m := gridplan.Measurement{Tag: task.Tag, Kernel: k.Name, N: pt.N, P: pt.P,
 				IPC: pt.IPC, HitRate: pt.HitRate, AML: pt.AML}
 			if pt.N == ex.MaxN && pt.P == ex.MaxN {
 				m.Cycles, m.Instructions = ex.BaselineCycles, ex.BaselineInstr
 			}
 			ms = append(ms, m)
 		}
-		if all, err = gridplan.Merge(all, ms); err != nil {
+		if err := r.Fold(ms); err != nil {
 			t.Fatal(err)
 		}
-		stats.Rounds++
-		stats.Simulated += len(ms)
 	}
-	pr, err := profile.MergeShards(k.Name, all)
+	out, err := r.Profiles(profile.Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr, stats
+	return out[0].Profile, out[0].Stats
 }
 
 // shrinkKernel clones a catalogue kernel with its per-warp work and
@@ -248,35 +246,13 @@ func TestPrunedFig2MatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestCacheTagsStayWhatPruneComputed pins the default harness's cache
-// tags. Evaluation: the literals Options{Prune: true} computed before
-// the refined sweep became the only one, so profile entries and round
-// files a -prune run left in a cache directory stay warm; the whole-grid
-// evaluation tag differs, so an entry an exhaustive run left there is
-// ignored, never misread. Training: the whole-grid training tag as it
-// has always been computed (training sweeps stopped refining; the
-// refined entries the commits in between wrote key elsewhere and are
-// ignored).
-func TestCacheTagsStayWhatPruneComputed(t *testing.T) {
-	for _, c := range []struct {
-		seed                        int64
-		eval, train, evalExhaustive string
-	}{
-		{0, "2e1684a517a1", "d9e38a7ba6a6", "1afae25a9bc1"},
-		{5, "aa47f32adcfd", "99db25707f2f", "0488739ed2ad"},
-	} {
-		h := NewHarness(Options{Seed: c.seed})
-		if got := h.tag(false); got != c.eval {
-			t.Errorf("seed %d: eval tag %s, want %s", c.seed, got, c.eval)
-		}
-		if got := h.tag(true); got != c.train {
-			t.Errorf("seed %d: train tag %s, want %s", c.seed, got, c.train)
-		}
-		if got := h.profileTagMode("ii#0", false); got != c.evalExhaustive {
-			t.Errorf("seed %d: whole-grid tag %s, want %s", c.seed, got, c.evalExhaustive)
-		}
-		if o := h.sweepOptions(true); o.Refine || o.StepN != 3 || o.StepP != 3 {
-			t.Errorf("seed %d: training sweeps at %+v, want the whole step-3 grid poisetrain sweeps", c.seed, o)
+// TestTrainingSweepsTheWholeStep3Grid: the default harness trains on
+// the sweep poisetrain makes, the whole step-3 grid, never a refined
+// one, at any seed.
+func TestTrainingSweepsTheWholeStep3Grid(t *testing.T) {
+	for _, seed := range []int64{0, 5} {
+		if o := NewHarness(Options{Seed: seed}).sweepOptions(true); o.Refine || o.StepN != 3 || o.StepP != 3 {
+			t.Errorf("seed %d: training sweeps at %+v, want the whole step-3 grid poisetrain sweeps", seed, o)
 		}
 	}
 }
@@ -298,12 +274,12 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 	train := []*sim.Workload{wl}
 	opts := profile.SweepOptions{StepN: 2, StepP: 2}
 	exactDir, askedDir := t.TempDir(), t.TempDir()
-	exact, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: exactDir}, "tag")
+	exact, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: exactDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Refine = true
-	asked, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: askedDir}, "tag")
+	asked, err := poise.BuildDataset(cfg, params, train, opts, profile.Store{Dir: askedDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +287,7 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 		t.Fatalf("a dataset asked to refine diverged from the whole-grid one:\nwhole grid: %+v\nasked:      %+v", exact, asked)
 	}
 	for _, k := range wl.Kernels {
-		name := "tag_" + k.Name + ".json"
+		name := profile.Key(cfg, k, profile.SweepOptions{StepN: 2, StepP: 2}) + ".json"
 		want, err := os.ReadFile(filepath.Join(exactDir, name))
 		if err != nil {
 			t.Fatal(err)

@@ -100,13 +100,13 @@ func BenchmarkDatasetPooledGPU(b *testing.B) {
 	train := []*sim.Workload{wl}
 	store := profile.Store{Dir: b.TempDir()}
 	sweep := profile.SweepOptions{StepN: 12, StepP: 12, Workers: 1}
-	if _, err := poise.BuildDataset(cfg, params, train, sweep, store, "bench"); err != nil {
+	if _, err := poise.BuildDataset(cfg, params, train, sweep, store); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds, err := poise.BuildDataset(cfg, params, train, sweep, store, "bench")
+		ds, err := poise.BuildDataset(cfg, params, train, sweep, store)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"poise/internal/atomicfile"
 	"poise/internal/config"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
@@ -295,7 +296,6 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("fleetrefine", 20, 15, 4)
 	opts := profile.SweepOptions{StepN: 2, StepP: 2}
-	tag := "refinetag"
 	kernels := map[string]*trace.Kernel{k.Name: k}
 
 	want, _, err := profile.PrunedSweep(cfg, k, opts)
@@ -303,15 +303,16 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDir := t.TempDir()
-	if err := (profile.Store{Dir: refDir}).Save(tag, want); err != nil {
+	refined := opts
+	refined.Refine = true
+	if err := atomicfile.SaveJSON(filepath.Join(refDir, profile.Key(cfg, k, refined)+".json"), want); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, chaos := range []bool{false, true} {
 		roundsDir := t.TempDir()
 		refinement := func() RefineCampaign {
-			return RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{k},
-				func(string) string { return tag }, opts, profile.Store{Dir: roundsDir})}
+			return RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{k}, opts, profile.Store{Dir: roundsDir})}
 		}
 		camp := refinement()
 		var coord *Coordinator
@@ -368,33 +369,39 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 // TestRefinementReproducesParentGoldens there for the set-up: mm#2 and
 // mm#3 on 2 SMs at step 4, mm#3 resumed from its round 0 on disk).
 // Every generation's plan bytes, the round files and the saved
-// profiles must be the parent's.
+// profiles must be the parent's, under today's keys: the parent tagged
+// mm#2 "tagA" and mm#3 "tagB" and named files "<tag>_<kernel>", the
+// one key is profile.SweepTag and profile.Key (testutil.Rekey).
 func TestRefineCampaignPublishesParentPlans(t *testing.T) {
-	golden := filepath.Join("..", "profile", "testdata", "pr22_refine")
 	cfg := config.Default().Scale(2)
 	mm := workloads.NewCatalogue(workloads.Small).Must("mm")
 	ka, kb := mm.Kernels[2], mm.Kernels[3]
 	kernels := map[string]*trace.Kernel{ka.Name: ka, kb.Name: kb}
 	opts := profile.SweepOptions{StepN: 4, StepP: 4, Refine: true}
+	golden := func(sub string) string {
+		tag := profile.SweepTag(cfg, opts)
+		return testutil.Rekey(t, filepath.Join("..", "profile", "testdata", "pr22_refine", sub),
+			map[string]string{"tagA_" + ka.Name: profile.Key(cfg, ka, opts), "tagB_" + kb.Name: profile.Key(cfg, kb, opts)},
+			map[string]string{"tagA": tag, "tagB": tag})
+	}
+	fleetDir, plans := golden("fleet"), golden("plans")
 	st := profile.Store{Dir: t.TempDir()}
-	const round0 = "tagB_mm#3.prune000.jsonl"
-	data, err := os.ReadFile(filepath.Join(golden, "fleet", round0))
+	round0 := profile.Key(cfg, kb, opts) + ".prune000.jsonl"
+	data, err := os.ReadFile(filepath.Join(fleetDir, round0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(st.Dir, round0), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tags := map[string]string{ka.Name: "tagA", kb.Name: "tagB"}
-	camp := RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{ka, kb},
-		func(kernel string) string { return tags[kernel] }, opts, st)}
+	camp := RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{ka, kb}, opts, st)}
 	var prev []Result
 	for gen := 0; ; gen++ {
 		planData, units, done, err := camp.Next(gen, prev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := filepath.Join(golden, "plans", fmt.Sprintf("gen%d.jsonl", gen))
+		name := filepath.Join(plans, fmt.Sprintf("gen%d.jsonl", gen))
 		if done {
 			if _, err := os.Stat(name); err == nil {
 				t.Fatalf("campaign done after %d generations, the parent's published %s", gen, name)
@@ -426,7 +433,7 @@ func TestRefineCampaignPublishesParentPlans(t *testing.T) {
 	if _, err := camp.R.Profiles(st); err != nil {
 		t.Fatal(err)
 	}
-	if want, got := dirBytes(t, filepath.Join(golden, "fleet")), dirBytes(t, st.Dir); !reflect.DeepEqual(want, got) {
+	if want, got := dirBytes(t, fleetDir), dirBytes(t, st.Dir); !reflect.DeepEqual(want, got) {
 		t.Fatal("the campaign's round files and profiles differ from the parent's")
 	}
 }

@@ -237,7 +237,7 @@ func TestBuildDatasetAnswersFeaturesFromTheSweep(t *testing.T) {
 	params.MinTrainCycles = floor.Cycles + 1
 
 	memo := sim.NewRunMemo()
-	ds, err := BuildDataset(cfg, params, train, profile.SweepOptions{StepN: 3, StepP: 3, Memo: memo}, profile.Store{}, "tag")
+	ds, err := BuildDataset(cfg, params, train, profile.SweepOptions{StepN: 3, StepP: 3, Memo: memo}, profile.Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +260,52 @@ func TestBuildDatasetAnswersFeaturesFromTheSweep(t *testing.T) {
 		k := map[string]*trace.Kernel{"reuse#0": k0, "reuse#1": k1}[s.Kernel]
 		if x, err := MeasureFeatures(cfg, k, profile.SweepOptions{}); err != nil || x != s.X {
 			t.Fatalf("%s: features %v from the memo, %v (%v) from fresh runs", s.Kernel, s.X, x, err)
+		}
+	}
+}
+
+// TestWarmBuildDatasetIndependentOfWorkers: with every profile in the
+// store the run memo starts empty, so every feature run simulates; the
+// runs fan out over Workers, and the dataset is the cold one at one
+// worker and at two, in kernel order with a recurring kernel and a
+// rejection among them.
+func TestWarmBuildDatasetIndependentOfWorkers(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	k0 := testutil.ThrashKernel("warm#0", 8, 40, 4)
+	short := testutil.ThrashKernel("warm#short", 8, 1, 1)
+	train := []*sim.Workload{
+		testutil.Workload("warm-a", k0, testutil.ThrashKernel("warm#1", 16, 20, 4), short),
+		testutil.Workload("warm-b", testutil.ThrashKernel("warm#2", 20, 12, 4), k0),
+	}
+	maxN := sim.KernelMaxN(cfg, short)
+	floor, err := profile.RunTask(cfg, short, gridplan.Task{N: maxN, P: maxN}, profile.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := config.DefaultPoise()
+	params.MinTrainCycles = floor.Cycles + 1
+	store := profile.Store{Dir: t.TempDir()}
+	opts := profile.SweepOptions{StepN: 4, StepP: 4}
+	cold, err := BuildDataset(cfg, params, train, opts, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Samples) != 4 || cold.RejectedCycles != 1 {
+		t.Fatalf("cold dataset: %d samples, %d rejected on cycles; want 4 and 1", len(cold.Samples), cold.RejectedCycles)
+	}
+	for _, workers := range []int{1, 2} {
+		opts.Workers, opts.Memo = workers, sim.NewRunMemo()
+		warm, err := BuildDataset(cfg, params, train, opts, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(warm, cold) {
+			t.Errorf("workers %d: the warm dataset differs from the cold one", workers)
+		}
+		// Three distinct admitted kernels, two feature runs each: the
+		// recurring one is simulated once, nothing else is.
+		if n := opts.Memo.Simulated.Load(); n != 6 {
+			t.Errorf("workers %d: the warm build simulated %d runs, want the 6 feature runs", workers, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package poise
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -9,6 +10,7 @@ import (
 	"poise/internal/gridplan"
 	"poise/internal/linalg"
 	"poise/internal/profile"
+	"poise/internal/runner"
 	"poise/internal/sim"
 	"poise/internal/sm"
 	"poise/internal/trace"
@@ -36,7 +38,8 @@ type Sample struct {
 type Dataset struct {
 	Samples []Sample
 	// Rejected counts kernels dropped by the Table IV admission
-	// thresholds, by reason.
+	// thresholds, by reason. RejectedSpeedup is always 0 (buildSample
+	// says why) and stays for the dataset file's rejected_speedup.
 	RejectedSpeedup int
 	RejectedCycles  int
 	RejectedHitRate int
@@ -48,7 +51,8 @@ type Dataset struct {
 // running the kernel at the baseline tuple and at (1, 1). One
 // LoadOrSweepAll sweeps the kernels (a recurring name once); its run
 // memo, a fresh one when sweep.Memo is nil, answers the feature runs,
-// corners of every grid, unless the profile came from the store.
+// corners of every grid, unless the profile came from the store. The
+// samples are built on sweep.Workers goroutines, in kernel order.
 //
 // Training sweeps cover the whole grid, whatever sweep.Refine says: the
 // refinement is tuple-exact on the evaluation catalogue only. At the
@@ -56,13 +60,13 @@ type Dataset struct {
 // of 2 280 points and move two of the 60 targets (pvr#28's (4, 1) is an
 // isolated peak no front climbs to; pvr#29), hence the model, to save
 // part of 35 s of sweeping on two cores.
-func BuildDataset(cfg config.Config, params config.PoiseParams, train []*sim.Workload, sweep profile.SweepOptions, store profile.Store, tag string) (*Dataset, error) {
+func BuildDataset(cfg config.Config, params config.PoiseParams, train []*sim.Workload, sweep profile.SweepOptions, store profile.Store) (*Dataset, error) {
 	sweep.Refine = false
 	if sweep.Memo == nil {
 		sweep.Memo = sim.NewRunMemo()
 	}
 	kernels := sim.DistinctKernels(train)
-	swept, err := store.LoadOrSweepAll(cfg, kernels, func(string) string { return tag }, sweep)
+	swept, err := store.LoadOrSweepAll(cfg, kernels, sweep)
 	if err != nil {
 		return nil, fmt.Errorf("poise: training sweep: %w", err)
 	}
@@ -70,23 +74,26 @@ func BuildDataset(cfg config.Config, params config.PoiseParams, train []*sim.Wor
 	for i, k := range kernels {
 		prs[k.Name] = swept[i].Profile
 	}
-	ds := &Dataset{}
+	var all []*trace.Kernel
 	for _, w := range train {
-		for _, k := range w.Kernels {
-			s, reject, err := buildSample(cfg, params, k, prs[k.Name], sweep)
-			if err != nil {
-				return nil, fmt.Errorf("poise: training kernel %s: %w", k.Name, err)
-			}
-			switch reject {
-			case rejectNone:
-				ds.Samples = append(ds.Samples, s)
-			case rejectSpeedup:
-				ds.RejectedSpeedup++
-			case rejectCycles:
-				ds.RejectedCycles++
-			case rejectHitRate:
-				ds.RejectedHitRate++
-			}
+		all = append(all, w.Kernels...)
+	}
+	outcomes, err := runner.MapSlice(sweep.Ctx, sweep.Workers, all,
+		func(_ context.Context, _ int, k *trace.Kernel) (built, error) {
+			return buildSample(cfg, params, k, prs[k.Name], sweep)
+		})
+	if err != nil {
+		return nil, err
+	}
+	ds := &Dataset{}
+	for _, b := range outcomes {
+		switch b.reject {
+		case rejectNone:
+			ds.Samples = append(ds.Samples, b.sample)
+		case rejectCycles:
+			ds.RejectedCycles++
+		case rejectHitRate:
+			ds.RejectedHitRate++
 		}
 	}
 	return ds, nil
@@ -96,12 +103,17 @@ type rejectReason int
 
 const (
 	rejectNone rejectReason = iota
-	rejectSpeedup
 	rejectCycles
 	rejectHitRate
 )
 
-func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, pr *profile.Profile, sweep profile.SweepOptions) (Sample, rejectReason, error) {
+// built is one kernel's outcome: its sample, or why it was rejected.
+type built struct {
+	sample Sample
+	reject rejectReason
+}
+
+func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, pr *profile.Profile, sweep profile.SweepOptions) (built, error) {
 	// Table IV admission thresholds. Deviation from the paper: kernels
 	// whose best tuple gives no speedup are *admitted* rather than
 	// rejected — for them the scored target is the baseline tuple
@@ -112,19 +124,19 @@ func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, 
 	// covered it incidentally).
 	best := pr.Best()
 	if pr.BaselineCycles < params.MinTrainCycles {
-		return Sample{}, rejectCycles, nil
+		return built{reject: rejectCycles}, nil
 	}
 	ref, ok := pr.Lookup(1, 1)
 	if !ok || ref.HitRate <= params.MinTrainHitRate {
-		return Sample{}, rejectHitRate, nil
+		return built{reject: rejectHitRate}, nil
 	}
 
 	target, _ := pr.BestScore(params)
 	x, err := MeasureFeatures(cfg, k, sweep)
 	if err != nil {
-		return Sample{}, rejectNone, err
+		return built{}, fmt.Errorf("poise: training kernel %s: %w", k.Name, err)
 	}
-	return Sample{
+	return built{sample: Sample{
 		Kernel:       k.Name,
 		X:            x,
 		TargetN:      ScaleTarget(target.N, pr.MaxN),
@@ -134,7 +146,7 @@ func buildSample(cfg config.Config, params config.PoiseParams, k *trace.Kernel, 
 		MaxN:         pr.MaxN,
 		BestSpeedup:  best.Speedup,
 		ScoreSpeedup: target.Speedup,
-	}, rejectNone, nil
+	}}, nil
 }
 
 // MeasureFeatures runs kernel k at the baseline tuple and at (1, 1) and

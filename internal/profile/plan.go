@@ -22,20 +22,49 @@ import (
 // of the plan reproduces it bit for bit.
 
 // BuildPlan enumerates the sweep grid of kernel k on cfg as a
-// serialisable plan. tag identifies the configuration (the profile
-// cache key); the tasks carry k's content digest so a worker process
-// can verify its catalogue materialises the same kernel before
-// simulating.
+// serialisable plan. tag identifies the configuration (SweepTag); the
+// tasks carry k's content digest so a worker process can verify its
+// catalogue materialises the same kernel before simulating.
 func BuildPlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions) *gridplan.Plan {
+	return newEntry(tag, k).plan(cfg, opts)
+}
+
+// entry is one kernel of a sweep: its tasks carry tag (SweepTag) and
+// digest, and the pair names its Store files, as a profile is a
+// function of both: a kernel regenerated at another size or seed, or a
+// re-recorded trace, never gets another's profile or rounds.
+type entry struct {
+	kernel *trace.Kernel
+	tag    string
+	digest string
+}
+
+// newEntry hashes k's content, once per kernel and sweep.
+func newEntry(tag string, k *trace.Kernel) entry {
+	return entry{kernel: k, tag: tag, digest: gridplan.KernelDigest(k)}
+}
+
+// name is the stem of the entry's files in a Store.
+func (e entry) name() string { return e.tag + "-" + e.digest + "_" + e.kernel.Name }
+
+// Key names kernel k's profile ("<Key>.json") and rounds
+// ("<Key>.pruneNNN.jsonl") in a Store under a sweep with opts on cfg:
+// the one profile cache key, which LoadOrSweepAll and Refinement use.
+func Key(cfg config.Config, k *trace.Kernel, opts SweepOptions) string {
+	return newEntry(SweepTag(cfg, opts), k).name()
+}
+
+// task is the plan task of e at grid point c.
+func (e entry) task(c gridplan.Coord) gridplan.Task {
+	return gridplan.Task{Tag: e.tag, Kernel: e.kernel.Name, Digest: e.digest, N: c.N, P: c.P, Seed: e.kernel.Seed}
+}
+
+// plan is the whole grid of e at opts' steps.
+func (e entry) plan(cfg config.Config, opts SweepOptions) *gridplan.Plan {
 	opts = opts.withDefaults()
-	maxN := sim.KernelMaxN(cfg, k)
-	digest := gridplan.KernelDigest(k)
 	plan := &gridplan.Plan{Version: gridplan.PlanVersion}
-	for _, c := range gridplan.Enumerate(maxN, opts.StepN, opts.StepP) {
-		plan.Tasks = append(plan.Tasks, gridplan.Task{
-			Tag: tag, Kernel: k.Name, Digest: digest,
-			N: c.N, P: c.P, Seed: k.Seed,
-		})
+	for _, c := range gridplan.Enumerate(sim.KernelMaxN(cfg, e.kernel), opts.StepN, opts.StepP) {
+		plan.Tasks = append(plan.Tasks, e.task(c))
 	}
 	return plan
 }
@@ -205,19 +234,21 @@ func MergeShards(kernel string, shards ...[]gridplan.Measurement) (*Profile, err
 	return pr, nil
 }
 
-// SweepTag digests the sweep-relevant parts of (configuration, grid
-// resolution) into a short cache tag for standalone (non-harness)
-// sweeps, e.g. poisesim's -sweep and fleet modes. Two processes
-// agreeing on flags agree on the tag, so their plan, round files and
-// merged profiles key consistently.
+// SweepTag digests what shapes a sweep's profiles — configuration, grid
+// steps, refinement parameters, not Workers or Memo — into the tag plan
+// tasks carry and Key starts with. Two processes agreeing on flags
+// agree on it, so their plans, round files and profiles key alike.
 func SweepTag(cfg config.Config, opts SweepOptions) string {
 	opts = opts.withDefaults()
 	s := fmt.Sprintf("%+v|%d.%d", cfg, opts.StepN, opts.StepP)
 	if opts.Refine {
-		// Refined profiles carry a subset of the grid, so a refined
-		// campaign must never collide with a whole-grid one — or with
-		// one refined under different parameters.
-		s += "|prune" + RefineTag()
+		// Refined profiles carry a subset of the grid, which every
+		// refinement parameter shapes: a refined campaign must never
+		// collide with a whole-grid one, or with one refined under
+		// other parameters.
+		w0, w1, w2 := rankWeights()
+		s += fmt.Sprintf("|prune%d.%d.%d.%d.%g.%g.%g.%g",
+			coarseN, coarseP, topK, maxRounds, flatTol, w0, w1, w2)
 	}
 	sum := sha256.Sum256([]byte(s))
 	return hex.EncodeToString(sum[:6])

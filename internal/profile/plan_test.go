@@ -94,11 +94,12 @@ func TestLoadOrSweepReSweepsCorrupt(t *testing.T) {
 	k := testutil.ThrashKernel("corrupt", 16, 8, 2)
 	opts := SweepOptions{StepN: 8, StepP: 8}
 
-	want, err := loadOrSweep(st, "cfg", cfg, k, opts)
+	want, err := loadOrSweep(st, cfg, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := st.path("cfg", k.Name)
+	e := newEntry(SweepTag(cfg, opts), k)
+	path := st.path(e)
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +114,10 @@ func TestLoadOrSweepReSweepsCorrupt(t *testing.T) {
 		if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Load("cfg", k.Name); !errors.Is(err, atomicfile.ErrCorrupt) {
+		if _, err := st.load(e); !errors.Is(err, atomicfile.ErrCorrupt) {
 			t.Fatalf("%s: Load error = %v, want ErrCorrupt", name, err)
 		}
-		got, err := loadOrSweep(st, "cfg", cfg, k, opts)
+		got, err := loadOrSweep(st, cfg, k, opts)
 		if err != nil {
 			t.Fatalf("%s: LoadOrSweepAll must re-sweep a corrupt entry, got %v", name, err)
 		}
@@ -150,22 +151,24 @@ func TestLoadOrSweepAllWholeGridIsPerKernelSweep(t *testing.T) {
 		testutil.ThrashKernel("oracle#1", 32, 8, 3),
 		capped,
 	}
-	tag := func(kernel string) string { return "tag-" + kernel[len(kernel)-1:] }
+	opts := SweepOptions{StepN: 3, StepP: 3}
+	entryOf := func(k *trace.Kernel) entry { return newEntry(SweepTag(cfg, opts), k) }
 	want := Store{Dir: t.TempDir()}
 	var wantProfiles []*Profile
 	for _, k := range kernels {
-		pr, err := Sweep(cfg, k, SweepOptions{StepN: 3, StepP: 3})
+		pr, err := Sweep(cfg, k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := want.Save(tag(k.Name), pr); err != nil {
+		if err := want.save(entryOf(k), pr); err != nil {
 			t.Fatal(err)
 		}
 		wantProfiles = append(wantProfiles, pr)
 	}
 	for _, workers := range []int{1, 4} {
 		st := Store{Dir: t.TempDir()}
-		got, err := st.LoadOrSweepAll(cfg, kernels, tag, SweepOptions{StepN: 3, StepP: 3, Workers: workers})
+		opts.Workers = workers
+		got, err := st.LoadOrSweepAll(cfg, kernels, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,11 +176,11 @@ func TestLoadOrSweepAllWholeGridIsPerKernelSweep(t *testing.T) {
 			if !reflect.DeepEqual(got[i], Swept{Profile: wantProfiles[i]}) {
 				t.Errorf("workers %d: %s differs from its own Sweep", workers, k.Name)
 			}
-			w, err := os.ReadFile(want.path(tag(k.Name), k.Name))
+			w, err := os.ReadFile(want.path(entryOf(k)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g, err := os.ReadFile(st.path(tag(k.Name), k.Name)); err != nil || !bytes.Equal(g, w) {
+			if g, err := os.ReadFile(st.path(entryOf(k))); err != nil || !bytes.Equal(g, w) {
 				t.Errorf("workers %d: the cache file of %s is not what saving its Sweep writes (%v)", workers, k.Name, err)
 			}
 		}

@@ -179,7 +179,7 @@ func (o SweepOptions) withDefaults() SweepOptions {
 // every point and as the oracle the refinement is proven against.
 func Sweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
 	opts.Refine = false
-	out, err := Store{}.LoadOrSweepAll(cfg, []*trace.Kernel{k}, func(string) string { return "" }, opts)
+	out, err := Store{}.LoadOrSweepAll(cfg, []*trace.Kernel{k}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -247,109 +247,106 @@ func abs(x int) int {
 	return x
 }
 
-// Store caches profiles on disk as JSON, keyed by kernel name and a
-// caller-supplied tag (configuration digest), so expensive sweeps run
-// once per configuration.
+// Store caches profiles on disk as JSON, so expensive sweeps run once
+// per configuration and kernel. Every entry is named by Key: the
+// sweep's SweepTag and the kernel's content digest.
 type Store struct {
 	Dir string
 }
 
-func (s Store) path(tag, kernel string) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s_%s.json", tag, kernel))
-}
+func (s Store) path(e entry) string { return filepath.Join(s.Dir, e.name()+".json") }
 
-// Load reads a cached profile; it returns os.ErrNotExist if absent and
+// load reads a cached profile; it returns os.ErrNotExist if absent and
 // an atomicfile.ErrCorrupt-wrapping error if present but undecodable.
 // LoadOrSweepAll treats both as "no usable cache entry" and re-sweeps.
-func (s Store) Load(tag, kernel string) (*Profile, error) {
+func (s Store) load(e entry) (*Profile, error) {
 	if s.Dir == "" {
 		return nil, os.ErrNotExist
 	}
 	var pr Profile
-	if err := atomicfile.LoadJSON(s.path(tag, kernel), &pr); err != nil {
+	if err := atomicfile.LoadJSON(s.path(e), &pr); err != nil {
 		return nil, err
 	}
 	if pr.Kernel == "" || len(pr.Points) == 0 {
-		return nil, fmt.Errorf("profile: %s: %w (decoded to an empty profile)", s.path(tag, kernel), atomicfile.ErrCorrupt)
+		return nil, fmt.Errorf("profile: %s: %w (decoded to an empty profile)", s.path(e), atomicfile.ErrCorrupt)
 	}
 	pr.buildIndex()
 	return &pr, nil
 }
 
-// Save writes a profile to the cache through atomicfile, so a crash
+// save writes a profile to the cache through atomicfile, so a crash
 // mid-write leaves either the old entry or the new one, never a
 // truncated file — the atomicfile.ErrCorrupt repair path stays a
 // defence against external damage rather than the only thing standing
 // between a crash and a poisoned cache.
-func (s Store) Save(tag string, pr *Profile) error {
+func (s Store) save(e entry, pr *Profile) error {
 	if s.Dir == "" {
 		return errors.New("profile: store has no directory")
 	}
-	if err := atomicfile.SaveJSON(s.path(tag, pr.Kernel), pr); err != nil {
-		return fmt.Errorf("profile: saving %s: %w", s.path(tag, pr.Kernel), err)
+	if err := atomicfile.SaveJSON(s.path(e), pr); err != nil {
+		return fmt.Errorf("profile: saving %s: %w", s.path(e), err)
 	}
 	return nil
 }
 
-// LoadOrSweepAll returns the profiles of the kernels, in order; tag
-// gives each kernel's cache tag. A cached profile is loaded; a corrupt
+// LoadOrSweepAll returns the profiles of the kernels (distinct names),
+// in order, each hashed once. A cached profile is loaded; a corrupt
 // entry (atomicfile.ErrCorrupt) is a miss and gets overwritten, so a
 // truncated write from a crashed run can never abort later runs. The
 // others are swept and cached: with opts.Refine set by ONE Refinement
-// over all of them, which resumes from the rounds the store holds and
-// persists the ones it runs (refine.go); otherwise by ONE RunTasks of
-// all their whole grids on one Workers-wide pool. Refined and
-// whole-grid profiles carry different points: callers key them under
-// different tags.
-func (s Store) LoadOrSweepAll(cfg config.Config, kernels []*trace.Kernel, tag func(kernel string) string, opts SweepOptions) ([]Swept, error) {
+// over all of them, which resumes from the rounds the store holds
+// (refine.go); otherwise by ONE run of all their whole grids on one
+// Workers-wide pool.
+func (s Store) LoadOrSweepAll(cfg config.Config, kernels []*trace.Kernel, opts SweepOptions) ([]Swept, error) {
+	tag := SweepTag(cfg, opts)
 	out := make([]Swept, len(kernels))
 	var missing []int
-	var refine []*trace.Kernel
+	var es []entry
 	for i, k := range kernels {
-		if out[i].Profile, _ = s.Load(tag(k.Name), k.Name); out[i].Profile == nil {
+		e := newEntry(tag, k)
+		if out[i].Profile, _ = s.load(e); out[i].Profile == nil {
 			missing = append(missing, i)
-			refine = append(refine, k)
+			es = append(es, e)
 		}
 	}
-	if !opts.Refine {
-		byName := map[string]*trace.Kernel{}
-		var tasks []gridplan.Task
-		for _, i := range missing {
-			k := kernels[i]
-			byName[k.Name] = k
-			tasks = append(tasks, BuildPlan("", cfg, k, opts).Tasks...)
+	if opts.Refine {
+		r := newRefinement(cfg, es, opts, s)
+		if err := r.Run(); err != nil {
+			return nil, err
 		}
-		ms, err := RunTasks(cfg, byName, tasks, opts)
+		swept, err := r.Profiles(s)
 		if err != nil {
 			return nil, err
 		}
-		shares := map[string][]gridplan.Measurement{}
-		for _, m := range ms {
-			shares[m.Kernel] = append(shares[m.Kernel], m)
-		}
-		for _, i := range missing {
-			name := kernels[i].Name
-			pr, err := MergeShards(name, shares[name])
-			if err == nil && s.Dir != "" {
-				err = s.Save(tag(name), pr)
-			}
-			if err != nil {
-				return nil, err
-			}
-			out[i].Profile = pr
+		for j, i := range missing {
+			out[i] = swept[j]
 		}
 		return out, nil
 	}
-	r := NewRefinement(cfg, refine, tag, opts, s)
-	if err := r.Run(); err != nil {
-		return nil, err
+	byName := make(map[string]*trace.Kernel, len(es))
+	var tasks []gridplan.Task
+	for _, e := range es {
+		byName[e.kernel.Name] = e.kernel
+		tasks = append(tasks, e.plan(cfg, opts).Tasks...)
 	}
-	swept, err := r.Profiles(s)
+	ms, err := RunVerifiedTasks(cfg, byName, tasks, opts)
 	if err != nil {
 		return nil, err
 	}
+	shares := map[string][]gridplan.Measurement{}
+	for _, m := range ms {
+		shares[m.Kernel] = append(shares[m.Kernel], m)
+	}
 	for j, i := range missing {
-		out[i] = swept[j]
+		e := es[j]
+		pr, err := MergeShards(e.kernel.Name, shares[e.kernel.Name])
+		if err == nil && s.Dir != "" {
+			err = s.save(e, pr)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out[i].Profile = pr
 	}
 	return out, nil
 }

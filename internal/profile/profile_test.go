@@ -2,7 +2,6 @@ package profile
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -136,10 +135,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := Store{Dir: dir}
 	pr := sweepTiny(t)
-	if err := st.Save("tag1", pr); err != nil {
+	e := testEntry("tag1", pr.Kernel)
+	if err := st.save(e, pr); err != nil {
 		t.Fatal(err)
 	}
-	back, err := st.Load("tag1", pr.Kernel)
+	back, err := st.load(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +153,18 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func TestStoreMissAndCorrupt(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
-	if _, err := st.Load("none", "nothing"); err == nil {
+	if _, err := st.load(testEntry("none", "nothing")); err == nil {
 		t.Fatal("missing cache entry must error")
 	}
-	bad := filepath.Join(st.Dir, "t_k.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+	e := testEntry("t", "k")
+	if err := os.WriteFile(st.path(e), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Load("t", "k"); err == nil {
+	if _, err := st.load(e); err == nil {
 		t.Fatal("corrupt cache entry must error")
 	}
 	empty := Store{}
-	if err := empty.Save("t", &Profile{Kernel: "k"}); err == nil {
+	if err := empty.save(e, &Profile{Kernel: "k"}); err == nil {
 		t.Fatal("dirless store cannot save")
 	}
 }
@@ -211,10 +211,11 @@ func TestLookupIndexMatchesScan(t *testing.T) {
 func TestSweptProfilesDeepEqual(t *testing.T) {
 	st := Store{Dir: t.TempDir()}
 	pr := sweepTiny(t)
-	if err := st.Save("t", pr); err != nil {
+	e := testEntry("t", pr.Kernel)
+	if err := st.save(e, pr); err != nil {
 		t.Fatal(err)
 	}
-	back, err := st.Load("t", pr.Kernel)
+	back, err := st.load(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,24 +232,25 @@ func TestProfileJSONStableAcrossIndex(t *testing.T) {
 	dir := t.TempDir()
 	st := Store{Dir: dir}
 	pr := sweepTiny(t)
-	if err := st.Save("tag", pr); err != nil {
+	e := testEntry("tag", pr.Kernel)
+	if err := st.save(e, pr); err != nil {
 		t.Fatal(err)
 	}
-	first, err := os.ReadFile(st.path("tag", pr.Kernel))
+	first, err := os.ReadFile(st.path(e))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := st.Load("tag", pr.Kernel)
+	back, err := st.load(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := back.Lookup(1, 1); !ok {
 		t.Fatal("decoded profile misses (1,1)")
 	}
-	if err := st.Save("tag", back); err != nil {
+	if err := st.save(e, back); err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile(st.path("tag", pr.Kernel))
+	second, err := os.ReadFile(st.path(e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +259,15 @@ func TestProfileJSONStableAcrossIndex(t *testing.T) {
 	}
 }
 
-// loadOrSweep is Store.LoadOrSweepAll of the one kernel k under tag.
-func loadOrSweep(st Store, tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
-	out, err := st.LoadOrSweepAll(cfg, []*trace.Kernel{k}, func(string) string { return tag }, opts)
+// testEntry is an entry for a profile that was not swept from a
+// kernel: a store file name to save and load under.
+func testEntry(tag, kernel string) entry {
+	return entry{kernel: &trace.Kernel{Name: kernel}, tag: tag, digest: "0123456789abcdef"}
+}
+
+// loadOrSweep is Store.LoadOrSweepAll of the one kernel k.
+func loadOrSweep(st Store, cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, error) {
+	out, err := st.LoadOrSweepAll(cfg, []*trace.Kernel{k}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -271,12 +279,12 @@ func TestLoadOrSweepCaches(t *testing.T) {
 	k := testutil.ThrashKernel("los", 16, 10, 4)
 	opts := SweepOptions{StepN: 8, StepP: 8}
 	cfg := testutil.TinyConfig()
-	a, err := loadOrSweep(st, "cfgX", cfg, k, opts)
+	a, err := loadOrSweep(st, cfg, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second call must come from disk and agree exactly.
-	b, err := loadOrSweep(st, "cfgX", cfg, k, opts)
+	b, err := loadOrSweep(st, cfg, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ import (
 // The refinement's fixed parameters, chosen so the catalogue workloads
 // converge to the exact exhaustive-sweep optima while simulating well
 // under half of the grid (TestPrunedMatchesExhaustiveOnCatalogue pins
-// both properties). They are part of RefineTag, so changing one re-keys
+// both properties). They are part of SweepTag, so changing one re-keys
 // every cached refined profile.
 const (
 	// coarseN/coarseP multiply the target StepN/StepP for the round-0
@@ -67,18 +67,6 @@ func rankWeights() (w0, w1, w2 float64) {
 	return p.ScoreW0, p.ScoreW1, p.ScoreW2
 }
 
-// RefineTag digests every parameter that shapes which grid points a
-// refined sweep simulates — the cache-key component for refined
-// campaigns. Changing any of them (coarse factors, front widths, round
-// cap, flatness threshold, ranking weights) moves it, so refined
-// profiles and round partials never outlive the refinement that made
-// them.
-func RefineTag() string {
-	w0, w1, w2 := rankWeights()
-	return fmt.Sprintf("%d.%d.%d.%d.%g.%g.%g.%g",
-		coarseN, coarseP, topK, maxRounds, flatTol, w0, w1, w2)
-}
-
 // RefineStats reports what a pruned sweep actually simulated.
 type RefineStats struct {
 	Rounds     int // refinement rounds executed
@@ -94,7 +82,7 @@ func (s RefineStats) Fraction() float64 {
 	return float64(s.Simulated) / float64(s.GridPoints)
 }
 
-// BuildRefinePlan computes refinement round `round` of kernel k as an
+// refinePlan computes refinement round `round` of e's kernel as an
 // ordinary sweep plan, given every measurement observed in earlier
 // rounds (merged across rounds and workers). It is a pure function of
 // its arguments — measurements are bit-identical at any worker count,
@@ -113,8 +101,9 @@ func (s RefineStats) Fraction() float64 {
 // escalates to the full grid, and rounds past maxRounds request the
 // whole remaining grid at once — either way the result degrades to
 // the exhaustive sweep, never to a wrong profile.
-func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepOptions, round int, prior []gridplan.Measurement) (*gridplan.Plan, bool, error) {
+func refinePlan(e entry, cfg config.Config, opts SweepOptions, round int, prior []gridplan.Measurement) (*gridplan.Plan, bool, error) {
 	opts = opts.withDefaults()
+	k := e.kernel
 	maxN := sim.KernelMaxN(cfg, k)
 	grid := gridplan.Enumerate(maxN, opts.StepN, opts.StepP)
 	inGrid := map[gridplan.Coord]bool{}
@@ -155,13 +144,9 @@ func BuildRefinePlan(tag string, cfg config.Config, k *trace.Kernel, opts SweepO
 	}
 
 	plan := &gridplan.Plan{Version: gridplan.PlanVersion}
-	digest := gridplan.KernelDigest(k)
 	for _, c := range grid { // deterministic Enumerate order
 		if want[c] && !swept[c] {
-			plan.Tasks = append(plan.Tasks, gridplan.Task{
-				Tag: tag, Kernel: k.Name, Digest: digest,
-				N: c.N, P: c.P, Seed: k.Seed,
-			})
+			plan.Tasks = append(plan.Tasks, e.task(c))
 		}
 	}
 	return plan, len(plan.Tasks) == 0, nil
@@ -324,7 +309,7 @@ func suppress(ranked []Point, k, reachN, reachP int, keep func(Point) bool) []Po
 
 // Refinement is the refined sweep of a set of kernels as a state
 // machine: Next builds the next round's plan across every kernel that
-// has not converged (BuildRefinePlan, kernel by kernel), Fold takes
+// has not converged (refinePlan, kernel by kernel), Fold takes
 // that round's measurements back, Profiles assembles what converged.
 // Whoever executes the plans (Run here, a fleet's workers behind
 // fleet.RefineCampaign), a round is the same pure function of the
@@ -338,12 +323,11 @@ type Refinement struct {
 }
 
 type refineState struct {
-	kernel *trace.Kernel
-	tag    string
-	round  int                    // completed rounds, resumed ones included
-	prior  []gridplan.Measurement // their measurements, merged
-	stats  RefineStats            // what this Refinement simulated, not what it resumed
-	done   bool
+	entry
+	round int                    // completed rounds, resumed ones included
+	prior []gridplan.Measurement // their measurements, merged
+	stats RefineStats            // what this Refinement simulated, not what it resumed
+	done  bool
 }
 
 // Swept is one kernel's profile as a sweep returns it. Stats is what a
@@ -353,20 +337,30 @@ type Swept struct {
 	Stats   RefineStats
 }
 
-// NewRefinement starts the refinement of the given kernels; tag gives
-// each kernel's profile-cache tag. Rounds the store holds for a (tag,
-// kernel) are resumed, not simulated again; ones that cannot be extended
-// (mixed grids, duplicate coverage, another resolution's points) are a
-// corrupt cache entry: that kernel starts from round 0, overwriting them.
-func NewRefinement(cfg config.Config, kernels []*trace.Kernel, tag func(kernel string) string, opts SweepOptions, store Store) *Refinement {
+// NewRefinement starts the refinement of the given kernels (distinct
+// names; opts.Refine is implied). Rounds the store holds under a
+// kernel's Key are resumed; ones that cannot be extended (mixed grids,
+// duplicate coverage, another resolution's points) are a corrupt cache
+// entry: that kernel starts from round 0, overwriting them.
+func NewRefinement(cfg config.Config, kernels []*trace.Kernel, opts SweepOptions, store Store) *Refinement {
+	opts.Refine = true
+	tag := SweepTag(cfg, opts)
+	es := make([]entry, len(kernels))
+	for i, k := range kernels {
+		es[i] = newEntry(tag, k)
+	}
+	return newRefinement(cfg, es, opts, store)
+}
+
+func newRefinement(cfg config.Config, es []entry, opts SweepOptions, store Store) *Refinement {
 	opts = opts.withDefaults()
 	r := &Refinement{cfg: cfg, opts: opts, store: store}
-	for _, k := range kernels {
-		st := &refineState{kernel: k, tag: tag(k.Name)}
-		st.stats.GridPoints = len(gridplan.Enumerate(sim.KernelMaxN(cfg, k), opts.StepN, opts.StepP))
-		if rounds := store.LoadRounds(st.tag, k.Name); len(rounds) > 0 {
+	for _, e := range es {
+		st := &refineState{entry: e}
+		st.stats.GridPoints = len(gridplan.Enumerate(sim.KernelMaxN(cfg, e.kernel), opts.StepN, opts.StepP))
+		if rounds := store.loadRounds(e); len(rounds) > 0 {
 			if prior, err := gridplan.Merge(rounds...); err == nil {
-				if _, _, err := BuildRefinePlan(st.tag, cfg, k, opts, len(rounds), prior); err == nil {
+				if _, _, err := refinePlan(e, cfg, opts, len(rounds), prior); err == nil {
 					st.round, st.prior = len(rounds), prior
 				}
 			}
@@ -385,7 +379,7 @@ func (r *Refinement) Next() (*gridplan.Plan, error) {
 		if st.done {
 			continue
 		}
-		kp, done, err := BuildRefinePlan(st.tag, r.cfg, st.kernel, r.opts, st.round, st.prior)
+		kp, done, err := refinePlan(st.entry, r.cfg, r.opts, st.round, st.prior)
 		if err != nil {
 			return nil, err
 		}
@@ -412,7 +406,7 @@ func (r *Refinement) Fold(ms []gridplan.Measurement) error {
 			continue // converged: nothing was asked
 		}
 		if r.store.Dir != "" {
-			if err := r.store.SaveRound(st.tag, st.kernel.Name, st.round, round); err != nil {
+			if err := r.store.saveRound(st.entry, st.round, round); err != nil {
 				return err
 			}
 		}
@@ -429,7 +423,8 @@ func (r *Refinement) Fold(ms []gridplan.Measurement) error {
 }
 
 // Run drives the refinement to convergence in this process, every
-// round's tasks of every kernel on one opts.Workers-wide RunTasks.
+// round's tasks of every kernel on one opts.Workers-wide pool (its own
+// tasks, built from these kernels' digests: nothing to verify).
 func (r *Refinement) Run() error {
 	kernels := make(map[string]*trace.Kernel, len(r.states))
 	for _, st := range r.states {
@@ -440,7 +435,7 @@ func (r *Refinement) Run() error {
 		if err != nil || len(plan.Tasks) == 0 {
 			return err
 		}
-		ms, err := RunTasks(r.cfg, kernels, plan.Tasks, r.opts)
+		ms, err := RunVerifiedTasks(r.cfg, kernels, plan.Tasks, r.opts)
 		if err != nil {
 			return err
 		}
@@ -452,7 +447,7 @@ func (r *Refinement) Run() error {
 
 // Profiles assembles the converged kernels' profiles, in kernel order,
 // from every round: the ones this Refinement ran and the ones it
-// resumed. A store with a directory gets each saved under its tag.
+// resumed. A store with a directory gets each saved under its Key.
 func (r *Refinement) Profiles(saveTo Store) ([]Swept, error) {
 	out := make([]Swept, len(r.states))
 	for i, st := range r.states {
@@ -464,7 +459,7 @@ func (r *Refinement) Profiles(saveTo Store) ([]Swept, error) {
 			return nil, err
 		}
 		if saveTo.Dir != "" {
-			if err := saveTo.Save(st.tag, pr); err != nil {
+			if err := saveTo.save(st.entry, pr); err != nil {
 				return nil, err
 			}
 		}
@@ -479,7 +474,7 @@ func (r *Refinement) Profiles(saveTo Store) ([]Swept, error) {
 // baseline, same float operations); Best, BestDiagonal and BestScore
 // select the tuples Sweep's would (the catalogue equivalence tests).
 func PrunedSweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, RefineStats, error) {
-	r := NewRefinement(cfg, []*trace.Kernel{k}, func(string) string { return "" }, opts, Store{})
+	r := NewRefinement(cfg, []*trace.Kernel{k}, opts, Store{})
 	if err := r.Run(); err != nil {
 		return nil, RefineStats{}, err
 	}
@@ -491,37 +486,37 @@ func PrunedSweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profil
 }
 
 // Round partial persistence: a pruned sweep's completed rounds are
-// cached as one measurement JSONL file per (tag, kernel, round), so a
+// cached as one measurement JSONL file per entry and round, so a
 // crashed sweep or fleet campaign resumes from the last completed round
 // instead of re-simulating from scratch.
 
-func (s Store) roundPath(tag, kernel string, round int) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s_%s.prune%03d.jsonl", tag, kernel, round))
+func (s Store) roundPath(e entry, round int) string {
+	return filepath.Join(s.Dir, fmt.Sprintf("%s.prune%03d.jsonl", e.name(), round))
 }
 
-// SaveRound persists one completed refinement round's measurements.
-func (s Store) SaveRound(tag, kernel string, round int, ms []gridplan.Measurement) error {
+// saveRound persists one completed refinement round's measurements.
+func (s Store) saveRound(e entry, round int, ms []gridplan.Measurement) error {
 	if s.Dir == "" {
 		return fmt.Errorf("profile: store has no directory for round partials")
 	}
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return err
 	}
-	return gridplan.WriteMeasurementsFile(s.roundPath(tag, kernel, round), round, round+1, ms)
+	return gridplan.WriteMeasurementsFile(s.roundPath(e, round), round, round+1, ms)
 }
 
-// LoadRounds returns the longest readable prefix of persisted
-// refinement rounds for (tag, kernel): rounds 0..r-1 where round r is
-// the first missing or corrupt file. A truncated write from a crashed
-// run therefore costs exactly the rounds from the damaged file on,
-// never a wrong resume.
-func (s Store) LoadRounds(tag, kernel string) [][]gridplan.Measurement {
+// loadRounds returns the longest readable prefix of persisted
+// refinement rounds of e: rounds 0..r-1 where round r is the first
+// missing or corrupt file. A truncated write from a crashed run
+// therefore costs exactly the rounds from the damaged file on, never a
+// wrong resume.
+func (s Store) loadRounds(e entry) [][]gridplan.Measurement {
 	if s.Dir == "" {
 		return nil
 	}
 	var rounds [][]gridplan.Measurement
 	for round := 0; ; round++ {
-		ms, err := gridplan.ReadMeasurementsFile(s.roundPath(tag, kernel, round))
+		ms, err := gridplan.ReadMeasurementsFile(s.roundPath(e, round))
 		if err != nil {
 			return rounds
 		}

@@ -1,7 +1,9 @@
 package profile
 
 import (
+	"context"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -68,7 +70,7 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 		var all []gridplan.Measurement
 		rounds := 0
 		for round := 0; ; round++ {
-			plan, done, err := BuildRefinePlan("t", cfg, k, opts, round, all)
+			plan, done, err := refinePlan(newEntry("t", k), cfg, opts, round, all)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +114,7 @@ func TestRefineRoundsShardIdentical(t *testing.T) {
 // LoadOrSweepAll caches its rounds and final profile; re-running after
 // deleting only the final profile resumes from the cached rounds
 // without simulating anything (the refinement is already converged,
-// so a poisoned kernel proves no simulation happens); and a corrupt
+// so a cancelled context proves no simulation happens); and a corrupt
 // round file degrades to a clean re-sweep. The stats count what each
 // call simulated: the sweep once, the cache hit and the resume nothing.
 func TestLoadOrSweepPrunedResume(t *testing.T) {
@@ -120,25 +122,26 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 	k := testutil.ThrashKernel("sweep", 20, 15, 4)
 	opts := SweepOptions{StepN: 2, StepP: 2, Refine: true}
 	st := Store{Dir: t.TempDir()}
-	sweep := func(k *trace.Kernel) Swept {
+	e := newEntry(SweepTag(cfg, opts), k)
+	sweep := func(opts SweepOptions) Swept {
 		t.Helper()
-		out, err := st.LoadOrSweepAll(cfg, []*trace.Kernel{k}, func(string) string { return "tag" }, opts)
+		out, err := st.LoadOrSweepAll(cfg, []*trace.Kernel{k}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out[0]
 	}
 
-	first := sweep(k)
+	first := sweep(opts)
 	want := first.Profile
-	if len(st.LoadRounds("tag", k.Name)) == 0 {
+	if len(st.loadRounds(e)) == 0 {
 		t.Fatal("pruned LoadOrSweepAll persisted no rounds")
 	}
 	if _, swept := prunedTiny(t); first.Stats != swept {
 		t.Fatalf("stats of one sweep: %+v; PrunedSweep reports %+v", first.Stats, swept)
 	}
 	// A second call hits the profile cache.
-	again := sweep(k)
+	again := sweep(opts)
 	if !reflect.DeepEqual(again.Profile.Points, want.Points) {
 		t.Fatal("cached pruned profile differs")
 	}
@@ -148,14 +151,16 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 
 	// Delete the final profile but keep the rounds: the resume must
 	// reassemble the identical profile purely from the cached rounds,
-	// without simulating — proven by handing it a poisoned same-name
-	// kernel whose streams differ, so any re-simulation would change
-	// the points.
-	if err := os.Remove(st.path("tag", k.Name)); err != nil {
+	// without simulating — proven by a cancelled context, which fails
+	// any simulation.
+	if err := os.Remove(st.path(e)); err != nil {
 		t.Fatal(err)
 	}
-	poisoned := testutil.ThrashKernel("sweep", 28, 15, 4)
-	resumed := sweep(poisoned)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	stopped := opts
+	stopped.Ctx = cancelled
+	resumed := sweep(stopped)
 	if !reflect.DeepEqual(resumed.Profile.Points, want.Points) {
 		t.Fatal("resumed pruned profile differs from the original (the resume re-simulated?)")
 	}
@@ -166,13 +171,13 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 	// Corrupt round 0: the prefix loader stops there, the stale later
 	// rounds cannot extend an empty prefix consistently, and the
 	// refinement restarts cleanly — same profile, repaired cache.
-	if err := os.Remove(st.path("tag", k.Name)); err != nil {
+	if err := os.Remove(st.path(e)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.roundPath("tag", k.Name, 0), []byte("{garbage"), 0o644); err != nil {
+	if err := os.WriteFile(st.roundPath(e, 0), []byte("{garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := loadOrSweep(st, "tag", cfg, k, opts)
+	repaired, err := loadOrSweep(st, cfg, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +190,11 @@ func TestBuildRefinePlanDeterministic(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("sweep", 20, 15, 4)
 	opts := SweepOptions{StepN: 2, StepP: 2}
-	a, doneA, err := BuildRefinePlan("t", cfg, k, opts, 0, nil)
+	a, doneA, err := refinePlan(newEntry("t", k), cfg, opts, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, doneB, err := BuildRefinePlan("t", cfg, k, opts, 0, nil)
+	b, doneB, err := refinePlan(newEntry("t", k), cfg, opts, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +202,7 @@ func TestBuildRefinePlanDeterministic(t *testing.T) {
 		t.Fatal("round 0 cannot be empty")
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("BuildRefinePlan is not deterministic")
+		t.Fatal("refinePlan is not deterministic")
 	}
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
@@ -215,7 +220,7 @@ func TestBuildRefinePlanDeterministic(t *testing.T) {
 	}
 	// A measurement off the target grid must be rejected, not silently
 	// absorbed into the profile.
-	if _, _, err := BuildRefinePlan("t", cfg, k, opts, 1,
+	if _, _, err := refinePlan(newEntry("t", k), cfg, opts, 1,
 		[]gridplan.Measurement{{Kernel: k.Name, N: 2, P: 2, IPC: 1}}); err == nil {
 		t.Fatal("off-grid prior measurement must error")
 	}
@@ -223,4 +228,40 @@ func TestBuildRefinePlanDeterministic(t *testing.T) {
 
 func kernelSet(k *trace.Kernel) map[string]*trace.Kernel {
 	return map[string]*trace.Kernel{k.Name: k}
+}
+
+// TestStoreKeysByContent: two kernels of one name and different content
+// go through one store, whole-grid and refined. The second gets what a
+// fresh store gives it, stats included: it is swept, never served the
+// first's profile, and its refinement resumes none of the first's
+// rounds (the last case leaves the store the first's rounds alone).
+func TestStoreKeysByContent(t *testing.T) {
+	cfg := testutil.TinyConfig()
+	first, second := testutil.ThrashKernel("k", 64, 40, 4), testutil.ThrashKernel("k", 64, 60, 4)
+	for _, c := range []struct{ refine, roundsOnly bool }{{false, false}, {true, false}, {true, true}} {
+		opts := SweepOptions{StepN: 4, StepP: 4, Refine: c.refine}
+		sweep := func(st Store, k *trace.Kernel) Swept {
+			t.Helper()
+			out, err := st.LoadOrSweepAll(cfg, []*trace.Kernel{k}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out[0]
+		}
+		shared := Store{Dir: t.TempDir()}
+		sweep(shared, first)
+		if c.roundsOnly {
+			profiles, _ := filepath.Glob(filepath.Join(shared.Dir, "*.json"))
+			for _, p := range profiles {
+				if err := os.Remove(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, want := sweep(shared, second), sweep(Store{Dir: t.TempDir()}, second)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: the second kernel named k got %+v from the shared store, %+v from a fresh one",
+				c, got.Stats, want.Stats)
+		}
+	}
 }

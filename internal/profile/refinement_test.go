@@ -10,23 +10,46 @@ import (
 
 	"poise/internal/config"
 	"poise/internal/gridplan"
+	"poise/internal/testutil"
 	"poise/internal/trace"
 	"poise/internal/workloads"
 )
 
 // goldenRefinement is the set-up testdata/pr22_refine was written
-// under: kernels mm#2 and mm#3 of the Small catalogue on 2 SMs, step 4,
-// a tag each. mm#2 takes four rounds and mm#3 three, so a refinement
-// over both ends with mm#3 converged and mm#2 still active.
+// under: kernels mm#2 and mm#3 of the Small catalogue on 2 SMs, step 4.
+// mm#2 takes four rounds and mm#3 three, so a refinement over both ends
+// with mm#3 converged and mm#2 still active.
 func goldenRefinement(t *testing.T, store Store) (*Refinement, map[string]*trace.Kernel) {
 	t.Helper()
-	mm := workloads.NewCatalogue(workloads.Small).Must("mm")
-	ka, kb := mm.Kernels[2], mm.Kernels[3]
-	tags := map[string]string{ka.Name: "tagA", kb.Name: "tagB"}
-	r := NewRefinement(config.Default().Scale(2), []*trace.Kernel{ka, kb},
-		func(kernel string) string { return tags[kernel] },
-		SweepOptions{StepN: 4, StepP: 4, Refine: true}, store)
+	ka, kb := goldenKernels()
+	r := NewRefinement(goldenCfg, []*trace.Kernel{ka, kb}, goldenOpts, store)
 	return r, map[string]*trace.Kernel{ka.Name: ka, kb.Name: kb}
+}
+
+var (
+	goldenCfg  = config.Default().Scale(2)
+	goldenOpts = SweepOptions{StepN: 4, StepP: 4, Refine: true}
+)
+
+func goldenKernels() (*trace.Kernel, *trace.Kernel) {
+	mm := workloads.NewCatalogue(workloads.Small).Must("mm")
+	return mm.Kernels[2], mm.Kernels[3]
+}
+
+// goldenDir is testdata/pr22_refine/sub under today's keys. The parent
+// tagged mm#2's tasks "tagA" and mm#3's "tagB", per kernel, and named
+// their files "<tag>_<kernel>"; the one key is SweepTag for both and
+// Key for the files (testutil.Rekey).
+func goldenDir(t *testing.T, sub string) string {
+	t.Helper()
+	ka, kb := goldenKernels()
+	tag := SweepTag(goldenCfg, goldenOpts)
+	return testutil.Rekey(t, filepath.Join("testdata", "pr22_refine", sub),
+		map[string]string{
+			"tagA_" + ka.Name: Key(goldenCfg, ka, goldenOpts),
+			"tagB_" + kb.Name: Key(goldenCfg, kb, goldenOpts),
+		},
+		map[string]string{"tagA": tag, "tagB": tag})
 }
 
 // sameFiles requires dir to hold exactly the files of golden, byte for
@@ -68,11 +91,10 @@ func sameFiles(t *testing.T, golden, dir string) {
 // disk, the results handed back in key order as a coordinator does and
 // the profiles saved with its SaveTo; plans/ the bytes that campaign
 // published per generation. Never regenerate them with the code under
-// test. The one Refinement must write all three: run in this process
-// from nothing, and driven by hand from the resumed round.
+// test; goldenDir only renames their keys. The one Refinement must
+// write all three: run in this process from nothing, and driven by hand
+// from the resumed round.
 func TestRefinementReproducesParentGoldens(t *testing.T) {
-	golden := filepath.Join("testdata", "pr22_refine")
-
 	inproc := Store{Dir: t.TempDir()}
 	r, _ := goldenRefinement(t, inproc)
 	if err := r.Run(); err != nil {
@@ -86,11 +108,13 @@ func TestRefinementReproducesParentGoldens(t *testing.T) {
 		b != (RefineStats{Rounds: 3, Simulated: 16, GridPoints: 23}) {
 		t.Errorf("stats %+v and %+v, the parent's PrunedSweep reported 4 rounds, 19 of 23 and 3 rounds, 16 of 23", a, b)
 	}
-	sameFiles(t, filepath.Join(golden, "inproc"), inproc.Dir)
+	sameFiles(t, goldenDir(t, "inproc"), inproc.Dir)
 
 	fleet := Store{Dir: t.TempDir()}
-	const round0 = "tagB_mm#3.prune000.jsonl"
-	data, err := os.ReadFile(filepath.Join(golden, "fleet", round0))
+	golden := goldenDir(t, "fleet")
+	_, kb := goldenKernels()
+	round0 := Key(goldenCfg, kb, goldenOpts) + ".prune000.jsonl"
+	data, err := os.ReadFile(filepath.Join(golden, round0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +122,7 @@ func TestRefinementReproducesParentGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, kernels := goldenRefinement(t, fleet)
+	plans := goldenDir(t, "plans")
 	gen := 0
 	for ; ; gen++ {
 		plan, err := r.Next()
@@ -112,7 +137,7 @@ func TestRefinementReproducesParentGoldens(t *testing.T) {
 		if err := gridplan.WritePlan(&buf, plan); err != nil {
 			t.Fatal(err)
 		}
-		name := filepath.Join(golden, "plans", fmt.Sprintf("gen%d.jsonl", gen))
+		name := filepath.Join(plans, fmt.Sprintf("gen%d.jsonl", gen))
 		if want, err := os.ReadFile(name); err != nil || !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("generation %d differs from %s (%v):\n%s", gen, name, err, buf.Bytes())
 		}
@@ -133,7 +158,7 @@ func TestRefinementReproducesParentGoldens(t *testing.T) {
 	if st := refined[1].Stats; st.Rounds != 2 || st.Simulated != 16-6 {
 		t.Errorf("mm#3 resumed from its 6-point round 0: stats %+v count what was resumed", st)
 	}
-	sameFiles(t, filepath.Join(golden, "fleet"), fleet.Dir)
+	sameFiles(t, golden, fleet.Dir)
 }
 
 // TestRefinementRestartsUnextendableRounds: cached rounds no round can
@@ -141,30 +166,31 @@ func TestRefinementReproducesParentGoldens(t *testing.T) {
 // cache entry: the kernel starts over from round 0, overwrites them and
 // ends with the profile a clean store gives.
 func TestRefinementRestartsUnextendableRounds(t *testing.T) {
-	golden := filepath.Join("testdata", "pr22_refine", "inproc")
+	golden := goldenDir(t, "inproc")
 	st := Store{Dir: t.TempDir()}
-	data, err := os.ReadFile(filepath.Join(golden, "tagB_mm#3.prune000.jsonl"))
+	_, k := goldenKernels()
+	e := newEntry(SweepTag(goldenCfg, goldenOpts), k)
+	data, err := os.ReadFile(Store{Dir: golden}.roundPath(e, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		if err := os.WriteFile(st.roundPath("tagB", "mm#3", round), data, 0o644); err != nil {
+		if err := os.WriteFile(st.roundPath(e, round), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	k := workloads.NewCatalogue(workloads.Small).Must("mm").Kernels[3]
-	pr, err := loadOrSweep(st, "tagB", config.Default().Scale(2), k, SweepOptions{StepN: 4, StepP: 4, Refine: true})
+	pr, err := loadOrSweep(st, goldenCfg, k, goldenOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Store{Dir: golden}.Load("tagB", "mm#3")
+	want, err := Store{Dir: golden}.load(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(pr, want) {
 		t.Error("the restarted refinement's profile differs from a clean one's")
 	}
-	for _, name := range []string{"tagB_mm#3.prune001.jsonl", "tagB_mm#3.json"} {
+	for _, name := range []string{e.name() + ".prune001.jsonl", e.name() + ".json"} {
 		got, _ := os.ReadFile(filepath.Join(st.Dir, name))
 		if want, _ := os.ReadFile(filepath.Join(golden, name)); !bytes.Equal(got, want) {
 			t.Errorf("%s was not overwritten with what a clean run writes", name)

@@ -38,10 +38,10 @@ func TestBestTable(t *testing.T) {
 	dir := t.TempDir()
 	st := Store{Dir: dir}
 	// Saved under unordered tags: the table must sort by kernel row.
-	if err := st.Save("ztag", tableProfile("bk")); err != nil {
+	if err := st.save(testEntry("ztag", "bk"), tableProfile("bk")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save("atag", tableProfile("ak")); err != nil {
+	if err := st.save(testEntry("atag", "ak"), tableProfile("ak")); err != nil {
 		t.Fatal(err)
 	}
 	table, err := BestTable(dir, config.DefaultPoise())

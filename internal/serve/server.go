@@ -343,9 +343,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if wl != nil {
 		// The same admission and scoring pipeline the offline trainer
 		// uses; a failure here is the service's, not the upload's.
+		// Keyed by content (profile.Key): a re-recorded name re-sweeps.
 		store := profile.Store{Dir: s.cfg.SweepCache}
-		tag := profile.SweepTag(s.cfg.SimCfg, s.cfg.Sweep)
-		ds, err := poise.BuildDataset(s.cfg.SimCfg, s.cfg.Params, []*sim.Workload{wl}, s.cfg.Sweep, store, tag)
+		ds, err := poise.BuildDataset(s.cfg.SimCfg, s.cfg.Params, []*sim.Workload{wl}, s.cfg.Sweep, store)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("serve: profiling ingested trace %s: %v", wl.Name, err), http.StatusInternalServerError)
 			return

@@ -11,13 +11,17 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"poise/internal/atomicfile"
 	"poise/internal/config"
+	"poise/internal/poise"
 	"poise/internal/profile"
 	"poise/internal/snap"
+	"poise/internal/testutil"
 	"poise/internal/traceio"
 	"poise/internal/workloads"
 )
@@ -155,18 +159,23 @@ func tableProfile(kernel string) *profile.Profile {
 	return pr
 }
 
+// saveTableProfiles writes tableProfile of each kernel into dir, where
+// profile.BestTable reads every profile JSON whatever its name.
+func saveTableProfiles(t *testing.T, dir string, kernels ...string) {
+	t.Helper()
+	for _, k := range kernels {
+		if err := atomicfile.SaveJSON(filepath.Join(dir, k+".json"), tableProfile(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestServeTableMatchesBestTable pins the byte-identity contract: GET
 // /table is exactly profile.BestTable, which is exactly what `poisesim
 // -best` prints (CI diffs the two end to end).
 func TestServeTableMatchesBestTable(t *testing.T) {
 	dir := t.TempDir()
-	st := profile.Store{Dir: dir}
-	if err := st.Save("tag", tableProfile("bk")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save("tag", tableProfile("ak")); err != nil {
-		t.Fatal(err)
-	}
+	saveTableProfiles(t, dir, "bk", "ak")
 	_, c := newTestServer(t, Config{Weights: testWeights(), ProfileDir: dir})
 	got, err := c.Table(context.Background())
 	if err != nil {
@@ -196,10 +205,7 @@ func TestServeTableUnconfigured(t *testing.T) {
 // the memo table so a later /decide on the same key is a cache hit.
 func TestServeTableIncludesIngestedKeys(t *testing.T) {
 	dir := t.TempDir()
-	st := profile.Store{Dir: dir}
-	if err := st.Save("tag", tableProfile("bk")); err != nil {
-		t.Fatal(err)
-	}
+	saveTableProfiles(t, dir, "bk")
 	logPath := filepath.Join(t.TempDir(), "samples.jsonl")
 	w := testWeights()
 	cfg := Config{Weights: w, ProfileDir: dir, SampleLog: logPath, Retrain: RetrainOptions{Min: 1 << 20}}
@@ -330,6 +336,69 @@ func TestServeIngestRawTrace(t *testing.T) {
 	}
 	if st.RetrainErrors != 0 {
 		t.Fatalf("retrain errors after trace ingest: %+v", st)
+	}
+}
+
+// TestServeIngestSweepsEachTracesContent: two different traces
+// recorded under one workload name, ingested into one SweepCache, each
+// yield the samples a service with a fresh cache yields for it. The
+// second trace's Eq. 12 targets come from its own sweep, never from
+// the profile the first left in the cache under the same name.
+func TestServeIngestSweepsEachTracesContent(t *testing.T) {
+	record := func(lines int) []byte {
+		t.Helper()
+		tr, err := traceio.Record(testutil.Workload("k", testutil.ThrashKernel("k#0", lines, 40, 4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw bytes.Buffer
+		if err := traceio.Write(&raw, tr, traceio.WriteOptions{Gzip: true}); err != nil {
+			t.Fatal(err)
+		}
+		return raw.Bytes()
+	}
+	params := config.DefaultPoise()
+	params.MinTrainCycles = 1
+	// samples ingests the traces in order into one service on cache and
+	// returns every sample its log holds, in ingest order.
+	samples := func(cache string, traces ...[]byte) []poise.Sample {
+		t.Helper()
+		logPath := filepath.Join(t.TempDir(), "samples.jsonl")
+		s, c := newTestServer(t, Config{
+			Weights: testWeights(), Params: params,
+			SimCfg:     testutil.TinyConfig(),
+			Sweep:      profile.SweepOptions{StepN: 4, StepP: 4},
+			SweepCache: cache, SampleLog: logPath,
+			Retrain: RetrainOptions{Min: 1 << 20},
+		})
+		for _, raw := range traces {
+			if _, err := c.IngestTrace(context.Background(), raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+		f, err := os.Open(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		recs, err := ReadLog(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []poise.Sample
+		for _, rec := range recs {
+			out = append(out, rec.Samples...)
+		}
+		return out
+	}
+	a, b := record(8), record(16)
+	wantA, wantB := samples(t.TempDir(), a), samples(t.TempDir(), b)
+	if len(wantA) != 1 || len(wantB) != 1 || wantA[0].BestSpeedup == wantB[0].BestSpeedup {
+		t.Fatalf("the two traces must yield one sample each, profiled apart: %+v, %+v", wantA, wantB)
+	}
+	if got := samples(t.TempDir(), a, b); !reflect.DeepEqual(got, append(wantA, wantB...)) {
+		t.Fatalf("one cache: samples %+v, fresh caches give %+v then %+v", got, wantA, wantB)
 	}
 }
 

@@ -188,9 +188,8 @@ func Train(cfg Config, size Size, opt TrainOptions) (Weights, error) {
 	params := config.DefaultPoise()
 	cat := workloads.NewCatalogue(size)
 	store := profile.Store{Dir: opt.CacheDir}
-	tag := fmt.Sprintf("train-%d-%d-%d", cfg.NumSMs, opt.StepN, opt.StepP)
 	ds, err := corepoise.BuildDataset(cfg, params, cat.TrainingSet(),
-		profile.SweepOptions{StepN: opt.StepN, StepP: opt.StepP}, store, tag)
+		profile.SweepOptions{StepN: opt.StepN, StepP: opt.StepP}, store)
 	if err != nil {
 		return Weights{}, err
 	}
