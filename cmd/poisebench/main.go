@@ -147,9 +147,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	sz, err := workloads.ParseSize(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "poisebench:", err)
+		os.Exit(1)
+	}
 	opt := experiments.Options{
 		SMs:            *sms,
-		Size:           parseSize(*size),
+		Size:           sz,
 		CacheDir:       *cacheDir,
 		RandomSeeds:    *seeds,
 		Workers:        *parallel,
@@ -444,19 +449,4 @@ func ratioOr0(x, base float64) float64 {
 		return 0
 	}
 	return x / base
-}
-
-func parseSize(s string) workloads.Size {
-	switch strings.ToLower(s) {
-	case "small":
-		return workloads.Small
-	case "medium":
-		return workloads.Medium
-	case "large":
-		return workloads.Large
-	default:
-		fmt.Fprintf(os.Stderr, "poisebench: unknown size %q\n", s)
-		os.Exit(1)
-		return workloads.Small
-	}
 }

@@ -155,7 +155,11 @@ func main() {
 		}
 	})
 
-	cat := workloads.NewCatalogueSeeded(parseSize(*size), *seed)
+	sz, err := workloads.ParseSize(*size)
+	if err != nil {
+		fatal(err)
+	}
+	cat := workloads.NewCatalogueSeeded(sz, *seed)
 	if *tracePth != "" {
 		ws, err := traceio.LoadWorkloads(*tracePth)
 		if err != nil {
@@ -262,22 +266,10 @@ func main() {
 	// Each run needs its own policy instance (the adaptive policies are
 	// stateful), derived deterministically from the run's index.
 	newPolicy := func(i int) (sim.Policy, error) {
-		switch *policy {
-		case "gto":
-			return sim.GTO{}, nil
-		case "fixed":
-			return sim.Fixed{N: *n, P: *p}, nil
-		case "poise", "apcm", "ccws", "random-restart":
-			// Seed family matches the harness convention (see Fig15):
-			// base seed + run index + 1, so -seed 0 on a single
-			// workload reproduces the canonical stochastic-policy seed.
-			return poise.NewPolicy(poise.PolicySpec{
-				Name: *policy,
-				Seed: *seed + int64(i) + 1,
-			})
-		default:
-			return nil, fmt.Errorf("unknown policy %q", *policy)
-		}
+		// Seed family matches the harness convention (see Fig15): base
+		// seed + run index + 1, so -seed 0 on a single workload
+		// reproduces the canonical stochastic-policy seed.
+		return poise.NewPolicy(poise.PolicySpec{Name: *policy, N: *n, P: *p, Seed: *seed + int64(i) + 1})
 	}
 	if _, err := newPolicy(0); err != nil {
 		fatal(err)
@@ -407,20 +399,6 @@ func validateFlags(sms int, ckptAt int64, snapDir string) error {
 		return fmt.Errorf("-ckpt-at-cycle needs -snapshot-dir for the checkpoint")
 	}
 	return nil
-}
-
-func parseSize(s string) workloads.Size {
-	switch strings.ToLower(s) {
-	case "small":
-		return workloads.Small
-	case "medium":
-		return workloads.Medium
-	case "large":
-		return workloads.Large
-	default:
-		fatal(fmt.Errorf("unknown size %q", s))
-		return workloads.Small
-	}
 }
 
 func max1(x float64) float64 {

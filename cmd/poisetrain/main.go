@@ -23,11 +23,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"poise/internal/atomicfile"
 	"poise/internal/config"
-	"poise/internal/glm"
 	"poise/internal/poise"
 	"poise/internal/profile"
 	"poise/internal/sim"
@@ -49,6 +49,9 @@ func main() {
 	flag.StringVar(&r.emitGo, "emit", "", "write a Go source file embedding the weights (internal/poise/defaultweights.go), and the training set to testdata/dataset.jsonl beside it")
 	flag.BoolVar(&r.verbose, "v", true, "print per-kernel training detail")
 	flag.Parse()
+	// -size takes any case; the dataset's provenance is lower case, as
+	// the shipped one is.
+	r.at.Size = strings.ToLower(r.at.Size)
 
 	if err := validateTrainFlags(r.at); err != nil {
 		fatal(err)
@@ -66,7 +69,7 @@ func validateTrainFlags(at poise.Provenance) error {
 	if err := config.Default().CheckScale(at.SMs); err != nil {
 		return fmt.Errorf("-sms: %w", err)
 	}
-	if _, err := parseSize(at.Size); err != nil {
+	if _, err := workloads.ParseSize(at.Size); err != nil {
 		return err
 	}
 	if at.StepN < 1 || at.StepP < 1 {
@@ -87,7 +90,7 @@ type trainRun struct {
 // train sweeps the training set at r.at, then fits and writes the model.
 func train(out io.Writer, r trainRun) error {
 	start := time.Now()
-	size, err := parseSize(r.at.Size)
+	size, err := workloads.ParseSize(r.at.Size)
 	if err != nil {
 		return err
 	}
@@ -116,7 +119,7 @@ func fit(out io.Writer, ds *poise.Dataset, r trainRun) error {
 		}
 	}
 
-	w, err := poise.Train(ds, poise.TrainOptions{Drop: -1, GLM: glm.Options{}})
+	w, err := poise.Train(ds, poise.TrainOptions{})
 	if err != nil {
 		return err
 	}
@@ -220,18 +223,6 @@ func SetDefaultWeights(w Weights) {
 }
 `, w.Alpha, w.Beta, w.DispersionN, w.DispersionP, w.TrainKernels, w.PseudoR2N, w.PseudoR2P)
 	return err
-}
-
-func parseSize(s string) (workloads.Size, error) {
-	switch s {
-	case "small":
-		return workloads.Small, nil
-	case "medium":
-		return workloads.Medium, nil
-	case "large":
-		return workloads.Large, nil
-	}
-	return 0, fmt.Errorf("unknown size %q", s)
 }
 
 func fatal(err error) {

@@ -26,7 +26,6 @@ func main() {
 		StepN:    3,
 		StepP:    3,
 		CacheDir: ".poise-cache",
-		Drop:     -1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -204,10 +204,10 @@ var gridDefs = map[string]gridDef{
 	"ablation": {
 		workloads: (*Harness).EvalWorkloads,
 		axis: func(*Harness) (a axis) {
-			full := a.add(scheme{name: "full", policy: poiseWith(ablated(-1), 0, 0)})
+			full := a.add(scheme{name: "full", policy: poiseWith(ablated(0), 0, 0)})
 			for x := 7; x >= 3; x-- {
 				a.ratio(fmt.Sprintf("-x%d", x), full, a.add(scheme{
-					name: fmt.Sprintf("drop-x%d", x), policy: poiseWith(ablated(x-1), 0, 0),
+					name: fmt.Sprintf("drop-x%d", x), policy: poiseWith(ablated(x), 0, 0),
 				}))
 			}
 			return a
@@ -289,10 +289,10 @@ func prepWeights(h *Harness) error {
 	return err
 }
 
-// ablated is the Fig. 13 model trained with feature index drop removed
-// (-1: the full reference model).
-func ablated(drop int) func(h *Harness) (poise.Weights, error) {
-	return func(h *Harness) (poise.Weights, error) { return h.ablatedWeights(drop) }
+// ablated is the Fig. 13 model trained without Table II feature x
+// (0: the full reference model).
+func ablated(x int) func(h *Harness) (poise.Weights, error) {
+	return func(h *Harness) (poise.Weights, error) { return h.ablatedWeights(x) }
 }
 
 // runCell executes one cell: the workload under a fresh instance of the
@@ -355,15 +355,15 @@ func (h *Harness) pbestWorkloads() []*sim.Workload {
 	return out
 }
 
-// ablatedWeights trains (once, single-flight) the Fig. 13 model with
-// feature index drop removed; -1 trains the full reference model.
-func (h *Harness) ablatedWeights(drop int) (poise.Weights, error) {
-	return h.ablated.Get(drop, func() (poise.Weights, error) {
+// ablatedWeights trains (once, single-flight) the Fig. 13 model without
+// Table II feature x; 0 trains the full reference model.
+func (h *Harness) ablatedWeights(x int) (poise.Weights, error) {
+	return h.ablated.Get(x, func() (poise.Weights, error) {
 		ds, err := h.Dataset()
 		if err != nil {
 			return poise.Weights{}, err
 		}
-		return poise.Train(ds, poise.TrainOptions{Drop: drop})
+		return poise.Train(ds, poise.TrainOptions{DropX: x})
 	})
 }
 

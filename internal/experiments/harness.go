@@ -305,7 +305,7 @@ func (h *Harness) ModelWeights() (poise.Weights, error) {
 		if err != nil {
 			return poise.Weights{}, err
 		}
-		return poise.Train(ds, poise.TrainOptions{Drop: -1})
+		return poise.Train(ds, poise.TrainOptions{})
 	})
 }
 

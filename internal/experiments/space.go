@@ -161,10 +161,11 @@ type LocalityRow struct {
 // one worker per workload; its runs are grid points (profile.RunTask).
 func (h *Harness) Fig4() ([]LocalityRow, error) {
 	names := []string{"ii", "bfs", "syr2k", "cfd"}
-	opts, maxN := h.sweepOptions(false), h.Cfg.WarpsPerSched
+	opts := h.sweepOptions(false)
 	return runner.MapSlice(h.ctx(), h.Opt.Workers, names,
 		func(_ context.Context, _ int, name string) (LocalityRow, error) {
 			k := h.Cat.Must(name).Kernels[0]
+			maxN := sim.KernelMaxN(h.Cfg, k)
 			var res [2]sim.KernelResult // at (max, max), then at (max, 1)
 			for i, p := range [2]int{maxN, 1} {
 				var err error

@@ -79,7 +79,7 @@ func (b *board) requeue(units []unit) {
 
 // grant hands the requesting worker its next batch: from the queue
 // when it has units, otherwise by stealing the tail half of the
-// largest lease holding at least StealMin pending tasks. It returns
+// largest lease holding at least stealMin pending tasks. It returns
 // nil when there is nothing to grant right now (the worker should
 // poll again — tasks may come back via expiry) and false when the
 // generation is complete.
@@ -130,13 +130,13 @@ func (b *board) grant(worker string, now time.Time) (*lease, bool) {
 
 // stealVictim picks the lease with the most pending tasks (ties
 // broken by lease id, so the choice is deterministic), provided it
-// holds at least StealMin. A worker's own stale lease is as good a
+// holds at least stealMin. A worker's own stale lease is as good a
 // victim as any other — stealing from it just reclaims abandoned
 // work.
 func (b *board) stealVictim() *lease {
 	var victim *lease
 	for _, l := range b.leases {
-		if len(l.pending) < b.opts.StealMin {
+		if len(l.pending) < stealMin {
 			continue
 		}
 		if victim == nil || len(l.pending) > len(victim.pending) ||

@@ -61,7 +61,7 @@ func TestBoardGrantsKeyOrderedBatches(t *testing.T) {
 }
 
 func TestBoardStealsTailHalfOfLargestLease(t *testing.T) {
-	b, clk, stats := testBoard(6, Options{LeaseTasks: 6, StealMin: 2})
+	b, clk, stats := testBoard(6, Options{LeaseTasks: 6})
 	l1, _ := b.grant("w1", clk.now())
 	if len(l1.pending) != 6 {
 		t.Fatalf("w1 got %d tasks, want all 6", len(l1.pending))
@@ -89,10 +89,10 @@ func TestBoardStealsTailHalfOfLargestLease(t *testing.T) {
 }
 
 func TestBoardStealLeavesSmallLeasesAlone(t *testing.T) {
-	b, clk, _ := testBoard(2, Options{LeaseTasks: 2, StealMin: 2})
+	b, clk, _ := testBoard(2, Options{LeaseTasks: 2})
 	l1, _ := b.grant("w1", clk.now())
 	b.complete(l1.id, "k000", json.RawMessage(`1`), clk.now())
-	// w1 holds one pending task — below StealMin, so w2 must wait.
+	// w1 holds one pending task — below stealMin, so w2 must wait.
 	if l2, live := b.grant("w2", clk.now()); l2 != nil || !live {
 		t.Fatalf("grant = (%v, %v), want a wait", l2, live)
 	}
@@ -126,7 +126,7 @@ func TestBoardExpiryRequeuesAndCompletionRenews(t *testing.T) {
 }
 
 func TestBoardFirstResultWinsAndSettlesRaces(t *testing.T) {
-	b, clk, stats := testBoard(4, Options{LeaseTasks: 4, StealMin: 2})
+	b, clk, stats := testBoard(4, Options{LeaseTasks: 4})
 	l1, _ := b.grant("w1", clk.now())
 	l2, _ := b.grant("w2", clk.now()) // steals k002, k003
 	if want := []string{"k002", "k003"}; !reflect.DeepEqual(leaseKeys(l2), want) {

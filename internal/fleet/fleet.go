@@ -26,7 +26,7 @@
 //     makes progress (each task must finish within one TTL).
 //   - Stragglers: an idle worker with an empty queue steals the tail
 //     half of the largest lease (grant order — the tasks least likely
-//     to have started), provided it holds at least StealMin tasks.
+//     to have started), provided it holds at least stealMin tasks.
 //   - Duplicates: completions for an already-recorded task are counted
 //     and dropped; completions for a forgotten lease still record
 //     their results (they are correct — see above).
@@ -46,10 +46,6 @@ type Options struct {
 	// for this long is expired and its tasks are requeued (default
 	// 1m). Every completion renews the deadline.
 	LeaseTTL time.Duration
-	// StealMin is the smallest pending-task count a lease must hold to
-	// be stolen from (default 2, so a lease running its final task is
-	// left alone).
-	StealMin int
 	// Logf, when set, receives progress lines (lease grants, expiries,
 	// steals, generation advances).
 	Logf func(format string, args ...any)
@@ -58,15 +54,16 @@ type Options struct {
 	now func() time.Time
 }
 
+// stealMin is the smallest pending-task count a lease must hold to be
+// stolen from, so a lease running its final task is left alone.
+const stealMin = 2
+
 func (o Options) withDefaults() Options {
 	if o.LeaseTasks <= 0 {
 		o.LeaseTasks = 8
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = time.Minute
-	}
-	if o.StealMin <= 0 {
-		o.StealMin = 2
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}

@@ -140,8 +140,8 @@ func sameMeasurements(t *testing.T, want []gridplan.Measurement, res []Result) {
 // single-process run. The chaos is guaranteed, not incidental: the
 // victim dies holding 3 pending tasks; once the queue drains, an idle
 // worker's grant must steal from that dead lease (its pending count
-// is at least StealMin); and because stealing halves leave a final
-// task below StealMin, only TTL expiry can recover it.
+// is at least stealMin); and because stealing halves leave a final
+// task below stealMin, only TTL expiry can recover it.
 func TestFleetByteIdenticalUnderKillAndStealAndExpiry(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("fleetchaos", 20, 12, 4)
@@ -195,7 +195,7 @@ func chaosWorkers(kernels map[string]*trace.Kernel, opts profile.SweepOptions) (
 // pending tasks be stolen, and expires a lease 700 ms after its last
 // completion.
 func chaosOptions(t *testing.T) Options {
-	return Options{LeaseTasks: 4, LeaseTTL: 700 * time.Millisecond, StealMin: 2, Logf: t.Logf}
+	return Options{LeaseTasks: 4, LeaseTTL: 700 * time.Millisecond, Logf: t.Logf}
 }
 
 // provedChaos fails the test unless the chaos workers' campaign really
@@ -234,7 +234,7 @@ func TestFleetStealRebalancesWithoutExpiry(t *testing.T) {
 	slow := &Worker{Name: "slow", Executors: profileExecutors(kernels, opts),
 		BeforeTask: func(int) error { time.Sleep(80 * time.Millisecond); return nil }}
 	fast := &Worker{Name: "fast", Executors: profileExecutors(kernels, opts)}
-	fopts := Options{LeaseTasks: 8, LeaseTTL: time.Hour, StealMin: 2, Logf: t.Logf}
+	fopts := Options{LeaseTasks: 8, LeaseTTL: time.Hour, Logf: t.Logf}
 	res, coord := fleetRun(t, ProfileCampaign{Plan: plan}, fopts, []*Worker{slow, fast}, nil)
 
 	st := coord.Stats()
@@ -273,7 +273,7 @@ func TestFleetFlakyTransportDeduplicates(t *testing.T) {
 	// queued, however the machine schedules the two.
 	steady := &Worker{Name: "steady", Executors: profileExecutors(kernels, opts),
 		BeforeTask: func(int) error { time.Sleep(5 * time.Millisecond); return nil }}
-	fopts := Options{LeaseTasks: 4, LeaseTTL: 500 * time.Millisecond, StealMin: 2, Logf: t.Logf}
+	fopts := Options{LeaseTasks: 4, LeaseTTL: 500 * time.Millisecond, Logf: t.Logf}
 	res, coord := fleetRun(t, ProfileCampaign{Plan: plan}, fopts, []*Worker{w, steady}, nil)
 
 	if flaky.Dropped.Load() == 0 {

@@ -51,7 +51,7 @@ func TestFleetPreemptedWorkerResumesElsewhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, err := NewCoordinator(ProfileCampaign{Plan: plan},
-		Options{LeaseTasks: 4, LeaseTTL: 200 * time.Millisecond, StealMin: 2, Logf: t.Logf})
+		Options{LeaseTasks: 4, LeaseTTL: 200 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,27 +38,21 @@ func (f Family) String() string {
 
 // Options tunes the IRLS fit.
 type Options struct {
-	MaxIter   int     // IRLS iterations (default 100)
-	Tol       float64 // convergence tolerance on coefficient change (default 1e-8)
-	Ridge     float64 // diagonal stabiliser for the normal equations (default 1e-8)
-	Alpha     float64 // NB dispersion; <= 0 means estimate by method of moments
-	AlphaIter int     // outer iterations for dispersion estimation (default 8)
+	Ridge float64 // diagonal stabiliser for the normal equations (default 1e-8)
+	Alpha float64 // NB dispersion; <= 0 means estimate by method of moments
 }
 
+const (
+	maxIter   = 100  // IRLS iterations
+	tol       = 1e-8 // convergence tolerance on coefficient change
+	alphaIter = 8    // outer iterations for dispersion estimation
+)
+
 func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-8
-	}
 	if o.Ridge < 0 {
 		o.Ridge = 0
 	} else if o.Ridge == 0 {
 		o.Ridge = 1e-8
-	}
-	if o.AlphaIter <= 0 {
-		o.AlphaIter = 8
 	}
 	return o
 }
@@ -70,7 +64,7 @@ type Model struct {
 	Alpha  float64   // NB dispersion (0 for Poisson)
 
 	Iters     int     // IRLS iterations used
-	Converged bool    // whether the coefficient change dropped below Tol
+	Converged bool    // whether the coefficient change dropped below tol
 	Deviance  float64 // residual deviance
 	NullDev   float64 // deviance of the intercept-only model
 	NumObs    int
@@ -168,7 +162,7 @@ func fitNB(x *linalg.Mat, y []float64, opts Options) (*Model, error) {
 	)
 	outer := 1
 	if estimate {
-		outer = opts.AlphaIter
+		outer = alphaIter
 	}
 	for round := 0; round < outer; round++ {
 		coef, iters, conv, err = irls(x, y, alpha, opts)
@@ -258,7 +252,7 @@ func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float
 
 	w := make([]float64, n)
 	z := make([]float64, n)
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		iters = iter + 1
 		for i := 0; i < n; i++ {
 			row := x.Data[i*p : (i+1)*p]
@@ -292,7 +286,7 @@ func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float
 			delta += math.Abs(next[j] - coef[j])
 		}
 		coef = next
-		if delta < opts.Tol {
+		if delta < tol {
 			converged = true
 			break
 		}

@@ -7,12 +7,11 @@ package poise
 
 import "math"
 
-// The analytical model of paper §V-A. These functions exist for three
-// reasons: they document how the feature vector was derived, they let
-// tests check that the model's speedup criterion (µ > 1) agrees with
-// simulated speedups, and the feature-analysis example walks through
-// them. The hardware never evaluates them — it samples the observable
-// proxies listed in Table Ib.
+// The analytical model of paper §V-A. These functions exist for two
+// reasons: they document how the feature vector was derived, and they
+// let tests check that the model's speedup criterion (µ > 1) agrees
+// with simulated speedups. The hardware never evaluates them — it
+// samples the observable proxies listed in Table Ib.
 
 // ModelInput bundles the observables of Table Ia.
 type ModelInput struct {

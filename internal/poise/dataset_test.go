@@ -169,9 +169,9 @@ func TestLearnerTableShippedGLM(t *testing.T) {
 		}
 		return pooled
 	}
-	row(fmt.Sprintf("each held out (%d)", len(ds.Samples)), heldOut(TrainOptions{Drop: -1}, true))
+	row(fmt.Sprintf("each held out (%d)", len(ds.Samples)), heldOut(TrainOptions{}, true))
 	for _, ridge := range []float64{0.01, 0.1, 1, 10} {
-		opts := TrainOptions{Drop: -1, GLM: glm.Options{Ridge: ridge}}
+		opts := TrainOptions{GLM: glm.Options{Ridge: ridge}}
 		fw, err := Train(ds, opts)
 		if err != nil {
 			t.Fatalf("ridge %g: %v", ridge, err)

@@ -74,9 +74,10 @@ func Features(base, ref Window) Vector {
 	}
 }
 
-// Masked returns a copy of v with the given feature index zeroed, used
-// by the Fig. 13 ablation study (a zero weight and a zero feature are
-// equivalent for the link function; training handles the column drop).
+// Masked returns a copy of v with the given feature index zeroed: for
+// the link function, a zero feature is equivalent to a zero weight.
+// The Fig. 13 ablation does not use it; Train leaves the column out
+// (TrainOptions.DropX).
 func (v Vector) Masked(drop int) Vector {
 	if drop < 0 || drop >= NumFeatures {
 		return v

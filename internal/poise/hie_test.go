@@ -165,7 +165,7 @@ func TestTrainOnSyntheticDataset(t *testing.T) {
 		p := 12 - 9*g
 		ds.Samples = append(ds.Samples, mk(g, n, p))
 	}
-	w, err := Train(ds, TrainOptions{Drop: -1})
+	w, err := Train(ds, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +184,15 @@ func TestTrainAblationZeroesWeight(t *testing.T) {
 		x := Vector{0.1 * float64(i), 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 1}
 		ds.Samples = append(ds.Samples, Sample{X: x, TargetN: float64(4 + i), TargetP: 3, MaxN: 24})
 	}
-	w, err := Train(ds, TrainOptions{Drop: 4})
+	w, err := Train(ds, TrainOptions{DropX: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Alpha[4] != 0 || w.Beta[4] != 0 {
-		t.Fatal("dropped feature must have zero weight")
+		t.Fatal("dropped feature x5 must have zero weight")
 	}
 	if w.Dropped != 4 {
-		t.Fatalf("Dropped = %d", w.Dropped)
+		t.Fatalf("Dropped = %d, want x5's index 4", w.Dropped)
 	}
 }
 

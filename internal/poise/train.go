@@ -171,11 +171,12 @@ func MeasureFeatures(cfg config.Config, k *trace.Kernel, opts profile.SweepOptio
 	return Features(win[0], win[1]), nil
 }
 
-// TrainOptions tunes Train.
+// TrainOptions tunes Train. The zero value trains the full model.
 type TrainOptions struct {
-	// Drop ablates one feature index (retraining with 7 features,
-	// Fig. 13); -1 trains on the full vector.
-	Drop int
+	// DropX names the one feature left out by its Table II number x1…x8,
+	// retraining with 7 features (Fig. 13 drops x3…x7); 0 trains on the
+	// full vector.
+	DropX int
 	// GLM passes through to the regression fitter.
 	GLM glm.Options
 }
@@ -186,7 +187,11 @@ func Train(ds *Dataset, opts TrainOptions) (Weights, error) {
 	if len(ds.Samples) == 0 {
 		return Weights{}, errors.New("poise: empty training set")
 	}
-	cols := activeColumns(opts.Drop)
+	drop := opts.DropX - 1 // the feature index Weights.Dropped records
+	if drop < 0 || drop >= NumFeatures {
+		drop = -1
+	}
+	cols := activeColumns(drop)
 	x := linalg.NewMat(len(ds.Samples), len(cols))
 	yN := make([]float64, len(ds.Samples))
 	yP := make([]float64, len(ds.Samples))
@@ -213,10 +218,7 @@ func Train(ds *Dataset, opts TrainOptions) (Weights, error) {
 		TrainKernels: len(ds.Samples),
 		PseudoR2N:    modelN.PseudoR2(),
 		PseudoR2P:    modelP.PseudoR2(),
-		Dropped:      opts.Drop,
-	}
-	if opts.Drop < 0 || opts.Drop >= NumFeatures {
-		w.Dropped = -1
+		Dropped:      drop,
 	}
 	for j, c := range cols {
 		w.Alpha[c] = modelN.Coef[j]

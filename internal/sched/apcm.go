@@ -16,21 +16,23 @@ import (
 type APCM struct {
 	// TSample is the classification period in cycles.
 	TSample int
-	// StreamHitMax classifies a PC as streaming when its window hit
-	// rate stays at or below this value.
-	StreamHitMax float64
-	// MinLoads is the evidence threshold before classifying a PC.
-	MinLoads int64
 
 	nextAt    int64
 	prevLoads [][]int64
 	prevHits  [][]int64
 }
 
+// The canonical classification thresholds.
+const (
+	// apcmStreamHitMax classifies a PC as streaming when its window hit
+	// rate stays at or below this value.
+	apcmStreamHitMax = 0.05
+	// apcmMinLoads is the evidence threshold before classifying a PC.
+	apcmMinLoads = 64
+)
+
 // NewAPCM builds the policy with the canonical thresholds.
-func NewAPCM(sample int) *APCM {
-	return &APCM{TSample: sample, StreamHitMax: 0.05, MinLoads: 64}
-}
+func NewAPCM(sample int) *APCM { return &APCM{TSample: sample} }
 
 // Name implements sim.Policy.
 func (a *APCM) Name() string { return "APCM" }
@@ -62,11 +64,11 @@ func (a *APCM) Step(g *sim.GPU, now int64) int64 {
 			hits := s.PCHits[pc] - a.prevHits[i][pc]
 			a.prevLoads[i][pc] = s.PCLoads[pc]
 			a.prevHits[i][pc] = s.PCHits[pc]
-			if loads < a.MinLoads {
+			if loads < apcmMinLoads {
 				continue // not enough evidence this window
 			}
 			hr := float64(hits) / float64(loads)
-			s.BypassPC[pc] = hr <= a.StreamHitMax
+			s.BypassPC[pc] = hr <= apcmStreamHitMax
 		}
 	}
 	a.nextAt = now + int64(a.TSample)

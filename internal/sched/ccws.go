@@ -14,30 +14,26 @@ import (
 // (SWL); the dynamic version is provided for completeness and for the
 // pitfalls analysis of §III.
 type CCWS struct {
-	// VictimEntriesPerWarp sizes the victim tag arrays (8 in the
-	// original proposal).
-	VictimEntriesPerWarp int
 	// TSample is the throttle-decision period in cycles.
 	TSample int
-	// RaiseThreshold and LowerThreshold bound the lost-locality score
-	// (per kilo-cycle, per SM) that triggers throttling up or down.
-	RaiseThreshold float64
-	LowerThreshold float64
 
 	n      int
 	maxN   int
 	nextAt int64
 }
 
+// The original proposal's parameters.
+const (
+	// ccwsVictimEntries sizes the per-warp victim tag arrays.
+	ccwsVictimEntries = 8
+	// ccwsRaise and ccwsLower bound the lost-locality score (per
+	// kilo-cycle, per SM) that triggers throttling up or down.
+	ccwsRaise = 8.0
+	ccwsLower = 1.0
+)
+
 // NewCCWS returns a CCWS policy with the canonical parameters.
-func NewCCWS(sample int) *CCWS {
-	return &CCWS{
-		VictimEntriesPerWarp: 8,
-		TSample:              sample,
-		RaiseThreshold:       8.0,
-		LowerThreshold:       1.0,
-	}
-}
+func NewCCWS(sample int) *CCWS { return &CCWS{TSample: sample} }
 
 // Name implements sim.Policy.
 func (c *CCWS) Name() string { return "CCWS" }
@@ -48,7 +44,7 @@ func (c *CCWS) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	c.n = c.maxN
 	g.SetTupleAll(c.n, c.n)
 	for _, s := range g.SMs {
-		s.L1.EnableVictimTags(c.VictimEntriesPerWarp, g.Cfg.MaxWarpsPerSM())
+		s.L1.EnableVictimTags(ccwsVictimEntries, g.Cfg.MaxWarpsPerSM())
 		s.L1.Victim().Drain()
 	}
 	c.nextAt = int64(c.TSample)
@@ -69,9 +65,9 @@ func (c *CCWS) Step(g *sim.GPU, now int64) int64 {
 	}
 	perKCycle := float64(lost) / float64(len(g.SMs)) / (float64(c.TSample) / 1000)
 	switch {
-	case perKCycle > c.RaiseThreshold && c.n > 1:
+	case perKCycle > ccwsRaise && c.n > 1:
 		c.n--
-	case perKCycle < c.LowerThreshold && c.n < c.maxN:
+	case perKCycle < ccwsLower && c.n < c.maxN:
 		c.n++
 	}
 	g.SetTupleAll(c.n, c.n)

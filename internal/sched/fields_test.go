@@ -14,23 +14,18 @@ import (
 // snapshot does not carry, and why (see sm's list): all of them are
 // constructor parameters.
 var stateFields = map[string]string{
-	"CCWS.VictimEntriesPerWarp": "config",
-	"CCWS.TSample":              "config",
-	"CCWS.RaiseThreshold":       "config",
-	"CCWS.LowerThreshold":       "config",
-	"APCM.TSample":              "config",
-	"APCM.StreamHitMax":         "config",
-	"APCM.MinLoads":             "config",
-	"PCALSWL.Start":             "config",
-	"PCALSWL.TWarmup":           "config",
-	"PCALSWL.TSample":           "config",
-	"PCALSWL.period":            "config",
-	"RandomRestart.Seed":        "config",
-	"RandomRestart.TWarmup":     "config",
-	"RandomRestart.TSample":     "config",
-	"RandomRestart.Period":      "config",
-	"RandomRestart.StrideN":     "config",
-	"RandomRestart.StrideP":     "config",
+	"CCWS.TSample":          "config",
+	"APCM.TSample":          "config",
+	"PCALSWL.Start":         "config",
+	"PCALSWL.TWarmup":       "config",
+	"PCALSWL.TSample":       "config",
+	"PCALSWL.period":        "config",
+	"RandomRestart.Seed":    "config",
+	"RandomRestart.TWarmup": "config",
+	"RandomRestart.TSample": "config",
+	"RandomRestart.Period":  "config",
+	"RandomRestart.StrideN": "config",
+	"RandomRestart.StrideP": "config",
 }
 
 // account fills src, lets fix put what the walk's checks read in range,

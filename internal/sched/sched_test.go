@@ -88,11 +88,10 @@ func TestPCALStartsAtSWLPoint(t *testing.T) {
 }
 
 func TestCCWSThrottlesUnderThrash(t *testing.T) {
-	k := testutil.ThrashKernel("ccws", 30, 120, 8)
+	// An 8-line sweep per warp: short enough for the canonical 8-entry
+	// victim array to remember a line between eviction and re-touch.
+	k := testutil.ThrashKernel("ccws", 8, 120, 8)
 	pol := NewCCWS(2000)
-	// The tiny kernel's 30-line sweep needs a victim array deep enough
-	// to remember a full sweep between eviction and re-touch.
-	pol.VictimEntriesPerWarp = 64
 	g, err := sim.New(testutil.TinyConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,6 @@ type RetrainOptions struct {
 	// (the GLM needs a few observations per feature to be worth
 	// fitting); <= 0 means DefaultMinRetrain.
 	Min int
-	// Train passes through to poise.Train.
-	Train poise.TrainOptions
 	// WeightsOut, when set, is atomically rewritten (Weights.Save)
 	// after every successful retrain, so the file on disk is always a
 	// complete, loadable artefact.
@@ -197,7 +195,7 @@ func (r *Retrainer) loop() {
 }
 
 func (r *Retrainer) train(s []poise.Sample) {
-	w, err := poise.Train(&poise.Dataset{Samples: s}, r.opts.Train)
+	w, err := poise.Train(&poise.Dataset{Samples: s}, poise.TrainOptions{})
 	if err != nil {
 		r.trainErrs.Add(1)
 		r.opts.Logf("serve: retrain on %d samples failed: %v", len(s), err)

@@ -153,3 +153,30 @@ func TestIngestAfterCloseFails(t *testing.T) {
 		t.Fatal("Ingest after Close must fail")
 	}
 }
+
+// TestRetrainFitsTheFullModel: the retrainer fits the whole Table II
+// vector, as poise.Train does with zero options; no feature is left
+// out of a model the service hot-swaps.
+func TestRetrainFitsTheFullModel(t *testing.T) {
+	d, r := newTestRetrainer(t, "", 8)
+	defer r.Close()
+	rec := synthRecord(1, 12)
+	if _, _, err := r.Ingest(rec); err != nil {
+		t.Fatal(err)
+	}
+	r.Flush()
+	if r.Retrains() != 1 || r.Errors() != 0 {
+		t.Fatalf("%d retrains, %d errors; want 1 and 0", r.Retrains(), r.Errors())
+	}
+	want, err := poise.Train(&poise.Dataset{Samples: rec.Samples}, poise.TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := d.Weights()
+	if got != want {
+		t.Fatalf("served weights %+v, want %+v", got, want)
+	}
+	if got.Dropped != -1 || got.Alpha[0] == 0 {
+		t.Fatalf("served model drops a feature: Dropped %d, Alpha[0] %v", got.Dropped, got.Alpha[0])
+	}
+}

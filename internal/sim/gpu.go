@@ -197,13 +197,7 @@ func (g *GPU) Kernel() *trace.Kernel { return g.kernel }
 // the hardware limit capped by the kernel's occupancy constraint. This
 // is the "maximum warps supported per scheduler" that Poise's scaling
 // step (paper §V-C) normalises against.
-func (g *GPU) MaxN() int {
-	n := g.Cfg.WarpsPerSched
-	if g.kernel != nil && g.kernel.MaxWarpsPerSched > 0 && g.kernel.MaxWarpsPerSched < n {
-		n = g.kernel.MaxWarpsPerSched
-	}
-	return n
-}
+func (g *GPU) MaxN() int { return KernelMaxN(g.Cfg, g.kernel) }
 
 // SetTupleAll applies a warp-tuple on every SM.
 func (g *GPU) SetTupleAll(n, p int) {

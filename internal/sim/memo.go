@@ -37,35 +37,16 @@ type TuplePrefixer interface {
 	PrefixTuple(cfg config.Config, k *trace.Kernel) (n, p int)
 }
 
-// KernelMaxN is GPU.MaxN before a GPU runs the kernel: the
+// KernelMaxN is the per-scheduler warp bound for kernel k: the
 // configuration's per-scheduler warp limit, clipped by the kernel's own
-// occupancy bound. Memo keys, sweep grids and feature runs are sized by it.
+// occupancy bound (a nil kernel has none). GPU.MaxN, memo keys, sweep
+// grids and feature runs are sized by it.
 func KernelMaxN(cfg config.Config, k *trace.Kernel) int {
 	n := cfg.WarpsPerSched
-	if k.MaxWarpsPerSched > 0 && k.MaxWarpsPerSched < n {
+	if k != nil && k.MaxWarpsPerSched > 0 && k.MaxWarpsPerSched < n {
 		n = k.MaxWarpsPerSched
 	}
 	return n
-}
-
-// clampTuple applies the scheduler's SetTuple clamp so keys use the
-// tuple that actually takes effect, collapsing out-of-range requests
-// onto the same entry.
-func clampTuple(cfg config.Config, n, p int) (int, int) {
-	c := cfg.WarpsPerSched
-	if n < 1 {
-		n = 1
-	}
-	if n > c {
-		n = c
-	}
-	if p < 1 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	return n, p
 }
 
 // PrefixTuple implements TuplePrefixer: GTO always runs all warps.
@@ -74,8 +55,7 @@ func (GTO) PrefixTuple(cfg config.Config, k *trace.Kernel) (int, int) {
 	return m, m
 }
 
-// PrefixTuple implements TuplePrefixer, replicating KernelStart's
-// tuple resolution.
+// PrefixTuple implements TuplePrefixer; KernelStart pins its result.
 func (f Fixed) PrefixTuple(cfg config.Config, k *trace.Kernel) (int, int) {
 	n, p := f.N, f.P
 	if t, ok := f.PerKernel[k.Name]; ok {
@@ -138,7 +118,9 @@ func memoKey(cfg config.Config, tp TuplePrefixer, w *Workload, firstDigest strin
 			digest = trace.KernelDigest(k)
 		}
 		n, p := tp.PrefixTuple(cfg, k)
-		n, p = clampTuple(cfg, n, p)
+		// The scheduler's clamp: keys use the tuple that takes effect,
+		// collapsing out-of-range requests onto one entry.
+		n, p = sm.ClampTuple(cfg.WarpsPerSched, n, p)
 		fmt.Fprintf(h, "|%s|%d,%d", digest, n, p)
 	}
 	return hex.EncodeToString(h.Sum(nil))

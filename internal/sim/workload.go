@@ -102,9 +102,8 @@ type GTO struct{}
 func (GTO) Name() string { return "GTO" }
 
 // KernelStart implements Policy.
-func (GTO) KernelStart(g *GPU, k *trace.Kernel) int64 {
-	max := g.MaxN()
-	g.SetTupleAll(max, max)
+func (t GTO) KernelStart(g *GPU, k *trace.Kernel) int64 {
+	g.SetTupleAll(t.PrefixTuple(g.Cfg, k))
 	return Never
 }
 
@@ -134,17 +133,7 @@ func (f Fixed) Name() string {
 
 // KernelStart implements Policy.
 func (f Fixed) KernelStart(g *GPU, k *trace.Kernel) int64 {
-	n, p := f.N, f.P
-	if t, ok := f.PerKernel[k.Name]; ok {
-		n, p = t[0], t[1]
-	}
-	if n <= 0 {
-		n = g.MaxN()
-	}
-	if p <= 0 {
-		p = n
-	}
-	g.SetTupleAll(n, p)
+	g.SetTupleAll(f.PrefixTuple(g.Cfg, k))
 	return Never
 }
 

@@ -75,24 +75,19 @@ func (s *Scheduler) ActiveWarps() int { return len(s.ageOrder) }
 // Tuple returns the current {N, p} setting.
 func (s *Scheduler) Tuple() (n, p int) { return s.n, s.p }
 
-// SetTuple applies a warp-tuple. Values are clamped to [1, capacity]
-// and p to at most n, mirroring the p <= N constraint of the paper.
+// SetTuple applies a warp-tuple, clamped by ClampTuple to the
+// scheduler's capacity.
 func (s *Scheduler) SetTuple(n, p int) {
-	c := len(s.Slots)
-	if n < 1 {
-		n = 1
-	}
-	if n > c {
-		n = c
-	}
-	if p < 1 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	s.n, s.p = n, p
+	s.n, s.p = ClampTuple(len(s.Slots), n, p)
 	s.refreshBits()
+}
+
+// ClampTuple is the warp-tuple a scheduler of the given capacity
+// applies when asked for {n, p}: n clamped to [1, capacity] and p to
+// [1, n], mirroring the p <= N constraint of the paper.
+func ClampTuple(capacity, n, p int) (int, int) {
+	n = min(max(n, 1), capacity)
+	return n, min(max(p, 1), n)
 }
 
 // refreshBits recomputes vital/pollute bits from age order and {N, p}.

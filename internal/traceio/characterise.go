@@ -52,10 +52,6 @@ type CharacteriseOptions struct {
 	// O(distance) per access). Footprint and In always use the full
 	// trace. 0 means DefaultMaxAccesses; negative means unlimited.
 	MaxAccesses int
-	// MaxDist caps the reuse-distance histogram resolution (0 means
-	// DefaultMaxDist). Distances beyond the cap still contribute their
-	// exact value to the mean.
-	MaxDist int
 }
 
 // DefaultMaxAccesses bounds the per-kernel scans: enough to pin R and
@@ -63,9 +59,10 @@ type CharacteriseOptions struct {
 // while keeping characterisation interactive on large traces.
 const DefaultMaxAccesses = 1 << 17
 
-// DefaultMaxDist is the default histogram resolution, matching the
-// Fig. 4 experiment's profiler.
-const DefaultMaxDist = 1 << 14
+// maxDist caps the reuse-distance histogram resolution, matching the
+// Fig. 4 experiment's profiler. Distances beyond the cap still
+// contribute their exact value to the mean.
+const maxDist = 1 << 14
 
 // reuseSampleWarps is how many warps the per-warp R scan samples
 // (evenly spaced across the launch).
@@ -142,9 +139,6 @@ type characteriser struct {
 func newCharacteriser(kernels int, opts CharacteriseOptions) *characteriser {
 	if opts.MaxAccesses == 0 {
 		opts.MaxAccesses = DefaultMaxAccesses
-	}
-	if opts.MaxDist <= 0 {
-		opts.MaxDist = DefaultMaxDist
 	}
 	c := &characteriser{
 		opts:  opts,
@@ -301,12 +295,11 @@ type kernelScan struct {
 	loaded  []bool     // per slot: whether a load reads it
 	streams [][]uint64 // per (warp, slot): streams[g*slots+s], nil where no load reads s
 	budget  int64
-	maxDist int
 }
 
 // prepareScan indexes the streams of v that loads read.
 func prepareScan(v kernelView, opts CharacteriseOptions) *kernelScan {
-	k := &kernelScan{v: v, loads: loadSlots(v.body), budget: int64(opts.MaxAccesses), maxDist: opts.MaxDist}
+	k := &kernelScan{v: v, loads: loadSlots(v.body), budget: int64(opts.MaxAccesses)}
 	if k.budget < 0 {
 		k.budget = 1 << 62
 	}
@@ -401,7 +394,7 @@ func (k *kernelScan) reuseDist(sc *scanScratch) (meanDist float64, finite int64)
 	const noLine = ^uint64(0) // line indices stay below maxLineIndex
 	lastLine := make([]uint64, slots)
 	if sc.prof == nil {
-		sc.prof = reuse.NewProfiler(k.maxDist)
+		sc.prof = reuse.NewProfiler(maxDist)
 	}
 	prof := sc.prof
 	for g := 0; g < total; g += step {

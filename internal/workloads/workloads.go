@@ -19,6 +19,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"poise/internal/runner"
 	"poise/internal/sim"
@@ -38,6 +39,20 @@ const (
 	// Large approaches the paper's multi-million-cycle kernels.
 	Large
 )
+
+// ParseSize reads a size by name ("small", "medium" or "large", in any
+// case).
+func ParseSize(s string) (Size, error) {
+	switch strings.ToLower(s) {
+	case "small":
+		return Small, nil
+	case "medium":
+		return Medium, nil
+	case "large":
+		return Large, nil
+	}
+	return 0, fmt.Errorf("unknown size %q", s)
+}
 
 func (s Size) factor() int {
 	switch s {

@@ -135,3 +135,16 @@ func TestRegionStability(t *testing.T) {
 		t.Fatal("regions must differ across slots and names")
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	for in, want := range map[string]Size{"small": Small, "Medium": Medium, "LARGE": Large} {
+		if got, err := ParseSize(in); err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "huge", "smal"} {
+		if _, err := ParseSize(in); err == nil {
+			t.Errorf("ParseSize(%q) accepted", in)
+		}
+	}
+}

@@ -29,7 +29,6 @@ import (
 
 	"poise/internal/config"
 	"poise/internal/experiments"
-	"poise/internal/glm"
 	corepoise "poise/internal/poise"
 	"poise/internal/profile"
 	"poise/internal/sched"
@@ -101,8 +100,8 @@ type PolicySpec struct {
 	Name string
 	// N, P pin the tuple for the "fixed" policy.
 	N, P int
-	// Profiles supplies per-kernel solution-space profiles ("swl",
-	// "static-best", "pcal-swl").
+	// Profiles supplies per-kernel solution-space profiles; "swl",
+	// "static-best" and "pcal-swl" need them.
 	Profiles map[string]*Profile
 	// Weights supplies the trained model ("poise"); nil uses the
 	// embedded default.
@@ -118,6 +117,12 @@ func NewPolicy(spec PolicySpec) (Policy, error) {
 	params := config.DefaultPoise()
 	if spec.Params != nil {
 		params = *spec.Params
+	}
+	switch spec.Name {
+	case "swl", "static-best", "pcal-swl":
+		if len(spec.Profiles) == 0 {
+			return nil, fmt.Errorf("poise: policy %q needs Profiles", spec.Name)
+		}
 	}
 	switch spec.Name {
 	case "gto", "":
@@ -193,11 +198,11 @@ func Train(cfg Config, size Size, opt TrainOptions) (Weights, error) {
 	if err != nil {
 		return Weights{}, err
 	}
-	drop := opt.Drop
-	if drop == 0 {
-		drop = -1
+	var dropX int // the Table II number of feature index Drop
+	if opt.Drop > 0 {
+		dropX = opt.Drop + 1
 	}
-	return corepoise.Train(ds, corepoise.TrainOptions{Drop: drop, GLM: glm.Options{}})
+	return corepoise.Train(ds, corepoise.TrainOptions{DropX: dropX})
 }
 
 // TrainedWeights returns the embedded default model, if one has been

@@ -42,6 +42,16 @@ func TestFacadePolicies(t *testing.T) {
 	}
 }
 
+// TestFacadeProfilePoliciesNeedProfiles: without profiles there is no
+// SWL or Static-Best tuple to run, and no SWL start for PCAL.
+func TestFacadeProfilePoliciesNeedProfiles(t *testing.T) {
+	for _, name := range []string{"swl", "static-best", "pcal-swl"} {
+		if pol, err := poise.NewPolicy(poise.PolicySpec{Name: name}); err == nil {
+			t.Errorf("%s without Profiles built %s", name, pol.Name())
+		}
+	}
+}
+
 func TestFacadeProfileBackedPolicies(t *testing.T) {
 	w := poise.Workloads(poise.Small).Must("wc")
 	k := w.Kernels[0]
