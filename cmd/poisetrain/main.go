@@ -192,7 +192,7 @@ func writeDefaultWeights(out io.Writer, w poise.Weights) error {
 //	go run ./cmd/poisetrain -emit internal/poise/defaultweights.go
 //
 // DO NOT EDIT below: generated by cmd/poisetrain.
-var defaultWeights, defaultWeightsValid = Weights{
+var defaultWeights = Weights{
 	Alpha:        %#v,
 	Beta:         %#v,
 	DispersionN:  %v,
@@ -201,25 +201,15 @@ var defaultWeights, defaultWeightsValid = Weights{
 	PseudoR2N:    %v,
 	PseudoR2P:    %v,
 	Dropped:      -1,
-}, true
+}
 
-// DefaultWeights returns the embedded trained model and whether one has
-// been embedded.
+// DefaultWeights returns the embedded trained model and whether it is
+// a valid one.
 func DefaultWeights() (Weights, bool) {
-	if !defaultWeightsValid {
-		return Weights{}, false
-	}
 	if err := defaultWeights.Validate(); err != nil {
 		return Weights{}, false
 	}
 	return defaultWeights, true
-}
-
-// SetDefaultWeights installs a freshly trained model process-wide (the
-// emitted source file makes it permanent).
-func SetDefaultWeights(w Weights) {
-	defaultWeights = w
-	defaultWeightsValid = true
 }
 `, w.Alpha, w.Beta, w.DispersionN, w.DispersionP, w.TrainKernels, w.PseudoR2N, w.PseudoR2P)
 	return err

@@ -310,9 +310,6 @@ func (c *Cache) Occupancy() int {
 	return n
 }
 
-// Geometry returns the configured geometry.
-func (c *Cache) Geometry() config.CacheConfig { return c.cfg }
-
 func (c *Cache) String() string {
 	return fmt.Sprintf("cache{%dKB %d-way %d sets %s}",
 		c.cfg.SizeBytes/1024, c.ways, c.setCount, c.cfg.Index)

@@ -76,13 +76,3 @@ func (v *VictimTags) Drain() []int64 {
 	}
 	return out
 }
-
-// TotalLost returns the sum of the current lost-locality counters
-// without resetting them.
-func (v *VictimTags) TotalLost() int64 {
-	var s int64
-	for _, x := range v.lost {
-		s += x
-	}
-	return s
-}

@@ -191,12 +191,6 @@ func (c Config) CheckScale(n int) error {
 	return nil
 }
 
-// L2SetsPerBank returns the number of sets in each L2 bank.
-func (c Config) L2SetsPerBank() int {
-	per := c.L2.SizeBytes / c.L2Banks
-	return per / (c.L2.LineBytes * c.L2.Ways)
-}
-
 // MaxWarpsPerSM is the hardware warp residency limit of one SM.
 func (c Config) MaxWarpsPerSM() int { return c.SchedulersPerSM * c.WarpsPerSched }
 

@@ -26,8 +26,8 @@ func TestDefaultMatchesPaperTableIIIb(t *testing.T) {
 	if c.L1.Sets() != 32 {
 		t.Fatalf("L1 sets = %d, want 32", c.L1.Sets())
 	}
-	if c.L2Banks != 24 || c.L2SetsPerBank() != 96 || c.L2.Ways != 8 {
-		t.Fatalf("L2 wrong: banks=%d sets=%d", c.L2Banks, c.L2SetsPerBank())
+	if sets := c.L2.SizeBytes / c.L2Banks / (c.L2.LineBytes * c.L2.Ways); c.L2Banks != 24 || sets != 96 || c.L2.Ways != 8 {
+		t.Fatalf("L2 wrong: banks=%d sets per bank=%d", c.L2Banks, sets)
 	}
 	if c.DRAMPartitions != 6 {
 		t.Fatal("DRAM partitions wrong")

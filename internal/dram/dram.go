@@ -57,15 +57,6 @@ func (d *DRAM) Access(lineAddr uint64, now int64) int64 {
 	return *p + d.latency
 }
 
-// Utilization returns the mean partition bus utilisation over elapsed
-// cycles (an approximation: busy cycles / (partitions * elapsed)).
-func (d *DRAM) Utilization(elapsed int64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(d.BusyCycles) / float64(int64(len(d.partitions))*elapsed)
-}
-
 // Reset clears server state and statistics.
 func (d *DRAM) Reset() {
 	for i := range d.partitions {

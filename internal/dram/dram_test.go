@@ -42,21 +42,6 @@ func TestPartitionSpread(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	d := New(config.Default())
-	for i := uint64(0); i < 60; i++ {
-		d.Access(i, 0)
-	}
-	u := d.Utilization(1000)
-	want := float64(60*12) / float64(6*1000)
-	if u < want*0.99 || u > want*1.01 {
-		t.Fatalf("utilisation = %v, want %v", u, want)
-	}
-	if d.Utilization(0) != 0 {
-		t.Fatal("zero elapsed must be zero utilisation")
-	}
-}
-
 func TestReset(t *testing.T) {
 	d := New(config.Default())
 	d.Access(1, 100)

@@ -196,7 +196,7 @@ func (h *Harness) Fig4() ([]LocalityRow, error) {
 // (intra-line spatial locality) are collapsed first: R characterises
 // the distinct-line footprint between reuses, not element strides.
 func kernelReuseDistance(k *trace.Kernel, accesses int) float64 {
-	p := reuse.NewProfiler(1 << 14)
+	p := reuse.NewProfiler()
 	ctx := trace.Ctx{GlobalWarp: 0}
 	n := 0
 	last := map[int]uint64{}

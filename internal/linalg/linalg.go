@@ -25,22 +25,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Mat, error) {
-	if len(rows) == 0 {
-		return NewMat(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMat(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			return nil, fmt.Errorf("linalg: row %d has %d cols, want %d", i, len(r), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -52,58 +36,6 @@ func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Mat) T() *Mat {
-	t := NewMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns a*b.
-func Mul(a, b *Mat) (*Mat, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("linalg: mul shape mismatch %dx%d * %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMat(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns a*x for a vector x.
-func MulVec(a *Mat, x []float64) ([]float64, error) {
-	if a.Cols != len(x) {
-		return nil, fmt.Errorf("linalg: mulvec shape mismatch %dx%d * %d",
-			a.Rows, a.Cols, len(x))
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
 }
 
 // Dot returns the inner product of x and y.

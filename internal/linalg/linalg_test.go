@@ -6,63 +6,38 @@ import (
 	"testing/quick"
 )
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
+// rows builds a matrix from equal-length rows.
+func rows(r [][]float64) *Mat {
+	m := NewMat(len(r), len(r[0]))
+	for i := range r {
+		copy(m.Data[i*m.Cols:], r[i])
 	}
-	if m.At(1, 0) != 3 || m.At(0, 1) != 2 {
-		t.Fatalf("bad layout: %+v", m)
-	}
-	if _, err := FromRows([][]float64{{1}, {2, 3}}); err == nil {
-		t.Fatal("ragged rows must error")
-	}
+	return m
 }
 
-func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatalf("bad transpose: %+v", tr)
-	}
-}
-
-func TestMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := Mul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := range want {
-		for j := range want[i] {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("Mul = %+v, want %v", c, want)
+// gram returns xᵀx, summed element by element.
+func gram(x *Mat) *Mat {
+	g := NewMat(x.Cols, x.Cols)
+	for i := 0; i < x.Cols; i++ {
+		for j := 0; j < x.Cols; j++ {
+			var s float64
+			for k := 0; k < x.Rows; k++ {
+				s += x.At(k, i) * x.At(k, j)
 			}
+			g.Set(i, j, s)
 		}
 	}
-	if _, err := Mul(a, &Mat{Rows: 3, Cols: 1, Data: make([]float64, 3)}); err == nil {
-		t.Fatal("shape mismatch must error")
-	}
+	return g
 }
 
-func TestMulVecAndDot(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	y, err := MulVec(a, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 3 || y[1] != 7 {
-		t.Fatalf("MulVec = %v", y)
-	}
+func TestDot(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("Dot wrong")
 	}
 }
 
 func TestSolveKnownSystem(t *testing.T) {
-	a, _ := FromRows([][]float64{
+	a := rows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
@@ -80,14 +55,14 @@ func TestSolveKnownSystem(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := rows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); err == nil {
 		t.Fatal("singular system must error")
 	}
 }
 
 func TestCholeskyRoundTrip(t *testing.T) {
-	a, _ := FromRows([][]float64{
+	a := rows([][]float64{
 		{4, 12, -16},
 		{12, 37, -43},
 		{-16, -43, 98},
@@ -97,13 +72,13 @@ func TestCholeskyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// L * Lᵀ must reconstruct a.
-	back, err := Mul(l, l.T())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if math.Abs(back.At(i, j)-a.At(i, j)) > 1e-9 {
+			var back float64
+			for k := 0; k < 3; k++ {
+				back += l.At(i, k) * l.At(j, k)
+			}
+			if math.Abs(back-a.At(i, j)) > 1e-9 {
 				t.Fatalf("L*Lt != a at (%d,%d)", i, j)
 			}
 		}
@@ -111,7 +86,7 @@ func TestCholeskyRoundTrip(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := rows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := Cholesky(a); err == nil {
 		t.Fatal("indefinite matrix must be rejected")
 	}
@@ -127,8 +102,7 @@ func TestSolveSPDAgreesWithSolve(t *testing.T) {
 		for i := range raw.Data {
 			raw.Data[i] = rng()
 		}
-		spd, _ := Mul(raw.T(), raw)
-		Ridge(spd, 1)
+		spd := Ridge(gram(raw), 1)
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = rng()
@@ -167,10 +141,7 @@ func TestXtWXUnitWeights(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := Mul(x.T(), x)
-		if err != nil {
-			return false
-		}
+		want := gram(x)
 		for i := range want.Data {
 			if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
 				return false
@@ -184,7 +155,7 @@ func TestXtWXUnitWeights(t *testing.T) {
 }
 
 func TestXtWzMatchesNaive(t *testing.T) {
-	x, _ := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	x := rows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	w := []float64{0.5, 2, 1}
 	z := []float64{1, -1, 2}
 	got, err := XtWz(x, w, z)
@@ -201,7 +172,7 @@ func TestXtWzMatchesNaive(t *testing.T) {
 }
 
 func TestRidge(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 0}, {0, 1}})
+	a := rows([][]float64{{1, 0}, {0, 1}})
 	Ridge(a, 0.5)
 	if a.At(0, 0) != 1.5 || a.At(1, 1) != 1.5 || a.At(0, 1) != 0 {
 		t.Fatalf("Ridge wrong: %+v", a)

@@ -78,7 +78,7 @@ func (e *hie) walk(k snapio.Walk) {
 // per engine (Step advances engine i on SM i).
 func (p *Policy) WalkState(k snapio.Walk, g *sim.GPU) {
 	k.Int(&p.maxN)
-	k.Int(&p.Fallbacks)
+	k.Int(&p.fallbacks)
 	snapio.Slice(k, &p.engines, maxEnginesState, func(k snapio.Walk, e **hie) {
 		if *e == nil {
 			*e = &hie{}

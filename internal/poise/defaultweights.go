@@ -10,7 +10,7 @@ package poise
 //	go run ./cmd/poisetrain -emit internal/poise/defaultweights.go
 //
 // DO NOT EDIT below: generated by cmd/poisetrain.
-var defaultWeights, defaultWeightsValid = Weights{
+var defaultWeights = Weights{
 	Alpha:        [8]float64{0.012356074003265808, 0.09733252600752078, 3.315785751192519, -3.9578695462237703, 3.4210372803642226, 0.20225129879199089, -0.0007563899644982391, 3.0022603760712148},
 	Beta:         [8]float64{2.224030488442085, 0.3526777908283567, 9.091329477412856, -9.373808549539353, 9.127050937080917, 0.23810771437305195, 0.008294584905967345, 1.659650187894673},
 	DispersionN:  1e-06,
@@ -19,23 +19,13 @@ var defaultWeights, defaultWeightsValid = Weights{
 	PseudoR2N:    0.7672928010754411,
 	PseudoR2P:    0.8408029600496456,
 	Dropped:      -1,
-}, true
+}
 
-// DefaultWeights returns the embedded trained model and whether one has
-// been embedded.
+// DefaultWeights returns the embedded trained model and whether it is
+// a valid one.
 func DefaultWeights() (Weights, bool) {
-	if !defaultWeightsValid {
-		return Weights{}, false
-	}
 	if err := defaultWeights.Validate(); err != nil {
 		return Weights{}, false
 	}
 	return defaultWeights, true
-}
-
-// SetDefaultWeights installs a freshly trained model process-wide (the
-// emitted source file makes it permanent).
-func SetDefaultWeights(w Weights) {
-	defaultWeights = w
-	defaultWeightsValid = true
 }

@@ -74,19 +74,6 @@ func Features(base, ref Window) Vector {
 	}
 }
 
-// Masked returns a copy of v with the given feature index zeroed: for
-// the link function, a zero feature is equivalent to a zero weight.
-// The Fig. 13 ablation does not use it; Train leaves the column out
-// (TrainOptions.DropX).
-func (v Vector) Masked(drop int) Vector {
-	if drop < 0 || drop >= NumFeatures {
-		return v
-	}
-	out := v
-	out[drop] = 0
-	return out
-}
-
 func (v Vector) String() string {
 	s := "["
 	for i, x := range v {

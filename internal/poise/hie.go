@@ -112,11 +112,9 @@ type Policy struct {
 	// sampling overhead. Set NoFallback for paper-exact behaviour.
 	NoFallback bool
 
-	// Fallbacks counts epochs that reverted to the maximum tuple.
-	Fallbacks int
-
-	engines []*hie
-	maxN    int
+	engines   []*hie
+	fallbacks int // epochs that reverted to the maximum tuple
+	maxN      int
 }
 
 // NewPolicy builds the Poise policy with trained weights.
@@ -251,7 +249,7 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 			runIPC := ipcSince(e.runSnap, s, now-e.runStartAt)
 			if e.baseIPC > 0 && runIPC < e.baseIPC {
 				e.strikes++
-				p.Fallbacks++
+				p.fallbacks++
 				p.enterRun(g, e, i, p.maxN, p.maxN)
 				return
 			}
@@ -273,7 +271,7 @@ func (p *Policy) scoreRunPhase(e *hie, s *sm.SM, now int64) {
 	runIPC := ipcSince(e.runSnap, s, now-e.runStartAt)
 	if e.baseIPC > 0 && runIPC < e.baseIPC {
 		e.strikes++
-		p.Fallbacks++
+		p.fallbacks++
 	} else if e.strikes > 0 {
 		e.strikes--
 	}

@@ -42,17 +42,6 @@ func TestFeaturesInCapped(t *testing.T) {
 	}
 }
 
-func TestVectorMasked(t *testing.T) {
-	v := Vector{1, 2, 3, 4, 5, 6, 7, 8}
-	m := v.Masked(2)
-	if m[2] != 0 || m[3] != 4 {
-		t.Fatalf("Masked wrong: %v", m)
-	}
-	if v.Masked(-1) != v || v.Masked(99) != v {
-		t.Fatal("out-of-range mask must be a no-op")
-	}
-}
-
 func TestWindowFrom(t *testing.T) {
 	l1 := cache.Stats{Accesses: 100, Hits: 40, IntraWarpHits: 30}
 	c := sm.Counters{Instructions: 600, Loads: 100, AMLSum: 3000, AMLCount: 10}

@@ -22,13 +22,9 @@ type Profiler struct {
 	index map[uint64]*node
 	head  *node // most recently used
 	tail  *node // least recently used
-	size  int
 	free  *node // nodes a Reset released, chained through next
 
-	// Histogram of finite distances, capped; overflow counts lump into
-	// the last bucket. ColdMisses counts first touches.
-	hist       []int64
-	capDist    int
+	// ColdMisses counts first touches.
 	ColdMisses int64
 	Accesses   int64
 	sumDist    float64
@@ -40,17 +36,9 @@ type node struct {
 	prev, next *node
 }
 
-// NewProfiler returns a profiler whose histogram resolves distances up
-// to maxDist (larger distances all count in the final bucket).
-func NewProfiler(maxDist int) *Profiler {
-	if maxDist < 1 {
-		maxDist = 1
-	}
-	return &Profiler{
-		index:   make(map[uint64]*node),
-		hist:    make([]int64, maxDist+1),
-		capDist: maxDist,
-	}
+// NewProfiler returns an empty profiler.
+func NewProfiler() *Profiler {
+	return &Profiler{index: make(map[uint64]*node)}
 }
 
 // Touch records an access to line addr and returns its stack distance,
@@ -68,7 +56,6 @@ func (p *Profiler) Touch(addr uint64) int {
 		}
 		p.index[addr] = n
 		p.pushFront(n)
-		p.size++
 		return -1
 	}
 	// Walk from head to find depth (number of distinct lines above it).
@@ -78,27 +65,20 @@ func (p *Profiler) Touch(addr uint64) int {
 	}
 	p.remove(n)
 	p.pushFront(n)
-	d := depth
-	if d > p.capDist {
-		d = p.capDist
-	}
-	p.hist[d]++
 	p.sumDist += float64(depth)
 	p.finite++
 	return depth
 }
 
 // Reset empties the profiler for a new stream and keeps its storage:
-// the index, the list nodes and the histogram are reused, not
-// reallocated.
+// the index and the list nodes are reused, not reallocated.
 func (p *Profiler) Reset() {
 	clear(p.index)
 	if p.head != nil {
 		p.tail.next = p.free
 		p.free = p.head
 	}
-	p.head, p.tail, p.size = nil, nil, 0
-	clear(p.hist)
+	p.head, p.tail = nil, nil
 	p.ColdMisses, p.Accesses, p.sumDist, p.finite = 0, 0, 0, 0
 }
 
@@ -127,9 +107,6 @@ func (p *Profiler) remove(n *node) {
 	}
 }
 
-// Distinct returns the number of distinct lines seen.
-func (p *Profiler) Distinct() int { return p.size }
-
 // MeanDistance returns the mean finite stack distance — the "R" a
 // workload reports in the Fig. 4 analysis — or 0 if no line was reused.
 func (p *Profiler) MeanDistance() float64 {
@@ -137,28 +114,4 @@ func (p *Profiler) MeanDistance() float64 {
 		return 0
 	}
 	return p.sumDist / float64(p.finite)
-}
-
-// Histogram returns a copy of the distance histogram; bucket i counts
-// accesses with stack distance i, and the final bucket also absorbs all
-// larger distances.
-func (p *Profiler) Histogram() []int64 {
-	return append([]int64(nil), p.hist...)
-}
-
-// HitRateAtCapacity returns the fraction of accesses that would hit in
-// a fully-associative LRU cache holding lines lines — the classic use
-// of a reuse-distance profile. Cold misses count as misses.
-func (p *Profiler) HitRateAtCapacity(lines int) float64 {
-	if p.Accesses == 0 {
-		return 0
-	}
-	if lines > p.capDist {
-		lines = p.capDist
-	}
-	var hits int64
-	for d := 0; d < lines && d < len(p.hist); d++ {
-		hits += p.hist[d]
-	}
-	return float64(hits) / float64(p.Accesses)
 }

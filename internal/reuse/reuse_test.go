@@ -1,7 +1,6 @@
 package reuse
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -37,7 +36,7 @@ func naiveStackDistance(stream []uint64) []int {
 func TestProfilerMatchesNaive(t *testing.T) {
 	stream := []uint64{1, 2, 3, 1, 2, 2, 4, 1, 5, 3}
 	want := naiveStackDistance(stream)
-	p := NewProfiler(64)
+	p := NewProfiler()
 	for i, a := range stream {
 		got := p.Touch(a)
 		if got != want[i] {
@@ -57,7 +56,7 @@ func TestProfilerMatchesNaiveProperty(t *testing.T) {
 			stream[i] = uint64(rng.Intn(space))
 		}
 		want := naiveStackDistance(stream)
-		p := NewProfiler(256)
+		p := NewProfiler()
 		for i, a := range stream {
 			if p.Touch(a) != want[i] {
 				return false
@@ -71,15 +70,15 @@ func TestProfilerMatchesNaiveProperty(t *testing.T) {
 }
 
 func TestColdMissesAndDistinct(t *testing.T) {
-	p := NewProfiler(16)
+	p := NewProfiler()
 	for _, a := range []uint64{1, 2, 3, 1, 2} {
 		p.Touch(a)
 	}
 	if p.ColdMisses != 3 {
 		t.Fatalf("ColdMisses = %d, want 3", p.ColdMisses)
 	}
-	if p.Distinct() != 3 {
-		t.Fatalf("Distinct = %d, want 3", p.Distinct())
+	if len(p.index) != 3 {
+		t.Fatalf("distinct lines = %d, want 3", len(p.index))
 	}
 	if p.Accesses != 5 {
 		t.Fatalf("Accesses = %d, want 5", p.Accesses)
@@ -87,7 +86,7 @@ func TestColdMissesAndDistinct(t *testing.T) {
 }
 
 func TestMeanDistance(t *testing.T) {
-	p := NewProfiler(16)
+	p := NewProfiler()
 	// 1,2,1: the reuse of 1 has distance 1. 2 never reused.
 	p.Touch(1)
 	p.Touch(2)
@@ -95,39 +94,9 @@ func TestMeanDistance(t *testing.T) {
 	if got := p.MeanDistance(); got != 1 {
 		t.Fatalf("MeanDistance = %v, want 1", got)
 	}
-	empty := NewProfiler(4)
+	empty := NewProfiler()
 	if empty.MeanDistance() != 0 {
 		t.Fatal("MeanDistance of empty profiler must be 0")
-	}
-}
-
-func TestHitRateAtCapacity(t *testing.T) {
-	p := NewProfiler(64)
-	// Cyclic sweep over 8 addresses, 10 rounds: after the cold round,
-	// every access has stack distance 7.
-	for r := 0; r < 10; r++ {
-		for a := uint64(0); a < 8; a++ {
-			p.Touch(a)
-		}
-	}
-	// A cache of 8 lines captures all 72 reuses; one of 4 captures none.
-	if got := p.HitRateAtCapacity(8); got < 0.89 || got > 0.91 {
-		t.Fatalf("HitRateAtCapacity(8) = %v, want 0.9", got)
-	}
-	if got := p.HitRateAtCapacity(4); got != 0 {
-		t.Fatalf("HitRateAtCapacity(4) = %v, want 0", got)
-	}
-}
-
-func TestHistogramOverflowBucket(t *testing.T) {
-	p := NewProfiler(4)
-	// Distance 6 reuse must land in the final (capped) bucket.
-	for _, a := range []uint64{1, 2, 3, 4, 5, 6, 7, 1} {
-		p.Touch(a)
-	}
-	h := p.Histogram()
-	if h[4] != 1 {
-		t.Fatalf("overflow bucket = %d, want 1 (hist %v)", h[4], h)
 	}
 }
 
@@ -136,11 +105,11 @@ func TestHistogramOverflowBucket(t *testing.T) {
 // profiler reports on each stream.
 func TestResetMatchesFresh(t *testing.T) {
 	rng := stats.NewRNG(17)
-	reused := NewProfiler(16)
+	reused := NewProfiler()
 	for round := 0; round < 50; round++ {
 		n := rng.Intn(300)
 		span := 1 + rng.Intn(40)
-		fresh := NewProfiler(16)
+		fresh := NewProfiler()
 		reused.Reset()
 		for i := 0; i < n; i++ {
 			a := uint64(rng.Intn(span))
@@ -149,8 +118,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			}
 		}
 		if reused.Accesses != fresh.Accesses || reused.ColdMisses != fresh.ColdMisses ||
-			reused.Distinct() != fresh.Distinct() || reused.MeanDistance() != fresh.MeanDistance() ||
-			!reflect.DeepEqual(reused.Histogram(), fresh.Histogram()) {
+			len(reused.index) != len(fresh.index) || reused.MeanDistance() != fresh.MeanDistance() {
 			t.Fatalf("round %d: totals after Reset differ from a fresh profiler's", round)
 		}
 	}

@@ -136,14 +136,6 @@ func MapSlice[S, T any](ctx context.Context, workers int, items []S, fn func(ctx
 	})
 }
 
-// ForEach runs fn over every item for its side effects only.
-func ForEach[S any](ctx context.Context, workers int, items []S, fn func(ctx context.Context, i int, item S) error) error {
-	_, err := MapSlice(ctx, workers, items, func(ctx context.Context, i int, item S) (struct{}, error) {
-		return struct{}{}, fn(ctx, i, item)
-	})
-	return err
-}
-
 // SubSeed derives the seed for task id of a run seeded with base: a
 // splitmix64 finalisation of the pair, so adjacent ids yield
 // decorrelated streams and the mapping is a pure function — the

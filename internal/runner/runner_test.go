@@ -130,7 +130,7 @@ func TestMapCancellationMidFlight(t *testing.T) {
 	}
 }
 
-func TestMapSliceAndForEach(t *testing.T) {
+func TestMapSlice(t *testing.T) {
 	items := []string{"a", "bb", "ccc"}
 	got, err := MapSlice(context.Background(), 2, items, func(_ context.Context, i int, s string) (int, error) {
 		return len(s) + i, nil
@@ -143,17 +143,6 @@ func TestMapSliceAndForEach(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-
-	var sum atomic.Int64
-	if err := ForEach(context.Background(), 3, []int{1, 2, 3, 4}, func(_ context.Context, _ int, v int) error {
-		sum.Add(int64(v))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 10 {
-		t.Fatalf("ForEach sum = %d, want 10", sum.Load())
 	}
 }
 

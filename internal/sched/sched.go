@@ -8,8 +8,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"poise/internal/profile"
 	"poise/internal/sim"
 )
@@ -87,6 +85,3 @@ func (w ipcWindow) ipcPerSM(g *sim.GPU, now int64) []float64 {
 	}
 	return out
 }
-
-// TupleName formats a warp-tuple the way the paper writes them.
-func TupleName(n, p int) string { return fmt.Sprintf("(%d,%d)", n, p) }

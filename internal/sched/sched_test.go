@@ -174,12 +174,6 @@ func TestRandomRestartDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestTupleName(t *testing.T) {
-	if TupleName(5, 2) != "(5,2)" {
-		t.Fatal("TupleName format")
-	}
-}
-
 func TestIPCWindow(t *testing.T) {
 	k := testutil.ThrashKernel("win", 16, 30, 4)
 	g, err := sim.New(testutil.TinyConfig())

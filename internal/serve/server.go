@@ -165,10 +165,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Decider exposes the in-process decision path (the HTTP layer is for
-// remote callers; embedders decide directly).
-func (s *Server) Decider() *Decider { return s.dec }
-
 // Flush blocks until every ingest accepted before the call has been
 // folded into the model. Test and shutdown hook.
 func (s *Server) Flush() { s.ret.Flush() }

@@ -10,6 +10,7 @@ import (
 	"poise/internal/sched"
 	"poise/internal/sim"
 	"poise/internal/testutil"
+	"poise/internal/trace"
 	"poise/internal/traceio"
 	"poise/internal/workloads"
 )
@@ -186,12 +187,37 @@ func TestEngineEquivalenceTraced(t *testing.T) {
 	}
 }
 
+// prefixIters divides a catalogue kernel's iterations when a suite
+// runs it on a prefix.
+const prefixIters = 4
+
+// kernelPrefix returns w with every kernel cut to the first
+// 1/prefixIters of its iterations: each warp runs the opening of its
+// full instruction stream, the same addresses in the same order, and
+// stops early. The catalogue suites run on it in a plain `go test`, and
+// on the whole kernels under -full (testutil.Full), which CI's no-race
+// step passes.
+func kernelPrefix(w *sim.Workload) *sim.Workload {
+	if testutil.Full() {
+		return w
+	}
+	short := *w
+	short.Kernels = make([]*trace.Kernel, len(w.Kernels))
+	for i, k := range w.Kernels {
+		kp := *k
+		kp.Iters = max(1, k.Iters/prefixIters)
+		short.Kernels[i] = &kp
+	}
+	return &short
+}
+
 // TestEngineEquivalenceCatalogue proves the headline acceptance
 // criterion: every catalogue workload under every scheme class is
-// bit-identical between the engines. Under the race detector the
-// workload set shrinks to one representative per class (training,
-// memory-sensitive eval, cache-sensitive eval, compute); the full
-// catalogue runs in the normal build and in CI's dedicated step.
+// bit-identical between the engines, on a prefix of its kernels unless
+// the test binary gets -full. Under the race detector the workload set
+// shrinks to one representative per class (training, memory-sensitive
+// eval, cache-sensitive eval, compute); the full catalogue runs in the
+// normal build and in CI's dedicated step.
 func TestEngineEquivalenceCatalogue(t *testing.T) {
 	cat := workloads.NewCatalogue(workloads.Small)
 	names := []string{"gco", "ii", "bfs", "wc"}
@@ -203,7 +229,7 @@ func TestEngineEquivalenceCatalogue(t *testing.T) {
 	}
 	cfg := testutil.TinyConfig()
 	for _, name := range names {
-		w := cat.Must(name)
+		w := kernelPrefix(cat.Must(name))
 		for _, sc := range engineSchemes(t) {
 			w, sc := w, sc
 			t.Run(fmt.Sprintf("%s/%s", name, sc.name), func(t *testing.T) {

@@ -164,7 +164,8 @@ func preemptChain(t *testing.T, cfg config.Config, w *sim.Workload, mk func() si
 // TestSnapshotRestoreIdentityWorkload proves checkpoint/resume at the
 // workload level on catalogue workloads under every scheme class,
 // including checkpoints that bounce across multiple hops (as tasks do
-// between preemptible fleet workers).
+// between preemptible fleet workers). Each workload runs on a prefix of
+// its kernels (kernelPrefix) unless the test binary gets -full.
 func TestSnapshotRestoreIdentityWorkload(t *testing.T) {
 	cat := workloads.NewCatalogue(workloads.Small)
 	names := []string{"gco", "bfs"}
@@ -173,7 +174,7 @@ func TestSnapshotRestoreIdentityWorkload(t *testing.T) {
 	}
 	cfg := testutil.TinyConfig()
 	for _, name := range names {
-		w := cat.Must(name)
+		w := kernelPrefix(cat.Must(name))
 		for _, sc := range engineSchemes(t) {
 			w, sc := w, sc
 			t.Run(fmt.Sprintf("%s/%s", name, sc.name), func(t *testing.T) {

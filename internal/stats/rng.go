@@ -24,12 +24,6 @@ func NewRNG(seed int64) *RNG {
 	return r
 }
 
-// Fork derives an independent stream labelled by id. Streams with
-// different ids are decorrelated even for adjacent ids.
-func (r *RNG) Fork(id int64) *RNG {
-	return NewRNG(int64(r.Uint64() ^ (uint64(id) * 0x9e3779b97f4a7c15)))
-}
-
 // State returns the generator's internal state, for checkpointing.
 func (r *RNG) State() [4]uint64 { return r.s }
 
@@ -59,9 +53,6 @@ func (r *RNG) Intn(n int) int {
 	}
 	return int(r.Uint64() % uint64(n))
 }
-
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {

@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit used across the
 // reproduction: means (the paper reports harmonic means for speedups and
-// arithmetic means for rates), correlation measures used during feature
-// analysis, and a fast deterministic PRNG used by the synthetic
-// workloads so that every simulation is reproducible from Config.Seed.
+// arithmetic means for rates), quantiles, and a fast deterministic PRNG
+// used by the synthetic workloads so that every simulation is
+// reproducible from Config.Seed.
 package stats
 
 import (
 	"errors"
-	"math"
 	"sort"
 )
 
@@ -39,94 +38,6 @@ func HarmonicMean(xs []float64) (float64, error) {
 	return float64(len(xs)) / inv, nil
 }
 
-// GeometricMean returns the geometric mean of xs. All values must be
-// positive.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: geometric mean of empty slice")
-	}
-	var logs float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		logs += math.Log(x)
-	}
-	return math.Exp(logs / float64(len(xs))), nil
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, errors.New("stats: need at least two points")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Ranks returns the fractional ranks of xs (average rank for ties),
-// 1-based, as used by Spearman correlation.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// average rank of the tie run [i, j]
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
-// Spearman returns the Spearman rank correlation between xs and ys.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
 // Quantile returns the q-th quantile (0<=q<=1) of xs using linear
 // interpolation between order statistics.
 func Quantile(xs []float64, q float64) float64 {
@@ -148,16 +59,4 @@ func Quantile(xs []float64, q float64) float64 {
 		return s[lo]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Normalize returns xs scaled so each element is divided by base. It is
-// the "normalised to GTO" transform used in every paper figure.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if base != 0 {
-			out[i] = x / base
-		}
-	}
-	return out
 }

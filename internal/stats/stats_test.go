@@ -37,20 +37,7 @@ func TestHarmonicMean(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	got, err := GeometricMean([]float64{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 4, 1e-12) {
-		t.Fatalf("GeometricMean = %v, want 4", got)
-	}
-	if _, err := GeometricMean([]float64{-1}); err == nil {
-		t.Fatal("expected error on negative value")
-	}
-}
-
-// The classical mean inequality H <= G <= A must hold for any positive
+// The classical mean inequality H <= A must hold for any positive
 // inputs — a property test over random slices.
 func TestMeanInequalityProperty(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -64,79 +51,14 @@ func TestMeanInequalityProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		h, err1 := HarmonicMean(xs)
-		g, err2 := GeometricMean(xs)
-		a := Mean(xs)
-		if err1 != nil || err2 != nil {
+		h, err := HarmonicMean(xs)
+		if err != nil {
 			return false
 		}
-		const tol = 1e-9
-		return h <= g*(1+tol) && g <= a*(1+tol)
+		return h <= Mean(xs)*(1+1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
-		t.Fatalf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, 1, 1e-12) {
-		t.Fatalf("Pearson = %v, want 1", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(xs, neg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, -1, 1e-12) {
-		t.Fatalf("Pearson = %v, want -1", r)
-	}
-	if _, err := Pearson(xs, xs[:3]); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Fatal("expected zero-variance error")
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly monotone transform has Spearman correlation 1.
-	xs := []float64{1, 5, 2, 8, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x)
-	}
-	r, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, 1, 1e-12) {
-		t.Fatalf("Spearman = %v, want 1", r)
 	}
 }
 
@@ -152,20 +74,6 @@ func TestQuantile(t *testing.T) {
 	}
 	if got := Quantile(nil, 0.5); got != 0 {
 		t.Fatalf("Quantile(nil) = %v", got)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Normalize = %v, want %v", got, want)
-		}
-	}
-	zero := Normalize([]float64{1}, 0)
-	if zero[0] != 0 {
-		t.Fatal("Normalize by 0 should produce zeros")
 	}
 }
 
@@ -186,18 +94,6 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("different seeds should diverge, %d/100 collisions", same)
-	}
-}
-
-func TestRNGFork(t *testing.T) {
-	base := NewRNG(1)
-	f1 := base.Fork(1)
-	base2 := NewRNG(1)
-	f2 := base2.Fork(1)
-	for i := 0; i < 50; i++ {
-		if f1.Uint64() != f2.Uint64() {
-			t.Fatal("forks of identical parents with same id must match")
-		}
 	}
 }
 

@@ -12,12 +12,15 @@ import (
 	"poise/internal/trace"
 )
 
-var full = flag.Bool("full", false, "also run the tests that repeat a long sweep (CI's no-race step passes it)")
+var full = flag.Bool("full", false, "also run the long sweeps and the whole catalogue kernels (CI's no-race step passes it)")
 
 // Full reports whether the test binary was given -full. A test that
 // repeats a long sweep whose result is committed, such as the training
-// set's, runs only with it; CI's no-race step passes it
-// (go test ./pkg -args -full), so the check still runs on every change.
+// set's, runs only with it, and a suite that runs catalogue kernels
+// (sim's engine-equivalence and restore-identity suites) runs whole
+// kernels with it and a prefix of each without; CI's no-race step
+// passes it (go test ./pkg -args -full), so the checks still run at
+// full size on every change.
 func Full() bool { return *full }
 
 // TinyConfig returns a 2-SM GPU with the baseline per-SM organisation

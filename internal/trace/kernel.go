@@ -124,17 +124,6 @@ func (k *Kernel) LoadsPerIter() int {
 	return n
 }
 
-// StoresPerIter returns the number of store instructions per body pass.
-func (k *Kernel) StoresPerIter() int {
-	n := 0
-	for _, ins := range k.Body {
-		if ins.Kind == OpStore {
-			n++
-		}
-	}
-	return n
-}
-
 // In returns the static instructions-between-global-loads metric of the
 // body — the quantity the paper calls In and thresholds against Imax to
 // detect compute-intensive kernels. (The hardware inference engine

@@ -149,8 +149,8 @@ func TestCountsAndIn(t *testing.T) {
 		PrivateSweep{Region: 42, Lines: 4, Step: 1},
 		Stream{Region: 43},
 	}
-	if k.LoadsPerIter() != 2 || k.StoresPerIter() != 1 {
-		t.Fatalf("loads=%d stores=%d", k.LoadsPerIter(), k.StoresPerIter())
+	if last := k.Body[len(k.Body)-1].Kind; k.LoadsPerIter() != 2 || last != OpStore {
+		t.Fatalf("loads=%d, last op %v, want 2 and a store", k.LoadsPerIter(), last)
 	}
 	if got := k.In(); got != 11.0/2 {
 		t.Fatalf("In = %v, want 5.5", got)

@@ -59,11 +59,6 @@ type CharacteriseOptions struct {
 // while keeping characterisation interactive on large traces.
 const DefaultMaxAccesses = 1 << 17
 
-// maxDist caps the reuse-distance histogram resolution, matching the
-// Fig. 4 experiment's profiler. Distances beyond the cap still
-// contribute their exact value to the mean.
-const maxDist = 1 << 14
-
 // reuseSampleWarps is how many warps the per-warp R scan samples
 // (evenly spaced across the launch).
 const reuseSampleWarps = 8
@@ -394,7 +389,7 @@ func (k *kernelScan) reuseDist(sc *scanScratch) (meanDist float64, finite int64)
 	const noLine = ^uint64(0) // line indices stay below maxLineIndex
 	lastLine := make([]uint64, slots)
 	if sc.prof == nil {
-		sc.prof = reuse.NewProfiler(maxDist)
+		sc.prof = reuse.NewProfiler()
 	}
 	prof := sc.prof
 	for g := 0; g < total; g += step {
