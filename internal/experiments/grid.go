@@ -139,7 +139,7 @@ var comparison = []scheme{
 		return sched.SWL(profs)
 	})},
 	{name: "PCAL-SWL", policy: profiled(func(h *Harness, profs map[string]*profile.Profile) sim.Policy {
-		return sched.NewPCALSWL(sched.SWLFromProfiles(profs), h.Params.TWarmup, h.Params.TFeature, h.Params.TPeriod)
+		return sched.NewPCALSWL(sched.SWLFromProfiles(profs), h.Params)
 	})},
 	poiseScheme,
 	{name: "Static-Best", policy: profiled(func(_ *Harness, profs map[string]*profile.Profile) sim.Policy {
@@ -226,13 +226,12 @@ var gridDefs = map[string]gridDef{
 		workloads: (*Harness).EvalWorkloads,
 		axis: func(h *Harness) (a axis) {
 			base := a.add(gtoScheme)
-			apcm := func(h *Harness) (sim.Policy, error) { return sched.NewAPCM(h.Params.TFeature), nil }
+			apcm := func(h *Harness) (sim.Policy, error) { return sched.NewAPCM(h.Params), nil }
 			a.ratio("APCM", base, a.add(scheme{name: "APCM", policy: apcm}))
 			var trials []int
 			for i := 1; i <= h.Opt.RandomSeeds; i++ {
 				trial := func(h *Harness) (sim.Policy, error) {
-					p := h.Params
-					return sched.NewRandomRestart(h.Opt.Seed+int64(i), p.TWarmup, p.TSearch, p.TPeriod, p.StrideN, p.StrideP), nil
+					return sched.NewRandomRestart(h.Opt.Seed+int64(i), h.Params), nil
 				}
 				trials = append(trials, a.add(scheme{name: fmt.Sprintf("random-%d", i), policy: trial}))
 			}

@@ -141,7 +141,7 @@ func TestLearnerTableShippedGLM(t *testing.T) {
 	}
 	// heldOut predicts every sample by the model fitted without its
 	// family; named, it also prints a row per family.
-	heldOut := func(opts TrainOptions, named bool) [4]float64 {
+	heldOut := func(fit glm.Options, named bool) [4]float64 {
 		var pooled [4]float64
 		for _, family := range []string{"gco", "pvr", "ccl"} {
 			var train, held []Sample
@@ -155,7 +155,7 @@ func TestLearnerTableShippedGLM(t *testing.T) {
 			if len(held) == 0 {
 				t.Fatalf("no %s kernel in the set", family)
 			}
-			fw, err := Train(&Dataset{Samples: train}, opts)
+			fw, err := trainWith(&Dataset{Samples: train}, TrainOptions{}, fit)
 			if err != nil {
 				t.Fatalf("refit without %s: %v", family, err)
 			}
@@ -169,15 +169,15 @@ func TestLearnerTableShippedGLM(t *testing.T) {
 		}
 		return pooled
 	}
-	row(fmt.Sprintf("each held out (%d)", len(ds.Samples)), heldOut(TrainOptions{}, true))
+	row(fmt.Sprintf("each held out (%d)", len(ds.Samples)), heldOut(glm.Options{}, true))
 	for _, ridge := range []float64{0.01, 0.1, 1, 10} {
-		opts := TrainOptions{GLM: glm.Options{Ridge: ridge}}
-		fw, err := Train(ds, opts)
+		fit := glm.Options{Ridge: ridge}
+		fw, err := trainWith(ds, TrainOptions{}, fit)
 		if err != nil {
 			t.Fatalf("ridge %g: %v", ridge, err)
 		}
 		row(fmt.Sprintf("ridge %g: in-sample", ridge), tupleErrors(fw, ds.Samples))
-		out := heldOut(opts, false)
+		out := heldOut(fit, false)
 		row(fmt.Sprintf("ridge %g: each held out", ridge), out)
 		if got := fmt.Sprintf("%.1f%%", 100*out[0]); ridge == 0.01 && got != "61.0%" {
 			t.Errorf("ridge 0.01 with each family held out: N error %s, want 61.0%%", got)

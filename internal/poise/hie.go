@@ -16,6 +16,8 @@ import (
 // (paper §VI; the hardware budget is one 7-state FSM per SM).
 type hieState int
 
+// Each warm-up state sits directly before the sample state it opens:
+// advance moves from one to the other with state++.
 const (
 	stBaseWarm     hieState = iota // warming up at the baseline tuple
 	stBaseSample                   // sampling features at the baseline tuple
@@ -186,10 +188,16 @@ func (p *Policy) startEpoch(g *sim.GPU, e *hie, i int, now int64) {
 func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 	s := g.SMs[i]
 	switch e.state {
-	case stBaseWarm:
+	case stBaseWarm, stRefWarm, stSearchWarm:
+		// Each warm-up opens the sample window of the state after it:
+		// a feature window, or a search probe's.
+		sample := p.Params.TFeature
+		if e.state == stSearchWarm {
+			sample = p.Params.TSearch
+		}
 		e.snapA = snap(s)
-		e.state = stBaseSample
-		e.nextAt = now + int64(p.Params.TFeature)
+		e.state++
+		e.nextAt = now + int64(sample)
 
 	case stBaseSample:
 		e.base = windowFrom(e.snapA, snap(s))
@@ -211,11 +219,6 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 		e.state = stRefWarm
 		e.nextAt = now + int64(p.Params.TWarmup)
 
-	case stRefWarm:
-		e.snapA = snap(s)
-		e.state = stRefSample
-		e.nextAt = now + int64(p.Params.TFeature)
-
 	case stRefSample:
 		ref := windowFrom(e.snapA, snap(s))
 		x := Features(e.base, ref)
@@ -225,11 +228,6 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 		// Zero strides are pure prediction: the (0, 0) column of Fig. 11.
 		e.search.Start(n, pp, p.Params.StrideN, p.Params.StrideP)
 		p.probeOrRun(g, e, i, now)
-
-	case stSearchWarm:
-		e.snapA = snap(s)
-		e.state = stSearchSample
-		e.nextAt = now + int64(p.Params.TSearch)
 
 	case stSearchSample:
 		e.search.Record(ipcSince(e.snapA, s, int64(p.Params.TSearch)))

@@ -177,13 +177,17 @@ type TrainOptions struct {
 	// retraining with 7 features (Fig. 13 drops x3…x7); 0 trains on the
 	// full vector.
 	DropX int
-	// GLM passes through to the regression fitter.
-	GLM glm.Options
 }
 
 // Train fits the two Negative Binomial link functions on the dataset
 // and returns the learned weights (the reproduction's Table II).
 func Train(ds *Dataset, opts TrainOptions) (Weights, error) {
+	return trainWith(ds, opts, glm.Options{})
+}
+
+// trainWith is Train with the regression fitter's options, which only the
+// learner table's ridge study sets.
+func trainWith(ds *Dataset, opts TrainOptions, fit glm.Options) (Weights, error) {
 	if len(ds.Samples) == 0 {
 		return Weights{}, errors.New("poise: empty training set")
 	}
@@ -203,11 +207,11 @@ func Train(ds *Dataset, opts TrainOptions) (Weights, error) {
 		yP[i] = s.TargetP
 	}
 
-	modelN, err := glm.Fit(glm.NegativeBinomial, x, yN, opts.GLM)
+	modelN, err := glm.Fit(glm.NegativeBinomial, x, yN, fit)
 	if err != nil {
 		return Weights{}, fmt.Errorf("poise: fitting N model: %w", err)
 	}
-	modelP, err := glm.Fit(glm.NegativeBinomial, x, yP, opts.GLM)
+	modelP, err := glm.Fit(glm.NegativeBinomial, x, yP, fit)
 	if err != nil {
 		return Weights{}, fmt.Errorf("poise: fitting p model: %w", err)
 	}

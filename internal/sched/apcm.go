@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/trace"
 )
@@ -14,8 +15,7 @@ import (
 // bypassing schemes lack the multithreading knob, so Poise wins by
 // also steering N.
 type APCM struct {
-	// TSample is the classification period in cycles.
-	TSample int
+	sample int // the classification period: Poise's TFeature
 
 	nextAt    int64
 	prevLoads [][]int64
@@ -31,8 +31,9 @@ const (
 	apcmMinLoads = 64
 )
 
-// NewAPCM builds the policy with the canonical thresholds.
-func NewAPCM(sample int) *APCM { return &APCM{TSample: sample} }
+// NewAPCM builds the policy with the canonical thresholds, classifying
+// once per Poise feature window.
+func NewAPCM(p config.PoiseParams) *APCM { return &APCM{sample: p.TFeature} }
 
 // Name implements sim.Policy.
 func (a *APCM) Name() string { return "APCM" }
@@ -48,7 +49,7 @@ func (a *APCM) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 		a.prevHits[i] = make([]int64, len(s.PCHits))
 		s.BypassPC = make([]bool, len(s.PCLoads))
 	}
-	a.nextAt = int64(a.TSample)
+	a.nextAt = int64(a.sample)
 	return a.nextAt
 }
 
@@ -71,6 +72,6 @@ func (a *APCM) Step(g *sim.GPU, now int64) int64 {
 			s.BypassPC[pc] = hr <= apcmStreamHitMax
 		}
 	}
-	a.nextAt = now + int64(a.TSample)
+	a.nextAt = now + int64(a.sample)
 	return a.nextAt
 }

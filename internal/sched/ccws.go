@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/trace"
 )
@@ -14,8 +15,7 @@ import (
 // (SWL); the dynamic version is provided for completeness and for the
 // pitfalls analysis of §III.
 type CCWS struct {
-	// TSample is the throttle-decision period in cycles.
-	TSample int
+	sample int // the throttle-decision period: Poise's TFeature
 
 	n      int
 	maxN   int
@@ -32,8 +32,9 @@ const (
 	ccwsLower = 1.0
 )
 
-// NewCCWS returns a CCWS policy with the canonical parameters.
-func NewCCWS(sample int) *CCWS { return &CCWS{TSample: sample} }
+// NewCCWS returns a CCWS policy with the canonical parameters, deciding
+// once per Poise feature window.
+func NewCCWS(p config.PoiseParams) *CCWS { return &CCWS{sample: p.TFeature} }
 
 // Name implements sim.Policy.
 func (c *CCWS) Name() string { return "CCWS" }
@@ -47,7 +48,7 @@ func (c *CCWS) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 		s.L1.EnableVictimTags(ccwsVictimEntries, g.Cfg.MaxWarpsPerSM())
 		s.L1.Victim().Drain()
 	}
-	c.nextAt = int64(c.TSample)
+	c.nextAt = int64(c.sample)
 	return c.nextAt
 }
 
@@ -63,7 +64,7 @@ func (c *CCWS) Step(g *sim.GPU, now int64) int64 {
 			lost += v
 		}
 	}
-	perKCycle := float64(lost) / float64(len(g.SMs)) / (float64(c.TSample) / 1000)
+	perKCycle := float64(lost) / float64(len(g.SMs)) / (float64(c.sample) / 1000)
 	switch {
 	case perKCycle > ccwsRaise && c.n > 1:
 		c.n--
@@ -71,6 +72,6 @@ func (c *CCWS) Step(g *sim.GPU, now int64) int64 {
 		c.n++
 	}
 	g.SetTupleAll(c.n, c.n)
-	c.nextAt = now + int64(c.TSample)
+	c.nextAt = now + int64(c.sample)
 	return c.nextAt
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/snap"
 	"poise/internal/snap/snaptest"
@@ -14,18 +15,18 @@ import (
 // snapshot does not carry, and why (see sm's list): all of them are
 // constructor parameters.
 var stateFields = map[string]string{
-	"CCWS.TSample":          "config",
-	"APCM.TSample":          "config",
-	"PCALSWL.Start":         "config",
-	"PCALSWL.TWarmup":       "config",
-	"PCALSWL.TSample":       "config",
+	"CCWS.sample":           "config",
+	"APCM.sample":           "config",
+	"PCALSWL.start":         "config",
+	"PCALSWL.warmup":        "config",
+	"PCALSWL.sample":        "config",
 	"PCALSWL.period":        "config",
-	"RandomRestart.Seed":    "config",
-	"RandomRestart.TWarmup": "config",
-	"RandomRestart.TSample": "config",
-	"RandomRestart.Period":  "config",
-	"RandomRestart.StrideN": "config",
-	"RandomRestart.StrideP": "config",
+	"RandomRestart.seed":    "config",
+	"RandomRestart.warmup":  "config",
+	"RandomRestart.sample":  "config",
+	"RandomRestart.period":  "config",
+	"RandomRestart.strideN": "config",
+	"RandomRestart.strideP": "config",
 }
 
 // account fills src, lets fix put what the walk's checks read in range,
@@ -50,13 +51,13 @@ func TestEveryFieldIsAccountedFor(t *testing.T) {
 		s.PCLoads, s.PCHits, s.BypassPC = make([]int64, 2), make([]int64, 2), make([]bool, 2)
 		s.L1.EnableVictimTags(2, 2)
 	}
-	account(t, g, NewCCWS(2000), NewCCWS(2000), nil)
-	account(t, g, NewAPCM(3000), NewAPCM(3000), nil)
-	account(t, g, NewPCALSWL(TupleSource{}, 100, 500, 5000), NewPCALSWL(TupleSource{}, 100, 500, 5000),
+	account(t, g, NewCCWS(config.PoiseParams{TFeature: 2000}), NewCCWS(config.PoiseParams{TFeature: 2000}), nil)
+	account(t, g, NewAPCM(config.PoiseParams{TFeature: 3000}), NewAPCM(config.PoiseParams{TFeature: 3000}), nil)
+	account(t, g, NewPCALSWL(TupleSource{}, pcalParams), NewPCALSWL(TupleSource{}, pcalParams),
 		func(p *PCALSWL) { p.state = pcalParallelP }) // reads the window and the per-SM list
-	rr := NewRandomRestart(7, 100, 400, 4000, 2, 4)
+	rr := NewRandomRestart(7, rrParams)
 	rr.rng = stats.NewRNG(5) // another package's state: a stream that is not the restoring side's
-	account(t, g, rr, NewRandomRestart(7, 100, 400, 4000, 2, 4),
+	account(t, g, rr, NewRandomRestart(7, rrParams),
 		func(r *RandomRestart) { r.state = rrProbeSample }) // reads the window
 }
 
@@ -67,8 +68,8 @@ func TestWalkStateRejectsWhatStepCannotRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcal := func() sim.StatefulPolicy { return NewPCALSWL(TupleSource{}, 100, 500, 5000) }
-	rr := func() sim.StatefulPolicy { return NewRandomRestart(7, 100, 400, 4000, 2, 4) }
+	pcal := func() sim.StatefulPolicy { return NewPCALSWL(TupleSource{}, pcalParams) }
+	rr := func() sim.StatefulPolicy { return NewRandomRestart(7, rrParams) }
 	for _, tc := range []struct {
 		name   string
 		mk     func() sim.StatefulPolicy

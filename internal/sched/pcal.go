@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 
+	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/trace"
 )
@@ -20,11 +21,10 @@ import (
 //     the neighbour improves. This is the step that is prone to the
 //     local optima the paper's Fig. 2 dissects.
 type PCALSWL struct {
-	// Start supplies the per-kernel SWL seed (from profiles).
-	Start TupleSource
-	// TWarmup/TSample mirror Poise's windows for a fair comparison.
-	TWarmup int
-	TSample int
+	start TupleSource // the per-kernel SWL seed (from profiles)
+	// Poise's windows, for a fair comparison: warm-up, sample (its
+	// TFeature) and re-tuning period.
+	warmup, sample, period int
 
 	state   pcalState
 	n, p    int
@@ -35,7 +35,6 @@ type PCALSWL struct {
 	dir     int
 	perSMp  []int
 	epochAt int64
-	period  int
 }
 
 type pcalState int
@@ -48,9 +47,11 @@ const (
 	pcalRun
 )
 
-// NewPCALSWL builds the policy with Poise-equivalent sampling windows.
-func NewPCALSWL(start TupleSource, warmup, sample, period int) *PCALSWL {
-	return &PCALSWL{Start: start, TWarmup: warmup, TSample: sample, period: period}
+// NewPCALSWL builds the policy with Poise's sampling windows: it warms
+// up for TWarmup, samples for TFeature and re-tunes every TPeriod. p
+// must pass Validate: a TPeriod of zero would re-tune on every wake-up.
+func NewPCALSWL(start TupleSource, p config.PoiseParams) *PCALSWL {
+	return &PCALSWL{start: start, warmup: p.TWarmup, sample: p.TFeature, period: p.TPeriod}
 }
 
 // Name implements sim.Policy.
@@ -60,16 +61,13 @@ func (p *PCALSWL) Name() string { return "PCAL-SWL" }
 func (p *PCALSWL) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	p.maxN = g.MaxN()
 	n := p.maxN
-	if t, ok := p.Start[k.Name]; ok {
-		n = t[0]
-	}
-	if n > p.maxN {
-		n = p.maxN
+	if t, ok := p.start[k.Name]; ok {
+		n = min(t[0], p.maxN)
 	}
 	p.n, p.p = n, n
 	g.SetTupleAll(p.n, p.p)
 	p.state = pcalWarm
-	p.nextAt = int64(p.TWarmup)
+	p.nextAt = int64(p.warmup)
 	p.epochAt = int64(p.period)
 	return p.nextAt
 }
@@ -84,16 +82,13 @@ func (p *PCALSWL) Step(g *sim.GPU, now int64) int64 {
 		// Parallel p trial: spread candidate p values over the SMs.
 		p.perSMp = p.perSMp[:0]
 		for i := range g.SMs {
-			cand := 1 + (i*(p.n-1))/maxInt(len(g.SMs)-1, 1)
-			if cand > p.n {
-				cand = p.n
-			}
+			cand := min(1+(i*(p.n-1))/max(len(g.SMs)-1, 1), p.n)
 			p.perSMp = append(p.perSMp, cand)
 			g.SetTuple(i, p.n, cand)
 		}
 		p.win = beginWindow(g, now)
 		p.state = pcalParallelP
-		p.nextAt = now + int64(p.TSample)
+		p.nextAt = now + int64(p.sample)
 
 	case pcalParallelP:
 		per := p.win.ipcPerSM(g, now)
@@ -107,7 +102,7 @@ func (p *PCALSWL) Step(g *sim.GPU, now int64) int64 {
 		g.SetTupleAll(p.n, p.p)
 		p.win = beginWindow(g, now)
 		p.state = pcalClimbCur
-		p.nextAt = now + int64(p.TWarmup+p.TSample)
+		p.nextAt = now + int64(p.warmup+p.sample)
 		p.dir = +1
 
 	case pcalClimbCur:
@@ -123,10 +118,10 @@ func (p *PCALSWL) Step(g *sim.GPU, now int64) int64 {
 			p.enterRun(g, now)
 			return p.nextAt
 		}
-		g.SetTupleAll(next, minInt(p.p, next))
+		g.SetTupleAll(next, min(p.p, next))
 		p.win = beginWindow(g, now)
 		p.state = pcalClimbNext
-		p.nextAt = now + int64(p.TWarmup+p.TSample)
+		p.nextAt = now + int64(p.warmup+p.sample)
 
 	case pcalClimbNext:
 		nextIPC := p.win.ipc(g, now)
@@ -134,9 +129,7 @@ func (p *PCALSWL) Step(g *sim.GPU, now int64) int64 {
 		if nextIPC > p.curIPC {
 			// Accept the move and keep climbing in this direction.
 			p.n = cand
-			if p.p > p.n {
-				p.p = p.n
-			}
+			p.p = min(p.p, p.n)
 			p.curIPC = nextIPC
 			p.state = pcalClimbCur
 			g.SetTupleAll(p.n, p.p)
@@ -149,23 +142,20 @@ func (p *PCALSWL) Step(g *sim.GPU, now int64) int64 {
 			g.SetTupleAll(p.n, p.p)
 			p.state = pcalClimbCur
 			p.win = beginWindow(g, now)
-			p.nextAt = now + int64(p.TSample)
+			p.nextAt = now + int64(p.sample)
 			return p.nextAt
 		}
 		p.enterRun(g, now)
 
 	case pcalRun:
-		if p.period > 0 && now >= p.epochAt {
+		if now >= p.epochAt {
 			// Re-tune periodically, like the dynamic scheme it is.
 			p.epochAt = now + int64(p.period)
 			p.state = pcalWarm
 			g.SetTupleAll(p.n, p.p)
-			p.nextAt = now + int64(p.TWarmup)
+			p.nextAt = now + int64(p.warmup)
 		} else {
-			p.nextAt = sim.Never
-			if p.period > 0 {
-				p.nextAt = p.epochAt
-			}
+			p.nextAt = p.epochAt
 		}
 	}
 	return p.nextAt
@@ -175,21 +165,4 @@ func (p *PCALSWL) enterRun(g *sim.GPU, now int64) {
 	g.SetTupleAll(p.n, p.p)
 	p.state = pcalRun
 	p.nextAt = p.epochAt
-	if p.period <= 0 {
-		p.nextAt = sim.Never
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

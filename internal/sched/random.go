@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"poise/internal/config"
 	"poise/internal/sim"
 	"poise/internal/stats"
 	"poise/internal/trace"
@@ -14,12 +15,11 @@ import (
 // paper contrasts Poise against. Results should be averaged over
 // several seeds (the paper uses 20 runs).
 type RandomRestart struct {
-	Seed    int64
-	TWarmup int
-	TSample int
-	Period  int
-	StrideN int
-	StrideP int
+	seed int64
+	// Poise's search: warm-up, probe sample (its TSearch), restart
+	// period and the climb's initial strides.
+	warmup, sample, period int
+	strideN, strideP       int
 
 	rng      *stats.RNG
 	maxN     int
@@ -38,11 +38,13 @@ const (
 	rrRun
 )
 
-// NewRandomRestart builds the policy.
-func NewRandomRestart(seed int64, warmup, sample, period, strideN, strideP int) *RandomRestart {
+// NewRandomRestart builds the policy with Poise's search: it warms up
+// for TWarmup, samples each probe for TSearch, restarts every TPeriod
+// and climbs with strides StrideN and StrideP. p must pass Validate.
+func NewRandomRestart(seed int64, p config.PoiseParams) *RandomRestart {
 	return &RandomRestart{
-		Seed: seed, TWarmup: warmup, TSample: sample, Period: period,
-		StrideN: strideN, StrideP: strideP,
+		seed: seed, warmup: p.TWarmup, sample: p.TSearch, period: p.TPeriod,
+		strideN: p.StrideN, strideP: p.StrideP,
 	}
 }
 
@@ -51,7 +53,7 @@ func (r *RandomRestart) Name() string { return "Random-restart" }
 
 // KernelStart implements sim.Policy.
 func (r *RandomRestart) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
-	r.rng = stats.NewRNG(r.Seed ^ int64(len(k.Name))*7919)
+	r.rng = stats.NewRNG(r.seed ^ int64(len(k.Name))*7919)
 	r.maxN = g.MaxN()
 	r.restart(g, 0)
 	return r.nextAt
@@ -63,8 +65,8 @@ func (r *RandomRestart) KernelEnd(g *sim.GPU, now int64) {}
 // restart draws a fresh random tuple and begins a local search.
 func (r *RandomRestart) restart(g *sim.GPU, now int64) {
 	n := 1 + r.rng.Intn(r.maxN)
-	r.search.Start(n, 1+r.rng.Intn(n), r.StrideN, r.StrideP)
-	r.epochEnd = now + int64(r.Period)
+	r.search.Start(n, 1+r.rng.Intn(n), r.strideN, r.strideP)
+	r.epochEnd = now + int64(r.period)
 	g.SetTupleAll(r.search.N, r.search.P)
 	r.probeOrRun(g, now)
 }
@@ -75,7 +77,7 @@ func (r *RandomRestart) Step(g *sim.GPU, now int64) int64 {
 	case rrProbeWarm:
 		r.win = beginWindow(g, now)
 		r.state = rrProbeSample
-		r.nextAt = now + int64(r.TSample)
+		r.nextAt = now + int64(r.sample)
 	case rrProbeSample:
 		r.search.Record(r.win.ipc(g, now))
 		r.probeOrRun(g, now)
@@ -92,11 +94,11 @@ func (r *RandomRestart) Step(g *sim.GPU, now int64) int64 {
 // probeOrRun sets every SM to the search's next probe and starts its
 // warm-up, or to the converged tuple for the rest of the epoch.
 func (r *RandomRestart) probeOrRun(g *sim.GPU, now int64) {
-	n, p, done := r.search.Next(r.maxN, r.StrideP)
+	n, p, done := r.search.Next(r.maxN, r.strideP)
 	g.SetTupleAll(n, p)
 	if done {
 		r.state, r.nextAt = rrRun, r.epochEnd
 		return
 	}
-	r.state, r.nextAt = rrProbeWarm, now+int64(r.TWarmup)
+	r.state, r.nextAt = rrProbeWarm, now+int64(r.warmup)
 }

@@ -3,10 +3,18 @@ package sched
 import (
 	"testing"
 
+	"poise/internal/config"
 	"poise/internal/profile"
 	"poise/internal/sim"
 	"poise/internal/testutil"
 	"poise/internal/trace"
+)
+
+// The windows PCAL-SWL and random-restart run at in these tests, short
+// enough that a tiny kernel sees many decisions.
+var (
+	pcalParams = config.PoiseParams{TWarmup: 100, TFeature: 500, TPeriod: 5000}
+	rrParams   = config.PoiseParams{TWarmup: 100, TSearch: 400, TPeriod: 4000, StrideN: 2, StrideP: 4}
 )
 
 // profileFor builds a real profile of a tiny kernel at coarse grid.
@@ -62,7 +70,7 @@ func TestStaticBestUsesGlobalOptimum(t *testing.T) {
 func TestPCALSWLConvergesAndRuns(t *testing.T) {
 	k := testutil.ThrashKernel("pcal", 20, 150, 8)
 	profs := profileFor(t, k)
-	pol := NewPCALSWL(SWLFromProfiles(profs), 100, 500, 5000)
+	pol := NewPCALSWL(SWLFromProfiles(profs), pcalParams)
 	res := testutil.RunTiny(k, pol)
 	want := int64(k.TotalWarps()) * int64(k.Iters) * int64(len(k.Body))
 	if res.Instructions != want {
@@ -76,7 +84,7 @@ func TestPCALSWLConvergesAndRuns(t *testing.T) {
 func TestPCALStartsAtSWLPoint(t *testing.T) {
 	k := testutil.ThrashKernel("pcal2", 20, 30, 4)
 	src := TupleSource{k.Name: {5, 5}}
-	pol := NewPCALSWL(src, 100, 500, 0)
+	pol := NewPCALSWL(src, pcalParams)
 	g, err := sim.New(testutil.TinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +99,7 @@ func TestCCWSThrottlesUnderThrash(t *testing.T) {
 	// An 8-line sweep per warp: short enough for the canonical 8-entry
 	// victim array to remember a line between eviction and re-touch.
 	k := testutil.ThrashKernel("ccws", 8, 120, 8)
-	pol := NewCCWS(2000)
+	pol := NewCCWS(config.PoiseParams{TFeature: 2000})
 	g, err := sim.New(testutil.TinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +117,7 @@ func TestCCWSLeavesStreamsAlone(t *testing.T) {
 	// A pure stream produces no lost intra-warp locality (nothing is
 	// ever reused), so CCWS should keep N high.
 	k := testutil.StreamKernel("ccws-s", 60, 4)
-	pol := NewCCWS(2000)
+	pol := NewCCWS(config.PoiseParams{TFeature: 2000})
 	g, err := sim.New(testutil.TinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +149,7 @@ func TestAPCMBypassesStreamingPC(t *testing.T) {
 		WarpsPerBlock: 8,
 		Blocks:        4,
 	}
-	pol := NewAPCM(3000)
+	pol := NewAPCM(config.PoiseParams{TFeature: 3000})
 	g, err := sim.New(testutil.TinyConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +169,7 @@ func TestAPCMBypassesStreamingPC(t *testing.T) {
 func TestRandomRestartDeterministicPerSeed(t *testing.T) {
 	k := testutil.ThrashKernel("rr", 20, 80, 4)
 	run := func(seed int64) int64 {
-		pol := NewRandomRestart(seed, 100, 400, 4000, 2, 4)
+		pol := NewRandomRestart(seed, rrParams)
 		return testutil.RunTiny(k, pol).Cycles
 	}
 	if run(1) != run(1) {
@@ -171,6 +179,32 @@ func TestRandomRestartDeterministicPerSeed(t *testing.T) {
 	// cycle counts on a thrash kernel).
 	if run(1) == run(2) && run(1) == run(3) {
 		t.Fatal("seeds do not vary the search")
+	}
+}
+
+// TestBaselinesReadTableIV: built from Table IV, each adaptive baseline
+// first wakes after the window of Poise's it mirrors, and then after
+// the one that follows it.
+func TestBaselinesReadTableIV(t *testing.T) {
+	p := config.DefaultPoise()
+	warmup, feature, search := int64(p.TWarmup), int64(p.TFeature), int64(p.TSearch)
+	for _, tc := range []struct {
+		pol  sim.Policy
+		wake [2]int64 // the first two wake-up cycles
+	}{
+		{NewCCWS(p), [2]int64{feature, 2 * feature}},
+		{NewAPCM(p), [2]int64{feature, 2 * feature}},
+		{NewPCALSWL(TupleSource{}, p), [2]int64{warmup, warmup + feature}},
+		{NewRandomRestart(7, p), [2]int64{warmup, warmup + search}},
+	} {
+		g, err := sim.New(testutil.TinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := tc.pol.KernelStart(g, testutil.ThrashKernel("tableiv", 20, 30, 4))
+		if got := [2]int64{first, tc.pol.Step(g, first)}; got != tc.wake {
+			t.Errorf("%s wakes at %v, want %v", tc.pol.Name(), got, tc.wake)
+		}
 	}
 }
 

@@ -264,7 +264,7 @@ func TestSnapshotBytesIgnoreBurstBoundaries(t *testing.T) {
 	const K = 80 // longer than the kernel's 64-instruction run
 	policies := map[string]func() sim.Policy{
 		"gto":    func() sim.Policy { return sim.GTO{} },
-		"random": func() sim.Policy { return sched.NewRandomRestart(7, 100, 400, 4000, 2, 4) },
+		"random": func() sim.Policy { return sched.NewRandomRestart(7, rrParams) },
 	}
 	for name, mk := range policies {
 		for _, c := range []int64{1000, 4321, 9000} {

@@ -86,6 +86,14 @@ func mustPoise(t *testing.T) sim.Policy {
 	return poise.NewPolicy(testutil.TinyParams(), w)
 }
 
+// The windows PCAL-SWL and random-restart run at in these tests, short
+// enough that a small kernel sees many decisions; the golden states
+// were written at them.
+var (
+	pcalParams = config.PoiseParams{TWarmup: 100, TFeature: 500, TPeriod: 5000}
+	rrParams   = config.PoiseParams{TWarmup: 100, TSearch: 400, TPeriod: 4000, StrideN: 2, StrideP: 4}
+)
+
 // engineSchemes is every scheme class in the repo, each built fresh
 // per engine run.
 func engineSchemes(t *testing.T) []struct {
@@ -99,10 +107,10 @@ func engineSchemes(t *testing.T) []struct {
 		{"gto", func() sim.Policy { return sim.GTO{} }},
 		{"swl", func() sim.Policy { return sim.Fixed{PolicyName: "SWL", N: 6, P: 6} }},
 		{"static", func() sim.Policy { return sim.Fixed{N: 3, P: 1} }},
-		{"ccws", func() sim.Policy { return sched.NewCCWS(2000) }},
-		{"apcm", func() sim.Policy { return sched.NewAPCM(3000) }},
-		{"pcal", func() sim.Policy { return sched.NewPCALSWL(sched.TupleSource{}, 100, 500, 5000) }},
-		{"random", func() sim.Policy { return sched.NewRandomRestart(7, 100, 400, 4000, 2, 4) }},
+		{"ccws", func() sim.Policy { return sched.NewCCWS(config.PoiseParams{TFeature: 2000}) }},
+		{"apcm", func() sim.Policy { return sched.NewAPCM(config.PoiseParams{TFeature: 3000}) }},
+		{"pcal", func() sim.Policy { return sched.NewPCALSWL(sched.TupleSource{}, pcalParams) }},
+		{"random", func() sim.Policy { return sched.NewRandomRestart(7, rrParams) }},
 		{"poise", func() sim.Policy { return mustPoise(t) }},
 	}
 }
@@ -182,7 +190,7 @@ func TestEngineEquivalenceTraced(t *testing.T) {
 		})
 		t.Run(w.Name+"-ccws", func(t *testing.T) {
 			t.Parallel()
-			assertEnginesAgree(t, cfg, w, func() sim.Policy { return sched.NewCCWS(1500) }, sim.RunOptions{}, false)
+			assertEnginesAgree(t, cfg, w, func() sim.Policy { return sched.NewCCWS(config.PoiseParams{TFeature: 1500}) }, sim.RunOptions{}, false)
 		})
 	}
 }

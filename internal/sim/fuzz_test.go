@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"poise/internal/config"
 	"poise/internal/poise"
 	"poise/internal/sched"
 	"poise/internal/sim"
@@ -34,10 +35,12 @@ func FuzzResumeKernel(f *testing.F) {
 	}
 	policies := []func() sim.Policy{
 		func() sim.Policy { return sim.GTO{} },
-		func() sim.Policy { return sched.NewCCWS(500) },
-		func() sim.Policy { return sched.NewAPCM(500) },
-		func() sim.Policy { return sched.NewPCALSWL(sched.TupleSource{}, 100, 400, 5000) },
-		func() sim.Policy { return sched.NewRandomRestart(7, 100, 400, 4000, 2, 4) },
+		func() sim.Policy { return sched.NewCCWS(config.PoiseParams{TFeature: 500}) },
+		func() sim.Policy { return sched.NewAPCM(config.PoiseParams{TFeature: 500}) },
+		func() sim.Policy {
+			return sched.NewPCALSWL(sched.TupleSource{}, config.PoiseParams{TWarmup: 100, TFeature: 400, TPeriod: 5000})
+		},
+		func() sim.Policy { return sched.NewRandomRestart(7, rrParams) },
 		func() sim.Policy { return poise.NewPolicy(testutil.TinyParams(), w) },
 	}
 	const ahead = 3000 // cycles a resume runs before its interrupt

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"poise/internal/config"
 	"poise/internal/sched"
 	"poise/internal/sim"
 	"poise/internal/snap"
@@ -27,10 +28,10 @@ var goldenStates = []struct {
 	file string
 	mk   func() sim.Policy
 }{
-	{"pr23_thrash_ccws", func() sim.Policy { return sched.NewCCWS(2000) }},
-	{"pr23_thrash_apcm", func() sim.Policy { return sched.NewAPCM(3000) }},
-	{"pr23_thrash_pcal", func() sim.Policy { return sched.NewPCALSWL(sched.TupleSource{}, 100, 500, 5000) }},
-	{"pr23_thrash_random", func() sim.Policy { return sched.NewRandomRestart(7, 100, 400, 4000, 2, 4) }},
+	{"pr23_thrash_ccws", func() sim.Policy { return sched.NewCCWS(config.PoiseParams{TFeature: 2000}) }},
+	{"pr23_thrash_apcm", func() sim.Policy { return sched.NewAPCM(config.PoiseParams{TFeature: 3000}) }},
+	{"pr23_thrash_pcal", func() sim.Policy { return sched.NewPCALSWL(sched.TupleSource{}, pcalParams) }},
+	{"pr23_thrash_random", func() sim.Policy { return sched.NewRandomRestart(7, rrParams) }},
 	{"pr23_thrash_fixed", func() sim.Policy { return sim.Fixed{N: 3, P: 1} }},
 }
 

@@ -138,7 +138,7 @@ func TestPooledRestoreEqualsFreshRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			used.TraceTuples = true
-			for _, pol := range []sim.Policy{sched.NewCCWS(200), sched.NewAPCM(200), sim.Fixed{N: 3, P: 1}} {
+			for _, pol := range []sim.Policy{sched.NewCCWS(config.PoiseParams{TFeature: 200}), sched.NewAPCM(config.PoiseParams{TFeature: 200}), sim.Fixed{N: 3, P: 1}} {
 				if _, err := used.Run(other, pol, sim.RunOptions{}); err != nil {
 					t.Fatal(err)
 				}
@@ -322,20 +322,22 @@ func TestResumeRejectsForeignIndices(t *testing.T) {
 		hide    bool // snapshot the policy as a stateless one of its name
 	}{
 		{"Poise: an HIE engine per SM of three", func() sim.Policy { return mustPoise(t) }, three, nil, false},
-		{"APCM: PC tables of one SM", func() sim.Policy { return sched.NewAPCM(3000) }, one, nil, false},
-		{"APCM: a PC table shorter than its SM's", func() sim.Policy { return sched.NewAPCM(3000) }, cfg, func(g *sim.GPU) {
+		{"APCM: PC tables of one SM", func() sim.Policy { return sched.NewAPCM(config.PoiseParams{TFeature: 3000}) }, one, nil, false},
+		{"APCM: a PC table shorter than its SM's", func() sim.Policy { return sched.NewAPCM(config.PoiseParams{TFeature: 3000}) }, cfg, func(g *sim.GPU) {
 			s := g.SMs[1]
 			s.PCLoads, s.PCHits, s.BypassPC = append(s.PCLoads, 0), append(s.PCHits, 0), append(s.BypassPC, false)
 		}, false},
-		{"APCM: bypass marks shorter than the PC table", func() sim.Policy { return sched.NewAPCM(3000) }, cfg, func(g *sim.GPU) {
+		{"APCM: bypass marks shorter than the PC table", func() sim.Policy { return sched.NewAPCM(config.PoiseParams{TFeature: 3000}) }, cfg, func(g *sim.GPU) {
 			g.SMs[1].BypassPC = g.SMs[1].BypassPC[:0]
 		}, false},
-		{"PCAL-SWL: an IPC window of one SM", func() sim.Policy { return sched.NewPCALSWL(sched.TupleSource{}, 100, 400, 5000) }, one, nil, false},
-		{"random-restart: an IPC window of one SM", func() sim.Policy { return sched.NewRandomRestart(7, 100, 400, 4000, 2, 4) }, one, nil, false},
-		{"CCWS: an L1 without victim tags", func() sim.Policy { return sched.NewCCWS(500) }, cfg, func(g *sim.GPU) {
+		{"PCAL-SWL: an IPC window of one SM", func() sim.Policy {
+			return sched.NewPCALSWL(sched.TupleSource{}, config.PoiseParams{TWarmup: 100, TFeature: 400, TPeriod: 5000})
+		}, one, nil, false},
+		{"random-restart: an IPC window of one SM", func() sim.Policy { return sched.NewRandomRestart(7, rrParams) }, one, nil, false},
+		{"CCWS: an L1 without victim tags", func() sim.Policy { return sched.NewCCWS(config.PoiseParams{TFeature: 500}) }, cfg, func(g *sim.GPU) {
 			g.SMs[1].L1.Reset()
 		}, false},
-		{"APCM: no policy state", func() sim.Policy { return sched.NewAPCM(3000) }, cfg, nil, true},
+		{"APCM: no policy state", func() sim.Policy { return sched.NewAPCM(config.PoiseParams{TFeature: 3000}) }, cfg, nil, true},
 	} {
 		const at = 300 // past every policy's first Step, inside a window
 		interrupted := func(cfg config.Config) (*sim.GPU, sim.Policy) {

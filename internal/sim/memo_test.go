@@ -112,11 +112,11 @@ func TestPrefixCachePassthrough(t *testing.T) {
 		}
 	}
 
-	base, err := sim.RunWorkload(cfg, w, sched.NewCCWS(2000), sim.RunOptions{})
+	base, err := sim.RunWorkload(cfg, w, sched.NewCCWS(config.PoiseParams{TFeature: 2000}), sim.RunOptions{})
 	if err != nil {
 		t.Fatalf("ccws baseline: %v", err)
 	}
-	res, err := runCached(cfg, w, sched.NewCCWS(2000), sim.RunOptions{}, m)
+	res, err := runCached(cfg, w, sched.NewCCWS(config.PoiseParams{TFeature: 2000}), sim.RunOptions{}, m)
 	if err != nil {
 		t.Fatalf("ccws run: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestPrefixCachePassthrough(t *testing.T) {
 	if _, err := runCached(cfg, single, sim.GTO{}, armed, m); err != nil {
 		t.Fatalf("interruptible run over a held key: %v", err)
 	}
-	if _, err := runCached(cfg, single, sched.NewCCWS(2000), sim.RunOptions{}, m); err != nil {
+	if _, err := runCached(cfg, single, sched.NewCCWS(config.PoiseParams{TFeature: 2000}), sim.RunOptions{}, m); err != nil {
 		t.Fatalf("ccws run beside a held key: %v", err)
 	}
 	if booksOf(m) != before || m.Len() != 1 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"poise/internal/config"
 	"poise/internal/experiments"
 	"poise/internal/sched"
 	"poise/internal/sim"
@@ -43,8 +44,8 @@ func TestPoolResetBitIdentical(t *testing.T) {
 	used.TraceTuples = true
 	for _, pol := range []sim.Policy{
 		sim.GTO{},
-		sched.NewCCWS(200),
-		sched.NewAPCM(200),
+		sched.NewCCWS(config.PoiseParams{TFeature: 200}),
+		sched.NewAPCM(config.PoiseParams{TFeature: 200}),
 		sim.Fixed{N: 3, P: 1},
 	} {
 		if _, err := used.Run(k, pol, sim.RunOptions{}); err != nil {

@@ -25,6 +25,9 @@ type workloadAgg struct {
 	res    WorkloadResult
 	amlSum float64
 	amlW   int64
+	// enc is encode's result, kept until add changes the aggregation:
+	// a capture inside a kernel writes it without marshalling again.
+	enc []byte
 }
 
 func newWorkloadAgg(w *Workload, p Policy) *workloadAgg {
@@ -36,6 +39,7 @@ func newWorkloadAgg(w *Workload, p Policy) *workloadAgg {
 }
 
 func (a *workloadAgg) add(kr KernelResult) {
+	a.enc = nil
 	res := &a.res
 	res.PerKernel = append(res.PerKernel, kr)
 	res.Cycles += kr.Cycles
@@ -70,8 +74,12 @@ func (a *workloadAgg) finish() WorkloadResult {
 // encode serialises the aggregation. The WorkloadResult travels as
 // JSON — Go renders float64 in shortest round-trip form, so the
 // decoded struct is bit-identical — and the AML numerator as raw
-// float bits.
+// float bits. The bytes are shared with later calls until the next add;
+// nobody may modify them.
 func (a *workloadAgg) encode() []byte {
+	if a.enc != nil {
+		return a.enc
+	}
 	js, err := json.Marshal(&a.res)
 	if err != nil {
 		// WorkloadResult is plain data; Marshal cannot fail.
@@ -81,7 +89,8 @@ func (a *workloadAgg) encode() []byte {
 	w.Bytes(js)
 	w.Float64(a.amlSum)
 	w.Varint(a.amlW)
-	return w.Data()
+	a.enc = w.Data()
+	return a.enc
 }
 
 func decodeWorkloadAgg(data []byte) (*workloadAgg, error) {

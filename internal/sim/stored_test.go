@@ -73,7 +73,7 @@ func TestRunStored(t *testing.T) {
 	truncated.State = cp.State[:len(cp.State)/2]
 	gto := func() sim.Policy { return sim.GTO{} }
 	fixed := func() sim.Policy { return sim.Fixed{N: 2, P: 1} }
-	ccws := func() sim.Policy { return sched.NewCCWS(2000) }
+	ccws := func() sim.Policy { return sched.NewCCWS(config.PoiseParams{TFeature: 2000}) }
 	armed := sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 1 << 40}}
 
 	for _, tc := range []struct {

@@ -38,7 +38,7 @@ func TestWideMachineEnginesAgree(t *testing.T) {
 		mk   func() sim.Policy
 	}{
 		{"gto", func() sim.Policy { return sim.GTO{} }},
-		{"random", func() sim.Policy { return sched.NewRandomRestart(7, 100, 400, 4000, 2, 4) }},
+		{"random", func() sim.Policy { return sched.NewRandomRestart(7, rrParams) }},
 		{"poise", func() sim.Policy { return mustPoise(t) }},
 	}
 	shapes := wideShapes

@@ -106,7 +106,8 @@ type PolicySpec struct {
 	// Weights supplies the trained model ("poise"); nil uses the
 	// embedded default.
 	Weights *Weights
-	// Params overrides the Table IV constants; zero value uses defaults.
+	// Params overrides the Table IV constants (nil uses the defaults);
+	// NewPolicy refuses a set that fails Params.Validate.
 	Params *Params
 	// Seed seeds "random-restart".
 	Seed int64
@@ -116,6 +117,9 @@ type PolicySpec struct {
 func NewPolicy(spec PolicySpec) (Policy, error) {
 	params := config.DefaultPoise()
 	if spec.Params != nil {
+		if err := spec.Params.Validate(); err != nil {
+			return nil, err
+		}
 		params = *spec.Params
 	}
 	switch spec.Name {
@@ -134,15 +138,13 @@ func NewPolicy(spec PolicySpec) (Policy, error) {
 	case "static-best":
 		return sched.StaticBest(spec.Profiles), nil
 	case "pcal-swl":
-		return sched.NewPCALSWL(sched.SWLFromProfiles(spec.Profiles),
-			params.TWarmup, params.TFeature, params.TPeriod), nil
+		return sched.NewPCALSWL(sched.SWLFromProfiles(spec.Profiles), params), nil
 	case "ccws":
-		return sched.NewCCWS(params.TFeature), nil
+		return sched.NewCCWS(params), nil
 	case "apcm":
-		return sched.NewAPCM(params.TFeature), nil
+		return sched.NewAPCM(params), nil
 	case "random-restart":
-		return sched.NewRandomRestart(spec.Seed, params.TWarmup,
-			params.TSearch, params.TPeriod, params.StrideN, params.StrideP), nil
+		return sched.NewRandomRestart(spec.Seed, params), nil
 	case "poise":
 		w := Weights{}
 		if spec.Weights != nil {

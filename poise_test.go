@@ -52,6 +52,25 @@ func TestFacadeProfilePoliciesNeedProfiles(t *testing.T) {
 	}
 }
 
+// TestFacadeRefusesInvalidParams: a Params override that fails
+// Validate builds no policy, whichever policy it names; a valid one
+// builds them all.
+func TestFacadeRefusesInvalidParams(t *testing.T) {
+	overrun := poise.DefaultParams()
+	overrun.TPeriod = overrun.TFeature // warm-up plus feature window overrun the epoch
+	for _, name := range []string{"gto", "ccws", "apcm", "random-restart", "poise"} {
+		for _, bad := range []poise.Params{{}, overrun} {
+			if pol, err := poise.NewPolicy(poise.PolicySpec{Name: name, Params: &bad}); err == nil {
+				t.Errorf("%s built %s from invalid params %+v", name, pol.Name(), bad)
+			}
+		}
+		good := poise.DefaultParams()
+		if _, err := poise.NewPolicy(poise.PolicySpec{Name: name, Params: &good}); err != nil {
+			t.Errorf("%s with the default params: %v", name, err)
+		}
+	}
+}
+
 func TestFacadeProfileBackedPolicies(t *testing.T) {
 	w := poise.Workloads(poise.Small).Must("wc")
 	k := w.Kernels[0]
