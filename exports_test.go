@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -78,92 +79,130 @@ func parseModule(t *testing.T) []goFile {
 	return files
 }
 
+// uses is what a set of files names outside the declarations
+// themselves.
+type uses struct {
+	named      map[string]bool // "importpath.Name" of identifiers used, qualified or not
+	selected   map[string]bool // every name selected with x.Name, x not a package
+	selectedIn map[string]bool // "importpath.Name": the same, by the selecting file's package
+}
+
+func newUses() *uses {
+	return &uses{named: map[string]bool{}, selected: map[string]bool{}, selectedIn: map[string]bool{}}
+}
+
+// add records what f names. pkgName maps the module's import paths to
+// package names. A selector inside a method of the same name is no
+// use: a composite asking its parts for the same method, or a wrapper
+// forwarding to its field, gives the method no caller it lacked.
+func (u *uses) add(f goFile, pkgName map[string]string) {
+	imports := map[string]string{} // local name -> import path
+	for _, imp := range f.ast.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		local := pkgName[p]
+		if local == "" { // outside the module: the standard library
+			local = path.Base(p)
+		}
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		imports[local] = p
+	}
+	method := "" // the name of the method being walked
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl: // its own name is no use of it
+			if n.Recv != nil {
+				method = n.Name.Name
+				ast.Inspect(n.Recv, visit)
+			}
+			ast.Inspect(n.Type, visit)
+			if n.Body != nil {
+				ast.Inspect(n.Body, visit)
+			}
+			method = ""
+			return false
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				u.named[imports[x.Name]+"."+n.Sel.Name] = true
+				return false
+			}
+			if n.Sel.Name != method {
+				u.selected[n.Sel.Name] = true
+				u.selectedIn[f.pkg+"."+n.Sel.Name] = true
+			}
+			ast.Inspect(n.X, visit)
+			return false
+		case *ast.Ident:
+			u.named[f.pkg+"."+n.Name] = true
+		}
+		return true
+	}
+	ast.Inspect(f.ast, visit)
+}
+
+// packageNames maps the module's import paths to package names.
+func packageNames(files []goFile) map[string]string {
+	names := map[string]string{}
+	for _, f := range files {
+		if !f.test {
+			names[f.pkg] = f.ast.Name.Name
+		}
+	}
+	return names
+}
+
+// internalFuncs calls fn for every function and method declared in a
+// non-test file under internal/, with the name tests report it by.
+func internalFuncs(files []goFile, fn func(f goFile, d *ast.FuncDecl, shown string)) {
+	for _, f := range files {
+		if f.test || !strings.HasPrefix(f.pkg, "poise/internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			d, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			shown := strings.TrimPrefix(f.pkg, "poise/internal/") + "."
+			if d.Recv != nil {
+				shown += "(" + recvName(d.Recv) + ")."
+			}
+			fn(f, d, shown+d.Name.Name)
+		}
+	}
+}
+
 // TestTestOnlyExportBudget counts the exported functions and methods
 // of internal/ packages that only tests name, and logs them. Every
 // non-test file of the module is a caller, those under bench/, cmd/,
 // examples/ and the root included. A function is named when a non-test
 // file of its own package uses its identifier or another non-test file
 // selects it through an import of its package; a method is named when
-// any non-test file selects a field or method of that name (the scan
-// has no types, so it cannot tell receivers apart).
+// any non-test file selects a field or method of that name outside a
+// method of that name (the scan has no types, so it cannot tell
+// receivers apart).
 func TestTestOnlyExportBudget(t *testing.T) {
 	files := parseModule(t)
-	pkgName := map[string]string{} // import path -> package name
+	pkgName := packageNames(files)
+	u := newUses()
 	for _, f := range files {
 		if !f.test {
-			pkgName[f.pkg] = f.ast.Name.Name
+			u.add(f, pkgName)
 		}
-	}
-
-	named := map[string]bool{}     // "importpath.Name" of functions used
-	selectors := map[string]bool{} // every name selected with x.Name
-	for _, f := range files {
-		if f.test {
-			continue
-		}
-		imports := map[string]string{} // local name -> import path
-		for _, imp := range f.ast.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			local := pkgName[p]
-			if local == "" { // outside the module: the standard library
-				local = path.Base(p)
-			}
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = p
-		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl: // its own name is no use of it
-				if n.Recv != nil {
-					ast.Inspect(n.Recv, visit)
-				}
-				ast.Inspect(n.Type, visit)
-				if n.Body != nil {
-					ast.Inspect(n.Body, visit)
-				}
-				return false
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					named[imports[x.Name]+"."+n.Sel.Name] = true
-					return false
-				}
-				selectors[n.Sel.Name] = true
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.Ident:
-				named[f.pkg+"."+n.Name] = true
-			}
-			return true
-		}
-		ast.Inspect(f.ast, visit)
 	}
 
 	var testOnly []string
-	for _, f := range files {
-		if f.test || !strings.HasPrefix(f.pkg, "poise/internal/") || testOnlyExempt[f.pkg] {
-			continue
+	internalFuncs(files, func(f goFile, fn *ast.FuncDecl, shown string) {
+		name := fn.Name.Name
+		switch {
+		case !fn.Name.IsExported() || testOnlyExempt[f.pkg]:
+		case fn.Recv == nil && !u.named[f.pkg+"."+name],
+			fn.Recv != nil && !implicitMethods[name] && !u.selected[name]:
+			testOnly = append(testOnly, shown)
 		}
-		for _, d := range f.ast.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			name := fn.Name.Name
-			if fn.Recv == nil {
-				if !named[f.pkg+"."+name] {
-					testOnly = append(testOnly, strings.TrimPrefix(f.pkg, "poise/internal/")+"."+name)
-				}
-				continue
-			}
-			if implicitMethods[name] || selectors[name] {
-				continue
-			}
-			testOnly = append(testOnly, strings.TrimPrefix(f.pkg, "poise/internal/")+".("+recvName(fn.Recv)+")."+name)
-		}
-	}
+	})
 	sort.Strings(testOnly)
 	for _, name := range testOnly {
 		t.Logf("named only by tests: %s", name)
@@ -172,6 +211,118 @@ func TestTestOnlyExportBudget(t *testing.T) {
 		t.Fatalf("%d exported internal/ functions and methods are named only by tests, budget %d: "+
 			"delete a helper no product code calls (or raise testOnlyBudget in review), "+
 			"or lower the budget when one gains a product caller", n, testOnlyBudget)
+	}
+}
+
+// TestUnexportedNamed fails on an unexported function or method under
+// internal/ that no file names, tests included: the compiler reports an
+// unused variable or import but not an unused function, so dead code
+// would otherwise stay until someone reads it. A function counts as
+// named when any file of its package uses its identifier, a method
+// when any file of its package selects its name outside a method of
+// that name.
+func TestUnexportedNamed(t *testing.T) {
+	files := parseModule(t)
+	pkgName := packageNames(files)
+	u := newUses()
+	for _, f := range files {
+		u.add(f, pkgName)
+	}
+	var dead []string
+	internalFuncs(files, func(f goFile, fn *ast.FuncDecl, shown string) {
+		name := fn.Name.Name
+		key := f.pkg + "." + name
+		switch {
+		case fn.Name.IsExported() || name == "init" || name == "_":
+		case fn.Recv == nil && !u.named[key], fn.Recv != nil && !u.selectedIn[key]:
+			dead = append(dead, shown)
+		}
+	})
+	sort.Strings(dead)
+	for _, name := range dead {
+		t.Errorf("%s is declared but nothing names it: delete it", name)
+	}
+}
+
+// TestNoHookEveryImplementationIgnores fails on a method of an
+// internal/ interface that every non-test implementation leaves empty:
+// a hook nobody uses still costs a call on every path that invokes it
+// and a method on every new implementation. An implementation is any
+// non-test type of the module (bench/ included) that declares every
+// method the interface declares itself; the scan has no types, so
+// promoted methods and embedded interfaces are not followed.
+func TestNoHookEveryImplementationIgnores(t *testing.T) {
+	files := parseModule(t)
+	methods := map[string]map[string]*ast.FuncDecl{} // "importpath.Type" -> method name -> declaration
+	type iface struct {
+		name    string
+		methods []string
+	}
+	var ifaces []iface
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil || d.Body == nil {
+					continue
+				}
+				typ := f.pkg + "." + recvName(d.Recv)
+				if methods[typ] == nil {
+					methods[typ] = map[string]*ast.FuncDecl{}
+				}
+				methods[typ][d.Name.Name] = d
+			case *ast.GenDecl:
+				if !strings.HasPrefix(f.pkg, "poise/internal/") {
+					continue
+				}
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					it, ok := ts.Type.(*ast.InterfaceType)
+					if !ok {
+						continue
+					}
+					i := iface{name: strings.TrimPrefix(f.pkg, "poise/internal/") + "." + ts.Name.Name}
+					for _, m := range it.Methods.List {
+						if _, ok := m.Type.(*ast.FuncType); ok {
+							for _, id := range m.Names {
+								i.methods = append(i.methods, id.Name)
+							}
+						}
+					}
+					if len(i.methods) > 0 {
+						ifaces = append(ifaces, i)
+					}
+				}
+			}
+		}
+	}
+
+	var ignored []string
+	for _, i := range ifaces {
+		var impls []map[string]*ast.FuncDecl
+		for _, ms := range methods {
+			if !slices.ContainsFunc(i.methods, func(m string) bool { return ms[m] == nil }) {
+				impls = append(impls, ms)
+			}
+		}
+		if len(impls) == 0 {
+			continue
+		}
+		for _, m := range i.methods {
+			if !slices.ContainsFunc(impls, func(ms map[string]*ast.FuncDecl) bool { return len(ms[m].Body.List) > 0 }) {
+				ignored = append(ignored, i.name+"."+m)
+			}
+		}
+	}
+	sort.Strings(ignored)
+	for _, name := range ignored {
+		t.Errorf("every implementation of %s is empty: drop the method and its call sites", name)
 	}
 }
 

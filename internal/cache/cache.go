@@ -174,8 +174,6 @@ func (c *Cache) setIndex(lineAddr uint64) uint64 {
 // Result describes the outcome of a Lookup.
 type Result struct {
 	Hit bool
-	// IntraWarp is set on hits whose previous toucher was the same warp.
-	IntraWarp bool
 }
 
 // Lookup probes the cache for the line containing addr, accessed by the
@@ -198,8 +196,7 @@ func (c *Cache) Lookup(addr uint64, warp int32, pc int32, pollute bool) Result {
 		l := &c.sets[i]
 		if l.valid && l.tag == la {
 			c.Stats.Hits++
-			intra := l.lastWarp == warp
-			if intra {
+			if l.lastWarp == warp {
 				c.Stats.IntraWarpHits++
 			} else {
 				c.Stats.InterWarpHits++
@@ -212,7 +209,7 @@ func (c *Cache) Lookup(addr uint64, warp int32, pc int32, pollute bool) Result {
 			l.lruTick = c.tick
 			l.lastWarp = warp
 			l.lastPC = pc
-			return Result{Hit: true, IntraWarp: intra}
+			return Result{Hit: true}
 		}
 	}
 	if c.victim != nil {

@@ -89,18 +89,25 @@ func TestLRUEviction(t *testing.T) {
 func TestIntraInterWarpClassification(t *testing.T) {
 	c := smallCache(t, config.IndexLinear)
 	c.Fill(0x3000, 7, 0, true)
-	if r := c.Lookup(0x3000, 7, 0, true); !r.Hit || !r.IntraWarp {
-		t.Fatal("same-warp reuse must classify intra-warp")
+	// Each hit moves exactly one counter: the running intra/inter split
+	// after each lookup.
+	steps := []struct {
+		warp         int32
+		intra, inter int64
+		what         string
+	}{
+		{7, 1, 0, "same-warp reuse must classify intra-warp"},
+		{8, 1, 1, "cross-warp reuse must classify inter-warp"},
+		{8, 2, 1, "after transfer the new toucher owns the line"}, // ownership moved to warp 8
 	}
-	if r := c.Lookup(0x3000, 8, 0, true); !r.Hit || r.IntraWarp {
-		t.Fatal("cross-warp reuse must classify inter-warp")
-	}
-	// Ownership transferred to warp 8: its next hit is intra again.
-	if r := c.Lookup(0x3000, 8, 0, true); !r.IntraWarp {
-		t.Fatal("after transfer the new toucher owns the line")
-	}
-	if c.Stats.IntraWarpHits != 2 || c.Stats.InterWarpHits != 1 {
-		t.Fatalf("split wrong: %+v", c.Stats)
+	for _, s := range steps {
+		if r := c.Lookup(0x3000, s.warp, 0, true); !r.Hit {
+			t.Fatalf("warp %d: resident line missed", s.warp)
+		}
+		if c.Stats.IntraWarpHits != s.intra || c.Stats.InterWarpHits != s.inter {
+			t.Fatalf("%s: intra/inter = %d/%d, want %d/%d",
+				s.what, c.Stats.IntraWarpHits, c.Stats.InterWarpHits, s.intra, s.inter)
+		}
 	}
 }
 

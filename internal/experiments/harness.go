@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 
 	"poise/internal/config"
@@ -347,16 +346,5 @@ func (h *Harness) EvalWorkloads() []*sim.Workload {
 			out = append(out, h.Cat.Must(w.Name))
 		}
 	}
-	return out
-}
-
-// sortedNames returns map keys in stable order (tables must be
-// deterministic).
-func sortedNames[T any](m map[string]T) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

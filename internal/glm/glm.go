@@ -63,12 +63,9 @@ type Model struct {
 	Coef   []float64 // fitted weights, one per feature column
 	Alpha  float64   // NB dispersion (0 for Poisson)
 
-	Iters     int     // IRLS iterations used
 	Converged bool    // whether the coefficient change dropped below tol
 	Deviance  float64 // residual deviance
 	NullDev   float64 // deviance of the intercept-only model
-	NumObs    int
-	LogLik    float64 // log-likelihood at the fitted coefficients
 }
 
 // PseudoR2 returns McFadden-style 1 - deviance/null_deviance, a rough
@@ -132,11 +129,11 @@ func Fit(fam Family, x *linalg.Mat, y []float64, opts Options) (*Model, error) {
 
 	switch fam {
 	case Poisson:
-		coef, iters, conv, err := irls(x, y, 0, opts)
+		coef, conv, err := irls(x, y, 0, opts)
 		if err != nil {
 			return nil, err
 		}
-		m := &Model{Family: Poisson, Coef: coef, Iters: iters, Converged: conv, NumObs: n}
+		m := &Model{Family: Poisson, Coef: coef, Converged: conv}
 		m.finishStats(x, y)
 		return m, nil
 	case NegativeBinomial:
@@ -155,17 +152,16 @@ func fitNB(x *linalg.Mat, y []float64, opts Options) (*Model, error) {
 		alpha = 0.1 // neutral starting overdispersion
 	}
 	var (
-		coef  []float64
-		iters int
-		conv  bool
-		err   error
+		coef []float64
+		conv bool
+		err  error
 	)
 	outer := 1
 	if estimate {
 		outer = alphaIter
 	}
 	for round := 0; round < outer; round++ {
-		coef, iters, conv, err = irls(x, y, alpha, opts)
+		coef, conv, err = irls(x, y, alpha, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -179,8 +175,7 @@ func fitNB(x *linalg.Mat, y []float64, opts Options) (*Model, error) {
 		}
 		alpha = next
 	}
-	m := &Model{Family: NegativeBinomial, Coef: coef, Alpha: alpha,
-		Iters: iters, Converged: conv, NumObs: len(y)}
+	m := &Model{Family: NegativeBinomial, Coef: coef, Alpha: alpha, Converged: conv}
 	m.finishStats(x, y)
 	return m, nil
 }
@@ -217,7 +212,7 @@ func momentAlpha(x *linalg.Mat, y, coef []float64) float64 {
 // irls runs iteratively reweighted least squares for a log link. With
 // alpha == 0 the working weights are Poisson (w = mu); otherwise NB2
 // (w = mu / (1 + alpha*mu)).
-func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float64, iters int, converged bool, err error) {
+func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float64, converged bool, err error) {
 	n, p := x.Rows, x.Cols
 	coef = make([]float64, p)
 	// Start from the log-mean intercept if a constant-ish column exists;
@@ -252,8 +247,7 @@ func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float
 
 	w := make([]float64, n)
 	z := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
-		iters = iter + 1
+	for range maxIter {
 		for i := 0; i < n; i++ {
 			row := x.Data[i*p : (i+1)*p]
 			eta := clampEta(linalg.Dot(coef, row))
@@ -270,16 +264,16 @@ func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float
 		}
 		xtwx, e := linalg.XtWX(x, w)
 		if e != nil {
-			return nil, iters, false, e
+			return nil, false, e
 		}
 		linalg.Ridge(xtwx, opts.Ridge)
 		xtwz, e := linalg.XtWz(x, w, z)
 		if e != nil {
-			return nil, iters, false, e
+			return nil, false, e
 		}
 		next, e := linalg.SolveSPD(xtwx, xtwz)
 		if e != nil {
-			return nil, iters, false, fmt.Errorf("glm: IRLS solve failed: %w", e)
+			return nil, false, fmt.Errorf("glm: IRLS solve failed: %w", e)
 		}
 		var delta float64
 		for j := range next {
@@ -291,11 +285,10 @@ func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float
 			break
 		}
 	}
-	return coef, iters, converged, nil
+	return coef, converged, nil
 }
 
-// finishStats computes deviance, null deviance and log-likelihood for a
-// fitted model.
+// finishStats computes the deviance and null deviance of a fitted model.
 func (m *Model) finishStats(x *linalg.Mat, y []float64) {
 	mu := m.PredictAll(x)
 	meanY := 0.0
@@ -306,15 +299,13 @@ func (m *Model) finishStats(x *linalg.Mat, y []float64) {
 	if meanY <= 0 {
 		meanY = 1e-10
 	}
-	var dev, nullDev, ll float64
+	var dev, nullDev float64
 	for i, yi := range y {
 		dev += unitDeviance(m.Family, m.Alpha, yi, mu[i])
 		nullDev += unitDeviance(m.Family, m.Alpha, yi, meanY)
-		ll += logLik(m.Family, m.Alpha, yi, mu[i])
 	}
 	m.Deviance = dev
 	m.NullDev = nullDev
-	m.LogLik = ll
 }
 
 // unitDeviance is the per-observation deviance contribution.
@@ -338,30 +329,6 @@ func unitDeviance(fam Family, alpha, y, mu float64) float64 {
 			return -2 * t2 // y*log(y/mu) -> 0 as y -> 0
 		}
 		return 2 * (y*math.Log(y/mu) - t2)
-	}
-	return 0
-}
-
-// logLik is the per-observation log-likelihood (up to y-only constants
-// for NB, which cancel in comparisons between fits on the same data).
-func logLik(fam Family, alpha, y, mu float64) float64 {
-	if mu < 1e-10 {
-		mu = 1e-10
-	}
-	switch fam {
-	case Poisson:
-		lg, _ := math.Lgamma(y + 1)
-		return y*math.Log(mu) - mu - lg
-	case NegativeBinomial:
-		if alpha <= 0 {
-			return logLik(Poisson, 0, y, mu)
-		}
-		ia := 1 / alpha
-		lgNum, _ := math.Lgamma(y + ia)
-		lgDen1, _ := math.Lgamma(y + 1)
-		lgDen2, _ := math.Lgamma(ia)
-		return lgNum - lgDen1 - lgDen2 +
-			y*math.Log(alpha*mu/(1+alpha*mu)) - ia*math.Log(1+alpha*mu)
 	}
 	return 0
 }

@@ -159,9 +159,6 @@ func (p *Policy) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	return 1 // engines manage their own next cycles from here
 }
 
-// KernelEnd implements sim.Policy.
-func (p *Policy) KernelEnd(g *sim.GPU, now int64) {}
-
 // Step implements sim.Policy.
 func (p *Policy) Step(g *sim.GPU, now int64) int64 {
 	next := sim.Never

@@ -53,9 +53,6 @@ func (a *APCM) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	return a.nextAt
 }
 
-// KernelEnd implements sim.Policy.
-func (a *APCM) KernelEnd(g *sim.GPU, now int64) {}
-
 // Step implements sim.Policy: classify each load PC from its
 // per-window hit rate and set the bypass filters.
 func (a *APCM) Step(g *sim.GPU, now int64) int64 {

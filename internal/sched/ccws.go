@@ -52,9 +52,6 @@ func (c *CCWS) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	return c.nextAt
 }
 
-// KernelEnd implements sim.Policy.
-func (c *CCWS) KernelEnd(g *sim.GPU, now int64) {}
-
 // Step implements sim.Policy.
 func (c *CCWS) Step(g *sim.GPU, now int64) int64 {
 	// Aggregate lost-locality detections across SMs for this window.

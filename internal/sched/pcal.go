@@ -72,9 +72,6 @@ func (p *PCALSWL) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	return p.nextAt
 }
 
-// KernelEnd implements sim.Policy.
-func (p *PCALSWL) KernelEnd(g *sim.GPU, now int64) {}
-
 // Step implements sim.Policy.
 func (p *PCALSWL) Step(g *sim.GPU, now int64) int64 {
 	switch p.state {

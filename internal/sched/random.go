@@ -59,9 +59,6 @@ func (r *RandomRestart) KernelStart(g *sim.GPU, k *trace.Kernel) int64 {
 	return r.nextAt
 }
 
-// KernelEnd implements sim.Policy.
-func (r *RandomRestart) KernelEnd(g *sim.GPU, now int64) {}
-
 // restart draws a fresh random tuple and begins a local search.
 func (r *RandomRestart) restart(g *sim.GPU, now int64) {
 	n := 1 + r.rng.Intn(r.maxN)

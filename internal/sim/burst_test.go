@@ -40,7 +40,6 @@ func (c *churnPolicy) Step(g *sim.GPU, now int64) int64 {
 	}
 	return now + 1 + int64(c.rng.Intn(9))
 }
-func (c *churnPolicy) KernelEnd(g *sim.GPU, now int64) {}
 
 // burstProbe is an address pattern that looks at the GPU from inside a
 // visit, the one place a burst in flight can be seen, and checks the
@@ -321,7 +320,6 @@ func (p *triggerPolicy) Step(g *sim.GPU, now int64) int64 {
 	}
 	return now + 50
 }
-func (p *triggerPolicy) KernelEnd(g *sim.GPU, now int64) {}
 
 // TestIssueBurstsSurviveAsyncInterrupt: Trigger (not AtCycle) landing
 // while bursts are in flight leaves a state that resumes to the

@@ -63,8 +63,5 @@ func (g *GPU) runDense(k *trace.Kernel, p Policy, opts RunOptions, policyNext in
 		g.now = next
 	}
 
-	if p != nil {
-		p.KernelEnd(g, g.now)
-	}
 	return g.collect(k), nil
 }

@@ -37,8 +37,6 @@ type Policy interface {
 	// Step observes counters and steers; it returns the next activation
 	// cycle (must be > now, or Never).
 	Step(g *GPU, now int64) int64
-	// KernelEnd is called after the kernel drains.
-	KernelEnd(g *GPU, now int64)
 }
 
 // l2Bank is one bank of the shared L2: a tag/data array plus a

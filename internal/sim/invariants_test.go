@@ -99,7 +99,6 @@ func (h *hostilePolicy) Step(g *sim.GPU, now int64) int64 {
 	}
 	return now + 7 + h.step%13
 }
-func (h *hostilePolicy) KernelEnd(g *sim.GPU, now int64) {}
 
 func TestHostilePolicySafe(t *testing.T) {
 	k := testutil.ThrashKernel("hostile", 24, 40, 6)

@@ -652,9 +652,6 @@ func (g *GPU) readyLoop(k *trace.Kernel, p Policy, opts RunOptions, policyNext i
 
 	g.flushAllSpans(rq.visits)
 	g.settleBursts(g.now)
-	if p != nil {
-		p.KernelEnd(g, g.now)
-	}
 	return g.collect(k), nil
 }
 

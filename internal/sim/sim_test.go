@@ -179,7 +179,6 @@ func (p *tuplePolicy) Step(g *sim.GPU, now int64) int64 {
 	}
 	return now + 500
 }
-func (p *tuplePolicy) KernelEnd(g *sim.GPU, now int64) {}
 
 func TestDynamicTupleChangesSafe(t *testing.T) {
 	k := testutil.ThrashKernel("flip", 24, 60, 6)

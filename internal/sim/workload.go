@@ -110,9 +110,6 @@ func (t GTO) KernelStart(g *GPU, k *trace.Kernel) int64 {
 // Step implements Policy.
 func (GTO) Step(g *GPU, now int64) int64 { return Never }
 
-// KernelEnd implements Policy.
-func (GTO) KernelEnd(g *GPU, now int64) {}
-
 // Fixed pins every SM to one static warp-tuple for the whole run: the
 // building block for SWL (p = N) and for Static-Best profiles.
 type Fixed struct {
@@ -139,6 +136,3 @@ func (f Fixed) KernelStart(g *GPU, k *trace.Kernel) int64 {
 
 // Step implements Policy.
 func (f Fixed) Step(g *GPU, now int64) int64 { return Never }
-
-// KernelEnd implements Policy.
-func (f Fixed) KernelEnd(g *GPU, now int64) {}

@@ -71,9 +71,6 @@ type Ctx struct {
 type Pattern interface {
 	// Addr returns a LineBytes-aligned byte address.
 	Addr(c Ctx, seq int) uint64
-	// Footprint returns the approximate number of distinct lines the
-	// pattern touches per warp (used by calibration and docs).
-	Footprint() int
 }
 
 // mix is a splitmix64-style finaliser used by the irregular patterns;
@@ -130,9 +127,6 @@ func (p PrivateSweep) Addr(c Ctx, seq int) uint64 {
 		uint64(line)*LineBytes
 }
 
-// Footprint implements Pattern.
-func (p PrivateSweep) Footprint() int { return p.Lines }
-
 // SharedSweep cyclically sweeps a footprint of Lines lines shared by
 // every warp on the GPU (think: the B matrix of a GEMM or the x vector
 // of an SpMV). Lag staggers warps so that a Lag of zero gives in-phase
@@ -154,9 +148,6 @@ func (p SharedSweep) Addr(c Ctx, seq int) uint64 {
 	}
 	return regionBase(p.Region) + uint64(line)*LineBytes
 }
-
-// Footprint implements Pattern.
-func (p SharedSweep) Footprint() int { return p.Lines }
 
 // Stream emits a monotonically advancing per-warp stream with no
 // temporal reuse (matrix rows read once, points scanned once), though
@@ -180,14 +171,6 @@ func (s Stream) Addr(c Ctx, seq int) uint64 {
 		uint64(dwell(seq, s.Dwell)%wrap)*LineBytes
 }
 
-// Footprint implements Pattern.
-func (s Stream) Footprint() int {
-	if s.WrapLines <= 0 {
-		return 1 << 17
-	}
-	return s.WrapLines
-}
-
 // IrregularPrivate touches pseudo-random lines inside a per-warp
 // private region of Lines lines — the bfs-style pattern: locality
 // exists (the region is finite and revisited) but with a long, noisy
@@ -207,9 +190,6 @@ func (p IrregularPrivate) Addr(c Ctx, seq int) uint64 {
 		uint64(c.GlobalWarp)<<warpRegionShift +
 		line*LineBytes
 }
-
-// Footprint implements Pattern.
-func (p IrregularPrivate) Footprint() int { return p.Lines }
 
 // IrregularShared touches pseudo-random lines in a region shared by all
 // warps — the cfd/graph-neighbour pattern: each warp rarely re-touches
@@ -239,9 +219,6 @@ func (p IrregularShared) Addr(c Ctx, seq int) uint64 {
 	return regionBase(p.Region) + line*LineBytes
 }
 
-// Footprint implements Pattern.
-func (p IrregularShared) Footprint() int { return p.Lines }
-
 // Phased switches from pattern A to pattern B once a warp's access
 // sequence crosses SwitchAt. It models the dynamic phase changes inside
 // monolithic kernels that the paper credits Poise with exploiting
@@ -260,22 +237,14 @@ func (p Phased) Addr(c Ctx, seq int) uint64 {
 	return p.B.Addr(c, seq-p.SwitchAt)
 }
 
-// Reseeder is implemented by Pattern types defined outside this
-// package that want to participate in Reseed (for example a trace
-// replayer, whose recorded streams are fixed and reseed to itself).
-type Reseeder interface {
-	// Reseed returns the pattern with its stochastic streams perturbed
-	// by delta; a pattern with no randomness returns itself.
-	Reseed(delta uint64) Pattern
-}
-
 // Reseed returns a copy of p with its stochastic address stream
 // re-seeded by delta (XOR, so delta 0 is the identity). Deterministic
-// sweeps and streams have no randomness and return unchanged; Phased
-// recurses into both phases, and patterns implementing Reseeder decide
-// for themselves. The workload catalogue uses this to derive
-// reproducible workload variants from a run seed without touching the
-// calibrated footprints and locality structure.
+// sweeps and streams have no randomness and return unchanged, as does
+// any pattern this package does not define (a trace replay's recorded
+// streams are fixed); Phased recurses into both phases. The workload
+// catalogue uses this to derive reproducible workload variants from a
+// run seed without touching the calibrated footprints and locality
+// structure.
 func Reseed(p Pattern, delta uint64) Pattern {
 	if delta == 0 {
 		return p
@@ -292,17 +261,5 @@ func Reseed(p Pattern, delta uint64) Pattern {
 		q.B = Reseed(q.B, delta)
 		return q
 	}
-	if q, ok := p.(Reseeder); ok {
-		return q.Reseed(delta)
-	}
 	return p
-}
-
-// Footprint implements Pattern.
-func (p Phased) Footprint() int {
-	a, b := p.A.Footprint(), p.B.Footprint()
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,9 +30,6 @@ func TestPrivateSweepFootprint(t *testing.T) {
 	if len(distinct) != 12 {
 		t.Fatalf("footprint = %d lines, want 12", len(distinct))
 	}
-	if p.Footprint() != 12 {
-		t.Fatalf("Footprint() = %d", p.Footprint())
-	}
 }
 
 func TestDwellGroupsAccesses(t *testing.T) {
@@ -121,9 +118,6 @@ func TestPhasedSwitch(t *testing.T) {
 	if p.Addr(ctx(0), 10) != b.Addr(ctx(0), 0) {
 		t.Fatal("after switch must use B with rebased seq")
 	}
-	if p.Footprint() != 4 {
-		t.Fatalf("Footprint = %d", p.Footprint())
-	}
 }
 
 // Property: every pattern is a pure function of (ctx, seq).
@@ -178,37 +172,5 @@ func TestRegionsDisjoint(t *testing.T) {
 		if a.Addr(ctx(0), s) == b.Addr(ctx(0), s) {
 			t.Fatal("different regions must not collide")
 		}
-	}
-}
-
-// reseedSpy is an out-of-package-style pattern exercising the Reseeder
-// extension point of Reseed.
-type reseedSpy struct {
-	Stream
-	delta uint64
-}
-
-func (r reseedSpy) Reseed(delta uint64) Pattern {
-	r.delta ^= delta
-	return r
-}
-
-func TestReseedHonoursReseederInterface(t *testing.T) {
-	p := Reseed(reseedSpy{Stream: Stream{Region: 9}}, 0xabc)
-	spy, ok := p.(reseedSpy)
-	if !ok {
-		t.Fatalf("Reseed returned %T, want reseedSpy", p)
-	}
-	if spy.delta != 0xabc {
-		t.Fatalf("custom Reseed not invoked: delta = %#x", spy.delta)
-	}
-	// Delta 0 is the identity and must not call the hook.
-	if q := Reseed(reseedSpy{}, 0); q.(reseedSpy).delta != 0 {
-		t.Fatal("Reseed(_, 0) must be the identity")
-	}
-	// Phased recurses into Reseeder phases too.
-	ph := Reseed(Phased{SwitchAt: 1, A: reseedSpy{}, B: Stream{Region: 2}}, 5).(Phased)
-	if ph.A.(reseedSpy).delta != 5 {
-		t.Fatal("Reseed must recurse through Phased into Reseeder phases")
 	}
 }

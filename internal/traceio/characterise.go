@@ -1,6 +1,7 @@
 package traceio
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -85,8 +86,7 @@ func Characterise(t *Trace, opts CharacteriseOptions) (Signature, error) {
 // loop body, launch shape, and a per-(slot, warp) stream accessor. It
 // abstracts over where the streams live — nested KernelTrace slices or
 // flat Replay arenas — so the in-memory and streaming ingest paths
-// characterise through the identical code and agree bit-for-bit. The
-// one thing a scan writes through it is the replays' footprints.
+// characterise through the identical code and agree bit-for-bit.
 type kernelView struct {
 	body       []trace.Instr
 	warpIters  []int
@@ -94,10 +94,6 @@ type kernelView struct {
 	maxIters   int
 	slots      int
 	stream     func(slot, g int) []uint64
-	// replays, when set, are the kernel's slots as read into arenas
-	// without their footprints: the footprint scan counts them in the
-	// pass that counts the warps' footprints.
-	replays []*Replay
 }
 
 func (kt *KernelTrace) view() kernelView {
@@ -166,9 +162,6 @@ func (c *characteriser) add(ki int, v kernelView) {
 	k := prepareScan(v, c.opts)
 	if len(k.loads) == 0 {
 		ks.in = float64(len(v.body)) * 1000 // loadless: effectively infinite, as Kernel.In
-		if v.replays != nil {
-			c.tasks <- func(sc *scanScratch) { k.footprint(sc) } // the replays' footprints only
-		}
 		return
 	}
 	ks.in = float64(len(v.body)) / float64(len(k.loads))
@@ -276,6 +269,76 @@ func loadSlots(body []trace.Instr) []int {
 	return out
 }
 
+// distinctSet counts distinct values: an open-addressing table kept
+// from one use to the next and emptied by moving on to a new stamp,
+// at a fraction of what a map cleared and refilled each time costs.
+// Each value carries an int32 tag (the interleaved scan keeps the warp
+// that touched a line last there). The table doubles when it is half
+// full and never shrinks, so it settles at the size the largest set
+// needs, small enough to stay in cache when sets are.
+type distinctSet struct {
+	slots []distinctSlot
+	stamp uint32
+	shift uint // 64 - log2(len(slots))
+	n     int  // distinct values added since reset
+}
+
+type distinctSlot struct {
+	key   uint64
+	stamp uint32
+	tag   int32
+}
+
+// reset empties the set.
+func (d *distinctSet) reset() {
+	if d.slots == nil {
+		d.slots, d.shift = make([]distinctSlot, 16), 64-4
+	}
+	if d.stamp++; d.stamp == 0 { // wrapped: old stamps would read as live
+		clear(d.slots)
+		d.stamp = 1
+	}
+	d.n = 0
+}
+
+func (d *distinctSet) add(v uint64) { d.tag(v) }
+
+// tag adds v if it is new, with tag -1, and returns its tag for the
+// caller to read and set. The pointer is valid until the next add.
+// The set must have been reset once.
+func (d *distinctSet) tag(v uint64) *int32 {
+	for i := v * 0x9e3779b97f4a7c15 >> d.shift; ; i = (i + 1) & uint64(len(d.slots)-1) {
+		if s := &d.slots[i]; s.stamp != d.stamp {
+			if 2*(d.n+1) > len(d.slots) {
+				d.grow()
+				return d.tag(v)
+			}
+			*s = distinctSlot{key: v, stamp: d.stamp, tag: -1}
+			d.n++
+			return &s.tag
+		} else if s.key == v {
+			return &s.tag
+		}
+	}
+}
+
+// grow doubles the table, keeping the values added since reset.
+func (d *distinctSet) grow() {
+	old, stamp := d.slots, d.stamp
+	log := bits.Len(uint(len(old)))
+	d.slots, d.shift, d.stamp = make([]distinctSlot, 1<<log), uint(64-log), 1
+	for _, s := range old {
+		if s.stamp != stamp {
+			continue
+		}
+		i := s.key * 0x9e3779b97f4a7c15 >> d.shift
+		for d.slots[i].stamp == d.stamp {
+			i = (i + 1) & uint64(len(d.slots)-1)
+		}
+		d.slots[i] = distinctSlot{key: s.key, stamp: d.stamp, tag: s.tag}
+	}
+}
+
 // scanScratch is the storage one worker's scans reuse from one task
 // to the next.
 type scanScratch struct {
@@ -287,7 +350,6 @@ type scanScratch struct {
 type kernelScan struct {
 	v       kernelView
 	loads   []int
-	loaded  []bool     // per slot: whether a load reads it
 	streams [][]uint64 // per (warp, slot): streams[g*slots+s], nil where no load reads s
 	budget  int64
 }
@@ -300,13 +362,13 @@ func prepareScan(v kernelView, opts CharacteriseOptions) *kernelScan {
 	}
 	// One entry per stream the trace carries, however many loads read
 	// a slot.
-	k.loaded = make([]bool, v.slots)
+	loaded := make([]bool, v.slots)
 	for _, s := range k.loads {
-		k.loaded[s] = true
+		loaded[s] = true
 	}
 	k.streams = make([][]uint64, 0, v.totalWarps*v.slots)
 	for g := 0; g < v.totalWarps; g++ {
-		for s, ok := range k.loaded {
+		for s, ok := range loaded {
 			var stream []uint64
 			if ok {
 				stream = v.stream(s, g)
@@ -319,54 +381,21 @@ func prepareScan(v kernelView, opts CharacteriseOptions) *kernelScan {
 
 // footprint is the mean per-warp count of distinct lines the loads
 // read over the full recorded streams (cheap: one set insert per
-// access). With replays set it also counts every slot's mean per-warp
-// distinct addresses into its Replay, as ReplayBuilder.Warp would have,
-// in the same pass: a line's tag holds the last slot that touched it
-// and whether a load slot has, so each access is hashed once for both.
-// (Addresses come from a Scanner, so distinct lines are distinct
-// addresses.)
+// access).
 func (k *kernelScan) footprint(sc *scanScratch) float64 {
-	total, reps := k.v.totalWarps, k.v.replays
-	sums := make([]int, len(reps))    // per slot: Σ per-warp distinct addresses
-	counted := make([]int, len(reps)) // per slot: warps with a non-empty stream
+	total, slots := k.v.totalWarps, k.v.slots
 	distinct := &sc.lines
 	var footSum int
 	for g := 0; g < total; g++ {
 		distinct.reset()
-		for s, loaded := range k.loaded {
-			if !loaded && reps == nil {
-				continue
-			}
-			stream := k.v.stream(s, g)
-			n := 0 // distinct addresses of s
+		for _, stream := range k.streams[g*slots : (g+1)*slots] { // nil where no load reads the slot
 			for i, addr := range stream {
-				if i > 0 && addr == stream[i-1] { // a repeat is already counted
-					continue
-				}
-				tag := distinct.tag(addr / trace.LineBytes)
-				seen := *tag >= 0
-				loadedBefore := seen && *tag&1 == 1
-				if !seen || *tag>>1 != int32(s) {
-					n++
-				}
-				if loaded && !loadedBefore {
-					footSum++
-				}
-				*tag = int32(s) << 1
-				if loaded || loadedBefore {
-					*tag |= 1
+				if i == 0 || addr != stream[i-1] { // a repeat is already counted
+					distinct.add(addr / trace.LineBytes)
 				}
 			}
-			if reps != nil && len(stream) > 0 {
-				sums[s] += n
-				counted[s]++
-			}
 		}
-	}
-	for s, rep := range reps {
-		if counted[s] > 0 {
-			rep.footprint = (sums[s] + counted[s] - 1) / counted[s]
-		}
+		footSum += distinct.n
 	}
 	return float64(footSum) / float64(total)
 }

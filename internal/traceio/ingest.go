@@ -101,7 +101,6 @@ func ReadWorkload(r io.Reader, opts *CharacteriseOptions) (*sim.Workload, Signat
 			m := &metas[rec.Kernel]
 			reserve := min(len(rec.Addrs)*m.TotalWarps(), maxArenaReserve)
 			cur = NewReplayBuilder(fmt.Sprintf("%s/slot%d", m.Name, rec.Slot), m.TotalWarps(), reserve)
-			cur.uncounted = chr != nil
 			curK, curSlot = rec.Kernel, rec.Slot
 		}
 		if len(rec.Addrs) == 0 && used[rec.Kernel][rec.Slot] {
@@ -150,6 +149,5 @@ func replayView(m *KernelMeta, reps []*Replay) kernelView {
 		maxIters:   m.MaxIters(),
 		slots:      m.Slots,
 		stream:     func(s, g int) []uint64 { return reps[s].warpStream(g) },
-		replays:    reps,
 	}
 }

@@ -76,8 +76,6 @@ func (p unalignedAt) Addr(c trace.Ctx, seq int) uint64 {
 	return addr
 }
 
-func (p unalignedAt) Footprint() int { return 1 }
-
 // ingested is what the trace pipeline makes of one workload.
 type ingested struct {
 	plain, zipped []byte

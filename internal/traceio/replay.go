@@ -3,7 +3,6 @@ package traceio
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"poise/internal/sim"
 	"poise/internal/trace"
@@ -11,10 +10,9 @@ import (
 
 // Replay plays one recorded address-stream slot back through the
 // simulator: Addr(c, seq) returns the recorded address of warp
-// c.GlobalWarp's seq-th access. It implements trace.Pattern (and
-// trace.Reseeder: recorded streams carry no randomness, so reseeding
-// is the identity and catalogue seeds pass through replayed workloads
-// unchanged).
+// c.GlobalWarp's seq-th access. It implements trace.Pattern. Recorded
+// streams carry no randomness, so trace.Reseed leaves a Replay as it
+// is and catalogue seeds pass through replayed workloads unchanged.
 //
 // Storage is flat: every warp's stream lives in one packed arena with
 // a per-warp offset index (offs[g]..offs[g+1] bounds warp g's
@@ -36,26 +34,15 @@ type Replay struct {
 	// offs[g] is where warp g's stream starts in arena; len(offs) is
 	// warps+1, so offs[g+1]-offs[g] is warp g's stream length.
 	offs []uint32
-	// footprint is the mean per-warp distinct-address count, precomputed
-	// at build time so Footprint stays O(1).
-	footprint int
 }
 
 // ReplayBuilder accumulates one slot's per-warp streams into a flat
-// Replay, computing the footprint in the same pass with a single
-// scratch set. Call Warp once per global warp, in warp order, then
-// Finish.
+// Replay. Call Warp once per global warp, in warp order, then Finish.
 type ReplayBuilder struct {
 	name     string
 	arena    []uint64
 	offs     []uint32
-	scratch  distinctSet
-	sum      int // Σ per-warp distinct addresses (empty warps skipped)
-	counted  int // warps with a non-empty stream
 	overflow bool
-	// uncounted leaves the footprint to the caller (ReadWorkload's
-	// characterisation counts it with its own).
-	uncounted bool
 }
 
 // NewReplayBuilder starts a builder for one slot. If total warps and
@@ -82,87 +69,6 @@ func (b *ReplayBuilder) Warp(stream []uint64) {
 		b.overflow = true
 	}
 	b.offs = append(b.offs, uint32(len(b.arena)))
-	if len(stream) == 0 || b.uncounted {
-		return
-	}
-	b.scratch.reset()
-	for i, a := range stream {
-		if i == 0 || a != stream[i-1] { // a repeat is already counted
-			b.scratch.add(a)
-		}
-	}
-	b.sum += b.scratch.n
-	b.counted++
-}
-
-// distinctSet counts distinct values: an open-addressing table kept
-// from one use to the next and emptied by moving on to a new stamp,
-// at a fraction of what a map cleared and refilled each time costs.
-// Each value carries an int32 tag (the interleaved scan keeps the warp
-// that touched a line last there). The table doubles when it is half
-// full and never shrinks, so it settles at the size the largest set
-// needs, small enough to stay in cache when sets are.
-type distinctSet struct {
-	slots []distinctSlot
-	stamp uint32
-	shift uint // 64 - log2(len(slots))
-	n     int  // distinct values added since reset
-}
-
-type distinctSlot struct {
-	key   uint64
-	stamp uint32
-	tag   int32
-}
-
-// reset empties the set.
-func (d *distinctSet) reset() {
-	if d.slots == nil {
-		d.slots, d.shift = make([]distinctSlot, 16), 64-4
-	}
-	if d.stamp++; d.stamp == 0 { // wrapped: old stamps would read as live
-		clear(d.slots)
-		d.stamp = 1
-	}
-	d.n = 0
-}
-
-func (d *distinctSet) add(v uint64) { d.tag(v) }
-
-// tag adds v if it is new, with tag -1, and returns its tag for the
-// caller to read and set. The pointer is valid until the next add.
-// The set must have been reset once.
-func (d *distinctSet) tag(v uint64) *int32 {
-	for i := v * 0x9e3779b97f4a7c15 >> d.shift; ; i = (i + 1) & uint64(len(d.slots)-1) {
-		if s := &d.slots[i]; s.stamp != d.stamp {
-			if 2*(d.n+1) > len(d.slots) {
-				d.grow()
-				return d.tag(v)
-			}
-			*s = distinctSlot{key: v, stamp: d.stamp, tag: -1}
-			d.n++
-			return &s.tag
-		} else if s.key == v {
-			return &s.tag
-		}
-	}
-}
-
-// grow doubles the table, keeping the values added since reset.
-func (d *distinctSet) grow() {
-	old, stamp := d.slots, d.stamp
-	log := bits.Len(uint(len(old)))
-	d.slots, d.shift, d.stamp = make([]distinctSlot, 1<<log), uint(64-log), 1
-	for _, s := range old {
-		if s.stamp != stamp {
-			continue
-		}
-		i := s.key * 0x9e3779b97f4a7c15 >> d.shift
-		for d.slots[i].stamp == d.stamp {
-			i = (i + 1) & uint64(len(d.slots)-1)
-		}
-		d.slots[i] = distinctSlot{key: s.key, stamp: d.stamp, tag: s.tag}
-	}
 }
 
 // Finish seals the builder into a Replay.
@@ -171,11 +77,7 @@ func (b *ReplayBuilder) Finish() (*Replay, error) {
 		return nil, fmt.Errorf("traceio: replay %s: %d addresses overflow the 32-bit offset index",
 			b.name, len(b.arena))
 	}
-	r := &Replay{name: b.name, arena: b.arena, offs: b.offs}
-	if b.counted > 0 {
-		r.footprint = (b.sum + b.counted - 1) / b.counted
-	}
-	return r, nil
+	return &Replay{name: b.name, arena: b.arena, offs: b.offs}, nil
 }
 
 // NewReplay builds a Replay for one slot from per-warp address
@@ -191,9 +93,6 @@ func NewReplay(name string, warps [][]uint64) (*Replay, error) {
 	}
 	return b.Finish()
 }
-
-// numWarps returns how many warp streams the replay holds.
-func (r *Replay) numWarps() int { return len(r.offs) - 1 }
 
 // warpStream returns warp g's recorded stream as a view into the
 // arena. Callers must not mutate it.
@@ -223,13 +122,6 @@ func (r *Replay) Addr(c trace.Ctx, seq int) uint64 {
 	}
 	return r.arena[lo+seq]
 }
-
-// Footprint implements trace.Pattern.
-func (r *Replay) Footprint() int { return r.footprint }
-
-// Reseed implements trace.Reseeder: a recorded stream has no
-// randomness left to perturb.
-func (r *Replay) Reseed(delta uint64) trace.Pattern { return r }
 
 // String identifies the slot in logs and errors.
 func (r *Replay) String() string { return fmt.Sprintf("replay(%s)", r.name) }

@@ -228,48 +228,6 @@ func TestStreamReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayBuilderFootprint is the white-box pin for the single-pass
-// footprint: the builder's one reused scratch set must produce exactly
-// the reference computation's result — a fresh distinct-set per warp,
-// empty streams skipped, ceil-mean over counted warps — on streams
-// with duplicates within warps, repeats across warps, and empty gaps.
-func TestReplayBuilderFootprint(t *testing.T) {
-	line := func(i int) uint64 { return uint64(i) * trace.LineBytes }
-	cases := [][][]uint64{
-		{},
-		{{}},
-		{{line(1), line(1), line(2)}},
-		{{line(1), line(2)}, {}, {line(1), line(2), line(3), line(3)}},
-		{{line(7)}, {line(7)}, {line(7)}, {}},
-		{{line(1), line(2), line(3)}, {line(4)}, {line(5), line(5)}},
-	}
-	for i, warps := range cases {
-		rep, err := NewReplay("w", warps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum, counted int
-		for _, stream := range warps {
-			if len(stream) == 0 {
-				continue
-			}
-			distinct := map[uint64]struct{}{}
-			for _, a := range stream {
-				distinct[a] = struct{}{}
-			}
-			sum += len(distinct)
-			counted++
-		}
-		want := 0
-		if counted > 0 {
-			want = (sum + counted - 1) / counted
-		}
-		if rep.Footprint() != want {
-			t.Errorf("case %d: builder footprint %d, reference %d", i, rep.Footprint(), want)
-		}
-	}
-}
-
 // syntheticTrace builds a single-kernel container with warps×iters
 // line-aligned addresses — a controlled record count for the alloc
 // bound and the benchmarks.
