@@ -116,7 +116,7 @@ func benchCampaign(h *experiments.Harness, f benchFleetFlags) (fleet.Campaign, f
 	r := profile.NewRefinement(h.Cfg, sim.DistinctKernels(h.EvalWorkloads()),
 		h.EvalSweepOptions(), h.ProfileStore())
 	save := func([]fleet.Result) error {
-		swept, err := r.Profiles(h.ProfileStore())
+		swept, err := r.Profiles()
 		if err != nil {
 			return err
 		}

@@ -11,9 +11,10 @@ import (
 // every flag is a configuration somebody has to test, and the ROADMAP's
 // design-quality aim counts them (36 once; 30 after the static shards,
 // -seeds and -resume went; 28 after the whole-grid plan mode's two
-// flags went). A change that needs a new flag has to retire one, or
+// flags went; 26 since -cache is the one store and -profile-out and
+// -snapshot-dir went). A change that needs a new flag has to retire one, or
 // argue the budget up in review.
-const flagBudget = 28
+const flagBudget = 26
 
 func TestFlagBudget(t *testing.T) {
 	n := 0
@@ -52,13 +53,13 @@ func TestNoHarnessInPoisesim(t *testing.T) {
 
 // TestValidateFlags: -sms takes 1 to the baseline's 32 SMs (config.Scale
 // ran anything else as the 32-SM baseline), and -ckpt-at-cycle needs a
-// snapshot directory, both refused before anything runs.
+// -cache store for the checkpoint, both refused before anything runs.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		sms     int
 		ckptAt  int64
-		snapDir string
+		cache   string
 		wantErr string // "" = valid
 	}{
 		{"default", 8, 0, "", ""},
@@ -68,11 +69,11 @@ func TestValidateFlags(t *testing.T) {
 		{"negative-sms", -3, 0, "", "-sms"},
 		{"above-baseline", 33, 0, "", "-sms"},
 		{"checkpoint", 2, 500, "snaps", ""},
-		{"checkpoint-nowhere", 2, 500, "", "-snapshot-dir"},
+		{"checkpoint-nowhere", 2, 500, "", "-cache"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.sms, tc.ckptAt, tc.snapDir)
+			err := validateFlags(tc.sms, tc.ckptAt, tc.cache)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)

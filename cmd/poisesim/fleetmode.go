@@ -22,11 +22,12 @@ import (
 //
 // The coordinator drives the refinement of the selected workloads —
 // what -sweep runs in one process — publishing each round's plan as the
-// next generation (-cache keeps completed rounds, so an interrupted
-// campaign resumes):
+// next generation. Its -cache keeps completed rounds, so an interrupted
+// campaign resumes, and receives the merged profiles. A worker's -cache
+// is the checkpoint store it shares with the other workers:
 //
-//	poisesim -workload ii -serve :9444 -cache rounds -profile-out profs   # terminal 1
-//	poisesim -worker http://HOST:9444                                     # terminal 2..N
+//	poisesim -workload ii -serve :9444 -cache profs   # terminal 1
+//	poisesim -worker http://HOST:9444 -cache snaps    # terminal 2..N
 //
 // Experiment-grid campaigns (workload x scheme cells) need the
 // experiment harness and are poisebench's: `poisebench -serve`,
@@ -42,10 +43,9 @@ type fleetFlags struct {
 	taskDelay time.Duration // -task-delay (worker, chaos/CI)
 
 	// The flags of the one-process modes the fleet modes interact with.
-	cacheDir   string
-	profileDir string
-	sweep      bool
-	best       bool
+	cacheDir string
+	sweep    bool
+	best     bool
 }
 
 // validateFleetFlags rejects every inconsistent flag combination
@@ -68,24 +68,16 @@ func validateFleetFlags(f fleetFlags) error {
 		switch {
 		case f.dieAfter != 0 || f.taskDelay != 0:
 			return fmt.Errorf("-die-after and -task-delay are worker flags (use with -worker)")
-		case f.profileDir == "":
-			return fmt.Errorf("-serve needs -profile-out for the merged output")
+		case f.cacheDir == "":
+			return fmt.Errorf("-serve needs -cache for the rounds and the merged profiles")
 		}
-		return nil
-	}
-	// Worker: the plans and all merge policy arrive over the wire.
-	switch {
-	case f.cacheDir != "":
-		return fmt.Errorf("-cache is a coordinator flag; the coordinator persists the rounds")
-	case f.profileDir != "":
-		return fmt.Errorf("-profile-out is a coordinator flag; the coordinator merges and saves")
 	}
 	return nil
 }
 
 // runFleetMode dispatches -serve/-worker after validating the flag
-// set, deriving the sweep options and profile tag exactly as -sweep
-// does so both key the same entries.
+// set, deriving the sweep options exactly as -sweep does so both key
+// the same entries.
 func runFleetMode(a sweepModeArgs, f fleetFlags) {
 	if err := validateFleetFlags(f); err != nil {
 		fatal(err)
@@ -95,19 +87,19 @@ func runFleetMode(a sweepModeArgs, f fleetFlags) {
 		runFleetWorker(a, f, opts)
 		return
 	}
-	r := a.refinement(opts)
+	r := profile.NewRefinement(a.cfg, sim.DistinctKernels(a.selected), opts, profile.Store{Dir: a.cache})
 	if _, err := f.ServeCampaign(a.ctx, fleet.RefineCampaign{R: r}); err != nil {
 		fatal(err)
 	}
 	// The refinement's own state, not the coordinator's results, is what
 	// is saved: it also holds the rounds it resumed. It assembles with
-	// the code -sweep ends in, which is what makes -profile-out
+	// the code -sweep ends in, which is what makes the profiles
 	// byte-identical to -sweep's.
-	swept, err := r.Profiles(profile.Store{Dir: f.profileDir})
+	swept, err := r.Profiles()
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("fleet: saved %d profiles -> %s\n", len(swept), f.profileDir)
+	fmt.Printf("fleet: saved %d profiles -> %s\n", len(swept), a.cache)
 }
 
 // runFleetWorker runs one long-lived worker against the coordinator at
@@ -123,7 +115,7 @@ func runFleetWorker(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions) {
 	// -die-after and -task-delay are the CI chaos hooks: the fleet
 	// round-trip kills one worker mid-lease and slows another until
 	// stealing fires, then byte-diffs the merged output anyway. With
-	// -snapshot-dir the death is checkpointed: the hook fires the
+	// -cache the death is checkpointed: the hook fires the
 	// interrupt control, so the next task stops at a safe point, writes
 	// its checkpoint to the shared store, and the lease lapses for
 	// another worker to resume the task bit-identically.
@@ -149,9 +141,9 @@ func runFleetWorker(a sweepModeArgs, f fleetFlags, opts profile.SweepOptions) {
 	if err := w.Run(a.ctx); err != nil {
 		if errors.Is(err, sim.ErrInterrupted) {
 			// Preemption is a clean exit: the in-flight task is
-			// checkpointed in -snapshot-dir and any worker pointed there
-			// picks it up once the lease lapses.
-			fmt.Printf("worker %s: preempted; checkpoint saved under %s\n", w.Name, a.snapDir)
+			// checkpointed in -cache and any worker pointed there picks
+			// it up once the lease lapses.
+			fmt.Printf("worker %s: preempted; checkpoint saved under %s\n", w.Name, a.cache)
 			return
 		}
 		fatal(err)

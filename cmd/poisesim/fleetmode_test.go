@@ -13,7 +13,7 @@ import (
 // and the legitimate combinations must pass.
 func TestValidateFleetFlags(t *testing.T) {
 	serve := func(mut func(*fleetFlags)) fleetFlags {
-		f := fleetFlags{Flags: fleet.Flags{Serve: ":0"}, profileDir: "profs"}
+		f := fleetFlags{Flags: fleet.Flags{Serve: ":0"}, cacheDir: "profs"}
 		if mut != nil {
 			mut(&f)
 		}
@@ -36,16 +36,15 @@ func TestValidateFleetFlags(t *testing.T) {
 		{"serve with lease knobs", serve(func(f *fleetFlags) { f.LeaseTasks = 4; f.LeaseTTL = time.Minute }), ""},
 		{"plain worker", worker(nil), ""},
 		{"worker with chaos hooks", worker(func(f *fleetFlags) { f.dieAfter = 3; f.taskDelay = time.Second }), ""},
+		{"worker with cache", worker(func(f *fleetFlags) { f.cacheDir = "snaps"; f.dieAfter = 3 }), ""},
 
 		{"neither serve nor worker", fleetFlags{}, "-serve or -worker"},
 		{"both serve and worker", fleetFlags{Flags: fleet.Flags{Serve: ":0", Worker: "http://h"}}, "mutually exclusive"},
 		{"serve with sweep", serve(func(f *fleetFlags) { f.sweep = true }), "-sweep"},
 		{"worker with best", worker(func(f *fleetFlags) { f.best = true }), "-best"},
-		{"serve without profile-out", serve(func(f *fleetFlags) { f.profileDir = "" }), "-profile-out"},
+		{"serve without cache", serve(func(f *fleetFlags) { f.cacheDir = "" }), "-serve needs -cache"},
 		{"serve with die-after", serve(func(f *fleetFlags) { f.dieAfter = 3 }), "worker flags"},
 		{"serve with task-delay", serve(func(f *fleetFlags) { f.taskDelay = time.Second }), "worker flags"},
-		{"worker with cache", worker(func(f *fleetFlags) { f.cacheDir = "rounds" }), "-cache is a coordinator flag"},
-		{"worker with profile-out", worker(func(f *fleetFlags) { f.profileDir = "d" }), "coordinator flag"},
 		{"worker with lease-tasks", worker(func(f *fleetFlags) { f.LeaseTasks = 4 }), "coordinator flags"},
 		{"worker with lease-ttl", worker(func(f *fleetFlags) { f.LeaseTTL = time.Minute }), "coordinator flags"},
 		{"negative lease-tasks", serve(func(f *fleetFlags) { f.LeaseTasks = -1 }), "-lease-tasks"},

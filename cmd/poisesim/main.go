@@ -30,27 +30,31 @@
 // characterised locality signature (In, reuse distance R, per-warp
 // footprint, intra/inter reuse split).
 //
+// -cache DIR is the one store, as it is for poisebench and poisetrain:
+// {N, p} profiles, the refinement rounds that build them, and the
+// checkpoints of preempted runs and sweep tasks all live there.
+//
 // {N, p} profile sweeps run the adaptive refinement: a coarse pass plus
 // score-ranked neighbourhood expansion that simulates a fraction of the
 // grid. The Static-Best, SWL and Eq. 12 scored tuples (and the score)
 // are exactly the whole grid's; the other grid points are not carried.
 //
-//	poisesim -workload ii -sweep -profile-out profs
-//	poisesim -best -profile-out profs     # the static policy table
+//	poisesim -workload ii -sweep -cache profs
+//	poisesim -best -cache profs     # the static policy table
 //
 // Splitting a campaign across processes or machines is the fleet
 // service (package fleet): a live coordinator and long-lived workers
 // over HTTP.
 //
-//	poisesim -workload ii -serve :9444 -cache rounds -profile-out profs   # coordinator
-//	poisesim -worker http://host:9444                                     # any number
+//	poisesim -workload ii -serve :9444 -cache profs   # coordinator
+//	poisesim -worker http://host:9444                 # any number
 //
 // serves the same refinement -sweep runs, one generation per round.
 // Workers may join late, crash mid-lease (expiry requeues their tasks)
 // or run slow (idle workers steal queued tasks from loaded ones); the
-// merged output is byte-identical to the single-process run in every
-// case. -cache means the same in both modes: completed rounds persist
-// there and a later run resumes them.
+// merged profiles are byte-identical to the single-process run's in
+// every case. A coordinator's -cache holds its rounds and the merged
+// profiles, so a later campaign or -sweep over it resumes them.
 //
 // Worker flags must reproduce the coordinator's configuration (-sms,
 // -size, -seed, -stepn/-stepp); the plan's kernel digests are verified
@@ -58,9 +62,11 @@
 // campaigns only; experiment-grid campaigns (workload x scheme cells)
 // are poisebench's (-serve, -worker there).
 //
-// With -snapshot-dir a run that is preempted (SIGTERM, -ckpt-at-cycle)
-// checkpoints there, and the same command line run again finds the
-// checkpoint and continues from it, bit-identically.
+// With -cache a run or sweep task that is preempted (SIGTERM,
+// -ckpt-at-cycle) checkpoints there, and the same command line run
+// again finds the checkpoint and continues from it, bit-identically. A
+// worker's -cache is the checkpoint store it shares with the other
+// workers.
 package main
 
 import (
@@ -105,28 +111,28 @@ var (
 	tracePth = flag.String("trace", "", "load trace workloads (a .ptrace/.ptrace.gz/.trace file or a directory) into the catalogue")
 	record   = flag.String("record", "", "record each selected workload to this directory as <name>.ptrace.gz before running")
 
+	// The one store: profiles, refinement rounds and checkpoints.
+	cacheDir = flag.String("cache", "", "store directory: {N,p} profiles and the refinement rounds that build them (-sweep, -serve, -best), and the checkpoints preempted runs and sweep tasks resume from ('' = none)")
+
 	// {N,p} sweeps: the refinement, in process or served to a fleet.
-	profDir  = flag.String("profile-out", "", "profile directory -sweep and -serve write to and -best reads")
-	sweepRun = flag.Bool("sweep", false, "run the refined {N,p} sweep of the selected workloads in this process and save profiles under -profile-out")
-	bestRun  = flag.Bool("best", false, "print the static policy table (Static-Best/SWL/scored tuples) derived from the profiles in -profile-out and exit")
+	sweepRun = flag.Bool("sweep", false, "run the refined {N,p} sweep of the selected workloads in this process into -cache, resuming what it holds")
+	bestRun  = flag.Bool("best", false, "print the static policy table (Static-Best/SWL/scored tuples) derived from the profiles in -cache and exit")
 	stepN    = flag.Int("stepn", 2, "sweep grid N step for -sweep and -serve")
 	stepP    = flag.Int("stepp", 2, "sweep grid p step for -sweep and -serve")
-	cacheDir = flag.String("cache", "", "-sweep/-serve: where completed refinement rounds persist, so an interrupted sweep or campaign resumes ('' = nowhere)")
 
 	// Fleet coordinator/worker service (package fleet): serve the
 	// refinement over HTTP, pull leases from long-lived workers, merge
 	// streamed results; survives worker crashes (lease expiry) and
 	// rebalances loaded workers (stealing) with byte-identical merged
 	// output.
-	fleetMode = fleet.RegisterFlags(flag.CommandLine, "the refinement of the selected workloads to -worker processes, and save merged output under -profile-out")
-	dieAfter  = flag.Int("die-after", 0, "-worker: exit mid-lease after completing this many tasks (chaos/CI hook; with -snapshot-dir the death is checkpointed so another worker resumes it; 0 = never)")
+	fleetMode = fleet.RegisterFlags(flag.CommandLine, "the refinement of the selected workloads to -worker processes, and save the merged profiles in -cache")
+	dieAfter  = flag.Int("die-after", 0, "-worker: exit mid-lease after completing this many tasks (chaos/CI hook; with -cache the death is checkpointed so another worker resumes it; 0 = never)")
 	taskDelay = flag.Duration("task-delay", 0, "-worker: sleep this long before each task (chaos/CI hook to provoke stealing)")
 
-	// Mid-run snapshots (package snap): checkpoint preempted runs
-	// (SIGTERM, -ckpt-at-cycle, checkpointed -die-after) so a later
+	// Mid-run snapshots (package snap) in -cache: checkpoint preempted
+	// runs (SIGTERM, -ckpt-at-cycle, checkpointed -die-after) so a later
 	// process resumes them bit-identically instead of restarting.
-	snapDir = flag.String("snapshot-dir", "", "snapshot directory: preempted runs/sweep tasks checkpoint here, and every run probes it first and resumes what it finds, so any process pointed at the same directory continues the work, bit-identically ('' = off)")
-	ckptAt  = flag.Int64("ckpt-at-cycle", 0, "deterministically preempt + checkpoint each in-flight run at this simulated cycle (CI/chaos hook; needs -snapshot-dir)")
+	ckptAt = flag.Int64("ckpt-at-cycle", 0, "deterministically preempt + checkpoint each in-flight run at this simulated cycle (CI/chaos hook; needs -cache)")
 
 	cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -134,7 +140,7 @@ var (
 
 func main() {
 	flag.Parse()
-	if err := validateFlags(*sms, *ckptAt, *snapDir); err != nil {
+	if err := validateFlags(*sms, *ckptAt, *cacheDir); err != nil {
 		fatal(err)
 	}
 
@@ -225,17 +231,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// -snapshot-dir arms the preemption path: SIGTERM (or the
-	// deterministic -ckpt-at-cycle hook) interrupts in-flight
-	// simulations at a safe point and checkpoints them to the store, so
-	// a later process — this machine or another pointed at the same
-	// directory — resumes bit-identically instead of restarting.
+	// -cache arms the preemption path of every mode that simulates:
+	// SIGTERM (or the deterministic -ckpt-at-cycle hook) interrupts
+	// in-flight simulations at a safe point and checkpoints them to the
+	// store, so a later process — this machine or another pointed at the
+	// same directory — resumes bit-identically instead of restarting.
 	var (
 		ckpts *snap.Store
 		ictl  *sim.InterruptCtl
 	)
-	if *snapDir != "" {
-		st, err := snap.NewStore(*snapDir)
+	if *cacheDir != "" && !*bestRun {
+		st, err := snap.NewStore(*cacheDir)
 		if err != nil {
 			fatal(err)
 		}
@@ -246,10 +252,10 @@ func main() {
 
 	if fleetMode.Enabled() || *sweepRun || *bestRun {
 		a := sweepModeArgs{
-			cfg: cfg, cat: cat, selected: ws, ctx: ctx, profileDir: *profDir,
-			sweep: *sweepRun, best: *bestRun, cacheDir: *cacheDir,
+			cfg: cfg, cat: cat, selected: ws, ctx: ctx, cache: *cacheDir,
+			sweep: *sweepRun, best: *bestRun,
 			stepN: *stepN, stepP: *stepP, workers: *parallel,
-			snapDir: *snapDir, ckpts: ckpts, ictl: ictl,
+			ckpts: ckpts, ictl: ictl,
 		}
 		if !fleetMode.Enabled() {
 			runSweepMode(a)
@@ -258,7 +264,7 @@ func main() {
 		runFleetMode(a, fleetFlags{
 			Flags:    *fleetMode,
 			dieAfter: *dieAfter, taskDelay: *taskDelay,
-			cacheDir: *cacheDir, profileDir: *profDir, sweep: *sweepRun, best: *bestRun,
+			cacheDir: *cacheDir, sweep: *sweepRun, best: *bestRun,
 		})
 		return
 	}
@@ -301,8 +307,8 @@ func main() {
 		})
 	if err != nil {
 		if ckpts != nil && (errors.Is(err, sim.ErrInterrupted) || errors.Is(err, context.Canceled)) {
-			fmt.Printf("preempted: checkpoints saved under %s; rerun with -snapshot-dir %s to continue\n",
-				*snapDir, *snapDir)
+			fmt.Printf("preempted: checkpoints saved under %s; rerun with -cache %s to continue\n",
+				*cacheDir, *cacheDir)
 			return
 		}
 		fatal(err)
@@ -330,7 +336,7 @@ func main() {
 	}
 }
 
-// runKey names run w's checkpoint in -snapshot-dir by everything that
+// runKey names run w's checkpoint in -cache by everything that
 // shapes its state: the flags that do, joined, and a digest over the
 // contents of every kernel of w, so that a resume never splices
 // checkpoints across configurations, nor across two workloads of one
@@ -391,12 +397,12 @@ func printResult(res sim.WorkloadResult, elapsed time.Duration) {
 // listed, recorded or simulated: an SM count config.Scale would not
 // honour (it returns the 32-SM baseline for one), and a checkpoint
 // cycle with nowhere to checkpoint to.
-func validateFlags(sms int, ckptAt int64, snapDir string) error {
+func validateFlags(sms int, ckptAt int64, cacheDir string) error {
 	if err := config.Default().CheckScale(sms); err != nil {
 		return fmt.Errorf("-sms: %w", err)
 	}
-	if ckptAt > 0 && snapDir == "" {
-		return fmt.Errorf("-ckpt-at-cycle needs -snapshot-dir for the checkpoint")
+	if ckptAt > 0 && cacheDir == "" {
+		return fmt.Errorf("-ckpt-at-cycle needs -cache for the checkpoint")
 	}
 	return nil
 }

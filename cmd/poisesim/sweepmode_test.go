@@ -19,11 +19,11 @@ func TestValidateSweepFlags(t *testing.T) {
 		args    sweepModeArgs
 		wantErr string // "" = must pass
 	}{
-		{"valid sweep", sweepModeArgs{sweep: true, profileDir: "d"}, ""},
-		{"valid best", sweepModeArgs{best: true, profileDir: "d"}, ""},
+		{"valid sweep", sweepModeArgs{sweep: true, cache: "d"}, ""},
+		{"valid best", sweepModeArgs{best: true, cache: "d"}, ""},
 
-		{"sweep without profile-out", sweepModeArgs{sweep: true}, "-sweep needs -profile-out"},
-		{"best without profile-out", sweepModeArgs{best: true}, "-best needs -profile-out"},
+		{"sweep without cache", sweepModeArgs{sweep: true}, "-sweep needs -cache"},
+		{"best without cache", sweepModeArgs{best: true}, "-best needs -cache"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,7 @@ import (
 // callers, so a helper that only its own test calls is deleted rather
 // than counted: keeping a new one means raising the budget, and giving
 // a kept one a product caller means lowering it.
-const testOnlyBudget = 16
+const testOnlyBudget = 15
 
 // implicitMethods are called by the runtime, fmt, encoding/json,
 // net/http, sort, io or errors rather than by name.
@@ -182,7 +182,9 @@ func internalFuncs(files []goFile, fn func(f goFile, d *ast.FuncDecl, shown stri
 // selects it through an import of its package; a method is named when
 // any non-test file selects a field or method of that name outside a
 // method of that name (the scan has no types, so it cannot tell
-// receivers apart).
+// receivers apart). That is its blind spot: a method no file calls
+// still counts as named while any other field or method shares its
+// name, as KernelTrace.Kernel() hid an uncalled sim.(*GPU).Kernel.
 func TestTestOnlyExportBudget(t *testing.T) {
 	files := parseModule(t)
 	pkgName := packageNames(files)

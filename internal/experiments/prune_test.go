@@ -24,7 +24,7 @@ import (
 // function of (config, kernel, tuple), so the replayed measurements
 // are exactly what RunTasks would return, and the refinement's
 // decisions — and its simulated-point count — are exactly those of a
-// live PrunedSweep. This lets the equivalence test cover every
+// live pruned sweep. This lets the equivalence test cover every
 // catalogue workload for the price of one exhaustive sweep each
 // instead of two sweeps.
 func prunedOracle(t *testing.T, cfg config.Config, k *trace.Kernel, opts profile.SweepOptions, ex *profile.Profile) (*profile.Profile, profile.RefineStats) {
@@ -56,7 +56,7 @@ func prunedOracle(t *testing.T, cfg config.Config, k *trace.Kernel, opts profile
 			t.Fatal(err)
 		}
 	}
-	out, err := r.Profiles(profile.Store{})
+	out, err := r.Profiles()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestPrunedDatasetMatchesExhaustive(t *testing.T) {
 }
 
 // TestPrunedSweepLiveMatchesOracle pins the live execution path: a
-// real PrunedSweep (RunTasks on pooled GPUs) of one representative
+// real pruned sweep (RunTasks on pooled GPUs) of one representative
 // kernel must reproduce the oracle-replayed refinement bit for bit —
 // same points, same stats — and match the exhaustive tuples.
 func TestPrunedSweepLiveMatchesOracle(t *testing.T) {
@@ -320,10 +320,13 @@ func TestPrunedSweepLiveMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantStats := prunedOracle(t, cfg, k, opts, ex)
-	got, gotStats, err := profile.PrunedSweep(cfg, k, opts)
+	refined := opts
+	refined.Refine = true
+	out, err := profile.Store{}.LoadOrSweepAll(cfg, []*trace.Kernel{k}, refined)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, gotStats := out[0].Profile, out[0].Stats
 	if gotStats != wantStats {
 		t.Fatalf("live stats %+v != oracle stats %+v", gotStats, wantStats)
 	}

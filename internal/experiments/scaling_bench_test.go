@@ -9,6 +9,7 @@ import (
 	"poise/internal/profile"
 	"poise/internal/sim"
 	"poise/internal/testutil"
+	"poise/internal/trace"
 	"poise/internal/workloads"
 )
 
@@ -147,11 +148,14 @@ func BenchmarkPrunedSweep(b *testing.B) {
 	})
 	b.Run("pruned", func(b *testing.B) {
 		b.ReportAllocs()
+		refined := opts
+		refined.Refine = true
 		for i := 0; i < b.N; i++ {
-			pr, stats, err := profile.PrunedSweep(cfg, k, opts)
+			out, err := profile.Store{}.LoadOrSweepAll(cfg, []*trace.Kernel{k}, refined)
 			if err != nil {
 				b.Fatal(err)
 			}
+			pr, stats := out[0].Profile, out[0].Stats
 			if len(pr.Points) != stats.Simulated {
 				b.Fatal("stats disagree with the profile")
 			}

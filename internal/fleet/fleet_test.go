@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"poise/internal/atomicfile"
 	"poise/internal/config"
 	"poise/internal/gridplan"
 	"poise/internal/profile"
@@ -287,32 +286,42 @@ func TestFleetFlakyTransportDeduplicates(t *testing.T) {
 }
 
 // TestRefineCampaignMatchesPrunedSweep: the multi-generation campaign
-// must reproduce profile.PrunedSweep byte-for-byte — every round's
-// plan is the same pure function of the merged prior — under two
-// steady workers and under the chaos workers (a victim killed mid-lease,
-// a stolen batch, an expired lease), and resuming from a store holding
-// all rounds must run zero new tasks.
+// must reproduce the in-process refined sweep (Store.LoadOrSweepAll
+// with Refine set) byte-for-byte — every round's plan is the same pure
+// function of the merged prior — under two steady workers and under
+// the chaos workers (a victim killed mid-lease, a stolen batch, an
+// expired lease), and resuming from a store holding all rounds must
+// run zero new tasks.
 func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("fleetrefine", 20, 15, 4)
 	opts := profile.SweepOptions{StepN: 2, StepP: 2}
 	kernels := map[string]*trace.Kernel{k.Name: k}
 
-	want, _, err := profile.PrunedSweep(cfg, k, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDir := t.TempDir()
 	refined := opts
 	refined.Refine = true
-	if err := atomicfile.SaveJSON(filepath.Join(refDir, profile.Key(cfg, k, refined)+".json"), want); err != nil {
+	refDir := t.TempDir()
+	if _, err := (profile.Store{Dir: refDir}).LoadOrSweepAll(cfg, []*trace.Kernel{k}, refined); err != nil {
 		t.Fatal(err)
 	}
+	profileName := profile.Key(cfg, k, refined) + ".json"
+	// The round files hold the same measurements, in the order each
+	// executor handed them back: plan order in process, key order from
+	// a coordinator. The profiles are what must agree.
+	profiles := func(dir string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, profileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := profiles(refDir)
 
 	for _, chaos := range []bool{false, true} {
-		roundsDir := t.TempDir()
+		st := profile.Store{Dir: t.TempDir()}
 		refinement := func() RefineCampaign {
-			return RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{k}, opts, profile.Store{Dir: roundsDir})}
+			return RefineCampaign{R: profile.NewRefinement(cfg, []*trace.Kernel{k}, opts, st)}
 		}
 		camp := refinement()
 		var coord *Coordinator
@@ -330,16 +339,20 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 			t.Fatalf("chaos %v: refinement ran %d generations, want at least a coarse and a refine round", chaos, g)
 		}
 
-		fleetDir := t.TempDir()
-		if _, err := camp.R.Profiles(profile.Store{Dir: fleetDir}); err != nil {
+		if _, err := camp.R.Profiles(); err != nil {
 			t.Fatal(err)
 		}
-		if ref, got := dirBytes(t, refDir), dirBytes(t, fleetDir); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("chaos %v: fleet refinement store differs from PrunedSweep store", chaos)
+		if !bytes.Equal(profiles(st.Dir), want) {
+			t.Fatalf("chaos %v: fleet refinement profile differs from the in-process sweep's", chaos)
 		}
+		saved := dirBytes(t, st.Dir)
 
 		// Resume: every round is cached, so a fresh campaign over the
-		// same store must converge without granting a single lease.
+		// same store, its profile deleted, must converge without
+		// granting a single lease and save the same profile.
+		if err := os.Remove(filepath.Join(st.Dir, profileName)); err != nil {
+			t.Fatal(err)
+		}
 		resumed := refinement()
 		coord2, err := NewCoordinator(resumed, Options{Logf: t.Logf})
 		if err != nil {
@@ -351,12 +364,11 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 		if st := coord2.Stats(); st.Tasks != 0 || st.Granted != 0 {
 			t.Fatalf("chaos %v: resumed campaign ran %+v, want zero work", chaos, st)
 		}
-		resumeDir := t.TempDir()
-		if _, err := resumed.R.Profiles(profile.Store{Dir: resumeDir}); err != nil {
+		if _, err := resumed.R.Profiles(); err != nil {
 			t.Fatal(err)
 		}
-		if ref, got := dirBytes(t, refDir), dirBytes(t, resumeDir); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("chaos %v: resumed refinement store differs from PrunedSweep store", chaos)
+		if got := dirBytes(t, st.Dir); !reflect.DeepEqual(got, saved) {
+			t.Fatalf("chaos %v: the resumed refinement's store differs from the campaign's", chaos)
 		}
 	}
 }
@@ -430,7 +442,7 @@ func TestRefineCampaignPublishesParentPlans(t *testing.T) {
 			prev = append(prev, Result{Key: m.Key(), Data: d})
 		}
 	}
-	if _, err := camp.R.Profiles(st); err != nil {
+	if _, err := camp.R.Profiles(); err != nil {
 		t.Fatal(err)
 	}
 	if want, got := dirBytes(t, fleetDir), dirBytes(t, st.Dir); !reflect.DeepEqual(want, got) {

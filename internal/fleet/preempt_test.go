@@ -46,7 +46,8 @@ func TestFleetPreemptedWorkerResumesElsewhere(t *testing.T) {
 		t.Skipf("tasks too short to interrupt")
 	}
 
-	store, err := snap.NewStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := snap.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestFleetPreemptedWorkerResumesElsewhere(t *testing.T) {
 	if err := victim.Run(ctx); !errors.Is(err, sim.ErrInterrupted) {
 		t.Fatalf("victim exited with %v, want ErrInterrupted", err)
 	}
-	ents, err := os.ReadDir(store.Dir())
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFleetPreemptedWorkerResumesElsewhere(t *testing.T) {
 
 	sameMeasurements(t, ms, res)
 	// The survivor consumed the checkpoint on resume.
-	ents, err = os.ReadDir(store.Dir())
+	ents, err = os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,8 @@ type Model struct {
 	Coef   []float64 // fitted weights, one per feature column
 	Alpha  float64   // NB dispersion (0 for Poisson)
 
-	Converged bool    // whether the coefficient change dropped below tol
-	Deviance  float64 // residual deviance
-	NullDev   float64 // deviance of the intercept-only model
+	Deviance float64 // residual deviance
+	NullDev  float64 // deviance of the intercept-only model
 }
 
 // PseudoR2 returns McFadden-style 1 - deviance/null_deviance, a rough
@@ -129,11 +128,11 @@ func Fit(fam Family, x *linalg.Mat, y []float64, opts Options) (*Model, error) {
 
 	switch fam {
 	case Poisson:
-		coef, conv, err := irls(x, y, 0, opts)
+		coef, err := irls(x, y, 0, opts)
 		if err != nil {
 			return nil, err
 		}
-		m := &Model{Family: Poisson, Coef: coef, Converged: conv}
+		m := &Model{Family: Poisson, Coef: coef}
 		m.finishStats(x, y)
 		return m, nil
 	case NegativeBinomial:
@@ -153,7 +152,6 @@ func fitNB(x *linalg.Mat, y []float64, opts Options) (*Model, error) {
 	}
 	var (
 		coef []float64
-		conv bool
 		err  error
 	)
 	outer := 1
@@ -161,7 +159,7 @@ func fitNB(x *linalg.Mat, y []float64, opts Options) (*Model, error) {
 		outer = alphaIter
 	}
 	for round := 0; round < outer; round++ {
-		coef, conv, err = irls(x, y, alpha, opts)
+		coef, err = irls(x, y, alpha, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +173,7 @@ func fitNB(x *linalg.Mat, y []float64, opts Options) (*Model, error) {
 		}
 		alpha = next
 	}
-	m := &Model{Family: NegativeBinomial, Coef: coef, Alpha: alpha, Converged: conv}
+	m := &Model{Family: NegativeBinomial, Coef: coef, Alpha: alpha}
 	m.finishStats(x, y)
 	return m, nil
 }
@@ -212,9 +210,9 @@ func momentAlpha(x *linalg.Mat, y, coef []float64) float64 {
 // irls runs iteratively reweighted least squares for a log link. With
 // alpha == 0 the working weights are Poisson (w = mu); otherwise NB2
 // (w = mu / (1 + alpha*mu)).
-func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float64, converged bool, err error) {
+func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) ([]float64, error) {
 	n, p := x.Rows, x.Cols
-	coef = make([]float64, p)
+	coef := make([]float64, p)
 	// Start from the log-mean intercept if a constant-ish column exists;
 	// otherwise zeros are fine because eta is clamped.
 	meanY := 0.0
@@ -264,16 +262,16 @@ func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float
 		}
 		xtwx, e := linalg.XtWX(x, w)
 		if e != nil {
-			return nil, false, e
+			return nil, e
 		}
 		linalg.Ridge(xtwx, opts.Ridge)
 		xtwz, e := linalg.XtWz(x, w, z)
 		if e != nil {
-			return nil, false, e
+			return nil, e
 		}
 		next, e := linalg.SolveSPD(xtwx, xtwz)
 		if e != nil {
-			return nil, false, fmt.Errorf("glm: IRLS solve failed: %w", e)
+			return nil, fmt.Errorf("glm: IRLS solve failed: %w", e)
 		}
 		var delta float64
 		for j := range next {
@@ -281,11 +279,10 @@ func irls(x *linalg.Mat, y []float64, alpha float64, opts Options) (coef []float
 		}
 		coef = next
 		if delta < tol {
-			converged = true
 			break
 		}
 	}
-	return coef, converged, nil
+	return coef, nil
 }
 
 // finishStats computes the deviance and null deviance of a fitted model.

@@ -154,7 +154,7 @@ func RunTask(cfg config.Config, k *trace.Kernel, t gridplan.Task, opts SweepOpti
 	job := sim.Job{
 		Workload: &sim.Workload{Name: k.Name, Kernels: []*trace.Kernel{k}},
 		Policy:   func() (sim.Policy, error) { return sim.Fixed{N: t.N, P: t.P}, nil },
-		Opts:     sim.RunOptions{MaxCycles: opts.MaxCycles, Interrupt: opts.Interrupt},
+		Opts:     sim.RunOptions{Interrupt: opts.Interrupt},
 		Memo:     opts.Memo,
 		Digest:   t.Digest,
 	}

@@ -45,7 +45,8 @@ func TestPreemptedSweepResumesIdentically(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3} {
-		store, err := snap.NewStore(t.TempDir())
+		dir := t.TempDir()
+		store, err := snap.NewStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestPreemptedSweepResumesIdentically(t *testing.T) {
 		if _, err := RunTasks(cfg, kernels, plan.Tasks, io); !errors.Is(err, sim.ErrInterrupted) {
 			t.Fatalf("workers=%d: interrupted RunTasks: got %v, want ErrInterrupted", workers, err)
 		}
-		ents, err := os.ReadDir(store.Dir())
+		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestPreemptedSweepResumesIdentically(t *testing.T) {
 		}
 		// Consumed checkpoints are scrubbed so a later sweep with the
 		// same store never probes stale state.
-		ents, err = os.ReadDir(store.Dir())
+		ents, err = os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,8 @@ func TestForeignContainerUnderTaskKeyIsIgnored(t *testing.T) {
 
 	// Real task states, from a preempted sweep, relabelled as the kinds
 	// no sweep writes: task checkpoints and kernel boundaries.
-	store, err := snap.NewStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := snap.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestForeignContainerUnderTaskKeyIsIgnored(t *testing.T) {
 	if !reflect.DeepEqual(clean, got) {
 		t.Fatalf("sweep over foreign containers diverges:\nwant %+v\ngot  %+v", clean, got)
 	}
-	ents, err := os.ReadDir(store.Dir())
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

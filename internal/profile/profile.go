@@ -115,8 +115,6 @@ type SweepOptions struct {
 	// diagonal p == N is always included at StepN resolution, since the
 	// SWL baseline needs it.
 	StepN, StepP int
-	// MaxCycles guards each run.
-	MaxCycles int64
 	// Workers bounds the concurrent point simulations (<= 0 means
 	// GOMAXPROCS, 1 forces sequential). Every in-flight point runs on
 	// its own GPU, so the profile is bit-identical at any worker count.
@@ -311,10 +309,10 @@ func (s Store) LoadOrSweepAll(cfg config.Config, kernels []*trace.Kernel, opts S
 	}
 	if opts.Refine {
 		r := newRefinement(cfg, es, opts, s)
-		if err := r.Run(); err != nil {
+		if err := r.run(); err != nil {
 			return nil, err
 		}
-		swept, err := r.Profiles(s)
+		swept, err := r.Profiles()
 		if err != nil {
 			return nil, err
 		}

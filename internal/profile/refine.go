@@ -311,7 +311,7 @@ func suppress(ranked []Point, k, reachN, reachP int, keep func(Point) bool) []Po
 // machine: Next builds the next round's plan across every kernel that
 // has not converged (refinePlan, kernel by kernel), Fold takes
 // that round's measurements back, Profiles assembles what converged.
-// Whoever executes the plans (Run here, a fleet's workers behind
+// Whoever executes the plans (run here, a fleet's workers behind
 // fleet.RefineCampaign), a round is the same pure function of the
 // measurements so far: same plans, same round files, same profiles.
 type Refinement struct {
@@ -422,10 +422,10 @@ func (r *Refinement) Fold(ms []gridplan.Measurement) error {
 	return nil
 }
 
-// Run drives the refinement to convergence in this process, every
+// run drives the refinement to convergence in this process, every
 // round's tasks of every kernel on one opts.Workers-wide pool (its own
 // tasks, built from these kernels' digests: nothing to verify).
-func (r *Refinement) Run() error {
+func (r *Refinement) run() error {
 	kernels := make(map[string]*trace.Kernel, len(r.states))
 	for _, st := range r.states {
 		kernels[st.kernel.Name] = st.kernel
@@ -447,8 +447,9 @@ func (r *Refinement) Run() error {
 
 // Profiles assembles the converged kernels' profiles, in kernel order,
 // from every round: the ones this Refinement ran and the ones it
-// resumed. A store with a directory gets each saved under its Key.
-func (r *Refinement) Profiles(saveTo Store) ([]Swept, error) {
+// resumed. A store with a directory, the one the rounds persist in,
+// gets each saved under its Key.
+func (r *Refinement) Profiles() ([]Swept, error) {
 	out := make([]Swept, len(r.states))
 	for i, st := range r.states {
 		if !st.done {
@@ -458,31 +459,14 @@ func (r *Refinement) Profiles(saveTo Store) ([]Swept, error) {
 		if err != nil {
 			return nil, err
 		}
-		if saveTo.Dir != "" {
-			if err := saveTo.save(st.entry, pr); err != nil {
+		if r.store.Dir != "" {
+			if err := r.store.save(st.entry, pr); err != nil {
 				return nil, err
 			}
 		}
 		out[i] = Swept{Profile: pr, Stats: st.stats}
 	}
 	return out, nil
-}
-
-// PrunedSweep is the adaptive counterpart of Sweep: one Refinement of
-// kernel k, nothing cached. The profile's Points are the simulated
-// subset of the grid, each bit-identical to Sweep's point (same
-// baseline, same float operations); Best, BestDiagonal and BestScore
-// select the tuples Sweep's would (the catalogue equivalence tests).
-func PrunedSweep(cfg config.Config, k *trace.Kernel, opts SweepOptions) (*Profile, RefineStats, error) {
-	r := NewRefinement(cfg, []*trace.Kernel{k}, opts, Store{})
-	if err := r.Run(); err != nil {
-		return nil, RefineStats{}, err
-	}
-	out, err := r.Profiles(Store{})
-	if err != nil {
-		return nil, RefineStats{}, err
-	}
-	return out[0].Profile, out[0].Stats, nil
 }
 
 // Round partial persistence: a pruned sweep's completed rounds are

@@ -12,15 +12,16 @@ import (
 	"poise/internal/trace"
 )
 
-// prunedTiny runs a pruned sweep of the shared tiny kernel.
+// prunedTiny runs a pruned sweep of the shared tiny kernel, nothing
+// cached.
 func prunedTiny(t *testing.T) (*Profile, RefineStats) {
 	t.Helper()
 	k := testutil.ThrashKernel("sweep", 20, 15, 4)
-	pr, stats, err := PrunedSweep(testutil.TinyConfig(), k, SweepOptions{StepN: 2, StepP: 2})
+	out, err := Store{}.LoadOrSweepAll(testutil.TinyConfig(), []*trace.Kernel{k}, SweepOptions{StepN: 2, StepP: 2, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr, stats
+	return out[0].Profile, out[0].Stats
 }
 
 func TestPrunedSweepMatchesExhaustiveTuples(t *testing.T) {
@@ -59,7 +60,7 @@ func TestPrunedSweepMatchesExhaustiveTuples(t *testing.T) {
 // plan pipeline: executing every refinement round as 1, 2 or 3 hands
 // of its plan and merging must reproduce the in-process pruned sweep
 // point for point — so a fleet's multi-process refinement can never
-// diverge from PrunedSweep.
+// diverge from the in-process one.
 func TestRefineRoundsShardIdentical(t *testing.T) {
 	cfg := testutil.TinyConfig()
 	k := testutil.ThrashKernel("sweep", 20, 15, 4)
@@ -138,7 +139,7 @@ func TestLoadOrSweepPrunedResume(t *testing.T) {
 		t.Fatal("pruned LoadOrSweepAll persisted no rounds")
 	}
 	if _, swept := prunedTiny(t); first.Stats != swept {
-		t.Fatalf("stats of one sweep: %+v; PrunedSweep reports %+v", first.Stats, swept)
+		t.Fatalf("stats of one sweep: %+v; a sweep with no store reports %+v", first.Stats, swept)
 	}
 	// A second call hits the profile cache.
 	again := sweep(opts)

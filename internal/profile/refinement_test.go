@@ -97,10 +97,10 @@ func sameFiles(t *testing.T, golden, dir string) {
 func TestRefinementReproducesParentGoldens(t *testing.T) {
 	inproc := Store{Dir: t.TempDir()}
 	r, _ := goldenRefinement(t, inproc)
-	if err := r.Run(); err != nil {
+	if err := r.run(); err != nil {
 		t.Fatal(err)
 	}
-	refined, err := r.Profiles(inproc)
+	refined, err := r.Profiles()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRefinementReproducesParentGoldens(t *testing.T) {
 	if gen != 4 {
 		t.Errorf("%d generations, the parent's campaign published 4", gen)
 	}
-	if refined, err = r.Profiles(fleet); err != nil {
+	if refined, err = r.Profiles(); err != nil {
 		t.Fatal(err)
 	}
 	if st := refined[1].Stats; st.Rounds != 2 || st.Simulated != 16-6 {

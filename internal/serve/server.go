@@ -114,14 +114,14 @@ type Server struct {
 	defaultMaxN int
 
 	// ingested registers the kernels that arrived via /ingest (or were
-	// replayed from the sample log), keyed by their memo key, so /table
-	// can serve their rows from the memoised Decider state.
+	// replayed from the sample log), keyed by workload and kernel name,
+	// so /table can serve the active model's decision for each.
 	ingMu    sync.Mutex
 	ingested map[string]ingestedKernel
 }
 
-// ingestedKernel is one /ingest-arrived kernel: the memo key it
-// decides under, its feature vector, and the warp bound it trains at.
+// ingestedKernel is one /ingest-arrived kernel: its name, its latest
+// feature vector, and the warp bound it trains at.
 type ingestedKernel struct {
 	name string
 	x    poise.Vector
@@ -249,9 +249,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 // handleTable serves the policy table. Profile-backed rows come first,
 // byte for byte what `poisesim -best` prints for the same profile
 // directory (both render profile.BestTable — CI diffs them literally).
-// Kernels that arrived via /ingest follow, answered from the memoised
-// Decider state: each row is the active model's decision for that
-// kernel's feature vector, so the rows track every retrain.
+// Kernels that arrived via /ingest follow: each row is the active
+// model's decision for that kernel's latest feature vector, so the rows
+// track every re-ingest and every retrain.
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	var table string
 	if s.cfg.ProfileDir != "" {
@@ -275,9 +275,9 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 }
 
 // registerIngested records rec's kernels in the /table registry. The
-// memo key is workload-qualified so two workloads' same-named kernels
-// memoise separately; a re-ingest of the same kernel refreshes its
-// feature vector in place.
+// key is workload-qualified so two workloads' same-named kernels get
+// a row each; a re-ingest of the same kernel refreshes its feature
+// vector in place.
 func (s *Server) registerIngested(rec Record) {
 	s.ingMu.Lock()
 	defer s.ingMu.Unlock()
@@ -291,26 +291,23 @@ func (s *Server) registerIngested(rec Record) {
 	}
 }
 
-// ingestedRows renders the /ingest-arrived rows of /table through the
-// memoised decision path — the same Decide that answers the HTTP
-// endpoint, so the first render populates the model's memo table and
-// later /decide calls on these keys hit it. Sorted by rendered form,
-// matching BestTableRows' ordering discipline.
+// ingestedRows renders the /ingest-arrived rows of /table, every one
+// predicted from one read of the active weights (and labelled with
+// their version), so a table rendered across a retrain never mixes two
+// models. A name-keyed memo entry would outlive a re-ingest that
+// changed the features, so the rows do not go through Decide. Sorted
+// by rendered form, matching BestTableRows' ordering discipline.
 func (s *Server) ingestedRows() []string {
 	s.ingMu.Lock()
-	keys := make([]string, 0, len(s.ingested))
-	for key := range s.ingested {
-		keys = append(keys, key)
-	}
-	kernels := make([]ingestedKernel, 0, len(keys))
-	for _, key := range keys {
-		kernels = append(kernels, s.ingested[key])
+	kernels := make([]ingestedKernel, 0, len(s.ingested))
+	for _, k := range s.ingested {
+		kernels = append(kernels, k)
 	}
 	s.ingMu.Unlock()
-	version := s.dec.Version()
+	weights, version := s.dec.Weights()
 	rows := make([]string, 0, len(kernels))
-	for i, k := range kernels {
-		n, p, _ := s.dec.Decide(keys[i], k.x, k.maxN)
+	for _, k := range kernels {
+		n, p := weights.PredictTuple(k.x, k.maxN)
 		rows = append(rows, fmt.Sprintf("%-14s model (%2d,%2d) weights v%d", k.name, n, p, version))
 	}
 	sort.Strings(rows)

@@ -200,9 +200,8 @@ func TestServeTableUnconfigured(t *testing.T) {
 // TestServeTableIncludesIngestedKeys pins the /ingest → /table path:
 // profile-backed rows stay byte-identical to profile.BestTable (the
 // `poisesim -best` contract), and kernels that arrived via /ingest get
-// appended rows answered from the memoised Decider state. The rows
-// survive a service restart via the sample log, and the render warms
-// the memo table so a later /decide on the same key is a cache hit.
+// appended rows decided by the active weights. The rows survive a
+// service restart via the sample log.
 func TestServeTableIncludesIngestedKeys(t *testing.T) {
 	dir := t.TempDir()
 	saveTableProfiles(t, dir, "bk")
@@ -235,17 +234,6 @@ func TestServeTableIncludesIngestedKeys(t *testing.T) {
 	if got != profTable+wantRow {
 		t.Fatalf("/table = %q, want %q", got, profTable+wantRow)
 	}
-	// The render went through Decide with the row's memo key, so the
-	// same key over HTTP is now answered from the memo table.
-	replies, err := c.Decide(context.Background(), []DecideRequest{
-		{Key: "ingest/synth/synth", X: last.X, MaxN: last.MaxN},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replies) != 1 || !replies[0].Cached {
-		t.Fatalf("post-table decide replies = %+v, want one cached reply", replies)
-	}
 
 	// A restarted service replays the sample log and re-registers the
 	// ingested kernels: same rows, no re-ingest needed.
@@ -270,6 +258,44 @@ func TestServeTableIncludesIngestedKeys(t *testing.T) {
 	}
 	if got3 != wantRow {
 		t.Fatalf("profile-less /table = %q, want %q", got3, wantRow)
+	}
+}
+
+// TestServeTableFollowsReingest: a kernel ingested again with other
+// features gets the row its new features predict, with no retrain in
+// between (Min is far above what arrives), which a memo keyed by the
+// kernel's name would not give.
+func TestServeTableFollowsReingest(t *testing.T) {
+	w := testWeights()
+	_, c := newTestServer(t, Config{Weights: w, Retrain: RetrainOptions{Min: 1 << 20}})
+	row := func(rec Record) string {
+		last := rec.Samples[len(rec.Samples)-1]
+		n, p := w.PredictTuple(last.X, last.MaxN)
+		return fmt.Sprintf("%-14s model (%2d,%2d) weights v1\n", "synth", n, p)
+	}
+	first := synthRecord(3, 4)
+	// The first seed whose features predict another tuple under the
+	// same workload and kernel name.
+	var second Record
+	for seed := 4; seed < 64 && second.Samples == nil; seed++ {
+		if r := synthRecord(seed, 4); row(r) != row(first) {
+			second = r
+		}
+	}
+	if second.Samples == nil {
+		t.Fatal("no synthRecord seed predicts another tuple than seed 3's: pick another pair")
+	}
+	for i, rec := range []Record{first, second} {
+		if _, err := c.IngestRecord(context.Background(), rec); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Table(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := row(rec); got != want {
+			t.Fatalf("/table after ingest %d = %q, want %q", i+1, got, want)
+		}
 	}
 }
 

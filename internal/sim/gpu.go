@@ -188,9 +188,6 @@ func (g *GPU) Reset() {
 // Now returns the current simulation cycle.
 func (g *GPU) Now() int64 { return g.now }
 
-// Kernel returns the currently running kernel (nil between runs).
-func (g *GPU) Kernel() *trace.Kernel { return g.kernel }
-
 // MaxN returns the per-scheduler warp bound for the running kernel:
 // the hardware limit capped by the kernel's occupancy constraint. This
 // is the "maximum warps supported per scheduler" that Poise's scaling

@@ -34,9 +34,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the file path a key maps to.
 func (s *Store) Path(key string) string {
 	sum := sha256.Sum256([]byte(key))
