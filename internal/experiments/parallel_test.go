@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"poise/internal/sim"
@@ -28,6 +29,13 @@ func subsetOptions(workers int, seed int64) Options {
 	}
 }
 
+// sequentialHarness is the harness of subsetOptions(1, 0), built once
+// per test binary, on first use, so that the tests comparing against
+// its sweeps and figures share them: what one test simulated, the next
+// reads from the harness's memo. The other side of every comparison is
+// a fresh harness.
+var sequentialHarness = sync.OnceValue(func() *Harness { return NewHarness(subsetOptions(1, 0)) })
+
 // skipUnderRace skips a simulation-heavy determinism test when the
 // race detector is on; the concurrency structure it would exercise is
 // already covered by TestPerformanceBitIdenticalAcrossWorkers, which
@@ -43,7 +51,7 @@ func skipUnderRace(t *testing.T) {
 // guarantee of the runner engine: the Fig. 7-10/14 sweep must produce
 // bit-identical rows whether it runs on one worker or many.
 func TestPerformanceBitIdenticalAcrossWorkers(t *testing.T) {
-	seq, err := NewHarness(subsetOptions(1, 0)).Performance()
+	seq, err := sequentialHarness().Performance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +68,7 @@ func TestPerformanceBitIdenticalAcrossWorkers(t *testing.T) {
 // baselines, then strides x workloads) of the sensitivity sweep.
 func TestFig11BitIdenticalAcrossWorkers(t *testing.T) {
 	skipUnderRace(t)
-	seq, err := NewHarness(subsetOptions(1, 0)).Fig11()
+	seq, err := sequentialHarness().Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +85,7 @@ func TestFig11BitIdenticalAcrossWorkers(t *testing.T) {
 // per-task GPU construction.
 func TestFig4BitIdenticalAcrossWorkers(t *testing.T) {
 	skipUnderRace(t)
-	seq, err := NewHarness(subsetOptions(1, 0)).Fig4()
+	seq, err := sequentialHarness().Fig4()
 	if err != nil {
 		t.Fatal(err)
 	}

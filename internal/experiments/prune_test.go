@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"poise/internal/config"
@@ -197,13 +198,14 @@ func TestPrunedMatchesExhaustiveOnCatalogue(t *testing.T) {
 }
 
 // exhaustiveHarness is the oracle side of the harness-level suites: a
-// harness whose every sweep covers the whole grid, which nothing
-// outside this package's tests can build.
-func exhaustiveHarness(opt Options) *Harness {
-	h := NewHarness(opt)
+// harness of subsetOptions(1, 0) whose every sweep covers the whole
+// grid, which nothing outside this package's tests can build. It is
+// built once per test binary, on first use, like sequentialHarness.
+var exhaustiveHarness = sync.OnceValue(func() *Harness {
+	h := NewHarness(subsetOptions(1, 0))
 	h.exhaustive = true
 	return h
-}
+})
 
 // TestPrunedPerformanceMatchesExhaustive runs the Fig. 7-10/14 sweep
 // on the harness and on its whole-grid oracle: every scheme result
@@ -213,11 +215,11 @@ func exhaustiveHarness(opt Options) *Harness {
 // race the subset shrinks with subsetOptions, per the tier-1 timing
 // rules.)
 func TestPrunedPerformanceMatchesExhaustive(t *testing.T) {
-	exact, err := exhaustiveHarness(subsetOptions(1, 0)).Performance()
+	exact, err := exhaustiveHarness().Performance()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := NewHarness(subsetOptions(1, 0)).Performance()
+	pruned, err := sequentialHarness().Performance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +235,11 @@ func TestPrunedPerformanceMatchesExhaustive(t *testing.T) {
 // exhaustively (KernelProfileFull; Fig. 17 takes the same path) and
 // produce what the whole-grid oracle does.
 func TestPrunedFig2MatchesExhaustive(t *testing.T) {
-	exact, err := exhaustiveHarness(subsetOptions(1, 0)).Fig2()
+	exact, err := exhaustiveHarness().Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := NewHarness(subsetOptions(1, 0)).Fig2()
+	pruned, err := sequentialHarness().Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 
 	"poise/internal/cache"
 	"poise/internal/config"
+	"poise/internal/poise"
 	"poise/internal/sched"
 	"poise/internal/sim"
 	"poise/internal/testutil"
@@ -193,20 +194,34 @@ func TestPooledRestoreEqualsFreshRestore(t *testing.T) {
 // no more than three times the state it moves: the state buffer, the
 // container, and what the aggregation, the policy and the result need.
 // It allocated eight times the state when every hop built a GPU, cloned
-// the container and joined the state twice.
+// the container and joined the state twice. The last case is
+// replay_ckpt's machine from BenchmarkHop's cycle on, whose full L2
+// fills most of its state: a walk that reserved room past the buffer
+// its state was sized for would grow it there.
 func TestHopAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
 	}
-	cfg := testutil.TinyConfig()
-	w := firstKernel(workloads.NewCatalogue(workloads.Small).Must("ii"))
+	tiny := testutil.TinyConfig()
+	small := firstKernel(workloads.NewCatalogue(workloads.Small).Must("ii"))
 	for _, sc := range []struct {
 		name string
+		cfg  config.Config
+		w    *sim.Workload
 		mk   func() sim.Policy
-	}{{"gto", func() sim.Policy { return sim.GTO{} }}, {"poise", func() sim.Policy { return mustPoise(t) }}} {
+		from int64 // the cycle of the first checkpoint
+	}{
+		{"gto", tiny, small, func() sim.Policy { return sim.GTO{} }, 5000},
+		{"poise", tiny, small, func() sim.Policy { return mustPoise(t) }, 5000},
+		{"poise-8sm-medium", config.Default().Scale(8), firstKernel(workloads.NewCatalogue(workloads.Medium).Must("ii")), func() sim.Policy {
+			w, _ := poise.DefaultWeights()
+			return poise.NewPolicy(config.DefaultPoise(), w)
+		}, 150_000},
+	} {
 		t.Run(sc.name, func(t *testing.T) {
 			const every = 5000
-			_, cp, err := sim.RunWorkloadPreemptible(cfg, w, sc.mk(), sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: every}})
+			cfg, w := sc.cfg, sc.w
+			_, cp, err := sim.RunWorkloadPreemptible(cfg, w, sc.mk(), sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: sc.from}})
 			hop := func() {
 				if !errors.Is(err, sim.ErrInterrupted) {
 					t.Fatalf("want ErrInterrupted, got %v", err)
@@ -453,4 +468,41 @@ func TestPooledDriversUnderConcurrency(t *testing.T) {
 			t.Fatalf("the pool holds free lists for %d configurations, bound %d", pool.Configs(), sim.MaxPools)
 		}
 	}
+}
+
+// BenchmarkHop is one checkpoint hop on replay_ckpt's machine: each op
+// restores a Poise state of ii's first kernel at Medium on 8 SMs, taken
+// at cycle 150 000, onto a pooled GPU and walks it out again. It reports
+// the state's size beside ns/op and B/op; the end-to-end effect of the
+// walk is replay_ckpt's wall_s.
+func BenchmarkHop(b *testing.B) {
+	cfg := config.Default().Scale(8)
+	k := workloads.NewCatalogue(workloads.Medium).Must("ii").Kernels[0]
+	w, ok := poise.DefaultWeights()
+	if !ok {
+		b.Skip("no embedded default weights in this build")
+	}
+	g, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := poise.NewPolicy(config.DefaultPoise(), w)
+	if _, err := g.Run(k, p, sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: 150_000}}); !errors.Is(err, sim.ErrInterrupted) {
+		b.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	state, err := g.SnapshotKernel(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.ResumeKernel(k, p, sim.RunOptions{Interrupt: due()}, state); !errors.Is(err, sim.ErrInterrupted) {
+			b.Fatalf("want ErrInterrupted, got %v", err)
+		}
+		if _, err := g.SnapshotKernel(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(state)), "state-bytes")
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -95,7 +96,7 @@ func (g *GPU) walk(k snap.Walk, running bool) bool {
 	if k.Reader() != nil {
 		g.decodeEvents(k)
 	} else {
-		g.encodeEvents(k.Writer())
+		g.encodeEvents(k)
 	}
 	k.Varint(&g.rq.visits)
 	k.Varint(&g.policyNext)
@@ -110,26 +111,30 @@ func (g *GPU) walk(k snap.Walk, running bool) bool {
 	return true
 }
 
+// eventMax is the largest event record: cycle, kind, SM and line.
+const eventMax = 4 * binary.MaxVarintLen64
+
 // encodeEvents writes one event list: the fills SM-major, oldest first,
 // then the ring's clock markers.
-func (g *GPU) encodeEvents(w *snap.Writer) {
+func (g *GPU) encodeEvents(k snap.Walk) {
 	q := &g.events
-	w.Uvarint(uint64(q.len() + g.wakes.marked))
+	k.Writer().Uvarint(uint64(q.len() + g.wakes.marked))
+	put := func(cycle int64, kind eventKind, sm int, line uint64) {
+		b := k.Reserve(eventMax)
+		at := binary.PutVarint(b, cycle)
+		at += binary.PutUvarint(b[at:], uint64(kind))
+		at += binary.PutVarint(b[at:], int64(sm))
+		k.Advance(at + binary.PutUvarint(b[at:], line))
+	}
 	for sm, n := range q.count {
 		for i := int32(0); i < n; i++ {
 			f := q.at(int32(sm), i)
-			w.Varint(f.cycle)
-			w.Uvarint(uint64(evFill))
-			w.Varint(int64(sm))
-			w.Uvarint(f.line)
+			put(f.cycle, evFill, sm, f.line)
 		}
 	}
 	for c := g.now; c <= g.now+g.wakes.horizon; c++ {
 		if g.wakes.has(c) {
-			w.Varint(c)
-			w.Uvarint(uint64(evWake))
-			w.Varint(0)
-			w.Uvarint(0)
+			put(c, evWake, 0, 0)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package sim_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -247,9 +249,53 @@ func TestSnapshotRejections(t *testing.T) {
 	if _, err := fresh().ResumeKernel(k, sim.Fixed{N: 1, P: 1}, sim.RunOptions{}, state); err == nil {
 		t.Fatalf("ResumeKernel accepted a different policy")
 	}
-	for _, cut := range []int{1, len(state) / 2, len(state) - 1} {
-		if _, err := fresh().ResumeKernel(k, p, sim.RunOptions{}, state[:cut]); err == nil {
-			t.Fatalf("ResumeKernel accepted a truncated payload (%d bytes)", cut)
+	// Every cut of a Poise state with its caches full, MSHRs live and
+	// fills in flight is refused, and so are two corrupt line records
+	// in it: an 11-byte varint and a valid byte of 2.
+	gp := fresh()
+	pp := mustPoise(t)
+	if _, err := gp.Run(k, pp, sim.RunOptions{Interrupt: &sim.InterruptCtl{AtCycle: goldenAt}}); !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+	if gp.FillsInFlight() == 0 || gp.SMs[0].MSHR.Used() == 0 {
+		t.Fatal("the Poise state has no fills in flight or no live MSHR entry")
+	}
+	full, err := gp.SnapshotKernel(pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := range full {
+		if _, err := fresh().ResumeKernel(k, mustPoise(t), sim.RunOptions{}, full[:cut]); err == nil {
+			t.Fatalf("ResumeKernel accepted a payload cut to %d of %d bytes", cut, len(full))
+		}
+	}
+	// The first line of the first L2 bank follows the state version, the
+	// clock, the two L2 counters, the bank count, the bank's next free
+	// cycle and its line count. It is valid: its valid byte, then its tag.
+	// Each corruption below leaves every other byte where it was, so a
+	// decoder that let it through would restore the state.
+	r := snap.NewReader(full)
+	r.Uvarint()
+	r.Varint()
+	r.Varint()
+	r.Varint()
+	r.Uvarint()
+	r.Varint()
+	r.Uvarint()
+	line := len(full) - r.Len()
+	r.Bool()
+	r.Uvarint()
+	tag := len(full) - r.Len()
+	if full[line] != 1 || r.Err() != nil {
+		t.Fatalf("the first L2 line is not a valid line (%v)", r.Err())
+	}
+	for name, bad := range map[string][]byte{
+		// The tag's value as 0 in 11 bytes: ten continuation bytes, then 0.
+		"an 11-byte tag":    slices.Concat(full[:line+1], bytes.Repeat([]byte{0x80}, 10), []byte{0}, full[tag:]),
+		"a valid byte of 2": slices.Concat(full[:line], []byte{2}, full[line+1:]),
+	} {
+		if _, err := fresh().ResumeKernel(k, mustPoise(t), sim.RunOptions{}, bad); err == nil {
+			t.Fatalf("ResumeKernel accepted a line record with %s", name)
 		}
 	}
 	if _, err := fresh().ResumeKernel(k, p, sim.RunOptions{}, append(append([]byte{}, state...), 0)); err == nil {

@@ -320,9 +320,7 @@ func NewWriterBehind(room, n int) *Writer {
 // Data returns the accumulated payload.
 func (w *Writer) Data() []byte { return w.buf }
 
-// Uvarint appends an unsigned varint. It inlines, loop and all: a codec
-// with a long loop appends through a local copy of the Writer, which
-// the compiler keeps in registers, and stores it back at the end.
+// Uvarint appends an unsigned varint. It inlines, loop and all.
 func (w *Writer) Uvarint(v uint64) {
 	b := w.buf
 	for ; v >= 0x80; v >>= 7 {
@@ -365,32 +363,49 @@ func (w *Writer) String(s string) {
 // on malformed input.
 type Reader struct {
 	buf []byte
-	off int // buf[off:] is unread; nothing is, once poisoned
-	err error
+	off int   // buf[off:] is unread; off is past len(buf) once poisoned
+	err error // what poisoned the reader, unless a varint did
 }
 
 // NewReader wraps a payload.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
+// errVarint is what a corrupt or truncated varint poisons a reader with.
+var errVarint = errors.New("snap: corrupt uvarint")
+
 // Err returns the first decode error, or nil.
-func (r *Reader) Err() error { return r.err }
+func (r *Reader) Err() error {
+	if r.err == nil && r.off > len(r.buf) {
+		return errVarint
+	}
+	return r.err
+}
 
 // Len returns the unread byte count.
-func (r *Reader) Len() int { return len(r.buf) - r.off }
+func (r *Reader) Len() int { return max(len(r.buf)-r.off, 0) }
 
-// fail poisons the reader. It leaves nothing unread, so that no read
-// has to look at err first: each finds the payload exhausted and fails.
-func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("snap: "+format, args...)
+// fail poisons a clean reader with err. It leaves nothing to read, so
+// that no read has to look at err first: each finds the payload
+// exhausted and fails.
+func (r *Reader) fail(err error) {
+	if r.off <= len(r.buf) {
+		r.err = err
+		r.off = len(r.buf) + 1
 	}
-	r.off = len(r.buf)
 }
 
 // Uvarint reads an unsigned varint: binary.Uvarint's loop and checks,
-// on the reader's own cursor.
-func (r *Reader) Uvarint() uint64 {
-	b, at := r.buf, r.off
+// on the reader's own cursor, which a corrupt varint leaves past the end
+// of the payload. It is small enough to inline.
+func (r *Reader) Uvarint() (v uint64) {
+	v, r.off = uvarintAt(r.buf, r.off)
+	return v
+}
+
+// uvarintAt decodes the varint at b[at:] and returns it with the offset
+// past it; a corrupt or truncated varint, or an at past the end of b,
+// returns len(b)+1.
+func uvarintAt(b []byte, at int) (uint64, int) {
 	var v uint64
 	for shift := uint(0); at < len(b) && shift < 64; shift += 7 {
 		x := b[at]
@@ -399,20 +414,18 @@ func (r *Reader) Uvarint() uint64 {
 			if shift == 63 && x > 1 {
 				break // overflows 64 bits
 			}
-			r.off = at
-			return v | uint64(x)<<shift
+			return v | uint64(x)<<shift, at
 		}
 		v |= uint64(x&0x7f) << shift
 	}
-	r.fail("corrupt uvarint")
-	return 0
+	return 0, len(b) + 1
 }
 
 // Varint reads a zigzag-encoded signed varint.
-func (r *Reader) Varint() int64 {
-	u := r.Uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
+func (r *Reader) Varint() int64 { return zigzag(r.Uvarint()) }
+
+// zigzag decodes a signed varint's value from its unsigned one.
+func zigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Bool reads a boolean byte (anything but 0 or 1 is corrupt).
 func (r *Reader) Bool() bool {
@@ -420,22 +433,29 @@ func (r *Reader) Bool() bool {
 		r.off++
 		return r.buf[r.off-1] == 1
 	}
-	r.fail("truncated or corrupt bool")
+	r.fail(errBool)
 	return false
 }
+
+var errBool = errors.New("snap: truncated or corrupt bool")
 
 // Float64 reads IEEE-754 bits written by Writer.Float64.
 func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uvarint()) }
 
 // Int reads a varint and checks it fits the platform int.
-func (r *Reader) Int() int {
-	v := r.Varint()
+func (r *Reader) Int() int { return r.fitInt(r.Varint()) }
+
+// fitInt returns v as an int, or fails r and returns 0 if it does not
+// fit.
+func (r *Reader) fitInt(v int64) int {
 	if int64(int(v)) != v {
-		r.fail("varint %d overflows int", v)
+		r.fail(errInt)
 		return 0
 	}
 	return int(v)
 }
+
+var errInt = errors.New("snap: varint overflows int")
 
 // Count reads a uvarint length and checks it against both the given
 // limit and the remaining payload size, so a corrupt count can neither
@@ -444,10 +464,15 @@ func (r *Reader) Int() int {
 func (r *Reader) Count(limit int) int {
 	v := r.Uvarint()
 	if v > uint64(limit) || v > uint64(r.Len()) {
-		r.fail("count %d out of range (limit %d, %d bytes left)", v, limit, r.Len())
+		r.failCount(v, limit)
 		return 0
 	}
 	return int(v)
+}
+
+// failCount fails Count, out of its way.
+func (r *Reader) failCount(v uint64, limit int) {
+	r.fail(fmt.Errorf("snap: count %d out of range (limit %d, %d bytes left)", v, limit, r.Len()))
 }
 
 // LimitedView reads a length-prefixed byte slice of at most limit

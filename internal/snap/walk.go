@@ -1,8 +1,10 @@
 package snap
 
 import (
+	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 )
 
@@ -16,9 +18,17 @@ import (
 // only its own does. Errors are the Reader's: sticky, so a walk reads
 // its whole list unconditionally, ends with Check for what rebuilds
 // derived state and range-checks what it read, and the caller checks
-// Reader.Err once. Loops that carry most of a payload's bytes (cache
-// lines, MSHR entries) take the Writer or the Reader and stay
-// hand-written.
+// Reader.Err once. Its reads decode through Reader.Uvarint, which
+// inlines, not through the Reader methods built on it, which do not.
+// Loops that carry most of a payload's bytes (cache lines, MSHR entries,
+// the GPU's event list) stay hand-written, per direction, and work on
+// the payload in place. Out, they Reserve room for a chunk of records
+// once, put encoding/binary's varints (Writer's, byte for byte) into it
+// by index and Advance past them; the buffer grows only when less room
+// is free than the largest record needs. In, they decode records from
+// the unread bytes Reserve returns, by index, check each record once
+// (the first malformed one fails the walk) and Advance past what they
+// read.
 type Walk struct {
 	w *Writer
 	r *Reader
@@ -39,19 +49,46 @@ func (k Walk) Writer() *Writer { return k.w }
 // Fail poisons a walk in with err (the first failure wins, a nil err and
 // a walk out are left alone).
 func (k Walk) Fail(err error) {
-	if k.r == nil || err == nil {
+	if k.r != nil && err != nil {
+		k.r.fail(err)
+	}
+}
+
+// Reserve returns the bytes a hand-written loop works in. Out, they are
+// the payload's free room, grown first only if fewer than n bytes are
+// free: the loop puts a record into it while the largest the record can
+// be still fits. In, they are the unread payload, and n is unused.
+func (k Walk) Reserve(n int) []byte {
+	if r := k.r; r != nil {
+		return r.buf[min(r.off, len(r.buf)):]
+	}
+	w := k.w
+	if cap(w.buf)-len(w.buf) < n {
+		w.buf = slices.Grow(w.buf, n)
+	}
+	return w.buf[len(w.buf):cap(w.buf)]
+}
+
+// Advance moves past the m bytes a loop wrote into Reserve's room or
+// read from it. A walk in told to pass the end of its payload fails.
+func (k Walk) Advance(m int) {
+	if r := k.r; r != nil {
+		if m > r.Len() {
+			r.fail(errRecord)
+		} else {
+			r.off += m
+		}
 		return
 	}
-	if k.r.err == nil {
-		k.r.err = err
-	}
-	k.r.off = len(k.r.buf)
+	k.w.buf = k.w.buf[:len(k.w.buf)+m]
 }
+
+var errRecord = errors.New("snap: truncated record")
 
 // Varint walks a signed varint.
 func (k Walk) Varint(p *int64) {
 	if k.r != nil {
-		*p = k.r.Varint()
+		*p = zigzag(k.r.Uvarint())
 	} else {
 		k.w.Varint(*p)
 	}
@@ -78,7 +115,7 @@ func (k Walk) Bool(p *bool) {
 // Float64 walks the IEEE-754 bits of a float.
 func (k Walk) Float64(p *float64) {
 	if k.r != nil {
-		*p = k.r.Float64()
+		*p = math.Float64frombits(k.r.Uvarint())
 	} else {
 		k.w.Float64(*p)
 	}
@@ -87,7 +124,7 @@ func (k Walk) Float64(p *float64) {
 // Int walks an int as a signed varint.
 func (k Walk) Int(p *int) {
 	if k.r != nil {
-		*p = k.r.Int()
+		*p = k.r.fitInt(zigzag(k.r.Uvarint()))
 	} else {
 		k.w.Varint(int64(*p))
 	}
@@ -96,7 +133,7 @@ func (k Walk) Int(p *int) {
 // Int32 walks an int32 as a signed varint.
 func (k Walk) Int32(p *int32) {
 	if k.r != nil {
-		*p = int32(k.r.Varint())
+		*p = int32(zigzag(k.r.Uvarint()))
 	} else {
 		k.w.Varint(int64(*p))
 	}
@@ -139,7 +176,7 @@ func (k Walk) Count(have, limit int) int {
 // failed, skip it, so the first error a payload reports is the first
 // thing wrong with it.
 func (k Walk) Check(check func() error) {
-	if k.r != nil && k.r.err == nil {
+	if k.r != nil && k.r.Err() == nil {
 		k.Fail(check())
 	}
 }
