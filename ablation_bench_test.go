@@ -39,12 +39,12 @@ func ablationRun(b *testing.B, workload string, mutate func(*poise.Policy)) floa
 }
 
 // BenchmarkAblationFallbackGuard compares the paper-exact HIE
-// (NoFallback) with the guarded one on the workload class the guard
+// (Guard off) with the guarded one on the workload class the guard
 // exists for.
 func BenchmarkAblationFallbackGuard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		guarded := ablationRun(b, "kmeans", nil)
-		pure := ablationRun(b, "kmeans", func(p *poise.Policy) { p.NoFallback = true })
+		pure := ablationRun(b, "kmeans", func(p *poise.Policy) { p.Guard = false })
 		b.ReportMetric(guarded, "kmeans-guarded-x")
 		b.ReportMetric(pure, "kmeans-paperexact-x")
 	}
@@ -55,7 +55,7 @@ func BenchmarkAblationFallbackGuard(b *testing.B) {
 func BenchmarkAblationGuardCostOnWins(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		guarded := ablationRun(b, "ii", nil)
-		pure := ablationRun(b, "ii", func(p *poise.Policy) { p.NoFallback = true })
+		pure := ablationRun(b, "ii", func(p *poise.Policy) { p.Guard = false })
 		b.ReportMetric(guarded, "ii-guarded-x")
 		b.ReportMetric(pure, "ii-paperexact-x")
 	}

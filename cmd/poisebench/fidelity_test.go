@@ -85,21 +85,25 @@ func goldenNumber(t *testing.T, prefix string, col int) float64 {
 // does one that starts holding until its entry is deleted, so the list
 // shrinks on purpose and never grows by accident.
 var fig7ExpectedFail = map[string]string{
-	"Poise >= SWL: H-Mean 1.074 < 1.356": "ROADMAP item 2(a): prediction is the ladder's largest loss, and of it the N axis costs 0.174 " +
-		"and the p axis 0.084 at -sms 4, so the model's N, more than its p, holds Poise under SWL",
-	"Poise >= PCAL-SWL: H-Mean 1.074 < 1.352": "as for SWL: PCAL-SWL starts from the profiled SWL tuple, Poise from a prediction",
-	"Poise >= 0.95 x GTO on every workload: bfs 0.902, kmeans 0.785": "ROADMAP item 2(c): Static-Best is GTO on both, " +
-		"and the fallback guard needs two struck epochs, which is the whole kernel at this size",
-	"Fig. 14 mean Poise/GTO energy within 0.10 of 0.484: 0.920": "ROADMAP item 5: DRAM is a fixed latency plus one server per partition, so energy counts " +
-		"accesses, not row activations, and Poise's speedup over GTO (1.074, paper 1.466) is most of what the ratio can move by",
-	"Fig. 11 search helps: H-Mean at (2,4) 1.074 < 1.114 at (0,0)": "ROADMAP item 2(b): a search from the oracle tuple loses 0.193 " +
-		"(the ladder's Oracle (0,0) 1.362, Oracle (2,4) 1.169), so the probes mis-rank tuples",
-	"Table II offline p error within 10 points of 26%: 55.0%": "ROADMAP item 2(a)",
-	"Fig. 15 Poise >= Random-restart: H-Mean 1.074 < 1.153": "ROADMAP items 2 and 3(d): random-restart pays no feature-sampling tax " +
-		"and decides on GPU-wide IPC windows, Poise on per-SM ones",
-	"Fig. 13 every ablation costs performance: H-Mean -x6 1.000, -x5 1.008, -x4 1.000": "ROADMAP item 2: the features carry almost none of the decision",
-	"Fig. 7 Poise H-Mean within 0.10 of 1.466: 1.074": "ROADMAP items 2 and 3(a): Static-Best reaches 1.465, so the gap is the HIE's; " +
-		"the ladder puts prediction at 0.248, search at 0.193 and sampling at 0.077",
+	"Poise >= SWL: H-Mean 1.074 < 1.356": "prediction is the largest loss (TestTaxLadder: Oracle (0,0) 1.362, Poise (0,0) 1.114), " +
+		"and of it the N axis costs 0.174 (The GLM's N with oracle p 1.188) and the p axis 0.084 (Oracle N with the GLM's p 1.278)",
+	"Poise >= PCAL-SWL: H-Mean 1.074 < 1.352": "as for SWL: PCAL-SWL starts from the profiled SWL tuple, Poise from the GLM's " +
+		"(TestTaxLadder: Poise (0,0) 1.114 against Oracle (0,0) 1.362)",
+	"Poise >= 0.95 x GTO on every workload: bfs 0.902, kmeans 0.785": "Static-Best is GTO on both, and the guard needs two struck " +
+		"epochs, which is the whole kernel at this size (TestTaxLadder: guard's share +0.006, Poise (2,4), no guard 1.068)",
+	"Fig. 14 mean Poise/GTO energy within 0.10 of 0.484: 0.920": "DRAM is a fixed latency plus one server per partition, so energy counts " +
+		"accesses, not row activations, and Poise's speedup over GTO (TestTaxLadder: Poise (2,4) 1.074, paper 1.466) is most of what the ratio can move by",
+	"Fig. 11 search helps: H-Mean at (2,4) 1.074 < 1.114 at (0,0)": "a search from the oracle start loses 0.193 " +
+		"(TestTaxLadder: Oracle (0,0) 1.362, Oracle (2,4) 1.169), so the probes mis-rank tuples",
+	"Table II offline p error within 10 points of 26%: 55.0%": "the GLM's p misses online too " +
+		"(TestTaxLadder: Oracle N with the GLM's p 1.278, 0.084 under Oracle (0,0) 1.362)",
+	"Fig. 15 Poise >= Random-restart: H-Mean 1.074 < 1.153": "random-restart samples no features and decides on GPU-wide IPC windows, " +
+		"while sampling every epoch costs Poise 0.077 from a perfect start (TestTaxLadder: Oracle once 1.439, Oracle (0,0) 1.362) " +
+		"and its per-SM search 0.193 (Oracle (2,4) 1.169)",
+	"Fig. 13 every ablation costs performance: H-Mean -x6 1.000, -x5 1.008, -x4 1.000": "the features carry almost none of the decision " +
+		"(TestTaxLadder: Poise (0,0) 1.114, 0.248 under Oracle (0,0) 1.362)",
+	"Fig. 7 Poise H-Mean within 0.10 of 1.466: 1.074": "Static-Best reaches 1.465, so the gap is the HIE's (TestTaxLadder: " +
+		"sampling 0.103 to Oracle (0,0) 1.362, prediction 0.248 to Poise (0,0) 1.114, search 0.040 to Poise (2,4) 1.074)",
 }
 
 // TestFig7OrderingClaims evaluates the ordering claims of the paper's

@@ -95,9 +95,10 @@ func poiseDefault(h *Harness) (sim.Policy, error) {
 	return p, nil
 }
 
-// poiseWith is Poise on the given model weights and local-search
-// strides.
-func poiseWith(weights func(h *Harness) (poise.Weights, error), strideN, strideP int) func(*Harness) (sim.Policy, error) {
+// hie declares Poise on the weights weights gives (the model, an
+// ablated model) with local-search strides (strideN, strideP); every
+// other window is the harness's Table IV.
+func hie(weights func(*Harness) (poise.Weights, error), strideN, strideP int) func(*Harness) (sim.Policy, error) {
 	return func(h *Harness) (sim.Policy, error) {
 		w, err := weights(h)
 		if err != nil {
@@ -110,13 +111,13 @@ func poiseWith(weights func(h *Harness) (poise.Weights, error), strideN, strideP
 }
 
 // profiled builds a policy from the evaluation workloads' profiles.
-func profiled(build func(h *Harness, profs map[string]*profile.Profile) sim.Policy) func(*Harness) (sim.Policy, error) {
+func profiled(build func(profs map[string]*profile.Profile) sim.Policy) func(*Harness) (sim.Policy, error) {
 	return func(h *Harness) (sim.Policy, error) {
 		profs, err := h.WorkloadProfiles(h.EvalWorkloads())
 		if err != nil {
 			return nil, err
 		}
-		return build(h, profs), nil
+		return build(profs), nil
 	}
 }
 
@@ -135,16 +136,14 @@ var (
 // baseline) first.
 var comparison = []scheme{
 	gtoScheme,
-	{name: "SWL", policy: profiled(func(_ *Harness, profs map[string]*profile.Profile) sim.Policy {
-		return sched.SWL(profs)
-	})},
-	{name: "PCAL-SWL", policy: profiled(func(h *Harness, profs map[string]*profile.Profile) sim.Policy {
-		return sched.NewPCALSWL(sched.SWLFromProfiles(profs), h.Params)
-	})},
+	{name: "SWL", policy: profiled(sched.SWL)},
+	{name: "PCAL-SWL", policy: func(h *Harness) (sim.Policy, error) {
+		return profiled(func(profs map[string]*profile.Profile) sim.Policy {
+			return sched.NewPCALSWL(sched.SWLFromProfiles(profs), h.Params)
+		})(h)
+	}},
 	poiseScheme,
-	{name: "Static-Best", policy: profiled(func(_ *Harness, profs map[string]*profile.Profile) sim.Policy {
-		return sched.StaticBest(profs)
-	})},
+	{name: "Static-Best", policy: profiled(sched.StaticBest)},
 }
 
 // gridDefs declares every experiment grid.
@@ -171,7 +170,7 @@ var gridDefs = map[string]gridDef{
 			for _, st := range [][2]int{{0, 0}, {1, 1}, {2, 2}, {2, 4}, {4, 4}} {
 				a.ratio(fmt.Sprintf("(%d,%d)", st[0], st[1]), base, a.add(scheme{
 					name:   fmt.Sprintf("stride%d.%d", st[0], st[1]),
-					policy: poiseWith((*Harness).ModelWeights, st[0], st[1]),
+					policy: hie((*Harness).ModelWeights, st[0], st[1]),
 				}))
 			}
 			return a
@@ -204,10 +203,10 @@ var gridDefs = map[string]gridDef{
 	"ablation": {
 		workloads: (*Harness).EvalWorkloads,
 		axis: func(*Harness) (a axis) {
-			full := a.add(scheme{name: "full", policy: poiseWith(ablated(0), 0, 0)})
+			full := a.add(scheme{name: "full", policy: hie(ablated(0), 0, 0)})
 			for x := 7; x >= 3; x-- {
 				a.ratio(fmt.Sprintf("-x%d", x), full, a.add(scheme{
-					name: fmt.Sprintf("drop-x%d", x), policy: poiseWith(ablated(x), 0, 0),
+					name: fmt.Sprintf("drop-x%d", x), policy: hie(ablated(x), 0, 0),
 				}))
 			}
 			return a
@@ -288,10 +287,18 @@ func prepWeights(h *Harness) error {
 	return err
 }
 
-// ablated is the Fig. 13 model trained without Table II feature x
-// (0: the full reference model).
+// ablated is the Fig. 13 model trained (once, single-flight) without
+// Table II feature x (0: the full reference model).
 func ablated(x int) func(h *Harness) (poise.Weights, error) {
-	return func(h *Harness) (poise.Weights, error) { return h.ablatedWeights(x) }
+	return func(h *Harness) (poise.Weights, error) {
+		return h.ablated.Get(x, func() (poise.Weights, error) {
+			ds, err := h.Dataset()
+			if err != nil {
+				return poise.Weights{}, err
+			}
+			return poise.Train(ds, poise.TrainOptions{DropX: x})
+		})
+	}
 }
 
 // runCell executes one cell: the workload under a fresh instance of the
@@ -352,18 +359,6 @@ func (h *Harness) pbestWorkloads() []*sim.Workload {
 		out = append(out, h.Cat.Must(n))
 	}
 	return out
-}
-
-// ablatedWeights trains (once, single-flight) the Fig. 13 model without
-// Table II feature x; 0 trains the full reference model.
-func (h *Harness) ablatedWeights(x int) (poise.Weights, error) {
-	return h.ablated.Get(x, func() (poise.Weights, error) {
-		ds, err := h.Dataset()
-		if err != nil {
-			return poise.Weights{}, err
-		}
-		return poise.Train(ds, poise.TrainOptions{DropX: x})
-	})
 }
 
 // weightsFingerprint identifies the Poise model cells run with, for

@@ -34,13 +34,8 @@ type SpaceResult struct {
 // and the global optimum — demonstrating the local-optimum trap of
 // §III-C.
 func (h *Harness) Fig2() (*SpaceResult, error) {
-	k := h.Cat.Must("ii").Kernels[0]
-	return h.spaceFor(k)
-}
-
-func (h *Harness) spaceFor(k *trace.Kernel) (*SpaceResult, error) {
 	// The whole space is rendered and walked: always exhaustive.
-	pr, err := h.KernelProfileFull(k)
+	pr, err := h.KernelProfileFull(h.Cat.Must("ii").Kernels[0])
 	if err != nil {
 		return nil, err
 	}
@@ -80,10 +75,7 @@ func simulatePCALSearch(pr *profile.Profile, start profile.Point) profile.Point 
 	for improved {
 		improved = false
 		for _, pt := range pr.Points {
-			if pt.P != cur.P {
-				continue
-			}
-			if abs(pt.N-cur.N) == 0 || !isGridNeighbor(pr, cur.N, pt.N) {
+			if pt.P != cur.P || !isGridNeighbor(pr, cur.N, pt.N) {
 				continue
 			}
 			if pt.Speedup > cur.Speedup {
@@ -292,12 +284,4 @@ func convergedTuples(log []sim.TupleEvent) []sim.TupleEvent {
 		flush(smID)
 	}
 	return out
-}
-
-// abs is shared by the space helpers.
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -3,6 +3,7 @@ package poise
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -86,8 +87,8 @@ func tupleErrors(w Weights, samples []Sample) [4]float64 {
 	e[0], e[1] = EvaluateOffline(w, samples)
 	for _, s := range samples {
 		n, p := w.PredictTuple(s.X, s.MaxN)
-		e[2] += float64(abs(n-s.RawN)) / float64(len(samples))
-		e[3] += float64(abs(p-s.RawP)) / float64(len(samples))
+		e[2] += math.Abs(float64(n-s.RawN)) / float64(len(samples))
+		e[3] += math.Abs(float64(p-s.RawP)) / float64(len(samples))
 	}
 	return e
 }

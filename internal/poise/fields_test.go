@@ -13,9 +13,9 @@ import (
 // that a snapshot does not carry, and why (see sm's list). Every field
 // of hie is a wire field: the paper's 7-state FSM is all state.
 var stateFields = map[string]string{
-	"Policy.Params":     "config",
-	"Policy.Weights":    "config",
-	"Policy.NoFallback": "config",
+	"Policy.Params": "config",
+	"Policy.Source": "config",
+	"Policy.Guard":  "config",
 }
 
 func TestEveryFieldIsAccountedFor(t *testing.T) {

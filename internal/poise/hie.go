@@ -1,7 +1,6 @@
 package poise
 
 import (
-	"fmt"
 	"math"
 
 	"poise/internal/cache"
@@ -27,27 +26,6 @@ const (
 	stSearchSample                 // sampling a local-search probe
 	stRun                          // executing at the converged tuple
 )
-
-func (s hieState) String() string {
-	switch s {
-	case stBaseWarm:
-		return "base-warmup"
-	case stBaseSample:
-		return "base-sample"
-	case stRefWarm:
-		return "ref-warmup"
-	case stRefSample:
-		return "ref-sample"
-	case stSearchWarm:
-		return "search-warmup"
-	case stSearchSample:
-		return "search-sample"
-	case stRun:
-		return "run"
-	default:
-		return fmt.Sprintf("hieState(%d)", int(s))
-	}
-}
 
 // snapshot captures the cumulative counters of one SM at a window edge.
 type snapshot struct {
@@ -99,29 +77,40 @@ type hie struct {
 	decided             int
 }
 
-// Policy is Poise's runtime scheduler policy: one HIE per SM driving
-// the modified GTO scheduler through prediction, local search and run
-// phases each inference epoch.
+// Policy is Poise's runtime scheduler policy: the HIE engine, one FSM
+// per SM, running every inference epoch from the tuple Source gives.
+// Params times every window and sets the local search's strides (Table
+// IV): strides (0, 0) search nothing, Fig. 11's pure prediction, and an
+// epoch longer than the kernel samples and searches once per kernel.
 type Policy struct {
-	Params  config.PoiseParams
-	Weights Weights
-	// NoFallback disables the baseline-IPC guard. The guard is an
-	// engineering extension over the paper: the HIE already measures
-	// IPC at the maximum tuple during feature sampling, so when the
-	// locally-searched tuple samples *worse* than that reference the
-	// epoch runs at maximum warps instead. It bounds the damage of a
+	Params config.PoiseParams
+	Source Source
+	// Guard is the baseline-IPC fallback guard, an engineering
+	// extension over the paper: a throttled run phase that measures
+	// below the epoch's baseline feature window (IPC at the maximum
+	// tuple) runs the rest of the epoch at maximum warps, and two such
+	// epochs pin the kernel there. It bounds the damage of a
 	// mispredicted throttle on TLP-loving kernels to roughly the
-	// sampling overhead. Set NoFallback for paper-exact behaviour.
-	NoFallback bool
+	// sampling overhead. Off is paper-exact.
+	Guard bool
 
 	engines   []*hie
 	fallbacks int // epochs that reverted to the maximum tuple
 	maxN      int
 }
 
-// NewPolicy builds the Poise policy with trained weights.
+// Source gives an epoch's starting tuple for the named kernel, which
+// exposes maxN warps per scheduler, from the epoch's feature vector x.
+// The engine asks it once per epoch, after the two feature windows, and
+// clamps what it gives to p <= N <= maxN.
+type Source func(kernel string, x Vector, maxN int) (n, p int)
+
+// NewPolicy builds the Poise policy on trained weights: the GLM's
+// prediction as the Source, guard on.
 func NewPolicy(params config.PoiseParams, w Weights) *Policy {
-	return &Policy{Params: params, Weights: w}
+	return &Policy{Params: params, Guard: true, Source: func(_ string, x Vector, maxN int) (int, int) {
+		return w.PredictTuple(x, maxN)
+	}}
 }
 
 // Name implements sim.Policy.
@@ -208,7 +197,7 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 		// Fallback guard: after two epochs whose throttled run phase
 		// underperformed the baseline window, pin the kernel to maximum
 		// warps (prediction is not working for it).
-		if !p.NoFallback && e.strikes >= 2 {
+		if p.Guard && e.strikes >= 2 {
 			p.enterRun(g, e, i, p.maxN, p.maxN)
 			return
 		}
@@ -218,8 +207,9 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 
 	case stRefSample:
 		ref := windowFrom(e.snapA, snap(s))
-		x := Features(e.base, ref)
-		n, pp := p.Weights.PredictTuple(x, p.maxN)
+		n, pp := p.Source(g.KernelName(), Features(e.base, ref), p.maxN)
+		n = min(n, p.maxN)
+		pp = min(pp, n)
 		e.predN, e.predP = n, pp
 		g.LogPrediction(i, n, pp)
 		// Zero strides are pure prediction: the (0, 0) column of Fig. 11.
@@ -236,15 +226,12 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 			p.startEpoch(g, e, i, now)
 			return
 		}
-		// Interim fallback check: a throttled run phase that trails the
-		// baseline window after a substantial unbiased sample reverts to
-		// maximum warps for the rest of the epoch.
+		// The guard's interim check: a throttled run phase that trails
+		// the baseline window after a substantial unbiased sample
+		// reverts to maximum warps for the rest of the epoch.
 		if !e.checked {
 			e.checked = true
-			runIPC := ipcSince(e.runSnap, s, now-e.runStartAt)
-			if e.baseIPC > 0 && runIPC < e.baseIPC {
-				e.strikes++
-				p.fallbacks++
+			if p.trails(e, s, now) {
 				p.enterRun(g, e, i, p.maxN, p.maxN)
 				return
 			}
@@ -253,21 +240,25 @@ func (p *Policy) advance(g *sim.GPU, e *hie, i int, now int64) {
 	}
 }
 
-// scoreRunPhase closes out an epoch's run window for the fallback
-// guard: a throttled run phase that underperformed the epoch's baseline
-// window earns a strike; a healthy one forgives an earlier strike.
-func (p *Policy) scoreRunPhase(e *hie, s *sm.SM, now int64) {
-	if p.NoFallback || e.runStartAt <= 0 || now <= e.runStartAt {
-		return
-	}
-	if e.runN >= p.maxN && e.runP >= p.maxN {
-		return // ran at the baseline tuple: nothing to judge
-	}
-	runIPC := ipcSince(e.runSnap, s, now-e.runStartAt)
-	if e.baseIPC > 0 && runIPC < e.baseIPC {
+// trails reports whether the run phase so far measures below the
+// epoch's baseline feature window, and counts a strike when it does.
+func (p *Policy) trails(e *hie, s *sm.SM, now int64) bool {
+	if e.baseIPC > 0 && ipcSince(e.runSnap, s, now-e.runStartAt) < e.baseIPC {
 		e.strikes++
 		p.fallbacks++
-	} else if e.strikes > 0 {
+		return true
+	}
+	return false
+}
+
+// scoreRunPhase closes out an epoch's run window for the guard: a
+// throttled run phase that trails earns a strike, and a healthy one
+// forgives an earlier strike.
+func (p *Policy) scoreRunPhase(e *hie, s *sm.SM, now int64) {
+	if !p.Guard || e.runStartAt <= 0 || now <= e.runStartAt || (e.runN >= p.maxN && e.runP >= p.maxN) {
+		return // off, or ran at the baseline tuple: nothing to judge
+	}
+	if !p.trails(e, s, now) && e.strikes > 0 {
 		e.strikes--
 	}
 }
@@ -283,7 +274,7 @@ func (p *Policy) enterRun(g *sim.GPU, e *hie, i, n, pp int) {
 	e.state = stRun
 	e.checked = true
 	e.nextAt = e.epochEnd
-	if p.NoFallback || (n >= p.maxN && pp >= p.maxN) {
+	if !p.Guard || (n >= p.maxN && pp >= p.maxN) {
 		return
 	}
 	// Schedule the interim fallback check once the run phase has had
@@ -297,37 +288,21 @@ func (p *Policy) enterRun(g *sim.GPU, e *hie, i, n, pp int) {
 }
 
 // probeOrRun steers SM i to the search's next probe and starts its
-// warm-up, or pins the tuple the search converged on.
+// warm-up, or pins the tuple the search converged on. Displacement
+// (Fig. 10) is measured between the Source's tuple and the search's,
+// before any fallback.
 func (p *Policy) probeOrRun(g *sim.GPU, e *hie, i int, now int64) {
 	n, pp, done := e.search.Next(p.maxN, p.Params.StrideP)
-	if done {
-		p.finishSearch(g, e, i, n, pp)
+	if !done {
+		g.SetTuple(i, n, pp)
+		e.state = stSearchWarm
+		e.nextAt = now + int64(p.Params.TWarmup)
 		return
 	}
-	g.SetTuple(i, n, pp)
-	e.state = stSearchWarm
-	e.nextAt = now + int64(p.Params.TWarmup)
-}
-
-// finishSearch pins the converged tuple for the rest of the epoch and
-// records displacement statistics. The fallback guard does not judge
-// the search's samples: it acts on the run phase (the interim check in
-// Step, then scoreRunPhase), which enterRun opens here.
-func (p *Policy) finishSearch(g *sim.GPU, e *hie, i, n, pp int) {
-	// Displacement is measured between the prediction and the *search*
-	// outcome (the paper's Fig. 10 metric), before any fallback.
-	dn := float64(abs(n - e.predN))
-	dp := float64(abs(pp - e.predP))
+	dn, dp := math.Abs(float64(n-e.predN)), math.Abs(float64(pp-e.predP))
 	e.dispN += dn
 	e.dispP += dp
 	e.dispE += math.Sqrt(dn*dn + dp*dp)
 	e.decided++
 	p.enterRun(g, e, i, n, pp)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

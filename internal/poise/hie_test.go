@@ -91,6 +91,67 @@ func TestHIEPureInference(t *testing.T) {
 	}
 }
 
+// TestSourceAndOnceAKernel: the engine starts each epoch from its
+// Source's tuple, clamped to p <= N <= maxN, and an epoch longer than
+// the kernel predicts once per SM.
+func TestSourceAndOnceAKernel(t *testing.T) {
+	k := testutil.ThrashKernel("hie-source", 20, 200, 8)
+	maxN := testutil.TinyConfig().WarpsPerSched
+	predictions := func(edit func(p *Policy)) (tuples map[[2]int]bool, n int) {
+		params := testutil.TinyParams()
+		params.StrideN, params.StrideP = 0, 0
+		pol := NewPolicy(params, throttleWeights(4, 2))
+		edit(pol)
+		g, err := sim.New(testutil.TinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.TraceTuples = true
+		res, err := g.Run(k, pol, sim.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = map[[2]int]bool{}
+		for _, ev := range res.TupleLog {
+			if ev.Predicted {
+				tuples[[2]int{ev.N, ev.P}] = true
+				n++
+			}
+		}
+		return tuples, n
+	}
+	glmN, glmP := throttleWeights(4, 2).PredictTuple(Vector{NumFeatures - 1: 1}, maxN)
+	for _, tc := range []struct {
+		name  string
+		give  [2]int // what the Source gives for this kernel
+		tuple [2]int
+	}{
+		{"in range", [2]int{2, 1}, [2]int{2, 1}},
+		{"p over N", [2]int{1, 3}, [2]int{1, 1}},
+		{"N over maxN", [2]int{maxN + 5, maxN + 5}, [2]int{maxN, maxN}},
+	} {
+		got, _ := predictions(func(p *Policy) {
+			p.Source = func(kernel string, _ Vector, _ int) (int, int) {
+				if kernel != k.Name {
+					t.Errorf("Source asked for kernel %q, want %q", kernel, k.Name)
+				}
+				return tc.give[0], tc.give[1]
+			}
+		})
+		if want := map[[2]int]bool{tc.tuple: true}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: predicted %v, want only %v", tc.name, got, tc.tuple)
+		}
+	}
+	if got, _ := predictions(func(*Policy) {}); !reflect.DeepEqual(got, map[[2]int]bool{{glmN, glmP}: true}) {
+		t.Errorf("NewPolicy predicted %v, want only the GLM's %v", got, [2]int{glmN, glmP})
+	}
+	_, every := predictions(func(*Policy) {})
+	_, once := predictions(func(p *Policy) { p.Params.TPeriod = math.MaxInt32 })
+	if sms := testutil.TinyConfig().NumSMs; once != sms || every <= once {
+		t.Fatalf("%d predictions with one epoch a kernel, %d every epoch, on %d SMs", once, every, sms)
+	}
+}
+
 func TestHIEComputeIntensiveCutoff(t *testing.T) {
 	// A kernel with In above Imax must run at maximum warps: the HIE
 	// detects it during the base sample and skips prediction entirely.

@@ -40,7 +40,7 @@ func (w Weights) Predict(x Vector) (nScaled, pScaled float64) {
 		etaN += w.Alpha[i] * x[i]
 		etaP += w.Beta[i] * x[i]
 	}
-	return math.Exp(clamp(etaN, -10, 10)), math.Exp(clamp(etaP, -10, 10))
+	return math.Exp(min(max(etaN, -10), 10)), math.Exp(min(max(etaP, -10), 10))
 }
 
 // PredictTuple predicts a concrete warp-tuple for a kernel whose
@@ -57,30 +57,13 @@ func (w Weights) PredictTuple(x Vector, maxN int) (n, p int) {
 	return n, p
 }
 
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // ScaleTarget maps a profiled target value (found with maxN warps
 // available) into the uniform 24-warp training space.
 func ScaleTarget(v, maxN int) float64 {
 	if maxN <= 0 {
 		maxN = hwMaxWarps
 	}
-	s := float64(v) * hwMaxWarps / float64(maxN)
-	if s < 1 {
-		s = 1
-	}
-	if s > hwMaxWarps {
-		s = hwMaxWarps
-	}
-	return s
+	return min(max(float64(v)*hwMaxWarps/float64(maxN), 1), hwMaxWarps)
 }
 
 // reverseScale maps a scaled-space prediction back to the kernel's
@@ -89,14 +72,7 @@ func reverseScale(scaled float64, maxN int) int {
 	if maxN <= 0 {
 		maxN = hwMaxWarps
 	}
-	v := int(math.Round(scaled * float64(maxN) / hwMaxWarps))
-	if v < 1 {
-		v = 1
-	}
-	if v > maxN {
-		v = maxN
-	}
-	return v
+	return min(max(int(math.Round(scaled*float64(maxN)/hwMaxWarps)), 1), maxN)
 }
 
 // Save writes the weights as JSON (the artefact cmd/poisetrain emits;

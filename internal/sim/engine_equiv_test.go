@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -86,6 +87,20 @@ func mustPoise(t *testing.T) sim.Policy {
 	return poise.NewPolicy(testutil.TinyParams(), w)
 }
 
+// mustPoiseAs is the HIE on the default weights, changed by edit.
+func mustPoiseAs(t *testing.T, edit func(p *poise.Policy)) sim.Policy {
+	t.Helper()
+	p := mustPoise(t).(*poise.Policy)
+	edit(p)
+	return p
+}
+
+// oracleSource gives every kernel a throttled tuple of its own that no
+// feature moves, as a per-kernel oracle table does.
+func oracleSource(kernel string, _ poise.Vector, _ int) (n, p int) {
+	return 2 + len(kernel)%3, 1 + len(kernel)%2
+}
+
 // The windows PCAL-SWL and random-restart run at in these tests, short
 // enough that a small kernel sees many decisions; the golden states
 // were written at them.
@@ -112,6 +127,12 @@ func engineSchemes(t *testing.T) []struct {
 		{"pcal", func() sim.Policy { return sched.NewPCALSWL(sched.TupleSource{}, pcalParams) }},
 		{"random", func() sim.Policy { return sched.NewRandomRestart(7, rrParams) }},
 		{"poise", func() sim.Policy { return mustPoise(t) }},
+		{"poise-oracle", func() sim.Policy {
+			return mustPoiseAs(t, func(p *poise.Policy) { p.Source = oracleSource })
+		}},
+		{"poise-once", func() sim.Policy {
+			return mustPoiseAs(t, func(p *poise.Policy) { p.Params.TPeriod, p.Guard = math.MaxInt32, false })
+		}},
 	}
 }
 

@@ -194,6 +194,9 @@ func (g *GPU) Now() int64 { return g.now }
 // step (paper §V-C) normalises against.
 func (g *GPU) MaxN() int { return KernelMaxN(g.Cfg, g.kernel) }
 
+// KernelName names the running kernel, what per-kernel tables key on.
+func (g *GPU) KernelName() string { return g.kernel.Name }
+
 // SetTupleAll applies a warp-tuple on every SM.
 func (g *GPU) SetTupleAll(n, p int) {
 	for i := range g.SMs {
