@@ -532,12 +532,13 @@ func (h *Harness) ValidateCellPlan(grid string, plan *gridplan.CellPlan) error {
 	return err
 }
 
-// GridCells returns the grid's full, key-unordered-but-plan-complete
-// cell set: the merged results-cache entry when a valid one covers the
+// GridCells returns the grid's full cell set, indexed by callers: the
+// merged results-cache entry (key order) when a valid one covers the
 // current plan (what a fleet campaign or a previous cached run left),
-// otherwise a fresh in-process run through the same pipeline —
-// cached afterwards when a cache directory is configured, so corrupt
-// or stale entries are repaired by overwriting. Memoised per harness.
+// otherwise a fresh in-process run (plan order) through the same
+// pipeline — cached afterwards when a cache directory is configured,
+// so corrupt or stale entries are repaired by overwriting. Memoised
+// per harness.
 func (h *Harness) GridCells(grid string) ([]results.CellResult, error) {
 	return h.cells.Get(grid, func() ([]results.CellResult, error) {
 		plan, err := h.CellPlan(grid)

@@ -141,9 +141,9 @@ func (c RefineCampaign) Next(gen int, prev []Result) ([]byte, []unit, bool, erro
 	return generation(plan, plan.Tasks, func(w io.Writer) error { return gridplan.WritePlan(w, plan) })
 }
 
-// SaveCells decodes a cell campaign's results and saves the merged
-// cell set through the same results.Store path an in-process grid run
-// uses. Returns the (tag, grid) saved and the cell count.
+// SaveCells decodes a cell campaign's results and saves the cell set
+// through the same results.Store path an in-process grid run uses.
+// Returns the (tag, grid) saved and the cell count.
 func SaveCells(st results.Store, rs []Result) (tag, grid string, n int, err error) {
 	cells, err := decode[results.CellResult](rs)
 	if err != nil {
@@ -152,18 +152,14 @@ func SaveCells(st results.Store, rs []Result) (tag, grid string, n int, err erro
 	if len(cells) == 0 {
 		return "", "", 0, fmt.Errorf("fleet: no cell results to save")
 	}
-	merged, err := results.Merge(cells)
-	if err != nil {
-		return "", "", 0, err
-	}
-	tag, grid = merged[0].Tag, merged[0].Grid
-	for _, c := range merged {
+	tag, grid = cells[0].Tag, cells[0].Grid
+	for _, c := range cells {
 		if c.Tag != tag || c.Grid != grid {
 			return "", "", 0, fmt.Errorf("fleet: mixed cell identities (%s/%s vs %s/%s)", tag, grid, c.Tag, c.Grid)
 		}
 	}
-	if err := st.Save(tag, grid, merged); err != nil {
+	if err := st.Save(tag, grid, cells); err != nil {
 		return "", "", 0, err
 	}
-	return tag, grid, len(merged), nil
+	return tag, grid, len(cells), nil
 }

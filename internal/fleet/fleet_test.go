@@ -377,13 +377,15 @@ func TestRefineCampaignMatchesPrunedSweep(t *testing.T) {
 // refinement (key order, the plan container, one unit a task, decoding
 // the results) against ../profile/testdata/pr22_refine, which the
 // parent of the commit that moved the state machine into
-// profile.Refinement wrote with its own RefineCampaign (see
-// TestRefinementReproducesParentGoldens there for the set-up: mm#2 and
-// mm#3 on 2 SMs at step 4, mm#3 resumed from its round 0 on disk).
-// Every generation's plan bytes, the round files and the saved
-// profiles must be the parent's, under today's keys: the parent tagged
-// mm#2 "tagA" and mm#3 "tagB" and named files "<tag>_<kernel>", the
-// one key is profile.SweepTag and profile.Key (testutil.Rekey).
+// profile.Refinement wrote: plans/ with its own RefineCampaign, inproc/
+// with its in-process sweep (see TestRefinementReproducesParentGoldens
+// there for the set-up: mm#2 and mm#3 on 2 SMs at step 4, mm#3 resumed
+// from its round 0 on disk). Every generation's plan bytes must be the
+// campaign's, and the round files and saved profiles, though handed
+// back in key order, the in-process sweep's, under today's keys: the
+// parent tagged mm#2 "tagA" and mm#3 "tagB" and named files
+// "<tag>_<kernel>", the one key is profile.SweepTag and profile.Key
+// (testutil.Rekey).
 func TestRefineCampaignPublishesParentPlans(t *testing.T) {
 	cfg := config.Default().Scale(2)
 	mm := workloads.NewCatalogue(workloads.Small).Must("mm")
@@ -396,10 +398,10 @@ func TestRefineCampaignPublishesParentPlans(t *testing.T) {
 			map[string]string{"tagA_" + ka.Name: profile.Key(cfg, ka, opts), "tagB_" + kb.Name: profile.Key(cfg, kb, opts)},
 			map[string]string{"tagA": tag, "tagB": tag})
 	}
-	fleetDir, plans := golden("fleet"), golden("plans")
+	storeDir, plans := golden("inproc"), golden("plans")
 	st := profile.Store{Dir: t.TempDir()}
 	round0 := profile.Key(cfg, kb, opts) + ".prune000.jsonl"
-	data, err := os.ReadFile(filepath.Join(fleetDir, round0))
+	data, err := os.ReadFile(filepath.Join(storeDir, round0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +447,7 @@ func TestRefineCampaignPublishesParentPlans(t *testing.T) {
 	if _, err := camp.R.Profiles(); err != nil {
 		t.Fatal(err)
 	}
-	if want, got := dirBytes(t, fleetDir), dirBytes(t, st.Dir); !reflect.DeepEqual(want, got) {
+	if want, got := dirBytes(t, storeDir), dirBytes(t, st.Dir); !reflect.DeepEqual(want, got) {
 		t.Fatal("the campaign's round files and profiles differ from the parent's")
 	}
 }

@@ -215,15 +215,9 @@ func refineWants(pr *Profile, grid []gridplan.Coord, opts SweepOptions) map[grid
 		return byScore[i].score > byScore[j].score
 	})
 
-	// The expansion reach: one target grid step (never below the 1-cell
-	// score neighbourhood).
+	// The expansion reach: one target grid step (refinePlan's opts are
+	// withDefaults', so never below the 1-cell score neighbourhood).
 	reachN, reachP := opts.StepN, opts.StepP
-	if reachN < 1 {
-		reachN = 1
-	}
-	if reachP < 1 {
-		reachP = 1
-	}
 
 	// Speedup candidates are picked with non-max suppression — a point
 	// within one grid step of a better candidate is represented by it
@@ -326,6 +320,7 @@ type refineState struct {
 	entry
 	round int                    // completed rounds, resumed ones included
 	prior []gridplan.Measurement // their measurements, merged
+	asked []gridplan.Task        // this kernel's share of what Next returned last
 	stats RefineStats            // what this Refinement simulated, not what it resumed
 	done  bool
 }
@@ -383,7 +378,7 @@ func (r *Refinement) Next() (*gridplan.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.done = done
+		st.done, st.asked = done, kp.Tasks
 		r.asked.Tasks = append(r.asked.Tasks, kp.Tasks...)
 	}
 	return r.asked, nil
@@ -391,19 +386,23 @@ func (r *Refinement) Next() (*gridplan.Plan, error) {
 
 // Fold takes the measurements of the plan Next returned last, all of
 // them and no others, in any order: each kernel's share becomes its next
-// completed round, persisted when the store has a directory.
+// completed round, in the order Next planned it whoever ran it, and is
+// persisted when the store has a directory.
 func (r *Refinement) Fold(ms []gridplan.Measurement) error {
 	if err := r.asked.Verify(ms); err != nil {
 		return err
 	}
-	byKernel := map[string][]gridplan.Measurement{}
+	byKey := make(map[string]gridplan.Measurement, len(ms))
 	for _, m := range ms {
-		byKernel[m.Kernel] = append(byKernel[m.Kernel], m)
+		byKey[m.Key()] = m
 	}
 	for _, st := range r.states {
-		round := byKernel[st.kernel.Name]
-		if len(round) == 0 {
+		if len(st.asked) == 0 {
 			continue // converged: nothing was asked
+		}
+		round := make([]gridplan.Measurement, len(st.asked))
+		for i, t := range st.asked {
+			round[i] = byKey[t.Key()]
 		}
 		if r.store.Dir != "" {
 			if err := r.store.saveRound(st.entry, st.round, round); err != nil {
@@ -478,11 +477,9 @@ func (s Store) roundPath(e entry, round int) string {
 	return filepath.Join(s.Dir, fmt.Sprintf("%s.prune%03d.jsonl", e.name(), round))
 }
 
-// saveRound persists one completed refinement round's measurements.
+// saveRound persists one completed refinement round's measurements
+// (s has a directory: Fold asks only then).
 func (s Store) saveRound(e entry, round int, ms []gridplan.Measurement) error {
-	if s.Dir == "" {
-		return fmt.Errorf("profile: store has no directory for round partials")
-	}
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"poise/internal/config"
@@ -86,14 +87,14 @@ func sameFiles(t *testing.T, golden, dir string) {
 // testdata/pr22_refine were written by the PARENT of the commit that
 // made Refinement the one refinement loop (d540eb0), which had three:
 // inproc/ is the store Store.LoadOrSweepAll (its own round loop) filled
-// kernel by kernel; fleet/ the store fleet.RefineCampaign (its own
-// state machine) filled when driven by hand from mm#3's round 0 on
-// disk, the results handed back in key order as a coordinator does and
-// the profiles saved with its SaveTo; plans/ the bytes that campaign
-// published per generation. Never regenerate them with the code under
+// kernel by kernel; plans/ the bytes fleet.RefineCampaign (its own
+// state machine) published per generation when driven by hand from
+// mm#3's round 0 on disk. Never regenerate them with the code under
 // test; goldenDir only renames their keys. The one Refinement must
-// write all three: run in this process from nothing, and driven by hand
-// from the resumed round.
+// write both: run in this process from nothing, and driven by hand from
+// the resumed round with each round's measurements handed back in
+// reverse key order. A round file is in plan order whatever the arrival
+// order, so both halves leave inproc/'s store.
 func TestRefinementReproducesParentGoldens(t *testing.T) {
 	inproc := Store{Dir: t.TempDir()}
 	r, _ := goldenRefinement(t, inproc)
@@ -111,7 +112,7 @@ func TestRefinementReproducesParentGoldens(t *testing.T) {
 	sameFiles(t, goldenDir(t, "inproc"), inproc.Dir)
 
 	fleet := Store{Dir: t.TempDir()}
-	golden := goldenDir(t, "fleet")
+	golden := goldenDir(t, "inproc")
 	_, kb := goldenKernels()
 	round0 := Key(goldenCfg, kb, goldenOpts) + ".prune000.jsonl"
 	data, err := os.ReadFile(filepath.Join(golden, round0))
@@ -145,6 +146,7 @@ func TestRefinementReproducesParentGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		slices.Reverse(ms)
 		if err := r.Fold(ms); err != nil {
 			t.Fatal(err)
 		}

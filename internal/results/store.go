@@ -30,13 +30,18 @@ type cellsFile struct {
 	Cells   []CellResult `json:"cells"`
 }
 
-// Save writes the merged cell set for (tag, grid), atomically: a crash
-// mid-write leaves the previous entry, not a torn one.
+// Save writes the cell set for (tag, grid) merged, in key order whoever
+// ran it, atomically: a crash mid-write leaves the previous entry, not a
+// torn one.
 func (s Store) Save(tag, grid string, cells []CellResult) error {
 	if s.Dir == "" {
 		return errors.New("results: store has no directory")
 	}
-	return atomicfile.SaveJSON(s.path(tag, grid), cellsFile{Version: gridplan.PlanVersion, Tag: tag, Grid: grid, Cells: cells})
+	merged, err := Merge(cells)
+	if err != nil {
+		return err
+	}
+	return atomicfile.SaveJSON(s.path(tag, grid), cellsFile{Version: gridplan.PlanVersion, Tag: tag, Grid: grid, Cells: merged})
 }
 
 // Load reads the merged cell set for (tag, grid); it returns
