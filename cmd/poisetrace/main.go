@@ -1,24 +1,24 @@
 // Command poisetrace generates and inspects poisetrace containers.
 //
-// -gen writes a synthetic trace of roughly -size-mb megabytes without
-// ever holding the address data in memory (every warp's stream is a
-// view into one shared random-walk buffer, and Write streams the
-// encoding), so CI can cheaply materialise traces far larger than the
-// memory it grants the reader.
+// -gen writes a synthetic trace of roughly -size-mb megabytes (every
+// warp's stream is a window into one pseudo-random line walk) and
+// prints its digest, computed from the walk itself before the
+// container is written: the same line -stat prints for the container,
+// from code that shares nothing with the writer or the reader.
 //
 // -stat drains a container through the streaming Scanner and prints a
 // deterministic digest: workload identity, record and access counts,
-// and an FNV-1a checksum over every record in stream order. With
-// -whole the same digest is computed from the whole-trace Read path
-// instead — diffing the two outputs pins the streaming reader to the
-// materialising one on any input. -max-heap-mb turns the bounded-
-// memory claim into an enforced assertion: the process fails if the
-// Go heap ever grew past the bound.
+// and an FNV-1a checksum over every record in stream order. Diffing it
+// against -gen's line checks the reader against an independent oracle.
+// -max-heap-mb turns the bounded-memory claim into an enforced
+// assertion: the process fails if the Go heap ever grew past the bound.
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"log"
@@ -40,7 +40,6 @@ func main() {
 		warps   = flag.Int("warps", 16384, "-gen total warps per kernel")
 		kernels = flag.Int("kernels", 1, "-gen kernel count")
 		stat    = flag.String("stat", "", "scan this container and print its digest")
-		whole   = flag.Bool("whole", false, "-stat: use the materialising Read path instead of the Scanner")
 		maxHeap = flag.Int("max-heap-mb", 0, "-stat: fail if the Go heap grows past this many MB (0 = unchecked)")
 	)
 	flag.Parse()
@@ -54,7 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 	case *stat != "":
-		if err := digest(os.Stdout, *stat, *whole, *maxHeap); err != nil {
+		if err := digest(os.Stdout, *stat, *maxHeap); err != nil {
 			log.Fatal(err)
 		}
 	default:
@@ -64,9 +63,9 @@ func main() {
 }
 
 // generate builds a -size-mb container: kernels of -warps warps whose
-// streams are overlapping views into one shared pseudo-random line
-// walk, so the trace encodes size-mb worth of varint deltas while the
-// generator holds only the walk buffer.
+// streams are overlapping windows into one pseudo-random line walk per
+// kernel. It prints the digest -stat prints, computed from the walk
+// before the container is written.
 func generate(out io.Writer, path string, sizeMB, warps, kernels int) error {
 	if sizeMB <= 0 || warps <= 0 || kernels <= 0 || warps%8 != 0 {
 		return fmt.Errorf("-size-mb, -warps and -kernels must be positive, -warps a multiple of 8")
@@ -78,6 +77,7 @@ func generate(out io.Writer, path string, sizeMB, warps, kernels int) error {
 		return fmt.Errorf("size %dMB too small for %d warps x %d kernels", sizeMB, warps, kernels)
 	}
 	tr := &traceio.Trace{Name: "synthetic", MemorySensitive: true}
+	d := newDigester()
 	for ki := 0; ki < kernels; ki++ {
 		base := make([]uint64, warps+iters)
 		x := uint64(ki)*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
@@ -97,12 +97,18 @@ func generate(out io.Writer, path string, sizeMB, warps, kernels int) error {
 				Blocks:        warps / 8,
 				WarpIters:     make([]int, warps),
 			},
-			Streams: [][][]uint64{make([][]uint64, warps)},
 		}
-		for g := 0; g < warps; g++ {
+		streams := make([][]uint64, warps)
+		for g := range streams {
 			kt.WarpIters[g] = iters
-			kt.Streams[0][g] = base[g : g+iters]
+			streams[g] = base[g : g+iters]
+			d.record(ki, 0, g, streams[g])
 		}
+		rep, err := traceio.NewReplay(kt.Name+"/slot0", streams)
+		if err != nil {
+			return err
+		}
+		kt.Streams = []*traceio.Replay{rep}
 		tr.Kernels = append(tr.Kernels, kt)
 	}
 	if err := traceio.WriteFile(path, tr); err != nil {
@@ -112,90 +118,74 @@ func generate(out io.Writer, path string, sizeMB, warps, kernels int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "wrote %s: %d kernels, %d records, %d accesses, %d bytes\n",
-		path, kernels, kernels*warps, kernels*warps*iters, fi.Size())
+	fmt.Fprintf(os.Stderr, "wrote %s: %d bytes\n", path, fi.Size())
+	d.print(out, tr.Name, kernels)
 	return nil
 }
 
-// digest prints the canonical stream digest of a container. The
-// streaming and whole-trace paths visit records in the same
-// (kernel, slot, warp) order, so their output is byte-identical
-// whenever both succeed.
-func digest(out io.Writer, path string, whole bool, maxHeapMB int) error {
+// digester accumulates the canonical stream digest: FNV-1a over every
+// record's (kernel, slot, warp, length, addresses), in stream order.
+type digester struct {
+	h                 hash.Hash64
+	buf               [8]byte
+	records, accesses int64
+}
+
+func newDigester() *digester { return &digester{h: fnv.New64a()} }
+
+func (d *digester) put(v uint64) {
+	binary.LittleEndian.PutUint64(d.buf[:], v)
+	d.h.Write(d.buf[:])
+}
+
+func (d *digester) record(kernel, slot, warp int, addrs []uint64) {
+	d.put(uint64(kernel))
+	d.put(uint64(slot))
+	d.put(uint64(warp))
+	d.put(uint64(len(addrs)))
+	d.records++
+	d.accesses += int64(len(addrs))
+	for _, a := range addrs {
+		d.put(a)
+	}
+}
+
+func (d *digester) print(out io.Writer, name string, kernels int) {
+	fmt.Fprintf(out, "workload %s kernels %d records %d accesses %d checksum %016x\n",
+		name, kernels, d.records, d.accesses, d.h.Sum64())
+}
+
+// digest prints the canonical stream digest of a container, read
+// through the streaming Scanner.
+func digest(out io.Writer, path string, maxHeapMB int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
+	sc, err := traceio.NewScanner(f)
+	if err != nil {
+		return err
 	}
-	var name string
-	var nkernels, records, accesses int64
-	if whole {
-		t, err := traceio.Read(f)
-		if err != nil {
-			return err
+	d := newDigester()
+	for {
+		rec, ok := sc.Next()
+		if !ok {
+			break
 		}
-		name, nkernels = t.Name, int64(len(t.Kernels))
-		for ki, kt := range t.Kernels {
-			for slot, streams := range kt.Streams {
-				for g, stream := range streams {
-					put(uint64(ki))
-					put(uint64(slot))
-					put(uint64(g))
-					put(uint64(len(stream)))
-					records++
-					accesses += int64(len(stream))
-					for _, a := range stream {
-						put(a)
-					}
-				}
-			}
-		}
-	} else {
-		sc, err := traceio.NewScanner(f)
-		if err != nil {
-			return err
-		}
-		name, nkernels = sc.Name(), int64(len(sc.Kernels()))
-		for {
-			rec, ok := sc.Next()
-			if !ok {
-				break
-			}
-			put(uint64(rec.Kernel))
-			put(uint64(rec.Slot))
-			put(uint64(rec.Warp))
-			put(uint64(len(rec.Addrs)))
-			records++
-			accesses += int64(len(rec.Addrs))
-			for _, a := range rec.Addrs {
-				put(a)
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
+		d.record(rec.Kernel, rec.Slot, rec.Warp, rec.Addrs)
 	}
-	fmt.Fprintf(out, "workload %s kernels %d records %d accesses %d checksum %016x\n",
-		name, nkernels, records, accesses, h.Sum64())
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	d.print(out, sc.Name(), len(sc.Kernels()))
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	heapMB := ms.HeapSys >> 20
-	mode := "stream"
-	if whole {
-		mode = "whole"
-	}
-	fmt.Fprintf(os.Stderr, "%s scan peak heap %d MB (GOMEMLIMIT=%s)\n",
-		mode, heapMB, orUnset(os.Getenv("GOMEMLIMIT")))
+	fmt.Fprintf(os.Stderr, "stream scan peak heap %d MB (GOMEMLIMIT=%s)\n",
+		heapMB, orUnset(os.Getenv("GOMEMLIMIT")))
 	if maxHeapMB > 0 && heapMB > uint64(maxHeapMB) {
 		return fmt.Errorf("heap grew to %d MB, over the %d MB bound", heapMB, maxHeapMB)
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // TestGenerateThenDigestBothWays: a generated container of about a
-// megabyte digests to the same line through the streaming Scanner and
-// through the whole-trace Read path, plain and gzipped, and the digest
-// accounts for every record the generator says it wrote.
+// megabyte, plain and gzipped, digests through the streaming Scanner
+// to exactly the line the generator computed from its own random walk
+// before writing, and that line accounts for every record written.
 func TestGenerateThenDigestBothWays(t *testing.T) {
 	for _, name := range []string{"t.ptrace", "t.ptrace.gz"} {
 		path := filepath.Join(t.TempDir(), name)
@@ -18,18 +18,12 @@ func TestGenerateThenDigestBothWays(t *testing.T) {
 		if err := generate(&gen, path, 1, 64, 2); err != nil {
 			t.Fatalf("generate %s: %v", name, err)
 		}
-		if !strings.Contains(gen.String(), "2 kernels, 128 records") {
-			t.Fatalf("generate %s reported %q", name, gen.String())
-		}
-		var streamed, whole bytes.Buffer
-		if err := digest(&streamed, path, false, 0); err != nil {
+		var streamed bytes.Buffer
+		if err := digest(&streamed, path, 0); err != nil {
 			t.Fatalf("streamed digest of %s: %v", name, err)
 		}
-		if err := digest(&whole, path, true, 0); err != nil {
-			t.Fatalf("whole digest of %s: %v", name, err)
-		}
-		if streamed.String() != whole.String() {
-			t.Fatalf("%s digests differ:\n streamed %s whole    %s", name, streamed.String(), whole.String())
+		if streamed.String() != gen.String() {
+			t.Fatalf("%s digests differ:\n generated %s streamed  %s", name, gen.String(), streamed.String())
 		}
 		if !strings.HasPrefix(streamed.String(), "workload synthetic kernels 2 records 128 accesses ") {
 			t.Fatalf("%s digest line: %q", name, streamed.String())
@@ -47,7 +41,7 @@ func TestGenerateAndDigestRefuse(t *testing.T) {
 			t.Fatalf("generate accepted size %d MB, %d warps, %d kernels", bad[0], bad[1], bad[2])
 		}
 	}
-	if err := digest(&sink, filepath.Join(dir, "absent.ptrace"), false, 0); err == nil {
+	if err := digest(&sink, filepath.Join(dir, "absent.ptrace"), 0); err == nil {
 		t.Fatal("digest of a missing file succeeded")
 	}
 	path := filepath.Join(dir, "ok.ptrace")
@@ -55,7 +49,7 @@ func TestGenerateAndDigestRefuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// HeapSys is never below a megabyte or two, so a bound of 1 must trip.
-	if err := digest(&sink, path, true, 1); err == nil || !strings.Contains(err.Error(), "over the 1 MB bound") {
+	if err := digest(&sink, path, 1); err == nil || !strings.Contains(err.Error(), "over the 1 MB bound") {
 		t.Fatalf("digest under a 1 MB heap bound: %v", err)
 	}
 }

@@ -1,5 +1,7 @@
 package stats
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded through splitmix64). The simulator cannot use
 // math/rand's global state: every SM, warp and workload needs an
@@ -72,16 +74,17 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// NormFloat64 returns a standard normal variate via the Box-Muller
-// transform (polar-free form; adequate for workload jitter).
+// NormFloat64 returns a standard normal variate by the Marsaglia
+// polar method: a point drawn uniformly in the unit disc, rejected
+// outside it, is scaled into a normal deviate (adequate for workload
+// jitter).
 func (r *RNG) NormFloat64() float64 {
-	// Marsaglia polar method.
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
 		s := u*u + v*v
 		if s > 0 && s < 1 {
-			return u * sqrt(-2*log(s)/s)
+			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
 }

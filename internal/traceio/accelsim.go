@@ -482,19 +482,19 @@ func (ak *accelKernel) kernelTrace() (*KernelTrace, error) {
 	}
 	kt.Body = b.Body()
 
-	kt.Streams = make([][][]uint64, kt.Slots)
-	for newSlot := range kt.Streams {
-		kt.Streams[newSlot] = make([][]uint64, total)
+	streams := make([][][]uint64, kt.Slots) // [slot][warp]
+	for newSlot := range streams {
+		streams[newSlot] = make([][]uint64, total)
 	}
 	for oldSlot, warps := range ak.streams {
 		for g, stream := range warps {
-			kt.Streams[remap[oldSlot]][g] = stream
+			streams[remap[oldSlot]][g] = stream
 		}
 	}
 	for g := 0; g < total; g++ {
 		iters := 1
-		for s := range kt.Streams {
-			if n := len(kt.Streams[s][g]); n > iters {
+		for s := range streams {
+			if n := len(streams[s][g]); n > iters {
 				iters = n
 			}
 		}
@@ -502,11 +502,19 @@ func (ak *accelKernel) kernelTrace() (*KernelTrace, error) {
 		// A warp that never touched a slot replays a single null line;
 		// the strict validator otherwise (rightly) rejects empty streams
 		// on referenced slots.
-		for s := range kt.Streams {
-			if len(kt.Streams[s][g]) == 0 {
-				kt.Streams[s][g] = []uint64{0}
+		for s := range streams {
+			if len(streams[s][g]) == 0 {
+				streams[s][g] = []uint64{0}
 			}
 		}
+	}
+	kt.Streams = make([]*Replay, kt.Slots)
+	for s, warps := range streams {
+		rep, err := NewReplay(slotName(ak.name, s), warps)
+		if err != nil {
+			return nil, err
+		}
+		kt.Streams[s] = rep
 	}
 	return kt, nil
 }

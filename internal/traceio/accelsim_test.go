@@ -75,15 +75,15 @@ func TestReadAccelSim(t *testing.T) {
 	}
 	// One IADD per memory instruction in the trace keeps In ≈ 2: each
 	// synthesised memory op is followed by gap=0 or 1 ALU...
-	if got := kt.Streams[0][0][0]; got != 0x100000 {
+	if got := kt.Streams[0].warpStream(0)[0]; got != 0x100000 {
 		t.Fatalf("warp 0 slot 0 addr = %#x", got)
 	}
-	if got := kt.Streams[0][3][0]; got != 0x100180 {
+	if got := kt.Streams[0].warpStream(3)[0]; got != 0x100180 {
 		t.Fatalf("warp 3 slot 0 addr = %#x", got)
 	}
 	// Warp 3 never issued the second load or the store: padded null
 	// line keeps the trace valid and replayable.
-	if got := kt.Streams[1][3]; len(got) != 1 || got[0] != 0 {
+	if got := kt.Streams[1].warpStream(3); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("warp 3 slot 1 padding wrong: %v", got)
 	}
 	if kt.WarpIters[0] != 1 || kt.WarpIters[3] != 1 {
@@ -152,22 +152,22 @@ func TestReadAccelSimCoalescingMask(t *testing.T) {
 	// Warp 0's first LDG lists 4 lane addresses inside one 128-byte
 	// line: one stream entry. Its second LDG straddles two lines; the
 	// STG's 4 lanes cover three.
-	if got := kt.Streams[0][0]; len(got) != 1 || got[0] != 0x100000 {
+	if got := kt.Streams[0].warpStream(0); len(got) != 1 || got[0] != 0x100000 {
 		t.Fatalf("slot 0 warp 0 = %#x, want the one coalesced line 0x100000", got)
 	}
-	if got := kt.Streams[1][0]; !reflect.DeepEqual(got, []uint64{0x200000, 0x200080}) {
+	if got := kt.Streams[1].warpStream(0); !reflect.DeepEqual(got, []uint64{0x200000, 0x200080}) {
 		t.Fatalf("slot 1 warp 0 = %#x, want two distinct lines", got)
 	}
-	if got := kt.Streams[2][0]; !reflect.DeepEqual(got, []uint64{0x300000, 0x300080, 0x300100}) {
+	if got := kt.Streams[2].warpStream(0); !reflect.DeepEqual(got, []uint64{0x300000, 0x300080, 0x300100}) {
 		t.Fatalf("slot 2 warp 0 = %#x, want three first-touch-ordered lines", got)
 	}
 	// Warp 2 only issued the first load; warp 3 has no section at all —
 	// untouched slots replay the padded null line.
-	if got := kt.Streams[0][2]; len(got) != 1 || got[0] != 0x100200 {
+	if got := kt.Streams[0].warpStream(2); len(got) != 1 || got[0] != 0x100200 {
 		t.Fatalf("slot 0 warp 2 = %#x", got)
 	}
 	for s := 0; s < 3; s++ {
-		if got := kt.Streams[s][3]; len(got) != 1 || got[0] != 0 {
+		if got := kt.Streams[s].warpStream(3); len(got) != 1 || got[0] != 0 {
 			t.Fatalf("slot %d warp 3 = %#x, want null-line padding", s, got)
 		}
 	}

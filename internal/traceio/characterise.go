@@ -77,34 +77,9 @@ func Characterise(t *Trace, opts CharacteriseOptions) (Signature, error) {
 	}
 	c := newCharacteriser(len(t.Kernels), opts)
 	for i, kt := range t.Kernels {
-		c.add(i, kt.view())
+		c.add(i, kt)
 	}
 	return c.signature(t.Name), nil
-}
-
-// kernelView is the scan core's read-only window onto one kernel: the
-// loop body, launch shape, and a per-(slot, warp) stream accessor. It
-// abstracts over where the streams live — nested KernelTrace slices or
-// flat Replay arenas — so the in-memory and streaming ingest paths
-// characterise through the identical code and agree bit-for-bit.
-type kernelView struct {
-	body       []trace.Instr
-	warpIters  []int
-	totalWarps int
-	maxIters   int
-	slots      int
-	stream     func(slot, g int) []uint64
-}
-
-func (kt *KernelTrace) view() kernelView {
-	return kernelView{
-		body:       kt.Body,
-		warpIters:  kt.WarpIters,
-		totalWarps: kt.TotalWarps(),
-		maxIters:   kt.MaxIters(),
-		slots:      kt.Slots,
-		stream:     func(s, g int) []uint64 { return kt.Streams[s][g] },
-	}
 }
 
 // characteriser computes a Signature from kernels handed to it in
@@ -118,13 +93,13 @@ func (kt *KernelTrace) view() kernelView {
 // float for float whichever worker ran what. With one worker there is
 // no goroutine: the caller runs every task, in order, at the end.
 type characteriser struct {
-	opts   CharacteriseOptions
-	views  []kernelView
-	sigs   []kernelSig
-	tasks  chan func(*scanScratch)
-	wg     sync.WaitGroup
-	quit   atomic.Bool // set by stop: queued tasks are dropped
-	closed bool
+	opts    CharacteriseOptions
+	kernels []*KernelTrace
+	sigs    []kernelSig
+	tasks   chan func(*scanScratch)
+	wg      sync.WaitGroup
+	quit    atomic.Bool // set by stop: queued tasks are dropped
+	closed  bool
 }
 
 func newCharacteriser(kernels int, opts CharacteriseOptions) *characteriser {
@@ -132,10 +107,10 @@ func newCharacteriser(kernels int, opts CharacteriseOptions) *characteriser {
 		opts.MaxAccesses = DefaultMaxAccesses
 	}
 	c := &characteriser{
-		opts:  opts,
-		views: make([]kernelView, kernels),
-		sigs:  make([]kernelSig, kernels),
-		tasks: make(chan func(*scanScratch), 3*kernels), // add never blocks
+		opts:    opts,
+		kernels: make([]*KernelTrace, kernels),
+		sigs:    make([]kernelSig, kernels),
+		tasks:   make(chan func(*scanScratch), 3*kernels), // add never blocks
 	}
 	for range runner.NumWorkers(0) - 1 {
 		c.wg.Add(1)
@@ -156,15 +131,15 @@ func (c *characteriser) work(sc *scanScratch) {
 }
 
 // add hands over kernel ki and queues its scans.
-func (c *characteriser) add(ki int, v kernelView) {
-	c.views[ki] = v
+func (c *characteriser) add(ki int, kt *KernelTrace) {
+	c.kernels[ki] = kt
 	ks := &c.sigs[ki]
-	k := prepareScan(v, c.opts)
+	k := prepareScan(kt, c.opts)
 	if len(k.loads) == 0 {
-		ks.in = float64(len(v.body)) * 1000 // loadless: effectively infinite, as Kernel.In
+		ks.in = float64(len(kt.Body)) * 1000 // loadless: effectively infinite, as Kernel.In
 		return
 	}
-	ks.in = float64(len(v.body)) / float64(len(k.loads))
+	ks.in = float64(len(kt.Body)) / float64(len(k.loads))
 	c.tasks <- func(sc *scanScratch) { ks.footprint = k.footprint(sc) }
 	c.tasks <- func(sc *scanScratch) { ks.meanDist, ks.finite = k.reuseDist(sc) }
 	c.tasks <- func(sc *scanScratch) { ks.intra, ks.inter, ks.cold, ks.accesses = k.interleave(sc) }
@@ -191,7 +166,7 @@ func (c *characteriser) stop() {
 // kernel order, into a workload Signature.
 func (c *characteriser) signature(name string) Signature {
 	c.finish()
-	sig := Signature{Workload: name, Kernels: len(c.views)}
+	sig := Signature{Workload: name, Kernels: len(c.kernels)}
 	var (
 		issueTotal float64 // instruction issues, weights In
 		inSum      float64
@@ -204,13 +179,14 @@ func (c *characteriser) signature(name string) Signature {
 		coldN      int64
 		scanned    int64
 	)
-	for i, v := range c.views {
+	for i, kt := range c.kernels {
 		ks := &c.sigs[i]
-		issues := float64(len(v.body)) * float64(totalIters(v.warpIters))
+		issues := float64(len(kt.Body)) * float64(totalIters(kt.WarpIters))
 		issueTotal += issues
 		inSum += ks.in * issues
-		warpTotal += float64(v.totalWarps)
-		footSum += ks.footprint * float64(v.totalWarps)
+		warps := float64(kt.TotalWarps())
+		warpTotal += warps
+		footSum += ks.footprint * warps
 		finiteSum += float64(ks.finite)
 		distSum += ks.meanDist * float64(ks.finite)
 		intraN += ks.intra
@@ -348,30 +324,31 @@ type scanScratch struct {
 
 // kernelScan is one kernel made ready for its scans.
 type kernelScan struct {
-	v       kernelView
+	kt      *KernelTrace
 	loads   []int
 	streams [][]uint64 // per (warp, slot): streams[g*slots+s], nil where no load reads s
 	budget  int64
 }
 
-// prepareScan indexes the streams of v that loads read.
-func prepareScan(v kernelView, opts CharacteriseOptions) *kernelScan {
-	k := &kernelScan{v: v, loads: loadSlots(v.body), budget: int64(opts.MaxAccesses)}
+// prepareScan indexes the streams of kt that loads read.
+func prepareScan(kt *KernelTrace, opts CharacteriseOptions) *kernelScan {
+	k := &kernelScan{kt: kt, loads: loadSlots(kt.Body), budget: int64(opts.MaxAccesses)}
 	if k.budget < 0 {
 		k.budget = 1 << 62
 	}
 	// One entry per stream the trace carries, however many loads read
 	// a slot.
-	loaded := make([]bool, v.slots)
+	loaded := make([]bool, kt.Slots)
 	for _, s := range k.loads {
 		loaded[s] = true
 	}
-	k.streams = make([][]uint64, 0, v.totalWarps*v.slots)
-	for g := 0; g < v.totalWarps; g++ {
+	total := kt.TotalWarps()
+	k.streams = make([][]uint64, 0, total*kt.Slots)
+	for g := 0; g < total; g++ {
 		for s, ok := range loaded {
 			var stream []uint64
 			if ok {
-				stream = v.stream(s, g)
+				stream = kt.Streams[s].warpStream(g)
 			}
 			k.streams = append(k.streams, stream)
 		}
@@ -383,7 +360,7 @@ func prepareScan(v kernelView, opts CharacteriseOptions) *kernelScan {
 // read over the full recorded streams (cheap: one set insert per
 // access).
 func (k *kernelScan) footprint(sc *scanScratch) float64 {
-	total, slots := k.v.totalWarps, k.v.slots
+	total, slots := k.kt.TotalWarps(), k.kt.Slots
 	distinct := &sc.lines
 	var footSum int
 	for g := 0; g < total; g++ {
@@ -405,7 +382,7 @@ func (k *kernelScan) footprint(sc *scanScratch) float64 {
 // definition), dwell runs collapsed per slot. It returns the mean
 // distance and the finite reuses it is the mean of.
 func (k *kernelScan) reuseDist(sc *scanScratch) (meanDist float64, finite int64) {
-	total, slots := k.v.totalWarps, k.v.slots
+	total, slots := k.kt.TotalWarps(), k.kt.Slots
 	step := total / reuseSampleWarps
 	if step < 1 {
 		step = 1
@@ -428,7 +405,7 @@ func (k *kernelScan) reuseDist(sc *scanScratch) (meanDist float64, finite int64)
 		}
 		var n int64
 	warp:
-		for it := 0; it < k.v.warpIters[g]; it++ {
+		for it := 0; it < k.kt.WarpIters[g]; it++ {
 			for _, s := range k.loads {
 				if n >= perWarp {
 					break warp
@@ -457,13 +434,13 @@ func (k *kernelScan) reuseDist(sc *scanScratch) (meanDist float64, finite int64)
 // of every warp, O(1) per access (only the previous toucher of each
 // line, kept as the line's tag).
 func (k *kernelScan) interleave(sc *scanScratch) (intra, inter, cold, accesses int64) {
-	total, slots := k.v.totalWarps, k.v.slots
+	total, slots := k.kt.TotalWarps(), k.kt.Slots
 	lastWarp := &sc.lines
 	lastWarp.reset()
 scan:
-	for it := 0; it < k.v.maxIters; it++ {
+	for it := range k.kt.MaxIters() {
 		for g := 0; g < total; g++ {
-			if it >= k.v.warpIters[g] {
+			if it >= k.kt.WarpIters[g] {
 				continue
 			}
 			for _, s := range k.loads {

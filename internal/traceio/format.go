@@ -28,7 +28,7 @@ import (
 // Per-warp streams are delta-encoded at line granularity, so sweeps
 // and streams compress to a byte or two per access and the whole file
 // gzips well; pass WriteOptions.Gzip (or a .gz path to WriteFile) to
-// compress on the way out. Read transparently detects gzip input.
+// compress on the way out. The readers transparently detect gzip input.
 const (
 	formatMagic   = snap.TraceMagic
 	formatTrailer = "POISEEND"
@@ -42,7 +42,7 @@ const (
 	// maxLineIndex keeps line*LineBytes inside uint64 (the synthetic
 	// pattern regions sit just below 2^62, i.e. line indices near 2^55).
 	// Validate enforces the same bound on addresses, so Write never
-	// produces a container Read refuses.
+	// produces a container the reader refuses.
 	maxLineIndex = int64(1) << 56
 
 	// maxTotalWarps / maxSlots bound the launch geometry a trace may
@@ -177,8 +177,9 @@ func Write(w io.Writer, t *Trace, opts WriteOptions) error {
 	chunk = binary.AppendUvarint(chunk, uint64(len(hdrJSON)))
 	chunk = append(chunk, hdrJSON...)
 	for _, kt := range t.Kernels {
-		for _, slot := range kt.Streams {
-			for _, stream := range slot {
+		for _, rep := range kt.Streams {
+			for g := range kt.TotalWarps() {
+				stream := rep.warpStream(g)
 				if len(chunk) >= writeChunk {
 					if err := flush(); err != nil {
 						return err
@@ -238,48 +239,4 @@ func headerOf(t *Trace) header {
 		hdr.Kernels = append(hdr.Kernels, kh)
 	}
 	return hdr
-}
-
-// Read parses a poisetrace container from r, transparently unwrapping
-// gzip. It is strict: malformed input of any kind — truncation, a bad
-// magic or version, corrupt varints, stream/geometry mismatches —
-// returns an error and never panics.
-//
-// Read is a collect-all wrapper over Scanner: the streaming reader is
-// the single implementation of the format, so Read and a Scanner loop
-// agree on every input's error-vs-success verdict by construction.
-// Callers that do not need the whole trace in memory should use
-// NewScanner (or ReadWorkload) directly.
-func Read(r io.Reader) (*Trace, error) {
-	sc, err := NewScanner(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Name: sc.Name(), MemorySensitive: sc.MemorySensitive()}
-	for i := range sc.Kernels() {
-		m := &sc.Kernels()[i]
-		kt := &KernelTrace{KernelMeta: *m}
-		total := m.TotalWarps()
-		kt.Streams = make([][][]uint64, kt.Slots)
-		for s := range kt.Streams {
-			kt.Streams[s] = make([][]uint64, total)
-		}
-		t.Kernels = append(t.Kernels, kt)
-	}
-	for {
-		rec, ok := sc.Next()
-		if !ok {
-			break
-		}
-		stream := make([]uint64, len(rec.Addrs))
-		copy(stream, rec.Addrs)
-		t.Kernels[rec.Kernel].Streams[rec.Slot][rec.Warp] = stream
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

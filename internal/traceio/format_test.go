@@ -210,7 +210,7 @@ func TestHostileHeaderGeometry(t *testing.T) {
 // (and hence Write), not produce a container Read then refuses.
 func TestValidateRejectsOverflowAddresses(t *testing.T) {
 	tr := mustRecord(t, miniWorkload())
-	tr.Kernels[0].Streams[0][0][0] = 0xffffffffffffff80 // aligned, but beyond maxLineIndex
+	tr.Kernels[0].Streams[0].warpStream(0)[0] = 0xffffffffffffff80 // aligned, but beyond maxLineIndex
 	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "line-index limit") {
 		t.Fatalf("Validate must reject overflow addresses, got %v", err)
 	}
@@ -234,8 +234,13 @@ func TestHeaderGeometryMismatch(t *testing.T) {
 		{"missing stream slot", func(tr *Trace) {
 			tr.Kernels[0].Streams = tr.Kernels[0].Streams[:2]
 		}},
-		{"empty used stream", func(tr *Trace) { tr.Kernels[0].Streams[0][1] = nil }},
-		{"unaligned address", func(tr *Trace) { tr.Kernels[0].Streams[0][0][0] += 4 }},
+		{"empty used stream", func(tr *Trace) {
+			rep := tr.Kernels[0].Streams[0]
+			warps := warpsOf(rep)
+			warps[1] = nil
+			tr.Kernels[0].Streams[0] = mustReplay(t, rep.name, warps)
+		}},
+		{"unaligned address", func(tr *Trace) { tr.Kernels[0].Streams[0].warpStream(0)[0] += 4 }},
 		{"no kernels", func(tr *Trace) { tr.Kernels = nil }},
 		{"unnamed workload", func(tr *Trace) { tr.Name = "" }},
 		{"negative occupancy cap", func(tr *Trace) { tr.Kernels[0].MaxBlocksPerSM = -1 }},
@@ -253,8 +258,45 @@ func TestHeaderGeometryMismatch(t *testing.T) {
 	}
 }
 
-// FuzzRead is a fuzz-style stress of the parser: whatever the bytes,
-// Read must return (possibly an error) without panicking. `go test`
+// TestHostileStreamLayouts hand-builds kernels whose arenas do not
+// fit their metadata: a nil slot, and a slot with one warp stream too
+// few or too many. Validate, Write, Workload and Characterise must each
+// refuse them with an error, never a panic.
+func TestHostileStreamLayouts(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*KernelTrace)
+		want   string
+	}{
+		{"nil slot", func(kt *KernelTrace) { kt.Streams[1] = nil }, "slot 1 has no streams"},
+		{"zero Replay", func(kt *KernelTrace) { kt.Streams[1] = &Replay{} }, "slot 1 has 0 warp streams for 4 warps"},
+		{"warp too few", func(kt *KernelTrace) {
+			kt.Streams[0] = mustReplay(t, "short", warpsOf(kt.Streams[0])[1:])
+		}, "slot 0 has 3 warp streams for 4 warps"},
+		{"warp too many", func(kt *KernelTrace) {
+			kt.Streams[2] = mustReplay(t, "long", append(warpsOf(kt.Streams[2]), []uint64{0}))
+		}, "slot 2 has 5 warp streams for 4 warps"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := mustRecord(t, miniWorkload())
+			c.mutate(tr.Kernels[0])
+			checks := map[string]error{"Validate": tr.Validate()}
+			checks["Write"] = Write(io.Discard, tr, WriteOptions{})
+			_, checks["Workload"] = tr.Workload()
+			_, checks["Characterise"] = Characterise(tr, CharacteriseOptions{})
+			for call, err := range checks {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s: error %v does not mention %q", call, err, c.want)
+				}
+			}
+		})
+	}
+}
+
+// FuzzRead is a fuzz-style stress of the drain loop: whatever the
+// bytes, read must return (possibly an error) without panicking, and
+// what it returns must pass Validate, which it never calls. `go test`
 // runs the seed corpus; `go test -fuzz=FuzzRead` explores further.
 func FuzzRead(f *testing.F) {
 	tr, err := Record(miniWorkload())
@@ -278,12 +320,12 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
+		tr, _, err := read(bytes.NewReader(data), nil)
 		if err == nil {
-			// Whatever parses must satisfy the validator (Read promises
+			// Whatever parses must satisfy the validator (read promises
 			// only valid traces escape).
 			if verr := tr.Validate(); verr != nil {
-				t.Fatalf("Read returned an invalid trace: %v", verr)
+				t.Fatalf("read returned an invalid trace: %v", verr)
 			}
 		}
 	})

@@ -111,8 +111,9 @@ func referenceWrite(w io.Writer, t *Trace, gzipped bool) error {
 		return err
 	}
 	for _, kt := range t.Kernels {
-		for _, slot := range kt.Streams {
-			for _, stream := range slot {
+		for _, rep := range kt.Streams {
+			for g := range kt.TotalWarps() {
+				stream := rep.warpStream(g)
 				if err := putUvarint(uint64(len(stream))); err != nil {
 					return err
 				}

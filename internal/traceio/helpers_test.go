@@ -3,6 +3,7 @@ package traceio
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"os"
 	"testing"
 
@@ -55,6 +56,32 @@ func miniWorkload() *sim.Workload {
 		Seed:          5,
 	}
 	return &sim.Workload{Name: "mini", Kernels: []*trace.Kernel{k1, k2}, MemorySensitive: true}
+}
+
+// Read is the whole-trace reader the tests hold the other paths to:
+// the drain loop without characterisation.
+func Read(r io.Reader) (*Trace, error) {
+	t, _, err := read(r, nil)
+	return t, err
+}
+
+// mustReplay builds one slot's Replay from per-warp streams.
+func mustReplay(tb testing.TB, name string, warps [][]uint64) *Replay {
+	tb.Helper()
+	rep, err := NewReplay(name, warps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
+
+// warpsOf copies a Replay's arena back out into per-warp streams.
+func warpsOf(rep *Replay) [][]uint64 {
+	warps := make([][]uint64, rep.warps())
+	for g := range warps {
+		warps[g] = append([]uint64(nil), rep.warpStream(g)...)
+	}
+	return warps
 }
 
 func mustRecord(t *testing.T, w *sim.Workload) *Trace {

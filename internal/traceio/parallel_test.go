@@ -49,7 +49,7 @@ func TestCharacteriseRejectsWhatValidateRejects(t *testing.T) {
 			Blocks:        1,
 			WarpIters:     []int{1},
 		},
-		Streams: [][][]uint64{{{}}},
+		Streams: []*Replay{mustReplay(t, "empty#0/slot0", [][]uint64{{}})},
 	}}}
 	want := tr.Validate()
 	if want == nil {

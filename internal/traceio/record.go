@@ -3,6 +3,7 @@ package traceio
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"poise/internal/runner"
 	"poise/internal/sim"
@@ -61,16 +62,24 @@ func recordKernel(k *trace.Kernel, opts RecordOptions) (*KernelTrace, error) {
 			WarpIters:        make([]int, total),
 		},
 	}
+	// Every slot records WarpIters[g] accesses of warp g, so one
+	// offset index serves all of the kernel's arenas.
+	offs := make([]uint32, total+1)
+	addrs := 0
 	for g := 0; g < total; g++ {
 		it := k.WarpIters(g)
 		if opts.MaxWarpIters > 0 && it > opts.MaxWarpIters {
 			it = opts.MaxWarpIters
 		}
 		kt.WarpIters[g] = it
+		if addrs += it; addrs > math.MaxUint32 && len(k.Patterns) > 0 {
+			return nil, errOffsetOverflow(slotName(k.Name, 0), addrs)
+		}
+		offs[g+1] = uint32(addrs)
 	}
-	kt.Streams = make([][][]uint64, len(k.Patterns))
+	kt.Streams = make([]*Replay, len(k.Patterns))
 	for s := range kt.Streams {
-		kt.Streams[s] = make([][]uint64, total)
+		kt.Streams[s] = &Replay{name: slotName(k.Name, s), arena: make([]uint64, addrs), offs: offs}
 	}
 	// The (slot, warp) streams are filled in index-ordered chunks, one
 	// task each. A chunk stops at its first unaligned address and the
@@ -99,8 +108,9 @@ func recordKernel(k *trace.Kernel, opts RecordOptions) (*KernelTrace, error) {
 // so one slow chunk does not leave the others idle.
 const recordChunksPerWorker = 4
 
-// recordUnits fills the streams of units [lo, hi) of k, unit u being
-// slot u/total, warp u%total, stopping at the first unaligned address.
+// recordUnits fills the streams of units [lo, hi) of k in place in
+// their arenas, unit u being slot u/total, warp u%total, stopping at
+// the first unaligned address.
 func recordUnits(k *trace.Kernel, kt *KernelTrace, lo, hi int) error {
 	total := len(kt.WarpIters)
 	for u := lo; u < hi; u++ {
@@ -111,7 +121,7 @@ func recordUnits(k *trace.Kernel, kt *KernelTrace, lo, hi int) error {
 			Block:      g / k.WarpsPerBlock,
 			WarpInBlk:  g % k.WarpsPerBlock,
 		}
-		stream := make([]uint64, kt.WarpIters[g])
+		stream := kt.Streams[s].warpStream(g)
 		for seq := range stream {
 			addr := p.Addr(ctx, seq)
 			if addr%trace.LineBytes != 0 {
@@ -120,7 +130,6 @@ func recordUnits(k *trace.Kernel, kt *KernelTrace, lo, hi int) error {
 			}
 			stream[seq] = addr
 		}
-		kt.Streams[s][g] = stream
 	}
 	return nil
 }

@@ -19,8 +19,10 @@ import (
 // addresses). That is one allocation per slot instead of one per warp,
 // and the Addr hot path — the innermost call of every simulated memory
 // access — walks contiguous memory instead of chasing a pointer per
-// warp. ReplayBuilder appends warps in order, so the arena can be
+// warp. A replayBuilder appends warps in order, so the arena can be
 // filled directly from a Scanner without ever holding per-warp slices.
+// The same arenas are a KernelTrace's Streams: a recorded kernel has
+// no other in-memory form.
 //
 // Replay is total: a warp or sequence number beyond the recorded
 // range wraps cyclically rather than panicking. With a kernel built by
@@ -36,20 +38,20 @@ type Replay struct {
 	offs []uint32
 }
 
-// ReplayBuilder accumulates one slot's per-warp streams into a flat
-// Replay. Call Warp once per global warp, in warp order, then Finish.
-type ReplayBuilder struct {
+// replayBuilder accumulates one slot's per-warp streams into a flat
+// Replay. Call warp once per global warp, in warp order, then finish.
+type replayBuilder struct {
 	name     string
 	arena    []uint64
 	offs     []uint32
 	overflow bool
 }
 
-// NewReplayBuilder starts a builder for one slot. If total warps and
+// newReplayBuilder starts a builder for one slot. If total warps and
 // total addresses are known ahead of time (the poisetrace header
 // declares both), sizing hints avoid regrowth; pass 0 when unknown.
-func NewReplayBuilder(name string, warpsHint, addrsHint int) *ReplayBuilder {
-	b := &ReplayBuilder{name: name}
+func newReplayBuilder(name string, warpsHint, addrsHint int) *replayBuilder {
+	b := &replayBuilder{name: name}
 	if warpsHint > 0 {
 		b.offs = make([]uint32, 1, warpsHint+1)
 	} else {
@@ -61,9 +63,9 @@ func NewReplayBuilder(name string, warpsHint, addrsHint int) *ReplayBuilder {
 	return b
 }
 
-// Warp appends the next warp's address stream. The slice is copied;
+// warp appends the next warp's address stream. The slice is copied;
 // callers may reuse it (Scanner records do).
-func (b *ReplayBuilder) Warp(stream []uint64) {
+func (b *replayBuilder) warp(stream []uint64) {
 	b.arena = append(b.arena, stream...)
 	if len(b.arena) > math.MaxUint32 {
 		b.overflow = true
@@ -71,11 +73,10 @@ func (b *ReplayBuilder) Warp(stream []uint64) {
 	b.offs = append(b.offs, uint32(len(b.arena)))
 }
 
-// Finish seals the builder into a Replay.
-func (b *ReplayBuilder) Finish() (*Replay, error) {
+// finish seals the builder into a Replay.
+func (b *replayBuilder) finish() (*Replay, error) {
 	if b.overflow {
-		return nil, fmt.Errorf("traceio: replay %s: %d addresses overflow the 32-bit offset index",
-			b.name, len(b.arena))
+		return nil, errOffsetOverflow(b.name, len(b.arena))
 	}
 	return &Replay{name: b.name, arena: b.arena, offs: b.offs}, nil
 }
@@ -87,12 +88,24 @@ func NewReplay(name string, warps [][]uint64) (*Replay, error) {
 	for _, stream := range warps {
 		addrs += len(stream)
 	}
-	b := NewReplayBuilder(name, len(warps), addrs)
+	b := newReplayBuilder(name, len(warps), addrs)
 	for _, stream := range warps {
-		b.Warp(stream)
+		b.warp(stream)
 	}
-	return b.Finish()
+	return b.finish()
 }
+
+// errOffsetOverflow is the verdict on a slot too large for a Replay's
+// 32-bit offsets.
+func errOffsetOverflow(name string, addrs int) error {
+	return fmt.Errorf("traceio: replay %s: %d addresses overflow the 32-bit offset index", name, addrs)
+}
+
+// slotName names slot s of kernel in replay logs and errors.
+func slotName(kernel string, s int) string { return fmt.Sprintf("%s/slot%d", kernel, s) }
+
+// warps returns the number of warp streams the arena holds.
+func (r *Replay) warps() int { return max(len(r.offs)-1, 0) }
 
 // warpStream returns warp g's recorded stream as a view into the
 // arena. Callers must not mutate it.
@@ -126,58 +139,39 @@ func (r *Replay) Addr(c trace.Ctx, seq int) uint64 {
 // String identifies the slot in logs and errors.
 func (r *Replay) String() string { return fmt.Sprintf("replay(%s)", r.name) }
 
-// Kernel builds the replayable trace.Kernel for one recorded kernel:
-// the recorded body and launch geometry with every pattern slot backed
-// by a Replay, and PerWarpIters pinning each warp to its recorded
-// iteration count.
-func (kt *KernelTrace) Kernel() (*trace.Kernel, error) {
-	if err := kt.validate(); err != nil {
-		return nil, fmt.Errorf("traceio: kernel %s: %w", kt.Name, err)
-	}
-	pats := make([]trace.Pattern, kt.Slots)
-	for s := range pats {
-		rep, err := NewReplay(fmt.Sprintf("%s/slot%d", kt.Name, s), kt.Streams[s])
-		if err != nil {
-			return nil, fmt.Errorf("traceio: kernel %s: %w", kt.Name, err)
-		}
-		pats[s] = rep
-	}
-	return kernelFromMeta(&kt.KernelMeta, pats)
-}
-
-// kernelFromMeta assembles and validates the trace.Kernel shared by
-// the in-memory (KernelTrace) and streaming (ReadWorkload) paths.
-func kernelFromMeta(m *KernelMeta, pats []trace.Pattern) (*trace.Kernel, error) {
-	k := &trace.Kernel{
-		Name:             m.Name,
-		Body:             append([]trace.Instr(nil), m.Body...),
-		Patterns:         pats,
-		Iters:            m.MaxIters(),
-		PerWarpIters:     append([]int(nil), m.WarpIters...),
-		WarpsPerBlock:    m.WarpsPerBlock,
-		Blocks:           m.Blocks,
-		MaxWarpsPerSched: m.MaxWarpsPerSched,
-		MaxBlocksPerSM:   m.MaxBlocksPerSM,
-	}
-	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("traceio: kernel %s: %w", m.Name, err)
-	}
-	return k, nil
-}
-
 // Workload builds a runnable sim.Workload that replays the trace
-// deterministically through the simulator.
+// deterministically through the simulator. Its patterns are the
+// trace's own arenas, shared, not copied.
 func (t *Trace) Workload() (*sim.Workload, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	return t.workload(), nil
+}
+
+// workload builds the replaying workload of a valid trace: the
+// recorded bodies and launch geometry with every pattern slot backed
+// by its Replay, and PerWarpIters pinning each warp to its recorded
+// iteration count. Validate covers everything trace.Kernel.Validate
+// checks, so the kernels are valid by construction.
+func (t *Trace) workload() *sim.Workload {
 	w := &sim.Workload{Name: t.Name, MemorySensitive: t.MemorySensitive}
 	for _, kt := range t.Kernels {
-		k, err := kt.Kernel()
-		if err != nil {
-			return nil, err
+		pats := make([]trace.Pattern, kt.Slots)
+		for s, rep := range kt.Streams {
+			pats[s] = rep
 		}
-		w.Kernels = append(w.Kernels, k)
+		w.Kernels = append(w.Kernels, &trace.Kernel{
+			Name:             kt.Name,
+			Body:             append([]trace.Instr(nil), kt.Body...),
+			Patterns:         pats,
+			Iters:            kt.MaxIters(),
+			PerWarpIters:     append([]int(nil), kt.WarpIters...),
+			WarpsPerBlock:    kt.WarpsPerBlock,
+			Blocks:           kt.Blocks,
+			MaxWarpsPerSched: kt.MaxWarpsPerSched,
+			MaxBlocksPerSM:   kt.MaxBlocksPerSM,
+		})
 	}
-	return w, nil
+	return w
 }

@@ -25,8 +25,8 @@ import (
 // Scanner inherits the format's strict never-panic discipline: every
 // malformed input — truncation mid-record, corrupt varints, geometry
 // the streams cannot satisfy — surfaces as an error from NewScanner or
-// Err, with exactly the verdict the whole-file Read reports (Read *is*
-// a collect-all loop over a Scanner).
+// Err. It is the format's one decoder: ReadWorkload and every other
+// reader of a container drain a Scanner.
 //
 // Usage:
 //

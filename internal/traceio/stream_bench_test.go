@@ -57,11 +57,11 @@ func BenchmarkReplayFlat(b *testing.B) {
 		for _, stream := range records {
 			addrs += len(stream)
 		}
-		builder := NewReplayBuilder("bench", len(records), addrs)
+		builder := newReplayBuilder("bench", len(records), addrs)
 		for _, stream := range records {
-			builder.Warp(stream)
+			builder.warp(stream)
 		}
-		if _, err := builder.Finish(); err != nil {
+		if _, err := builder.finish(); err != nil {
 			b.Fatal(err)
 		}
 	}

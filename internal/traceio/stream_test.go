@@ -16,36 +16,52 @@ import (
 )
 
 // collectScanner rebuilds a whole Trace by draining a Scanner over r —
-// an independent re-implementation of Read's collect-all loop, so the
-// equivalence tests compare two genuinely separate paths rather than
-// Read against itself.
+// an independent re-implementation of read's loop that collects
+// per-warp slices and builds each slot with NewReplay at the end, so
+// the equivalence tests compare two genuinely separate paths rather
+// than read against itself. It checks in read's order: every kernel's
+// metadata first, then each record as it arrives.
 func collectScanner(r io.Reader) (*Trace, error) {
 	sc, err := NewScanner(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{Name: sc.Name(), MemorySensitive: sc.MemorySensitive()}
+	var warps [][][][]uint64 // [kernel][slot][warp]
 	for _, m := range sc.Kernels() {
-		kt := &KernelTrace{
-			KernelMeta: m,
-			Streams:    make([][][]uint64, m.Slots),
+		t.Kernels = append(t.Kernels, &KernelTrace{KernelMeta: m})
+		slots := make([][][]uint64, m.Slots)
+		for s := range slots {
+			slots[s] = make([][]uint64, m.TotalWarps())
 		}
-		for s := range kt.Streams {
-			kt.Streams[s] = make([][]uint64, m.TotalWarps())
-		}
-		t.Kernels = append(t.Kernels, kt)
+		warps = append(warps, slots)
+	}
+	used, err := t.validateMeta()
+	if err != nil {
+		return nil, err
 	}
 	for {
 		rec, ok := sc.Next()
 		if !ok {
 			break
 		}
+		if len(rec.Addrs) == 0 && used[rec.Kernel][rec.Slot] {
+			return nil, t.kernelErr(rec.Kernel, errEmptyStream(rec.Slot, rec.Warp))
+		}
 		stream := make([]uint64, len(rec.Addrs))
 		copy(stream, rec.Addrs)
-		t.Kernels[rec.Kernel].Streams[rec.Slot][rec.Warp] = stream
+		warps[rec.Kernel][rec.Slot][rec.Warp] = stream
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	for ki, kt := range t.Kernels {
+		kt.Streams = make([]*Replay, kt.Slots)
+		for s := range kt.Streams {
+			if kt.Streams[s], err = NewReplay(slotName(kt.Name, s), warps[ki][s]); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -175,8 +191,10 @@ func TestReadWorkloadReservesArenas(t *testing.T) {
 	for _, ragged := range []bool{false, true} {
 		tr := syntheticTrace(t, 8, 64, 48)
 		if ragged {
-			first := &tr.Kernels[0].Streams[0][0]
-			*first = (*first)[:3]
+			rep := tr.Kernels[0].Streams[0]
+			warps := warpsOf(rep)
+			warps[0] = warps[0][:3]
+			tr.Kernels[0].Streams[0] = mustReplay(t, rep.name, warps)
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, tr, WriteOptions{}); err != nil {
@@ -187,7 +205,7 @@ func TestReadWorkloadReservesArenas(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := w.Kernels[0].Patterns[0].(*Replay)
-		want, err := NewReplay(got.name, tr.Kernels[0].Streams[0])
+		want, err := NewReplay(got.name, warpsOf(tr.Kernels[0].Streams[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,16 +264,17 @@ func syntheticTrace(t testing.TB, warpsPerBlock, blocks, iters int) *Trace {
 			Blocks:        blocks,
 			WarpIters:     make([]int, total),
 		},
-		Streams: [][][]uint64{make([][]uint64, total)},
 	}
-	for g := 0; g < total; g++ {
+	warps := make([][]uint64, total)
+	for g := range warps {
 		kt.WarpIters[g] = iters
 		stream := make([]uint64, iters)
 		for j := range stream {
 			stream[j] = uint64((g*7+j)%4096) * trace.LineBytes
 		}
-		kt.Streams[0][g] = stream
+		warps[g] = stream
 	}
+	kt.Streams = []*Replay{mustReplay(t, slotName(kt.Name, 0), warps)}
 	tr := &Trace{Name: "synth", MemorySensitive: true, Kernels: []*KernelTrace{kt}}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,10 @@
 //     Trace by evaluating its patterns over the launch geometry, and
 //     Replay, a trace.Pattern that plays a recorded stream back — so
 //     record → replay is bit-identical to the live run, a round trip
-//     the tests verify without needing real hardware;
+//     the tests verify without needing real hardware. A Replay's flat
+//     arena is the only in-memory form of a recorded stream: Record
+//     fills it in place, ReadWorkload fills it from the Scanner, and
+//     the replaying workload shares it;
 //   - Characterise, which computes the locality signature the paper's
 //     analysis runs on (In, per-warp footprint, reuse distance R, the
 //     intra-/inter-warp reuse split) directly from a raw trace, so
@@ -70,11 +73,12 @@ type KernelMeta struct {
 type KernelTrace struct {
 	KernelMeta
 
-	// Streams[slot][warp] is the recorded line-aligned byte-address
-	// stream: the address of access seq is Streams[slot][warp][seq].
-	// Recorded streams have exactly WarpIters[warp] entries; ingested
-	// (Accel-Sim) streams may be shorter and are replayed cyclically.
-	Streams [][][]uint64
+	// Streams[slot] holds the slot's recorded line-aligned
+	// byte-address stream of every global warp, in the flat arena that
+	// replays them. Recorded streams have exactly WarpIters[g] entries;
+	// ingested (Accel-Sim) streams may be shorter and are replayed
+	// cyclically.
+	Streams []*Replay
 }
 
 // TotalWarps returns the kernel's launch width.
@@ -92,23 +96,48 @@ func (m *KernelMeta) MaxIters() int {
 }
 
 // Validate reports the first structural problem with the trace. A
-// valid Trace always builds a valid workload.
+// valid Trace always builds a valid workload. Every kernel's metadata
+// is checked before any stream, the order in which a container
+// presents them.
 func (t *Trace) Validate() error {
-	if t.Name == "" {
-		return fmt.Errorf("traceio: trace needs a workload name")
-	}
-	if len(t.Kernels) == 0 {
-		return fmt.Errorf("traceio: trace %s has no kernels", t.Name)
+	used, err := t.validateMeta()
+	if err != nil {
+		return err
 	}
 	for i, kt := range t.Kernels {
-		if kt == nil {
-			return fmt.Errorf("traceio: trace %s kernel %d is nil", t.Name, i)
-		}
-		if err := kt.validate(); err != nil {
-			return fmt.Errorf("traceio: trace %s kernel %d (%s): %w", t.Name, i, kt.Name, err)
+		if err := kt.validateStreams(used[i]); err != nil {
+			return t.kernelErr(i, err)
 		}
 	}
 	return nil
+}
+
+// validateMeta checks the trace's identity and every kernel's
+// metadata, and returns, per kernel, which slots memory instructions
+// touch.
+func (t *Trace) validateMeta() ([][]bool, error) {
+	if t.Name == "" {
+		return nil, fmt.Errorf("traceio: trace needs a workload name")
+	}
+	if len(t.Kernels) == 0 {
+		return nil, fmt.Errorf("traceio: trace %s has no kernels", t.Name)
+	}
+	used := make([][]bool, len(t.Kernels))
+	for i, kt := range t.Kernels {
+		if kt == nil {
+			return nil, fmt.Errorf("traceio: trace %s kernel %d is nil", t.Name, i)
+		}
+		var err error
+		if used[i], err = kt.KernelMeta.validate(); err != nil {
+			return nil, t.kernelErr(i, err)
+		}
+	}
+	return used, nil
+}
+
+// kernelErr places err at kernel i of the trace.
+func (t *Trace) kernelErr(i int, err error) error {
+	return fmt.Errorf("traceio: trace %s kernel %d (%s): %w", t.Name, i, t.Kernels[i].Name, err)
 }
 
 // validateGeometry checks the launch-shape fields alone. The format
@@ -178,22 +207,30 @@ func (m *KernelMeta) validate() ([]bool, error) {
 	return used, nil
 }
 
-func (kt *KernelTrace) validate() error {
-	used, err := kt.KernelMeta.validate()
-	if err != nil {
-		return err
-	}
+// errEmptyStream is the verdict on warp g's empty stream in a slot
+// the body references.
+func errEmptyStream(slot, g int) error {
+	return fmt.Errorf("slot %d warp %d has an empty stream but the body references it", slot, g)
+}
+
+// validateStreams checks the streams against metadata that validate
+// accepted; used says which slots the body references.
+func (kt *KernelTrace) validateStreams(used []bool) error {
 	if kt.Slots != len(kt.Streams) {
 		return fmt.Errorf("%d slots but %d streams", kt.Slots, len(kt.Streams))
 	}
 	total := kt.TotalWarps()
-	for s, streams := range kt.Streams {
-		if len(streams) != total {
-			return fmt.Errorf("slot %d has %d warp streams for %d warps", s, len(streams), total)
+	for s, rep := range kt.Streams {
+		if rep == nil {
+			return fmt.Errorf("slot %d has no streams", s)
 		}
-		for g, st := range streams {
+		if n := rep.warps(); n != total {
+			return fmt.Errorf("slot %d has %d warp streams for %d warps", s, n, total)
+		}
+		for g := range total {
+			st := rep.warpStream(g)
 			if used[s] && len(st) == 0 {
-				return fmt.Errorf("slot %d warp %d has an empty stream but the body references it", s, g)
+				return errEmptyStream(s, g)
 			}
 			for j, addr := range st {
 				if addr%trace.LineBytes != 0 {

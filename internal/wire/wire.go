@@ -92,6 +92,11 @@ func refused(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
+// headerTimeout is how long Serve waits for a request's headers: a
+// client that connects and never finishes them is cut off then instead
+// of holding its connection open for good.
+const headerTimeout = 5 * time.Second
+
 // Serve serves h on addr until ctx is done or the listener fails, then
 // shuts the server down, giving requests in flight 2 s to finish. The
 // bound address (useful with ":0") goes to listening before the first
@@ -102,7 +107,7 @@ func Serve(ctx context.Context, addr string, h http.Handler, listening func(net.
 		return err
 	}
 	listening(ln.Addr())
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout}
 	// srv.Serve returns once, a listener failure or ErrServerClosed after
 	// Shutdown; the buffer takes the latter when nobody is receiving.
 	served := make(chan error, 1)

@@ -3,6 +3,8 @@ package wire
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -85,5 +87,37 @@ func TestDoRetriesWhatIsSafeToRepeat(t *testing.T) {
 				t.Errorf("the server saw %d requests, want %d", got, tc.delivered)
 			}
 		})
+	}
+}
+
+// TestServeCutsOffSlowHeaders: a client that sends half a request and
+// then nothing has its connection closed once the header timeout runs
+// out, instead of holding it open for good.
+func TestServeCutsOffSlowHeaders(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	bound := make(chan net.Addr, 1)
+	served := make(chan error, 1)
+	go func() {
+		served <- Serve(ctx, "127.0.0.1:0", http.NotFoundHandler(), func(a net.Addr) { bound <- a })
+	}()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", (<-bound).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(headerTimeout + 3*time.Second))
+	_, err = io.ReadAll(conn)
+	if elapsed := time.Since(start); err != nil {
+		t.Fatalf("the half-sent request's connection was still open after %v: %v", elapsed.Round(time.Millisecond), err)
 	}
 }
