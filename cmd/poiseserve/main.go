@@ -1,8 +1,8 @@
 // Command poiseserve runs the Poise decision service: trained weights
 // behind an HTTP+JSONL API that answers "feature vector → (N, p)" at
 // memoised-lookup speed, serves the static policy table, and closes
-// the online-adaptation loop by ingesting traces and retraining in the
-// background with atomic hot-swap of the active model.
+// the online-adaptation loop by ingesting traces and retraining on
+// them, with atomic hot-swap of the active model.
 //
 // Endpoints:
 //
@@ -12,7 +12,8 @@
 //	              `poisesim -best` over the same -profiles directory)
 //	POST /ingest  a raw poisetrace container (optionally gzipped) or a
 //	              pre-characterised JSON record; appends to the sample
-//	              log and triggers a background retrain
+//	              log and, past -min-retrain samples, retrains before
+//	              replying
 //	GET  /stats   service counters (decisions, cache hits, retrains,
 //	              latency quantiles)
 //
@@ -83,8 +84,8 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM turn into a graceful shutdown: in-flight requests
-	// drain, then the retrainer folds any pending samples (writing the
-	// final -weights-out) before the process exits.
+	// drain, then the sample log closes. Each ingest retrained before
+	// its reply, so -weights-out is already final.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -21,7 +21,7 @@ import (
 // callers, so a helper that only its own test calls is deleted rather
 // than counted: keeping a new one means raising the budget, and giving
 // a kept one a product caller means lowering it.
-const testOnlyBudget = 15
+const testOnlyBudget = 14
 
 // implicitMethods are called by the runtime, fmt, encoding/json,
 // net/http, sort, io or errors rather than by name.

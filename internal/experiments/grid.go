@@ -362,17 +362,13 @@ func (h *Harness) pbestWorkloads() []*sim.Workload {
 }
 
 // weightsFingerprint identifies the Poise model cells run with, for
-// the results-cache tag: an explicit override, the embedded defaults,
-// or a model trained from the training dataset trainTag identifies.
+// the results-cache tag: an explicit override or the embedded defaults.
 func (h *Harness) weightsFingerprint() string {
 	if h.Opt.Weights != nil {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", *h.Opt.Weights)))
 		return "override-" + hex.EncodeToString(sum[:4])
 	}
-	if _, ok := poise.DefaultWeights(); ok {
-		return "default"
-	}
-	return "trained-" + h.trainTag()
+	return "default"
 }
 
 // trainTag identifies the training dataset: its sweep, the seed and

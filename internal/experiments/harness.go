@@ -14,6 +14,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -42,8 +43,8 @@ type Options struct {
 	// Seeds for the random-restart policy (paper averages 20 runs).
 	RandomSeeds int
 
-	// Weights overrides the embedded default model (zero value = use
-	// DefaultWeights, falling back to training when empty).
+	// Weights overrides the embedded default model (nil = use
+	// DefaultWeights).
 	Weights *poise.Weights
 
 	// Workers bounds the goroutines the harness fans simulations out
@@ -108,8 +109,8 @@ type profileKey struct {
 }
 
 // Harness owns the shared state of the experiment suite. All methods
-// are safe for concurrent use: profiles, the training dataset and the
-// model weights are built at most once behind single-flight caches.
+// are safe for concurrent use: profiles and the training dataset are
+// built at most once behind single-flight caches.
 type Harness struct {
 	Opt    Options
 	Cfg    config.Config
@@ -124,7 +125,6 @@ type Harness struct {
 	// sweeps, the others wait.
 	sweeping sync.Mutex
 	profiles map[profileKey]*profile.Profile
-	weights  runner.Once[poise.Weights]
 	dataset  runner.Once[*poise.Dataset]
 	// cells memoises executed experiment grids per grid name; ablated
 	// memoises the Fig. 13 retrained models per dropped feature.
@@ -290,22 +290,15 @@ func (h *Harness) Dataset() (*poise.Dataset, error) {
 }
 
 // ModelWeights returns the weights used by the Poise policy: the
-// explicit override, the embedded defaults, or a fresh training run —
-// in that order.
+// explicit override, else the embedded defaults.
 func (h *Harness) ModelWeights() (poise.Weights, error) {
-	return h.weights.Do(func() (poise.Weights, error) {
-		if h.Opt.Weights != nil {
-			return *h.Opt.Weights, nil
-		}
-		if w, ok := poise.DefaultWeights(); ok {
-			return w, nil
-		}
-		ds, err := h.Dataset()
-		if err != nil {
-			return poise.Weights{}, err
-		}
-		return poise.Train(ds, poise.TrainOptions{})
-	})
+	if h.Opt.Weights != nil {
+		return *h.Opt.Weights, nil
+	}
+	if w, ok := poise.DefaultWeights(); ok {
+		return w, nil
+	}
+	return poise.Weights{}, errors.New("experiments: the embedded default weights are invalid; regenerate them with poisetrain -emit or set Options.Weights")
 }
 
 // PoisePolicy builds a fresh Poise policy (per workload run — the

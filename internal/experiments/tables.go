@@ -19,9 +19,9 @@ type TableIIResult struct {
 	Admitted, RejSpeedup, RejCycles, RejHitRate int
 }
 
-// TableII trains the regression (or returns the embedded weights) and
-// evaluates offline prediction accuracy on profiled evaluation kernels
-// (which are never part of training).
+// TableII builds the training dataset, reports the model the harness
+// runs (ModelWeights) and evaluates its offline prediction accuracy on
+// profiled evaluation kernels (which are never part of training).
 func (h *Harness) TableII() (*TableIIResult, error) {
 	ds, err := h.Dataset()
 	if err != nil {

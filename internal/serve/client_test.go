@@ -114,7 +114,6 @@ func TestIngestIsSentOnce(t *testing.T) {
 				failed++
 			}
 		}
-		s.Flush()
 		if st := s.Stats(); st.IngestedRecords != n || failed != tc.failed {
 			t.Errorf("%s: %d calls left %d records with %d failed, want %d records and %d failed",
 				tc.name, n, st.IngestedRecords, failed, n, tc.failed)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"poise/internal/poise"
@@ -78,22 +77,6 @@ func parseLog(data []byte) (recs []Record, keep int, err error) {
 		return nil, 0, nil // only a torn header: treat as empty
 	}
 	return recs, keep, nil
-}
-
-// ReadLog parses a sample log, tolerating a torn trailing line.
-func ReadLog(r io.Reader) ([]Record, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) == 0 {
-		return nil, nil
-	}
-	recs, _, err := parseLog(data)
-	if err != nil {
-		return nil, fmt.Errorf("serve: sample log: %w", err)
-	}
-	return recs, nil
 }
 
 // Log is an open append handle on a sample log file.

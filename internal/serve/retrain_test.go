@@ -8,172 +8,180 @@ import (
 	"poise/internal/poise"
 )
 
-func newTestRetrainer(t *testing.T, logPath string, min int) (*Decider, *Retrainer) {
+// newIngestServer builds a Server on the test weights with no HTTP
+// face, for driving ingest directly.
+func newIngestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	d, err := NewDecider(testWeights())
+	cfg.Weights = testWeights()
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRetrainer(d, logPath, RetrainOptions{Min: min})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, r
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
+// trainOn is poise.Train over the records' samples in order: what the
+// service must serve once they are all ingested past the threshold.
+func trainOn(t *testing.T, recs ...Record) poise.Weights {
+	t.Helper()
+	var ds poise.Dataset
+	for _, rec := range recs {
+		ds.Samples = append(ds.Samples, rec.Samples...)
+	}
+	w, err := poise.Train(&ds, poise.TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestRetrainerSwapsAfterThreshold: the ingest that brings the prefix
+// to Min retrains before it returns, so its own reply carries the new
+// version and the served weights are already poise.Train of the prefix.
+// Versions stay dense: one per ingest that adds samples past Min.
 func TestRetrainerSwapsAfterThreshold(t *testing.T) {
-	d, r := newTestRetrainer(t, "", 8)
-	defer r.Close()
+	s := newIngestServer(t, Config{Retrain: RetrainOptions{Min: 8}})
 
 	// Below the threshold: folded, but no retrain fires.
-	if _, _, err := r.Ingest(synthRecord(1, 4)); err != nil {
+	below := synthRecord(1, 4)
+	rep, err := s.ingest(below)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r.Flush()
-	if got := r.Retrains(); got != 0 {
-		t.Fatalf("retrained on %d samples below threshold (%d retrains)", 4, got)
-	}
-	if v := d.Version(); v != 1 {
-		t.Fatalf("version moved to %d without a retrain", v)
+	if rep.WeightsVersion != 1 || s.Stats().Retrains != 0 {
+		t.Fatalf("retrained on %d samples below the threshold: %+v", len(below.Samples), rep)
 	}
 
-	// Crossing it: exactly one retrain over the full prefix.
-	if _, _, err := r.Ingest(synthRecord(2, 8)); err != nil {
+	// Crossing it: one retrain over the full prefix, inside the ingest.
+	crossing := synthRecord(2, 8)
+	rep, err = s.ingest(crossing)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r.Flush()
-	if got := r.Retrains(); got < 1 {
-		t.Fatal("no retrain after crossing the sample threshold")
+	if rep.Records != 2 || rep.TotalSamples != 12 || rep.WeightsVersion != 2 {
+		t.Fatalf("reply of the crossing ingest = %+v, want 2 records, 12 samples, weights v2", rep)
 	}
-	if r.Errors() != 0 {
-		t.Fatalf("%d retrain errors", r.Errors())
+	if got, v := s.dec.Weights(); v != 2 || got != trainOn(t, below, crossing) {
+		t.Fatalf("served weights v%d are not poise.Train of the prefix", v)
 	}
-	if v := d.Version(); v < 2 {
-		t.Fatalf("version still %d after retrain", v)
+
+	// A record without samples changes nothing the model sees.
+	if rep, err = s.ingest(Record{}); err != nil || rep.WeightsVersion != 2 {
+		t.Fatalf("a sample-less ingest: %+v, %v; want weights v2", rep, err)
 	}
-	records, samples := r.Totals()
-	if records != 2 || samples != 12 {
-		t.Fatalf("totals = (%d,%d), want (2,12)", records, samples)
+	if rep, err = s.ingest(synthRecord(3, 2)); err != nil || rep.WeightsVersion != 3 {
+		t.Fatalf("the next ingest with samples: %+v, %v; want weights v3", rep, err)
+	}
+	if st := s.Stats(); st.Retrains != 2 || st.RetrainErrors != 0 || st.IngestedRecords != 4 {
+		t.Fatalf("stats = %+v, want 4 records and 2 clean retrains", st)
 	}
 }
 
 // TestRetrainDeterministic pins the acceptance criterion: the final
 // weights are a pure function of the ingest sequence. One service sees
-// the records one at a time (a retrain per record), the other gets
-// them in a single burst (one retrain); both must land on identical
-// weights, and the files written along the way must byte-match.
+// the records one at a time (a retrain per record past Min), a second
+// replays the same records from the sample log at boot (one retrain);
+// both weights files must byte-match Weights.Save of poise.Train over
+// the full prefix.
 func TestRetrainDeterministic(t *testing.T) {
 	recs := []Record{synthRecord(1, 6), synthRecord(2, 5), synthRecord(3, 7), synthRecord(4, 6)}
-
-	finalWeights := func(flushEach bool) (poise.Weights, []byte) {
-		dir := t.TempDir()
-		out := filepath.Join(dir, "weights.json")
-		d, err := NewDecider(testWeights())
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "samples.jsonl")
+	read := func(name string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRetrainer(d, filepath.Join(dir, "samples.jsonl"), RetrainOptions{Min: 8, WeightsOut: out, Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if _, _, err := r.Ingest(rec); err != nil {
-				t.Fatal(err)
-			}
-			if flushEach {
-				r.Flush()
-			}
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if r.Errors() != 0 {
-			t.Fatalf("%d retrain errors", r.Errors())
-		}
-		w, _ := d.Weights()
-		// The written artefact must load back to exactly the active model.
-		loaded, err := poise.LoadWeights(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded != w {
-			t.Fatal("weights file does not match the active model")
-		}
-		raw, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w, raw
+		return raw
 	}
 
-	wStep, rawStep := finalWeights(true)
-	wBurst, rawBurst := finalWeights(false)
-	if wStep != wBurst {
-		t.Fatalf("retrain batching changed the model:\n%+v\n%+v", wStep, wBurst)
+	live := newIngestServer(t, Config{SampleLog: logPath,
+		Retrain: RetrainOptions{Min: 8, WeightsOut: filepath.Join(dir, "live.json")}})
+	for i, rec := range recs {
+		rep, err := live.ingest(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first record is under Min; each later one retrains.
+		if want := int64(i + 1); rep.WeightsVersion != want {
+			t.Fatalf("ingest %d: weights v%d, want v%d", i, rep.WeightsVersion, want)
+		}
 	}
-	if string(rawStep) != string(rawBurst) {
-		t.Fatal("weights files differ between batchings")
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayed := newIngestServer(t, Config{SampleLog: logPath,
+		Retrain: RetrainOptions{Min: 8, WeightsOut: filepath.Join(dir, "replayed.json")}})
+	if st := replayed.Stats(); st.Retrains != 1 || st.WeightsVersion != 2 {
+		t.Fatalf("replay at boot: %+v, want one retrain to weights v2", st)
+	}
+
+	want := trainOn(t, recs...)
+	if err := want.Save(filepath.Join(dir, "want.json")); err != nil {
+		t.Fatal(err)
+	}
+	if got := read("live.json"); string(got) != string(read("want.json")) {
+		t.Fatalf("live weights file is not poise.Train of the prefix:\n%s", got)
+	}
+	if got := read("replayed.json"); string(got) != string(read("want.json")) {
+		t.Fatalf("replayed weights file differs from the live one:\n%s", got)
+	}
+	if w, _ := replayed.dec.Weights(); w != want {
+		t.Fatal("the replayed service does not serve the file it wrote")
 	}
 }
 
 // TestRetrainerReplaysLog: a restart over an existing sample log
-// reconverges to the same model before serving anything new.
+// reconverges to the same model before New returns.
 func TestRetrainerReplaysLog(t *testing.T) {
-	dir := t.TempDir()
-	logPath := filepath.Join(dir, "samples.jsonl")
+	logPath := filepath.Join(t.TempDir(), "samples.jsonl")
+	cfg := Config{SampleLog: logPath, Retrain: RetrainOptions{Min: 6}}
 
-	d1, r1 := newTestRetrainer(t, logPath, 6)
-	if _, _, err := r1.Ingest(synthRecord(1, 9)); err != nil {
+	s1 := newIngestServer(t, cfg)
+	if _, err := s1.ingest(synthRecord(1, 9)); err != nil {
 		t.Fatal(err)
 	}
-	r1.Flush()
-	if err := r1.Close(); err != nil {
+	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w1, _ := d1.Weights()
+	w1, _ := s1.dec.Weights()
 
-	d2, r2 := newTestRetrainer(t, logPath, 6)
-	r2.Flush()
-	defer r2.Close()
-	w2, _ := d2.Weights()
-	if w1 != w2 {
+	s2 := newIngestServer(t, cfg)
+	if w2, _ := s2.dec.Weights(); w1 != w2 {
 		t.Fatalf("replayed log produced a different model:\n%+v\n%+v", w1, w2)
 	}
-	if records, samples := r2.Totals(); records != 1 || samples != 9 {
-		t.Fatalf("replayed totals = (%d,%d), want (1,9)", records, samples)
+	if st := s2.Stats(); st.IngestedRecords != 1 || st.TotalSamples != 9 {
+		t.Fatalf("replayed totals = (%d,%d), want (1,9)", st.IngestedRecords, st.TotalSamples)
 	}
 }
 
 func TestIngestAfterCloseFails(t *testing.T) {
-	_, r := newTestRetrainer(t, "", 4)
-	if err := r.Close(); err != nil {
+	s := newIngestServer(t, Config{Retrain: RetrainOptions{Min: 4}})
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Ingest(synthRecord(1, 1)); err == nil {
-		t.Fatal("Ingest after Close must fail")
+	if _, err := s.ingest(synthRecord(1, 1)); err == nil {
+		t.Fatal("ingest after Close must fail")
 	}
 }
 
-// TestRetrainFitsTheFullModel: the retrainer fits the whole Table II
+// TestRetrainFitsTheFullModel: the service fits the whole Table II
 // vector, as poise.Train does with zero options; no feature is left
 // out of a model the service hot-swaps.
 func TestRetrainFitsTheFullModel(t *testing.T) {
-	d, r := newTestRetrainer(t, "", 8)
-	defer r.Close()
+	s := newIngestServer(t, Config{Retrain: RetrainOptions{Min: 8}})
 	rec := synthRecord(1, 12)
-	if _, _, err := r.Ingest(rec); err != nil {
+	if _, err := s.ingest(rec); err != nil {
 		t.Fatal(err)
 	}
-	r.Flush()
-	if r.Retrains() != 1 || r.Errors() != 0 {
-		t.Fatalf("%d retrains, %d errors; want 1 and 0", r.Retrains(), r.Errors())
+	if st := s.Stats(); st.Retrains != 1 || st.RetrainErrors != 0 {
+		t.Fatalf("%d retrains, %d errors; want 1 and 0", st.Retrains, st.RetrainErrors)
 	}
-	want, err := poise.Train(&poise.Dataset{Samples: rec.Samples}, poise.TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := d.Weights()
-	if got != want {
+	got, _ := s.dec.Weights()
+	if want := trainOn(t, rec); got != want {
 		t.Fatalf("served weights %+v, want %+v", got, want)
 	}
 	if got.Dropped != -1 || got.Alpha[0] == 0 {

@@ -7,16 +7,17 @@
 // trace-signature digests; a Server exposes the decision path over
 // HTTP+JSONL (/decide, /table, /ingest, /stats) over internal/wire,
 // the transport the fleet uses too (bounded request bodies, backoff
-// client, graceful shutdown); and a Retrainer closes the online-adaptation
-// loop — ingested traces append to a versioned sample log and fold
-// into poise.Train, hot-swapping the active weights atomically while
+// client, graceful shutdown). The Server also closes the
+// online-adaptation loop: each ingested trace appends to a versioned
+// sample log, and once the sample prefix has reached the threshold,
+// every ingest that adds samples refits poise.Train on the whole prefix
+// before replying, hot-swapping the active weights atomically while
 // in-flight decisions drain on the old model.
 //
-// Determinism contract: retraining is a pure function of the sample
-// log prefix, so a fixed ingest order yields an identical final
-// weights file regardless of how the background retrainer batches the
-// work — and a restart over the same log reconverges to the same
-// model.
+// Determinism contract: every retrain fits the whole sample log prefix,
+// so a fixed ingest order yields an identical final weights file
+// whether the records arrive one by one or are replayed from the log
+// at restart, and each retrain adds one to the weights version.
 package serve
 
 // Stats is the service's counter snapshot, served by /stats.
@@ -29,14 +30,16 @@ type Stats struct {
 	// (bounded; a retrain starts over at zero).
 	Tables int64 `json:"tables"`
 
-	// Online-adaptation loop.
+	// Online adaptation: records and samples in the log (replayed ones
+	// included), and the retrains they triggered, each run inside an
+	// ingest or the boot replay.
 	IngestedRecords int64 `json:"ingestedRecords"`
 	TotalSamples    int64 `json:"totalSamples"`
 	Retrains        int64 `json:"retrains"`
 	RetrainErrors   int64 `json:"retrainErrors"`
 
 	// WeightsVersion counts hot-swaps: 1 is the boot model, each
-	// successful retrain increments it.
+	// successful retrain adds one.
 	WeightsVersion int64 `json:"weightsVersion"`
 
 	// Decision latency over the service lifetime, at log2-bucket

@@ -100,23 +100,32 @@ type IngestReply struct {
 	Samples      int   `json:"samples"`
 	Records      int64 `json:"records"`
 	TotalSamples int64 `json:"totalSamples"`
-	// WeightsVersion is the active version at reply time — the retrain
-	// triggered by this ingest may still be in flight.
+	// WeightsVersion is the active version after this ingest, its own
+	// retrain included.
 	WeightsVersion int64 `json:"weightsVersion"`
 }
 
-// Server is the HTTP face of a Decider plus its Retrainer.
+// Server is the HTTP face of a Decider plus the online-adaptation
+// state that retrains it.
 type Server struct {
 	cfg         Config
 	dec         *Decider
-	ret         *Retrainer
 	hist        histogram
 	defaultMaxN int
+
+	// mu serialises ingests (append, fold, retrain) and guards
+	// everything below.
+	mu      sync.Mutex
+	log     *Log // nil = memory-only (no durable sample log)
+	samples []poise.Sample
+	records int64
+	closed  bool
+
+	retrains, retrainErrs int64
 
 	// ingested registers the kernels that arrived via /ingest (or were
 	// replayed from the sample log), keyed by workload and kernel name,
 	// so /table can serve the active model's decision for each.
-	ingMu    sync.Mutex
 	ingested map[string]ingestedKernel
 }
 
@@ -128,8 +137,10 @@ type ingestedKernel struct {
 	maxN int
 }
 
-// New validates the boot weights and assembles the service, replaying
-// any existing sample log before the first request is served.
+// New validates the boot weights and assembles the service. A
+// non-empty SampleLog is opened (or created); the records already in
+// it are folded and, past the threshold, fitted before New returns, so
+// a restarted service serves the replayed model from its first request.
 func New(cfg Config) (*Server, error) {
 	if cfg.SimCfg == (config.Config{}) {
 		cfg.SimCfg = config.Default()
@@ -143,49 +154,60 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.Retrain.Logf == nil {
-		cfg.Retrain.Logf = cfg.Logf
+	if cfg.Retrain.Min <= 0 {
+		cfg.Retrain.Min = DefaultMinRetrain
 	}
 	dec, err := NewDecider(cfg.Weights)
 	if err != nil {
 		return nil, err
 	}
-	ret, err := NewRetrainer(dec, cfg.SampleLog, cfg.Retrain)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
-		cfg: cfg, dec: dec, ret: ret,
+		cfg: cfg, dec: dec,
 		defaultMaxN: cfg.SimCfg.WarpsPerSched,
 		ingested:    make(map[string]ingestedKernel),
 	}
-	for _, rec := range ret.DrainReplayed() {
-		s.registerIngested(rec)
+	if cfg.SampleLog != "" {
+		log, recs, err := OpenLog(cfg.SampleLog)
+		if err != nil {
+			return nil, err
+		}
+		s.log = log
+		for _, rec := range recs {
+			s.add(rec)
+		}
+		s.retrain()
 	}
 	return s, nil
 }
 
-// Flush blocks until every ingest accepted before the call has been
-// folded into the model. Test and shutdown hook.
-func (s *Server) Flush() { s.ret.Flush() }
-
-// Close drains the retrainer (final retrain, final weights write) and
-// closes the sample log.
-func (s *Server) Close() error { return s.ret.Close() }
+// Close closes the sample log; an ingest after it fails.
+func (s *Server) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	if s.log != nil {
+		return s.log.Close()
+	}
+	return nil
+}
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
 	decisions, hits, misses := s.dec.Counters()
-	records, samples := s.ret.Totals()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return Stats{
 		Decisions:       decisions,
 		CacheHits:       hits,
 		CacheMisses:     misses,
 		Tables:          s.dec.Tables(),
-		IngestedRecords: records,
-		TotalSamples:    samples,
-		Retrains:        s.ret.Retrains(),
-		RetrainErrors:   s.ret.Errors(),
+		IngestedRecords: s.records,
+		TotalSamples:    int64(len(s.samples)),
+		Retrains:        s.retrains,
+		RetrainErrors:   s.retrainErrs,
 		WeightsVersion:  s.dec.Version(),
 		P50LatencyNS:    s.hist.Quantile(0.50),
 		P99LatencyNS:    s.hist.Quantile(0.99),
@@ -274,23 +296,6 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// registerIngested records rec's kernels in the /table registry. The
-// key is workload-qualified so two workloads' same-named kernels get
-// a row each; a re-ingest of the same kernel refreshes its feature
-// vector in place.
-func (s *Server) registerIngested(rec Record) {
-	s.ingMu.Lock()
-	defer s.ingMu.Unlock()
-	for _, sm := range rec.Samples {
-		maxN := sm.MaxN
-		if maxN < 1 || maxN > MaxTableN {
-			maxN = s.defaultMaxN
-		}
-		key := "ingest/" + rec.Signature.Workload + "/" + sm.Kernel
-		s.ingested[key] = ingestedKernel{name: sm.Kernel, x: sm.X, maxN: maxN}
-	}
-}
-
 // ingestedRows renders the /ingest-arrived rows of /table, every one
 // predicted from one read of the active weights (and labelled with
 // their version), so a table rendered across a retrain never mixes two
@@ -298,12 +303,12 @@ func (s *Server) registerIngested(rec Record) {
 // changed the features, so the rows do not go through Decide. Sorted
 // by rendered form, matching BestTableRows' ordering discipline.
 func (s *Server) ingestedRows() []string {
-	s.ingMu.Lock()
+	s.mu.Lock()
 	kernels := make([]ingestedKernel, 0, len(s.ingested))
 	for _, k := range s.ingested {
 		kernels = append(kernels, k)
 	}
-	s.ingMu.Unlock()
+	s.mu.Unlock()
 	weights, version := s.dec.Weights()
 	rows := make([]string, 0, len(kernels))
 	for _, k := range kernels {
@@ -320,7 +325,8 @@ func (s *Server) ingestedRows() []string {
 // flows straight into flat replay arenas, never buffered whole — then
 // characterised and profiled on the spot, the online analogue of the
 // offline training pipeline; finally the record is appended to the
-// sample log and the background retrainer notified.
+// sample log and, past the threshold, the model retrained before the
+// reply.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var rec Record
 	var wl *sim.Workload // a raw trace, still to be profiled
@@ -346,22 +352,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		rec.Samples = ds.Samples
 	}
 
-	records, samples, err := s.ret.Ingest(rec)
+	rep, err := s.ingest(rec)
 	if err != nil {
 		http.Error(w, "serve: ingest: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.registerIngested(rec)
-	s.cfg.Logf("serve: ingested %s: %d samples (%d records, %d samples total)",
-		rec.Signature.Workload, len(rec.Samples), records, samples)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(IngestReply{
-		Workload:       rec.Signature.Workload,
-		Samples:        len(rec.Samples),
-		Records:        records,
-		TotalSamples:   samples,
-		WeightsVersion: s.dec.Version(),
-	})
+	json.NewEncoder(w).Encode(rep)
 }
 
 // readIngest reads an /ingest body: a JSON record, or a raw trace
@@ -396,8 +393,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // Serve runs the service on addr until ctx is cancelled or the
 // listener fails (wire.Serve: in-flight requests get its drain window),
-// then closes it: the retrainer folds any still-pending samples
-// (writing the final weights file) before Serve returns. The bound
+// then closes it. Every accepted ingest has retrained before its reply,
+// so nothing is pending and the weights file is final. The bound
 // address (useful with ":0") is reported through addrCh when non-nil.
 func (s *Server) Serve(ctx context.Context, addr string, addrCh chan<- string) error {
 	err := wire.Serve(ctx, addr, s.Handler(), func(a net.Addr) {

@@ -305,10 +305,10 @@ func TestServeIngestRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Workload != "synth" || rep.Samples != 9 || rep.Records != 1 || rep.TotalSamples != 9 {
+	// The ingest crossed Min, so its own reply reports the retrain.
+	if rep.Workload != "synth" || rep.Samples != 9 || rep.Records != 1 || rep.TotalSamples != 9 || rep.WeightsVersion != 2 {
 		t.Fatalf("ingest reply = %+v", rep)
 	}
-	s.Flush()
 	st := s.Stats()
 	if st.Retrains != 1 || st.RetrainErrors != 0 || st.WeightsVersion != 2 {
 		t.Fatalf("post-ingest stats = %+v", st)
@@ -355,7 +355,6 @@ func TestServeIngestRawTrace(t *testing.T) {
 	if rep.Records != 1 {
 		t.Fatalf("records = %d, want 1", rep.Records)
 	}
-	s.Flush()
 	st := s.Stats()
 	if st.IngestedRecords != 1 {
 		t.Fatalf("stats after trace ingest = %+v", st)
@@ -403,12 +402,11 @@ func TestServeIngestSweepsEachTracesContent(t *testing.T) {
 			}
 		}
 		s.Close()
-		f, err := os.Open(logPath)
+		data, err := os.ReadFile(logPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		recs, err := ReadLog(f)
+		recs, _, err := parseLog(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +481,6 @@ func TestServeIngestBoundsDecompressedBody(t *testing.T) {
 			t.Fatalf("an 8 MiB body sent as %d bytes: status %d, want 413", len(body), resp.StatusCode)
 		}
 	}
-	s.Flush()
 	if st := s.Stats(); st.IngestedRecords != 0 {
 		t.Fatalf("a refused body was ingested: %+v", st)
 	}
@@ -544,7 +541,6 @@ func TestServeIngestWhileDeciding(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	s.Flush()
 	st := s.Stats()
 	if want := int64(deciders * decideRounds * batch); st.Decisions != want {
 		t.Fatalf("decisions = %d, want %d", st.Decisions, want)
@@ -562,8 +558,8 @@ func TestServeIngestWhileDeciding(t *testing.T) {
 
 // TestServeIngestCIFixture keeps the checked-in CI record honest: the
 // workflow's round-trip step curls testdata/ci-ingest.json at a live
-// service and expects a retrain, so the fixture must keep training
-// cleanly.
+// service and requires the reply to carry a retrained weights version,
+// so the fixture must keep training cleanly.
 func TestServeIngestCIFixture(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "ci-ingest.json"))
 	if err != nil {
@@ -574,10 +570,9 @@ func TestServeIngestCIFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Workload != "ci-synth" || rep.Samples != 16 {
+	if rep.Workload != "ci-synth" || rep.Samples != 16 || rep.WeightsVersion < 2 {
 		t.Fatalf("fixture ingest reply = %+v", rep)
 	}
-	s.Flush()
 	if st := s.Stats(); st.Retrains != 1 || st.RetrainErrors != 0 {
 		t.Fatalf("fixture must train cleanly: %+v", st)
 	}
@@ -604,8 +599,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 	addr := <-addrCh
 
 	c := &Client{Base: "http://" + addr}
-	// Pending samples at shutdown time must still be folded (and are:
-	// Close drains the retrainer before Serve returns).
+	// The ingest retrains before its reply, so shutdown finds nothing
+	// pending; after it the service refuses further ingests.
 	if _, err := c.IngestRecord(context.Background(), synthRecord(1, 9)); err != nil {
 		t.Fatal(err)
 	}
@@ -614,6 +609,39 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatalf("Serve returned %v", err)
 	}
 	if st := s.Stats(); st.Retrains != 1 || st.WeightsVersion != 2 {
-		t.Fatalf("shutdown did not drain the retrainer: %+v", st)
+		t.Fatalf("shutdown lost the retrain: %+v", st)
+	}
+	if _, err := s.ingest(synthRecord(2, 1)); err == nil {
+		t.Fatal("an ingest after shutdown must fail")
+	}
+}
+
+// TestServeFirstDecideUsesReplayedModel: a service booted over an
+// existing sample log answers its very first /decide with the model the
+// log trains, not the boot weights.
+func TestServeFirstDecideUsesReplayedModel(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "samples.jsonl")
+	l, _, err := OpenLog(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := synthRecord(1, 12)
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := trainOn(t, rec)
+
+	_, c := newTestServer(t, Config{Weights: testWeights(), SampleLog: logPath, Retrain: RetrainOptions{Min: 8}})
+	x := testVector(3)
+	replies, err := c.Decide(context.Background(), []DecideRequest{{Key: "k", X: x, MaxN: 24}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantN, wantP := want.PredictTuple(x, 24)
+	if got := replies[0]; got.Version != 2 || got.N != wantN || got.P != wantP {
+		t.Fatalf("first decision = %+v, want (%d,%d) from the replayed model v2", got, wantN, wantP)
 	}
 }
