@@ -25,14 +25,14 @@ const DefaultMinRetrain = 2 * poise.NumFeatures
 
 // ingest appends rec to the sample log (when durable) and its samples
 // to the prefix. When rec carries samples and the prefix has reached
-// Min, it retrains on the whole prefix before returning, so the reply
-// reports the model this ingest produced. Ingest order is the
-// determinism anchor: callers that need reproducible weights must fix
-// it.
+// Min, it makes sure a retrain covering them has run before returning,
+// so the reply reports a model that has seen this ingest. Ingest order
+// is the determinism anchor: callers that need reproducible weights
+// must fix it.
 func (s *Server) ingest(rec Record) (IngestReply, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return IngestReply{}, os.ErrClosed
 	}
 	if s.log != nil {
@@ -40,22 +40,25 @@ func (s *Server) ingest(rec Record) (IngestReply, error) {
 		// the next OpenLog truncates — the in-memory state never gets
 		// ahead of the durable state.
 		if err := s.log.Append(rec); err != nil {
+			s.mu.Unlock()
 			return IngestReply{}, err
 		}
 	}
 	s.add(rec)
-	s.cfg.Logf("serve: ingested %s: %d samples (%d records, %d samples total)",
-		rec.Signature.Workload, len(rec.Samples), s.records, len(s.samples))
-	if len(rec.Samples) > 0 {
-		s.retrain()
+	rep := IngestReply{
+		Workload:     rec.Signature.Workload,
+		Samples:      len(rec.Samples),
+		Records:      s.records,
+		TotalSamples: int64(len(s.samples)),
 	}
-	return IngestReply{
-		Workload:       rec.Signature.Workload,
-		Samples:        len(rec.Samples),
-		Records:        s.records,
-		TotalSamples:   int64(len(s.samples)),
-		WeightsVersion: s.dec.Version(),
-	}, nil
+	s.mu.Unlock()
+	s.cfg.Logf("serve: ingested %s: %d samples (%d records, %d samples total)",
+		rep.Workload, rep.Samples, rep.Records, rep.TotalSamples)
+	if rep.Samples > 0 {
+		s.retrain(int(rep.TotalSamples))
+	}
+	rep.WeightsVersion = s.dec.Version()
+	return rep, nil
 }
 
 // add folds rec into the prefix and the /table registry. The registry
@@ -75,33 +78,46 @@ func (s *Server) add(rec Record) {
 	}
 }
 
-// retrain fits poise.Train on the full sample prefix, once it holds
+// retrain makes sure a fit covering the first upTo samples has run.
+// Unless a fit that ran while this caller waited for fitMu already
+// covered them, it fits poise.Train on the full prefix, once that holds
 // Min samples, hot-swaps the result into the Decider and rewrites
-// WeightsOut. Every fit sees the whole prefix in ingest order, so the
-// weights are a pure function of the log: a fixed ingest sequence
-// lands on the same weights file whether its records arrived one by
-// one or were replayed at restart. s.mu must be held.
-func (s *Server) retrain() {
-	if len(s.samples) < s.cfg.Retrain.Min {
+// WeightsOut. Fits run one at a time on ever longer prefixes in ingest
+// order, so the last one written is poise.Train of the whole log: a
+// fixed ingest sequence lands on the same weights file whether its
+// records arrived one by one or were replayed at restart.
+func (s *Server) retrain(upTo int) {
+	s.fitMu.Lock()
+	defer s.fitMu.Unlock()
+	if s.fitted >= upTo {
 		return
 	}
-	w, err := poise.Train(&poise.Dataset{Samples: s.samples}, poise.TrainOptions{})
+	s.mu.Lock()
+	// The backing array is append-only, so the three-index slice is
+	// safe to read once mu is released.
+	prefix := s.samples[:len(s.samples):len(s.samples)]
+	s.mu.Unlock()
+	s.fitted = len(prefix)
+	if len(prefix) < s.cfg.Retrain.Min {
+		return
+	}
+	w, err := poise.Train(&poise.Dataset{Samples: prefix}, poise.TrainOptions{})
 	if err != nil {
-		s.retrainErrs++
-		s.cfg.Logf("serve: retrain on %d samples failed: %v", len(s.samples), err)
+		s.retrainErrs.Add(1)
+		s.cfg.Logf("serve: retrain on %d samples failed: %v", len(prefix), err)
 		return
 	}
 	v, err := s.dec.Swap(w)
 	if err != nil {
-		s.retrainErrs++
+		s.retrainErrs.Add(1)
 		s.cfg.Logf("serve: retrained weights rejected: %v", err)
 		return
 	}
-	s.retrains++
+	s.retrains.Add(1)
 	if out := s.cfg.Retrain.WeightsOut; out != "" {
 		if werr := w.Save(out); werr != nil {
 			s.cfg.Logf("serve: writing %s: %v", out, werr)
 		}
 	}
-	s.cfg.Logf("serve: retrained on %d samples -> weights v%d", len(s.samples), v)
+	s.cfg.Logf("serve: retrained on %d samples -> weights v%d", len(prefix), v)
 }

@@ -1,11 +1,18 @@
 package serve
 
 import (
+	"context"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"poise/internal/poise"
+	"poise/internal/traceio"
 )
 
 // newIngestServer builds a Server on the test weights with no HTTP
@@ -186,5 +193,129 @@ func TestRetrainFitsTheFullModel(t *testing.T) {
 	}
 	if got.Dropped != -1 || got.Alpha[0] == 0 {
 		t.Fatalf("served model drops a feature: Dropped %d, Alpha[0] %v", got.Dropped, got.Alpha[0])
+	}
+}
+
+// TestRetrainBurstSharesOneFit: ingests that queue behind a running
+// retrain append first, and the next fit covers them all, so a burst
+// costs one fit, not one each. Every reply still reports a model that
+// has seen its own samples, and that model is poise.Train of the log.
+func TestRetrainBurstSharesOneFit(t *testing.T) {
+	s := newIngestServer(t, Config{Retrain: RetrainOptions{Min: 8}})
+	if _, err := s.ingest(synthRecord(1, 9)); err != nil {
+		t.Fatal(err)
+	}
+
+	const burst = 4
+	s.fitMu.Lock() // a retrain is running
+	replies := make(chan IngestReply, burst)
+	for i := 0; i < burst; i++ {
+		go func(i int) {
+			rep, err := s.ingest(synthRecord(10+i, 3))
+			if err != nil {
+				t.Error(err)
+			}
+			replies <- rep
+		}(i)
+	}
+	for s.Stats().IngestedRecords < 1+burst {
+		time.Sleep(time.Millisecond)
+	}
+	s.fitMu.Unlock()
+
+	for i := 0; i < burst; i++ {
+		if rep := <-replies; rep.WeightsVersion != 3 {
+			t.Fatalf("burst reply %+v, want weights v3", rep)
+		}
+	}
+	if st := s.Stats(); st.Retrains != 2 || st.TotalSamples != 9+3*burst {
+		t.Fatalf("stats = %+v, want 2 retrains over %d samples", st, 9+3*burst)
+	}
+	want, err := poise.Train(&poise.Dataset{Samples: s.samples}, poise.TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.dec.Weights(); got != want {
+		t.Fatal("served weights are not poise.Train of the log")
+	}
+}
+
+// TestStatsAndTableNeverWaitOnAFit: /stats and /table read the
+// counters and the kernel registry while a retrain runs.
+func TestStatsAndTableNeverWaitOnAFit(t *testing.T) {
+	s := newIngestServer(t, Config{Retrain: RetrainOptions{Min: 8}})
+	if _, err := s.ingest(synthRecord(1, 9)); err != nil {
+		t.Fatal(err)
+	}
+	s.fitMu.Lock() // a retrain is running
+	defer s.fitMu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		s.Stats()
+		s.ingestedRows()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stats or the /table rows waited on a running retrain")
+	}
+}
+
+// BenchmarkIngestRecord times pre-characterised JSON-record ingests
+// over HTTP (four samples each, drawn from the shipped training set)
+// against a sample log that already holds 60, 600 or 6 000 samples,
+// from one client and from eight; ns/op is wall time per ingest. A
+// reply waits for the retrain that covers its samples, so one client
+// pays a fit per ingest, and eight share the fits their burst queues.
+func BenchmarkIngestRecord(b *testing.B) {
+	ds, _, err := poise.LoadDataset(filepath.Join("..", "poise", "testdata", "dataset.jsonl"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := ds.Samples
+	record := func(i, n int) Record {
+		rec := Record{Signature: traceio.Signature{Workload: "bench"}}
+		for j := 0; j < n; j++ {
+			rec.Samples = append(rec.Samples, pool[(i*n+j)%len(pool)])
+		}
+		return rec
+	}
+	for _, logSize := range []int{60, 600, 6000} {
+		for _, clients := range []int{1, 8} {
+			b.Run(fmt.Sprintf("log=%d/clients=%d", logSize, clients), func(b *testing.B) {
+				s, err := New(Config{Weights: testWeights(), Retrain: RetrainOptions{Min: 16}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < logSize/10; i++ {
+					if _, err := s.ingest(record(i, 10)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				ts := httptest.NewServer(s.Handler())
+				defer func() {
+					ts.Close()
+					s.Close()
+				}()
+				c := &Client{Base: ts.URL, HTTP: ts.Client()}
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for g := 0; g < clients; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+							if _, err := c.IngestRecord(context.Background(), record(int(i), 4)); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			})
+		}
 	}
 }

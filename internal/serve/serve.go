@@ -10,9 +10,10 @@
 // client, graceful shutdown). The Server also closes the
 // online-adaptation loop: each ingested trace appends to a versioned
 // sample log, and once the sample prefix has reached the threshold,
-// every ingest that adds samples refits poise.Train on the whole prefix
-// before replying, hot-swapping the active weights atomically while
-// in-flight decisions drain on the old model.
+// no ingest that adds samples replies before a refit of poise.Train on
+// the whole prefix has covered them (ingests that queue behind a
+// running refit share the next one), hot-swapping the active weights
+// atomically while in-flight decisions drain on the old model.
 //
 // Determinism contract: every retrain fits the whole sample log prefix,
 // so a fixed ingest order yields an identical final weights file

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"poise/internal/config"
@@ -113,20 +114,28 @@ type Server struct {
 	hist        histogram
 	defaultMaxN int
 
-	// mu serialises ingests (append, fold, retrain) and guards
-	// everything below.
+	// mu guards the log appends and everything below it. It is held
+	// only to append and to read, never across a fit, so /stats and
+	// /table never wait on a retrain.
 	mu      sync.Mutex
 	log     *Log // nil = memory-only (no durable sample log)
 	samples []poise.Sample
 	records int64
 	closed  bool
 
-	retrains, retrainErrs int64
-
 	// ingested registers the kernels that arrived via /ingest (or were
 	// replayed from the sample log), keyed by workload and kernel name,
 	// so /table can serve the active model's decision for each.
 	ingested map[string]ingestedKernel
+
+	// fitMu serialises retrains; fitted, the prefix length the last
+	// retrain covered, is read and written under it. Ingests that
+	// queued behind a fit find their samples covered by the next one
+	// and skip their own, so a burst of ingests shares fits.
+	fitMu  sync.Mutex
+	fitted int
+
+	retrains, retrainErrs atomic.Int64
 }
 
 // ingestedKernel is one /ingest-arrived kernel: its name, its latest
@@ -175,13 +184,16 @@ func New(cfg Config) (*Server, error) {
 		for _, rec := range recs {
 			s.add(rec)
 		}
-		s.retrain()
+		s.retrain(len(s.samples))
 	}
 	return s, nil
 }
 
-// Close closes the sample log; an ingest after it fails.
+// Close waits out a running retrain, so the weights file is final, and
+// closes the sample log; an ingest after it fails.
 func (s *Server) Close() error {
+	s.fitMu.Lock()
+	defer s.fitMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -206,8 +218,8 @@ func (s *Server) Stats() Stats {
 		Tables:          s.dec.Tables(),
 		IngestedRecords: s.records,
 		TotalSamples:    int64(len(s.samples)),
-		Retrains:        s.retrains,
-		RetrainErrors:   s.retrainErrs,
+		Retrains:        s.retrains.Load(),
+		RetrainErrors:   s.retrainErrs.Load(),
 		WeightsVersion:  s.dec.Version(),
 		P50LatencyNS:    s.hist.Quantile(0.50),
 		P99LatencyNS:    s.hist.Quantile(0.99),
